@@ -86,6 +86,10 @@ type instState struct {
 	abortCause   metrics.Mechanism
 
 	childOf map[model.StepID]int // nested step -> child instance ID
+
+	// dirty marks the instance as changed since its last WFDB row; it is then
+	// on Engine.dirty and the turn's commit writes it (see endTurn).
+	dirty bool
 }
 
 // chainTask is one entry of the serialized compensation/re-execution chain.
@@ -112,8 +116,12 @@ type Engine struct {
 	// goroutine.
 	handles map[string]*transport.Handle
 	// batch coalesces the sends of one handler turn into per-destination
-	// envelopes; flushed before the turn's Ack (see flushSends).
+	// envelopes; tx collects the turn's WFDB rows and dirty lists, in marking
+	// order, the live instances whose rows are still to be encoded into it.
+	// endTurn commits tx, then flushes batch, then acks.
 	batch transport.Batcher
+	tx    wfdb.Batch
+	dirty []*instState
 
 	cmdMu     sync.Mutex
 	cmdQ      []func()
@@ -219,19 +227,47 @@ func (e *Engine) loop() {
 				return
 			}
 			e.handleMessage(m)
-			e.flushSends()
-			e.ep.Ack()
+			e.endTurn(true)
 		case <-e.cmdNotify:
 		}
 	}
 }
 
-// flushSends dispatches the current turn's batched sends. It runs at the end
-// of every handler turn and command, before the turn's Ack, so quiescence
-// accounting never sees a processed-but-unsent gap.
-func (e *Engine) flushSends() {
+// endTurn is the one epilogue of every engine turn — a handled message
+// (ack true) or a command: commit, then flush sends, then ack. The order is
+// the engine's durability contract, held here and nowhere else:
+//
+//   - write-ahead of dispatch: the turn's WFDB rows are on the log before any
+//     message the turn produced leaves, so a restarted engine knows of every
+//     request or compensation an agent may have received;
+//   - persist before ack: the message's effects are durable before the
+//     transport may consider it processed (and before Do returns);
+//   - flush before ack: quiescence accounting never sees a
+//     processed-but-unsent gap.
+func (e *Engine) endTurn(ack bool) {
+	e.commit()
 	if err := e.batch.Flush(); err != nil {
 		e.logf("flush sends: %v", err)
+	}
+	if ack {
+		e.ep.Ack()
+	}
+}
+
+// commit encodes every dirty live instance once, behind the rows the turn
+// already added to tx, and writes the lot as one WFDB group — one WAL write,
+// replayed all or nothing.
+func (e *Engine) commit() {
+	for i, st := range e.dirty {
+		if st.dirty { // still live: retirement clears the mark
+			st.dirty = false
+			e.tx.SaveInstance(st.ins)
+		}
+		e.dirty[i] = nil
+	}
+	e.dirty = e.dirty[:0]
+	if err := e.adb.Commit(&e.tx); err != nil {
+		e.logf("commit: %v", err)
 	}
 }
 
@@ -246,7 +282,7 @@ func (e *Engine) drainCmds() {
 		e.cmdQ = e.cmdQ[1:]
 		e.cmdMu.Unlock()
 		f()
-		e.flushSends()
+		e.endTurn(false)
 	}
 }
 
@@ -267,19 +303,14 @@ func (e *Engine) Do(f func()) {
 	e.enqueue(func() {
 		defer close(done)
 		f()
-		e.flushSends() // before done closes: the caller may Quiesce next
+		e.endTurn(false) // before done closes: the caller may Quiesce or crash the engine next
 	})
 	<-done
 }
 
 // DoAsync schedules f on the engine goroutine without waiting. Safe to call
 // from any goroutine, including the engine's own.
-func (e *Engine) DoAsync(f func()) {
-	e.enqueue(func() {
-		f()
-		e.flushSends()
-	})
-}
+func (e *Engine) DoAsync(f func()) { e.enqueue(f) }
 
 func (e *Engine) handleMessage(m transport.Message) {
 	switch p := m.Payload.(type) {
@@ -786,13 +817,11 @@ func (e *Engine) startLocked(workflow string, id int, inputs map[string]expr.Val
 	e.instances[key] = st
 	e.addLoad(metrics.Normal, 1) // WorkflowStart processing
 	if e.cfg.DB != nil {
-		if err := e.cfg.DB.SaveSummary(workflow, id, wfdb.Running); err != nil {
-			e.logf("save summary %s: %v", key, err)
-		}
+		e.tx.SaveSummary(workflow, id, wfdb.Running)
 	}
 	ins.Events.Post(event.WorkflowStartName)
-	// Persist before navigating: an acknowledged start must survive a crash
-	// even if the first dispatch has not happened yet (coordination blocks).
+	// An acknowledged start must survive a crash even if the first dispatch
+	// has not happened yet (coordination blocks).
 	e.persist(st)
 	e.evaluate(st)
 	return id, nil
@@ -1502,16 +1531,17 @@ func (e *Engine) maybeCommit(st *instState) {
 // no live navigation can still need the evicted state.
 func (e *Engine) finishInstance(st *instState) {
 	key := st.ins.Key()
-	if e.cfg.DB != nil {
-		if err := e.cfg.DB.SaveSummary(st.ins.Workflow, st.ins.ID, st.ins.Status); err != nil {
-			e.logf("summary %s: %v", key, err)
-		}
-	}
 	// Archive before publishing completion: a woken waiter may Snapshot
-	// immediately and must find the archived state.
-	if err := e.adb.Archive(st.ins); err != nil {
-		e.logf("archive %s: %v", key, err)
+	// immediately and must find the archived state. The summary, the archive
+	// row and the deletion of the instance row go out in one group (behind
+	// whatever the turn has pending), so a crash never finds the instance
+	// both archived and live.
+	if e.cfg.DB != nil {
+		e.tx.SaveSummary(st.ins.Workflow, st.ins.ID, st.ins.Status)
 	}
+	e.tx.Archive(st.ins)
+	st.dirty = false
+	e.commit()
 	if e.coordinator != nil {
 		e.coordinator.Forget(coord.InstanceRef{Workflow: st.ins.Workflow, ID: st.ins.ID})
 	}
@@ -1601,13 +1631,16 @@ func (e *Engine) onChildFinished(parent *instState, step model.StepID, child *in
 	e.evaluate(parent)
 }
 
+// persist marks the instance for the turn's commit. Callers invoke it after
+// any change a restart must see; the row itself is encoded once, from the
+// state the instance has when the turn ends (or another instance retires),
+// and is on the log before the turn's sends leave (see endTurn).
 func (e *Engine) persist(st *instState) {
-	if e.cfg.DB == nil {
+	if e.cfg.DB == nil || st.dirty {
 		return
 	}
-	if err := e.cfg.DB.SaveInstance(st.ins); err != nil {
-		e.logf("persist %s: %v", st.ins.Key(), err)
-	}
+	st.dirty = true
+	e.dirty = append(e.dirty, st)
 }
 
 // ---------------------------------------------------------------------------

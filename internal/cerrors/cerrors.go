@@ -41,6 +41,10 @@ var (
 	// level). Match the class with errors.Is(err, ErrWire), then switch on
 	// CodeOf(err) for the specific failure.
 	ErrWire = errors.New("transport wire failure")
+	// ErrStore reports a durable-store failure (the WAL file or a row in it).
+	// Match the class with errors.Is(err, ErrStore), then switch on
+	// CodeOf(err) for the specific failure.
+	ErrStore = errors.New("durable store failure")
 )
 
 // Code is a stable, machine-readable failure class. Callers switch on codes;
@@ -85,6 +89,14 @@ const (
 	// CodeUnclaimedNode reports a frame addressed to a wire node no
 	// connection has claimed.
 	CodeUnclaimedNode Code = "wire_unclaimed_node"
+
+	// Durable-store codes. All carry ErrStore as their class sentinel.
+
+	// CodeStoreFormat reports durable bytes this build does not read: a
+	// store file without the expected magic and format byte (a log written
+	// before the binary format included), or a row with an unknown version
+	// or an invalid structure. The file is left untouched.
+	CodeStoreFormat Code = "store_format"
 )
 
 // Phase locates a failure within an operation's life cycle.
@@ -108,6 +120,8 @@ const (
 	PhaseDeliver Phase = "deliver"
 	// PhaseRecovery covers crash recovery (rebuild, replay, reclaim).
 	PhaseRecovery Phase = "recovery"
+	// PhaseOpen covers opening a durable store (header check, log replay).
+	PhaseOpen Phase = "open"
 )
 
 // Error is a classified error: a stable code, the phase it occurred in, and

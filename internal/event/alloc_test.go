@@ -16,3 +16,20 @@ func TestPostAllocBudget(t *testing.T) {
 		t.Errorf("Post allocates %.2f/op on an existing entry, budget 0", avg)
 	}
 }
+
+// TestAppendAllocBudget guards the row-encoding hot path (//crew:hotpath on
+// Append): with a warm buffer and sort scratch it must not allocate.
+func TestAppendAllocBudget(t *testing.T) {
+	tab := NewTable()
+	for _, name := range []string{WorkflowStartName, "S2.done", "S1.done", "S1.fail", "ext:WF1.3:S12.done"} {
+		tab.Post(name)
+	}
+	var names []string
+	buf := tab.Append(nil, &names)
+	avg := testing.AllocsPerRun(500, func() {
+		buf = tab.Append(buf[:0], &names)
+	})
+	if avg > 0 {
+		t.Errorf("Append allocates %.2f/op into a warm buffer, budget 0", avg)
+	}
+}

@@ -9,9 +9,13 @@
 package event
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+
+	"crew/internal/binenc"
 )
 
 // Kind classifies events.
@@ -285,15 +289,15 @@ func (t *Table) String() string {
 	return strings.Join(t.ValidNames(), " ")
 }
 
-// Exported is the serializable form of one event-table entry.
+// Exported is one event-table entry as Export reports it.
 type Exported struct {
-	Name  string `json:"n"`
-	Count int    `json:"c"`
-	Valid bool   `json:"v"`
+	Name  string
+	Count int
+	Valid bool
 }
 
 // Export returns all entries (including invalidated ones) sorted by name,
-// for persistence in a workflow or agent database.
+// for inspection and as the reference the binary form is tested against.
 func (t *Table) Export() []Exported {
 	out := make([]Exported, 0, len(t.entries))
 	for name, e := range t.entries {
@@ -303,12 +307,39 @@ func (t *Table) Export() []Exported {
 	return out
 }
 
-// ImportTable reconstructs a table from exported entries.
-func ImportTable(recs []Exported) *Table {
-	t := NewTable()
-	for _, r := range recs {
-		t.entries[r.Name] = entry{count: r.Count, valid: r.Valid}
+// Append appends the table's binary form — the event section of a WFDB row —
+// to dst: the entry count, then every entry (invalidated ones included, with
+// their counts) as name, count, validity byte, sorted by name so equal tables
+// encode to equal bytes. names is sort scratch the caller reuses across
+// calls; with a warm scratch and buffer the call does not allocate.
+//
+//crew:hotpath
+func (t *Table) Append(dst []byte, names *[]string) []byte {
+	keys := (*names)[:0]
+	//crew:allow hotalloc collects names only; the sort below fixes the order
+	for name := range t.entries {
+		keys = append(keys, name)
 	}
-	t.seq = len(recs)
+	slices.Sort(keys)
+	*names = keys
+	dst = binary.AppendUvarint(dst, uint64(len(keys)))
+	for _, name := range keys {
+		e := t.entries[name]
+		dst = binenc.AppendString(dst, name)
+		dst = binenc.AppendInt(dst, e.count)
+		dst = binenc.AppendBool(dst, e.valid)
+	}
+	return dst
+}
+
+// DecodeTable reads a table written by Append. The table starts with no
+// observer; malformed input fails the reader.
+func DecodeTable(r *binenc.Reader) *Table {
+	n := r.Count(3) // name length, count, validity
+	t := &Table{entries: make(map[string]entry, n), seq: n}
+	for i := 0; i < n; i++ {
+		name := r.Str()
+		t.entries[name] = entry{count: r.Int(), valid: r.Bool()}
+	}
 	return t
 }

@@ -1,9 +1,13 @@
 package event
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"crew/internal/binenc"
 )
 
 func TestNameConstructors(t *testing.T) {
@@ -254,5 +258,53 @@ func TestPropertyMergeIdempotent(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestBinaryRoundTrip(t *testing.T) {
+	tab := NewTable()
+	tab.Post("S2.done")
+	tab.Post("S1.done")
+	tab.Post("S1.done")
+	tab.Post("S1.fail")
+	tab.Invalidate("S1.fail")
+	var names []string
+	buf := tab.Append(nil, &names)
+	r := binenc.NewReader(append(append([]byte(nil), buf...), 0xEE))
+	got := DecodeTable(r)
+	if r.Byte() != 0xEE || r.Done() != nil {
+		t.Fatal("DecodeTable did not stop at the end of the table")
+	}
+	if !reflect.DeepEqual(got.Export(), tab.Export()) {
+		t.Errorf("round trip = %v, want %v", got.Export(), tab.Export())
+	}
+	if got.Has("S1.fail") || got.Count("S1.fail") != 1 || got.Count("S1.done") != 2 {
+		t.Error("invalidated entry or counts lost")
+	}
+	// Equal tables encode to equal bytes whatever the insertion order.
+	other := NewTable()
+	other.Post("S1.fail")
+	other.Invalidate("S1.fail")
+	other.Post("S1.done")
+	other.Post("S1.done")
+	other.Post("S2.done")
+	if !bytes.Equal(other.Append(nil, &names), buf) {
+		t.Error("encoding depends on insertion order")
+	}
+	r = binenc.NewReader(NewTable().Append(nil, &names))
+	if empty := DecodeTable(r); r.Done() != nil || empty.Len() != 0 {
+		t.Error("empty table round trip")
+	}
+	// Truncations and a count the input cannot hold fail cleanly.
+	for cut := 0; cut < len(buf); cut++ {
+		r := binenc.NewReader(buf[:cut])
+		DecodeTable(r)
+		if r.Done() == nil {
+			t.Fatalf("table cut at %d decoded", cut)
+		}
+	}
+	r = binenc.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 1, 'a', 2, 1})
+	if DecodeTable(r); r.Done() == nil {
+		t.Error("oversized count decoded")
 	}
 }

@@ -21,17 +21,22 @@ var mapIterSinks = map[methodKey]bool{
 	{pkg: transportPath, recv: "Batcher", name: "Add"}:            true,
 	{pkg: "crew/internal/event", recv: "Table", name: "Post"}:     true,
 	{pkg: "crew/internal/store", recv: "Store", name: "Put"}:      true,
-	{pkg: "crew/internal/store", recv: "Store", name: "PutJSON"}:  true,
 	{pkg: "crew/internal/store", recv: "Store", name: "Delete"}:   true,
+	{pkg: "crew/internal/store", recv: "Store", name: "Apply"}:    true,
 	{pkg: "crew/internal/wfdb", recv: "DB", name: "SaveInstance"}: true,
 	{pkg: "crew/internal/wfdb", recv: "DB", name: "SaveSummary"}:  true,
 	{pkg: "crew/internal/wfdb", recv: "DB", name: "Archive"}:      true,
+	{pkg: "crew/internal/wfdb", recv: "DB", name: "Commit"}:       true,
 	{pkg: "fmt", name: "Print"}:                                   true,
 	{pkg: "fmt", name: "Printf"}:                                  true,
 	{pkg: "fmt", name: "Println"}:                                 true,
 	{pkg: "fmt", name: "Fprint"}:                                  true,
 	{pkg: "fmt", name: "Fprintf"}:                                 true,
 	{pkg: "fmt", name: "Fprintln"}:                                true,
+	// Rows join a Batch in call order and reach the WAL in that order.
+	{pkg: "crew/internal/wfdb", recv: "Batch", name: "SaveInstance"}: true,
+	{pkg: "crew/internal/wfdb", recv: "Batch", name: "SaveSummary"}:  true,
+	{pkg: "crew/internal/wfdb", recv: "Batch", name: "Archive"}:      true,
 }
 
 // MapIter reports `range` statements over maps whose bodies reach — directly

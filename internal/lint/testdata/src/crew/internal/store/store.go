@@ -4,6 +4,11 @@ package store
 
 type Store struct{}
 
+type Op struct {
+	Key   string
+	Value []byte
+}
+
 func (s *Store) Put(key string, val []byte) error { return nil }
-func (s *Store) PutJSON(key string, v any) error  { return nil }
 func (s *Store) Delete(key string) error          { return nil }
+func (s *Store) Apply(ops []Op) error             { return nil }

@@ -35,6 +35,27 @@ func persist(s *store.Store, state map[string][]byte) {
 	}
 }
 
+func persistGroups(s *store.Store, state map[string][]byte) {
+	for k, v := range state { // want "map iteration feeds Store.Apply"
+		if err := s.Apply([]store.Op{{Key: k, Value: v}}); err != nil {
+			return
+		}
+	}
+}
+
+func persistOneGroup(s *store.Store, state map[string][]byte) error {
+	keys := make([]string, 0, len(state))
+	for k := range state { // ok: collects keys, no sink in body
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	ops := make([]store.Op, 0, len(keys))
+	for _, k := range keys {
+		ops = append(ops, store.Op{Key: k, Value: state[k]})
+	}
+	return s.Apply(ops)
+}
+
 func sendOne(h *transport.Handle, to int) {
 	h.Send(transport.Message{To: to, Mechanism: 1})
 }

@@ -2,17 +2,19 @@
 // workflow database (WFDB) of the centralized architecture and the per-agent
 // databases (AGDB) of the distributed architecture.
 //
-// It is a write-ahead log of table mutations with an in-memory view:
-// every Put/Delete is appended to the log (checksummed and length-framed)
-// before the in-memory tables are updated, so a reopened store recovers to
-// exactly the state whose records were durably appended — the forward
-// recovery the paper relies on for engine and agent failures. A torn tail
-// record (partial write at crash) is detected by checksum and truncated.
+// It is a write-ahead log of table mutations with an in-memory view: every
+// group of mutations is appended to the log as one length-framed, checksummed
+// record — one write — before the in-memory tables are updated, so a
+// reopened store recovers to exactly the state whose groups were durably
+// appended — the forward recovery the paper relies on for engine and agent
+// failures. A group is replayed whole or not at all: a torn tail (partial
+// write at crash) is detected by length and checksum and truncated. Values
+// are opaque bytes; DESIGN.md "Durable format" gives the file layout.
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -20,14 +22,36 @@ import (
 	"os"
 	"sort"
 	"sync"
+
+	"crew/internal/binenc"
+	"crew/internal/cerrors"
 )
 
-// record is one logged mutation.
-type record struct {
-	Table  string `json:"t"`
-	Key    string `json:"k"`
-	Value  []byte `json:"v,omitempty"`
-	Delete bool   `json:"d,omitempty"`
+// The log file starts with fileHeader: a magic and one format byte. A build
+// reads exactly one format: Open rejects any other non-empty file (an older
+// JSON log included) with CodeStoreFormat and leaves its bytes untouched,
+// rather than mistaking it for a torn tail and truncating it to nothing.
+const (
+	fileMagic  = "CREWWAL"
+	fileFormat = 1
+	fileHeader = fileMagic + string(rune(fileFormat))
+	headerLen  = len(fileHeader)
+
+	// groupHeaderLen frames one group record: a 4-byte little-endian body
+	// length and the body's CRC-32 (IEEE). maxGroupBody bounds the length a
+	// replay will believe.
+	groupHeaderLen = 8
+	maxGroupBody   = 1 << 28
+
+	opPut    = 0
+	opDelete = 1
+)
+
+// Op is one mutation within a group.
+type Op struct {
+	Table, Key string
+	Value      []byte // ignored for a delete
+	Delete     bool
 }
 
 // Store is a table/key/value store with WAL durability. All methods are safe
@@ -38,6 +62,7 @@ type Store struct {
 	f      *os.File // nil for memory-only stores
 	tables map[string]map[string][]byte
 	writes int64
+	wbuf   []byte // group-record encode buffer, reused under mu
 
 	// Spilled tables keep only a fixed-size (offset, length) reference in
 	// memory; the value bytes live in the append-only side file spillF.
@@ -54,6 +79,8 @@ func OpenMemory() *Store {
 }
 
 // Open opens (creating if needed) a file-backed store and replays its log.
+// A non-empty file that does not start with this build's header fails with
+// CodeStoreFormat and is not modified.
 func Open(path string) (*Store, error) {
 	s := &Store{path: path, tables: make(map[string]map[string][]byte)}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
@@ -65,7 +92,7 @@ func Open(path string) (*Store, error) {
 		f.Close()
 		return nil, err
 	}
-	// Truncate any torn tail so appends continue from the last valid record.
+	// Truncate any torn tail so appends continue from the last valid group.
 	if err := f.Truncate(valid); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("store: truncate %s: %w", path, err)
@@ -74,72 +101,145 @@ func Open(path string) (*Store, error) {
 		f.Close()
 		return nil, fmt.Errorf("store: seek %s: %w", path, err)
 	}
+	if valid == 0 {
+		if err := writeHeader(f); err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
 	s.f = f
 	return s, nil
 }
 
-// replay reads records from f until EOF or corruption, applying them to the
-// in-memory view, and returns the offset of the last valid record end.
-func (s *Store) replay(f *os.File) (validEnd int64, err error) {
-	var off int64
-	var hdr [8]byte // 4-byte length + 4-byte CRC32
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return off, nil // clean EOF or torn header: stop here
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > 1<<28 {
-			return off, nil // implausible length: treat as torn
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(f, buf); err != nil {
-			return off, nil
-		}
-		if crc32.ChecksumIEEE(buf) != sum {
-			return off, nil
-		}
-		var rec record
-		if err := json.Unmarshal(buf, &rec); err != nil {
-			return off, nil
-		}
-		s.apply(rec)
-		off += int64(8 + int(n))
-		s.writes++
-	}
-}
-
-func (s *Store) apply(rec record) {
-	tbl := s.tables[rec.Table]
-	if tbl == nil {
-		tbl = make(map[string][]byte)
-		s.tables[rec.Table] = tbl
-	}
-	if rec.Delete {
-		delete(tbl, rec.Key)
-	} else {
-		tbl[rec.Key] = rec.Value
-	}
-}
-
-func (s *Store) append(rec record) error {
-	if s.f == nil {
-		return nil
-	}
-	buf, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: encode record: %w", err)
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(buf)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(buf))
-	if _, err := s.f.Write(hdr[:]); err != nil {
+func writeHeader(f *os.File) error {
+	if _, err := f.WriteString(fileHeader); err != nil {
 		return fmt.Errorf("store: write header: %w", err)
 	}
-	if _, err := s.f.Write(buf); err != nil {
-		return fmt.Errorf("store: write record: %w", err)
-	}
 	return nil
+}
+
+// checkHeader validates the file header read so far. A strict prefix of the
+// header is the torn first write of a new file (valid end 0: Open rewrites
+// it); anything else that is not this build's header is another format.
+func checkHeader(path string, hdr []byte) error {
+	if string(hdr) == fileHeader[:len(hdr)] {
+		return nil
+	}
+	if len(hdr) == headerLen && string(hdr[:len(fileMagic)]) == fileMagic {
+		return cerrors.E(cerrors.CodeStoreFormat, cerrors.PhaseOpen, cerrors.ErrStore, nil,
+			"%s: log format %d, this build reads format %d", path, hdr[len(fileMagic)], fileFormat)
+	}
+	return cerrors.E(cerrors.CodeStoreFormat, cerrors.PhaseOpen, cerrors.ErrStore, nil,
+		"%s: not a format-%d store log (a log written before the binary format cannot be read)", path, fileFormat)
+}
+
+// replay checks the header, then reads groups from f until EOF or
+// corruption, applying each complete group to the in-memory view, and
+// returns the offset of the last valid group end (0 for an empty file or a
+// torn header).
+func (s *Store) replay(f *os.File) (validEnd int64, err error) {
+	r := bufio.NewReaderSize(f, 1<<16)
+	var hdr [headerLen]byte
+	n, _ := io.ReadFull(r, hdr[:])
+	if err := checkHeader(s.path, hdr[:n]); err != nil {
+		return 0, err
+	}
+	if n < headerLen {
+		return 0, nil
+	}
+	off := int64(headerLen)
+	var gh [groupHeaderLen]byte
+	var body []byte
+	var ops []Op
+	for {
+		if _, err := io.ReadFull(r, gh[:]); err != nil {
+			return off, nil // clean EOF or torn group header: stop here
+		}
+		n := binary.LittleEndian.Uint32(gh[0:4])
+		sum := binary.LittleEndian.Uint32(gh[4:8])
+		if n > maxGroupBody {
+			return off, nil // implausible length: treat as torn
+		}
+		if cap(body) < int(n) {
+			body = make([]byte, n)
+		}
+		body = body[:n]
+		if _, err := io.ReadFull(r, body); err != nil {
+			return off, nil
+		}
+		if crc32.ChecksumIEEE(body) != sum {
+			return off, nil
+		}
+		// All or nothing: decode the whole group before applying any of it.
+		if ops, err = decodeGroup(ops[:0], body); err != nil {
+			return off, nil
+		}
+		for i := range ops {
+			s.apply(ops[i].Table, ops[i].Key, ops[i].Value, ops[i].Delete)
+		}
+		off += int64(groupHeaderLen + len(body))
+		s.writes += int64(len(ops))
+	}
+}
+
+// decodeGroup parses a group body into ops. Names and values are copied out
+// of body, which the caller reuses.
+func decodeGroup(ops []Op, body []byte) ([]Op, error) {
+	r := binenc.NewReader(body)
+	for n := r.Count(3); n > 0; n-- { // op byte, table length, key length
+		kind := r.Byte()
+		op := Op{Delete: kind == opDelete, Table: r.Str(), Key: r.Str()}
+		switch kind {
+		case opPut:
+			op.Value = append([]byte(nil), r.Bytes()...)
+		case opDelete:
+		default:
+			r.Fail()
+		}
+		ops = append(ops, op)
+	}
+	return ops, r.Done()
+}
+
+// appendGroup appends one framed group record carrying ops to dst.
+//
+//crew:hotpath
+func appendGroup(dst []byte, ops []Op) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // length and CRC, filled in below
+	dst = binary.AppendUvarint(dst, uint64(len(ops)))
+	for i := range ops {
+		op := &ops[i]
+		if op.Delete {
+			dst = append(dst, opDelete)
+		} else {
+			dst = append(dst, opPut)
+		}
+		dst = binenc.AppendString(dst, op.Table)
+		dst = binenc.AppendString(dst, op.Key)
+		if !op.Delete {
+			dst = binenc.AppendBytes(dst, op.Value)
+		}
+	}
+	body := dst[start+groupHeaderLen:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(body))
+	return dst
+}
+
+// apply installs one mutation in the in-memory view; value is stored as is.
+func (s *Store) apply(table, key string, value []byte, del bool) {
+	tbl := s.tables[table]
+	if tbl == nil {
+		//crew:allow hotalloc first write to a table
+		tbl = make(map[string][]byte)
+		s.tables[table] = tbl
+	}
+	if del {
+		delete(tbl, key)
+	} else {
+		tbl[key] = value
+	}
 }
 
 // ErrClosed is returned by mutations on a closed store.
@@ -220,54 +320,69 @@ func (s *Store) readSpill(ref []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// Put writes value under table/key. The value is copied.
-func (s *Store) Put(table, key string, value []byte) error {
+// Apply logs ops as one group record — a single write, replayed all or
+// nothing — and then applies them in order to the in-memory view. Values are
+// copied (or, for a spilled table, written to the side file); ops and its
+// buffers are not retained. Put and Delete are the one-op case.
+//
+//crew:hotpath
+func (s *Store) Apply(ops []Op) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.tables == nil {
 		return ErrClosed
 	}
-	v := append([]byte(nil), value...)
-	if err := s.append(record{Table: table, Key: key, Value: v}); err != nil {
-		return err
+	if len(ops) == 0 {
+		return nil
 	}
-	if s.spill[table] {
-		// The WAL record above carries the real bytes (durability); only the
-		// resident copy is demoted to a side-file reference.
-		ref, err := s.spillValue(v)
-		if err != nil {
-			return err
+	if s.f != nil {
+		s.wbuf = appendGroup(s.wbuf[:0], ops)
+		if len(s.wbuf)-groupHeaderLen > maxGroupBody {
+			//crew:allow hotalloc error path, a group no replay would accept
+			return fmt.Errorf("store: group of %d ops exceeds %d bytes", len(ops), maxGroupBody)
 		}
-		v = ref
+		if _, err := s.f.Write(s.wbuf); err != nil {
+			//crew:allow hotalloc error path
+			return fmt.Errorf("store: write group: %w", err)
+		}
 	}
-	s.apply(record{Table: table, Key: key, Value: v})
-	s.writes++
+	for i := range ops {
+		op := &ops[i]
+		var v []byte
+		switch {
+		case op.Delete:
+		case s.spill[op.Table]:
+			// The group record above carries the real bytes (durability);
+			// the resident copy is only a side-file reference.
+			//crew:allow hotalloc a spilled table keeps a 12-byte reference in place of the value copy
+			ref, err := s.spillValue(op.Value)
+			if err != nil {
+				return err
+			}
+			v = ref
+		default:
+			//crew:allow hotalloc the resident copy of the value is the store's one allocation per put
+			v = append([]byte(nil), op.Value...)
+		}
+		s.apply(op.Table, op.Key, v, op.Delete)
+	}
+	s.writes += int64(len(ops))
 	return nil
 }
 
-// PutJSON marshals v and stores it.
-func (s *Store) PutJSON(table, key string, v any) error {
-	buf, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("store: encode %s/%s: %w", table, key, err)
-	}
-	return s.Put(table, key, buf)
+// Put writes value under table/key. The value is copied.
+//
+//crew:hotpath
+func (s *Store) Put(table, key string, value []byte) error {
+	ops := [1]Op{{Table: table, Key: key, Value: value}}
+	return s.Apply(ops[:])
 }
 
 // Delete removes table/key; deleting an absent key is a no-op that is still
 // logged (so replay remains deterministic).
 func (s *Store) Delete(table, key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.tables == nil {
-		return ErrClosed
-	}
-	if err := s.append(record{Table: table, Key: key, Delete: true}); err != nil {
-		return err
-	}
-	s.apply(record{Table: table, Key: key, Delete: true})
-	s.writes++
-	return nil
+	ops := [1]Op{{Table: table, Key: key, Delete: true}}
+	return s.Apply(ops[:])
 }
 
 // Get returns a copy of the value at table/key.
@@ -290,18 +405,6 @@ func (s *Store) Get(table, key string) ([]byte, bool) {
 		return val, true
 	}
 	return append([]byte(nil), v...), true
-}
-
-// GetJSON unmarshals the value at table/key into out.
-func (s *Store) GetJSON(table, key string, out any) (bool, error) {
-	v, ok := s.Get(table, key)
-	if !ok {
-		return false, nil
-	}
-	if err := json.Unmarshal(v, out); err != nil {
-		return true, fmt.Errorf("store: decode %s/%s: %w", table, key, err)
-	}
-	return true, nil
 }
 
 // Keys returns the sorted keys of a table.
@@ -359,8 +462,29 @@ func (s *Store) Compact() error {
 	if err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
-	old := s.f
+	if err = s.writeSnapshot(f); err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, s.path)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("store: compact: %w", err)
+	}
+	s.f.Close()
 	s.f = f
+	return nil
+}
+
+// writeSnapshot writes the header and the live state to f, one group per key
+// in sorted table/key order. Caller holds s.mu.
+func (s *Store) writeSnapshot(f *os.File) error {
+	if err := writeHeader(f); err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
 	tables := make([]string, 0, len(s.tables))
 	for t := range s.tables {
 		tables = append(tables, t)
@@ -379,34 +503,16 @@ func (s *Store) Compact() error {
 				// references into the (append-only) side file stay valid.
 				var err error
 				if v, err = s.readSpill(v); err != nil {
-					s.f = old
-					f.Close()
-					os.Remove(tmp)
 					return err
 				}
 			}
-			if err := s.append(record{Table: t, Key: k, Value: v}); err != nil {
-				s.f = old
-				f.Close()
-				os.Remove(tmp)
+			s.wbuf = appendGroup(s.wbuf[:0], []Op{{Table: t, Key: k, Value: v}})
+			if _, err := w.Write(s.wbuf); err != nil {
 				return err
 			}
 		}
 	}
-	if err := f.Sync(); err != nil {
-		s.f = old
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: compact sync: %w", err)
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		s.f = old
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: compact rename: %w", err)
-	}
-	old.Close()
-	return nil
+	return w.Flush()
 }
 
 // Sync flushes the backing file.

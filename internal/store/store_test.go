@@ -94,34 +94,6 @@ func TestKeysScanLen(t *testing.T) {
 	})
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	s := OpenMemory()
-	type rec struct {
-		A int
-		B string
-	}
-	if err := s.PutJSON("t", "k", rec{A: 7, B: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	var out rec
-	ok, err := s.GetJSON("t", "k", &out)
-	if err != nil || !ok || out.A != 7 || out.B != "x" {
-		t.Errorf("GetJSON = (%v, %v, %+v)", ok, err, out)
-	}
-	ok, err = s.GetJSON("t", "missing", &out)
-	if ok || err != nil {
-		t.Errorf("GetJSON missing = (%v, %v)", ok, err)
-	}
-	s.Put("t", "bad", []byte("{not json"))
-	ok, err = s.GetJSON("t", "bad", &out)
-	if !ok || err == nil {
-		t.Error("GetJSON should report decode error")
-	}
-	if err := s.PutJSON("t", "ch", make(chan int)); err == nil {
-		t.Error("PutJSON of unmarshalable value should fail")
-	}
-}
-
 func TestPersistenceAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.db")
 	s, err := Open(path)

@@ -1,0 +1,272 @@
+package wfdb
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"crew/internal/cerrors"
+	"crew/internal/event"
+	"crew/internal/expr"
+	"crew/internal/model"
+	"crew/internal/store"
+)
+
+// sixStepInstance is an instance that ran every step of a six-step sequence
+// once: what the centralized engine rewrites on every turn of the benchmark's
+// failure-free workloads.
+func sixStepInstance(id int) *Instance {
+	ins := NewInstance("WF01", id, map[string]expr.Value{"I1": expr.Num(float64(id))})
+	ins.Events.Post(event.WorkflowStartName)
+	prev := "WF.I1"
+	for _, sid := range []model.StepID{"S1", "S2", "S3", "S4", "S5", "S6"} {
+		ins.RecordExecuting(sid, "agent01", map[string]expr.Value{prev: ins.Data[prev]})
+		ins.RecordDone(sid, map[string]expr.Value{"O1": expr.Num(float64(id + len(ins.ExecOrder)))})
+		prev = sid.Ref("O1")
+	}
+	return ins
+}
+
+// TestRowEncodeAllocBudget is the dynamic backstop of the //crew:hotpath
+// marks on the row encoder: a steady-state encode of a six-step instance
+// into a reused buffer allocates nothing.
+func TestRowEncodeAllocBudget(t *testing.T) {
+	ins := sixStepInstance(1)
+	var enc rowEncoder
+	buf := enc.appendInstance(nil, ins)
+	if len(buf) >= 1000 {
+		t.Errorf("six-step row is %d bytes, budget < 1000", len(buf))
+	}
+	if n := testing.AllocsPerRun(200, func() { buf = enc.appendInstance(buf[:0], ins) }); n != 0 {
+		t.Errorf("steady-state row encode allocates %.0f times, budget 0", n)
+	}
+	// A warm Batch on a memory store pays only for what the store keeps: the
+	// key string and the resident copy of the row.
+	db := NewMemory()
+	var b Batch
+	b.SaveInstance(ins)
+	db.Commit(&b)
+	if n := testing.AllocsPerRun(200, func() { b.SaveInstance(ins); db.Commit(&b) }); n > 2 {
+		t.Errorf("warm Batch save allocates %.0f times, budget 2 (key, resident row)", n)
+	}
+}
+
+// TestRowEncodingIsDeterministic: equal instances built in different map
+// insertion orders encode to equal bytes, run after run.
+func TestRowEncodingIsDeterministic(t *testing.T) {
+	var enc rowEncoder
+	want := enc.appendInstance(nil, sixStepInstance(3))
+	for i := 0; i < 20; i++ {
+		if got := enc.appendInstance(nil, sixStepInstance(3).Clone()); !bytes.Equal(got, want) {
+			t.Fatalf("encoding %d differs from the first", i)
+		}
+	}
+}
+
+func TestDecodeRejectsBadRows(t *testing.T) {
+	var enc rowEncoder
+	row := enc.appendInstance(nil, sixStepInstance(1))
+	cases := map[string][]byte{
+		"empty":         nil,
+		"newer version": append([]byte{rowVersion + 1}, row[1:]...),
+		"trailing byte": append(append([]byte(nil), row...), 0),
+		"parent JSON":   []byte(`{"workflow":"WF01","id":1}`),
+	}
+	for name, b := range cases {
+		if _, err := decodeInstance(b); cerrors.CodeOf(err) != cerrors.CodeStoreFormat {
+			t.Errorf("%s: error %v, want code %q", name, err, cerrors.CodeStoreFormat)
+		}
+	}
+	for cut := 1; cut < len(row); cut++ {
+		if _, err := decodeInstance(row[:cut]); cerrors.CodeOf(err) != cerrors.CodeStoreFormat {
+			t.Fatalf("row cut at %d of %d: error %v, want code %q", cut, len(row), err, cerrors.CodeStoreFormat)
+		}
+	}
+	if _, err := decodeSummary([]byte{rowVersion + 1, 2}); cerrors.CodeOf(err) != cerrors.CodeStoreFormat {
+		t.Errorf("summary with newer version: %v", err)
+	}
+	if _, err := decodeSummary([]byte{rowVersion}); cerrors.CodeOf(err) != cerrors.CodeStoreFormat {
+		t.Errorf("truncated summary: %v", err)
+	}
+}
+
+// FuzzInstanceRowDecode: arbitrary bytes never panic the row decoder and
+// never make it allocate from a count the input cannot hold (a 30-byte row
+// declaring 2^60 steps must fail, not reserve memory); whatever decodes
+// re-encodes to a row that decodes to the same bytes again.
+func FuzzInstanceRowDecode(f *testing.F) {
+	var enc rowEncoder
+	f.Add(enc.appendInstance(nil, sixStepInstance(1)))
+	full := sixStepInstance(2)
+	full.Parent = &ParentRef{Workflow: "Parent", ID: 9, Step: "N"}
+	full.Aborting, full.Epoch, full.Coordinator, full.NotifyTo = true, 3, "agent02", "frontend"
+	full.RecordCompensating("S2", model.ModePartialComp)
+	full.Events.Invalidate(event.DoneName("S3"))
+	full.Data["s"], full.Data["b"], full.Data["n"] = expr.Str("héllo"), expr.Bool(true), expr.Null()
+	f.Add(enc.appendInstance(nil, full))
+	f.Add([]byte{rowVersion, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ins, err := decodeInstance(b)
+		if err != nil {
+			return
+		}
+		var enc rowEncoder
+		again := enc.appendInstance(nil, ins)
+		ins2, err := decodeInstance(again)
+		if err != nil {
+			t.Fatalf("re-encoded row does not decode: %v", err)
+		}
+		if final := enc.appendInstance(nil, ins2); !bytes.Equal(final, again) {
+			t.Fatal("decode(encode(x)) encodes differently from x")
+		}
+	})
+}
+
+// TestRetireIsCrashAtomic is the regression test for retirement. With the
+// archive row and the instance delete logged as two records (the layout
+// before group records), a log cut between them reopens with the instance in
+// both tables, and recovery would resurrect a published instance. Logged as
+// one group, every cut leaves it in exactly one.
+func TestRetireIsCrashAtomic(t *testing.T) {
+	dir := t.TempDir()
+	ins := sixStepInstance(1)
+	var enc rowEncoder
+	row := enc.appendInstance(nil, ins)
+
+	tablesAfterCut := func(t *testing.T, retire func(st *store.Store)) (both, neither int) {
+		path := filepath.Join(dir, "full.db")
+		os.Remove(path)
+		st, err := store.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := New(st).SaveInstance(ins); err != nil {
+			t.Fatal(err)
+		}
+		retire(st)
+		st.Close()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut <= len(data); cut++ {
+			cutPath := filepath.Join(dir, "cut.db")
+			if err := os.WriteFile(cutPath, data[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, err := store.Open(cutPath)
+			if err != nil {
+				t.Fatalf("cut=%d: %v", cut, err)
+			}
+			db := New(st)
+			_, live, _ := db.LoadInstance(ins.Workflow, ins.ID)
+			_, archived, _ := db.LoadArchived(ins.Workflow, ins.ID)
+			st.Close()
+			switch {
+			case live && archived:
+				both++
+			case !live && !archived && cut == len(data):
+				neither++
+			}
+		}
+		return both, neither
+	}
+
+	both, _ := tablesAfterCut(t, func(st *store.Store) {
+		st.Put(tableArchive, ins.Key(), row)
+		st.Delete(tableInstance, ins.Key())
+	})
+	if both == 0 {
+		t.Fatal("two-record retirement shows no cut with the instance both live and archived: the test lost its subject")
+	}
+	both, neither := tablesAfterCut(t, func(st *store.Store) {
+		if err := New(st).Archive(ins); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if both != 0 || neither != 0 {
+		t.Errorf("group retirement: %d cuts leave the instance live and archived, %d leave it in neither table", both, neither)
+	}
+}
+
+// TestBatchCommitsOneGroupInOrder: the rows of a batch reach the store as one
+// group, later rows of a key superseding earlier ones, and the batch is
+// empty and reusable afterwards.
+func TestBatchCommitsOneGroupInOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wfdb.db")
+	st, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	db := New(st)
+	size := func() int64 {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	a, b := sixStepInstance(1), sixStepInstance(2)
+	var batch Batch
+	batch.SaveSummary("WF01", 1, Running)
+	batch.SaveInstance(a)
+	a.Status = Committed // after the row was taken: must not leak into it
+	batch.SaveInstance(b)
+	batch.SaveSummary("WF01", 1, Committed)
+	batch.Archive(b)
+	before, writes := size(), st.Writes()
+	if err := db.Commit(&batch); err != nil {
+		t.Fatal(err)
+	}
+	if st.Writes()-writes != 6 {
+		t.Errorf("store saw %d mutations, want 6", st.Writes()-writes)
+	}
+	// One group: its framing is 8 bytes however many rows it carries.
+	var enc rowEncoder
+	rows := 2*len(enc.appendInstance(nil, b)) + len(enc.appendInstance(nil, sixStepInstance(1)))
+	if grew := size() - before; grew < int64(rows) || grew > int64(rows)+200 {
+		t.Errorf("log grew %d bytes for %d bytes of rows: not one group", grew, rows)
+	}
+	if got, ok, _ := db.LoadInstance("WF01", 1); !ok || got.Status != Running {
+		t.Errorf("instance 1 = (%+v, %v), want the row as it was when added", got, ok)
+	}
+	if st, _, _ := db.LoadSummary("WF01", 1); st != Committed {
+		t.Errorf("summary = %v, want the later row to win", st)
+	}
+	if _, ok, _ := db.LoadInstance("WF01", 2); ok {
+		t.Error("archived instance still live")
+	}
+	if _, ok, _ := db.LoadArchived("WF01", 2); !ok {
+		t.Error("archived instance missing")
+	}
+	if err := db.Commit(&batch); err != nil || st.Writes()-writes != 6 {
+		t.Error("committing an empty batch wrote something")
+	}
+}
+
+func BenchmarkRowEncode(b *testing.B) {
+	ins := sixStepInstance(1)
+	var enc rowEncoder
+	buf := enc.appendInstance(nil, ins)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = enc.appendInstance(buf[:0], ins)
+	}
+}
+
+func BenchmarkRowDecode(b *testing.B) {
+	var enc rowEncoder
+	row := enc.appendInstance(nil, sixStepInstance(1))
+	b.SetBytes(int64(len(row)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := decodeInstance(row); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

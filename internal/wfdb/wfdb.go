@@ -10,10 +10,12 @@
 package wfdb
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"crew/internal/event"
 	"crew/internal/expr"
@@ -90,25 +92,25 @@ func (s StepStatus) String() string {
 
 // StepRecord is the step-table entry for one step of one instance.
 type StepRecord struct {
-	Status StepStatus `json:"status"`
+	Status StepStatus
 	// Agent names the agent that executed (or is executing) the step.
-	Agent string `json:"agent,omitempty"`
+	Agent string
 	// Attempts counts executions (1-based after the first execution).
-	Attempts int `json:"attempts"`
+	Attempts int
 	// Inputs and Outputs capture the latest execution, supporting the OCR
 	// strategy's comparison against previous inputs and result reuse.
-	Inputs  map[string]expr.Value `json:"inputs,omitempty"`
-	Outputs map[string]expr.Value `json:"outputs,omitempty"`
+	Inputs  map[string]expr.Value
+	Outputs map[string]expr.Value
 	// HasResult records that a successful execution's results are on file
 	// and not yet compensated. It survives the status reset a rollback
 	// performs, which is exactly what lets the OCR strategy reuse or
 	// incrementally rebuild the previous results on re-execution.
-	HasResult bool `json:"hasResult,omitempty"`
+	HasResult bool
 	// CompMode records, while Status is StepCompensating, whether the
 	// in-flight compensation is complete (ModeCompensate) or partial
 	// (ModePartialComp, to be followed by an incremental re-execution);
 	// restart recovery rebuilds the pending compensation task from it.
-	CompMode model.ExecMode `json:"compMode,omitempty"`
+	CompMode model.ExecMode
 }
 
 // Prev packages the record's previous execution for a program context.
@@ -196,9 +198,9 @@ func (ins *Instance) outputRef(id model.StepID, short string) string {
 
 // ParentRef identifies the parent step awaiting a nested workflow.
 type ParentRef struct {
-	Workflow string       `json:"workflow"`
-	ID       int          `json:"id"`
-	Step     model.StepID `json:"step"`
+	Workflow string
+	ID       int
+	Step     model.StepID
 }
 
 // NewInstance creates a running instance with the given workflow inputs
@@ -433,63 +435,6 @@ func copyValues(m map[string]expr.Value) map[string]expr.Value {
 	return out
 }
 
-// instanceJSON is the serialized form of Instance.
-type instanceJSON struct {
-	Workflow  string                       `json:"workflow"`
-	ID        int                          `json:"id"`
-	Status    Status                       `json:"status"`
-	Data      map[string]expr.Value        `json:"data"`
-	Events    []event.Exported             `json:"events"`
-	Steps     map[model.StepID]*StepRecord `json:"steps"`
-	ExecOrder []model.StepID               `json:"execOrder"`
-	Aborting  bool                         `json:"aborting,omitempty"`
-	Parent    *ParentRef                   `json:"parent,omitempty"`
-	Epoch     int                          `json:"epoch,omitempty"`
-	Coord     string                       `json:"coordinator,omitempty"`
-	NotifyTo  string                       `json:"notifyTo,omitempty"`
-}
-
-func (ins *Instance) toJSON() instanceJSON {
-	return instanceJSON{
-		Workflow:  ins.Workflow,
-		ID:        ins.ID,
-		Status:    ins.Status,
-		Data:      ins.Data,
-		Events:    ins.Events.Export(),
-		Steps:     ins.Steps,
-		ExecOrder: ins.ExecOrder,
-		Aborting:  ins.Aborting,
-		Parent:    ins.Parent,
-		Epoch:     ins.Epoch,
-		Coord:     ins.Coordinator,
-		NotifyTo:  ins.NotifyTo,
-	}
-}
-
-func fromJSON(j instanceJSON) *Instance {
-	ins := &Instance{
-		Workflow:    j.Workflow,
-		ID:          j.ID,
-		Status:      j.Status,
-		Data:        j.Data,
-		Events:      event.ImportTable(j.Events),
-		Steps:       j.Steps,
-		ExecOrder:   j.ExecOrder,
-		Aborting:    j.Aborting,
-		Parent:      j.Parent,
-		Epoch:       j.Epoch,
-		Coordinator: j.Coord,
-		NotifyTo:    j.NotifyTo,
-	}
-	if ins.Data == nil {
-		ins.Data = make(map[string]expr.Value)
-	}
-	if ins.Steps == nil {
-		ins.Steps = make(map[model.StepID]*StepRecord)
-	}
-	return ins
-}
-
 // ---------------------------------------------------------------------------
 // DB
 
@@ -515,17 +460,93 @@ func NewMemory() *DB { return New(store.OpenMemory()) }
 // Store exposes the underlying store (e.g. for write-count metrics).
 func (db *DB) Store() *store.Store { return db.st }
 
-// SaveSchema persists a workflow class definition.
+// Batch collects the rows of one engine turn and commits them as one store
+// group: a single WAL write, replayed all or nothing. Rows are encoded into
+// the batch's own buffer as they are added, so an instance may keep changing
+// after it was added (add it again to supersede the earlier row on replay).
+// The zero Batch is ready; Commit empties it for reuse, keeping its buffers,
+// so a warm batch encodes without allocating. Not safe for concurrent use.
+type Batch struct {
+	enc  rowEncoder
+	buf  []byte // encoded rows, back to back
+	rows []batchRow
+	ops  []store.Op // rebuilt from rows at Commit
+}
+
+// batchRow is one pending mutation; its value is buf[off:end] (buf may move
+// while the batch grows, so the slice is cut only at Commit).
+type batchRow struct {
+	table, key string
+	off, end   int
+	del        bool
+}
+
+func (b *Batch) put(table, key string, off int) {
+	b.rows = append(b.rows, batchRow{table: table, key: key, off: off, end: len(b.buf)})
+}
+
+// SaveInstance adds ins's full state as its instance-table row.
+func (b *Batch) SaveInstance(ins *Instance) {
+	off := len(b.buf)
+	b.buf = b.enc.appendInstance(b.buf, ins)
+	b.put(tableInstance, ins.Key(), off)
+}
+
+// SaveSummary adds a coordination instance summary row.
+func (b *Batch) SaveSummary(workflow string, id int, status Status) {
+	off := len(b.buf)
+	b.buf = appendSummary(b.buf, status)
+	b.put(tableSummary, InstanceKeyOf(workflow, id), off)
+}
+
+// Archive adds the move of a finished instance to the archive table: its
+// archive row and the deletion of its instance row. Committed in one group,
+// a crash leaves the instance in exactly one of the two tables.
+func (b *Batch) Archive(ins *Instance) {
+	off, key := len(b.buf), ins.Key()
+	b.buf = b.enc.appendInstance(b.buf, ins)
+	b.put(tableArchive, key, off)
+	b.rows = append(b.rows, batchRow{table: tableInstance, key: key, del: true})
+}
+
+// Commit writes the batch's mutations as one store group and empties the
+// batch (also on error: the caller logs and carries on with current state).
+func (db *DB) Commit(b *Batch) error {
+	if len(b.rows) == 0 {
+		return nil
+	}
+	for _, r := range b.rows {
+		b.ops = append(b.ops, store.Op{Table: r.table, Key: r.key, Value: b.buf[r.off:r.end], Delete: r.del})
+	}
+	err := db.st.Apply(b.ops)
+	clear(b.ops) // drop the key strings and buffer references
+	b.buf, b.rows, b.ops = b.buf[:0], b.rows[:0], b.ops[:0]
+	return err
+}
+
+// batchPool backs the single-row calls below, which may come from any
+// goroutine.
+var batchPool = sync.Pool{New: func() any { return new(Batch) }}
+
+// SaveSchema persists a workflow class definition. The class table is
+// written at set-up only and keeps its schema as JSON.
 func (db *DB) SaveSchema(s *model.Schema) error {
-	return db.st.PutJSON(tableClass, s.Name, s)
+	buf, err := json.Marshal(s)
+	if err != nil {
+		return fmt.Errorf("wfdb: encode class %s: %w", s.Name, err)
+	}
+	return db.st.Put(tableClass, s.Name, buf)
 }
 
 // LoadSchema retrieves a workflow class definition.
 func (db *DB) LoadSchema(name string) (*model.Schema, bool, error) {
+	buf, ok := db.st.Get(tableClass, name)
+	if !ok {
+		return nil, false, nil
+	}
 	var s model.Schema
-	ok, err := db.st.GetJSON(tableClass, name, &s)
-	if err != nil || !ok {
-		return nil, ok, err
+	if err := json.Unmarshal(buf, &s); err != nil {
+		return nil, true, fmt.Errorf("wfdb: decode class %s: %w", name, err)
 	}
 	return &s, true, nil
 }
@@ -535,17 +556,24 @@ func (db *DB) SchemaNames() []string { return db.st.Keys(tableClass) }
 
 // SaveInstance persists an instance's full state.
 func (db *DB) SaveInstance(ins *Instance) error {
-	return db.st.PutJSON(tableInstance, ins.Key(), ins.toJSON())
+	b := batchPool.Get().(*Batch)
+	defer batchPool.Put(b)
+	b.SaveInstance(ins)
+	return db.Commit(b)
+}
+
+func (db *DB) loadInstance(table, workflow string, id int) (*Instance, bool, error) {
+	buf, ok := db.st.Get(table, InstanceKeyOf(workflow, id))
+	if !ok {
+		return nil, false, nil
+	}
+	ins, err := decodeInstance(buf)
+	return ins, true, err
 }
 
 // LoadInstance retrieves an instance.
 func (db *DB) LoadInstance(workflow string, id int) (*Instance, bool, error) {
-	var j instanceJSON
-	ok, err := db.st.GetJSON(tableInstance, InstanceKeyOf(workflow, id), &j)
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	return fromJSON(j), true, nil
+	return db.loadInstance(tableInstance, workflow, id)
 }
 
 // DeleteInstance removes an instance record (e.g. after a purge broadcast).
@@ -556,22 +584,17 @@ func (db *DB) DeleteInstance(workflow string, id int) error {
 // InstanceKeys lists keys of live instances.
 func (db *DB) InstanceKeys() []string { return db.st.Keys(tableInstance) }
 
-// Archive moves a finished instance to the archive table.
+// Archive moves a finished instance to the archive table, atomically.
 func (db *DB) Archive(ins *Instance) error {
-	if err := db.st.PutJSON(tableArchive, ins.Key(), ins.toJSON()); err != nil {
-		return err
-	}
-	return db.st.Delete(tableInstance, ins.Key())
+	b := batchPool.Get().(*Batch)
+	defer batchPool.Put(b)
+	b.Archive(ins)
+	return db.Commit(b)
 }
 
 // LoadArchived retrieves an archived instance.
 func (db *DB) LoadArchived(workflow string, id int) (*Instance, bool, error) {
-	var j instanceJSON
-	ok, err := db.st.GetJSON(tableArchive, InstanceKeyOf(workflow, id), &j)
-	if err != nil || !ok {
-		return nil, ok, err
-	}
-	return fromJSON(j), true, nil
+	return db.loadInstance(tableArchive, workflow, id)
 }
 
 // SpillArchive moves the archive table's resident values to the store's
@@ -581,14 +604,20 @@ func (db *DB) SpillArchive() error { return db.st.Spill(tableArchive) }
 
 // SaveSummary updates the coordination instance summary table.
 func (db *DB) SaveSummary(workflow string, id int, status Status) error {
-	return db.st.PutJSON(tableSummary, InstanceKeyOf(workflow, id), status)
+	b := batchPool.Get().(*Batch)
+	defer batchPool.Put(b)
+	b.SaveSummary(workflow, id, status)
+	return db.Commit(b)
 }
 
 // LoadSummary reads an instance's summary status.
 func (db *DB) LoadSummary(workflow string, id int) (Status, bool, error) {
-	var s Status
-	ok, err := db.st.GetJSON(tableSummary, InstanceKeyOf(workflow, id), &s)
-	return s, ok, err
+	buf, ok := db.st.Get(tableSummary, InstanceKeyOf(workflow, id))
+	if !ok {
+		return 0, false, nil
+	}
+	st, err := decodeSummary(buf)
+	return st, true, err
 }
 
 // SummaryKeys lists all summarized instances.
