@@ -106,29 +106,63 @@ func TestInstanceErrorsAcrossArchitectures(t *testing.T) {
 	}
 }
 
-// TestWaitCtxCancellation distinguishes a plain cancellation (reported as
-// ctx.Err()) from a deadline expiry (reported as ErrTimeout).
-func TestWaitCtxCancellation(t *testing.T) {
-	lib, reg := slowLib(t)
-	sys, err := crew.NewSystem(crew.Config{Library: lib, Programs: reg, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	id, err := sys.Start("Slow", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	if _, err := sys.WaitCtx(ctx, "Slow", id); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled WaitCtx = %v, want context.Canceled", err)
-	}
-	if _, err := sys.Wait("Slow", id, waitTimeout); err != nil {
-		t.Fatal(err)
+// TestWaitContractAcrossArchitectures pins the one wait contract
+// (itable.Terminal.Wait) on every architecture: a deadline is ErrTimeout, a
+// cancellation is ctx.Err(), a finished instance answers under a live ctx
+// however short, an unknown class and a closed system fail fast.
+func TestWaitContractAcrossArchitectures(t *testing.T) {
+	for _, arch := range []crew.Architecture{crew.Central, crew.Parallel, crew.Distributed} {
+		t.Run(arch.String(), func(t *testing.T) {
+			lib, reg := slowLib(t)
+			sys, err := crew.NewSystem(crew.Config{
+				Library:      lib,
+				Programs:     reg,
+				Architecture: arch,
+				Agents:       []string{"a1", "a2"},
+				Logf:         t.Logf,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			id, err := sys.Start("Slow", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			deadline, cancelDeadline := context.WithTimeout(context.Background(), 10*time.Millisecond)
+			defer cancelDeadline()
+			cancelled, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(10*time.Millisecond, cancel)
+			for _, tc := range []struct {
+				name string
+				ctx  context.Context
+				wf   string
+				want error
+			}{
+				{"deadline", deadline, "Slow", crew.ErrTimeout},
+				{"cancel", cancelled, "Slow", context.Canceled},
+				{"unknown class", context.Background(), "NoSuch", crew.ErrUnknownWorkflow},
+			} {
+				if _, err := sys.WaitCtx(tc.ctx, tc.wf, id); !errors.Is(err, tc.want) {
+					t.Errorf("%s: WaitCtx = %v, want %v", tc.name, err, tc.want)
+				}
+			}
+
+			if st, err := sys.Wait("Slow", id, waitTimeout); err != nil || st != crew.Committed {
+				t.Fatalf("final wait = (%v, %v)", st, err)
+			}
+			live, cancelLive := context.WithTimeout(context.Background(), waitTimeout)
+			defer cancelLive()
+			if st, err := sys.WaitCtx(live, "Slow", id); err != nil || st != crew.Committed {
+				t.Errorf("already terminal: WaitCtx = (%v, %v), want Committed", st, err)
+			}
+
+			sys.Close()
+			if _, err := sys.WaitCtx(context.Background(), "Slow", id); !errors.Is(err, crew.ErrClosed) {
+				t.Errorf("closed: WaitCtx = %v, want ErrClosed", err)
+			}
+		})
 	}
 }
 

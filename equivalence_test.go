@@ -12,7 +12,6 @@ import (
 
 	"crew"
 	"crew/internal/analysis"
-	"crew/internal/rules"
 	"crew/internal/workload"
 )
 
@@ -112,23 +111,5 @@ func TestArchitecturesProduceEquivalentResults(t *testing.T) {
 	base := results[crew.Central]
 	for _, arch := range []crew.Architecture{crew.Parallel, crew.Distributed} {
 		compareOutcomes(t, arch.String(), base, results[arch])
-	}
-}
-
-// TestIndexedRulePathMatchesScanReference forces every rule engine in the
-// system through the reference scan evaluation path and re-runs the
-// deterministic workload: the indexed (reactive) path must produce the same
-// outcomes on every architecture — the engine's inverted index is an
-// evaluation strategy, never a semantics change.
-func TestIndexedRulePathMatchesScanReference(t *testing.T) {
-	p := equivalenceParams()
-
-	rules.SetScanOnly(true)
-	scan := collectOutcomes(t, p)
-	rules.SetScanOnly(false)
-	indexed := collectOutcomes(t, p)
-
-	for _, arch := range []crew.Architecture{crew.Central, crew.Parallel, crew.Distributed} {
-		compareOutcomes(t, "indexed/"+arch.String(), scan[arch], indexed[arch])
 	}
 }

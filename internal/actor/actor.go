@@ -1,0 +1,284 @@
+// Package actor is the one runtime shell under the three control
+// architectures. The paper's point in §6 is that the same navigation, failure
+// handling and coordination run centralized, parallel or distributed, the
+// architectures differing only in where state lives and who talks to whom;
+// accordingly an engine, an application agent and a distributed agent are the
+// same kind of thing at run time — a named node whose state is owned by one
+// goroutine — and this package is that thing, once.
+//
+// An Actor registers a manual-ack endpoint, runs the single goroutine (inbox,
+// command queue, an optional on-demand timer), unwraps envelopes into logical
+// messages, batches the turn's sends per destination and collects the turn's
+// WFDB rows. Every turn ends in endTurn, which is where the orderings the rest
+// of the system relies on are implemented:
+//
+//   - write-ahead of dispatch: the turn's rows are committed before any
+//     message the turn produced leaves, so a restarted node knows of every
+//     request or compensation a peer may have received;
+//   - persist before ack: a message's effects are durable before the
+//     transport may consider it processed;
+//   - flush before ack: quiescence accounting never sees a
+//     processed-but-unsent gap;
+//   - flush before Do completes: a caller that runs a command and then
+//     quiesces or crashes the node finds nothing of that command still
+//     buffered.
+package actor
+
+import (
+	"log"
+	"sync"
+	"time"
+
+	"crew/internal/metrics"
+	"crew/internal/transport"
+	"crew/internal/wfdb"
+)
+
+// Committer is where an actor's rows go: a *wfdb.DB, or a recording fake in
+// the kernel's own tests.
+type Committer interface {
+	Commit(b *wfdb.Batch) error
+}
+
+// Row is a live instance whose WFDB row the turn's commit must write.
+type Row interface {
+	// Save adds the row to tx unless the instance retired since it was
+	// marked (retirement adds its own rows), and clears the owner's mark.
+	Save(tx *wfdb.Batch)
+}
+
+// Timer is an owner's maintenance turn, run off a one-shot timer that is
+// armed only while Busy reports work: an idle actor blocks with no timer at
+// all and takes zero wakeups.
+type Timer struct {
+	Every time.Duration
+	Busy  func() bool
+	Tick  func()
+}
+
+// command is one queued closure; done, when non-nil, is closed after the
+// command's turn has ended.
+type command struct {
+	f    func()
+	done chan struct{}
+}
+
+// Actor is one node of a deployment. Send, Tx, Mark and Commit belong to the
+// actor's goroutine (handlers, commands and timer ticks); Do, DoAsync, Stop,
+// Name and Logf may be called from anywhere.
+type Actor struct {
+	name   string
+	net    *transport.Network
+	ep     *transport.Endpoint
+	store  Committer
+	logf   func(format string, args ...any)
+	handle func(m transport.Message)
+
+	// handles caches per-destination senders; batch coalesces the turn's
+	// sends into per-destination envelopes; tx collects the turn's rows and
+	// dirty lists, in marking order, the instances still to be encoded into
+	// it.
+	handles map[string]*transport.Handle
+	batch   transport.Batcher
+	tx      wfdb.Batch
+	dirty   []Row
+
+	cmdMu     sync.Mutex
+	cmdQ      []command
+	cmdNotify chan struct{}
+	wg        sync.WaitGroup
+}
+
+// New registers the node on the network. store may be nil for an actor that
+// keeps no rows; logf nil logs through the standard logger. The actor
+// receives nothing until Launch.
+func New(net *transport.Network, name string, store Committer, logf func(format string, args ...any)) (*Actor, error) {
+	ep, err := net.Register(name)
+	if err != nil {
+		return nil, err
+	}
+	ep.ManualAck()
+	if logf == nil {
+		logf = func(format string, args ...any) {
+			log.Printf("actor[%s]: "+format, append([]any{name}, args...)...)
+		}
+	}
+	return &Actor{
+		name:      name,
+		net:       net,
+		ep:        ep,
+		store:     store,
+		logf:      logf,
+		handles:   make(map[string]*transport.Handle),
+		cmdNotify: make(chan struct{}, 1),
+	}, nil
+}
+
+// Launch starts the actor's goroutine: handle receives every logical
+// message, timer (optional) is the owner's maintenance turn. Separate from
+// New so the owner can store the actor before its handlers can run.
+func (a *Actor) Launch(handle func(m transport.Message), timer *Timer) {
+	a.handle = handle
+	a.wg.Add(1)
+	go a.loop(timer)
+}
+
+// Name returns the node name.
+func (a *Actor) Name() string { return a.name }
+
+// Stop waits for the goroutine to exit; the network must be closed first so
+// the inbox drains. Commands queued before the close still run.
+func (a *Actor) Stop() { a.wg.Wait() }
+
+// Logf reports a diagnostic.
+func (a *Actor) Logf(format string, args ...any) { a.logf(format, args...) }
+
+func (a *Actor) loop(t *Timer) {
+	defer a.wg.Done()
+	inbox := a.ep.Inbox()
+	var (
+		timer  *time.Timer
+		timerC <-chan time.Time
+	)
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
+	for {
+		a.drainCmds()
+		if t != nil && timerC == nil && t.Busy() {
+			if timer == nil {
+				timer = time.NewTimer(t.Every)
+			} else {
+				timer.Reset(t.Every)
+			}
+			timerC = timer.C
+		}
+		select {
+		case m, ok := <-inbox:
+			if !ok {
+				a.drainCmds()
+				return
+			}
+			if env, isEnv := m.Payload.(*transport.Envelope); isEnv {
+				for _, lm := range env.Msgs {
+					a.handle(lm)
+				}
+				env.Release()
+			} else {
+				a.handle(m)
+			}
+			a.endTurn(true, nil)
+		case <-a.cmdNotify:
+		case <-timerC:
+			timerC = nil
+			t.Tick()
+			a.endTurn(false, nil)
+		}
+	}
+}
+
+// endTurn is the one epilogue of every turn — a received message (ack), a
+// command (done non-nil for Do) or a timer tick: commit the turn's rows, then
+// flush its sends, and only then mark the turn as over. The order is the
+// contract stated at the top of the package, held here and nowhere else.
+func (a *Actor) endTurn(ack bool, done chan struct{}) {
+	a.Commit()
+	if err := a.batch.Flush(); err != nil {
+		a.logf("flush sends: %v", err)
+	}
+	if ack {
+		a.ep.Ack()
+	}
+	if done != nil {
+		close(done)
+	}
+}
+
+// Commit encodes every marked row once, behind the rows the turn already
+// added to Tx, and writes the lot as one WFDB group — one WAL write, replayed
+// all or nothing. endTurn calls it; an owner calls it mid-turn only where
+// rows must be readable before the turn ends (retirement archives before it
+// publishes the terminal status).
+func (a *Actor) Commit() {
+	if a.store == nil {
+		return
+	}
+	for i, r := range a.dirty {
+		r.Save(&a.tx)
+		a.dirty[i] = nil
+	}
+	a.dirty = a.dirty[:0]
+	if err := a.store.Commit(&a.tx); err != nil {
+		a.logf("commit: %v", err)
+	}
+}
+
+// Tx is the turn's batch: rows added to it are committed, in order, with the
+// marked rows behind them.
+func (a *Actor) Tx() *wfdb.Batch { return &a.tx }
+
+// Mark queues r for the turn's commit. The owner keeps the per-instance
+// dirty flag, so an instance is marked, and encoded, once per turn however
+// often it changed.
+func (a *Actor) Mark(r Row) { a.dirty = append(a.dirty, r) }
+
+func (a *Actor) drainCmds() {
+	for {
+		a.cmdMu.Lock()
+		if len(a.cmdQ) == 0 {
+			a.cmdMu.Unlock()
+			return
+		}
+		c := a.cmdQ[0]
+		a.cmdQ[0] = command{}
+		a.cmdQ = a.cmdQ[1:]
+		a.cmdMu.Unlock()
+		c.f()
+		a.endTurn(false, c.done)
+	}
+}
+
+func (a *Actor) enqueue(c command) {
+	a.cmdMu.Lock()
+	a.cmdQ = append(a.cmdQ, c)
+	a.cmdMu.Unlock()
+	select {
+	case a.cmdNotify <- struct{}{}:
+	default:
+	}
+}
+
+// Do runs f on the actor's goroutine as a turn of its own and returns once
+// that turn has ended. It must not be called from the actor's goroutine.
+func (a *Actor) Do(f func()) {
+	done := make(chan struct{})
+	a.enqueue(command{f: f, done: done})
+	<-done
+}
+
+// DoAsync schedules f as a later turn without waiting. Safe from any
+// goroutine, including the actor's own.
+func (a *Actor) DoAsync(f func()) { a.enqueue(command{f: f}) }
+
+// Send queues one logical message for the turn's flush, charged to mech. A
+// message to the actor itself is handled on the spot: it is not a physical
+// message.
+func (a *Actor) Send(to string, mech metrics.Mechanism, kind string, payload any) {
+	m := transport.Message{From: a.name, To: to, Mechanism: mech, Kind: kind, Payload: payload}
+	if to == a.name {
+		a.handle(m)
+		return
+	}
+	h := a.handles[to]
+	if h == nil {
+		var err error
+		if h, err = a.net.Handle(to); err != nil {
+			a.logf("send %s to %s: %v", kind, to, err)
+			return
+		}
+		a.handles[to] = h
+	}
+	a.batch.Add(h, m)
+}

@@ -1,0 +1,326 @@
+package actor
+
+import (
+	"context"
+	"reflect"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"crew/internal/metrics"
+	"crew/internal/transport"
+	"crew/internal/wfdb"
+)
+
+// trail is the ordered record of what a turn did.
+type trail struct {
+	mu     sync.Mutex
+	events []string
+}
+
+func (t *trail) add(ev string) {
+	t.mu.Lock()
+	t.events = append(t.events, ev)
+	t.mu.Unlock()
+}
+
+func (t *trail) take() []string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := t.events
+	t.events = nil
+	return out
+}
+
+// recStore is the fake committer: it records each commit and hands the batch
+// to a memory WFDB, which empties it as the real store does.
+type recStore struct {
+	tr *trail
+	db *wfdb.DB
+}
+
+func (s recStore) Commit(b *wfdb.Batch) error {
+	s.tr.add("commit")
+	return s.db.Commit(b)
+}
+
+// row is a dirty instance; the owner-side flag is what makes a second Mark in
+// the same turn a no-op.
+type row struct {
+	tr    *trail
+	ins   *wfdb.Instance
+	dirty bool
+}
+
+func (r *row) Save(tx *wfdb.Batch) {
+	if r.dirty {
+		r.dirty = false
+		r.tr.add("save")
+		tx.SaveInstance(r.ins)
+	}
+}
+
+type fixture struct {
+	net *transport.Network
+	act *Actor
+	tr  *trail
+	db  *wfdb.DB
+	row *row
+	// unacked is the in-flight count seen by each of the actor's sends as
+	// the transport accepted it (before the send itself is counted).
+	unacked []int64
+}
+
+// newFixture builds a network with the actor under test ("node") and a
+// drained peer ("sink"), and records the actor's sends from the transport's
+// trace hook — the moment a flush hands a message over.
+func newFixture(t *testing.T, logf func(string, ...any)) *fixture {
+	t.Helper()
+	f := &fixture{tr: &trail{}, db: wfdb.NewMemory()}
+	f.net = transport.NewNetwork(transport.NetworkConfig{})
+	f.row = &row{tr: f.tr, ins: wfdb.NewInstance("WF", 1, nil)}
+	sink, err := f.net.Register("sink")
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for range sink.Inbox() {
+		}
+	}()
+	if logf == nil {
+		logf = t.Logf
+	}
+	f.act, err = New(f.net, "node", recStore{f.tr, f.db}, logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.net.Trace(func(m transport.Message) {
+		if m.From == "node" {
+			f.tr.add("send " + m.Kind)
+			f.tr.mu.Lock()
+			f.unacked = append(f.unacked, f.net.InFlight())
+			f.tr.mu.Unlock()
+		}
+	})
+	t.Cleanup(func() {
+		f.net.Close()
+		f.act.Stop()
+		<-drained
+	})
+	return f
+}
+
+// work is what every kind of turn does in these tests: mark the row twice and
+// send one message.
+func (f *fixture) work(label string) {
+	f.tr.add(label)
+	for i := 0; i < 2; i++ {
+		if !f.row.dirty {
+			f.row.dirty = true
+			f.act.Mark(f.row)
+		}
+	}
+	f.act.Send("sink", metrics.Normal, "Out", label)
+}
+
+func (f *fixture) quiesce(t *testing.T) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := f.net.Quiesce(ctx); err != nil {
+		t.Fatalf("quiesce: %v", err)
+	}
+}
+
+func (f *fixture) deliver(t *testing.T, payload any) {
+	t.Helper()
+	err := f.net.Send(transport.Message{From: "test", To: "node", Mechanism: metrics.Normal, Kind: "In", Payload: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func wantTrail(t *testing.T, got []string, want ...string) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("turn order = %v, want %v", got, want)
+	}
+}
+
+// TestMessageTurnOrder: handler, then commit (the dirty row encoded once),
+// then flush, then ack — the send is accepted while the message that caused
+// it still counts as in flight, and the network goes idle afterwards.
+func TestMessageTurnOrder(t *testing.T) {
+	f := newFixture(t, nil)
+	f.act.Launch(func(m transport.Message) { f.work("handle") }, nil)
+	f.deliver(t, "x")
+	f.quiesce(t)
+	wantTrail(t, f.tr.take(), "handle", "save", "commit", "send Out")
+	f.tr.mu.Lock()
+	if len(f.unacked) != 1 || f.unacked[0] != 1 {
+		t.Errorf("in-flight count at flush = %v, want [1]: the triggering message must still be unacked", f.unacked)
+	}
+	f.tr.mu.Unlock()
+	if _, ok, _ := f.db.LoadInstance("WF", 1); !ok {
+		t.Error("marked row was not committed")
+	}
+}
+
+// TestCommandTurnOrder: by the time Do returns, the command's rows are
+// committed and its sends are with the transport.
+func TestCommandTurnOrder(t *testing.T) {
+	f := newFixture(t, nil)
+	f.act.Launch(func(transport.Message) {}, nil)
+	f.act.Do(func() { f.work("command") })
+	wantTrail(t, f.tr.take(), "command", "save", "commit", "send Out")
+	f.quiesce(t)
+}
+
+// TestTimerTurn covers the timer's turn (tick, commit, flush, and no ack:
+// the in-flight count returns to zero, not below) and its arming rule: never
+// while the owner reports idle, again only once it reports work.
+func TestTimerTurn(t *testing.T) {
+	f := newFixture(t, nil)
+	var busy atomic.Bool
+	var ticks atomic.Int32
+	ticked := make(chan struct{}, 1)
+	f.act.Launch(func(transport.Message) {}, &Timer{
+		Every: time.Millisecond,
+		Busy:  busy.Load,
+		Tick: func() {
+			ticks.Add(1)
+			busy.Store(false)
+			f.work("tick")
+			ticked <- struct{}{}
+		},
+	})
+	// Idle owner: turns come and go, the timer stays unarmed.
+	for i := 0; i < 3; i++ {
+		f.act.Do(func() {})
+	}
+	time.Sleep(30 * time.Millisecond)
+	if n := ticks.Load(); n != 0 {
+		t.Fatalf("timer fired %d times while the owner was idle", n)
+	}
+	f.tr.take()
+
+	f.act.Do(func() { busy.Store(true) })
+	select {
+	case <-ticked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("timer never fired for a busy owner")
+	}
+	f.act.Do(func() {}) // the tick's epilogue precedes any later turn
+	got := f.tr.take()
+	wantTrail(t, got[1:], "tick", "save", "commit", "send Out", "commit")
+	f.quiesce(t)
+	if n := f.net.InFlight(); n != 0 {
+		t.Errorf("in-flight = %d after a timer turn, want 0 (a timer turn has nothing to ack)", n)
+	}
+	time.Sleep(30 * time.Millisecond)
+	if n := ticks.Load(); n != 1 {
+		t.Errorf("timer fired %d times, want once: the owner went idle in the tick", n)
+	}
+}
+
+// TestDoAsyncFromHandlerIsItsOwnTurn: a command scheduled inside a handler
+// runs after the handler's epilogue, with an epilogue of its own.
+func TestDoAsyncFromHandlerIsItsOwnTurn(t *testing.T) {
+	f := newFixture(t, nil)
+	ran := make(chan struct{})
+	f.act.Launch(func(transport.Message) {
+		f.tr.add("handle")
+		f.act.DoAsync(func() {
+			f.tr.add("async")
+			close(ran)
+		})
+	}, nil)
+	f.deliver(t, "x")
+	<-ran
+	f.act.Do(func() {})
+	wantTrail(t, f.tr.take(), "handle", "commit", "async", "commit", "commit")
+}
+
+// TestCloseDrainsQueuedCommands: commands queued behind a running turn when
+// the network closes still run before the goroutine exits.
+func TestCloseDrainsQueuedCommands(t *testing.T) {
+	f := newFixture(t, nil)
+	f.act.Launch(func(transport.Message) {}, nil)
+	started, release := make(chan struct{}), make(chan struct{})
+	f.act.DoAsync(func() {
+		close(started)
+		<-release
+	})
+	<-started
+	var ran atomic.Int32
+	for i := 0; i < 3; i++ {
+		f.act.DoAsync(func() { ran.Add(1) })
+	}
+	f.net.Close()
+	close(release)
+	f.act.Stop()
+	if n := ran.Load(); n != 3 {
+		t.Errorf("%d of 3 queued commands ran before Stop returned", n)
+	}
+}
+
+// TestEnvelopeIsOneTurn: N logical messages in one envelope are N handler
+// calls, one epilogue, and one Release after the last handler.
+func TestEnvelopeIsOneTurn(t *testing.T) {
+	f := newFixture(t, nil)
+	var seen []string
+	f.act.Launch(func(m transport.Message) {
+		f.tr.add("handle")
+		seen = append(seen, m.Payload.(string))
+	}, nil)
+	h, err := f.net.Handle("node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := transport.NewEnvelope()
+	for _, p := range []string{"a", "b", "c"} {
+		env.Msgs = append(env.Msgs, transport.Message{From: "test", To: "node", Mechanism: metrics.Normal, Kind: "In", Payload: p})
+	}
+	//crew:nocharge kernel test builds the physical envelope itself to watch its release
+	if err := h.SendBatch(env); err != nil {
+		t.Fatal(err)
+	}
+	f.quiesce(t)
+	wantTrail(t, f.tr.take(), "handle", "handle", "handle", "commit")
+	if strings.Join(seen, "") != "abc" {
+		t.Errorf("handled payloads %v, want a b c: the envelope was released before its messages were handled", seen)
+	}
+	if len(env.Msgs) != 0 {
+		t.Errorf("envelope still holds %d messages after its turn: not released", len(env.Msgs))
+	}
+	// Released twice, the pool could hand the same envelope to two owners.
+	if a, b := transport.NewEnvelope(), transport.NewEnvelope(); a == b {
+		t.Error("envelope pool returned one envelope twice: released more than once")
+	}
+}
+
+// TestSendFailureIsLogged: an unknown destination is reported through Logf
+// and does not disturb the turn.
+func TestSendFailureIsLogged(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	f := newFixture(t, func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, format)
+		mu.Unlock()
+	})
+	f.act.Launch(func(transport.Message) {
+		f.act.Send("nobody", metrics.Normal, "Out", nil)
+	}, nil)
+	f.deliver(t, "x")
+	f.quiesce(t)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(lines) != 1 || !strings.HasPrefix(lines[0], "send ") {
+		t.Errorf("log lines = %q, want one send failure", lines)
+	}
+}

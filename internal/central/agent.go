@@ -2,9 +2,9 @@ package central
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
+	"crew/internal/actor"
 	"crew/internal/metrics"
 	"crew/internal/model"
 	"crew/internal/transport"
@@ -12,81 +12,38 @@ import (
 
 // Agent is an application agent of the centralized architecture: it executes
 // step programs on the engine's request and answers state probes. It holds no
-// workflow state — that is the defining property of centralized control.
+// workflow state — that is the defining property of centralized control — so
+// its actor has no store: a turn is handle, flush the responses (one received
+// envelope of N requests yields one envelope of N responses), ack.
 type Agent struct {
-	name     string
-	net      *transport.Network
-	ep       *transport.Endpoint
+	*actor.Actor
 	programs *model.Registry
 	rec      metrics.NodeRecorder
-	// handles caches per-destination senders; touched only by the agent
-	// goroutine.
-	handles map[string]*transport.Handle
-	// batch coalesces the responses of one handler turn (one received
-	// envelope of N requests yields one envelope of N responses).
-	batch transport.Batcher
 
 	load int64 // executions performed, reported to StateInformation probes
-
-	wg   sync.WaitGroup
-	done chan struct{}
 }
 
-// NewAgent registers and starts an application agent on the network.
-func NewAgent(name string, net *transport.Network, programs *model.Registry, col *metrics.Collector) (*Agent, error) {
-	ep, err := net.Register(name)
+// NewAgent registers and starts an application agent on the network. logf
+// (nil for the standard logger) receives send failures.
+func NewAgent(name string, net *transport.Network, programs *model.Registry, col *metrics.Collector, logf func(format string, args ...any)) (*Agent, error) {
+	act, err := actor.New(net, name, nil, logf)
 	if err != nil {
 		return nil, err
 	}
-	ep.ManualAck()
-	a := &Agent{
-		name:     name,
-		net:      net,
-		ep:       ep,
-		programs: programs,
-		rec:      col.Node(name),
-		handles:  make(map[string]*transport.Handle),
-		done:     make(chan struct{}),
-	}
-	a.wg.Add(1)
-	go a.loop()
+	a := &Agent{Actor: act, programs: programs, rec: col.Node(name)}
+	a.Launch(a.handleOne, nil)
 	return a, nil
 }
 
-// Name returns the agent's node name.
-func (a *Agent) Name() string { return a.name }
-
 // Load returns the number of programs the agent has executed.
 func (a *Agent) Load() int64 { return atomic.LoadInt64(&a.load) }
-
-// Stop waits for the agent goroutine to exit (the network must be closed or
-// closing, so the inbox drains).
-func (a *Agent) Stop() {
-	a.wg.Wait()
-}
-
-func (a *Agent) loop() {
-	defer a.wg.Done()
-	for m := range a.ep.Inbox() {
-		if env, ok := m.Payload.(*transport.Envelope); ok {
-			for _, lm := range env.Msgs {
-				a.handleOne(lm)
-			}
-			env.Release()
-		} else {
-			a.handleOne(m)
-		}
-		_ = a.batch.Flush() // before Ack: sends belong to this turn
-		a.ep.Ack()
-	}
-}
 
 func (a *Agent) handleOne(m transport.Message) {
 	switch p := m.Payload.(type) {
 	case ExecRequest:
 		a.handleExec(p)
 	case StateRequest:
-		a.send(p.ReplyTo, p.Mechanism, KindStateResponse, StateResponse{Agent: a.name, Load: atomic.LoadInt64(&a.load)})
+		a.Send(p.ReplyTo, p.Mechanism, KindStateResponse, StateResponse{Agent: a.Name(), Load: atomic.LoadInt64(&a.load)})
 	}
 }
 
@@ -101,7 +58,7 @@ func (a *Agent) handleExec(req ExecRequest) {
 	prog, ok := a.programs.Lookup(req.Program)
 	if !ok {
 		resp.Failed = true
-		resp.Reason = fmt.Sprintf("agent %s: unknown program %q", a.name, req.Program)
+		resp.Reason = fmt.Sprintf("agent %s: unknown program %q", a.Name(), req.Program)
 	} else {
 		atomic.AddInt64(&a.load, 1)
 		a.rec.Add(req.Mechanism, 1)
@@ -121,23 +78,5 @@ func (a *Agent) handleExec(req ExecRequest) {
 			resp.Outputs = out
 		}
 	}
-	a.send(req.ReplyTo, req.Mechanism, KindStepResult, resp)
-}
-
-func (a *Agent) send(to string, mech metrics.Mechanism, kind string, payload any) {
-	h := a.handles[to]
-	if h == nil {
-		var err error
-		if h, err = a.net.Handle(to); err != nil {
-			return
-		}
-		a.handles[to] = h
-	}
-	a.batch.Add(h, transport.Message{
-		From:      a.name,
-		To:        to,
-		Mechanism: mech,
-		Kind:      kind,
-		Payload:   payload,
-	})
+	a.Send(req.ReplyTo, req.Mechanism, KindStepResult, resp)
 }

@@ -1,6 +1,7 @@
 package central
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"crew/internal/expr"
 	"crew/internal/metrics"
 	"crew/internal/model"
+	"crew/internal/transport"
 	"crew/internal/wfdb"
 )
 
@@ -1301,5 +1303,44 @@ func TestRollbackOrderAppliesInstancesDeterministically(t *testing.T) {
 		if comps[i] != want[i] {
 			t.Fatalf("dependent rollback order = %v, want sorted instance order %v", comps, want)
 		}
+	}
+}
+
+// TestAgentReportsUndeliverableResult: a step result whose ReplyTo names no
+// registered node used to vanish without a trace, leaving the instance
+// waiting. The agent reports it once, and the turn still ends: the request is
+// acked, so the network goes idle.
+func TestAgentReportsUndeliverableResult(t *testing.T) {
+	net := transport.NewNetwork(transport.NetworkConfig{})
+	reg := model.NewRegistry()
+	reg.Register("p", model.NopProgram())
+	var mu sync.Mutex
+	var lines []string
+	ag, err := NewAgent("a1", net, reg, metrics.NewCollector(), func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { net.Close(); ag.Stop() }()
+	err = net.Send(transport.Message{From: "test", To: "a1", Mechanism: metrics.Normal, Kind: KindStepExecute,
+		Payload: ExecRequest{Workflow: "W", Instance: 1, Step: "A", Program: "p", ReplyTo: "nobody"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), waitTimeout)
+	defer cancel()
+	if err := net.Quiesce(ctx); err != nil {
+		t.Fatalf("turn was not acked: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(lines) != 1 || !strings.Contains(lines[0], "nobody") {
+		t.Errorf("log lines = %q, want one naming the unknown destination", lines)
+	}
+	if ag.Load() != 1 {
+		t.Errorf("agent executed %d programs, want 1", ag.Load())
 	}
 }

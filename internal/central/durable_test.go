@@ -34,7 +34,7 @@ func fileSystem(t *testing.T, path string, lib *model.Library, reg *model.Regist
 }
 
 // TestCommitPrecedesSend checks the engine's write-ahead contract at the
-// point it is implemented (endTurn): by the time any step request is
+// point it is implemented (the actor's turn epilogue): by the time any step request is
 // accepted by the transport, the WFDB already holds the instance row that
 // records the attempt as executing at that agent.
 func TestCommitPrecedesSend(t *testing.T) {

@@ -3,11 +3,9 @@ package central
 import (
 	"errors"
 	"fmt"
-	"log"
 	"sort"
-	"strings"
-	"sync"
 
+	"crew/internal/actor"
 	"crew/internal/cerrors"
 	"crew/internal/coord"
 	"crew/internal/event"
@@ -88,8 +86,17 @@ type instState struct {
 	childOf map[model.StepID]int // nested step -> child instance ID
 
 	// dirty marks the instance as changed since its last WFDB row; it is then
-	// on Engine.dirty and the turn's commit writes it (see endTurn).
+	// queued with the actor and the turn's commit writes it.
 	dirty bool
+}
+
+// Save implements actor.Row: retirement clears the mark, so an instance that
+// left the live table mid-turn is not written back.
+func (st *instState) Save(tx *wfdb.Batch) {
+	if st.dirty {
+		st.dirty = false
+		tx.SaveInstance(st.ins)
+	}
 }
 
 // chainTask is one entry of the serialized compensation/re-execution chain.
@@ -104,29 +111,15 @@ type execPlan struct {
 	mode model.ExecMode // ModeExecute or ModeIncremental
 }
 
-// Engine is a centralized workflow engine. All state is owned by a single
-// goroutine; external calls go through the command channel.
+// Engine is a centralized workflow engine. All state is owned by the
+// embedded actor's goroutine; external calls go through its command queue
+// (Do, DoAsync), and every turn ends in the actor's commit, flush, ack.
 type Engine struct {
+	*actor.Actor
 	cfg         Config
 	net         *transport.Network
-	ep          *transport.Endpoint
 	coordinator Coordinator
 	rec         metrics.NodeRecorder
-	// handles caches per-destination senders; touched only by the engine
-	// goroutine.
-	handles map[string]*transport.Handle
-	// batch coalesces the sends of one handler turn into per-destination
-	// envelopes; tx collects the turn's WFDB rows and dirty lists, in marking
-	// order, the live instances whose rows are still to be encoded into it.
-	// endTurn commits tx, then flushes batch, then acks.
-	batch transport.Batcher
-	tx    wfdb.Batch
-	dirty []*instState
-
-	cmdMu     sync.Mutex
-	cmdQ      []func()
-	cmdNotify chan struct{}
-	wg        sync.WaitGroup
 
 	instances map[string]*instState
 	nextID    map[string]int
@@ -161,18 +154,10 @@ func NewEngine(cfg Config, net *transport.Network) (*Engine, error) {
 	if cfg.Library == nil || cfg.Programs == nil {
 		return nil, errors.New("central: engine needs a library and programs")
 	}
-	ep, err := net.Register(cfg.Name)
-	if err != nil {
-		return nil, err
-	}
-	ep.ManualAck()
 	e := &Engine{
 		cfg:        cfg,
 		net:        net,
-		ep:         ep,
 		rec:        cfg.Collector.Node(cfg.Name),
-		handles:    make(map[string]*transport.Handle),
-		cmdNotify:  make(chan struct{}, 1),
 		instances:  make(map[string]*instState),
 		nextID:     make(map[string]int),
 		loads:      make(map[string]int64),
@@ -192,133 +177,19 @@ func NewEngine(cfg Config, net *transport.Network) (*Engine, error) {
 	}
 	tmp := coord.NewTracker(cfg.Library)
 	e.coordSteps = tmp.CoordinatedSteps()
-	e.wg.Add(1)
-	go e.loop()
+	var err error
+	if e.Actor, err = actor.New(net, cfg.Name, e.adb, cfg.Logf); err != nil {
+		return nil, err
+	}
+	e.Launch(e.handleMessage, nil)
 	return e, nil
 }
 
 // SetCoordinator installs the coordination hook.
 func (e *Engine) SetCoordinator(c Coordinator) { e.coordinator = c }
 
-// Name returns the engine's node name.
-func (e *Engine) Name() string { return e.cfg.Name }
-
-// Stop waits for the engine goroutine to exit; the network must be closed
-// first so the inbox drains.
-func (e *Engine) Stop() { e.wg.Wait() }
-
-func (e *Engine) logf(format string, args ...any) {
-	if e.cfg.Logf != nil {
-		e.cfg.Logf(format, args...)
-	} else {
-		log.Printf("central[%s]: "+format, append([]any{e.cfg.Name}, args...)...)
-	}
-}
-
-func (e *Engine) loop() {
-	defer e.wg.Done()
-	inbox := e.ep.Inbox()
-	for {
-		e.drainCmds()
-		select {
-		case m, ok := <-inbox:
-			if !ok {
-				e.drainCmds()
-				return
-			}
-			e.handleMessage(m)
-			e.endTurn(true)
-		case <-e.cmdNotify:
-		}
-	}
-}
-
-// endTurn is the one epilogue of every engine turn — a handled message
-// (ack true) or a command: commit, then flush sends, then ack. The order is
-// the engine's durability contract, held here and nowhere else:
-//
-//   - write-ahead of dispatch: the turn's WFDB rows are on the log before any
-//     message the turn produced leaves, so a restarted engine knows of every
-//     request or compensation an agent may have received;
-//   - persist before ack: the message's effects are durable before the
-//     transport may consider it processed (and before Do returns);
-//   - flush before ack: quiescence accounting never sees a
-//     processed-but-unsent gap.
-func (e *Engine) endTurn(ack bool) {
-	e.commit()
-	if err := e.batch.Flush(); err != nil {
-		e.logf("flush sends: %v", err)
-	}
-	if ack {
-		e.ep.Ack()
-	}
-}
-
-// commit encodes every dirty live instance once, behind the rows the turn
-// already added to tx, and writes the lot as one WFDB group — one WAL write,
-// replayed all or nothing.
-func (e *Engine) commit() {
-	for i, st := range e.dirty {
-		if st.dirty { // still live: retirement clears the mark
-			st.dirty = false
-			e.tx.SaveInstance(st.ins)
-		}
-		e.dirty[i] = nil
-	}
-	e.dirty = e.dirty[:0]
-	if err := e.adb.Commit(&e.tx); err != nil {
-		e.logf("commit: %v", err)
-	}
-}
-
-func (e *Engine) drainCmds() {
-	for {
-		e.cmdMu.Lock()
-		if len(e.cmdQ) == 0 {
-			e.cmdMu.Unlock()
-			return
-		}
-		f := e.cmdQ[0]
-		e.cmdQ = e.cmdQ[1:]
-		e.cmdMu.Unlock()
-		f()
-		e.endTurn(false)
-	}
-}
-
-func (e *Engine) enqueue(f func()) {
-	e.cmdMu.Lock()
-	e.cmdQ = append(e.cmdQ, f)
-	e.cmdMu.Unlock()
-	select {
-	case e.cmdNotify <- struct{}{}:
-	default:
-	}
-}
-
-// Do runs f on the engine goroutine and waits for it. It must not be called
-// from the engine goroutine itself (use direct calls there).
-func (e *Engine) Do(f func()) {
-	done := make(chan struct{})
-	e.enqueue(func() {
-		defer close(done)
-		f()
-		e.endTurn(false) // before done closes: the caller may Quiesce or crash the engine next
-	})
-	<-done
-}
-
-// DoAsync schedules f on the engine goroutine without waiting. Safe to call
-// from any goroutine, including the engine's own.
-func (e *Engine) DoAsync(f func()) { e.enqueue(f) }
-
 func (e *Engine) handleMessage(m transport.Message) {
 	switch p := m.Payload.(type) {
-	case *transport.Envelope:
-		for _, lm := range p.Msgs {
-			e.handleMessage(lm)
-		}
-		p.Release()
 	case ExecResponse:
 		e.onExecResponse(p)
 	case StateResponse:
@@ -431,32 +302,6 @@ func (e *Engine) Status(workflow string, id int) (wfdb.Status, bool) {
 // can subscribe to completions directly (push-based WaitCtx).
 func (e *Engine) Terminal() *itable.Terminal { return e.term }
 
-// WaitChan returns a channel that receives the instance's terminal status.
-// Completion is push-based: the channel is fed from the terminal registry,
-// not from polling the engine.
-func (e *Engine) WaitChan(workflow string, id int) <-chan wfdb.Status {
-	ch := make(chan wfdb.Status, 1)
-	st, done, w, gen := e.term.Subscribe(workflow, id)
-	if done {
-		ch <- st
-		return ch
-	}
-	// An instance that finished under a previous engine incarnation is only
-	// in the database; the registry will never fire for it.
-	if e.cfg.DB != nil {
-		if sum, found, _ := e.cfg.DB.LoadSummary(workflow, id); found && sum != wfdb.Running {
-			e.term.Unsubscribe(workflow, id, w, gen)
-			ch <- sum
-			return ch
-		}
-	}
-	go func() {
-		<-w.Done()
-		ch <- w.Result()
-	}()
-	return ch
-}
-
 // Snapshot returns a deep copy of an instance's state for inspection.
 // Retired instances are reloaded from the archive.
 func (e *Engine) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
@@ -542,7 +387,7 @@ func (e *Engine) recoverLocked() (int, error) {
 	for _, key := range e.cfg.DB.InstanceKeys() {
 		workflow, id, err := wfdb.ParseInstanceKey(key)
 		if err != nil {
-			e.logf("recover: %v", err)
+			e.Logf("recover: %v", err)
 			continue
 		}
 		if _, live := e.instances[key]; live {
@@ -551,7 +396,7 @@ func (e *Engine) recoverLocked() (int, error) {
 		ins, ok, err := e.cfg.DB.LoadInstance(workflow, id)
 		if err != nil || !ok {
 			if err != nil {
-				e.logf("recover %s: %v", key, err)
+				e.Logf("recover %s: %v", key, err)
 			}
 			continue
 		}
@@ -560,7 +405,7 @@ func (e *Engine) recoverLocked() (int, error) {
 		}
 		schema := e.cfg.Library.Schema(workflow)
 		if schema == nil {
-			e.logf("recover %s: unknown workflow class", key)
+			e.Logf("recover %s: unknown workflow class", key)
 			continue
 		}
 		// Results of steps that were executing at the crash are lost.
@@ -641,7 +486,7 @@ func (e *Engine) restartLocked() {
 	for _, key := range e.cfg.DB.InstanceKeys() {
 		workflow, id, err := wfdb.ParseInstanceKey(key)
 		if err != nil {
-			e.logf("restart: %v", err)
+			e.Logf("restart: %v", err)
 			continue
 		}
 		if _, live := e.instances[key]; live {
@@ -650,7 +495,7 @@ func (e *Engine) restartLocked() {
 		ins, ok, err := e.cfg.DB.LoadInstance(workflow, id)
 		if err != nil || !ok {
 			if err != nil {
-				e.logf("restart %s: %v", key, err)
+				e.Logf("restart %s: %v", key, err)
 			}
 			continue
 		}
@@ -659,7 +504,7 @@ func (e *Engine) restartLocked() {
 		}
 		schema := e.cfg.Library.Schema(workflow)
 		if schema == nil {
-			e.logf("restart %s: unknown workflow class", key)
+			e.Logf("restart %s: unknown workflow class", key)
 			continue
 		}
 		ins.AttachSchema(schema)
@@ -817,7 +662,7 @@ func (e *Engine) startLocked(workflow string, id int, inputs map[string]expr.Val
 	e.instances[key] = st
 	e.addLoad(metrics.Normal, 1) // WorkflowStart processing
 	if e.cfg.DB != nil {
-		e.tx.SaveSummary(workflow, id, wfdb.Running)
+		e.Tx().SaveSummary(workflow, id, wfdb.Running)
 	}
 	ins.Events.Post(event.WorkflowStartName)
 	// An acknowledged start must survive a crash even if the first dispatch
@@ -882,7 +727,7 @@ func (e *Engine) evaluate(st *instState) {
 		}
 		fired, err := st.rules.Evaluate(st.ins.Events, st.ins.Env())
 		if err != nil {
-			e.logf("instance %s: %v", st.ins.Key(), err)
+			e.Logf("instance %s: %v", st.ins.Key(), err)
 		}
 		progressed := false
 		for _, r := range fired {
@@ -910,17 +755,6 @@ func (e *Engine) evaluate(st *instState) {
 			return
 		}
 	}
-}
-
-// resolveInputs reads a step's declared inputs from the data table.
-func resolveInputs(st *instState, s *model.Step) map[string]expr.Value {
-	in := make(map[string]expr.Value, len(s.Inputs))
-	for _, name := range s.Inputs {
-		if v, ok := st.ins.Data[name]; ok {
-			in[name] = v
-		}
-	}
-	return in
 }
 
 // maybeExecute handles a fired execution rule; it returns true if state
@@ -963,7 +797,7 @@ func (e *Engine) maybeExecute(st *instState, step model.StepID) bool {
 		st.coordBlocked[step] = false
 	}
 
-	inputs := resolveInputs(st, s)
+	inputs := nav.ResolveInputs(st.ins, s)
 
 	// OCR: the step may have a previous execution whose results stand.
 	if rec != nil && rec.HasResult {
@@ -978,7 +812,7 @@ func (e *Engine) maybeExecute(st *instState, step model.StepID) bool {
 			var derr error
 			d, derr = ocr.Decide(st.schema, s, rec, inputs, st.ins.Env())
 			if derr != nil {
-				e.logf("instance %s step %s: %v", st.ins.Key(), step, derr)
+				e.Logf("instance %s step %s: %v", st.ins.Key(), step, derr)
 			}
 		}
 		e.addLoad(mech, 1) // condition check + bookkeeping
@@ -1020,30 +854,12 @@ func (e *Engine) enqueueCompChain(st *instState, plan []model.StepID, then *exec
 	e.pumpChain(st)
 }
 
-// stepMechanism classifies a dispatch: re-executions and recovery work count
-// under the recovery cause; fresh forward progress is Normal.
-func (e *Engine) stepMechanism(st *instState, step model.StepID) metrics.Mechanism {
-	rec := st.ins.Steps[step]
-	if rec != nil && rec.Attempts > 0 && st.recovery != metrics.Normal {
-		return st.recovery
-	}
-	return metrics.Normal
-}
-
-// effectiveAgents returns the agents eligible for a step.
-func (e *Engine) effectiveAgents(s *model.Step) []string {
-	if len(s.EligibleAgents) > 0 {
-		return s.EligibleAgents
-	}
-	return e.cfg.Agents
-}
-
 // chooseAgent probes the non-chosen eligible agents (2(a-1) messages) and
 // dispatch+result make the per-step total 2a, matching the paper's
 // centralized message model. Selection is least cached load, ties broken
 // lexically.
 func (e *Engine) chooseAgent(s *model.Step, mech metrics.Mechanism) string {
-	elig := e.effectiveAgents(s)
+	elig := nav.EffectiveAgents(s, e.cfg.Agents)
 	best := ""
 	for _, a := range elig {
 		if !e.net.Alive(a) {
@@ -1060,14 +876,14 @@ func (e *Engine) chooseAgent(s *model.Step, mech metrics.Mechanism) string {
 		if a == best || !e.net.Alive(a) {
 			continue
 		}
-		e.send(a, mech, KindStateInformation, StateRequest{ReplyTo: e.cfg.Name, Mechanism: mech})
+		e.Send(a, mech, KindStateInformation, StateRequest{ReplyTo: e.cfg.Name, Mechanism: mech})
 	}
 	return best
 }
 
 func (e *Engine) dispatchStep(st *instState, step model.StepID, mode model.ExecMode, inputs map[string]expr.Value, prev *model.PrevExecution) {
 	s := st.schema.Steps[step]
-	mech := e.stepMechanism(st, step)
+	mech := nav.StepMechanism(st.ins, step, st.recovery)
 	e.addLoad(mech, 1) // navigation/scheduling
 
 	if s.Nested != "" {
@@ -1077,7 +893,7 @@ func (e *Engine) dispatchStep(st *instState, step model.StepID, mode model.ExecM
 
 	agent := e.chooseAgent(s, mech)
 	if agent == "" {
-		e.logf("instance %s step %s: no eligible agent alive", st.ins.Key(), step)
+		e.Logf("instance %s step %s: no eligible agent alive", st.ins.Key(), step)
 		return
 	}
 	if mode == model.ModeIncremental && prev == nil {
@@ -1089,7 +905,7 @@ func (e *Engine) dispatchStep(st *instState, step model.StepID, mode model.ExecM
 	// in a persistent queue, so it awaits the result instead of redispatching.
 	e.persist(st)
 	e.loads[agent]++ // optimistic cache update
-	e.send(agent, mech, KindStepExecute, ExecRequest{
+	e.Send(agent, mech, KindStepExecute, ExecRequest{
 		Workflow:  st.ins.Workflow,
 		Instance:  st.ins.ID,
 		Step:      step,
@@ -1100,25 +916,6 @@ func (e *Engine) dispatchStep(st *instState, step model.StepID, mode model.ExecM
 		Prev:      prev,
 		Mechanism: mech,
 		ReplyTo:   e.cfg.Name,
-	})
-}
-
-func (e *Engine) send(to string, mech metrics.Mechanism, kind string, payload any) {
-	h := e.handles[to]
-	if h == nil {
-		var err error
-		if h, err = e.net.Handle(to); err != nil {
-			e.logf("send %s to %s: %v", kind, to, err)
-			return
-		}
-		e.handles[to] = h
-	}
-	e.batch.Add(h, transport.Message{
-		From:      e.cfg.Name,
-		To:        to,
-		Mechanism: mech,
-		Kind:      kind,
-		Payload:   payload,
 	})
 }
 
@@ -1163,7 +960,7 @@ func (e *Engine) onStepResult(st *instState, r ExecResponse) {
 		return
 	}
 	st.dispatched[r.Step] = false
-	mech := e.stepMechanism(st, r.Step)
+	mech := nav.StepMechanism(st.ins, r.Step, st.recovery)
 	e.addLoad(mech, 1) // result processing
 
 	if st.ins.Status != wfdb.Running {
@@ -1176,7 +973,7 @@ func (e *Engine) onStepResult(st *instState, r ExecResponse) {
 			// Release any mutex held for the attempt; the order queues are
 			// not advanced for a failed step.
 			e.coordinator.StepFailed(ref, coord.InstanceRef{Workflow: st.ins.Workflow, ID: st.ins.ID})
-			e.clearMutexGrants(st, r.Step)
+			nav.ClearMutexGrants(st.ins, r.Step)
 			delete(st.coordWaits, r.Step)
 		}
 		e.handleStepFailure(st, r.Step)
@@ -1218,7 +1015,7 @@ func (e *Engine) afterStepDone(st *instState, step model.StepID) {
 	ref := model.StepRef{Workflow: st.ins.Workflow, Step: step}
 	if e.coordSteps[ref] && e.coordinator != nil {
 		e.coordinator.StepDone(ref, coord.InstanceRef{Workflow: st.ins.Workflow, ID: st.ins.ID})
-		e.clearMutexGrants(st, step)
+		nav.ClearMutexGrants(st.ins, step)
 		delete(st.coordWaits, step) // a revisit must re-acquire
 	}
 
@@ -1238,15 +1035,6 @@ func (e *Engine) afterStepDone(st *instState, step model.StepID) {
 	e.persist(st)
 }
 
-// clearMutexGrants invalidates the instance's mutex grant events for a step
-// so a later re-execution must re-acquire.
-func (e *Engine) clearMutexGrants(st *instState, step model.StepID) {
-	suffix := ":" + string(step)
-	st.ins.Events.InvalidateWhere(func(name string) bool {
-		return strings.HasPrefix(name, "mx:") && strings.HasSuffix(name, suffix)
-	})
-}
-
 func (e *Engine) resetDispatchState(st *instState, steps []model.StepID) {
 	for _, id := range steps {
 		// An in-flight result becomes stale: it no longer matches the step's
@@ -1255,7 +1043,7 @@ func (e *Engine) resetDispatchState(st *instState, steps []model.StepID) {
 		delete(st.coordWaits, id)
 		st.coordBlocked[id] = false
 		st.coordPending[id] = false
-		e.clearMutexGrants(st, id)
+		nav.ClearMutexGrants(st.ins, id)
 		// A reset step whose result will be dropped can no longer release
 		// coordination resources itself; release them here (release by a
 		// non-holder is a no-op).
@@ -1384,7 +1172,7 @@ func (e *Engine) pumpChain(st *instState) {
 			agent = e.chooseAgent(s, mech)
 		}
 		if agent == "" {
-			e.logf("instance %s: no agent to compensate %s", st.ins.Key(), task.step)
+			e.Logf("instance %s: no agent to compensate %s", st.ins.Key(), task.step)
 			e.finishChainTask(st, task)
 			continue
 		}
@@ -1396,7 +1184,7 @@ func (e *Engine) pumpChain(st *instState) {
 		st.ins.RecordCompensating(task.step, task.mode)
 		e.persist(st)
 		e.addLoad(mech, 1)
-		e.send(agent, mech, KindStepCompensate, ExecRequest{
+		e.Send(agent, mech, KindStepCompensate, ExecRequest{
 			Workflow:  st.ins.Workflow,
 			Instance:  st.ins.ID,
 			Step:      task.step,
@@ -1416,7 +1204,7 @@ func (e *Engine) onCompResult(st *instState, r ExecResponse) {
 	st.chainActive = false
 	st.pendingChain = nil
 	if task == nil || task.step != r.Step {
-		e.logf("instance %s: unexpected compensation result for %s", st.ins.Key(), r.Step)
+		e.Logf("instance %s: unexpected compensation result for %s", st.ins.Key(), r.Step)
 		return
 	}
 	mech := st.recovery
@@ -1428,7 +1216,7 @@ func (e *Engine) onCompResult(st *instState, r ExecResponse) {
 	}
 	e.addLoad(mech, 1)
 	if r.Failed {
-		e.logf("instance %s: compensation of %s failed: %s", st.ins.Key(), r.Step, r.Reason)
+		e.Logf("instance %s: compensation of %s failed: %s", st.ins.Key(), r.Step, r.Reason)
 	}
 	if r.Mode == model.ModeCompensate {
 		st.ins.RecordCompensated(r.Step)
@@ -1451,7 +1239,7 @@ func (e *Engine) finishChainTask(st *instState, task chainTask) {
 	if task.then != nil && !st.aborting && st.ins.Status == wfdb.Running {
 		s := st.schema.Steps[task.then.step]
 		if s != nil {
-			inputs := resolveInputs(st, s)
+			inputs := nav.ResolveInputs(st.ins, s)
 			prev := st.ins.StepRec(task.then.step).Prev()
 			e.dispatchStep(st, task.then.step, task.then.mode, inputs, prev)
 		}
@@ -1537,11 +1325,11 @@ func (e *Engine) finishInstance(st *instState) {
 	// whatever the turn has pending), so a crash never finds the instance
 	// both archived and live.
 	if e.cfg.DB != nil {
-		e.tx.SaveSummary(st.ins.Workflow, st.ins.ID, st.ins.Status)
+		e.Tx().SaveSummary(st.ins.Workflow, st.ins.ID, st.ins.Status)
 	}
-	e.tx.Archive(st.ins)
+	e.Tx().Archive(st.ins)
 	st.dirty = false
-	e.commit()
+	e.Commit()
 	if e.coordinator != nil {
 		e.coordinator.Forget(coord.InstanceRef{Workflow: st.ins.Workflow, ID: st.ins.ID})
 	}
@@ -1571,7 +1359,7 @@ func (e *Engine) startNested(st *instState, step model.StepID, inputs map[string
 	s := st.schema.Steps[step]
 	child := e.cfg.Library.Schema(s.Nested)
 	if child == nil {
-		e.logf("instance %s step %s: unknown nested workflow %q", st.ins.Key(), step, s.Nested)
+		e.Logf("instance %s step %s: unknown nested workflow %q", st.ins.Key(), step, s.Nested)
 		return
 	}
 	// Positional input mapping: the i-th declared step input feeds the
@@ -1594,7 +1382,7 @@ func (e *Engine) startNested(st *instState, step model.StepID, inputs map[string
 		Step:     step,
 	})
 	if err != nil {
-		e.logf("instance %s step %s: nested start: %v", st.ins.Key(), step, err)
+		e.Logf("instance %s step %s: nested start: %v", st.ins.Key(), step, err)
 		st.dispatched[step] = false
 		return
 	}
@@ -1634,13 +1422,13 @@ func (e *Engine) onChildFinished(parent *instState, step model.StepID, child *in
 // persist marks the instance for the turn's commit. Callers invoke it after
 // any change a restart must see; the row itself is encoded once, from the
 // state the instance has when the turn ends (or another instance retires),
-// and is on the log before the turn's sends leave (see endTurn).
+// and is on the log before the turn's sends leave (the actor's turn epilogue).
 func (e *Engine) persist(st *instState) {
 	if e.cfg.DB == nil || st.dirty {
 		return
 	}
 	st.dirty = true
-	e.dirty = append(e.dirty, st)
+	e.Mark(st)
 }
 
 // ---------------------------------------------------------------------------

@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
-	"time"
 
-	"crew/internal/cerrors"
+	"crew/internal/actor"
 	"crew/internal/coord"
 	"crew/internal/expr"
 	"crew/internal/metrics"
@@ -35,13 +33,14 @@ type SystemConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// System is a running centralized WFMS.
+// System is a running centralized WFMS. The embedded client supplies Start,
+// Run, RunCtx and Wait over the StartCtx and WaitCtx below.
 type System struct {
+	*actor.Client
 	Engine *Engine
 	net    *transport.Network
 	agents []*Agent
 	col    *metrics.Collector
-	closed atomic.Bool
 }
 
 // NewSystem builds and starts a centralized deployment.
@@ -87,8 +86,9 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	eng.SetCoordinator(NewLocalCoordinator(eng, coord.NewTracker(cfg.Library)))
 
 	sys := &System{Engine: eng, net: net, col: cfg.Collector}
+	sys.Client = actor.NewClient("central", cfg.Library, sys)
 	for _, name := range agents {
-		ag, err := NewAgent(name, net, cfg.Programs, cfg.Collector)
+		ag, err := NewAgent(name, net, cfg.Programs, cfg.Collector, cfg.Logf)
 		if err != nil {
 			sys.Close()
 			return nil, fmt.Errorf("central: agent %s: %w", name, err)
@@ -104,33 +104,14 @@ func (s *System) Collector() *metrics.Collector { return s.col }
 // Network exposes the transport (tests crash/recover agents through it).
 func (s *System) Network() *transport.Network { return s.net }
 
-// Start launches an instance and returns its ID.
-func (s *System) Start(workflow string, inputs map[string]expr.Value) (int, error) {
-	return s.StartCtx(context.Background(), workflow, inputs)
-}
-
 // StartCtx launches an instance and returns its ID. The context gates only
 // the admission of the request; a started instance keeps running after ctx
 // is cancelled.
 func (s *System) StartCtx(ctx context.Context, workflow string, inputs map[string]expr.Value) (int, error) {
-	if err := s.admit(ctx, workflow); err != nil {
+	if err := s.Admit(ctx, workflow); err != nil {
 		return 0, err
 	}
 	return s.Engine.Start(workflow, inputs)
-}
-
-// admit performs the shared pre-flight checks of context-aware calls.
-func (s *System) admit(ctx context.Context, workflow string) error {
-	if s.closed.Load() {
-		return fmt.Errorf("central: %w", cerrors.ErrClosed)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if workflow != "" && s.Engine.cfg.Library.Schema(workflow) == nil {
-		return fmt.Errorf("central: %w: %q", cerrors.ErrUnknownWorkflow, workflow)
-	}
-	return nil
 }
 
 // StartSeq launches an instance under an externally assigned ID. The global
@@ -139,8 +120,8 @@ func (s *System) admit(ctx context.Context, workflow string) error {
 // where work lands (there is only one engine). A StartSeq racing Close
 // fails with cerrors.ErrClosed instead of panicking on the closed transport.
 func (s *System) StartSeq(workflow string, id, seq int, inputs map[string]expr.Value) error {
-	if s.closed.Load() {
-		return fmt.Errorf("central: %w", cerrors.ErrClosed)
+	if err := s.Admit(context.Background(), ""); err != nil {
+		return err
 	}
 	return s.Engine.StartWithID(workflow, id, inputs)
 }
@@ -149,65 +130,21 @@ func (s *System) StartSeq(workflow string, id, seq int, inputs map[string]expr.V
 // processed anywhere in the deployment.
 func (s *System) Quiesce(ctx context.Context) error { return s.net.Quiesce(ctx) }
 
-// Run starts an instance and waits for its terminal status. It wraps RunCtx
-// with a deadline context.
-func (s *System) Run(workflow string, inputs map[string]expr.Value, timeout time.Duration) (int, wfdb.Status, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return s.RunCtx(ctx, workflow, inputs)
-}
-
-// RunCtx starts an instance and waits for its terminal status under ctx.
-func (s *System) RunCtx(ctx context.Context, workflow string, inputs map[string]expr.Value) (int, wfdb.Status, error) {
-	id, err := s.StartCtx(ctx, workflow, inputs)
-	if err != nil {
-		return 0, 0, err
-	}
-	st, err := s.WaitCtx(ctx, workflow, id)
-	return id, st, err
-}
-
-// Wait blocks until the instance reaches a terminal status. It wraps WaitCtx
-// with a deadline context; the deadline surfaces as cerrors.ErrTimeout.
-func (s *System) Wait(workflow string, id int, timeout time.Duration) (wfdb.Status, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return s.WaitCtx(ctx, workflow, id)
-}
-
-// WaitCtx blocks until the instance reaches a terminal status or ctx ends.
-// Completion is push-based: the call subscribes to the engine's terminal
-// registry and is woken by the closing of the instance's waiter channel —
-// no polling and no engine-goroutine round-trip for finished instances.
-// A deadline expiry is reported as cerrors.ErrTimeout (errors.Is-matchable);
-// a plain cancellation as ctx.Err().
+// WaitCtx blocks until the instance reaches a terminal status or ctx ends
+// (the contract is itable.Terminal.Wait's). A completion from a previous
+// engine incarnation exists only as a summary in the database.
 func (s *System) WaitCtx(ctx context.Context, workflow string, id int) (wfdb.Status, error) {
-	if err := s.admit(ctx, ""); err != nil {
+	if err := s.Admit(ctx, workflow); err != nil {
 		return 0, err
 	}
-	term := s.Engine.Terminal()
-	st, done, w, gen := term.Subscribe(workflow, id)
-	if done {
-		return st, nil
-	}
-	// Fresh-engine-over-old-database: completions from a previous
-	// incarnation exist only as summaries.
+	var older func() (wfdb.Status, bool)
 	if db := s.Engine.cfg.DB; db != nil {
-		if sum, found, _ := db.LoadSummary(workflow, id); found && sum != wfdb.Running {
-			term.Unsubscribe(workflow, id, w, gen)
-			return sum, nil
+		older = func() (wfdb.Status, bool) {
+			sum, found, _ := db.LoadSummary(workflow, id)
+			return sum, found
 		}
 	}
-	select {
-	case <-w.Done():
-		return w.Result(), nil
-	case <-ctx.Done():
-		term.Unsubscribe(workflow, id, w, gen)
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return 0, fmt.Errorf("central: %w: %s.%d", cerrors.ErrTimeout, workflow, id)
-		}
-		return 0, ctx.Err()
-	}
+	return s.Engine.Terminal().Wait(ctx, workflow, id, older)
 }
 
 // Abort requests a user abort.
@@ -231,7 +168,7 @@ func (s *System) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
 // Close shuts the deployment down. Later context-aware calls fail with
 // cerrors.ErrClosed.
 func (s *System) Close() {
-	if s.closed.Swap(true) {
+	if !s.Shut() {
 		return
 	}
 	s.net.Close()

@@ -3,12 +3,11 @@ package distributed
 import (
 	"errors"
 	"fmt"
-	"log"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"crew/internal/actor"
 	"crew/internal/coord"
 	"crew/internal/expr"
 	"crew/internal/itable"
@@ -135,6 +134,23 @@ type replica struct {
 	lastHalt *haltThread
 	// lastReport throttles the sweep's terminal re-reports.
 	lastReport time.Time
+	// dirty marks the replica as changed since its last AGDB row; it is then
+	// queued with the actor and the turn's commit writes it.
+	dirty bool
+}
+
+// Save implements actor.Row. The replica-level recovery anchors are stamped
+// into the record as it is encoded: a process restarted from this database
+// must resume with the rollback epoch and coordination election the replica
+// had when the turn ended, not rediscover them. Retirement and purge clear
+// the mark, so a replica that left the live table is not written back.
+func (r *replica) Save(tx *wfdb.Batch) {
+	if r.dirty {
+		r.dirty = false
+		r.ins.Epoch = r.epoch
+		r.ins.Coordinator = r.coordinator
+		tx.SaveInstance(r.ins)
+	}
 }
 
 type abortState struct {
@@ -143,23 +159,14 @@ type abortState struct {
 }
 
 // Agent is a distributed workflow agent: execution agent always, and
-// coordination/termination agent per instance as the schemas dictate.
+// coordination/termination agent per instance as the schemas dictate. All
+// state is owned by the embedded actor's goroutine, and every turn — message,
+// command or maintenance sweep — ends in the actor's commit, flush, ack.
 type Agent struct {
+	*actor.Actor
 	cfg Config
 	net *transport.Network
-	ep  *transport.Endpoint
 	rec metrics.NodeRecorder
-	// handles caches per-destination senders; touched only by the agent
-	// goroutine.
-	handles map[string]*transport.Handle
-	// batch coalesces the sends of one handler turn into per-destination
-	// envelopes; flushed before the turn's Ack (see flushSends).
-	batch transport.Batcher
-
-	cmdMu     sync.Mutex
-	cmdQ      []func()
-	cmdNotify chan struct{}
-	wg        sync.WaitGroup
 
 	replicas map[string]*replica
 	// handledHalts dedupes HaltThread floods: highest epoch seen per
@@ -167,8 +174,6 @@ type Agent struct {
 	handledHalts map[haltKey]int
 	// loads caches StateInformation replies (explicit-election ablation).
 	loads map[string]int64
-	// waiters holds commit/abort subscribers (coordination agent role).
-	waiters map[string][]chan wfdb.Status
 	// execCount is this agent's total program executions.
 	execCount int64
 	// term records terminal statuses (shared deployment-wide via
@@ -204,22 +209,13 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 	if cfg.StatusPollAge == 0 {
 		cfg.StatusPollAge = 2 * cfg.StatusPollInterval
 	}
-	ep, err := net.Register(cfg.Name)
-	if err != nil {
-		return nil, err
-	}
-	ep.ManualAck()
 	a := &Agent{
 		cfg:          cfg,
 		net:          net,
-		ep:           ep,
 		rec:          cfg.Collector.Node(cfg.Name),
-		handles:      make(map[string]*transport.Handle),
-		cmdNotify:    make(chan struct{}, 1),
 		replicas:     make(map[string]*replica),
 		handledHalts: make(map[haltKey]int),
 		loads:        make(map[string]int64),
-		waiters:      make(map[string][]chan wfdb.Status),
 		term:         cfg.Terminal,
 		adb:          cfg.AGDB,
 	}
@@ -239,8 +235,21 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 	if HomeAgent(cfg.Agents) == cfg.Name {
 		a.home = &homeState{tracker: tracker}
 	}
-	a.wg.Add(1)
-	go a.loop()
+	var err error
+	if a.Actor, err = actor.New(net, cfg.Name, a.adb, cfg.Logf); err != nil {
+		return nil, err
+	}
+	// Only while the agent holds replicas is there anything to heal, report or
+	// retire, so the sweep's timer is armed on that condition alone.
+	var sweep *actor.Timer
+	if cfg.StatusPollInterval > 0 {
+		sweep = &actor.Timer{
+			Every: cfg.StatusPollInterval,
+			Busy:  func() bool { return len(a.replicas) > 0 },
+			Tick:  a.sweep,
+		}
+	}
+	a.Launch(a.handleMessage, sweep)
 	return a, nil
 }
 
@@ -255,138 +264,8 @@ func HomeAgent(agents []string) string {
 	return sorted[0]
 }
 
-// Name returns the agent's node name.
-func (a *Agent) Name() string { return a.cfg.Name }
-
-// Stop waits for the agent goroutine to exit (close the network first).
-func (a *Agent) Stop() { a.wg.Wait() }
-
-func (a *Agent) logf(format string, args ...any) {
-	if a.cfg.Logf != nil {
-		a.cfg.Logf(format, args...)
-	} else {
-		log.Printf("distributed[%s]: "+format, append([]any{a.cfg.Name}, args...)...)
-	}
-}
-
-func (a *Agent) loop() {
-	defer a.wg.Done()
-	inbox := a.ep.Inbox()
-	// The maintenance sweep runs off a one-shot timer armed on demand: only
-	// while the agent holds replicas is there anything to heal, report or
-	// retire, so an idle agent (every instance terminal and evicted) blocks
-	// with no timer at all — zero steady-state wakeups, unlike the standing
-	// ticker this replaces.
-	var (
-		timer  *time.Timer
-		timerC <-chan time.Time
-	)
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-	for {
-		a.drainCmds()
-		if a.cfg.StatusPollInterval > 0 && timerC == nil && len(a.replicas) > 0 {
-			if timer == nil {
-				timer = time.NewTimer(a.cfg.StatusPollInterval)
-			} else {
-				timer.Reset(a.cfg.StatusPollInterval)
-			}
-			timerC = timer.C
-		}
-		select {
-		case m, ok := <-inbox:
-			if !ok {
-				a.drainCmds()
-				return
-			}
-			a.handleMessage(m)
-			a.flushSends()
-			a.ep.Ack()
-		case <-a.cmdNotify:
-		case <-timerC:
-			timerC = nil
-			a.sweepWakeups.Add(1)
-			a.sweep()
-			a.flushSends()
-		}
-	}
-}
-
-// flushSends dispatches the current turn's batched sends. It runs at the end
-// of every handler turn and command, before the turn's Ack, so quiescence
-// accounting never sees a processed-but-unsent gap.
-func (a *Agent) flushSends() {
-	if err := a.batch.Flush(); err != nil {
-		a.logf("flush sends: %v", err)
-	}
-}
-
-func (a *Agent) drainCmds() {
-	for {
-		a.cmdMu.Lock()
-		if len(a.cmdQ) == 0 {
-			a.cmdMu.Unlock()
-			return
-		}
-		f := a.cmdQ[0]
-		a.cmdQ = a.cmdQ[1:]
-		a.cmdMu.Unlock()
-		f()
-		a.flushSends()
-	}
-}
-
-func (a *Agent) enqueue(f func()) {
-	a.cmdMu.Lock()
-	a.cmdQ = append(a.cmdQ, f)
-	a.cmdMu.Unlock()
-	select {
-	case a.cmdNotify <- struct{}{}:
-	default:
-	}
-}
-
-// Do runs f on the agent goroutine and waits. Not for use from the agent
-// goroutine itself.
-func (a *Agent) Do(f func()) {
-	done := make(chan struct{})
-	a.enqueue(func() {
-		defer close(done)
-		f()
-		a.flushSends() // before done closes: the caller may Quiesce next
-	})
-	<-done
-}
-
 func (a *Agent) addLoad(m metrics.Mechanism, units int64) {
 	a.rec.Add(m, units)
-}
-
-func (a *Agent) send(to string, mech metrics.Mechanism, kind string, payload any) {
-	if to == a.cfg.Name {
-		// Local handling: not a physical message.
-		a.handleMessage(transport.Message{From: to, To: to, Mechanism: mech, Kind: kind, Payload: payload})
-		return
-	}
-	h := a.handles[to]
-	if h == nil {
-		var err error
-		if h, err = a.net.Handle(to); err != nil {
-			a.logf("send %s to %s: %v", kind, to, err)
-			return
-		}
-		a.handles[to] = h
-	}
-	a.batch.Add(h, transport.Message{
-		From:      a.cfg.Name,
-		To:        to,
-		Mechanism: mech,
-		Kind:      kind,
-		Payload:   payload,
-	})
 }
 
 // alive answers liveness queries for elections and polls: the Config.Alive
@@ -398,21 +277,13 @@ func (a *Agent) alive(name string) bool {
 	return a.net.Alive(name)
 }
 
-// effectiveAgents returns the agents eligible to execute a step.
-func (a *Agent) effectiveAgents(s *model.Step) []string {
-	if len(s.EligibleAgents) > 0 {
-		return s.EligibleAgents
-	}
-	return a.cfg.Agents
-}
-
 // executorOf elects the executor of a step (deterministic, alive-aware).
 func (a *Agent) executorOf(r *replica, step model.StepID) string {
 	s := r.schema.Steps[step]
 	if s == nil {
 		return ""
 	}
-	return nav.ElectAgent(a.effectiveAgents(s), r.ins.Workflow, r.ins.ID, step, a.alive)
+	return nav.ElectAgent(nav.EffectiveAgents(s, a.cfg.Agents), r.ins.Workflow, r.ins.ID, step, a.alive)
 }
 
 // errRetired marks a message addressed to an instance that already reached a
@@ -464,7 +335,7 @@ func (a *Agent) newReplica(schema *model.Schema, ins *wfdb.Instance) *replica {
 		doneEpoch:    make(map[model.StepID]int),
 	}
 	for _, id := range schema.Order {
-		for _, ag := range a.effectiveAgents(schema.Steps[id]) {
+		for _, ag := range nav.EffectiveAgents(schema.Steps[id], a.cfg.Agents) {
 			if ag == a.cfg.Name {
 				for _, rl := range rules.StepRules(schema, id) {
 					r.rules.InstallRule(rl)
@@ -506,7 +377,7 @@ func (a *Agent) RecoverReplicas(notify string) error {
 			}
 			a.term.Complete(wf, id, st)
 			if notify != "" {
-				a.send(notify, metrics.Failure, KindWorkflowDone,
+				a.Send(notify, metrics.Failure, KindWorkflowDone,
 					WorkflowDone{Workflow: wf, Instance: id, Status: st})
 			}
 		}
@@ -557,24 +428,19 @@ func (a *Agent) coordinationAgentOf(schema *model.Schema, workflow string, id in
 	if len(starts) == 0 {
 		return HomeAgent(a.cfg.Agents)
 	}
-	return nav.ElectAgent(a.effectiveAgents(schema.Steps[starts[0]]), workflow, id, starts[0], a.alive)
+	return nav.ElectAgent(nav.EffectiveAgents(schema.Steps[starts[0]], a.cfg.Agents), workflow, id, starts[0], a.alive)
 }
 
-// persist writes the replica to the AGDB. Retired (archived) replicas are
-// never written back: that would resurrect the instance record the archive
-// removed.
+// persist marks the replica for the turn's commit: its row is encoded once,
+// from the state it has when the turn ends, and is on the log before the
+// turn's sends leave. Retired (archived) replicas are never written back:
+// that would resurrect the instance record the archive removed.
 func (a *Agent) persist(r *replica) {
-	if a.cfg.AGDB == nil || r.purged {
+	if a.cfg.AGDB == nil || r.purged || r.dirty {
 		return
 	}
-	// Checkpoint the replica-level recovery anchors into the record: a process
-	// restarted from this database must resume with the same rollback epoch
-	// and coordination election it persisted, not rediscover them.
-	r.ins.Epoch = r.epoch
-	r.ins.Coordinator = r.coordinator
-	if err := a.cfg.AGDB.SaveInstance(r.ins); err != nil {
-		a.logf("persist %s: %v", r.ins.Key(), err)
-	}
+	r.dirty = true
+	a.Mark(r)
 }
 
 // Snapshot returns a deep copy of the agent's replica of an instance; for a
@@ -651,18 +517,20 @@ func (a *Agent) retireReplica(r *replica, st wfdb.Status) {
 	key := r.ins.Key()
 	r.ins.Status = st
 	r.purged = true // callers unwinding with r in hand must not persist it back
-	if err := a.adb.Archive(r.ins); err != nil {
-		a.logf("archive %s: %v", key, err)
-	}
-	if a.cfg.AGDB != nil && a.cfg.AGDB != a.adb {
-		_ = a.cfg.AGDB.DeleteInstance(r.ins.Workflow, r.ins.ID)
-	}
+	r.dirty = false
+	// Archive before publishing completion: a woken waiter may Snapshot
+	// immediately and must find the archived state. The archive row and the
+	// deletion of the instance row go out in one group with whatever the turn
+	// has pending — on the coordination agent, the terminal summary
+	// finishInstance just added — so a crash never finds the instance both
+	// archived and live, nor summarized as finished while still live.
+	a.Tx().Archive(r.ins)
+	a.Commit()
 	a.term.Complete(r.ins.Workflow, r.ins.ID, st)
 	if r.ins.NotifyTo != "" {
-		a.send(r.ins.NotifyTo, metrics.Normal, KindWorkflowDone,
+		a.Send(r.ins.NotifyTo, metrics.Normal, KindWorkflowDone,
 			WorkflowDone{Workflow: r.ins.Workflow, Instance: r.ins.ID, Status: st})
 	}
-	a.notifyWaiters(key, st)
 	delete(a.replicas, key)
 	for hk := range a.handledHalts {
 		if hk.workflow == r.ins.Workflow && hk.instance == r.ins.ID {
@@ -764,26 +632,4 @@ func (a *Agent) statusLocked(workflow string, id int) (wfdb.Status, bool) {
 		return r.ins.Status, true
 	}
 	return 0, false
-}
-
-// WaitChan subscribes to an instance's terminal status at its coordination
-// agent.
-func (a *Agent) WaitChan(workflow string, id int) <-chan wfdb.Status {
-	ch := make(chan wfdb.Status, 1)
-	a.Do(func() {
-		if st, ok := a.statusLocked(workflow, id); ok && st != wfdb.Running {
-			ch <- st
-			return
-		}
-		key := wfdb.InstanceKeyOf(workflow, id)
-		a.waiters[key] = append(a.waiters[key], ch)
-	})
-	return ch
-}
-
-func (a *Agent) notifyWaiters(key string, st wfdb.Status) {
-	for _, ch := range a.waiters[key] {
-		ch <- st
-	}
-	delete(a.waiters, key)
 }

@@ -29,7 +29,7 @@ type homeState struct {
 // mutexes), a completion notification, or a failed-attempt release.
 func (a *Agent) homeHandleAddRule(p addRule) {
 	if a.home == nil {
-		a.logf("AddRule received by non-home agent")
+		a.Logf("AddRule received by non-home agent")
 		return
 	}
 	a.addLoad(metrics.Coordination, 1)
@@ -39,7 +39,7 @@ func (a *Agent) homeHandleAddRule(p addRule) {
 			// The instance has finished; answer with no waits so the
 			// requester unblocks (its own replica will refuse execution
 			// once it learns the final status) without taking resources.
-			a.send(p.ReplyAgent, metrics.Coordination, KindAddPrecondition, addPrecondition{
+			a.Send(p.ReplyAgent, metrics.Coordination, KindAddPrecondition, addPrecondition{
 				Inst: p.Inst,
 				Step: p.Ref.Step,
 			})
@@ -65,7 +65,7 @@ func (a *Agent) homeHandleAddRule(p addRule) {
 		for _, g := range grants {
 			a.deliverInjection(g)
 		}
-		a.send(p.ReplyAgent, metrics.Coordination, KindAddPrecondition, addPrecondition{
+		a.Send(p.ReplyAgent, metrics.Coordination, KindAddPrecondition, addPrecondition{
 			Inst:       p.Inst,
 			Step:       p.Ref.Step,
 			WaitEvents: waits,
@@ -81,8 +81,8 @@ func (a *Agent) deliverInjection(inj coord.Injection) {
 	if inj.Step != "" {
 		schema := a.cfg.Library.Schema(inj.Target.Workflow)
 		if schema != nil && schema.Steps[inj.Step] != nil {
-			for _, ag := range a.effectiveAgents(schema.Steps[inj.Step]) {
-				a.send(ag, metrics.Coordination, KindAddEvent, msg)
+			for _, ag := range nav.EffectiveAgents(schema.Steps[inj.Step], a.cfg.Agents) {
+				a.Send(ag, metrics.Coordination, KindAddEvent, msg)
 			}
 			return
 		}
@@ -91,7 +91,7 @@ func (a *Agent) deliverInjection(inj coord.Injection) {
 	if schema == nil {
 		return
 	}
-	a.send(a.coordinationAgentOf(schema, inj.Target.Workflow, inj.Target.ID), metrics.Coordination, KindAddEvent, msg)
+	a.Send(a.coordinationAgentOf(schema, inj.Target.Workflow, inj.Target.ID), metrics.Coordination, KindAddEvent, msg)
 }
 
 // homeHandleRollbackNote resolves rollback-dependency triggers and
@@ -105,7 +105,7 @@ func (a *Agent) homeHandleRollbackNote(p coordRollbackNote) {
 	orders := a.home.tracker.RollbackTriggered(p.Workflow, p.Invalidated)
 	for _, ord := range orders {
 		for _, ag := range a.cfg.Agents {
-			a.send(ag, metrics.Coordination, KindAddRule, coordRollbackOrder{Order: ord})
+			a.Send(ag, metrics.Coordination, KindAddRule, coordRollbackOrder{Order: ord})
 		}
 	}
 }
@@ -203,7 +203,7 @@ func (a *Agent) handleRollbackOrder(p coordRollbackOrder) {
 		})
 	}
 	for _, s := range sends {
-		a.send(s.to, metrics.Failure, KindWorkflowRollback, s.msg)
+		a.Send(s.to, metrics.Failure, KindWorkflowRollback, s.msg)
 	}
 }
 

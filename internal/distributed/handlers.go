@@ -22,14 +22,9 @@ import (
 
 func (a *Agent) handleMessage(m transport.Message) {
 	switch p := m.Payload.(type) {
-	case *transport.Envelope:
-		for _, lm := range p.Msgs {
-			a.handleMessage(lm)
-		}
-		p.Release()
 	case workflowStart:
 		if err := a.handleWorkflowStart(p); err != nil {
-			a.logf("WorkflowStart: %v", err)
+			a.Logf("WorkflowStart: %v", err)
 		}
 	case stepExecute:
 		a.handleStepExecute(p, m.From)
@@ -49,18 +44,18 @@ func (a *Agent) handleMessage(m transport.Message) {
 		a.handleStepCompensated(p)
 	case workflowAbort:
 		if err := a.handleWorkflowAbort(p); err != nil {
-			a.logf("WorkflowAbort: %v", err)
+			a.Logf("WorkflowAbort: %v", err)
 		}
 	case workflowChangeInputs:
 		if err := a.handleWorkflowChangeInputs(p); err != nil {
-			a.logf("WorkflowChangeInputs: %v", err)
+			a.Logf("WorkflowChangeInputs: %v", err)
 		}
 	case stepStatus:
 		a.handleStepStatus(p)
 	case stepStatusReply:
 		a.handleStepStatusReply(p)
 	case stateInformation:
-		a.send(p.ReplyTo, metrics.Normal, "StateResponse", stateInformationReply{Agent: a.cfg.Name, Load: a.execCount})
+		a.Send(p.ReplyTo, metrics.Normal, "StateResponse", stateInformationReply{Agent: a.cfg.Name, Load: a.execCount})
 	case stateInformationReply:
 		a.loads[p.Agent] = p.Load
 	case addRule:
@@ -109,9 +104,7 @@ func (a *Agent) handleWorkflowStart(p workflowStart) error {
 	}
 	a.addLoad(metrics.Normal, 1)
 	if a.cfg.AGDB != nil {
-		if err := a.cfg.AGDB.SaveSummary(p.Workflow, p.Instance, wfdb.Running); err != nil {
-			a.logf("summary %s: %v", key, err)
-		}
+		a.Tx().SaveSummary(p.Workflow, p.Instance, wfdb.Running)
 	}
 	r.ins.Events.Post(event.WorkflowStartName)
 
@@ -142,7 +135,7 @@ func (a *Agent) handleStepExecute(p stepExecute, from string) {
 			// identical to the pre-retirement measurement.
 			a.addLoad(p.Mechanism, 1)
 		} else {
-			a.logf("StepExecute: %v", err)
+			a.Logf("StepExecute: %v", err)
 		}
 		return
 	}
@@ -170,7 +163,7 @@ func (a *Agent) handleStepExecute(p stepExecute, from string) {
 	// Anti-entropy: a sender operating at an older epoch has missed a
 	// rollback; tell it to catch up so its threads quiesce and re-execute.
 	if pkt.Epoch < r.epoch && r.lastHalt != nil && from != "" && from != a.cfg.Name {
-		a.send(from, r.lastHalt.Mechanism, KindHaltThread, *r.lastHalt)
+		a.Send(from, r.lastHalt.Mechanism, KindHaltThread, *r.lastHalt)
 	}
 	a.evaluate(r)
 	a.persist(r)
@@ -240,7 +233,7 @@ func (a *Agent) evaluate(r *replica) {
 	for {
 		fired, err := r.rules.Evaluate(r.ins.Events, r.ins.Env())
 		if err != nil {
-			a.logf("instance %s: %v", r.ins.Key(), err)
+			a.Logf("instance %s: %v", r.ins.Key(), err)
 		}
 		progressed := false
 		for _, rl := range fired {
@@ -291,7 +284,7 @@ func (a *Agent) maybeExecute(r *replica, step model.StepID) bool {
 			if !r.coordPending[step] {
 				r.coordPending[step] = true
 				a.addLoad(metrics.Coordination, 1)
-				a.send(HomeAgent(a.cfg.Agents), metrics.Coordination, KindAddRule, addRule{
+				a.Send(HomeAgent(a.cfg.Agents), metrics.Coordination, KindAddRule, addRule{
 					Ref:        ref,
 					Inst:       coord.InstanceRef{Workflow: r.ins.Workflow, ID: r.ins.ID},
 					ReplyAgent: a.cfg.Name,
@@ -308,7 +301,7 @@ func (a *Agent) maybeExecute(r *replica, step model.StepID) bool {
 		r.coordBlocked[step] = false
 	}
 
-	inputs := a.resolveInputs(r, s)
+	inputs := nav.ResolveInputs(r.ins, s)
 
 	rec := r.ins.Steps[step]
 	if rec != nil && rec.HasResult && rec.Agent == a.cfg.Name {
@@ -324,7 +317,7 @@ func (a *Agent) maybeExecute(r *replica, step model.StepID) bool {
 			var derr error
 			d, derr = ocr.Decide(r.schema, s, rec, inputs, r.ins.Env())
 			if derr != nil {
-				a.logf("instance %s step %s: %v", r.ins.Key(), step, derr)
+				a.Logf("instance %s step %s: %v", r.ins.Key(), step, derr)
 			}
 		}
 		a.addLoad(mech, 1)
@@ -354,22 +347,8 @@ func (a *Agent) maybeExecute(r *replica, step model.StepID) bool {
 		// ExecuteFresh falls through.
 	}
 
-	mech := metrics.Normal
-	if rec != nil && rec.Attempts > 0 && r.recovery != metrics.Normal {
-		mech = r.recovery
-	}
-	a.executeStep(r, step, model.ModeExecute, nil, mech)
+	a.executeStep(r, step, model.ModeExecute, nil, nav.StepMechanism(r.ins, step, r.recovery))
 	return true
-}
-
-func (a *Agent) resolveInputs(r *replica, s *model.Step) map[string]expr.Value {
-	in := make(map[string]expr.Value, len(s.Inputs))
-	for _, name := range s.Inputs {
-		if v, ok := r.ins.Data[name]; ok {
-			in[name] = v
-		}
-	}
-	return in
 }
 
 // executeStep runs the step program synchronously and navigates onward.
@@ -381,11 +360,11 @@ func (a *Agent) executeStep(r *replica, step model.StepID, mode model.ExecMode, 
 	}
 	prog, ok := a.cfg.Programs.Lookup(s.Program)
 	if !ok {
-		a.logf("instance %s step %s: unknown program %q", r.ins.Key(), step, s.Program)
+		a.Logf("instance %s step %s: unknown program %q", r.ins.Key(), step, s.Program)
 		a.onStepFailure(r, step, mech)
 		return
 	}
-	inputs := a.resolveInputs(r, s)
+	inputs := nav.ResolveInputs(r.ins, s)
 	if mode == model.ModeIncremental && prev == nil {
 		prev = r.ins.StepRec(step).Prev()
 	}
@@ -428,21 +407,14 @@ func (a *Agent) coordReleaseOnFailure(r *replica, step model.StepID) {
 		return
 	}
 	a.addLoad(metrics.Coordination, 1)
-	a.send(HomeAgent(a.cfg.Agents), metrics.Coordination, KindAddRule, addRule{
+	a.Send(HomeAgent(a.cfg.Agents), metrics.Coordination, KindAddRule, addRule{
 		Ref:        ref,
 		Inst:       coord.InstanceRef{Workflow: r.ins.Workflow, ID: r.ins.ID},
 		ReplyAgent: a.cfg.Name,
 		Failed:     true,
 	})
-	a.clearMutexGrants(r, step)
+	nav.ClearMutexGrants(r.ins, step)
 	delete(r.coordWaits, step)
-}
-
-func (a *Agent) clearMutexGrants(r *replica, step model.StepID) {
-	suffix := ":" + string(step)
-	r.ins.Events.InvalidateWhere(func(name string) bool {
-		return strings.HasPrefix(name, "mx:") && strings.HasSuffix(name, suffix)
-	})
 }
 
 // afterStepDone performs post-success navigation: coordination
@@ -457,13 +429,13 @@ func (a *Agent) afterStepDone(r *replica, step model.StepID, mech metrics.Mechan
 	ref := model.StepRef{Workflow: r.ins.Workflow, Step: step}
 	if a.coordSteps[ref] {
 		a.addLoad(metrics.Coordination, 1)
-		a.send(HomeAgent(a.cfg.Agents), metrics.Coordination, KindAddRule, addRule{
+		a.Send(HomeAgent(a.cfg.Agents), metrics.Coordination, KindAddRule, addRule{
 			Ref:        ref,
 			Inst:       coord.InstanceRef{Workflow: r.ins.Workflow, ID: r.ins.ID},
 			ReplyAgent: a.cfg.Name,
 			Done:       true,
 		})
-		a.clearMutexGrants(r, step)
+		nav.ClearMutexGrants(r.ins, step)
 		delete(r.coordWaits, step) // a revisit must re-acquire
 	}
 
@@ -480,7 +452,7 @@ func (a *Agent) afterStepDone(r *replica, step model.StepID, mech metrics.Mechan
 				continue
 			}
 			a.addLoad(mech, 1)
-			a.send(a.executorOf(r, arc.To), mech, KindCompensateThread, compensateThread{
+			a.Send(a.executorOf(r, arc.To), mech, KindCompensateThread, compensateThread{
 				Workflow:  r.ins.Workflow,
 				Instance:  r.ins.ID,
 				Step:      arc.To,
@@ -521,7 +493,7 @@ func (a *Agent) afterStepDone(r *replica, step model.StepID, mech metrics.Mechan
 		if coordAgent == "" {
 			coordAgent = a.coordinationAgentOf(r.schema, r.ins.Workflow, r.ins.ID)
 		}
-		a.send(coordAgent, metrics.Normal, KindStepCompleted, stepCompleted{
+		a.Send(coordAgent, metrics.Normal, KindStepCompleted, stepCompleted{
 			Workflow: r.ins.Workflow,
 			Instance: r.ins.ID,
 			Step:     step,
@@ -581,20 +553,20 @@ func (a *Agent) forwardPacketForStepWithReset(r *replica, target model.StepID, r
 	if s == nil {
 		return
 	}
-	elig := a.effectiveAgents(s)
+	elig := nav.EffectiveAgents(s, a.cfg.Agents)
 	pkt := a.buildPacket(r, target, reset)
 	a.addLoad(mech, 1)
 	if a.cfg.ExplicitElection {
 		for _, ag := range elig {
 			if ag != a.cfg.Name && a.alive(ag) {
-				a.send(ag, mech, KindStateInformation, stateInformation{ReplyTo: a.cfg.Name})
+				a.Send(ag, mech, KindStateInformation, stateInformation{ReplyTo: a.cfg.Name})
 			}
 		}
 		chosen := a.executorOf(r, target)
 		if chosen == "" {
 			chosen = a.cfg.Name
 		}
-		a.send(chosen, mech, KindStepExecute, stepExecute{Packet: pkt, Mechanism: mech})
+		a.Send(chosen, mech, KindStepExecute, stepExecute{Packet: pkt, Mechanism: mech})
 		return
 	}
 	// The built packet is already a private snapshot, so the last recipient
@@ -604,7 +576,7 @@ func (a *Agent) forwardPacketForStepWithReset(r *replica, target model.StepID, r
 		if i < len(elig)-1 {
 			p = pkt.Clone()
 		}
-		a.send(ag, mech, KindStepExecute, stepExecute{Packet: p, Mechanism: mech})
+		a.Send(ag, mech, KindStepExecute, stepExecute{Packet: p, Mechanism: mech})
 	}
 }
 
@@ -615,7 +587,7 @@ func (a *Agent) handleStepCompleted(p stepCompleted) {
 	r, err := a.getReplica(p.Workflow, p.Instance)
 	if err != nil {
 		if !errors.Is(err, errRetired) {
-			a.logf("StepCompleted: %v", err)
+			a.Logf("StepCompleted: %v", err)
 		}
 		return
 	}
@@ -644,24 +616,21 @@ func (a *Agent) commitInstance(r *replica) {
 }
 
 func (a *Agent) finishInstance(r *replica) {
-	key := r.ins.Key()
 	if a.cfg.AGDB != nil {
-		if err := a.cfg.AGDB.SaveSummary(r.ins.Workflow, r.ins.ID, r.ins.Status); err != nil {
-			a.logf("summary %s: %v", key, err)
-		}
+		a.Tx().SaveSummary(r.ins.Workflow, r.ins.ID, r.ins.Status)
 	}
 
 	// Coordination clean-up at the home agent.
 	if len(a.cfg.Library.Coord) > 0 {
 		a.addLoad(metrics.Coordination, 1)
-		a.send(HomeAgent(a.cfg.Agents), metrics.Coordination, KindAddRule, coordForgetNote{
+		a.Send(HomeAgent(a.cfg.Agents), metrics.Coordination, KindAddRule, coordForgetNote{
 			Inst: coord.InstanceRef{Workflow: r.ins.Workflow, ID: r.ins.ID},
 		})
 	}
 
 	// Nested: report to the parent step's agent.
 	if p := r.ins.Parent; p != nil && r.parentAgent != "" {
-		a.send(r.parentAgent, metrics.Normal, KindNestedResult, nestedResult{
+		a.Send(r.parentAgent, metrics.Normal, KindNestedResult, nestedResult{
 			ParentWorkflow: p.Workflow,
 			ParentInstance: p.ID,
 			ParentStep:     p.Step,
@@ -677,7 +646,7 @@ func (a *Agent) finishInstance(r *replica) {
 			if ag == a.cfg.Name {
 				continue
 			}
-			a.send(ag, metrics.Normal, KindPurge, purgeNote{Workflow: r.ins.Workflow, Instance: r.ins.ID, Status: r.ins.Status})
+			a.Send(ag, metrics.Normal, KindPurge, purgeNote{Workflow: r.ins.Workflow, Instance: r.ins.ID, Status: r.ins.Status})
 		}
 	}
 
@@ -698,13 +667,14 @@ func (a *Agent) handlePurge(p purgeNote) {
 	key := wfdb.InstanceKeyOf(p.Workflow, p.Instance)
 	if r, ok := a.replicas[key]; ok {
 		r.purged = true
+		r.dirty = false
 		delete(a.replicas, key)
 		if a.cfg.OnRetired != nil {
 			a.cfg.OnRetired(r.ins.Workflow, r.ins.ID)
 		}
 	}
 	if a.cfg.AGDB != nil {
-		_ = a.cfg.AGDB.DeleteInstance(p.Workflow, p.Instance)
+		a.Tx().DeleteInstance(p.Workflow, p.Instance)
 	}
 }
 
@@ -722,12 +692,12 @@ func (a *Agent) onStepFailure(r *replica, step model.StepID, mech metrics.Mechan
 		if coordAgent == "" {
 			coordAgent = a.coordinationAgentOf(r.schema, r.ins.Workflow, r.ins.ID)
 		}
-		a.send(coordAgent, metrics.Failure, KindWorkflowAbort, workflowAbort{Workflow: r.ins.Workflow, Instance: r.ins.ID})
+		a.Send(coordAgent, metrics.Failure, KindWorkflowAbort, workflowAbort{Workflow: r.ins.Workflow, Instance: r.ins.ID})
 		return
 	}
 	r.recovery = metrics.Failure
 	target := a.executorOf(r, pol.RollbackTo)
-	a.send(target, metrics.Failure, KindWorkflowRollback, workflowRollback{
+	a.Send(target, metrics.Failure, KindWorkflowRollback, workflowRollback{
 		Workflow:  r.ins.Workflow,
 		Instance:  r.ins.ID,
 		Origin:    pol.RollbackTo,
@@ -749,7 +719,7 @@ func (a *Agent) handleWorkflowRollback(p workflowRollback) {
 			// unit the pre-retirement path charged, skip the replica work.
 			a.addLoad(p.Mechanism, 1)
 		} else {
-			a.logf("WorkflowRollback: %v", err)
+			a.Logf("WorkflowRollback: %v", err)
 		}
 		return
 	}
@@ -773,7 +743,7 @@ func (a *Agent) handleWorkflowRollback(p workflowRollback) {
 			delete(r.coordWaits, id)
 			r.coordBlocked[id] = false
 			r.coordPending[id] = false
-			a.clearMutexGrants(r, id)
+			nav.ClearMutexGrants(r.ins, id)
 			a.coordReleaseOnFailure(r, id)
 		}
 	}
@@ -798,7 +768,7 @@ func (a *Agent) handleWorkflowRollback(p workflowRollback) {
 	if a.hasRollbackDep {
 		a.addLoad(metrics.Coordination, 1)
 		all := append(append([]model.StepID(nil), affected...), p.Origin)
-		a.send(HomeAgent(a.cfg.Agents), metrics.Coordination, KindAddRule, coordRollbackNote{
+		a.Send(HomeAgent(a.cfg.Agents), metrics.Coordination, KindAddRule, coordRollbackNote{
 			Workflow:    p.Workflow,
 			Invalidated: all,
 		})
@@ -854,7 +824,7 @@ func (a *Agent) handleHaltThread(p haltThread) {
 			delete(r.coordWaits, id)
 			r.coordBlocked[id] = false
 			r.coordPending[id] = false
-			a.clearMutexGrants(r, id)
+			nav.ClearMutexGrants(r.ins, id)
 		}
 	}
 
@@ -867,11 +837,11 @@ func (a *Agent) handleHaltThread(p haltThread) {
 // immediate successors (skipping this agent, whose state is already reset).
 func (a *Agent) haltSuccessorsOf(r *replica, step, origin model.StepID, epoch int, initiator string, mech metrics.Mechanism) {
 	for _, arc := range r.schema.ControlSuccessors(step) {
-		for _, ag := range a.effectiveAgents(r.schema.Steps[arc.To]) {
+		for _, ag := range nav.EffectiveAgents(r.schema.Steps[arc.To], a.cfg.Agents) {
 			if ag == a.cfg.Name {
 				continue
 			}
-			a.send(ag, mech, KindHaltThread, haltThread{
+			a.Send(ag, mech, KindHaltThread, haltThread{
 				Workflow:  r.ins.Workflow,
 				Instance:  r.ins.ID,
 				Origin:    origin,
@@ -961,7 +931,7 @@ func (a *Agent) startCompensateSetChain(r *replica, origin model.StepID, plan []
 	// with origin); StepList keeps that order.
 	first := plan[0]
 	a.addLoad(mech, 1)
-	a.send(a.executorOf(r, first), mech, KindCompensateSet, compensateSet{
+	a.Send(a.executorOf(r, first), mech, KindCompensateSet, compensateSet{
 		Workflow:  r.ins.Workflow,
 		Instance:  r.ins.ID,
 		Origin:    origin,
@@ -1011,7 +981,7 @@ func (a *Agent) handleCompensateSet(p compensateSet) {
 		a.persist(r)
 		return
 	}
-	a.send(a.executorOf(r, rest[0]), p.Mechanism, KindCompensateSet, compensateSet{
+	a.Send(a.executorOf(r, rest[0]), p.Mechanism, KindCompensateSet, compensateSet{
 		Workflow:    p.Workflow,
 		Instance:    p.Instance,
 		Origin:      p.Origin,
@@ -1043,7 +1013,7 @@ func (a *Agent) compensateLocal(r *replica, step model.StepID, mode model.ExecMo
 				Inputs:   rec.Inputs,
 				Prev:     rec.Prev(),
 			}); err != nil {
-				a.logf("instance %s: compensation of %s failed: %v", r.ins.Key(), step, err)
+				a.Logf("instance %s: compensation of %s failed: %v", r.ins.Key(), step, err)
 			}
 		}
 	}
@@ -1074,7 +1044,7 @@ func (a *Agent) handleCompensateThread(p compensateThread) {
 		if r.schema.IsConfluence(arc.To) {
 			continue // stop before the confluence point
 		}
-		a.send(a.executorOf(r, arc.To), p.Mechanism, KindCompensateThread, compensateThread{
+		a.Send(a.executorOf(r, arc.To), p.Mechanism, KindCompensateThread, compensateThread{
 			Workflow:  p.Workflow,
 			Instance:  p.Instance,
 			Step:      arc.To,
@@ -1108,11 +1078,11 @@ func (a *Agent) handleWorkflowAbort(p workflowAbort) error {
 	r.epoch++
 	for _, sid := range r.schema.StartSteps() {
 		for _, arc := range r.schema.ControlSuccessors(sid) {
-			for _, ag := range a.effectiveAgents(r.schema.Steps[arc.To]) {
+			for _, ag := range nav.EffectiveAgents(r.schema.Steps[arc.To], a.cfg.Agents) {
 				if ag == a.cfg.Name {
 					continue
 				}
-				a.send(ag, metrics.Abort, KindHaltThread, haltThread{
+				a.Send(ag, metrics.Abort, KindHaltThread, haltThread{
 					Workflow:  p.Workflow,
 					Instance:  p.Instance,
 					Origin:    sid,
@@ -1170,10 +1140,10 @@ func (a *Agent) pumpAbort(r *replica) {
 		}
 		step := ab.queue[0]
 		ab.queue = ab.queue[1:]
-		elig := a.effectiveAgents(r.schema.Steps[step])
+		elig := nav.EffectiveAgents(r.schema.Steps[step], a.cfg.Agents)
 		for _, ag := range elig {
 			ab.pending++
-			a.send(ag, metrics.Abort, KindStepCompensate, stepCompensate{
+			a.Send(ag, metrics.Abort, KindStepCompensate, stepCompensate{
 				Workflow:  r.ins.Workflow,
 				Instance:  r.ins.ID,
 				Step:      step,
@@ -1193,7 +1163,7 @@ func (a *Agent) handleStepCompensate(p stepCompensate) {
 			a.persist(r)
 		}
 	}
-	a.send(p.ReplyTo, p.Mechanism, KindStepCompensated, stepCompensated{
+	a.Send(p.ReplyTo, p.Mechanism, KindStepCompensated, stepCompensated{
 		Workflow: p.Workflow,
 		Instance: p.Instance,
 		Step:     p.Step,
@@ -1252,7 +1222,7 @@ func (a *Agent) handleWorkflowChangeInputs(p workflowChangeInputs) error {
 		return nil
 	}
 	r.inputEpoch++
-	a.send(a.executorOf(r, origin), metrics.InputChange, KindWorkflowRollback, workflowRollback{
+	a.Send(a.executorOf(r, origin), metrics.InputChange, KindWorkflowRollback, workflowRollback{
 		Workflow:  p.Workflow,
 		Instance:  p.Instance,
 		Origin:    origin,
@@ -1271,10 +1241,10 @@ func (a *Agent) startNested(r *replica, step model.StepID, mech metrics.Mechanis
 	s := r.schema.Steps[step]
 	child := a.cfg.Library.Schema(s.Nested)
 	if child == nil {
-		a.logf("instance %s step %s: unknown nested workflow %q", r.ins.Key(), step, s.Nested)
+		a.Logf("instance %s step %s: unknown nested workflow %q", r.ins.Key(), step, s.Nested)
 		return
 	}
-	inputs := a.resolveInputs(r, s)
+	inputs := nav.ResolveInputs(r.ins, s)
 	r.ins.RecordExecuting(step, a.cfg.Name, inputs)
 	childInputs := make(map[string]expr.Value)
 	for i, in := range s.Inputs {
@@ -1288,7 +1258,7 @@ func (a *Agent) startNested(r *replica, step model.StepID, mech metrics.Mechanis
 	childID := r.ins.ID*1000 + int(r.ins.StepRec(step).Attempts)
 	coordAgent := a.coordinationAgentOf(child, s.Nested, childID)
 	a.addLoad(mech, 1)
-	a.send(coordAgent, mech, KindWorkflowStart, workflowStart{
+	a.Send(coordAgent, mech, KindWorkflowStart, workflowStart{
 		Workflow: s.Nested,
 		Instance: childID,
 		Inputs:   childInputs,
@@ -1339,6 +1309,7 @@ func (a *Agent) handleNestedResult(p nestedResult) {
 // commit), and polls StepStatus for events that have been missing too long
 // (the paper's predecessor-failure detection).
 func (a *Agent) sweep() {
+	a.sweepWakeups.Add(1)
 	now := time.Now()
 	// Snapshot: evaluation can start nested instances and retirement evicts
 	// entries, both mutating the map.
@@ -1436,7 +1407,7 @@ func (a *Agent) reportTerminals(r *replica) {
 		if rec == nil || !rec.HasResult || rec.Agent != a.cfg.Name {
 			continue
 		}
-		a.send(coordAgent, metrics.Normal, KindStepCompleted, stepCompleted{
+		a.Send(coordAgent, metrics.Normal, KindStepCompleted, stepCompleted{
 			Workflow: r.ins.Workflow,
 			Instance: r.ins.ID,
 			Step:     tid,
@@ -1472,12 +1443,12 @@ func (a *Agent) pollOverdueRules(r *replica, now time.Time) {
 				continue
 			}
 			forStep := w.Rule.Action.Step
-			for _, ag := range a.effectiveAgents(s) {
+			for _, ag := range nav.EffectiveAgents(s, a.cfg.Agents) {
 				if ag == a.cfg.Name || !a.alive(ag) {
 					continue
 				}
 				a.addLoad(metrics.Failure, 1)
-				a.send(ag, metrics.Failure, KindStepStatus, stepStatus{
+				a.Send(ag, metrics.Failure, KindStepStatus, stepStatus{
 					Workflow: r.ins.Workflow,
 					Instance: r.ins.ID,
 					Step:     producer,
@@ -1502,7 +1473,7 @@ func (a *Agent) handleStepStatus(p stepStatus) {
 			}
 		}
 	}
-	a.send(p.ReplyTo, metrics.Failure, KindStepStatusReply, stepStatusReply{
+	a.Send(p.ReplyTo, metrics.Failure, KindStepStatusReply, stepStatusReply{
 		Workflow: p.Workflow,
 		Instance: p.Instance,
 		Step:     p.Step,
@@ -1513,7 +1484,7 @@ func (a *Agent) handleStepStatus(p stepStatus) {
 	// waiting agent can proceed.
 	if status == "done" && ok {
 		pkt := a.buildPacket(r, p.ForStep, nil)
-		a.send(p.ReplyTo, metrics.Failure, KindStepExecute, stepExecute{Packet: pkt, Mechanism: metrics.Failure})
+		a.Send(p.ReplyTo, metrics.Failure, KindStepExecute, stepExecute{Packet: pkt, Mechanism: metrics.Failure})
 	}
 }
 
@@ -1543,12 +1514,12 @@ func (a *Agent) handleStepStatusReply(p stepStatusReply) {
 		if r.ins.Events.Has(r.schema.DoneEventOf(p.Step)) {
 			return
 		}
-		target := nav.ElectAgent(a.effectiveAgents(s), r.ins.Workflow, r.ins.ID, p.Step, a.alive)
+		target := nav.ElectAgent(nav.EffectiveAgents(s, a.cfg.Agents), r.ins.Workflow, r.ins.ID, p.Step, a.alive)
 		if target == "" {
 			return
 		}
 		pkt := a.buildPacket(r, p.Step, nil)
 		a.addLoad(metrics.Failure, 1)
-		a.send(target, metrics.Failure, KindStepExecute, stepExecute{Packet: pkt, Mechanism: metrics.Failure})
+		a.Send(target, metrics.Failure, KindStepExecute, stepExecute{Packet: pkt, Mechanism: metrics.Failure})
 	}
 }

@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
+	"crew/internal/actor"
 	"crew/internal/cerrors"
 	"crew/internal/expr"
 	"crew/internal/itable"
@@ -45,8 +45,10 @@ type SystemConfig struct {
 
 // System is a running distributed WFMS deployment. Its methods play the role
 // of the front-end database: they translate user requests into workflow
-// interface invocations on coordination agents.
+// interface invocations on coordination agents. The embedded client supplies
+// Start, Run, RunCtx and Wait over the StartCtx and WaitCtx below.
 type System struct {
+	*actor.Client
 	net    *transport.Network
 	agents map[string]*Agent
 	names  []string
@@ -69,8 +71,6 @@ type System struct {
 	// subscription, and its parked protocol traffic drains on recovery.
 	// Entries are evicted when the instance retires.
 	coordName itable.Map[string]
-
-	closed atomic.Bool
 }
 
 // NewSystem builds and starts a distributed deployment.
@@ -104,6 +104,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		col:    cfg.Collector,
 		term:   new(itable.Terminal),
 	}
+	sys.Client = actor.NewClient("distributed", cfg.Library, sys)
 	onRetired := func(workflow string, id int) {
 		sys.coordName.Delete(itable.Ref{Workflow: workflow, ID: id})
 	}
@@ -195,30 +196,11 @@ func (s *System) electCoordinator(workflow string, id int) (*Agent, error) {
 	return ag, nil
 }
 
-// admit performs the shared pre-flight checks of context-aware calls.
-func (s *System) admit(ctx context.Context, workflow string) error {
-	if s.closed.Load() {
-		return fmt.Errorf("distributed: %w", cerrors.ErrClosed)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if workflow != "" && s.lib.Schema(workflow) == nil {
-		return fmt.Errorf("distributed: %w: %q", cerrors.ErrUnknownWorkflow, workflow)
-	}
-	return nil
-}
-
-// Start launches an instance via its coordination agent's WorkflowStart WI.
-func (s *System) Start(workflow string, inputs map[string]expr.Value) (int, error) {
-	return s.StartCtx(context.Background(), workflow, inputs)
-}
-
 // StartCtx launches an instance via its coordination agent's WorkflowStart
 // WI. The context gates only the admission of the request; a started instance
 // keeps running after ctx is cancelled.
 func (s *System) StartCtx(ctx context.Context, workflow string, inputs map[string]expr.Value) (int, error) {
-	if err := s.admit(ctx, workflow); err != nil {
+	if err := s.Admit(ctx, workflow); err != nil {
 		return 0, err
 	}
 	id := s.nextID.Update(itable.Ref{Workflow: workflow}, func(v int, _ bool) int { return v + 1 })
@@ -239,8 +221,8 @@ func (s *System) StartCtx(ctx context.Context, workflow string, inputs map[strin
 // racing Close fails with cerrors.ErrClosed instead of panicking on the
 // closed transport.
 func (s *System) StartSeq(workflow string, id, seq int, inputs map[string]expr.Value) error {
-	if s.closed.Load() {
-		return fmt.Errorf("distributed: %w", cerrors.ErrClosed)
+	if err := s.Admit(context.Background(), ""); err != nil {
+		return err
 	}
 	s.nextID.Update(itable.Ref{Workflow: workflow}, func(v int, _ bool) int {
 		if id > v {
@@ -259,81 +241,24 @@ func (s *System) StartSeq(workflow string, id, seq int, inputs map[string]expr.V
 // processed anywhere in the deployment.
 func (s *System) Quiesce(ctx context.Context) error { return s.net.Quiesce(ctx) }
 
-// Run starts an instance and waits for its terminal status. It wraps RunCtx
-// with a deadline context.
-func (s *System) Run(workflow string, inputs map[string]expr.Value, timeout time.Duration) (int, wfdb.Status, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return s.RunCtx(ctx, workflow, inputs)
-}
-
-// RunCtx starts an instance and waits for its terminal status under ctx.
-func (s *System) RunCtx(ctx context.Context, workflow string, inputs map[string]expr.Value) (int, wfdb.Status, error) {
-	id, err := s.StartCtx(ctx, workflow, inputs)
-	if err != nil {
-		return 0, 0, err
-	}
-	st, err := s.WaitCtx(ctx, workflow, id)
-	return id, st, err
-}
-
-// Wait blocks until the instance terminates (subscribing at the coordination
-// agent). It wraps WaitCtx with a deadline context; the deadline surfaces as
-// cerrors.ErrTimeout.
-func (s *System) Wait(workflow string, id int, timeout time.Duration) (wfdb.Status, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return s.WaitCtx(ctx, workflow, id)
-}
-
-// WaitCtx blocks until the instance terminates or ctx ends. Completion is
-// push-based: the call subscribes to the deployment's shared terminal
-// registry and is woken by the closing of the instance's waiter channel — no
-// status polling and no agent-goroutine round-trip, so a Wait can neither
-// stall behind a long-running step program nor wake any agent. A deadline
-// expiry is reported as cerrors.ErrTimeout (errors.Is-matchable); a plain
-// cancellation as ctx.Err(). An expired ctx wins even when the terminal
-// status lands at the same instant, so the deadline contract is deterministic.
+// WaitCtx blocks until the instance terminates or ctx ends (the contract is
+// itable.Terminal.Wait's): it subscribes to the deployment's shared terminal
+// registry, so a Wait can neither stall behind a long-running step program
+// nor wake any agent. A completion from a previous incarnation exists only
+// as a summary in the coordination agent's database (read directly — the
+// store is internally synchronized).
 func (s *System) WaitCtx(ctx context.Context, workflow string, id int) (wfdb.Status, error) {
-	if err := s.admit(ctx, ""); err != nil {
+	if err := s.Admit(ctx, workflow); err != nil {
 		return 0, err
 	}
-	st, done, w, gen := s.term.Subscribe(workflow, id)
-	if done {
-		return st, nil
-	}
-	// Fresh-deployment-over-old-AGDBs: completions from a previous
-	// incarnation exist only as summaries in the coordination agent's
-	// database (read directly — the store is internally synchronized).
-	ag, err := s.coordinationAgent(workflow, id)
-	if err != nil {
-		s.term.Unsubscribe(workflow, id, w, gen)
-		return 0, err
-	}
-	if db := ag.DB(); db != nil {
-		if sum, found, _ := db.LoadSummary(workflow, id); found && sum != wfdb.Running {
-			s.term.Unsubscribe(workflow, id, w, gen)
-			return sum, nil
+	return s.term.Wait(ctx, workflow, id, func() (wfdb.Status, bool) {
+		ag, err := s.coordinationAgent(workflow, id)
+		if err != nil || ag.DB() == nil {
+			return 0, false
 		}
-	}
-	select {
-	case <-w.Done():
-		if ctx.Err() != nil {
-			return 0, s.waitErr(ctx, workflow, id)
-		}
-		return w.Result(), nil
-	case <-ctx.Done():
-		s.term.Unsubscribe(workflow, id, w, gen)
-		return 0, s.waitErr(ctx, workflow, id)
-	}
-}
-
-// waitErr translates a finished ctx into the Wait error contract.
-func (s *System) waitErr(ctx context.Context, workflow string, id int) error {
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return fmt.Errorf("distributed: %w: %s.%d", cerrors.ErrTimeout, workflow, id)
-	}
-	return ctx.Err()
+		sum, found, _ := ag.DB().LoadSummary(workflow, id)
+		return sum, found
+	})
 }
 
 // Abort requests a user abort via the WorkflowAbort WI. A retired instance
@@ -395,7 +320,7 @@ func (s *System) SnapshotAt(agent, workflow string, id int) (*wfdb.Instance, boo
 // Close shuts the deployment down. Later context-aware calls fail with
 // cerrors.ErrClosed.
 func (s *System) Close() {
-	if s.closed.Swap(true) {
+	if !s.Shut() {
 		return
 	}
 	s.net.Close()

@@ -13,8 +13,12 @@
 package itable
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"sync"
 
+	"crew/internal/cerrors"
 	"crew/internal/wfdb"
 )
 
@@ -320,6 +324,40 @@ func (t *Terminal) Unsubscribe(workflow string, id int, w *Waiter, gen uint64) {
 	w.gen++ // invalidate outstanding stamps before the recycle
 	s.mu.Unlock()
 	waiterPool.Put(w)
+}
+
+// Wait blocks until the instance reaches a terminal status or ctx ends: the
+// one wait contract of every front end. Completion is push-based (a
+// subscription woken by Complete; nothing polls). older, when non-nil, is
+// asked once about an instance the registry has no record of: one that
+// finished under an earlier incarnation exists only as a database summary
+// and will never be completed here. An expired ctx wins even when the
+// terminal status lands at the same instant, so the outcome of a deadline is
+// deterministic: a deadline is reported as cerrors.ErrTimeout
+// (errors.Is-matchable), a cancellation as ctx.Err().
+func (t *Terminal) Wait(ctx context.Context, workflow string, id int, older func() (wfdb.Status, bool)) (wfdb.Status, error) {
+	st, done, w, gen := t.Subscribe(workflow, id)
+	if done {
+		return st, nil
+	}
+	if older != nil {
+		if st, ok := older(); ok && st != wfdb.Running {
+			t.Unsubscribe(workflow, id, w, gen)
+			return st, nil
+		}
+	}
+	select {
+	case <-w.Done():
+		if ctx.Err() == nil {
+			return w.Result(), nil
+		}
+	case <-ctx.Done():
+		t.Unsubscribe(workflow, id, w, gen)
+	}
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		return 0, fmt.Errorf("%w: %s.%d", cerrors.ErrTimeout, workflow, id)
+	}
+	return 0, ctx.Err()
 }
 
 // Len reports the number of recorded terminal instances.

@@ -1,11 +1,14 @@
 package itable
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"crew/internal/cerrors"
 	"crew/internal/wfdb"
 )
 
@@ -227,5 +230,48 @@ func TestTerminalConcurrentSubscribeComplete(t *testing.T) {
 	}
 	if reg.Len() != n {
 		t.Fatalf("Len = %d, want %d", reg.Len(), n)
+	}
+}
+
+// TestWaitExpiredCtxWinsTie pins the tie rule of the wait contract. The
+// older hook runs between Wait's subscription and its select, so completing
+// the instance and ending the context from inside it makes both ready at
+// once: the context must win every time, as a timeout for a deadline and as
+// ctx.Err() for a cancellation, and the subscription must be gone.
+func TestWaitExpiredCtxWinsTie(t *testing.T) {
+	var reg Terminal
+	for i := 1; i <= 200; i++ {
+		newCtx, wantErr := context.WithCancel, context.Canceled
+		if i%2 == 0 {
+			newCtx = func(parent context.Context) (context.Context, context.CancelFunc) {
+				return context.WithDeadline(parent, time.Now().Add(-time.Second))
+			}
+			wantErr = cerrors.ErrTimeout
+		}
+		ctx, cancel := newCtx(context.Background())
+		_, err := reg.Wait(ctx, "WF", i, func() (wfdb.Status, bool) {
+			reg.Complete("WF", i, wfdb.Committed)
+			cancel()
+			return 0, false
+		})
+		cancel()
+		if !errors.Is(err, wantErr) {
+			t.Fatalf("round %d: Wait = %v, want %v", i, err, wantErr)
+		}
+	}
+	if reg.Waiting() != 0 {
+		t.Errorf("Waiting = %d after the waits ended", reg.Waiting())
+	}
+	// Without a tie the same calls report the status, from the registry or
+	// from the older incarnation's record.
+	if st, err := reg.Wait(context.Background(), "WF", 1, nil); err != nil || st != wfdb.Committed {
+		t.Errorf("Wait on a finished instance = (%v, %v)", st, err)
+	}
+	older := func() (wfdb.Status, bool) { return wfdb.Aborted, true }
+	if st, err := reg.Wait(context.Background(), "Old", 1, older); err != nil || st != wfdb.Aborted {
+		t.Errorf("Wait on an older incarnation's instance = (%v, %v)", st, err)
+	}
+	if reg.Waiting() != 0 {
+		t.Errorf("Waiting = %d: the older-incarnation path leaked its subscription", reg.Waiting())
 	}
 }

@@ -74,9 +74,6 @@ type FuncFacts struct {
 	// charged send entry point without setting its Mechanism: callers must
 	// charge the message they pass (chargedsend checks them).
 	SendsParam int8
-	// Deprecated reports that the function's doc comment carries a
-	// "Deprecated:" marker; the deprecated analyzer flags remaining calls.
-	Deprecated bool
 	// Locks lists the mutex classes (package.Type.field) the function may
 	// acquire, directly or transitively. lockorder uses it to extend
 	// acquisition edges through calls made while a lock is held.
@@ -103,9 +100,6 @@ func (f *FuncFacts) String() string {
 	if f.SendsParam != 0 {
 		parts = append(parts, "sendsparam="+string(rune('0'+f.SendsParam)))
 	}
-	if f.Deprecated {
-		parts = append(parts, "deprecated")
-	}
 	if len(f.Locks) > 0 {
 		parts = append(parts, "locks("+strings.Join(f.Locks, ",")+")")
 	}
@@ -117,12 +111,12 @@ func (f *FuncFacts) String() string {
 
 func (f *FuncFacts) empty() bool {
 	return !f.Blocks && !f.Allocs && !f.SendsRaw && !f.BypassBatch &&
-		f.SendsParam == 0 && !f.Deprecated && len(f.Locks) == 0
+		f.SendsParam == 0 && len(f.Locks) == 0
 }
 
 // merge folds a callee's summary into the caller's, for a call made on the
-// caller's goroutine. SendsParam, BypassBatch and Deprecated deliberately
-// do not propagate: they describe the callee's signature contract, not a
+// caller's goroutine. SendsParam and BypassBatch deliberately do not
+// propagate: they describe the callee's signature contract, not a
 // behavior the caller inherits.
 func (f *FuncFacts) merge(c FuncFacts) bool {
 	changed := false
@@ -355,9 +349,6 @@ func runSummaries(pass *analysis.Pass) (any, error) {
 			return
 		}
 		ff := get(fn)
-		if hasDeprecatedDoc(fd.Doc) {
-			ff.Deprecated = true
-		}
 		sig, _ := fn.Type().(*types.Signature)
 		directAttrs(pass, fd.Body, ff, func(call *ast.CallExpr) {
 			callee := calleeFunc(pass.TypesInfo, call)
@@ -507,21 +498,6 @@ func lookupMethod(pkg *types.Package, recv, name string) *types.Func {
 		}
 	}
 	return nil
-}
-
-// hasDeprecatedDoc reports whether a doc comment carries the conventional
-// "Deprecated:" paragraph marker.
-func hasDeprecatedDoc(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*"))
-		if strings.HasPrefix(text, "Deprecated:") {
-			return true
-		}
-	}
-	return false
 }
 
 // seedAnnotations applies //crew:blocks and //crew:allocs annotations on

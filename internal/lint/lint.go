@@ -29,8 +29,6 @@
 //   - hotalloc: //crew:hotpath functions must be allocation-free — no map
 //     range, no fmt, no interface boxing, no escaping closure capture,
 //     directly or through anything they call.
-//   - deprecated: no calls to functions whose doc comment carries a
-//     "Deprecated:" marker (e.g. transport.New).
 //
 // The suite is interprocedural: a shared fact layer (see facts.go) exports
 // a per-function summary — may it block, may it allocate, which lock
@@ -80,7 +78,6 @@ var Analyzers = []*analysis.Analyzer{
 	LockOrder,
 	WireFrame,
 	HotAlloc,
-	Deprecated,
 }
 
 // transportPath is the import path of the simulated messaging layer whose

@@ -265,17 +265,7 @@ func (c *Cluster) Start(workflow string, inputs map[string]expr.Value) (int, err
 func (c *Cluster) Wait(workflow string, id int, timeout time.Duration) (wfdb.Status, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	st, done, w, gen := c.term.Subscribe(workflow, id)
-	if done {
-		return st, nil
-	}
-	select {
-	case <-w.Done():
-		return w.Result(), nil
-	case <-ctx.Done():
-		c.term.Unsubscribe(workflow, id, w, gen)
-		return 0, fmt.Errorf("mproc: %w: %s.%d", cerrors.ErrTimeout, workflow, id)
-	}
+	return c.term.Wait(ctx, workflow, id, nil)
 }
 
 // Status reports an instance's terminal status, if it has one.

@@ -2,6 +2,7 @@ package mproc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"crew/internal/analysis"
+	"crew/internal/cerrors"
 	"crew/internal/experiment"
 	"crew/internal/faults"
 	"crew/internal/metrics"
@@ -126,6 +128,15 @@ func TestClusterRuns(t *testing.T) {
 				t.Errorf("%s.%d: status %v (terminal=%v), want Committed", wf, i, st, ok)
 			}
 		}
+	}
+	// The cluster's Wait is the shared contract (itable.Terminal.Wait): a
+	// finished instance answers at once, a deadline is cerrors.ErrTimeout.
+	wf := w.Library.Names()[0]
+	if st, err := cl.Wait(wf, 1, time.Millisecond); err != nil || st != wfdb.Committed {
+		t.Errorf("Wait on a finished instance = (%v, %v)", st, err)
+	}
+	if _, err := cl.Wait(wf, 999, 10*time.Millisecond); !errors.Is(err, cerrors.ErrTimeout) {
+		t.Errorf("Wait on an instance that never started = %v, want ErrTimeout", err)
 	}
 }
 

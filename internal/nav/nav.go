@@ -9,8 +9,11 @@ package nav
 import (
 	"hash/fnv"
 	"sort"
+	"strings"
 	"sync"
 
+	"crew/internal/expr"
+	"crew/internal/metrics"
 	"crew/internal/model"
 	"crew/internal/rules"
 	"crew/internal/wfdb"
@@ -256,4 +259,44 @@ func setToOrdered(s *model.Schema, set map[model.StepID]bool) []model.StepID {
 		}
 	}
 	return out
+}
+
+// ResolveInputs reads a step's declared inputs from the instance's data table.
+func ResolveInputs(ins *wfdb.Instance, s *model.Step) map[string]expr.Value {
+	in := make(map[string]expr.Value, len(s.Inputs))
+	for _, name := range s.Inputs {
+		if v, ok := ins.Data[name]; ok {
+			in[name] = v
+		}
+	}
+	return in
+}
+
+// ClearMutexGrants invalidates the instance's mutex grant events for a step
+// so a later re-execution must re-acquire.
+func ClearMutexGrants(ins *wfdb.Instance, step model.StepID) {
+	suffix := ":" + string(step)
+	ins.Events.InvalidateWhere(func(name string) bool {
+		return strings.HasPrefix(name, "mx:") && strings.HasSuffix(name, suffix)
+	})
+}
+
+// EffectiveAgents returns the agents eligible for a step: its declared list,
+// or every agent of the deployment.
+func EffectiveAgents(s *model.Step, all []string) []string {
+	if len(s.EligibleAgents) > 0 {
+		return s.EligibleAgents
+	}
+	return all
+}
+
+// StepMechanism classifies work on a step: re-executions while the instance
+// is recovering count under the recovery cause; fresh forward progress is
+// Normal.
+func StepMechanism(ins *wfdb.Instance, step model.StepID, recovery metrics.Mechanism) metrics.Mechanism {
+	rec := ins.Steps[step]
+	if rec != nil && rec.Attempts > 0 && recovery != metrics.Normal {
+		return recovery
+	}
+	return metrics.Normal
 }

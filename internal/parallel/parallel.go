@@ -14,10 +14,9 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
+	"crew/internal/actor"
 	"crew/internal/central"
-	"crew/internal/cerrors"
 	"crew/internal/coord"
 	"crew/internal/expr"
 	"crew/internal/itable"
@@ -106,17 +105,15 @@ type SystemConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// System is a running parallel WFMS deployment.
+// System is a running parallel WFMS deployment. The embedded client supplies
+// Start, Run, RunCtx and Wait over the StartCtx and WaitCtx below.
 type System struct {
+	*actor.Client
 	engines []*central.Engine
 	net     *transport.Network
 	agents  []*central.Agent
 	col     *metrics.Collector
 	home    *homeCoordinator
-	// handles caches per-engine senders for the coordination protocol. Built
-	// once at construction; read-only afterwards, so engine goroutines use it
-	// without locking.
-	handles map[string]*transport.Handle
 
 	// owner and nextID are fixed-shard tables (hash on workflow+id), so
 	// concurrent Start/Wait/routing traffic for different instances does not
@@ -131,9 +128,6 @@ type System struct {
 	// can answer Snapshot for a retired instance.
 	term    *itable.Terminal
 	archive *wfdb.DB
-
-	library *model.Library
-	closed  atomic.Bool
 }
 
 // NewSystem builds and starts a parallel deployment.
@@ -165,10 +159,10 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	sys := &System{
 		net:     net,
 		col:     cfg.Collector,
-		library: cfg.Library,
 		term:    new(itable.Terminal),
 		archive: wfdb.NewMemory(),
 	}
+	sys.Client = actor.NewClient("parallel", cfg.Library, sys)
 
 	for i := 0; i < cfg.Engines; i++ {
 		name := fmt.Sprintf("engine%d", i)
@@ -211,18 +205,9 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	for i, eng := range sys.engines {
 		eng.SetCoordinator(&remoteCoordinator{sys: sys, idx: i})
 	}
-	sys.handles = make(map[string]*transport.Handle, len(sys.engines))
-	for _, eng := range sys.engines {
-		h, err := net.Handle(eng.Name())
-		if err != nil {
-			sys.Close()
-			return nil, err
-		}
-		sys.handles[eng.Name()] = h
-	}
 
 	for _, name := range agents {
-		ag, err := central.NewAgent(name, net, cfg.Programs, cfg.Collector)
+		ag, err := central.NewAgent(name, net, cfg.Programs, cfg.Collector, cfg.Logf)
 		if err != nil {
 			sys.Close()
 			return nil, fmt.Errorf("parallel: agent %s: %w", name, err)
@@ -253,31 +238,11 @@ func (s *System) engineFor(workflow string, id int) *central.Engine {
 	return s.engines[idx]
 }
 
-// admit performs the shared pre-flight checks of context-aware calls.
-func (s *System) admit(ctx context.Context, workflow string) error {
-	if s.closed.Load() {
-		return fmt.Errorf("parallel: %w", cerrors.ErrClosed)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if workflow != "" && s.library.Schema(workflow) == nil {
-		return fmt.Errorf("parallel: %w: %q", cerrors.ErrUnknownWorkflow, workflow)
-	}
-	return nil
-}
-
-// Start launches an instance on the next engine (round robin) and returns
-// its ID.
-func (s *System) Start(workflow string, inputs map[string]expr.Value) (int, error) {
-	return s.StartCtx(context.Background(), workflow, inputs)
-}
-
 // StartCtx launches an instance on the next engine (round robin). The context
 // gates only the admission of the request; a started instance keeps running
 // after ctx is cancelled.
 func (s *System) StartCtx(ctx context.Context, workflow string, inputs map[string]expr.Value) (int, error) {
-	if err := s.admit(ctx, workflow); err != nil {
+	if err := s.Admit(ctx, workflow); err != nil {
 		return 0, err
 	}
 	id := s.nextID.Update(itable.Ref{Workflow: workflow}, func(v int, _ bool) int { return v + 1 })
@@ -297,8 +262,8 @@ func (s *System) StartCtx(ctx context.Context, workflow string, inputs map[strin
 // racing Close fails with cerrors.ErrClosed instead of panicking on the
 // closed transport.
 func (s *System) StartSeq(workflow string, id, seq int, inputs map[string]expr.Value) error {
-	if s.closed.Load() {
-		return fmt.Errorf("parallel: %w", cerrors.ErrClosed)
+	if err := s.Admit(context.Background(), ""); err != nil {
+		return err
 	}
 	idx := seq % len(s.engines)
 	s.nextID.Update(itable.Ref{Workflow: workflow}, func(v int, _ bool) int {
@@ -321,62 +286,18 @@ func (s *System) StartSeq(workflow string, id, seq int, inputs map[string]expr.V
 // processed anywhere in the deployment.
 func (s *System) Quiesce(ctx context.Context) error { return s.net.Quiesce(ctx) }
 
-// Run starts an instance and waits for its terminal status. It wraps RunCtx
-// with a deadline context.
-func (s *System) Run(workflow string, inputs map[string]expr.Value, timeout time.Duration) (int, wfdb.Status, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return s.RunCtx(ctx, workflow, inputs)
-}
-
-// RunCtx starts an instance and waits for its terminal status under ctx.
-func (s *System) RunCtx(ctx context.Context, workflow string, inputs map[string]expr.Value) (int, wfdb.Status, error) {
-	id, err := s.StartCtx(ctx, workflow, inputs)
-	if err != nil {
-		return 0, 0, err
-	}
-	st, err := s.WaitCtx(ctx, workflow, id)
-	return id, st, err
-}
-
-// Wait blocks until the instance terminates. It wraps WaitCtx with a deadline
-// context; the deadline surfaces as cerrors.ErrTimeout.
-func (s *System) Wait(workflow string, id int, timeout time.Duration) (wfdb.Status, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return s.WaitCtx(ctx, workflow, id)
-}
-
-// WaitCtx blocks until the instance terminates or ctx ends. Completion is
-// push-based: the call subscribes to the shared terminal registry and is
-// woken by the owning engine publishing the terminal status — no routing
-// through the owner map (which drops retired instances) and no polling.
-// A deadline expiry is reported as cerrors.ErrTimeout (errors.Is-matchable);
-// a plain cancellation as ctx.Err().
+// WaitCtx blocks until the instance terminates or ctx ends (the contract is
+// itable.Terminal.Wait's): it subscribes to the shared terminal registry —
+// no routing through the owner map, which drops retired instances. An
+// instance that finished under a previous engine incarnation exists only as
+// a database summary, which its engine's Status reads.
 func (s *System) WaitCtx(ctx context.Context, workflow string, id int) (wfdb.Status, error) {
-	if err := s.admit(ctx, ""); err != nil {
+	if err := s.Admit(ctx, workflow); err != nil {
 		return 0, err
 	}
-	st, done, w, gen := s.term.Subscribe(workflow, id)
-	if done {
-		return st, nil
-	}
-	// An instance that finished under a previous engine incarnation exists
-	// only as a database summary; the registry will never fire for it.
-	if cur, ok := s.engineFor(workflow, id).Status(workflow, id); ok && cur != wfdb.Running {
-		s.term.Unsubscribe(workflow, id, w, gen)
-		return cur, nil
-	}
-	select {
-	case <-w.Done():
-		return w.Result(), nil
-	case <-ctx.Done():
-		s.term.Unsubscribe(workflow, id, w, gen)
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return 0, fmt.Errorf("parallel: %w: %s.%d", cerrors.ErrTimeout, workflow, id)
-		}
-		return 0, ctx.Err()
-	}
+	return s.term.Wait(ctx, workflow, id, func() (wfdb.Status, bool) {
+		return s.engineFor(workflow, id).Status(workflow, id)
+	})
 }
 
 // Abort requests a user abort.
@@ -412,7 +333,7 @@ func (s *System) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
 // Close shuts the deployment down. Later context-aware calls fail with
 // cerrors.ErrClosed.
 func (s *System) Close() {
-	if s.closed.Swap(true) {
+	if !s.Shut() {
 		return
 	}
 	s.net.Close()
@@ -449,21 +370,6 @@ func (s *System) RestartNode(name string) {
 		}
 	}
 	s.net.Recover(name)
-}
-
-func (s *System) send(from, to string, kind string, payload any) {
-	m := transport.Message{
-		From:      from,
-		To:        to,
-		Mechanism: metrics.Coordination,
-		Kind:      kind,
-		Payload:   payload,
-	}
-	if h := s.handles[to]; h != nil {
-		_ = h.Send(m)
-		return
-	}
-	_ = s.net.Send(m)
 }
 
 // onCoordMessage dispatches coordination protocol messages. It runs on the
@@ -506,6 +412,12 @@ func (h *homeCoordinator) load(units int64) {
 	h.rec.Add(metrics.Coordination, units)
 }
 
+// send puts a protocol message to another engine into the home engine's
+// turn (every homeCoordinator method runs on the home engine's goroutine).
+func (h *homeCoordinator) send(to, kind string, payload any) {
+	h.homeEngine().Send(to, metrics.Coordination, kind, payload)
+}
+
 // deliver routes an injection to the engine owning the target instance.
 func (h *homeCoordinator) deliver(inj coord.Injection) {
 	ownerIdx := h.sys.ownerOf(inj.Target)
@@ -513,7 +425,7 @@ func (h *homeCoordinator) deliver(inj coord.Injection) {
 		h.homeEngine().InjectEvent(inj.Target.Workflow, inj.Target.ID, inj.Event)
 		return
 	}
-	h.sys.send(h.homeEngine().Name(), h.sys.engines[ownerIdx].Name(), kindCoordInject,
+	h.send(h.sys.engines[ownerIdx].Name(), kindCoordInject,
 		coordInject{Target: inj.Target, Event: inj.Event})
 }
 
@@ -529,7 +441,7 @@ func (h *homeCoordinator) check(ref model.StepRef, inst coord.InstanceRef, reply
 		h.homeEngine().ResolveCoord(inst.Workflow, inst.ID, ref.Step, waits)
 		return
 	}
-	h.sys.send(h.homeEngine().Name(), replyEngine, kindCoordResolve,
+	h.send(replyEngine, kindCoordResolve,
 		coordResolve{Inst: inst, Step: ref.Step, WaitEvents: waits})
 }
 
@@ -563,7 +475,7 @@ func (h *homeCoordinator) rollback(workflow string, invalidated []model.StepID) 
 				eng.ApplyRollbackOrder(ord)
 				continue
 			}
-			h.sys.send(h.homeEngine().Name(), eng.Name(), kindCoordOrder, coordOrder{Order: ord})
+			h.send(eng.Name(), kindCoordOrder, coordOrder{Order: ord})
 		}
 	}
 }
@@ -594,7 +506,11 @@ func (r *remoteCoordinator) local() bool { return r.idx == r.sys.home.idx }
 
 func (r *remoteCoordinator) name() string { return r.sys.engines[r.idx].Name() }
 
-func (r *remoteCoordinator) homeName() string { return r.sys.engines[r.sys.home.idx].Name() }
+// toHome puts a protocol message to the home engine into this engine's turn
+// (Coordinator methods are invoked from the engine's goroutine).
+func (r *remoteCoordinator) toHome(kind string, payload any) {
+	r.sys.engines[r.idx].Send(r.sys.home.homeEngine().Name(), metrics.Coordination, kind, payload)
+}
 
 // Check implements central.Coordinator.
 func (r *remoteCoordinator) Check(ref model.StepRef, inst coord.InstanceRef) {
@@ -602,7 +518,7 @@ func (r *remoteCoordinator) Check(ref model.StepRef, inst coord.InstanceRef) {
 		r.sys.home.check(ref, inst, r.name())
 		return
 	}
-	r.sys.send(r.name(), r.homeName(), kindCoordCheck,
+	r.toHome(kindCoordCheck,
 		coordCheck{Ref: ref, Inst: inst, ReplyEngine: r.name()})
 }
 
@@ -612,7 +528,7 @@ func (r *remoteCoordinator) StepDone(ref model.StepRef, inst coord.InstanceRef) 
 		r.sys.home.stepDone(ref, inst)
 		return
 	}
-	r.sys.send(r.name(), r.homeName(), kindCoordDone, coordDone{Ref: ref, Inst: inst})
+	r.toHome(kindCoordDone, coordDone{Ref: ref, Inst: inst})
 }
 
 // StepFailed implements central.Coordinator.
@@ -621,7 +537,7 @@ func (r *remoteCoordinator) StepFailed(ref model.StepRef, inst coord.InstanceRef
 		r.sys.home.stepFailed(ref, inst)
 		return
 	}
-	r.sys.send(r.name(), r.homeName(), kindCoordFailed, coordFailed{Ref: ref, Inst: inst})
+	r.toHome(kindCoordFailed, coordFailed{Ref: ref, Inst: inst})
 }
 
 // Rollback implements central.Coordinator.
@@ -630,7 +546,7 @@ func (r *remoteCoordinator) Rollback(workflow string, invalidated []model.StepID
 		r.sys.home.rollback(workflow, invalidated)
 		return
 	}
-	r.sys.send(r.name(), r.homeName(), kindCoordRollbk,
+	r.toHome(kindCoordRollbk,
 		coordRollback{Workflow: workflow, Invalidated: invalidated})
 }
 
@@ -640,5 +556,5 @@ func (r *remoteCoordinator) Forget(inst coord.InstanceRef) {
 		r.sys.home.forget(inst)
 		return
 	}
-	r.sys.send(r.name(), r.homeName(), kindCoordForget, coordForget{Inst: inst})
+	r.toHome(kindCoordForget, coordForget{Inst: inst})
 }

@@ -25,8 +25,7 @@
 // true without any event traffic, exactly as under the scan semantics).
 // Firing order is deterministic: the agenda is drained in rule insertion
 // order, byte-identical to the scan path (EvaluateScan keeps the original
-// implementation as the reference; SetScanOnly forces it globally for
-// equivalence testing).
+// implementation as the reference).
 package rules
 
 import (
@@ -39,13 +38,10 @@ import (
 	"crew/internal/model"
 )
 
-// scanOnly forces every Evaluate through the reference scan path; the
-// equivalence tests flip it to prove the indexed path fires identically.
+// scanOnly forces every Evaluate through the reference scan path. Nothing
+// outside this package's tests can set it (see export_test.go): the
+// equivalence test flips it to prove the indexed path fires identically.
 var scanOnly atomic.Bool
-
-// SetScanOnly globally disables (true) or re-enables (false) the indexed
-// evaluation path. Intended for tests; safe to call concurrently.
-func SetScanOnly(v bool) { scanOnly.Store(v) }
 
 // ActionKind classifies what a fired rule triggers.
 type ActionKind int

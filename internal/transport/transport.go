@@ -326,16 +326,6 @@ var ErrUnknownNode = errors.New("transport: unknown node")
 // ErrClosed is returned after Close.
 var ErrClosed = errors.New("transport: closed")
 
-// New returns an empty in-process network counting messages into collector
-// (which may be nil to disable counting).
-//
-// Deprecated: use NewNetwork, which selects a wire backend. New bypasses
-// backend selection and always builds the in-process network; it is kept for
-// tests and old call sites only.
-func New(collector *metrics.Collector) *Network {
-	return NewNetwork(NetworkConfig{Collector: collector})
-}
-
 // Trace installs a callback invoked (synchronously, under no lock) with a
 // copy of every message accepted for delivery. Installation is atomic with
 // respect to concurrent sends.

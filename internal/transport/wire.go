@@ -65,9 +65,7 @@ type NetworkConfig struct {
 	Wire Wire
 }
 
-// NewNetwork returns an empty network. This is the only construction entry
-// point that selects a wire backend; New is the deprecated in-process-only
-// shorthand.
+// NewNetwork returns an empty network: the only construction entry point.
 func NewNetwork(cfg NetworkConfig) *Network {
 	n := &Network{collector: cfg.Collector, wire: cfg.Wire, closedCh: make(chan struct{})}
 	empty := make(map[string]*node)

@@ -244,6 +244,13 @@ func TestBatchCommitsOneGroupInOrder(t *testing.T) {
 	if err := db.Commit(&batch); err != nil || st.Writes()-writes != 6 {
 		t.Error("committing an empty batch wrote something")
 	}
+	batch.DeleteInstance("WF01", 1)
+	if err := db.Commit(&batch); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := db.LoadInstance("WF01", 1); ok {
+		t.Error("instance row survived the batch's delete")
+	}
 }
 
 func BenchmarkRowEncode(b *testing.B) {

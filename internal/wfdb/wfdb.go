@@ -509,6 +509,11 @@ func (b *Batch) Archive(ins *Instance) {
 	b.rows = append(b.rows, batchRow{table: tableInstance, key: key, del: true})
 }
 
+// DeleteInstance adds the removal of an instance row (a purge broadcast).
+func (b *Batch) DeleteInstance(workflow string, id int) {
+	b.rows = append(b.rows, batchRow{table: tableInstance, key: InstanceKeyOf(workflow, id), del: true})
+}
+
 // Commit writes the batch's mutations as one store group and empties the
 // batch (also on error: the caller logs and carries on with current state).
 func (db *DB) Commit(b *Batch) error {
