@@ -1,13 +1,13 @@
-// Package binenc holds the append/read primitives of the durable binary
-// formats: WAL group records (internal/store) and WFDB rows (internal/wfdb,
-// with the value and event-table sections owned by internal/expr and
-// internal/event). Writers append into a caller-owned buffer and never
-// allocate beyond its growth; a Reader consumes a byte slice front to back,
-// failing with ErrMalformed instead of panicking on anything a torn or
-// hostile input can contain.
+// Package binenc holds the append/read primitives of the binary formats:
+// WAL group records (internal/store), WFDB rows (internal/wfdb, with the
+// value and event-table sections owned by internal/expr and internal/event)
+// and the wire frames and payloads of internal/transport. Writers append into
+// a caller-owned buffer and never allocate beyond its growth; a Reader
+// consumes a byte slice front to back, failing with ErrMalformed instead of
+// panicking on anything a torn or hostile input can contain.
 //
-// Integers are varints, strings and byte runs are uvarint-length-prefixed —
-// the idiom of the wire frame codec (transport/frame.go).
+// Integers are varints, strings and byte runs are uvarint-length-prefixed,
+// sequences are a uvarint count followed by the entries.
 package binenc
 
 import (
@@ -52,6 +52,17 @@ func AppendInt(dst []byte, v int) []byte {
 	return binary.AppendVarint(dst, int64(v))
 }
 
+// AppendStrings appends a sequence of strings: the count, then each string.
+//
+//crew:hotpath
+func AppendStrings[S ~string](dst []byte, v []S) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(v)))
+	for _, s := range v {
+		dst = AppendString(dst, string(s))
+	}
+	return dst
+}
+
 // Reader consumes a byte slice front to back. The first read the input
 // cannot satisfy sets the error and empties the reader; every later read
 // returns a zero value, so a decoder reads a whole structure and checks
@@ -63,6 +74,10 @@ type Reader struct {
 
 // NewReader returns a reader over b. Results of Bytes alias b.
 func NewReader(b []byte) *Reader { return &Reader{b: b} }
+
+// Reset points the reader at b and clears its error, so a receive loop
+// decodes every frame through one Reader.
+func (r *Reader) Reset(b []byte) { r.b, r.err = b, nil }
 
 // Fail marks the input malformed; decoders call it for a value that read
 // but is out of range.
@@ -152,4 +167,18 @@ func (r *Reader) Count(minEntry int) int {
 		return 0
 	}
 	return int(n)
+}
+
+// Strings reads a sequence written by AppendStrings; an empty one reads as
+// nil.
+func Strings[S ~string](r *Reader) []S {
+	n := r.Count(1)
+	if n == 0 {
+		return nil
+	}
+	v := make([]S, n)
+	for i := range v {
+		v[i] = S(r.Str())
+	}
+	return v
 }

@@ -75,10 +75,11 @@ const (
 	// (connection refused, missing socket file, bad address).
 	CodeDialRefused Code = "wire_dial_refused"
 	// CodeFrameTruncated reports a frame cut short: the connection delivered
-	// fewer bytes than the length prefix (or a section header) promised.
+	// fewer bytes than the length prefix promised.
 	CodeFrameTruncated Code = "wire_frame_truncated"
-	// CodeFrameMalformed reports a structurally invalid frame: bad magic,
-	// unsupported version, unknown frame type, or an undecodable payload.
+	// CodeFrameMalformed reports a structurally invalid frame: unknown frame
+	// type, a body that ends early or runs long, a value out of range, or an
+	// unregistered payload type.
 	CodeFrameMalformed Code = "wire_frame_malformed"
 	// CodeFrameOversized reports a frame whose declared length exceeds the
 	// codec's hard limit (protects receivers from hostile or corrupt peers).
@@ -89,6 +90,10 @@ const (
 	// CodeUnclaimedNode reports a frame addressed to a wire node no
 	// connection has claimed.
 	CodeUnclaimedNode Code = "wire_unclaimed_node"
+	// CodeWireFormat reports a hub and an agent process built with different
+	// wire formats (transport.WireFormat): the hub refused the claim, so the
+	// mismatch fails the dial instead of misdecoding payloads mid-run.
+	CodeWireFormat Code = "wire_format"
 
 	// Durable-store codes. All carry ErrStore as their class sentinel.
 

@@ -17,6 +17,7 @@ package coord
 import (
 	"fmt"
 
+	"crew/internal/binenc"
 	"crew/internal/model"
 )
 
@@ -28,6 +29,18 @@ type InstanceRef struct {
 
 // String renders WF.id.
 func (r InstanceRef) String() string { return fmt.Sprintf("%s.%d", r.Workflow, r.ID) }
+
+// Append appends the reference's wire form.
+//
+//crew:hotpath
+func (r InstanceRef) Append(dst []byte) []byte {
+	return binenc.AppendInt(binenc.AppendString(dst, r.Workflow), r.ID)
+}
+
+// DecodeInstanceRef reads a reference written by Append.
+func DecodeInstanceRef(r *binenc.Reader) InstanceRef {
+	return InstanceRef{Workflow: r.Str(), ID: r.Int()}
+}
 
 // Injection is an event to inject into another instance's event table (the
 // AddEvent() call the caller must perform, locally or via a message).
@@ -46,6 +59,16 @@ type Injection struct {
 type RollbackOrder struct {
 	TargetWorkflow string
 	TargetStep     model.StepID
+}
+
+// Append appends the order's wire form.
+func (o RollbackOrder) Append(dst []byte) []byte {
+	return binenc.AppendString(binenc.AppendString(dst, o.TargetWorkflow), string(o.TargetStep))
+}
+
+// DecodeRollbackOrder reads an order written by Append.
+func DecodeRollbackOrder(r *binenc.Reader) RollbackOrder {
+	return RollbackOrder{TargetWorkflow: r.Str(), TargetStep: model.StepID(r.Str())}
 }
 
 // OrderEventName is the event a lagging instance waits on: "the leading

@@ -1,6 +1,7 @@
 package distributed
 
 import (
+	"crew/internal/binenc"
 	"crew/internal/coord"
 	"crew/internal/expr"
 	"crew/internal/metrics"
@@ -10,20 +11,35 @@ import (
 )
 
 func init() {
-	// Register every WI payload this architecture puts on the transport, so
-	// wire backends (unix/tcp sockets, the multi-process hub) can carry them
-	// across a process boundary.
-	transport.RegisterPayload(
-		workflowStart{}, stepExecute{}, stepCompleted{}, workflowRollback{},
-		haltThread{}, compensateSet{}, compensateThread{}, stepCompensate{},
-		stepCompensated{}, workflowAbort{}, workflowChangeInputs{},
-		stepStatus{}, stepStatusReply{}, stateInformation{},
-		stateInformationReply{}, addRule{}, addPrecondition{}, addEvent{},
-		coordRollbackNote{}, coordForgetNote{}, coordRollbackOrder{},
-		nestedResult{}, purgeNote{},
-		//crew:allow wireframe WorkflowDone is handled by the front end (mproc cluster runner), not by the agents in this package
-		WorkflowDone{},
-	)
+	// Register every WI payload this architecture puts on the transport with
+	// its codec (at the end of this file), so wire backends (unix/tcp
+	// sockets, the multi-process hub) can carry them across a process
+	// boundary.
+	transport.RegisterPayload(appendWorkflowStart, decodeWorkflowStart)
+	transport.RegisterPayload(appendStepExecute, decodeStepExecute)
+	transport.RegisterPayload(appendStepCompleted, decodeStepCompleted)
+	transport.RegisterPayload(appendWorkflowRollback, decodeWorkflowRollback)
+	transport.RegisterPayload(appendHaltThread, decodeHaltThread)
+	transport.RegisterPayload(appendCompensateSet, decodeCompensateSet)
+	transport.RegisterPayload(appendCompensateThread, decodeCompensateThread)
+	transport.RegisterPayload(appendStepCompensate, decodeStepCompensate)
+	transport.RegisterPayload(appendStepCompensated, decodeStepCompensated)
+	transport.RegisterPayload(appendWorkflowAbort, decodeWorkflowAbort)
+	transport.RegisterPayload(appendWorkflowChangeInputs, decodeWorkflowChangeInputs)
+	transport.RegisterPayload(appendStepStatus, decodeStepStatus)
+	transport.RegisterPayload(appendStepStatusReply, decodeStepStatusReply)
+	transport.RegisterPayload(appendStateInformation, decodeStateInformation)
+	transport.RegisterPayload(appendStateInformationReply, decodeStateInformationReply)
+	transport.RegisterPayload(appendAddRule, decodeAddRule)
+	transport.RegisterPayload(appendAddPrecondition, decodeAddPrecondition)
+	transport.RegisterPayload(appendAddEvent, decodeAddEvent)
+	transport.RegisterPayload(appendCoordRollbackNote, decodeCoordRollbackNote)
+	transport.RegisterPayload(appendCoordForgetNote, decodeCoordForgetNote)
+	transport.RegisterPayload(appendCoordRollbackOrder, decodeCoordRollbackOrder)
+	transport.RegisterPayload(appendNestedResult, decodeNestedResult)
+	transport.RegisterPayload(appendPurgeNote, decodePurgeNote)
+	//crew:allow wireframe WorkflowDone is handled by the front end (mproc cluster runner), not by the agents in this package
+	transport.RegisterPayload(appendWorkflowDone, decodeWorkflowDone)
 }
 
 // Message kind labels: the workflow interfaces of the paper's Table 1.
@@ -286,4 +302,297 @@ type purgeNote struct {
 	Workflow string
 	Instance int
 	Status   wfdb.Status
+}
+
+// ---------------------------------------------------------------------------
+// Wire codecs. One append/decode pair per payload above, registered in init:
+// the fields in declaration order on the primitives of package binenc, data
+// items as expr.AppendValues writes them (sorted by name). The three on the
+// path of every step (workflowStart, stepExecute with its packet,
+// stepCompleted) are //crew:hotpath.
+
+// appendInst and appendStep append the (workflow, instance[, step]) prefix
+// most payloads open with.
+//
+//crew:hotpath
+func appendInst(dst []byte, workflow string, instance int) []byte {
+	return binenc.AppendInt(binenc.AppendString(dst, workflow), instance)
+}
+
+func appendStep(dst []byte, workflow string, instance int, step model.StepID) []byte {
+	return binenc.AppendString(appendInst(dst, workflow, instance), string(step))
+}
+
+func stepID(r *binenc.Reader) model.StepID { return model.StepID(r.Str()) }
+
+func appendWorkflowDone(dst []byte, p WorkflowDone, _ *[]string) []byte {
+	return binenc.AppendInt(appendInst(dst, p.Workflow, p.Instance), int(p.Status))
+}
+
+func decodeWorkflowDone(r *binenc.Reader) WorkflowDone {
+	return WorkflowDone{Workflow: r.Str(), Instance: r.Int(), Status: wfdb.Status(r.Int())}
+}
+
+//crew:hotpath
+func appendWorkflowStart(dst []byte, p workflowStart, keys *[]string) []byte {
+	dst = appendInst(dst, p.Workflow, p.Instance)
+	dst = expr.AppendValues(dst, p.Inputs, keys)
+	dst = binenc.AppendBool(dst, p.Parent != nil)
+	if p.Parent != nil {
+		dst = p.Parent.Append(dst)
+	}
+	dst = binenc.AppendInt(dst, p.ParentInst)
+	dst = binenc.AppendString(dst, p.ParentAgent)
+	return binenc.AppendString(dst, p.ReplyTo)
+}
+
+func decodeWorkflowStart(r *binenc.Reader) workflowStart {
+	p := workflowStart{Workflow: r.Str(), Instance: r.Int(), Inputs: expr.DecodeValues(r)}
+	if r.Bool() {
+		parent := model.DecodeStepRef(r)
+		p.Parent = &parent
+	}
+	p.ParentInst, p.ParentAgent, p.ReplyTo = r.Int(), r.Str(), r.Str()
+	return p
+}
+
+// A stepExecute is a presence byte, the packet of Figure 7 when present, and
+// the mechanism.
+//
+//crew:hotpath
+func appendStepExecute(dst []byte, p stepExecute, keys *[]string) []byte {
+	dst = binenc.AppendBool(dst, p.Packet != nil)
+	if pkt := p.Packet; pkt != nil {
+		dst = appendInst(dst, pkt.Workflow, pkt.Instance)
+		dst = binenc.AppendInt(dst, pkt.Epoch)
+		dst = binenc.AppendString(dst, string(pkt.TargetStep))
+		dst = expr.AppendValues(dst, pkt.Data, keys)
+		dst = binenc.AppendStrings(dst, pkt.Events)
+		dst = binenc.AppendStrings(dst, pkt.ResetSteps)
+		dst = binenc.AppendStrings(dst, pkt.Leading)
+		dst = binenc.AppendStrings(dst, pkt.Lagging)
+		dst = binenc.AppendString(dst, pkt.Coordinator)
+	}
+	return p.Mechanism.Append(dst)
+}
+
+func decodeStepExecute(r *binenc.Reader) stepExecute {
+	var p stepExecute
+	if r.Bool() {
+		p.Packet = &Packet{
+			Workflow:    r.Str(),
+			Instance:    r.Int(),
+			Epoch:       r.Int(),
+			TargetStep:  stepID(r),
+			Data:        expr.DecodeValues(r),
+			Events:      binenc.Strings[string](r),
+			ResetSteps:  binenc.Strings[model.StepID](r),
+			Leading:     binenc.Strings[string](r),
+			Lagging:     binenc.Strings[string](r),
+			Coordinator: r.Str(),
+		}
+	}
+	p.Mechanism = metrics.DecodeMechanism(r)
+	return p
+}
+
+//crew:hotpath
+func appendStepCompleted(dst []byte, p stepCompleted, keys *[]string) []byte {
+	dst = appendInst(dst, p.Workflow, p.Instance)
+	dst = binenc.AppendString(dst, string(p.Step))
+	dst = binenc.AppendInt(dst, p.Epoch)
+	dst = expr.AppendValues(dst, p.Data, keys)
+	return binenc.AppendStrings(dst, p.Events)
+}
+
+func decodeStepCompleted(r *binenc.Reader) stepCompleted {
+	return stepCompleted{Workflow: r.Str(), Instance: r.Int(), Step: stepID(r), Epoch: r.Int(),
+		Data: expr.DecodeValues(r), Events: binenc.Strings[string](r)}
+}
+
+func appendWorkflowRollback(dst []byte, p workflowRollback, keys *[]string) []byte {
+	dst = appendStep(dst, p.Workflow, p.Instance, p.Origin)
+	dst = binenc.AppendInt(dst, p.Epoch)
+	dst = binenc.AppendString(dst, p.Initiator)
+	dst = expr.AppendValues(dst, p.NewData, keys)
+	return p.Mechanism.Append(dst)
+}
+
+func decodeWorkflowRollback(r *binenc.Reader) workflowRollback {
+	return workflowRollback{Workflow: r.Str(), Instance: r.Int(), Origin: stepID(r), Epoch: r.Int(),
+		Initiator: r.Str(), NewData: expr.DecodeValues(r), Mechanism: metrics.DecodeMechanism(r)}
+}
+
+func appendHaltThread(dst []byte, p haltThread, _ *[]string) []byte {
+	dst = appendStep(dst, p.Workflow, p.Instance, p.Origin)
+	dst = binenc.AppendString(dst, string(p.Step))
+	dst = binenc.AppendInt(dst, p.Epoch)
+	dst = binenc.AppendString(dst, p.Initiator)
+	return p.Mechanism.Append(dst)
+}
+
+func decodeHaltThread(r *binenc.Reader) haltThread {
+	return haltThread{Workflow: r.Str(), Instance: r.Int(), Origin: stepID(r), Step: stepID(r),
+		Epoch: r.Int(), Initiator: r.Str(), Mechanism: metrics.DecodeMechanism(r)}
+}
+
+func appendCompensateSet(dst []byte, p compensateSet, _ *[]string) []byte {
+	dst = appendStep(dst, p.Workflow, p.Instance, p.Origin)
+	dst = binenc.AppendStrings(dst, p.StepList)
+	dst = binenc.AppendStrings(dst, p.Compensated)
+	return p.Mechanism.Append(dst)
+}
+
+func decodeCompensateSet(r *binenc.Reader) compensateSet {
+	return compensateSet{Workflow: r.Str(), Instance: r.Int(), Origin: stepID(r),
+		StepList: binenc.Strings[model.StepID](r), Compensated: binenc.Strings[model.StepID](r),
+		Mechanism: metrics.DecodeMechanism(r)}
+}
+
+func appendCompensateThread(dst []byte, p compensateThread, _ *[]string) []byte {
+	return p.Mechanism.Append(appendStep(dst, p.Workflow, p.Instance, p.Step))
+}
+
+func decodeCompensateThread(r *binenc.Reader) compensateThread {
+	return compensateThread{Workflow: r.Str(), Instance: r.Int(), Step: stepID(r), Mechanism: metrics.DecodeMechanism(r)}
+}
+
+func appendStepCompensate(dst []byte, p stepCompensate, _ *[]string) []byte {
+	dst = appendStep(dst, p.Workflow, p.Instance, p.Step)
+	return p.Mechanism.Append(binenc.AppendString(dst, p.ReplyTo))
+}
+
+func decodeStepCompensate(r *binenc.Reader) stepCompensate {
+	return stepCompensate{Workflow: r.Str(), Instance: r.Int(), Step: stepID(r), ReplyTo: r.Str(),
+		Mechanism: metrics.DecodeMechanism(r)}
+}
+
+func appendStepCompensated(dst []byte, p stepCompensated, _ *[]string) []byte {
+	return appendStep(dst, p.Workflow, p.Instance, p.Step)
+}
+
+func decodeStepCompensated(r *binenc.Reader) stepCompensated {
+	return stepCompensated{Workflow: r.Str(), Instance: r.Int(), Step: stepID(r)}
+}
+
+func appendWorkflowAbort(dst []byte, p workflowAbort, _ *[]string) []byte {
+	return appendInst(dst, p.Workflow, p.Instance)
+}
+
+func decodeWorkflowAbort(r *binenc.Reader) workflowAbort {
+	return workflowAbort{Workflow: r.Str(), Instance: r.Int()}
+}
+
+func appendWorkflowChangeInputs(dst []byte, p workflowChangeInputs, keys *[]string) []byte {
+	return expr.AppendValues(appendInst(dst, p.Workflow, p.Instance), p.Inputs, keys)
+}
+
+func decodeWorkflowChangeInputs(r *binenc.Reader) workflowChangeInputs {
+	return workflowChangeInputs{Workflow: r.Str(), Instance: r.Int(), Inputs: expr.DecodeValues(r)}
+}
+
+func appendStepStatus(dst []byte, p stepStatus, _ *[]string) []byte {
+	dst = appendStep(dst, p.Workflow, p.Instance, p.Step)
+	return binenc.AppendString(binenc.AppendString(dst, string(p.ForStep)), p.ReplyTo)
+}
+
+func decodeStepStatus(r *binenc.Reader) stepStatus {
+	return stepStatus{Workflow: r.Str(), Instance: r.Int(), Step: stepID(r), ForStep: stepID(r), ReplyTo: r.Str()}
+}
+
+func appendStepStatusReply(dst []byte, p stepStatusReply, _ *[]string) []byte {
+	dst = appendStep(dst, p.Workflow, p.Instance, p.Step)
+	return binenc.AppendString(binenc.AppendString(dst, p.Status), p.Agent)
+}
+
+func decodeStepStatusReply(r *binenc.Reader) stepStatusReply {
+	return stepStatusReply{Workflow: r.Str(), Instance: r.Int(), Step: stepID(r), Status: r.Str(), Agent: r.Str()}
+}
+
+func appendStateInformation(dst []byte, p stateInformation, _ *[]string) []byte {
+	return binenc.AppendString(dst, p.ReplyTo)
+}
+
+func decodeStateInformation(r *binenc.Reader) stateInformation {
+	return stateInformation{ReplyTo: r.Str()}
+}
+
+func appendStateInformationReply(dst []byte, p stateInformationReply, _ *[]string) []byte {
+	return binenc.AppendInt(binenc.AppendString(dst, p.Agent), int(p.Load))
+}
+
+func decodeStateInformationReply(r *binenc.Reader) stateInformationReply {
+	return stateInformationReply{Agent: r.Str(), Load: int64(r.Int())}
+}
+
+func appendAddRule(dst []byte, p addRule, _ *[]string) []byte {
+	dst = p.Inst.Append(p.Ref.Append(dst))
+	dst = binenc.AppendString(dst, p.ReplyAgent)
+	return binenc.AppendBool(binenc.AppendBool(dst, p.Done), p.Failed)
+}
+
+func decodeAddRule(r *binenc.Reader) addRule {
+	return addRule{Ref: model.DecodeStepRef(r), Inst: coord.DecodeInstanceRef(r), ReplyAgent: r.Str(),
+		Done: r.Bool(), Failed: r.Bool()}
+}
+
+func appendAddPrecondition(dst []byte, p addPrecondition, _ *[]string) []byte {
+	dst = binenc.AppendString(p.Inst.Append(dst), string(p.Step))
+	return binenc.AppendStrings(dst, p.WaitEvents)
+}
+
+func decodeAddPrecondition(r *binenc.Reader) addPrecondition {
+	return addPrecondition{Inst: coord.DecodeInstanceRef(r), Step: stepID(r), WaitEvents: binenc.Strings[string](r)}
+}
+
+func appendAddEvent(dst []byte, p addEvent, _ *[]string) []byte {
+	return binenc.AppendString(binenc.AppendString(p.Target.Append(dst), p.Event), string(p.Step))
+}
+
+func decodeAddEvent(r *binenc.Reader) addEvent {
+	return addEvent{Target: coord.DecodeInstanceRef(r), Event: r.Str(), Step: stepID(r)}
+}
+
+func appendCoordRollbackNote(dst []byte, p coordRollbackNote, _ *[]string) []byte {
+	return binenc.AppendStrings(binenc.AppendString(dst, p.Workflow), p.Invalidated)
+}
+
+func decodeCoordRollbackNote(r *binenc.Reader) coordRollbackNote {
+	return coordRollbackNote{Workflow: r.Str(), Invalidated: binenc.Strings[model.StepID](r)}
+}
+
+func appendCoordForgetNote(dst []byte, p coordForgetNote, _ *[]string) []byte {
+	return p.Inst.Append(dst)
+}
+
+func decodeCoordForgetNote(r *binenc.Reader) coordForgetNote {
+	return coordForgetNote{Inst: coord.DecodeInstanceRef(r)}
+}
+
+func appendCoordRollbackOrder(dst []byte, p coordRollbackOrder, _ *[]string) []byte {
+	return p.Order.Append(dst)
+}
+
+func decodeCoordRollbackOrder(r *binenc.Reader) coordRollbackOrder {
+	return coordRollbackOrder{Order: coord.DecodeRollbackOrder(r)}
+}
+
+func appendNestedResult(dst []byte, p nestedResult, keys *[]string) []byte {
+	dst = appendStep(dst, p.ParentWorkflow, p.ParentInstance, p.ParentStep)
+	dst = appendInst(dst, p.ChildWorkflow, p.ChildInstance)
+	dst = binenc.AppendBool(dst, p.Committed)
+	return expr.AppendValues(dst, p.Data, keys)
+}
+
+func decodeNestedResult(r *binenc.Reader) nestedResult {
+	return nestedResult{ParentWorkflow: r.Str(), ParentInstance: r.Int(), ParentStep: stepID(r),
+		ChildWorkflow: r.Str(), ChildInstance: r.Int(), Committed: r.Bool(), Data: expr.DecodeValues(r)}
+}
+
+func appendPurgeNote(dst []byte, p purgeNote, _ *[]string) []byte {
+	return binenc.AppendInt(appendInst(dst, p.Workflow, p.Instance), int(p.Status))
+}
+
+func decodePurgeNote(r *binenc.Reader) purgeNote {
+	return purgeNote{Workflow: r.Str(), Instance: r.Int(), Status: wfdb.Status(r.Int())}
 }

@@ -37,6 +37,7 @@ type Ref struct {
 // sequential ids of one workflow across all shards and keeps the residue
 // class of ids within a shard fixed — the property Terminal's dense status
 // vectors index by.
+//
 //crew:hotpath
 func shardOf(workflow string, id int) uint32 {
 	h := uint32(2166136261)

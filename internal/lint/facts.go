@@ -230,12 +230,12 @@ var allocRootPkgs = map[string]bool{
 // Link.Deliver entry is an interface method: dynamic dispatch through any
 // Wire backend resolves to it.
 var transportSeeds = map[methodKey]FuncFacts{
-	{pkg: transportPath, recv: "Handle", name: "Send"}:          {SendsParam: 1},
-	{pkg: transportPath, recv: "Network", name: "Send"}:         {SendsParam: 1},
-	{pkg: transportPath, recv: "Batcher", name: "Add"}:          {SendsParam: 2},
+	{pkg: transportPath, recv: "Handle", name: "Send"}:           {SendsParam: 1},
+	{pkg: transportPath, recv: "Network", name: "Send"}:          {SendsParam: 1},
+	{pkg: transportPath, recv: "Batcher", name: "Add"}:           {SendsParam: 2},
 	{pkg: transportPath, recv: "ChildConn", name: "SendMessage"}: {SendsParam: 1},
-	{pkg: transportPath, recv: "Handle", name: "SendBatch"}:     {BypassBatch: true},
-	{pkg: transportPath, recv: "Link", name: "Deliver"}:         {SendsRaw: true, Blocks: true},
+	{pkg: transportPath, recv: "Handle", name: "SendBatch"}:      {BypassBatch: true},
+	{pkg: transportPath, recv: "Link", name: "Deliver"}:          {SendsRaw: true, Blocks: true},
 }
 
 // factsAllPackages widens firstParty to every analyzed package; the

@@ -77,8 +77,8 @@ var LockOrder = &analysis.Analyzer{
 type localEdge struct {
 	LockEdge
 	pos      token.Pos
-	fromRead bool // From was read-locked (RLock)
-	toRead   bool // To acquisition is an RLock (direct acquisitions only)
+	fromRead bool   // From was read-locked (RLock)
+	toRead   bool   // To acquisition is an RLock (direct acquisitions only)
 	via      string // non-empty: the callee whose summary contributed To
 }
 

@@ -54,5 +54,7 @@ func NewNetwork() *Network { return &Network{} }
 // Deprecated: use NewNetwork.
 func New() *Network { return NewNetwork() }
 
-// RegisterPayload mirrors the real payload registry entry point.
-func RegisterPayload(prototypes ...any) {}
+// RegisterPayload mirrors the real payload registry entry point: one payload
+// type per call, with its codec.
+func RegisterPayload[T any](appendTo func(dst []byte, p T, keys *[]string) []byte, decode func(b []byte) T) {
+}

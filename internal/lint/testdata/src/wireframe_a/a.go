@@ -59,10 +59,18 @@ type Orphan struct{ N int }
 
 type External struct{ N int }
 
+type Explicit struct{ N int }
+
+func put[T any](dst []byte, p T, keys *[]string) []byte { return dst }
+
+func get[T any](b []byte) (p T) { return p }
+
 func init() {
-	transport.RegisterPayload(Handled{}, &Orphan{}) // want "payload Orphan is registered for the wire but has no handler arm"
+	transport.RegisterPayload(put[Handled], get[Handled])
+	transport.RegisterPayload(put[*Orphan], get[*Orphan]) // want "payload Orphan is registered for the wire but has no handler arm"
 	//crew:allow wireframe consumed by the frontend package, not here
-	transport.RegisterPayload(External{})
+	transport.RegisterPayload(put[External], get[External])
+	transport.RegisterPayload[Explicit](put, get) // want "payload Explicit is registered for the wire but has no handler arm"
 }
 
 func handle(p any) int {

@@ -19,11 +19,14 @@ package lint
 //     frame constant or carry a default clause that handles the unknown
 //     frame explicitly.
 //
-//  2. Every type registered with transport.RegisterPayload must have a
-//     handler arm — a type-switch case or type assertion — in the
+//  2. Every type registered with transport.RegisterPayload (the type
+//     argument of the call, inferred from the codec pair it is given) must
+//     have a handler arm — a type-switch case or type assertion — in the
 //     registering package. A payload handled in another package (e.g. a
 //     frontend consuming events it does not itself produce) declares that
-//     with //crew:allow wireframe <reason> on the registration line.
+//     with //crew:allow wireframe <reason> on the registration line. That a
+//     registered type has a codec needs no check: RegisterPayload's
+//     signature takes one, so a type without it does not compile.
 import (
 	"go/ast"
 	"go/constant"
@@ -177,7 +180,7 @@ func checkFrameConsts(pass *analysis.Pass, ins *inspector.Inspector) {
 }
 
 // checkRegisteredPayloads requires a handler arm in the registering package
-// for every transport.RegisterPayload prototype.
+// for the payload type of every transport.RegisterPayload call.
 func checkRegisteredPayloads(pass *analysis.Pass, ins *inspector.Inspector) {
 	// Handler arms: type-switch cases and type assertions, normalized to
 	// the named type (pointers dereferenced).
@@ -194,7 +197,7 @@ func checkRegisteredPayloads(pass *analysis.Pass, ins *inspector.Inspector) {
 			handled[n.Obj()] = true
 		}
 	}
-	ins.Preorder([]ast.Node{(*ast.TypeSwitchStmt)(nil), (*ast.TypeAssertExpr)(nil), (*ast.CallExpr)(nil)}, func(n ast.Node) {
+	ins.Preorder([]ast.Node{(*ast.TypeSwitchStmt)(nil), (*ast.TypeAssertExpr)(nil)}, func(n ast.Node) {
 		switch st := n.(type) {
 		case *ast.TypeSwitchStmt:
 			for _, stmt := range st.Body.List {
@@ -215,23 +218,27 @@ func checkRegisteredPayloads(pass *analysis.Pass, ins *inspector.Inspector) {
 		if !ok || k != (methodKey{pkg: transportPath, name: "RegisterPayload"}) {
 			return
 		}
-		for _, arg := range call.Args {
-			t := pass.TypesInfo.TypeOf(arg)
-			if t == nil {
-				continue
-			}
-			n := namedOrPointerTo(t)
-			if n == nil {
-				continue
-			}
-			tn := n.Obj()
-			if handled[tn] {
-				continue
-			}
-			if exempted(pass, arg.Pos(), "wireframe") || exempted(pass, call.Pos(), "wireframe") {
-				continue
-			}
-			pass.Reportf(arg.Pos(), "payload %s is registered for the wire but has no handler arm (type-switch case or type assertion) in this package — a peer sending it would decode and then be dropped (handle it, or annotate //crew:allow wireframe <reason> naming the package that does)", tn.Name())
+		// The payload type is the call's one type argument, written out or
+		// inferred from the codec functions.
+		fun := ast.Unparen(call.Fun)
+		if ix, ok := fun.(*ast.IndexExpr); ok {
+			fun = ix.X
 		}
+		var id *ast.Ident
+		switch f := fun.(type) {
+		case *ast.Ident:
+			id = f
+		case *ast.SelectorExpr:
+			id = f.Sel
+		}
+		inst, ok := pass.TypesInfo.Instances[id]
+		if !ok || inst.TypeArgs.Len() != 1 {
+			return
+		}
+		named := namedOrPointerTo(inst.TypeArgs.At(0))
+		if named == nil || handled[named.Obj()] || exempted(pass, call.Pos(), "wireframe") {
+			return
+		}
+		pass.Reportf(call.Pos(), "payload %s is registered for the wire but has no handler arm (type-switch case or type assertion) in this package — a peer sending it would decode and then be dropped (handle it, or annotate //crew:allow wireframe <reason> naming the package that does)", named.Obj().Name())
 	})
 }

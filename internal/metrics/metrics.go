@@ -23,6 +23,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"crew/internal/binenc"
 )
 
 // Mechanism classifies load and messages according to the paper's five
@@ -69,6 +71,22 @@ func (m Mechanism) String() string {
 	default:
 		return fmt.Sprintf("Mechanism(%d)", int(m))
 	}
+}
+
+// Append appends the mechanism's one-byte wire form.
+//
+//crew:hotpath
+func (m Mechanism) Append(dst []byte) []byte { return append(dst, byte(m)) }
+
+// DecodeMechanism reads a mechanism written by Append, failing the reader on
+// a value outside the five classes (which would index past the counters).
+func DecodeMechanism(r *binenc.Reader) Mechanism {
+	m := Mechanism(r.Byte())
+	if int(m) >= numMechanisms {
+		r.Fail()
+		return Normal
+	}
+	return m
 }
 
 type nodeCounters struct {

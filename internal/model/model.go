@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"crew/internal/binenc"
 )
 
 // StepID identifies a step within one schema.
@@ -265,6 +267,18 @@ type StepRef struct {
 
 // String renders the reference in WF.Step form.
 func (r StepRef) String() string { return r.Workflow + "." + string(r.Step) }
+
+// Append appends the reference's wire form.
+//
+//crew:hotpath
+func (r StepRef) Append(dst []byte) []byte {
+	return binenc.AppendString(binenc.AppendString(dst, r.Workflow), string(r.Step))
+}
+
+// DecodeStepRef reads a reference written by Append.
+func DecodeStepRef(r *binenc.Reader) StepRef {
+	return StepRef{Workflow: r.Str(), Step: StepID(r.Str())}
+}
 
 // CoordKind classifies coordinated-execution requirements.
 type CoordKind int

@@ -21,12 +21,13 @@ import (
 //
 // Everything the agent emits goes back through the hub: the local Network
 // registers every peer (and the notify node) as a manual-ack forwarding
-// proxy whose consumer writes the message as a MSG frame and only then acks
-// it. That write-before-ack order is the quiescence contract: when the local
-// network reports idle after a delivery, every follow-up frame is already on
-// the connection ahead of the delivery's ACK, so the hub's in-flight
-// accounting never observes a gap. Local message counts are discarded — the
-// hub charges every message once, authoritatively.
+// proxy whose consumer hands the message to the connection as a MSG frame
+// and only then acks it. That write-before-ack order is the quiescence
+// contract: when the local network reports idle after a delivery, every
+// follow-up frame is in the connection's turn buffer ahead of the delivery's
+// ACK, and the buffer leaves in one write, so the hub's in-flight accounting
+// never observes a gap. Local message counts are discarded — the hub charges
+// every message once, authoritatively.
 func RunChild(cfg *ChildConfig, lib *model.Library, programs *model.Registry) error {
 	if cfg == nil {
 		return fmt.Errorf("mproc: RunChild needs a config")
@@ -108,10 +109,10 @@ func RunChild(cfg *ChildConfig, lib *model.Library, programs *model.Registry) er
 
 // forward drains one proxy endpoint onto the hub connection. Envelopes are
 // flattened on the wire (the hub re-counts each logical message) and
-// released here; the ack after the write is what keeps local quiescence
-// aligned with the connection's FIFO. A dead connection still drains and
-// acks — the child is exiting via Serve's error, and a wedged proxy would
-// hang the agent's flush instead.
+// released here; the ack after SendMessage is what keeps local quiescence
+// aligned with the connection's FIFO. SendMessage's error is dropped: a dead
+// connection still drains and acks — the child is exiting via Serve's error,
+// and a wedged proxy would hang the agent's flush instead.
 func forward(conn *transport.ChildConn, ep *transport.Endpoint) {
 	for m := range ep.Inbox() {
 		//crew:nocharge forwards a message the agent already charged; the hub re-counts it
@@ -127,7 +128,9 @@ func forward(conn *transport.ChildConn, ep *transport.Endpoint) {
 // as EXEC frames, feeding the cross-process coordination checker. The frame
 // precedes the program's outcome messages on the same connection, so the
 // hub observes enter/exit in a causally consistent order with the
-// coordination traffic they race against.
+// coordination traffic they race against. Exec's error is not the program's:
+// a failed write has closed the connection and Serve is returning it, while
+// failing the step here would record a logical failure that never happened.
 func reportExec(conn *transport.ChildConn, reg *model.Registry) *model.Registry {
 	out := model.NewRegistry()
 	for _, name := range reg.Names() {
@@ -135,7 +138,7 @@ func reportExec(conn *transport.ChildConn, reg *model.Registry) *model.Registry 
 		out.Register(name, func(ctx *model.ProgramContext) (map[string]expr.Value, error) {
 			executing := ctx.Mode == model.ModeExecute || ctx.Mode == model.ModeIncremental
 			if executing {
-				conn.Exec(transport.ExecEvent{Phase: transport.ExecEnter,
+				_ = conn.Exec(transport.ExecEvent{Phase: transport.ExecEnter,
 					Workflow: ctx.Workflow, Step: string(ctx.Step), Instance: ctx.Instance})
 			}
 			outs, err := inner(ctx)
@@ -144,7 +147,7 @@ func reportExec(conn *transport.ChildConn, reg *model.Registry) *model.Registry 
 				if err != nil {
 					phase = transport.ExecExitFail
 				}
-				conn.Exec(transport.ExecEvent{Phase: phase,
+				_ = conn.Exec(transport.ExecEvent{Phase: phase,
 					Workflow: ctx.Workflow, Step: string(ctx.Step), Instance: ctx.Instance})
 			}
 			return outs, err

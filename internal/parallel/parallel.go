@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 
 	"crew/internal/actor"
+	"crew/internal/binenc"
 	"crew/internal/central"
 	"crew/internal/coord"
 	"crew/internal/expr"
@@ -69,11 +70,84 @@ type coordOrder struct {
 }
 
 func init() {
-	// Register the coordination payloads so wire backends can carry them.
-	transport.RegisterPayload(
-		coordCheck{}, coordResolve{}, coordDone{}, coordFailed{},
-		coordRollback{}, coordForget{}, coordInject{}, coordOrder{},
-	)
+	// Register the coordination payloads with their codecs so wire backends
+	// can carry them.
+	transport.RegisterPayload(appendCoordCheck, decodeCoordCheck)
+	transport.RegisterPayload(appendCoordResolve, decodeCoordResolve)
+	transport.RegisterPayload(appendCoordDone, decodeCoordDone)
+	transport.RegisterPayload(appendCoordFailed, decodeCoordFailed)
+	transport.RegisterPayload(appendCoordRollback, decodeCoordRollback)
+	transport.RegisterPayload(appendCoordForget, decodeCoordForget)
+	transport.RegisterPayload(appendCoordInject, decodeCoordInject)
+	transport.RegisterPayload(appendCoordOrder, decodeCoordOrder)
+}
+
+// Wire codecs: the fields in declaration order on the primitives of package
+// binenc.
+
+func appendCoordCheck(dst []byte, p coordCheck, _ *[]string) []byte {
+	return binenc.AppendString(p.Inst.Append(p.Ref.Append(dst)), p.ReplyEngine)
+}
+
+func decodeCoordCheck(r *binenc.Reader) coordCheck {
+	return coordCheck{Ref: model.DecodeStepRef(r), Inst: coord.DecodeInstanceRef(r), ReplyEngine: r.Str()}
+}
+
+func appendCoordResolve(dst []byte, p coordResolve, _ *[]string) []byte {
+	dst = binenc.AppendString(p.Inst.Append(dst), string(p.Step))
+	return binenc.AppendStrings(dst, p.WaitEvents)
+}
+
+func decodeCoordResolve(r *binenc.Reader) coordResolve {
+	return coordResolve{Inst: coord.DecodeInstanceRef(r), Step: model.StepID(r.Str()), WaitEvents: binenc.Strings[string](r)}
+}
+
+func appendCoordDone(dst []byte, p coordDone, _ *[]string) []byte {
+	return p.Inst.Append(p.Ref.Append(dst))
+}
+
+func decodeCoordDone(r *binenc.Reader) coordDone {
+	return coordDone{Ref: model.DecodeStepRef(r), Inst: coord.DecodeInstanceRef(r)}
+}
+
+func appendCoordFailed(dst []byte, p coordFailed, _ *[]string) []byte {
+	return p.Inst.Append(p.Ref.Append(dst))
+}
+
+func decodeCoordFailed(r *binenc.Reader) coordFailed {
+	return coordFailed{Ref: model.DecodeStepRef(r), Inst: coord.DecodeInstanceRef(r)}
+}
+
+func appendCoordRollback(dst []byte, p coordRollback, _ *[]string) []byte {
+	return binenc.AppendStrings(binenc.AppendString(dst, p.Workflow), p.Invalidated)
+}
+
+func decodeCoordRollback(r *binenc.Reader) coordRollback {
+	return coordRollback{Workflow: r.Str(), Invalidated: binenc.Strings[model.StepID](r)}
+}
+
+func appendCoordForget(dst []byte, p coordForget, _ *[]string) []byte {
+	return p.Inst.Append(dst)
+}
+
+func decodeCoordForget(r *binenc.Reader) coordForget {
+	return coordForget{Inst: coord.DecodeInstanceRef(r)}
+}
+
+func appendCoordInject(dst []byte, p coordInject, _ *[]string) []byte {
+	return binenc.AppendString(p.Target.Append(dst), p.Event)
+}
+
+func decodeCoordInject(r *binenc.Reader) coordInject {
+	return coordInject{Target: coord.DecodeInstanceRef(r), Event: r.Str()}
+}
+
+func appendCoordOrder(dst []byte, p coordOrder, _ *[]string) []byte {
+	return p.Order.Append(dst)
+}
+
+func decodeCoordOrder(r *binenc.Reader) coordOrder {
+	return coordOrder{Order: coord.DecodeRollbackOrder(r)}
 }
 
 // Message kind labels.

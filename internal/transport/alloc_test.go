@@ -3,6 +3,8 @@ package transport
 import (
 	"sync/atomic"
 	"testing"
+
+	"crew/internal/binenc"
 )
 
 // Per-message allocation budgets for the send hot path. The budgets are
@@ -100,15 +102,19 @@ func TestEnvelopeBatchAllocBudget(t *testing.T) {
 }
 
 // TestFrameEncodeAllocBudget guards the frame encoders the hotalloc analyzer
-// gates (//crew:hotpath on appendFrame/appendString): encoding into a warm
-// scratch buffer — the shape every writer uses via scratch[:0] — must not
-// allocate.
+// gates (//crew:hotpath on appendFrame and binenc's appenders): encoding into
+// a warm scratch buffer — the shape every writer uses via scratch[:0] — must
+// not allocate, down to a whole MSG frame with a registered payload.
 func TestFrameEncodeAllocBudget(t *testing.T) {
 	body := []byte("payload-bytes")
-	buf := appendString(appendFrame(nil, frameMsg, body), "node-name") // warm capacity
+	m := Message{From: "agent1", To: "agent2", Kind: "StepExecute", Payload: wirePayload{A: "x", B: 7}}
+	var keys []string
+	buf := binenc.AppendString(appendFrame(nil, frameMsg, body), "node-name") // warm capacity
+	buf, _ = appendMessageFrame(buf, m, &keys)
 	avg := testing.AllocsPerRun(500, func() {
 		buf = appendFrame(buf[:0], frameMsg, body)
-		buf = appendString(buf, "node-name")
+		buf = binenc.AppendString(buf, "node-name")
+		buf, _ = appendMessageFrame(buf, m, &keys)
 	})
 	if avg > 0 {
 		t.Errorf("frame encode allocates %.2f/op into a warm buffer, budget 0", avg)

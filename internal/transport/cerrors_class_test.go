@@ -3,16 +3,18 @@ package transport
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net"
 	"testing"
 	"time"
 
+	"crew/internal/binenc"
 	"crew/internal/cerrors"
 )
 
 // TestWireErrorClassification drives the wire failure modes a multi-process
 // supervisor must tell apart — dial refused, truncated frame, peer killed
-// mid-conversation, protocol desync — and asserts each classifies to its
+// mid-conversation, another build's wire format, protocol desync — and asserts each classifies to its
 // documented cerrors code and phase. The assertions switch on CodeOf the way
 // real callers do: never string matching, never errors.Is on wrapped causes.
 func TestWireErrorClassification(t *testing.T) {
@@ -42,9 +44,9 @@ func TestWireErrorClassification(t *testing.T) {
 	t.Run("frame truncated", func(t *testing.T) {
 		// A header that promises 100 body bytes over a stream holding 3.
 		raw := appendFrame(nil, frameMsg, bytes.Repeat([]byte{7}, 99))
-		_, _, _, err := readFrame(bytes.NewReader(raw[:8]), nil)
+		_, _, err := newFrameReader(bytes.NewReader(raw[:8]), 0).next()
 		if err == nil {
-			t.Fatal("readFrame on a truncated stream succeeded")
+			t.Fatal("a truncated stream yielded a frame")
 		}
 		switch cerrors.CodeOf(err) {
 		case cerrors.CodeFrameTruncated:
@@ -102,6 +104,37 @@ func TestWireErrorClassification(t *testing.T) {
 		}
 	})
 
+	t.Run("wire format", func(t *testing.T) {
+		// A child built with another payload layout claims a node: the hub
+		// answers with its own format byte and refuses the claim, and the
+		// child's Serve names the mismatch instead of misdecoding mid-run.
+		_, hub := newHub(t)
+		if err := hub.RegisterRemote("a"); err != nil {
+			t.Fatal(err)
+		}
+		c, err := net.Dial("unix", hub.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hello := append(binenc.AppendString(nil, "a"), WireFormat+1)
+		if _, err := c.Write(appendFrame(nil, frameHello, hello)); err != nil {
+			t.Fatal(err)
+		}
+		child := &ChildConn{conn: c, name: "a", alive: make(map[string]bool)}
+		err = child.Serve(func(Message) error { return nil }, nil)
+		switch cerrors.CodeOf(err) {
+		case cerrors.CodeWireFormat:
+		default:
+			t.Fatalf("CodeOf = %q, want CodeWireFormat (err=%v)", cerrors.CodeOf(err), err)
+		}
+		if cerrors.PhaseOf(err) != cerrors.PhaseDial || !errors.Is(err, cerrors.ErrWire) {
+			t.Fatalf("err = %v, want phase dial under ErrWire", err)
+		}
+		if hub.Connected("a") {
+			t.Fatal("the hub attached a child with another wire format")
+		}
+	})
+
 	t.Run("protocol desync", func(t *testing.T) {
 		// The hub never sends HELLO downstream; a child receiving one has
 		// lost framing and must reject the stream as malformed instead of
@@ -114,7 +147,7 @@ func TestWireErrorClassification(t *testing.T) {
 		go func() {
 			done <- c.Serve(func(Message) error { return nil }, nil)
 		}()
-		if _, err := server.Write(appendFrame(nil, frameHello, appendString(nil, "x"))); err != nil {
+		if _, err := server.Write(appendFrame(nil, frameHello, binenc.AppendString(nil, "x"))); err != nil {
 			t.Fatal(err)
 		}
 		select {

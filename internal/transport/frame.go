@@ -2,48 +2,65 @@ package transport
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"io"
 	"reflect"
-	"sync"
 
+	"crew/internal/binenc"
 	"crew/internal/cerrors"
 	"crew/internal/metrics"
 )
 
-// The wire frame format shared by every socket backend and the multi-process
-// hub protocol. A frame is:
+// The wire format shared by every socket backend and the multi-process hub
+// protocol: binary end to end, built from the primitives of internal/binenc
+// (varint integers, length-prefixed strings, counted sequences). A frame is:
 //
 //	[4-byte big-endian length n][1-byte type][n-1 body bytes]
 //
 // The length covers the type byte and body. Frames above MaxFrame are
 // rejected before any allocation, protecting receivers from corrupt or
-// hostile length prefixes. All failures are classified through
-// cerrors (CodeFrameTruncated / CodeFrameMalformed / CodeFrameOversized), so
-// callers switch on cerrors.CodeOf and never string-match.
+// hostile length prefixes. All failures are classified through cerrors, so
+// callers switch on cerrors.CodeOf and never string-match: a stream that ends
+// inside a frame is CodeFrameTruncated, a length above the limit
+// CodeFrameOversized, and a complete frame whose body does not parse
+// CodeFrameMalformed.
 //
 // A message frame body is:
 //
-//	[1-byte envelope flag][count uvarint, envelopes only][message...]
+//	[1-byte envelope flag][count, envelopes only][message...]
 //
 // and each message is:
 //
-//	[from][to][kind]            uvarint-length-prefixed strings
-//	[mechanism uvarint]
-//	[payload type name string]  "" for a nil payload
-//	[payload length uvarint][payload JSON bytes]
+//	[from][to][kind]     strings
+//	[mechanism]          one byte, one of the five classes
+//	[payload type name]  string, "" for a nil payload
+//	[payload]            the fields of the type in declaration order, written
+//	                     and read by the codec registered with the type
 //
-// Payload types must be pre-registered with RegisterPayload: the type name
-// is the wire tag, and decoding produces the same concrete type the sender
-// passed, so receiver type-switches work unchanged across a socket.
+// A payload carries no length of its own: its decoder consumes exactly what
+// its encoder wrote, and the body must end where the last message does. Maps
+// are written in sorted key order (data items as expr.Value.Append, the
+// encoding WFDB rows use), so equal messages encode to equal bytes; a nil and
+// an empty map or slice are one value on the wire and decode as nil.
+//
+// Payload types are registered with RegisterPayload together with their
+// codec: the type name is the wire tag, and decoding produces the same
+// concrete type the sender passed, so receiver type-switches work unchanged
+// across a socket. WireFormat numbers this layout; the hub protocol exchanges
+// it at connection time (HELLO, WELCOME) so two builds that disagree fail the
+// dial instead of misreading each other's payloads.
 
 // MaxFrame is the hard ceiling on one frame's length (type byte + body).
 const MaxFrame = 8 << 20
 
+// WireFormat is the version of the message and payload layout above. Format 1
+// (not numbered on the wire at the time) carried JSON payloads.
+const WireFormat byte = 2
+
 // Frame types. The loopback socket backend uses Msg/Hello/Ack; the
-// multi-process hub protocol additionally uses Welcome (peer roster),
-// Crash/Recover (liveness announcements) and Exec (program-execution events
-// feeding the cross-process coordination-invariant checker).
+// multi-process hub protocol additionally uses Welcome (format byte and peer
+// roster), Crash/Recover (liveness announcements) and Exec
+// (program-execution events feeding the cross-process coordination-invariant
+// checker).
 const (
 	frameMsg byte = iota + 1
 	frameHello
@@ -54,257 +71,248 @@ const (
 	frameExec
 )
 
+// beginFrame reserves a frame header of the given type at the end of dst;
+// endFrame(dst, start) fills in the length once the body has been appended
+// behind it, where start is len(dst) before beginFrame.
+//
+//crew:hotpath
+func beginFrame(dst []byte, typ byte) []byte {
+	return append(dst, 0, 0, 0, 0, typ)
+}
+
+//crew:hotpath
+func endFrame(dst []byte, start int) []byte {
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst
+}
+
 // appendFrame appends one complete frame to dst.
 //
 //crew:hotpath
 func appendFrame(dst []byte, typ byte, body []byte) []byte {
-	n := len(body) + 1
-	dst = append(dst, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-	dst = append(dst, typ)
-	return append(dst, body...)
+	return endFrame(append(beginFrame(dst, typ), body...), len(dst))
 }
 
-// readFrame reads one frame, reusing buf when it is large enough. io.EOF is
-// returned bare for a clean close at a frame boundary; every other failure is
-// a classified wire error.
-func readFrame(r io.Reader, buf []byte) (typ byte, body, nextBuf []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameReader reads frames off a connection through one buffer. A read takes
+// whatever the connection has, so a burst of frames costs one read, and a
+// frame is parsed where it landed. The buffer grows to the largest frame seen
+// and is all the reader holds.
+type frameReader struct {
+	r        io.Reader
+	buf      []byte
+	pos, end int // buf[pos:end] is read and not yet returned
+}
+
+func newFrameReader(r io.Reader, size int) *frameReader {
+	return &frameReader{r: r, buf: make([]byte, size)}
+}
+
+// next returns the next frame; body aliases the buffer until the following
+// call. io.EOF is returned bare for a clean close at a frame boundary; every
+// other failure is a classified wire error.
+func (fr *frameReader) next() (typ byte, body []byte, err error) {
+	hdr, err := fr.peek(4)
+	if err != nil {
 		if err == io.EOF {
-			return 0, nil, buf, io.EOF
+			return 0, nil, io.EOF
 		}
-		return 0, nil, buf, cerrors.E(cerrors.CodeFrameTruncated, cerrors.PhaseDecode, cerrors.ErrWire, err, "frame header")
+		return 0, nil, cerrors.E(cerrors.CodeFrameTruncated, cerrors.PhaseDecode, cerrors.ErrWire, err, "frame header")
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > MaxFrame {
-		return 0, nil, buf, cerrors.E(cerrors.CodeFrameOversized, cerrors.PhaseDecode, cerrors.ErrWire, nil, "frame length %d exceeds limit %d", n, MaxFrame)
+		return 0, nil, cerrors.E(cerrors.CodeFrameOversized, cerrors.PhaseDecode, cerrors.ErrWire, nil, "frame length %d exceeds limit %d", n, MaxFrame)
 	}
 	if n < 1 {
-		return 0, nil, buf, cerrors.E(cerrors.CodeFrameMalformed, cerrors.PhaseDecode, cerrors.ErrWire, nil, "frame length %d", n)
+		return 0, nil, malformed(nil, "frame length %d", n)
 	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
+	frame, err := fr.peek(4 + n)
+	if err != nil {
+		return 0, nil, cerrors.E(cerrors.CodeFrameTruncated, cerrors.PhaseDecode, cerrors.ErrWire, err, "frame body (%d bytes)", n)
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, buf, cerrors.E(cerrors.CodeFrameTruncated, cerrors.PhaseDecode, cerrors.ErrWire, err, "frame body (%d bytes)", n)
-	}
-	return buf[0], buf[1:], buf, nil
+	fr.pos += 4 + n
+	return frame[4], frame[5:], nil
 }
 
-//crew:hotpath
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
+// peek returns the next n unread bytes without consuming them, reading until
+// the buffer holds that many. The error is io.EOF when the stream ended with
+// nothing unread, io.ErrUnexpectedEOF when it ended part way.
+func (fr *frameReader) peek(n int) ([]byte, error) {
+	if fr.end-fr.pos < n {
+		// Slide what the last read left over to the front and make room.
+		fr.end = copy(fr.buf, fr.buf[fr.pos:fr.end])
+		fr.pos = 0
+		if n > len(fr.buf) {
+			fr.buf = append(fr.buf[:fr.end], make([]byte, n-fr.end)...)
+			fr.buf = fr.buf[:cap(fr.buf)]
+		}
+		for fr.end < n {
+			m, err := fr.r.Read(fr.buf[fr.end:])
+			fr.end += m
+			if err != nil && fr.end < n {
+				if err == io.EOF && fr.end > 0 {
+					err = io.ErrUnexpectedEOF
+				}
+				return nil, err
+			}
+		}
+	}
+	return fr.buf[fr.pos : fr.pos+n], nil
 }
 
-func readString(b []byte) (string, []byte, error) {
-	n, w := binary.Uvarint(b)
-	if w <= 0 || n > uint64(len(b)-w) {
-		return "", nil, cerrors.E(cerrors.CodeFrameTruncated, cerrors.PhaseDecode, cerrors.ErrWire, nil, "string header")
-	}
-	return string(b[w : w+int(n)]), b[w+int(n):], nil
+// malformed classifies a complete frame whose body does not parse.
+func malformed(err error, format string, args ...any) error {
+	return cerrors.E(cerrors.CodeFrameMalformed, cerrors.PhaseDecode, cerrors.ErrWire, err, format, args...)
 }
 
-func readUvarint(b []byte) (uint64, []byte, error) {
-	n, w := binary.Uvarint(b)
-	if w <= 0 {
-		return 0, nil, cerrors.E(cerrors.CodeFrameTruncated, cerrors.PhaseDecode, cerrors.ErrWire, nil, "uvarint")
-	}
-	return n, b[w:], nil
-}
+// minMessage is the least a message occupies: three empty strings, the
+// mechanism byte and an empty payload name.
+const minMessage = 5
 
 // appendMessage appends a message-frame body (no frame header) to dst. A
 // batched envelope is flattened into its logical messages behind the
 // envelope flag; the receive side rebuilds a pooled *Envelope, so park/replay
-// and per-logical-message counting behave identically across the wire.
-func appendMessage(dst []byte, m Message) ([]byte, error) {
-	if env, ok := m.Payload.(*Envelope); ok && m.Kind == KindEnvelope {
-		dst = append(dst, 1)
-		dst = binary.AppendUvarint(dst, uint64(len(env.Msgs)))
+// and per-logical-message counting behave identically across the wire. keys
+// is the caller's scratch for sorting map keys.
+func appendMessage(dst []byte, m Message, keys *[]string) ([]byte, error) {
+	env, ok := m.Payload.(*Envelope)
+	if !ok || m.Kind != KindEnvelope {
+		return appendOne(append(dst, 0), m, keys)
+	}
+	dst = append(dst, 1)
+	dst = binary.AppendUvarint(dst, uint64(len(env.Msgs)))
+	for i := range env.Msgs {
 		var err error
-		for i := range env.Msgs {
-			if dst, err = appendOne(dst, env.Msgs[i]); err != nil {
-				return nil, err
-			}
+		if dst, err = appendOne(dst, env.Msgs[i], keys); err != nil {
+			return dst, err
 		}
-		return dst, nil
 	}
-	dst = append(dst, 0)
-	return appendOne(dst, m)
+	return dst, nil
 }
 
-func appendOne(dst []byte, m Message) ([]byte, error) {
-	dst = appendString(dst, m.From)
-	dst = appendString(dst, m.To)
-	dst = appendString(dst, m.Kind)
-	dst = binary.AppendUvarint(dst, uint64(m.Mechanism))
+func appendOne(dst []byte, m Message, keys *[]string) ([]byte, error) {
+	dst = binenc.AppendString(dst, m.From)
+	dst = binenc.AppendString(dst, m.To)
+	dst = binenc.AppendString(dst, m.Kind)
+	dst = m.Mechanism.Append(dst)
 	if m.Payload == nil {
-		return appendString(dst, ""), nil
+		return binenc.AppendString(dst, ""), nil
 	}
-	name, ok := payloadNameOf(m.Payload)
-	if !ok {
-		return nil, cerrors.E(cerrors.CodeFrameMalformed, cerrors.PhaseEncode, cerrors.ErrWire, nil, "unregistered payload type %T (missing transport.RegisterPayload)", m.Payload)
+	c := payloadByType[reflect.TypeOf(m.Payload)]
+	if c == nil {
+		return dst, cerrors.E(cerrors.CodeFrameMalformed, cerrors.PhaseEncode, cerrors.ErrWire, nil, "unregistered payload type %T (missing transport.RegisterPayload)", m.Payload)
 	}
-	dst = appendString(dst, name)
-	b, err := json.Marshal(m.Payload)
-	if err != nil {
-		return nil, cerrors.E(cerrors.CodeFrameMalformed, cerrors.PhaseEncode, cerrors.ErrWire, err, "payload %s", name)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...), nil
+	dst = binenc.AppendString(dst, c.name)
+	return c.append(dst, m.Payload, keys), nil
 }
 
-// decodeMessage parses a message-frame body. An envelope body yields a
-// wrapper message carrying a fresh pooled *Envelope (the consumer releases
-// it, exactly as on the in-process path).
-func decodeMessage(body []byte) (Message, error) {
-	if len(body) < 1 {
-		return Message{}, cerrors.E(cerrors.CodeFrameTruncated, cerrors.PhaseDecode, cerrors.ErrWire, nil, "empty message body")
+// appendMessageFrame appends a complete MSG frame (header + body) to dst; on
+// error dst comes back at its original length.
+func appendMessageFrame(dst []byte, m Message, keys *[]string) ([]byte, error) {
+	start := len(dst)
+	dst, err := appendMessage(beginFrame(dst, frameMsg), m, keys)
+	if err != nil {
+		return dst[:start], err
 	}
-	flag, rest := body[0], body[1:]
-	switch flag {
+	return endFrame(dst, start), nil
+}
+
+// decodeMessage parses a message-frame body through r (a receive loop owns
+// one Reader and decodes every frame through it). An envelope body yields a
+// wrapper message carrying a fresh pooled *Envelope (the consumer releases
+// it, exactly as on the in-process path). Strings are copied out of body;
+// nothing returned aliases it.
+func decodeMessage(r *binenc.Reader, body []byte) (Message, error) {
+	r.Reset(body)
+	switch flag := r.Byte(); flag {
 	case 0:
-		m, rest, err := decodeOne(rest)
+		m, err := decodeOne(r)
 		if err != nil {
 			return Message{}, err
 		}
-		if len(rest) != 0 {
-			return Message{}, cerrors.E(cerrors.CodeFrameMalformed, cerrors.PhaseDecode, cerrors.ErrWire, nil, "%d trailing bytes", len(rest))
+		if err := r.Done(); err != nil {
+			return Message{}, malformed(err, "message body")
 		}
 		return m, nil
 	case 1:
-		count, rest, err := readUvarint(rest)
-		if err != nil {
-			return Message{}, err
-		}
-		if count == 0 {
-			return Message{}, cerrors.E(cerrors.CodeFrameMalformed, cerrors.PhaseDecode, cerrors.ErrWire, nil, "empty envelope")
+		n := r.Count(minMessage)
+		if n == 0 {
+			return Message{}, malformed(nil, "empty envelope")
 		}
 		env := NewEnvelope()
-		for i := uint64(0); i < count; i++ {
-			var m Message
-			if m, rest, err = decodeOne(rest); err != nil {
+		for ; n > 0; n-- {
+			m, err := decodeOne(r)
+			if err != nil {
 				env.Release()
 				return Message{}, err
 			}
 			env.Msgs = append(env.Msgs, m)
 		}
-		if len(rest) != 0 {
+		if err := r.Done(); err != nil {
 			env.Release()
-			return Message{}, cerrors.E(cerrors.CodeFrameMalformed, cerrors.PhaseDecode, cerrors.ErrWire, nil, "%d trailing bytes", len(rest))
+			return Message{}, malformed(err, "envelope body")
 		}
 		first := env.Msgs[0]
 		return Message{From: first.From, To: first.To, Mechanism: first.Mechanism, Kind: KindEnvelope, Payload: env}, nil
 	default:
-		return Message{}, cerrors.E(cerrors.CodeFrameMalformed, cerrors.PhaseDecode, cerrors.ErrWire, nil, "envelope flag %d", flag)
+		return Message{}, malformed(nil, "envelope flag %d", flag)
 	}
 }
 
-func decodeOne(b []byte) (Message, []byte, error) {
-	var m Message
-	var err error
-	if m.From, b, err = readString(b); err != nil {
-		return m, nil, err
+// decodeOne reads one message. Input that is cut short or out of range fails
+// the reader (the caller checks Done); the error is for a well-formed message
+// naming a payload type this build has not registered.
+func decodeOne(r *binenc.Reader) (Message, error) {
+	m := Message{From: r.Str(), To: r.Str(), Kind: r.Str(), Mechanism: metrics.DecodeMechanism(r)}
+	name := r.Bytes()
+	if len(name) == 0 {
+		return m, nil
 	}
-	if m.To, b, err = readString(b); err != nil {
-		return m, nil, err
+	c := payloadByName[string(name)]
+	if c == nil {
+		return m, malformed(nil, "unknown payload type %q", name)
 	}
-	if m.Kind, b, err = readString(b); err != nil {
-		return m, nil, err
-	}
-	mech, b, err := readUvarint(b)
-	if err != nil {
-		return m, nil, err
-	}
-	if mech >= uint64(len(metrics.Mechanisms)) {
-		return m, nil, cerrors.E(cerrors.CodeFrameMalformed, cerrors.PhaseDecode, cerrors.ErrWire, nil, "mechanism %d", mech)
-	}
-	m.Mechanism = metrics.Mechanism(mech)
-	name, b, err := readString(b)
-	if err != nil {
-		return m, nil, err
-	}
-	if name == "" {
-		return m, b, nil
-	}
-	plen, b, err := readUvarint(b)
-	if err != nil {
-		return m, nil, err
-	}
-	if plen > uint64(len(b)) {
-		return m, nil, cerrors.E(cerrors.CodeFrameTruncated, cerrors.PhaseDecode, cerrors.ErrWire, nil, "payload %s: %d bytes declared, %d available", name, plen, len(b))
-	}
-	if m.Payload, err = decodePayload(name, b[:plen]); err != nil {
-		return m, nil, err
-	}
-	return m, b[plen:], nil
+	m.Payload = c.decode(r)
+	return m, nil
 }
 
 // ---------------------------------------------------------------------------
 // Payload registry
 
-var payloadReg = struct {
-	mu     sync.RWMutex
-	byName map[string]reflect.Type
-	byType map[reflect.Type]string
-}{
-	byName: make(map[string]reflect.Type),
-	byType: make(map[reflect.Type]string),
+// payloadCodec is one registered payload type: its wire tag and its codec
+// behind type-erased wrappers.
+type payloadCodec struct {
+	name   string
+	append func(dst []byte, p any, keys *[]string) []byte
+	decode func(r *binenc.Reader) any
 }
 
-// RegisterPayload registers prototype payload values so wire backends can
-// carry Message.Payload across a socket. The wire tag is the reflect type
-// string (e.g. "distributed.workflowStart"); decoding yields the same
-// concrete type the sender passed (a value for a value prototype, a pointer
-// for a pointer prototype), so receiver type-switches work unchanged.
-// Registration is idempotent; registering two different types under one name
-// panics (an init-time bug, never a runtime condition). Packages that send
-// through the transport register their payload types in an init function.
-func RegisterPayload(prototypes ...any) {
-	payloadReg.mu.Lock()
-	defer payloadReg.mu.Unlock()
-	for _, p := range prototypes {
-		t := reflect.TypeOf(p)
-		if t == nil {
-			panic("transport: RegisterPayload(nil)")
-		}
-		name := t.String()
-		if prev, ok := payloadReg.byName[name]; ok {
-			if prev != t {
-				panic("transport: payload name collision: " + name)
-			}
-			continue
-		}
-		payloadReg.byName[name] = t
-		payloadReg.byType[t] = name
-	}
-}
+// The registry is filled by RegisterPayload from init functions and only read
+// afterwards, so the per-message lookups take no lock.
+var (
+	payloadByName = make(map[string]*payloadCodec)
+	payloadByType = make(map[reflect.Type]*payloadCodec)
+)
 
-func payloadNameOf(p any) (string, bool) {
-	payloadReg.mu.RLock()
-	name, ok := payloadReg.byType[reflect.TypeOf(p)]
-	payloadReg.mu.RUnlock()
-	return name, ok
-}
-
-func decodePayload(name string, data []byte) (any, error) {
-	payloadReg.mu.RLock()
-	t, ok := payloadReg.byName[name]
-	payloadReg.mu.RUnlock()
-	if !ok {
-		return nil, cerrors.E(cerrors.CodeFrameMalformed, cerrors.PhaseDecode, cerrors.ErrWire, nil, "unknown payload type %q", name)
+// RegisterPayload registers payload type T with its codec so wire backends
+// can carry Message.Payload across a socket; a type cannot be registered
+// without one. appendTo appends p's fields to dst (keys is scratch for
+// expr.AppendValues and the like) and decode reads them back in the same
+// order, failing r on anything out of range; neither sees the type tag, which
+// is T's reflect type string (e.g. "distributed.workflowStart"). Decoding
+// yields the concrete type the sender passed (a pointer for a pointer T), so
+// receiver type-switches work unchanged. It must be called from an init
+// function, never once messages flow; registering one name twice panics (an
+// init-time bug, never a runtime condition).
+func RegisterPayload[T any](appendTo func(dst []byte, p T, keys *[]string) []byte, decode func(r *binenc.Reader) T) {
+	t := reflect.TypeOf((*T)(nil)).Elem()
+	c := &payloadCodec{
+		name:   t.String(),
+		append: func(dst []byte, p any, keys *[]string) []byte { return appendTo(dst, p.(T), keys) },
+		decode: func(r *binenc.Reader) any { return decode(r) },
 	}
-	if t.Kind() == reflect.Pointer {
-		pv := reflect.New(t.Elem())
-		if err := json.Unmarshal(data, pv.Interface()); err != nil {
-			return nil, cerrors.E(cerrors.CodeFrameMalformed, cerrors.PhaseDecode, cerrors.ErrWire, err, "payload %s", name)
-		}
-		return pv.Interface(), nil
+	if _, dup := payloadByName[c.name]; dup {
+		panic("transport: payload registered twice: " + c.name)
 	}
-	pv := reflect.New(t)
-	if err := json.Unmarshal(data, pv.Interface()); err != nil {
-		return nil, cerrors.E(cerrors.CodeFrameMalformed, cerrors.PhaseDecode, cerrors.ErrWire, err, "payload %s", name)
-	}
-	return pv.Elem().Interface(), nil
+	payloadByName[c.name] = c
+	payloadByType[t] = c
 }

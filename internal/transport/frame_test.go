@@ -5,7 +5,9 @@ import (
 	"errors"
 	"io"
 	"testing"
+	"testing/iotest"
 
+	"crew/internal/binenc"
 	"crew/internal/cerrors"
 	"crew/internal/metrics"
 )
@@ -22,12 +24,27 @@ type wirePtrPayload struct {
 }
 
 func init() {
-	RegisterPayload(wirePayload{}, &wirePtrPayload{}, 0)
+	RegisterPayload(
+		func(dst []byte, p wirePayload, _ *[]string) []byte {
+			return binenc.AppendInt(binenc.AppendString(dst, p.A), p.B)
+		},
+		func(r *binenc.Reader) wirePayload { return wirePayload{A: r.Str(), B: r.Int()} })
+	RegisterPayload(
+		func(dst []byte, p *wirePtrPayload, _ *[]string) []byte { return binenc.AppendInt(dst, p.N) },
+		func(r *binenc.Reader) *wirePtrPayload { return &wirePtrPayload{N: r.Int()} })
+	RegisterPayload(
+		func(dst []byte, p int, _ *[]string) []byte { return binenc.AppendInt(dst, p) },
+		func(r *binenc.Reader) int { return r.Int() })
 }
+
+// encodeBody and decodeBody run the message codec with throwaway scratch.
+func encodeBody(m Message) ([]byte, error) { return appendMessage(nil, m, new([]string)) }
+
+func decodeBody(body []byte) (Message, error) { return decodeMessage(new(binenc.Reader), body) }
 
 func mustEncode(t *testing.T, m Message) []byte {
 	t.Helper()
-	body, err := appendMessage(nil, m)
+	body, err := encodeBody(m)
 	if err != nil {
 		t.Fatalf("appendMessage: %v", err)
 	}
@@ -42,7 +59,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		{From: "a", To: "b", Kind: "Int", Mechanism: metrics.Normal, Payload: 42},
 	}
 	for _, want := range cases {
-		got, err := decodeMessage(mustEncode(t, want))
+		got, err := decodeBody(mustEncode(t, want))
 		if err != nil {
 			t.Fatalf("decode %+v: %v", want, err)
 		}
@@ -73,7 +90,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		env.Msgs = append(env.Msgs, Message{From: "a", To: "b", Kind: "K", Payload: wirePayload{B: i}})
 	}
 	wrapper := Message{From: "a", To: "b", Kind: KindEnvelope, Payload: env}
-	got, err := decodeMessage(mustEncode(t, wrapper))
+	got, err := decodeBody(mustEncode(t, wrapper))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +112,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 
 func TestEncodeRejectsUnregisteredPayload(t *testing.T) {
 	type secret struct{ X int }
-	_, err := appendMessage(nil, Message{Payload: secret{}})
+	_, err := encodeBody(Message{Payload: secret{}})
 	if cerrors.CodeOf(err) != cerrors.CodeFrameMalformed {
 		t.Fatalf("CodeOf = %q, want CodeFrameMalformed (err=%v)", cerrors.CodeOf(err), err)
 	}
@@ -109,47 +126,48 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	cases := []struct {
 		name string
 		body []byte
-		want cerrors.Code
 	}{
-		{"empty body", nil, cerrors.CodeFrameTruncated},
-		{"bad flag", []byte{9}, cerrors.CodeFrameMalformed},
-		{"truncated string", []byte{0, 200}, cerrors.CodeFrameTruncated},
-		{"trailing bytes", append(append([]byte{}, valid...), 0xFF), cerrors.CodeFrameMalformed},
-		{"empty envelope", []byte{1, 0}, cerrors.CodeFrameMalformed},
+		{"empty body", nil},
+		{"bad flag", []byte{9}},
+		{"truncated string", []byte{0, 200}},
+		{"trailing bytes", append(append([]byte{}, valid...), 0xFF)},
+		{"empty envelope", []byte{1, 0}},
 		{"bad mechanism", func() []byte {
 			b := []byte{0}
-			b = appendString(b, "a")
-			b = appendString(b, "b")
-			b = appendString(b, "K")
+			b = binenc.AppendString(b, "a")
+			b = binenc.AppendString(b, "b")
+			b = binenc.AppendString(b, "K")
 			return append(b, 100) // mechanism 100 >= len(metrics.Mechanisms)
-		}(), cerrors.CodeFrameMalformed},
+		}()},
 		{"unknown payload type", func() []byte {
 			b := []byte{0}
-			b = appendString(b, "a")
-			b = appendString(b, "b")
-			b = appendString(b, "K")
+			b = binenc.AppendString(b, "a")
+			b = binenc.AppendString(b, "b")
+			b = binenc.AppendString(b, "K")
 			b = append(b, 0) // mechanism
-			b = appendString(b, "nosuch.Type")
+			b = binenc.AppendString(b, "nosuch.Type")
 			return append(b, 0)
-		}(), cerrors.CodeFrameMalformed},
+		}()},
 		{"payload longer than body", func() []byte {
 			b := []byte{0}
-			b = appendString(b, "a")
-			b = appendString(b, "b")
-			b = appendString(b, "K")
+			b = binenc.AppendString(b, "a")
+			b = binenc.AppendString(b, "b")
+			b = binenc.AppendString(b, "K")
 			b = append(b, 0)
-			b = appendString(b, "transport.wirePayload")
-			return append(b, 200) // declares 200 payload bytes, none follow
-		}(), cerrors.CodeFrameTruncated},
+			b = binenc.AppendString(b, "transport.wirePayload")
+			return append(b, 200) // the payload's string declares 200 bytes, none follow
+		}()},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := decodeMessage(c.body)
+			_, err := decodeBody(c.body)
 			if err == nil {
 				t.Fatal("decode accepted malformed body")
 			}
-			if got := cerrors.CodeOf(err); got != c.want {
-				t.Errorf("CodeOf = %q, want %q (err=%v)", got, c.want, err)
+			// A complete frame whose body does not parse is malformed,
+			// whether it ends early or runs long.
+			if got := cerrors.CodeOf(err); got != cerrors.CodeFrameMalformed {
+				t.Errorf("CodeOf = %q, want %q (err=%v)", got, cerrors.CodeFrameMalformed, err)
 			}
 			if !errors.Is(err, cerrors.ErrWire) {
 				t.Errorf("error not classified under ErrWire: %v", err)
@@ -161,33 +179,84 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 func TestReadFrameLimits(t *testing.T) {
 	// Oversized length prefix is rejected before any allocation.
 	over := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	_, _, _, err := readFrame(bytes.NewReader(over), nil)
+	_, _, err := newFrameReader(bytes.NewReader(over), 0).next()
 	if cerrors.CodeOf(err) != cerrors.CodeFrameOversized {
 		t.Errorf("oversized: CodeOf = %q (err=%v)", cerrors.CodeOf(err), err)
 	}
 	// Zero-length frame (no type byte) is malformed.
 	zero := []byte{0, 0, 0, 0}
-	_, _, _, err = readFrame(bytes.NewReader(zero), nil)
+	_, _, err = newFrameReader(bytes.NewReader(zero), 0).next()
 	if cerrors.CodeOf(err) != cerrors.CodeFrameMalformed {
 		t.Errorf("zero length: CodeOf = %q (err=%v)", cerrors.CodeOf(err), err)
 	}
 	// A body shorter than declared is truncated.
 	trunc := appendFrame(nil, frameMsg, []byte("abc"))[:6]
-	_, _, _, err = readFrame(bytes.NewReader(trunc), nil)
+	_, _, err = newFrameReader(bytes.NewReader(trunc), 0).next()
 	if cerrors.CodeOf(err) != cerrors.CodeFrameTruncated {
 		t.Errorf("truncated: CodeOf = %q (err=%v)", cerrors.CodeOf(err), err)
 	}
 	// Clean close at a frame boundary is bare io.EOF, not a wire error.
-	_, _, _, err = readFrame(bytes.NewReader(nil), nil)
+	_, _, err = newFrameReader(bytes.NewReader(nil), 0).next()
 	if err != io.EOF {
 		t.Errorf("clean EOF: err = %v, want io.EOF", err)
 	}
-	// And a valid frame round-trips through appendFrame/readFrame.
+	// And a valid frame round-trips through appendFrame and a frameReader.
 	framed := appendFrame(nil, frameHello, []byte("node-1"))
-	typ, body, _, err := readFrame(bytes.NewReader(framed), nil)
+	typ, body, err := newFrameReader(bytes.NewReader(framed), 0).next()
 	if err != nil || typ != frameHello || string(body) != "node-1" {
 		t.Errorf("round trip: typ=%d body=%q err=%v", typ, body, err)
 	}
+}
+
+// TestFrameReaderBursts feeds a run of frames of mixed sizes, one of them
+// larger than the reader's buffer, through readers that return the stream in
+// one piece, byte by byte and in odd chunks: the same frames come out whatever
+// the read boundaries, and a read that holds several frames is not repeated.
+func TestFrameReaderBursts(t *testing.T) {
+	bodies := [][]byte{nil, []byte("a"), bytes.Repeat([]byte{7}, 300), []byte("tail"), bytes.Repeat([]byte{9}, 40)}
+	var stream []byte
+	for i, b := range bodies {
+		stream = appendFrame(stream, byte(i+1), b)
+	}
+	readers := map[string]func() io.Reader{
+		"whole":       func() io.Reader { return bytes.NewReader(stream) },
+		"byte a time": func() io.Reader { return iotest.OneByteReader(bytes.NewReader(stream)) },
+		"chunks of 7": func() io.Reader { return &chunkReader{r: bytes.NewReader(stream), n: 7} },
+	}
+	for name, mk := range readers {
+		counted := &chunkReader{r: mk(), n: len(stream)}
+		fr := newFrameReader(counted, 64)
+		for i, want := range bodies {
+			typ, body, err := fr.next()
+			if err != nil || typ != byte(i+1) || !bytes.Equal(body, want) {
+				t.Fatalf("%s: frame %d = type %d, %d bytes, %v; want type %d, %d bytes", name, i, typ, len(body), err, i+1, len(want))
+			}
+		}
+		if _, _, err := fr.next(); err != io.EOF {
+			t.Fatalf("%s: after the last frame: %v, want io.EOF", name, err)
+		}
+		// 64 bytes hold the first two frames and the third's header; the
+		// third frame needs a second read, the rest and the EOF a third and
+		// fourth.
+		if name == "whole" && counted.reads > 4 {
+			t.Errorf("%s: %d reads for %d frames", name, counted.reads, len(bodies))
+		}
+	}
+}
+
+// chunkReader returns at most n bytes per Read and counts the calls.
+type chunkReader struct {
+	r     io.Reader
+	n     int
+	reads int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	c.reads++
+	if len(p) > c.n {
+		p = p[:c.n]
+	}
+	return c.r.Read(p)
 }
 
 func FuzzFrameRoundTrip(f *testing.F) {
@@ -199,8 +268,12 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	env.Release()
 	f.Add([]byte{})
 	f.Add([]byte{1, 0xFF})
+	// Binary payloads at the edges of their primitives: a negative and a
+	// multi-byte varint, a multi-byte string, a bare integer payload.
+	f.Add(mustEncodeFuzz(Message{From: "agent01", To: "agent02", Kind: "K", Mechanism: metrics.Coordination, Payload: wirePayload{A: "naïve ✓", B: -1 << 40}}))
+	f.Add(mustEncodeFuzz(Message{From: "a", To: "b", Kind: "Int", Payload: 1 << 62}))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		m, err := decodeMessage(body)
+		m, err := decodeBody(body)
 		if err != nil {
 			// Every rejection must be a classified wire error.
 			if !errors.Is(err, cerrors.ErrWire) {
@@ -210,15 +283,15 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 		// Whatever decodes must re-encode and decode to the same bytes-level
 		// message (encode is canonical, so enc(dec(b)) is a fixed point).
-		re, err := appendMessage(nil, m)
+		re, err := encodeBody(m)
 		if err != nil {
 			t.Fatalf("re-encode of decoded message failed: %v", err)
 		}
-		m2, err := decodeMessage(re)
+		m2, err := decodeBody(re)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		re2, err := appendMessage(nil, m2)
+		re2, err := encodeBody(m2)
 		if err != nil {
 			t.Fatalf("second re-encode failed: %v", err)
 		}
@@ -235,7 +308,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 }
 
 func mustEncodeFuzz(m Message) []byte {
-	body, err := appendMessage(nil, m)
+	body, err := encodeBody(m)
 	if err != nil {
 		panic(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"crew/internal/binenc"
 	"crew/internal/cerrors"
 )
 
@@ -33,14 +34,24 @@ import (
 // Delivery to a child is write-and-track rather than write-and-wait: Deliver
 // appends the message to the node's unacked tail, writes the frame and
 // returns, and the child's ACK — sent only after the child has fully
-// processed the delivery, including flushing its own follow-up sends on the
-// same connection — retires it from the in-flight count. Because the ACK
-// trails the follow-up sends in the connection's FIFO, the hub never observes
-// a processed-but-unsent gap: Quiesce stays exact across process boundaries.
-// A child killed mid-delivery leaves the message in the unacked tail; the
-// respawned child's reconnect replays the tail in order before any new
-// traffic (at-least-once — the workflow protocol's epoch merge absorbs the
-// duplicates this can produce).
+// processed the delivery — retires it from the in-flight count. The child
+// collects every frame a delivery causes (follow-up sends, EXEC events) in
+// one buffer, appends the ACK last and writes the buffer once: one write per
+// turn, ACK last. Because the ACK trails the follow-up sends in the
+// connection's FIFO, the hub never observes a processed-but-unsent gap:
+// Quiesce stays exact across process boundaries. A child killed mid-delivery
+// has written none of the turn's frames and leaves the message in the
+// unacked tail; the respawned child's reconnect replays the tail in order
+// before any new traffic (at-least-once — the workflow protocol's epoch merge
+// absorbs the duplicates this can produce).
+//
+// Both ends read through a frameReader, so a burst of frames costs one read.
+// The hub's buffer starts small on purpose: it is held per connection for
+// the life of the deployment, and the hub's heap is a benchmark metric.
+const (
+	hubReadBuf   = 1 << 10
+	childReadBuf = 16 << 10
+)
 
 // Exec phases reported over EXEC frames.
 const (
@@ -155,7 +166,7 @@ func (h *RemoteHub) Announce(name string, up bool) {
 	if up {
 		typ = frameRecover
 	}
-	body := appendString(nil, name)
+	frame := appendFrame(nil, typ, binenc.AppendString(nil, name))
 	h.mu.Lock()
 	peers := make([]*remotePeer, 0, len(h.peers))
 	for _, p := range h.peers {
@@ -165,7 +176,7 @@ func (h *RemoteHub) Announce(name string, up bool) {
 	for _, p := range peers {
 		p.mu.Lock()
 		if p.conn != nil {
-			p.writeFrameLocked(typ, body)
+			p.writeLocked(frame)
 		}
 		p.mu.Unlock()
 	}
@@ -258,14 +269,20 @@ func (h *RemoteHub) acceptLoop() {
 // dispatches the child's MSG/ACK/EXEC frames until the connection dies.
 func (h *RemoteHub) serve(c net.Conn) {
 	defer h.wg.Done()
-	var buf []byte
-	typ, body, buf, err := readFrame(c, buf)
+	fr := newFrameReader(c, hubReadBuf)
+	typ, body, err := fr.next()
 	if err != nil || typ != frameHello {
 		c.Close()
 		return
 	}
-	name, _, err := readString(body)
-	if err != nil {
+	var rd binenc.Reader
+	rd.Reset(body)
+	name, format := rd.Str(), rd.Byte()
+	if rd.Done() != nil || format != WireFormat {
+		// A build with another payload layout: answer with this build's
+		// format byte so the child can name the mismatch, and refuse the
+		// claim. The write's error is dropped, the connection closes anyway.
+		c.Write(appendFrame(nil, frameWelcome, []byte{WireFormat}))
 		c.Close()
 		return
 	}
@@ -279,13 +296,13 @@ func (h *RemoteHub) serve(c net.Conn) {
 	p.attach(c)
 	defer p.detach(c)
 	for {
-		typ, body, buf, err = readFrame(c, buf)
+		typ, body, err = fr.next()
 		if err != nil {
 			return
 		}
 		switch typ {
 		case frameMsg:
-			m, err := decodeMessage(body)
+			m, err := decodeMessage(&rd, body)
 			if err != nil {
 				return
 			}
@@ -293,7 +310,7 @@ func (h *RemoteHub) serve(c net.Conn) {
 		case frameAck:
 			p.ack()
 		case frameExec:
-			ev, err := decodeExec(body)
+			ev, err := decodeExec(&rd, body)
 			if err != nil {
 				return
 			}
@@ -335,6 +352,7 @@ type remotePeer struct {
 	conn    net.Conn
 	claimed chan struct{} // closed while conn != nil; replaced on detach
 	scratch []byte
+	keys    []string // appendMessage's sort scratch
 }
 
 // Deliver carries one message toward the child. With a claimed connection it
@@ -382,29 +400,29 @@ func (p *remotePeer) Close() error { return nil }
 // without tracking; a write failure is not an error here, the reader will
 // detach the dead connection and a reclaim will replay the tail.
 func (p *remotePeer) writeMsgLocked(m Message) error {
-	framed, err := appendMessageFrame(p.scratch[:0], m)
+	framed, err := appendMessageFrame(p.scratch[:0], m, &p.keys)
 	if err != nil {
 		return err
 	}
 	p.scratch = framed
 	p.nd.mu.Lock()
-	p.nd.unacked = append(p.nd.unacked, m)
+	p.nd.unacked.push(m)
 	if !p.nd.up.Load() {
 		p.nd.net.parked.Add(1)
 	}
 	p.nd.mu.Unlock()
-	if _, err := p.conn.Write(framed); err != nil {
-		p.conn.Close()
-	}
+	p.writeLocked(framed)
 	return nil
 }
 
-// writeFrameLocked writes one non-MSG frame under p.mu.
-func (p *remotePeer) writeFrameLocked(typ byte, body []byte) {
-	p.scratch = appendFrame(p.scratch[:0], typ, body)
-	if _, err := p.conn.Write(p.scratch); err != nil {
+// writeLocked writes complete frames under p.mu. A failed write closes the
+// connection: the reader detaches it and a reclaim replays the tail.
+func (p *remotePeer) writeLocked(frames []byte) bool {
+	if _, err := p.conn.Write(frames); err != nil {
 		p.conn.Close()
+		return false
 	}
+	return true
 }
 
 // attach installs a claimed connection: welcome the child with the current
@@ -420,27 +438,24 @@ func (p *remotePeer) attach(c net.Conn) {
 	}
 	p.conn = c
 	nodes := p.hub.n.Nodes()
-	body := binary.AppendUvarint(nil, uint64(len(nodes)))
+	w := append(beginFrame(p.scratch[:0], frameWelcome), WireFormat)
+	w = binary.AppendUvarint(w, uint64(len(nodes)))
 	for _, name := range nodes {
-		body = appendString(body, name)
-		if p.hub.n.Alive(name) {
-			body = append(body, 1)
-		} else {
-			body = append(body, 0)
-		}
+		w = binenc.AppendString(w, name)
+		w = binenc.AppendBool(w, p.hub.n.Alive(name))
 	}
-	p.writeFrameLocked(frameWelcome, body)
+	p.scratch = endFrame(w, 0)
+	p.writeLocked(p.scratch)
 	p.nd.mu.Lock()
-	pending := append([]Message(nil), p.nd.unacked...)
+	pending := append([]Message(nil), p.nd.unacked.live()...)
 	p.nd.mu.Unlock()
 	for _, m := range pending {
-		framed, err := appendMessageFrame(p.scratch[:0], m)
+		framed, err := appendMessageFrame(p.scratch[:0], m, &p.keys)
 		if err != nil {
 			continue
 		}
 		p.scratch = framed
-		if _, err := p.conn.Write(framed); err != nil {
-			p.conn.Close()
+		if !p.writeLocked(framed) {
 			break
 		}
 	}
@@ -469,16 +484,12 @@ func (p *remotePeer) detach(c net.Conn) {
 // message of a down node is parked, nothing else — exact under races.
 func (p *remotePeer) ack() {
 	p.nd.mu.Lock()
-	if len(p.nd.unacked) == 0 {
-		p.nd.mu.Unlock()
-		return
-	}
-	m := p.nd.unacked[0]
-	copy(p.nd.unacked, p.nd.unacked[1:])
-	p.nd.unacked[len(p.nd.unacked)-1] = Message{}
-	p.nd.unacked = p.nd.unacked[:len(p.nd.unacked)-1]
+	m, ok := p.nd.unacked.pop()
 	down := !p.nd.up.Load()
 	p.nd.mu.Unlock()
+	if !ok {
+		return
+	}
 	if down {
 		p.nd.net.parked.Add(-1)
 	}
@@ -488,44 +499,48 @@ func (p *remotePeer) ack() {
 	}
 }
 
-// appendMessageFrame appends a complete MSG frame (header + body) to dst.
-func appendMessageFrame(dst []byte, m Message) ([]byte, error) {
-	dst = append(dst, 0, 0, 0, 0, frameMsg)
-	body, err := appendMessage(dst, m)
-	if err != nil {
-		return nil, err
-	}
-	n := len(body) - 4
-	body[0], body[1], body[2], body[3] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
-	return body, nil
+// ackQueue is a remote node's FIFO of delivered-but-unacknowledged messages.
+// pop advances a head index instead of shifting the slice, so an ACK costs the
+// same however far the child has fallen behind, and compacts once the retired
+// prefix outweighs the live window.
+type ackQueue struct {
+	msgs []Message // msgs[head:] is the live window
+	head int
 }
 
+func (q *ackQueue) len() int        { return len(q.msgs) - q.head }
+func (q *ackQueue) live() []Message { return q.msgs[q.head:] }
+func (q *ackQueue) push(m Message)  { q.msgs = append(q.msgs, m) }
+
+func (q *ackQueue) pop() (Message, bool) {
+	if q.head == len(q.msgs) {
+		return Message{}, false
+	}
+	m := q.msgs[q.head]
+	q.msgs[q.head] = Message{} // a retired slot must not pin its envelope
+	q.head++
+	if q.head > len(q.msgs)/2 {
+		n := copy(q.msgs, q.msgs[q.head:])
+		clear(q.msgs[n:])
+		q.msgs, q.head = q.msgs[:n], 0
+	}
+	return m, true
+}
+
+//crew:hotpath
 func appendExec(dst []byte, ev ExecEvent) []byte {
 	dst = append(dst, ev.Phase)
-	dst = appendString(dst, ev.Workflow)
-	dst = appendString(dst, ev.Step)
-	return binary.AppendUvarint(dst, uint64(ev.Instance))
+	dst = binenc.AppendString(dst, ev.Workflow)
+	dst = binenc.AppendString(dst, ev.Step)
+	return binenc.AppendInt(dst, ev.Instance)
 }
 
-func decodeExec(body []byte) (ExecEvent, error) {
-	var ev ExecEvent
-	if len(body) < 1 {
-		return ev, cerrors.E(cerrors.CodeFrameTruncated, cerrors.PhaseDecode, cerrors.ErrWire, nil, "empty exec body")
+func decodeExec(r *binenc.Reader, body []byte) (ExecEvent, error) {
+	r.Reset(body)
+	ev := ExecEvent{Phase: r.Byte(), Workflow: r.Str(), Step: r.Str(), Instance: r.Int()}
+	if err := r.Done(); err != nil {
+		return ev, malformed(err, "exec body")
 	}
-	ev.Phase = body[0]
-	rest := body[1:]
-	var err error
-	if ev.Workflow, rest, err = readString(rest); err != nil {
-		return ev, err
-	}
-	if ev.Step, rest, err = readString(rest); err != nil {
-		return ev, err
-	}
-	id, _, err := readUvarint(rest)
-	if err != nil {
-		return ev, err
-	}
-	ev.Instance = int(id)
 	return ev, nil
 }
 
@@ -540,29 +555,35 @@ type ChildConn struct {
 	conn net.Conn
 	name string
 
-	wmu     sync.Mutex
-	scratch []byte
+	// wmu guards the write side. While Serve is inside deliver (inTurn),
+	// SendMessage and Exec append their frames to out; the delivery's ACK is
+	// appended last and the whole buffer leaves in one Write. Outside a
+	// delivery a frame is written at once. werr is the first failed write:
+	// it closes the connection, and Serve returns it.
+	wmu    sync.Mutex
+	out    []byte
+	keys   []string // appendMessage's sort scratch
+	inTurn bool
+	werr   error
 
 	amu   sync.Mutex
 	alive map[string]bool
 }
 
-// DialHub connects to a hub and claims name.
+// DialHub connects to a hub and claims name. The HELLO carries this build's
+// WireFormat; a hub built with another answers with its own and closes, which
+// Serve reports as CodeWireFormat.
 func DialHub(network, addr, name string) (*ChildConn, error) {
 	c, err := net.Dial(network, addr)
 	if err != nil {
 		return nil, cerrors.E(cerrors.CodeDialRefused, cerrors.PhaseDial, cerrors.ErrWire, err, "dial hub %s %s", network, addr)
 	}
-	cc := &ChildConn{conn: c, name: name, alive: make(map[string]bool)}
-	cc.wmu.Lock()
-	cc.scratch = appendFrame(cc.scratch[:0], frameHello, appendString(nil, name))
-	_, err = c.Write(cc.scratch)
-	cc.wmu.Unlock()
-	if err != nil {
+	hello := append(binenc.AppendString(beginFrame(nil, frameHello), name), WireFormat)
+	if _, err := c.Write(endFrame(hello, 0)); err != nil {
 		c.Close()
 		return nil, cerrors.E(cerrors.CodeDialRefused, cerrors.PhaseDial, cerrors.ErrWire, err, "hello %s", name)
 	}
-	return cc, nil
+	return &ChildConn{conn: c, name: name, alive: make(map[string]bool)}, nil
 }
 
 // Alive reports the hub-announced liveness of a node. The child's own name is
@@ -579,34 +600,71 @@ func (c *ChildConn) Alive(name string) bool {
 }
 
 // SendMessage forwards one of this process's outbound sends to the hub,
-// where it re-enters the authoritative network.
+// where it re-enters the authoritative network. Called while Serve is inside
+// deliver, it joins the turn's buffer and reaches the hub with the ACK. A
+// message that does not encode is returned and leaves nothing behind.
 func (c *ChildConn) SendMessage(m Message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	framed, err := appendMessageFrame(c.scratch[:0], m)
+	out, err := appendMessageFrame(c.out, m, &c.keys)
 	if err != nil {
 		return err
 	}
-	c.scratch = framed
-	_, err = c.conn.Write(framed)
-	return err
+	c.out = out
+	return c.flushLocked()
 }
 
-// Exec reports a program-execution event to the hub's invariant checker.
+// Exec reports a program-execution event to the hub's invariant checker; it
+// is buffered and written like SendMessage.
 func (c *ChildConn) Exec(ev ExecEvent) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.scratch = appendFrame(c.scratch[:0], frameExec, appendExec(nil, ev))
-	_, err := c.conn.Write(c.scratch)
-	return err
+	start := len(c.out)
+	c.out = endFrame(appendExec(beginFrame(c.out, frameExec), ev), start)
+	return c.flushLocked()
 }
 
-func (c *ChildConn) writeAck() error {
+// flushLocked writes the buffered frames in one Write, unless a turn is
+// still collecting them.
+func (c *ChildConn) flushLocked() error {
+	if c.inTurn {
+		return nil
+	}
+	if c.werr == nil {
+		if _, err := c.conn.Write(c.out); err != nil {
+			c.werr = cerrors.E(cerrors.CodePeerCrashed, cerrors.PhaseDeliver, cerrors.ErrWire, err, "write to hub")
+			c.conn.Close()
+		}
+	}
+	c.out = c.out[:0]
+	return c.werr
+}
+
+func (c *ChildConn) beginTurn() {
+	c.wmu.Lock()
+	c.inTurn = true
+	c.wmu.Unlock()
+}
+
+// endTurn closes the turn deliver ran in: the ACK goes behind the turn's
+// frames and the buffer out. A failed delivery drops them instead (the
+// connection is closing; the hub still holds the message unacked).
+func (c *ChildConn) endTurn(err error) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.scratch = appendFrame(c.scratch[:0], frameAck, nil)
-	_, err := c.conn.Write(c.scratch)
-	return err
+	c.inTurn = false
+	if err != nil {
+		c.out = c.out[:0]
+		return err
+	}
+	c.out = appendFrame(c.out, frameAck, nil)
+	return c.flushLocked()
+}
+
+func (c *ChildConn) writeErr() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.werr
 }
 
 // Close tears the connection down (ends Serve).
@@ -621,12 +679,20 @@ func (c *ChildConn) Close() error { return c.conn.Close() }
 // after the internal liveness map (serving Alive) is updated. A nil error
 // means the hub closed the connection cleanly.
 func (c *ChildConn) Serve(deliver func(Message) error, onLiveness func(name string, up bool)) error {
-	var buf []byte
+	err := c.serve(deliver, onLiveness)
+	c.conn.Close()
+	return err
+}
+
+func (c *ChildConn) serve(deliver func(Message) error, onLiveness func(name string, up bool)) error {
+	fr := newFrameReader(c.conn, childReadBuf)
+	var rd binenc.Reader
 	for {
-		typ, body, nbuf, err := readFrame(c.conn, buf)
-		buf = nbuf
+		typ, body, err := fr.next()
 		if err != nil {
-			c.conn.Close()
+			if werr := c.writeErr(); werr != nil {
+				return werr // the failed write closed the connection under this read
+			}
 			if err == io.EOF || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
@@ -634,43 +700,35 @@ func (c *ChildConn) Serve(deliver func(Message) error, onLiveness func(name stri
 		}
 		switch typ {
 		case frameMsg:
-			m, err := decodeMessage(body)
+			m, err := decodeMessage(&rd, body)
 			if err != nil {
-				c.conn.Close()
 				return err
 			}
-			if err := deliver(m); err != nil {
-				c.conn.Close()
-				return err
-			}
-			if err := c.writeAck(); err != nil {
-				c.conn.Close()
+			c.beginTurn()
+			if err := c.endTurn(deliver(m)); err != nil {
 				return err
 			}
 		case frameWelcome:
-			count, rest, err := readUvarint(body)
-			if err != nil {
-				c.conn.Close()
-				return err
+			// The hub's format byte, then the roster; a refused claim gets
+			// the byte alone.
+			rd.Reset(body)
+			if format := rd.Byte(); format != WireFormat || len(body) == 1 {
+				return cerrors.E(cerrors.CodeWireFormat, cerrors.PhaseDial, cerrors.ErrWire, nil, "hub speaks wire format %d, this build %d", format, WireFormat)
 			}
 			c.amu.Lock()
-			for i := uint64(0); i < count && len(rest) > 0; i++ {
-				var name string
-				if name, rest, err = readString(rest); err != nil {
-					break
-				}
-				if len(rest) < 1 {
-					break
-				}
-				c.alive[name] = rest[0] == 1
-				rest = rest[1:]
+			for n := rd.Count(2); n > 0; n-- {
+				name := rd.Str()
+				c.alive[name] = rd.Bool()
 			}
 			c.amu.Unlock()
+			if err := rd.Done(); err != nil {
+				return malformed(err, "welcome body")
+			}
 		case frameCrash, frameRecover:
-			name, _, err := readString(body)
-			if err != nil {
-				c.conn.Close()
-				return err
+			rd.Reset(body)
+			name := rd.Str()
+			if err := rd.Done(); err != nil {
+				return malformed(err, "liveness body")
 			}
 			up := typ == frameRecover
 			c.amu.Lock()
@@ -683,8 +741,7 @@ func (c *ChildConn) Serve(deliver func(Message) error, onLiveness func(name stri
 			// The hub never sends HELLO, ACK or EXEC downstream; anything
 			// else is a framing desync. Rejecting loudly here beats
 			// resynchronizing on a corrupt stream.
-			c.conn.Close()
-			return cerrors.E(cerrors.CodeFrameMalformed, cerrors.PhaseDecode, cerrors.ErrWire, nil, "unexpected frame %d from hub", typ)
+			return malformed(nil, "unexpected frame %d from hub", typ)
 		}
 	}
 }

@@ -1,9 +1,16 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"io"
+	"net"
+	"sync"
 	"testing"
 	"time"
+
+	"crew/internal/cerrors"
 )
 
 // fakeChild runs a minimal agent host against a hub: every delivery is
@@ -218,5 +225,186 @@ func TestRemoteDeliverFailsFastWhenDown(t *testing.T) {
 	}
 	if !stalled {
 		t.Fatal("want stalled network")
+	}
+}
+
+// countConn records every Write the child makes on its hub connection.
+type countConn struct {
+	net.Conn
+	mu     sync.Mutex
+	writes [][]byte
+	broken bool // Write fails from now on
+}
+
+func (c *countConn) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	c.writes = append(c.writes, append([]byte(nil), b...))
+	broken := c.broken
+	c.mu.Unlock()
+	if broken {
+		return 0, errors.New("broken pipe")
+	}
+	return c.Conn.Write(b)
+}
+
+func (c *countConn) taken() [][]byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.writes
+	c.writes = nil
+	return w
+}
+
+// frameTypes splits a run of complete frames into their type bytes.
+func frameTypes(t *testing.T, b []byte) []byte {
+	t.Helper()
+	var types []byte
+	fr := newFrameReader(bytes.NewReader(b), len(b))
+	for {
+		typ, _, err := fr.next()
+		if err == io.EOF {
+			return types
+		}
+		if err != nil {
+			t.Fatalf("child wrote a partial frame: %v (after frames %v)", err, types)
+		}
+		types = append(types, typ)
+	}
+}
+
+// TestChildTurnIsOneWrite pins the write boundary of the child side: every
+// frame a delivery causes leaves in one Write, in issue order, with the ACK
+// last; a message that does not encode leaves nothing behind in that buffer;
+// and a frame sent outside a delivery is written at once.
+func TestChildTurnIsOneWrite(t *testing.T) {
+	client, server := net.Pipe()
+	defer server.Close()
+	conn := &countConn{Conn: client}
+	c := &ChildConn{conn: conn, name: "a", alive: make(map[string]bool)}
+	fromChild := make(chan []byte, 16) // what the hub end reads, write by write
+	go func() {
+		buf := make([]byte, 64<<10)
+		for {
+			n, err := server.Read(buf)
+			if err != nil {
+				close(fromChild)
+				return
+			}
+			fromChild <- append([]byte(nil), buf[:n]...)
+		}
+	}()
+
+	msg := Message{From: "a", To: "b", Kind: "k", Payload: wirePayload{A: "x", B: 1}}
+	type unregistered struct{ X int }
+	served := make(chan error, 1)
+	go func() {
+		served <- c.Serve(func(Message) error {
+			step := ExecEvent{Phase: ExecEnter, Workflow: "WF01", Step: "S1", Instance: 7}
+			c.Exec(step)
+			c.SendMessage(msg)
+			if err := c.SendMessage(Message{From: "a", To: "b", Kind: "bad", Payload: unregistered{}}); err == nil {
+				t.Error("SendMessage accepted an unregistered payload")
+			}
+			step.Phase = ExecExitOK
+			c.Exec(step)
+			c.SendMessage(msg)
+			return c.SendMessage(msg)
+		}, nil)
+	}()
+
+	delivery, err := appendMessageFrame(nil, Message{From: "b", To: "a", Kind: "go"}, new([]string))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.Write(delivery); err != nil {
+		t.Fatal(err)
+	}
+	turn := <-fromChild
+	writes := conn.taken()
+	if len(writes) != 1 || !bytes.Equal(writes[0], turn) {
+		t.Fatalf("the turn made %d writes, want 1 holding everything the hub read", len(writes))
+	}
+	want := []byte{frameExec, frameMsg, frameExec, frameMsg, frameMsg, frameAck}
+	if got := frameTypes(t, turn); !bytes.Equal(got, want) {
+		t.Fatalf("turn frames = %v, want %v (issue order, ACK last)", got, want)
+	}
+
+	// Outside a delivery nothing is held back.
+	if err := c.SendMessage(msg); err != nil {
+		t.Fatal(err)
+	}
+	if got := frameTypes(t, <-fromChild); !bytes.Equal(got, []byte{frameMsg}) {
+		t.Fatalf("frames outside a turn = %v, want one MSG", got)
+	}
+	if n := len(conn.taken()); n != 1 {
+		t.Fatalf("SendMessage outside a turn made %d writes, want 1", n)
+	}
+
+	// A write that fails closes the connection and is what Serve returns.
+	conn.mu.Lock()
+	conn.broken = true
+	conn.mu.Unlock()
+	if err := c.Exec(ExecEvent{}); cerrors.CodeOf(err) != cerrors.CodePeerCrashed {
+		t.Fatalf("Exec on a dead connection: %v, want CodePeerCrashed", err)
+	}
+	select {
+	case err := <-served:
+		if cerrors.CodeOf(err) != cerrors.CodePeerCrashed {
+			t.Fatalf("Serve returned %v, want the failed write", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve kept running against a dead hub")
+	}
+}
+
+// TestAckQueue checks the unacked tail: FIFO, a live window that excludes
+// what was popped, retired slots zeroed, and a backing array that does not
+// grow while pushes and pops alternate.
+func TestAckQueue(t *testing.T) {
+	var q ackQueue
+	next, popped := 0, 0
+	push := func(n int) {
+		for ; n > 0; n-- {
+			q.push(Message{Kind: "k", Payload: next})
+			next++
+		}
+	}
+	pop := func(n int) {
+		t.Helper()
+		for ; n > 0; n-- {
+			m, ok := q.pop()
+			if !ok || m.Payload != popped {
+				t.Fatalf("pop = %v, %v; want payload %d", m.Payload, ok, popped)
+			}
+			popped++
+		}
+		if q.len() != next-popped || len(q.live()) != q.len() {
+			t.Fatalf("len = %d, live = %d, want %d", q.len(), len(q.live()), next-popped)
+		}
+		if q.len() > 0 && q.live()[0].Payload != popped {
+			t.Fatalf("live window starts at %v, want %d", q.live()[0].Payload, popped)
+		}
+		for i, m := range q.msgs[:cap(q.msgs)][:q.head] {
+			if m != (Message{}) {
+				t.Fatalf("retired slot %d still holds %v", i, m)
+			}
+		}
+	}
+	push(100)
+	pop(30)
+	pop(40) // passes half: compacts
+	push(5)
+	pop(35)
+	if _, ok := q.pop(); ok {
+		t.Fatal("pop from an empty queue")
+	}
+	push(4)
+	limit := cap(q.msgs)
+	for i := 0; i < 10000; i++ {
+		push(1)
+		pop(1)
+	}
+	if cap(q.msgs) > limit {
+		t.Fatalf("steady push/pop grew the backing array from %d to %d", limit, cap(q.msgs))
 	}
 }

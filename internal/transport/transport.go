@@ -139,7 +139,7 @@ type node struct {
 	// process but the peer has not acknowledged yet. They are still in
 	// flight; a reconnecting peer gets them replayed (at-least-once), and
 	// crash/recover counts them with the parked queue.
-	unacked []Message
+	unacked ackQueue
 }
 
 // pump drains the node's mailbox into its inbox channel. Each wakeup swaps
@@ -317,6 +317,7 @@ type Handle struct {
 // Send enqueues a message for delivery to the handle's node and counts it.
 // The message's To field should name the handle's node; delivery goes to the
 // bound node regardless.
+//
 //crew:hotpath
 func (h *Handle) Send(m Message) error { return h.n.deliver(h.nd, m) }
 
@@ -632,7 +633,7 @@ func (n *Network) Crash(name string) bool {
 		nd.up.Store(false)
 		// A remote node's unacked messages are in flight at the dead peer;
 		// they park with the queue and will be replayed on reclaim.
-		n.parked.Add(int64(len(nd.queue) + len(nd.unacked)))
+		n.parked.Add(int64(len(nd.queue) + nd.unacked.len()))
 	}
 	nd.mu.Unlock()
 	n.maybeNotifyQuiet()
@@ -648,7 +649,7 @@ func (n *Network) Recover(name string) bool {
 	nd.mu.Lock()
 	if !nd.up.Load() {
 		nd.up.Store(true)
-		n.parked.Add(int64(-(len(nd.queue) + len(nd.unacked))))
+		n.parked.Add(int64(-(len(nd.queue) + nd.unacked.len())))
 	}
 	nd.mu.Unlock()
 	n.maybeNotifyQuiet()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"crew/internal/binenc"
 	"crew/internal/metrics"
 )
 
@@ -24,11 +25,12 @@ func benchMessage() Message {
 func BenchmarkFrameEncode(b *testing.B) {
 	m := benchMessage()
 	var buf []byte
+	var keys []string
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		buf, err = appendMessage(buf[:0], m)
+		buf, err = appendMessage(buf[:0], m, &keys)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -38,15 +40,16 @@ func BenchmarkFrameEncode(b *testing.B) {
 
 // BenchmarkFrameDecode measures the deserialization cost of one message.
 func BenchmarkFrameDecode(b *testing.B) {
-	buf, err := appendMessage(nil, benchMessage())
+	buf, err := encodeBody(benchMessage())
 	if err != nil {
 		b.Fatal(err)
 	}
+	var rd binenc.Reader
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeMessage(buf); err != nil {
+		if _, err := decodeMessage(&rd, buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"os"
@@ -9,8 +8,12 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"crew/internal/binenc"
 	"crew/internal/cerrors"
 )
+
+// socketReadBuf is the initial size of a socket connection's frame buffer.
+const socketReadBuf = 4 << 10
 
 // SocketWire is a Wire backend over real kernel sockets: "unix" (unix-domain
 // stream sockets) or "tcp" (loopback TCP). One listener serves the whole
@@ -101,7 +104,7 @@ func (w *SocketWire) Listen(node string, sink Sink) (Link, error) {
 		return nil, cerrors.E(cerrors.CodeDialRefused, cerrors.PhaseDial, cerrors.ErrWire, err, "node %q via %s %s", node, w.network, w.addr)
 	}
 	w.track(conn)
-	l := &socketLink{w: w, node: node, conn: conn, br: bufio.NewReader(conn)}
+	l := &socketLink{w: w, node: node, conn: conn, fr: newFrameReader(conn, socketReadBuf)}
 	if err := l.writeFrame(frameHello, []byte(node)); err != nil {
 		l.Close()
 		return nil, err
@@ -141,8 +144,8 @@ func (w *SocketWire) serve(conn net.Conn) {
 	defer w.wg.Done()
 	defer w.untrack(conn)
 	defer conn.Close()
-	br := bufio.NewReader(conn)
-	typ, body, buf, err := readFrame(br, nil)
+	fr := newFrameReader(conn, socketReadBuf)
+	typ, body, err := fr.next()
 	if err != nil || typ != frameHello {
 		return
 	}
@@ -153,12 +156,13 @@ func (w *SocketWire) serve(conn net.Conn) {
 		return // CodeUnclaimedNode: no node by that name listens here
 	}
 	ack := appendFrame(nil, frameAck, nil)
+	var rd binenc.Reader
 	for {
-		typ, body, buf, err = readFrame(br, buf)
+		typ, body, err = fr.next()
 		if err != nil || typ != frameMsg {
 			return
 		}
-		m, err := decodeMessage(body)
+		m, err := decodeMessage(&rd, body)
 		if err != nil {
 			return
 		}
@@ -200,11 +204,11 @@ type socketLink struct {
 	w    *SocketWire
 	node string
 	conn net.Conn
-	br   *bufio.Reader
+	fr   *frameReader
 
 	mu      sync.Mutex
 	scratch []byte
-	rbuf    []byte
+	keys    []string // appendMessage's sort scratch
 }
 
 func (l *socketLink) writeFrame(typ byte, body []byte) error {
@@ -230,21 +234,15 @@ func (l *socketLink) failure(err error, op string) error {
 func (l *socketLink) Deliver(m Message) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// Encode straight behind a reserved frame header, then fill it in.
-	framed := append(l.scratch[:0], 0, 0, 0, 0, frameMsg)
-	framed, err := appendMessage(framed, m)
+	framed, err := appendMessageFrame(l.scratch[:0], m, &l.keys)
 	if err != nil {
-		l.scratch = framed[:0]
 		return err
 	}
-	n := len(framed) - 4 // length covers the type byte and body
-	framed[0], framed[1], framed[2], framed[3] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
 	l.scratch = framed[:0]
 	if _, err := l.conn.Write(framed); err != nil {
 		return l.failure(err, "write")
 	}
-	typ, _, rbuf, err := readFrame(l.br, l.rbuf)
-	l.rbuf = rbuf
+	typ, _, err := l.fr.next()
 	if err != nil {
 		return l.failure(err, "ack read")
 	}

@@ -68,7 +68,7 @@ func (e *rowEncoder) appendInstance(dst []byte, ins *Instance) []byte {
 		dst = binenc.AppendInt(dst, p.ID)
 		dst = binenc.AppendString(dst, string(p.Step))
 	}
-	dst = e.appendValues(dst, ins.Data)
+	dst = expr.AppendValues(dst, ins.Data, &e.keys)
 	dst = ins.Events.Append(dst, &e.keys)
 
 	steps := e.steps[:0]
@@ -87,35 +87,11 @@ func (e *rowEncoder) appendInstance(dst []byte, ins *Instance) []byte {
 		dst = binenc.AppendInt(dst, r.Attempts)
 		dst = binenc.AppendBool(dst, r.HasResult)
 		dst = binenc.AppendInt(dst, int(r.CompMode))
-		dst = e.appendValues(dst, r.Inputs)
-		dst = e.appendValues(dst, r.Outputs)
+		dst = expr.AppendValues(dst, r.Inputs, &e.keys)
+		dst = expr.AppendValues(dst, r.Outputs, &e.keys)
 	}
 
-	dst = binary.AppendUvarint(dst, uint64(len(ins.ExecOrder)))
-	for _, id := range ins.ExecOrder {
-		dst = binenc.AppendString(dst, string(id))
-	}
-	return dst
-}
-
-// appendValues appends a name -> value map: count, then name + value sorted
-// by name.
-//
-//crew:hotpath
-func (e *rowEncoder) appendValues(dst []byte, m map[string]expr.Value) []byte {
-	keys := e.keys[:0]
-	//crew:allow hotalloc collects names only; the sort below fixes the order
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	e.keys = keys
-	dst = binary.AppendUvarint(dst, uint64(len(keys)))
-	for _, k := range keys {
-		dst = binenc.AppendString(dst, k)
-		dst = m[k].Append(dst)
-	}
-	return dst
+	return binenc.AppendStrings(dst, ins.ExecOrder)
 }
 
 // errRow classifies an undecodable row.
@@ -144,7 +120,7 @@ func decodeInstance(b []byte) (*Instance, error) {
 	if flags&flagParent != 0 {
 		ins.Parent = &ParentRef{Workflow: r.Str(), ID: r.Int(), Step: model.StepID(r.Str())}
 	}
-	if ins.Data = decodeValues(r); ins.Data == nil {
+	if ins.Data = expr.DecodeValues(r); ins.Data == nil {
 		ins.Data = make(map[string]expr.Value)
 	}
 	ins.Events = event.DecodeTable(r)
@@ -159,35 +135,16 @@ func decodeInstance(b []byte) (*Instance, error) {
 			Attempts:  r.Int(),
 			HasResult: r.Bool(),
 			CompMode:  model.ExecMode(r.Int()),
-			Inputs:    decodeValues(r),
-			Outputs:   decodeValues(r),
+			Inputs:    expr.DecodeValues(r),
+			Outputs:   expr.DecodeValues(r),
 		}
 	}
 
-	if n := r.Count(1); n > 0 {
-		ins.ExecOrder = make([]model.StepID, n)
-		for i := range ins.ExecOrder {
-			ins.ExecOrder[i] = model.StepID(r.Str())
-		}
-	}
+	ins.ExecOrder = binenc.Strings[model.StepID](r)
 	if err := r.Done(); err != nil {
 		return nil, errRow(err, "instance row")
 	}
 	return ins, nil
-}
-
-// decodeValues parses a name -> value map; an empty map decodes as nil.
-func decodeValues(r *binenc.Reader) map[string]expr.Value {
-	n := r.Count(2) // name length, kind byte
-	if n == 0 {
-		return nil
-	}
-	m := make(map[string]expr.Value, n)
-	for ; n > 0; n-- {
-		name := r.Str()
-		m[name] = expr.DecodeValue(r)
-	}
-	return m
 }
 
 // A summary row is the version byte and the status.
