@@ -279,14 +279,14 @@ func (a Architecture) String() string {
 }
 
 // TransportConfig selects the wire backend that carries messages between the
-// deployment's nodes. The zero value is the in-process backend: direct
-// channel handoff, no serialization, the default and fastest path. The socket
-// backends route every message through a real kernel socket as a
+// deployment's nodes. The zero value is the in-process backend: each node
+// drains its own mailbox, no serialization, the default and fastest path. The
+// socket backends route every message through a real kernel socket as a
 // length-prefixed binary frame — same delivery semantics (FIFO, park/replay
 // on crash, identical message counts), genuine serialization cost.
 type TransportConfig struct {
-	// Backend is "" or "inproc" (in-process channels), "unix" (unix-domain
-	// sockets) or "tcp" (loopback TCP).
+	// Backend is "" or "inproc" (in process), "unix" (unix-domain sockets) or
+	// "tcp" (loopback TCP).
 	Backend string
 	// Addr optionally pins the socket address: a socket path for "unix", a
 	// host:port for "tcp". Empty picks a fresh temp path or loopback port.

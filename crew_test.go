@@ -1,6 +1,8 @@
 package crew_test
 
 import (
+	"bytes"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -197,5 +199,54 @@ func TestBuilderAPIWithoutLAWS(t *testing.T) {
 	}
 	if crew.DefaultParams().S != 15 {
 		t.Error("DefaultParams wrong")
+	}
+}
+
+// goroutineDump is every goroutine's stack, as the runtime prints them.
+func goroutineDump(t *testing.T) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 2); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestNoPumpGoroutineInProcess: in an in-process deployment of any
+// architecture every node is an actor that drains its own mailbox, so the
+// transport runs no goroutine: neither a pump nor an Inbox feeder appears in a
+// goroutine dump taken while the deployment is live. Over a socket backend
+// each node does have a pump, which is also what shows the dump would name
+// one.
+func TestNoPumpGoroutineInProcess(t *testing.T) {
+	const pump, feeder = "transport.(*node).pump", "transport.(*Endpoint).feed"
+	deploy := func(t *testing.T, arch crew.Architecture, tc crew.TransportConfig) string {
+		sys, err := crew.NewSystem(crew.Config{
+			Library:      crew.MustCompileLAWS(orderLAWS),
+			Programs:     registryFor(t, &recorder{}),
+			Architecture: arch,
+			Agents:       []string{"a1", "a2", "a3"},
+			Transport:    tc,
+			Logf:         t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		if _, st, err := sys.Run("Order", map[string]crew.Value{"Qty": crew.Num(7)}, waitTimeout); err != nil || st != crew.Committed {
+			t.Fatalf("run = (%v, %v)", st, err)
+		}
+		return goroutineDump(t)
+	}
+	for _, arch := range []crew.Architecture{crew.Central, crew.Parallel, crew.Distributed} {
+		dump := deploy(t, arch, crew.TransportConfig{})
+		for _, frame := range []string{pump, feeder} {
+			if strings.Contains(dump, frame) {
+				t.Errorf("%v, in process: a goroutine runs %s", arch, frame)
+			}
+		}
+	}
+	if dump := deploy(t, crew.Central, crew.TransportConfig{Backend: "unix"}); !strings.Contains(dump, pump) {
+		t.Errorf("over unix sockets no goroutine runs %s: the in-process check looks for the wrong frame", pump)
 	}
 }

@@ -6,11 +6,12 @@
 // same kind of thing at run time — a named node whose state is owned by one
 // goroutine — and this package is that thing, once.
 //
-// An Actor registers a manual-ack endpoint, runs the single goroutine (inbox,
-// command queue, an optional on-demand timer), unwraps envelopes into logical
-// messages, batches the turn's sends per destination and collects the turn's
-// WFDB rows. Every turn ends in endTurn, which is where the orderings the rest
-// of the system relies on are implemented:
+// An Actor registers a manual-ack endpoint, runs the node's single goroutine
+// (it drains its own mailbox, so a message reaches its handler with no
+// goroutine in between; command queue; an optional on-demand timer), unwraps
+// envelopes into logical messages, batches the turn's sends per destination
+// and collects the turn's WFDB rows. Every turn ends in endTurn, which is
+// where the orderings the rest of the system relies on are implemented:
 //
 //   - write-ahead of dispatch: the turn's rows are committed before any
 //     message the turn produced leaves, so a restarted node knows of every
@@ -83,8 +84,11 @@ type Actor struct {
 	tx      wfdb.Batch
 	dirty   []Row
 
+	// cmdQ is swapped out whole per burst, as the mailbox is; cmdRun is the
+	// burst being run and the buffer the next swap hands back.
 	cmdMu     sync.Mutex
 	cmdQ      []command
+	cmdRun    []command
 	cmdNotify chan struct{}
 	wg        sync.WaitGroup
 }
@@ -126,8 +130,8 @@ func (a *Actor) Launch(handle func(m transport.Message), timer *Timer) {
 // Name returns the node name.
 func (a *Actor) Name() string { return a.name }
 
-// Stop waits for the goroutine to exit; the network must be closed first so
-// the inbox drains. Commands queued before the close still run.
+// Stop waits for the goroutine to exit; the network must be closed first,
+// which is what ends it. Commands queued before the close still run.
 func (a *Actor) Stop() { a.wg.Wait() }
 
 // Logf reports a diagnostic.
@@ -135,7 +139,7 @@ func (a *Actor) Logf(format string, args ...any) { a.logf(format, args...) }
 
 func (a *Actor) loop(t *Timer) {
 	defer a.wg.Done()
-	inbox := a.ep.Inbox()
+	wake, turn := a.ep.Wake(), transport.Sink(a.turn)
 	var (
 		timer  *time.Timer
 		timerC <-chan time.Time
@@ -156,20 +160,11 @@ func (a *Actor) loop(t *Timer) {
 			timerC = timer.C
 		}
 		select {
-		case m, ok := <-inbox:
-			if !ok {
+		case <-wake:
+			if !a.ep.Drain(turn) {
 				a.drainCmds()
 				return
 			}
-			if env, isEnv := m.Payload.(*transport.Envelope); isEnv {
-				for _, lm := range env.Msgs {
-					a.handle(lm)
-				}
-				env.Release()
-			} else {
-				a.handle(m)
-			}
-			a.endTurn(true, nil)
 		case <-a.cmdNotify:
 		case <-timerC:
 			timerC = nil
@@ -177,6 +172,23 @@ func (a *Actor) loop(t *Timer) {
 			a.endTurn(false, nil)
 		}
 	}
+}
+
+// turn is the sink of the actor's drain pass: one received physical message
+// is one turn, and the commands queued meanwhile run before the batch's next
+// message.
+func (a *Actor) turn(m transport.Message) error {
+	if env, isEnv := m.Payload.(*transport.Envelope); isEnv {
+		for _, lm := range env.Msgs {
+			a.handle(lm)
+		}
+		env.Release()
+	} else {
+		a.handle(m)
+	}
+	a.endTurn(true, nil)
+	a.drainCmds()
+	return nil
 }
 
 // endTurn is the one epilogue of every turn — a received message (ack), a
@@ -224,19 +236,22 @@ func (a *Actor) Tx() *wfdb.Batch { return &a.tx }
 // often it changed.
 func (a *Actor) Mark(r Row) { a.dirty = append(a.dirty, r) }
 
+// drainCmds runs every queued command, each as a turn of its own, including
+// those queued while it runs.
 func (a *Actor) drainCmds() {
 	for {
 		a.cmdMu.Lock()
-		if len(a.cmdQ) == 0 {
-			a.cmdMu.Unlock()
+		a.cmdRun, a.cmdQ = a.cmdQ, a.cmdRun[:0]
+		a.cmdMu.Unlock()
+		if len(a.cmdRun) == 0 {
 			return
 		}
-		c := a.cmdQ[0]
-		a.cmdQ[0] = command{}
-		a.cmdQ = a.cmdQ[1:]
-		a.cmdMu.Unlock()
-		c.f()
-		a.endTurn(false, c.done)
+		for i := range a.cmdRun {
+			c := a.cmdRun[i]
+			a.cmdRun[i] = command{}
+			c.f()
+			a.endTurn(false, c.done)
+		}
 	}
 }
 

@@ -245,6 +245,32 @@ func TestDoAsyncFromHandlerIsItsOwnTurn(t *testing.T) {
 	wantTrail(t, f.tr.take(), "handle", "commit", "async", "commit", "commit")
 }
 
+// TestCommandRunsBetweenBatchedMessages: three messages that reach the actor
+// as one batch of its drain pass (they queued while the node was down) are
+// still three turns, and a command queued during the first runs before the
+// second, not after the batch.
+func TestCommandRunsBetweenBatchedMessages(t *testing.T) {
+	f := newFixture(t, nil)
+	started, release := make(chan struct{}), make(chan struct{})
+	f.act.Launch(func(m transport.Message) {
+		f.tr.add("handle " + m.Payload.(string))
+		if m.Payload == "a" {
+			close(started)
+			<-release
+		}
+	}, nil)
+	f.net.Crash("node")
+	for _, p := range []string{"a", "b", "c"} {
+		f.deliver(t, p)
+	}
+	f.net.Recover("node")
+	<-started
+	f.act.DoAsync(func() { f.tr.add("command") })
+	close(release)
+	f.quiesce(t)
+	wantTrail(t, f.tr.take(), "handle a", "commit", "command", "commit", "handle b", "commit", "handle c", "commit")
+}
+
 // TestCloseDrainsQueuedCommands: commands queued behind a running turn when
 // the network closes still run before the goroutine exits.
 func TestCloseDrainsQueuedCommands(t *testing.T) {

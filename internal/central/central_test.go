@@ -917,6 +917,13 @@ func TestManyConcurrentInstances(t *testing.T) {
 			t.Fatalf("instance %d = (%v, %v)", id, st, err)
 		}
 	}
+	// Wait returns at the commit; the agents' StateResponse replies to the
+	// last steps' probes may still be unsent.
+	ctx, cancel := context.WithTimeout(context.Background(), waitTimeout)
+	defer cancel()
+	if err := sys.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
 	// 2·s·a messages per instance with a=2 agents: 12 each.
 	if got := sys.Collector().Messages(metrics.Normal); got != int64(n*12) {
 		t.Errorf("normal messages = %d, want %d", got, n*12)

@@ -132,6 +132,9 @@ type replica struct {
 	// lastHalt remembers the most recent rollback parameters so agents that
 	// send stale state can be told to catch up (anti-entropy).
 	lastHalt *haltThread
+	// handledHalts dedupes HaltThread floods: highest epoch seen per (origin,
+	// initiator). Made by the first halt, gone with the replica.
+	handledHalts map[haltFlood]int
 	// lastReport throttles the sweep's terminal re-reports.
 	lastReport time.Time
 	// dirty marks the replica as changed since its last AGDB row; it is then
@@ -169,9 +172,6 @@ type Agent struct {
 	rec metrics.NodeRecorder
 
 	replicas map[string]*replica
-	// handledHalts dedupes HaltThread floods: highest epoch seen per
-	// (instance, origin, initiator).
-	handledHalts map[haltKey]int
 	// loads caches StateInformation replies (explicit-election ablation).
 	loads map[string]int64
 	// execCount is this agent's total program executions.
@@ -210,14 +210,13 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 		cfg.StatusPollAge = 2 * cfg.StatusPollInterval
 	}
 	a := &Agent{
-		cfg:          cfg,
-		net:          net,
-		rec:          cfg.Collector.Node(cfg.Name),
-		replicas:     make(map[string]*replica),
-		handledHalts: make(map[haltKey]int),
-		loads:        make(map[string]int64),
-		term:         cfg.Terminal,
-		adb:          cfg.AGDB,
+		cfg:      cfg,
+		net:      net,
+		rec:      cfg.Collector.Node(cfg.Name),
+		replicas: make(map[string]*replica),
+		loads:    make(map[string]int64),
+		term:     cfg.Terminal,
+		adb:      cfg.AGDB,
 	}
 	if a.term == nil {
 		a.term = new(itable.Terminal)
@@ -277,11 +276,20 @@ func (a *Agent) alive(name string) bool {
 	return a.net.Alive(name)
 }
 
-// executorOf elects the executor of a step (deterministic, alive-aware).
+// executorOf elects the executor of a step (deterministic, alive-aware). The
+// first start step is not elected: its executor is the instance's
+// coordination agent for as long as the instance lives. Only that agent was
+// given the start, so an election that flips (the hash winner was down when
+// the instance started and is back before a coordinated step's AddRule is
+// answered) would hand the step to an agent that has never heard of the
+// instance, and nobody would run it.
 func (a *Agent) executorOf(r *replica, step model.StepID) string {
 	s := r.schema.Steps[step]
 	if s == nil {
 		return ""
+	}
+	if starts := r.schema.StartSteps(); r.coordinator != "" && len(starts) > 0 && step == starts[0] {
+		return r.coordinator
 	}
 	return nav.ElectAgent(nav.EffectiveAgents(s, a.cfg.Agents), r.ins.Workflow, r.ins.ID, step, a.alive)
 }
@@ -532,11 +540,6 @@ func (a *Agent) retireReplica(r *replica, st wfdb.Status) {
 			WorkflowDone{Workflow: r.ins.Workflow, Instance: r.ins.ID, Status: st})
 	}
 	delete(a.replicas, key)
-	for hk := range a.handledHalts {
-		if hk.workflow == r.ins.Workflow && hk.instance == r.ins.ID {
-			delete(a.handledHalts, hk)
-		}
-	}
 	if a.cfg.OnRetired != nil {
 		a.cfg.OnRetired(r.ins.Workflow, r.ins.ID)
 	}

@@ -9,6 +9,7 @@ import (
 	"crew/internal/expr"
 	"crew/internal/metrics"
 	"crew/internal/model"
+	"crew/internal/nav"
 	"crew/internal/transport"
 	"crew/internal/wfdb"
 )
@@ -1338,5 +1339,120 @@ func TestHaltProbeOrderDeterministic(t *testing.T) {
 				t.Fatalf("round %d: halt probes out of step order: %v", round, got)
 			}
 		}
+	}
+}
+
+// haltDedupeEntries counts the HaltThread dedupe entries an agent holds. The
+// state lives in the replicas, so an agent with none holds none.
+func haltDedupeEntries(a *Agent) int {
+	n := 0
+	a.Do(func() {
+		for _, r := range a.replicas {
+			n += len(r.handledHalts)
+		}
+	})
+	return n
+}
+
+// TestHaltDedupeDiesWithReplica: the dedupe state of a rollback's HaltThread
+// floods is gone once every instance has retired, and a halt that arrives for
+// a retired instance leaves nothing behind.
+func TestHaltDedupeDiesWithReplica(t *testing.T) {
+	rec := &recorder{}
+	reg := model.NewRegistry()
+	reg.Register("pa", tracked(rec, "a", nil))
+	reg.Register("pb", tracked(rec, "b", nil))
+	reg.Register("pf", model.FailNTimes(1, tracked(rec, "f", nil)))
+	s := model.NewSchema("Halted", "I1").
+		Step("A", "pa", model.WithAgents("a1")).
+		Step("B", "pb", model.WithAgents("a2")).
+		Step("F", "pf", model.WithAgents("a1")).
+		Seq("A", "B", "F").
+		OnFailure("F", "A", 3).
+		MustBuild()
+	sys := newSystem(t, lib1(s), reg, "a1", "a2")
+
+	var mu sync.Mutex
+	var seen []haltThread
+	sys.Network().Trace(func(m transport.Message) {
+		if ht, ok := m.Payload.(haltThread); ok && m.To == "a2" {
+			mu.Lock()
+			seen = append(seen, ht)
+			mu.Unlock()
+		}
+	})
+	id := runToStatus(t, sys, "Halted", nil, wfdb.Committed)
+	sys.Network().Trace(nil)
+	mu.Lock()
+	halts := append([]haltThread(nil), seen...)
+	mu.Unlock()
+	if len(halts) == 0 {
+		t.Fatal("the rollback sent a2 no HaltThread: nothing was deduplicated")
+	}
+	waitReplicasDrained(t, sys)
+
+	// A straggler of the same flood, for the instance that has retired.
+	late := halts[len(halts)-1]
+	if late.Instance != id {
+		t.Fatalf("traced halt is for instance %d, ran %d", late.Instance, id)
+	}
+	if err := sys.Network().Send(transport.Message{From: "a1", To: "a2", Mechanism: late.Mechanism, Kind: KindHaltThread, Payload: late}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), waitTimeout)
+	defer cancel()
+	if err := sys.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range sys.AgentNames() {
+		a := sys.Agent(name)
+		if n := a.ReplicaCount(); n != 0 {
+			t.Errorf("%s holds %d replicas after a late halt for a retired instance", name, n)
+		}
+		if n := haltDedupeEntries(a); n != 0 {
+			t.Errorf("%s holds %d halt dedupe entries with every instance retired", name, n)
+		}
+	}
+}
+
+// TestStartStepSurvivesElectionFlip: an instance started while the hash
+// winner of its first step is down is coordinated by the other eligible
+// agent; if that step is coordinated (its AddRule round trip takes a while)
+// and the winner recovers before the home agent answers, the election flips
+// back and the step must still run.
+func TestStartStepSurvivesElectionFlip(t *testing.T) {
+	rec := &recorder{}
+	reg := model.NewRegistry()
+	reg.Register("px", tracked(rec, "x", nil))
+	reg.Register("py", tracked(rec, "y", nil))
+	a := model.NewSchema("MA").Step("X", "px", model.WithAgents("a2", "a3")).MustBuild()
+	b := model.NewSchema("MB").Step("Y", "py", model.WithAgents("a3")).MustBuild()
+	lib := lib1(a, b)
+	lib.AddCoord(model.CoordSpec{
+		Kind: model.Mutex,
+		Name: "res",
+		MutexSteps: []model.StepRef{
+			{Workflow: "MA", Step: "X"},
+			{Workflow: "MB", Step: "Y"},
+		},
+	})
+	sys := newSystem(t, lib, reg)
+	winner := nav.ElectAgent([]string{"a2", "a3"}, "MA", 1, "X", nil)
+
+	sys.HaltNode(winner) // the start elects the other eligible agent
+	sys.HaltNode("a1")   // the home agent: the AddRule waits
+	id, err := sys.Start("MA", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != 1 {
+		t.Fatalf("instance id %d, the winner was computed for 1", id)
+	}
+	time.Sleep(20 * time.Millisecond)
+	sys.RestartNode(winner) // the election flips back
+	sys.RestartNode("a1")   // and only now does the home agent answer
+	st, err := sys.Wait("MA", id, 3*time.Second)
+	if err != nil || st != wfdb.Committed {
+		t.Fatalf("MA.%d = (%v, %v)", id, st, err)
 	}
 }

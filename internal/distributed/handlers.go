@@ -778,26 +778,28 @@ func (a *Agent) handleWorkflowRollback(p workflowRollback) {
 	a.evaluate(r)
 }
 
-// handleHaltThread quiesces the local thread state for a rollback and
-// propagates the probe to agents of steps this agent forwarded packets to.
-// haltKey identifies one HaltThread flood for deduplication.
-type haltKey struct {
-	workflow  string
-	instance  int
+// haltFlood identifies one HaltThread flood of an instance for
+// deduplication.
+type haltFlood struct {
 	origin    model.StepID
 	initiator string
 }
 
+// handleHaltThread quiesces the local thread state for a rollback and
+// propagates the probe to agents of steps this agent forwarded packets to.
 func (a *Agent) handleHaltThread(p haltThread) {
-	key := haltKey{workflow: p.Workflow, instance: p.Instance, origin: p.Origin, initiator: p.Initiator}
-	if a.handledHalts[key] >= p.Epoch {
-		return
-	}
-	a.handledHalts[key] = p.Epoch
 	r, err := a.getReplica(p.Workflow, p.Instance)
 	if err != nil {
 		return
 	}
+	flood := haltFlood{origin: p.Origin, initiator: p.Initiator}
+	if r.handledHalts[flood] >= p.Epoch {
+		return
+	}
+	if r.handledHalts == nil {
+		r.handledHalts = make(map[haltFlood]int)
+	}
+	r.handledHalts[flood] = p.Epoch
 	if p.Epoch > r.epoch {
 		r.epoch = p.Epoch
 	}

@@ -17,8 +17,9 @@ import (
 // hot paths: anything that can park the goroutine while one is held (a
 // channel send to a full/unbuffered channel, a receive, a select without
 // default, a call that transitively reaches any of those) turns a bounded
-// critical section into a potential deadlock — the pump that would drain
-// the channel may itself need the lock.
+// critical section into a potential deadlock — the goroutine that would
+// drain the channel (an actor draining its mailbox, a link node's pump, an
+// Inbox feeder) may itself need the lock.
 //
 // Whether a call blocks comes from the summary fact layer: a function that
 // transitively performs a channel operation, calls a blocking root

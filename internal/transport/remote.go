@@ -382,8 +382,6 @@ func (p *remotePeer) Deliver(m Message) error {
 		case <-ch:
 		case <-p.hub.closedCh:
 			return ErrClosed
-		case <-p.nd.stop:
-			return ErrClosed
 		case <-time.After(20 * time.Millisecond):
 			// Re-check the liveness flag; a crash can land while we sleep.
 		}

@@ -5,8 +5,8 @@
 //
 //   - delivery is reliable and FIFO per receiver;
 //   - messages to a crashed node are queued and delivered on recovery;
-//   - senders never block (each node has an unbounded mailbox drained by a
-//     pump goroutine), so protocol deadlocks cannot be introduced by the
+//   - senders never block (each node has an unbounded mailbox, drained by
+//     its consumer), so protocol deadlocks cannot be introduced by the
 //     transport itself;
 //   - every physical message is counted in a metrics.Collector under its
 //     mechanism class, which is the quantity the paper's evaluation compares
@@ -15,9 +15,17 @@
 // The send side is the system's hottest path, so it is lock-free: the node
 // table is copy-on-write (registration is rare, sends are not), the closed
 // flag and trace callback are atomics, and per-destination Handles returned
-// by Network.Handle skip the node lookup entirely. The receive side batches:
-// each pump wakeup swaps the whole queued slice out under the node lock and
-// delivers the batch, instead of one lock round-trip per message.
+// by Network.Handle skip the node lookup entirely. The receive side batches
+// and has no goroutine of its own: the consumer waits on the node's wake-up
+// signal and runs a drain pass, which swaps the whole queued slice out under
+// the node lock and hands the batch, message by message, to a Sink. The pass
+// (drainer.pass) is written once and is the only place the crash cut-off,
+// the injected-delay hold, per-sender FIFO and in-flight retirement live.
+// Its sinks are an actor's turn, run inline on the actor's goroutine
+// (Endpoint.Drain); a channel, for consumers that range over Endpoint.Inbox
+// (a goroutine started on first use); and a Link, for nodes behind a wire
+// backend or in another process (the pump goroutine, which only those nodes
+// have).
 //
 // The network also tracks every accepted message until it is consumed, which
 // is what makes Quiesce possible: experiment harnesses block until no message
@@ -26,7 +34,7 @@
 // Fault injection hooks into this layer through a FaultPolicy: a policy
 // installed with SetFaultPolicy observes every accepted message (with its
 // global sequence number) and may charge retransmissions for it or delay its
-// delivery by a number of pump rounds. The network additionally distinguishes
+// delivery by a number of drain passes. The network additionally distinguishes
 // in-flight messages that are parked at a crashed node; AwaitStall blocks
 // until either the network drains or every remaining in-flight message is
 // parked — the signal a fault injector uses to force recovery when a crash
@@ -67,7 +75,7 @@ type Verdict struct {
 	// in the retransmit recovery counter.
 	Retransmits int
 	// Delay holds the message at the receiving node for that many delivery
-	// rounds (pump passes). Per-link FIFO order is preserved: messages from
+	// rounds (drain passes). Per-link FIFO order is preserved: messages from
 	// the same sender queued behind a delayed message are held with it.
 	Delay int
 }
@@ -81,23 +89,67 @@ type FaultPolicy interface {
 	OnMessage(m Message, seq int64) Verdict
 }
 
-// Endpoint is a node's receive side.
+// Endpoint is a node's receive side. It has one consumer, which either runs
+// drain passes itself (Wake and Drain: an actor) or ranges over Inbox.
 type Endpoint struct {
 	name string
-	ch   chan Message
 	nd   *node
+	// d drains the mailbox the consumer reads: the node's own for an
+	// in-process node, the one the wire's sink fills for a node behind a
+	// Wire backend.
+	d drainer
+
+	inbox sync.Once
+	ch    chan Message
 }
 
 // Name returns the node name.
 func (e *Endpoint) Name() string { return e.name }
 
-// Inbox returns the receive channel. It is closed when the network shuts
-// down.
-func (e *Endpoint) Inbox() <-chan Message { return e.ch }
+// Wake returns the consumer's wake-up signal. It holds a token whenever
+// messages may be waiting and once the network has closed; a consumer that
+// drains its own mailbox receives from it and then calls Drain.
+func (e *Endpoint) Wake() <-chan struct{} { return e.d.mb.notify }
+
+// Drain runs one drain pass on the caller's goroutine, handing each waiting
+// message to sink in order. It returns false once the network has closed: the
+// consumer should stop, as it would on a closed Inbox. A consumer uses either
+// Drain or Inbox, never both.
+func (e *Endpoint) Drain(sink Sink) bool { return e.d.pass(sink) }
+
+// Inbox returns the receive channel for consumers that range over it instead
+// of draining: the first call starts a goroutine that runs drain passes into
+// the channel. It is closed when the network shuts down.
+func (e *Endpoint) Inbox() <-chan Message {
+	e.inbox.Do(func() {
+		e.ch = make(chan Message)
+		if !e.nd.net.spawn(e.feed) {
+			close(e.ch)
+		}
+	})
+	return e.ch
+}
+
+// feed is the Inbox goroutine: the only sender on e.ch, which it closes.
+func (e *Endpoint) feed() {
+	defer close(e.ch)
+	e.d.run(e.offer)
+}
+
+// offer is the feeder's sink: it blocks until the consumer takes the message
+// or the network closes.
+func (e *Endpoint) offer(m Message) error {
+	select {
+	case e.ch <- m:
+		return nil
+	case <-e.nd.net.closedCh:
+		return ErrClosed
+	}
+}
 
 // ManualAck switches the endpoint to handler-completion tracking: a message
 // counts as in flight (for Quiesce) until the consumer calls Ack, not merely
-// until it is read from the inbox. Consumers that process messages and send
+// until it is handed to the consumer. Consumers that process messages and send
 // follow-ups must use this mode, otherwise Quiesce can observe an idle
 // network between a message being received and its handler running. It must
 // be called before any message is delivered to the endpoint (in practice:
@@ -105,8 +157,8 @@ func (e *Endpoint) Inbox() <-chan Message { return e.ch }
 func (e *Endpoint) ManualAck() { e.nd.manualAck.Store(true) }
 
 // Ack marks one received message as fully processed. It must be called
-// exactly once per message read from the inbox of a ManualAck endpoint, after
-// the handler (and any sends it performs) completes. On endpoints not in
+// exactly once per message received on a ManualAck endpoint, after the
+// handler (and any sends it performs) completes. On endpoints not in
 // manual-ack mode it is a no-op.
 func (e *Endpoint) Ack() {
 	if e.nd.manualAck.Load() {
@@ -114,11 +166,27 @@ func (e *Endpoint) Ack() {
 	}
 }
 
-// queued is one mailbox entry: the message plus the remaining delivery-round
+// queued is one mailbox entry: the message plus the remaining drain-pass
 // delay charged by the fault policy.
 type queued struct {
 	m     Message
 	delay int
+}
+
+// mailbox is an unbounded FIFO, guarded by its node's mu, with a one-token
+// wake-up signal for its single drainer.
+type mailbox struct {
+	queue  []queued
+	notify chan struct{}
+}
+
+func newMailbox() mailbox { return mailbox{notify: make(chan struct{}, 1)} }
+
+func (mb *mailbox) wake() {
+	select {
+	case mb.notify <- struct{}{}:
+	default:
+	}
 }
 
 type node struct {
@@ -126,15 +194,15 @@ type node struct {
 	ep        *Endpoint // nil for remote nodes (hub side of a process boundary)
 	up        atomic.Bool
 	manualAck atomic.Bool
-	// link, when non-nil, is the wire backend's send side for this node: the
-	// pump delivers through it instead of handing straight to ep.ch.
+	// link, when non-nil, is the wire backend's send side for this node: a
+	// pump goroutine drains in through it instead of the consumer draining in.
 	link Link
 
-	mu     sync.Mutex //crew:lockrank 40
-	queue  []queued
-	notify chan struct{}
-	stop   chan struct{}
-	done   chan struct{}
+	mu sync.Mutex //crew:lockrank 40
+	// in holds the messages accepted for the node. rx is used only by a local
+	// node behind a Wire backend: what has crossed the wire (the backend's
+	// sink appends to it) and waits for the consumer.
+	in, rx mailbox
 	// unacked holds messages a remote node's link has written to its peer
 	// process but the peer has not acknowledged yet. They are still in
 	// flight; a reconnecting peer gets them replayed (at-least-once), and
@@ -142,132 +210,164 @@ type node struct {
 	unacked ackQueue
 }
 
-// pump drains the node's mailbox into its inbox channel. Each wakeup swaps
-// the entire queued slice out under the lock and delivers the batch, so the
-// per-message steady-state cost is one channel send — the lock is paid once
-// per burst. The batch and queue buffers are reused across swaps.
+// waiting is the number of in-flight messages held for the node, which is
+// what parks when it crashes. Callers hold nd.mu.
+func (nd *node) waiting() int {
+	return len(nd.in.queue) + len(nd.rx.queue) + nd.unacked.len()
+}
+
+// wakeAll wakes both mailboxes' drainers. An in-process node's rx was never
+// made and its wake is a no-op: a nil channel is never ready.
+func (nd *node) wakeAll() {
+	nd.in.wake()
+	nd.rx.wake()
+}
+
+// put appends one in-flight message to a mailbox of the node, parked if the
+// node is down, and wakes the mailbox's drainer.
 //
-// Messages carrying a fault-injected delay are held for that many pump
-// passes before delivery; while a message from sender S is held, every later
-// message from S in the same pass is held behind it, so per-link FIFO order
-// survives injected latency.
-func (nd *node) pump() {
-	defer close(nd.done)
-	if nd.ep != nil && nd.link == nil {
-		// In-process delivery: the pump is the only sender on ep.ch. With a
-		// wire backend the sink sends on ep.ch from the backend's reader, so
-		// Network.Close closes it after the backend has been torn down.
-		defer close(nd.ep.ch)
+//crew:hotpath
+func (nd *node) put(mb *mailbox, q queued) {
+	parkedHere := false
+	nd.mu.Lock()
+	mb.queue = append(mb.queue, q)
+	if !nd.up.Load() {
+		nd.net.parked.Add(1)
+		parkedHere = true
 	}
-	var batch []queued
-	for {
-		nd.mu.Lock()
-		if nd.up.Load() && len(nd.queue) > 0 {
-			batch, nd.queue = nd.queue, batch[:0]
-		}
-		nd.mu.Unlock()
-		if len(batch) == 0 {
-			select {
-			case <-nd.notify:
-				continue
-			case <-nd.stop:
-				return
-			}
-		}
-		var held []queued
-		var heldFrom map[string]bool
-		crashedAt := -1
-		for i := range batch {
-			if !nd.up.Load() {
-				crashedAt = i
-				break
-			}
-			q := batch[i]
-			if q.delay > 0 || heldFrom[q.m.From] {
-				if q.delay > 0 {
-					q.delay--
-				}
-				if heldFrom == nil {
-					heldFrom = make(map[string]bool)
-				}
-				heldFrom[q.m.From] = true
-				held = append(held, q)
-				continue
-			}
-			if nd.link != nil {
-				// Wire delivery: the frame crosses the backend and the sink
-				// (for local nodes) or the peer's ack (for remote nodes)
-				// retires it from the in-flight count. A delivery failure is
-				// treated like a crash cut-off: the message and the batch
-				// remainder go back to the queue front for replay.
-				if err := nd.deliverWire(q.m); err != nil {
-					if nd.net.closed.Load() {
-						return
-					}
-					crashedAt = i
-					break
-				}
-				continue
-			}
-			select {
-			case nd.ep.ch <- q.m:
-				if !nd.manualAck.Load() {
-					nd.net.decInflight()
-				}
-			case <-nd.stop:
-				return
-			}
-		}
-		if crashedAt >= 0 || len(held) > 0 {
-			// Push undelivered messages back to the front of the queue so
-			// later arrivals stay behind them: held-for-delay messages first
-			// (they arrived earliest), then the remainder the crash cut off.
-			rest := append([]queued(nil), held...)
-			if crashedAt >= 0 {
-				rest = append(rest, batch[crashedAt:]...)
-			}
-			nd.mu.Lock()
-			nd.queue = append(rest, nd.queue...)
-			if !nd.up.Load() {
-				// The node is down: everything just requeued is parked until
-				// recovery (Recover subtracts the whole queue).
-				nd.net.parked.Add(int64(len(rest)))
-			}
-			nd.mu.Unlock()
-			nd.net.maybeNotifyQuiet()
-			if crashedAt < 0 {
-				// Nothing is waking us for the held messages; re-arm.
-				nd.wake()
-			}
-		}
-		batch = batch[:0]
+	nd.mu.Unlock()
+	if parkedHere {
+		nd.net.maybeNotifyQuiet()
 	}
+	mb.wake()
 }
 
-func (nd *node) wake() {
-	select {
-	case nd.notify <- struct{}{}:
-	default:
-	}
-}
-
-// deliverWire carries one message across the node's wire link.
-func (nd *node) deliverWire(m Message) error { return nd.link.Deliver(m) }
-
-// consume is the wire sink's handoff into the endpoint: it blocks until the
-// consumer takes the message (or the node stops) and then retires it from
-// the in-flight count — the same accounting as the in-process delivery
-// branch, so Quiesce stays exact across any backend.
+// consume is the wire sink: a message that crossed the backend joins the
+// consumer's mailbox, still in flight (the consumer's drain pass retires it),
+// so Quiesce stays exact across any backend. It never blocks or fails.
 func (nd *node) consume(m Message) error {
-	select {
-	case nd.ep.ch <- m:
-		if !nd.manualAck.Load() {
+	nd.put(&nd.rx, queued{m: m})
+	return nil
+}
+
+// pump is a link node's delivery goroutine: drain passes into link.Deliver.
+// A delivery failure is handled like a crash cut-off — the message and the
+// batch remainder go back to the queue front for replay — and what retires a
+// delivered message is the far side: the consumer's pass over rx for a local
+// node, the peer's ack for a remote one.
+func (nd *node) pump() {
+	d := drainer{nd: nd, mb: &nd.in}
+	d.run(nd.link.Deliver)
+}
+
+// drainer is a mailbox's single consumer: the state its passes reuse.
+type drainer struct {
+	nd *node
+	mb *mailbox
+	// retire says a message the sink accepted has reached its consumer, so
+	// the pass takes it out of the in-flight count unless the consumer acks
+	// by hand. False for the pump, whose sink only carries messages onward.
+	retire bool
+
+	batch    []queued
+	held     []queued
+	heldFrom map[string]bool
+}
+
+// run is the loop of a goroutine that does nothing but drain: a pass per
+// wake-up until the network closes (Close leaves a token in every mailbox).
+func (d *drainer) run(sink Sink) {
+	for d.pass(sink) {
+		<-d.mb.notify
+	}
+}
+
+// pass is the one drain pass every consumer runs. It swaps the whole queued
+// slice out under the node lock, so the lock is paid once per burst, and
+// hands the batch to sink in order; the batch and queue buffers are reused
+// across swaps. Three rules live here and nowhere else:
+//
+//   - crash cut-off: a node found down (or a sink that fails, or a closed
+//     network) stops the pass at a message boundary; the remainder goes back
+//     to the queue front, parked while the node is down;
+//   - injected delay: a message carrying a fault-policy delay is held for
+//     that many passes, and while a message from sender S is held every
+//     later message from S is held behind it, so per-link FIFO order survives
+//     injected latency;
+//   - in-flight: a message its consumer has taken is retired here unless the
+//     endpoint acks by hand.
+//
+// It returns false once the network has closed.
+//
+//crew:hotpath
+func (d *drainer) pass(sink Sink) bool {
+	nd := d.nd
+	nd.mu.Lock()
+	if nd.up.Load() && len(d.mb.queue) > 0 {
+		d.batch, d.mb.queue = d.mb.queue, d.batch[:0]
+	}
+	nd.mu.Unlock()
+	cut := len(d.batch)
+	for i := range d.batch {
+		if !nd.up.Load() || nd.net.closed.Load() {
+			cut = i
+			break
+		}
+		q := &d.batch[i]
+		if q.delay > 0 || d.heldFrom[q.m.From] {
+			d.hold(q)
+			continue
+		}
+		if sink(q.m) != nil {
+			cut = i
+			break
+		}
+		if d.retire && !nd.manualAck.Load() {
 			nd.net.decInflight()
 		}
-		return nil
-	case <-nd.stop:
-		return ErrClosed
 	}
+	if cut < len(d.batch) || len(d.held) > 0 {
+		d.requeue(cut)
+	}
+	d.batch = d.batch[:0]
+	return !nd.net.closed.Load()
+}
+
+// hold keeps a delayed message, or one behind it from the same sender, for
+// the next pass.
+func (d *drainer) hold(q *queued) {
+	if q.delay > 0 {
+		q.delay--
+	}
+	if d.heldFrom == nil {
+		//crew:allow hotalloc once per drainer, and only under an injected delay
+		d.heldFrom = make(map[string]bool)
+	}
+	d.heldFrom[q.m.From] = true
+	d.held = append(d.held, *q)
+}
+
+// requeue pushes what a pass did not deliver back to the front of the
+// mailbox, so later arrivals stay behind it: held-for-delay messages first
+// (they arrived earliest), then batch[cut:], the remainder a crash cut off.
+func (d *drainer) requeue(cut int) {
+	nd := d.nd
+	rest := append(append([]queued(nil), d.held...), d.batch[cut:]...)
+	nd.mu.Lock()
+	d.mb.queue = append(rest, d.mb.queue...)
+	if !nd.up.Load() {
+		// The node is down: everything just requeued is parked until
+		// recovery (Recover subtracts everything waiting).
+		nd.net.parked.Add(int64(len(rest)))
+	}
+	nd.mu.Unlock()
+	nd.net.maybeNotifyQuiet()
+	if cut == len(d.batch) {
+		// Nothing is waking the drainer for the held messages; re-arm.
+		d.mb.wake()
+	}
+	d.held = d.held[:0]
+	clear(d.heldFrom)
 }
 
 // Network connects named nodes.
@@ -284,6 +384,9 @@ type Network struct {
 	backends []interface{ Close() error }
 	closed   atomic.Bool
 	closedCh chan struct{}
+	// wg counts the transport's own goroutines: link nodes' pumps and Inbox
+	// feeders. Close joins them.
+	wg sync.WaitGroup
 	// trace, when non-nil, receives a copy of every sent message (for
 	// protocol-trace tests and the crewsim fig4 demo). Captured atomically so
 	// installation can race with traffic.
@@ -372,15 +475,12 @@ func (n *Network) Register(name string) (*Endpoint, error) {
 	if _, dup := old[name]; dup {
 		return nil, fmt.Errorf("transport: node %q already registered", name)
 	}
-	nd := &node{
-		net:    n,
-		notify: make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
+	nd := &node{net: n, in: newMailbox()}
 	nd.up.Store(true)
-	nd.ep = &Endpoint{name: name, ch: make(chan Message), nd: nd}
+	nd.ep = &Endpoint{name: name, nd: nd, d: drainer{nd: nd, mb: &nd.in, retire: true}}
 	if n.wire != nil {
+		nd.rx = newMailbox()
+		nd.ep.d.mb = &nd.rx
 		link, err := n.wire.Listen(name, nd.consume)
 		if err != nil {
 			return nil, fmt.Errorf("transport: wire listen %q: %w", name, err)
@@ -406,20 +506,16 @@ func (n *Network) registerRemote(name string, mkLink func(*node) Link) (*node, e
 	if _, dup := old[name]; dup {
 		return nil, fmt.Errorf("transport: node %q already registered", name)
 	}
-	nd := &node{
-		net:    n,
-		notify: make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
+	nd := &node{net: n, in: newMailbox()}
 	nd.up.Store(true)
 	nd.link = mkLink(nd)
 	n.install(name, nd, old)
 	return nd, nil
 }
 
-// install publishes a node in the copy-on-write table and starts its pump.
-// Callers hold n.mu and pass the table snapshot they duplicate-checked.
+// install publishes a node in the copy-on-write table and, for a link node,
+// starts its pump. Callers hold n.mu and pass the table snapshot they
+// duplicate-checked.
 func (n *Network) install(name string, nd *node, old map[string]*node) {
 	next := make(map[string]*node, len(old)+1)
 	for k, v := range old {
@@ -427,7 +523,31 @@ func (n *Network) install(name string, nd *node, old map[string]*node) {
 	}
 	next[name] = nd
 	n.nodes.Store(&next)
-	go nd.pump()
+	if nd.link != nil {
+		n.start(nd.pump)
+	}
+}
+
+// start runs f as one of the transport's goroutines. Callers hold n.mu and
+// have seen the network open, so the Add cannot race Close's Wait.
+func (n *Network) start(f func()) {
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		f()
+	}()
+}
+
+// spawn is start for callers outside registration; it reports false if the
+// network has closed.
+func (n *Network) spawn(f func()) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed.Load() {
+		return false
+	}
+	n.start(f)
+	return true
 }
 
 // addBackend registers extra wire machinery to close during shutdown.
@@ -498,24 +618,13 @@ func (n *Network) deliver(nd *node, m Message) error {
 	return nil
 }
 
-// enqueue appends one accepted physical message to the node's mailbox and
-// updates the in-flight/parked accounting.
+// enqueue puts one accepted physical message in flight, in the node's
+// mailbox.
 //
 //crew:hotpath
 func (n *Network) enqueue(nd *node, m Message, delay int) {
 	n.inflight.Add(1)
-	parkedHere := false
-	nd.mu.Lock()
-	nd.queue = append(nd.queue, queued{m: m, delay: delay})
-	if !nd.up.Load() {
-		n.parked.Add(1)
-		parkedHere = true
-	}
-	nd.mu.Unlock()
-	if parkedHere {
-		n.maybeNotifyQuiet()
-	}
-	nd.wake()
+	nd.put(&nd.in, queued{m: m, delay: delay})
 }
 
 // decInflight retires one in-flight message and releases Quiesce/AwaitStall
@@ -633,7 +742,7 @@ func (n *Network) Crash(name string) bool {
 		nd.up.Store(false)
 		// A remote node's unacked messages are in flight at the dead peer;
 		// they park with the queue and will be replayed on reclaim.
-		n.parked.Add(int64(len(nd.queue) + nd.unacked.len()))
+		n.parked.Add(int64(nd.waiting()))
 	}
 	nd.mu.Unlock()
 	n.maybeNotifyQuiet()
@@ -649,11 +758,11 @@ func (n *Network) Recover(name string) bool {
 	nd.mu.Lock()
 	if !nd.up.Load() {
 		nd.up.Store(true)
-		n.parked.Add(int64(-(len(nd.queue) + nd.unacked.len())))
+		n.parked.Add(int64(-nd.waiting()))
 	}
 	nd.mu.Unlock()
 	n.maybeNotifyQuiet()
-	nd.wake()
+	nd.wakeAll()
 	return true
 }
 
@@ -665,7 +774,7 @@ func (n *Network) QueuedFor(name string) int {
 	}
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	return len(nd.queue)
+	return len(nd.in.queue) + len(nd.rx.queue)
 }
 
 // Nodes returns the sorted registered node names.
@@ -679,15 +788,16 @@ func (n *Network) Nodes() []string {
 	return out
 }
 
-// Close shuts the network down: pumps stop and every endpoint's inbox is
-// closed after its pump exits. Pending undelivered messages are dropped and
-// any Quiesce waiters are released with ErrClosed.
+// Close shuts the network down: every drainer stops at its next message
+// boundary, the transport's own goroutines (pumps, Inbox feeders) are joined
+// and every Inbox is closed by its feeder. An actor that drains its own
+// mailbox sees Drain report false; its owner joins it (Actor.Stop). Pending
+// undelivered messages are dropped and any Quiesce waiters are released with
+// ErrClosed.
 //
-// With a wire backend the teardown order matters: node stops are signalled
-// first (unblocking sinks parked on full endpoint channels), then the backend
-// is closed — which fails in-flight Delivers and joins every reader
-// goroutine — and only then, with no sender left, are the wire endpoints'
-// inbox channels closed.
+// The wake-ups come after the closed flag is set, so every drainer, asleep or
+// mid-pass, observes it. The backends are closed before the join because a
+// pump can be inside a Deliver that only the backend's teardown fails.
 func (n *Network) Close() {
 	n.mu.Lock()
 	if n.closed.Load() {
@@ -700,7 +810,7 @@ func (n *Network) Close() {
 	backends := n.backends
 	n.mu.Unlock()
 	for _, nd := range nodes {
-		close(nd.stop)
+		nd.wakeAll()
 	}
 	for _, b := range backends {
 		b.Close()
@@ -708,14 +818,5 @@ func (n *Network) Close() {
 	if n.wire != nil {
 		n.wire.Close()
 	}
-	for _, nd := range nodes {
-		<-nd.done
-	}
-	if n.wire != nil {
-		for _, nd := range nodes {
-			if nd.link != nil && nd.ep != nil {
-				close(nd.ep.ch)
-			}
-		}
-	}
+	n.wg.Wait()
 }

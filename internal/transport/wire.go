@@ -8,7 +8,7 @@ import "crew/internal/metrics"
 // Quiesce/in-flight accounting, per-receiver FIFO, crash parking and replay,
 // batched envelopes — and hands a backend exactly one job: carry one ordered
 // stream of framed messages per node from the Network's pump to that node's
-// endpoint.
+// consumer-side mailbox.
 //
 // The contract, per node:
 //
@@ -24,9 +24,9 @@ import "crew/internal/metrics"
 //   - Close tears the backend down and does not return until every
 //     outstanding sink invocation has returned.
 //
-// The in-process backend is the nil Wire: with NetworkConfig.Wire unset the
-// pump hands messages straight to the endpoint channel, byte-identical to the
-// pre-Wire transport (same counts, same allocation profile).
+// The in-process backend is the nil Wire: with NetworkConfig.Wire unset there
+// is no pump and no second mailbox, the consumer drains the mailbox senders
+// append to.
 type Wire interface {
 	// Listen binds the wire's receive side for the named node. Inbound
 	// frames addressed to the node are decoded and handed to sink in order.
@@ -36,10 +36,12 @@ type Wire interface {
 	Close() error
 }
 
-// Sink consumes one decoded inbound message on the backend's receive side.
-// The Network's sink blocks until the destination endpoint accepts the
-// message (or the node stops), so a backend must treat a slow sink as
-// backpressure, not an error.
+// Sink takes one message at the end of a hop. A drain pass hands each message
+// it delivers to one (an actor's turn, a Link's Deliver, a send on an Inbox
+// channel) and treats an error as "not taken": the message is replayed. A
+// backend is given one by Listen and calls it with each decoded inbound
+// message; the Network's appends to the node's consumer-side mailbox and
+// neither blocks nor fails.
 type Sink func(m Message) error
 
 // Link is the Network's send side to one node over a Wire backend.
@@ -59,9 +61,10 @@ type NetworkConfig struct {
 	// Collector receives physical message counts (nil disables counting).
 	Collector *metrics.Collector
 	// Wire selects the byte-transport backend. Nil is the in-process
-	// backend: direct channel handoff with no serialization, the default and
-	// fastest path. A non-nil Wire (NewSocketWire) carries every delivered
-	// message through the backend as a length-prefixed binary frame.
+	// backend: the consumer drains the senders' mailbox, no serialization,
+	// the default and fastest path. A non-nil Wire (NewSocketWire) carries
+	// every delivered message through the backend as a length-prefixed binary
+	// frame.
 	Wire Wire
 }
 
