@@ -6,12 +6,16 @@
 // same kind of thing at run time — a named node whose state is owned by one
 // goroutine — and this package is that thing, once.
 //
-// An Actor registers a manual-ack endpoint, runs the node's single goroutine
-// (it drains its own mailbox, so a message reaches its handler with no
-// goroutine in between; command queue; an optional on-demand timer), unwraps
-// envelopes into logical messages, batches the turn's sends per destination
-// and collects the turn's WFDB rows. Every turn ends in endTurn, which is
-// where the orderings the rest of the system relies on are implemented:
+// An Actor registers a manual-ack endpoint, runs the node's goroutine (it
+// drains its own mailbox, so a message reaches its handler with no goroutine
+// in between; command queue; an optional on-demand timer), unwraps envelopes
+// into logical messages, batches the turn's sends per destination and
+// collects the turn's WFDB rows. A turn has three entries: a message out of
+// the mailbox, a command or timer tick, both on the actor's goroutine, and
+// Deliver, for an actor whose messages arrive on a connection: the
+// connection's reader runs the turn itself. The turn lock makes the three one
+// owner at a time. Every turn ends in endTurn, which is where the orderings
+// the rest of the system relies on are implemented:
 //
 //   - write-ahead of dispatch: the turn's rows are committed before any
 //     message the turn produced leaves, so a restarted node knows of every
@@ -50,7 +54,8 @@ type Row interface {
 
 // Timer is an owner's maintenance turn, run off a one-shot timer that is
 // armed only while Busy reports work: an idle actor blocks with no timer at
-// all and takes zero wakeups.
+// all and takes zero wakeups. The turn that makes Busy true arms it, whichever
+// goroutine ran that turn.
 type Timer struct {
 	Every time.Duration
 	Busy  func() bool
@@ -65,8 +70,8 @@ type command struct {
 }
 
 // Actor is one node of a deployment. Send, Tx, Mark and Commit belong to the
-// actor's goroutine (handlers, commands and timer ticks); Do, DoAsync, Stop,
-// Name and Logf may be called from anywhere.
+// running turn (handlers, commands and timer ticks); Deliver, Do, DoAsync,
+// Stop, Name and Logf may be called from anywhere.
 type Actor struct {
 	name   string
 	net    *transport.Network
@@ -74,6 +79,18 @@ type Actor struct {
 	store  Committer
 	logf   func(format string, args ...any)
 	handle func(m transport.Message)
+
+	// turnMu is held across every turn and guards everything a turn touches,
+	// the fields below and the owner's state. The loop takes it once per
+	// mailbox pass, command burst or tick, Deliver once per message; nothing
+	// blocks under it but the turn itself. It is taken before every lock a
+	// turn takes (the destination node's among them).
+	turnMu sync.Mutex //crew:lockrank 5
+	// timer is the owner's maintenance turn; clock its one-shot timer, reset
+	// only while not armed, so its channel never holds a stale tick.
+	timer *Timer
+	clock *time.Timer
+	armed bool
 
 	// handles caches per-destination senders; batch coalesces the turn's
 	// sends into per-destination envelopes; tx collects the turn's rows and
@@ -123,8 +140,13 @@ func New(net *transport.Network, name string, store Committer, logf func(format 
 // New so the owner can store the actor before its handlers can run.
 func (a *Actor) Launch(handle func(m transport.Message), timer *Timer) {
 	a.handle = handle
+	if timer != nil {
+		a.timer = timer
+		a.clock = time.NewTimer(time.Hour) // stopped until a turn arms it
+		a.clock.Stop()
+	}
 	a.wg.Add(1)
-	go a.loop(timer)
+	go a.loop()
 }
 
 // Name returns the node name.
@@ -137,47 +159,59 @@ func (a *Actor) Stop() { a.wg.Wait() }
 // Logf reports a diagnostic.
 func (a *Actor) Logf(format string, args ...any) { a.logf(format, args...) }
 
-func (a *Actor) loop(t *Timer) {
+// loop is the actor's goroutine: it waits for the mailbox, the command queue
+// or the timer and runs what it finds under the turn lock.
+func (a *Actor) loop() {
 	defer a.wg.Done()
-	wake, turn := a.ep.Wake(), transport.Sink(a.turn)
-	var (
-		timer  *time.Timer
-		timerC <-chan time.Time
-	)
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-	for {
-		a.drainCmds()
-		if t != nil && timerC == nil && t.Busy() {
-			if timer == nil {
-				timer = time.NewTimer(t.Every)
-			} else {
-				timer.Reset(t.Every)
-			}
-			timerC = timer.C
-		}
+	wake, turn := a.ep.Wake(), transport.Sink(a.mailboxTurn)
+	var tick <-chan time.Time
+	if a.clock != nil {
+		tick = a.clock.C
+		defer a.clock.Stop()
+	}
+	for open := true; open; {
+		var mail, ticked bool
 		select {
 		case <-wake:
-			if !a.ep.Drain(turn) {
-				a.drainCmds()
-				return
-			}
+			mail = true
 		case <-a.cmdNotify:
-		case <-timerC:
-			timerC = nil
-			t.Tick()
+		case <-tick:
+			ticked = true
+		}
+		a.turnMu.Lock()
+		if mail {
+			open = a.ep.Drain(turn)
+		}
+		if ticked {
+			a.armed = false
+			a.timer.Tick()
 			a.endTurn(false, nil)
 		}
+		a.drainCmds()
+		a.turnMu.Unlock()
 	}
 }
 
-// turn is the sink of the actor's drain pass: one received physical message
-// is one turn, and the commands queued meanwhile run before the batch's next
-// message.
-func (a *Actor) turn(m transport.Message) error {
+// Deliver runs one received message as a turn on the caller's goroutine and
+// returns when the turn, and the commands queued during it, have ended: its
+// rows are committed and its sends are with the transport. It is for an
+// actor whose messages arrive on a connection rather than in the mailbox, and
+// there is no mailbox entry to ack.
+func (a *Actor) Deliver(m transport.Message) {
+	a.turnMu.Lock()
+	a.turn(m, false)
+	a.turnMu.Unlock()
+}
+
+// mailboxTurn is the sink of the actor's drain pass.
+func (a *Actor) mailboxTurn(m transport.Message) error {
+	a.turn(m, true)
+	return nil
+}
+
+// turn runs one received physical message, and then the commands queued
+// meanwhile: they run before the next message of a mailbox batch.
+func (a *Actor) turn(m transport.Message, ack bool) {
 	if env, isEnv := m.Payload.(*transport.Envelope); isEnv {
 		for _, lm := range env.Msgs {
 			a.handle(lm)
@@ -186,15 +220,15 @@ func (a *Actor) turn(m transport.Message) error {
 	} else {
 		a.handle(m)
 	}
-	a.endTurn(true, nil)
+	a.endTurn(ack, nil)
 	a.drainCmds()
-	return nil
 }
 
-// endTurn is the one epilogue of every turn — a received message (ack), a
-// command (done non-nil for Do) or a timer tick: commit the turn's rows, then
-// flush its sends, and only then mark the turn as over. The order is the
-// contract stated at the top of the package, held here and nowhere else.
+// endTurn is the one epilogue of every turn — a message out of the mailbox
+// (ack), a delivered one, a command (done non-nil for Do) or a timer tick:
+// commit the turn's rows, then flush its sends, and only then mark the turn as
+// over. The order is the contract stated at the top of the package, held here
+// and nowhere else. A turn that left the owner busy arms the timer.
 func (a *Actor) endTurn(ack bool, done chan struct{}) {
 	a.Commit()
 	if err := a.batch.Flush(); err != nil {
@@ -202,6 +236,10 @@ func (a *Actor) endTurn(ack bool, done chan struct{}) {
 	}
 	if ack {
 		a.ep.Ack()
+	}
+	if a.timer != nil && !a.armed && a.timer.Busy() {
+		a.armed = true
+		a.clock.Reset(a.timer.Every)
 	}
 	if done != nil {
 		close(done)
@@ -265,8 +303,8 @@ func (a *Actor) enqueue(c command) {
 	}
 }
 
-// Do runs f on the actor's goroutine as a turn of its own and returns once
-// that turn has ended. It must not be called from the actor's goroutine.
+// Do runs f as a turn of its own and returns once that turn has ended. It
+// must not be called from inside a turn.
 func (a *Actor) Do(f func()) {
 	done := make(chan struct{})
 	a.enqueue(command{f: f, done: done})

@@ -3,6 +3,7 @@ package actor
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -349,4 +350,145 @@ func TestSendFailureIsLogged(t *testing.T) {
 	if len(lines) != 1 || !strings.HasPrefix(lines[0], "send ") {
 		t.Errorf("log lines = %q, want one send failure", lines)
 	}
+}
+
+// inMsg is a message as a connection's reader would hand it to Deliver.
+func inMsg(payload any) transport.Message {
+	return transport.Message{From: "test", To: "node", Mechanism: metrics.Normal, Kind: "In", Payload: payload}
+}
+
+// TestDeliverTurnIsExclusive: Deliver runs the handler on the caller's
+// goroutine, and a turn entered that way never overlaps a timer tick or a
+// command. The in-turn flag is a plain bool, so under -race an overlap is a
+// reported race as well as a failed check.
+func TestDeliverTurnIsExclusive(t *testing.T) {
+	f := newFixture(t, nil)
+	var (
+		inTurn                 bool
+		handled, ticks, cmds   int
+		onCaller, seenT, seenC int // the test's copies, taken inside a delivered turn
+		enter                  = func() {
+			if inTurn {
+				t.Error("two turns at once")
+			}
+			inTurn = true
+		}
+	)
+	stack := make([]byte, 16<<10)
+	f.act.Launch(func(transport.Message) {
+		enter()
+		handled++
+		if strings.Contains(string(stack[:runtime.Stack(stack, false)]), "TestDeliverTurnIsExclusive") {
+			onCaller++
+		}
+		seenT, seenC = ticks, cmds
+		inTurn = false
+	}, &Timer{
+		Every: time.Millisecond,
+		Busy:  func() bool { return true },
+		Tick: func() {
+			enter()
+			ticks++
+			inTurn = false
+		},
+	})
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				f.act.Do(func() {
+					enter()
+					cmds++
+					inTurn = false
+				})
+			}
+		}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for n := 0; n < 1000 || seenT == 0 || seenC == 0; n++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d deliveries: %d ticks and %d commands ran between them, want both", n, seenT, seenC)
+		}
+		f.act.Deliver(inMsg("x"))
+	}
+	close(stop)
+	<-stopped
+	if onCaller != handled {
+		t.Errorf("%d of %d handlers ran on the goroutine that called Deliver", onCaller, handled)
+	}
+}
+
+// TestDeliverTurnArmsTimer: the delivered turn that makes the owner busy arms
+// the timer, and it fires with no mailbox traffic and no command at all.
+func TestDeliverTurnArmsTimer(t *testing.T) {
+	f := newFixture(t, nil)
+	busy := false // owned by the turn
+	var ticks atomic.Int32
+	ticked := make(chan struct{}, 1)
+	f.act.Launch(func(m transport.Message) { busy = m.Payload == "work" }, &Timer{
+		Every: time.Millisecond,
+		Busy:  func() bool { return busy },
+		Tick: func() {
+			ticks.Add(1)
+			busy = false
+			f.work("tick")
+			ticked <- struct{}{}
+		},
+	})
+	f.act.Deliver(inMsg("nothing"))
+	time.Sleep(30 * time.Millisecond)
+	if n := ticks.Load(); n != 0 {
+		t.Fatalf("timer fired %d times for an idle owner", n)
+	}
+	f.act.Deliver(inMsg("work"))
+	select {
+	case <-ticked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("timer never fired: the delivered turn did not arm it")
+	}
+	f.act.Deliver(inMsg("nothing")) // a turn behind the tick's: its epilogue is over
+	got := f.tr.take()
+	wantTrail(t, got[2:], "tick", "save", "commit", "send Out", "commit")
+	time.Sleep(30 * time.Millisecond)
+	if n := ticks.Load(); n != 1 {
+		t.Errorf("timer fired %d times, want once: the owner went idle in the tick", n)
+	}
+}
+
+// TestDeliverTurnCommitPrecedesDirectSend is the order an agent process relies
+// on: by the time Deliver returns the turn's rows are committed and its sends
+// have been through the destination's function, in that order, with no
+// goroutine in between to wait for.
+func TestDeliverTurnCommitPrecedesDirectSend(t *testing.T) {
+	f := newFixture(t, nil)
+	err := f.net.RegisterDirect("hub", func(m transport.Message) { f.tr.add("wire " + m.Kind) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.act.Launch(func(transport.Message) {
+		f.work("handle")
+		f.act.Send("hub", metrics.Normal, "Packet", nil)
+	}, nil)
+	f.act.Deliver(inMsg("x"))
+	wantTrail(t, f.tr.take(), "handle", "save", "commit", "send Out", "send Packet", "wire Packet")
+	if n := f.net.InFlight(); n > 1 {
+		t.Errorf("in-flight = %d: a direct node holds nothing, only the message to sink may be waiting", n)
+	}
+	f.quiesce(t)
+}
+
+// TestDeliverTurnRunsQueuedCommands: a command a handler queues runs, as a
+// turn of its own, before Deliver returns.
+func TestDeliverTurnRunsQueuedCommands(t *testing.T) {
+	f := newFixture(t, nil)
+	f.act.Launch(func(transport.Message) {
+		f.tr.add("handle")
+		f.act.DoAsync(func() { f.tr.add("async") })
+	}, nil)
+	f.act.Deliver(inMsg("x"))
+	wantTrail(t, f.tr.take(), "handle", "commit", "async", "commit")
 }

@@ -40,14 +40,17 @@ type Config struct {
 	// election (ablation); the default is the deterministic zero-message
 	// election.
 	ExplicitElection bool
-	// PurgeOnCommit makes coordination agents broadcast purge notes when an
-	// instance finishes (paper: periodic broadcast; immediate here).
+	// PurgeOnCommit makes coordination agents tell every other agent of the
+	// instances they finished, so replicas are purged where no terminal
+	// registry is shared. As in the paper the broadcast is periodic: one note
+	// per peer from each maintenance sweep, naming what finished since the
+	// last (so a disabled sweep sends none).
 	PurgeOnCommit bool
 	// Alive overrides the liveness oracle used by agent elections and status
 	// polling; nil uses the transport's view. Multi-process children need the
 	// override: their local network registers every peer as an always-up
-	// forwarding proxy, so only the hub's crash/recover announcements know
-	// which agents are really down.
+	// direct node that writes to the hub connection, so only the hub's
+	// crash/recover announcements know which agents are really down.
 	Alive func(name string) bool
 	// Terminal optionally shares a terminal-status registry across the
 	// deployment. The coordination agent publishes every commit/abort into
@@ -181,6 +184,10 @@ type Agent struct {
 	// configured, else a private in-memory database).
 	term *itable.Terminal
 	adb  *wfdb.DB
+	// purges queues the instances finished here since the last sweep, for its
+	// purge broadcast (Config.PurgeOnCommit). Like any unflushed send it dies
+	// with the process.
+	purges []purgeEntry
 	// sweepWakeups counts maintenance-timer firings; tests assert an idle
 	// agent stops waking up.
 	sweepWakeups atomic.Int64
@@ -239,12 +246,13 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 		return nil, err
 	}
 	// Only while the agent holds replicas is there anything to heal, report or
-	// retire, so the sweep's timer is armed on that condition alone.
+	// retire, and only with purges queued anything to broadcast, so the sweep's
+	// timer is armed on those conditions alone.
 	var sweep *actor.Timer
 	if cfg.StatusPollInterval > 0 {
 		sweep = &actor.Timer{
 			Every: cfg.StatusPollInterval,
-			Busy:  func() bool { return len(a.replicas) > 0 },
+			Busy:  func() bool { return len(a.replicas) > 0 || len(a.purges) > 0 },
 			Tick:  a.sweep,
 		}
 	}
@@ -451,9 +459,9 @@ func (a *Agent) persist(r *replica) {
 	a.Mark(r)
 }
 
-// Snapshot returns a deep copy of the agent's replica of an instance; for a
-// retired instance it serves this agent's archived copy (the full final
-// state on the coordination agent, the local partial view elsewhere).
+// Snapshot returns a deep copy of the agent's replica of an instance. For a
+// retired instance the coordination agent serves the archived final state;
+// the other agents dropped their partial copy and have nothing to serve.
 func (a *Agent) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
 	var out *wfdb.Instance
 	a.Do(func() {
@@ -506,16 +514,17 @@ func (a *Agent) DB() *wfdb.DB { return a.cfg.AGDB }
 // Terminal returns the agent's terminal-status registry.
 func (a *Agent) Terminal() *itable.Terminal { return a.term }
 
-// retireReplica archives a terminated instance's replica and evicts it from
-// the live table, publishing the terminal status and waking completion
-// waiters. The local copy (partial on non-coordination agents) goes to this
-// agent's archive database, so Snapshot keeps answering with the per-agent
-// view. For in-process deployments retirement is pure local bookkeeping: it
-// sends no messages and adds no load, so the paper's message and load tables
-// are unaffected. Only when the replica carries a NotifyTo address (set by a
-// multi-process front end's WorkflowStart) does the coordination agent push
-// one WorkflowDone across the wire — the completion signal that replaces the
-// shared terminal registry a process boundary takes away.
+// retireReplica is how the coordination agent lets go of a terminated
+// instance: it archives the full final state, evicts the replica from the live
+// table, publishes the terminal status and wakes completion waiters. Only the
+// coordination agent archives (Snapshot serves that copy); every other agent
+// drops its partial replica (dropReplica). For in-process deployments
+// retirement is pure local bookkeeping: it sends no messages and adds no load,
+// so the paper's message and load tables are unaffected. Only when the replica
+// carries a NotifyTo address (set by a multi-process front end's
+// WorkflowStart) does the coordination agent push one WorkflowDone across the
+// wire — the completion signal that replaces the shared terminal registry a
+// process boundary takes away.
 //
 // Retirement happens only at terminal status, after the coordination
 // clean-up has been issued — never while pending rollback dependencies or
@@ -542,6 +551,22 @@ func (a *Agent) retireReplica(r *replica, st wfdb.Status) {
 	delete(a.replicas, key)
 	if a.cfg.OnRetired != nil {
 		a.cfg.OnRetired(r.ins.Workflow, r.ins.ID)
+	}
+}
+
+// dropReplica is how every other agent lets go of a replica whose instance
+// finished elsewhere, learnt from a purge note or from the terminal registry:
+// the partial copy is evicted and its AGDB row deleted in the turn's group.
+// Nothing is archived; nobody reads a bystander's view of a finished instance.
+func (a *Agent) dropReplica(r *replica) {
+	r.purged = true // callers unwinding with r in hand must not persist it back
+	r.dirty = false
+	delete(a.replicas, r.ins.Key())
+	if a.cfg.OnRetired != nil {
+		a.cfg.OnRetired(r.ins.Workflow, r.ins.ID)
+	}
+	if a.cfg.AGDB != nil {
+		a.Tx().DeleteInstance(r.ins.Workflow, r.ins.ID)
 	}
 }
 

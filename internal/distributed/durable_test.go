@@ -103,12 +103,16 @@ func TestCommitPrecedesSend(t *testing.T) {
 // row exists and the live row does not: the summary, the archive row and the
 // deletion of the live row are one group, so a restarted agent can neither
 // resume an instance its summary calls finished nor find a finished one with
-// no final state.
+// no final state. The other agents drop their replica from the sweep: they
+// never archive or summarize, and the deletion of the live row is on the log
+// once that sweep's turn has committed.
 func TestReplicaRetireIsCrashAtomic(t *testing.T) {
 	dir := t.TempDir()
 	sys, paths, _ := fileSystem(t, dir)
 	id := runToStatus(t, sys, "Lin", map[string]expr.Value{"I1": expr.Num(7)}, wfdb.Committed)
-	waitReplicasDrained(t, sys) // a2 and a3 retire from their sweeps
+	// a2 and a3 drop theirs from their sweeps; ReplicaCount is a turn behind
+	// the sweep's, so the sweep's group is on the log.
+	waitReplicasDrained(t, sys)
 	sys.Close()
 
 	cutPath := filepath.Join(dir, "cut.agdb")
@@ -117,7 +121,8 @@ func TestReplicaRetireIsCrashAtomic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var archived, summarized bool
+		coordinator := agent == 0
+		var live, wasLive, archived, summarized bool
 		for cut := 0; cut <= len(data); cut++ {
 			if err := os.WriteFile(cutPath, data[:cut], 0o644); err != nil {
 				t.Fatal(err)
@@ -127,7 +132,7 @@ func TestReplicaRetireIsCrashAtomic(t *testing.T) {
 				t.Fatalf("a%d cut=%d: %v", agent+1, cut, err)
 			}
 			db := wfdb.New(st)
-			_, live, err := db.LoadInstance("Lin", id)
+			_, live, err = db.LoadInstance("Lin", id)
 			if err != nil {
 				t.Fatalf("a%d cut=%d: instance row: %v", agent+1, cut, err)
 			}
@@ -137,10 +142,13 @@ func TestReplicaRetireIsCrashAtomic(t *testing.T) {
 			}
 			sum, hasSum, _ := db.LoadSummary("Lin", id)
 			st.Close()
+			wasLive = wasLive || live
 			archived, summarized = isArchived, hasSum
 			switch {
 			case live && isArchived:
 				t.Fatalf("a%d cut=%d: instance is both live and archived", agent+1, cut)
+			case isArchived && !coordinator:
+				t.Fatalf("a%d cut=%d: a bystander archived its partial replica", agent+1, cut)
 			case hasSum && sum != wfdb.Running && (live || !isArchived):
 				t.Fatalf("a%d cut=%d: summary says %v but live=%v archived=%v", agent+1, cut, sum, live, isArchived)
 			case isArchived && arch.Status != wfdb.Committed:
@@ -149,10 +157,13 @@ func TestReplicaRetireIsCrashAtomic(t *testing.T) {
 				t.Fatalf("a%d cut=%d: archived under a %v summary", agent+1, cut, sum)
 			}
 		}
-		if !archived {
-			t.Errorf("a%d: full log holds no archive row", agent+1)
+		if !wasLive || live {
+			t.Errorf("a%d: instance row was live at some cut = %v, on the full log = %v; want a row that is written and then deleted", agent+1, wasLive, live)
 		}
-		if coordinator := agent == 0; summarized != coordinator {
+		if archived != coordinator {
+			t.Errorf("a%d: archive row on the full log = %v, want %v (only the coordination agent archives)", agent+1, archived, coordinator)
+		}
+		if summarized != coordinator {
 			t.Errorf("a%d: summary on the full log = %v, want %v (only the coordination agent keeps one)", agent+1, summarized, coordinator)
 		}
 	}

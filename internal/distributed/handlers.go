@@ -642,12 +642,7 @@ func (a *Agent) finishInstance(r *replica) {
 	}
 
 	if a.cfg.PurgeOnCommit {
-		for _, ag := range a.cfg.Agents {
-			if ag == a.cfg.Name {
-				continue
-			}
-			a.Send(ag, metrics.Normal, KindPurge, purgeNote{Workflow: r.ins.Workflow, Instance: r.ins.ID, Status: r.ins.Status})
-		}
+		a.purges = append(a.purges, purgeEntry{Workflow: r.ins.Workflow, Instance: r.ins.ID, Status: r.ins.Status})
 	}
 
 	// Retire the coordination replica itself: archive the full final state,
@@ -657,24 +652,33 @@ func (a *Agent) finishInstance(r *replica) {
 	a.retireReplica(r, r.ins.Status)
 }
 
-func (a *Agent) handlePurge(p purgeNote) {
-	// Record the terminal outcome first so late packets find the instance
-	// retired, not unknown (no-op when the registry is deployment-shared:
-	// the sender already published it).
-	if p.Status != wfdb.Running {
-		a.term.Complete(p.Workflow, p.Instance, p.Status)
+// broadcastPurges is the sweep's purge broadcast: one note per peer naming
+// every instance finished here since the last sweep. The peers share the
+// entries, which nobody writes again.
+func (a *Agent) broadcastPurges() {
+	if len(a.purges) == 0 {
+		return
 	}
-	key := wfdb.InstanceKeyOf(p.Workflow, p.Instance)
-	if r, ok := a.replicas[key]; ok {
-		r.purged = true
-		r.dirty = false
-		delete(a.replicas, key)
-		if a.cfg.OnRetired != nil {
-			a.cfg.OnRetired(r.ins.Workflow, r.ins.ID)
+	note := purgeNote{Entries: a.purges}
+	a.purges = nil
+	for _, ag := range a.cfg.Agents {
+		if ag != a.cfg.Name {
+			a.Send(ag, metrics.Normal, KindPurge, note)
 		}
 	}
-	if a.cfg.AGDB != nil {
-		a.Tx().DeleteInstance(p.Workflow, p.Instance)
+}
+
+func (a *Agent) handlePurge(p purgeNote) {
+	for _, e := range p.Entries {
+		// Record the terminal outcome first so late packets find the instance
+		// retired, not unknown (no-op when the registry is deployment-shared:
+		// the sender already published it).
+		if e.Status != wfdb.Running {
+			a.term.Complete(e.Workflow, e.Instance, e.Status)
+		}
+		if r, ok := a.replicas[wfdb.InstanceKeyOf(e.Workflow, e.Instance)]; ok {
+			a.dropReplica(r)
+		}
 	}
 }
 
@@ -1312,6 +1316,7 @@ func (a *Agent) handleNestedResult(p nestedResult) {
 // (the paper's predecessor-failure detection).
 func (a *Agent) sweep() {
 	a.sweepWakeups.Add(1)
+	a.broadcastPurges()
 	now := time.Now()
 	// Snapshot: evaluation can start nested instances and retirement evicts
 	// entries, both mutating the map.
@@ -1320,7 +1325,7 @@ func (a *Agent) sweep() {
 		replicas = append(replicas, r)
 	}
 	for _, r := range replicas {
-		// Retire replicas of instances that finished elsewhere: the terminal
+		// Drop replicas of instances that finished elsewhere: the terminal
 		// registry is deployment-shared, so learning the outcome and
 		// evicting the replica costs no messages. This is what keeps every
 		// agent's resident state flat under an unbounded instance stream —
@@ -1328,7 +1333,7 @@ func (a *Agent) sweep() {
 		// committed instances forever.
 		if !r.purged {
 			if st, ok := a.term.Status(r.ins.Workflow, r.ins.ID); ok && st != wfdb.Running {
-				a.retireReplica(r, st)
+				a.dropReplica(r)
 				continue
 			}
 		}

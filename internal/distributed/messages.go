@@ -1,6 +1,8 @@
 package distributed
 
 import (
+	"encoding/binary"
+
 	"crew/internal/binenc"
 	"crew/internal/coord"
 	"crew/internal/expr"
@@ -294,11 +296,18 @@ type nestedResult struct {
 	Data map[string]expr.Value
 }
 
-// purgeNote is the coordination agent's broadcast that an instance finished,
-// so agents can purge its replica. Status carries the terminal outcome so the
-// recipient records it in the terminal registry before dropping the replica
-// (late packets for the instance must stay recognizably retired, not unknown).
+// purgeNote is the coordination agent's periodic broadcast of the instances
+// it finished since the last one, so agents can purge their replicas (the
+// paper's periodic purge broadcast; the period is the sweep's).
 type purgeNote struct {
+	Entries []purgeEntry
+}
+
+// purgeEntry names one finished instance. Status carries the terminal outcome
+// so the recipient records it in the terminal registry before dropping the
+// replica (late packets for the instance must stay recognizably retired, not
+// unknown).
+type purgeEntry struct {
 	Workflow string
 	Instance int
 	Status   wfdb.Status
@@ -590,9 +599,20 @@ func decodeNestedResult(r *binenc.Reader) nestedResult {
 }
 
 func appendPurgeNote(dst []byte, p purgeNote, _ *[]string) []byte {
-	return binenc.AppendInt(appendInst(dst, p.Workflow, p.Instance), int(p.Status))
+	dst = binary.AppendUvarint(dst, uint64(len(p.Entries)))
+	for _, e := range p.Entries {
+		dst = binenc.AppendInt(appendInst(dst, e.Workflow, e.Instance), int(e.Status))
+	}
+	return dst
 }
 
 func decodePurgeNote(r *binenc.Reader) purgeNote {
-	return purgeNote{Workflow: r.Str(), Instance: r.Int(), Status: wfdb.Status(r.Int())}
+	var p purgeNote
+	if n := r.Count(3); n > 0 {
+		p.Entries = make([]purgeEntry, n)
+		for i := range p.Entries {
+			p.Entries[i] = purgeEntry{Workflow: r.Str(), Instance: r.Int(), Status: wfdb.Status(r.Int())}
+		}
+	}
+	return p
 }

@@ -1,7 +1,6 @@
 package mproc
 
 import (
-	"context"
 	"fmt"
 
 	"crew/internal/distributed"
@@ -19,15 +18,18 @@ import (
 // same recipe (cfg.ResolveWorkload for parameter-driven deployments, a
 // compiled LAWS source for crewrun).
 //
-// Everything the agent emits goes back through the hub: the local Network
-// registers every peer (and the notify node) as a manual-ack forwarding
-// proxy whose consumer hands the message to the connection as a MSG frame
-// and only then acks it. That write-before-ack order is the quiescence
-// contract: when the local network reports idle after a delivery, every
-// follow-up frame is in the connection's turn buffer ahead of the delivery's
-// ACK, and the buffer leaves in one write, so the hub's in-flight accounting
-// never observes a gap. Local message counts are discarded — the hub charges
-// every message once, authoritatively.
+// A delivery crosses no goroutine boundary between the socket read and the
+// socket write. The connection's reader runs the agent's turn itself
+// (Agent.Deliver), and the local Network registers every peer, and the notify
+// node, as a direct node whose function appends the message to the
+// connection as a MSG frame: the turn commits its rows, its flush puts the
+// frames in the connection's turn buffer, Deliver returns, and Serve appends
+// the ACK and writes the buffer once. Commit-before-send, write-before-ACK
+// and one-write-per-turn hold because those are consecutive statements on one
+// goroutine, and the hub's in-flight accounting never observes a gap. A sweep
+// tick or a command between deliveries is a turn on the agent's own goroutine
+// and writes its frames when it ends. Local message counts are discarded —
+// the hub charges every message once, authoritatively.
 func RunChild(cfg *ChildConfig, lib *model.Library, programs *model.Registry) error {
 	if cfg == nil {
 		return fmt.Errorf("mproc: RunChild needs a config")
@@ -51,21 +53,24 @@ func RunChild(cfg *ChildConfig, lib *model.Library, programs *model.Registry) er
 	}
 
 	net := transport.NewNetwork(transport.NetworkConfig{})
-	peers := append([]string(nil), cfg.Agents...)
-	if cfg.Notify != "" {
-		peers = append(peers, cfg.Notify)
+	// Envelopes are flattened on the wire (the hub re-counts each logical
+	// message) and released here. SendMessage's error is dropped: a failed
+	// write has closed the connection and Serve is returning it.
+	toHub := func(m transport.Message) {
+		//crew:nocharge forwards a message the agent already charged; the hub re-counts it
+		conn.SendMessage(m)
+		if env, ok := m.Payload.(*transport.Envelope); ok && m.Kind == transport.KindEnvelope {
+			env.Release()
+		}
 	}
-	for _, peer := range peers {
-		if peer == cfg.Name {
+	for _, peer := range append(append([]string(nil), cfg.Agents...), cfg.Notify) {
+		if peer == cfg.Name || peer == "" {
 			continue
 		}
-		ep, err := net.Register(peer)
-		if err != nil {
+		if err := net.RegisterDirect(peer, toHub); err != nil {
 			net.Close()
 			return err
 		}
-		ep.ManualAck()
-		go forward(conn, ep)
 	}
 
 	agent, err := distributed.NewAgent(distributed.Config{
@@ -94,34 +99,12 @@ func RunChild(cfg *ChildConfig, lib *model.Library, programs *model.Registry) er
 	}
 
 	serveErr := conn.Serve(func(m transport.Message) error {
-		//crew:nocharge hub delivery is already charged; this re-injects it locally
-		if err := net.Send(m); err != nil {
-			return err
-		}
-		// Idle means the agent finished the turn and every proxy flushed
-		// and acked — the automatic ACK that follows is truthful.
-		return net.Quiesce(context.Background())
+		agent.Deliver(m)
+		return nil
 	}, nil)
 	net.Close()
 	agent.Stop()
 	return serveErr
-}
-
-// forward drains one proxy endpoint onto the hub connection. Envelopes are
-// flattened on the wire (the hub re-counts each logical message) and
-// released here; the ack after SendMessage is what keeps local quiescence
-// aligned with the connection's FIFO. SendMessage's error is dropped: a dead
-// connection still drains and acks — the child is exiting via Serve's error,
-// and a wedged proxy would hang the agent's flush instead.
-func forward(conn *transport.ChildConn, ep *transport.Endpoint) {
-	for m := range ep.Inbox() {
-		//crew:nocharge forwards a message the agent already charged; the hub re-counts it
-		conn.SendMessage(m)
-		if env, ok := m.Payload.(*transport.Envelope); ok && m.Kind == transport.KindEnvelope {
-			env.Release()
-		}
-		ep.Ack()
-	}
 }
 
 // reportExec wraps every program to report its execution window to the hub

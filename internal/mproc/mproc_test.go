@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -207,5 +209,76 @@ func TestClusterChaos(t *testing.T) {
 	}
 	for _, v := range checker.OrderViolations() {
 		t.Errorf("order violation: %s", v)
+	}
+}
+
+// TestChildGoroutinesIndependentOfPeers serves an agent in this process (the
+// hub knows only that agent, so the hub side is the same whatever the roster)
+// and reads the goroutine dump: nothing stands between the connection's reader
+// and the agent — no forwarder per peer, no Inbox feeder — and the number of
+// goroutines does not depend on how many peers the agent can send to.
+func TestChildGoroutinesIndependentOfPeers(t *testing.T) {
+	p := clusterParams()
+	w, err := workload.Generate(p, clusterSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serving := func(extraPeers int) (count int, stacks []string) {
+		n := transport.NewNetwork(transport.NetworkConfig{})
+		hub, err := transport.NewRemoteHub(n, "unix", "", nil)
+		if err != nil {
+			n.Close()
+			t.Fatal(err)
+		}
+		name := w.Agents[0]
+		if err := hub.RegisterRemote(name); err != nil {
+			t.Fatal(err)
+		}
+		agents := append([]string(nil), w.Agents...)
+		for i := 0; i < extraPeers; i++ {
+			agents = append(agents, fmt.Sprintf("peer%02d", i))
+		}
+		done := make(chan error, 1)
+		go func() {
+			done <- RunChild(&ChildConfig{Name: name, Network: "unix", Addr: hub.Addr(), Agents: agents,
+				Notify: FrontendNode, PurgeOnCommit: true}, w.Library, w.Programs)
+		}()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := hub.WaitConnected(ctx, name); err != nil {
+			t.Fatalf("agent never connected: %v", err)
+		}
+		// A delivery and its ACK: the agent is past recovery and serving.
+		//crew:nocharge goroutine-dump test drives one raw delivery; no accounting under test
+		if err := n.Send(transport.Message{From: FrontendNode, To: name, Kind: "Noop"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Quiesce(ctx); err != nil {
+			t.Fatalf("delivery never acknowledged: %v", err)
+		}
+		buf := make([]byte, 1<<20)
+		stacks = strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n")
+		for _, g := range stacks {
+			if strings.Contains(g, "crew/internal/") {
+				count++
+			}
+		}
+		n.Close()
+		if err := <-done; err != nil {
+			t.Errorf("RunChild with %d extra peers: %v", extraPeers, err)
+		}
+		return count, stacks
+	}
+	// The pump under drainer.run is the hub's side of the one remote node.
+	few, stacks := serving(0)
+	for _, g := range stacks {
+		for _, frame := range []string{"mproc.forward", "Endpoint).feed", "Endpoint).Inbox", "Endpoint).offer"} {
+			if strings.Contains(g, frame) {
+				t.Errorf("a served child runs %s:\n%s", frame, g)
+			}
+		}
+	}
+	if many, _ := serving(40); many != few {
+		t.Errorf("%d goroutines with %d peers, %d with 40 more: want a count independent of the roster", few, len(w.Agents)-1, many)
 	}
 }

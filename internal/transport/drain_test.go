@@ -213,6 +213,28 @@ func TestDrainPass(t *testing.T) {
 			r.wantCounts(t, "acked", 0, 0, unretired(5))
 		})
 
+		t.Run(s.name+"/a drained buffer pins no payload", func(t *testing.T) {
+			r := newPassRig(t, s.wire, &delayFirstFrom{from: "b", passes: 1})
+			// A long burst and then short ones, so both buffers (they swap
+			// at every pass) have slots above what the later passes reach.
+			for _, burst := range []int{16, 2, 1, 1} {
+				for i := 0; i < burst; i++ {
+					r.send(t, "a", i)
+				}
+				r.send(t, "b", burst)
+				r.d.pass(r.sink)
+			}
+			r.d.pass(r.sink)
+			r.wantCounts(t, "drained", 0, 0, unretired(24))
+			for name, buf := range map[string][]queued{"batch": r.d.batch, "queue": r.d.mb.queue, "held": r.d.held} {
+				for i, q := range buf[:cap(buf)] {
+					if q.m.Payload != nil {
+						t.Errorf("%s[%d] of %d still holds payload %v after the mailbox drained", name, i, cap(buf), q.m.Payload)
+					}
+				}
+			}
+		})
+
 		t.Run(s.name+"/warm pass allocates nothing", func(t *testing.T) {
 			r := newPassRig(t, s.wire, nil)
 			h, err := r.net.Handle("rx")

@@ -547,8 +547,9 @@ func decodeExec(r *binenc.Reader, body []byte) (ExecEvent, error) {
 
 // ChildConn is the agent-process side of the hub protocol: one connection
 // that claims this process's node name and then multiplexes deliveries in and
-// sends/acks/exec-events out. Writes are safe for concurrent use (forwarder
-// goroutines and the delivery loop share the connection).
+// sends/acks/exec-events out. Writes are safe for concurrent use (the agent's
+// own goroutine, for sweep ticks and commands, and the delivery loop share the
+// connection).
 type ChildConn struct {
 	conn net.Conn
 	name string

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"crew/internal/binenc"
 	"crew/internal/cerrors"
 )
 
@@ -258,24 +259,42 @@ func (c *countConn) taken() [][]byte {
 // frameTypes splits a run of complete frames into their type bytes.
 func frameTypes(t *testing.T, b []byte) []byte {
 	t.Helper()
-	var types []byte
+	types, _ := framesOf(t, b)
+	return types
+}
+
+// framesOf splits a run of complete frames into their type bytes and the
+// Kinds of the MSG frames among them.
+func framesOf(t *testing.T, b []byte) (types []byte, kinds []string) {
+	t.Helper()
 	fr := newFrameReader(bytes.NewReader(b), len(b))
+	var rd binenc.Reader
 	for {
-		typ, _, err := fr.next()
+		typ, body, err := fr.next()
 		if err == io.EOF {
-			return types
+			return types, kinds
 		}
 		if err != nil {
 			t.Fatalf("child wrote a partial frame: %v (after frames %v)", err, types)
 		}
 		types = append(types, typ)
+		if typ == frameMsg {
+			m, err := decodeMessage(&rd, body)
+			if err != nil {
+				t.Fatalf("child wrote a MSG frame that does not decode: %v", err)
+			}
+			kinds = append(kinds, m.Kind)
+		}
 	}
 }
 
 // TestChildTurnIsOneWrite pins the write boundary of the child side: every
 // frame a delivery causes leaves in one Write, in issue order, with the ACK
 // last; a message that does not encode leaves nothing behind in that buffer;
-// and a frame sent outside a delivery is written at once.
+// a frame another goroutine sends while a delivery is in progress (a sweep
+// tick that held the agent's turn lock when the delivery arrived) rides in
+// that delivery's write, ahead of its frames and its ACK; and a frame sent
+// outside a delivery is written at once.
 func TestChildTurnIsOneWrite(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
@@ -296,9 +315,18 @@ func TestChildTurnIsOneWrite(t *testing.T) {
 
 	msg := Message{From: "a", To: "b", Kind: "k", Payload: wirePayload{A: "x", B: 1}}
 	type unregistered struct{ X int }
+	tick := msg
+	tick.Kind = "tick"
+	inDelivery, tickSent := make(chan struct{}), make(chan struct{})
 	served := make(chan error, 1)
 	go func() {
-		served <- c.Serve(func(Message) error {
+		served <- c.Serve(func(m Message) error {
+			if m.Kind == "wait" {
+				// The delivery waits for its turn while a tick finishes.
+				close(inDelivery)
+				<-tickSent
+				return c.SendMessage(msg)
+			}
 			step := ExecEvent{Phase: ExecEnter, Workflow: "WF01", Step: "S1", Instance: 7}
 			c.Exec(step)
 			c.SendMessage(msg)
@@ -327,6 +355,28 @@ func TestChildTurnIsOneWrite(t *testing.T) {
 	want := []byte{frameExec, frameMsg, frameExec, frameMsg, frameMsg, frameAck}
 	if got := frameTypes(t, turn); !bytes.Equal(got, want) {
 		t.Fatalf("turn frames = %v, want %v (issue order, ACK last)", got, want)
+	}
+
+	// A tick's send during a delivery joins the delivery's write.
+	delivery, err = appendMessageFrame(nil, Message{From: "b", To: "a", Kind: "wait"}, new([]string))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.Write(delivery); err != nil {
+		t.Fatal(err)
+	}
+	<-inDelivery
+	if err := c.SendMessage(tick); err != nil {
+		t.Fatal(err)
+	}
+	close(tickSent)
+	turn = <-fromChild
+	if writes := conn.taken(); len(writes) != 1 || !bytes.Equal(writes[0], turn) {
+		t.Fatalf("a delivery with a tick inside made %d writes, want 1 holding everything the hub read", len(writes))
+	}
+	types, kinds := framesOf(t, turn)
+	if !bytes.Equal(types, []byte{frameMsg, frameMsg, frameAck}) || kinds[0] != "tick" || kinds[1] != "k" {
+		t.Fatalf("turn frames = %v kinds %v, want the tick's MSG, the delivery's MSG, ACK", types, kinds)
 	}
 
 	// Outside a delivery nothing is held back.

@@ -25,7 +25,8 @@
 // (Endpoint.Drain); a channel, for consumers that range over Endpoint.Inbox
 // (a goroutine started on first use); and a Link, for nodes behind a wire
 // backend or in another process (the pump goroutine, which only those nodes
-// have).
+// have). A direct node (RegisterDirect) has no receive side at all: the
+// sender hands the message to the node's function itself.
 //
 // The network also tracks every accepted message until it is consumed, which
 // is what makes Quiesce possible: experiment harnesses block until no message
@@ -197,6 +198,9 @@ type node struct {
 	// link, when non-nil, is the wire backend's send side for this node: a
 	// pump goroutine drains in through it instead of the consumer draining in.
 	link Link
+	// direct, when non-nil, takes every accepted message on the sender's
+	// goroutine; the node then has no mailbox (see RegisterDirect).
+	direct func(Message)
 
 	mu sync.Mutex //crew:lockrank 40
 	// in holds the messages accepted for the node. rx is used only by a local
@@ -329,6 +333,9 @@ func (d *drainer) pass(sink Sink) bool {
 	if cut < len(d.batch) || len(d.held) > 0 {
 		d.requeue(cut)
 	}
+	// The buffer goes back to the mailbox at the next swap: a slot left as it
+	// is would keep its payload alive until a later burst overwrites it.
+	clear(d.batch)
 	d.batch = d.batch[:0]
 	return !nd.net.closed.Load()
 }
@@ -366,6 +373,7 @@ func (d *drainer) requeue(cut int) {
 		// Nothing is waking the drainer for the held messages; re-arm.
 		d.mb.wake()
 	}
+	clear(d.held)
 	d.held = d.held[:0]
 	clear(d.heldFrom)
 }
@@ -468,12 +476,9 @@ func (n *Network) lookup(name string) *node {
 func (n *Network) Register(name string) (*Endpoint, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed.Load() {
-		return nil, ErrClosed
-	}
-	old := *n.nodes.Load()
-	if _, dup := old[name]; dup {
-		return nil, fmt.Errorf("transport: node %q already registered", name)
+	old, err := n.vacant(name)
+	if err != nil {
+		return nil, err
 	}
 	nd := &node{net: n, in: newMailbox()}
 	nd.up.Store(true)
@@ -499,6 +504,42 @@ func (n *Network) Register(name string) (*Endpoint, error) {
 func (n *Network) registerRemote(name string, mkLink func(*node) Link) (*node, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	old, err := n.vacant(name)
+	if err != nil {
+		return nil, err
+	}
+	nd := &node{net: n, in: newMailbox()}
+	nd.up.Store(true)
+	nd.link = mkLink(nd)
+	n.install(name, nd, old)
+	return nd, nil
+}
+
+// RegisterDirect creates a node with no mailbox and no consumer: a message
+// accepted for it is counted, traced and shown to the fault policy like any
+// other, and then handed to fn on the sender's goroutine, before the send
+// returns. An agent process registers its peers this way, with "write to the
+// hub connection" as fn, so what a turn sends is in the connection's buffer
+// when the turn's flush returns. Nothing waits at such a node, so it adds
+// nothing to the in-flight count, a policy's Delay does not apply to it, and
+// Crash and Recover change only what Alive reports. fn must be safe to call
+// from every sender.
+func (n *Network) RegisterDirect(name string, fn func(Message)) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	old, err := n.vacant(name)
+	if err != nil {
+		return err
+	}
+	nd := &node{net: n, direct: fn}
+	nd.up.Store(true)
+	n.install(name, nd, old)
+	return nil
+}
+
+// vacant returns the node table a new node called name can be installed over:
+// the network is open and the name is free. Callers hold n.mu.
+func (n *Network) vacant(name string) (map[string]*node, error) {
 	if n.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -506,11 +547,7 @@ func (n *Network) registerRemote(name string, mkLink func(*node) Link) (*node, e
 	if _, dup := old[name]; dup {
 		return nil, fmt.Errorf("transport: node %q already registered", name)
 	}
-	nd := &node{net: n, in: newMailbox()}
-	nd.up.Store(true)
-	nd.link = mkLink(nd)
-	n.install(name, nd, old)
-	return nd, nil
+	return old, nil
 }
 
 // install publishes a node in the copy-on-write table and, for a link node,
@@ -619,10 +656,14 @@ func (n *Network) deliver(nd *node, m Message) error {
 }
 
 // enqueue puts one accepted physical message in flight, in the node's
-// mailbox.
+// mailbox; a direct node takes it on the spot.
 //
 //crew:hotpath
 func (n *Network) enqueue(nd *node, m Message, delay int) {
+	if nd.direct != nil {
+		nd.direct(m)
+		return
+	}
 	n.inflight.Add(1)
 	nd.put(&nd.in, queued{m: m, delay: delay})
 }

@@ -236,3 +236,83 @@ func TestConcurrentSendersCountExactly(t *testing.T) {
 		t.Errorf("counted %d messages, want %d", got, senders*per)
 	}
 }
+
+// seqPolicy records the sequence number of every message it is shown and asks
+// for a delay, which a direct node has no queue to apply.
+type seqPolicy struct{ seqs []int64 }
+
+func (p *seqPolicy) OnMessage(_ Message, seq int64) Verdict {
+	p.seqs = append(p.seqs, seq)
+	return Verdict{Delay: 3}
+}
+
+// TestDirectNode: a message for a direct node goes through the front half
+// (counted per logical message, traced, shown to the fault policy) and is then
+// in the node's function before Send returns, on the sender's goroutine: the
+// function writes plain variables this test reads back with no
+// synchronization. Nothing is ever in flight or parked for such a node, a
+// crash included, and a warm send allocates nothing.
+func TestDirectNode(t *testing.T) {
+	col := metrics.NewCollector()
+	n := NewNetwork(NetworkConfig{Collector: col})
+	defer n.Close()
+	var got []Message
+	if err := n.RegisterDirect("hub", func(m Message) { got = append(got, m) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.RegisterDirect("hub", func(Message) {}); err == nil {
+		t.Error("a second registration of the name was accepted")
+	}
+	policy := &seqPolicy{}
+	n.SetFaultPolicy(policy)
+	traced := 0
+	n.Trace(func(Message) { traced++ })
+
+	if err := n.Send(Message{From: "a", To: "hub", Mechanism: metrics.Normal, Kind: "one"}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].Kind != "one" {
+		t.Fatalf("after Send returned the function had seen %v, want the message", got)
+	}
+	h, err := n.Handle("hub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnvelope()
+	for _, kind := range []string{"two", "three"} {
+		env.Msgs = append(env.Msgs, Message{From: "a", To: "hub", Mechanism: metrics.Failure, Kind: kind})
+	}
+	if err := h.SendBatch(env); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[1].Kind != KindEnvelope || got[1].Payload != any(env) {
+		t.Fatalf("a batch reached the function as %v, want one envelope", got[1:])
+	}
+	n.Crash("hub")
+	if err := h.Send(Message{From: "a", To: "hub", Mechanism: metrics.Normal, Kind: "four"}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || n.Alive("hub") {
+		t.Errorf("a crashed direct node took %d of 3 messages and reports alive=%v, want 3 and false", len(got), n.Alive("hub"))
+	}
+	if in, parked, queued := n.InFlight(), n.Parked(), n.QueuedFor("hub"); in != 0 || parked != 0 || queued != 0 {
+		t.Errorf("in flight %d, parked %d, queued %d: a direct node holds nothing", in, parked, queued)
+	}
+	if normal, failure := col.Messages(metrics.Normal), col.Messages(metrics.Failure); normal != 2 || failure != 2 {
+		t.Errorf("counted %d normal and %d failure messages, want 2 and 2 (an envelope counts what it carries)", normal, failure)
+	}
+	if traced != 4 || len(policy.seqs) != 3 || policy.seqs[2] != 3 {
+		t.Errorf("traced %d logical messages and the policy saw sequence numbers %v, want 4 and 1 2 3", traced, policy.seqs)
+	}
+
+	n.SetFaultPolicy(nil)
+	n.Trace(nil)
+	m := Message{From: "a", To: "hub", Mechanism: metrics.Normal, Kind: "warm"}
+	got = got[:0]
+	if avg := testing.AllocsPerRun(100, func() {
+		got = got[:0]
+		h.Send(m)
+	}); avg != 0 {
+		t.Errorf("a warm send to a direct node allocates %.2f, want 0", avg)
+	}
+}
