@@ -1122,7 +1122,7 @@ func TestRetirementForgetsCoordination(t *testing.T) {
 	// finishInstance must Forget the instance at the tracker: retired
 	// instances may not linger in relative-order queues (they would block
 	// every later instance of the conflicting class).
-	tr := sys.Engine.coordinator.(*LocalCoordinator).tracker
+	tr := sys.Engine.home.Tracker()
 	var q []coord.InstanceRef
 	sys.Engine.Do(func() { q = tr.OrderQueue("orders") })
 	if len(q) != 0 {

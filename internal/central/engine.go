@@ -35,10 +35,6 @@ type Config struct {
 	Collector *metrics.Collector
 	// DB persists instance state; nil disables persistence.
 	DB *wfdb.DB
-	// OnUnhandled, if set, receives messages the engine does not understand
-	// (the parallel architecture routes its coordination protocol here).
-	// Called from the engine goroutine.
-	OnUnhandled func(m transport.Message)
 	// DisableOCR forces the Saga-style complete compensation and complete
 	// re-execution on every revisit (the OCR ablation).
 	DisableOCR bool
@@ -68,14 +64,9 @@ type instState struct {
 	rules    *rules.Engine
 	recovery metrics.Mechanism // Normal when not recovering
 
-	dispatched   map[model.StepID]bool
-	coordPending map[model.StepID]bool
-	// coordWaits holds the latest coordination wait-event list per step;
-	// coordBlocked marks steps whose rule fired but whose coordination
-	// events are not yet all valid (retried when injections arrive).
-	coordWaits   map[model.StepID][]string
-	coordBlocked map[model.StepID]bool
-	rollbacks    map[model.StepID]int
+	dispatched map[model.StepID]bool
+	gate       coord.Gate
+	rollbacks  map[model.StepID]int
 
 	chain        []chainTask
 	chainActive  bool
@@ -99,6 +90,24 @@ func (st *instState) Save(tx *wfdb.Batch) {
 	}
 }
 
+// newInstState wraps an instance, fresh or reloaded, with its rule set bound
+// to its event table.
+func newInstState(ins *wfdb.Instance, schema *model.Schema) *instState {
+	ins.AttachSchema(schema)
+	st := &instState{
+		ins:        ins,
+		schema:     schema,
+		rules:      rules.NewEngine(),
+		recovery:   metrics.Normal,
+		dispatched: make(map[model.StepID]bool),
+		rollbacks:  make(map[model.StepID]int),
+		childOf:    make(map[model.StepID]int),
+	}
+	rules.InstallSchemaRules(st.rules, schema)
+	st.rules.Bind(ins.Events)
+	return st
+}
+
 // chainTask is one entry of the serialized compensation/re-execution chain.
 type chainTask struct {
 	step model.StepID
@@ -116,10 +125,9 @@ type execPlan struct {
 // (Do, DoAsync), and every turn ends in the actor's commit, flush, ack.
 type Engine struct {
 	*actor.Actor
-	cfg         Config
-	net         *transport.Network
-	coordinator Coordinator
-	rec         metrics.NodeRecorder
+	cfg Config
+	net *transport.Network
+	rec metrics.NodeRecorder
 
 	instances map[string]*instState
 	nextID    map[string]int
@@ -133,7 +141,14 @@ type Engine struct {
 	term *itable.Terminal
 	adb  *wfdb.DB
 
+	// Placement of coordinated execution: requests go to homeNode; home is
+	// non-nil on that engine, which routes an injection to ownerOf(target)
+	// and a rollback order to every one of engines.
 	coordSteps map[model.StepRef]bool
+	homeNode   string
+	home       *coord.Home
+	engines    []string
+	ownerOf    func(coord.InstanceRef) string
 
 	// halted marks a simulated engine-process crash: volatile state has been
 	// discarded and not yet rebuilt. Messages that reference unknown
@@ -144,9 +159,10 @@ type Engine struct {
 	orphans []func()
 }
 
-// NewEngine registers the engine on the network and starts its goroutine.
-// SetCoordinator must be called before the first workflow starts; the System
-// facade does this.
+// NewEngine registers the engine on the network and starts its goroutine. The
+// engine is its own coordination home and owns every instance (the
+// centralized placement: the whole protocol is calls) unless Place says
+// otherwise.
 func NewEngine(cfg Config, net *transport.Network) (*Engine, error) {
 	if cfg.Name == "" {
 		return nil, errors.New("central: engine needs a name")
@@ -155,14 +171,18 @@ func NewEngine(cfg Config, net *transport.Network) (*Engine, error) {
 		return nil, errors.New("central: engine needs a library and programs")
 	}
 	e := &Engine{
-		cfg:        cfg,
-		net:        net,
-		rec:        cfg.Collector.Node(cfg.Name),
-		instances:  make(map[string]*instState),
-		nextID:     make(map[string]int),
-		loads:      make(map[string]int64),
-		coordSteps: make(map[model.StepRef]bool),
+		cfg:       cfg,
+		net:       net,
+		rec:       cfg.Collector.Node(cfg.Name),
+		instances: make(map[string]*instState),
+		nextID:    make(map[string]int),
+		loads:     make(map[string]int64),
+		homeNode:  cfg.Name,
+		engines:   []string{cfg.Name},
+		ownerOf:   func(coord.InstanceRef) string { return cfg.Name },
 	}
+	e.home = coord.NewHome(cfg.Library, e)
+	e.coordSteps = e.home.Tracker().CoordinatedSteps()
 	e.term = cfg.Terminal
 	if e.term == nil {
 		e.term = new(itable.Terminal)
@@ -175,8 +195,6 @@ func NewEngine(cfg Config, net *transport.Network) (*Engine, error) {
 	default:
 		e.adb = wfdb.NewMemory()
 	}
-	tmp := coord.NewTracker(cfg.Library)
-	e.coordSteps = tmp.CoordinatedSteps()
 	var err error
 	if e.Actor, err = actor.New(net, cfg.Name, e.adb, cfg.Logf); err != nil {
 		return nil, err
@@ -185,8 +203,15 @@ func NewEngine(cfg Config, net *transport.Network) (*Engine, error) {
 	return e, nil
 }
 
-// SetCoordinator installs the coordination hook.
-func (e *Engine) SetCoordinator(c Coordinator) { e.coordinator = c }
+// Place puts the engine in a deployment of several: coordination requests go
+// to the engine named home, which routes an injection to owner(target) and a
+// rollback order to each of engines. Call it before the first workflow starts.
+func (e *Engine) Place(home string, engines []string, owner func(coord.InstanceRef) string) {
+	e.homeNode, e.engines, e.ownerOf = home, engines, owner
+	if home != e.cfg.Name {
+		e.home = nil
+	}
+}
 
 func (e *Engine) handleMessage(m transport.Message) {
 	switch p := m.Payload.(type) {
@@ -195,9 +220,7 @@ func (e *Engine) handleMessage(m transport.Message) {
 	case StateResponse:
 		e.loads[p.Agent] = p.Load
 	default:
-		if e.cfg.OnUnhandled != nil {
-			e.cfg.OnUnhandled(m)
-		}
+		coord.Dispatch(p, e)
 	}
 }
 
@@ -340,29 +363,6 @@ func (e *Engine) LiveInstances() int {
 	return n
 }
 
-// InjectEvent posts an event into an instance's event table (used by remote
-// coordinators) and re-evaluates its rules.
-func (e *Engine) InjectEvent(workflow string, id int, name string) {
-	e.DoAsync(func() {
-		e.injectLocal(coord.InstanceRef{Workflow: workflow, ID: id}, name)
-	})
-}
-
-// ResolveCoord delivers a coordination check result (remote coordinators).
-func (e *Engine) ResolveCoord(workflow string, id int, step model.StepID, waitEvents []string) {
-	e.DoAsync(func() {
-		e.coordResolved(coord.InstanceRef{Workflow: workflow, ID: id}, step, waitEvents)
-	})
-}
-
-// ApplyRollbackOrder rolls running instances of a class back to a step
-// (rollback-dependency enforcement; remote coordinators).
-func (e *Engine) ApplyRollbackOrder(ord coord.RollbackOrder) {
-	e.DoAsync(func() {
-		e.applyRollbackOrder(ord)
-	})
-}
-
 // Recover performs the forward recovery the WFDB exists for (paper §2):
 // after an engine failure, a fresh engine reloads every running instance
 // from the database, regenerates its rule set, resets steps that were
@@ -414,21 +414,7 @@ func (e *Engine) recoverLocked() (int, error) {
 				rec.Status = wfdb.StepPending
 			}
 		}
-		ins.AttachSchema(schema)
-		st := &instState{
-			ins:          ins,
-			schema:       schema,
-			rules:        rules.NewEngine(),
-			recovery:     metrics.Normal,
-			dispatched:   make(map[model.StepID]bool),
-			coordPending: make(map[model.StepID]bool),
-			coordWaits:   make(map[model.StepID][]string),
-			coordBlocked: make(map[model.StepID]bool),
-			rollbacks:    make(map[model.StepID]int),
-			childOf:      make(map[model.StepID]int),
-		}
-		rules.InstallSchemaRules(st.rules, schema)
-		st.rules.Bind(st.ins.Events)
+		st := newInstState(ins, schema)
 		e.instances[key] = st
 		if id > e.nextID[workflow] {
 			e.nextID[workflow] = id
@@ -507,21 +493,7 @@ func (e *Engine) restartLocked() {
 			e.Logf("restart %s: unknown workflow class", key)
 			continue
 		}
-		ins.AttachSchema(schema)
-		st := &instState{
-			ins:          ins,
-			schema:       schema,
-			rules:        rules.NewEngine(),
-			recovery:     metrics.Normal,
-			dispatched:   make(map[model.StepID]bool),
-			coordPending: make(map[model.StepID]bool),
-			coordWaits:   make(map[model.StepID][]string),
-			coordBlocked: make(map[model.StepID]bool),
-			rollbacks:    make(map[model.StepID]int),
-			childOf:      make(map[model.StepID]int),
-		}
-		rules.InstallSchemaRules(st.rules, schema)
-		st.rules.Bind(st.ins.Events)
+		st := newInstState(ins, schema)
 		// In-flight dispatches survive in the queues: await their results.
 		for sid, rec := range ins.Steps {
 			if rec.Status == wfdb.StepExecuting {
@@ -643,22 +615,8 @@ func (e *Engine) startLocked(workflow string, id int, inputs map[string]expr.Val
 		return 0, fmt.Errorf("central: instance %s already exists", key)
 	}
 	ins := wfdb.NewInstance(workflow, id, inputs)
-	ins.AttachSchema(schema)
 	ins.Parent = parent
-	st := &instState{
-		ins:          ins,
-		schema:       schema,
-		rules:        rules.NewEngine(),
-		recovery:     metrics.Normal,
-		dispatched:   make(map[model.StepID]bool),
-		coordPending: make(map[model.StepID]bool),
-		coordWaits:   make(map[model.StepID][]string),
-		coordBlocked: make(map[model.StepID]bool),
-		rollbacks:    make(map[model.StepID]int),
-		childOf:      make(map[model.StepID]int),
-	}
-	rules.InstallSchemaRules(st.rules, schema)
-	st.rules.Bind(st.ins.Events)
+	st := newInstState(ins, schema)
 	e.instances[key] = st
 	e.addLoad(metrics.Normal, 1) // WorkflowStart processing
 	if e.cfg.DB != nil {
@@ -772,29 +730,17 @@ func (e *Engine) maybeExecute(st *instState, step model.StepID) bool {
 		return false
 	}
 
-	// Coordinated-execution gate: the step may proceed only when the home
-	// tracker has answered (coordWaits known) and every wait event (mutex
-	// grants, relative-order releases) is valid. Blocked steps are retried
-	// directly when injections arrive — rules are never strengthened, so a
-	// later invalidation can never wedge the instance.
-	ref := model.StepRef{Workflow: st.ins.Workflow, Step: step}
-	if e.coordSteps[ref] && e.coordinator != nil {
-		waits, known := st.coordWaits[step]
-		if !known {
-			st.coordBlocked[step] = true
-			if !st.coordPending[step] {
-				st.coordPending[step] = true
-				e.coordinator.Check(ref, coord.InstanceRef{Workflow: st.ins.Workflow, ID: st.ins.ID})
-			}
+	// Coordinated-execution gate: the step proceeds only once the home has
+	// answered and every wait event (mutex grants, relative-order releases)
+	// is valid.
+	if e.coordSteps[model.StepRef{Workflow: st.ins.Workflow, Step: step}] {
+		switch st.gate.Admit(step, st.ins.Events) {
+		case coord.AskHome:
+			e.request(coord.Check, st, step)
+			return false
+		case coord.Blocked:
 			return false
 		}
-		for _, ev := range waits {
-			if !st.ins.Events.Has(ev) {
-				st.coordBlocked[step] = true
-				return false
-			}
-		}
-		st.coordBlocked[step] = false
 	}
 
 	inputs := nav.ResolveInputs(st.ins, s)
@@ -968,14 +914,7 @@ func (e *Engine) onStepResult(st *instState, r ExecResponse) {
 	}
 	if r.Failed {
 		st.ins.RecordFailed(r.Step)
-		ref := model.StepRef{Workflow: st.ins.Workflow, Step: r.Step}
-		if e.coordSteps[ref] && e.coordinator != nil {
-			// Release any mutex held for the attempt; the order queues are
-			// not advanced for a failed step.
-			e.coordinator.StepFailed(ref, coord.InstanceRef{Workflow: st.ins.Workflow, ID: st.ins.ID})
-			nav.ClearMutexGrants(st.ins, r.Step)
-			delete(st.coordWaits, r.Step)
-		}
+		e.releaseCoord(coord.Failed, st, r.Step)
 		e.handleStepFailure(st, r.Step)
 		return
 	}
@@ -1012,12 +951,7 @@ func (e *Engine) afterStepDone(st *instState, step model.StepID) {
 	}
 
 	// Coordination: advance order queues, release mutexes.
-	ref := model.StepRef{Workflow: st.ins.Workflow, Step: step}
-	if e.coordSteps[ref] && e.coordinator != nil {
-		e.coordinator.StepDone(ref, coord.InstanceRef{Workflow: st.ins.Workflow, ID: st.ins.ID})
-		nav.ClearMutexGrants(st.ins, step)
-		delete(st.coordWaits, step) // a revisit must re-acquire
-	}
+	e.releaseCoord(coord.Done, st, step)
 
 	// Loop arcs: iterate when the repeat condition holds.
 	for _, a := range st.schema.LoopArcs(step) {
@@ -1036,21 +970,15 @@ func (e *Engine) afterStepDone(st *instState, step model.StepID) {
 }
 
 func (e *Engine) resetDispatchState(st *instState, steps []model.StepID) {
+	st.gate.Reset(steps)
 	for _, id := range steps {
 		// An in-flight result becomes stale: it no longer matches the step's
 		// dispatched state (and a re-dispatch bumps the attempt number).
 		st.dispatched[id] = false
-		delete(st.coordWaits, id)
-		st.coordBlocked[id] = false
-		st.coordPending[id] = false
-		nav.ClearMutexGrants(st.ins, id)
 		// A reset step whose result will be dropped can no longer release
 		// coordination resources itself; release them here (release by a
 		// non-holder is a no-op).
-		ref := model.StepRef{Workflow: st.ins.Workflow, Step: id}
-		if e.coordSteps[ref] && e.coordinator != nil {
-			e.coordinator.StepFailed(ref, coord.InstanceRef{Workflow: st.ins.Workflow, ID: st.ins.ID})
-		}
+		e.releaseCoord(coord.Failed, st, id)
 	}
 }
 
@@ -1090,42 +1018,8 @@ func (e *Engine) rollbackTo(st *instState, origin model.StepID, cause metrics.Me
 		}
 	}
 	e.resetDispatchState(st, all)
-	if e.coordinator != nil {
-		e.coordinator.Rollback(st.ins.Workflow, all)
-	}
+	e.toHome(coord.Request{Op: coord.Rollback, Ref: model.StepRef{Workflow: st.ins.Workflow}, Invalidated: all})
 	e.persist(st)
-}
-
-// applyRollbackOrder enforces a rollback dependency on this engine's running
-// instances of the target class.
-func (e *Engine) applyRollbackOrder(ord coord.RollbackOrder) {
-	if e.halted {
-		e.orphans = append(e.orphans, func() { e.applyRollbackOrder(ord) })
-		return
-	}
-	// Sorted iteration: rollbackTo emits coordination and recovery traffic,
-	// and map order would make the emitted sequence differ run to run.
-	keys := make([]string, 0, len(e.instances))
-	for k := range e.instances {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		st := e.instances[k]
-		if st.ins.Workflow != ord.TargetWorkflow || st.ins.Status != wfdb.Running || st.aborting {
-			continue
-		}
-		if st.recovery != metrics.Normal {
-			continue // already recovering; guards against dependency cycles
-		}
-		rec := st.ins.Steps[ord.TargetStep]
-		if rec == nil || rec.Attempts == 0 {
-			continue // has not reached the target step yet
-		}
-		e.addLoad(metrics.Coordination, 1)
-		e.rollbackTo(st, ord.TargetStep, metrics.Failure)
-		e.evaluate(st)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -1330,9 +1224,7 @@ func (e *Engine) finishInstance(st *instState) {
 	e.Tx().Archive(st.ins)
 	st.dirty = false
 	e.Commit()
-	if e.coordinator != nil {
-		e.coordinator.Forget(coord.InstanceRef{Workflow: st.ins.Workflow, ID: st.ins.ID})
-	}
+	e.toHome(coord.Request{Op: coord.Forget, Inst: coord.InstanceRef{Workflow: st.ins.Workflow, ID: st.ins.ID}})
 	e.term.Complete(st.ins.Workflow, st.ins.ID, st.ins.Status)
 
 	// Nested workflows: hand the result to the parent step before the child
@@ -1432,48 +1324,132 @@ func (e *Engine) persist(st *instState) {
 }
 
 // ---------------------------------------------------------------------------
-// Coordination callbacks (engine goroutine only)
+// Coordinated execution (engine goroutine only). The protocol is package
+// coord's; what follows is its placement: how a request reaches the home, how
+// the home's answers reach an instance, under which labels and load units.
 
-func (e *Engine) injectLocal(target coord.InstanceRef, eventName string) {
-	st := e.instances[wfdb.InstanceKeyOf(target.Workflow, target.ID)]
+// coordKinds labels the protocol's messages between engines.
+var coordKinds = [...]string{
+	coord.Check: "CoordCheck", coord.Done: "CoordDone", coord.Failed: "CoordFailed",
+	coord.Rollback: "CoordRollback", coord.Forget: "CoordForget",
+}
+
+// toHome hands a request to the home: a call on the home engine, one message
+// from any other.
+func (e *Engine) toHome(req coord.Request) {
+	if e.home != nil {
+		e.home.Handle(req)
+		return
+	}
+	e.Send(e.homeNode, metrics.Coordination, coordKinds[req.Op], req)
+}
+
+func (e *Engine) request(op coord.Op, st *instState, step model.StepID) {
+	e.toHome(coord.Request{
+		Op:      op,
+		Ref:     model.StepRef{Workflow: st.ins.Workflow, Step: step},
+		Inst:    coord.InstanceRef{Workflow: st.ins.Workflow, ID: st.ins.ID},
+		ReplyTo: e.cfg.Name,
+	})
+}
+
+// releaseCoord tells the home a coordinated step completed (Done) or its
+// attempt failed (Failed: mutexes are released, order queues not advanced).
+func (e *Engine) releaseCoord(op coord.Op, st *instState, step model.StepID) {
+	if e.coordSteps[model.StepRef{Workflow: st.ins.Workflow, Step: step}] {
+		e.request(op, st, step)
+		nav.ClearMutexGrants(st.ins, step)
+		st.gate.Release(step)
+	}
+}
+
+// The home's way out (coord.Host). A message to this engine itself is handled
+// on the spot, so with one engine these are calls.
+
+func (e *Engine) Charge() { e.addLoad(metrics.Coordination, 1) }
+
+func (e *Engine) Resolve(to string, r coord.Resolve) {
+	e.Send(to, metrics.Coordination, "CoordResolve", r)
+}
+
+func (e *Engine) Inject(inj coord.Injection) {
+	e.Send(e.ownerOf(inj.Target), metrics.Coordination, "CoordInject", coord.Inject(inj))
+}
+
+func (e *Engine) Order(ord coord.RollbackOrder) {
+	for _, eng := range e.engines {
+		e.Send(eng, metrics.Coordination, "CoordOrder", coord.Order(ord))
+	}
+}
+
+// The way in (coord.Node).
+
+func (e *Engine) OnRequest(req coord.Request) {
+	if e.home == nil {
+		e.Logf("coordination request received by an engine that is not the home")
+		return
+	}
+	e.home.Handle(req)
+}
+
+func (e *Engine) OnResolve(r coord.Resolve) {
+	st := e.instances[wfdb.InstanceKeyOf(r.Inst.Workflow, r.Inst.ID)]
 	if st == nil {
 		if e.halted {
-			e.orphans = append(e.orphans, func() { e.injectLocal(target, eventName) })
+			e.orphans = append(e.orphans, func() { e.OnResolve(r) })
+		}
+		return
+	}
+	st.gate.Resolved(r.Step, r.WaitEvents)
+	e.maybeExecute(st, r.Step)
+	e.evaluate(st)
+}
+
+func (e *Engine) OnInject(inj coord.Inject) {
+	st := e.instances[wfdb.InstanceKeyOf(inj.Target.Workflow, inj.Target.ID)]
+	if st == nil {
+		if e.halted {
+			e.orphans = append(e.orphans, func() { e.OnInject(inj) })
 		}
 		return
 	}
 	e.addLoad(metrics.Coordination, 1)
-	if st.ins.Events.Post(eventName) {
-		e.retryBlocked(st)
+	if st.ins.Events.Post(inj.Event) {
+		for _, step := range st.gate.Blocked() {
+			e.maybeExecute(st, step)
+		}
 		e.evaluate(st)
 	}
 }
 
-// retryBlocked re-attempts coordination-blocked steps after new events, in
-// step-ID order so the resulting dispatches are deterministic.
-func (e *Engine) retryBlocked(st *instState) {
-	steps := make([]model.StepID, 0, len(st.coordBlocked))
-	for step, blocked := range st.coordBlocked {
-		if blocked {
-			steps = append(steps, step)
-		}
-	}
-	sort.Slice(steps, func(i, j int) bool { return steps[i] < steps[j] })
-	for _, step := range steps {
-		e.maybeExecute(st, step)
-	}
-}
-
-func (e *Engine) coordResolved(inst coord.InstanceRef, step model.StepID, waitEvents []string) {
-	st := e.instances[wfdb.InstanceKeyOf(inst.Workflow, inst.ID)]
-	if st == nil {
-		if e.halted {
-			e.orphans = append(e.orphans, func() { e.coordResolved(inst, step, waitEvents) })
-		}
+// OnOrder enforces a rollback dependency on this engine's running instances
+// of the target class.
+func (e *Engine) OnOrder(ord coord.Order) {
+	if e.halted {
+		e.orphans = append(e.orphans, func() { e.OnOrder(ord) })
 		return
 	}
-	st.coordPending[step] = false
-	st.coordWaits[step] = waitEvents
-	e.maybeExecute(st, step)
-	e.evaluate(st)
+	// Sorted iteration: rollbackTo emits coordination and recovery traffic,
+	// and map order would make the emitted sequence differ run to run.
+	keys := make([]string, 0, len(e.instances))
+	for k := range e.instances {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		st := e.instances[k]
+		if st.ins.Workflow != ord.TargetWorkflow || st.ins.Status != wfdb.Running || st.aborting {
+			continue
+		}
+		if st.recovery != metrics.Normal {
+			continue // already recovering; guards against dependency cycles
+		}
+		rec := st.ins.Steps[ord.TargetStep]
+		if rec == nil || rec.Attempts == 0 {
+			continue // has not reached the target step yet
+		}
+		e.addLoad(metrics.Coordination, 1)
+		e.rollbackTo(st, ord.TargetStep, metrics.Failure)
+		e.evaluate(st)
+	}
 }

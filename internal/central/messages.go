@@ -3,12 +3,12 @@
 // WFDB, navigates every instance through the rule-based run-time, and
 // dispatches steps to application agents, probing eligible agents' state to
 // pick the least loaded. Coordinated execution needs no messages here — the
-// ordering/mutex/rollback-dependency state lives inside the engine — which
-// is exactly the property Table 4 reports (0 coordination messages).
+// engine is its own coordination home (package coord) — which is exactly the
+// property Table 4 reports (0 coordination messages).
 //
 // The same engine is reused by the parallel architecture (package parallel),
-// which runs several engines side by side and replaces the local Coordinator
-// with a message-based one.
+// which runs several engines side by side and places the home on one of them
+// (Engine.Place).
 package central
 
 import (

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"crew/internal/actor"
-	"crew/internal/coord"
 	"crew/internal/expr"
 	"crew/internal/metrics"
 	"crew/internal/model"
@@ -83,7 +82,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		net.Close()
 		return nil, err
 	}
-	eng.SetCoordinator(NewLocalCoordinator(eng, coord.NewTracker(cfg.Library)))
 
 	sys := &System{Engine: eng, net: net, col: cfg.Collector}
 	sys.Client = actor.NewClient("central", cfg.Library, sys)

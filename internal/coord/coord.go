@@ -1,10 +1,27 @@
 // Package coord implements the coordinated-execution requirements across
 // concurrent workflows: relative ordering, mutual exclusion, and rollback
-// dependencies. The Tracker is the pure decision core; it is used directly
-// (with zero messages) by the centralized engine, via engine-to-engine
-// messages by the parallel architecture, and via the AddRule / AddEvent /
-// AddPrecondition workflow interfaces between agents in the distributed
-// architecture.
+// dependencies. The paper has one mechanism for them, placed three ways, and
+// so does this package:
+//
+//   - Tracker is the pure decision core: the relative-order queues, the mutex
+//     queues and the rollback-dependency registry of a library's specs.
+//   - Home owns the tracker and the tombstones of finished instances. It takes
+//     a Request (Check, Done, Failed, Rollback, Forget) and speaks only
+//     through its Host: a Resolve to the requester, Injections to waiting
+//     instances, RollbackOrders to dependent classes. The paper's names for
+//     these are AddRule, AddPrecondition and AddEvent.
+//   - Gate is the waiter's side, one per instance: which coordinated steps
+//     have asked the home, what it answered, which are held back.
+//   - Request, Resolve, Inject and Order are the protocol's four payloads,
+//     registered with the transport here; Dispatch hands a received one to
+//     the Node it reached.
+//
+// An architecture supplies only placement: which node holds the Home, how a
+// request reaches it (a call in the centralized engine, a message between
+// engines in the parallel one, an AddRule message between agents in the
+// distributed one), how an injection finds the instance, and which load units
+// the requester's side charges. Nothing in this package knows which of the
+// three it is running under.
 //
 // Relative ordering follows the paper's Figure 4 protocol: the first pair of
 // conflicting steps is ordered by whichever instance completes its member
@@ -407,7 +424,6 @@ func (t *Tracker) MutexForget(inst InstanceRef) []Injection {
 		st.waiters = kept
 		if st.held && st.holder == inst {
 			out = append(out, t.MutexRelease(model.StepRef{Workflow: inst.Workflow, Step: st.holding}, inst)...)
-			_ = spec
 		}
 	}
 	return out

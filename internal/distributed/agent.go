@@ -94,13 +94,9 @@ type replica struct {
 	recovery metrics.Mechanism
 	// executing guards against double execution while a program runs.
 	executing map[model.StepID]bool
-	// coordPending marks an outstanding AddRule check at the home agent;
-	// coordWaits holds the latest wait-event list per step; coordBlocked
-	// marks steps whose rule fired but whose coordination events are not
-	// yet all valid (retried when AddEvent injections arrive).
-	coordPending map[model.StepID]bool
-	coordWaits   map[model.StepID][]string
-	coordBlocked map[model.StepID]bool
+	// gate holds back coordinated steps until the home agent has answered
+	// and their wait events are valid.
+	gate coord.Gate
 	// rollbacks counts rollback attempts initiated here per failing step.
 	rollbacks map[model.StepID]int
 	// abort tracks an in-progress user abort (coordination agent only).
@@ -192,9 +188,10 @@ type Agent struct {
 	// agent stops waking up.
 	sweepWakeups atomic.Int64
 
-	// home is non-nil on the deployment's coordination home agent.
-	home *homeState
-
+	// Coordinated execution: requests go to homeNode; home is non-nil on that
+	// agent.
+	homeNode       string
+	home           *coord.Home
 	coordSteps     map[model.StepRef]bool
 	hasRollbackDep bool
 }
@@ -231,15 +228,14 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 	if a.adb == nil {
 		a.adb = wfdb.NewMemory()
 	}
-	tracker := coord.NewTracker(cfg.Library)
-	a.coordSteps = tracker.CoordinatedSteps()
+	a.coordSteps = coord.NewTracker(cfg.Library).CoordinatedSteps()
 	for _, spec := range cfg.Library.Coord {
 		if spec.Kind == model.RollbackDep {
 			a.hasRollbackDep = true
 		}
 	}
-	if HomeAgent(cfg.Agents) == cfg.Name {
-		a.home = &homeState{tracker: tracker}
+	if a.homeNode = HomeAgent(cfg.Agents); a.homeNode == cfg.Name {
+		a.home = coord.NewHome(cfg.Library, a)
 	}
 	var err error
 	if a.Actor, err = actor.New(net, cfg.Name, a.adb, cfg.Logf); err != nil {
@@ -336,19 +332,16 @@ func (a *Agent) getReplica(workflow string, id int) (*replica, error) {
 func (a *Agent) newReplica(schema *model.Schema, ins *wfdb.Instance) *replica {
 	ins.AttachSchema(schema)
 	r := &replica{
-		ins:          ins,
-		schema:       schema,
-		rules:        rules.NewEngine(),
-		recovery:     metrics.Normal,
-		executing:    make(map[model.StepID]bool),
-		coordPending: make(map[model.StepID]bool),
-		coordWaits:   make(map[model.StepID][]string),
-		coordBlocked: make(map[model.StepID]bool),
-		rollbacks:    make(map[model.StepID]int),
-		waitSince:    make(map[string]time.Time),
-		polled:       make(map[string]bool),
-		resetEpoch:   make(map[model.StepID]int),
-		doneEpoch:    make(map[model.StepID]int),
+		ins:        ins,
+		schema:     schema,
+		rules:      rules.NewEngine(),
+		recovery:   metrics.Normal,
+		executing:  make(map[model.StepID]bool),
+		rollbacks:  make(map[model.StepID]int),
+		waitSince:  make(map[string]time.Time),
+		polled:     make(map[string]bool),
+		resetEpoch: make(map[model.StepID]int),
+		doneEpoch:  make(map[model.StepID]int),
 	}
 	for _, id := range schema.Order {
 		for _, ag := range nav.EffectiveAgents(schema.Steps[id], a.cfg.Agents) {
@@ -425,16 +418,35 @@ func (a *Agent) RecoverReplicas(notify string) error {
 			r.recovery = metrics.Failure
 			a.replicas[key] = r
 		}
-		keys := make([]string, 0, len(a.replicas))
-		for k := range a.replicas {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			a.evaluate(a.replicas[k])
+		for _, r := range a.sortedReplicas(nil) {
+			a.evaluate(r)
 		}
 	})
 	return firstErr
+}
+
+// sortedReplicas snapshots the live replicas keep accepts (nil: all of them)
+// in instance order: what a scan emits must not depend on map order, and
+// handling one replica may create or evict others. Filtering comes first so a
+// scan that picks a few replicas out of thousands does not sort the rest.
+func (a *Agent) sortedReplicas(keep func(*replica) bool) []*replica {
+	var out []*replica
+	if keep == nil {
+		out = make([]*replica, 0, len(a.replicas))
+	}
+	for _, r := range a.replicas {
+		if keep == nil || keep(r) {
+			out = append(out, r)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		x, y := out[i].ins, out[j].ins
+		if x.Workflow != y.Workflow {
+			return x.Workflow < y.Workflow
+		}
+		return x.ID < y.ID
+	})
+	return out
 }
 
 // coordinationAgentOf computes an instance's coordination agent: the elected
@@ -584,25 +596,11 @@ func (a *Agent) DebugState(workflow string, id int) string {
 		for _, w := range r.rules.WaitingRules(r.ins.Events) {
 			out += fmt.Sprintf("\n  waiting %s missing=%v", w.Rule.ID, w.Missing)
 		}
-		for step, v := range r.coordPending {
-			if v {
-				out += fmt.Sprintf("\n  coordPending %s", step)
-			}
-		}
-		for step, v := range r.coordBlocked {
-			if v {
-				out += fmt.Sprintf("\n  coordBlocked %s waits=%v", step, r.coordWaits[step])
-			}
+		if s := r.gate.String(); s != "" {
+			out += "\n" + s
 		}
 		if a.home != nil {
-			for _, spec := range a.home.tracker.Specs() {
-				if spec.Kind == model.RelativeOrder {
-					out += fmt.Sprintf("\n  home queue %s: %v", spec.Name, a.home.tracker.OrderQueue(spec.Name))
-				}
-			}
-			for _, line := range a.home.tracker.MutexDebug() {
-				out += "\n  home " + line
-			}
+			out += "\n" + a.home.String()
 		}
 	})
 	return out

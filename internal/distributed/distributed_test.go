@@ -2,6 +2,9 @@ package distributed
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -656,6 +659,90 @@ func TestRollbackDependencyDistributed(t *testing.T) {
 	}
 }
 
+// TestRollbackOrderAppliesInstancesDeterministically is the distributed twin
+// of the centralized test of the same name: a rollback order reaches the
+// coordination agent of several running instances of the dependent class, and
+// the rollbacks it sends (each compensating Y1) must leave in instance order,
+// not in the replica map's.
+func TestRollbackOrderAppliesInstancesDeterministically(t *testing.T) {
+	const n = 6
+	rec := &recorder{}
+	reg := model.NewRegistry()
+	gate := make(chan struct{})
+	var gateOnce sync.Once
+	reg.Register("px1", tracked(rec, "x1", nil))
+	reg.Register("px2", model.FailNTimes(1, tracked(rec, "x2", nil)))
+	reg.Register("py1", func(ctx *model.ProgramContext) (map[string]expr.Value, error) {
+		rec.add(fmt.Sprintf("y1:%d", ctx.Instance))
+		return nil, nil
+	})
+	reg.Register("cy1", func(ctx *model.ProgramContext) (map[string]expr.Value, error) {
+		rec.add(fmt.Sprintf("cy1:%d", ctx.Instance))
+		return nil, nil
+	})
+	reg.Register("py2", func(*model.ProgramContext) (map[string]expr.Value, error) {
+		gateOnce.Do(func() { <-gate })
+		return nil, nil
+	})
+	x := model.NewSchema("X").
+		Step("X1", "px1", model.WithAgents("a2")).
+		Step("X2", "px2", model.WithAgents("a2")).
+		Seq("X1", "X2").
+		OnFailure("X2", "X1", 3).
+		MustBuild()
+	y := model.NewSchema("Y").
+		Step("Y1", "py1", model.WithCompensation("cy1"), model.WithReexecCond("true"), model.WithAgents("a3")).
+		Step("Y2", "py2", model.WithAgents("a4")).
+		Seq("Y1", "Y2").
+		MustBuild()
+	lib := lib1(x, y)
+	lib.AddCoord(model.CoordSpec{
+		Kind:    model.RollbackDep,
+		Name:    "dep",
+		Trigger: model.StepRef{Workflow: "X", Step: "X1"},
+		Target:  model.StepRef{Workflow: "Y", Step: "Y1"},
+	})
+	sys := newSystem(t, lib, reg, "a1", "a2", "a3", "a4")
+
+	// Every Y runs Y1 at a3 and then waits behind the gated Y2 at a4.
+	var ids []int
+	var want []string
+	for i := 0; i < n; i++ {
+		id, err := sys.Start("Y", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+		want = append(want, fmt.Sprintf("cy1:%d", id))
+		rec.waitFor(t, fmt.Sprintf("y1:%d", id))
+	}
+	idX, err := sys.Start("X", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := sys.Wait("X", idX, waitTimeout); err != nil || st != wfdb.Committed {
+		t.Fatalf("X = (%v, %v)", st, err)
+	}
+	for _, w := range want {
+		rec.waitFor(t, w)
+	}
+	close(gate)
+	for _, id := range ids {
+		if st, err := sys.Wait("Y", id, waitTimeout); err != nil || st != wfdb.Committed {
+			t.Fatalf("Y.%d = (%v, %v)", id, st, err)
+		}
+	}
+	var comps []string
+	for _, e := range rec.list() {
+		if strings.HasPrefix(e, "cy1:") {
+			comps = append(comps, e)
+		}
+	}
+	if !reflect.DeepEqual(comps, want) {
+		t.Fatalf("dependent rollback order = %v, want instance order %v", comps, want)
+	}
+}
+
 func TestNestedDistributed(t *testing.T) {
 	rec := &recorder{}
 	reg := model.NewRegistry()
@@ -1224,6 +1311,54 @@ func TestRetirementDrainsAllReplicas(t *testing.T) {
 	}
 	if st, err := sys.Wait("Lin", id, waitTimeout); err != nil || st != wfdb.Committed {
 		t.Fatalf("Wait after retirement = (%v, %v)", st, err)
+	}
+}
+
+// TestQuiesceDropsFinishedReplicas: what a quiesced deployment holds must not
+// depend on where the agents' sweep timers stand. The sweep is an hour away
+// here, so only Quiesce can have let go of the bystanders' replicas.
+func TestQuiesceDropsFinishedReplicas(t *testing.T) {
+	rec := &recorder{}
+	reg := model.NewRegistry()
+	reg.Register("pa", tracked(rec, "a", nil))
+	reg.Register("pb", tracked(rec, "b", nil))
+	s := model.NewSchema("QD").
+		Step("A", "pa", model.WithAgents("a1")).
+		Step("B", "pb", model.WithAgents("a2")).
+		Seq("A", "B").
+		MustBuild()
+	sys, err := NewSystem(SystemConfig{
+		Library:            lib1(s),
+		Programs:           reg,
+		Collector:          metrics.NewCollector(),
+		Agents:             []string{"a1", "a2"},
+		StatusPollInterval: time.Hour,
+		Logf:               t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+
+	for i := 0; i < 5; i++ {
+		runToStatus(t, sys, "QD", nil, wfdb.Committed)
+	}
+	msgs := sys.Collector().TotalMessages()
+	ctx, cancel := context.WithTimeout(context.Background(), waitTimeout)
+	defer cancel()
+	if err := sys.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range sys.AgentNames() {
+		if n := sys.Agent(name).ReplicaCount(); n != 0 {
+			t.Errorf("%s holds %d replicas of finished instances after Quiesce", name, n)
+		}
+		if n := sys.Agent(name).SweepWakeups(); n != 0 {
+			t.Errorf("%s swept %d times with the timer an hour away", name, n)
+		}
+	}
+	if got := sys.Collector().TotalMessages(); got != msgs {
+		t.Errorf("Quiesce sent %d messages", got-msgs)
 	}
 }
 

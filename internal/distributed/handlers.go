@@ -58,22 +58,12 @@ func (a *Agent) handleMessage(m transport.Message) {
 		a.Send(p.ReplyTo, metrics.Normal, "StateResponse", stateInformationReply{Agent: a.cfg.Name, Load: a.execCount})
 	case stateInformationReply:
 		a.loads[p.Agent] = p.Load
-	case addRule:
-		a.homeHandleAddRule(p)
-	case addPrecondition:
-		a.handleAddPrecondition(p)
-	case addEvent:
-		a.handleAddEvent(p)
-	case coordRollbackNote:
-		a.homeHandleRollbackNote(p)
-	case coordForgetNote:
-		a.homeHandleForget(p)
-	case coordRollbackOrder:
-		a.handleRollbackOrder(p)
 	case nestedResult:
 		a.handleNestedResult(p)
 	case purgeNote:
 		a.handlePurge(p)
+	default:
+		coord.Dispatch(p, a)
 	}
 }
 
@@ -272,33 +262,16 @@ func (a *Agent) maybeExecute(r *replica, step model.StepID) bool {
 		return false
 	}
 
-	// Coordinated-execution gate: consult the home agent via AddRule; the
-	// AddPrecondition reply carries the wait events and the step proceeds
-	// only when all of them are valid. Blocked steps are retried directly
-	// when AddEvent injections arrive.
-	ref := model.StepRef{Workflow: r.ins.Workflow, Step: step}
-	if a.coordSteps[ref] {
-		waits, known := r.coordWaits[step]
-		if !known {
-			r.coordBlocked[step] = true
-			if !r.coordPending[step] {
-				r.coordPending[step] = true
-				a.addLoad(metrics.Coordination, 1)
-				a.Send(HomeAgent(a.cfg.Agents), metrics.Coordination, KindAddRule, addRule{
-					Ref:        ref,
-					Inst:       coord.InstanceRef{Workflow: r.ins.Workflow, ID: r.ins.ID},
-					ReplyAgent: a.cfg.Name,
-				})
-			}
+	// Coordinated-execution gate: the step proceeds only once the home agent
+	// has answered and every wait event is valid.
+	if a.coordSteps[model.StepRef{Workflow: r.ins.Workflow, Step: step}] {
+		switch r.gate.Admit(step, r.ins.Events) {
+		case coord.AskHome:
+			a.request(coord.Check, r, step)
+			return false
+		case coord.Blocked:
 			return false
 		}
-		for _, ev := range waits {
-			if !r.ins.Events.Has(ev) {
-				r.coordBlocked[step] = true
-				return false
-			}
-		}
-		r.coordBlocked[step] = false
 	}
 
 	inputs := nav.ResolveInputs(r.ins, s)
@@ -386,35 +359,18 @@ func (a *Agent) executeStep(r *replica, step model.StepID, mode model.ExecMode, 
 	if r.resetEpoch[step] > epochBefore {
 		// A rollback reset this step while it ran: discard the result, but
 		// release any coordination resources the attempt held.
-		a.coordReleaseOnFailure(r, step)
+		a.releaseCoord(coord.Failed, r, step)
 		return
 	}
 	if err != nil {
 		r.ins.RecordFailed(step)
-		a.coordReleaseOnFailure(r, step)
+		a.releaseCoord(coord.Failed, r, step)
 		a.onStepFailure(r, step, metrics.Failure)
 		return
 	}
 	r.ins.RecordDone(step, out)
 	r.doneEpoch[step] = r.epoch
 	a.afterStepDone(r, step, mech)
-}
-
-// coordReleaseOnFailure releases mutexes held for a failed attempt.
-func (a *Agent) coordReleaseOnFailure(r *replica, step model.StepID) {
-	ref := model.StepRef{Workflow: r.ins.Workflow, Step: step}
-	if !a.coordSteps[ref] {
-		return
-	}
-	a.addLoad(metrics.Coordination, 1)
-	a.Send(HomeAgent(a.cfg.Agents), metrics.Coordination, KindAddRule, addRule{
-		Ref:        ref,
-		Inst:       coord.InstanceRef{Workflow: r.ins.Workflow, ID: r.ins.ID},
-		ReplyAgent: a.cfg.Name,
-		Failed:     true,
-	})
-	nav.ClearMutexGrants(r.ins, step)
-	delete(r.coordWaits, step)
 }
 
 // afterStepDone performs post-success navigation: coordination
@@ -426,18 +382,7 @@ func (a *Agent) afterStepDone(r *replica, step model.StepID, mech metrics.Mechan
 		r.recovery = metrics.Normal
 	}
 
-	ref := model.StepRef{Workflow: r.ins.Workflow, Step: step}
-	if a.coordSteps[ref] {
-		a.addLoad(metrics.Coordination, 1)
-		a.Send(HomeAgent(a.cfg.Agents), metrics.Coordination, KindAddRule, addRule{
-			Ref:        ref,
-			Inst:       coord.InstanceRef{Workflow: r.ins.Workflow, ID: r.ins.ID},
-			ReplyAgent: a.cfg.Name,
-			Done:       true,
-		})
-		nav.ClearMutexGrants(r.ins, step)
-		delete(r.coordWaits, step) // a revisit must re-acquire
-	}
+	a.releaseCoord(coord.Done, r, step)
 
 	// Branch switch after re-execution: start compensation threads down the
 	// branches no longer taken (CompensateThread WI).
@@ -622,10 +567,7 @@ func (a *Agent) finishInstance(r *replica) {
 
 	// Coordination clean-up at the home agent.
 	if len(a.cfg.Library.Coord) > 0 {
-		a.addLoad(metrics.Coordination, 1)
-		a.Send(HomeAgent(a.cfg.Agents), metrics.Coordination, KindAddRule, coordForgetNote{
-			Inst: coord.InstanceRef{Workflow: r.ins.Workflow, ID: r.ins.ID},
-		})
+		a.toHome(coord.Request{Op: coord.Forget, Inst: coord.InstanceRef{Workflow: r.ins.Workflow, ID: r.ins.ID}})
 	}
 
 	// Nested: report to the parent step's agent.
@@ -740,16 +682,11 @@ func (a *Agent) handleWorkflowRollback(p workflowRollback) {
 	affected, invalidated := nav.ApplyRollback(r.schema, r.ins, r.rules, p.Origin)
 	a.addLoad(mech, int64(len(affected))+1)
 	_ = invalidated
-	for _, id := range append(append([]model.StepID(nil), affected...), p.Origin) {
+	all := append(append([]model.StepID(nil), affected...), p.Origin)
+	r.gate.Reset(all)
+	for _, id := range all {
 		r.resetEpoch[id] = r.epoch
-		ref := model.StepRef{Workflow: p.Workflow, Step: id}
-		if a.coordSteps[ref] {
-			delete(r.coordWaits, id)
-			r.coordBlocked[id] = false
-			r.coordPending[id] = false
-			nav.ClearMutexGrants(r.ins, id)
-			a.coordReleaseOnFailure(r, id)
-		}
+		a.releaseCoord(coord.Failed, r, id)
 	}
 
 	r.lastHalt = &haltThread{
@@ -770,12 +707,7 @@ func (a *Agent) handleWorkflowRollback(p workflowRollback) {
 
 	// Rollback dependencies are resolved at the coordination home agent.
 	if a.hasRollbackDep {
-		a.addLoad(metrics.Coordination, 1)
-		all := append(append([]model.StepID(nil), affected...), p.Origin)
-		a.Send(HomeAgent(a.cfg.Agents), metrics.Coordination, KindAddRule, coordRollbackNote{
-			Workflow:    p.Workflow,
-			Invalidated: all,
-		})
+		a.toHome(coord.Request{Op: coord.Rollback, Ref: model.StepRef{Workflow: p.Workflow}, Invalidated: all})
 	}
 
 	a.persist(r)
@@ -823,13 +755,10 @@ func (a *Agent) handleHaltThread(p haltThread) {
 	set = stale
 	n := nav.ResetSteps(r.ins, r.rules, set)
 	a.addLoad(p.Mechanism, int64(n)+1)
+	r.gate.Reset(set)
 	for _, id := range set {
 		r.resetEpoch[id] = r.epoch
-		ref := model.StepRef{Workflow: p.Workflow, Step: id}
-		if a.coordSteps[ref] {
-			delete(r.coordWaits, id)
-			r.coordBlocked[id] = false
-			r.coordPending[id] = false
+		if a.coordSteps[model.StepRef{Workflow: p.Workflow, Step: id}] {
 			nav.ClearMutexGrants(r.ins, id)
 		}
 	}
@@ -1317,37 +1246,39 @@ func (a *Agent) handleNestedResult(p nestedResult) {
 func (a *Agent) sweep() {
 	a.sweepWakeups.Add(1)
 	a.broadcastPurges()
+	a.dropFinished()
 	now := time.Now()
-	// Snapshot: evaluation can start nested instances and retirement evicts
-	// entries, both mutating the map.
-	replicas := make([]*replica, 0, len(a.replicas))
-	for _, r := range a.replicas {
-		replicas = append(replicas, r)
-	}
-	for _, r := range replicas {
-		// Drop replicas of instances that finished elsewhere: the terminal
-		// registry is deployment-shared, so learning the outcome and
-		// evicting the replica costs no messages. This is what keeps every
-		// agent's resident state flat under an unbounded instance stream —
-		// without it, non-coordination agents held their replicas of
-		// committed instances forever.
-		if !r.purged {
-			if st, ok := a.term.Status(r.ins.Workflow, r.ins.ID); ok && st != wfdb.Running {
-				a.dropReplica(r)
-				continue
-			}
-		}
+	for _, r := range a.sortedReplicas(nil) {
 		if r.ins.Status != wfdb.Running || r.purged {
 			continue
 		}
 		a.rearmUnexecuted(r)
 		a.evaluate(r)
-		a.recheckCoordination(r)
+		// Backstop for coordination: a rollback can invalidate a grant after
+		// the home issued it, so held-back steps ask again.
+		for _, step := range r.gate.Recheck() {
+			a.maybeExecute(r, step)
+		}
 		if now.Sub(r.lastReport) >= a.cfg.StatusPollAge {
 			r.lastReport = now
 			a.reportTerminals(r)
 		}
 		a.pollOverdueRules(r, now)
+	}
+}
+
+// dropFinished drops the replicas of instances that finished elsewhere: the
+// terminal registry is deployment-shared, so learning the outcome and evicting
+// the replica costs no messages. This is what keeps every agent's resident
+// state flat under an unbounded instance stream — without it,
+// non-coordination agents held their replicas of committed instances forever.
+func (a *Agent) dropFinished() {
+	finished := a.sortedReplicas(func(r *replica) bool {
+		st, ok := a.term.Status(r.ins.Workflow, r.ins.ID)
+		return ok && st != wfdb.Running
+	})
+	for _, r := range finished {
+		a.dropReplica(r)
 	}
 }
 
@@ -1375,24 +1306,6 @@ func (a *Agent) rearmUnexecuted(r *replica) {
 		}
 		return false
 	})
-}
-
-// recheckCoordination re-runs the coordination gate for blocked steps. A
-// rollback can invalidate a mutex grant after the home agent issued it; a
-// fresh AddRule check makes the home re-grant to the recorded holder (the
-// tracker deduplicates waiters, so repeated checks are safe).
-func (a *Agent) recheckCoordination(r *replica) {
-	var blocked []model.StepID
-	for step, b := range r.coordBlocked {
-		if b {
-			blocked = append(blocked, step)
-		}
-	}
-	for _, step := range blocked {
-		delete(r.coordWaits, step)
-		r.coordPending[step] = false
-		a.maybeExecute(r, step)
-	}
 }
 
 // reportTerminals re-sends StepCompleted for terminal steps this agent

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 
 	"crew/internal/binenc"
-	"crew/internal/coord"
 	"crew/internal/expr"
 	"crew/internal/metrics"
 	"crew/internal/model"
@@ -32,12 +31,6 @@ func init() {
 	transport.RegisterPayload(appendStepStatusReply, decodeStepStatusReply)
 	transport.RegisterPayload(appendStateInformation, decodeStateInformation)
 	transport.RegisterPayload(appendStateInformationReply, decodeStateInformationReply)
-	transport.RegisterPayload(appendAddRule, decodeAddRule)
-	transport.RegisterPayload(appendAddPrecondition, decodeAddPrecondition)
-	transport.RegisterPayload(appendAddEvent, decodeAddEvent)
-	transport.RegisterPayload(appendCoordRollbackNote, decodeCoordRollbackNote)
-	transport.RegisterPayload(appendCoordForgetNote, decodeCoordForgetNote)
-	transport.RegisterPayload(appendCoordRollbackOrder, decodeCoordRollbackOrder)
 	transport.RegisterPayload(appendNestedResult, decodeNestedResult)
 	transport.RegisterPayload(appendPurgeNote, decodePurgeNote)
 	//crew:allow wireframe WorkflowDone is handled by the front end (mproc cluster runner), not by the agents in this package
@@ -237,50 +230,6 @@ type stateInformation struct {
 type stateInformationReply struct {
 	Agent string
 	Load  int64
-}
-
-// Coordination WI payloads. AddRule establishes/updates coordination state
-// at the spec home agent (and asks what the step must wait for),
-// AddPrecondition returns the wait events, AddEvent injects an event into an
-// instance's event table at the agents holding the waiting rule.
-type addRule struct {
-	Ref        model.StepRef
-	Inst       coord.InstanceRef
-	ReplyAgent string
-	// Done marks a completion notification rather than a pre-execution
-	// check; Failed marks a failed attempt (mutex release only).
-	Done   bool
-	Failed bool
-}
-
-type addPrecondition struct {
-	Inst       coord.InstanceRef
-	Step       model.StepID
-	WaitEvents []string
-}
-
-type addEvent struct {
-	Target coord.InstanceRef
-	Event  string
-	Step   model.StepID
-}
-
-// coordRollbackNote tells the home agent that an instance rolled back past
-// the given steps (rollback-dependency triggers).
-type coordRollbackNote struct {
-	Workflow    string
-	Invalidated []model.StepID
-}
-
-// coordForgetNote removes a finished instance from coordination state.
-type coordForgetNote struct {
-	Inst coord.InstanceRef
-}
-
-// coordRollbackOrder applies a rollback dependency at the coordination agent
-// of a dependent instance.
-type coordRollbackOrder struct {
-	Order coord.RollbackOrder
 }
 
 // nestedResult reports a nested workflow's outcome to the parent step's
@@ -532,58 +481,6 @@ func appendStateInformationReply(dst []byte, p stateInformationReply, _ *[]strin
 
 func decodeStateInformationReply(r *binenc.Reader) stateInformationReply {
 	return stateInformationReply{Agent: r.Str(), Load: int64(r.Int())}
-}
-
-func appendAddRule(dst []byte, p addRule, _ *[]string) []byte {
-	dst = p.Inst.Append(p.Ref.Append(dst))
-	dst = binenc.AppendString(dst, p.ReplyAgent)
-	return binenc.AppendBool(binenc.AppendBool(dst, p.Done), p.Failed)
-}
-
-func decodeAddRule(r *binenc.Reader) addRule {
-	return addRule{Ref: model.DecodeStepRef(r), Inst: coord.DecodeInstanceRef(r), ReplyAgent: r.Str(),
-		Done: r.Bool(), Failed: r.Bool()}
-}
-
-func appendAddPrecondition(dst []byte, p addPrecondition, _ *[]string) []byte {
-	dst = binenc.AppendString(p.Inst.Append(dst), string(p.Step))
-	return binenc.AppendStrings(dst, p.WaitEvents)
-}
-
-func decodeAddPrecondition(r *binenc.Reader) addPrecondition {
-	return addPrecondition{Inst: coord.DecodeInstanceRef(r), Step: stepID(r), WaitEvents: binenc.Strings[string](r)}
-}
-
-func appendAddEvent(dst []byte, p addEvent, _ *[]string) []byte {
-	return binenc.AppendString(binenc.AppendString(p.Target.Append(dst), p.Event), string(p.Step))
-}
-
-func decodeAddEvent(r *binenc.Reader) addEvent {
-	return addEvent{Target: coord.DecodeInstanceRef(r), Event: r.Str(), Step: stepID(r)}
-}
-
-func appendCoordRollbackNote(dst []byte, p coordRollbackNote, _ *[]string) []byte {
-	return binenc.AppendStrings(binenc.AppendString(dst, p.Workflow), p.Invalidated)
-}
-
-func decodeCoordRollbackNote(r *binenc.Reader) coordRollbackNote {
-	return coordRollbackNote{Workflow: r.Str(), Invalidated: binenc.Strings[model.StepID](r)}
-}
-
-func appendCoordForgetNote(dst []byte, p coordForgetNote, _ *[]string) []byte {
-	return p.Inst.Append(dst)
-}
-
-func decodeCoordForgetNote(r *binenc.Reader) coordForgetNote {
-	return coordForgetNote{Inst: coord.DecodeInstanceRef(r)}
-}
-
-func appendCoordRollbackOrder(dst []byte, p coordRollbackOrder, _ *[]string) []byte {
-	return p.Order.Append(dst)
-}
-
-func decodeCoordRollbackOrder(r *binenc.Reader) coordRollbackOrder {
-	return coordRollbackOrder{Order: coord.DecodeRollbackOrder(r)}
 }
 
 func appendNestedResult(dst []byte, p nestedResult, keys *[]string) []byte {

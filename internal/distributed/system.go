@@ -238,8 +238,21 @@ func (s *System) StartSeq(workflow string, id, seq int, inputs map[string]expr.V
 }
 
 // Quiesce blocks until no message is queued, undelivered or still being
-// processed anywhere in the deployment.
-func (s *System) Quiesce(ctx context.Context) error { return s.net.Quiesce(ctx) }
+// processed anywhere in the deployment, and then has every agent let go of its
+// replicas of instances that finished elsewhere. Those leave at the agent's
+// next sweep in any case and dropping them sends nothing; done here, what a
+// quiesced deployment holds does not depend on where in their period the
+// agents' sweep timers stand.
+func (s *System) Quiesce(ctx context.Context) error {
+	if err := s.net.Quiesce(ctx); err != nil {
+		return err
+	}
+	for _, name := range s.names {
+		a := s.agents[name]
+		a.Do(a.dropFinished)
+	}
+	return nil
+}
 
 // WaitCtx blocks until the instance terminates or ctx ends (the contract is
 // itable.Terminal.Wait's): it subscribes to the deployment's shared terminal

@@ -130,30 +130,10 @@ func buildTarget(arch analysis.Architecture, w *workload.Workload, e int, dbDir 
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		// Replicas of finished instances leave at each agent's next
-		// maintenance sweep. They are not retained state, so wait them out:
-		// otherwise RetainedBytes depends on where the end of the run fell
-		// in the sweep period (and grows with the instance rate).
-		quiesce := func(ctx context.Context) error {
-			for {
-				if err := sys.Quiesce(ctx); err != nil {
-					return err
-				}
-				live := 0
-				for _, name := range sys.AgentNames() {
-					live += sys.Agent(name).ReplicaCount()
-				}
-				if live == 0 {
-					return nil
-				}
-				select {
-				case <-ctx.Done():
-					return fmt.Errorf("%d replicas of finished instances not retired: %w", live, ctx.Err())
-				case <-time.After(time.Millisecond):
-				}
-			}
-		}
-		return sys, sys.Close, quiesce, nil
+		// Quiesce also has the agents drop their replicas of finished
+		// instances, so RetainedBytes does not depend on where the end of
+		// the run fell in the sweep period.
+		return sys, sys.Close, sys.Quiesce, nil
 	default:
 		return nil, nil, nil, fmt.Errorf("experiment: unknown architecture %v", arch)
 	}

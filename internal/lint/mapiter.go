@@ -37,6 +37,10 @@ var mapIterSinks = map[methodKey]bool{
 	{pkg: "crew/internal/wfdb", recv: "Batch", name: "SaveInstance"}: true,
 	{pkg: "crew/internal/wfdb", recv: "Batch", name: "SaveSummary"}:  true,
 	{pkg: "crew/internal/wfdb", recv: "Batch", name: "Archive"}:      true,
+	// What engines and agents call: Send is the turn's Batcher.Add, and Mark
+	// fixes the order in which the turn's rows reach the WAL.
+	{pkg: "crew/internal/actor", recv: "Actor", name: "Send"}: true,
+	{pkg: "crew/internal/actor", recv: "Actor", name: "Mark"}: true,
 }
 
 // MapIter reports `range` statements over maps whose bodies reach — directly

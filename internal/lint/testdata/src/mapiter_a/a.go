@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"crew/internal/actor"
 	"crew/internal/store"
 	"crew/internal/transport"
 )
@@ -67,6 +68,25 @@ func sendVia(h *transport.Handle, to int) {
 func transitive(h *transport.Handle, pending map[int]string) {
 	for to := range pending { // want "map iteration feeds sendVia"
 		sendVia(h, to)
+	}
+}
+
+// node sends and marks through the actor it embeds, as engines and agents do.
+type node struct {
+	*actor.Actor
+	peers map[string]int
+	rows  map[string]actor.Row
+}
+
+func (n *node) broadcast() {
+	for to := range n.peers { // want "map iteration feeds Actor.Send"
+		n.Send(to, 1, "Purge", nil)
+	}
+}
+
+func (n *node) markAll() {
+	for _, r := range n.rows { // want "map iteration feeds Actor.Mark"
+		n.Mark(r)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 
 	"crew/internal/actor"
-	"crew/internal/binenc"
 	"crew/internal/central"
 	"crew/internal/coord"
 	"crew/internal/expr"
@@ -25,141 +24,6 @@ import (
 	"crew/internal/model"
 	"crew/internal/transport"
 	"crew/internal/wfdb"
-)
-
-// Coordination protocol payloads (engine <-> home engine).
-
-type coordCheck struct {
-	Ref         model.StepRef
-	Inst        coord.InstanceRef
-	ReplyEngine string
-}
-
-type coordResolve struct {
-	Inst       coord.InstanceRef
-	Step       model.StepID
-	WaitEvents []string
-}
-
-type coordDone struct {
-	Ref  model.StepRef
-	Inst coord.InstanceRef
-}
-
-type coordFailed struct {
-	Ref  model.StepRef
-	Inst coord.InstanceRef
-}
-
-type coordRollback struct {
-	Workflow    string
-	Invalidated []model.StepID
-}
-
-type coordForget struct {
-	Inst coord.InstanceRef
-}
-
-type coordInject struct {
-	Target coord.InstanceRef
-	Event  string
-}
-
-type coordOrder struct {
-	Order coord.RollbackOrder
-}
-
-func init() {
-	// Register the coordination payloads with their codecs so wire backends
-	// can carry them.
-	transport.RegisterPayload(appendCoordCheck, decodeCoordCheck)
-	transport.RegisterPayload(appendCoordResolve, decodeCoordResolve)
-	transport.RegisterPayload(appendCoordDone, decodeCoordDone)
-	transport.RegisterPayload(appendCoordFailed, decodeCoordFailed)
-	transport.RegisterPayload(appendCoordRollback, decodeCoordRollback)
-	transport.RegisterPayload(appendCoordForget, decodeCoordForget)
-	transport.RegisterPayload(appendCoordInject, decodeCoordInject)
-	transport.RegisterPayload(appendCoordOrder, decodeCoordOrder)
-}
-
-// Wire codecs: the fields in declaration order on the primitives of package
-// binenc.
-
-func appendCoordCheck(dst []byte, p coordCheck, _ *[]string) []byte {
-	return binenc.AppendString(p.Inst.Append(p.Ref.Append(dst)), p.ReplyEngine)
-}
-
-func decodeCoordCheck(r *binenc.Reader) coordCheck {
-	return coordCheck{Ref: model.DecodeStepRef(r), Inst: coord.DecodeInstanceRef(r), ReplyEngine: r.Str()}
-}
-
-func appendCoordResolve(dst []byte, p coordResolve, _ *[]string) []byte {
-	dst = binenc.AppendString(p.Inst.Append(dst), string(p.Step))
-	return binenc.AppendStrings(dst, p.WaitEvents)
-}
-
-func decodeCoordResolve(r *binenc.Reader) coordResolve {
-	return coordResolve{Inst: coord.DecodeInstanceRef(r), Step: model.StepID(r.Str()), WaitEvents: binenc.Strings[string](r)}
-}
-
-func appendCoordDone(dst []byte, p coordDone, _ *[]string) []byte {
-	return p.Inst.Append(p.Ref.Append(dst))
-}
-
-func decodeCoordDone(r *binenc.Reader) coordDone {
-	return coordDone{Ref: model.DecodeStepRef(r), Inst: coord.DecodeInstanceRef(r)}
-}
-
-func appendCoordFailed(dst []byte, p coordFailed, _ *[]string) []byte {
-	return p.Inst.Append(p.Ref.Append(dst))
-}
-
-func decodeCoordFailed(r *binenc.Reader) coordFailed {
-	return coordFailed{Ref: model.DecodeStepRef(r), Inst: coord.DecodeInstanceRef(r)}
-}
-
-func appendCoordRollback(dst []byte, p coordRollback, _ *[]string) []byte {
-	return binenc.AppendStrings(binenc.AppendString(dst, p.Workflow), p.Invalidated)
-}
-
-func decodeCoordRollback(r *binenc.Reader) coordRollback {
-	return coordRollback{Workflow: r.Str(), Invalidated: binenc.Strings[model.StepID](r)}
-}
-
-func appendCoordForget(dst []byte, p coordForget, _ *[]string) []byte {
-	return p.Inst.Append(dst)
-}
-
-func decodeCoordForget(r *binenc.Reader) coordForget {
-	return coordForget{Inst: coord.DecodeInstanceRef(r)}
-}
-
-func appendCoordInject(dst []byte, p coordInject, _ *[]string) []byte {
-	return binenc.AppendString(p.Target.Append(dst), p.Event)
-}
-
-func decodeCoordInject(r *binenc.Reader) coordInject {
-	return coordInject{Target: coord.DecodeInstanceRef(r), Event: r.Str()}
-}
-
-func appendCoordOrder(dst []byte, p coordOrder, _ *[]string) []byte {
-	return p.Order.Append(dst)
-}
-
-func decodeCoordOrder(r *binenc.Reader) coordOrder {
-	return coordOrder{Order: coord.DecodeRollbackOrder(r)}
-}
-
-// Message kind labels.
-const (
-	kindCoordCheck   = "CoordCheck"
-	kindCoordResolve = "CoordResolve"
-	kindCoordDone    = "CoordDone"
-	kindCoordFailed  = "CoordFailed"
-	kindCoordRollbk  = "CoordRollback"
-	kindCoordForget  = "CoordForget"
-	kindCoordInject  = "CoordInject"
-	kindCoordOrder   = "CoordOrder"
 )
 
 // SystemConfig parameterizes a parallel deployment.
@@ -187,7 +51,6 @@ type System struct {
 	net     *transport.Network
 	agents  []*central.Agent
 	col     *metrics.Collector
-	home    *homeCoordinator
 
 	// owner and nextID are fixed-shard tables (hash on workflow+id), so
 	// concurrent Start/Wait/routing traffic for different instances does not
@@ -244,7 +107,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		if cfg.DBs != nil {
 			db = cfg.DBs[i]
 		}
-		idx := i
 		eng, err := central.NewEngine(central.Config{
 			Name:       name,
 			Library:    cfg.Library,
@@ -259,9 +121,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			OnRetired: func(workflow string, id int) {
 				sys.owner.Delete(itable.Ref{Workflow: workflow, ID: id})
 			},
-			OnUnhandled: func(m transport.Message) {
-				sys.onCoordMessage(idx, m)
-			},
 		}, net)
 		if err != nil {
 			sys.Close()
@@ -270,14 +129,18 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		sys.engines = append(sys.engines, eng)
 	}
 
-	sys.home = &homeCoordinator{
-		sys:     sys,
-		tracker: coord.NewTracker(cfg.Library),
-		idx:     0,
-		rec:     cfg.Collector.Node(sys.engines[0].Name()),
-	}
+	// Coordinated execution: the state for the library's specs lives at
+	// engine 0, which the others reach with physical messages; it routes an
+	// injection to the engine owning the target instance and a rollback order
+	// to every engine, as any may own instances of the dependent class.
+	names := make([]string, len(sys.engines))
 	for i, eng := range sys.engines {
-		eng.SetCoordinator(&remoteCoordinator{sys: sys, idx: i})
+		names[i] = eng.Name()
+	}
+	for _, eng := range sys.engines {
+		eng.Place(names[0], names, func(inst coord.InstanceRef) string {
+			return sys.engineFor(inst.Workflow, inst.ID).Name()
+		})
 	}
 
 	for _, name := range agents {
@@ -299,12 +162,6 @@ func (s *System) Collector() *metrics.Collector { return s.col }
 
 // Network exposes the transport.
 func (s *System) Network() *transport.Network { return s.net }
-
-// ownerOf returns the engine index owning an instance (defaults to 0).
-func (s *System) ownerOf(inst coord.InstanceRef) int {
-	idx, _ := s.owner.Get(itable.Ref{Workflow: inst.Workflow, ID: inst.ID})
-	return idx
-}
 
 // engineFor returns the engine owning an instance.
 func (s *System) engineFor(workflow string, id int) *central.Engine {
@@ -444,191 +301,4 @@ func (s *System) RestartNode(name string) {
 		}
 	}
 	s.net.Recover(name)
-}
-
-// onCoordMessage dispatches coordination protocol messages. It runs on the
-// receiving engine's goroutine.
-func (s *System) onCoordMessage(engineIdx int, m transport.Message) {
-	eng := s.engines[engineIdx]
-	switch p := m.Payload.(type) {
-	case coordCheck:
-		s.home.check(p.Ref, p.Inst, p.ReplyEngine)
-	case coordDone:
-		s.home.stepDone(p.Ref, p.Inst)
-	case coordFailed:
-		s.home.stepFailed(p.Ref, p.Inst)
-	case coordRollback:
-		s.home.rollback(p.Workflow, p.Invalidated)
-	case coordForget:
-		s.home.forget(p.Inst)
-	case coordResolve:
-		eng.ResolveCoord(p.Inst.Workflow, p.Inst.ID, p.Step, p.WaitEvents)
-	case coordInject:
-		eng.InjectEvent(p.Target.Workflow, p.Target.ID, p.Event)
-	case coordOrder:
-		eng.ApplyRollbackOrder(p.Order)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Home coordinator: owns the tracker; runs on engine 0's goroutine.
-
-type homeCoordinator struct {
-	sys     *System
-	tracker *coord.Tracker
-	idx     int // home engine index
-	rec     metrics.NodeRecorder
-}
-
-func (h *homeCoordinator) homeEngine() *central.Engine { return h.sys.engines[h.idx] }
-
-func (h *homeCoordinator) load(units int64) {
-	h.rec.Add(metrics.Coordination, units)
-}
-
-// send puts a protocol message to another engine into the home engine's
-// turn (every homeCoordinator method runs on the home engine's goroutine).
-func (h *homeCoordinator) send(to, kind string, payload any) {
-	h.homeEngine().Send(to, metrics.Coordination, kind, payload)
-}
-
-// deliver routes an injection to the engine owning the target instance.
-func (h *homeCoordinator) deliver(inj coord.Injection) {
-	ownerIdx := h.sys.ownerOf(inj.Target)
-	if ownerIdx == h.idx {
-		h.homeEngine().InjectEvent(inj.Target.Workflow, inj.Target.ID, inj.Event)
-		return
-	}
-	h.send(h.sys.engines[ownerIdx].Name(), kindCoordInject,
-		coordInject{Target: inj.Target, Event: inj.Event})
-}
-
-func (h *homeCoordinator) check(ref model.StepRef, inst coord.InstanceRef, replyEngine string) {
-	h.load(1)
-	waits := h.tracker.OrderWait(ref, inst)
-	grants, mutexWaits := h.tracker.MutexAcquire(ref, inst)
-	waits = append(waits, mutexWaits...)
-	for _, g := range grants {
-		h.deliver(g)
-	}
-	if replyEngine == h.homeEngine().Name() {
-		h.homeEngine().ResolveCoord(inst.Workflow, inst.ID, ref.Step, waits)
-		return
-	}
-	h.send(replyEngine, kindCoordResolve,
-		coordResolve{Inst: inst, Step: ref.Step, WaitEvents: waits})
-}
-
-func (h *homeCoordinator) stepDone(ref model.StepRef, inst coord.InstanceRef) {
-	h.load(1)
-	for _, inj := range h.tracker.OrderStepDone(ref, inst) {
-		h.deliver(inj)
-	}
-	for _, inj := range h.tracker.MutexRelease(ref, inst) {
-		h.deliver(inj)
-	}
-}
-
-func (h *homeCoordinator) stepFailed(ref model.StepRef, inst coord.InstanceRef) {
-	h.load(1)
-	for _, inj := range h.tracker.MutexRelease(ref, inst) {
-		h.deliver(inj)
-	}
-}
-
-func (h *homeCoordinator) rollback(workflow string, invalidated []model.StepID) {
-	h.load(1)
-	orders := h.tracker.RollbackTriggered(workflow, invalidated)
-	if len(orders) == 0 {
-		return
-	}
-	// Every engine may own instances of the dependent class: broadcast.
-	for _, ord := range orders {
-		for i, eng := range h.sys.engines {
-			if i == h.idx {
-				eng.ApplyRollbackOrder(ord)
-				continue
-			}
-			h.send(eng.Name(), kindCoordOrder, coordOrder{Order: ord})
-		}
-	}
-}
-
-func (h *homeCoordinator) forget(inst coord.InstanceRef) {
-	h.load(1)
-	for _, inj := range h.tracker.OrderForget(inst) {
-		h.deliver(inj)
-	}
-	for _, inj := range h.tracker.MutexForget(inst) {
-		h.deliver(inj)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Remote coordinator: what each engine talks to. On the home engine the
-// calls go straight to the home coordinator (same goroutine); elsewhere they
-// become physical messages.
-
-type remoteCoordinator struct {
-	sys *System
-	idx int
-}
-
-var _ central.Coordinator = (*remoteCoordinator)(nil)
-
-func (r *remoteCoordinator) local() bool { return r.idx == r.sys.home.idx }
-
-func (r *remoteCoordinator) name() string { return r.sys.engines[r.idx].Name() }
-
-// toHome puts a protocol message to the home engine into this engine's turn
-// (Coordinator methods are invoked from the engine's goroutine).
-func (r *remoteCoordinator) toHome(kind string, payload any) {
-	r.sys.engines[r.idx].Send(r.sys.home.homeEngine().Name(), metrics.Coordination, kind, payload)
-}
-
-// Check implements central.Coordinator.
-func (r *remoteCoordinator) Check(ref model.StepRef, inst coord.InstanceRef) {
-	if r.local() {
-		r.sys.home.check(ref, inst, r.name())
-		return
-	}
-	r.toHome(kindCoordCheck,
-		coordCheck{Ref: ref, Inst: inst, ReplyEngine: r.name()})
-}
-
-// StepDone implements central.Coordinator.
-func (r *remoteCoordinator) StepDone(ref model.StepRef, inst coord.InstanceRef) {
-	if r.local() {
-		r.sys.home.stepDone(ref, inst)
-		return
-	}
-	r.toHome(kindCoordDone, coordDone{Ref: ref, Inst: inst})
-}
-
-// StepFailed implements central.Coordinator.
-func (r *remoteCoordinator) StepFailed(ref model.StepRef, inst coord.InstanceRef) {
-	if r.local() {
-		r.sys.home.stepFailed(ref, inst)
-		return
-	}
-	r.toHome(kindCoordFailed, coordFailed{Ref: ref, Inst: inst})
-}
-
-// Rollback implements central.Coordinator.
-func (r *remoteCoordinator) Rollback(workflow string, invalidated []model.StepID) {
-	if r.local() {
-		r.sys.home.rollback(workflow, invalidated)
-		return
-	}
-	r.toHome(kindCoordRollbk,
-		coordRollback{Workflow: workflow, Invalidated: invalidated})
-}
-
-// Forget implements central.Coordinator.
-func (r *remoteCoordinator) Forget(inst coord.InstanceRef) {
-	if r.local() {
-		r.sys.home.forget(inst)
-		return
-	}
-	r.toHome(kindCoordForget, coordForget{Inst: inst})
 }

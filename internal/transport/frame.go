@@ -54,8 +54,10 @@ const MaxFrame = 8 << 20
 
 // WireFormat is the version of the message and payload layout above. Format 1
 // (not numbered on the wire at the time) carried JSON payloads; format 2 had
-// one instance per purge note where 3 has a list.
-const WireFormat byte = 3
+// one instance per purge note where 3 has a list; format 3 tagged the
+// coordination protocol with fourteen payload types of package parallel and
+// distributed where 4 has the four of package coord.
+const WireFormat byte = 4
 
 // Frame types. The loopback socket backend uses Msg/Hello/Ack; the
 // multi-process hub protocol additionally uses Welcome (format byte and peer

@@ -8,11 +8,13 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"crew/internal/binenc"
 	_ "crew/internal/central" // the three architectures register their payloads
 	"crew/internal/cerrors"
+	"crew/internal/coord"
 	_ "crew/internal/distributed"
 	"crew/internal/expr"
 	"crew/internal/metrics"
@@ -28,6 +30,7 @@ type gen struct{ *rand.Rand }
 var (
 	valueType     = reflect.TypeOf(expr.Value{})
 	mechanismType = reflect.TypeOf(metrics.Normal)
+	opType        = reflect.TypeOf(coord.Check)
 )
 
 func (g gen) str() string {
@@ -58,6 +61,9 @@ func (g gen) fill(v reflect.Value, top bool) {
 		return
 	case v.Type() == mechanismType:
 		v.SetInt(int64(g.Intn(len(metrics.Mechanisms))))
+		return
+	case v.Type() == opType:
+		v.SetUint(uint64(g.Intn(int(coord.Forget) + 1)))
 		return
 	}
 	switch v.Kind() {
@@ -152,9 +158,22 @@ func normalized(p any) any {
 // through its append/decode pair to what a JSON round trip of the same value
 // gives — the wire's payload format until the binary one replaced it.
 func TestPayloadCodecMatchesJSON(t *testing.T) {
-	codecs := transport.RegisteredPayloads()
-	if len(codecs) < 36 {
-		t.Fatalf("%d payload types registered, want the 36 of central, distributed and parallel at least", len(codecs))
+	// The program registers 26 types (central 4, distributed 18, and the four
+	// of the coordination protocol, which parallel adds nothing to); this
+	// package's own tests register "int" and two more of their own.
+	codecs, program := transport.RegisteredPayloads(), map[string]bool{}
+	for _, c := range codecs {
+		if c.Name != "int" && !strings.Contains(c.Name, "transport.") {
+			program[c.Name] = true
+		}
+	}
+	if len(program) != 26 {
+		t.Fatalf("%d payload types registered by the program, want 26: %v", len(program), program)
+	}
+	for _, name := range []string{"coord.Request", "coord.Resolve", "coord.Inject", "coord.Order"} {
+		if !program[name] {
+			t.Fatalf("%s is not registered", name)
+		}
 	}
 	var keys []string
 	for _, c := range codecs {
