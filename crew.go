@@ -49,17 +49,14 @@ import (
 	"time"
 
 	"crew/internal/analysis"
-	"crew/internal/central"
 	"crew/internal/cerrors"
-	"crew/internal/distributed"
+	"crew/internal/deploy"
 	"crew/internal/expr"
 	"crew/internal/faults"
 	"crew/internal/frontend"
 	"crew/internal/laws"
 	"crew/internal/metrics"
 	"crew/internal/model"
-	"crew/internal/parallel"
-	"crew/internal/transport"
 	"crew/internal/wfdb"
 )
 
@@ -294,18 +291,6 @@ type TransportConfig struct {
 	Addr string
 }
 
-// newWire builds the transport backend a TransportConfig selects.
-func (tc TransportConfig) newWire() (transport.Wire, error) {
-	switch tc.Backend {
-	case "", "inproc":
-		return nil, nil
-	case "unix", "tcp":
-		return transport.NewSocketWire(tc.Backend, tc.Addr)
-	default:
-		return nil, fmt.Errorf("crew: %w: unknown transport backend %q (want inproc, unix or tcp)", ErrInvalidConfig, tc.Backend)
-	}
-}
-
 // Config assembles a deployment.
 type Config struct {
 	// Library holds the workflow definitions; required.
@@ -317,7 +302,10 @@ type Config struct {
 	// Agents names the agent nodes; defaults derive from the library's
 	// eligible-agent declarations.
 	Agents []string
-	// Engines is the parallel architecture's engine count (default 2).
+	// Engines is the parallel architecture's engine count (default 2). The
+	// central architecture is the same deployment with one engine, whatever
+	// this says; one engine's node is named "engine", e engines' are
+	// "engine0" to "engine{e-1}".
 	Engines int
 	// Collector receives metrics; one is created if nil.
 	Collector *Collector
@@ -325,12 +313,14 @@ type Config struct {
 	DisableOCR bool
 	// PurgeOnCommit broadcasts purge notes in distributed control.
 	PurgeOnCommit bool
-	// DB persists instance state for the central architecture's engine,
-	// enabling crash recovery (see NewMemoryDB). Ignored by the others.
+	// DB persists instance state for a deployment of one engine, enabling
+	// crash recovery (see NewMemoryDB): the central architecture, or the
+	// parallel one with Engines: 1 and no DBs. It is shorthand for a DBs of
+	// that one database; deployments of several nodes ignore it.
 	DB *DB
-	// DBs gives each node of the parallel (per engine) or distributed (per
-	// agent) architecture its own database. Length must match the node
-	// count. Ignored by the central architecture.
+	// DBs gives each scheduling node its own database: per engine in the
+	// parallel architecture, per agent in the distributed one. Length must
+	// match the node count. The central architecture takes DB instead.
 	DBs []*DB
 	// Transport selects the wire backend between nodes; the zero value is
 	// the in-process default.
@@ -405,11 +395,7 @@ type System interface {
 	Close()
 }
 
-var (
-	_ System = (*central.System)(nil)
-	_ System = (*parallel.System)(nil)
-	_ System = (*distributed.System)(nil)
-)
+var _ System = deploy.System(nil)
 
 // Option customizes a deployment built by NewSystem beyond its Config.
 type Option func(*options)
@@ -428,30 +414,15 @@ func WithFaults(plan FaultPlan) Option {
 	return func(o *options) { o.faults = &p }
 }
 
-// faultable is the architecture-facade surface fault injection needs; all
-// three architectures implement it.
-type faultable interface {
-	System
-	Network() *transport.Network
-	HaltNode(name string)
-	RestartNode(name string)
-}
-
-var (
-	_ faultable = (*central.System)(nil)
-	_ faultable = (*parallel.System)(nil)
-	_ faultable = (*distributed.System)(nil)
-)
-
 // faultedSystem stops the injector when the deployment closes.
 type faultedSystem struct {
-	faultable
+	deploy.System
 	inj *faults.Injector
 }
 
 func (f *faultedSystem) Close() {
 	f.inj.Stop()
-	f.faultable.Close()
+	f.System.Close()
 }
 
 // NewSystem builds and starts a deployment of the configured architecture.
@@ -473,7 +444,27 @@ func NewSystem(cfg Config, opts ...Option) (System, error) {
 		}
 		programs = faults.WrapFlaky(programs, o.faults.Seed, o.faults.StepFailRate)
 	}
-	sys, err := newArchSystem(cfg, programs)
+	arch := analysis.Architecture(cfg.Architecture)
+	dc := deploy.Config{
+		Library:       cfg.Library,
+		Programs:      programs,
+		Collector:     cfg.Collector,
+		Agents:        cfg.Agents,
+		Engines:       cfg.Engines,
+		DBs:           cfg.DBs,
+		DisableOCR:    cfg.DisableOCR,
+		PurgeOnCommit: cfg.PurgeOnCommit,
+		Backend:       cfg.Transport.Backend,
+		Addr:          cfg.Transport.Addr,
+		Logf:          cfg.Logf,
+	}
+	if dc.Engines <= 0 {
+		dc.Engines = 2
+	}
+	if cfg.DB != nil && len(cfg.DBs) == 0 && deploy.Engines(arch, dc.Engines) == 1 {
+		dc.DBs = []*DB{cfg.DB}
+	}
+	sys, err := deploy.New(arch, dc)
 	if err != nil {
 		return nil, err
 	}
@@ -487,55 +478,5 @@ func NewSystem(cfg Config, opts ...Option) (System, error) {
 	}
 	inj.SetHooks(sys)
 	inj.Attach(sys.Network())
-	return &faultedSystem{faultable: sys, inj: inj}, nil
-}
-
-func newArchSystem(cfg Config, programs *Registry) (faultable, error) {
-	wire, err := cfg.Transport.newWire()
-	if err != nil {
-		return nil, err
-	}
-	switch cfg.Architecture {
-	case Central:
-		return central.NewSystem(central.SystemConfig{
-			Library:    cfg.Library,
-			Programs:   programs,
-			Collector:  cfg.Collector,
-			DB:         cfg.DB,
-			Agents:     cfg.Agents,
-			DisableOCR: cfg.DisableOCR,
-			Wire:       wire,
-			Logf:       cfg.Logf,
-		})
-	case Parallel:
-		engines := cfg.Engines
-		if engines <= 0 {
-			engines = 2
-		}
-		return parallel.NewSystem(parallel.SystemConfig{
-			Library:    cfg.Library,
-			Programs:   programs,
-			Collector:  cfg.Collector,
-			Engines:    engines,
-			Agents:     cfg.Agents,
-			DBs:        cfg.DBs,
-			DisableOCR: cfg.DisableOCR,
-			Wire:       wire,
-			Logf:       cfg.Logf,
-		})
-	case Distributed:
-		return distributed.NewSystem(distributed.SystemConfig{
-			Library:       cfg.Library,
-			Programs:      programs,
-			Collector:     cfg.Collector,
-			Agents:        cfg.Agents,
-			AGDBs:         cfg.DBs,
-			DisableOCR:    cfg.DisableOCR,
-			PurgeOnCommit: cfg.PurgeOnCommit,
-			Wire:          wire,
-			Logf:          cfg.Logf,
-		})
-	default:
-		return nil, fmt.Errorf("crew: unknown architecture %v", cfg.Architecture)
-	}
+	return &faultedSystem{System: sys, inj: inj}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"crew"
+	"crew/internal/analysis"
 )
 
 const waitTimeout = 5 * time.Second
@@ -174,6 +175,12 @@ func TestArchitectureString(t *testing.T) {
 	}
 	if crew.Architecture(9).String() != "Architecture(9)" {
 		t.Error("unknown architecture name wrong")
+	}
+	// NewSystem converts the public value to the internal one by number.
+	for i, a := range analysis.Architectures {
+		if !strings.EqualFold(crew.Architecture(a).String(), a.String()) || int(a) != i {
+			t.Errorf("crew.Architecture(%d) is %v, internally %v", int(a), crew.Architecture(a), a)
+		}
 	}
 }
 

@@ -7,11 +7,16 @@ package crew_test
 // semantics choice).
 
 import (
+	"context"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"crew"
 	"crew/internal/analysis"
+	"crew/internal/metrics"
 	"crew/internal/workload"
 )
 
@@ -111,5 +116,77 @@ func TestArchitecturesProduceEquivalentResults(t *testing.T) {
 	base := results[crew.Central]
 	for _, arch := range []crew.Architecture{crew.Parallel, crew.Distributed} {
 		compareOutcomes(t, arch.String(), base, results[arch])
+	}
+}
+
+// runCounted drives the deterministic workload one instance at a time and
+// returns the deployment's settled counters.
+func runCounted(t *testing.T, cfg crew.Config) metrics.Snapshot {
+	t.Helper()
+	w, err := workload.Generate(equivalenceParams(), 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Library, cfg.Programs, cfg.Agents, cfg.Logf = w.Library, w.Programs, w.Agents, t.Logf
+	sys, err := crew.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	for _, wf := range w.Library.Names() {
+		for i := 0; i < 4; i++ {
+			if _, st, err := sys.Run(wf, w.Inputs(i), 20*time.Second); err != nil || st != crew.Committed {
+				t.Fatalf("%v %s: %v, %v", cfg.Architecture, wf, st, err)
+			}
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := sys.(interface{ Quiesce(context.Context) error }).Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return sys.Collector().Snapshot()
+}
+
+// TestOneEngineParallelIsCentral holds the centralized architecture to what the
+// paper says it is, the parallel one at e = 1: same messages and same load at
+// the engine under every mechanism, so the two cannot drift apart again.
+func TestOneEngineParallelIsCentral(t *testing.T) {
+	central := runCounted(t, crew.Config{Architecture: crew.Central})
+	single := runCounted(t, crew.Config{Architecture: crew.Parallel, Engines: 1})
+	if central.Messages != single.Messages {
+		t.Errorf("messages by mechanism: central %v, one-engine parallel %v", central.Messages, single.Messages)
+	}
+	if c, s := central.NodeLoad["engine"], single.NodeLoad["engine"]; c != s || c[crew.MechNormal] == 0 {
+		t.Errorf("load at engine by mechanism: central %v, one-engine parallel %v", c, s)
+	}
+}
+
+// TestSchedulingNodeNames pins the node names load is charged under, which
+// crewbench and NewChaosPlan callers spell out: one engine is "engine", e of
+// them are "engine0" to "engine{e-1}".
+func TestSchedulingNodeNames(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  crew.Config
+		want []string
+	}{
+		{crew.Config{Architecture: crew.Central}, []string{"engine"}},
+		{crew.Config{Architecture: crew.Parallel, Engines: 1}, []string{"engine"}},
+		{crew.Config{Architecture: crew.Parallel, Engines: 2}, []string{"engine0", "engine1"}},
+	} {
+		loads := runCounted(t, tc.cfg).NodeLoad
+		var engines []string
+		for node, load := range loads {
+			if strings.HasPrefix(node, "engine") {
+				engines = append(engines, node)
+				if load[crew.MechNormal] == 0 {
+					t.Errorf("%v e=%d: no normal-execution load at %s", tc.cfg.Architecture, tc.cfg.Engines, node)
+				}
+			}
+		}
+		sort.Strings(engines)
+		if !reflect.DeepEqual(engines, tc.want) {
+			t.Errorf("%v e=%d: load charged at %v, want %v", tc.cfg.Architecture, tc.cfg.Engines, engines, tc.want)
+		}
 	}
 }

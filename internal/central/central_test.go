@@ -73,7 +73,7 @@ func newSystem(t *testing.T, lib *model.Library, reg *model.Registry) *System {
 		Library:   lib,
 		Programs:  reg,
 		Collector: metrics.NewCollector(),
-		DB:        wfdb.NewMemory(),
+		DBs:       []*wfdb.DB{wfdb.NewMemory()},
 		Agents:    []string{"a1", "a2"},
 		Logf:      t.Logf,
 	})
@@ -135,10 +135,10 @@ func TestLinearWorkflowCommits(t *testing.T) {
 		t.Errorf("Status = (%v, %v)", st, ok)
 	}
 	// Archived in the DB with a committed summary.
-	if sum, ok, _ := sys.Engine.cfg.DB.LoadSummary("Lin", id); !ok || sum != wfdb.Committed {
+	if sum, ok, _ := sys.dbs[0].LoadSummary("Lin", id); !ok || sum != wfdb.Committed {
 		t.Errorf("summary = (%v, %v)", sum, ok)
 	}
-	if _, ok, _ := sys.Engine.cfg.DB.LoadArchived("Lin", id); !ok {
+	if _, ok, _ := sys.dbs[0].LoadArchived("Lin", id); !ok {
 		t.Error("instance not archived")
 	}
 }
@@ -613,7 +613,7 @@ func TestExhaustedAttemptsAbort(t *testing.T) {
 	if rec.count("ca") != 1 {
 		t.Errorf("A compensated %d times on abort, want 1: %v", rec.count("ca"), rec.list())
 	}
-	if sum, ok, _ := sys.Engine.cfg.DB.LoadSummary("Fail", id); !ok || sum != wfdb.Aborted {
+	if sum, ok, _ := sys.dbs[0].LoadSummary("Fail", id); !ok || sum != wfdb.Aborted {
 		t.Errorf("summary = (%v, %v)", sum, ok)
 	}
 }
@@ -972,7 +972,7 @@ func TestEngineForwardRecovery(t *testing.T) {
 		Library:   lib,
 		Programs:  reg,
 		Collector: metrics.NewCollector(),
-		DB:        db,
+		DBs:       []*wfdb.DB{db},
 		Agents:    []string{"a1", "a2"},
 		Logf:      t.Logf,
 	})
@@ -1045,7 +1045,7 @@ func TestRetiredInstanceServedFromArchive(t *testing.T) {
 
 	// The live table is empty: the terminal instance was archived and
 	// evicted when it committed.
-	if n := sys.Engine.LiveInstances(); n != 0 {
+	if n := sys.engines[0].LiveInstances(); n != 0 {
 		t.Fatalf("LiveInstances = %d after commit", n)
 	}
 	// The public API still answers, now from the archive/terminal registry.
@@ -1086,7 +1086,7 @@ func TestRecoverDoesNotResurrectRetired(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("Recover resumed %d instances, want 0", n)
 	}
-	if live := sys.Engine.LiveInstances(); live != 0 {
+	if live := sys.engines[0].LiveInstances(); live != 0 {
 		t.Fatalf("LiveInstances after Recover = %d", live)
 	}
 	if st, ok := sys.Status("Lin", id); !ok || st != wfdb.Committed {
@@ -1122,9 +1122,9 @@ func TestRetirementForgetsCoordination(t *testing.T) {
 	// finishInstance must Forget the instance at the tracker: retired
 	// instances may not linger in relative-order queues (they would block
 	// every later instance of the conflicting class).
-	tr := sys.Engine.home.Tracker()
+	tr := sys.engines[0].home.Tracker()
 	var q []coord.InstanceRef
-	sys.Engine.Do(func() { q = tr.OrderQueue("orders") })
+	sys.engines[0].Do(func() { q = tr.OrderQueue("orders") })
 	if len(q) != 0 {
 		t.Fatalf("order queue still holds %v after both instances retired", q)
 	}

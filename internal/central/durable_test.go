@@ -24,7 +24,7 @@ func fileSystem(t *testing.T, path string, lib *model.Library, reg *model.Regist
 	db := wfdb.New(st)
 	sys, err := NewSystem(SystemConfig{
 		Library: lib, Programs: reg, Collector: metrics.NewCollector(),
-		DB: db, Agents: []string{"a1", "a2"}, Logf: t.Logf,
+		DBs: []*wfdb.DB{db}, Agents: []string{"a1", "a2"}, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -38,20 +38,20 @@ type Config struct {
 	// DisableOCR forces the Saga-style complete compensation and complete
 	// re-execution on every revisit (the OCR ablation).
 	DisableOCR bool
-	// Archive, when DB is nil, receives retired instances (the parallel
-	// architecture shares one archive across its engines so any engine can
-	// answer Snapshot). When both are nil the engine keeps a private
-	// in-memory archive. Ignored when DB is set: retired instances then go
-	// to the WFDB's archive table as before.
+	// The tables below are the deployment's, shared by its engines (System
+	// makes them). Archive receives retired instances when DB is nil, so any
+	// engine can answer Snapshot; with a DB they go to its archive table.
 	Archive *wfdb.DB
-	// Terminal, if set, is the shared terminal-status registry completions
-	// are published to (push-based Wait). Nil gets a private registry.
+	// Terminal is the terminal-status registry completions are published to
+	// (push-based Wait).
 	Terminal *itable.Terminal
-	// OnRetired, if set, is called from the engine goroutine after an
-	// instance reaches terminal status and is evicted from the live table,
-	// so owners of routing state (instance->engine maps, coordination
-	// trackers) can drop their references.
-	OnRetired func(workflow string, id int)
+	// IDs holds the last instance ID assigned per workflow class ({workflow,
+	// 0}); the engine draws its nested children's IDs from it and keeps it
+	// above the IDs it recovers.
+	IDs *itable.Map[int]
+	// Owners maps every live instance to its engine: an engine enters the
+	// instances it starts or reloads and removes them as they retire.
+	Owners *itable.Map[*Engine]
 	// Logf, if set, receives diagnostics (compensation failures, dropped
 	// stale results).
 	Logf func(format string, args ...any)
@@ -130,25 +130,22 @@ type Engine struct {
 	rec metrics.NodeRecorder
 
 	instances map[string]*instState
-	nextID    map[string]int
 	loads     map[string]int64
 
 	// term records terminal statuses and wakes completion subscribers; adb
-	// is where retired instances are archived (cfg.DB, cfg.Archive, or a
-	// private in-memory DB). Both are safe for concurrent use, so Status /
-	// Wait / Snapshot of finished instances never round-trip through the
-	// engine goroutine.
+	// is where retired instances are archived (cfg.DB, else cfg.Archive).
+	// Both are safe for concurrent use, so Status / Wait / Snapshot of
+	// finished instances never round-trip through the engine goroutine.
 	term *itable.Terminal
 	adb  *wfdb.DB
 
 	// Placement of coordinated execution: requests go to homeNode; home is
-	// non-nil on that engine, which routes an injection to ownerOf(target)
+	// non-nil on that engine, which routes an injection to the target's owner
 	// and a rollback order to every one of engines.
 	coordSteps map[model.StepRef]bool
 	homeNode   string
 	home       *coord.Home
 	engines    []string
-	ownerOf    func(coord.InstanceRef) string
 
 	// halted marks a simulated engine-process crash: volatile state has been
 	// discarded and not yet rebuilt. Messages that reference unknown
@@ -160,9 +157,8 @@ type Engine struct {
 }
 
 // NewEngine registers the engine on the network and starts its goroutine. The
-// engine is its own coordination home and owns every instance (the
-// centralized placement: the whole protocol is calls) unless Place says
-// otherwise.
+// engine is its own coordination home (the centralized placement: the whole
+// protocol is calls) unless Place says otherwise.
 func NewEngine(cfg Config, net *transport.Network) (*Engine, error) {
 	if cfg.Name == "" {
 		return nil, errors.New("central: engine needs a name")
@@ -175,25 +171,16 @@ func NewEngine(cfg Config, net *transport.Network) (*Engine, error) {
 		net:       net,
 		rec:       cfg.Collector.Node(cfg.Name),
 		instances: make(map[string]*instState),
-		nextID:    make(map[string]int),
 		loads:     make(map[string]int64),
+		term:      cfg.Terminal,
+		adb:       cfg.Archive,
 		homeNode:  cfg.Name,
 		engines:   []string{cfg.Name},
-		ownerOf:   func(coord.InstanceRef) string { return cfg.Name },
 	}
 	e.home = coord.NewHome(cfg.Library, e)
 	e.coordSteps = e.home.Tracker().CoordinatedSteps()
-	e.term = cfg.Terminal
-	if e.term == nil {
-		e.term = new(itable.Terminal)
-	}
-	switch {
-	case cfg.DB != nil:
+	if cfg.DB != nil {
 		e.adb = cfg.DB
-	case cfg.Archive != nil:
-		e.adb = cfg.Archive
-	default:
-		e.adb = wfdb.NewMemory()
 	}
 	var err error
 	if e.Actor, err = actor.New(net, cfg.Name, e.adb, cfg.Logf); err != nil {
@@ -204,10 +191,10 @@ func NewEngine(cfg Config, net *transport.Network) (*Engine, error) {
 }
 
 // Place puts the engine in a deployment of several: coordination requests go
-// to the engine named home, which routes an injection to owner(target) and a
-// rollback order to each of engines. Call it before the first workflow starts.
-func (e *Engine) Place(home string, engines []string, owner func(coord.InstanceRef) string) {
-	e.homeNode, e.engines, e.ownerOf = home, engines, owner
+// to the engine named home, which sends a rollback order to each of engines.
+// Call it before the first workflow starts.
+func (e *Engine) Place(home string, engines []string) {
+	e.homeNode, e.engines = home, engines
 	if home != e.cfg.Name {
 		e.home = nil
 	}
@@ -241,18 +228,7 @@ var ErrUnknownInstance = cerrors.ErrUnknownInstance
 // ErrNotRunning reports an operation on a committed/aborted instance.
 var ErrNotRunning = cerrors.ErrNotRunning
 
-// Start creates and launches a new instance, returning its ID.
-func (e *Engine) Start(workflow string, inputs map[string]expr.Value) (int, error) {
-	var id int
-	var err error
-	e.Do(func() {
-		id, err = e.startLocked(workflow, 0, inputs, nil)
-	})
-	return id, err
-}
-
-// StartWithID launches an instance under an externally assigned ID (used by
-// the parallel architecture's instance partitioning).
+// StartWithID launches an instance under the ID the deployment assigned it.
 func (e *Engine) StartWithID(workflow string, id int, inputs map[string]expr.Value) error {
 	var err error
 	e.Do(func() {
@@ -321,10 +297,6 @@ func (e *Engine) Status(workflow string, id int) (wfdb.Status, bool) {
 	return s, ok
 }
 
-// Terminal exposes the engine's terminal-status registry so system facades
-// can subscribe to completions directly (push-based WaitCtx).
-func (e *Engine) Terminal() *itable.Terminal { return e.term }
-
 // Snapshot returns a deep copy of an instance's state for inspection.
 // Retired instances are reloaded from the archive.
 func (e *Engine) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
@@ -345,15 +317,6 @@ func (e *Engine) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
 	return out, out != nil
 }
 
-// Owns reports whether this engine manages the instance.
-func (e *Engine) Owns(workflow string, id int) bool {
-	var ok bool
-	e.Do(func() {
-		_, ok = e.instances[wfdb.InstanceKeyOf(workflow, id)]
-	})
-	return ok
-}
-
 // LiveInstances reports how many instances are resident in the engine's
 // live table — retired (terminal) instances have been archived and evicted,
 // so under a sustained stream this stays bounded by the in-flight count.
@@ -371,70 +334,26 @@ func (e *Engine) LiveInstances() int {
 // strategy, so unchanged work is reused rather than redone. It returns the
 // number of instances resumed.
 func (e *Engine) Recover() (int, error) {
-	var n int
-	var err error
-	e.Do(func() {
-		n, err = e.recoverLocked()
-	})
-	return n, err
-}
-
-func (e *Engine) recoverLocked() (int, error) {
 	if e.cfg.DB == nil {
 		return 0, errors.New("central: recovery needs a database")
 	}
-	resumed := 0
-	for _, key := range e.cfg.DB.InstanceKeys() {
-		workflow, id, err := wfdb.ParseInstanceKey(key)
-		if err != nil {
-			e.Logf("recover: %v", err)
-			continue
-		}
-		if _, live := e.instances[key]; live {
-			continue
-		}
-		ins, ok, err := e.cfg.DB.LoadInstance(workflow, id)
-		if err != nil || !ok {
-			if err != nil {
-				e.Logf("recover %s: %v", key, err)
-			}
-			continue
-		}
-		if ins.Status != wfdb.Running {
-			continue
-		}
-		schema := e.cfg.Library.Schema(workflow)
-		if schema == nil {
-			e.Logf("recover %s: unknown workflow class", key)
-			continue
-		}
-		// Results of steps that were executing at the crash are lost.
-		for _, rec := range ins.Steps {
-			if rec.Status == wfdb.StepExecuting {
-				rec.Status = wfdb.StepPending
-			}
-		}
-		st := newInstState(ins, schema)
-		e.instances[key] = st
-		if id > e.nextID[workflow] {
-			e.nextID[workflow] = id
-		}
-		resumed++
-		e.addLoad(metrics.Normal, 1)
-		// A compensation in flight at the crash is lost with the old engine;
-		// re-queue it for dispatch (compensations tolerate at-least-once).
-		e.rebuildChains(st, false)
-		e.resumeInstance(st)
-	}
-	return resumed, nil
+	var n int
+	e.Do(func() {
+		// Results of steps that were executing at the crash are lost, and so is
+		// a compensation in flight: both are re-queued for dispatch
+		// (compensations tolerate at-least-once).
+		n = e.reload(false)
+		e.addLoad(metrics.Normal, int64(n))
+	})
+	return n, nil
 }
 
 // Halt simulates an engine-process crash: all volatile state — the instance
 // table, dispatch bookkeeping, compensation chains, the agent-load cache — is
 // discarded. The WFDB and the transport's persistent queues survive (parking
-// undelivered messages is Network.Crash's job). Waiter channels and the ID
-// counters are harness-side state and survive too. No-op without a database
-// or when already halted.
+// undelivered messages is Network.Crash's job). Waiter channels, the ID
+// counters and the owner table are harness-side state and survive too. No-op
+// without a database or when already halted.
 func (e *Engine) Halt() {
 	e.DoAsync(func() {
 		if e.cfg.DB == nil || e.halted {
@@ -457,7 +376,9 @@ func (e *Engine) Restart() {
 		if !e.halted {
 			return
 		}
-		e.restartLocked()
+		n := int64(e.reload(true))
+		e.addLoad(metrics.Failure, n) // recovery bookkeeping
+		e.cfg.Collector.AddSurvived(n)
 		e.halted = false
 		orphans := e.orphans
 		e.orphans = nil
@@ -467,12 +388,18 @@ func (e *Engine) Restart() {
 	})
 }
 
-func (e *Engine) restartLocked() {
+// reload rebuilds the live table from the WFDB and returns how many instances
+// it brought back: every running instance on file that is not resident gets
+// its rule set regenerated and its compensation chains rebuilt (rebuildChains
+// says what trustQueues means for those). With trustQueues a step recorded as
+// executing is awaited, its request or result being in a queue; without, it
+// is reset to pending.
+func (e *Engine) reload(trustQueues bool) int {
 	var rebuilt []*instState
 	for _, key := range e.cfg.DB.InstanceKeys() {
 		workflow, id, err := wfdb.ParseInstanceKey(key)
 		if err != nil {
-			e.Logf("restart: %v", err)
+			e.Logf("reload: %v", err)
 			continue
 		}
 		if _, live := e.instances[key]; live {
@@ -481,7 +408,7 @@ func (e *Engine) restartLocked() {
 		ins, ok, err := e.cfg.DB.LoadInstance(workflow, id)
 		if err != nil || !ok {
 			if err != nil {
-				e.Logf("restart %s: %v", key, err)
+				e.Logf("reload %s: %v", key, err)
 			}
 			continue
 		}
@@ -490,32 +417,37 @@ func (e *Engine) restartLocked() {
 		}
 		schema := e.cfg.Library.Schema(workflow)
 		if schema == nil {
-			e.Logf("restart %s: unknown workflow class", key)
+			e.Logf("reload %s: unknown workflow class", key)
 			continue
 		}
 		st := newInstState(ins, schema)
-		// In-flight dispatches survive in the queues: await their results.
 		for sid, rec := range ins.Steps {
-			if rec.Status == wfdb.StepExecuting {
+			if rec.Status != wfdb.StepExecuting {
+				continue
+			}
+			if trustQueues {
 				st.dispatched[sid] = true
+			} else {
+				rec.Status = wfdb.StepPending
 			}
 		}
-		e.rebuildChains(st, true)
-		e.instances[key] = st
-		if id > e.nextID[workflow] {
-			e.nextID[workflow] = id
-		}
-		e.addLoad(metrics.Failure, 1) // recovery bookkeeping
+		e.rebuildChains(st, trustQueues)
+		e.adopt(key, st)
+		e.cfg.IDs.Update(itable.Ref{Workflow: workflow}, func(v int, _ bool) int { return max(v, id) })
 		rebuilt = append(rebuilt, st)
-	}
-	if e.cfg.Collector != nil {
-		e.cfg.Collector.AddSurvived(int64(len(rebuilt)))
 	}
 	// Resume only after every instance is registered: nested children finish
 	// into their parent, coordination may cross instances.
 	for _, st := range rebuilt {
 		e.resumeInstance(st)
 	}
+	return len(rebuilt)
+}
+
+// adopt enters an instance in the live table and the deployment's owner table.
+func (e *Engine) adopt(key string, st *instState) {
+	e.instances[key] = st
+	e.cfg.Owners.Put(itable.Ref{Workflow: st.ins.Workflow, ID: st.ins.ID}, e)
 }
 
 // resumeInstance restarts navigation on a rebuilt instance.
@@ -567,17 +499,7 @@ func (e *Engine) rebuildChains(st *instState, trustQueues bool) {
 	}
 	st.aborting = true
 	st.abortCause = metrics.Abort
-	var candidates []model.StepID
-	if len(st.schema.AbortCompensate) > 0 {
-		candidates = st.schema.AbortCompensate
-	} else {
-		for _, id := range st.schema.Order {
-			if st.schema.Steps[id].Compensable() {
-				candidates = append(candidates, id)
-			}
-		}
-	}
-	ordered := st.ins.ResultMembersInOrder(candidates)
+	ordered := st.ins.ResultMembersInOrder(nav.AbortCandidates(st.schema))
 	for i := len(ordered) - 1; i >= 0; i-- {
 		sid := ordered[i]
 		if st.pendingChain != nil && st.pendingChain.step == sid {
@@ -605,10 +527,7 @@ func (e *Engine) startLocked(workflow string, id int, inputs map[string]expr.Val
 		return 0, fmt.Errorf("%w: %q", ErrUnknownWorkflow, workflow)
 	}
 	if id == 0 {
-		e.nextID[workflow]++
-		id = e.nextID[workflow]
-	} else if id > e.nextID[workflow] {
-		e.nextID[workflow] = id
+		id = e.cfg.IDs.Update(itable.Ref{Workflow: workflow}, func(v int, _ bool) int { return v + 1 })
 	}
 	key := wfdb.InstanceKeyOf(workflow, id)
 	if _, dup := e.instances[key]; dup {
@@ -617,7 +536,7 @@ func (e *Engine) startLocked(workflow string, id int, inputs map[string]expr.Val
 	ins := wfdb.NewInstance(workflow, id, inputs)
 	ins.Parent = parent
 	st := newInstState(ins, schema)
-	e.instances[key] = st
+	e.adopt(key, st)
 	e.addLoad(metrics.Normal, 1) // WorkflowStart processing
 	if e.cfg.DB != nil {
 		e.Tx().SaveSummary(workflow, id, wfdb.Running)
@@ -639,34 +558,13 @@ func (e *Engine) changeInputsLocked(workflow string, id int, inputs map[string]e
 		return ErrNotRunning
 	}
 	e.addLoad(metrics.InputChange, 1)
-	changed := make(map[string]bool)
-	for name, v := range inputs {
-		full := model.WorkflowInput(name)
-		if old, ok := st.ins.Data[full]; !ok || !old.Equal(v) {
-			changed[full] = true
-			st.ins.Data[full] = v
-		}
-	}
-	if len(changed) == 0 {
-		return nil
+	changed, origin := nav.InputChange(st.schema, st.ins, inputs)
+	st.ins.MergeData(changed)
+	if origin == "" {
+		return nil // nothing changed, or no step consumes what did
 	}
 	// Roll back to the earliest step consuming a changed input; OCR decides
 	// per revisited step whether re-execution is actually needed.
-	var origin model.StepID
-	for _, sid := range st.schema.TopoOrder() {
-		for _, in := range st.schema.Steps[sid].Inputs {
-			if changed[in] {
-				origin = sid
-				break
-			}
-		}
-		if origin != "" {
-			break
-		}
-	}
-	if origin == "" {
-		return nil // no step consumes the changed inputs
-	}
 	e.rollbackTo(st, origin, metrics.InputChange)
 	e.evaluate(st)
 	return nil
@@ -1160,17 +1058,7 @@ func (e *Engine) abortInstance(st *instState, cause metrics.Mechanism) {
 	// Drop any queued chain work; abort compensation takes over.
 	st.chain = nil
 
-	var candidates []model.StepID
-	if len(st.schema.AbortCompensate) > 0 {
-		candidates = st.schema.AbortCompensate
-	} else {
-		for _, id := range st.schema.Order {
-			if st.schema.Steps[id].Compensable() {
-				candidates = append(candidates, id)
-			}
-		}
-	}
-	ordered := st.ins.ResultMembersInOrder(candidates)
+	ordered := st.ins.ResultMembersInOrder(nav.AbortCandidates(st.schema))
 	for i := len(ordered) - 1; i >= 0; i-- {
 		st.chain = append(st.chain, chainTask{step: ordered[i], mode: model.ModeCompensate})
 	}
@@ -1242,9 +1130,7 @@ func (e *Engine) finishInstance(st *instState) {
 	}
 
 	delete(e.instances, key)
-	if e.cfg.OnRetired != nil {
-		e.cfg.OnRetired(st.ins.Workflow, st.ins.ID)
-	}
+	e.cfg.Owners.Delete(itable.Ref{Workflow: st.ins.Workflow, ID: st.ins.ID})
 }
 
 func (e *Engine) startNested(st *instState, step model.StepID, inputs map[string]expr.Value) {
@@ -1254,17 +1140,7 @@ func (e *Engine) startNested(st *instState, step model.StepID, inputs map[string
 		e.Logf("instance %s step %s: unknown nested workflow %q", st.ins.Key(), step, s.Nested)
 		return
 	}
-	// Positional input mapping: the i-th declared step input feeds the
-	// child's i-th workflow input.
-	childInputs := make(map[string]expr.Value)
-	for i, in := range s.Inputs {
-		if i >= len(child.Inputs) {
-			break
-		}
-		if v, ok := st.ins.Data[in]; ok {
-			childInputs[child.Inputs[i]] = v
-		}
-	}
+	childInputs := nav.NestedInputs(s, child, st.ins)
 	st.ins.RecordExecuting(step, e.cfg.Name, inputs)
 	st.dispatched[step] = true
 	e.persist(st)
@@ -1293,20 +1169,7 @@ func (e *Engine) onChildFinished(parent *instState, step model.StepID, child *in
 		e.handleStepFailure(parent, step)
 		return
 	}
-	// Output mapping: output o of the nested step takes the value of
-	// <terminal>.<o> from the child's data table (first terminal that
-	// produced it, in definition order).
-	s := parent.schema.Steps[step]
-	outputs := make(map[string]expr.Value, len(s.Outputs))
-	for _, o := range s.Outputs {
-		for _, term := range child.schema.TerminalSteps() {
-			if v, ok := child.ins.Data[term.Ref(o)]; ok {
-				outputs[o] = v
-				break
-			}
-		}
-	}
-	parent.ins.RecordDone(step, outputs)
+	parent.ins.RecordDone(step, nav.NestedOutputs(parent.schema.Steps[step], child.schema, child.ins.Data))
 	e.afterStepDone(parent, step)
 	e.evaluate(parent)
 }
@@ -1373,7 +1236,11 @@ func (e *Engine) Resolve(to string, r coord.Resolve) {
 }
 
 func (e *Engine) Inject(inj coord.Injection) {
-	e.Send(e.ownerOf(inj.Target), metrics.Coordination, "CoordInject", coord.Inject(inj))
+	to := e // a target that retired has no owner; the injection ends here
+	if o, ok := e.cfg.Owners.Get(itable.Ref{Workflow: inj.Target.Workflow, ID: inj.Target.ID}); ok {
+		to = o
+	}
+	e.Send(to.cfg.Name, metrics.Coordination, "CoordInject", coord.Inject(inj))
 }
 
 func (e *Engine) Order(ord coord.RollbackOrder) {

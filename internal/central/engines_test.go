@@ -1,4 +1,4 @@
-package parallel
+package central
 
 import (
 	"sync"
@@ -11,52 +11,10 @@ import (
 	"crew/internal/wfdb"
 )
 
-const waitTimeout = 5 * time.Second
+// Deployments of several engines: the paper's parallel architecture (Figure
+// 6(b) and §6). The helpers are central_test.go's.
 
-type recorder struct {
-	mu     sync.Mutex
-	events []string
-}
-
-func (r *recorder) add(s string) {
-	r.mu.Lock()
-	r.events = append(r.events, s)
-	r.mu.Unlock()
-}
-
-func (r *recorder) list() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.events...)
-}
-
-func (r *recorder) count(s string) int {
-	n := 0
-	for _, e := range r.list() {
-		if e == s {
-			n++
-		}
-	}
-	return n
-}
-
-func (r *recorder) index(s string) int {
-	for i, e := range r.list() {
-		if e == s {
-			return i
-		}
-	}
-	return -1
-}
-
-func tracked(rec *recorder, name string) model.Program {
-	return func(*model.ProgramContext) (map[string]expr.Value, error) {
-		rec.add(name)
-		return nil, nil
-	}
-}
-
-func newSystem(t *testing.T, engines int, lib *model.Library, reg *model.Registry) *System {
+func newEngines(t *testing.T, engines int, lib *model.Library, reg *model.Registry) *System {
 	t.Helper()
 	sys, err := NewSystem(SystemConfig{
 		Library:   lib,
@@ -74,9 +32,9 @@ func newSystem(t *testing.T, engines int, lib *model.Library, reg *model.Registr
 }
 
 func linLib(reg *model.Registry, rec *recorder) *model.Library {
-	reg.Register("pa", tracked(rec, "a"))
-	reg.Register("pb", tracked(rec, "b"))
-	reg.Register("pc", tracked(rec, "c"))
+	reg.Register("pa", tracked(rec, "a", nil))
+	reg.Register("pb", tracked(rec, "b", nil))
+	reg.Register("pc", tracked(rec, "c", nil))
 	s := model.NewSchema("Lin").
 		Step("A", "pa").Step("B", "pb").Step("C", "pc").
 		Seq("A", "B", "C").
@@ -90,7 +48,7 @@ func TestInstancesSpreadAcrossEngines(t *testing.T) {
 	rec := &recorder{}
 	reg := model.NewRegistry()
 	lib := linLib(reg, rec)
-	sys := newSystem(t, 4, lib, reg)
+	sys := newEngines(t, 4, lib, reg)
 
 	const n = 8
 	ids := make([]int, n)
@@ -135,7 +93,7 @@ func TestSingleEngineDegeneratesToCentral(t *testing.T) {
 	rec := &recorder{}
 	reg := model.NewRegistry()
 	lib := linLib(reg, rec)
-	sys := newSystem(t, 1, lib, reg)
+	sys := newEngines(t, 1, lib, reg)
 	id, st, err := sys.Run("Lin", nil, waitTimeout)
 	if err != nil || st != wfdb.Committed {
 		t.Fatalf("run = (%d, %v, %v)", id, st, err)
@@ -148,15 +106,15 @@ func TestSingleEngineDegeneratesToCentral(t *testing.T) {
 func TestFailureHandlingPerEngine(t *testing.T) {
 	rec := &recorder{}
 	reg := model.NewRegistry()
-	reg.Register("pa", tracked(rec, "a"))
-	reg.Register("pb", model.FailNTimes(1, tracked(rec, "b")))
+	reg.Register("pa", tracked(rec, "a", nil))
+	reg.Register("pb", model.FailNTimes(1, tracked(rec, "b", nil)))
 	s := model.NewSchema("F").
 		Step("A", "pa").Step("B", "pb").Seq("A", "B").
 		OnFailure("B", "A", 3).
 		MustBuild()
 	lib := model.NewLibrary()
 	lib.Add(s)
-	sys := newSystem(t, 2, lib, reg)
+	sys := newEngines(t, 2, lib, reg)
 	_, st, err := sys.Run("F", nil, waitTimeout)
 	if err != nil || st != wfdb.Committed {
 		t.Fatalf("run = (%v, %v)", st, err)
@@ -172,9 +130,9 @@ func TestRelativeOrderAcrossEngines(t *testing.T) {
 	rec := &recorder{}
 	reg := model.NewRegistry()
 	gate := make(chan struct{})
-	reg.Register("pa1", tracked(rec, "a1"))
-	reg.Register("pb1", tracked(rec, "b1"))
-	reg.Register("pa2", tracked(rec, "a2"))
+	reg.Register("pa1", tracked(rec, "a1", nil))
+	reg.Register("pb1", tracked(rec, "b1", nil))
+	reg.Register("pa2", tracked(rec, "a2", nil))
 	reg.Register("pb2", func(*model.ProgramContext) (map[string]expr.Value, error) {
 		<-gate
 		rec.add("b2")
@@ -199,7 +157,7 @@ func TestRelativeOrderAcrossEngines(t *testing.T) {
 			{A: model.StepRef{Workflow: "O1", Step: "B1"}, B: model.StepRef{Workflow: "O2", Step: "B2"}},
 		},
 	})
-	sys := newSystem(t, 2, lib, reg)
+	sys := newEngines(t, 2, lib, reg)
 
 	// First Start lands on engine0, second on engine1.
 	id2, err := sys.Start("O2", nil) // engine0: leader (completes A2 first)
@@ -269,7 +227,7 @@ func TestMutexAcrossEngines(t *testing.T) {
 			{Workflow: "MB", Step: "Y"},
 		},
 	})
-	sys := newSystem(t, 3, lib, reg)
+	sys := newEngines(t, 3, lib, reg)
 
 	type ref struct {
 		wf string
@@ -304,10 +262,10 @@ func TestRollbackDependencyAcrossEngines(t *testing.T) {
 	reg := model.NewRegistry()
 	gate := make(chan struct{})
 	var gateOnce sync.Once
-	reg.Register("px1", tracked(rec, "x1"))
-	reg.Register("px2", model.FailNTimes(1, tracked(rec, "x2")))
-	reg.Register("py1", tracked(rec, "y1"))
-	reg.Register("cy1", tracked(rec, "cy1"))
+	reg.Register("px1", tracked(rec, "x1", nil))
+	reg.Register("px2", model.FailNTimes(1, tracked(rec, "x2", nil)))
+	reg.Register("py1", tracked(rec, "y1", nil))
+	reg.Register("cy1", tracked(rec, "cy1", nil))
 	reg.Register("py2", func(*model.ProgramContext) (map[string]expr.Value, error) {
 		gateOnce.Do(func() { <-gate })
 		rec.add("y2")
@@ -333,7 +291,7 @@ func TestRollbackDependencyAcrossEngines(t *testing.T) {
 		Trigger: model.StepRef{Workflow: "X", Step: "X1"},
 		Target:  model.StepRef{Workflow: "Y", Step: "Y1"},
 	})
-	sys := newSystem(t, 2, lib, reg)
+	sys := newEngines(t, 2, lib, reg)
 
 	idY, err := sys.Start("Y", nil) // engine0
 	if err != nil {
@@ -389,8 +347,8 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if sys.Engines() != 1 {
-		t.Errorf("Engines() = %d, want 1", sys.Engines())
+	if len(sys.engines) != 1 {
+		t.Errorf("engines = %d, want 1", len(sys.engines))
 	}
 }
 
@@ -398,7 +356,7 @@ func TestRetirementEvictsOwnerMap(t *testing.T) {
 	rec := &recorder{}
 	reg := model.NewRegistry()
 	lib := linLib(reg, rec)
-	sys := newSystem(t, 3, lib, reg)
+	sys := newEngines(t, 3, lib, reg)
 
 	const n = 9
 	ids := make([]int, 0, n)
@@ -419,7 +377,7 @@ func TestRetirementEvictsOwnerMap(t *testing.T) {
 	if got := sys.owner.Len(); got != 0 {
 		t.Fatalf("owner map holds %d refs after retirement", got)
 	}
-	for i := 0; i < sys.Engines(); i++ {
+	for i := 0; i < len(sys.engines); i++ {
 		if live := sys.engines[i].LiveInstances(); live != 0 {
 			t.Fatalf("engine %d still holds %d live instances", i, live)
 		}

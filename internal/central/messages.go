@@ -1,14 +1,25 @@
-// Package central implements the centralized workflow control architecture
-// (paper §2-3): a single workflow engine owns all workflow state in the
-// WFDB, navigates every instance through the rule-based run-time, and
-// dispatches steps to application agents, probing eligible agents' state to
-// pick the least loaded. Coordinated execution needs no messages here — the
+// Package central implements engine-based workflow control: the paper's
+// centralized architecture (§2-3) and its parallel one (Figure 6(b) and §6),
+// which differ in a count.
+//
+// A workflow engine owns all workflow state in the WFDB, navigates every
+// instance through the rule-based run-time, and dispatches steps to
+// application agents, probing eligible agents' state to pick the least
+// loaded. With one engine, coordinated execution needs no messages — the
 // engine is its own coordination home (package coord) — which is exactly the
 // property Table 4 reports (0 coordination messages).
 //
-// The same engine is reused by the parallel architecture (package parallel),
-// which runs several engines side by side and places the home on one of them
-// (Engine.Place).
+// With several, the engines work side by side to share the workflow
+// management load, each instance being controlled by exactly one of them.
+// Normal execution behaves like centralized control at every engine (the
+// per-instance message count is unchanged), but coordinated execution now
+// spans engines: the coordination state for the library's specs lives at a
+// home engine (Engine.Place), and the other engines reach it with physical
+// messages — which is why, unlike Table 4's zero, Table 5 reports
+// coordination messages that grow with the number of engines.
+//
+// System runs e >= 1 engines with their agents; nothing in it or in Engine
+// asks which architecture that makes.
 package central
 
 import (

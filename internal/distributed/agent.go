@@ -449,14 +449,23 @@ func (a *Agent) sortedReplicas(keep func(*replica) bool) []*replica {
 	return out
 }
 
-// coordinationAgentOf computes an instance's coordination agent: the elected
-// executor of the schema's first start step.
-func (a *Agent) coordinationAgentOf(schema *model.Schema, workflow string, id int) string {
-	starts := schema.StartSteps()
-	if len(starts) == 0 {
-		return HomeAgent(a.cfg.Agents)
+// coordinatorOf returns a replica's coordination agent: the one it was told of
+// (by the start, a packet or its database row), else the one elected.
+func (a *Agent) coordinatorOf(r *replica) string {
+	if r.coordinator != "" {
+		return r.coordinator
 	}
-	return nav.ElectAgent(nav.EffectiveAgents(schema.Steps[starts[0]], a.cfg.Agents), workflow, id, starts[0], a.alive)
+	return a.electCoordinator(r.ins.Workflow, r.ins.ID)
+}
+
+// electCoordinator computes an instance's coordination agent as every agent
+// and front end does (CoordinatorFor); "" when nobody eligible is alive.
+func (a *Agent) electCoordinator(workflow string, id int) string {
+	name, err := CoordinatorFor(a.cfg.Library, a.cfg.Agents, workflow, id, a.alive)
+	if err != nil {
+		a.Logf("%v", err)
+	}
+	return name
 }
 
 // persist marks the replica for the turn's commit: its row is encoded once,

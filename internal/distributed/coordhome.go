@@ -64,7 +64,7 @@ func (a *Agent) Inject(inj coord.Injection) {
 		}
 		return
 	}
-	a.Send(a.coordinationAgentOf(schema, inj.Target.Workflow, inj.Target.ID), metrics.Coordination, KindAddEvent, coord.Inject(inj))
+	a.Send(a.electCoordinator(inj.Target.Workflow, inj.Target.ID), metrics.Coordination, KindAddEvent, coord.Inject(inj))
 }
 
 // Order broadcasts a rollback order to every agent, whose coordination-agent

@@ -996,7 +996,7 @@ func TestManyInstancesDistributed(t *testing.T) {
 	}
 	// Load spreads across agents (the paper's headline scalability claim).
 	loaded := 0
-	for _, name := range sys.AgentNames() {
+	for _, name := range sys.SchedulingNodes() {
 		if sys.Collector().NodeLoad(name, metrics.Normal) > 0 {
 			loaded++
 		}
@@ -1256,7 +1256,7 @@ func waitReplicasDrained(t *testing.T, sys *System) {
 	deadline := time.Now().Add(waitTimeout)
 	for {
 		live := 0
-		for _, name := range sys.AgentNames() {
+		for _, name := range sys.SchedulingNodes() {
 			live += sys.Agent(name).ReplicaCount()
 		}
 		if live == 0 {
@@ -1349,7 +1349,7 @@ func TestQuiesceDropsFinishedReplicas(t *testing.T) {
 	if err := sys.Quiesce(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range sys.AgentNames() {
+	for _, name := range sys.SchedulingNodes() {
 		if n := sys.Agent(name).ReplicaCount(); n != 0 {
 			t.Errorf("%s holds %d replicas of finished instances after Quiesce", name, n)
 		}
@@ -1399,7 +1399,7 @@ func TestZeroPollWakeupsWhenIdle(t *testing.T) {
 
 	wakeups := func() int64 {
 		var n int64
-		for _, name := range sys.AgentNames() {
+		for _, name := range sys.SchedulingNodes() {
 			n += sys.Agent(name).SweepWakeups()
 		}
 		return n
@@ -1539,7 +1539,7 @@ func TestHaltDedupeDiesWithReplica(t *testing.T) {
 	if err := sys.Quiesce(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range sys.AgentNames() {
+	for _, name := range sys.SchedulingNodes() {
 		a := sys.Agent(name)
 		if n := a.ReplicaCount(); n != 0 {
 			t.Errorf("%s holds %d replicas after a late halt for a retired instance", name, n)

@@ -434,11 +434,7 @@ func (a *Agent) afterStepDone(r *replica, step model.StepID, mech metrics.Mechan
 	}
 	if isTerminal {
 		a.addLoad(metrics.Normal, 1)
-		coordAgent := r.coordinator
-		if coordAgent == "" {
-			coordAgent = a.coordinationAgentOf(r.schema, r.ins.Workflow, r.ins.ID)
-		}
-		a.Send(coordAgent, metrics.Normal, KindStepCompleted, stepCompleted{
+		a.Send(a.coordinatorOf(r), metrics.Normal, KindStepCompleted, stepCompleted{
 			Workflow: r.ins.Workflow,
 			Instance: r.ins.ID,
 			Step:     step,
@@ -466,10 +462,6 @@ func cloneData(m map[string]expr.Value) map[string]expr.Value {
 
 // buildPacket assembles the workflow packet for a target step.
 func (a *Agent) buildPacket(r *replica, target model.StepID, reset []model.StepID) *Packet {
-	coordAgent := r.coordinator
-	if coordAgent == "" {
-		coordAgent = a.coordinationAgentOf(r.schema, r.ins.Workflow, r.ins.ID)
-	}
 	return &Packet{
 		Workflow:    r.ins.Workflow,
 		Instance:    r.ins.ID,
@@ -480,7 +472,7 @@ func (a *Agent) buildPacket(r *replica, target model.StepID, reset []model.StepI
 		ResetSteps:  reset,
 		Leading:     append([]string(nil), r.leading...),
 		Lagging:     append([]string(nil), r.lagging...),
-		Coordinator: coordAgent,
+		Coordinator: a.coordinatorOf(r),
 	}
 }
 
@@ -634,11 +626,7 @@ func (a *Agent) onStepFailure(r *replica, step model.StepID, mech metrics.Mechan
 	pol, ok := r.schema.OnFailure[step]
 	r.rollbacks[step]++
 	if !ok || r.rollbacks[step] > pol.Attempts() {
-		coordAgent := r.coordinator
-		if coordAgent == "" {
-			coordAgent = a.coordinationAgentOf(r.schema, r.ins.Workflow, r.ins.ID)
-		}
-		a.Send(coordAgent, metrics.Failure, KindWorkflowAbort, workflowAbort{Workflow: r.ins.Workflow, Instance: r.ins.ID})
+		a.Send(a.coordinatorOf(r), metrics.Failure, KindWorkflowAbort, workflowAbort{Workflow: r.ins.Workflow, Instance: r.ins.ID})
 		return
 	}
 	r.recovery = metrics.Failure
@@ -1032,18 +1020,8 @@ func (a *Agent) handleWorkflowAbort(p workflowAbort) error {
 
 	// Determine the steps to compensate (schema spec or every compensable
 	// step known to have executed), in reverse topological order.
-	var candidates []model.StepID
-	if len(r.schema.AbortCompensate) > 0 {
-		candidates = r.schema.AbortCompensate
-	} else {
-		for _, id := range r.schema.Order {
-			if r.schema.Steps[id].Compensable() {
-				candidates = append(candidates, id)
-			}
-		}
-	}
-	inCand := make(map[model.StepID]bool, len(candidates))
-	for _, id := range candidates {
+	inCand := make(map[model.StepID]bool)
+	for _, id := range nav.AbortCandidates(r.schema) {
 		inCand[id] = true
 	}
 	// The coordination agent may not know which candidates actually
@@ -1128,31 +1106,13 @@ func (a *Agent) handleWorkflowChangeInputs(p workflowChangeInputs) error {
 		return fmt.Errorf("%w: instance %s is %v", cerrors.ErrNotRunning, key, r.ins.Status)
 	}
 	a.addLoad(metrics.InputChange, 1)
-	changed := make(map[string]expr.Value)
-	for name, v := range p.Inputs {
-		full := model.WorkflowInput(name)
-		if old, ok := r.ins.Data[full]; !ok || !old.Equal(v) {
-			changed[full] = v
-			r.ins.Data[full] = v
-		}
-	}
+	changed, origin := nav.InputChange(r.schema, r.ins, p.Inputs)
 	if len(changed) == 0 {
 		return nil
 	}
+	r.ins.MergeData(changed)
 	r.epoch++
 	r.resetEpoch["WF"] = r.epoch
-	var origin model.StepID
-	for _, sid := range r.schema.TopoOrder() {
-		for _, in := range r.schema.Steps[sid].Inputs {
-			if _, hit := changed[in]; hit {
-				origin = sid
-				break
-			}
-		}
-		if origin != "" {
-			break
-		}
-	}
 	if origin == "" {
 		return nil
 	}
@@ -1181,22 +1141,12 @@ func (a *Agent) startNested(r *replica, step model.StepID, mech metrics.Mechanis
 	}
 	inputs := nav.ResolveInputs(r.ins, s)
 	r.ins.RecordExecuting(step, a.cfg.Name, inputs)
-	childInputs := make(map[string]expr.Value)
-	for i, in := range s.Inputs {
-		if i >= len(child.Inputs) {
-			break
-		}
-		if v, ok := r.ins.Data[in]; ok {
-			childInputs[child.Inputs[i]] = v
-		}
-	}
 	childID := r.ins.ID*1000 + int(r.ins.StepRec(step).Attempts)
-	coordAgent := a.coordinationAgentOf(child, s.Nested, childID)
 	a.addLoad(mech, 1)
-	a.Send(coordAgent, mech, KindWorkflowStart, workflowStart{
+	a.Send(a.electCoordinator(s.Nested, childID), mech, KindWorkflowStart, workflowStart{
 		Workflow: s.Nested,
 		Instance: childID,
-		Inputs:   childInputs,
+		Inputs:   nav.NestedInputs(s, child, r.ins),
 		Parent: &model.StepRef{
 			Workflow: r.ins.Workflow,
 			Step:     step,
@@ -1217,18 +1167,9 @@ func (a *Agent) handleNestedResult(p nestedResult) {
 		a.onStepFailure(r, p.ParentStep, metrics.Failure)
 		return
 	}
-	s := r.schema.Steps[p.ParentStep]
-	child := a.cfg.Library.Schema(p.ChildWorkflow)
-	outputs := make(map[string]expr.Value, len(s.Outputs))
-	if child != nil {
-		for _, o := range s.Outputs {
-			for _, term := range child.TerminalSteps() {
-				if v, ok := p.Data[term.Ref(o)]; ok {
-					outputs[o] = v
-					break
-				}
-			}
-		}
+	var outputs map[string]expr.Value
+	if child := a.cfg.Library.Schema(p.ChildWorkflow); child != nil {
+		outputs = nav.NestedOutputs(r.schema.Steps[p.ParentStep], child, p.Data)
 	}
 	r.ins.RecordDone(p.ParentStep, outputs)
 	a.afterStepDone(r, p.ParentStep, metrics.Normal)
@@ -1311,10 +1252,7 @@ func (a *Agent) rearmUnexecuted(r *replica) {
 // reportTerminals re-sends StepCompleted for terminal steps this agent
 // holds results for while the instance is still running here.
 func (a *Agent) reportTerminals(r *replica) {
-	coordAgent := r.coordinator
-	if coordAgent == "" {
-		coordAgent = a.coordinationAgentOf(r.schema, r.ins.Workflow, r.ins.ID)
-	}
+	coordAgent := a.coordinatorOf(r)
 	if coordAgent == a.cfg.Name {
 		// We are the coordination agent: just re-check commit.
 		if nav.ShouldCommit(r.schema, r.ins) {

@@ -42,8 +42,6 @@ const (
 	KindWorkflowStart        = "WorkflowStart"
 	KindWorkflowChangeInputs = "WorkflowChangeInputs"
 	KindWorkflowAbort        = "WorkflowAbort"
-	KindWorkflowStatus       = "WorkflowStatus"
-	KindInputsChanged        = "InputsChanged"
 	KindStepExecute          = "StepExecute"
 	KindStepCompensate       = "StepCompensate"
 	KindStepCompensated      = "StepCompensated"
@@ -60,7 +58,6 @@ const (
 	KindAddPrecondition      = "AddPrecondition"
 	KindNestedResult         = "NestedResult"
 	KindPurge                = "Purge"
-	KindAbortDone            = "AbortDone"
 	KindWorkflowDone         = "WorkflowDone"
 )
 

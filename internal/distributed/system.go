@@ -12,7 +12,6 @@ import (
 	"crew/internal/itable"
 	"crew/internal/metrics"
 	"crew/internal/model"
-	"crew/internal/nav"
 	"crew/internal/transport"
 	"crew/internal/wfdb"
 )
@@ -147,41 +146,22 @@ func (s *System) Network() *transport.Network { return s.net }
 // Agent returns a deployed agent by name.
 func (s *System) Agent(name string) *Agent { return s.agents[name] }
 
-// AgentNames returns the deployment's agent names.
-func (s *System) AgentNames() []string { return append([]string(nil), s.names...) }
+// SchedulingNodes names the nodes whose load the paper's tables report: the
+// agents, which schedule the workflows themselves.
+func (s *System) SchedulingNodes() []string { return s.names }
 
 // coordinationAgent returns the coordination agent of an instance: the one
 // remembered from its start, or (for instances this front end did not start)
-// the elected executor of the schema's first start step.
+// the one elected among the currently alive eligible agents, which is then
+// remembered for the instance's lifetime.
 func (s *System) coordinationAgent(workflow string, id int) (*Agent, error) {
-	name, known := s.coordName.Get(itable.Ref{Workflow: workflow, ID: id})
-	if known {
-		if ag, ok := s.agents[name]; ok {
-			return ag, nil
-		}
+	ref := itable.Ref{Workflow: workflow, ID: id}
+	if name, known := s.coordName.Get(ref); known {
+		return s.agents[name], nil
 	}
-	return s.electCoordinator(workflow, id)
-}
-
-// electCoordinator elects the coordination agent among the currently alive
-// eligible agents and remembers the choice for the instance's lifetime.
-func (s *System) electCoordinator(workflow string, id int) (*Agent, error) {
-	schema := s.lib.Schema(workflow)
-	if schema == nil {
-		return nil, fmt.Errorf("distributed: %w: %q", cerrors.ErrUnknownWorkflow, workflow)
-	}
-	starts := schema.StartSteps()
-	if len(starts) == 0 {
-		return nil, fmt.Errorf("distributed: workflow %q has no start step", workflow)
-	}
-	st := schema.Steps[starts[0]]
-	elig := st.EligibleAgents
-	if len(elig) == 0 {
-		elig = s.names
-	}
-	name := nav.ElectAgent(elig, workflow, id, starts[0], s.net.Alive)
-	if name == "" {
-		return nil, fmt.Errorf("distributed: no agent available to coordinate %s.%d", workflow, id)
+	name, err := CoordinatorFor(s.lib, s.names, workflow, id, s.net.Alive)
+	if err != nil {
+		return nil, err
 	}
 	ag, ok := s.agents[name]
 	if !ok {
@@ -191,7 +171,7 @@ func (s *System) electCoordinator(workflow string, id int) (*Agent, error) {
 	// instance's queries answer from the terminal registry and must not
 	// repopulate the routing table.
 	if st, done := s.term.Status(workflow, id); !done || st == wfdb.Running {
-		s.coordName.Put(itable.Ref{Workflow: workflow, ID: id}, name)
+		s.coordName.Put(ref, name)
 	}
 	return ag, nil
 }

@@ -9,14 +9,11 @@ import (
 	"time"
 
 	"crew/internal/analysis"
-	"crew/internal/central"
-	"crew/internal/distributed"
+	"crew/internal/deploy"
 	"crew/internal/expr"
 	"crew/internal/faults"
 	"crew/internal/metrics"
 	"crew/internal/model"
-	"crew/internal/parallel"
-	"crew/internal/transport"
 	"crew/internal/wfdb"
 	"crew/internal/workload"
 )
@@ -107,17 +104,6 @@ func (m *ChaosMeasured) OutcomeDigest(statuses map[string]wfdb.Status) string {
 	return b.String()
 }
 
-// chaosSystem is the slice of the three System types the chaos harness
-// needs: the driver face plus crash-restart hooks and status inspection.
-type chaosSystem interface {
-	workload.Target
-	faults.NodeHooks
-	Network() *transport.Network
-	Quiesce(ctx context.Context) error
-	Status(workflow string, id int) (wfdb.Status, bool)
-	Close()
-}
-
 // RunChaos drives the workload while applying a deterministic crash/recover
 // plan, and verifies the coordinated-execution invariants survive recovery.
 // The returned ChaosMeasured carries the per-instance statuses via Statuses.
@@ -156,69 +142,29 @@ func RunChaos(opt ChaosOptions) (*ChaosMeasured, map[string]wfdb.Status, error) 
 		quiet = func(string, ...any) {}
 	}
 
-	wire, err := newWire(opt.Backend)
+	// An engine that is crashed rebuilds from its database; agents keep theirs
+	// in memory, a crash only parks their queues.
+	var dbs []*wfdb.DB
+	for i := 0; i < deploy.Engines(opt.Arch, p.E); i++ {
+		dbs = append(dbs, wfdb.NewMemory())
+	}
+	sys, err := deploy.New(opt.Arch, deploy.Config{
+		Library:    w.Library,
+		Programs:   programs,
+		Collector:  col,
+		Agents:     w.Agents,
+		Engines:    p.E,
+		DBs:        dbs,
+		DisableOCR: opt.DisableOCR,
+		Backend:    opt.Backend,
+		Logf:       quiet,
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	var sys chaosSystem
-	var targets []string
-	switch opt.Arch {
-	case analysis.Central:
-		s, err := central.NewSystem(central.SystemConfig{
-			Library:    w.Library,
-			Programs:   programs,
-			Collector:  col,
-			DB:         wfdb.NewMemory(),
-			Agents:     w.Agents,
-			DisableOCR: opt.DisableOCR,
-			Wire:       wire,
-			Logf:       quiet,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		sys, targets = s, []string{"engine"}
-	case analysis.Parallel:
-		dbs := make([]*wfdb.DB, p.E)
-		for i := range dbs {
-			dbs[i] = wfdb.NewMemory()
-			targets = append(targets, fmt.Sprintf("engine%d", i))
-		}
-		s, err := parallel.NewSystem(parallel.SystemConfig{
-			Library:    w.Library,
-			Programs:   programs,
-			Collector:  col,
-			Engines:    p.E,
-			Agents:     w.Agents,
-			DBs:        dbs,
-			DisableOCR: opt.DisableOCR,
-			Wire:       wire,
-			Logf:       quiet,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		sys = s
-	case analysis.Distributed:
-		s, err := distributed.NewSystem(distributed.SystemConfig{
-			Library:    w.Library,
-			Programs:   programs,
-			Collector:  col,
-			Agents:     w.Agents,
-			DisableOCR: opt.DisableOCR,
-			Wire:       wire,
-			Logf:       quiet,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		sys, targets = s, w.Agents
-	default:
-		return nil, nil, fmt.Errorf("experiment: unknown architecture %v", opt.Arch)
-	}
 	defer sys.Close()
 
-	plan := faults.ChaosPlan(opt.Seed, targets, opt.Crashes, opt.FirstAt, opt.Spacing, opt.Downtime)
+	plan := faults.ChaosPlan(opt.Seed, sys.SchedulingNodes(), opt.Crashes, opt.FirstAt, opt.Spacing, opt.Downtime)
 	if opt.DropEvery > 0 {
 		plan.Links = append(plan.Links, faults.LinkFault{DropEvery: opt.DropEvery, Retransmits: 1})
 	}

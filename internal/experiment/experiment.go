@@ -14,11 +14,8 @@ import (
 	"time"
 
 	"crew/internal/analysis"
-	"crew/internal/central"
-	"crew/internal/distributed"
+	"crew/internal/deploy"
 	"crew/internal/metrics"
-	"crew/internal/parallel"
-	"crew/internal/transport"
 	"crew/internal/workload"
 )
 
@@ -46,16 +43,6 @@ type Options struct {
 	// coordination protocol reacts to cross-link arrival interleaving,
 	// which a socket changes.
 	Backend string
-}
-
-// newWire builds the transport backend a Backend string names.
-func newWire(backend string) (transport.Wire, error) {
-	switch backend {
-	case "", "inproc":
-		return nil, nil
-	default:
-		return transport.NewSocketWire(backend, "")
-	}
 }
 
 // Measured is the outcome of one run.
@@ -97,73 +84,24 @@ func Run(opt Options) (*Measured, error) {
 		return nil, err
 	}
 	col := metrics.NewCollector()
-	quiet := func(string, ...any) {}
-	wire, err := newWire(opt.Backend)
+	sys, err := deploy.New(opt.Arch, deploy.Config{
+		Library:          w.Library,
+		Programs:         w.Programs,
+		Collector:        col,
+		Agents:           w.Agents,
+		Engines:          opt.Params.E,
+		DisableOCR:       opt.DisableOCR,
+		ExplicitElection: opt.ExplicitElection,
+		Backend:          opt.Backend,
+		Logf:             func(string, ...any) {},
+	})
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Close()
+	schedNodes := sys.SchedulingNodes()
 
-	var target workload.Target
-	var closeFn func()
-	var quiesce func(context.Context) error
-	var schedNodes []string
-
-	switch opt.Arch {
-	case analysis.Central:
-		sys, err := central.NewSystem(central.SystemConfig{
-			Library:    w.Library,
-			Programs:   w.Programs,
-			Collector:  col,
-			Agents:     w.Agents,
-			DisableOCR: opt.DisableOCR,
-			Wire:       wire,
-			Logf:       quiet,
-		})
-		if err != nil {
-			return nil, err
-		}
-		target, closeFn, quiesce = sys, sys.Close, sys.Quiesce
-		schedNodes = []string{"engine"}
-	case analysis.Parallel:
-		sys, err := parallel.NewSystem(parallel.SystemConfig{
-			Library:    w.Library,
-			Programs:   w.Programs,
-			Collector:  col,
-			Engines:    opt.Params.E,
-			Agents:     w.Agents,
-			DisableOCR: opt.DisableOCR,
-			Wire:       wire,
-			Logf:       quiet,
-		})
-		if err != nil {
-			return nil, err
-		}
-		target, closeFn, quiesce = sys, sys.Close, sys.Quiesce
-		for i := 0; i < opt.Params.E; i++ {
-			schedNodes = append(schedNodes, fmt.Sprintf("engine%d", i))
-		}
-	case analysis.Distributed:
-		sys, err := distributed.NewSystem(distributed.SystemConfig{
-			Library:          w.Library,
-			Programs:         w.Programs,
-			Collector:        col,
-			Agents:           w.Agents,
-			DisableOCR:       opt.DisableOCR,
-			ExplicitElection: opt.ExplicitElection,
-			Wire:             wire,
-			Logf:             quiet,
-		})
-		if err != nil {
-			return nil, err
-		}
-		target, closeFn, quiesce = sys, sys.Close, sys.Quiesce
-		schedNodes = w.Agents
-	default:
-		return nil, fmt.Errorf("experiment: unknown architecture %v", opt.Arch)
-	}
-	defer closeFn()
-
-	res, err := workload.Drive(target, w, opt.Instances, opt.Timeout)
+	res, err := workload.Drive(sys, w, opt.Instances, opt.Timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +109,7 @@ func Run(opt Options) (*Measured, error) {
 	// until the transport reports no message queued, undelivered or still
 	// being handled, instead of sleeping a fixed grace period.
 	qctx, cancel := context.WithTimeout(context.Background(), opt.Timeout)
-	qerr := quiesce(qctx)
+	qerr := sys.Quiesce(qctx)
 	cancel()
 	if qerr != nil {
 		return nil, fmt.Errorf("experiment: quiesce: %w", qerr)

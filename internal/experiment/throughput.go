@@ -9,10 +9,7 @@ import (
 	"time"
 
 	"crew/internal/analysis"
-	"crew/internal/central"
-	"crew/internal/distributed"
-	"crew/internal/metrics"
-	"crew/internal/parallel"
+	"crew/internal/deploy"
 	"crew/internal/store"
 	"crew/internal/wfdb"
 	"crew/internal/workload"
@@ -58,85 +55,20 @@ type ThroughputResult struct {
 	RetainedBytes uint64
 }
 
-// buildTarget constructs a DB-optional deployment for arch and returns the
-// drive target plus its close and quiesce hooks. Every node gets a file-backed
-// WFDB with a spilled archive when dbDir is non-empty.
-func buildTarget(arch analysis.Architecture, w *workload.Workload, e int, dbDir string) (workload.Target, func(), func(context.Context) error, error) {
-	quiet := func(string, ...any) {}
-	col := metrics.NewCollector()
-	openDB := func(name string) (*wfdb.DB, error) {
-		st, err := store.Open(filepath.Join(dbDir, name+".db"))
+// openDBs opens n file-backed WFDBs with a spilled archive under dir.
+func openDBs(dir string, n int) ([]*wfdb.DB, error) {
+	dbs := make([]*wfdb.DB, n)
+	for i := range dbs {
+		st, err := store.Open(filepath.Join(dir, fmt.Sprintf("node%d.db", i)))
 		if err != nil {
 			return nil, err
 		}
-		db := wfdb.New(st)
-		if err := db.SpillArchive(); err != nil {
+		dbs[i] = wfdb.New(st)
+		if err := dbs[i].SpillArchive(); err != nil {
 			return nil, err
 		}
-		return db, nil
 	}
-	switch arch {
-	case analysis.Central:
-		cfg := central.SystemConfig{
-			Library: w.Library, Programs: w.Programs, Collector: col,
-			Agents: w.Agents, Logf: quiet,
-		}
-		if dbDir != "" {
-			db, err := openDB("central")
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			cfg.DB = db
-		}
-		sys, err := central.NewSystem(cfg)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return sys, sys.Close, sys.Quiesce, nil
-	case analysis.Parallel:
-		cfg := parallel.SystemConfig{
-			Library: w.Library, Programs: w.Programs, Collector: col,
-			Engines: e, Agents: w.Agents, Logf: quiet,
-		}
-		if dbDir != "" {
-			for i := 0; i < e; i++ {
-				db, err := openDB(fmt.Sprintf("engine%d", i))
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				cfg.DBs = append(cfg.DBs, db)
-			}
-		}
-		sys, err := parallel.NewSystem(cfg)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return sys, sys.Close, sys.Quiesce, nil
-	case analysis.Distributed:
-		cfg := distributed.SystemConfig{
-			Library: w.Library, Programs: w.Programs, Collector: col,
-			Agents: w.Agents, Logf: quiet,
-		}
-		if dbDir != "" {
-			for _, name := range w.Agents {
-				db, err := openDB(name)
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				cfg.AGDBs = append(cfg.AGDBs, db)
-			}
-		}
-		sys, err := distributed.NewSystem(cfg)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		// Quiesce also has the agents drop their replicas of finished
-		// instances, so RetainedBytes does not depend on where the end of
-		// the run fell in the sweep period.
-		return sys, sys.Close, sys.Quiesce, nil
-	default:
-		return nil, nil, nil, fmt.Errorf("experiment: unknown architecture %v", arch)
-	}
+	return dbs, nil
 }
 
 // Throughput drives a sustained instance stream through one deployment and
@@ -157,11 +89,29 @@ func Throughput(opt ThroughputOptions) (*ThroughputResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	target, closeFn, quiesce, err := buildTarget(opt.Arch, w, opt.Params.E, opt.DBDir)
+	cfg := deploy.Config{
+		Library: w.Library, Programs: w.Programs, Agents: w.Agents,
+		Engines: opt.Params.E, Logf: func(string, ...any) {},
+	}
+	if opt.DBDir != "" {
+		// One database per scheduling node: the engines, or the agents where
+		// there is none.
+		n := deploy.Engines(opt.Arch, opt.Params.E)
+		if n == 0 {
+			n = len(w.Agents)
+		}
+		if cfg.DBs, err = openDBs(opt.DBDir, n); err != nil {
+			return nil, err
+		}
+	}
+	// The distributed Quiesce also has the agents drop their replicas of
+	// finished instances, so RetainedBytes does not depend on where the end of
+	// the run fell in the sweep period.
+	sys, err := deploy.New(opt.Arch, cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer closeFn()
+	defer sys.Close()
 
 	var ms runtime.MemStats
 	runtime.GC()
@@ -192,7 +142,7 @@ func Throughput(opt ThroughputOptions) (*ThroughputResult, error) {
 	res := &ThroughputResult{Arch: opt.Arch, Rounds: opt.Rounds}
 	start := time.Now()
 	for r := 0; r < opt.Rounds; r++ {
-		dr, err := workload.DriveRange(target, w, r*opt.Instances+1, opt.Instances, opt.Timeout)
+		dr, err := workload.DriveRange(sys, w, r*opt.Instances+1, opt.Instances, opt.Timeout)
 		if err != nil {
 			close(stop)
 			<-sampleDone
@@ -211,7 +161,7 @@ func Throughput(opt ThroughputOptions) (*ThroughputResult, error) {
 	res.PeakGoroutines = int(peak.Load())
 
 	qctx, cancel := context.WithTimeout(context.Background(), opt.Timeout)
-	qerr := quiesce(qctx)
+	qerr := sys.Quiesce(qctx)
 	cancel()
 	if qerr != nil {
 		return nil, fmt.Errorf("experiment: quiesce: %w", qerr)

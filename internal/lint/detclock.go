@@ -32,7 +32,7 @@ var detExtraPackages = detClockFlags.String("packages", "", "comma-separated ext
 
 // DetClock reports wall-clock reads (time.Now, time.Since, timers) and
 // unseeded math/rand use inside deterministic packages. Replay, the seeded
-// fault plans, and the benchdiff gates all assume these packages compute
+// fault plans, and the Tables 4-6 gates all assume these packages compute
 // the same outputs for the same seeds on every run.
 var DetClock = &analysis.Analyzer{
 	Name:     "detclock",

@@ -17,8 +17,8 @@
 //     internal/cerrors sentinel.
 //   - mapiter: no range over a map whose body (transitively, within the
 //     package) emits messages, posts events, or writes the WAL — map
-//     iteration order is nondeterministic and breaks replay and benchdiff
-//     comparisons; iterate a sorted copy instead.
+//     iteration order is nondeterministic and breaks replay and the exact
+//     Tables 4-6 comparisons; iterate a sorted copy instead.
 //   - lockorder: global mutex-acquisition-order graph across packages;
 //     reports cycles (potential deadlocks) and acquisitions violating a
 //     declared //crew:lockrank ordering.

@@ -13,7 +13,7 @@ import (
 // order is charged and traced), event posts, WAL/store writes, and direct
 // printing. A map iteration that reaches one of these makes externally
 // visible output depend on Go's randomized map order, which breaks replay
-// and the byte-identical benchdiff comparisons.
+// and the exact Tables 4-6 comparisons.
 var mapIterSinks = map[methodKey]bool{
 	{pkg: transportPath, recv: "Handle", name: "Send"}:            true,
 	{pkg: transportPath, recv: "Network", name: "Send"}:           true,

@@ -300,3 +300,79 @@ func StepMechanism(ins *wfdb.Instance, step model.StepID, recovery metrics.Mecha
 	}
 	return metrics.Normal
 }
+
+// AbortCandidates returns the steps an abort of the workflow may have to
+// compensate: the schema's AbortCompensate list when it has one, otherwise
+// every compensable step in definition order. Which of them executed, and so
+// what is actually undone and in what order, is the caller's to find out.
+func AbortCandidates(s *model.Schema) []model.StepID {
+	if len(s.AbortCompensate) > 0 {
+		return s.AbortCompensate
+	}
+	var out []model.StepID
+	for _, id := range s.Order {
+		if s.Steps[id].Compensable() {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// InputChange compares a user's new workflow inputs with the instance's data
+// table. It returns the items that differ, under their full names, and the
+// rollback origin: the earliest step in topological order that consumes one of
+// them, "" when nothing changed or no step reads what did. The instance is not
+// modified.
+func InputChange(s *model.Schema, ins *wfdb.Instance, inputs map[string]expr.Value) (changed map[string]expr.Value, origin model.StepID) {
+	changed = make(map[string]expr.Value)
+	for name, v := range inputs {
+		full := model.WorkflowInput(name)
+		if old, ok := ins.Data[full]; !ok || !old.Equal(v) {
+			changed[full] = v
+		}
+	}
+	if len(changed) == 0 {
+		return changed, ""
+	}
+	for _, sid := range s.TopoOrder() {
+		for _, in := range s.Steps[sid].Inputs {
+			if _, hit := changed[in]; hit {
+				return changed, sid
+			}
+		}
+	}
+	return changed, ""
+}
+
+// NestedInputs maps a nested step's inputs onto its child workflow's,
+// positionally: the i-th declared step input feeds the child's i-th workflow
+// input. Inputs with no value yet, and those beyond the child's list, are left
+// out.
+func NestedInputs(s *model.Step, child *model.Schema, ins *wfdb.Instance) map[string]expr.Value {
+	out := make(map[string]expr.Value)
+	for i, in := range s.Inputs {
+		if i >= len(child.Inputs) {
+			break
+		}
+		if v, ok := ins.Data[in]; ok {
+			out[child.Inputs[i]] = v
+		}
+	}
+	return out
+}
+
+// NestedOutputs maps a committed child's results back onto its nested step:
+// output o takes the value of <terminal>.<o> from the child's data table, from
+// the first terminal step (in definition order) that produced it.
+func NestedOutputs(s *model.Step, child *model.Schema, childData map[string]expr.Value) map[string]expr.Value {
+	out := make(map[string]expr.Value, len(s.Outputs))
+	for _, o := range s.Outputs {
+		for _, term := range child.TerminalSteps() {
+			if v, ok := childData[term.Ref(o)]; ok {
+				out[o] = v
+				break
+			}
+		}
+	}
+	return out
+}

@@ -12,13 +12,12 @@ import (
 	"testing"
 
 	"crew/internal/binenc"
-	_ "crew/internal/central" // the three architectures register their payloads
+	_ "crew/internal/central" // engines and agents register their payloads
 	"crew/internal/cerrors"
 	"crew/internal/coord"
 	_ "crew/internal/distributed"
 	"crew/internal/expr"
 	"crew/internal/metrics"
-	_ "crew/internal/parallel"
 	"crew/internal/transport"
 )
 

@@ -15,12 +15,11 @@ import (
 	"time"
 
 	"crew/internal/analysis"
-	"crew/internal/central"
+	"crew/internal/deploy"
 	"crew/internal/distributed"
 	"crew/internal/event"
 	"crew/internal/expr"
 	"crew/internal/model"
-	"crew/internal/parallel"
 	"crew/internal/wfdb"
 	"crew/internal/workload"
 )
@@ -226,12 +225,6 @@ func TestCodecMatchesJSONOnHandBuiltInstance(t *testing.T) {
 	checkCodec(t, "bare", bare)
 }
 
-// snapshotter is the part of a deployment the test reads instances through.
-type snapshotter interface {
-	workload.Target
-	Snapshot(workflow string, id int) (*wfdb.Instance, bool)
-}
-
 func TestCodecMatchesJSONAcrossArchitectures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives three deployments")
@@ -263,40 +256,24 @@ func TestCodecMatchesJSONAcrossArchitectures(t *testing.T) {
 				Seq("P1", "N", "P3").
 				MustBuild())
 
-			var sys snapshotter
+			// A database per scheduling node: the engines, or the agents.
+			n := deploy.Engines(arch, p.E)
+			if n == 0 {
+				n = len(w.Agents)
+			}
+			dbs := make([]*wfdb.DB, n)
+			for i := range dbs {
+				dbs[i] = wfdb.NewMemory()
+			}
+			sys, err := deploy.New(arch, deploy.Config{Library: w.Library, Programs: w.Programs,
+				Agents: w.Agents, Engines: p.E, DBs: dbs, Logf: quiet})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
 			var agents []*distributed.Agent // per-agent replicas carry Epoch/Coordinator
-			switch arch {
-			case analysis.Central:
-				s, err := central.NewSystem(central.SystemConfig{Library: w.Library, Programs: w.Programs,
-					Agents: w.Agents, DB: wfdb.NewMemory(), Logf: quiet})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-				sys = s
-			case analysis.Parallel:
-				cfg := parallel.SystemConfig{Library: w.Library, Programs: w.Programs, Engines: p.E, Agents: w.Agents, Logf: quiet}
-				for i := 0; i < p.E; i++ {
-					cfg.DBs = append(cfg.DBs, wfdb.NewMemory())
-				}
-				s, err := parallel.NewSystem(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-				sys = s
-			case analysis.Distributed:
-				cfg := distributed.SystemConfig{Library: w.Library, Programs: w.Programs, Agents: w.Agents, Logf: quiet}
-				for range w.Agents {
-					cfg.AGDBs = append(cfg.AGDBs, wfdb.NewMemory())
-				}
-				s, err := distributed.NewSystem(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-				sys = s
-				for _, name := range s.AgentNames() {
+			if s, ok := sys.(*distributed.System); ok {
+				for _, name := range s.SchedulingNodes() {
 					agents = append(agents, s.Agent(name))
 				}
 			}

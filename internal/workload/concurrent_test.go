@@ -10,7 +10,6 @@ import (
 	"crew/internal/central"
 	"crew/internal/distributed"
 	"crew/internal/metrics"
-	"crew/internal/parallel"
 )
 
 // TestStressAllArchitecturesSharedCollector drives the centralized, parallel
@@ -57,7 +56,7 @@ func TestStressAllArchitecturesSharedCollector(t *testing.T) {
 		t.Fatal(err)
 	}
 	deps = append(deps, deployment{"central", csys, csys.Quiesce, csys.Close})
-	psys, err := parallel.NewSystem(parallel.SystemConfig{
+	psys, err := central.NewSystem(central.SystemConfig{
 		Library: w.Library, Programs: w.Programs, Collector: col,
 		Engines: p.E, Agents: w.Agents, Logf: quiet,
 	})

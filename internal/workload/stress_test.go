@@ -59,7 +59,7 @@ func dump(t *testing.T, sys *distributed.System, w *Workload) {
 				continue
 			}
 			t.Logf("--- stuck %s.%d (status=%v ok=%v)", wf, i, st, ok)
-			for _, ag := range sys.AgentNames() {
+			for _, ag := range sys.SchedulingNodes() {
 				if snap, has := sys.SnapshotAt(ag, wf, i); has {
 					t.Logf("  %s: ev=%s exec=%v", ag, snap.Events.String(), snap.ExecOrder)
 					t.Logf("  %s dbg: %s", ag, sys.Agent(ag).DebugState(wf, i))

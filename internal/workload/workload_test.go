@@ -9,7 +9,6 @@ import (
 	"crew/internal/distributed"
 	"crew/internal/metrics"
 	"crew/internal/model"
-	"crew/internal/parallel"
 	"crew/internal/wfdb"
 )
 
@@ -241,7 +240,7 @@ func TestDriveParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := metrics.NewCollector()
-	sys, err := parallel.NewSystem(parallel.SystemConfig{
+	sys, err := central.NewSystem(central.SystemConfig{
 		Library:   w.Library,
 		Programs:  w.Programs,
 		Collector: col,
@@ -291,7 +290,6 @@ func TestDriveDistributed(t *testing.T) {
 }
 
 var _ Target = (*central.System)(nil)
-var _ Target = (*parallel.System)(nil)
 var _ Target = (*distributed.System)(nil)
 
 var _ = wfdb.Running // keep import for clarity of driver contract
