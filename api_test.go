@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"crew"
+	"crew/internal/model"
 )
 
 func slowLib(t *testing.T) (*crew.Library, *crew.Registry) {
@@ -184,26 +185,64 @@ func TestConfigValidatePreflight(t *testing.T) {
 	}
 }
 
-// TestInvalidConfigSentinel pins the preflight error contract: every
-// rejection — Validate directly, NewSystem's internal validation, and an
-// invalid fault plan armed through WithFaults — is errors.Is-matchable
-// against ErrInvalidConfig.
+// TestInvalidConfigSentinel is the error table of the configuration
+// contract: every rejection Config.Validate and NewSystem can return, one row
+// each, is errors.Is-matchable against ErrInvalidConfig. A row says which
+// layer rejects it (Validate, or only NewSystem's construction and fault
+// plan), and a library rejection still unwraps to its
+// *model.ValidationError. A new rejection path gets a row here.
 func TestInvalidConfigSentinel(t *testing.T) {
 	lib, reg := slowLib(t)
-	bad := crew.Config{Library: lib, Programs: reg, Engines: -1}
-	if err := bad.Validate(); !errors.Is(err, crew.ErrInvalidConfig) {
-		t.Errorf("Validate(bad) = %v, want ErrInvalidConfig", err)
+	mutexLib, _ := slowLib(t)
+	mutexLib.Coord = append(mutexLib.Coord, crew.CoordSpec{
+		Kind: crew.Mutex, Name: "r",
+		MutexSteps: []crew.StepRef{{Workflow: "Fast", Step: "A"}, {Workflow: "Fast", Step: "Nope"}},
+	})
+	nestLib, _ := slowLib(t)
+	nestLib.Add(crew.NewSchema("Parent").NestedStep("N", "Missing").MustBuild())
+	db := []*crew.DB{crew.NewMemoryDB()}
+	recoverFirst := crew.FaultPlan{Events: []crew.FaultEvent{{Action: crew.FaultRecover, Node: "engine", At: 1}}}
+
+	rows := []struct {
+		name string
+		cfg  crew.Config
+		opts []crew.Option
+		// validate: Config.Validate rejects it, not only NewSystem.
+		validate bool
+		// library: a library rejection, which keeps its *model.ValidationError.
+		library bool
+	}{
+		{name: "no library", cfg: crew.Config{Programs: reg}, validate: true},
+		{name: "no programs", cfg: crew.Config{Library: lib}, validate: true},
+		{name: "unknown architecture", cfg: crew.Config{Library: lib, Programs: reg, Architecture: crew.Architecture(9)}, validate: true},
+		{name: "negative engines", cfg: crew.Config{Library: lib, Programs: reg, Engines: -1}, validate: true},
+		{name: "central with DBs", cfg: crew.Config{Library: lib, Programs: reg, DBs: db}, validate: true},
+		{name: "in-process with an address", cfg: crew.Config{Library: lib, Programs: reg, Transport: crew.TransportConfig{Addr: "x"}}, validate: true},
+		{name: "unknown backend", cfg: crew.Config{Library: lib, Programs: reg, Transport: crew.TransportConfig{Backend: "ipx"}}, validate: true},
+		{name: "mutex names an unknown step", cfg: crew.Config{Library: mutexLib, Programs: reg}, validate: true, library: true},
+		{name: "nested step names an unknown workflow", cfg: crew.Config{Library: nestLib, Programs: reg}, validate: true, library: true},
+		{name: "parallel DBs per engine", cfg: crew.Config{Library: lib, Programs: reg, Architecture: crew.Parallel, Engines: 2, DBs: db}},
+		{name: "distributed DBs per agent", cfg: crew.Config{Library: lib, Programs: reg, Architecture: crew.Distributed, Agents: []string{"a1", "a2"}, DBs: db}},
+		{name: "fault plan", cfg: crew.Config{Library: lib, Programs: reg}, opts: []crew.Option{crew.WithFaults(recoverFirst)}},
 	}
-	if _, err := crew.NewSystem(bad); !errors.Is(err, crew.ErrInvalidConfig) {
-		t.Errorf("NewSystem(bad) = %v, want ErrInvalidConfig", err)
-	}
-	if _, err := crew.NewSystem(crew.Config{Programs: reg}); !errors.Is(err, crew.ErrInvalidConfig) {
-		t.Errorf("NewSystem(no library) = %v, want ErrInvalidConfig", err)
-	}
-	plan := crew.FaultPlan{Events: []crew.FaultEvent{{Action: crew.FaultRecover, Node: "engine", At: 1}}}
-	good := crew.Config{Library: lib, Programs: reg}
-	if _, err := crew.NewSystem(good, crew.WithFaults(plan)); !errors.Is(err, crew.ErrInvalidConfig) {
-		t.Errorf("NewSystem(bad fault plan) = %v, want ErrInvalidConfig", err)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			if err := r.cfg.Validate(); (err != nil) != r.validate || err != nil && !errors.Is(err, crew.ErrInvalidConfig) {
+				t.Errorf("Validate = %v, want an ErrInvalidConfig rejection: %v", err, r.validate)
+			}
+			sys, err := crew.NewSystem(r.cfg, r.opts...)
+			if err == nil {
+				sys.Close()
+				t.Fatal("NewSystem accepted the config")
+			}
+			if !errors.Is(err, crew.ErrInvalidConfig) {
+				t.Errorf("NewSystem = %v, want ErrInvalidConfig", err)
+			}
+			var verr *model.ValidationError
+			if errors.As(err, &verr) != r.library {
+				t.Errorf("NewSystem = %v: errors.As *model.ValidationError = %v, want %v", err, !r.library, r.library)
+			}
+		})
 	}
 }
 

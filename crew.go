@@ -359,7 +359,10 @@ func (cfg *Config) Validate() error {
 	default:
 		return fmt.Errorf("crew: %w: unknown transport backend %q (want inproc, unix or tcp)", ErrInvalidConfig, cfg.Transport.Backend)
 	}
-	return cfg.Library.Validate()
+	if err := cfg.Library.Validate(); err != nil {
+		return fmt.Errorf("crew: %w: %w", ErrInvalidConfig, err)
+	}
+	return nil
 }
 
 // System is a running workflow management system. All three architectures

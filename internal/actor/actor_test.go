@@ -312,7 +312,6 @@ func TestEnvelopeIsOneTurn(t *testing.T) {
 	for _, p := range []string{"a", "b", "c"} {
 		env.Msgs = append(env.Msgs, transport.Message{From: "test", To: "node", Mechanism: metrics.Normal, Kind: "In", Payload: p})
 	}
-	//crew:nocharge kernel test builds the physical envelope itself to watch its release
 	if err := h.SendBatch(env); err != nil {
 		t.Fatal(err)
 	}

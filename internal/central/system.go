@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"crew/internal/actor"
+	"crew/internal/cerrors"
 	"crew/internal/expr"
 	"crew/internal/itable"
 	"crew/internal/metrics"
@@ -78,7 +79,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		cfg.Collector = metrics.NewCollector()
 	}
 	if cfg.DBs != nil && len(cfg.DBs) != cfg.Engines {
-		return nil, errors.New("central: DBs length must equal Engines")
+		return nil, fmt.Errorf("central: %w: DBs length must equal Engines", cerrors.ErrInvalidConfig)
 	}
 	agents := cfg.Agents
 	if len(agents) == 0 {

@@ -62,25 +62,15 @@ type Config struct {
 	// replica of a terminated instance (the deployment evicts its routing
 	// entries through it).
 	OnRetired func(workflow string, id int)
-	// StatusPollInterval paces the agent's maintenance sweep: re-evaluating
-	// replicas, re-reporting completed terminal steps to coordination
-	// agents, and polling StepStatus for overdue missing events (the
-	// paper's predecessor-failure detection). Zero means the 100ms default;
-	// negative disables the sweep.
-	//
-	// Deprecated: there is no standing status-poll timer any more.
-	// Completion is push-based and the sweep runs off a one-shot timer armed
-	// only while the agent holds live replicas; an idle agent takes zero
-	// timer wakeups. The field is kept as a compatibility knob that only
-	// paces that on-demand timer.
-	StatusPollInterval time.Duration
-	// StatusPollAge is how long a rule must wait before its missing events
-	// are polled; defaults to 2*StatusPollInterval.
-	//
-	// Deprecated: see StatusPollInterval; retained only to pace the
-	// on-demand sweep's poll/report throttling.
-	StatusPollAge time.Duration
-	Logf          func(format string, args ...any)
+	Logf      func(format string, args ...any)
+	// sweepPeriod paces the agent's maintenance sweep: re-evaluating
+	// replicas, re-reporting completed terminal steps to coordination agents,
+	// and polling StepStatus for overdue missing events (the paper's
+	// predecessor-failure detection). The sweep runs off a one-shot timer
+	// armed only while the agent holds replicas or queued purges. A terminal
+	// step is re-reported, and a missing event polled, once it is two periods
+	// old. Zero means 100 ms; only tests set it.
+	sweepPeriod time.Duration
 }
 
 // replica is an agent's partial copy of one workflow instance's state.
@@ -207,11 +197,8 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 	if len(cfg.Agents) == 0 {
 		return nil, errors.New("distributed: agent needs the deployment agent list")
 	}
-	if cfg.StatusPollInterval == 0 {
-		cfg.StatusPollInterval = 100 * time.Millisecond
-	}
-	if cfg.StatusPollAge == 0 {
-		cfg.StatusPollAge = 2 * cfg.StatusPollInterval
+	if cfg.sweepPeriod == 0 {
+		cfg.sweepPeriod = 100 * time.Millisecond
 	}
 	a := &Agent{
 		cfg:      cfg,
@@ -244,15 +231,11 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 	// Only while the agent holds replicas is there anything to heal, report or
 	// retire, and only with purges queued anything to broadcast, so the sweep's
 	// timer is armed on those conditions alone.
-	var sweep *actor.Timer
-	if cfg.StatusPollInterval > 0 {
-		sweep = &actor.Timer{
-			Every: cfg.StatusPollInterval,
-			Busy:  func() bool { return len(a.replicas) > 0 || len(a.purges) > 0 },
-			Tick:  a.sweep,
-		}
-	}
-	a.Launch(a.handleMessage, sweep)
+	a.Launch(a.handleMessage, &actor.Timer{
+		Every: cfg.sweepPeriod,
+		Busy:  func() bool { return len(a.replicas) > 0 || len(a.purges) > 0 },
+		Tick:  a.sweep,
+	})
 	return a, nil
 }
 

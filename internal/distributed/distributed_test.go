@@ -867,12 +867,11 @@ func TestPredecessorAgentFailureQueryReexecutes(t *testing.T) {
 		Arc("B1", "J").Arc("B2", "J").
 		MustBuild()
 	sys, err := NewSystem(SystemConfig{
-		Library:            lib1(s),
-		Programs:           reg,
-		Agents:             []string{"a1", "a2", "a3", "a4", "a5"},
-		StatusPollInterval: 20 * time.Millisecond,
-		StatusPollAge:      40 * time.Millisecond,
-		Logf:               t.Logf,
+		Library:     lib1(s),
+		Programs:    reg,
+		Agents:      []string{"a1", "a2", "a3", "a4", "a5"},
+		sweepPeriod: 20 * time.Millisecond,
+		Logf:        t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1026,12 +1025,11 @@ func TestAllEligibleAgentsDownWaitsForRecovery(t *testing.T) {
 		Seq("A", "B", "C").
 		MustBuild()
 	sys, err := NewSystem(SystemConfig{
-		Library:            lib1(s),
-		Programs:           reg,
-		Agents:             []string{"a1", "a3", "a4", "a5"},
-		StatusPollInterval: 20 * time.Millisecond,
-		StatusPollAge:      40 * time.Millisecond,
-		Logf:               t.Logf,
+		Library:     lib1(s),
+		Programs:    reg,
+		Agents:      []string{"a1", "a3", "a4", "a5"},
+		sweepPeriod: 20 * time.Millisecond,
+		Logf:        t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1280,12 +1278,12 @@ func TestRetirementDrainsAllReplicas(t *testing.T) {
 		Seq("A", "B").
 		MustBuild()
 	sys, err := NewSystem(SystemConfig{
-		Library:            lib1(s),
-		Programs:           reg,
-		Collector:          metrics.NewCollector(),
-		Agents:             []string{"a1", "a2", "a3"},
-		StatusPollInterval: 10 * time.Millisecond,
-		Logf:               t.Logf,
+		Library:     lib1(s),
+		Programs:    reg,
+		Collector:   metrics.NewCollector(),
+		Agents:      []string{"a1", "a2", "a3"},
+		sweepPeriod: 10 * time.Millisecond,
+		Logf:        t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1328,12 +1326,12 @@ func TestQuiesceDropsFinishedReplicas(t *testing.T) {
 		Seq("A", "B").
 		MustBuild()
 	sys, err := NewSystem(SystemConfig{
-		Library:            lib1(s),
-		Programs:           reg,
-		Collector:          metrics.NewCollector(),
-		Agents:             []string{"a1", "a2"},
-		StatusPollInterval: time.Hour,
-		Logf:               t.Logf,
+		Library:     lib1(s),
+		Programs:    reg,
+		Collector:   metrics.NewCollector(),
+		Agents:      []string{"a1", "a2"},
+		sweepPeriod: time.Hour,
+		Logf:        t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1363,7 +1361,7 @@ func TestQuiesceDropsFinishedReplicas(t *testing.T) {
 }
 
 // TestZeroPollWakeupsWhenIdle pins the push-based completion contract: once
-// every replica has retired, no StatusPollInterval-driven timer fires and no
+// every replica has retired, no sweep timer fires and no
 // poll messages cross the network. WaitCtx completes purely by notification.
 func TestZeroPollWakeupsWhenIdle(t *testing.T) {
 	rec := &recorder{}
@@ -1377,12 +1375,12 @@ func TestZeroPollWakeupsWhenIdle(t *testing.T) {
 		MustBuild()
 	const interval = 20 * time.Millisecond
 	sys, err := NewSystem(SystemConfig{
-		Library:            lib1(s),
-		Programs:           reg,
-		Collector:          metrics.NewCollector(),
-		Agents:             []string{"a1", "a2"},
-		StatusPollInterval: interval,
-		Logf:               t.Logf,
+		Library:     lib1(s),
+		Programs:    reg,
+		Collector:   metrics.NewCollector(),
+		Agents:      []string{"a1", "a2"},
+		sweepPeriod: interval,
+		Logf:        t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1405,8 +1403,8 @@ func TestZeroPollWakeupsWhenIdle(t *testing.T) {
 		return n
 	}
 	msgs0, wk0 := sys.Collector().TotalMessages(), wakeups()
-	// Several poll intervals pass with the fleet idle: a standing
-	// StatusPollInterval ticker would fire here; the on-demand timer, armed
+	// Several sweep periods pass with the fleet idle: a standing sweep
+	// ticker would fire here; the on-demand timer, armed
 	// only while replicas exist, must not.
 	time.Sleep(5 * interval)
 	if msgs1 := sys.Collector().TotalMessages(); msgs1 != msgs0 {

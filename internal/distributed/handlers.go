@@ -1200,7 +1200,7 @@ func (a *Agent) sweep() {
 		for _, step := range r.gate.Recheck() {
 			a.maybeExecute(r, step)
 		}
-		if now.Sub(r.lastReport) >= a.cfg.StatusPollAge {
+		if now.Sub(r.lastReport) >= 2*a.cfg.sweepPeriod {
 			r.lastReport = now
 			a.reportTerminals(r)
 		}
@@ -1277,7 +1277,7 @@ func (a *Agent) reportTerminals(r *replica) {
 }
 
 // pollOverdueRules polls the eligible agents of every step whose done event
-// a pending rule has been missing for longer than StatusPollAge.
+// a pending rule has been missing for longer than two sweep periods.
 func (a *Agent) pollOverdueRules(r *replica, now time.Time) {
 	for _, w := range r.rules.WaitingRules(r.ins.Events) {
 		for _, missing := range w.Missing {
@@ -1291,7 +1291,7 @@ func (a *Agent) pollOverdueRules(r *replica, now time.Time) {
 				r.waitSince[key] = now
 				continue
 			}
-			if now.Sub(first) < a.cfg.StatusPollAge || r.polled[key] {
+			if now.Sub(first) < 2*a.cfg.sweepPeriod || r.polled[key] {
 				continue
 			}
 			r.polled[key] = true

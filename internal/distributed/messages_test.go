@@ -16,25 +16,39 @@ import (
 // slack for a runtime whose map sizes itself differently.
 const stepExecuteDecodeAllocBudget = 22
 
-// TestStepExecuteCodecAllocBudget guards the codec on the path of every step
-// in a multi-process deployment: appending a workflow packet to a warm buffer
-// allocates nothing (the data items are sorted in the caller's scratch), and
-// decoding one allocates what it returns and no more.
+// TestStepExecuteCodecAllocBudget guards the codecs on the path of every
+// step in a multi-process deployment: each //crew:hotpath payload encoder
+// (a workflow start, a packet, a completion) appends to a warm buffer without
+// allocating (data items are sorted in the caller's scratch), and decoding a
+// packet allocates what it returns and no more.
 func TestStepExecuteCodecAllocBudget(t *testing.T) {
+	data := map[string]expr.Value{
+		"WF.I1": expr.Num(1), "WF.I2": expr.Str("order-17"), "S1.O1": expr.Num(3.5),
+		"S2.O1": expr.Bool(true), "S2.O2": expr.Str("reserved"), "S3.O1": expr.Str("paid"),
+	}
+	events := []string{"S1.done", "S2.done", "S3.done"}
 	p := stepExecute{Mechanism: metrics.Normal, Packet: &Packet{
 		Workflow: "WF01", Instance: 7, Epoch: 1, TargetStep: "S4", Coordinator: "agent03",
-		Data: map[string]expr.Value{
-			"WF.I1": expr.Num(1), "WF.I2": expr.Str("order-17"), "S1.O1": expr.Num(3.5),
-			"S2.O1": expr.Bool(true), "S2.O2": expr.Str("reserved"), "S3.O1": expr.Str("paid"),
-		},
-		Events: []string{"S1.done", "S2.done", "S3.done"},
+		Data: data, Events: events,
 	}}
+	start := workflowStart{Workflow: "WF01", Instance: 7, Inputs: data, ReplyTo: "frontend"}
+	done := stepCompleted{Workflow: "WF01", Instance: 7, Step: "S4", Epoch: 1, Data: data, Events: events}
 	var keys []string
-	buf := appendStepExecute(nil, p, &keys)
-	if avg := testing.AllocsPerRun(500, func() { buf = appendStepExecute(buf[:0], p, &keys) }); avg > 0 {
-		t.Errorf("appendStepExecute allocates %.2f/op into a warm buffer, budget 0", avg)
+	for _, enc := range []struct {
+		name   string
+		append func(dst []byte) []byte
+	}{
+		{"appendWorkflowStart", func(dst []byte) []byte { return appendWorkflowStart(dst, start, &keys) }},
+		{"appendStepExecute", func(dst []byte) []byte { return appendStepExecute(dst, p, &keys) }},
+		{"appendStepCompleted", func(dst []byte) []byte { return appendStepCompleted(dst, done, &keys) }},
+	} {
+		buf := enc.append(nil)
+		if avg := testing.AllocsPerRun(500, func() { buf = enc.append(buf[:0]) }); avg > 0 {
+			t.Errorf("%s allocates %.2f/op into a warm buffer, budget 0", enc.name, avg)
+		}
 	}
 
+	buf := appendStepExecute(nil, p, &keys)
 	var r binenc.Reader
 	var got any
 	avg := testing.AllocsPerRun(500, func() {

@@ -29,17 +29,11 @@ type SystemConfig struct {
 	DisableOCR       bool
 	ExplicitElection bool
 	PurgeOnCommit    bool
-	// StatusPollInterval and StatusPollAge pace the agents' on-demand
-	// maintenance sweep.
-	//
-	// Deprecated: the standing status-poll timer is gone; completion is
-	// push-based and the sweep timer is armed only while an agent holds live
-	// replicas. See distributed.Config.
-	StatusPollInterval time.Duration
-	StatusPollAge      time.Duration
 	// Wire selects the transport backend (nil = in-process channels).
 	Wire transport.Wire
 	Logf func(format string, args ...any)
+	// sweepPeriod is every agent's Config.sweepPeriod.
+	sweepPeriod time.Duration
 }
 
 // System is a running distributed WFMS deployment. Its methods play the role
@@ -91,7 +85,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		names = []string{"agent1", "agent2", "agent3"}
 	}
 	if cfg.AGDBs != nil && len(cfg.AGDBs) != len(names) {
-		return nil, errors.New("distributed: AGDBs length must match Agents")
+		return nil, fmt.Errorf("distributed: %w: AGDBs length must match Agents", cerrors.ErrInvalidConfig)
 	}
 
 	net := transport.NewNetwork(transport.NetworkConfig{Collector: cfg.Collector, Wire: cfg.Wire})
@@ -113,20 +107,19 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			db = cfg.AGDBs[i]
 		}
 		ag, err := NewAgent(Config{
-			Name:               name,
-			Library:            cfg.Library,
-			Agents:             names,
-			Programs:           cfg.Programs,
-			Collector:          cfg.Collector,
-			AGDB:               db,
-			DisableOCR:         cfg.DisableOCR,
-			ExplicitElection:   cfg.ExplicitElection,
-			PurgeOnCommit:      cfg.PurgeOnCommit,
-			Terminal:           sys.term,
-			OnRetired:          onRetired,
-			StatusPollInterval: cfg.StatusPollInterval,
-			StatusPollAge:      cfg.StatusPollAge,
-			Logf:               cfg.Logf,
+			Name:             name,
+			Library:          cfg.Library,
+			Agents:           names,
+			Programs:         cfg.Programs,
+			Collector:        cfg.Collector,
+			AGDB:             db,
+			DisableOCR:       cfg.DisableOCR,
+			ExplicitElection: cfg.ExplicitElection,
+			PurgeOnCommit:    cfg.PurgeOnCommit,
+			Terminal:         sys.term,
+			OnRetired:        onRetired,
+			Logf:             cfg.Logf,
+			sweepPeriod:      cfg.sweepPeriod,
 		}, net)
 		if err != nil {
 			sys.Close()

@@ -133,7 +133,6 @@ func TestInjectorAppliesSchedule(t *testing.T) {
 	defer in.Stop()
 
 	for i := 0; i < 5; i++ {
-		//crew:nocharge injector test drives raw traffic; no metrics accounting under test
 		if err := net.Send(transport.Message{From: "a", To: "b", Payload: i}); err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +176,6 @@ func TestInjectorLinkDropChargesRetransmits(t *testing.T) {
 	defer in.Stop()
 
 	for i := 0; i < 4; i++ {
-		//crew:nocharge injector test drives raw traffic; no metrics accounting under test
 		if err := net.Send(transport.Message{From: "a", To: "b", Payload: i}); err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +209,6 @@ func TestInjectorStallBackstop(t *testing.T) {
 	in.Attach(net)
 	defer in.Stop()
 
-	//crew:nocharge injector test drives raw traffic; no metrics accounting under test
 	if err := net.Send(transport.Message{From: "a", To: "b", Payload: 0}); err != nil {
 		t.Fatal(err)
 	}

@@ -3,17 +3,11 @@ package lint
 // facts.go is the shared call-summary layer of the crewlint suite: a
 // go/analysis fact engine that computes, for every function in a package, a
 // conservative summary of the behaviors the other analyzers care about —
-// may it block, may it allocate, which mutex classes does it acquire, does
-// it (or anything it calls) put a message on the transport — and exports
-// the summaries as object facts so they propagate across package
-// boundaries through the vet driver's .vetx files.
-//
-// The summaries turn the previously syntactic, intraprocedural analyzers
-// into interprocedural ones: locksend no longer needs a hand-maintained
-// table of blocking entry points (a function that transitively reaches a
-// channel receive is blocking wherever it is called from), chargedsend
-// follows transport.Message parameters through wrapper functions, and the
-// new lockorder/hotalloc analyzers are built on the same propagation.
+// may it block, may it allocate, which mutex classes does it acquire — and
+// exports the summaries as object facts so they propagate across package
+// boundaries through the vet driver's .vetx files. The summaries and the
+// locks analyzer read a function body through one walk (walkBody), so what
+// counts as a lock event, a blocking operation or a call is decided once.
 //
 // Propagation rules:
 //
@@ -23,10 +17,9 @@ package lint
 //   - Across packages, summaries are read back as facts: a call to an
 //     imported function merges that function's exported FuncFacts.
 //   - Interface dispatch resolves to the interface method object itself
-//     (e.g. transport.Link.Deliver), which carries facts seeded in its
-//     declaring package — either from the transport entry-point table
-//     below or from a //crew:blocks or //crew:allocs annotation on the
-//     method's declaration.
+//     (e.g. transport's Link.deliver), which carries the facts of a
+//     //crew:blocks or //crew:allocs annotation on the method's
+//     declaration.
 //   - Calls inside `go` statements contribute nothing to the caller's
 //     summary (the spawned goroutine blocks, allocates and locks on its
 //     own stack); the `go` statement itself is an allocation site.
@@ -40,6 +33,7 @@ import (
 	"go/token"
 	"go/types"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 
@@ -61,22 +55,9 @@ type FuncFacts struct {
 	// closure, make/new, map iteration, or a transitive call to a function
 	// that does. Sites silenced with //crew:allow hotalloc are excluded.
 	Allocs bool
-	// SendsRaw reports that the function (transitively) performs a raw
-	// wire delivery below the transport's charging front half
-	// (Link.Deliver): traffic entering it is never counted.
-	SendsRaw bool
-	// BypassBatch reports a physical-envelope send entry point whose call
-	// sites bypass the Batcher that charges logical messages
-	// (Handle.SendBatch).
-	BypassBatch bool
-	// SendsParam, when non-zero, is the 1-based index of a
-	// transport.Message parameter that the function forwards into a
-	// charged send entry point without setting its Mechanism: callers must
-	// charge the message they pass (chargedsend checks them).
-	SendsParam int8
 	// Locks lists the mutex classes (package.Type.field) the function may
-	// acquire, directly or transitively. lockorder uses it to extend
-	// acquisition edges through calls made while a lock is held.
+	// acquire, directly or transitively. The locks analyzer uses it to
+	// extend acquisition edges through calls made while a lock is held.
 	Locks []string
 }
 
@@ -91,15 +72,6 @@ func (f *FuncFacts) String() string {
 	if f.Allocs {
 		parts = append(parts, "allocs")
 	}
-	if f.SendsRaw {
-		parts = append(parts, "sendsraw")
-	}
-	if f.BypassBatch {
-		parts = append(parts, "bypassbatch")
-	}
-	if f.SendsParam != 0 {
-		parts = append(parts, "sendsparam="+string(rune('0'+f.SendsParam)))
-	}
 	if len(f.Locks) > 0 {
 		parts = append(parts, "locks("+strings.Join(f.Locks, ",")+")")
 	}
@@ -110,14 +82,11 @@ func (f *FuncFacts) String() string {
 }
 
 func (f *FuncFacts) empty() bool {
-	return !f.Blocks && !f.Allocs && !f.SendsRaw && !f.BypassBatch &&
-		f.SendsParam == 0 && len(f.Locks) == 0
+	return !f.Blocks && !f.Allocs && len(f.Locks) == 0
 }
 
 // merge folds a callee's summary into the caller's, for a call made on the
-// caller's goroutine. SendsParam and BypassBatch deliberately do not
-// propagate: they describe the callee's signature contract, not a
-// behavior the caller inherits.
+// caller's goroutine.
 func (f *FuncFacts) merge(c FuncFacts) bool {
 	changed := false
 	if c.Blocks && !f.Blocks {
@@ -126,25 +95,13 @@ func (f *FuncFacts) merge(c FuncFacts) bool {
 	if c.Allocs && !f.Allocs {
 		f.Allocs, changed = true, true
 	}
-	if c.SendsRaw && !f.SendsRaw {
-		f.SendsRaw, changed = true, true
-	}
 	for _, l := range c.Locks {
-		if !containsString(f.Locks, l) {
+		if !slices.Contains(f.Locks, l) {
 			f.Locks = append(f.Locks, l)
 			changed = true
 		}
 	}
 	return changed
-}
-
-func containsString(ss []string, s string) bool {
-	for _, v := range ss {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 // SummaryIndex is the Summaries analyzer's per-package result: a lookup
@@ -171,16 +128,10 @@ func (ix *SummaryIndex) FactsOf(fn *types.Func) FuncFacts {
 	return FuncFacts{}
 }
 
-// CalleeOf resolves the function object a call invokes: static callees
-// (functions, concrete methods) and interface methods. Calls through plain
-// function values and builtins resolve to nil.
-func (ix *SummaryIndex) CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	return calleeFunc(info, call)
-}
-
 // calleeFunc resolves call's target including interface methods, which
 // typeutil.StaticCallee deliberately excludes. The interface method object
-// is exactly what carries the seeded facts for dynamic dispatch.
+// is exactly what carries the annotated facts for dynamic dispatch. Calls
+// through plain function values and builtins resolve to nil.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	if fn := typeutil.StaticCallee(info, call); fn != nil {
 		return fn
@@ -200,7 +151,7 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 // the facts it exports) to reason across function and package boundaries.
 var Summaries = &analysis.Analyzer{
 	Name:       "summary",
-	Doc:        "compute per-function call summaries (may-block, may-allocate, acquired locks, send behavior) as facts",
+	Doc:        "compute per-function call summaries (may-block, may-allocate, acquired locks) as facts",
 	Requires:   []*analysis.Analyzer{inspect.Analyzer},
 	FactTypes:  []analysis.Fact{new(FuncFacts)},
 	ResultType: reflect.TypeOf((*SummaryIndex)(nil)),
@@ -224,20 +175,6 @@ var allocRootPkgs = map[string]bool{
 	"reflect":       true,
 }
 
-// transportSeeds are the transport package's charged-send entry points and
-// raw wire primitives, seeded when the summary pass analyzes the transport
-// package itself so every other package sees them as ordinary facts. The
-// Link.Deliver entry is an interface method: dynamic dispatch through any
-// Wire backend resolves to it.
-var transportSeeds = map[methodKey]FuncFacts{
-	{pkg: transportPath, recv: "Handle", name: "Send"}:           {SendsParam: 1},
-	{pkg: transportPath, recv: "Network", name: "Send"}:          {SendsParam: 1},
-	{pkg: transportPath, recv: "Batcher", name: "Add"}:           {SendsParam: 2},
-	{pkg: transportPath, recv: "ChildConn", name: "SendMessage"}: {SendsParam: 1},
-	{pkg: transportPath, recv: "Handle", name: "SendBatch"}:      {BypassBatch: true},
-	{pkg: transportPath, recv: "Link", name: "Deliver"}:          {SendsRaw: true, Blocks: true},
-}
-
 // factsAllPackages widens firstParty to every analyzed package; the
 // offline test harness sets it so fixture packages (whose import paths do
 // not carry the module prefix) get summaries.
@@ -257,44 +194,17 @@ func firstParty(path string) bool {
 
 func runSummaries(pass *analysis.Pass) (any, error) {
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	local := map[*types.Func]*FuncFacts{}
+	ix := &SummaryIndex{pass: pass, local: map[*types.Func]*FuncFacts{}}
 	if !firstParty(pass.Pkg.Path()) {
-		return &SummaryIndex{pass: pass, local: local}, nil
+		return ix, nil
 	}
 	get := func(fn *types.Func) *FuncFacts {
-		f := local[fn]
+		f := ix.local[fn]
 		if f == nil {
 			f = &FuncFacts{}
-			local[fn] = f
+			ix.local[fn] = f
 		}
 		return f
-	}
-	imported := func(fn *types.Func) FuncFacts {
-		if f, ok := local[fn]; ok {
-			return *f
-		}
-		var ff FuncFacts
-		if fn.Pkg() != nil && pass.ImportObjectFact(fn, &ff) {
-			return ff
-		}
-		return FuncFacts{}
-	}
-
-	// Seed the transport entry points when analyzing transport itself (or
-	// its testdata stand-in, which shares the import path).
-	if pass.Pkg.Path() == transportPath {
-		for k, ff := range transportSeeds {
-			if fn := lookupMethod(pass.Pkg, k.recv, k.name); fn != nil {
-				seeded := ff
-				get(fn).merge(seeded)
-				if seeded.SendsParam != 0 {
-					get(fn).SendsParam = seeded.SendsParam
-				}
-				if seeded.BypassBatch {
-					get(fn).BypassBatch = true
-				}
-			}
-		}
 	}
 
 	// Seed annotated declarations: //crew:blocks and //crew:allocs on a
@@ -304,20 +214,9 @@ func runSummaries(pass *analysis.Pass) (any, error) {
 	seedAnnotations(pass, get)
 
 	// Per-function direct attributes and same-package call edges. A
-	// //crew:nocharge annotation at a call site stops SendsRaw taint: the
-	// annotated funnel takes responsibility, so its callers stay clean.
-	// Likewise //crew:allow hotalloc at a call site stops Allocs taint: the
+	// //crew:allow hotalloc at a call site stops Allocs taint: the
 	// annotation vouches that the edge is a cold branch, so a hot caller of
 	// the enclosing function stays clean.
-	noRawMemo := map[token.Pos]bool{}
-	noRawAt := func(pos token.Pos) bool {
-		v, ok := noRawMemo[pos]
-		if !ok {
-			v = exemptedQuiet(pass, pos, "chargedsend")
-			noRawMemo[pos] = v
-		}
-		return v
-	}
 	allocAllowMemo := map[token.Pos]bool{}
 	allocAllowAt := func(pos token.Pos) bool {
 		v, ok := allocAllowMemo[pos]
@@ -327,48 +226,44 @@ func runSummaries(pass *analysis.Pass) (any, error) {
 		}
 		return v
 	}
-	type callsite struct {
-		fn   *types.Func // caller
-		call *ast.CallExpr
-		body *ast.BlockStmt // caller body, for charge analysis
-		sig  *types.Signature
-	}
 	type factEdge struct {
 		callee *types.Func
 		pos    token.Pos
 	}
 	edges := map[*types.Func][]factEdge{}
-	var sites []callsite
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		fd := n.(*ast.FuncDecl)
-		if fd.Body == nil {
-			return
-		}
 		fn, ok := pass.TypesInfo.ObjectOf(fd.Name).(*types.Func)
-		if !ok {
+		if fd.Body == nil || !ok {
 			return
 		}
 		ff := get(fn)
-		sig, _ := fn.Type().(*types.Signature)
-		directAttrs(pass, fd.Body, ff, func(call *ast.CallExpr) {
-			callee := calleeFunc(pass.TypesInfo, call)
-			if callee == nil {
-				return
-			}
-			sites = append(sites, callsite{fn, call, fd.Body, sig})
-			if callee.Pkg() == pass.Pkg {
-				edges[fn] = append(edges[fn], factEdge{callee, call.Pos()})
-			} else {
-				cf := imported(callee)
-				if cf.SendsRaw && noRawAt(call.Pos()) {
-					cf.SendsRaw = false
+		for _, op := range walkBody(pass, fd.Body) {
+			switch op.kind {
+			case opBlock:
+				ff.Blocks = true
+			case opLock:
+				if !op.lock.unlock && !slices.Contains(ff.Locks, op.lock.class) {
+					ff.Locks = append(ff.Locks, op.lock.class)
 				}
-				if cf.Allocs && allocAllowAt(call.Pos()) {
+			case opCall:
+				if op.callee.Pkg() == pass.Pkg {
+					edges[fn] = append(edges[fn], factEdge{op.callee, op.pos})
+					continue
+				}
+				cf := ix.FactsOf(op.callee)
+				if cf.Allocs && allocAllowAt(op.pos) {
 					cf.Allocs = false
 				}
 				ff.merge(cf)
 			}
-		})
+		}
+		for _, s := range allocSites(pass, fd.Body) {
+			if !exempted(pass, s.pos, "hotalloc") {
+				ff.Allocs = true
+				break
+			}
+		}
 	})
 
 	// Fixed point over the package-internal call graph.
@@ -377,14 +272,11 @@ func runSummaries(pass *analysis.Pass) (any, error) {
 		for fn, es := range edges {
 			ff := get(fn)
 			for _, e := range es {
-				cf, ok := local[e.callee]
+				cf, ok := ix.local[e.callee]
 				if !ok {
 					continue
 				}
 				c := *cf
-				if c.SendsRaw && noRawAt(e.pos) {
-					c.SendsRaw = false
-				}
 				if c.Allocs && allocAllowAt(e.pos) {
 					c.Allocs = false
 				}
@@ -395,109 +287,124 @@ func runSummaries(pass *analysis.Pass) (any, error) {
 		}
 	}
 
-	// SendsParam derivation: a function that forwards its own
-	// transport.Message parameter into a charged-send entry point, without
-	// setting the Mechanism itself, shifts the charging obligation to its
-	// callers. Iterated so wrappers of wrappers resolve.
-	for changed := true; changed; {
-		changed = false
-		for _, s := range sites {
-			caller := get(s.fn)
-			if caller.SendsParam != 0 {
-				continue
-			}
-			callee := calleeFunc(pass.TypesInfo, s.call)
-			if callee == nil {
-				continue
-			}
-			cf := imported(callee)
-			if cf.SendsParam == 0 || int(cf.SendsParam) > len(s.call.Args) {
-				continue
-			}
-			arg := ast.Unparen(s.call.Args[cf.SendsParam-1])
-			idx := paramIndexOf(pass, s.sig, arg)
-			if idx < 0 {
-				continue
-			}
-			if messageCharged(pass, s.body, arg) {
-				continue
-			}
-			if noRawAt(s.call.Pos()) {
-				// An annotated forwarding funnel relays pre-charged
-				// traffic; its callers owe nothing.
-				continue
-			}
-			caller.SendsParam = int8(idx + 1)
-			changed = true
-		}
-	}
-
 	// Export non-empty summaries.
-	fns := make([]*types.Func, 0, len(local))
-	for fn := range local {
+	fns := make([]*types.Func, 0, len(ix.local))
+	for fn := range ix.local {
 		fns = append(fns, fn)
 	}
 	sort.Slice(fns, func(i, j int) bool { return fns[i].Pos() < fns[j].Pos() })
 	for _, fn := range fns {
-		ff := local[fn]
+		ff := ix.local[fn]
 		if ff.empty() || fn.Pkg() != pass.Pkg {
 			continue
 		}
 		sort.Strings(ff.Locks)
 		pass.ExportObjectFact(fn, ff)
 	}
-	return &SummaryIndex{pass: pass, local: local}, nil
+	return ix, nil
 }
 
-// paramIndexOf reports which parameter of sig the expression refers to, or
-// -1. Only plain identifier references count: anything rebound or copied is
-// the function's own responsibility to charge.
-func paramIndexOf(pass *analysis.Pass, sig *types.Signature, e ast.Expr) int {
-	id, ok := e.(*ast.Ident)
-	if !ok || sig == nil {
-		return -1
-	}
-	obj := pass.TypesInfo.ObjectOf(id)
-	if obj == nil {
-		return -1
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if sig.Params().At(i) == obj {
-			return i
-		}
-	}
-	return -1
+// opKind classifies one operation walkBody finds in a function body.
+type opKind uint8
+
+const (
+	opLock  opKind = iota // Lock, RLock, Unlock or RUnlock on a sync mutex
+	opBlock               // parks by itself: channel op, select without default, blocking root
+	opCall                // any other call whose target resolves
+)
+
+// bodyOp is one operation of a function body.
+type bodyOp struct {
+	kind opKind
+	pos  token.Pos
+	// deferred marks an operation inside a defer statement: it runs at
+	// function exit, not where it is written.
+	deferred bool
+	lock     lockEvent   // opLock
+	what     string      // opBlock: what parks
+	callee   *types.Func // opCall
 }
 
-// lookupMethod finds a method (or interface method) recv.name, or a
-// package-level function when recv is empty, in pkg's scope.
-func lookupMethod(pkg *types.Package, recv, name string) *types.Func {
-	if recv == "" {
-		fn, _ := pkg.Scope().Lookup(name).(*types.Func)
-		return fn
-	}
-	tn, ok := pkg.Scope().Lookup(recv).(*types.TypeName)
-	if !ok {
-		return nil
-	}
-	if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
-		for i := 0; i < iface.NumExplicitMethods(); i++ {
-			if m := iface.ExplicitMethod(i); m.Name() == name {
-				return m
+// walkBody lists the lock events, blocking operations and calls of one
+// function body in source order. Nested function literals are left out
+// (they are functions of their own), and so is the call of a go statement
+// (it runs on another goroutine; its arguments are evaluated here and are
+// walked). The channel operations in a select's comm clauses belong to the
+// select: with a default it never parks, without one it is one blocking
+// operation.
+func walkBody(pass *analysis.Pass, body *ast.BlockStmt) []bodyOp {
+	type span struct{ from, to token.Pos }
+	var comms, defers []span
+	within := func(spans []span, pos token.Pos) bool {
+		for _, s := range spans {
+			if pos >= s.from && pos < s.to {
+				return true
 			}
 		}
-		return nil
+		return false
 	}
-	named, ok := tn.Type().(*types.Named)
-	if !ok {
-		return nil
+	var ops []bodyOp
+	add := func(op bodyOp) {
+		op.deferred = within(defers, op.pos)
+		ops = append(ops, op)
 	}
-	for i := 0; i < named.NumMethods(); i++ {
-		if m := named.Method(i); m.Name() == name {
-			return m
+	block := func(pos token.Pos, what string) {
+		if !within(comms, pos) {
+			add(bodyOp{kind: opBlock, pos: pos, what: what})
 		}
 	}
-	return nil
+	goCalls := map[*ast.CallExpr]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch st := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.GoStmt:
+			goCalls[st.Call] = true
+		case *ast.DeferStmt:
+			defers = append(defers, span{st.Pos(), st.End()})
+		case *ast.SelectStmt:
+			hasDefault := false
+			for _, c := range st.Body.List {
+				if cc := c.(*ast.CommClause); cc.Comm == nil {
+					hasDefault = true
+				} else {
+					comms = append(comms, span{cc.Comm.Pos(), cc.Comm.End()})
+				}
+			}
+			if !hasDefault {
+				block(st.Pos(), "select without default")
+			}
+		case *ast.SendStmt:
+			block(st.Pos(), "channel send")
+		case *ast.UnaryExpr:
+			if st.Op == token.ARROW {
+				block(st.Pos(), "channel receive")
+			}
+		case *ast.RangeStmt:
+			if t := pass.TypesInfo.TypeOf(st.X); t != nil {
+				if _, ok := t.Underlying().(*types.Chan); ok {
+					block(st.Pos(), "range over channel")
+				}
+			}
+		case *ast.CallExpr:
+			if goCalls[st] {
+				return true
+			}
+			if ev, ok := lockEventOf(pass, st); ok {
+				add(bodyOp{kind: opLock, pos: st.Pos(), lock: ev})
+			} else if k, ok := calleeKey(pass.TypesInfo, st); ok && blockingRoots[k] {
+				what := k.name
+				if k.recv != "" {
+					what = k.recv + "." + what
+				}
+				block(st.Pos(), what)
+			} else if callee := calleeFunc(pass.TypesInfo, st); callee != nil {
+				add(bodyOp{kind: opCall, pos: st.Pos(), callee: callee})
+			}
+		}
+		return true
+	})
+	return ops
 }
 
 // seedAnnotations applies //crew:blocks and //crew:allocs annotations on
@@ -546,90 +453,6 @@ func seedAnnotations(pass *analysis.Pass, get func(*types.Func) *FuncFacts) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// directAttrs scans one function body (excluding nested function literals
-// and the bodies of `go` statements' immediate calls) for direct summary
-// attributes, setting ff's bits and invoking onCall for every call
-// expression that should contribute callee facts.
-func directAttrs(pass *analysis.Pass, body *ast.BlockStmt, ff *FuncFacts, onCall func(*ast.CallExpr)) {
-	// Comm clauses of selects with a default never block.
-	type posRange struct{ from, to token.Pos }
-	var nonBlocking []posRange
-	inNonBlockingComm := func(pos token.Pos) bool {
-		for _, r := range nonBlocking {
-			if pos >= r.from && pos < r.to {
-				return true
-			}
-		}
-		return false
-	}
-	goCalls := map[*ast.CallExpr]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.FuncLit:
-			return false // nested functions summarize on their own
-		case *ast.GoStmt:
-			goCalls[st.Call] = true
-		case *ast.SelectStmt:
-			hasDefault := false
-			for _, c := range st.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-					hasDefault = true
-				}
-			}
-			if hasDefault {
-				for _, c := range st.Body.List {
-					if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
-						nonBlocking = append(nonBlocking, posRange{cc.Comm.Pos(), cc.Comm.End()})
-					}
-				}
-			} else {
-				ff.Blocks = true
-			}
-		case *ast.SendStmt:
-			if !inNonBlockingComm(st.Pos()) {
-				ff.Blocks = true
-			}
-		case *ast.UnaryExpr:
-			if st.Op == token.ARROW && !inNonBlockingComm(st.Pos()) {
-				ff.Blocks = true
-			}
-		case *ast.RangeStmt:
-			if t := pass.TypesInfo.TypeOf(st.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					ff.Blocks = true
-				}
-			}
-		case *ast.CallExpr:
-			if goCalls[st] {
-				// The spawned goroutine's behavior is its own; nested
-				// argument expressions still evaluate on this goroutine
-				// and are visited as separate nodes.
-				return true
-			}
-			if ev, ok := lockEventOf(pass, st); ok {
-				if !ev.unlock && ev.class != "" {
-					if !containsString(ff.Locks, ev.class) {
-						ff.Locks = append(ff.Locks, ev.class)
-					}
-				}
-				return true
-			}
-			if k, ok := calleeKey(pass.TypesInfo, st); ok && blockingRoots[k] {
-				ff.Blocks = true
-				return true
-			}
-			onCall(st)
-		}
-		return true
-	})
-	for _, s := range allocSites(pass, body) {
-		if !exempted(pass, s.pos, "hotalloc") {
-			ff.Allocs = true
-			break
 		}
 	}
 }

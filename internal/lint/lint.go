@@ -1,27 +1,20 @@
-// Package lint implements crewlint, a go/analysis suite that mechanically
-// enforces the repository's concurrency, determinism, and accounting
-// invariants. Each analyzer maps to a documented DESIGN.md invariant (see
-// the "Statically enforced invariants" section there):
+// Package lint implements crewlint, a go/analysis suite for the invariants
+// the code cannot make true by construction: determinism, locking, wire
+// exhaustiveness and allocation-free hot paths. Each analyzer maps to a
+// documented DESIGN.md invariant (see the "Statically enforced invariants"
+// section there, which also names what guarantees the checks that were
+// retired):
 //
 //   - detclock: no wall-clock reads or unseeded math/rand in deterministic
 //     packages (model, rules, analysis, itable, faults).
-//   - chargedsend: every transport Send/SendBatch/Batcher.Add call site
-//     must set the Message's Mechanism explicitly (the static guard for the
-//     byte-identical Tables 4-6 msgs/load accounting) or carry a
-//     //crew:nocharge annotation.
-//   - locksend: no channel operation or known-blocking call while a mutex
-//     is held in the same function body (deadlock prevention for the
-//     itable/store shard locks and the engine command queues).
-//   - errwrap: exported functions of the root crew package must not return
-//     naked errors.New / fmt.Errorf-without-%w errors; API errors wrap an
-//     internal/cerrors sentinel.
+//   - locks: no channel operation or blocking call while a mutex is held in
+//     the same function body, and a global mutex-acquisition-order graph
+//     across packages with no cycle and no acquisition against a declared
+//     //crew:lockrank ordering.
 //   - mapiter: no range over a map whose body (transitively, within the
 //     package) emits messages, posts events, or writes the WAL — map
 //     iteration order is nondeterministic and breaks replay and the exact
 //     Tables 4-6 comparisons; iterate a sorted copy instead.
-//   - lockorder: global mutex-acquisition-order graph across packages;
-//     reports cycles (potential deadlocks) and acquisitions violating a
-//     declared //crew:lockrank ordering.
 //   - wireframe: wire-protocol exhaustiveness — every frame type and every
 //     RegisterPayload-registered payload must have encode, decode, and
 //     handler arms, so adding a frame without handling it is a lint error,
@@ -32,18 +25,15 @@
 //
 // The suite is interprocedural: a shared fact layer (see facts.go) exports
 // a per-function summary — may it block, may it allocate, which lock
-// classes does it acquire, does it put a message on the transport — and
-// chargedsend, locksend, lockorder, and hotalloc consume the summaries, so
-// the invariants follow invariant-relevant behavior through wrappers,
-// across package boundaries, and through interface dispatch
-// (transport.Link.Deliver is seeded) instead of pattern-matching a fixed
-// list of direct callees.
+// classes does it acquire — and locks and hotalloc consume the summaries,
+// so the invariants follow behavior through wrappers, across package
+// boundaries, and through interface dispatch instead of pattern-matching a
+// fixed list of direct callees.
 //
 // False positives are silenced in place with an annotation comment on the
 // offending line or the line directly above it:
 //
-//	//crew:nocharge <reason>          (chargedsend only)
-//	//crew:allow <analyzer> <reason>  (any analyzer)
+//	//crew:allow <analyzer> <reason>
 //
 // Behavior that the analysis cannot see is declared where it lives:
 //
@@ -71,17 +61,14 @@ import (
 // automatically as a dependency of the analyzers that consume its facts.
 var Analyzers = []*analysis.Analyzer{
 	DetClock,
-	ChargedSend,
-	LockSend,
-	ErrWrap,
+	Locks,
 	MapIter,
-	LockOrder,
 	WireFrame,
 	HotAlloc,
 }
 
-// transportPath is the import path of the simulated messaging layer whose
-// send entry points chargedsend and mapiter guard.
+// transportPath is the import path of the messaging layer whose send entry
+// points mapiter treats as sinks and whose frames wireframe checks.
 const transportPath = "crew/internal/transport"
 
 // methodKey names a function or method by package path, receiver type name
@@ -136,13 +123,10 @@ func fileFor(pass *analysis.Pass, pos token.Pos) *ast.File {
 }
 
 // exempted reports whether the line containing pos, or the line directly
-// above it, carries an annotation silencing the named analyzer:
-//
-//	//crew:nocharge <reason>            (analyzer "chargedsend")
-//	//crew:allow <analyzer> <reason>
-//
-// An annotation without a reason does not exempt anything; instead it is
-// reported so stale or lazy annotations cannot accumulate.
+// above it, carries a //crew:allow <analyzer> <reason> annotation silencing
+// the named analyzer. An annotation without a reason does not exempt
+// anything; instead it is reported so stale or lazy annotations cannot
+// accumulate.
 func exempted(pass *analysis.Pass, pos token.Pos, analyzer string) bool {
 	return exemptionFor(pass, pos, analyzer, true)
 }
@@ -167,24 +151,15 @@ func exemptionFor(pass *analysis.Pass, pos token.Pos, analyzer string, report bo
 				continue
 			}
 			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			var reason string
-			switch {
-			case strings.HasPrefix(text, "crew:nocharge"):
-				if analyzer != "chargedsend" {
-					continue
-				}
-				reason = strings.TrimSpace(strings.TrimPrefix(text, "crew:nocharge"))
-			case strings.HasPrefix(text, "crew:allow"):
-				rest := strings.TrimSpace(strings.TrimPrefix(text, "crew:allow"))
-				name, r, _ := strings.Cut(rest, " ")
-				if name != analyzer {
-					continue
-				}
-				reason = strings.TrimSpace(r)
-			default:
+			rest, ok := strings.CutPrefix(text, "crew:allow")
+			if !ok {
 				continue
 			}
-			if reason == "" {
+			name, reason, _ := strings.Cut(strings.TrimSpace(rest), " ")
+			if name != analyzer {
+				continue
+			}
+			if strings.TrimSpace(reason) == "" {
 				if report {
 					pass.Reportf(pos, "crew annotation needs a reason: %s", text)
 				}

@@ -1,8 +1,8 @@
 // Package transport is a minimal stub of crew/internal/transport for the
-// analyzer tests: the method sets and the Mechanism field name must match
-// the real package, the behavior is irrelevant. Methods whose real
-// implementations park the goroutine carry //crew:blocks annotations, the
-// same way the real package declares behavior the analysis cannot see.
+// analyzer tests: the method names must match the real package, the
+// behavior is irrelevant. Methods whose real implementations park the
+// goroutine carry //crew:blocks annotations, the same way the real package
+// declares behavior the analysis cannot see.
 package transport
 
 type Message struct {
@@ -30,15 +30,16 @@ type Batcher struct{}
 
 func (b *Batcher) Add(to int, m Message) {}
 
-// Link is the backend send primitive below the charging front half.
+// Link stands in for an interface whose method parks: the real Link's
+// delivery method is unexported, so only the transport package can call
+// it; here it is exported so a fixture can call it through the interface.
 type Link interface {
+	//crew:blocks
 	Deliver(m Message) error
 	Close() error
 }
 
 type ChildConn struct{}
-
-func (c *ChildConn) SendMessage(m Message) error { return nil }
 
 //crew:blocks
 func (c *ChildConn) Serve(deliver func(m Message)) error { return nil }
@@ -47,12 +48,6 @@ type RemoteHub struct{}
 
 //crew:blocks
 func (h *RemoteHub) WaitConnected(names ...string) error { return nil }
-
-// NewNetwork returns an empty stub network.
-func NewNetwork() *Network { return &Network{} }
-
-// Deprecated: use NewNetwork.
-func New() *Network { return NewNetwork() }
 
 // RegisterPayload mirrors the real payload registry entry point: one payload
 // type per call, with its codec.

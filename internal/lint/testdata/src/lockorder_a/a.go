@@ -78,7 +78,7 @@ func rankViolation(r *ranked) {
 
 func rankAllowed(r *ranked) {
 	r.high.Lock()
-	//crew:allow lockorder fixture: init-time only, no concurrent holders
+	//crew:allow locks fixture: init-time only, no concurrent holders
 	r.low.Lock()
 	r.low.Unlock()
 	r.high.Unlock()

@@ -88,6 +88,6 @@ func (q *queue) goroutineBody() {
 func (q *queue) allowed() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	//crew:allow locksend diagnostics channel is buffered and never full
+	//crew:allow locks diagnostics channel is buffered and never full
 	q.ch <- 1
 }

@@ -57,7 +57,6 @@ func RunChild(cfg *ChildConfig, lib *model.Library, programs *model.Registry) er
 	// message) and released here. SendMessage's error is dropped: a failed
 	// write has closed the connection and Serve is returning it.
 	toHub := func(m transport.Message) {
-		//crew:nocharge forwards a message the agent already charged; the hub re-counts it
 		conn.SendMessage(m)
 		if env, ok := m.Payload.(*transport.Envelope); ok && m.Kind == transport.KindEnvelope {
 			env.Release()

@@ -253,7 +253,6 @@ func (c *Cluster) Start(workflow string, inputs map[string]expr.Value) (int, err
 	if err != nil {
 		return 0, err
 	}
-	//crew:nocharge StartMessage sets Mechanism in its constructor
 	if err := c.net.Send(distributed.StartMessage(FrontendNode, to, workflow, id, inputs, FrontendNode)); err != nil {
 		return 0, err
 	}
@@ -275,25 +274,29 @@ func (c *Cluster) Status(workflow string, id int) (wfdb.Status, bool) {
 
 // Abort requests a user abort via the instance's coordination agent.
 func (c *Cluster) Abort(workflow string, id int) error {
-	if st, ok := c.term.Status(workflow, id); ok && st != wfdb.Running {
-		return fmt.Errorf("mproc: %w: %s.%d is %v", cerrors.ErrNotRunning, workflow, id, st)
-	}
-	to, err := c.coordinator(workflow, id)
+	to, err := c.runningCoordinator(workflow, id)
 	if err != nil {
 		return err
 	}
-	//crew:nocharge AbortMessage sets Mechanism in its constructor
 	return c.net.Send(distributed.AbortMessage(FrontendNode, to, workflow, id))
 }
 
 // ChangeInputs requests an input change via the coordination agent.
 func (c *Cluster) ChangeInputs(workflow string, id int, inputs map[string]expr.Value) error {
-	to, err := c.coordinator(workflow, id)
+	to, err := c.runningCoordinator(workflow, id)
 	if err != nil {
 		return err
 	}
-	//crew:nocharge ChangeInputsMessage sets Mechanism in its constructor
 	return c.net.Send(distributed.ChangeInputsMessage(FrontendNode, to, workflow, id, inputs))
+}
+
+// runningCoordinator is the coordination agent a request about a running
+// instance goes to; a finished instance is refused before anything is sent.
+func (c *Cluster) runningCoordinator(workflow string, id int) (string, error) {
+	if st, ok := c.term.Status(workflow, id); ok && st != wfdb.Running {
+		return "", fmt.Errorf("mproc: %w: %s.%d is %v", cerrors.ErrNotRunning, workflow, id, st)
+	}
+	return c.coordinator(workflow, id)
 }
 
 // Quiesce waits for the hub network to go idle or stall.

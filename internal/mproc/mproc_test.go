@@ -140,6 +140,18 @@ func TestClusterRuns(t *testing.T) {
 	if _, err := cl.Wait(wf, 999, 10*time.Millisecond); !errors.Is(err, cerrors.ErrTimeout) {
 		t.Errorf("Wait on an instance that never started = %v, want ErrTimeout", err)
 	}
+	// A request about a finished instance is refused at the front end:
+	// nothing is sent, so nothing is charged.
+	changes := cl.Collector().Messages(metrics.InputChange)
+	if err := cl.ChangeInputs(wf, 1, nil); !errors.Is(err, cerrors.ErrNotRunning) {
+		t.Errorf("ChangeInputs on a committed instance = %v, want ErrNotRunning", err)
+	}
+	if err := cl.Abort(wf, 1); !errors.Is(err, cerrors.ErrNotRunning) {
+		t.Errorf("Abort on a committed instance = %v, want ErrNotRunning", err)
+	}
+	if got := cl.Collector().Messages(metrics.InputChange); got != changes {
+		t.Errorf("InputChange messages %d -> %d for a refused request", changes, got)
+	}
 }
 
 // TestClusterChaos kills a real agent OS process mid-run (SIGKILL via the
@@ -249,7 +261,6 @@ func TestChildGoroutinesIndependentOfPeers(t *testing.T) {
 			t.Fatalf("agent never connected: %v", err)
 		}
 		// A delivery and its ACK: the agent is past recovery and serving.
-		//crew:nocharge goroutine-dump test drives one raw delivery; no accounting under test
 		if err := n.Send(transport.Message{From: FrontendNode, To: name, Kind: "Noop"}); err != nil {
 			t.Fatal(err)
 		}

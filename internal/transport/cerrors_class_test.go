@@ -61,7 +61,7 @@ func TestWireErrorClassification(t *testing.T) {
 	t.Run("peer killed", func(t *testing.T) {
 		// A child claims its node, then its process dies (the connection
 		// drops and the supervisor marks the node crashed). A subsequent
-		// Deliver must fail fast with the peer-crashed code rather than
+		// deliver must fail fast with the peer-crashed code rather than
 		// block waiting for a claim that will not come.
 		n, hub := newHub(t)
 		if err := hub.RegisterRemote("a"); err != nil {
@@ -84,10 +84,10 @@ func TestWireErrorClassification(t *testing.T) {
 		// reader a moment to detach before asserting.
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			err := p.Deliver(Message{From: "b", To: "a", Kind: "k"})
+			err := p.deliver(Message{From: "b", To: "a", Kind: "k"})
 			if err == nil {
 				if time.Now().After(deadline) {
-					t.Fatal("Deliver kept succeeding after the peer died")
+					t.Fatal("deliver kept succeeding after the peer died")
 				}
 				time.Sleep(time.Millisecond)
 				continue

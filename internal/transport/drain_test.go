@@ -33,7 +33,7 @@ func (r *passRig) record(m Message) {
 // hookLink is a Link whose far side is the rig.
 type hookLink struct{ r *passRig }
 
-func (l hookLink) Deliver(m Message) error { l.r.record(m); return nil }
+func (l hookLink) deliver(m Message) error { l.r.record(m); return nil }
 func (l hookLink) Close() error            { return nil }
 
 // passSinks lists the three sinks. retires says whether a pass into the sink
@@ -65,7 +65,7 @@ var passSinks = []struct {
 		// The pump's drainer (see node.pump), fed by hand.
 		r.d = &drainer{nd: r.ep.nd, mb: &r.ep.nd.in}
 		var l Link = hookLink{r}
-		r.sink = l.Deliver
+		r.sink = l.deliver
 	}},
 }
 

@@ -31,7 +31,7 @@ import (
 // acknowledgements (ACK) and program-execution events (EXEC, feeding a
 // cross-process coordination-invariant checker).
 //
-// Delivery to a child is write-and-track rather than write-and-wait: Deliver
+// Delivery to a child is write-and-track rather than write-and-wait: deliver
 // appends the message to the node's unacked tail, writes the frame and
 // returns, and the child's ACK — sent only after the child has fully
 // processed the delivery — retires it from the in-flight count. The child
@@ -225,7 +225,7 @@ func (h *RemoteHub) WaitConnected(ctx context.Context, names ...string) error {
 }
 
 // Close shuts the hub down: the listener and every child connection close,
-// which fails in-flight Delivers and joins the reader goroutines. Idempotent;
+// which fails in-flight delivers and joins the reader goroutines. Idempotent;
 // Network.Close calls it through the backend registration.
 func (h *RemoteHub) Close() error {
 	if h.closed.Swap(true) {
@@ -355,14 +355,14 @@ type remotePeer struct {
 	keys    []string // appendMessage's sort scratch
 }
 
-// Deliver carries one message toward the child. With a claimed connection it
+// deliver carries one message toward the child. With a claimed connection it
 // appends the message to the unacked tail and writes the frame — returning
 // nil even if the write fails, because the message is tracked for replay and
 // popping it back out would race the ACK stream. With no connection it waits
 // for a claim, failing fast once the node is marked down so the pump parks
 // the remainder (keeping AwaitStall's stalled-network signal sharp) and
 // polling the liveness flag so a crash during the wait cannot strand it.
-func (p *remotePeer) Deliver(m Message) error {
+func (p *remotePeer) deliver(m Message) error {
 	for {
 		p.mu.Lock()
 		if p.conn != nil {
@@ -426,7 +426,7 @@ func (p *remotePeer) writeLocked(frames []byte) bool {
 // attach installs a claimed connection: welcome the child with the current
 // roster and liveness, replay the unacked tail in order (nothing new can be
 // written while p.mu is held, so replay precedes all fresh traffic), then
-// release waiting Delivers.
+// release waiting delivers.
 func (p *remotePeer) attach(c net.Conn) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

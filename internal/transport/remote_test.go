@@ -222,7 +222,7 @@ func TestRemoteDeliverFailsFastWhenDown(t *testing.T) {
 	defer cancel()
 	stalled, err := n.AwaitStall(ctx)
 	if err != nil {
-		t.Fatalf("AwaitStall: %v (Deliver must not block while the node is down)", err)
+		t.Fatalf("AwaitStall: %v (deliver must not block while the node is down)", err)
 	}
 	if !stalled {
 		t.Fatal("want stalled network")

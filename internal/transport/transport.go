@@ -254,14 +254,14 @@ func (nd *node) consume(m Message) error {
 	return nil
 }
 
-// pump is a link node's delivery goroutine: drain passes into link.Deliver.
+// pump is a link node's delivery goroutine: drain passes into link.deliver.
 // A delivery failure is handled like a crash cut-off — the message and the
 // batch remainder go back to the queue front for replay — and what retires a
 // delivered message is the far side: the consumer's pass over rx for a local
 // node, the peer's ack for a remote one.
 func (nd *node) pump() {
 	d := drainer{nd: nd, mb: &nd.in}
-	d.run(nd.link.Deliver)
+	d.run(nd.link.deliver)
 }
 
 // drainer is a mailbox's single consumer: the state its passes reuse.
@@ -838,7 +838,7 @@ func (n *Network) Nodes() []string {
 //
 // The wake-ups come after the closed flag is set, so every drainer, asleep or
 // mid-pass, observes it. The backends are closed before the join because a
-// pump can be inside a Deliver that only the backend's teardown fails.
+// pump can be inside a deliver that only the backend's teardown fails.
 func (n *Network) Close() {
 	n.mu.Lock()
 	if n.closed.Load() {

@@ -15,7 +15,7 @@ import "crew/internal/metrics"
 //   - Listen binds the receive side for a node and returns the Link the
 //     Network delivers through. The sink passed to Listen is invoked with
 //     each decoded message, in frame order, on the backend's receive side.
-//   - Deliver(m) carries one physical message (which may be a batched
+//   - deliver(m) carries one physical message (which may be a batched
 //     *Envelope) across the backend and does not return success until the
 //     sink call for that frame has returned. This synchronous handoff is what
 //     lets the front half keep park/replay atomicity: a crash observed by the
@@ -23,6 +23,8 @@ import "crew/internal/metrics"
 //     be half-delivered to a down node or reordered around a recovery.
 //   - Close tears the backend down and does not return until every
 //     outstanding sink invocation has returned.
+//
+// Backends live in this package: the Link a backend returns is sealed.
 //
 // The in-process backend is the nil Wire: with NetworkConfig.Wire unset there
 // is no pump and no second mailbox, the consumer drains the mailbox senders
@@ -32,26 +34,31 @@ type Wire interface {
 	// frames addressed to the node are decoded and handed to sink in order.
 	Listen(node string, sink Sink) (Link, error)
 	// Close shuts the backend down, releasing sockets and joining reader
-	// goroutines. It must be safe to call concurrently with Deliver.
+	// goroutines. It must be safe to call concurrently with deliver.
 	Close() error
 }
 
 // Sink takes one message at the end of a hop. A drain pass hands each message
-// it delivers to one (an actor's turn, a Link's Deliver, a send on an Inbox
+// it delivers to one (an actor's turn, a Link's deliver, a send on an Inbox
 // channel) and treats an error as "not taken": the message is replayed. A
 // backend is given one by Listen and calls it with each decoded inbound
 // message; the Network's appends to the node's consumer-side mailbox and
 // neither blocks nor fails.
 type Sink func(m Message) error
 
-// Link is the Network's send side to one node over a Wire backend.
+// Link is the Network's send side to one node over a Wire backend. Its
+// delivery method is unexported, so the link is sealed: only this package
+// implements it and only the node's pump calls it, behind the front half
+// that counts, sequences and parks every message.
 type Link interface {
-	// Deliver carries one physical message to the node and returns after the
+	// deliver carries one physical message to the node and returns after the
 	// node's sink has consumed it (see the Wire contract). A delivered
 	// envelope's ownership passes to the backend: it releases the pooled
 	// *Envelope after a successful round trip and leaves it intact on error
 	// so the pump can replay it.
-	Deliver(m Message) error
+	//
+	//crew:blocks
+	deliver(m Message) error
 	// Close releases the link's resources.
 	Close() error
 }

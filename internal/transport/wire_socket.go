@@ -23,9 +23,9 @@ const socketReadBuf = 4 << 10
 // serialization (the length-prefixed binary frame codec in frame.go) and a
 // kernel round trip, which is what the wire-mode benchmarks measure.
 //
-// Deliver is synchronous per the Wire contract: the frame is written, the
+// deliver is synchronous per the Wire contract: the frame is written, the
 // listener-side reader decodes it and runs the node's sink, and a one-byte
-// ack frame travels back before Deliver returns. At most one frame per node
+// ack frame travels back before deliver returns. At most one frame per node
 // is ever inside the socket, so a crash observed by the Network's pump is
 // always at a frame boundary and park/replay semantics are byte-identical to
 // the in-process backend.
@@ -227,11 +227,11 @@ func (l *socketLink) failure(err error, op string) error {
 	return cerrors.E(cerrors.CodePeerCrashed, cerrors.PhaseDeliver, cerrors.ErrWire, err, "%s to node %q", op, l.node)
 }
 
-// Deliver implements Link: encode, write, await the ack that the sink
+// deliver implements Link: encode, write, await the ack that the sink
 // consumed the frame. On success a batched envelope's ownership has passed to
 // the receive side (which got a fresh pooled copy), so the original is
 // released here; on error it is left intact for the pump to replay.
-func (l *socketLink) Deliver(m Message) error {
+func (l *socketLink) deliver(m Message) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	framed, err := appendMessageFrame(l.scratch[:0], m, &l.keys)
