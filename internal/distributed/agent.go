@@ -54,9 +54,10 @@ type Config struct {
 	Alive func(name string) bool
 	// Terminal optionally shares a terminal-status registry across the
 	// deployment. The coordination agent publishes every commit/abort into
-	// it; completion waiters subscribe to it, and the other agents retire
-	// their replicas against it without exchanging a single message. Nil
-	// keeps a private registry (standalone agents).
+	// it; completion waiters subscribe to it, and the other agents follow its
+	// completion feed and retire their replicas at their next turn without
+	// exchanging a single message. Nil keeps a private registry (standalone
+	// agents).
 	Terminal *itable.Terminal
 	// OnRetired, if set, is called after the agent archives and evicts a
 	// replica of a terminated instance (the deployment evicts its routing
@@ -160,7 +161,7 @@ type Agent struct {
 	net *transport.Network
 	rec metrics.NodeRecorder
 
-	replicas map[string]*replica
+	replicas map[itable.Ref]*replica
 	// loads caches StateInformation replies (explicit-election ablation).
 	loads map[string]int64
 	// execCount is this agent's total program executions.
@@ -170,6 +171,13 @@ type Agent struct {
 	// configured, else a private in-memory database).
 	term *itable.Terminal
 	adb  *wfdb.DB
+	// cursor is where the agent stands in term's completion feed, finished
+	// the buffer it reads the feed into; inTurn marks a message turn under
+	// way, so a message the agent sends itself retires nothing
+	// (retireFinished).
+	cursor   uint64
+	finished []itable.Ref
+	inTurn   bool
 	// purges queues the instances finished here since the last sweep, for its
 	// purge broadcast (Config.PurgeOnCommit). Like any unflushed send it dies
 	// with the process.
@@ -204,7 +212,7 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 		cfg:      cfg,
 		net:      net,
 		rec:      cfg.Collector.Node(cfg.Name),
-		replicas: make(map[string]*replica),
+		replicas: make(map[itable.Ref]*replica),
 		loads:    make(map[string]int64),
 		term:     cfg.Terminal,
 		adb:      cfg.AGDB,
@@ -215,6 +223,7 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 	if a.adb == nil {
 		a.adb = wfdb.NewMemory()
 	}
+	a.cursor = a.term.Follow()
 	a.coordSteps = coord.NewTracker(cfg.Library).CoordinatedSteps()
 	for _, spec := range cfg.Library.Coord {
 		if spec.Kind == model.RollbackDep {
@@ -231,7 +240,7 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 	// Only while the agent holds replicas is there anything to heal, report or
 	// retire, and only with purges queued anything to broadcast, so the sweep's
 	// timer is armed on those conditions alone.
-	a.Launch(a.handleMessage, &actor.Timer{
+	a.Launch(a.receive, &actor.Timer{
 		Every: cfg.sweepPeriod,
 		Busy:  func() bool { return len(a.replicas) > 0 || len(a.purges) > 0 },
 		Tick:  a.sweep,
@@ -287,17 +296,23 @@ func (a *Agent) executorOf(r *replica, step model.StepID) string {
 // replica for them would resurrect the instance in the live tables.
 var errRetired = errors.New("instance already terminated")
 
+// replicaKey is the replica table's key for an instance: comparable as it is,
+// so a lookup builds no string.
+func replicaKey(workflow string, id int) itable.Ref {
+	return itable.Ref{Workflow: workflow, ID: id}
+}
+
 // getReplica returns (creating if needed) the replica of an instance,
 // installing the execution rules for every step this agent is eligible for.
 // Instances recorded terminal in the registry are never recreated; callers
 // get errRetired instead.
 func (a *Agent) getReplica(workflow string, id int) (*replica, error) {
-	key := wfdb.InstanceKeyOf(workflow, id)
+	key := replicaKey(workflow, id)
 	if r, ok := a.replicas[key]; ok {
 		return r, nil
 	}
 	if st, ok := a.term.Status(workflow, id); ok && st != wfdb.Running {
-		return nil, fmt.Errorf("%s: %w", key, errRetired)
+		return nil, fmt.Errorf("%s.%d: %w", workflow, id, errRetired)
 	}
 	schema := a.cfg.Library.Schema(workflow)
 	if schema == nil {
@@ -378,7 +393,7 @@ func (a *Agent) RecoverReplicas(notify string) error {
 			if err != nil {
 				continue
 			}
-			if _, ok := a.replicas[key]; ok {
+			if _, ok := a.replicas[replicaKey(wf, id)]; ok {
 				continue
 			}
 			if st, ok := a.term.Status(wf, id); ok && st != wfdb.Running {
@@ -399,7 +414,7 @@ func (a *Agent) RecoverReplicas(notify string) error {
 			r.epoch = ins.Epoch
 			r.coordinator = ins.Coordinator
 			r.recovery = metrics.Failure
-			a.replicas[key] = r
+			a.replicas[replicaKey(wf, id)] = r
 		}
 		for _, r := range a.sortedReplicas(nil) {
 			a.evaluate(r)
@@ -469,7 +484,7 @@ func (a *Agent) persist(r *replica) {
 func (a *Agent) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
 	var out *wfdb.Instance
 	a.Do(func() {
-		if r, ok := a.replicas[wfdb.InstanceKeyOf(workflow, id)]; ok {
+		if r, ok := a.replicas[replicaKey(workflow, id)]; ok {
 			out = r.ins.Clone()
 		}
 	})
@@ -489,7 +504,7 @@ func (a *Agent) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
 func (a *Agent) HasReplica(workflow string, id int) bool {
 	var ok bool
 	a.Do(func() {
-		_, ok = a.replicas[wfdb.InstanceKeyOf(workflow, id)]
+		_, ok = a.replicas[replicaKey(workflow, id)]
 	})
 	return ok
 }
@@ -535,7 +550,6 @@ func (a *Agent) Terminal() *itable.Terminal { return a.term }
 // compensation-dependent sets can still reference the instance (those only
 // exist while the instance is Running).
 func (a *Agent) retireReplica(r *replica, st wfdb.Status) {
-	key := r.ins.Key()
 	r.ins.Status = st
 	r.purged = true // callers unwinding with r in hand must not persist it back
 	r.dirty = false
@@ -552,7 +566,7 @@ func (a *Agent) retireReplica(r *replica, st wfdb.Status) {
 		a.Send(r.ins.NotifyTo, metrics.Normal, KindWorkflowDone,
 			WorkflowDone{Workflow: r.ins.Workflow, Instance: r.ins.ID, Status: st})
 	}
-	delete(a.replicas, key)
+	delete(a.replicas, replicaKey(r.ins.Workflow, r.ins.ID))
 	if a.cfg.OnRetired != nil {
 		a.cfg.OnRetired(r.ins.Workflow, r.ins.ID)
 	}
@@ -565,7 +579,7 @@ func (a *Agent) retireReplica(r *replica, st wfdb.Status) {
 func (a *Agent) dropReplica(r *replica) {
 	r.purged = true // callers unwinding with r in hand must not persist it back
 	r.dirty = false
-	delete(a.replicas, r.ins.Key())
+	delete(a.replicas, replicaKey(r.ins.Workflow, r.ins.ID))
 	if a.cfg.OnRetired != nil {
 		a.cfg.OnRetired(r.ins.Workflow, r.ins.ID)
 	}
@@ -579,7 +593,7 @@ func (a *Agent) dropReplica(r *replica) {
 func (a *Agent) DebugState(workflow string, id int) string {
 	var out string
 	a.Do(func() {
-		r, ok := a.replicas[wfdb.InstanceKeyOf(workflow, id)]
+		r, ok := a.replicas[replicaKey(workflow, id)]
 		if !ok {
 			out = "(no replica)"
 			return
@@ -646,7 +660,7 @@ func (a *Agent) statusLocked(workflow string, id int) (wfdb.Status, bool) {
 			return st, true
 		}
 	}
-	if r, found := a.replicas[wfdb.InstanceKeyOf(workflow, id)]; found {
+	if r, found := a.replicas[replicaKey(workflow, id)]; found {
 		return r.ins.Status, true
 	}
 	return 0, false

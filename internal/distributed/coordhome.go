@@ -88,7 +88,7 @@ func (a *Agent) OnRequest(req coord.Request) {
 // OnResolve records the wait events the home returned (AddPrecondition) and
 // retries the step.
 func (a *Agent) OnResolve(p coord.Resolve) {
-	r, ok := a.replicas[wfdb.InstanceKeyOf(p.Inst.Workflow, p.Inst.ID)]
+	r, ok := a.replicas[replicaKey(p.Inst.Workflow, p.Inst.ID)]
 	if !ok {
 		return
 	}

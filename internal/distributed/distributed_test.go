@@ -926,13 +926,6 @@ func TestPacketRendersLikeFigure7(t *testing.T) {
 			t.Errorf("packet rendering missing %q:\n%s", want, out)
 		}
 	}
-	// Clone isolation.
-	c := p.Clone()
-	c.Data["WF.I1"] = expr.Num(0)
-	c.Events[0] = "mutated"
-	if !p.Data["WF.I1"].Equal(expr.Num(90)) || p.Events[0] != "WF.start" {
-		t.Error("Clone shares state")
-	}
 }
 
 func containsLine(s, sub string) bool {
@@ -1455,6 +1448,15 @@ func TestHaltProbeOrderDeterministic(t *testing.T) {
 			mu.Unlock()
 		})
 		runToStatus(t, sys, "HaltOrder", nil, wfdb.Committed)
+		// The commit can land inside a turn that still has probes to flush:
+		// read the trace once every turn has ended, not half way through a
+		// burst.
+		ctx, cancel := context.WithTimeout(context.Background(), waitTimeout)
+		err := sys.Network().Quiesce(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
 		sys.Network().Trace(nil)
 
 		mu.Lock()

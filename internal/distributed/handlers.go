@@ -20,6 +20,28 @@ import (
 	"crew/internal/wfdb"
 )
 
+// receive is the handler of every message the agent is given. A message turn
+// starts by retiring the replicas of instances finished since the agent last
+// looked; a message the agent sends itself is handled inside the sending
+// turn, where the sender may hold a replica, and retires nothing.
+func (a *Agent) receive(m transport.Message) {
+	if a.inTurn {
+		a.handleMessage(m)
+		return
+	}
+	a.inTurn = true
+	a.retireFinished()
+	a.handleMessage(m)
+	a.inTurn = false
+	if afterMessage != nil {
+		afterMessage(a)
+	}
+}
+
+// afterMessage, when set, runs after every message turn on the agent's
+// goroutine. Only tests set it, to check invariants between turns.
+var afterMessage func(a *Agent)
+
 func (a *Agent) handleMessage(m transport.Message) {
 	switch p := m.Payload.(type) {
 	case workflowStart:
@@ -75,9 +97,8 @@ func (a *Agent) handleWorkflowStart(p workflowStart) error {
 	if schema == nil {
 		return fmt.Errorf("unknown workflow class %q", p.Workflow)
 	}
-	key := wfdb.InstanceKeyOf(p.Workflow, p.Instance)
-	if _, dup := a.replicas[key]; dup {
-		return fmt.Errorf("instance %s already exists", key)
+	if _, dup := a.replicas[replicaKey(p.Workflow, p.Instance)]; dup {
+		return fmt.Errorf("instance %s.%d already exists", p.Workflow, p.Instance)
 	}
 	r, err := a.getReplica(p.Workflow, p.Instance)
 	if err != nil {
@@ -149,7 +170,6 @@ func (a *Agent) handleStepExecute(p stepExecute, from string) {
 		}
 	}
 	a.mergeFiltered(r, pkt.Data, pkt.Events, pkt.Epoch)
-	a.syncStatusFromEvents(r)
 	// Anti-entropy: a sender operating at an older epoch has missed a
 	// rollback; tell it to catch up so its threads quiesce and re-execute.
 	if pkt.Epoch < r.epoch && r.lastHalt != nil && from != "" && from != a.cfg.Name {
@@ -162,7 +182,12 @@ func (a *Agent) handleStepExecute(p stepExecute, from string) {
 // mergeFiltered merges incoming state per step: entries belonging to a step
 // that was reset at a later epoch than the sender's view are stale and
 // skipped; everything else merges. The step of a data item is its name
-// prefix ("S2" of "S2.O1"); events name their step directly.
+// prefix ("S2" of "S2.O1"); events name their step directly. A step whose
+// done event merges is marked done in the replica's step table (knowledge of
+// a step executed elsewhere). Every other writer of a done event records the
+// step done as well, so the replica needs no second pass over its events.
+// The incoming maps and slices are only read; a packet is shared by all its
+// recipients.
 func (a *Agent) mergeFiltered(r *replica, data map[string]expr.Value, events []string, senderEpoch int) {
 	// fresh(step) == senderEpoch >= r.resetEpoch[step], written out inline to
 	// keep this (very hot) merge free of a closure allocation per call.
@@ -178,40 +203,28 @@ func (a *Agent) mergeFiltered(r *replica, data map[string]expr.Value, events []s
 	}
 	for _, name := range events {
 		sid := event.StepOfDone(name)
-		if sid != "" {
-			id := model.StepID(sid)
-			if senderEpoch < r.resetEpoch[id] {
-				continue
+		if sid == "" {
+			if !r.ins.Events.Has(name) {
+				r.ins.Events.Post(name)
 			}
-			if senderEpoch > r.doneEpoch[id] {
-				r.doneEpoch[id] = senderEpoch
-			}
+			continue
+		}
+		id := model.StepID(sid)
+		if senderEpoch < r.resetEpoch[id] {
+			continue
+		}
+		if senderEpoch > r.doneEpoch[id] {
+			r.doneEpoch[id] = senderEpoch
 		}
 		if !r.ins.Events.Has(name) {
 			r.ins.Events.Post(name)
 		}
+		if r.schema.Steps[id] != nil {
+			if rec := r.ins.StepRec(id); rec.Status == wfdb.StepPending || rec.Status == wfdb.StepCompensated {
+				rec.Status = wfdb.StepDone
+			}
+		}
 	}
-}
-
-// syncStatusFromEvents marks steps done in the replica's step table when
-// their step.done event is valid (knowledge learned from packets about steps
-// executed elsewhere).
-func (a *Agent) syncStatusFromEvents(r *replica) {
-	// Unordered iteration is fine: each step's status update is independent.
-	r.ins.Events.RangeValid(func(name string) {
-		sid := event.StepOfDone(name)
-		if sid == "" {
-			return
-		}
-		id := model.StepID(sid)
-		if r.schema.Steps[id] == nil {
-			return
-		}
-		rec := r.ins.StepRec(id)
-		if rec.Status == wfdb.StepPending || rec.Status == wfdb.StepCompensated {
-			rec.Status = wfdb.StepDone
-		}
-	})
 }
 
 // evaluate runs the rule engine and executes fired steps this agent is the
@@ -309,26 +322,29 @@ func (a *Agent) maybeExecute(r *replica, step model.StepID) bool {
 				return false
 			}
 			a.compensateLocal(r, step, model.ModeCompensate, mech)
-			a.executeStep(r, step, model.ModeExecute, nil, mech)
+			// The compensation took the step's own outputs out of the data
+			// table; a step that reads them must not see them again.
+			a.executeStep(r, step, model.ModeExecute, nil, nav.ResolveInputs(r.ins, s), mech)
 			return true
 		case ocr.IncrementalCR:
 			prev := rec.Prev()
 			a.compensateLocal(r, step, model.ModePartialComp, mech)
-			a.executeStep(r, step, model.ModeIncremental, prev, mech)
+			a.executeStep(r, step, model.ModeIncremental, prev, inputs, mech)
 			return true
 		}
 		// ExecuteFresh falls through.
 	}
 
-	a.executeStep(r, step, model.ModeExecute, nil, nav.StepMechanism(r.ins, step, r.recovery))
+	a.executeStep(r, step, model.ModeExecute, nil, inputs, nav.StepMechanism(r.ins, step, r.recovery))
 	return true
 }
 
-// executeStep runs the step program synchronously and navigates onward.
-func (a *Agent) executeStep(r *replica, step model.StepID, mode model.ExecMode, prev *model.PrevExecution, mech metrics.Mechanism) {
+// executeStep runs the step program synchronously on inputs, the step's
+// inputs as resolved from the replica, and navigates onward.
+func (a *Agent) executeStep(r *replica, step model.StepID, mode model.ExecMode, prev *model.PrevExecution, inputs map[string]expr.Value, mech metrics.Mechanism) {
 	s := r.schema.Steps[step]
 	if s.Nested != "" {
-		a.startNested(r, step, mech)
+		a.startNested(r, step, inputs, mech)
 		return
 	}
 	prog, ok := a.cfg.Programs.Lookup(s.Program)
@@ -337,7 +353,6 @@ func (a *Agent) executeStep(r *replica, step model.StepID, mode model.ExecMode, 
 		a.onStepFailure(r, step, mech)
 		return
 	}
-	inputs := nav.ResolveInputs(r.ins, s)
 	if mode == model.ModeIncremental && prev == nil {
 		prev = r.ins.StepRec(step).Prev()
 	}
@@ -506,14 +521,10 @@ func (a *Agent) forwardPacketForStepWithReset(r *replica, target model.StepID, r
 		a.Send(chosen, mech, KindStepExecute, stepExecute{Packet: pkt, Mechanism: mech})
 		return
 	}
-	// The built packet is already a private snapshot, so the last recipient
-	// takes it as-is; only the other recipients need their own clone.
-	for i, ag := range elig {
-		p := pkt
-		if i < len(elig)-1 {
-			p = pkt.Clone()
-		}
-		a.Send(ag, mech, KindStepExecute, stepExecute{Packet: p, Mechanism: mech})
+	// One packet for every recipient: it is a snapshot nobody writes again
+	// (the sender keeps no reference, receivers only read it).
+	for _, ag := range elig {
+		a.Send(ag, mech, KindStepExecute, stepExecute{Packet: pkt, Mechanism: mech})
 	}
 }
 
@@ -537,7 +548,6 @@ func (a *Agent) handleStepCompleted(p stepCompleted) {
 	r.coordinator = a.cfg.Name
 	a.addLoad(metrics.Normal, 1)
 	a.mergeFiltered(r, p.Data, p.Events, p.Epoch)
-	a.syncStatusFromEvents(r)
 	if nav.ShouldCommit(r.schema, r.ins) {
 		a.commitInstance(r)
 		return
@@ -581,8 +591,8 @@ func (a *Agent) finishInstance(r *replica) {
 
 	// Retire the coordination replica itself: archive the full final state,
 	// publish the terminal status (waking completion waiters and letting the
-	// other agents' sweeps retire their replicas message-free) and drop the
-	// instance from the live table.
+	// other agents retire their replicas at their next turn, message-free)
+	// and drop the instance from the live table.
 	a.retireReplica(r, r.ins.Status)
 }
 
@@ -610,7 +620,7 @@ func (a *Agent) handlePurge(p purgeNote) {
 		if e.Status != wfdb.Running {
 			a.term.Complete(e.Workflow, e.Instance, e.Status)
 		}
-		if r, ok := a.replicas[wfdb.InstanceKeyOf(e.Workflow, e.Instance)]; ok {
+		if r, ok := a.replicas[replicaKey(e.Workflow, e.Instance)]; ok {
 			a.dropReplica(r)
 		}
 	}
@@ -899,7 +909,7 @@ func (a *Agent) handleCompensateSet(p compensateSet) {
 		// The chain is done; the origin (== step) re-executes here.
 		if step == p.Origin {
 			r.recovery = p.Mechanism
-			a.executeStep(r, step, model.ModeExecute, nil, p.Mechanism)
+			a.executeStep(r, step, model.ModeExecute, nil, nav.ResolveInputs(r.ins, r.schema.Steps[step]), p.Mechanism)
 		}
 		a.persist(r)
 		return
@@ -981,16 +991,15 @@ func (a *Agent) handleCompensateThread(p compensateThread) {
 // User-initiated operations at the coordination agent
 
 func (a *Agent) handleWorkflowAbort(p workflowAbort) error {
-	key := wfdb.InstanceKeyOf(p.Workflow, p.Instance)
-	r, ok := a.replicas[key]
+	r, ok := a.replicas[replicaKey(p.Workflow, p.Instance)]
 	if !ok {
 		if st, done := a.term.Status(p.Workflow, p.Instance); done && st != wfdb.Running {
-			return fmt.Errorf("%w: instance %s is %v", cerrors.ErrNotRunning, key, st)
+			return fmt.Errorf("%w: instance %s.%d is %v", cerrors.ErrNotRunning, p.Workflow, p.Instance, st)
 		}
-		return fmt.Errorf("%w: %s", cerrors.ErrUnknownInstance, key)
+		return fmt.Errorf("%w: %s.%d", cerrors.ErrUnknownInstance, p.Workflow, p.Instance)
 	}
 	if r.ins.Status != wfdb.Running {
-		return fmt.Errorf("%w: instance %s is %v", cerrors.ErrNotRunning, key, r.ins.Status)
+		return fmt.Errorf("%w: instance %s.%d is %v", cerrors.ErrNotRunning, p.Workflow, p.Instance, r.ins.Status)
 	}
 	if r.abort != nil {
 		return nil // abort already in progress
@@ -1084,7 +1093,7 @@ func (a *Agent) handleStepCompensate(p stepCompensate) {
 }
 
 func (a *Agent) handleStepCompensated(p stepCompensated) {
-	r, ok := a.replicas[wfdb.InstanceKeyOf(p.Workflow, p.Instance)]
+	r, ok := a.replicas[replicaKey(p.Workflow, p.Instance)]
 	if !ok || r.abort == nil {
 		return
 	}
@@ -1094,16 +1103,15 @@ func (a *Agent) handleStepCompensated(p stepCompensated) {
 }
 
 func (a *Agent) handleWorkflowChangeInputs(p workflowChangeInputs) error {
-	key := wfdb.InstanceKeyOf(p.Workflow, p.Instance)
-	r, ok := a.replicas[key]
+	r, ok := a.replicas[replicaKey(p.Workflow, p.Instance)]
 	if !ok {
 		if st, done := a.term.Status(p.Workflow, p.Instance); done && st != wfdb.Running {
-			return fmt.Errorf("%w: instance %s is %v", cerrors.ErrNotRunning, key, st)
+			return fmt.Errorf("%w: instance %s.%d is %v", cerrors.ErrNotRunning, p.Workflow, p.Instance, st)
 		}
-		return fmt.Errorf("%w: %s", cerrors.ErrUnknownInstance, key)
+		return fmt.Errorf("%w: %s.%d", cerrors.ErrUnknownInstance, p.Workflow, p.Instance)
 	}
 	if r.ins.Status != wfdb.Running {
-		return fmt.Errorf("%w: instance %s is %v", cerrors.ErrNotRunning, key, r.ins.Status)
+		return fmt.Errorf("%w: instance %s.%d is %v", cerrors.ErrNotRunning, p.Workflow, p.Instance, r.ins.Status)
 	}
 	a.addLoad(metrics.InputChange, 1)
 	changed, origin := nav.InputChange(r.schema, r.ins, p.Inputs)
@@ -1132,14 +1140,13 @@ func (a *Agent) handleWorkflowChangeInputs(p workflowChangeInputs) error {
 // ---------------------------------------------------------------------------
 // Nested workflows
 
-func (a *Agent) startNested(r *replica, step model.StepID, mech metrics.Mechanism) {
+func (a *Agent) startNested(r *replica, step model.StepID, inputs map[string]expr.Value, mech metrics.Mechanism) {
 	s := r.schema.Steps[step]
 	child := a.cfg.Library.Schema(s.Nested)
 	if child == nil {
 		a.Logf("instance %s step %s: unknown nested workflow %q", r.ins.Key(), step, s.Nested)
 		return
 	}
-	inputs := nav.ResolveInputs(r.ins, s)
 	r.ins.RecordExecuting(step, a.cfg.Name, inputs)
 	childID := r.ins.ID*1000 + int(r.ins.StepRec(step).Attempts)
 	a.addLoad(mech, 1)
@@ -1157,7 +1164,7 @@ func (a *Agent) startNested(r *replica, step model.StepID, mech metrics.Mechanis
 }
 
 func (a *Agent) handleNestedResult(p nestedResult) {
-	r, ok := a.replicas[wfdb.InstanceKeyOf(p.ParentWorkflow, p.ParentInstance)]
+	r, ok := a.replicas[replicaKey(p.ParentWorkflow, p.ParentInstance)]
 	if !ok || r.ins.Status != wfdb.Running {
 		return
 	}
@@ -1187,7 +1194,7 @@ func (a *Agent) handleNestedResult(p nestedResult) {
 func (a *Agent) sweep() {
 	a.sweepWakeups.Add(1)
 	a.broadcastPurges()
-	a.dropFinished()
+	a.retireFinished()
 	now := time.Now()
 	for _, r := range a.sortedReplicas(nil) {
 		if r.ins.Status != wfdb.Running || r.purged {
@@ -1208,11 +1215,30 @@ func (a *Agent) sweep() {
 	}
 }
 
-// dropFinished drops the replicas of instances that finished elsewhere: the
-// terminal registry is deployment-shared, so learning the outcome and evicting
-// the replica costs no messages. This is what keeps every agent's resident
-// state flat under an unbounded instance stream — without it,
-// non-coordination agents held their replicas of committed instances forever.
+// retireFinished drops the replicas of instances completed since the agent
+// last looked, read from the terminal registry's completion feed: with a
+// deployment-shared registry a bystander learns the outcome at its next turn,
+// for no message. An agent that fell further behind than the feed holds scans
+// its replica table instead (dropFinished).
+func (a *Agent) retireFinished() {
+	refs, next, lagged := a.term.FinishedSince(a.cursor, a.finished[:0])
+	a.cursor = next
+	if lagged {
+		a.dropFinished()
+		return
+	}
+	for _, ref := range refs {
+		if r, ok := a.replicas[ref]; ok {
+			a.dropReplica(r)
+		}
+	}
+	a.finished = refs[:0]
+}
+
+// dropFinished drops every replica whose instance the terminal registry
+// records as finished: the lag fallback of retireFinished, and what
+// System.Quiesce runs so that a quiesced deployment holds no replica of a
+// finished instance.
 func (a *Agent) dropFinished() {
 	finished := a.sortedReplicas(func(r *replica) bool {
 		st, ok := a.term.Status(r.ins.Workflow, r.ins.ID)
@@ -1319,7 +1345,7 @@ func (a *Agent) pollOverdueRules(r *replica, now time.Time) {
 }
 
 func (a *Agent) handleStepStatus(p stepStatus) {
-	r, ok := a.replicas[wfdb.InstanceKeyOf(p.Workflow, p.Instance)]
+	r, ok := a.replicas[replicaKey(p.Workflow, p.Instance)]
 	status := "unknown"
 	if ok {
 		if rec := r.ins.Steps[p.Step]; rec != nil {
@@ -1347,7 +1373,7 @@ func (a *Agent) handleStepStatus(p stepStatus) {
 }
 
 func (a *Agent) handleStepStatusReply(p stepStatusReply) {
-	r, ok := a.replicas[wfdb.InstanceKeyOf(p.Workflow, p.Instance)]
+	r, ok := a.replicas[replicaKey(p.Workflow, p.Instance)]
 	if !ok || r.ins.Status != wfdb.Running {
 		return
 	}

@@ -33,7 +33,9 @@ import (
 // Packet is the workflow packet exchanged between agents (paper Figure 7).
 // It carries the complete state information of the instance as known to the
 // sender: the accumulated data items, the valid events, and piggybacked
-// relative-ordering roles.
+// relative-ordering roles. A packet is immutable once sent: the sender builds
+// it from copies and keeps no reference, and every recipient of a forward,
+// on whatever goroutine, reads the same one.
 type Packet struct {
 	// Workflow and Instance identify the workflow instance.
 	Workflow string
@@ -87,19 +89,4 @@ func (p *Packet) String() string {
 		fmt.Fprintf(&b, "R.O. Lagging: %s\n", strings.Join(p.Lagging, " "))
 	}
 	return b.String()
-}
-
-// Clone deep-copies the packet (agents must not share maps across
-// goroutines).
-func (p *Packet) Clone() *Packet {
-	c := *p
-	c.Data = make(map[string]expr.Value, len(p.Data))
-	for k, v := range p.Data {
-		c.Data[k] = v
-	}
-	c.Events = append([]string(nil), p.Events...)
-	c.ResetSteps = append([]model.StepID(nil), p.ResetSteps...)
-	c.Leading = append([]string(nil), p.Leading...)
-	c.Lagging = append([]string(nil), p.Lagging...)
-	return &c
 }

@@ -213,9 +213,8 @@ func (s *System) StartSeq(workflow string, id, seq int, inputs map[string]expr.V
 // Quiesce blocks until no message is queued, undelivered or still being
 // processed anywhere in the deployment, and then has every agent let go of its
 // replicas of instances that finished elsewhere. Those leave at the agent's
-// next sweep in any case and dropping them sends nothing; done here, what a
-// quiesced deployment holds does not depend on where in their period the
-// agents' sweep timers stand.
+// next turn in any case and dropping them sends nothing; done here, what a
+// quiesced deployment holds does not depend on which agent took a turn last.
 func (s *System) Quiesce(ctx context.Context) error {
 	if err := s.net.Quiesce(ctx); err != nil {
 		return err

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"crew/internal/cerrors"
 	"crew/internal/wfdb"
@@ -161,8 +162,28 @@ const denseLimit = 1 << 20
 // bumps its generation, so a stale Unsubscribe (for example a context
 // cancellation racing a recycle) can never release a later subscriber's
 // waiter.
+//
+// Followers (Follow, FinishedSince) read the recent completions in order from
+// a fixed ring, the completion feed, which exists only once somebody follows.
 type Terminal struct {
 	shards [shardCount]termShard
+	feed   feed
+}
+
+// feedSize is how many recent completions the feed keeps (24 KiB of Refs):
+// a follower further behind than this is told it lagged. The footprint is
+// this constant, whatever the length of the instance stream.
+const feedSize = 1024
+
+// feed is the ring of recent completions. seq counts the completions
+// appended so far, which makes it the sequence number of the next one; the
+// entry of sequence number s sits at ring[s%feedSize]. Appends and copies
+// out hold mu; seq is atomic only so a follower with nothing new takes no
+// lock.
+type feed struct {
+	mu   sync.Mutex
+	ring atomic.Pointer[[feedSize]Ref]
+	seq  atomic.Uint64
 }
 
 type termShard struct {
@@ -249,9 +270,10 @@ func (s *termShard) setStatus(workflow string, id int, st wfdb.Status) bool {
 	return true
 }
 
-// Complete records the terminal status for an instance and closes its
-// waiter, if any, waking every subscriber. Duplicate completions keep the
-// first status and are otherwise no-ops.
+// Complete records the terminal status for an instance, appends it to the
+// completion feed when the registry is followed, and closes its waiter, if
+// any, waking every subscriber. Duplicate completions keep the first status
+// and are otherwise no-ops.
 func (t *Terminal) Complete(workflow string, id int, st wfdb.Status) {
 	s := &t.shards[shardOf(workflow, id)]
 	ref := Ref{workflow, id}
@@ -266,6 +288,16 @@ func (t *Terminal) Complete(workflow string, id int, st wfdb.Status) {
 		delete(s.waits, ref)
 	}
 	s.mu.Unlock()
+	// The status is readable before the feed names the instance, and the feed
+	// names it before any waiter wakes: a follower that has read past it finds
+	// it terminal, and a woken waiter finds it in the feed.
+	if ring := t.feed.ring.Load(); ring != nil {
+		t.feed.mu.Lock()
+		seq := t.feed.seq.Load()
+		ring[seq%feedSize] = ref
+		t.feed.seq.Store(seq + 1)
+		t.feed.mu.Unlock()
+	}
 	if w != nil {
 		// Publish the status before the close: subscribers observe st via
 		// the happens-before edge of the channel close. A completed waiter
@@ -359,6 +391,44 @@ func (t *Terminal) Wait(ctx context.Context, workflow string, id int, older func
 		return 0, fmt.Errorf("%w: %s.%d", cerrors.ErrTimeout, workflow, id)
 	}
 	return 0, ctx.Err()
+}
+
+// Follow starts the completion feed, allocating its ring on the first call,
+// and returns the cursor of the next completion. A follower passes its cursor
+// to FinishedSince and keeps the one that call returns. Completions recorded
+// before the first Follow are not in the feed.
+func (t *Terminal) Follow() uint64 {
+	t.feed.mu.Lock()
+	defer t.feed.mu.Unlock()
+	if t.feed.ring.Load() == nil {
+		t.feed.ring.Store(new([feedSize]Ref))
+	}
+	return t.feed.seq.Load()
+}
+
+// FinishedSince appends to buf the instances completed from cursor on, oldest
+// first, and returns the result with the cursor to pass next time. lagged
+// reports that some of those completions have already left the ring; nothing
+// is appended then, and the caller must find what finished through Status.
+// With nothing new it takes no lock.
+//
+//crew:hotpath
+func (t *Terminal) FinishedSince(cursor uint64, buf []Ref) (refs []Ref, next uint64, lagged bool) {
+	if t.feed.seq.Load() == cursor {
+		return buf, cursor, false
+	}
+	t.feed.mu.Lock()
+	next = t.feed.seq.Load()
+	// A cursor ahead of seq was not handed out here; it wraps to a huge
+	// distance and is treated as lagged too.
+	if lagged = next-cursor > feedSize; !lagged {
+		ring := t.feed.ring.Load()
+		for s := cursor; s != next; s++ {
+			buf = append(buf, ring[s%feedSize])
+		}
+	}
+	t.feed.mu.Unlock()
+	return buf, next, lagged
 }
 
 // Len reports the number of recorded terminal instances.
