@@ -27,6 +27,15 @@
 //   - flush before Do completes: a caller that runs a command and then
 //     quiesces or crashes the node finds nothing of that command still
 //     buffered.
+//
+// The message turns of one mailbox pass share an epilogue once one of them
+// leaves rows to commit (group commit): from that turn on, the pass's turns
+// join one group, whose endTurn runs when the pass ends or before the first
+// queued command, whichever comes first. The group's rows are then one WAL
+// write and the orderings above hold per group. A turn that leaves nothing to
+// commit, with nothing pending before it, ends at once, so an actor that keeps
+// no rows flushes exactly as often as before. Commands, ticks and Deliver end
+// one turn each.
 package actor
 
 import (
@@ -95,11 +104,13 @@ type Actor struct {
 	// handles caches per-destination senders; batch coalesces the turn's
 	// sends into per-destination envelopes; tx collects the turn's rows and
 	// dirty lists, in marking order, the instances still to be encoded into
-	// it.
+	// it. held counts the mailbox messages of the current pass whose epilogue
+	// has not run: the group, acked by its endTurn.
 	handles map[string]*transport.Handle
 	batch   transport.Batcher
 	tx      wfdb.Batch
 	dirty   []Row
+	held    int
 
 	// cmdQ is swapped out whole per burst, as the mailbox is; cmdRun is the
 	// burst being run and the buffer the next swap hands back.
@@ -181,11 +192,16 @@ func (a *Actor) loop() {
 		a.turnMu.Lock()
 		if mail {
 			open = a.ep.Drain(turn)
+			if a.held > 0 {
+				// The pass is over, or a crash or close cut it short: the
+				// messages it handled are committed and acked, the rest wait.
+				a.endTurn(nil)
+			}
 		}
 		if ticked {
 			a.armed = false
 			a.timer.Tick()
-			a.endTurn(false, nil)
+			a.endTurn(nil)
 		}
 		a.drainCmds()
 		a.turnMu.Unlock()
@@ -199,19 +215,28 @@ func (a *Actor) loop() {
 // there is no mailbox entry to ack.
 func (a *Actor) Deliver(m transport.Message) {
 	a.turnMu.Lock()
-	a.turn(m, false)
+	a.unwrap(m)
+	a.endTurn(nil)
+	a.drainCmds()
 	a.turnMu.Unlock()
 }
 
-// mailboxTurn is the sink of the actor's drain pass.
+// mailboxTurn is the sink of the actor's drain pass. The message joins the
+// pass's group if it left rows to commit or an earlier one did; otherwise it
+// ends at once. Commands queued meanwhile run before the next message.
 func (a *Actor) mailboxTurn(m transport.Message) error {
-	a.turn(m, true)
+	a.unwrap(m)
+	a.held++
+	if a.held == 1 && len(a.dirty) == 0 && a.tx.Len() == 0 {
+		a.endTurn(nil)
+	}
+	a.drainCmds()
 	return nil
 }
 
-// turn runs one received physical message, and then the commands queued
-// meanwhile: they run before the next message of a mailbox batch.
-func (a *Actor) turn(m transport.Message, ack bool) {
+// unwrap hands one received physical message to the handler, an envelope's
+// logical messages one by one.
+func (a *Actor) unwrap(m transport.Message) {
 	if env, isEnv := m.Payload.(*transport.Envelope); isEnv {
 		for _, lm := range env.Msgs {
 			a.handle(lm)
@@ -220,21 +245,19 @@ func (a *Actor) turn(m transport.Message, ack bool) {
 	} else {
 		a.handle(m)
 	}
-	a.endTurn(ack, nil)
-	a.drainCmds()
 }
 
-// endTurn is the one epilogue of every turn — a message out of the mailbox
-// (ack), a delivered one, a command (done non-nil for Do) or a timer tick:
-// commit the turn's rows, then flush its sends, and only then mark the turn as
-// over. The order is the contract stated at the top of the package, held here
-// and nowhere else. A turn that left the owner busy arms the timer.
-func (a *Actor) endTurn(ack bool, done chan struct{}) {
+// endTurn is the one epilogue of every turn — a group of mailbox messages
+// (acked), a delivered message, a command (done non-nil for Do) or a timer
+// tick: commit the turn's rows, then flush its sends, and only then mark the
+// turn as over. The order is the contract stated at the top of the package,
+// held here and nowhere else. A turn that left the owner busy arms the timer.
+func (a *Actor) endTurn(done chan struct{}) {
 	a.Commit()
 	if err := a.batch.Flush(); err != nil {
 		a.logf("flush sends: %v", err)
 	}
-	if ack {
+	for ; a.held > 0; a.held-- {
 		a.ep.Ack()
 	}
 	if a.timer != nil && !a.armed && a.timer.Busy() {
@@ -275,7 +298,8 @@ func (a *Actor) Tx() *wfdb.Batch { return &a.tx }
 func (a *Actor) Mark(r Row) { a.dirty = append(a.dirty, r) }
 
 // drainCmds runs every queued command, each as a turn of its own, including
-// those queued while it runs.
+// those queued while it runs. A pending group ends first: no command (a crash
+// among them) runs while a handled message is uncommitted.
 func (a *Actor) drainCmds() {
 	for {
 		a.cmdMu.Lock()
@@ -284,11 +308,14 @@ func (a *Actor) drainCmds() {
 		if len(a.cmdRun) == 0 {
 			return
 		}
+		if a.held > 0 {
+			a.endTurn(nil)
+		}
 		for i := range a.cmdRun {
 			c := a.cmdRun[i]
 			a.cmdRun[i] = command{}
 			c.f()
-			a.endTurn(false, c.done)
+			a.endTurn(c.done)
 		}
 	}
 }

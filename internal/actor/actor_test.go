@@ -120,12 +120,66 @@ func newFixture(t *testing.T, logf func(string, ...any)) *fixture {
 func (f *fixture) work(label string) {
 	f.tr.add(label)
 	for i := 0; i < 2; i++ {
-		if !f.row.dirty {
-			f.row.dirty = true
-			f.act.Mark(f.row)
-		}
+		f.mark(f.row)
 	}
 	f.act.Send("sink", metrics.Normal, "Out", label)
+}
+
+// mark queues r for the turn's commit unless its dirty flag says it already
+// is, as an owner does.
+func (f *fixture) mark(r *row) {
+	if !r.dirty {
+		r.dirty = true
+		f.act.Mark(r)
+	}
+}
+
+// marking launches the actor with a handler that records each message, marks
+// the row rows holds under its payload (rowless payloads have none) and sends
+// one message to the sink; then, if the handler is given, runs it.
+func (f *fixture) marking(rows map[string]*row, then func(payload string)) {
+	f.act.Launch(func(m transport.Message) {
+		p := m.Payload.(string)
+		f.tr.add("handle " + p)
+		if r := rows[p]; r != nil {
+			f.mark(r)
+		}
+		f.act.Send("sink", metrics.Normal, "Out", p)
+		if then != nil {
+			then(p)
+		}
+	}, nil)
+}
+
+// rowsFor gives each payload an instance row of its own.
+func (f *fixture) rowsFor(payloads ...string) map[string]*row {
+	rows := make(map[string]*row)
+	for i, p := range payloads {
+		rows[p] = &row{tr: f.tr, ins: wfdb.NewInstance("WF", 10+i, nil)}
+	}
+	return rows
+}
+
+// onePass hands payloads to the actor so that one drain pass takes them all:
+// they queue while the node is down, and its recovery wakes it once.
+func (f *fixture) onePass(t *testing.T, payloads ...string) {
+	t.Helper()
+	f.net.Crash("node")
+	for _, p := range payloads {
+		f.deliver(t, p)
+	}
+	f.net.Recover("node")
+}
+
+// stalled waits until every message in flight is parked at a crashed node: a
+// message neither parked nor retired (handled but never acked) times it out.
+func (f *fixture) stalled(t *testing.T) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if stalled, err := f.net.AwaitStall(ctx); err != nil || !stalled {
+		t.Fatalf("AwaitStall = (%v, %v), want every message in flight parked", stalled, err)
+	}
 }
 
 func (f *fixture) quiesce(t *testing.T) {
@@ -270,6 +324,109 @@ func TestCommandRunsBetweenBatchedMessages(t *testing.T) {
 	close(release)
 	f.quiesce(t)
 	wantTrail(t, f.tr.take(), "handle a", "commit", "command", "commit", "handle b", "commit", "handle c", "commit")
+}
+
+// TestPassSharesOneCommit: three messages drained in one pass that each leave
+// a row are one group: one commit holding the three rows, no send before it,
+// and the three acks after the flush. The sink is down, so what the flush
+// hands over stays countable.
+func TestPassSharesOneCommit(t *testing.T) {
+	f := newFixture(t, nil)
+	rows := f.rowsFor("a", "b", "c")
+	f.marking(rows, nil)
+	f.net.Crash("sink")
+	f.onePass(t, "a", "b", "c")
+	f.stalled(t)
+	wantTrail(t, f.tr.take(), "handle a", "handle b", "handle c", "save", "save", "save", "commit",
+		"send Out", "send Out", "send Out")
+	f.tr.mu.Lock()
+	if want := []int64{3, 3, 3}; !reflect.DeepEqual(f.unacked, want) {
+		t.Errorf("in-flight count at each send = %v, want %v: every message of the group is acked after the flush", f.unacked, want)
+	}
+	f.tr.mu.Unlock()
+	if n := f.net.InFlight(); n != 1 {
+		t.Errorf("in-flight = %d after the pass, want 1 (the sink's envelope): three acks", n)
+	}
+	for p, r := range rows {
+		if _, ok, _ := f.db.LoadInstance("WF", r.ins.ID); !ok {
+			t.Errorf("row of %s was not committed", p)
+		}
+	}
+	f.net.Recover("sink")
+	f.quiesce(t)
+}
+
+// TestRowlessTurnEndsAtOnce: a message that leaves nothing to commit, with no
+// group pending, ends at once — its send leaves before the next message of the
+// pass is handled. Once a message left a row, the rowless one behind it joins
+// that message's group.
+func TestRowlessTurnEndsAtOnce(t *testing.T) {
+	f := newFixture(t, nil)
+	f.marking(f.rowsFor("c"), nil)
+	f.onePass(t, "a", "b", "c", "d")
+	f.quiesce(t)
+	wantTrail(t, f.tr.take(),
+		"handle a", "commit", "send Out",
+		"handle b", "commit", "send Out",
+		"handle c", "handle d", "save", "commit", "send Out", "send Out")
+}
+
+// TestCommandWaitsForPendingGroup: a command queued by the first of two
+// row-marking messages runs after that message is committed, flushed and
+// acked, and before the second is handled.
+func TestCommandWaitsForPendingGroup(t *testing.T) {
+	f := newFixture(t, nil)
+	var inFlight, parked int64
+	f.marking(f.rowsFor("a", "b"), func(p string) {
+		if p == "a" {
+			f.act.DoAsync(func() {
+				f.tr.add("command")
+				inFlight, parked = f.net.InFlight(), f.net.Parked()
+			})
+		}
+	})
+	f.net.Crash("sink")
+	f.onePass(t, "a", "b")
+	f.stalled(t)
+	wantTrail(t, f.tr.take(),
+		"handle a", "save", "commit", "send Out",
+		"command", "commit",
+		"handle b", "save", "commit", "send Out")
+	if inFlight != 2 || parked != 1 {
+		t.Errorf("command saw %d in flight, %d parked; want 2 and 1 (b, and a's send): a acked first", inFlight, parked)
+	}
+	f.net.Recover("sink")
+	f.quiesce(t)
+}
+
+// TestCrashMidPassCommitsHandledPrefix: a crash that cuts a pass short commits
+// and acks what the pass handled; the rest is parked and, after recovery,
+// handled as a group of its own.
+func TestCrashMidPassCommitsHandledPrefix(t *testing.T) {
+	f := newFixture(t, nil)
+	rows := f.rowsFor("a", "b", "c")
+	f.marking(rows, func(p string) {
+		if p == "a" {
+			f.net.Crash("node")
+		}
+	})
+	f.net.Crash("sink")
+	f.onePass(t, "a", "b", "c")
+	f.stalled(t)
+	wantTrail(t, f.tr.take(), "handle a", "save", "commit", "send Out")
+	if n, q := f.net.InFlight(), f.net.QueuedFor("node"); n != 3 || q != 2 {
+		t.Errorf("after the cut: %d in flight, %d queued at the node; want 3 (b, c, a's send) and 2", n, q)
+	}
+	for p, want := range map[string]bool{"a": true, "b": false, "c": false} {
+		if _, ok, _ := f.db.LoadInstance("WF", rows[p].ins.ID); ok != want {
+			t.Errorf("row of %s on file = %v, want %v", p, ok, want)
+		}
+	}
+	f.net.Recover("node")
+	f.stalled(t)
+	wantTrail(t, f.tr.take(), "handle b", "handle c", "save", "save", "commit", "send Out", "send Out")
+	f.net.Recover("sink")
+	f.quiesce(t)
 }
 
 // TestCloseDrainsQueuedCommands: commands queued behind a running turn when

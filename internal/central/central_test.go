@@ -1071,6 +1071,81 @@ func TestRetiredInstanceServedFromArchive(t *testing.T) {
 	}
 }
 
+// TestSnapshotOfFinishedInstanceTakesNoTurn: a committed instance's Snapshot
+// is answered from the archive while the engine that ran it is held in a
+// long turn; it does not queue behind that engine's work.
+func TestSnapshotOfFinishedInstanceTakesNoTurn(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		engines int
+		dbs     bool
+	}{
+		{"centralized", 1, true},
+		{"centralized without a database", 1, false},
+		{"parallel with a database per engine", 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := model.NewRegistry()
+			cfg := SystemConfig{
+				Library: lib1(linSchema(reg, &recorder{})), Programs: reg,
+				Engines: tc.engines, Agents: []string{"a1", "a2"}, Logf: t.Logf,
+			}
+			for i := 0; tc.dbs && i < tc.engines; i++ {
+				cfg.DBs = append(cfg.DBs, wfdb.NewMemory())
+			}
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(sys.Close)
+			// Round robin: one instance on each engine.
+			for i := 0; i < tc.engines; i++ {
+				id := runToStatus(t, sys, "Lin", map[string]expr.Value{"I1": expr.Num(1)}, wfdb.Committed)
+				var owner *Engine
+				for _, e := range sys.engines {
+					if _, ok, _ := e.adb.LoadArchived("Lin", id); ok {
+						owner = e
+					}
+				}
+				if owner == nil {
+					t.Fatalf("Lin.%d is in no engine's archive", id)
+				}
+				release := holdEngine(t, owner)
+				got := make(chan *wfdb.Instance, 1)
+				go func() {
+					snap, _ := sys.Snapshot("Lin", id)
+					got <- snap
+				}()
+				select {
+				case snap := <-got:
+					if snap == nil || snap.Status != wfdb.Committed {
+						t.Errorf("Snapshot(Lin.%d) = %v, want the committed instance", id, snap)
+					}
+				case <-time.After(2 * time.Second):
+					t.Errorf("Snapshot(Lin.%d) waited for a turn of %s, which ran it", id, owner.Name())
+				}
+				release()
+			}
+		})
+	}
+}
+
+// holdEngine parks the engine in a command turn until the returned function is
+// called, or the test ends (ahead of the deployment's Close, registered
+// before it).
+func holdEngine(t *testing.T, e *Engine) (release func()) {
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	e.DoAsync(func() {
+		close(entered)
+		<-gate
+	})
+	<-entered
+	return release
+}
+
 func TestRecoverDoesNotResurrectRetired(t *testing.T) {
 	reg := model.NewRegistry()
 	rec := &recorder{}

@@ -1,8 +1,11 @@
 package central
 
 import (
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -163,5 +166,146 @@ func TestDurableLogSurvivesCutAnywhere(t *testing.T) {
 	}
 	if keys := db2.InstanceKeys(); len(keys) != 0 {
 		t.Errorf("instance table after recovery = %v, want empty", keys)
+	}
+}
+
+// TestDurableGroupsSurviveCutAnywhere is the cut-anywhere test with several
+// instances in flight, so that one mailbox pass commits rows of several
+// instances as one group. The log is cut at every byte: every Start
+// acknowledged before the surviving prefix ended is on it, no instance is both
+// archived and live, and a fresh engine recovering from the prefix commits
+// every instance still live there.
+func TestDurableGroupsSurviveCutAnywhere(t *testing.T) {
+	dir := t.TempDir()
+	reg := model.NewRegistry()
+	lib := lib1(linSchema(reg, &recorder{}))
+	path := filepath.Join(dir, "wfdb.db")
+	sys, _ := fileSystem(t, path, lib, reg)
+	const instances = 6
+	// The first step results of all six queue while the engine's node is
+	// down, and reach it in one drain pass.
+	sys.Network().Crash("engine")
+	acked := make([]int64, instances+1) // log size when Start returned, by ID
+	for i := 1; i <= instances; i++ {
+		id, err := sys.Start("Lin", map[string]expr.Value{"I1": expr.Num(float64(i))})
+		if err != nil || id != i {
+			t.Fatalf("Start = (%d, %v), want ID %d", id, err, i)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acked[i] = fi.Size()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), waitTimeout)
+	defer cancel()
+	if stalled, err := sys.Network().AwaitStall(ctx); err != nil || !stalled {
+		t.Fatalf("AwaitStall = (%v, %v): the step results should wait at the engine", stalled, err)
+	}
+	sys.Network().Recover("engine")
+	for id := 1; id <= instances; id++ {
+		if st, err := sys.Wait("Lin", id, waitTimeout); err != nil || st != wfdb.Committed {
+			t.Fatalf("Lin.%d = (%v, %v)", id, st, err)
+		}
+	}
+	sys.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cutPath := filepath.Join(dir, "cut.db")
+	var prev []string // each instance's state at the previous cut
+	multi := false
+	for cut := 0; cut <= len(data); cut++ {
+		if err := os.WriteFile(cutPath, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := store.Open(cutPath)
+		if err != nil {
+			t.Fatalf("cut=%d: %v", cut, err)
+		}
+		db := wfdb.New(st)
+		states, changed := make([]string, instances+1), 0
+		for id := 1; id <= instances; id++ {
+			live, isLive, err1 := db.LoadInstance("Lin", id)
+			_, isArchived, err2 := db.LoadArchived("Lin", id)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("cut=%d: Lin.%d: %v, %v", cut, id, err1, err2)
+			}
+			switch {
+			case isLive && isArchived:
+				t.Fatalf("cut=%d: Lin.%d is both live and archived", cut, id)
+			case !isLive && !isArchived && int64(cut) >= acked[id]:
+				t.Fatalf("cut=%d: Lin.%d was acknowledged at byte %d and is not on the log", cut, id, acked[id])
+			}
+			states[id] = fmt.Sprint(isArchived, stepStates(live))
+			if prev != nil && states[id] != prev[id] {
+				changed++
+			}
+		}
+		st.Close()
+		multi = multi || changed >= 2
+		if prev != nil && changed > 0 {
+			// A group ends here: what it left behind must recover.
+			recoverPrefix(t, cutPath, data[:cut], lib, reg)
+		}
+		prev = states
+	}
+	if !multi {
+		t.Error("no WAL group carries rows of two instances: the test proves nothing about group commit")
+	}
+}
+
+// stepStates renders what a live row records of each step (nil: no row).
+func stepStates(ins *wfdb.Instance) string {
+	if ins == nil {
+		return "-"
+	}
+	var b strings.Builder
+	for _, id := range []model.StepID{"A", "B", "C"} {
+		if r := ins.Steps[id]; r != nil {
+			fmt.Fprintf(&b, "%s:%v/%d ", id, r.Status, r.Attempts)
+		}
+	}
+	return b.String()
+}
+
+// recoverPrefix opens a deployment over a log prefix, recovers, and checks that
+// every instance live on the prefix commits and none is left live.
+func recoverPrefix(t *testing.T, path string, prefix []byte, lib *model.Library, reg *model.Registry) {
+	t.Helper()
+	if err := os.WriteFile(path, prefix, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	db := wfdb.New(st)
+	sys, err := NewSystem(SystemConfig{
+		Library: lib, Programs: reg, Collector: metrics.NewCollector(),
+		DBs: []*wfdb.DB{db}, Agents: []string{"a1", "a2"}, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	live := db.InstanceKeys()
+	if n, err := sys.Recover(); err != nil || n != len(live) {
+		t.Fatalf("prefix of %d bytes: Recover = (%d, %v), want the %d live instances", len(prefix), n, err, len(live))
+	}
+	for _, key := range live {
+		workflow, id, err := wfdb.ParseInstanceKey(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, err := sys.Wait(workflow, id, waitTimeout); err != nil || s != wfdb.Committed {
+			t.Fatalf("prefix of %d bytes: recovered %s = (%v, %v)", len(prefix), key, s, err)
+		}
+	}
+	if keys := db.InstanceKeys(); len(keys) != 0 {
+		t.Fatalf("prefix of %d bytes: instance table after recovery = %v, want empty", len(prefix), keys)
 	}
 }

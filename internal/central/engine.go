@@ -298,8 +298,16 @@ func (e *Engine) Status(workflow string, id int) (wfdb.Status, bool) {
 }
 
 // Snapshot returns a deep copy of an instance's state for inspection.
-// Retired instances are reloaded from the archive.
+// Retired instances are reloaded from the archive, and one the terminal
+// registry reports finished is read there without an engine turn: retirement
+// commits the archive row before it publishes the status. A live instance, or
+// a finished one archived in another engine's database, costs a turn.
 func (e *Engine) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
+	if _, done := e.term.Status(workflow, id); done {
+		if ins, ok := e.archived(workflow, id); ok {
+			return ins, true
+		}
+	}
 	var out *wfdb.Instance
 	e.Do(func() {
 		if st := e.instances[wfdb.InstanceKeyOf(workflow, id)]; st != nil {
@@ -307,14 +315,21 @@ func (e *Engine) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
 		}
 	})
 	if out == nil {
-		if ins, ok, err := e.adb.LoadArchived(workflow, id); err == nil && ok {
-			if schema := e.cfg.Library.Schema(workflow); schema != nil {
-				ins.AttachSchema(schema)
-			}
-			out = ins
-		}
+		out, _ = e.archived(workflow, id)
 	}
 	return out, out != nil
+}
+
+// archived loads a retired instance from the engine's archive.
+func (e *Engine) archived(workflow string, id int) (*wfdb.Instance, bool) {
+	ins, ok, err := e.adb.LoadArchived(workflow, id)
+	if err != nil || !ok {
+		return nil, false
+	}
+	if schema := e.cfg.Library.Schema(workflow); schema != nil {
+		ins.AttachSchema(schema)
+	}
+	return ins, true
 }
 
 // LiveInstances reports how many instances are resident in the engine's

@@ -509,6 +509,12 @@ func TestRelativeOrderDistributed(t *testing.T) {
 	})
 	// a1 is the home agent (sorted first) and runs no steps.
 	sys := newSystem(t, lib, reg)
+	// Released on every exit path, and before the system closes (cleanups run
+	// last-registered first): a failed check must not leave pb2 blocking an
+	// agent's turn, which Close would wait for.
+	var gateOnce sync.Once
+	release := func() { gateOnce.Do(func() { close(gate) }) }
+	t.Cleanup(release)
 
 	id2, err := sys.Start("O2", nil)
 	if err != nil {
@@ -523,7 +529,7 @@ func TestRelativeOrderDistributed(t *testing.T) {
 	if rec.count("b1") != 0 {
 		t.Fatalf("lagging B1 ran before leading B2: %v", rec.list())
 	}
-	close(gate)
+	release()
 	if st, err := sys.Wait("O2", id2, waitTimeout); err != nil || st != wfdb.Committed {
 		t.Fatalf("O2 = (%v, %v)", st, err)
 	}

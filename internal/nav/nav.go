@@ -87,7 +87,9 @@ func PotentialTerminals(s *model.Schema, ins *wfdb.Instance) []model.StepID {
 // it is still running and every potentially reachable terminal step has
 // executed.
 func ShouldCommit(s *model.Schema, ins *wfdb.Instance) bool {
-	if ins.Status != wfdb.Running {
+	if ins.Status != wfdb.Running || !anyExecuted(ins, s.TerminalSteps()) {
+		// The walk below answers true only when it reaches a terminal and
+		// every terminal it reaches has executed: never while none has.
 		return false
 	}
 	terms := PotentialTerminals(s, ins)
@@ -100,6 +102,15 @@ func ShouldCommit(s *model.Schema, ins *wfdb.Instance) bool {
 		}
 	}
 	return true
+}
+
+func anyExecuted(ins *wfdb.Instance, steps []model.StepID) bool {
+	for _, id := range steps {
+		if ins.Executed(id) {
+			return true
+		}
+	}
+	return false
 }
 
 // InvalidationSet returns the steps whose events a rollback to origin must

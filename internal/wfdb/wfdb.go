@@ -514,6 +514,9 @@ func (b *Batch) DeleteInstance(workflow string, id int) {
 	b.rows = append(b.rows, batchRow{table: tableInstance, key: InstanceKeyOf(workflow, id), del: true})
 }
 
+// Len returns the number of mutations waiting for Commit.
+func (b *Batch) Len() int { return len(b.rows) }
+
 // Commit writes the batch's mutations as one store group and empties the
 // batch (also on error: the caller logs and carries on with current state).
 func (db *DB) Commit(b *Batch) error {
