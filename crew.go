@@ -390,7 +390,8 @@ type System interface {
 	ChangeInputs(workflow string, id int, inputs map[string]Value) error
 	// Status reports an instance's status.
 	Status(workflow string, id int) (Status, bool)
-	// Snapshot returns a deep copy of the instance state.
+	// Snapshot returns the instance state. The returned instance is the
+	// caller's: nothing in the deployment references it.
 	Snapshot(workflow string, id int) (*Instance, bool)
 	// Collector exposes the deployment's metrics.
 	Collector() *Collector

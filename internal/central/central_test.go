@@ -1072,8 +1072,8 @@ func TestRetiredInstanceServedFromArchive(t *testing.T) {
 }
 
 // TestSnapshotOfFinishedInstanceTakesNoTurn: a committed instance's Snapshot
-// is answered from the archive while the engine that ran it is held in a
-// long turn; it does not queue behind that engine's work.
+// is answered from the archive while every engine, the one that ran it among
+// them, is held in a long turn; it does not queue behind any engine's work.
 func TestSnapshotOfFinishedInstanceTakesNoTurn(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -1083,34 +1083,19 @@ func TestSnapshotOfFinishedInstanceTakesNoTurn(t *testing.T) {
 		{"centralized", 1, true},
 		{"centralized without a database", 1, false},
 		{"parallel with a database per engine", 2, true},
+		{"parallel, four engines with a database each", 4, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := model.NewRegistry()
-			cfg := SystemConfig{
-				Library: lib1(linSchema(reg, &recorder{})), Programs: reg,
-				Engines: tc.engines, Agents: []string{"a1", "a2"}, Logf: t.Logf,
-			}
-			for i := 0; tc.dbs && i < tc.engines; i++ {
-				cfg.DBs = append(cfg.DBs, wfdb.NewMemory())
-			}
-			sys, err := NewSystem(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(sys.Close)
+			sys := deployment(t, tc.engines, tc.dbs, lib1(linSchema(reg, &recorder{})), reg, t.Logf)
 			// Round robin: one instance on each engine.
 			for i := 0; i < tc.engines; i++ {
 				id := runToStatus(t, sys, "Lin", map[string]expr.Value{"I1": expr.Num(1)}, wfdb.Committed)
-				var owner *Engine
+				sys.Snapshot("Lin", id) // takes the hand-off, if there was one
+				var releases []func()
 				for _, e := range sys.engines {
-					if _, ok, _ := e.adb.LoadArchived("Lin", id); ok {
-						owner = e
-					}
+					releases = append(releases, holdEngine(t, e))
 				}
-				if owner == nil {
-					t.Fatalf("Lin.%d is in no engine's archive", id)
-				}
-				release := holdEngine(t, owner)
 				got := make(chan *wfdb.Instance, 1)
 				go func() {
 					snap, _ := sys.Snapshot("Lin", id)
@@ -1122,9 +1107,11 @@ func TestSnapshotOfFinishedInstanceTakesNoTurn(t *testing.T) {
 						t.Errorf("Snapshot(Lin.%d) = %v, want the committed instance", id, snap)
 					}
 				case <-time.After(2 * time.Second):
-					t.Errorf("Snapshot(Lin.%d) waited for a turn of %s, which ran it", id, owner.Name())
+					t.Errorf("Snapshot(Lin.%d), run by %s, waited for an engine turn", id, sys.names[i])
 				}
-				release()
+				for _, release := range releases {
+					release()
+				}
 			}
 		})
 	}

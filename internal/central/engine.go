@@ -79,6 +79,23 @@ type instState struct {
 	// dirty marks the instance as changed since its last WFDB row; it is then
 	// queued with the actor and the turn's commit writes it.
 	dirty bool
+	// retired is set by finishInstance before it publishes the terminal
+	// status. A top-level instance is then handed to its waiter, so navigation
+	// still on the stack must return without reading ins.
+	retired bool
+	// unanswered counts the step requests sent for the instance that have no
+	// response yet. An in-process agent runs the program over the request's
+	// maps, which are the step record's own (Inputs, Prev), so the instance is
+	// handed to a waiter only when the count is zero. A reloaded instance
+	// never is: responses to the crashed engine's requests would skew it.
+	unanswered int
+	reloaded   bool
+}
+
+// handsOff reports whether nothing outside the instance can still hold its
+// maps, so a waiter may take it as it is.
+func (st *instState) handsOff() bool {
+	return st.unanswered == 0 && !st.reloaded && st.ins.Parent == nil
 }
 
 // Save implements actor.Row: retirement clears the mark, so an instance that
@@ -297,11 +314,12 @@ func (e *Engine) Status(workflow string, id int) (wfdb.Status, bool) {
 	return s, ok
 }
 
-// Snapshot returns a deep copy of an instance's state for inspection.
-// Retired instances are reloaded from the archive, and one the terminal
-// registry reports finished is read there without an engine turn: retirement
+// Snapshot returns an instance's state for inspection; the returned instance
+// is the caller's, referenced by nothing else. One the registry reports
+// finished is read from the archive without an engine turn: retirement
 // commits the archive row before it publishes the status. A live instance, or
 // a finished one archived in another engine's database, costs a turn.
+// System.Snapshot takes a handed-off instance before it gets here.
 func (e *Engine) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
 	if _, done := e.term.Status(workflow, id); done {
 		if ins, ok := e.archived(workflow, id); ok {
@@ -320,10 +338,15 @@ func (e *Engine) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
 	return out, out != nil
 }
 
-// archived loads a retired instance from the engine's archive.
+// archived loads a retired instance from the engine's archive. A row it cannot
+// decode is logged with its error code and read as missing.
 func (e *Engine) archived(workflow string, id int) (*wfdb.Instance, bool) {
 	ins, ok, err := e.adb.LoadArchived(workflow, id)
-	if err != nil || !ok {
+	if err != nil {
+		e.Logf("snapshot %s.%d: archive row [%s]: %v", workflow, id, cerrors.CodeOf(err), err)
+		return nil, false
+	}
+	if !ok {
 		return nil, false
 	}
 	if schema := e.cfg.Library.Schema(workflow); schema != nil {
@@ -436,6 +459,7 @@ func (e *Engine) reload(trustQueues bool) int {
 			continue
 		}
 		st := newInstState(ins, schema)
+		st.reloaded = true
 		for sid, rec := range ins.Steps {
 			if rec.Status != wfdb.StepExecuting {
 				continue
@@ -588,8 +612,11 @@ func (e *Engine) changeInputsLocked(workflow string, id int, inputs map[string]e
 // ---------------------------------------------------------------------------
 // Rule evaluation and dispatch
 
+// evaluate fires the instance's rules until nothing progresses. It returns as
+// soon as an action retires the instance (st.retired): its state may belong to
+// a waiter by then.
 func (e *Engine) evaluate(st *instState) {
-	if st.ins.Status != wfdb.Running {
+	if st.retired || st.ins.Status != wfdb.Running {
 		return
 	}
 	for {
@@ -602,6 +629,9 @@ func (e *Engine) evaluate(st *instState) {
 		}
 		progressed := false
 		for _, r := range fired {
+			if st.retired {
+				return
+			}
 			switch r.Action.Kind {
 			case rules.ActExecute:
 				if e.maybeExecute(st, r.Action.Step) {
@@ -622,7 +652,7 @@ func (e *Engine) evaluate(st *instState) {
 			}
 		}
 		e.maybeCommit(st)
-		if len(fired) == 0 || !progressed {
+		if st.retired || len(fired) == 0 || !progressed {
 			return
 		}
 	}
@@ -631,7 +661,7 @@ func (e *Engine) evaluate(st *instState) {
 // maybeExecute handles a fired execution rule; it returns true if state
 // changed synchronously (OCR reuse) so evaluation should continue.
 func (e *Engine) maybeExecute(st *instState, step model.StepID) bool {
-	if st.ins.Status != wfdb.Running || st.aborting || st.dispatched[step] {
+	if st.retired || st.ins.Status != wfdb.Running || st.aborting || st.dispatched[step] {
 		return false
 	}
 	rec := st.ins.Steps[step]
@@ -764,6 +794,7 @@ func (e *Engine) dispatchStep(st *instState, step model.StepID, mode model.ExecM
 	// in a persistent queue, so it awaits the result instead of redispatching.
 	e.persist(st)
 	e.loads[agent]++ // optimistic cache update
+	st.unanswered++
 	e.Send(agent, mech, KindStepExecute, ExecRequest{
 		Workflow:  st.ins.Workflow,
 		Instance:  st.ins.ID,
@@ -797,6 +828,7 @@ func (e *Engine) onExecResponse(r ExecResponse) {
 		}
 		return
 	}
+	st.unanswered--
 	switch r.Mode {
 	case model.ModeCompensate, model.ModePartialComp:
 		e.onCompResult(st, r)
@@ -860,6 +892,9 @@ func (e *Engine) afterStepDone(st *instState, step model.StepID) {
 				st.chain = append(st.chain, chainTask{step: ordered[i], mode: model.ModeCompensate})
 			}
 			e.pumpChain(st)
+			if st.retired {
+				return
+			}
 		}
 	}
 
@@ -939,7 +974,7 @@ func (e *Engine) rollbackTo(st *instState, origin model.StepID, cause metrics.Me
 // Compensation chain
 
 func (e *Engine) pumpChain(st *instState) {
-	for !st.chainActive {
+	for !st.chainActive && !st.retired {
 		if len(st.chain) == 0 {
 			if st.aborting {
 				e.finalizeAbort(st)
@@ -991,6 +1026,7 @@ func (e *Engine) pumpChain(st *instState) {
 		st.ins.RecordCompensating(task.step, task.mode)
 		e.persist(st)
 		e.addLoad(mech, 1)
+		st.unanswered++
 		e.Send(agent, mech, KindStepCompensate, ExecRequest{
 			Workflow:  st.ins.Workflow,
 			Instance:  st.ins.ID,
@@ -1036,7 +1072,7 @@ func (e *Engine) onCompResult(st *instState, r ExecResponse) {
 	// revisit that queued this chain is still due, OCR re-decides it; in
 	// normal operation the rule's events/conditions no longer hold (or the
 	// step is already dispatched), so this is a no-op.
-	if st.ins.Status == wfdb.Running && !st.aborting {
+	if !st.retired && st.ins.Status == wfdb.Running && !st.aborting {
 		st.rules.RearmWhere(func(id string) bool { return rules.IsExecRuleFor(id, r.Step) })
 		e.evaluate(st)
 	}
@@ -1090,7 +1126,7 @@ func (e *Engine) finalizeAbort(st *instState) {
 }
 
 func (e *Engine) maybeCommit(st *instState) {
-	if st.aborting || !nav.ShouldCommit(st.schema, st.ins) {
+	if st.retired || st.aborting || !nav.ShouldCommit(st.schema, st.ins) {
 		return
 	}
 	// A workflow with an active compensation chain is not quiescent.
@@ -1115,27 +1151,41 @@ func (e *Engine) maybeCommit(st *instState) {
 // the instance has been resolved (a Running instance is never evicted), so
 // no live navigation can still need the evicted state.
 func (e *Engine) finishInstance(st *instState) {
-	key := st.ins.Key()
+	ins := st.ins
+	key, ref := ins.Key(), itable.Ref{Workflow: ins.Workflow, ID: ins.ID}
 	// Archive before publishing completion: a woken waiter may Snapshot
 	// immediately and must find the archived state. The summary, the archive
 	// row and the deletion of the instance row go out in one group (behind
 	// whatever the turn has pending), so a crash never finds the instance
 	// both archived and live.
 	if e.cfg.DB != nil {
-		e.Tx().SaveSummary(st.ins.Workflow, st.ins.ID, st.ins.Status)
+		e.Tx().SaveSummary(ref.Workflow, ref.ID, ins.Status)
 	}
-	e.Tx().Archive(st.ins)
+	e.Tx().Archive(ins)
 	st.dirty = false
 	e.Commit()
-	e.toHome(coord.Request{Op: coord.Forget, Inst: coord.InstanceRef{Workflow: st.ins.Workflow, ID: st.ins.ID}})
-	e.term.Complete(st.ins.Workflow, st.ins.ID, st.ins.Status)
+	e.toHome(coord.Request{Op: coord.Forget, Inst: coord.InstanceRef{Workflow: ref.Workflow, ID: ref.ID}})
 
-	// Nested workflows: hand the result to the parent step before the child
-	// leaves the table (the parent reads the child's data directly).
-	if p := st.ins.Parent; p != nil {
-		if parent := e.instances[wfdb.InstanceKeyOf(p.Workflow, p.ID)]; parent != nil {
-			e.onChildFinished(parent, p.Step, st)
-		} else if _, done := e.term.Status(p.Workflow, p.ID); done {
+	// Publish. An instance nothing else holds goes to its waiter, if any, as
+	// it is: from CompleteWith on it is the waiter's, and the engine does not
+	// touch it again (st.retired stops the navigation still on the stack). A
+	// nested child is not handed off, because its parent step reads its data
+	// below, nor is one with a request still out (handsOff). The rule set
+	// stops observing the event table the taker may write.
+	parent := ins.Parent
+	st.retired = true
+	ins.Events.SetObserver(nil)
+	if st.handsOff() {
+		e.term.CompleteWith(ref.Workflow, ref.ID, ins.Status, ins)
+	} else {
+		e.term.Complete(ref.Workflow, ref.ID, ins.Status)
+	}
+	if parent != nil {
+		// Hand the result to the parent step before the child leaves the
+		// table.
+		if pst := e.instances[wfdb.InstanceKeyOf(parent.Workflow, parent.ID)]; pst != nil {
+			e.onChildFinished(pst, parent.Step, st)
+		} else if _, done := e.term.Status(parent.Workflow, parent.ID); done {
 			// Parent finished first (a user abort racing the child):
 			// examining the child's result still costs the unit the
 			// pre-retirement engine charged in onChildFinished, so the
@@ -1145,7 +1195,7 @@ func (e *Engine) finishInstance(st *instState) {
 	}
 
 	delete(e.instances, key)
-	e.cfg.Owners.Delete(itable.Ref{Workflow: st.ins.Workflow, ID: st.ins.ID})
+	e.cfg.Owners.Delete(ref)
 }
 
 func (e *Engine) startNested(st *instState, step model.StepID, inputs map[string]expr.Value) {

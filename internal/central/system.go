@@ -241,19 +241,24 @@ func (s *System) Status(workflow string, id int) (wfdb.Status, bool) {
 	return s.engineFor(workflow, id).Status(workflow, id)
 }
 
-// Snapshot returns a deep copy of the instance state. Retired instances
-// answer from the shared archive via any engine; DB-backed deployments fall
-// back to scanning each engine's own archive.
+// Snapshot returns the instance state; the returned instance is the caller's,
+// referenced by nothing else. A waiter's first Snapshot takes the final
+// instance its engine handed over, a live instance is read by its owner, and a
+// finished one is read from the engines' archives (their databases, or the
+// shared one) without an engine turn, each archive looked up once.
 func (s *System) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
-	first := s.engineFor(workflow, id)
-	if ins, ok := first.Snapshot(workflow, id); ok {
+	if ins := s.term.Take(workflow, id); ins != nil {
 		return ins, true
 	}
-	for _, e := range s.engines {
-		if e == first {
-			continue
-		}
-		if ins, ok := e.Snapshot(workflow, id); ok {
+	if e, ok := s.owner.Get(itable.Ref{Workflow: workflow, ID: id}); ok {
+		return e.Snapshot(workflow, id)
+	}
+	archives := s.engines // one database each
+	if len(s.dbs) == 0 {
+		archives = s.engines[:1] // all share s.archive
+	}
+	for _, e := range archives {
+		if ins, ok := e.archived(workflow, id); ok {
 			return ins, true
 		}
 	}

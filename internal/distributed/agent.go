@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"crew/internal/actor"
+	"crew/internal/cerrors"
 	"crew/internal/coord"
 	"crew/internal/expr"
 	"crew/internal/itable"
@@ -480,7 +481,8 @@ func (a *Agent) persist(r *replica) {
 
 // Snapshot returns a deep copy of the agent's replica of an instance. For a
 // retired instance the coordination agent serves the archived final state;
-// the other agents dropped their partial copy and have nothing to serve.
+// the other agents dropped their partial copy and have nothing to serve. An
+// archive row it cannot decode is logged with its error code.
 func (a *Agent) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
 	var out *wfdb.Instance
 	a.Do(func() {
@@ -489,7 +491,11 @@ func (a *Agent) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
 		}
 	})
 	if out == nil {
-		if ins, ok, err := a.adb.LoadArchived(workflow, id); err == nil && ok {
+		ins, ok, err := a.adb.LoadArchived(workflow, id)
+		switch {
+		case err != nil:
+			a.Logf("snapshot %s.%d: archive row [%s]: %v", workflow, id, cerrors.CodeOf(err), err)
+		case ok:
 			if schema := a.cfg.Library.Schema(workflow); schema != nil {
 				ins.AttachSchema(schema)
 			}

@@ -1158,6 +1158,41 @@ func TestAGDBPersistence(t *testing.T) {
 	}
 }
 
+// TestSnapshotLogsUndecodableArchiveRow: a damaged archive row on the
+// coordination agent reads as missing and is logged with its error code.
+func TestSnapshotLogsUndecodableArchiveRow(t *testing.T) {
+	logs := &recorder{}
+	reg := model.NewRegistry()
+	reg.Register("p", model.NopProgram())
+	s := model.NewSchema("Persist").Step("A", "p", model.WithAgents("a1")).MustBuild()
+	dbs := []*wfdb.DB{wfdb.NewMemory(), wfdb.NewMemory()}
+	sys, err := NewSystem(SystemConfig{
+		Library: lib1(s), Programs: reg, Agents: []string{"a1", "a2"}, AGDBs: dbs,
+		Logf: func(format string, args ...any) { logs.add(fmt.Sprintf(format, args...)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	id, st, err := sys.Run("Persist", nil, waitTimeout)
+	if err != nil || st != wfdb.Committed {
+		t.Fatalf("run = (%v, %v)", st, err)
+	}
+	// a1 is the coordination agent: the archive row is in its AGDB.
+	if err := dbs[0].Store().Put("archive", wfdb.InstanceKeyOf("Persist", id), []byte{0xff, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if ins, ok := sys.Snapshot("Persist", id); ok {
+		t.Fatalf("Snapshot of a damaged row = %v", ins)
+	}
+	for _, line := range logs.list() {
+		if strings.Contains(line, fmt.Sprintf("Persist.%d", id)) && strings.Contains(line, "[store_format]") {
+			return
+		}
+	}
+	t.Errorf("no store_format line logged: %q", logs.list())
+}
+
 // TestAPIErrorPaths exercises the front-facing error cases of the
 // distributed system facade.
 func TestAPIErrorPaths(t *testing.T) {

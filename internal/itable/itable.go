@@ -165,6 +165,11 @@ const denseLimit = 1 << 20
 //
 // Followers (Follow, FinishedSince) read the recent completions in order from
 // a fixed ring, the completion feed, which exists only once somebody follows.
+//
+// An owner completing an instance somebody waits for may hand its final state
+// over (CompleteWith) for the first reader to Take. Each shard holds one such
+// hand-off, so at most shardCount instances are kept for readers that never
+// come, whatever the length of the instance stream.
 type Terminal struct {
 	shards [shardCount]termShard
 	feed   feed
@@ -192,6 +197,14 @@ type termShard struct {
 	sparse map[Ref]wfdb.Status
 	waits  map[Ref]*Waiter
 	count  int
+	handed handOff
+}
+
+// handOff is a shard's one slot for a completed instance's final state; a
+// later hand-off in the shard replaces one nobody took.
+type handOff struct {
+	ref Ref
+	ins *wfdb.Instance
 }
 
 // Waiter is a pooled completion handle. Done is closed when the instance
@@ -275,6 +288,13 @@ func (s *termShard) setStatus(workflow string, id int, st wfdb.Status) bool {
 // any, waking every subscriber. Duplicate completions keep the first status
 // and are otherwise no-ops.
 func (t *Terminal) Complete(workflow string, id int, st wfdb.Status) {
+	t.CompleteWith(workflow, id, st, nil)
+}
+
+// CompleteWith is Complete, and if somebody waits for the instance and final
+// is not nil, it also hands final to the first Take. From the call on, final
+// belongs to whoever takes it: the caller must not read or write it again.
+func (t *Terminal) CompleteWith(workflow string, id int, st wfdb.Status, final *wfdb.Instance) {
 	s := &t.shards[shardOf(workflow, id)]
 	ref := Ref{workflow, id}
 	s.mu.Lock()
@@ -286,6 +306,9 @@ func (t *Terminal) Complete(workflow string, id int, st wfdb.Status) {
 	w := s.waits[ref]
 	if w != nil {
 		delete(s.waits, ref)
+		if final != nil {
+			s.handed = handOff{ref, final}
+		}
 	}
 	s.mu.Unlock()
 	// The status is readable before the feed names the instance, and the feed
@@ -306,6 +329,22 @@ func (t *Terminal) Complete(workflow string, id int, st wfdb.Status) {
 		w.st = st
 		close(w.done)
 	}
+}
+
+// Take returns the final state CompleteWith handed over for the instance and
+// clears the slot, so only the first call gets it; nil when there is none (no
+// waiter at completion, already taken, or replaced by a later hand-off).
+//
+//crew:hotpath
+func (t *Terminal) Take(workflow string, id int) *wfdb.Instance {
+	s := &t.shards[shardOf(workflow, id)]
+	var ins *wfdb.Instance
+	s.mu.Lock()
+	if h := s.handed; h.ins != nil && h.ref.ID == id && h.ref.Workflow == workflow {
+		ins, s.handed = h.ins, handOff{}
+	}
+	s.mu.Unlock()
+	return ins
 }
 
 // Subscribe registers interest in an instance's completion. If the

@@ -67,6 +67,11 @@ func (c *ProgramContext) InputEnv() expr.Env { return expr.MapEnv(c.Inputs) }
 
 // Program is a black-box step program. Returning an error signals a logical
 // step failure (step.fail); outputs are keyed by short output names.
+//
+// In process, ctx.Inputs and ctx.Prev may be the instance's own maps, and the
+// returned map becomes the step's recorded outputs, which a Snapshot may hand
+// to its caller. A program therefore only reads ctx, returns a map of its own
+// each time, and keeps none of these maps after it returns.
 type Program func(ctx *ProgramContext) (map[string]expr.Value, error)
 
 // StepFailure is the error type programs return for logical failures that
