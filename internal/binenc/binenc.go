@@ -93,6 +93,10 @@ func (r *Reader) Done() error {
 	return r.err
 }
 
+// Err reports the first failed read. Unlike Done it accepts input left over,
+// for a reader that takes only a prefix.
+func (r *Reader) Err() error { return r.err }
+
 // Uvarint reads an unsigned integer.
 func (r *Reader) Uvarint() uint64 {
 	v, w := binary.Uvarint(r.b)

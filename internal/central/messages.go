@@ -33,11 +33,12 @@ import (
 func init() {
 	// Register every payload this architecture puts on the transport with its
 	// codec (at the end of this file), so wire backends (unix/tcp sockets) can
-	// carry them across a process boundary.
+	// carry them across a process boundary, and its message kinds.
 	transport.RegisterPayload(appendExecRequest, decodeExecRequest)
 	transport.RegisterPayload(appendExecResponse, decodeExecResponse)
 	transport.RegisterPayload(appendStateRequest, decodeStateRequest)
 	transport.RegisterPayload(appendStateResponse, decodeStateResponse)
+	transport.RegisterKinds(KindStepExecute, KindStepCompensate, KindStepResult, KindStateInformation, KindStateResponse)
 }
 
 // ExecRequest asks an agent to run a step program (or its compensation).

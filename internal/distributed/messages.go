@@ -15,7 +15,7 @@ func init() {
 	// Register every WI payload this architecture puts on the transport with
 	// its codec (at the end of this file), so wire backends (unix/tcp
 	// sockets, the multi-process hub) can carry them across a process
-	// boundary.
+	// boundary, and the message kinds, so a decoded Kind is not a copy.
 	transport.RegisterPayload(appendWorkflowStart, decodeWorkflowStart)
 	transport.RegisterPayload(appendStepExecute, decodeStepExecute)
 	transport.RegisterPayload(appendStepCompleted, decodeStepCompleted)
@@ -35,6 +35,11 @@ func init() {
 	transport.RegisterPayload(appendPurgeNote, decodePurgeNote)
 	//crew:allow wireframe WorkflowDone is handled by the front end (mproc cluster runner), not by the agents in this package
 	transport.RegisterPayload(appendWorkflowDone, decodeWorkflowDone)
+	transport.RegisterKinds(KindWorkflowStart, KindWorkflowChangeInputs, KindWorkflowAbort,
+		KindStepExecute, KindStepCompensate, KindStepCompensated, KindStepCompleted,
+		KindStepStatus, KindStepStatusReply, KindWorkflowRollback, KindHaltThread,
+		KindCompensateSet, KindCompensateThread, KindStateInformation, KindAddRule,
+		KindAddEvent, KindAddPrecondition, KindNestedResult, KindPurge, KindWorkflowDone)
 }
 
 // Message kind labels: the workflow interfaces of the paper's Table 1.

@@ -23,13 +23,15 @@ import (
 // (Agent.Deliver), and the local Network registers every peer, and the notify
 // node, as a direct node whose function appends the message to the
 // connection as a MSG frame: the turn commits its rows, its flush puts the
-// frames in the connection's turn buffer, Deliver returns, and Serve appends
-// the ACK and writes the buffer once. Commit-before-send, write-before-ACK
-// and one-write-per-turn hold because those are consecutive statements on one
+// frames in the connection's buffer, Deliver returns, and Serve appends the
+// ACK. Serve runs every delivery one read brought in this way and writes the
+// buffer once, before it reads again. Commit-before-send, write-before-ACK
+// and one-write-per-read hold because those are consecutive statements on one
 // goroutine, and the hub's in-flight accounting never observes a gap. A sweep
-// tick or a command between deliveries is a turn on the agent's own goroutine
-// and writes its frames when it ends. Local message counts are discarded —
-// the hub charges every message once, authoritatively.
+// tick or a command between reads is a turn on the agent's own goroutine and
+// writes its frames when it ends. Local message counts are discarded — the
+// hub charges every message once, authoritatively. EXEC frames are sent only
+// when cfg.ReportExec asks for them.
 func RunChild(cfg *ChildConfig, lib *model.Library, programs *model.Registry) error {
 	if cfg == nil {
 		return fmt.Errorf("mproc: RunChild needs a config")
@@ -72,11 +74,14 @@ func RunChild(cfg *ChildConfig, lib *model.Library, programs *model.Registry) er
 		}
 	}
 
+	if cfg.ReportExec {
+		programs = reportExec(conn, programs)
+	}
 	agent, err := distributed.NewAgent(distributed.Config{
 		Name:          cfg.Name,
 		Library:       lib,
 		Agents:        cfg.Agents,
-		Programs:      reportExec(conn, programs),
+		Programs:      programs,
 		AGDB:          db,
 		DisableOCR:    cfg.DisableOCR,
 		PurgeOnCommit: cfg.PurgeOnCommit,

@@ -38,7 +38,7 @@ type ClusterConfig struct {
 	// inter-agent message crosses the hub, where it is charged once.
 	Collector *metrics.Collector
 	// OnExec observes the EXEC events children report (coordination
-	// checking); may be nil.
+	// checking); may be nil, and then the children send none.
 	OnExec func(transport.ExecEvent)
 	// Command builds the (unstarted) child process for an agent — typically
 	// the current binary re-executed; the cluster appends EnvChildConfig to
@@ -177,6 +177,7 @@ func (c *Cluster) childConfig(name string) (*ChildConfig, error) {
 		Notify:        FrontendNode,
 		DisableOCR:    c.cfg.Child.DisableOCR,
 		PurgeOnCommit: c.cfg.Child.PurgeOnCommit,
+		ReportExec:    c.cfg.OnExec != nil,
 		Workload:      c.cfg.Child.Workload,
 		Seed:          c.cfg.Child.Seed,
 		LawsPath:      c.cfg.Child.LawsPath,

@@ -50,6 +50,10 @@ type ChildConfig struct {
 	// DisableOCR and PurgeOnCommit mirror distributed.Config.
 	DisableOCR    bool `json:"disableOCR,omitempty"`
 	PurgeOnCommit bool `json:"purgeOnCommit,omitempty"`
+	// ReportExec has the agent report its programs' execution windows as
+	// EXEC frames. The cluster sets it when it was given an OnExec observer;
+	// with none, nobody reads them.
+	ReportExec bool `json:"reportExec,omitempty"`
 	// Workload + Seed regenerate a synthetic workload's library and
 	// programs. LawsPath mode (crewrun) resolves them from a LAWS file
 	// instead and leaves Workload nil.

@@ -8,11 +8,13 @@ import (
 	"os/exec"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"crew/internal/analysis"
 	"crew/internal/cerrors"
+	"crew/internal/distributed"
 	"crew/internal/experiment"
 	"crew/internal/faults"
 	"crew/internal/metrics"
@@ -291,5 +293,78 @@ func TestChildGoroutinesIndependentOfPeers(t *testing.T) {
 	}
 	if many, _ := serving(40); many != few {
 		t.Errorf("%d goroutines with %d peers, %d with 40 more: want a count independent of the roster", few, len(w.Agents)-1, many)
+	}
+}
+
+// TestExecFramesOnlyWhenObserved serves every agent of a deployment in this
+// process, each with the ChildConfig a cluster builds for it, against a hub
+// that counts the EXEC frames reaching it, and runs one instance to its end:
+// the children of a cluster without OnExec send none, those of a cluster with
+// it report every program they run.
+func TestExecFramesOnlyWhenObserved(t *testing.T) {
+	p := clusterParams()
+	w, err := workload.Generate(p, clusterSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wf := w.Library.Names()[0]
+	for _, observed := range []bool{false, true} {
+		var execs atomic.Int64
+		n := transport.NewNetwork(transport.NetworkConfig{})
+		hub, err := transport.NewRemoteHub(n, "unix", "", func(transport.ExecEvent) { execs.Add(1) })
+		if err != nil {
+			n.Close()
+			t.Fatal(err)
+		}
+		for _, name := range w.Agents {
+			if err := hub.RegisterRemote(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fe := n.MustRegister(FrontendNode)
+		cl := &Cluster{cfg: ClusterConfig{Network: "unix", Agents: w.Agents}, hub: hub}
+		if observed {
+			cl.cfg.OnExec = func(transport.ExecEvent) {}
+		}
+		served := make(chan error, len(w.Agents))
+		for _, name := range w.Agents {
+			cc, err := cl.childConfig(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() { served <- RunChild(cc, w.Library, w.Programs) }()
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		if err := hub.WaitConnected(ctx, w.Agents...); err != nil {
+			t.Fatalf("agents never connected: %v", err)
+		}
+		to, err := distributed.CoordinatorFor(w.Library, w.Agents, wf, 1, n.Alive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Send(distributed.StartMessage(FrontendNode, to, wf, 1, w.Inputs(0), FrontendNode)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case m := <-fe.Inbox():
+			if d, ok := m.Payload.(distributed.WorkflowDone); !ok || d.Status != wfdb.Committed {
+				t.Fatalf("front end received %+v, want the instance committed", m)
+			}
+		case <-ctx.Done():
+			t.Fatal("the instance never finished")
+		}
+		cancel()
+		n.Close()
+		// A child busy with its sweep as the hub goes ends with the write
+		// or read that failed: only that every child ends is checked.
+		for range w.Agents {
+			<-served
+		}
+		switch got := execs.Load(); {
+		case !observed && got != 0:
+			t.Errorf("a cluster without OnExec received %d EXEC frames, want none", got)
+		case observed && got < int64(2*p.S):
+			t.Errorf("a cluster with OnExec received %d EXEC frames, want an enter and an exit per step (%d steps)", got, p.S)
+		}
 	}
 }

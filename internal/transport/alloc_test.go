@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"crew/internal/binenc"
+	"crew/internal/metrics"
 )
 
 // Per-message allocation budgets for the send hot path. The budgets are
@@ -118,5 +119,48 @@ func TestFrameEncodeAllocBudget(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Errorf("frame encode allocates %.2f/op into a warm buffer, budget 0", avg)
+	}
+}
+
+// TestHubRouteAllocBudget guards the hub's path for a child's MSG frame to
+// another child: reading the header and routing the frame (interning its
+// names, counting it, queueing it at the destination) allocates the frame's
+// one copy and nothing else. The destination is down, so the frames stay
+// queued and nothing downstream of the queue runs.
+func TestHubRouteAllocBudget(t *testing.T) {
+	n := NewNetwork(NetworkConfig{Collector: metrics.NewCollector()})
+	defer n.Close()
+	hub, err := NewRemoteHub(n, "unix", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"agent1", "agent2"} {
+		if err := hub.RegisterRemote(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.Crash("agent2")
+	frame, err := appendMessageFrame(nil, Message{From: "agent1", To: "agent2", Kind: "ping", Payload: wirePayload{A: "x", B: 7}}, new([]string))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := frame[5:]
+	var rd binenc.Reader
+	for i := 0; i < 64; i++ {
+		if err := hub.route(&rd, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := testing.AllocsPerRun(500, func() {
+		if err := hub.route(&rd, body); err != nil {
+			t.Error(err)
+		}
+	})
+	if avg > 1 {
+		t.Errorf("routing a forwarded frame allocates %.2f/op, budget 1 (the frame's copy)", avg)
+	}
+	// 64 to warm up, and AllocsPerRun's own warm-up run before its 500.
+	if got := n.QueuedFor("agent2"); got != 565 {
+		t.Fatalf("%d frames queued for agent2, want every one routed", got)
 	}
 }

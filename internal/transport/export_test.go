@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"net"
 	"reflect"
 	"sort"
 
@@ -9,7 +10,8 @@ import (
 
 // The external tests (package transport_test) import the three architectures
 // for their payload registrations, which package transport itself cannot;
-// these hooks give them the registry and the message codec.
+// these hooks give them the registry, the message codec and a bare hub
+// connection.
 
 // PayloadCodec is one registry entry as the external tests see it.
 type PayloadCodec struct {
@@ -33,3 +35,54 @@ func RegisteredPayloads() []PayloadCodec {
 func EncodeMessage(m Message) ([]byte, error) { return encodeBody(m) }
 
 func DecodeMessage(body []byte) (Message, error) { return decodeBody(body) }
+
+// EncodeFrame encodes m as a whole MSG frame, and Reframe decodes a MSG frame
+// and encodes its message again: what the hub wrote for a frame it decoded.
+func EncodeFrame(m Message) ([]byte, error) { return appendMessageFrame(nil, m, new([]string)) }
+
+func Reframe(frame []byte) ([]byte, error) {
+	m, err := decodeBody(frame[5:])
+	if err != nil {
+		return nil, err
+	}
+	return EncodeFrame(m)
+}
+
+// RawChild claims a node at a hub over a bare connection: it writes frames as
+// given and reads what the hub writes, frame by frame, as bytes.
+type RawChild struct {
+	conn net.Conn
+	fr   *frameReader
+}
+
+func DialRaw(network, addr, name string) (*RawChild, error) {
+	c, err := DialHub(network, addr, name)
+	if err != nil {
+		return nil, err
+	}
+	return &RawChild{conn: c.conn, fr: newFrameReader(c.conn, hubReadBuf)}, nil
+}
+
+// NextMsg returns the next MSG frame the hub wrote, whole, passing over
+// WELCOME and liveness frames.
+func (r *RawChild) NextMsg() ([]byte, error) {
+	for {
+		typ, body, err := r.fr.next()
+		if err != nil {
+			return nil, err
+		}
+		if typ == frameMsg {
+			return appendFrame(nil, typ, body), nil
+		}
+	}
+}
+
+// Ack acknowledges the oldest delivery.
+func (r *RawChild) Ack() error { return r.Write(appendFrame(nil, frameAck, nil)) }
+
+func (r *RawChild) Write(frames []byte) error {
+	_, err := r.conn.Write(frames)
+	return err
+}
+
+func (r *RawChild) Close() error { return r.conn.Close() }

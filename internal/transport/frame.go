@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"io"
 	"reflect"
+	"unsafe"
 
 	"crew/internal/binenc"
 	"crew/internal/cerrors"
@@ -40,7 +41,11 @@ import (
 // its encoder wrote, and the body must end where the last message does. Maps
 // are written in sorted key order (data items as expr.Value.Append, the
 // encoding WFDB rows use), so equal messages encode to equal bytes; a nil and
-// an empty map or slice are one value on the wire and decode as nil.
+// an empty map or slice are one value on the wire and decode as nil. The
+// payload of a single-message body runs to the end of the frame, and a
+// re-encoding would give the same bytes, so the hub routes such a frame after
+// reading its header alone (readHeader) and writes it on unchanged
+// (rawFrame).
 //
 // Payload types are registered with RegisterPayload together with their
 // codec: the type name is the wire tag, and decoding produces the same
@@ -134,6 +139,15 @@ func (fr *frameReader) next() (typ byte, body []byte, err error) {
 	}
 	fr.pos += 4 + n
 	return frame[4], frame[5:], nil
+}
+
+// buffered reports whether the next frame is already whole in the buffer, so
+// next returns it without reading.
+func (fr *frameReader) buffered() bool {
+	if fr.end-fr.pos < 4 {
+		return false
+	}
+	return fr.end-fr.pos >= 4+int(binary.BigEndian.Uint32(fr.buf[fr.pos:]))
 }
 
 // peek returns the next n unread bytes without consuming them, reading until
@@ -265,17 +279,82 @@ func decodeMessage(r *binenc.Reader, body []byte) (Message, error) {
 // the reader (the caller checks Done); the error is for a well-formed message
 // naming a payload type this build has not registered.
 func decodeOne(r *binenc.Reader) (Message, error) {
-	m := Message{From: r.Str(), To: r.Str(), Kind: r.Str(), Mechanism: metrics.DecodeMechanism(r)}
-	name := r.Bytes()
-	if len(name) == 0 {
-		return m, nil
-	}
-	c := payloadByName[string(name)]
-	if c == nil {
-		return m, malformed(nil, "unknown payload type %q", name)
+	h, c, err := readHeader(r)
+	m := Message{From: string(h.from), To: string(h.to), Kind: internKind(h.kind), Mechanism: h.mech}
+	if err != nil || c == nil {
+		return m, err
 	}
 	m.Payload = c.decode(r)
 	return m, nil
+}
+
+// header is a message's routing fields as they sit in a body: the names alias
+// it.
+type header struct {
+	from, to, kind []byte
+	mech           metrics.Mechanism
+}
+
+// readHeader reads a message up to its payload: the names, the mechanism and
+// the payload type, whose codec it returns (nil for a nil payload). The error
+// is for a type this build has not registered; input cut short fails r.
+//
+//crew:hotpath
+func readHeader(r *binenc.Reader) (header, *payloadCodec, error) {
+	h := header{from: r.Bytes(), to: r.Bytes(), kind: r.Bytes(), mech: metrics.DecodeMechanism(r)}
+	name := r.Bytes()
+	if len(name) == 0 {
+		return h, nil, nil
+	}
+	c := payloadByName[string(name)]
+	if c == nil {
+		//crew:allow hotalloc formats once, for a frame the connection is dropped for
+		return h, nil, malformed(nil, "unknown payload type %q", name)
+	}
+	return h, c, nil
+}
+
+// rawFrame is a MSG frame the hub forwards as it arrived, without decoding
+// its payload: a private copy (the read buffer is reused), held by a pointer
+// to its length prefix, which says how long the copy is. An interface holds a
+// pointer as it is, so the copy is the frame's only allocation; it is garbage
+// once the message is acknowledged.
+type rawFrame struct{ hdr *[4]byte }
+
+// newRawFrame copies a MSG frame whose body is body.
+func newRawFrame(body []byte) rawFrame {
+	return rawFrame{(*[4]byte)(appendFrame(make([]byte, 0, 5+len(body)), frameMsg, body))}
+}
+
+// bytes returns the whole frame, length prefix included.
+func (f rawFrame) bytes() []byte {
+	return unsafe.Slice(&f.hdr[0], 4+int(binary.BigEndian.Uint32(f.hdr[:])))
+}
+
+// ---------------------------------------------------------------------------
+// Message kinds
+
+// kindNames holds every registered message kind, so a decoded Kind is the
+// registered string rather than a copy of the frame's bytes.
+var kindNames = make(map[string]string)
+
+// RegisterKinds registers message kinds (Message.Kind values) a package puts
+// on the wire. Decoding a message of a registered kind allocates nothing for
+// its Kind; any other kind still decodes, as a fresh string. Like
+// RegisterPayload it must be called from an init function; registering a kind
+// twice is harmless.
+func RegisterKinds(kinds ...string) {
+	for _, k := range kinds {
+		kindNames[k] = k
+	}
+}
+
+// internKind returns the registered kind spelled b, or a fresh copy of b.
+func internKind(b []byte) string {
+	if k, ok := kindNames[string(b)]; ok {
+		return k
+	}
+	return string(b)
 }
 
 // ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ func init() {
 	RegisterPayload(
 		func(dst []byte, p int, _ *[]string) []byte { return binenc.AppendInt(dst, p) },
 		func(r *binenc.Reader) int { return r.Int() })
+	RegisterKinds("k", "ping", "pong")
 }
 
 // encodeBody and decodeBody run the message codec with throwaway scratch.
@@ -272,8 +273,29 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	// multi-byte varint, a multi-byte string, a bare integer payload.
 	f.Add(mustEncodeFuzz(Message{From: "agent01", To: "agent02", Kind: "K", Mechanism: metrics.Coordination, Payload: wirePayload{A: "naïve ✓", B: -1 << 40}}))
 	f.Add(mustEncodeFuzz(Message{From: "a", To: "b", Kind: "Int", Payload: 1 << 62}))
+	// A header the hub accepts in front of a payload cut short.
+	f.Add(mustEncodeFuzz(Message{From: "a", To: "b", Kind: "k", Payload: wirePayload{A: "abcdef", B: 1}})[:22])
 	f.Fuzz(func(t *testing.T, body []byte) {
+		// The hub forwards a single message whose header reads as the bytes
+		// it arrived in, and whatever an endpoint decodes, the hub's header
+		// read takes too, to the same header.
+		var rd binenc.Reader
+		rd.Reset(body)
+		single := rd.Byte() == 0
+		hd, _, herr := readHeader(&rd)
+		if herr == nil {
+			herr = rd.Err()
+		}
+		if single && herr == nil {
+			if got, want := newRawFrame(body).bytes(), appendFrame(nil, frameMsg, body); !bytes.Equal(got, want) {
+				t.Fatalf("forwarded frame differs from the frame read:\n got=%x\nwant=%x", got, want)
+			}
+		}
 		m, err := decodeBody(body)
+		if err == nil && single && (herr != nil ||
+			string(hd.from) != m.From || string(hd.to) != m.To || string(hd.kind) != m.Kind || hd.mech != m.Mechanism) {
+			t.Fatalf("the header read (%q %q %q %v, %v) disagrees with the decode %+v", hd.from, hd.to, hd.kind, hd.mech, herr, m)
+		}
 		if err != nil {
 			// Every rejection must be a classified wire error.
 			if !errors.Is(err, cerrors.ErrWire) {

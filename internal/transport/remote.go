@@ -31,19 +31,32 @@ import (
 // acknowledgements (ACK) and program-execution events (EXEC, feeding a
 // cross-process coordination-invariant checker).
 //
+// The hub routes frames it does not read. A child's single message for
+// another child is counted, shown to the fault policy, parked and replayed
+// like any message, but only its header is parsed (names, mechanism, payload
+// type); the frame itself is what the hub writes to the destination. The
+// hub still drops the connection of a child whose frame, header, mechanism or
+// payload type is bad; a payload that does not decode is found by the child
+// it is for, whose Serve fails with CodeFrameMalformed. Envelopes, and
+// messages for nodes in the hub's own process (the front end), are decoded.
+// EXEC frames are decoded only when someone observes them (onExec).
+//
 // Delivery to a child is write-and-track rather than write-and-wait: deliver
 // appends the message to the node's unacked tail, writes the frame and
 // returns, and the child's ACK — sent only after the child has fully
 // processed the delivery — retires it from the in-flight count. The child
-// collects every frame a delivery causes (follow-up sends, EXEC events) in
-// one buffer, appends the ACK last and writes the buffer once: one write per
-// turn, ACK last. Because the ACK trails the follow-up sends in the
-// connection's FIFO, the hub never observes a processed-but-unsent gap:
-// Quiesce stays exact across process boundaries. A child killed mid-delivery
-// has written none of the turn's frames and leaves the message in the
-// unacked tail; the respawned child's reconnect replays the tail in order
-// before any new traffic (at-least-once — the workflow protocol's epoch merge
-// absorbs the duplicates this can produce).
+// works through every frame one read brought in, collecting what each
+// delivery causes (follow-up sends, EXEC events) and then its ACK in one
+// buffer, and writes the buffer once before it reads again: one write per
+// read, each ACK behind its delivery's frames. Because the ACK trails the
+// follow-up sends in the connection's FIFO, the hub never observes a
+// processed-but-unsent gap: Quiesce stays exact across process boundaries. A
+// child killed mid-burst has written none of the burst's frames and leaves
+// its messages in the unacked tail; the respawned child's reconnect replays
+// the tail in order before any new traffic (at-least-once — the workflow
+// protocol's epoch merge absorbs the duplicates this can produce). A delivery
+// that fails ends the burst: the turns before it are written, its own frames
+// are not.
 //
 // Both ends read through a frameReader, so a burst of frames costs one read.
 // The hub's buffer starts small on purpose: it is held per connection for
@@ -143,7 +156,7 @@ func (h *RemoteHub) RegisterRemote(name string) error {
 	if h.closed.Load() {
 		return ErrClosed
 	}
-	p := &remotePeer{hub: h, name: name, claimed: make(chan struct{})}
+	p := &remotePeer{hub: h, claimed: make(chan struct{})}
 	_, err := h.n.registerRemote(name, func(nd *node) Link {
 		p.nd = nd
 		return p
@@ -302,29 +315,66 @@ func (h *RemoteHub) serve(c net.Conn) {
 		}
 		switch typ {
 		case frameMsg:
-			m, err := decodeMessage(&rd, body)
-			if err != nil {
+			if h.route(&rd, body) != nil {
 				return
 			}
-			h.inject(m)
 		case frameAck:
 			p.ack()
 		case frameExec:
+			if h.onExec == nil {
+				continue // nobody observes it: not even decoded
+			}
 			ev, err := decodeExec(&rd, body)
 			if err != nil {
 				return
 			}
-			if h.onExec != nil {
-				h.onExec(ev)
-			}
+			h.onExec(ev)
 		default:
 			return
 		}
 	}
 }
 
-// inject routes a child's forwarded send through the hub network, where it is
-// counted (per logical message for envelopes) exactly like a local send.
+// route sends a child's MSG frame on through the hub network, where it is
+// counted, shown to the fault policy and parked like a local send. A single
+// message for another agent process is forwarded as the bytes it arrived in:
+// only its header is read, its names are the hub's own strings when the hub
+// knows them (a node, a registered kind) and its payload type must be
+// registered, but the payload is left for the receiving child to decode. An
+// envelope, or a message for a node in this process, is decoded whole. An
+// error means the frame is bad; the caller drops the connection.
+func (h *RemoteHub) route(rd *binenc.Reader, body []byte) error {
+	rd.Reset(body)
+	if rd.Byte() == 0 {
+		hd, _, err := readHeader(rd)
+		if err != nil {
+			return err
+		}
+		if err := rd.Err(); err != nil {
+			return malformed(err, "message header")
+		}
+		nodes := *h.n.nodes.Load()
+		if to := nodes[string(hd.to)]; to != nil && to.remote() {
+			var from string
+			if nd := nodes[string(hd.from)]; nd != nil {
+				from = nd.name
+			} else {
+				from = string(hd.from)
+			}
+			h.n.deliver(to, Message{From: from, To: to.name, Kind: internKind(hd.kind), Mechanism: hd.mech, Payload: newRawFrame(body)})
+			return nil
+		}
+	}
+	m, err := decodeMessage(rd, body)
+	if err != nil {
+		return err
+	}
+	h.inject(m)
+	return nil
+}
+
+// inject routes a decoded message through the hub network, counted (per
+// logical message for envelopes) exactly like a local send.
 func (h *RemoteHub) inject(m Message) {
 	if env, ok := m.Payload.(*Envelope); ok && m.Kind == KindEnvelope {
 		nd := h.n.lookup(m.To)
@@ -341,9 +391,8 @@ func (h *RemoteHub) inject(m Message) {
 // remotePeer is the hub-side send half of one remote node: the Link its
 // network node delivers through, plus the claimed connection.
 type remotePeer struct {
-	hub  *RemoteHub
-	name string
-	nd   *node
+	hub *RemoteHub
+	nd  *node
 
 	// mu guards conn and serializes every write on it: deliveries, the
 	// attach-time WELCOME + unacked replay, and liveness broadcasts. The lock
@@ -376,7 +425,7 @@ func (p *remotePeer) deliver(m Message) error {
 			return ErrClosed
 		}
 		if !p.nd.up.Load() {
-			return cerrors.E(cerrors.CodePeerCrashed, cerrors.PhaseDeliver, cerrors.ErrWire, nil, "node %s down with no process attached", p.name)
+			return cerrors.E(cerrors.CodePeerCrashed, cerrors.PhaseDeliver, cerrors.ErrWire, nil, "node %s down with no process attached", p.nd.name)
 		}
 		select {
 		case <-ch:
@@ -398,11 +447,10 @@ func (p *remotePeer) Close() error { return nil }
 // without tracking; a write failure is not an error here, the reader will
 // detach the dead connection and a reclaim will replay the tail.
 func (p *remotePeer) writeMsgLocked(m Message) error {
-	framed, err := appendMessageFrame(p.scratch[:0], m, &p.keys)
+	framed, err := p.frameLocked(m)
 	if err != nil {
 		return err
 	}
-	p.scratch = framed
 	p.nd.mu.Lock()
 	p.nd.unacked.push(m)
 	if !p.nd.up.Load() {
@@ -411,6 +459,20 @@ func (p *remotePeer) writeMsgLocked(m Message) error {
 	p.nd.mu.Unlock()
 	p.writeLocked(framed)
 	return nil
+}
+
+// frameLocked returns m as a MSG frame: a forwarded frame as it arrived,
+// anything else encoded into the scratch buffer.
+func (p *remotePeer) frameLocked(m Message) ([]byte, error) {
+	if f, ok := m.Payload.(rawFrame); ok {
+		return f.bytes(), nil
+	}
+	framed, err := appendMessageFrame(p.scratch[:0], m, &p.keys)
+	if err != nil {
+		return nil, err
+	}
+	p.scratch = framed
+	return framed, nil
 }
 
 // writeLocked writes complete frames under p.mu. A failed write closes the
@@ -448,11 +510,10 @@ func (p *remotePeer) attach(c net.Conn) {
 	pending := append([]Message(nil), p.nd.unacked.live()...)
 	p.nd.mu.Unlock()
 	for _, m := range pending {
-		framed, err := appendMessageFrame(p.scratch[:0], m, &p.keys)
+		framed, err := p.frameLocked(m)
 		if err != nil {
 			continue
 		}
-		p.scratch = framed
 		if !p.writeLocked(framed) {
 			break
 		}
@@ -473,6 +534,12 @@ func (p *remotePeer) detach(c net.Conn) {
 		p.claimed = make(chan struct{})
 	}
 	p.mu.Unlock()
+}
+
+// remote reports whether the node's consumer is a child process.
+func (nd *node) remote() bool {
+	_, ok := nd.link.(*remotePeer)
+	return ok
 }
 
 // ack retires the oldest unacked delivery: the child has fully processed it
@@ -554,16 +621,17 @@ type ChildConn struct {
 	conn net.Conn
 	name string
 
-	// wmu guards the write side. While Serve is inside deliver (inTurn),
-	// SendMessage and Exec append their frames to out; the delivery's ACK is
-	// appended last and the whole buffer leaves in one Write. Outside a
-	// delivery a frame is written at once. werr is the first failed write:
-	// it closes the connection, and Serve returns it.
-	wmu    sync.Mutex
-	out    []byte
-	keys   []string // appendMessage's sort scratch
-	inTurn bool
-	werr   error
+	// wmu guards the write side. While Serve works through the frames one
+	// read delivered (held), SendMessage and Exec append their frames to out
+	// and each delivery's ACK follows its own frames; the buffer leaves in one
+	// Write before the next read that would block. Outside such a burst a
+	// frame is written at once. werr is the first failed write: it closes the
+	// connection, and Serve returns it.
+	wmu  sync.Mutex
+	out  []byte
+	keys []string // appendMessage's sort scratch
+	held bool
+	werr error
 
 	amu   sync.Mutex
 	alive map[string]bool
@@ -599,9 +667,10 @@ func (c *ChildConn) Alive(name string) bool {
 }
 
 // SendMessage forwards one of this process's outbound sends to the hub,
-// where it re-enters the authoritative network. Called while Serve is inside
-// deliver, it joins the turn's buffer and reaches the hub with the ACK. A
-// message that does not encode is returned and leaves nothing behind.
+// where it re-enters the authoritative network. Called while Serve works
+// through a burst, it joins the burst's buffer and reaches the hub ahead of
+// the delivery's ACK. A message that does not encode is returned and leaves
+// nothing behind.
 func (c *ChildConn) SendMessage(m Message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -623,11 +692,11 @@ func (c *ChildConn) Exec(ev ExecEvent) error {
 	return c.flushLocked()
 }
 
-// flushLocked writes the buffered frames in one Write, unless a turn is
+// flushLocked writes the buffered frames in one Write, unless a burst is
 // still collecting them.
 func (c *ChildConn) flushLocked() error {
-	if c.inTurn {
-		return nil
+	if c.held || len(c.out) == 0 {
+		return c.werr
 	}
 	if c.werr == nil {
 		if _, err := c.conn.Write(c.out); err != nil {
@@ -639,24 +708,31 @@ func (c *ChildConn) flushLocked() error {
 	return c.werr
 }
 
-func (c *ChildConn) beginTurn() {
+// turn runs deliver for one message of a burst: what the delivery sends, then
+// its ACK, join the held buffer. A failed delivery takes its frames back out
+// (the connection is closing; the hub still holds the message unacked), and
+// the frames and ACKs of the burst's earlier turns still leave.
+func (c *ChildConn) turn(deliver func(Message) error, m Message) error {
 	c.wmu.Lock()
-	c.inTurn = true
+	c.held = true
+	mark := len(c.out)
 	c.wmu.Unlock()
-}
-
-// endTurn closes the turn deliver ran in: the ACK goes behind the turn's
-// frames and the buffer out. A failed delivery drops them instead (the
-// connection is closing; the hub still holds the message unacked).
-func (c *ChildConn) endTurn(err error) error {
+	err := deliver(m)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.inTurn = false
 	if err != nil {
-		c.out = c.out[:0]
+		c.out = c.out[:mark]
 		return err
 	}
 	c.out = appendFrame(c.out, frameAck, nil)
+	return nil
+}
+
+// release ends a burst: the held frames leave in one Write.
+func (c *ChildConn) release() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.held = false
 	return c.flushLocked()
 }
 
@@ -674,11 +750,15 @@ func (c *ChildConn) Close() error { return c.conn.Close() }
 // is fully processed — including every follow-up send the processing caused,
 // issued through SendMessage so they precede the automatic ACK on the wire.
 // That ordering is what makes the hub's quiescence accounting exact across
-// the process boundary. onLiveness (optional) observes hub announcements
-// after the internal liveness map (serving Alive) is updated. A nil error
-// means the hub closed the connection cleanly.
+// the process boundary. The frames one read delivered are served as a burst
+// whose output leaves in one Write before the next read that would block.
+// onLiveness (optional) observes hub announcements after the internal
+// liveness map (serving Alive) is updated. A nil error means the hub closed
+// the connection cleanly; any other error is returned after the burst's
+// completed turns are written.
 func (c *ChildConn) Serve(deliver func(Message) error, onLiveness func(name string, up bool)) error {
 	err := c.serve(deliver, onLiveness)
+	c.release()
 	c.conn.Close()
 	return err
 }
@@ -687,6 +767,13 @@ func (c *ChildConn) serve(deliver func(Message) error, onLiveness func(name stri
 	fr := newFrameReader(c.conn, childReadBuf)
 	var rd binenc.Reader
 	for {
+		if !fr.buffered() {
+			// The next frame takes a read, which may block: the burst's
+			// output leaves first.
+			if err := c.release(); err != nil {
+				return err
+			}
+		}
 		typ, body, err := fr.next()
 		if err != nil {
 			if werr := c.writeErr(); werr != nil {
@@ -703,8 +790,7 @@ func (c *ChildConn) serve(deliver func(Message) error, onLiveness func(name stri
 			if err != nil {
 				return err
 			}
-			c.beginTurn()
-			if err := c.endTurn(deliver(m)); err != nil {
+			if err := c.turn(deliver, m); err != nil {
 				return err
 			}
 		case frameWelcome:

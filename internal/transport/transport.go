@@ -93,8 +93,7 @@ type FaultPolicy interface {
 // Endpoint is a node's receive side. It has one consumer, which either runs
 // drain passes itself (Wake and Drain: an actor) or ranges over Inbox.
 type Endpoint struct {
-	name string
-	nd   *node
+	nd *node
 	// d drains the mailbox the consumer reads: the node's own for an
 	// in-process node, the one the wire's sink fills for a node behind a
 	// Wire backend.
@@ -105,7 +104,7 @@ type Endpoint struct {
 }
 
 // Name returns the node name.
-func (e *Endpoint) Name() string { return e.name }
+func (e *Endpoint) Name() string { return e.nd.name }
 
 // Wake returns the consumer's wake-up signal. It holds a token whenever
 // messages may be waiting and once the network has closed; a consumer that
@@ -192,6 +191,7 @@ func (mb *mailbox) wake() {
 
 type node struct {
 	net       *Network
+	name      string
 	ep        *Endpoint // nil for remote nodes (hub side of a process boundary)
 	up        atomic.Bool
 	manualAck atomic.Bool
@@ -480,9 +480,9 @@ func (n *Network) Register(name string) (*Endpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	nd := &node{net: n, in: newMailbox()}
+	nd := &node{net: n, name: name, in: newMailbox()}
 	nd.up.Store(true)
-	nd.ep = &Endpoint{name: name, nd: nd, d: drainer{nd: nd, mb: &nd.in, retire: true}}
+	nd.ep = &Endpoint{nd: nd, d: drainer{nd: nd, mb: &nd.in, retire: true}}
 	if n.wire != nil {
 		nd.rx = newMailbox()
 		nd.ep.d.mb = &nd.rx
@@ -508,7 +508,7 @@ func (n *Network) registerRemote(name string, mkLink func(*node) Link) (*node, e
 	if err != nil {
 		return nil, err
 	}
-	nd := &node{net: n, in: newMailbox()}
+	nd := &node{net: n, name: name, in: newMailbox()}
 	nd.up.Store(true)
 	nd.link = mkLink(nd)
 	n.install(name, nd, old)
@@ -531,7 +531,7 @@ func (n *Network) RegisterDirect(name string, fn func(Message)) error {
 	if err != nil {
 		return err
 	}
-	nd := &node{net: n, direct: fn}
+	nd := &node{net: n, name: name, direct: fn}
 	nd.up.Store(true)
 	n.install(name, nd, old)
 	return nil
