@@ -10,6 +10,7 @@ import (
 	"crew/internal/expr"
 	"crew/internal/metrics"
 	"crew/internal/model"
+	"crew/internal/nav"
 	"crew/internal/ocr"
 	"crew/internal/transport"
 	"crew/internal/wfdb"
@@ -150,7 +151,7 @@ func cmdFig5() error {
 		},
 	}
 	for _, sc := range scenarios {
-		d, err := ocr.Decide(nil, sc.step, sc.rec, sc.inputs, sc.data)
+		d, err := nav.Decide(false, nil, sc.step, sc.rec, sc.inputs, sc.data)
 		note := ""
 		if err != nil {
 			note = " (" + err.Error() + ")"

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,23 +39,41 @@ func equivalenceParams() analysis.Parameters {
 	return p
 }
 
-// collectOutcomes runs the deterministic workload on every architecture and
-// returns the terminal status and final data of each instance, keyed by
-// workflow and instance index.
-func collectOutcomes(t *testing.T, p analysis.Parameters) map[crew.Architecture]map[string]outcome {
-	t.Helper()
-	const instances = 4
-	results := make(map[crew.Architecture]map[string]outcome)
-	for _, arch := range []crew.Architecture{crew.Central, crew.Parallel, crew.Distributed} {
+// scenario is one deterministic workload: a library, the programs it runs,
+// the agents and each instance's inputs. The programs may keep state, so a
+// scenario is built afresh for every architecture.
+type scenario struct {
+	lib       *crew.Library
+	programs  *crew.Registry
+	agents    []string
+	inputs    func(i int) map[string]crew.Value
+	instances int
+}
+
+// generated is the generated workload at p.
+func generated(p analysis.Parameters) func(t *testing.T) scenario {
+	return func(t *testing.T) scenario {
 		w, err := workload.Generate(p, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return scenario{w.Library, w.Programs, w.Agents, w.Inputs, 4}
+	}
+}
+
+// collectOutcomes runs a scenario on every architecture and returns the
+// terminal status and final data of each instance, keyed by workflow and
+// instance index.
+func collectOutcomes(t *testing.T, build func(t *testing.T) scenario) map[crew.Architecture]map[string]outcome {
+	t.Helper()
+	results := make(map[crew.Architecture]map[string]outcome)
+	for _, arch := range []crew.Architecture{crew.Central, crew.Parallel, crew.Distributed} {
+		sc := build(t)
 		sys, err := crew.NewSystem(crew.Config{
-			Library:      w.Library,
-			Programs:     w.Programs,
+			Library:      sc.lib,
+			Programs:     sc.programs,
 			Architecture: arch,
-			Agents:       w.Agents,
+			Agents:       sc.agents,
 			Engines:      3,
 			Logf:         t.Logf,
 		})
@@ -62,9 +81,9 @@ func collectOutcomes(t *testing.T, p analysis.Parameters) map[crew.Architecture]
 			t.Fatal(err)
 		}
 		got := make(map[string]outcome)
-		for _, wf := range w.Library.Names() {
-			for i := 0; i < instances; i++ {
-				id, st, err := sys.Run(wf, w.Inputs(i), 20*time.Second)
+		for _, wf := range sc.lib.Names() {
+			for i := 0; i < sc.instances; i++ {
+				id, st, err := sys.Run(wf, sc.inputs(i), 20*time.Second)
 				if err != nil {
 					sys.Close()
 					t.Fatalf("%v %s: %v", arch, wf, err)
@@ -112,10 +131,89 @@ func compareOutcomes(t *testing.T, label string, base, other map[string]outcome)
 }
 
 func TestArchitecturesProduceEquivalentResults(t *testing.T) {
-	results := collectOutcomes(t, equivalenceParams())
-	base := results[crew.Central]
-	for _, arch := range []crew.Architecture{crew.Parallel, crew.Distributed} {
-		compareOutcomes(t, arch.String(), base, results[arch])
+	for _, tc := range []struct {
+		name  string
+		build func(t *testing.T) scenario
+	}{
+		{"generated", generated(equivalenceParams())},
+		{"failure and revisit", failureAndRevisit},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			results := collectOutcomes(t, tc.build)
+			base := results[crew.Central]
+			for _, arch := range []crew.Architecture{crew.Parallel, crew.Distributed} {
+				compareOutcomes(t, arch.String(), base, results[arch])
+			}
+		})
+	}
+}
+
+// failureAndRevisit is A -> B -> C where B fails its first attempt at every
+// instance and rolls back to A: each instance revisits A through OCR, which
+// reuses A's result because its inputs stand, and runs B again. Each
+// architecture's run checks that this is what happened when the test ends.
+func failureAndRevisit(t *testing.T) scenario {
+	const instances = 4
+	var mu sync.Mutex
+	failed := map[int]bool{}
+	runs := map[string]int{}
+	count := func(step string) {
+		mu.Lock()
+		runs[step]++
+		mu.Unlock()
+	}
+	reg := crew.NewRegistry()
+	reg.Register("pa", func(ctx *crew.ProgramContext) (map[string]crew.Value, error) {
+		count("A")
+		i1, _ := ctx.Inputs["WF.I1"].AsNum()
+		return map[string]crew.Value{"O1": crew.Num(2 * i1)}, nil
+	})
+	reg.Register("ca", func(*crew.ProgramContext) (map[string]crew.Value, error) {
+		count("compensate A")
+		return nil, nil
+	})
+	reg.Register("pb", func(ctx *crew.ProgramContext) (map[string]crew.Value, error) {
+		mu.Lock()
+		first := !failed[ctx.Instance]
+		failed[ctx.Instance] = true
+		mu.Unlock()
+		if first {
+			return nil, crew.Fail("first attempt fails")
+		}
+		count("B")
+		a, _ := ctx.Inputs["A.O1"].AsNum()
+		return map[string]crew.Value{"O1": crew.Num(a + 1)}, nil
+	})
+	reg.Register("pc", func(ctx *crew.ProgramContext) (map[string]crew.Value, error) {
+		count("C")
+		b, _ := ctx.Inputs["B.O1"].AsNum()
+		return map[string]crew.Value{"O1": crew.Num(10 * b)}, nil
+	})
+	lib := crew.NewLibrary()
+	lib.Add(crew.NewSchema("Retry", "I1").
+		Step("A", "pa", crew.WithInputs("WF.I1"), crew.WithOutputs("O1"), crew.WithCompensation("ca")).
+		Step("B", "pb", crew.WithInputs("A.O1"), crew.WithOutputs("O1")).
+		Step("C", "pc", crew.WithInputs("B.O1"), crew.WithOutputs("O1")).
+		Seq("A", "B", "C").
+		OnFailure("B", "A", 2).
+		MustBuild())
+	t.Cleanup(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		want := map[string]int{"A": instances, "B": instances, "C": instances}
+		if !reflect.DeepEqual(runs, want) {
+			t.Errorf("programs ran %v, want %v: one failed B, a reused A, per instance", runs, want)
+		}
+		if len(failed) != instances {
+			t.Errorf("B failed at %d instances, want %d", len(failed), instances)
+		}
+	})
+	return scenario{
+		lib:       lib,
+		programs:  reg,
+		agents:    []string{"a1", "a2", "a3"},
+		inputs:    func(i int) map[string]crew.Value { return map[string]crew.Value{"I1": crew.Num(float64(i + 1))} },
+		instances: instances,
 	}
 }
 

@@ -2,6 +2,7 @@ package central
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -1131,6 +1132,43 @@ func holdEngine(t *testing.T, e *Engine) (release func()) {
 	})
 	<-entered
 	return release
+}
+
+// TestChangeInputsOfInstanceRetiredWhileQueued: an input change that waits for
+// the engine behind the command retiring its instance gets ErrNotRunning, the
+// error Abort gives in the same race, not ErrUnknownInstance.
+func TestChangeInputsOfInstanceRetiredWhileQueued(t *testing.T) {
+	reg := model.NewRegistry()
+	block := make(chan struct{})
+	reg.Register("pa", func(*model.ProgramContext) (map[string]expr.Value, error) {
+		<-block
+		return nil, nil
+	})
+	reg.Register("pb", model.NopProgram())
+	sys := deployment(t, 1, false, lib1(model.NewSchema("W", "I1").
+		Step("A", "pa").
+		Step("B", "pb", model.WithInputs("WF.I1")).
+		Seq("A", "B").
+		MustBuild()), reg, t.Logf)
+	t.Cleanup(func() { close(block) }) // ahead of the deployment's Close
+	id, err := sys.StartCtx(context.Background(), "W", map[string]expr.Value{"I1": expr.Num(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := sys.engines[0]
+	release := holdEngine(t, e)
+	// Queued first: the instance aborts (nothing to compensate) and retires.
+	e.DoAsync(func() { e.abortInstance(e.instances[wfdb.InstanceKeyOf("W", id)], metrics.Abort) })
+	errc := make(chan error, 1)
+	go func() { errc <- sys.ChangeInputs("W", id, map[string]expr.Value{"I1": expr.Num(2)}) }()
+	time.Sleep(50 * time.Millisecond) // let the input change queue behind the abort
+	release()
+	if err := <-errc; !errors.Is(err, ErrNotRunning) {
+		t.Fatalf("ChangeInputs of an instance retired while it was queued: %v, want ErrNotRunning", err)
+	}
+	if err := sys.Abort("W", id); !errors.Is(err, ErrNotRunning) {
+		t.Fatalf("Abort of the retired instance: %v, want ErrNotRunning", err)
+	}
 }
 
 func TestRecoverDoesNotResurrectRetired(t *testing.T) {

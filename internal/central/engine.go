@@ -3,7 +3,7 @@ package central
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"crew/internal/actor"
 	"crew/internal/cerrors"
@@ -57,16 +57,14 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// instState is the engine-side state of one instance.
+// instState is the engine-side state of one instance: the navigation state
+// every placement shares, and the engine's own, which a dispatching owner
+// needs (what is out at an agent, the compensation chain, the abort).
 type instState struct {
-	ins      *wfdb.Instance
-	schema   *model.Schema
-	rules    *rules.Engine
-	recovery metrics.Mechanism // Normal when not recovering
+	nav.Inst
+	e *Engine
 
 	dispatched map[model.StepID]bool
-	gate       coord.Gate
-	rollbacks  map[model.StepID]int
 
 	chain        []chainTask
 	chainActive  bool
@@ -74,15 +72,9 @@ type instState struct {
 	aborting     bool
 	abortCause   metrics.Mechanism
 
-	childOf map[model.StepID]int // nested step -> child instance ID
-
 	// dirty marks the instance as changed since its last WFDB row; it is then
 	// queued with the actor and the turn's commit writes it.
 	dirty bool
-	// retired is set by finishInstance before it publishes the terminal
-	// status. A top-level instance is then handed to its waiter, so navigation
-	// still on the stack must return without reading ins.
-	retired bool
 	// unanswered counts the step requests sent for the instance that have no
 	// response yet. An in-process agent runs the program over the request's
 	// maps, which are the step record's own (Inputs, Prev), so the instance is
@@ -95,7 +87,7 @@ type instState struct {
 // handsOff reports whether nothing outside the instance can still hold its
 // maps, so a waiter may take it as it is.
 func (st *instState) handsOff() bool {
-	return st.unanswered == 0 && !st.reloaded && st.ins.Parent == nil
+	return st.unanswered == 0 && !st.reloaded && st.Ins.Parent == nil
 }
 
 // Save implements actor.Row: retirement clears the mark, so an instance that
@@ -103,25 +95,20 @@ func (st *instState) handsOff() bool {
 func (st *instState) Save(tx *wfdb.Batch) {
 	if st.dirty {
 		st.dirty = false
-		tx.SaveInstance(st.ins)
+		tx.SaveInstance(st.Ins)
 	}
 }
 
 // newInstState wraps an instance, fresh or reloaded, with its rule set bound
 // to its event table.
-func newInstState(ins *wfdb.Instance, schema *model.Schema) *instState {
-	ins.AttachSchema(schema)
+func (e *Engine) newInstState(ins *wfdb.Instance, schema *model.Schema) *instState {
 	st := &instState{
-		ins:        ins,
-		schema:     schema,
-		rules:      rules.NewEngine(),
-		recovery:   metrics.Normal,
+		Inst:       nav.NewInst(ins, schema, &e.site),
+		e:          e,
 		dispatched: make(map[model.StepID]bool),
-		rollbacks:  make(map[model.StepID]int),
-		childOf:    make(map[model.StepID]int),
 	}
-	rules.InstallSchemaRules(st.rules, schema)
-	st.rules.Bind(ins.Events)
+	rules.InstallSchemaRules(st.Rules, schema)
+	st.Rules.Bind(ins.Events)
 	return st
 }
 
@@ -142,9 +129,9 @@ type execPlan struct {
 // (Do, DoAsync), and every turn ends in the actor's commit, flush, ack.
 type Engine struct {
 	*actor.Actor
-	cfg Config
-	net *transport.Network
-	rec metrics.NodeRecorder
+	cfg  Config
+	net  *transport.Network
+	site nav.Site
 
 	instances map[string]*instState
 	loads     map[string]int64
@@ -159,10 +146,9 @@ type Engine struct {
 	// Placement of coordinated execution: requests go to homeNode; home is
 	// non-nil on that engine, which routes an injection to the target's owner
 	// and a rollback order to every one of engines.
-	coordSteps map[model.StepRef]bool
-	homeNode   string
-	home       *coord.Home
-	engines    []string
+	homeNode string
+	home     *coord.Home
+	engines  []string
 
 	// halted marks a simulated engine-process crash: volatile state has been
 	// discarded and not yet rebuilt. Messages that reference unknown
@@ -186,7 +172,6 @@ func NewEngine(cfg Config, net *transport.Network) (*Engine, error) {
 	e := &Engine{
 		cfg:       cfg,
 		net:       net,
-		rec:       cfg.Collector.Node(cfg.Name),
 		instances: make(map[string]*instState),
 		loads:     make(map[string]int64),
 		term:      cfg.Terminal,
@@ -195,13 +180,19 @@ func NewEngine(cfg Config, net *transport.Network) (*Engine, error) {
 		engines:   []string{cfg.Name},
 	}
 	e.home = coord.NewHome(cfg.Library, e)
-	e.coordSteps = e.home.Tracker().CoordinatedSteps()
 	if cfg.DB != nil {
 		e.adb = cfg.DB
 	}
 	var err error
 	if e.Actor, err = actor.New(net, cfg.Name, e.adb, cfg.Logf); err != nil {
 		return nil, err
+	}
+	e.site = nav.Site{
+		Name:        cfg.Name,
+		Rec:         cfg.Collector.Node(cfg.Name),
+		Coordinated: e.home.Tracker().CoordinatedSteps(),
+		DisableOCR:  cfg.DisableOCR,
+		Logf:        e.Logf,
 	}
 	e.Launch(e.handleMessage, nil)
 	return e, nil
@@ -226,10 +217,6 @@ func (e *Engine) handleMessage(m transport.Message) {
 	default:
 		coord.Dispatch(p, e)
 	}
-}
-
-func (e *Engine) addLoad(m metrics.Mechanism, units int64) {
-	e.rec.Add(m, units)
 }
 
 // ---------------------------------------------------------------------------
@@ -261,23 +248,30 @@ func (e *Engine) Abort(workflow string, id int) error {
 	}
 	var err error
 	e.Do(func() {
-		st := e.instances[wfdb.InstanceKeyOf(workflow, id)]
-		if st == nil {
-			if _, done := e.term.Status(workflow, id); done {
-				err = ErrNotRunning // retired while the command was queued
-			} else {
-				err = ErrUnknownInstance
-			}
-			return
+		var st *instState
+		if st, err = e.running(workflow, id); err == nil {
+			e.site.Rec.Add(metrics.Abort, 1)
+			e.abortInstance(st, metrics.Abort)
 		}
-		if st.ins.Status != wfdb.Running {
-			err = ErrNotRunning
-			return
-		}
-		e.addLoad(metrics.Abort, 1)
-		e.abortInstance(st, metrics.Abort)
 	})
 	return err
+}
+
+// running returns a live running instance, or the error a user operation on
+// it gets: ErrNotRunning once it finished, even if it retired while the
+// command was queued.
+func (e *Engine) running(workflow string, id int) (*instState, error) {
+	st := e.instances[wfdb.InstanceKeyOf(workflow, id)]
+	if st == nil {
+		if _, done := e.term.Status(workflow, id); done {
+			return nil, ErrNotRunning
+		}
+		return nil, ErrUnknownInstance
+	}
+	if st.Ins.Status != wfdb.Running {
+		return nil, ErrNotRunning
+	}
+	return st, nil
 }
 
 // ChangeInputs applies user-initiated workflow input changes, rolling back
@@ -289,7 +283,10 @@ func (e *Engine) ChangeInputs(workflow string, id int, inputs map[string]expr.Va
 	}
 	var err error
 	e.Do(func() {
-		err = e.changeInputsLocked(workflow, id, inputs)
+		var st *instState
+		if st, err = e.running(workflow, id); err == nil {
+			e.changeInputs(st, inputs)
+		}
 	})
 	return err
 }
@@ -304,7 +301,7 @@ func (e *Engine) Status(workflow string, id int) (wfdb.Status, bool) {
 	var ok bool
 	e.Do(func() {
 		if st := e.instances[wfdb.InstanceKeyOf(workflow, id)]; st != nil {
-			s, ok = st.ins.Status, true
+			s, ok = st.Ins.Status, true
 		} else if e.cfg.DB != nil {
 			if sum, found, _ := e.cfg.DB.LoadSummary(workflow, id); found {
 				s, ok = sum, true
@@ -329,7 +326,7 @@ func (e *Engine) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
 	var out *wfdb.Instance
 	e.Do(func() {
 		if st := e.instances[wfdb.InstanceKeyOf(workflow, id)]; st != nil {
-			out = st.ins.Clone()
+			out = st.Ins.Clone()
 		}
 	})
 	if out == nil {
@@ -355,15 +352,6 @@ func (e *Engine) archived(workflow string, id int) (*wfdb.Instance, bool) {
 	return ins, true
 }
 
-// LiveInstances reports how many instances are resident in the engine's
-// live table — retired (terminal) instances have been archived and evicted,
-// so under a sustained stream this stays bounded by the in-flight count.
-func (e *Engine) LiveInstances() int {
-	var n int
-	e.Do(func() { n = len(e.instances) })
-	return n
-}
-
 // Recover performs the forward recovery the WFDB exists for (paper §2):
 // after an engine failure, a fresh engine reloads every running instance
 // from the database, regenerates its rule set, resets steps that were
@@ -381,7 +369,7 @@ func (e *Engine) Recover() (int, error) {
 		// a compensation in flight: both are re-queued for dispatch
 		// (compensations tolerate at-least-once).
 		n = e.reload(false)
-		e.addLoad(metrics.Normal, int64(n))
+		e.site.Rec.Add(metrics.Normal, int64(n))
 	})
 	return n, nil
 }
@@ -415,7 +403,7 @@ func (e *Engine) Restart() {
 			return
 		}
 		n := int64(e.reload(true))
-		e.addLoad(metrics.Failure, n) // recovery bookkeeping
+		e.site.Rec.Add(metrics.Failure, n) // recovery bookkeeping
 		e.cfg.Collector.AddSurvived(n)
 		e.halted = false
 		orphans := e.orphans
@@ -458,7 +446,7 @@ func (e *Engine) reload(trustQueues bool) int {
 			e.Logf("reload %s: unknown workflow class", key)
 			continue
 		}
-		st := newInstState(ins, schema)
+		st := e.newInstState(ins, schema)
 		st.reloaded = true
 		for sid, rec := range ins.Steps {
 			if rec.Status != wfdb.StepExecuting {
@@ -486,7 +474,7 @@ func (e *Engine) reload(trustQueues bool) int {
 // adopt enters an instance in the live table and the deployment's owner table.
 func (e *Engine) adopt(key string, st *instState) {
 	e.instances[key] = st
-	e.cfg.Owners.Put(itable.Ref{Workflow: st.ins.Workflow, ID: st.ins.ID}, e)
+	e.cfg.Owners.Put(itable.Ref{Workflow: st.Ins.Workflow, ID: st.Ins.ID}, e)
 }
 
 // resumeInstance restarts navigation on a rebuilt instance.
@@ -495,7 +483,7 @@ func (e *Engine) resumeInstance(st *instState) {
 		e.pumpChain(st)
 		return
 	}
-	e.evaluate(st)
+	nav.Evaluate(st)
 	if !st.chainActive && len(st.chain) > 0 {
 		e.pumpChain(st)
 	}
@@ -509,8 +497,8 @@ func (e *Engine) resumeInstance(st *instState) {
 // An instance flagged Aborting gets its abort chain rebuilt the same way
 // abortInstance builds it, minus steps already compensated or in flight.
 func (e *Engine) rebuildChains(st *instState, trustQueues bool) {
-	for _, sid := range st.schema.Order {
-		rec := st.ins.Steps[sid]
+	for _, sid := range st.Schema.Order {
+		rec := st.Ins.Steps[sid]
 		if rec == nil || rec.Status != wfdb.StepCompensating {
 			continue
 		}
@@ -533,25 +521,18 @@ func (e *Engine) rebuildChains(st *instState, trustQueues bool) {
 			st.chain = append(st.chain, task)
 		}
 	}
-	if !st.ins.Aborting {
+	if !st.Ins.Aborting {
 		return
 	}
 	st.aborting = true
 	st.abortCause = metrics.Abort
-	ordered := st.ins.ResultMembersInOrder(nav.AbortCandidates(st.schema))
+	ordered := st.Ins.ResultMembersInOrder(nav.AbortCandidates(st.Schema))
 	for i := len(ordered) - 1; i >= 0; i-- {
 		sid := ordered[i]
 		if st.pendingChain != nil && st.pendingChain.step == sid {
 			continue
 		}
-		dup := false
-		for _, t := range st.chain {
-			if t.step == sid {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.ContainsFunc(st.chain, func(t chainTask) bool { return t.step == sid }) {
 			st.chain = append(st.chain, chainTask{step: sid, mode: model.ModeCompensate})
 		}
 	}
@@ -574,160 +555,92 @@ func (e *Engine) startLocked(workflow string, id int, inputs map[string]expr.Val
 	}
 	ins := wfdb.NewInstance(workflow, id, inputs)
 	ins.Parent = parent
-	st := newInstState(ins, schema)
+	st := e.newInstState(ins, schema)
 	e.adopt(key, st)
-	e.addLoad(metrics.Normal, 1) // WorkflowStart processing
+	e.site.Rec.Add(metrics.Normal, 1) // WorkflowStart processing
 	if e.cfg.DB != nil {
 		e.Tx().SaveSummary(workflow, id, wfdb.Running)
 	}
 	ins.Events.Post(event.WorkflowStartName)
 	// An acknowledged start must survive a crash even if the first dispatch
 	// has not happened yet (coordination blocks).
-	e.persist(st)
-	e.evaluate(st)
+	st.Persist()
+	nav.Evaluate(st)
 	return id, nil
 }
 
-func (e *Engine) changeInputsLocked(workflow string, id int, inputs map[string]expr.Value) error {
-	st := e.instances[wfdb.InstanceKeyOf(workflow, id)]
-	if st == nil {
-		return ErrUnknownInstance
-	}
-	if st.ins.Status != wfdb.Running {
-		return ErrNotRunning
-	}
-	e.addLoad(metrics.InputChange, 1)
-	changed, origin := nav.InputChange(st.schema, st.ins, inputs)
-	st.ins.MergeData(changed)
+func (e *Engine) changeInputs(st *instState, inputs map[string]expr.Value) {
+	e.site.Rec.Add(metrics.InputChange, 1)
+	changed, origin := nav.InputChange(st.Schema, st.Ins, inputs)
+	st.Ins.MergeData(changed)
 	if origin == "" {
-		return nil // nothing changed, or no step consumes what did
+		return // nothing changed, or no step consumes what did
 	}
 	// Roll back to the earliest step consuming a changed input; OCR decides
 	// per revisited step whether re-execution is actually needed.
 	e.rollbackTo(st, origin, metrics.InputChange)
-	e.evaluate(st)
-	return nil
+	nav.Evaluate(st)
 }
 
 // ---------------------------------------------------------------------------
-// Rule evaluation and dispatch
+// Navigation: the engine's side of the core (nav.Owner). The engine dispatches
+// a step to an agent and waits for its result; a revisit's compensation goes
+// through the instance's chain.
 
-// evaluate fires the instance's rules until nothing progresses. It returns as
-// soon as an action retires the instance (st.retired): its state may belong to
-// a waiter by then.
-func (e *Engine) evaluate(st *instState) {
-	if st.retired || st.ins.Status != wfdb.Running {
-		return
+// Stopped: an abort under way owns the instance; no rule fires.
+func (st *instState) Stopped() bool { return st.aborting }
+
+// MayRun admits a step that is neither out at an agent nor compensating.
+func (st *instState) MayRun(step model.StepID) bool {
+	if st.aborting || st.dispatched[step] {
+		return false
 	}
-	for {
-		if st.aborting {
-			return
-		}
-		fired, err := st.rules.Evaluate(st.ins.Events, st.ins.Env())
-		if err != nil {
-			e.Logf("instance %s: %v", st.ins.Key(), err)
-		}
-		progressed := false
-		for _, r := range fired {
-			if st.retired {
-				return
-			}
-			switch r.Action.Kind {
-			case rules.ActExecute:
-				if e.maybeExecute(st, r.Action.Step) {
-					progressed = true
-				}
-			case rules.ActNotify:
-				if r.Action.Fn != nil {
-					r.Action.Fn()
-				}
-				progressed = true
-			case rules.ActCompensate:
-				st.chain = append(st.chain, chainTask{step: r.Action.Step, mode: model.ModeCompensate})
-				e.pumpChain(st)
-				progressed = true
-			case rules.ActAbort:
-				e.abortInstance(st, st.recovery)
-				return
-			}
-		}
-		e.maybeCommit(st)
-		if st.retired || len(fired) == 0 || !progressed {
-			return
-		}
-	}
+	rec := st.Ins.Steps[step]
+	return rec == nil || (rec.Status != wfdb.StepExecuting && rec.Status != wfdb.StepCompensating)
 }
 
-// maybeExecute handles a fired execution rule; it returns true if state
-// changed synchronously (OCR reuse) so evaluation should continue.
-func (e *Engine) maybeExecute(st *instState, step model.StepID) bool {
-	if st.retired || st.ins.Status != wfdb.Running || st.aborting || st.dispatched[step] {
-		return false
-	}
-	rec := st.ins.Steps[step]
-	if rec != nil && (rec.Status == wfdb.StepExecuting || rec.Status == wfdb.StepCompensating) {
-		return false
-	}
-	s := st.schema.Steps[step]
-	if s == nil {
-		return false
-	}
+// Revisits: the engine holds every result, so OCR applies to any of them.
+func (st *instState) Revisits(*wfdb.StepRecord) bool { return true }
 
-	// Coordinated-execution gate: the step proceeds only once the home has
-	// answered and every wait event (mutex grants, relative-order releases)
-	// is valid.
-	if e.coordSteps[model.StepRef{Workflow: st.ins.Workflow, Step: step}] {
-		switch st.gate.Admit(step, st.ins.Events) {
-		case coord.AskHome:
-			e.request(coord.Check, st, step)
-			return false
-		case coord.Blocked:
-			return false
-		}
-	}
-
-	inputs := nav.ResolveInputs(st.ins, s)
-
-	// OCR: the step may have a previous execution whose results stand.
-	if rec != nil && rec.HasResult {
-		mech := st.recovery
-		if mech == metrics.Normal {
-			mech = metrics.Failure
-		}
-		var d ocr.Decision
-		if e.cfg.DisableOCR {
-			d = ocr.CompleteCR
-		} else {
-			var derr error
-			d, derr = ocr.Decide(st.schema, s, rec, inputs, st.ins.Env())
-			if derr != nil {
-				e.Logf("instance %s step %s: %v", st.ins.Key(), step, derr)
-			}
-		}
-		e.addLoad(mech, 1) // condition check + bookkeeping
-		switch d {
-		case ocr.Reuse:
-			st.ins.RecordDone(step, rec.Outputs)
-			e.afterStepDone(st, step)
-			return true
-		case ocr.CompleteCR:
-			plan := ocr.PlanCompensation(st.schema, st.ins, step)
-			e.enqueueCompChain(st, plan, &execPlan{step: step, mode: model.ModeExecute})
-			return false
-		case ocr.IncrementalCR:
-			st.chain = append(st.chain, chainTask{
-				step: step,
-				mode: model.ModePartialComp,
-				then: &execPlan{step: step, mode: model.ModeIncremental},
-			})
-			e.pumpChain(st)
-			return false
-		}
-		// ExecuteFresh falls through.
-	}
-
-	e.dispatchStep(st, step, model.ModeExecute, inputs, nil)
+func (st *instState) Run(step model.StepID, inputs map[string]expr.Value, _ metrics.Mechanism) bool {
+	st.e.dispatchStep(st, step, model.ModeExecute, inputs, nil)
 	return false
+}
+
+func (st *instState) CompleteCR(step model.StepID, _ metrics.Mechanism) bool {
+	plan := ocr.PlanCompensation(st.Schema, st.Ins, step)
+	st.e.enqueueCompChain(st, plan, &execPlan{step: step, mode: model.ModeExecute})
+	return false
+}
+
+func (st *instState) IncrementalCR(step model.StepID, _ map[string]expr.Value, _ metrics.Mechanism) bool {
+	st.chain = append(st.chain, chainTask{
+		step: step,
+		mode: model.ModePartialComp,
+		then: &execPlan{step: step, mode: model.ModeIncremental},
+	})
+	st.e.pumpChain(st)
+	return false
+}
+
+func (st *instState) Done(step model.StepID, _ metrics.Mechanism) { st.e.afterStepDone(st, step) }
+
+// Loop: every loop whose condition holds is taken; a result still out for
+// the body is stale.
+func (st *instState) Loop(_ model.StepID, body []model.StepID) bool {
+	st.e.resetDispatchState(st, body)
+	return true
+}
+
+// Act runs the rules only the engine installs: compensate a step, abort.
+func (st *instState) Act(a rules.Action) bool {
+	if a.Kind == rules.ActAbort {
+		st.e.abortInstance(st, st.Recovery)
+		return false
+	}
+	st.chain = append(st.chain, chainTask{step: a.Step, mode: model.ModeCompensate})
+	st.e.pumpChain(st)
+	return true
 }
 
 // enqueueCompChain queues compensations for plan (already in compensation
@@ -771,9 +684,9 @@ func (e *Engine) chooseAgent(s *model.Step, mech metrics.Mechanism) string {
 }
 
 func (e *Engine) dispatchStep(st *instState, step model.StepID, mode model.ExecMode, inputs map[string]expr.Value, prev *model.PrevExecution) {
-	s := st.schema.Steps[step]
-	mech := nav.StepMechanism(st.ins, step, st.recovery)
-	e.addLoad(mech, 1) // navigation/scheduling
+	s := st.Schema.Steps[step]
+	mech := nav.StepMechanism(st.Ins, step, st.Recovery)
+	e.site.Rec.Add(mech, 1) // navigation/scheduling
 
 	if s.Nested != "" {
 		e.startNested(st, step, inputs)
@@ -782,26 +695,26 @@ func (e *Engine) dispatchStep(st *instState, step model.StepID, mode model.ExecM
 
 	agent := e.chooseAgent(s, mech)
 	if agent == "" {
-		e.Logf("instance %s step %s: no eligible agent alive", st.ins.Key(), step)
+		e.Logf("instance %s step %s: no eligible agent alive", st.Ins.Key(), step)
 		return
 	}
 	if mode == model.ModeIncremental && prev == nil {
-		prev = st.ins.StepRec(step).Prev()
+		prev = st.Ins.StepRec(step).Prev()
 	}
-	st.ins.RecordExecuting(step, agent, inputs)
+	st.Ins.RecordExecuting(step, agent, inputs)
 	st.dispatched[step] = true
 	// Write-ahead: a restart must know this attempt's request (or result) is
 	// in a persistent queue, so it awaits the result instead of redispatching.
-	e.persist(st)
+	st.Persist()
 	e.loads[agent]++ // optimistic cache update
 	st.unanswered++
 	e.Send(agent, mech, KindStepExecute, ExecRequest{
-		Workflow:  st.ins.Workflow,
-		Instance:  st.ins.ID,
+		Workflow:  st.Ins.Workflow,
+		Instance:  st.Ins.ID,
 		Step:      step,
 		Program:   s.Program,
 		Mode:      mode,
-		Attempt:   st.ins.StepRec(step).Attempts,
+		Attempt:   st.Ins.StepRec(step).Attempts,
 		Inputs:    inputs,
 		Prev:      prev,
 		Mechanism: mech,
@@ -824,7 +737,7 @@ func (e *Engine) onExecResponse(r ExecResponse) {
 			// racing an in-flight step): examining it still costs the
 			// result-processing unit the pre-retirement engine charged, so
 			// the Tables 4-5 load columns stay identical.
-			e.addLoad(metrics.Normal, 1)
+			e.site.Rec.Add(metrics.Normal, 1)
 		}
 		return
 	}
@@ -846,79 +759,56 @@ func (e *Engine) onStepResult(st *instState, r ExecResponse) {
 	// — is dropped here. Counting expected drops instead (the previous
 	// scheme) is unsound when results arrive out of order from different
 	// agents: the counter can eat the live result and process a stale one.
-	rec := st.ins.Steps[r.Step]
+	rec := st.Ins.Steps[r.Step]
 	if rec == nil || r.Attempt != rec.Attempts || !st.dispatched[r.Step] {
 		return
 	}
 	st.dispatched[r.Step] = false
-	mech := nav.StepMechanism(st.ins, r.Step, st.recovery)
-	e.addLoad(mech, 1) // result processing
+	mech := nav.StepMechanism(st.Ins, r.Step, st.Recovery)
+	e.site.Rec.Add(mech, 1) // result processing
 
-	if st.ins.Status != wfdb.Running {
+	if st.Ins.Status != wfdb.Running {
 		return
 	}
 	if r.Failed {
-		st.ins.RecordFailed(r.Step)
-		e.releaseCoord(coord.Failed, st, r.Step)
+		st.Ins.RecordFailed(r.Step)
+		nav.Release(st, coord.Failed, r.Step)
 		e.handleStepFailure(st, r.Step)
 		return
 	}
-	st.ins.RecordDone(r.Step, r.Outputs)
+	st.Ins.RecordDone(r.Step, r.Outputs)
 	e.afterStepDone(st, r.Step)
-	e.evaluate(st)
+	nav.Evaluate(st)
 }
 
-// afterStepDone runs the shared post-success navigation: recovery exit,
-// branch-switch compensation, coordination notifications, loop arcs, commit
-// checks and persistence. Callers re-evaluate afterwards (evaluate is
-// reentrant-safe from the engine goroutine).
+// afterStepDone runs the post-success navigation: recovery exit,
+// branch-switch compensation, coordination notifications, loop arcs and
+// persistence. Callers re-evaluate afterwards (nav.Evaluate is reentrant-safe
+// from the engine goroutine).
 func (e *Engine) afterStepDone(st *instState, step model.StepID) {
-	rec := st.ins.StepRec(step)
-
-	// Exiting the recovery region: a first-time execution means the
-	// workflow moved past everything it had executed before.
-	if st.recovery != metrics.Normal && rec.Attempts <= 1 {
-		st.recovery = metrics.Normal
-	}
+	st.Ran(step)
 
 	// Branch switch after re-execution: compensate abandoned branches
 	// (the CompensateThread of distributed control, done engine-side here).
-	if st.schema.IsBranching(step) && rec.Attempts > 1 {
-		taken := nav.ActiveBranchTargets(st.schema, st.ins, step)
-		abandoned := nav.AbandonedBranchSteps(st.schema, st.ins, step, taken)
+	if st.Schema.IsBranching(step) && st.Ins.StepRec(step).Attempts > 1 {
+		taken := nav.ActiveBranchTargets(st.Schema, st.Ins, step)
+		abandoned := nav.AbandonedBranchSteps(st.Schema, st.Ins, step, taken)
 		if len(abandoned) > 0 {
-			ordered := st.ins.ResultMembersInOrder(abandoned)
-			for i := len(ordered) - 1; i >= 0; i-- {
-				st.chain = append(st.chain, chainTask{step: ordered[i], mode: model.ModeCompensate})
-			}
-			e.pumpChain(st)
-			if st.retired {
+			e.compensateLatestFirst(st, abandoned)
+			if st.Retired {
 				return
 			}
 		}
 	}
 
 	// Coordination: advance order queues, release mutexes.
-	e.releaseCoord(coord.Done, st, step)
-
-	// Loop arcs: iterate when the repeat condition holds.
-	for _, a := range st.schema.LoopArcs(step) {
-		cond, err := st.schema.CondExpr(a.Cond)
-		if err != nil {
-			continue
-		}
-		if ok, err := cond.EvalBool(st.ins.Env()); err == nil && ok {
-			e.addLoad(metrics.Normal, 1)
-			body := nav.ApplyLoopBack(st.schema, st.ins, st.rules, a.To, step)
-			e.resetDispatchState(st, body)
-		}
-	}
-
-	e.persist(st)
+	nav.Release(st, coord.Done, step)
+	nav.LoopBack(st, step)
+	st.Persist()
 }
 
 func (e *Engine) resetDispatchState(st *instState, steps []model.StepID) {
-	st.gate.Reset(steps)
+	st.Gate.Reset(steps)
 	for _, id := range steps {
 		// An in-flight result becomes stale: it no longer matches the step's
 		// dispatched state (and a re-dispatch bumps the attempt number).
@@ -926,31 +816,25 @@ func (e *Engine) resetDispatchState(st *instState, steps []model.StepID) {
 		// A reset step whose result will be dropped can no longer release
 		// coordination resources itself; release them here (release by a
 		// non-holder is a no-op).
-		e.releaseCoord(coord.Failed, st, id)
+		nav.Release(st, coord.Failed, id)
 	}
 }
 
 func (e *Engine) handleStepFailure(st *instState, step model.StepID) {
-	pol, ok := st.schema.OnFailure[step]
-	st.rollbacks[step]++
-	if !ok || st.rollbacks[step] > pol.Attempts() {
+	target, ok := st.Retry(step)
+	if !ok {
 		e.abortInstance(st, metrics.Failure)
 		return
 	}
-	st.recovery = metrics.Failure
-	e.rollbackTo(st, pol.RollbackTo, metrics.Failure)
-	e.evaluate(st)
+	e.rollbackTo(st, target, metrics.Failure)
+	nav.Evaluate(st)
 }
 
 // rollbackTo applies a partial rollback: descendants of origin (and origin)
 // are reset, coordination is informed, dependent workflows roll back too.
 func (e *Engine) rollbackTo(st *instState, origin model.StepID, cause metrics.Mechanism) {
-	prev := st.recovery
-	st.recovery = cause
-	affected, invalidated := nav.ApplyRollback(st.schema, st.ins, st.rules, origin)
-	e.addLoad(cause, int64(len(affected))+1)
-	_ = invalidated
-	all := append(append([]model.StepID(nil), affected...), origin)
+	prev := st.Recovery
+	all := st.Rollback(origin, cause)
 	// A still-dispatched step has a result in flight that the reset below
 	// makes stale: onStepResult will drop it without charging the
 	// result-processing unit. In the common schedule that result arrives
@@ -962,31 +846,31 @@ func (e *Engine) rollbackTo(st *instState, origin model.StepID, cause metrics.Me
 	for _, id := range all {
 		if st.dispatched[id] {
 			st.dispatched[id] = false
-			e.addLoad(prev, 1)
+			e.site.Rec.Add(prev, 1)
 		}
 	}
 	e.resetDispatchState(st, all)
-	e.toHome(coord.Request{Op: coord.Rollback, Ref: model.StepRef{Workflow: st.ins.Workflow}, Invalidated: all})
-	e.persist(st)
+	st.ToHome(coord.Request{Op: coord.Rollback, Ref: model.StepRef{Workflow: st.Ins.Workflow}, Invalidated: all})
+	st.Persist()
 }
 
 // ---------------------------------------------------------------------------
 // Compensation chain
 
 func (e *Engine) pumpChain(st *instState) {
-	for !st.chainActive && !st.retired {
+	for !st.chainActive && !st.Retired {
 		if len(st.chain) == 0 {
 			if st.aborting {
 				e.finalizeAbort(st)
 			} else {
-				e.maybeCommit(st)
+				st.Settle()
 			}
 			return
 		}
 		task := st.chain[0]
 		st.chain = st.chain[1:]
-		rec := st.ins.Steps[task.step]
-		s := st.schema.Steps[task.step]
+		rec := st.Ins.Steps[task.step]
+		s := st.Schema.Steps[task.step]
 		needsWork := rec != nil && rec.HasResult && s != nil && s.Compensation != ""
 		if task.mode == model.ModePartialComp {
 			needsWork = needsWork && s.Incremental
@@ -997,24 +881,18 @@ func (e *Engine) pumpChain(st *instState) {
 			if rec != nil && rec.HasResult && task.mode == model.ModeCompensate && (s == nil || s.Compensation == "") {
 				// Not compensable but has results: just drop the marker so
 				// re-execution proceeds.
-				st.ins.RecordCompensated(task.step)
+				st.Ins.RecordCompensated(task.step)
 			}
 			e.finishChainTask(st, task)
 			continue
 		}
-		mech := st.recovery
-		if st.aborting {
-			mech = st.abortCause
-		}
-		if mech == metrics.Normal {
-			mech = metrics.Failure
-		}
+		mech := st.compMech()
 		agent := rec.Agent
 		if agent == "" || !e.net.Alive(agent) {
 			agent = e.chooseAgent(s, mech)
 		}
 		if agent == "" {
-			e.Logf("instance %s: no agent to compensate %s", st.ins.Key(), task.step)
+			e.Logf("instance %s: no agent to compensate %s", st.Ins.Key(), task.step)
 			e.finishChainTask(st, task)
 			continue
 		}
@@ -1023,13 +901,13 @@ func (e *Engine) pumpChain(st *instState) {
 		// Write-ahead: mark the step compensating (with its mode) so a
 		// restart rebuilds this pending task and never dispatches the
 		// compensation a second time.
-		st.ins.RecordCompensating(task.step, task.mode)
-		e.persist(st)
-		e.addLoad(mech, 1)
+		st.Ins.RecordCompensating(task.step, task.mode)
+		st.Persist()
+		e.site.Rec.Add(mech, 1)
 		st.unanswered++
 		e.Send(agent, mech, KindStepCompensate, ExecRequest{
-			Workflow:  st.ins.Workflow,
-			Instance:  st.ins.ID,
+			Workflow:  st.Ins.Workflow,
+			Instance:  st.Ins.ID,
 			Step:      task.step,
 			Program:   s.Compensation,
 			Mode:      task.mode,
@@ -1042,29 +920,36 @@ func (e *Engine) pumpChain(st *instState) {
 	}
 }
 
-func (e *Engine) onCompResult(st *instState, r ExecResponse) {
-	task := st.pendingChain
-	st.chainActive = false
-	st.pendingChain = nil
-	if task == nil || task.step != r.Step {
-		e.Logf("instance %s: unexpected compensation result for %s", st.ins.Key(), r.Step)
-		return
-	}
-	mech := st.recovery
+// compMech is the mechanism compensation work is charged to: the abort's
+// cause while aborting, else the recovery's, Failure outside either.
+func (st *instState) compMech() metrics.Mechanism {
+	mech := st.Recovery
 	if st.aborting {
 		mech = st.abortCause
 	}
 	if mech == metrics.Normal {
 		mech = metrics.Failure
 	}
-	e.addLoad(mech, 1)
+	return mech
+}
+
+func (e *Engine) onCompResult(st *instState, r ExecResponse) {
+	task := st.pendingChain
+	st.chainActive = false
+	st.pendingChain = nil
+	if task == nil || task.step != r.Step {
+		e.Logf("instance %s: unexpected compensation result for %s", st.Ins.Key(), r.Step)
+		return
+	}
+	mech := st.compMech()
+	e.site.Rec.Add(mech, 1)
 	if r.Failed {
-		e.Logf("instance %s: compensation of %s failed: %s", st.ins.Key(), r.Step, r.Reason)
+		e.Logf("instance %s: compensation of %s failed: %s", st.Ins.Key(), r.Step, r.Reason)
 	}
 	if r.Mode == model.ModeCompensate {
-		st.ins.RecordCompensated(r.Step)
+		st.Ins.RecordCompensated(r.Step)
 	}
-	e.persist(st)
+	st.Persist()
 	e.finishChainTask(st, *task)
 	// A restart while this compensation was in flight loses the re-execution
 	// plan attached to the chain (only the compensating step itself is
@@ -1072,18 +957,18 @@ func (e *Engine) onCompResult(st *instState, r ExecResponse) {
 	// revisit that queued this chain is still due, OCR re-decides it; in
 	// normal operation the rule's events/conditions no longer hold (or the
 	// step is already dispatched), so this is a no-op.
-	if !st.retired && st.ins.Status == wfdb.Running && !st.aborting {
-		st.rules.RearmWhere(func(id string) bool { return rules.IsExecRuleFor(id, r.Step) })
-		e.evaluate(st)
+	if !st.Retired && st.Ins.Status == wfdb.Running && !st.aborting {
+		st.Rules.RearmExecRules(r.Step)
+		nav.Evaluate(st)
 	}
 }
 
 func (e *Engine) finishChainTask(st *instState, task chainTask) {
-	if task.then != nil && !st.aborting && st.ins.Status == wfdb.Running {
-		s := st.schema.Steps[task.then.step]
+	if task.then != nil && !st.aborting && st.Ins.Status == wfdb.Running {
+		s := st.Schema.Steps[task.then.step]
 		if s != nil {
-			inputs := nav.ResolveInputs(st.ins, s)
-			prev := st.ins.StepRec(task.then.step).Prev()
+			inputs := nav.ResolveInputs(st.Ins, s)
+			prev := st.Ins.StepRec(task.then.step).Prev()
 			e.dispatchStep(st, task.then.step, task.then.mode, inputs, prev)
 		}
 	}
@@ -1094,7 +979,7 @@ func (e *Engine) finishChainTask(st *instState, task chainTask) {
 // Abort / commit / nested
 
 func (e *Engine) abortInstance(st *instState, cause metrics.Mechanism) {
-	if st.aborting || st.ins.Status != wfdb.Running {
+	if st.aborting || st.Ins.Status != wfdb.Running {
 		return
 	}
 	st.aborting = true
@@ -1104,12 +989,17 @@ func (e *Engine) abortInstance(st *instState, cause metrics.Mechanism) {
 	}
 	// Write-ahead: an acknowledged abort must survive a crash; a restart
 	// rebuilds the compensation chain from this flag.
-	st.ins.Aborting = true
-	e.persist(st)
+	st.Ins.Aborting = true
+	st.Persist()
 	// Drop any queued chain work; abort compensation takes over.
 	st.chain = nil
+	e.compensateLatestFirst(st, nav.AbortCandidates(st.Schema))
+}
 
-	ordered := st.ins.ResultMembersInOrder(nav.AbortCandidates(st.schema))
+// compensateLatestFirst queues the compensation of those of steps that hold
+// results, the latest executed first, and pumps the chain.
+func (e *Engine) compensateLatestFirst(st *instState, steps []model.StepID) {
+	ordered := st.Ins.ResultMembersInOrder(steps)
 	for i := len(ordered) - 1; i >= 0; i-- {
 		st.chain = append(st.chain, chainTask{step: ordered[i], mode: model.ModeCompensate})
 	}
@@ -1117,26 +1007,29 @@ func (e *Engine) abortInstance(st *instState, cause metrics.Mechanism) {
 }
 
 func (e *Engine) finalizeAbort(st *instState) {
-	if st.ins.Status != wfdb.Running {
+	if st.Ins.Status != wfdb.Running {
 		return
 	}
-	st.ins.Status = wfdb.Aborted
-	st.ins.Events.Post(event.WorkflowAbortName)
+	st.Ins.Status = wfdb.Aborted
+	st.Ins.Events.Post(event.WorkflowAbortName)
 	e.finishInstance(st)
 }
 
-func (e *Engine) maybeCommit(st *instState) {
-	if st.retired || st.aborting || !nav.ShouldCommit(st.schema, st.ins) {
+// Settle commits the instance once every reachable terminal step ran and no
+// compensation is pending: the engine is its coordinator, and checks after
+// every pass of the rule loop and whenever the chain runs dry.
+func (st *instState) Settle() {
+	if st.Retired || st.aborting || !nav.ShouldCommit(st.Schema, st.Ins) {
 		return
 	}
 	// A workflow with an active compensation chain is not quiescent.
 	if st.chainActive || len(st.chain) > 0 {
 		return
 	}
-	e.addLoad(metrics.Normal, 1)
-	st.ins.Status = wfdb.Committed
-	st.ins.Events.Post(event.WorkflowDoneName)
-	e.finishInstance(st)
+	st.e.site.Rec.Add(metrics.Normal, 1)
+	st.Ins.Status = wfdb.Committed
+	st.Ins.Events.Post(event.WorkflowDoneName)
+	st.e.finishInstance(st)
 }
 
 // finishInstance retires a terminal instance: the full state is archived,
@@ -1151,7 +1044,7 @@ func (e *Engine) maybeCommit(st *instState) {
 // the instance has been resolved (a Running instance is never evicted), so
 // no live navigation can still need the evicted state.
 func (e *Engine) finishInstance(st *instState) {
-	ins := st.ins
+	ins := st.Ins
 	key, ref := ins.Key(), itable.Ref{Workflow: ins.Workflow, ID: ins.ID}
 	// Archive before publishing completion: a woken waiter may Snapshot
 	// immediately and must find the archived state. The summary, the archive
@@ -1164,16 +1057,16 @@ func (e *Engine) finishInstance(st *instState) {
 	e.Tx().Archive(ins)
 	st.dirty = false
 	e.Commit()
-	e.toHome(coord.Request{Op: coord.Forget, Inst: coord.InstanceRef{Workflow: ref.Workflow, ID: ref.ID}})
+	st.ToHome(coord.Request{Op: coord.Forget, Inst: coord.InstanceRef{Workflow: ref.Workflow, ID: ref.ID}})
 
 	// Publish. An instance nothing else holds goes to its waiter, if any, as
 	// it is: from CompleteWith on it is the waiter's, and the engine does not
-	// touch it again (st.retired stops the navigation still on the stack). A
+	// touch it again (st.Retired stops the navigation still on the stack). A
 	// nested child is not handed off, because its parent step reads its data
 	// below, nor is one with a request still out (handsOff). The rule set
 	// stops observing the event table the taker may write.
 	parent := ins.Parent
-	st.retired = true
+	st.Retired = true
 	ins.Events.SetObserver(nil)
 	if st.handsOff() {
 		e.term.CompleteWith(ref.Workflow, ref.ID, ins.Status, ins)
@@ -1190,7 +1083,7 @@ func (e *Engine) finishInstance(st *instState) {
 			// examining the child's result still costs the unit the
 			// pre-retirement engine charged in onChildFinished, so the
 			// Tables 4-5 load columns stay identical.
-			e.addLoad(metrics.Normal, 1)
+			e.site.Rec.Add(metrics.Normal, 1)
 		}
 	}
 
@@ -1199,56 +1092,50 @@ func (e *Engine) finishInstance(st *instState) {
 }
 
 func (e *Engine) startNested(st *instState, step model.StepID, inputs map[string]expr.Value) {
-	s := st.schema.Steps[step]
+	s := st.Schema.Steps[step]
 	child := e.cfg.Library.Schema(s.Nested)
 	if child == nil {
-		e.Logf("instance %s step %s: unknown nested workflow %q", st.ins.Key(), step, s.Nested)
+		e.Logf("instance %s step %s: unknown nested workflow %q", st.Ins.Key(), step, s.Nested)
 		return
 	}
-	childInputs := nav.NestedInputs(s, child, st.ins)
-	st.ins.RecordExecuting(step, e.cfg.Name, inputs)
+	childInputs := nav.NestedInputs(s, child, st.Ins)
+	st.Ins.RecordExecuting(step, e.cfg.Name, inputs)
 	st.dispatched[step] = true
-	e.persist(st)
-	id, err := e.startLocked(s.Nested, 0, childInputs, &wfdb.ParentRef{
-		Workflow: st.ins.Workflow,
-		ID:       st.ins.ID,
-		Step:     step,
-	})
-	if err != nil {
-		e.Logf("instance %s step %s: nested start: %v", st.ins.Key(), step, err)
+	st.Persist()
+	parent := &wfdb.ParentRef{Workflow: st.Ins.Workflow, ID: st.Ins.ID, Step: step}
+	if _, err := e.startLocked(s.Nested, 0, childInputs, parent); err != nil {
+		e.Logf("instance %s step %s: nested start: %v", st.Ins.Key(), step, err)
 		st.dispatched[step] = false
-		return
 	}
-	st.childOf[step] = id
 }
 
 // onChildFinished resumes the parent step when its nested workflow ends.
 func (e *Engine) onChildFinished(parent *instState, step model.StepID, child *instState) {
 	parent.dispatched[step] = false
-	e.addLoad(metrics.Normal, 1)
-	if parent.ins.Status != wfdb.Running {
+	e.site.Rec.Add(metrics.Normal, 1)
+	if parent.Ins.Status != wfdb.Running {
 		return
 	}
-	if child.ins.Status != wfdb.Committed {
-		parent.ins.RecordFailed(step)
+	if child.Ins.Status != wfdb.Committed {
+		parent.Ins.RecordFailed(step)
 		e.handleStepFailure(parent, step)
 		return
 	}
-	parent.ins.RecordDone(step, nav.NestedOutputs(parent.schema.Steps[step], child.schema, child.ins.Data))
+	parent.Ins.RecordDone(step, nav.NestedOutputs(parent.Schema.Steps[step], child.Schema, child.Ins.Data))
 	e.afterStepDone(parent, step)
-	e.evaluate(parent)
+	nav.Evaluate(parent)
 }
 
-// persist marks the instance for the turn's commit. Callers invoke it after
+// Persist marks the instance for the turn's commit. Callers invoke it after
 // any change a restart must see; the row itself is encoded once, from the
 // state the instance has when the turn ends (or another instance retires),
 // and is on the log before the turn's sends leave (the actor's turn epilogue).
-func (e *Engine) persist(st *instState) {
-	if e.cfg.DB == nil || st.dirty {
+func (st *instState) Persist() {
+	if st.e.cfg.DB == nil || st.Retired || st.dirty {
 		return
 	}
 	st.dirty = true
-	e.Mark(st)
+	st.e.Mark(st)
 }
 
 // ---------------------------------------------------------------------------
@@ -1262,39 +1149,20 @@ var coordKinds = [...]string{
 	coord.Rollback: "CoordRollback", coord.Forget: "CoordForget",
 }
 
-// toHome hands a request to the home: a call on the home engine, one message
+// ToHome hands a request to the home: a call on the home engine, one message
 // from any other.
-func (e *Engine) toHome(req coord.Request) {
-	if e.home != nil {
+func (st *instState) ToHome(req coord.Request) {
+	if e := st.e; e.home != nil {
 		e.home.Handle(req)
-		return
-	}
-	e.Send(e.homeNode, metrics.Coordination, coordKinds[req.Op], req)
-}
-
-func (e *Engine) request(op coord.Op, st *instState, step model.StepID) {
-	e.toHome(coord.Request{
-		Op:      op,
-		Ref:     model.StepRef{Workflow: st.ins.Workflow, Step: step},
-		Inst:    coord.InstanceRef{Workflow: st.ins.Workflow, ID: st.ins.ID},
-		ReplyTo: e.cfg.Name,
-	})
-}
-
-// releaseCoord tells the home a coordinated step completed (Done) or its
-// attempt failed (Failed: mutexes are released, order queues not advanced).
-func (e *Engine) releaseCoord(op coord.Op, st *instState, step model.StepID) {
-	if e.coordSteps[model.StepRef{Workflow: st.ins.Workflow, Step: step}] {
-		e.request(op, st, step)
-		nav.ClearMutexGrants(st.ins, step)
-		st.gate.Release(step)
+	} else {
+		e.Send(e.homeNode, metrics.Coordination, coordKinds[req.Op], req)
 	}
 }
 
 // The home's way out (coord.Host). A message to this engine itself is handled
 // on the spot, so with one engine these are calls.
 
-func (e *Engine) Charge() { e.addLoad(metrics.Coordination, 1) }
+func (e *Engine) Charge() { e.site.Rec.Add(metrics.Coordination, 1) }
 
 func (e *Engine) Resolve(to string, r coord.Resolve) {
 	e.Send(to, metrics.Coordination, "CoordResolve", r)
@@ -1332,9 +1200,7 @@ func (e *Engine) OnResolve(r coord.Resolve) {
 		}
 		return
 	}
-	st.gate.Resolved(r.Step, r.WaitEvents)
-	e.maybeExecute(st, r.Step)
-	e.evaluate(st)
+	nav.Resolved(st, r)
 }
 
 func (e *Engine) OnInject(inj coord.Inject) {
@@ -1345,13 +1211,7 @@ func (e *Engine) OnInject(inj coord.Inject) {
 		}
 		return
 	}
-	e.addLoad(metrics.Coordination, 1)
-	if st.ins.Events.Post(inj.Event) {
-		for _, step := range st.gate.Blocked() {
-			e.maybeExecute(st, step)
-		}
-		e.evaluate(st)
-	}
+	nav.Injected(st, inj.Event)
 }
 
 // OnOrder enforces a rollback dependency on this engine's running instances
@@ -1367,21 +1227,21 @@ func (e *Engine) OnOrder(ord coord.Order) {
 	for k := range e.instances {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
 		st := e.instances[k]
-		if st.ins.Workflow != ord.TargetWorkflow || st.ins.Status != wfdb.Running || st.aborting {
+		if st.Ins.Workflow != ord.TargetWorkflow || st.Ins.Status != wfdb.Running || st.aborting {
 			continue
 		}
-		if st.recovery != metrics.Normal {
+		if st.Recovery != metrics.Normal {
 			continue // already recovering; guards against dependency cycles
 		}
-		rec := st.ins.Steps[ord.TargetStep]
+		rec := st.Ins.Steps[ord.TargetStep]
 		if rec == nil || rec.Attempts == 0 {
 			continue // has not reached the target step yet
 		}
-		e.addLoad(metrics.Coordination, 1)
+		e.site.Rec.Add(metrics.Coordination, 1)
 		e.rollbackTo(st, ord.TargetStep, metrics.Failure)
-		e.evaluate(st)
+		nav.Evaluate(st)
 	}
 }

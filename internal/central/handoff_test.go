@@ -125,10 +125,10 @@ func TestSnapshotTakesFinalState(t *testing.T) {
 			var parentLive, childLive *wfdb.Instance
 			owner.Do(func() {
 				for _, st := range owner.instances {
-					if st.ins.Workflow == "Child" {
-						childLive = st.ins
+					if st.Ins.Workflow == "Child" {
+						childLive = st.Ins
 					} else {
-						parentLive = st.ins
+						parentLive = st.Ins
 					}
 				}
 			})

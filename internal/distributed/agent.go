@@ -3,6 +3,7 @@ package distributed
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -75,35 +76,25 @@ type Config struct {
 	sweepPeriod time.Duration
 }
 
-// replica is an agent's partial copy of one workflow instance's state.
+// replica is an agent's partial copy of one workflow instance's state: the
+// navigation state every placement shares (its Rollbacks count the rollbacks
+// initiated here), and the agent's own, which an executing owner holding a
+// partial view needs (epochs, the elected coordinator, polling state).
 type replica struct {
-	ins    *wfdb.Instance
-	schema *model.Schema
-	rules  *rules.Engine
+	nav.Inst
+	a *Agent
 	// coordinator is the instance's coordination agent.
 	coordinator string
-	// recovery is the current recovery cause at this agent (Normal if none).
-	recovery metrics.Mechanism
 	// executing guards against double execution while a program runs.
 	executing map[model.StepID]bool
-	// gate holds back coordinated steps until the home agent has answered
-	// and their wait events are valid.
-	gate coord.Gate
-	// rollbacks counts rollback attempts initiated here per failing step.
-	rollbacks map[model.StepID]int
 	// abort tracks an in-progress user abort (coordination agent only).
 	abort *abortState
 	// waitSince tracks when a pending rule first lacked exactly one event
 	// (predecessor-failure detection); keyed by ruleID|event.
 	waitSince map[string]time.Time
 	polled    map[string]bool
-	purged    bool
 	// parentAgent is the agent awaiting this nested instance's result.
 	parentAgent string
-	// leading/lagging are the relative-ordering roles piggybacked on
-	// outgoing workflow packets (Figure 7).
-	leading []string
-	lagging []string
 	// inputEpoch counts input-change rollbacks issued by the coordination
 	// agent.
 	inputEpoch int
@@ -141,9 +132,9 @@ type replica struct {
 func (r *replica) Save(tx *wfdb.Batch) {
 	if r.dirty {
 		r.dirty = false
-		r.ins.Epoch = r.epoch
-		r.ins.Coordinator = r.coordinator
-		tx.SaveInstance(r.ins)
+		r.Ins.Epoch = r.epoch
+		r.Ins.Coordinator = r.coordinator
+		tx.SaveInstance(r.Ins)
 	}
 }
 
@@ -158,13 +149,11 @@ type abortState struct {
 // command or maintenance sweep — ends in the actor's commit, flush, ack.
 type Agent struct {
 	*actor.Actor
-	cfg Config
-	net *transport.Network
-	rec metrics.NodeRecorder
+	cfg  Config
+	net  *transport.Network
+	site nav.Site
 
 	replicas map[itable.Ref]*replica
-	// loads caches StateInformation replies (explicit-election ablation).
-	loads map[string]int64
 	// execCount is this agent's total program executions.
 	execCount int64
 	// term records terminal statuses (shared deployment-wide via
@@ -191,7 +180,6 @@ type Agent struct {
 	// agent.
 	homeNode       string
 	home           *coord.Home
-	coordSteps     map[model.StepRef]bool
 	hasRollbackDep bool
 }
 
@@ -212,9 +200,7 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 	a := &Agent{
 		cfg:      cfg,
 		net:      net,
-		rec:      cfg.Collector.Node(cfg.Name),
 		replicas: make(map[itable.Ref]*replica),
-		loads:    make(map[string]int64),
 		term:     cfg.Terminal,
 		adb:      cfg.AGDB,
 	}
@@ -225,7 +211,6 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 		a.adb = wfdb.NewMemory()
 	}
 	a.cursor = a.term.Follow()
-	a.coordSteps = coord.NewTracker(cfg.Library).CoordinatedSteps()
 	for _, spec := range cfg.Library.Coord {
 		if spec.Kind == model.RollbackDep {
 			a.hasRollbackDep = true
@@ -237,6 +222,13 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 	var err error
 	if a.Actor, err = actor.New(net, cfg.Name, a.adb, cfg.Logf); err != nil {
 		return nil, err
+	}
+	a.site = nav.Site{
+		Name:        cfg.Name,
+		Rec:         cfg.Collector.Node(cfg.Name),
+		Coordinated: coord.NewTracker(cfg.Library).CoordinatedSteps(),
+		DisableOCR:  cfg.DisableOCR,
+		Logf:        a.Logf,
 	}
 	// Only while the agent holds replicas is there anything to heal, report or
 	// retire, and only with purges queued anything to broadcast, so the sweep's
@@ -255,13 +247,7 @@ func HomeAgent(agents []string) string {
 	if len(agents) == 0 {
 		return ""
 	}
-	sorted := append([]string(nil), agents...)
-	sort.Strings(sorted)
-	return sorted[0]
-}
-
-func (a *Agent) addLoad(m metrics.Mechanism, units int64) {
-	a.rec.Add(m, units)
+	return slices.Min(agents)
 }
 
 // alive answers liveness queries for elections and polls: the Config.Alive
@@ -281,14 +267,14 @@ func (a *Agent) alive(name string) bool {
 // answered) would hand the step to an agent that has never heard of the
 // instance, and nobody would run it.
 func (a *Agent) executorOf(r *replica, step model.StepID) string {
-	s := r.schema.Steps[step]
+	s := r.Schema.Steps[step]
 	if s == nil {
 		return ""
 	}
-	if starts := r.schema.StartSteps(); r.coordinator != "" && len(starts) > 0 && step == starts[0] {
+	if starts := r.Schema.StartSteps(); r.coordinator != "" && len(starts) > 0 && step == starts[0] {
 		return r.coordinator
 	}
-	return nav.ElectAgent(nav.EffectiveAgents(s, a.cfg.Agents), r.ins.Workflow, r.ins.ID, step, a.alive)
+	return nav.ElectAgent(nav.EffectiveAgents(s, a.cfg.Agents), r.Ins.Workflow, r.Ins.ID, step, a.alive)
 }
 
 // errRetired marks a message addressed to an instance that already reached a
@@ -329,14 +315,10 @@ func (a *Agent) getReplica(workflow string, id int) (*replica, error) {
 // AGDB), installing the execution rules for every step this agent is eligible
 // for and binding them to the instance's event table.
 func (a *Agent) newReplica(schema *model.Schema, ins *wfdb.Instance) *replica {
-	ins.AttachSchema(schema)
 	r := &replica{
-		ins:        ins,
-		schema:     schema,
-		rules:      rules.NewEngine(),
-		recovery:   metrics.Normal,
+		Inst:       nav.NewInst(ins, schema, &a.site),
+		a:          a,
 		executing:  make(map[model.StepID]bool),
-		rollbacks:  make(map[model.StepID]int),
 		waitSince:  make(map[string]time.Time),
 		polled:     make(map[string]bool),
 		resetEpoch: make(map[model.StepID]int),
@@ -346,13 +328,13 @@ func (a *Agent) newReplica(schema *model.Schema, ins *wfdb.Instance) *replica {
 		for _, ag := range nav.EffectiveAgents(schema.Steps[id], a.cfg.Agents) {
 			if ag == a.cfg.Name {
 				for _, rl := range rules.StepRules(schema, id) {
-					r.rules.InstallRule(rl)
+					r.Rules.InstallRule(rl)
 				}
 				break
 			}
 		}
 	}
-	r.rules.Bind(r.ins.Events)
+	r.Rules.Bind(ins.Events)
 	return r
 }
 
@@ -414,11 +396,11 @@ func (a *Agent) RecoverReplicas(notify string) error {
 			r := a.newReplica(schema, ins)
 			r.epoch = ins.Epoch
 			r.coordinator = ins.Coordinator
-			r.recovery = metrics.Failure
+			r.Recovery = metrics.Failure
 			a.replicas[replicaKey(wf, id)] = r
 		}
 		for _, r := range a.sortedReplicas(nil) {
-			a.evaluate(r)
+			nav.Evaluate(r)
 		}
 	})
 	return firstErr
@@ -439,7 +421,7 @@ func (a *Agent) sortedReplicas(keep func(*replica) bool) []*replica {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
-		x, y := out[i].ins, out[j].ins
+		x, y := out[i].Ins, out[j].Ins
 		if x.Workflow != y.Workflow {
 			return x.Workflow < y.Workflow
 		}
@@ -454,7 +436,7 @@ func (a *Agent) coordinatorOf(r *replica) string {
 	if r.coordinator != "" {
 		return r.coordinator
 	}
-	return a.electCoordinator(r.ins.Workflow, r.ins.ID)
+	return a.electCoordinator(r.Ins.Workflow, r.Ins.ID)
 }
 
 // electCoordinator computes an instance's coordination agent as every agent
@@ -467,16 +449,16 @@ func (a *Agent) electCoordinator(workflow string, id int) string {
 	return name
 }
 
-// persist marks the replica for the turn's commit: its row is encoded once,
+// Persist marks the replica for the turn's commit: its row is encoded once,
 // from the state it has when the turn ends, and is on the log before the
-// turn's sends leave. Retired (archived) replicas are never written back:
-// that would resurrect the instance record the archive removed.
-func (a *Agent) persist(r *replica) {
-	if a.cfg.AGDB == nil || r.purged || r.dirty {
+// turn's sends leave. Retired replicas are never written back: that would
+// resurrect the instance record the archive removed.
+func (r *replica) Persist() {
+	if r.a.cfg.AGDB == nil || r.Retired || r.dirty {
 		return
 	}
 	r.dirty = true
-	a.Mark(r)
+	r.a.Mark(r)
 }
 
 // Snapshot returns a deep copy of the agent's replica of an instance. For a
@@ -487,7 +469,7 @@ func (a *Agent) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
 	var out *wfdb.Instance
 	a.Do(func() {
 		if r, ok := a.replicas[replicaKey(workflow, id)]; ok {
-			out = r.ins.Clone()
+			out = r.Ins.Clone()
 		}
 	})
 	if out == nil {
@@ -505,76 +487,38 @@ func (a *Agent) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
 	return out, out != nil
 }
 
-// HasReplica reports whether the agent currently holds state for an
-// instance (purge tests).
-func (a *Agent) HasReplica(workflow string, id int) bool {
-	var ok bool
-	a.Do(func() {
-		_, ok = a.replicas[replicaKey(workflow, id)]
-	})
-	return ok
-}
-
-// ExecCount returns the number of program executions at this agent.
-func (a *Agent) ExecCount() int64 {
-	var n int64
-	a.Do(func() { n = a.execCount })
-	return n
-}
-
-// ReplicaCount returns the number of live (non-retired) replicas held.
-func (a *Agent) ReplicaCount() int {
-	var n int
-	a.Do(func() { n = len(a.replicas) })
-	return n
-}
-
-// SweepWakeups returns how often the maintenance timer has fired. An agent
-// whose replicas have all retired must stop accruing wakeups.
-func (a *Agent) SweepWakeups() int64 { return a.sweepWakeups.Load() }
-
-// DB returns the agent's configured database (nil without persistence).
-func (a *Agent) DB() *wfdb.DB { return a.cfg.AGDB }
-
-// Terminal returns the agent's terminal-status registry.
-func (a *Agent) Terminal() *itable.Terminal { return a.term }
-
-// retireReplica is how the coordination agent lets go of a terminated
-// instance: it archives the full final state, evicts the replica from the live
-// table, publishes the terminal status and wakes completion waiters. Only the
+// retireReplica is how the coordination agent lets go of an instance at its
+// terminal status, after the coordination clean-up has been issued: never
+// while rollback dependencies or compensation-dependent sets can still
+// reference it, since those exist only while it runs. It archives the full
+// final state, evicts the replica from the live table,
+// publishes the terminal status and wakes completion waiters. Only the
 // coordination agent archives (Snapshot serves that copy); every other agent
-// drops its partial replica (dropReplica). For in-process deployments
-// retirement is pure local bookkeeping: it sends no messages and adds no load,
-// so the paper's message and load tables are unaffected. Only when the replica
-// carries a NotifyTo address (set by a multi-process front end's
-// WorkflowStart) does the coordination agent push one WorkflowDone across the
-// wire — the completion signal that replaces the shared terminal registry a
-// process boundary takes away.
-//
-// Retirement happens only at terminal status, after the coordination
-// clean-up has been issued — never while pending rollback dependencies or
-// compensation-dependent sets can still reference the instance (those only
-// exist while the instance is Running).
-func (a *Agent) retireReplica(r *replica, st wfdb.Status) {
-	r.ins.Status = st
-	r.purged = true // callers unwinding with r in hand must not persist it back
-	r.dirty = false
+// drops its partial replica (dropReplica). In process, retirement sends no
+// messages and adds no load, so the paper's tables are unaffected. Only a
+// replica with a NotifyTo address (set by a multi-process front end's
+// WorkflowStart) pushes one WorkflowDone across the wire: the completion
+// signal that replaces the shared terminal registry a process boundary takes
+// away.
+func (a *Agent) retireReplica(r *replica) {
+	st := r.Ins.Status
+	r.Retired, r.dirty = true, false
 	// Archive before publishing completion: a woken waiter may Snapshot
 	// immediately and must find the archived state. The archive row and the
 	// deletion of the instance row go out in one group with whatever the turn
 	// has pending — on the coordination agent, the terminal summary
 	// finishInstance just added — so a crash never finds the instance both
 	// archived and live, nor summarized as finished while still live.
-	a.Tx().Archive(r.ins)
+	a.Tx().Archive(r.Ins)
 	a.Commit()
-	a.term.Complete(r.ins.Workflow, r.ins.ID, st)
-	if r.ins.NotifyTo != "" {
-		a.Send(r.ins.NotifyTo, metrics.Normal, KindWorkflowDone,
-			WorkflowDone{Workflow: r.ins.Workflow, Instance: r.ins.ID, Status: st})
+	a.term.Complete(r.Ins.Workflow, r.Ins.ID, st)
+	if r.Ins.NotifyTo != "" {
+		a.Send(r.Ins.NotifyTo, metrics.Normal, KindWorkflowDone,
+			WorkflowDone{Workflow: r.Ins.Workflow, Instance: r.Ins.ID, Status: st})
 	}
-	delete(a.replicas, replicaKey(r.ins.Workflow, r.ins.ID))
+	delete(a.replicas, replicaKey(r.Ins.Workflow, r.Ins.ID))
 	if a.cfg.OnRetired != nil {
-		a.cfg.OnRetired(r.ins.Workflow, r.ins.ID)
+		a.cfg.OnRetired(r.Ins.Workflow, r.Ins.ID)
 	}
 }
 
@@ -583,14 +527,13 @@ func (a *Agent) retireReplica(r *replica, st wfdb.Status) {
 // the partial copy is evicted and its AGDB row deleted in the turn's group.
 // Nothing is archived; nobody reads a bystander's view of a finished instance.
 func (a *Agent) dropReplica(r *replica) {
-	r.purged = true // callers unwinding with r in hand must not persist it back
-	r.dirty = false
-	delete(a.replicas, replicaKey(r.ins.Workflow, r.ins.ID))
+	r.Retired, r.dirty = true, false
+	delete(a.replicas, replicaKey(r.Ins.Workflow, r.Ins.ID))
 	if a.cfg.OnRetired != nil {
-		a.cfg.OnRetired(r.ins.Workflow, r.ins.ID)
+		a.cfg.OnRetired(r.Ins.Workflow, r.Ins.ID)
 	}
 	if a.cfg.AGDB != nil {
-		a.Tx().DeleteInstance(r.ins.Workflow, r.ins.ID)
+		a.Tx().DeleteInstance(r.Ins.Workflow, r.Ins.ID)
 	}
 }
 
@@ -604,11 +547,11 @@ func (a *Agent) DebugState(workflow string, id int) string {
 			out = "(no replica)"
 			return
 		}
-		out = fmt.Sprintf("status=%v epoch=%d recovery=%v", r.ins.Status, r.epoch, r.recovery)
-		for _, w := range r.rules.WaitingRules(r.ins.Events) {
+		out = fmt.Sprintf("status=%v epoch=%d recovery=%v", r.Ins.Status, r.epoch, r.Recovery)
+		for _, w := range r.Rules.WaitingRules(r.Ins.Events) {
 			out += fmt.Sprintf("\n  waiting %s missing=%v", w.Rule.ID, w.Missing)
 		}
-		if s := r.gate.String(); s != "" {
+		if s := r.Gate.String(); s != "" {
 			out += "\n" + s
 		}
 		if a.home != nil {
@@ -628,46 +571,23 @@ func (a *Agent) StartInstance(workflow string, id int, inputs map[string]expr.Va
 	return err
 }
 
-// RequestAbort runs the WorkflowAbort WI locally.
-func (a *Agent) RequestAbort(workflow string, id int) error {
-	var err error
-	a.Do(func() {
-		err = a.handleWorkflowAbort(workflowAbort{Workflow: workflow, Instance: id})
-	})
-	return err
-}
-
-// RequestChangeInputs runs the WorkflowChangeInputs WI locally.
-func (a *Agent) RequestChangeInputs(workflow string, id int, inputs map[string]expr.Value) error {
-	var err error
-	a.Do(func() {
-		err = a.handleWorkflowChangeInputs(workflowChangeInputs{Workflow: workflow, Instance: id, Inputs: inputs})
-	})
-	return err
-}
-
 // InstanceStatus serves the WorkflowStatus WI from the coordination instance
 // summary (and live replicas).
 func (a *Agent) InstanceStatus(workflow string, id int) (wfdb.Status, bool) {
 	var st wfdb.Status
 	var ok bool
 	a.Do(func() {
-		st, ok = a.statusLocked(workflow, id)
+		if st, ok = a.term.Status(workflow, id); ok {
+			return
+		}
+		if a.cfg.AGDB != nil {
+			if st, ok, _ = a.cfg.AGDB.LoadSummary(workflow, id); ok {
+				return
+			}
+		}
+		if r, found := a.replicas[replicaKey(workflow, id)]; found {
+			st, ok = r.Ins.Status, true
+		}
 	})
 	return st, ok
-}
-
-func (a *Agent) statusLocked(workflow string, id int) (wfdb.Status, bool) {
-	if st, ok := a.term.Status(workflow, id); ok {
-		return st, true
-	}
-	if a.cfg.AGDB != nil {
-		if st, found, _ := a.cfg.AGDB.LoadSummary(workflow, id); found {
-			return st, true
-		}
-	}
-	if r, found := a.replicas[replicaKey(workflow, id)]; found {
-		return r.ins.Status, true
-	}
-	return 0, false
 }

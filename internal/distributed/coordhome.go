@@ -3,7 +3,6 @@ package distributed
 import (
 	"crew/internal/coord"
 	"crew/internal/metrics"
-	"crew/internal/model"
 	"crew/internal/nav"
 	"crew/internal/wfdb"
 )
@@ -16,35 +15,15 @@ import (
 // implementation-level primitives the paper's coordination support is built
 // on — and both ends charge one coordination unit per message handled.
 
-// toHome sends a request to the home agent.
-func (a *Agent) toHome(req coord.Request) {
-	a.addLoad(metrics.Coordination, 1)
-	a.Send(a.homeNode, metrics.Coordination, KindAddRule, req)
-}
-
-func (a *Agent) request(op coord.Op, r *replica, step model.StepID) {
-	a.toHome(coord.Request{
-		Op:      op,
-		Ref:     model.StepRef{Workflow: r.ins.Workflow, Step: step},
-		Inst:    coord.InstanceRef{Workflow: r.ins.Workflow, ID: r.ins.ID},
-		ReplyTo: a.cfg.Name,
-	})
-}
-
-// releaseCoord tells the home a coordinated step completed (coord.Done) or
-// its attempt failed or was reset (coord.Failed: mutexes are released, order
-// queues not advanced).
-func (a *Agent) releaseCoord(op coord.Op, r *replica, step model.StepID) {
-	if a.coordSteps[model.StepRef{Workflow: r.ins.Workflow, Step: step}] {
-		a.request(op, r, step)
-		nav.ClearMutexGrants(r.ins, step)
-		r.gate.Release(step)
-	}
+// ToHome sends a request to the home agent, for one coordination unit.
+func (r *replica) ToHome(req coord.Request) {
+	r.a.site.Rec.Add(metrics.Coordination, 1)
+	r.a.Send(r.a.homeNode, metrics.Coordination, KindAddRule, req)
 }
 
 // The home's way out (coord.Host), on the home agent.
 
-func (a *Agent) Charge() { a.addLoad(metrics.Coordination, 1) }
+func (a *Agent) Charge() { a.site.Rec.Add(metrics.Coordination, 1) }
 
 func (a *Agent) Resolve(to string, r coord.Resolve) {
 	a.Send(to, metrics.Coordination, KindAddPrecondition, r)
@@ -92,10 +71,8 @@ func (a *Agent) OnResolve(p coord.Resolve) {
 	if !ok {
 		return
 	}
-	a.addLoad(metrics.Coordination, 1)
-	r.gate.Resolved(p.Step, p.WaitEvents)
-	a.maybeExecute(r, p.Step)
-	a.evaluate(r)
+	a.site.Rec.Add(metrics.Coordination, 1)
+	nav.Resolved(r, p)
 }
 
 // OnInject posts an injected coordination event (AddEvent) and retries the
@@ -105,13 +82,7 @@ func (a *Agent) OnInject(p coord.Inject) {
 	if err != nil {
 		return
 	}
-	a.addLoad(metrics.Coordination, 1)
-	if r.rules.AddEvent(r.ins.Events, p.Event) {
-		for _, step := range r.gate.Blocked() {
-			a.maybeExecute(r, step)
-		}
-		a.evaluate(r)
-	}
+	nav.Injected(r, p.Event)
 }
 
 // OnOrder applies a rollback dependency to the instances this agent
@@ -121,22 +92,22 @@ func (a *Agent) OnInject(p coord.Inject) {
 func (a *Agent) OnOrder(p coord.Order) {
 	targets := a.sortedReplicas(func(r *replica) bool {
 		if r.coordinator != a.cfg.Name ||
-			r.ins.Workflow != p.TargetWorkflow ||
-			r.ins.Status != wfdb.Running {
+			r.Ins.Workflow != p.TargetWorkflow ||
+			r.Ins.Status != wfdb.Running {
 			return false
 		}
-		if r.ins.Events.Has(r.schema.DoneEventOf(p.TargetStep)) {
+		if r.Ins.Events.Has(r.Schema.DoneEventOf(p.TargetStep)) {
 			return true
 		}
-		rec := r.ins.Steps[p.TargetStep]
+		rec := r.Ins.Steps[p.TargetStep]
 		return rec != nil && rec.Attempts > 0
 	})
 	for _, r := range targets {
-		a.addLoad(metrics.Coordination, 1)
+		a.site.Rec.Add(metrics.Coordination, 1)
 		r.inputEpoch++
 		a.Send(a.executorOf(r, p.TargetStep), metrics.Failure, KindWorkflowRollback, workflowRollback{
-			Workflow:  r.ins.Workflow,
-			Instance:  r.ins.ID,
+			Workflow:  r.Ins.Workflow,
+			Instance:  r.Ins.ID,
 			Origin:    p.TargetStep,
 			Epoch:     r.inputEpoch,
 			Initiator: a.cfg.Name + "/dep",

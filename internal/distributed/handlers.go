@@ -3,7 +3,8 @@ package distributed
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
@@ -14,7 +15,6 @@ import (
 	"crew/internal/metrics"
 	"crew/internal/model"
 	"crew/internal/nav"
-	"crew/internal/ocr"
 	"crew/internal/rules"
 	"crew/internal/transport"
 	"crew/internal/wfdb"
@@ -79,7 +79,8 @@ func (a *Agent) handleMessage(m transport.Message) {
 	case stateInformation:
 		a.Send(p.ReplyTo, metrics.Normal, "StateResponse", stateInformationReply{Agent: a.cfg.Name, Load: a.execCount})
 	case stateInformationReply:
-		a.loads[p.Agent] = p.Load
+		// The election is deterministic: the explicit election's probe
+		// replies are counted traffic and choose nothing.
 	case nestedResult:
 		a.handleNestedResult(p)
 	case purgeNote:
@@ -105,19 +106,19 @@ func (a *Agent) handleWorkflowStart(p workflowStart) error {
 		return err
 	}
 	r.coordinator = a.cfg.Name
-	r.ins.NotifyTo = p.ReplyTo
+	r.Ins.NotifyTo = p.ReplyTo
 	for name, v := range p.Inputs {
-		r.ins.Data[model.WorkflowInput(name)] = v
+		r.Ins.Data[model.WorkflowInput(name)] = v
 	}
 	if p.Parent != nil {
-		r.ins.Parent = &wfdb.ParentRef{Workflow: p.Parent.Workflow, ID: p.ParentInst, Step: p.Parent.Step}
+		r.Ins.Parent = &wfdb.ParentRef{Workflow: p.Parent.Workflow, ID: p.ParentInst, Step: p.Parent.Step}
 		r.parentAgent = p.ParentAgent
 	}
-	a.addLoad(metrics.Normal, 1)
+	a.site.Rec.Add(metrics.Normal, 1)
 	if a.cfg.AGDB != nil {
 		a.Tx().SaveSummary(p.Workflow, p.Instance, wfdb.Running)
 	}
-	r.ins.Events.Post(event.WorkflowStartName)
+	r.Ins.Events.Post(event.WorkflowStartName)
 
 	// Dispatch start steps: the coordination agent is the executor of the
 	// first start step; other start steps get packets.
@@ -125,9 +126,9 @@ func (a *Agent) handleWorkflowStart(p workflowStart) error {
 		if i == 0 {
 			continue // handled by local evaluation below
 		}
-		a.forwardPacketForStep(r, sid, metrics.Normal)
+		a.forwardPacket(r, sid, nil, metrics.Normal)
 	}
-	a.evaluate(r)
+	nav.Evaluate(r)
 	return nil
 }
 
@@ -144,13 +145,13 @@ func (a *Agent) handleStepExecute(p stepExecute, from string) {
 			// is independent of instance fate); only replica work is
 			// skipped. Keeping the unit keeps the Table 6 load column
 			// identical to the pre-retirement measurement.
-			a.addLoad(p.Mechanism, 1)
+			a.site.Rec.Add(p.Mechanism, 1)
 		} else {
 			a.Logf("StepExecute: %v", err)
 		}
 		return
 	}
-	if r.purged || r.ins.Status != wfdb.Running {
+	if r.Retired || r.Ins.Status != wfdb.Running {
 		return
 	}
 	if pkt.Coordinator != "" {
@@ -159,11 +160,11 @@ func (a *Agent) handleStepExecute(p stepExecute, from string) {
 	if pkt.Epoch > r.epoch {
 		r.epoch = pkt.Epoch
 	}
-	a.addLoad(p.Mechanism, 1) // unpack + table updates
+	a.site.Rec.Add(p.Mechanism, 1) // unpack + table updates
 	if len(pkt.ResetSteps) > 0 {
-		nav.ResetSteps(r.ins, r.rules, pkt.ResetSteps)
+		nav.ResetSteps(r.Ins, r.Rules, pkt.ResetSteps)
 		for _, id := range pkt.ResetSteps {
-			if rec := r.ins.Steps[id]; rec != nil {
+			if rec := r.Ins.Steps[id]; rec != nil {
 				rec.HasResult = false
 			}
 			r.resetEpoch[id] = r.epoch
@@ -175,8 +176,8 @@ func (a *Agent) handleStepExecute(p stepExecute, from string) {
 	if pkt.Epoch < r.epoch && r.lastHalt != nil && from != "" && from != a.cfg.Name {
 		a.Send(from, r.lastHalt.Mechanism, KindHaltThread, *r.lastHalt)
 	}
-	a.evaluate(r)
-	a.persist(r)
+	nav.Evaluate(r)
+	r.Persist()
 }
 
 // mergeFiltered merges incoming state per step: entries belonging to a step
@@ -197,15 +198,15 @@ func (a *Agent) mergeFiltered(r *replica, data map[string]expr.Value, events []s
 				continue // stale; includes "WF": inputs changed at a later epoch
 			}
 		}
-		if old, exists := r.ins.Data[k]; !exists || !old.Equal(v) {
-			r.ins.Data[k] = v
+		if old, exists := r.Ins.Data[k]; !exists || !old.Equal(v) {
+			r.Ins.Data[k] = v
 		}
 	}
 	for _, name := range events {
 		sid := event.StepOfDone(name)
 		if sid == "" {
-			if !r.ins.Events.Has(name) {
-				r.ins.Events.Post(name)
+			if !r.Ins.Events.Has(name) {
+				r.Ins.Events.Post(name)
 			}
 			continue
 		}
@@ -216,157 +217,110 @@ func (a *Agent) mergeFiltered(r *replica, data map[string]expr.Value, events []s
 		if senderEpoch > r.doneEpoch[id] {
 			r.doneEpoch[id] = senderEpoch
 		}
-		if !r.ins.Events.Has(name) {
-			r.ins.Events.Post(name)
+		if !r.Ins.Events.Has(name) {
+			r.Ins.Events.Post(name)
 		}
-		if r.schema.Steps[id] != nil {
-			if rec := r.ins.StepRec(id); rec.Status == wfdb.StepPending || rec.Status == wfdb.StepCompensated {
+		if r.Schema.Steps[id] != nil {
+			if rec := r.Ins.StepRec(id); rec.Status == wfdb.StepPending || rec.Status == wfdb.StepCompensated {
 				rec.Status = wfdb.StepDone
 			}
 		}
 	}
 }
 
-// evaluate runs the rule engine and executes fired steps this agent is the
-// elected executor for.
-func (a *Agent) evaluate(r *replica) {
-	if r.ins.Status != wfdb.Running || r.purged {
-		return
-	}
-	for {
-		fired, err := r.rules.Evaluate(r.ins.Events, r.ins.Env())
-		if err != nil {
-			a.Logf("instance %s: %v", r.ins.Key(), err)
-		}
-		progressed := false
-		for _, rl := range fired {
-			switch rl.Action.Kind {
-			case rules.ActExecute:
-				if a.maybeExecute(r, rl.Action.Step) {
-					progressed = true
-				}
-			case rules.ActNotify:
-				if rl.Action.Fn != nil {
-					rl.Action.Fn()
-				}
-				progressed = true
-			}
-		}
-		if len(fired) == 0 || !progressed {
-			return
-		}
-		if r.ins.Status != wfdb.Running {
-			return
-		}
-	}
+// Navigation: the agent's side of the core (nav.Owner). The agent runs a
+// step itself, synchronously, and forwards packets; a revisit compensates
+// locally or drives a CompensateSet chain.
+
+// Stopped: an agent navigates while its coordination agent aborts; the abort
+// protocol quiesces the threads.
+func (r *replica) Stopped() bool { return false }
+
+// MayRun admits a step that is not running here and whose executor this agent
+// is elected to be.
+func (r *replica) MayRun(step model.StepID) bool {
+	return !r.executing[step] && r.a.executorOf(r, step) == r.a.cfg.Name
 }
 
-// maybeExecute gates and executes a fired step. Returns true when state
-// changed synchronously.
-func (a *Agent) maybeExecute(r *replica, step model.StepID) bool {
-	if r.ins.Status != wfdb.Running || r.executing[step] {
-		return false
-	}
-	if a.executorOf(r, step) != a.cfg.Name {
-		return false // another eligible agent won the election
-	}
-	s := r.schema.Steps[step]
-	if s == nil {
-		return false
-	}
+// Revisits: an agent revisits only the results it produced itself.
+func (r *replica) Revisits(rec *wfdb.StepRecord) bool { return rec.Agent == r.a.cfg.Name }
 
-	// Coordinated-execution gate: the step proceeds only once the home agent
-	// has answered and every wait event is valid.
-	if a.coordSteps[model.StepRef{Workflow: r.ins.Workflow, Step: step}] {
-		switch r.gate.Admit(step, r.ins.Events) {
-		case coord.AskHome:
-			a.request(coord.Check, r, step)
-			return false
-		case coord.Blocked:
-			return false
-		}
-	}
-
-	inputs := nav.ResolveInputs(r.ins, s)
-
-	rec := r.ins.Steps[step]
-	if rec != nil && rec.HasResult && rec.Agent == a.cfg.Name {
-		// Revisit of an already-executed step: the OCR strategy applies.
-		mech := r.recovery
-		if mech == metrics.Normal {
-			mech = metrics.Failure
-		}
-		var d ocr.Decision
-		if a.cfg.DisableOCR {
-			d = ocr.CompleteCR
-		} else {
-			var derr error
-			d, derr = ocr.Decide(r.schema, s, rec, inputs, r.ins.Env())
-			if derr != nil {
-				a.Logf("instance %s step %s: %v", r.ins.Key(), step, derr)
-			}
-		}
-		a.addLoad(mech, 1)
-		switch d {
-		case ocr.Reuse:
-			r.ins.RecordDone(step, rec.Outputs)
-			r.doneEpoch[step] = r.epoch
-			a.afterStepDone(r, step, mech)
-			return true
-		case ocr.CompleteCR:
-			plan := a.planCompSet(r, step)
-			if len(plan) > 1 {
-				// Compensation dependent set: drive the CompensateSet chain
-				// starting at the agent of the last step of the list.
-				a.startCompensateSetChain(r, step, plan, mech)
-				return false
-			}
-			a.compensateLocal(r, step, model.ModeCompensate, mech)
-			// The compensation took the step's own outputs out of the data
-			// table; a step that reads them must not see them again.
-			a.executeStep(r, step, model.ModeExecute, nil, nav.ResolveInputs(r.ins, s), mech)
-			return true
-		case ocr.IncrementalCR:
-			prev := rec.Prev()
-			a.compensateLocal(r, step, model.ModePartialComp, mech)
-			a.executeStep(r, step, model.ModeIncremental, prev, inputs, mech)
-			return true
-		}
-		// ExecuteFresh falls through.
-	}
-
-	a.executeStep(r, step, model.ModeExecute, nil, inputs, nav.StepMechanism(r.ins, step, r.recovery))
+func (r *replica) Run(step model.StepID, inputs map[string]expr.Value, mech metrics.Mechanism) bool {
+	r.a.executeStep(r, step, model.ModeExecute, nil, inputs, mech)
 	return true
 }
+
+func (r *replica) CompleteCR(step model.StepID, mech metrics.Mechanism) bool {
+	a := r.a
+	plan := a.planCompSet(r, step)
+	if len(plan) > 1 {
+		// Compensation dependent set: drive the CompensateSet chain
+		// starting at the agent of the last step of the list.
+		a.startCompensateSetChain(r, step, plan, mech)
+		return false
+	}
+	a.compensateLocal(r, step, model.ModeCompensate, mech)
+	// The compensation took the step's own outputs out of the data table; a
+	// step that reads them must not see them again.
+	a.executeStep(r, step, model.ModeExecute, nil, nav.ResolveInputs(r.Ins, r.Schema.Steps[step]), mech)
+	return true
+}
+
+func (r *replica) IncrementalCR(step model.StepID, inputs map[string]expr.Value, mech metrics.Mechanism) bool {
+	prev := r.Ins.StepRec(step).Prev()
+	r.a.compensateLocal(r, step, model.ModePartialComp, mech)
+	r.a.executeStep(r, step, model.ModeIncremental, prev, inputs, mech)
+	return true
+}
+
+func (r *replica) Done(step model.StepID, mech metrics.Mechanism) {
+	r.doneEpoch[step] = r.epoch
+	r.a.afterStepDone(r, step, mech)
+}
+
+// Loop: the first loop whose condition holds is taken; its head's agents get
+// a packet naming the reset body, and navigation goes on from there.
+func (r *replica) Loop(head model.StepID, body []model.StepID) bool {
+	r.a.forwardPacket(r, head, body, metrics.Normal)
+	r.Persist()
+	nav.Evaluate(r)
+	return false
+}
+
+// Act: an agent installs only execution rules.
+func (r *replica) Act(rules.Action) bool { return true }
+
+// Settle: commit is the coordination agent's, on StepCompleted.
+func (r *replica) Settle() {}
 
 // executeStep runs the step program synchronously on inputs, the step's
 // inputs as resolved from the replica, and navigates onward.
 func (a *Agent) executeStep(r *replica, step model.StepID, mode model.ExecMode, prev *model.PrevExecution, inputs map[string]expr.Value, mech metrics.Mechanism) {
-	s := r.schema.Steps[step]
+	s := r.Schema.Steps[step]
 	if s.Nested != "" {
 		a.startNested(r, step, inputs, mech)
 		return
 	}
 	prog, ok := a.cfg.Programs.Lookup(s.Program)
 	if !ok {
-		a.Logf("instance %s step %s: unknown program %q", r.ins.Key(), step, s.Program)
+		a.Logf("instance %s step %s: unknown program %q", r.Ins.Key(), step, s.Program)
 		a.onStepFailure(r, step, mech)
 		return
 	}
 	if mode == model.ModeIncremental && prev == nil {
-		prev = r.ins.StepRec(step).Prev()
+		prev = r.Ins.StepRec(step).Prev()
 	}
-	r.ins.RecordExecuting(step, a.cfg.Name, inputs)
+	r.Ins.RecordExecuting(step, a.cfg.Name, inputs)
 	r.executing[step] = true
 	epochBefore := r.epoch
 	a.execCount++
-	a.addLoad(mech, 1) // navigation + scheduling at the agent
+	a.site.Rec.Add(mech, 1) // navigation + scheduling at the agent
 	out, err := prog(&model.ProgramContext{
-		Workflow: r.ins.Workflow,
-		Instance: r.ins.ID,
+		Workflow: r.Ins.Workflow,
+		Instance: r.Ins.ID,
 		Step:     step,
 		Mode:     mode,
-		Attempt:  r.ins.StepRec(step).Attempts,
+		Attempt:  r.Ins.StepRec(step).Attempts,
 		Inputs:   inputs,
 		Prev:     prev,
 	})
@@ -374,16 +328,16 @@ func (a *Agent) executeStep(r *replica, step model.StepID, mode model.ExecMode, 
 	if r.resetEpoch[step] > epochBefore {
 		// A rollback reset this step while it ran: discard the result, but
 		// release any coordination resources the attempt held.
-		a.releaseCoord(coord.Failed, r, step)
+		nav.Release(r, coord.Failed, step)
 		return
 	}
 	if err != nil {
-		r.ins.RecordFailed(step)
-		a.releaseCoord(coord.Failed, r, step)
+		r.Ins.RecordFailed(step)
+		nav.Release(r, coord.Failed, step)
 		a.onStepFailure(r, step, metrics.Failure)
 		return
 	}
-	r.ins.RecordDone(step, out)
+	r.Ins.RecordDone(step, out)
 	r.doneEpoch[step] = r.epoch
 	a.afterStepDone(r, step, mech)
 }
@@ -392,122 +346,73 @@ func (a *Agent) executeStep(r *replica, step model.StepID, mode model.ExecMode, 
 // notifications, branch-switch compensation threads, loop arcs, terminal
 // reporting and packet forwarding.
 func (a *Agent) afterStepDone(r *replica, step model.StepID, mech metrics.Mechanism) {
-	rec := r.ins.StepRec(step)
-	if r.recovery != metrics.Normal && rec.Attempts <= 1 {
-		r.recovery = metrics.Normal
-	}
-
-	a.releaseCoord(coord.Done, r, step)
+	r.Ran(step)
+	nav.Release(r, coord.Done, step)
 
 	// Branch switch after re-execution: start compensation threads down the
 	// branches no longer taken (CompensateThread WI).
-	if r.schema.IsBranching(step) && rec.Attempts > 1 {
-		taken := nav.ActiveBranchTargets(r.schema, r.ins, step)
-		takenSet := make(map[model.StepID]bool, len(taken))
-		for _, id := range taken {
-			takenSet[id] = true
-		}
-		for _, arc := range r.schema.ControlSuccessors(step) {
-			if takenSet[arc.To] {
+	if r.Schema.IsBranching(step) && r.Ins.StepRec(step).Attempts > 1 {
+		taken := nav.ActiveBranchTargets(r.Schema, r.Ins, step)
+		for _, arc := range r.Schema.ControlSuccessors(step) {
+			if slices.Contains(taken, arc.To) {
 				continue
 			}
-			a.addLoad(mech, 1)
+			a.site.Rec.Add(mech, 1)
 			a.Send(a.executorOf(r, arc.To), mech, KindCompensateThread, compensateThread{
-				Workflow:  r.ins.Workflow,
-				Instance:  r.ins.ID,
+				Workflow:  r.Ins.Workflow,
+				Instance:  r.Ins.ID,
 				Step:      arc.To,
 				Mechanism: mech,
 			})
 		}
 	}
 
-	// Loop arcs: on repeat, reset the body and re-dispatch the head.
-	for _, arc := range r.schema.LoopArcs(step) {
-		cond, err := r.schema.CondExpr(arc.Cond)
-		if err != nil {
-			continue
-		}
-		ok, err := cond.EvalBool(r.ins.Env())
-		if err != nil || !ok {
-			continue
-		}
-		a.addLoad(metrics.Normal, 1)
-		body := nav.ApplyLoopBack(r.schema, r.ins, r.rules, arc.To, step)
-		a.forwardPacketForStepWithReset(r, arc.To, body, metrics.Normal)
-		a.persist(r)
-		a.evaluate(r)
+	// Loop arcs: on repeat, the body is reset and the head re-dispatched.
+	if nav.LoopBack(r, step) {
 		return
 	}
 
 	// Terminal step: inform the coordination agent (StepCompleted WI).
-	isTerminal := false
-	for _, tid := range r.schema.TerminalSteps() {
-		if tid == step {
-			isTerminal = true
-			break
-		}
-	}
-	if isTerminal {
-		a.addLoad(metrics.Normal, 1)
-		a.Send(a.coordinatorOf(r), metrics.Normal, KindStepCompleted, stepCompleted{
-			Workflow: r.ins.Workflow,
-			Instance: r.ins.ID,
-			Step:     step,
-			Epoch:    r.epoch,
-			Data:     cloneData(r.ins.Data),
-			Events:   r.ins.Events.ValidNames(),
-		})
+	if slices.Contains(r.Schema.TerminalSteps(), step) {
+		a.site.Rec.Add(metrics.Normal, 1)
+		a.reportTerminal(r, a.coordinatorOf(r), step)
 	}
 
 	// Forward workflow packets to the agents of every successor step.
-	for _, arc := range r.schema.ControlSuccessors(step) {
-		a.forwardPacketForStep(r, arc.To, mech)
+	for _, arc := range r.Schema.ControlSuccessors(step) {
+		a.forwardPacket(r, arc.To, nil, mech)
 	}
-	a.persist(r)
-	a.evaluate(r)
-}
-
-func cloneData(m map[string]expr.Value) map[string]expr.Value {
-	out := make(map[string]expr.Value, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+	r.Persist()
+	nav.Evaluate(r)
 }
 
 // buildPacket assembles the workflow packet for a target step.
 func (a *Agent) buildPacket(r *replica, target model.StepID, reset []model.StepID) *Packet {
 	return &Packet{
-		Workflow:    r.ins.Workflow,
-		Instance:    r.ins.ID,
+		Workflow:    r.Ins.Workflow,
+		Instance:    r.Ins.ID,
 		Epoch:       r.epoch,
 		TargetStep:  target,
-		Data:        cloneData(r.ins.Data),
-		Events:      r.ins.Events.ValidNames(),
+		Data:        maps.Clone(r.Ins.Data),
+		Events:      r.Ins.Events.ValidNames(),
 		ResetSteps:  reset,
-		Leading:     append([]string(nil), r.leading...),
-		Lagging:     append([]string(nil), r.lagging...),
 		Coordinator: a.coordinatorOf(r),
 	}
 }
 
-// forwardPacketForStep sends the packet for a successor step to all its
-// eligible agents (the paper's s·a messages; the deterministic election
-// picks the executor with no extra traffic). With ExplicitElection the
-// agents' states are probed first and the packet goes only to the chosen
-// agent.
-func (a *Agent) forwardPacketForStep(r *replica, target model.StepID, mech metrics.Mechanism) {
-	a.forwardPacketForStepWithReset(r, target, nil, mech)
-}
-
-func (a *Agent) forwardPacketForStepWithReset(r *replica, target model.StepID, reset []model.StepID, mech metrics.Mechanism) {
-	s := r.schema.Steps[target]
+// forwardPacket sends the packet for a successor step, naming the steps a
+// loop iteration reset, to all its eligible agents (the paper's s·a messages;
+// the deterministic election picks the executor with no extra traffic). With
+// ExplicitElection the agents' states are probed first and the packet goes
+// only to the chosen agent.
+func (a *Agent) forwardPacket(r *replica, target model.StepID, reset []model.StepID, mech metrics.Mechanism) {
+	s := r.Schema.Steps[target]
 	if s == nil {
 		return
 	}
 	elig := nav.EffectiveAgents(s, a.cfg.Agents)
 	pkt := a.buildPacket(r, target, reset)
-	a.addLoad(mech, 1)
+	a.site.Rec.Add(mech, 1)
 	if a.cfg.ExplicitElection {
 		for _, ag := range elig {
 			if ag != a.cfg.Name && a.alive(ag) {
@@ -539,61 +444,61 @@ func (a *Agent) handleStepCompleted(p stepCompleted) {
 		}
 		return
 	}
-	if r.ins.Status != wfdb.Running {
+	if r.Ins.Status != wfdb.Running {
 		return
 	}
 	if p.Epoch > r.epoch {
 		r.epoch = p.Epoch
 	}
 	r.coordinator = a.cfg.Name
-	a.addLoad(metrics.Normal, 1)
+	a.site.Rec.Add(metrics.Normal, 1)
 	a.mergeFiltered(r, p.Data, p.Events, p.Epoch)
-	if nav.ShouldCommit(r.schema, r.ins) {
+	if nav.ShouldCommit(r.Schema, r.Ins) {
 		a.commitInstance(r)
 		return
 	}
-	a.evaluate(r)
+	nav.Evaluate(r)
 }
 
 func (a *Agent) commitInstance(r *replica) {
-	a.addLoad(metrics.Normal, 1)
-	r.ins.Status = wfdb.Committed
-	r.ins.Events.Post(event.WorkflowDoneName)
+	a.site.Rec.Add(metrics.Normal, 1)
+	r.Ins.Status = wfdb.Committed
+	r.Ins.Events.Post(event.WorkflowDoneName)
 	a.finishInstance(r)
 }
 
 func (a *Agent) finishInstance(r *replica) {
 	if a.cfg.AGDB != nil {
-		a.Tx().SaveSummary(r.ins.Workflow, r.ins.ID, r.ins.Status)
+		a.Tx().SaveSummary(r.Ins.Workflow, r.Ins.ID, r.Ins.Status)
 	}
 
 	// Coordination clean-up at the home agent.
 	if len(a.cfg.Library.Coord) > 0 {
-		a.toHome(coord.Request{Op: coord.Forget, Inst: coord.InstanceRef{Workflow: r.ins.Workflow, ID: r.ins.ID}})
+		r.ToHome(coord.Request{Op: coord.Forget, Inst: coord.InstanceRef{Workflow: r.Ins.Workflow, ID: r.Ins.ID}})
 	}
 
 	// Nested: report to the parent step's agent.
-	if p := r.ins.Parent; p != nil && r.parentAgent != "" {
+	if p := r.Ins.Parent; p != nil && r.parentAgent != "" {
 		a.Send(r.parentAgent, metrics.Normal, KindNestedResult, nestedResult{
 			ParentWorkflow: p.Workflow,
 			ParentInstance: p.ID,
 			ParentStep:     p.Step,
-			ChildWorkflow:  r.ins.Workflow,
-			ChildInstance:  r.ins.ID,
-			Committed:      r.ins.Status == wfdb.Committed,
-			Data:           cloneData(r.ins.Data),
+			ChildWorkflow:  r.Ins.Workflow,
+			ChildInstance:  r.Ins.ID,
+			Committed:      r.Ins.Status == wfdb.Committed,
+			Data:           maps.Clone(r.Ins.Data),
 		})
 	}
 
 	if a.cfg.PurgeOnCommit {
-		a.purges = append(a.purges, purgeEntry{Workflow: r.ins.Workflow, Instance: r.ins.ID, Status: r.ins.Status})
+		a.purges = append(a.purges, purgeEntry{Workflow: r.Ins.Workflow, Instance: r.Ins.ID, Status: r.Ins.Status})
 	}
 
 	// Retire the coordination replica itself: archive the full final state,
 	// publish the terminal status (waking completion waiters and letting the
 	// other agents retire their replicas at their next turn, message-free)
 	// and drop the instance from the live table.
-	a.retireReplica(r, r.ins.Status)
+	a.retireReplica(r)
 }
 
 // broadcastPurges is the sweep's purge broadcast: one note per peer naming
@@ -632,20 +537,17 @@ func (a *Agent) handlePurge(p purgeNote) {
 // onStepFailure applies the failure-handling specification at the agent
 // where the step failed.
 func (a *Agent) onStepFailure(r *replica, step model.StepID, mech metrics.Mechanism) {
-	a.addLoad(metrics.Failure, 1)
-	pol, ok := r.schema.OnFailure[step]
-	r.rollbacks[step]++
-	if !ok || r.rollbacks[step] > pol.Attempts() {
-		a.Send(a.coordinatorOf(r), metrics.Failure, KindWorkflowAbort, workflowAbort{Workflow: r.ins.Workflow, Instance: r.ins.ID})
+	a.site.Rec.Add(metrics.Failure, 1)
+	origin, ok := r.Retry(step)
+	if !ok {
+		a.Send(a.coordinatorOf(r), metrics.Failure, KindWorkflowAbort, workflowAbort{Workflow: r.Ins.Workflow, Instance: r.Ins.ID})
 		return
 	}
-	r.recovery = metrics.Failure
-	target := a.executorOf(r, pol.RollbackTo)
-	a.Send(target, metrics.Failure, KindWorkflowRollback, workflowRollback{
-		Workflow:  r.ins.Workflow,
-		Instance:  r.ins.ID,
-		Origin:    pol.RollbackTo,
-		Epoch:     r.rollbacks[step],
+	a.Send(a.executorOf(r, origin), metrics.Failure, KindWorkflowRollback, workflowRollback{
+		Workflow:  r.Ins.Workflow,
+		Instance:  r.Ins.ID,
+		Origin:    origin,
+		Epoch:     r.Rollbacks[step],
 		Initiator: a.cfg.Name + "/" + string(step),
 		Mechanism: metrics.Failure,
 	})
@@ -661,30 +563,26 @@ func (a *Agent) handleWorkflowRollback(p workflowRollback) {
 		if errors.Is(err, errRetired) {
 			// Late rollback for a finished instance: count the unpack
 			// unit the pre-retirement path charged, skip the replica work.
-			a.addLoad(p.Mechanism, 1)
+			a.site.Rec.Add(p.Mechanism, 1)
 		} else {
 			a.Logf("WorkflowRollback: %v", err)
 		}
 		return
 	}
-	if r.ins.Status != wfdb.Running {
+	if r.Ins.Status != wfdb.Running {
 		return
 	}
 	mech := p.Mechanism
-	r.recovery = mech
 	r.epoch++
 	if len(p.NewData) > 0 {
-		r.ins.MergeData(p.NewData)
+		r.Ins.MergeData(p.NewData)
 		r.resetEpoch["WF"] = r.epoch // stale packets must not undo the change
 	}
-	affected, invalidated := nav.ApplyRollback(r.schema, r.ins, r.rules, p.Origin)
-	a.addLoad(mech, int64(len(affected))+1)
-	_ = invalidated
-	all := append(append([]model.StepID(nil), affected...), p.Origin)
-	r.gate.Reset(all)
+	all := r.Rollback(p.Origin, mech)
+	r.Gate.Reset(all)
 	for _, id := range all {
 		r.resetEpoch[id] = r.epoch
-		a.releaseCoord(coord.Failed, r, id)
+		nav.Release(r, coord.Failed, id)
 	}
 
 	r.lastHalt = &haltThread{
@@ -705,11 +603,11 @@ func (a *Agent) handleWorkflowRollback(p workflowRollback) {
 
 	// Rollback dependencies are resolved at the coordination home agent.
 	if a.hasRollbackDep {
-		a.toHome(coord.Request{Op: coord.Rollback, Ref: model.StepRef{Workflow: p.Workflow}, Invalidated: all})
+		r.ToHome(coord.Request{Op: coord.Rollback, Ref: model.StepRef{Workflow: p.Workflow}, Invalidated: all})
 	}
 
-	a.persist(r)
-	a.evaluate(r)
+	r.Persist()
+	nav.Evaluate(r)
 }
 
 // haltFlood identifies one HaltThread flood of an instance for
@@ -741,42 +639,37 @@ func (a *Agent) handleHaltThread(p haltThread) {
 		cp := p
 		r.lastHalt = &cp
 	}
-	set := nav.InvalidationSet(r.schema, p.Origin)
 	// A probe must not clobber state the re-executed thread has already
 	// re-established at (or after) the probe's epoch.
-	stale := set[:0:0]
-	for _, id := range set {
-		if r.doneEpoch[id] < p.Epoch {
-			stale = append(stale, id)
-		}
-	}
-	set = stale
-	n := nav.ResetSteps(r.ins, r.rules, set)
-	a.addLoad(p.Mechanism, int64(n)+1)
-	r.gate.Reset(set)
+	set := slices.DeleteFunc(nav.InvalidationSet(r.Schema, p.Origin), func(id model.StepID) bool {
+		return r.doneEpoch[id] >= p.Epoch
+	})
+	n := nav.ResetSteps(r.Ins, r.Rules, set)
+	a.site.Rec.Add(p.Mechanism, int64(n)+1)
+	r.Gate.Reset(set)
 	for _, id := range set {
 		r.resetEpoch[id] = r.epoch
-		if a.coordSteps[model.StepRef{Workflow: p.Workflow, Step: id}] {
-			nav.ClearMutexGrants(r.ins, id)
+		if a.site.Coordinated[model.StepRef{Workflow: p.Workflow, Step: id}] {
+			nav.ClearMutexGrants(r.Ins, id)
 		}
 	}
 
 	// Propagate to successors of steps this agent executed and forwarded.
 	a.propagateHalts(r, p.Origin, p.Epoch, p.Initiator, p.Mechanism)
-	a.persist(r)
+	r.Persist()
 }
 
 // haltSuccessorsOf sends HaltThread probes to the agents of a step's
 // immediate successors (skipping this agent, whose state is already reset).
 func (a *Agent) haltSuccessorsOf(r *replica, step, origin model.StepID, epoch int, initiator string, mech metrics.Mechanism) {
-	for _, arc := range r.schema.ControlSuccessors(step) {
-		for _, ag := range nav.EffectiveAgents(r.schema.Steps[arc.To], a.cfg.Agents) {
+	for _, arc := range r.Schema.ControlSuccessors(step) {
+		for _, ag := range nav.EffectiveAgents(r.Schema.Steps[arc.To], a.cfg.Agents) {
 			if ag == a.cfg.Name {
 				continue
 			}
 			a.Send(ag, mech, KindHaltThread, haltThread{
-				Workflow:  r.ins.Workflow,
-				Instance:  r.ins.ID,
+				Workflow:  r.Ins.Workflow,
+				Instance:  r.Ins.ID,
 				Origin:    origin,
 				Step:      arc.To,
 				Epoch:     epoch,
@@ -791,16 +684,16 @@ func (a *Agent) haltSuccessorsOf(r *replica, step, origin model.StepID, epoch in
 // itself drove: for every affected step it executed (and therefore forwarded
 // packets from), the agents of that step's successors are probed.
 func (a *Agent) propagateHalts(r *replica, origin model.StepID, epoch int, initiator string, mech metrics.Mechanism) {
-	desc := r.schema.Descendants(origin)
+	desc := r.Schema.Descendants(origin)
 	// Sorted iteration: haltSuccessorsOf emits HaltThread probes, and map
 	// order would make the probe sequence differ run to run.
-	ids := make([]model.StepID, 0, len(r.ins.Steps))
-	for id, rec := range r.ins.Steps {
+	ids := make([]model.StepID, 0, len(r.Ins.Steps))
+	for id, rec := range r.Ins.Steps {
 		if desc[id] && rec.Agent == a.cfg.Name && rec.Attempts > 0 {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		a.haltSuccessorsOf(r, id, origin, epoch, initiator, mech)
 	}
@@ -813,28 +706,18 @@ func (a *Agent) propagateHalts(r *replica, origin model.StepID, epoch int, initi
 // topological order (consistent with execution order along a path). The plan
 // lists later members first and ends with the revisited step itself.
 func (a *Agent) planCompSet(r *replica, step model.StepID) []model.StepID {
-	set := r.schema.CompSetOf(step)
+	set := r.Schema.CompSetOf(step)
 	if set == nil {
 		return []model.StepID{step}
 	}
-	inSet := make(map[model.StepID]bool, len(set))
-	for _, id := range set {
-		inSet[id] = true
-	}
-	topo := r.schema.TopoOrder()
-	pos := -1
-	for i, id := range topo {
-		if id == step {
-			pos = i
-			break
-		}
-	}
+	topo := r.Schema.TopoOrder()
+	pos := slices.Index(topo, step)
 	if pos < 0 {
 		return []model.StepID{step}
 	}
 	var later []model.StepID
 	for _, id := range topo[pos+1:] {
-		if !inSet[id] {
+		if !slices.Contains(set, id) {
 			continue
 		}
 		// The rollback has already invalidated done events, so executed-at-
@@ -842,18 +725,15 @@ func (a *Agent) planCompSet(r *replica, step model.StepID) []model.StepID {
 		// invalidation); members already compensated are skipped. Agents in
 		// the chain no-op when they hold no results, so over-inclusion is
 		// safe.
-		rec := r.ins.Steps[id]
-		executed := r.ins.Events.Count(r.schema.DoneEventOf(id)) > 0 &&
-			!r.ins.Events.Has(r.schema.CompEventOf(id))
+		rec := r.Ins.Steps[id]
+		executed := r.Ins.Events.Count(r.Schema.DoneEventOf(id)) > 0 &&
+			!r.Ins.Events.Has(r.Schema.CompEventOf(id))
 		if executed || (rec != nil && rec.HasResult) {
 			later = append(later, id)
 		}
 	}
-	plan := make([]model.StepID, 0, len(later)+1)
-	for i := len(later) - 1; i >= 0; i-- {
-		plan = append(plan, later[i])
-	}
-	return append(plan, step)
+	slices.Reverse(later)
+	return append(later, step)
 }
 
 // startCompensateSetChain begins the reverse-order compensation of a
@@ -862,11 +742,10 @@ func (a *Agent) planCompSet(r *replica, step model.StepID) []model.StepID {
 func (a *Agent) startCompensateSetChain(r *replica, origin model.StepID, plan []model.StepID, mech metrics.Mechanism) {
 	// plan is already in compensation order (reverse execution order, ending
 	// with origin); StepList keeps that order.
-	first := plan[0]
-	a.addLoad(mech, 1)
-	a.Send(a.executorOf(r, first), mech, KindCompensateSet, compensateSet{
-		Workflow:  r.ins.Workflow,
-		Instance:  r.ins.ID,
+	a.site.Rec.Add(mech, 1)
+	a.Send(a.executorOf(r, plan[0]), mech, KindCompensateSet, compensateSet{
+		Workflow:  r.Ins.Workflow,
+		Instance:  r.Ins.ID,
 		Origin:    origin,
 		StepList:  plan,
 		Mechanism: mech,
@@ -883,35 +762,32 @@ func (a *Agent) handleCompensateSet(p compensateSet) {
 	}
 	// Learn about steps compensated earlier in the chain.
 	for _, id := range p.Compensated {
-		if rec := r.ins.Steps[id]; rec != nil && rec.HasResult {
-			r.ins.RecordCompensated(id)
+		if rec := r.Ins.Steps[id]; rec != nil && rec.HasResult {
+			r.Ins.RecordCompensated(id)
 		} else {
-			r.ins.Events.Invalidate(r.schema.DoneEventOf(id))
-			r.ins.Events.Post(r.schema.CompEventOf(id))
+			r.Ins.Events.Invalidate(r.Schema.DoneEventOf(id))
+			r.Ins.Events.Post(r.Schema.CompEventOf(id))
 		}
 	}
 	if len(p.StepList) == 0 {
-		a.persist(r)
-		a.evaluate(r)
+		r.Persist()
+		nav.Evaluate(r)
 		return
 	}
 	step := p.StepList[0]
 	rest := p.StepList[1:]
-	a.addLoad(p.Mechanism, 1)
+	a.site.Rec.Add(p.Mechanism, 1)
 
-	rec := r.ins.Steps[step]
-	if rec != nil && rec.HasResult && rec.Agent == a.cfg.Name {
-		a.compensateLocal(r, step, model.ModeCompensate, p.Mechanism)
-	}
+	a.compensateOwn(r, step, p.Mechanism)
 	compensated := append(append([]model.StepID(nil), p.Compensated...), step)
 
 	if len(rest) == 0 {
 		// The chain is done; the origin (== step) re-executes here.
 		if step == p.Origin {
-			r.recovery = p.Mechanism
-			a.executeStep(r, step, model.ModeExecute, nil, nav.ResolveInputs(r.ins, r.schema.Steps[step]), p.Mechanism)
+			r.Recovery = p.Mechanism
+			a.executeStep(r, step, model.ModeExecute, nil, nav.ResolveInputs(r.Ins, r.Schema.Steps[step]), p.Mechanism)
 		}
-		a.persist(r)
+		r.Persist()
 		return
 	}
 	a.Send(a.executorOf(r, rest[0]), p.Mechanism, KindCompensateSet, compensateSet{
@@ -922,36 +798,47 @@ func (a *Agent) handleCompensateSet(p compensateSet) {
 		Compensated: compensated,
 		Mechanism:   p.Mechanism,
 	})
-	a.persist(r)
+	r.Persist()
+}
+
+// compensateOwn compensates a step completely if this agent holds its result,
+// and reports whether it did.
+func (a *Agent) compensateOwn(r *replica, step model.StepID, mech metrics.Mechanism) bool {
+	rec := r.Ins.Steps[step]
+	if rec == nil || !rec.HasResult || rec.Agent != a.cfg.Name {
+		return false
+	}
+	a.compensateLocal(r, step, model.ModeCompensate, mech)
+	return true
 }
 
 // compensateLocal runs a step's compensation program at this agent.
 func (a *Agent) compensateLocal(r *replica, step model.StepID, mode model.ExecMode, mech metrics.Mechanism) {
-	s := r.schema.Steps[step]
-	rec := r.ins.Steps[step]
+	s := r.Schema.Steps[step]
+	rec := r.Ins.Steps[step]
 	if s == nil || rec == nil || !rec.HasResult {
 		return
 	}
-	a.addLoad(mech, 1)
+	a.site.Rec.Add(mech, 1)
 	if s.Compensation != "" && (mode == model.ModeCompensate || s.Incremental) {
 		prog, ok := a.cfg.Programs.Lookup(s.Compensation)
 		if ok {
 			a.execCount++
 			if _, err := prog(&model.ProgramContext{
-				Workflow: r.ins.Workflow,
-				Instance: r.ins.ID,
+				Workflow: r.Ins.Workflow,
+				Instance: r.Ins.ID,
 				Step:     step,
 				Mode:     mode,
 				Attempt:  rec.Attempts,
 				Inputs:   rec.Inputs,
 				Prev:     rec.Prev(),
 			}); err != nil {
-				a.Logf("instance %s: compensation of %s failed: %v", r.ins.Key(), step, err)
+				a.Logf("instance %s: compensation of %s failed: %v", r.Ins.Key(), step, err)
 			}
 		}
 	}
 	if mode == model.ModeCompensate {
-		r.ins.RecordCompensated(step)
+		r.Ins.RecordCompensated(step)
 	}
 }
 
@@ -962,19 +849,16 @@ func (a *Agent) handleCompensateThread(p compensateThread) {
 	if err != nil {
 		return
 	}
-	a.addLoad(p.Mechanism, 1)
-	rec := r.ins.Steps[p.Step]
-	if rec != nil && rec.HasResult && rec.Agent == a.cfg.Name {
-		a.compensateLocal(r, p.Step, model.ModeCompensate, p.Mechanism)
-	} else {
+	a.site.Rec.Add(p.Mechanism, 1)
+	if !a.compensateOwn(r, p.Step, p.Mechanism) {
 		// Not executed here; drop stale knowledge so commit logic is clean.
-		r.ins.Events.Invalidate(r.schema.DoneEventOf(p.Step))
-		if rec != nil && rec.Status == wfdb.StepDone {
+		r.Ins.Events.Invalidate(r.Schema.DoneEventOf(p.Step))
+		if rec := r.Ins.Steps[p.Step]; rec != nil && rec.Status == wfdb.StepDone {
 			rec.Status = wfdb.StepPending
 		}
 	}
-	for _, arc := range r.schema.ControlSuccessors(p.Step) {
-		if r.schema.IsConfluence(arc.To) {
+	for _, arc := range r.Schema.ControlSuccessors(p.Step) {
+		if r.Schema.IsConfluence(arc.To) {
 			continue // stop before the confluence point
 		}
 		a.Send(a.executorOf(r, arc.To), p.Mechanism, KindCompensateThread, compensateThread{
@@ -984,59 +868,54 @@ func (a *Agent) handleCompensateThread(p compensateThread) {
 			Mechanism: p.Mechanism,
 		})
 	}
-	a.persist(r)
+	r.Persist()
 }
 
 // ---------------------------------------------------------------------------
 // User-initiated operations at the coordination agent
 
-func (a *Agent) handleWorkflowAbort(p workflowAbort) error {
-	r, ok := a.replicas[replicaKey(p.Workflow, p.Instance)]
+// running returns the replica of a running instance, or the error a user
+// operation on it gets: ErrNotRunning once it finished.
+func (a *Agent) running(workflow string, id int) (*replica, error) {
+	r, ok := a.replicas[replicaKey(workflow, id)]
 	if !ok {
-		if st, done := a.term.Status(p.Workflow, p.Instance); done && st != wfdb.Running {
-			return fmt.Errorf("%w: instance %s.%d is %v", cerrors.ErrNotRunning, p.Workflow, p.Instance, st)
+		if st, done := a.term.Status(workflow, id); done && st != wfdb.Running {
+			return nil, fmt.Errorf("%w: instance %s.%d is %v", cerrors.ErrNotRunning, workflow, id, st)
 		}
-		return fmt.Errorf("%w: %s.%d", cerrors.ErrUnknownInstance, p.Workflow, p.Instance)
+		return nil, fmt.Errorf("%w: %s.%d", cerrors.ErrUnknownInstance, workflow, id)
 	}
-	if r.ins.Status != wfdb.Running {
-		return fmt.Errorf("%w: instance %s.%d is %v", cerrors.ErrNotRunning, p.Workflow, p.Instance, r.ins.Status)
+	if r.Ins.Status != wfdb.Running {
+		return nil, fmt.Errorf("%w: instance %s.%d is %v", cerrors.ErrNotRunning, workflow, id, r.Ins.Status)
+	}
+	return r, nil
+}
+
+func (a *Agent) handleWorkflowAbort(p workflowAbort) error {
+	r, err := a.running(p.Workflow, p.Instance)
+	if err != nil {
+		return err
 	}
 	if r.abort != nil {
 		return nil // abort already in progress
 	}
-	a.addLoad(metrics.Abort, 1)
+	a.site.Rec.Add(metrics.Abort, 1)
 
 	// Quiesce the threads starting from the start steps.
 	r.epoch++
-	for _, sid := range r.schema.StartSteps() {
-		for _, arc := range r.schema.ControlSuccessors(sid) {
-			for _, ag := range nav.EffectiveAgents(r.schema.Steps[arc.To], a.cfg.Agents) {
-				if ag == a.cfg.Name {
-					continue
-				}
-				a.Send(ag, metrics.Abort, KindHaltThread, haltThread{
-					Workflow:  p.Workflow,
-					Instance:  p.Instance,
-					Origin:    sid,
-					Step:      arc.To,
-					Epoch:     r.epoch,
-					Initiator: a.cfg.Name + "/abort",
-					Mechanism: metrics.Abort,
-				})
-			}
-		}
+	for _, sid := range r.Schema.StartSteps() {
+		a.haltSuccessorsOf(r, sid, sid, r.epoch, a.cfg.Name+"/abort", metrics.Abort)
 	}
 
 	// Determine the steps to compensate (schema spec or every compensable
 	// step known to have executed), in reverse topological order.
 	inCand := make(map[model.StepID]bool)
-	for _, id := range nav.AbortCandidates(r.schema) {
+	for _, id := range nav.AbortCandidates(r.Schema) {
 		inCand[id] = true
 	}
 	// The coordination agent may not know which candidates actually
 	// executed (state is distributed), so it probes all eligible agents of
 	// every candidate step — the paper's w·a abort messages.
-	topo := r.schema.TopoOrder()
+	topo := r.Schema.TopoOrder()
 	var queue []model.StepID
 	for i := len(topo) - 1; i >= 0; i-- {
 		id := topo[i]
@@ -1055,19 +934,19 @@ func (a *Agent) pumpAbort(r *replica) {
 	ab := r.abort
 	for ab.pending == 0 {
 		if len(ab.queue) == 0 {
-			r.ins.Status = wfdb.Aborted
-			r.ins.Events.Post(event.WorkflowAbortName)
+			r.Ins.Status = wfdb.Aborted
+			r.Ins.Events.Post(event.WorkflowAbortName)
 			a.finishInstance(r)
 			return
 		}
 		step := ab.queue[0]
 		ab.queue = ab.queue[1:]
-		elig := nav.EffectiveAgents(r.schema.Steps[step], a.cfg.Agents)
+		elig := nav.EffectiveAgents(r.Schema.Steps[step], a.cfg.Agents)
 		for _, ag := range elig {
 			ab.pending++
 			a.Send(ag, metrics.Abort, KindStepCompensate, stepCompensate{
-				Workflow:  r.ins.Workflow,
-				Instance:  r.ins.ID,
+				Workflow:  r.Ins.Workflow,
+				Instance:  r.Ins.ID,
 				Step:      step,
 				ReplyTo:   a.cfg.Name,
 				Mechanism: metrics.Abort,
@@ -1078,12 +957,8 @@ func (a *Agent) pumpAbort(r *replica) {
 
 func (a *Agent) handleStepCompensate(p stepCompensate) {
 	r, err := a.getReplica(p.Workflow, p.Instance)
-	if err == nil {
-		rec := r.ins.Steps[p.Step]
-		if rec != nil && rec.HasResult && rec.Agent == a.cfg.Name {
-			a.compensateLocal(r, p.Step, model.ModeCompensate, p.Mechanism)
-			a.persist(r)
-		}
+	if err == nil && a.compensateOwn(r, p.Step, p.Mechanism) {
+		r.Persist()
 	}
 	a.Send(p.ReplyTo, p.Mechanism, KindStepCompensated, stepCompensated{
 		Workflow: p.Workflow,
@@ -1097,28 +972,22 @@ func (a *Agent) handleStepCompensated(p stepCompensated) {
 	if !ok || r.abort == nil {
 		return
 	}
-	a.addLoad(metrics.Abort, 1)
+	a.site.Rec.Add(metrics.Abort, 1)
 	r.abort.pending--
 	a.pumpAbort(r)
 }
 
 func (a *Agent) handleWorkflowChangeInputs(p workflowChangeInputs) error {
-	r, ok := a.replicas[replicaKey(p.Workflow, p.Instance)]
-	if !ok {
-		if st, done := a.term.Status(p.Workflow, p.Instance); done && st != wfdb.Running {
-			return fmt.Errorf("%w: instance %s.%d is %v", cerrors.ErrNotRunning, p.Workflow, p.Instance, st)
-		}
-		return fmt.Errorf("%w: %s.%d", cerrors.ErrUnknownInstance, p.Workflow, p.Instance)
+	r, err := a.running(p.Workflow, p.Instance)
+	if err != nil {
+		return err
 	}
-	if r.ins.Status != wfdb.Running {
-		return fmt.Errorf("%w: instance %s.%d is %v", cerrors.ErrNotRunning, p.Workflow, p.Instance, r.ins.Status)
-	}
-	a.addLoad(metrics.InputChange, 1)
-	changed, origin := nav.InputChange(r.schema, r.ins, p.Inputs)
+	a.site.Rec.Add(metrics.InputChange, 1)
+	changed, origin := nav.InputChange(r.Schema, r.Ins, p.Inputs)
 	if len(changed) == 0 {
 		return nil
 	}
-	r.ins.MergeData(changed)
+	r.Ins.MergeData(changed)
 	r.epoch++
 	r.resetEpoch["WF"] = r.epoch
 	if origin == "" {
@@ -1141,44 +1010,44 @@ func (a *Agent) handleWorkflowChangeInputs(p workflowChangeInputs) error {
 // Nested workflows
 
 func (a *Agent) startNested(r *replica, step model.StepID, inputs map[string]expr.Value, mech metrics.Mechanism) {
-	s := r.schema.Steps[step]
+	s := r.Schema.Steps[step]
 	child := a.cfg.Library.Schema(s.Nested)
 	if child == nil {
-		a.Logf("instance %s step %s: unknown nested workflow %q", r.ins.Key(), step, s.Nested)
+		a.Logf("instance %s step %s: unknown nested workflow %q", r.Ins.Key(), step, s.Nested)
 		return
 	}
-	r.ins.RecordExecuting(step, a.cfg.Name, inputs)
-	childID := r.ins.ID*1000 + int(r.ins.StepRec(step).Attempts)
-	a.addLoad(mech, 1)
+	r.Ins.RecordExecuting(step, a.cfg.Name, inputs)
+	childID := r.Ins.ID*1000 + int(r.Ins.StepRec(step).Attempts)
+	a.site.Rec.Add(mech, 1)
 	a.Send(a.electCoordinator(s.Nested, childID), mech, KindWorkflowStart, workflowStart{
 		Workflow: s.Nested,
 		Instance: childID,
-		Inputs:   nav.NestedInputs(s, child, r.ins),
+		Inputs:   nav.NestedInputs(s, child, r.Ins),
 		Parent: &model.StepRef{
-			Workflow: r.ins.Workflow,
+			Workflow: r.Ins.Workflow,
 			Step:     step,
 		},
-		ParentInst:  r.ins.ID,
+		ParentInst:  r.Ins.ID,
 		ParentAgent: a.cfg.Name,
 	})
 }
 
 func (a *Agent) handleNestedResult(p nestedResult) {
 	r, ok := a.replicas[replicaKey(p.ParentWorkflow, p.ParentInstance)]
-	if !ok || r.ins.Status != wfdb.Running {
+	if !ok || r.Ins.Status != wfdb.Running {
 		return
 	}
-	a.addLoad(metrics.Normal, 1)
+	a.site.Rec.Add(metrics.Normal, 1)
 	if !p.Committed {
-		r.ins.RecordFailed(p.ParentStep)
+		r.Ins.RecordFailed(p.ParentStep)
 		a.onStepFailure(r, p.ParentStep, metrics.Failure)
 		return
 	}
 	var outputs map[string]expr.Value
 	if child := a.cfg.Library.Schema(p.ChildWorkflow); child != nil {
-		outputs = nav.NestedOutputs(r.schema.Steps[p.ParentStep], child, p.Data)
+		outputs = nav.NestedOutputs(r.Schema.Steps[p.ParentStep], child, p.Data)
 	}
-	r.ins.RecordDone(p.ParentStep, outputs)
+	r.Ins.RecordDone(p.ParentStep, outputs)
 	a.afterStepDone(r, p.ParentStep, metrics.Normal)
 }
 
@@ -1197,15 +1066,15 @@ func (a *Agent) sweep() {
 	a.retireFinished()
 	now := time.Now()
 	for _, r := range a.sortedReplicas(nil) {
-		if r.ins.Status != wfdb.Running || r.purged {
+		if r.Ins.Status != wfdb.Running || r.Retired {
 			continue
 		}
 		a.rearmUnexecuted(r)
-		a.evaluate(r)
+		nav.Evaluate(r)
 		// Backstop for coordination: a rollback can invalidate a grant after
 		// the home issued it, so held-back steps ask again.
-		for _, step := range r.gate.Recheck() {
-			a.maybeExecute(r, step)
+		for _, step := range r.Gate.Recheck() {
+			nav.Admit(r, step)
 		}
 		if now.Sub(r.lastReport) >= 2*a.cfg.sweepPeriod {
 			r.lastReport = now
@@ -1241,7 +1110,7 @@ func (a *Agent) retireFinished() {
 // finished instance.
 func (a *Agent) dropFinished() {
 	finished := a.sortedReplicas(func(r *replica) bool {
-		st, ok := a.term.Status(r.ins.Workflow, r.ins.ID)
+		st, ok := a.term.Status(r.Ins.Workflow, r.Ins.ID)
 		return ok && st != wfdb.Running
 	})
 	for _, r := range finished {
@@ -1260,15 +1129,15 @@ func (a *Agent) dropFinished() {
 // idempotent for everyone else. Steps with failure or compensation state are
 // left to the rollback path, which re-arms what it re-executes.
 func (a *Agent) rearmUnexecuted(r *replica) {
-	r.rules.RearmWhere(func(id string) bool {
-		for _, sid := range r.schema.Order {
+	r.Rules.RearmWhere(func(id string) bool {
+		for _, sid := range r.Schema.Order {
 			if !rules.IsExecRuleFor(id, sid) {
 				continue
 			}
 			if r.executing[sid] {
 				return false
 			}
-			rec := r.ins.Steps[sid]
+			rec := r.Ins.Steps[sid]
 			return rec == nil || (rec.Status == wfdb.StepPending && !rec.HasResult)
 		}
 		return false
@@ -1281,31 +1150,35 @@ func (a *Agent) reportTerminals(r *replica) {
 	coordAgent := a.coordinatorOf(r)
 	if coordAgent == a.cfg.Name {
 		// We are the coordination agent: just re-check commit.
-		if nav.ShouldCommit(r.schema, r.ins) {
+		if nav.ShouldCommit(r.Schema, r.Ins) {
 			a.commitInstance(r)
 		}
 		return
 	}
-	for _, tid := range r.schema.TerminalSteps() {
-		rec := r.ins.Steps[tid]
-		if rec == nil || !rec.HasResult || rec.Agent != a.cfg.Name {
-			continue
+	for _, tid := range r.Schema.TerminalSteps() {
+		if rec := r.Ins.Steps[tid]; rec != nil && rec.HasResult && rec.Agent == a.cfg.Name {
+			a.reportTerminal(r, coordAgent, tid)
 		}
-		a.Send(coordAgent, metrics.Normal, KindStepCompleted, stepCompleted{
-			Workflow: r.ins.Workflow,
-			Instance: r.ins.ID,
-			Step:     tid,
-			Epoch:    r.epoch,
-			Data:     cloneData(r.ins.Data),
-			Events:   r.ins.Events.ValidNames(),
-		})
 	}
+}
+
+// reportTerminal sends the coordination agent the replica's state after a
+// terminal step (StepCompleted WI).
+func (a *Agent) reportTerminal(r *replica, to string, step model.StepID) {
+	a.Send(to, metrics.Normal, KindStepCompleted, stepCompleted{
+		Workflow: r.Ins.Workflow,
+		Instance: r.Ins.ID,
+		Step:     step,
+		Epoch:    r.epoch,
+		Data:     maps.Clone(r.Ins.Data),
+		Events:   r.Ins.Events.ValidNames(),
+	})
 }
 
 // pollOverdueRules polls the eligible agents of every step whose done event
 // a pending rule has been missing for longer than two sweep periods.
 func (a *Agent) pollOverdueRules(r *replica, now time.Time) {
-	for _, w := range r.rules.WaitingRules(r.ins.Events) {
+	for _, w := range r.Rules.WaitingRules(r.Ins.Events) {
 		for _, missing := range w.Missing {
 			sid := event.StepOfDone(missing)
 			if sid == "" {
@@ -1322,7 +1195,7 @@ func (a *Agent) pollOverdueRules(r *replica, now time.Time) {
 			}
 			r.polled[key] = true
 			producer := model.StepID(sid)
-			s := r.schema.Steps[producer]
+			s := r.Schema.Steps[producer]
 			if s == nil {
 				continue
 			}
@@ -1331,10 +1204,10 @@ func (a *Agent) pollOverdueRules(r *replica, now time.Time) {
 				if ag == a.cfg.Name || !a.alive(ag) {
 					continue
 				}
-				a.addLoad(metrics.Failure, 1)
+				a.site.Rec.Add(metrics.Failure, 1)
 				a.Send(ag, metrics.Failure, KindStepStatus, stepStatus{
-					Workflow: r.ins.Workflow,
-					Instance: r.ins.ID,
+					Workflow: r.Ins.Workflow,
+					Instance: r.Ins.ID,
 					Step:     producer,
 					ForStep:  forStep,
 					ReplyTo:  a.cfg.Name,
@@ -1348,7 +1221,7 @@ func (a *Agent) handleStepStatus(p stepStatus) {
 	r, ok := a.replicas[replicaKey(p.Workflow, p.Instance)]
 	status := "unknown"
 	if ok {
-		if rec := r.ins.Steps[p.Step]; rec != nil {
+		if rec := r.Ins.Steps[p.Step]; rec != nil {
 			switch {
 			case rec.HasResult && rec.Agent == a.cfg.Name:
 				status = "done"
@@ -1374,7 +1247,7 @@ func (a *Agent) handleStepStatus(p stepStatus) {
 
 func (a *Agent) handleStepStatusReply(p stepStatusReply) {
 	r, ok := a.replicas[replicaKey(p.Workflow, p.Instance)]
-	if !ok || r.ins.Status != wfdb.Running {
+	if !ok || r.Ins.Status != wfdb.Running {
 		return
 	}
 	switch p.Status {
@@ -1391,19 +1264,19 @@ func (a *Agent) handleStepStatusReply(p stepStatusReply) {
 	case "unknown":
 		// If the producing step is a query, re-execute it at an available
 		// eligible agent; update steps must wait for the failed agent.
-		s := r.schema.Steps[p.Step]
+		s := r.Schema.Steps[p.Step]
 		if s == nil || s.Update {
 			return
 		}
-		if r.ins.Events.Has(r.schema.DoneEventOf(p.Step)) {
+		if r.Ins.Events.Has(r.Schema.DoneEventOf(p.Step)) {
 			return
 		}
-		target := nav.ElectAgent(nav.EffectiveAgents(s, a.cfg.Agents), r.ins.Workflow, r.ins.ID, p.Step, a.alive)
+		target := nav.ElectAgent(nav.EffectiveAgents(s, a.cfg.Agents), r.Ins.Workflow, r.Ins.ID, p.Step, a.alive)
 		if target == "" {
 			return
 		}
 		pkt := a.buildPacket(r, p.Step, nil)
-		a.addLoad(metrics.Failure, 1)
+		a.site.Rec.Add(metrics.Failure, 1)
 		a.Send(target, metrics.Failure, KindStepExecute, stepExecute{Packet: pkt, Mechanism: metrics.Failure})
 	}
 }

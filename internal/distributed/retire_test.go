@@ -207,12 +207,12 @@ func TestSharedPacketIsNotMutated(t *testing.T) {
 func checkDoneRecords(t *testing.T) func(a *Agent) {
 	return func(a *Agent) {
 		for key, r := range a.replicas {
-			r.ins.Events.RangeValid(func(name string) {
+			r.Ins.Events.RangeValid(func(name string) {
 				id := model.StepID(event.StepOfDone(name))
-				if id == "" || r.schema.Steps[id] == nil {
+				if id == "" || r.Schema.Steps[id] == nil {
 					return
 				}
-				if rec := r.ins.Steps[id]; rec == nil || rec.Status != wfdb.StepDone {
+				if rec := r.Ins.Steps[id]; rec == nil || rec.Status != wfdb.StepDone {
 					st := "no record"
 					if rec != nil {
 						st = rec.Status.String()
@@ -277,14 +277,14 @@ func TestMergeFiltered(t *testing.T) {
 		posted bool
 	}{
 		{"fresh replica", func(*replica) {}, 0, wfdb.StepDone, true},
-		{"pending record", func(r *replica) { r.ins.StepRec("S1") }, 0, wfdb.StepDone, true},
+		{"pending record", func(r *replica) { r.Ins.StepRec("S1") }, 0, wfdb.StepDone, true},
 		{"compensated record", func(r *replica) {
-			r.ins.RecordDone("S1", map[string]expr.Value{"O1": expr.Num(1)})
-			r.ins.RecordCompensated("S1")
+			r.Ins.RecordDone("S1", map[string]expr.Value{"O1": expr.Num(1)})
+			r.Ins.RecordCompensated("S1")
 		}, 0, wfdb.StepDone, true},
-		{"failed record keeps its status", func(r *replica) { r.ins.RecordFailed("S1") }, 0, wfdb.StepFailed, true},
+		{"failed record keeps its status", func(r *replica) { r.Ins.RecordFailed("S1") }, 0, wfdb.StepFailed, true},
 		{"stale epoch", func(r *replica) {
-			r.ins.StepRec("S1")
+			r.Ins.StepRec("S1")
 			r.resetEpoch["S1"] = 2
 		}, 1, wfdb.StepPending, false},
 	} {
@@ -295,19 +295,19 @@ func TestMergeFiltered(t *testing.T) {
 			events := []string{event.WorkflowStartName, "S1.done"}
 			a.mergeFiltered(r, data, events, tc.epoch)
 
-			if got := r.ins.Events.Has("S1.done"); got != tc.posted {
+			if got := r.Ins.Events.Has("S1.done"); got != tc.posted {
 				t.Errorf("S1.done valid = %v, want %v", got, tc.posted)
 			}
-			if _, got := r.ins.Data["S1.O1"]; got != tc.posted {
+			if _, got := r.Ins.Data["S1.O1"]; got != tc.posted {
 				t.Errorf("S1.O1 merged = %v, want %v", got, tc.posted)
 			}
-			if !r.ins.Events.Has(event.WorkflowStartName) {
+			if !r.Ins.Events.Has(event.WorkflowStartName) {
 				t.Error("an event of no step was not merged")
 			}
-			if rec := r.ins.Steps["S1"]; rec == nil || rec.Status != tc.want {
+			if rec := r.Ins.Steps["S1"]; rec == nil || rec.Status != tc.want {
 				t.Errorf("S1 record = %+v, want status %v", rec, tc.want)
 			}
-			if r.ins.Steps["S2"] != nil {
+			if r.Ins.Steps["S2"] != nil {
 				t.Error("a step the packet did not name got a record")
 			}
 			if tc.posted && r.doneEpoch["S1"] != tc.epoch {

@@ -238,37 +238,42 @@ func (s *System) WaitCtx(ctx context.Context, workflow string, id int) (wfdb.Sta
 	}
 	return s.term.Wait(ctx, workflow, id, func() (wfdb.Status, bool) {
 		ag, err := s.coordinationAgent(workflow, id)
-		if err != nil || ag.DB() == nil {
+		if err != nil || ag.cfg.AGDB == nil {
 			return 0, false
 		}
-		sum, found, _ := ag.DB().LoadSummary(workflow, id)
+		sum, found, _ := ag.cfg.AGDB.LoadSummary(workflow, id)
 		return sum, found
 	})
 }
 
-// Abort requests a user abort via the WorkflowAbort WI. A retired instance
-// reports cerrors.ErrNotRunning without touching any agent.
-func (s *System) Abort(workflow string, id int) error {
+// running returns the coordination agent of an instance a user operation
+// may still change. A retired instance reports cerrors.ErrNotRunning without
+// touching any agent.
+func (s *System) running(workflow string, id int) (*Agent, error) {
 	if st, ok := s.term.Status(workflow, id); ok && st != wfdb.Running {
-		return fmt.Errorf("distributed: %w: %s.%d is %v", cerrors.ErrNotRunning, workflow, id, st)
+		return nil, fmt.Errorf("distributed: %w: %s.%d is %v", cerrors.ErrNotRunning, workflow, id, st)
 	}
-	ag, err := s.coordinationAgent(workflow, id)
-	if err != nil {
-		return err
+	return s.coordinationAgent(workflow, id)
+}
+
+// Abort requests a user abort via the WorkflowAbort WI.
+func (s *System) Abort(workflow string, id int) error {
+	ag, err := s.running(workflow, id)
+	if err == nil {
+		ag.Do(func() { err = ag.handleWorkflowAbort(workflowAbort{Workflow: workflow, Instance: id}) })
 	}
-	return ag.RequestAbort(workflow, id)
+	return err
 }
 
 // ChangeInputs applies user input changes via WorkflowChangeInputs.
 func (s *System) ChangeInputs(workflow string, id int, inputs map[string]expr.Value) error {
-	if st, ok := s.term.Status(workflow, id); ok && st != wfdb.Running {
-		return fmt.Errorf("distributed: %w: %s.%d is %v", cerrors.ErrNotRunning, workflow, id, st)
+	ag, err := s.running(workflow, id)
+	if err == nil {
+		ag.Do(func() {
+			err = ag.handleWorkflowChangeInputs(workflowChangeInputs{Workflow: workflow, Instance: id, Inputs: inputs})
+		})
 	}
-	ag, err := s.coordinationAgent(workflow, id)
-	if err != nil {
-		return err
-	}
-	return ag.RequestChangeInputs(workflow, id, inputs)
+	return err
 }
 
 // Status serves the WorkflowStatus WI: the shared terminal registry answers

@@ -252,21 +252,11 @@ func AbandonedBranchSteps(s *model.Schema, ins *wfdb.Instance, branch model.Step
 		if takenSet[a.To] {
 			continue
 		}
-		for _, id := range append([]model.StepID{a.To}, setToOrdered(s, s.Descendants(a.To))...) {
+		for _, id := range append([]model.StepID{a.To}, InvalidationSet(s, a.To)...) {
 			if !takenSet[id] && !seen[id] && hasResult(id) {
 				seen[id] = true
 				out = append(out, id)
 			}
-		}
-	}
-	return out
-}
-
-func setToOrdered(s *model.Schema, set map[model.StepID]bool) []model.StepID {
-	var out []model.StepID
-	for _, id := range s.Order {
-		if set[id] {
-			out = append(out, id)
 		}
 	}
 	return out
