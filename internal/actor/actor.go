@@ -40,6 +40,7 @@ package actor
 
 import (
 	"log"
+	"reflect"
 	"sync"
 	"time"
 
@@ -49,7 +50,7 @@ import (
 )
 
 // Committer is where an actor's rows go: a *wfdb.DB, or a recording fake in
-// the kernel's own tests.
+// the kernel's own tests. A nil one, of any pointer type, is no store.
 type Committer interface {
 	Commit(b *wfdb.Batch) error
 }
@@ -121,15 +122,19 @@ type Actor struct {
 	wg        sync.WaitGroup
 }
 
-// New registers the node on the network. store may be nil for an actor that
-// keeps no rows; logf nil logs through the standard logger. The actor
-// receives nothing until Launch.
+// New registers the node on the network. store may be nil, a nil interface or
+// a nil pointer such as an unset *wfdb.DB, for an actor that keeps no rows;
+// logf nil logs through the standard logger. The actor receives nothing until
+// Launch.
 func New(net *transport.Network, name string, store Committer, logf func(format string, args ...any)) (*Actor, error) {
 	ep, err := net.Register(name)
 	if err != nil {
 		return nil, err
 	}
 	ep.ManualAck()
+	if isNil(store) {
+		store = nil
+	}
 	if logf == nil {
 		logf = func(format string, args ...any) {
 			log.Printf("actor[%s]: "+format, append([]any{name}, args...)...)
@@ -273,19 +278,28 @@ func (a *Actor) endTurn(done chan struct{}) {
 // added to Tx, and writes the lot as one WFDB group — one WAL write, replayed
 // all or nothing. endTurn calls it; an owner calls it mid-turn only where
 // rows must be readable before the turn ends (retirement archives before it
-// publishes the terminal status).
+// publishes the terminal status). An actor with no store keeps nothing: the
+// turn's rows are dropped and its marks cleared all the same.
 func (a *Actor) Commit() {
-	if a.store == nil {
-		return
-	}
 	for i, r := range a.dirty {
 		r.Save(&a.tx)
 		a.dirty[i] = nil
 	}
 	a.dirty = a.dirty[:0]
+	if a.store == nil {
+		a.tx.Reset()
+		return
+	}
 	if err := a.store.Commit(&a.tx); err != nil {
 		a.logf("commit: %v", err)
 	}
+}
+
+// isNil reports whether c is no committer: nil, or a nil pointer of a type
+// that implements Committer.
+func isNil(c Committer) bool {
+	v := reflect.ValueOf(c)
+	return !v.IsValid() || v.Kind() == reflect.Pointer && v.IsNil()
 }
 
 // Tx is the turn's batch: rows added to it are committed, in order, with the

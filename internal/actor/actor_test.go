@@ -648,3 +648,50 @@ func TestDeliverTurnRunsQueuedCommands(t *testing.T) {
 	f.act.Deliver(inMsg("x"))
 	wantTrail(t, f.tr.take(), "handle", "commit", "async", "commit")
 }
+
+// panicStore is a committer no turn may reach.
+type panicStore struct{}
+
+func (*panicStore) Commit(*wfdb.Batch) error { panic("commit through a nil committer") }
+
+// TestNilCommitterIsNoStore: a nil committer of any type, an unset *wfdb.DB
+// among them, is no store. A turn that adds rows through Tx and marks a row
+// commits through nothing, and ends with the batch empty and the mark cleared.
+func TestNilCommitterIsNoStore(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		store Committer
+	}{
+		{"nil", nil},
+		{"nil *wfdb.DB", (*wfdb.DB)(nil)},
+		{"nil pointer", (*panicStore)(nil)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := transport.NewNetwork(transport.NetworkConfig{})
+			act, err := New(net, "node", tc.store, t.Logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			act.Launch(func(transport.Message) {}, nil)
+			t.Cleanup(func() {
+				net.Close()
+				act.Stop()
+			})
+			tr := &trail{}
+			r := &row{tr: tr, ins: wfdb.NewInstance("WF", 1, nil), dirty: true}
+			act.Do(func() {
+				act.Tx().SaveSummary("WF", 1, wfdb.Committed)
+				act.Tx().Archive(r.ins)
+				act.Mark(r)
+			})
+			var left int
+			act.Do(func() { left = act.Tx().Len() })
+			if left != 0 {
+				t.Errorf("%d rows left in the batch after the turn, want none", left)
+			}
+			if r.dirty {
+				t.Error("the marked row is still dirty after the turn")
+			}
+		})
+	}
+}

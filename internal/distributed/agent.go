@@ -36,6 +36,12 @@ type Config struct {
 	Collector *metrics.Collector
 	// AGDB persists the agent's replicas; nil disables persistence.
 	AGDB *wfdb.DB
+	// Archive receives the instances the agent retires as their coordination
+	// agent when AGDB is nil, for Snapshot to serve; with an AGDB they go to
+	// its archive table. With neither the agent keeps no store at all: it
+	// writes no row at retirement, and Snapshot of a finished instance
+	// answers not found.
+	Archive *wfdb.DB
 	// DisableOCR forces Saga-style recovery on revisits (ablation).
 	DisableOCR bool
 	// ExplicitElection enables the StateInformation-exchange successor
@@ -157,8 +163,8 @@ type Agent struct {
 	// execCount is this agent's total program executions.
 	execCount int64
 	// term records terminal statuses (shared deployment-wide via
-	// Config.Terminal); adb archives retired replicas (the AGDB when one is
-	// configured, else a private in-memory database).
+	// Config.Terminal); adb archives retired replicas (cfg.AGDB, else
+	// cfg.Archive, else nil: nothing is archived).
 	term *itable.Terminal
 	adb  *wfdb.DB
 	// cursor is where the agent stands in term's completion feed, finished
@@ -202,13 +208,13 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 		net:      net,
 		replicas: make(map[itable.Ref]*replica),
 		term:     cfg.Terminal,
-		adb:      cfg.AGDB,
+		adb:      cfg.Archive,
 	}
 	if a.term == nil {
 		a.term = new(itable.Terminal)
 	}
-	if a.adb == nil {
-		a.adb = wfdb.NewMemory()
+	if cfg.AGDB != nil {
+		a.adb = cfg.AGDB
 	}
 	a.cursor = a.term.Follow()
 	for _, spec := range cfg.Library.Coord {
@@ -462,9 +468,10 @@ func (r *replica) Persist() {
 }
 
 // Snapshot returns a deep copy of the agent's replica of an instance. For a
-// retired instance the coordination agent serves the archived final state;
-// the other agents dropped their partial copy and have nothing to serve. An
-// archive row it cannot decode is logged with its error code.
+// retired instance the coordination agent serves the archived final state, if
+// it keeps an archive; the other agents dropped their partial copy and have
+// nothing to serve. An archive row it cannot decode is logged with its error
+// code.
 func (a *Agent) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
 	var out *wfdb.Instance
 	a.Do(func() {
@@ -472,7 +479,7 @@ func (a *Agent) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
 			out = r.Ins.Clone()
 		}
 	})
-	if out == nil {
+	if out == nil && a.adb != nil {
 		ins, ok, err := a.adb.LoadArchived(workflow, id)
 		switch {
 		case err != nil:
@@ -491,9 +498,9 @@ func (a *Agent) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
 // terminal status, after the coordination clean-up has been issued: never
 // while rollback dependencies or compensation-dependent sets can still
 // reference it, since those exist only while it runs. It archives the full
-// final state, evicts the replica from the live table,
-// publishes the terminal status and wakes completion waiters. Only the
-// coordination agent archives (Snapshot serves that copy); every other agent
+// final state (where the agent keeps an archive), evicts the replica from the
+// live table, publishes the terminal status and wakes completion waiters. Only
+// the coordination agent archives (Snapshot serves that copy); every other agent
 // drops its partial replica (dropReplica). In process, retirement sends no
 // messages and adds no load, so the paper's tables are unaffected. Only a
 // replica with a NotifyTo address (set by a multi-process front end's
@@ -509,8 +516,10 @@ func (a *Agent) retireReplica(r *replica) {
 	// has pending — on the coordination agent, the terminal summary
 	// finishInstance just added — so a crash never finds the instance both
 	// archived and live, nor summarized as finished while still live.
-	a.Tx().Archive(r.Ins)
-	a.Commit()
+	if a.adb != nil {
+		a.Tx().Archive(r.Ins)
+		a.Commit()
+	}
 	a.term.Complete(r.Ins.Workflow, r.Ins.ID, st)
 	if r.Ins.NotifyTo != "" {
 		a.Send(r.Ins.NotifyTo, metrics.Normal, KindWorkflowDone,

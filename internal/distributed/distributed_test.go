@@ -1193,6 +1193,60 @@ func TestSnapshotLogsUndecodableArchiveRow(t *testing.T) {
 	t.Errorf("no store_format line logged: %q", logs.list())
 }
 
+// TestSnapshotAfterWaitIsTheArchiveRow: with AGDBs and without, Snapshot of
+// an instance Wait saw finish serves the row its coordination agent archived
+// (in its AGDB, else in the archive the System gave it), unchanged.
+func TestSnapshotAfterWaitIsTheArchiveRow(t *testing.T) {
+	reg := model.NewRegistry()
+	reg.Register("p", model.NopProgram("O1"))
+	s := model.NewSchema("Arch").
+		Step("A", "p", model.WithOutputs("O1"), model.WithAgents("a1")).
+		Step("B", "p", model.WithInputs("A.O1"), model.WithOutputs("O1"), model.WithAgents("a2")).
+		Seq("A", "B").
+		MustBuild()
+	for _, withDBs := range []bool{false, true} {
+		var dbs []*wfdb.DB
+		if withDBs {
+			dbs = []*wfdb.DB{wfdb.NewMemory(), wfdb.NewMemory()}
+		}
+		sys, err := NewSystem(SystemConfig{Library: lib1(s), Programs: reg, Agents: []string{"a1", "a2"}, AGDBs: dbs, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sys.Close)
+		for i := 0; i < 3; i++ {
+			id, st, err := sys.Run("Arch", nil, waitTimeout)
+			if err != nil || st != wfdb.Committed {
+				t.Fatalf("AGDBs %v: run = (%v, %v)", withDBs, st, err)
+			}
+			snap, ok := sys.Snapshot("Arch", id)
+			if !ok {
+				t.Fatalf("AGDBs %v: no Snapshot of Arch.%d after Wait", withDBs, id)
+			}
+			ag, err := sys.coordinationAgent("Arch", id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			archive := ag.adb
+			if withDBs && archive != dbs[0] {
+				t.Fatalf("coordination agent %s archives outside its AGDB", ag.Name())
+			}
+			key := wfdb.InstanceKeyOf("Arch", id)
+			row, found := archive.Store().Get("archive", key)
+			if !found {
+				t.Fatalf("AGDBs %v: %s holds no archive row of %s", withDBs, ag.Name(), key)
+			}
+			again := wfdb.NewMemory()
+			if err := again.Archive(snap); err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := again.Store().Get("archive", key); string(got) != string(row) {
+				t.Errorf("AGDBs %v: Snapshot of %s differs from the archive row", withDBs, key)
+			}
+		}
+	}
+}
+
 // TestAPIErrorPaths exercises the front-facing error cases of the
 // distributed system facade.
 func TestAPIErrorPaths(t *testing.T) {

@@ -102,9 +102,14 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		sys.coordName.Delete(itable.Ref{Workflow: workflow, ID: id})
 	}
 	for i, name := range names {
-		var db *wfdb.DB
+		// An agent without a database archives into one of its own, in
+		// memory: Snapshot reads it.
+		var db, archive *wfdb.DB
 		if cfg.AGDBs != nil {
 			db = cfg.AGDBs[i]
+		}
+		if db == nil {
+			archive = wfdb.NewMemory()
 		}
 		ag, err := NewAgent(Config{
 			Name:             name,
@@ -113,6 +118,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			Programs:         cfg.Programs,
 			Collector:        cfg.Collector,
 			AGDB:             db,
+			Archive:          archive,
 			DisableOCR:       cfg.DisableOCR,
 			ExplicitElection: cfg.ExplicitElection,
 			PurgeOnCommit:    cfg.PurgeOnCommit,

@@ -18,6 +18,13 @@ import (
 // same recipe (cfg.ResolveWorkload for parameter-driven deployments, a
 // compiled LAWS source for crewrun).
 //
+// An agent process keeps only a database something reads back. With
+// cfg.DBPath it persists its replicas there, and a respawned process recovers
+// from the file. Without one it keeps no database at all: not its replicas,
+// which would die with the process they are meant to outlive, nor an archive
+// or summary of the instances it coordinated, since the hub answers Status
+// and Wait from its own registry and nothing can ask a child for a Snapshot.
+//
 // A delivery crosses no goroutine boundary between the socket read and the
 // socket write. The connection's reader runs the agent's turn itself
 // (Agent.Deliver), and the local Network registers every peer, and the notify
@@ -42,18 +49,6 @@ func RunChild(cfg *ChildConfig, lib *model.Library, programs *model.Registry) er
 	}
 	defer conn.Close()
 
-	var db *wfdb.DB
-	if cfg.DBPath != "" {
-		st, err := store.Open(cfg.DBPath)
-		if err != nil {
-			return fmt.Errorf("mproc: open agent db: %w", err)
-		}
-		defer st.Close()
-		db = wfdb.New(st)
-	} else {
-		db = wfdb.NewMemory()
-	}
-
 	net := transport.NewNetwork(transport.NetworkConfig{})
 	// Envelopes are flattened on the wire (the hub re-counts each logical
 	// message) and released here. SendMessage's error is dropped: a failed
@@ -77,19 +72,13 @@ func RunChild(cfg *ChildConfig, lib *model.Library, programs *model.Registry) er
 	if cfg.ReportExec {
 		programs = reportExec(conn, programs)
 	}
-	agent, err := distributed.NewAgent(distributed.Config{
-		Name:          cfg.Name,
-		Library:       lib,
-		Agents:        cfg.Agents,
-		Programs:      programs,
-		AGDB:          db,
-		DisableOCR:    cfg.DisableOCR,
-		PurgeOnCommit: cfg.PurgeOnCommit,
-		Alive:         conn.Alive,
-	}, net)
+	agent, db, err := newAgent(cfg, lib, programs, net, conn.Alive)
 	if err != nil {
 		net.Close()
 		return err
+	}
+	if db != nil {
+		defer db.Store().Close()
 	}
 
 	// Rebuild before serving: recovered replicas re-announce terminal
@@ -109,6 +98,37 @@ func RunChild(cfg *ChildConfig, lib *model.Library, programs *model.Registry) er
 	net.Close()
 	agent.Stop()
 	return serveErr
+}
+
+// newAgent builds the agent RunChild serves on net: its AGDB is the file at
+// cfg.DBPath, returned for the caller to close, and without a path it has no
+// database and no archive.
+func newAgent(cfg *ChildConfig, lib *model.Library, programs *model.Registry, net *transport.Network, alive func(string) bool) (*distributed.Agent, *wfdb.DB, error) {
+	var db *wfdb.DB
+	if cfg.DBPath != "" {
+		st, err := store.Open(cfg.DBPath)
+		if err != nil {
+			return nil, nil, fmt.Errorf("mproc: open agent db: %w", err)
+		}
+		db = wfdb.New(st)
+	}
+	agent, err := distributed.NewAgent(distributed.Config{
+		Name:          cfg.Name,
+		Library:       lib,
+		Agents:        cfg.Agents,
+		Programs:      programs,
+		AGDB:          db,
+		DisableOCR:    cfg.DisableOCR,
+		PurgeOnCommit: cfg.PurgeOnCommit,
+		Alive:         alive,
+	}, net)
+	if err != nil {
+		if db != nil {
+			db.Store().Close()
+		}
+		return nil, nil, err
+	}
+	return agent, db, nil
 }
 
 // reportExec wraps every program to report its execution window to the hub

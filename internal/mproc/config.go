@@ -44,8 +44,8 @@ type ChildConfig struct {
 	// Notify is the node WorkflowDone notifications are pushed to
 	// (FrontendNode in a standard cluster).
 	Notify string `json:"notify,omitempty"`
-	// DBPath is the agent's persistent WFDB file; empty keeps the database
-	// in memory (no recovery across a restart).
+	// DBPath is the agent's persistent WFDB file; empty gives the agent no
+	// database at all (no rows, no archive, no recovery across a restart).
 	DBPath string `json:"dbPath,omitempty"`
 	// DisableOCR and PurgeOnCommit mirror distributed.Config.
 	DisableOCR    bool `json:"disableOCR,omitempty"`

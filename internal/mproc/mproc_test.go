@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"os"
 	"os/exec"
 	"runtime"
@@ -63,7 +64,9 @@ func clusterParams() analysis.Parameters {
 
 const clusterSeed = 11
 
-func startCluster(t *testing.T, p analysis.Parameters, w *workload.Workload, col *metrics.Collector, checker *experiment.CoordChecker) *Cluster {
+// startCluster spawns the agent processes, each with a WFDB file under dbDir,
+// or with no database when dbDir is empty.
+func startCluster(t *testing.T, p analysis.Parameters, w *workload.Workload, dbDir string, col *metrics.Collector, checker *experiment.CoordChecker) *Cluster {
 	t.Helper()
 	cl, err := NewCluster(ClusterConfig{
 		Library:   w.Library,
@@ -87,7 +90,7 @@ func startCluster(t *testing.T, p analysis.Parameters, w *workload.Workload, col
 			return cmd
 		},
 		Child: ChildParams{
-			DBDir:         t.TempDir(),
+			DBDir:         dbDir,
 			PurgeOnCommit: true,
 			Workload:      &p,
 			Seed:          clusterSeed,
@@ -107,7 +110,7 @@ func startCluster(t *testing.T, p analysis.Parameters, w *workload.Workload, col
 }
 
 // TestClusterRuns drives a workload through real agent processes with no
-// faults and requires every instance to commit.
+// faults and no database files, and requires every instance to commit.
 func TestClusterRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test")
@@ -117,7 +120,7 @@ func TestClusterRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := startCluster(t, p, w, metrics.NewCollector(), nil)
+	cl := startCluster(t, p, w, "", metrics.NewCollector(), nil)
 	res, err := workload.Drive(cl, w, 2, 120*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +175,7 @@ func TestClusterChaos(t *testing.T) {
 	}
 	col := metrics.NewCollector()
 	checker := experiment.NewCoordChecker(w.Library)
-	cl := startCluster(t, p, w, col, checker)
+	cl := startCluster(t, p, w, t.TempDir(), col, checker)
 
 	plan := faults.ChaosPlan(7, w.Agents, 2, 15, 40, 12)
 	inj, err := faults.NewInjector(plan, col)
@@ -366,5 +369,108 @@ func TestExecFramesOnlyWhenObserved(t *testing.T) {
 		case observed && got < int64(2*p.S):
 			t.Errorf("a cluster with OnExec received %d EXEC frames, want an enter and an exit per step (%d steps)", got, p.S)
 		}
+	}
+}
+
+// TestChildWithoutDBKeepsNoStore builds every agent of a deployment in this
+// process as RunChild builds it, from the ChildConfig a cluster gives it, and
+// runs instances to their end. Without a DBDir no agent has a database and a
+// coordination agent's Snapshot of an instance it finished answers not found,
+// with nothing logged; with one, the coordination agent's file holds the
+// instance's archive and summary rows.
+func TestChildWithoutDBKeepsNoStore(t *testing.T) {
+	p := clusterParams()
+	w, err := workload.Generate(p, clusterSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs strings.Builder
+	log.SetOutput(&logs)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	const perClass = 3
+	// The hub only gives the configs an address; the agents share n.
+	hubNet := transport.NewNetwork(transport.NetworkConfig{})
+	defer hubNet.Close()
+	hub, err := transport.NewRemoteHub(hubNet, "unix", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dbDir := range []string{"", t.TempDir()} {
+		n := transport.NewNetwork(transport.NetworkConfig{})
+		fe := n.MustRegister(FrontendNode)
+		cl := &Cluster{hub: hub, cfg: ClusterConfig{Network: "unix", Agents: w.Agents, Child: ChildParams{
+			DBDir: dbDir, PurgeOnCommit: true, Workload: &p, Seed: clusterSeed}}}
+		agents := make(map[string]*distributed.Agent)
+		dbs := make(map[string]*wfdb.DB)
+		for _, name := range w.Agents {
+			cc, err := cl.childConfig(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ag, db, err := newAgent(cc, w.Library, w.Programs, n, n.Alive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			agents[name], dbs[name] = ag, db
+		}
+		for _, wf := range w.Library.Names() {
+			for id := 1; id <= perClass; id++ {
+				to, err := distributed.CoordinatorFor(w.Library, w.Agents, wf, id, n.Alive)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := n.Send(distributed.StartMessage(FrontendNode, to, wf, id, w.Inputs(id), FrontendNode)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want := perClass * len(w.Library.Names())
+		done := func(m transport.Message) {
+			if d, ok := m.Payload.(distributed.WorkflowDone); ok && d.Status == wfdb.Committed {
+				want--
+			}
+		}
+		timeout := time.After(30 * time.Second)
+		for want > 0 {
+			select {
+			case m := <-fe.Inbox():
+				if env, ok := m.Payload.(*transport.Envelope); ok {
+					for _, lm := range env.Msgs {
+						done(lm)
+					}
+					continue
+				}
+				done(m)
+			case <-timeout:
+				t.Fatalf("DBDir %q: %d instances never committed", dbDir, want)
+			}
+		}
+		for _, wf := range w.Library.Names() {
+			for id := 1; id <= perClass; id++ {
+				to, _ := distributed.CoordinatorFor(w.Library, w.Agents, wf, id, n.Alive)
+				_, archived := agents[to].Snapshot(wf, id)
+				db := dbs[to]
+				switch {
+				case dbDir == "" && db != nil:
+					t.Fatalf("agent %s keeps a database (%d writes) without a DBPath", to, db.Store().Writes())
+				case dbDir == "" && archived:
+					t.Errorf("%s.%d: coordination agent %s serves a Snapshot of it without a database", wf, id, to)
+				case dbDir != "":
+					if sum, ok, _ := db.LoadSummary(wf, id); !ok || sum != wfdb.Committed || !archived {
+						t.Errorf("%s.%d: agent %s's file holds summary (%v, %v), archived %v", wf, id, to, sum, ok, archived)
+					}
+				}
+			}
+		}
+		n.Close()
+		for name, ag := range agents {
+			ag.Stop()
+			if db := dbs[name]; db != nil {
+				db.Store().Close()
+			}
+		}
+	}
+	if logs.Len() > 0 {
+		t.Errorf("the agents logged:\n%s", logs.String())
 	}
 }

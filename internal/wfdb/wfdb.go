@@ -514,6 +514,9 @@ func (b *Batch) DeleteInstance(workflow string, id int) {
 	b.rows = append(b.rows, batchRow{table: tableInstance, key: InstanceKeyOf(workflow, id), del: true})
 }
 
+// Reset empties the batch without writing it, keeping its buffers.
+func (b *Batch) Reset() { b.buf, b.rows = b.buf[:0], b.rows[:0] }
+
 // Len returns the number of mutations waiting for Commit.
 func (b *Batch) Len() int { return len(b.rows) }
 
