@@ -73,12 +73,12 @@ func main() {
 			fmt.Printf("  abort compensates: %v\n", s.AbortCompensate)
 		}
 		if *showRules {
-			for _, r := range rules.SchemaRules(s) {
+			for _, r := range rules.SchemaProgram(s).Rules() {
 				cond := ""
 				if r.Precond != nil {
 					cond = fmt.Sprintf("  if %q", r.Precond.Source())
 				}
-				fmt.Printf("  rule %-16s on %v%s -> execute %s\n", r.ID, r.Events, cond, r.Action.Step)
+				fmt.Printf("  rule %-16s on %v%s -> execute %s\n", r.ID, r.Events, cond, r.Step)
 			}
 		}
 		fmt.Println()

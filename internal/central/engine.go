@@ -632,17 +632,6 @@ func (st *instState) Loop(_ model.StepID, body []model.StepID) bool {
 	return true
 }
 
-// Act runs the rules only the engine installs: compensate a step, abort.
-func (st *instState) Act(a rules.Action) bool {
-	if a.Kind == rules.ActAbort {
-		st.e.abortInstance(st, st.Recovery)
-		return false
-	}
-	st.chain = append(st.chain, chainTask{step: a.Step, mode: model.ModeCompensate})
-	st.e.pumpChain(st)
-	return true
-}
-
 // enqueueCompChain queues compensations for plan (already in compensation
 // order) attaching the re-execution to the last entry.
 func (e *Engine) enqueueCompChain(st *instState, plan []model.StepID, then *execPlan) {

@@ -160,6 +160,9 @@ type Agent struct {
 	site nav.Site
 
 	replicas map[itable.Ref]*replica
+	// progs holds, per schema, the compiled rules of the steps this agent is
+	// eligible for, compiled by program at the schema's first replica.
+	progs map[*model.Schema]*rules.Program
 	// execCount is this agent's total program executions.
 	execCount int64
 	// term records terminal statuses (shared deployment-wide via
@@ -317,9 +320,30 @@ func (a *Agent) getReplica(workflow string, id int) (*replica, error) {
 	return r, nil
 }
 
+// program returns the agent's compiled rules for a schema: the execution
+// rules of every step the agent is eligible for, in schema order. Compiled
+// at the schema's first replica and shared by all of them.
+func (a *Agent) program(schema *model.Schema) *rules.Program {
+	if p, ok := a.progs[schema]; ok {
+		return p
+	}
+	var rs []*rules.Rule
+	for _, id := range schema.Order {
+		if slices.Contains(nav.EffectiveAgents(schema.Steps[id], a.cfg.Agents), a.cfg.Name) {
+			rs = append(rs, rules.StepRules(schema, id)...)
+		}
+	}
+	p := rules.Compile(rs)
+	if a.progs == nil {
+		a.progs = make(map[*model.Schema]*rules.Program)
+	}
+	a.progs[schema] = p
+	return p
+}
+
 // newReplica builds a replica around an instance (fresh or reloaded from the
-// AGDB), installing the execution rules for every step this agent is eligible
-// for and binding them to the instance's event table.
+// AGDB), loading the agent's program for the schema and binding it to the
+// instance's event table.
 func (a *Agent) newReplica(schema *model.Schema, ins *wfdb.Instance) *replica {
 	r := &replica{
 		Inst:       nav.NewInst(ins, schema, &a.site),
@@ -330,16 +354,7 @@ func (a *Agent) newReplica(schema *model.Schema, ins *wfdb.Instance) *replica {
 		resetEpoch: make(map[model.StepID]int),
 		doneEpoch:  make(map[model.StepID]int),
 	}
-	for _, id := range schema.Order {
-		for _, ag := range nav.EffectiveAgents(schema.Steps[id], a.cfg.Agents) {
-			if ag == a.cfg.Name {
-				for _, rl := range rules.StepRules(schema, id) {
-					r.Rules.InstallRule(rl)
-				}
-				break
-			}
-		}
-	}
+	r.Rules.Load(a.program(schema))
 	r.Rules.Bind(ins.Events)
 	return r
 }

@@ -15,7 +15,6 @@ import (
 	"crew/internal/metrics"
 	"crew/internal/model"
 	"crew/internal/nav"
-	"crew/internal/rules"
 	"crew/internal/transport"
 	"crew/internal/wfdb"
 )
@@ -286,9 +285,6 @@ func (r *replica) Loop(head model.StepID, body []model.StepID) bool {
 	nav.Evaluate(r)
 	return false
 }
-
-// Act: an agent installs only execution rules.
-func (r *replica) Act(rules.Action) bool { return true }
 
 // Settle: commit is the coordination agent's, on StepCompleted.
 func (r *replica) Settle() {}
@@ -1129,18 +1125,12 @@ func (a *Agent) dropFinished() {
 // idempotent for everyone else. Steps with failure or compensation state are
 // left to the rollback path, which re-arms what it re-executes.
 func (a *Agent) rearmUnexecuted(r *replica) {
-	r.Rules.RearmWhere(func(id string) bool {
-		for _, sid := range r.Schema.Order {
-			if !rules.IsExecRuleFor(id, sid) {
-				continue
-			}
-			if r.executing[sid] {
-				return false
-			}
-			rec := r.Ins.Steps[sid]
-			return rec == nil || (rec.Status == wfdb.StepPending && !rec.HasResult)
+	r.Rules.RearmWhere(func(sid model.StepID) bool {
+		if r.executing[sid] {
+			return false
 		}
-		return false
+		rec := r.Ins.Steps[sid]
+		return rec == nil || (rec.Status == wfdb.StepPending && !rec.HasResult)
 	})
 }
 
@@ -1199,7 +1189,7 @@ func (a *Agent) pollOverdueRules(r *replica, now time.Time) {
 			if s == nil {
 				continue
 			}
-			forStep := w.Rule.Action.Step
+			forStep := w.Rule.Step
 			for _, ag := range nav.EffectiveAgents(s, a.cfg.Agents) {
 				if ag == a.cfg.Name || !a.alive(ag) {
 					continue

@@ -135,8 +135,11 @@ type entry struct {
 // Observer receives every table mutation: posted is true for Post (the
 // event's occurrence count grew), false for an invalidation; wasValid and
 // nowValid frame the validity transition. Observers must not mutate the
-// table from the callback.
-type Observer func(name string, posted, wasValid, nowValid bool)
+// table from the callback. An interface, so a rule engine binds without
+// allocating a method value.
+type Observer interface {
+	Observe(name string, posted, wasValid, nowValid bool)
+}
 
 // Table is the per-instance event table. It is not safe for concurrent use;
 // each owner (engine or agent goroutine) serializes access.
@@ -151,11 +154,20 @@ func NewTable() *Table {
 	return &Table{entries: make(map[string]entry)}
 }
 
+// Reserve gives an empty table room for n events, so a fresh instance's
+// table does not grow while it runs. A table holding entries is left as it
+// is.
+func (t *Table) Reserve(n int) {
+	if len(t.entries) == 0 {
+		t.entries = make(map[string]entry, n)
+	}
+}
+
 // SetObserver installs the mutation observer (nil removes it). A table has
 // at most one observer — the rule engine bound to it — which is how bound
 // engines track rule satisfaction incrementally. Clones and imported tables
 // start with no observer.
-func (t *Table) SetObserver(fn Observer) { t.obs = fn }
+func (t *Table) SetObserver(o Observer) { t.obs = o }
 
 // Post records an occurrence of the named event and returns true if this
 // changed the table (the event was previously absent or invalidated).
@@ -169,7 +181,7 @@ func (t *Table) Post(name string) bool {
 	t.entries[name] = e
 	t.seq++
 	if t.obs != nil {
-		t.obs(name, true, !changed, true)
+		t.obs.Observe(name, true, !changed, true)
 	}
 	return changed
 }
@@ -195,7 +207,7 @@ func (t *Table) Invalidate(name string) bool {
 	t.entries[name] = e
 	t.seq++
 	if t.obs != nil {
-		t.obs(name, false, true, false)
+		t.obs.Observe(name, false, true, false)
 	}
 	return true
 }
@@ -210,7 +222,7 @@ func (t *Table) InvalidateWhere(pred func(name string) bool) int {
 			t.entries[name] = e
 			n++
 			if t.obs != nil {
-				t.obs(name, false, true, false)
+				t.obs.Observe(name, false, true, false)
 			}
 		}
 	}

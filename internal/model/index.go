@@ -36,9 +36,11 @@ type graphIndex struct {
 	failEv map[StepID]string
 	compEv map[StepID]string
 	refs   map[StepID]map[string]string
+	// steps, data, events: TableSizes of the schema.
+	steps, data, events int
 
 	// ruleCache is an opaque memoization slot for the rules package (the
-	// generated rule templates of this schema). Keeping it inside the index
+	// compiled rule program of this schema). Keeping it inside the index
 	// ties its lifetime to the schema and drops it on mutation, without the
 	// model package knowing the cached type.
 	ruleCache atomic.Value
@@ -139,6 +141,7 @@ func (s *Schema) freeze() {
 		}
 	}
 	ix.topo = s.computeTopoOrder()
+	ix.steps, ix.data, ix.events = s.computeTableSizes()
 	s.idx.Store(ix)
 }
 
@@ -146,8 +149,29 @@ func (s *Schema) freeze() {
 // and unmutated since).
 func (s *Schema) Frozen() bool { return s.index() != nil }
 
+// TableSizes returns how many step records, data items and events one
+// failure-free run of the schema leaves in an instance's tables: a record
+// and a done event per step, the workflow start, and every workflow input
+// and declared step output. Instances size their tables from it.
+func (s *Schema) TableSizes() (steps, data, events int) {
+	if ix := s.index(); ix != nil {
+		return ix.steps, ix.data, ix.events
+	}
+	return s.computeTableSizes()
+}
+
+func (s *Schema) computeTableSizes() (steps, data, events int) {
+	data = len(s.Inputs)
+	for _, id := range s.Order {
+		if st := s.Steps[id]; st != nil {
+			data += len(st.Outputs)
+		}
+	}
+	return len(s.Order), data, len(s.Order) + 1
+}
+
 // TemplateCache returns the schema's opaque memoization slot for derived
-// per-schema artifacts (the rules package stores generated rule templates
+// per-schema artifacts (the rules package stores the compiled rule program
 // there), or nil if the schema is not frozen. All stores must use one
 // concrete type.
 func (s *Schema) TemplateCache() *atomic.Value {

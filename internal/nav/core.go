@@ -35,7 +35,7 @@ type Inst struct {
 	Site      *Site
 	Recovery  metrics.Mechanism    // cause of the recovery under way; Normal if none
 	Gate      coord.Gate           // holds coordinated steps until the home answers
-	Rollbacks map[model.StepID]int // rollbacks caused, per failing step
+	Rollbacks map[model.StepID]int // rollbacks caused, per failing step; nil until the first
 	// Retired is set when the owner lets the instance go: at its terminal
 	// status (the state may then belong to a waiter), or as a bystander's
 	// copy. Navigation still on the stack returns without reading Ins, and no
@@ -44,11 +44,13 @@ type Inst struct {
 }
 
 // NewInst binds an instance, fresh or reloaded, to its schema and an empty
-// rule set; the owner installs the rules.
+// rule set; the owner loads the rules. A fresh instance's step, data and
+// event tables are sized from the schema; a reloaded one is left as it is.
 func NewInst(ins *wfdb.Instance, schema *model.Schema, site *Site) Inst {
 	ins.AttachSchema(schema)
+	ins.Reserve(schema.TableSizes())
 	return Inst{Ins: ins, Schema: schema, Rules: rules.NewEngine(), Site: site,
-		Recovery: metrics.Normal, Rollbacks: make(map[model.StepID]int)}
+		Recovery: metrics.Normal}
 }
 
 // Nav returns the shared state; every owner gets it by embedding Inst.
@@ -76,8 +78,6 @@ type Owner interface {
 	// Loop takes an iteration whose body LoopBack reset; false takes no
 	// further loop out of the same step.
 	Loop(head model.StepID, body []model.StepID) bool
-	// Act carries out a fired compensate or abort rule; false ends the loop.
-	Act(a rules.Action) bool
 	// Settle runs after every pass of the rule loop.
 	Settle()
 	// ToHome hands a coordination request to the home.
@@ -98,20 +98,7 @@ func Evaluate(o Owner) {
 			if n.Retired {
 				return
 			}
-			switch r.Action.Kind {
-			case rules.ActExecute:
-				if Admit(o, r.Action.Step) {
-					progressed = true
-				}
-			case rules.ActNotify:
-				if r.Action.Fn != nil {
-					r.Action.Fn()
-				}
-				progressed = true
-			default:
-				if !o.Act(r.Action) {
-					return
-				}
+			if Admit(o, r.Step) {
 				progressed = true
 			}
 		}
@@ -270,6 +257,9 @@ func (n *Inst) Rollback(origin model.StepID, cause metrics.Mechanism) []model.St
 // false and the instance aborts.
 func (n *Inst) Retry(step model.StepID) (target model.StepID, ok bool) {
 	pol, has := n.Schema.OnFailure[step]
+	if n.Rollbacks == nil {
+		n.Rollbacks = make(map[model.StepID]int)
+	}
 	n.Rollbacks[step]++
 	if !has || n.Rollbacks[step] > pol.Attempts() {
 		return "", false

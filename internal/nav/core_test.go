@@ -70,8 +70,7 @@ func (f *fakeOwner) Loop(head model.StepID, body []model.StepID) bool {
 	f.log("loop %s %v", head, body)
 	return true
 }
-func (f *fakeOwner) Act(a rules.Action) bool { f.log("act %v", a.Kind); return true }
-func (f *fakeOwner) Settle()                 {}
+func (f *fakeOwner) Settle() {}
 func (f *fakeOwner) ToHome(req coord.Request) {
 	if req.Op == coord.Check && req.ReplyTo == "me" {
 		f.log("check %s", req.Ref.Step)
@@ -304,22 +303,19 @@ func TestCoreRetryRollsBackThenAborts(t *testing.T) {
 	}
 }
 
-// TestCoreRetiredStopsRuleLoop: A's rule and a notify rule fire in one pass,
-// and running A retires the instance; the core must not run the second action.
+// TestCoreRetiredStopsRuleLoop: the rules of two start steps fire in one
+// pass, and running A retires the instance; the core must not run B.
 func TestCoreRetiredStopsRuleLoop(t *testing.T) {
 	s := model.NewSchema("Two").
 		Step("A", "pa").
-		Step("C", "pc").
-		Seq("A", "C").
+		Step("B", "pb").
 		MustBuild()
 	for _, retire := range []bool{false, true} {
 		f := newFake(t, s)
 		f.retire = retire
-		f.Rules.AddRule(&rules.Rule{ID: "after", Events: []string{event.WorkflowStartName},
-			Action: rules.Action{Kind: rules.ActNotify, Fn: func() { f.log("notify") }}})
 		f.Ins.Events.Post(event.WorkflowStartName)
 		Evaluate(f)
-		want := []string{"run A normal", "notify"}
+		want := []string{"run A normal", "run B normal"}
 		if retire {
 			want = want[:1]
 		}

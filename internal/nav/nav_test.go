@@ -151,7 +151,7 @@ func TestResetStepsAndApplyRollback(t *testing.T) {
 	}
 	found := false
 	for _, r := range fired {
-		if r.Action.Step == "S2" {
+		if r.Step == "S2" {
 			found = true
 		}
 	}

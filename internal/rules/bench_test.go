@@ -18,13 +18,11 @@ func BenchmarkRuleFiring(b *testing.B) {
 	for i := range names {
 		names[i] = fmt.Sprintf("s%d.done", i)
 	}
-	build := func() *Engine {
-		e := NewEngine()
-		for i := 0; i < nRules; i++ {
-			e.AddRule(execRule(fmt.Sprintf("r%d", i), names[i]))
-		}
-		return e
+	rs := make([]*Rule, nRules)
+	for i := range rs {
+		rs[i] = execRule(fmt.Sprintf("r%d", i), names[i])
 	}
+	build := func() *Engine { return load(rs...) }
 
 	b.Run("indexed", func(b *testing.B) {
 		e := build()

@@ -2,6 +2,7 @@ package rules
 
 import (
 	"fmt"
+	"slices"
 
 	"crew/internal/event"
 	"crew/internal/expr"
@@ -18,53 +19,24 @@ func ExecRuleID(step model.StepID, i int) string {
 	return fmt.Sprintf("exec:%s#%d", step, i)
 }
 
-// IsExecRuleFor reports whether a rule ID is an execution rule of the step.
-func IsExecRuleFor(id string, step model.StepID) bool {
-	prefix := "exec:" + string(step)
-	if id == prefix {
-		return true
-	}
-	return len(id) > len(prefix) && id[:len(prefix)] == prefix && id[len(prefix)] == '#'
-}
-
-// templates is the per-schema cache of generated rules, stored in the
-// schema's TemplateCache slot. Templates are immutable: engines clone on
-// AddRule, and clones copy-on-write their Events before extending them.
-type templates struct {
-	all    []*Rule
-	byStep map[model.StepID][]*Rule
-}
-
-// templatesOf returns the schema's (possibly cached) generated rule set.
-// Frozen schemas memoize; mutated/unvalidated schemas regenerate per call.
-func templatesOf(s *model.Schema) *templates {
-	slot := s.TemplateCache()
-	if slot != nil {
-		if v := slot.Load(); v != nil {
-			return v.(*templates)
-		}
-	}
-	t := &templates{byStep: make(map[model.StepID][]*Rule, len(s.Order))}
-	for _, id := range s.Order {
-		rs := generateStepRules(s, id)
-		t.byStep[id] = rs
-		t.all = append(t.all, rs...)
-	}
-	if slot != nil {
-		slot.Store(t)
-	}
-	return t
-}
-
 // StepRules returns the execution rules for one step of a schema, per the
-// paper's navigation semantics (see generateStepRules). The returned rules
-// are shared templates: install them with Engine.AddRule (which clones) and
-// do not mutate them.
+// paper's navigation semantics (see generateStepRules): the step's window
+// of the schema's program. The rules are shared: compile them into another
+// program (Compile copies) and do not mutate them.
 func StepRules(s *model.Schema, id model.StepID) []*Rule {
 	if s.Steps[id] == nil {
 		return nil
 	}
-	return templatesOf(s).byStep[id]
+	rs := SchemaProgram(s).rules
+	lo := slices.IndexFunc(rs, func(r *Rule) bool { return r.Step == id })
+	if lo < 0 {
+		return nil
+	}
+	hi := lo + 1
+	for hi < len(rs) && rs[hi].Step == id {
+		hi++
+	}
+	return rs[lo:hi:hi]
 }
 
 // generateStepRules generates the execution rules for one step of a schema,
@@ -107,7 +79,7 @@ func generateStepRules(s *model.Schema, id model.StepID) []*Rule {
 		return []*Rule{{
 			ID:     ExecRuleID(id, 0),
 			Events: events,
-			Action: Action{Kind: ActExecute, Step: id},
+			Step:   id,
 		}}
 	}
 
@@ -152,7 +124,7 @@ func generateStepRules(s *model.Schema, id model.StepID) []*Rule {
 		r := &Rule{
 			ID:     ExecRuleID(id, 0),
 			Events: events,
-			Action: Action{Kind: ActExecute, Step: id},
+			Step:   id,
 		}
 		if condSrc != "" {
 			r.Precond = expr.MustCompile(condSrc)
@@ -168,7 +140,7 @@ func generateStepRules(s *model.Schema, id model.StepID) []*Rule {
 		r := &Rule{
 			ID:     ExecRuleID(id, i),
 			Events: events,
-			Action: Action{Kind: ActExecute, Step: id},
+			Step:   id,
 		}
 		if in.cond != "" {
 			r.Precond = expr.MustCompile(in.cond)
@@ -178,18 +150,30 @@ func generateStepRules(s *model.Schema, id model.StepID) []*Rule {
 	return out
 }
 
-// SchemaRules returns the execution rules for every step of the schema, in
-// definition order. This is the compiled general-rule table instantiated for
-// each new workflow instance; for frozen schemas it is generated once and
-// shared (engines clone on install).
-func SchemaRules(s *model.Schema) []*Rule {
-	return templatesOf(s).all
+// SchemaProgram returns the schema's compiled rules: the execution rules
+// of every step, in definition order. This is the general-rule table every
+// new workflow instance of the schema loads. A frozen schema compiles it
+// once and keeps it in its TemplateCache slot; a mutated or unvalidated one
+// compiles it per call.
+func SchemaProgram(s *model.Schema) *Program {
+	slot := s.TemplateCache()
+	if slot != nil {
+		if v := slot.Load(); v != nil {
+			return v.(*Program)
+		}
+	}
+	var all []*Rule
+	for _, id := range s.Order {
+		all = append(all, generateStepRules(s, id)...)
+	}
+	p := Compile(all)
+	if slot != nil {
+		slot.Store(p)
+	}
+	return p
 }
 
-// InstallSchemaRules adds all schema rules to an engine. The shared
-// templates are installed without copying (see Engine.InstallRule).
+// InstallSchemaRules loads the schema's program into an engine.
 func InstallSchemaRules(e *Engine, s *model.Schema) {
-	for _, r := range SchemaRules(s) {
-		e.InstallRule(r)
-	}
+	e.Load(SchemaProgram(s))
 }

@@ -35,12 +35,6 @@ func TestExecRuleID(t *testing.T) {
 	if ExecRuleID("S1", 2) != "exec:S1#2" {
 		t.Error("indexed rule ID wrong")
 	}
-	if !IsExecRuleFor("exec:S1", "S1") || !IsExecRuleFor("exec:S1#2", "S1") {
-		t.Error("IsExecRuleFor false negatives")
-	}
-	if IsExecRuleFor("exec:S12", "S1") || IsExecRuleFor("exec:S1", "S12") || IsExecRuleFor("other", "S1") {
-		t.Error("IsExecRuleFor false positives")
-	}
 }
 
 func TestStartStepRule(t *testing.T) {
@@ -52,8 +46,8 @@ func TestStartStepRule(t *testing.T) {
 	if len(rs[0].Events) != 1 || rs[0].Events[0] != event.WorkflowStartName {
 		t.Errorf("start rule events = %v", rs[0].Events)
 	}
-	if rs[0].Action.Kind != ActExecute || rs[0].Action.Step != "S1" {
-		t.Errorf("start rule action = %+v", rs[0].Action)
+	if rs[0].Step != "S1" {
+		t.Errorf("start rule executes %q", rs[0].Step)
 	}
 }
 
@@ -195,15 +189,30 @@ func TestStepRulesUnknownStep(t *testing.T) {
 
 func TestSchemaRulesAndInstall(t *testing.T) {
 	s := fig3Schema(t)
-	rs := SchemaRules(s)
+	p := SchemaProgram(s)
+	rs := p.Rules()
 	// S1..S4, S6: one rule each; S5: two rules.
 	if len(rs) != 7 {
-		t.Fatalf("SchemaRules = %d rules, want 7", len(rs))
+		t.Fatalf("SchemaProgram = %d rules, want 7", len(rs))
+	}
+	// Compiled once per frozen schema; StepRules are windows of it, in
+	// schema order.
+	if SchemaProgram(s) != p {
+		t.Error("a frozen schema's program is compiled again")
+	}
+	var union []*Rule
+	for _, id := range s.Order {
+		union = append(union, StepRules(s, id)...)
+	}
+	for i := range rs {
+		if union[i] != rs[i] {
+			t.Errorf("rule %d: StepRules gives %s, the program %s", i, union[i].ID, rs[i].ID)
+		}
 	}
 	e := NewEngine()
 	InstallSchemaRules(e, s)
-	if len(e.Rules()) != 7 {
-		t.Errorf("installed %d rules", len(e.Rules()))
+	if e.Program() != p {
+		t.Error("InstallSchemaRules did not load the schema's program")
 	}
 }
 
@@ -228,12 +237,12 @@ func TestEndToEndNavigationThroughRules(t *testing.T) {
 				return
 			}
 			for _, r := range fired {
-				executed = append(executed, r.Action.Step)
+				executed = append(executed, r.Step)
 				// Simulate step completion.
-				if r.Action.Step == "S2" {
+				if r.Step == "S2" {
 					data["S2.O1"] = expr.Num(5) // top branch
 				}
-				tab.Post(event.DoneName(string(r.Action.Step)))
+				tab.Post(event.DoneName(string(r.Step)))
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"crew/internal/event"
 	"crew/internal/expr"
+	"crew/internal/model"
 )
 
 // twin drives an indexed engine (bound to its table) and a scan engine (the
@@ -20,19 +21,24 @@ type twin struct {
 	env      expr.MapEnv
 }
 
-func newTwin(t *testing.T) *twin {
+// newTwin compiles the rules once and loads the program into both engines.
+func newTwin(t *testing.T, rs ...*Rule) *twin {
+	prog := Compile(rs)
 	tw := &twin{
 		t: t, idx: NewEngine(), ref: NewEngine(),
 		itab: event.NewTable(), rtab: event.NewTable(),
 		env: expr.MapEnv{},
 	}
+	tw.idx.Load(prog)
+	tw.ref.Load(prog)
 	tw.idx.Bind(tw.itab)
 	return tw
 }
 
-func (tw *twin) add(r *Rule) {
-	tw.idx.AddRule(r)
-	tw.ref.AddRule(r)
+// rearm re-arms a step's rules on both engines.
+func (tw *twin) rearm(step model.StepID) {
+	tw.idx.RearmExecRules(step)
+	tw.ref.RearmExecRules(step)
 }
 
 func (tw *twin) post(name string) {
@@ -73,11 +79,11 @@ func (tw *twin) eval(when string) []string {
 }
 
 func TestIndexedMatchesScanBasics(t *testing.T) {
-	tw := newTwin(t)
 	cond := expr.MustCompile(`WF.x > 3`)
-	tw.add(execRule("r1", "a.done"))
-	tw.add(&Rule{ID: "r2", Events: []string{"a.done", "b.done"}, Action: Action{Kind: ActExecute, Step: "S2"}})
-	tw.add(&Rule{ID: "r3", Events: []string{"b.done"}, Precond: cond, Action: Action{Kind: ActExecute, Step: "S3"}})
+	tw := newTwin(t,
+		execRule("r1", "a.done"),
+		&Rule{ID: "r2", Events: []string{"a.done", "b.done"}, Step: "S2"},
+		&Rule{ID: "r3", Events: []string{"b.done"}, Precond: cond, Step: "S3"})
 
 	tw.eval("empty table")
 	tw.post("a.done")
@@ -107,45 +113,47 @@ func TestIndexedMatchesScanBasics(t *testing.T) {
 	}
 }
 
-func TestIndexedMatchesScanDynamicRuleSet(t *testing.T) {
-	tw := newTwin(t)
-	tw.add(execRule("r1", "a.done"))
+// TestIndexedMatchesScanRearm: re-arming, eventless rules and preconditions
+// that turn true on data alone, against the reference.
+func TestIndexedMatchesScanRearm(t *testing.T) {
+	tw := newTwin(t,
+		execRule("r1", "a.done"),
+		&Rule{ID: "r0", Events: []string{"c.done", "d.done"}, Step: "r0"},
+		&Rule{ID: "now", Step: "now"},
+		&Rule{ID: "gated", Events: []string{"a.done"}, Precond: expr.MustCompile(`WF.go == 1`), Step: "gated"})
+	tw.env["WF.go"] = expr.Num(0)
+	if got := tw.eval("eventless"); len(got) != 1 || got[0] != "now" {
+		t.Fatalf("fired %v, want [now]", got)
+	}
 	tw.post("a.done")
-	tw.eval("r1 fires")
-
-	// Replacement keeps the firing position; the strengthened form re-arms.
-	tw.add(&Rule{ID: "r1", Events: []string{"a.done", "c.done"}, Action: Action{Kind: ActExecute, Step: "S1"}})
-	tw.add(execRule("r0", "c.done"))
-	tw.eval("after replace")
+	if got := tw.eval("r1 fires"); len(got) != 1 || got[0] != "r1" {
+		t.Fatalf("fired %v, want [r1]", got)
+	}
 	tw.post("c.done")
-	if got := tw.eval("c.done"); len(got) != 2 || got[0] != "r1" || got[1] != "r0" {
-		t.Fatalf("fired %v, want [r1 r0] (replacement keeps insertion position)", got)
-	}
-
-	// AddPrecondition on both engines, then satisfy it.
-	if err := tw.idx.AddPrecondition("r0", []string{"d.done"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := tw.ref.AddPrecondition("r0", []string{"d.done"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	tw.eval("strengthened")
+	tw.eval("r0 half satisfied")
 	tw.post("d.done")
 	if got := tw.eval("d.done"); len(got) != 1 || got[0] != "r0" {
 		t.Fatalf("fired %v, want [r0]", got)
 	}
 
-	// Removal drops any armed entry.
-	tw.idx.RemoveRule("r1")
-	tw.ref.RemoveRule("r1")
-	tw.invalidate("a.done")
-	tw.post("a.done")
-	tw.eval("after removal")
+	// Re-arming re-fires on the current table state, in program order; an
+	// eventless rule fires once per re-arm.
+	tw.rearm("r0")
+	tw.rearm("r1")
+	tw.rearm("now")
+	if got := tw.eval("rearm"); len(got) != 3 || got[0] != "r1" || got[1] != "r0" || got[2] != "now" {
+		t.Fatalf("fired %v, want [r1 r0 now]", got)
+	}
+	tw.env["WF.go"] = expr.Num(1)
+	if got := tw.eval("data change"); len(got) != 1 || got[0] != "gated" {
+		t.Fatalf("fired %v, want [gated]", got)
+	}
 
-	// Rearm re-fires on the current table state.
-	tw.idx.Rearm("r0")
-	tw.ref.Rearm("r0")
-	if got := tw.eval("rearm"); len(got) != 1 || got[0] != "r0" {
+	// Invalidation then re-post re-fires without a re-arm.
+	tw.invalidate("c.done")
+	tw.eval("after invalidation")
+	tw.post("c.done")
+	if got := tw.eval("re-post"); len(got) != 1 || got[0] != "r0" {
 		t.Fatalf("fired %v, want [r0]", got)
 	}
 }
@@ -155,20 +163,22 @@ func TestIndexedMatchesScanDynamicRuleSet(t *testing.T) {
 // set with overlapping event subscriptions and preconditions.
 func TestIndexedMatchesScanRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	tw := newTwin(t)
 	events := []string{"a.done", "b.done", "c.done", "d.done", "e.done"}
 	cond := expr.MustCompile(`WF.flag == 1`)
+	var rs []*Rule
 	for i := 0; i < 24; i++ {
 		evs := []string{events[i%len(events)]}
 		if i%3 == 0 {
 			evs = append(evs, events[(i+2)%len(events)])
 		}
-		r := &Rule{ID: fmt.Sprintf("r%02d", i), Events: evs, Action: Action{Kind: ActExecute, Step: "S"}}
+		id := fmt.Sprintf("r%02d", i)
+		r := &Rule{ID: id, Events: evs, Step: model.StepID(id)}
 		if i%4 == 0 {
 			r.Precond = cond
 		}
-		tw.add(r)
+		rs = append(rs, r)
 	}
+	tw := newTwin(t, rs...)
 	tw.env["WF.flag"] = expr.Num(0)
 	for step := 0; step < 400; step++ {
 		ev := events[rng.Intn(len(events))]
@@ -180,9 +190,7 @@ func TestIndexedMatchesScanRandomized(t *testing.T) {
 		case 4:
 			tw.env["WF.flag"] = expr.Num(float64(rng.Intn(2)))
 		case 5:
-			id := fmt.Sprintf("r%02d", rng.Intn(24))
-			tw.idx.Rearm(id)
-			tw.ref.Rearm(id)
+			tw.rearm(model.StepID(fmt.Sprintf("r%02d", rng.Intn(24))))
 		}
 		tw.eval(fmt.Sprintf("step %d", step))
 	}

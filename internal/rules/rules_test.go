@@ -1,6 +1,9 @@
 package rules
 
 import (
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"crew/internal/event"
@@ -9,7 +12,14 @@ import (
 )
 
 func execRule(id string, events ...string) *Rule {
-	return &Rule{ID: id, Events: events, Action: Action{Kind: ActExecute, Step: model.StepID(id)}}
+	return &Rule{ID: id, Events: events, Step: model.StepID(id)}
+}
+
+// load returns an unbound engine running the rules, compiled in order.
+func load(rs ...*Rule) *Engine {
+	e := NewEngine()
+	e.Load(Compile(rs))
+	return e
 }
 
 func fire(t *testing.T, e *Engine, tab *event.Table, env expr.Env) []string {
@@ -25,20 +35,8 @@ func fire(t *testing.T, e *Engine, tab *event.Table, env expr.Env) []string {
 	return ids
 }
 
-func TestActionKindString(t *testing.T) {
-	for k, want := range map[ActionKind]string{
-		ActExecute: "execute", ActCompensate: "compensate",
-		ActAbort: "abort", ActNotify: "notify", ActionKind(9): "ActionKind(9)",
-	} {
-		if k.String() != want {
-			t.Errorf("ActionKind(%d) = %q, want %q", int(k), k, want)
-		}
-	}
-}
-
 func TestBasicFiring(t *testing.T) {
-	e := NewEngine()
-	e.AddRule(execRule("r1", "a.done"))
+	e := load(execRule("r1", "a.done"))
 	tab := event.NewTable()
 
 	if ids := fire(t, e, tab, nil); len(ids) != 0 {
@@ -52,14 +50,10 @@ func TestBasicFiring(t *testing.T) {
 	if ids := fire(t, e, tab, nil); len(ids) != 0 {
 		t.Errorf("refired in same epoch: %v", ids)
 	}
-	if !e.Rule("r1").FiredOnce() {
-		t.Error("FiredOnce = false")
-	}
 }
 
 func TestConjunctiveEvents(t *testing.T) {
-	e := NewEngine()
-	e.AddRule(execRule("join", "a.done", "b.done"))
+	e := load(execRule("join", "a.done", "b.done"))
 	tab := event.NewTable()
 	tab.Post("a.done")
 	if ids := fire(t, e, tab, nil); len(ids) != 0 {
@@ -72,10 +66,9 @@ func TestConjunctiveEvents(t *testing.T) {
 }
 
 func TestPreconditionGating(t *testing.T) {
-	e := NewEngine()
 	r := execRule("cond", "a.done")
 	r.Precond = expr.MustCompile("X > 5")
-	e.AddRule(r)
+	e := load(r)
 	tab := event.NewTable()
 	tab.Post("a.done")
 	env := expr.MapEnv{"X": expr.Num(3)}
@@ -90,12 +83,9 @@ func TestPreconditionGating(t *testing.T) {
 }
 
 func TestPreconditionErrorDoesNotWedge(t *testing.T) {
-	e := NewEngine()
 	bad := execRule("bad", "a.done")
 	bad.Precond = expr.MustCompile(`"s" < 1`)
-	good := execRule("good", "a.done")
-	e.AddRule(bad)
-	e.AddRule(good)
+	e := load(bad, execRule("good", "a.done"))
 	tab := event.NewTable()
 	tab.Post("a.done")
 	fired, err := e.Evaluate(tab, nil)
@@ -108,8 +98,7 @@ func TestPreconditionErrorDoesNotWedge(t *testing.T) {
 }
 
 func TestInvalidationAndRefire(t *testing.T) {
-	e := NewEngine()
-	e.AddRule(execRule("r", "a.done"))
+	e := load(execRule("r", "a.done"))
 	tab := event.NewTable()
 	tab.Post("a.done")
 	fire(t, e, tab, nil)
@@ -127,28 +116,30 @@ func TestInvalidationAndRefire(t *testing.T) {
 }
 
 func TestRearm(t *testing.T) {
-	e := NewEngine()
-	e.AddRule(execRule("r", "a.done"))
+	e := load(execRule("r", "a.done"), execRule("q", "a.done"))
 	tab := event.NewTable()
 	tab.Post("a.done")
 	fire(t, e, tab, nil)
-	e.Rearm("r")
-	if ids := fire(t, e, tab, nil); len(ids) != 1 {
-		t.Errorf("Rearm did not allow refire: %v", ids)
+	if n := e.RearmExecRules("r"); n != 1 {
+		t.Errorf("RearmExecRules = %d", n)
 	}
-	e.Rearm("missing") // no-op
-	n := e.RearmWhere(func(id string) bool { return id == "r" })
+	if ids := fire(t, e, tab, nil); len(ids) != 1 || ids[0] != "r" {
+		t.Errorf("RearmExecRules did not allow refire of r alone: %v", ids)
+	}
+	if n := e.RearmExecRules("missing"); n != 0 {
+		t.Errorf("RearmExecRules(missing) = %d", n)
+	}
+	n := e.RearmWhere(func(step model.StepID) bool { return step == "q" })
 	if n != 1 {
 		t.Errorf("RearmWhere = %d", n)
 	}
-	if ids := fire(t, e, tab, nil); len(ids) != 1 {
-		t.Errorf("RearmWhere did not allow refire: %v", ids)
+	if ids := fire(t, e, tab, nil); len(ids) != 1 || ids[0] != "q" {
+		t.Errorf("RearmWhere did not allow refire of q alone: %v", ids)
 	}
 }
 
 func TestEventlessRuleFiresOnce(t *testing.T) {
-	e := NewEngine()
-	e.AddRule(&Rule{ID: "now", Action: Action{Kind: ActNotify}})
+	e := load(&Rule{ID: "now", Step: "S"})
 	tab := event.NewTable()
 	if ids := fire(t, e, tab, nil); len(ids) != 1 {
 		t.Errorf("eventless rule did not fire: %v", ids)
@@ -158,113 +149,24 @@ func TestEventlessRuleFiresOnce(t *testing.T) {
 	}
 }
 
-func TestAddRuleReplaceAndRemove(t *testing.T) {
-	e := NewEngine()
-	e.AddRule(execRule("r", "a.done"))
-	e.AddRule(execRule("r", "b.done")) // replace
-	if len(e.Rules()) != 1 {
-		t.Fatalf("replace duplicated rule: %d", len(e.Rules()))
-	}
-	tab := event.NewTable()
-	tab.Post("a.done")
-	if ids := fire(t, e, tab, nil); len(ids) != 0 {
-		t.Error("old rule fired after replacement")
-	}
-	tab.Post("b.done")
-	if ids := fire(t, e, tab, nil); len(ids) != 1 {
-		t.Error("replacement rule did not fire")
-	}
-	if !e.RemoveRule("r") || e.RemoveRule("r") {
-		t.Error("RemoveRule semantics wrong")
-	}
-	if e.Rule("r") != nil || len(e.Rules()) != 0 {
-		t.Error("rule not removed")
-	}
-}
-
-func TestAddRuleDoesNotAliasCaller(t *testing.T) {
-	e := NewEngine()
+func TestCompileDoesNotAliasCaller(t *testing.T) {
 	src := execRule("r", "a.done")
-	e.AddRule(src)
+	e := load(src)
 	src.Events[0] = "mutated"
+	src.Step = "mutated"
 	tab := event.NewTable()
 	tab.Post("a.done")
-	if ids := fire(t, e, tab, nil); len(ids) != 1 {
-		t.Error("engine rule affected by caller mutation")
-	}
-}
-
-func TestAddPrecondition(t *testing.T) {
-	e := NewEngine()
-	r := execRule("r", "a.done")
-	r.Precond = expr.MustCompile("X > 0")
-	e.AddRule(r)
-
-	if err := e.AddPrecondition("r", []string{"ext:WF2.1:S3.done"}, expr.MustCompile("Y > 0")); err != nil {
+	fired, err := e.Evaluate(tab, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	tab := event.NewTable()
-	tab.Post("a.done")
-	env := expr.MapEnv{"X": expr.Num(1), "Y": expr.Num(1)}
-	if ids := fire(t, e, tab, env); len(ids) != 0 {
-		t.Error("fired without added event requirement")
-	}
-	tab.Post("ext:WF2.1:S3.done")
-	env["Y"] = expr.Num(0)
-	if ids := fire(t, e, tab, env); len(ids) != 0 {
-		t.Error("fired with false added conjunct")
-	}
-	env["Y"] = expr.Num(2)
-	if ids := fire(t, e, tab, env); len(ids) != 1 {
-		t.Error("did not fire once strengthened rule satisfied")
-	}
-
-	// Duplicate event names are not added twice.
-	if err := e.AddPrecondition("r", []string{"a.done"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(e.Rule("r").Events); got != 2 {
-		t.Errorf("duplicate event appended: %d events", got)
-	}
-	if err := e.AddPrecondition("missing", nil, nil); err == nil {
-		t.Error("AddPrecondition on missing rule should error")
-	}
-}
-
-func TestAddPreconditionOnUnconditionedRule(t *testing.T) {
-	e := NewEngine()
-	e.AddRule(execRule("r", "a.done"))
-	if err := e.AddPrecondition("r", nil, expr.MustCompile("Z == 1")); err != nil {
-		t.Fatal(err)
-	}
-	tab := event.NewTable()
-	tab.Post("a.done")
-	if ids := fire(t, e, tab, expr.MapEnv{"Z": expr.Num(0)}); len(ids) != 0 {
-		t.Error("fired with false precondition")
-	}
-	if ids := fire(t, e, tab, expr.MapEnv{"Z": expr.Num(1)}); len(ids) != 1 {
-		t.Error("did not fire with true precondition")
-	}
-}
-
-func TestAddEventPrimitive(t *testing.T) {
-	e := NewEngine()
-	tab := event.NewTable()
-	if !e.AddEvent(tab, "ext:WF1.1:S2.done") {
-		t.Error("AddEvent should report change")
-	}
-	if e.AddEvent(tab, "ext:WF1.1:S2.done") {
-		t.Error("duplicate AddEvent should not report change")
-	}
-	if !tab.Has("ext:WF1.1:S2.done") {
-		t.Error("event not posted")
+	if len(fired) != 1 || fired[0].Step != "r" {
+		t.Errorf("program affected by caller mutation: fired %+v", fired)
 	}
 }
 
 func TestWaitingRules(t *testing.T) {
-	e := NewEngine()
-	e.AddRule(execRule("one", "a.done", "b.done"))
-	e.AddRule(execRule("two", "c.done"))
+	e := load(execRule("one", "a.done", "b.done"), execRule("two", "c.done"))
 	tab := event.NewTable()
 	tab.Post("a.done")
 	w := e.WaitingRules(tab)
@@ -285,13 +187,103 @@ func TestWaitingRules(t *testing.T) {
 }
 
 func TestFiringOrderIsInsertionOrder(t *testing.T) {
-	e := NewEngine()
-	e.AddRule(execRule("z", "a.done"))
-	e.AddRule(execRule("a", "a.done"))
+	e := load(execRule("z", "a.done"), execRule("a", "a.done"))
 	tab := event.NewTable()
 	tab.Post("a.done")
 	ids := fire(t, e, tab, nil)
 	if len(ids) != 2 || ids[0] != "z" || ids[1] != "a" {
 		t.Errorf("fired order = %v, want [z a]", ids)
+	}
+}
+
+// TestRebindKeepsArmedRules: a rule armed on the first table and still
+// fireable on the second fires after Bind moves the engine there.
+func TestRebindKeepsArmedRules(t *testing.T) {
+	e := load(execRule("r", "a.done"))
+	first, second := event.NewTable(), event.NewTable()
+	e.Bind(first)
+	first.Post("a.done") // arms r
+	second.Post("a.done")
+	e.Bind(second)
+	if ids := fire(t, e, second, nil); len(ids) != 1 || ids[0] != "r" {
+		t.Errorf("after rebind fired %v, want [r]", ids)
+	}
+}
+
+// TestRebindDetachesOldTable: once the engine moved to a new table, posts to
+// the old one no longer reach its counters.
+func TestRebindDetachesOldTable(t *testing.T) {
+	e := load(execRule("r", "a.done"))
+	first, second := event.NewTable(), event.NewTable()
+	e.Bind(first)
+	e.Bind(second)
+	first.Post("a.done")
+	if ids := fire(t, e, second, nil); len(ids) != 0 {
+		t.Errorf("a post to the old table fired %v on the new one", ids)
+	}
+	second.Post("a.done")
+	if ids := fire(t, e, second, nil); len(ids) != 1 {
+		t.Errorf("fired %v, want [r]", ids)
+	}
+}
+
+// TestEnginesShareProgram: engines loading one program keep their own
+// counters; a post to one instance's table fires nothing in another, and
+// concurrent instances on one program do not race (run with -race).
+func TestEnginesShareProgram(t *testing.T) {
+	prog := Compile([]*Rule{execRule("A", "start"), execRule("B", "A.done"), execRule("C", "A.done", "B.done")})
+	e1, e2 := NewEngine(), NewEngine()
+	e1.Load(prog)
+	e2.Load(prog)
+	t1, t2 := event.NewTable(), event.NewTable()
+	e1.Bind(t1)
+	e2.Bind(t2)
+	t1.Post("start")
+	if ids := fire(t, e2, t2, nil); len(ids) != 0 {
+		t.Fatalf("a post to the first table fired %v in the second engine", ids)
+	}
+	t2.Post("start")
+	t2.Post("A.done")
+	if ids := fire(t, e1, t1, nil); len(ids) != 1 || ids[0] != "A" {
+		t.Fatalf("first engine fired %v, want [A]", ids)
+	}
+	if ids := fire(t, e2, t2, nil); len(ids) != 2 || ids[0] != "A" || ids[1] != "B" {
+		t.Fatalf("second engine fired %v, want [A B]", ids)
+	}
+
+	walk := []string{"start", "A.done", "B.done"}
+	want := []string{"A", "B", "C"}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 200; n++ {
+				e := NewEngine()
+				e.Load(prog)
+				e.Bind(event.NewTable())
+				var got []string
+				for _, name := range walk {
+					fired, err := e.FireOn(name, nil)
+					if err != nil {
+						errs <- err.Error()
+						return
+					}
+					for _, r := range fired {
+						got = append(got, r.ID)
+					}
+				}
+				if !slices.Equal(got, want) {
+					errs <- fmt.Sprintf("instance %d fired %v, want %v", n, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
 	}
 }

@@ -220,6 +220,26 @@ func NewInstance(workflow string, id int, inputs map[string]expr.Value) *Instanc
 	return ins
 }
 
+// Reserve sizes a fresh instance's tables — no step recorded, no event
+// posted — for the given numbers of step records, data items and events, so
+// they do not grow while the instance runs. A reloaded or running instance
+// is left as it is.
+func (ins *Instance) Reserve(steps, data, events int) {
+	if len(ins.Steps) != 0 || ins.Events.Seq() != 0 {
+		return
+	}
+	ins.Steps = make(map[model.StepID]*StepRecord, steps)
+	if len(ins.Data) < data {
+		d := make(map[string]expr.Value, data)
+		for k, v := range ins.Data {
+			d[k] = v
+		}
+		ins.Data = d
+	}
+	ins.Events.Reserve(events)
+	ins.ExecOrder = make([]model.StepID, 0, steps)
+}
+
 // Key returns the instance's database key.
 func (ins *Instance) Key() string { return InstanceKeyOf(ins.Workflow, ins.ID) }
 

@@ -2,6 +2,7 @@ package wfdb
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"crew/internal/event"
@@ -339,4 +340,35 @@ func TestDBPersistsAcrossReopen(t *testing.T) {
 	if db2.Store() == nil {
 		t.Error("Store() accessor nil")
 	}
+}
+
+// TestReserveSizesOnlyFreshInstances: a fresh instance's tables are sized
+// from the schema and keep its inputs; an instance that has run is left as
+// it is.
+func TestReserveSizesOnlyFreshInstances(t *testing.T) {
+	s := sampleSchema()
+	steps, data, events := s.TableSizes()
+	if steps != 2 || data != 3 || events != 3 {
+		t.Fatalf("TableSizes = %d, %d, %d; want 2 steps, 3 data items (WF.I1, S1.O1, S2.O1), 3 events", steps, data, events)
+	}
+	fresh := NewInstance("Ord", 1, map[string]expr.Value{"I1": expr.Num(90)})
+	fresh.Reserve(steps, data, events)
+	if v, ok := fresh.Data["WF.I1"]; !ok || !v.Equal(expr.Num(90)) {
+		t.Error("Reserve lost a workflow input")
+	}
+	if cap(fresh.ExecOrder) != steps {
+		t.Errorf("fresh ExecOrder capacity %d, want %d", cap(fresh.ExecOrder), steps)
+	}
+
+	ran := NewInstance("Ord", 2, nil)
+	ran.RecordDone("S1", map[string]expr.Value{"O1": expr.Num(1)})
+	order, stepTab, dataTab := ran.ExecOrder, ran.Steps, ran.Data
+	ran.Reserve(steps, data, events)
+	if &ran.ExecOrder[0] != &order[0] || !sameMap(ran.Steps, stepTab) || !sameMap(ran.Data, dataTab) {
+		t.Error("Reserve replaced the tables of an instance that has run")
+	}
+}
+
+func sameMap[K comparable, V any](a, b map[K]V) bool {
+	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
 }
