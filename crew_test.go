@@ -222,11 +222,36 @@ func goroutineDump(t *testing.T) string {
 // TestNoPumpGoroutineInProcess: in an in-process deployment of any
 // architecture every node is an actor that drains its own mailbox, so the
 // transport runs no goroutine: neither a pump nor an Inbox feeder appears in a
-// goroutine dump taken while the deployment is live. Over a socket backend
-// each node does have a pump, which is also what shows the dump would name
-// one.
+// goroutine dump taken while the deployment is live. Every actor's loop sleeps
+// on one channel, its wake token: idle, it is parked in a channel receive,
+// never in a select. Over a socket backend each node does have a pump, which
+// is also what shows the dump would name one.
 func TestNoPumpGoroutineInProcess(t *testing.T) {
-	const pump, feeder = "transport.(*node).pump", "transport.(*Endpoint).feed"
+	const pump, feeder, loop = "transport.(*node).pump", "transport.(*Endpoint).feed", "actor.(*Actor).loop"
+	// parked reports the state of every goroutine running an actor's loop,
+	// retrying while one is between two parks.
+	parked := func(t *testing.T) []string {
+		var states []string
+		for try := 0; try < 100; try++ {
+			states = states[:0]
+			settled := true
+			for _, g := range strings.Split(goroutineDump(t), "\n\n") {
+				if !strings.Contains(g, loop) {
+					continue
+				}
+				state, _, _ := strings.Cut(g[strings.Index(g, "[")+1:], "]")
+				state, _, _ = strings.Cut(state, ",") // "chan receive, 2 minutes"
+				states = append(states, state)
+				settled = settled && (state == "chan receive" || state == "select")
+			}
+			if settled {
+				return states
+			}
+			time.Sleep(time.Millisecond)
+		}
+		t.Fatalf("an actor's loop never parked: %v", states)
+		return nil
+	}
 	deploy := func(t *testing.T, arch crew.Architecture, tc crew.TransportConfig) string {
 		sys, err := crew.NewSystem(crew.Config{
 			Library:      crew.MustCompileLAWS(orderLAWS),
@@ -242,6 +267,15 @@ func TestNoPumpGoroutineInProcess(t *testing.T) {
 		defer sys.Close()
 		if _, st, err := sys.Run("Order", map[string]crew.Value{"Qty": crew.Num(7)}, waitTimeout); err != nil || st != crew.Committed {
 			t.Fatalf("run = (%v, %v)", st, err)
+		}
+		states := parked(t)
+		if len(states) == 0 {
+			t.Errorf("%v: no goroutine runs %s: the check looks for the wrong frame", arch, loop)
+		}
+		for _, state := range states {
+			if state != "chan receive" {
+				t.Errorf("%v: an actor's loop is parked in [%s], want [chan receive]: it sleeps on more than its wake token", arch, state)
+			}
 		}
 		return goroutineDump(t)
 	}

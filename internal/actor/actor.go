@@ -8,14 +8,14 @@
 //
 // An Actor registers a manual-ack endpoint, runs the node's goroutine (it
 // drains its own mailbox, so a message reaches its handler with no goroutine
-// in between; command queue; an optional on-demand timer), unwraps envelopes
-// into logical messages, batches the turn's sends per destination and
-// collects the turn's WFDB rows. A turn has three entries: a message out of
-// the mailbox, a command or timer tick, both on the actor's goroutine, and
-// Deliver, for an actor whose messages arrive on a connection: the
-// connection's reader runs the turn itself. The turn lock makes the three one
-// owner at a time. Every turn ends in endTurn, which is where the orderings
-// the rest of the system relies on are implemented:
+// in between; command queue; an optional on-demand timer; all three set one
+// wake token), unwraps envelopes into logical messages, batches the turn's
+// sends per destination and collects the turn's WFDB rows. A turn has three
+// entries: a message out of the mailbox, a command or timer tick, both on the
+// actor's goroutine, and Deliver, for an actor whose messages arrive on a
+// connection: the connection's reader runs the turn itself. The turn lock
+// makes the three one owner at a time. Every turn ends in endTurn, which is
+// where the orderings the rest of the system relies on are implemented:
 //
 //   - write-ahead of dispatch: the turn's rows are committed before any
 //     message the turn produced leaves, so a restarted node knows of every
@@ -42,6 +42,7 @@ import (
 	"log"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crew/internal/metrics"
@@ -92,15 +93,17 @@ type Actor struct {
 
 	// turnMu is held across every turn and guards everything a turn touches,
 	// the fields below and the owner's state. The loop takes it once per
-	// mailbox pass, command burst or tick, Deliver once per message; nothing
-	// blocks under it but the turn itself. It is taken before every lock a
-	// turn takes (the destination node's among them).
+	// wake, Deliver once per message; nothing blocks under it but the turn
+	// itself. It is taken before every lock a turn takes (the destination
+	// node's among them).
 	turnMu sync.Mutex //crew:lockrank 5
-	// timer is the owner's maintenance turn; clock its one-shot timer, reset
-	// only while not armed, so its channel never holds a stale tick.
+	// timer is the owner's maintenance turn; clock its one-shot, whose
+	// callback sets due and wakes the loop. armed holds from arming to the
+	// tick, so each arming runs one tick.
 	timer *Timer
 	clock *time.Timer
 	armed bool
+	due   atomic.Bool
 
 	// handles caches per-destination senders; batch coalesces the turn's
 	// sends into per-destination envelopes; tx collects the turn's rows and
@@ -115,11 +118,10 @@ type Actor struct {
 
 	// cmdQ is swapped out whole per burst, as the mailbox is; cmdRun is the
 	// burst being run and the buffer the next swap hands back.
-	cmdMu     sync.Mutex
-	cmdQ      []command
-	cmdRun    []command
-	cmdNotify chan struct{}
-	wg        sync.WaitGroup
+	cmdMu  sync.Mutex
+	cmdQ   []command
+	cmdRun []command
+	wg     sync.WaitGroup
 }
 
 // New registers the node on the network. store may be nil, a nil interface or
@@ -141,13 +143,12 @@ func New(net *transport.Network, name string, store Committer, logf func(format 
 		}
 	}
 	return &Actor{
-		name:      name,
-		net:       net,
-		ep:        ep,
-		store:     store,
-		logf:      logf,
-		handles:   make(map[string]*transport.Handle),
-		cmdNotify: make(chan struct{}, 1),
+		name:    name,
+		net:     net,
+		ep:      ep,
+		store:   store,
+		logf:    logf,
+		handles: make(map[string]*transport.Handle),
 	}, nil
 }
 
@@ -158,8 +159,8 @@ func (a *Actor) Launch(handle func(m transport.Message), timer *Timer) {
 	a.handle = handle
 	if timer != nil {
 		a.timer = timer
-		a.clock = time.NewTimer(time.Hour) // stopped until a turn arms it
-		a.clock.Stop()
+		a.clock = time.AfterFunc(time.Hour, func() { a.due.Store(true); a.ep.Nudge() })
+		a.clock.Stop() // until a turn arms it
 	}
 	a.wg.Add(1)
 	go a.loop()
@@ -175,35 +176,27 @@ func (a *Actor) Stop() { a.wg.Wait() }
 // Logf reports a diagnostic.
 func (a *Actor) Logf(format string, args ...any) { a.logf(format, args...) }
 
-// loop is the actor's goroutine: it waits for the mailbox, the command queue
-// or the timer and runs what it finds under the turn lock.
+// loop is the actor's goroutine. It sleeps on one channel, the endpoint's
+// wake token, which a message's arrival, a queued command (enqueue) and the
+// timer's callback all set: a select over n channels locks all n on every
+// park and every wake. Each wake runs, under the turn lock, the drain
+// pass, then the tick if one came due, then the queued commands.
 func (a *Actor) loop() {
 	defer a.wg.Done()
 	wake, turn := a.ep.Wake(), transport.Sink(a.mailboxTurn)
-	var tick <-chan time.Time
 	if a.clock != nil {
-		tick = a.clock.C
 		defer a.clock.Stop()
 	}
 	for open := true; open; {
-		var mail, ticked bool
-		select {
-		case <-wake:
-			mail = true
-		case <-a.cmdNotify:
-		case <-tick:
-			ticked = true
-		}
+		<-wake
 		a.turnMu.Lock()
-		if mail {
-			open = a.ep.Drain(turn)
-			if a.held > 0 {
-				// The pass is over, or a crash or close cut it short: the
-				// messages it handled are committed and acked, the rest wait.
-				a.endTurn(nil)
-			}
+		open = a.ep.Drain(turn)
+		if a.held > 0 {
+			// The pass is over, or a crash or close cut it short: the
+			// messages it handled are committed and acked, the rest wait.
+			a.endTurn(nil)
 		}
-		if ticked {
+		if a.due.Swap(false) {
 			a.armed = false
 			a.timer.Tick()
 			a.endTurn(nil)
@@ -338,10 +331,7 @@ func (a *Actor) enqueue(c command) {
 	a.cmdMu.Lock()
 	a.cmdQ = append(a.cmdQ, c)
 	a.cmdMu.Unlock()
-	select {
-	case a.cmdNotify <- struct{}{}:
-	default:
-	}
+	a.ep.Nudge()
 }
 
 // Do runs f as a turn of its own and returns once that turn has ended. It

@@ -695,3 +695,129 @@ func TestNilCommitterIsNoStore(t *testing.T) {
 		})
 	}
 }
+
+// TestTickDueDuringBlockedTurnRunsOnce: a tick that comes due while a message
+// turn is blocked runs once, after that turn's epilogue. The timer is armed
+// by the first message of the pass, so the second is handled before the tick
+// can run.
+func TestTickDueDuringBlockedTurnRunsOnce(t *testing.T) {
+	f := newFixture(t, nil)
+	var busy atomic.Bool
+	var ticks atomic.Int32
+	started, release, ticked := make(chan struct{}), make(chan struct{}), make(chan struct{}, 1)
+	f.act.Launch(func(m transport.Message) {
+		f.tr.add("handle " + m.Payload.(string))
+		switch m.Payload {
+		case "arm":
+			busy.Store(true)
+		case "block":
+			close(started)
+			<-release
+		}
+	}, &Timer{
+		Every: time.Millisecond,
+		Busy:  busy.Load,
+		Tick: func() {
+			ticks.Add(1)
+			busy.Store(false)
+			f.tr.add("tick")
+			select {
+			case ticked <- struct{}{}:
+			default: // a second tick is counted, not waited for
+			}
+		},
+	})
+	f.onePass(t, "arm", "block")
+	<-started
+	for deadline := time.Now().Add(10 * time.Second); !f.act.due.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("the timer never came due")
+		}
+	}
+	if n := ticks.Load(); n != 0 {
+		t.Fatalf("tick ran %d times during a blocked turn", n)
+	}
+	close(release)
+	<-ticked
+	f.act.Do(func() {}) // behind the tick's epilogue
+	time.Sleep(10 * time.Millisecond)
+	if n := ticks.Load(); n != 1 {
+		t.Errorf("tick ran %d times, want once", n)
+	}
+	wantTrail(t, f.tr.take(), "handle arm", "commit", "handle block", "commit", "tick", "commit", "commit")
+}
+
+// TestOneWakeRunsPassThenTickThenCommand: what is pending when the loop wakes
+// runs in the order drain pass, tick, commands. A command already queued when
+// the pass handles a message runs right after that message's turn, as any
+// command does (TestCommandRunsBetweenBatchedMessages), so it still precedes
+// the tick; with no message pending, the tick runs first. The test holds the
+// turn lock, as a turn would, while the work arrives, and makes the tick due
+// as the timer's callback does (TestTickDueDuringBlockedTurnRunsOnce runs
+// the callback itself).
+func TestOneWakeRunsPassThenTickThenCommand(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		message bool
+		want    []string
+	}{
+		{"tick and command", false, []string{"tick", "commit", "command", "commit"}},
+		{"message, tick and command", true, []string{"handle m", "commit", "command", "commit", "tick", "commit"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, nil)
+			ticked := make(chan struct{})
+			f.act.Launch(func(m transport.Message) { f.tr.add("handle " + m.Payload.(string)) }, &Timer{
+				Every: time.Hour,
+				Busy:  func() bool { return false },
+				Tick: func() {
+					f.tr.add("tick")
+					close(ticked)
+				},
+			})
+			f.act.turnMu.Lock()
+			if tc.message {
+				f.deliver(t, "m")
+			}
+			f.act.DoAsync(func() { f.tr.add("command") })
+			f.act.due.Store(true)
+			f.act.ep.Nudge()
+			f.act.turnMu.Unlock()
+			<-ticked
+			f.act.Do(func() {}) // behind the tick's epilogue and the command
+			wantTrail(t, f.tr.take(), append(tc.want, "commit")...)
+		})
+	}
+}
+
+// TestNoTickAfterStop: once the network is closed and Stop has returned, an
+// armed timer that fires only marks the tick due and sets the wake token;
+// nothing runs the tick.
+func TestNoTickAfterStop(t *testing.T) {
+	f := newFixture(t, nil)
+	var ticks atomic.Int32
+	f.act.Launch(func(transport.Message) {}, &Timer{
+		Every: time.Hour,
+		Busy:  func() bool { return true },
+		Tick:  func() { ticks.Add(1) },
+	})
+	f.act.Do(func() {}) // arms the timer
+	f.net.Close()
+	f.act.Stop()
+	f.act.clock.Reset(time.Millisecond) // the callback fires after all
+	for deadline := time.Now().Add(10 * time.Second); !f.act.due.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the timer's callback never ran")
+		}
+	}
+	time.Sleep(10 * time.Millisecond)
+	if n := ticks.Load(); n != 0 {
+		t.Errorf("tick ran %d times after Stop", n)
+	}
+	select {
+	case <-f.act.ep.Wake():
+	default:
+		t.Error("the callback left no wake token")
+	}
+}

@@ -144,7 +144,8 @@ func (c *Cluster) logf(format string, args ...any) {
 }
 
 // consumeFrontend retires WorkflowDone notifications into the terminal
-// registry, waking Wait subscribers.
+// registry, waking Wait subscribers. It drains the front end's mailbox
+// itself, as an actor does: the hub runs no feeder goroutine for it.
 func (c *Cluster) consumeFrontend() {
 	defer close(c.feDone)
 	handle := func(m transport.Message) {
@@ -155,15 +156,19 @@ func (c *Cluster) consumeFrontend() {
 			c.term.Complete(p.Workflow, p.Instance, p.Status)
 		}
 	}
-	for m := range c.fe.Inbox() {
+	sink := func(m transport.Message) error {
 		if env, ok := m.Payload.(*transport.Envelope); ok && m.Kind == transport.KindEnvelope {
 			for i := range env.Msgs {
 				handle(env.Msgs[i])
 			}
 			env.Release()
-			continue
+			return nil
 		}
 		handle(m)
+		return nil
+	}
+	for wake := c.fe.Wake(); c.fe.Drain(sink); {
+		<-wake
 	}
 }
 

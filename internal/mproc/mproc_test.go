@@ -159,6 +159,37 @@ func TestClusterRuns(t *testing.T) {
 	}
 }
 
+// TestClusterFrontEndRunsNoFeeder: the hub process's front end drains its own
+// mailbox, so a running cluster shows no Inbox feeder goroutine, and a
+// WorkflowDone reaches the terminal registry from the drain pass itself.
+func TestClusterFrontEndRunsNoFeeder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process test")
+	}
+	p := clusterParams()
+	w, err := workload.Generate(p, clusterSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := startCluster(t, p, w, "", metrics.NewCollector(), nil)
+	wf := w.Library.Names()[0]
+	id, err := cl.Start(wf, w.Inputs(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := cl.Wait(wf, id, 30*time.Second); err != nil || st != wfdb.Committed {
+		t.Fatalf("Wait = (%v, %v), want Committed", st, err)
+	}
+	buf := make([]byte, 1<<20)
+	dump := string(buf[:runtime.Stack(buf, true)])
+	if strings.Contains(dump, "transport.(*Endpoint).feed") {
+		t.Error("a goroutine of the hub process runs an Inbox feeder")
+	}
+	if !strings.Contains(dump, "mproc.(*Cluster).consumeFrontend") {
+		t.Error("no goroutine runs the front end's drain loop")
+	}
+}
+
 // TestClusterChaos kills a real agent OS process mid-run (SIGKILL via the
 // fault injector's HaltNode hook), respawns it against its surviving WFDB
 // file, and requires the deployment to finish every instance with the

@@ -107,9 +107,13 @@ type Endpoint struct {
 func (e *Endpoint) Name() string { return e.nd.name }
 
 // Wake returns the consumer's wake-up signal. It holds a token whenever
-// messages may be waiting and once the network has closed; a consumer that
-// drains its own mailbox receives from it and then calls Drain.
+// messages may be waiting, once the network has closed and after a Nudge; a
+// consumer that drains its own mailbox receives from it and then calls Drain.
 func (e *Endpoint) Wake() <-chan struct{} { return e.d.mb.notify }
+
+// Nudge leaves a token in the wake-up signal, for a consumer that sleeps on
+// it for work of its own too (an actor's commands and timer).
+func (e *Endpoint) Nudge() { e.d.mb.wake() }
 
 // Drain runs one drain pass on the caller's goroutine, handing each waiting
 // message to sink in order. It returns false once the network has closed: the
