@@ -1,10 +1,11 @@
-// Package binenc holds the append/read primitives of the binary formats:
-// WAL group records (internal/store), WFDB rows (internal/wfdb, with the
-// value and event-table sections owned by internal/expr and internal/event)
-// and the wire frames and payloads of internal/transport. Writers append into
-// a caller-owned buffer and never allocate beyond its growth; a Reader
-// consumes a byte slice front to back, failing with ErrMalformed instead of
-// panicking on anything a torn or hostile input can contain.
+// Package binenc holds the primitives of the binary formats. Every wire
+// payload, WFDB row and type they share is declared once, by a Walk method
+// that a Walker runs to encode or to decode it; the fixed layouts (WAL group
+// records, frame headers, the hub's HELLO/WELCOME/EXEC frames) use the Append
+// functions and the Reader directly. Writers append into a caller-owned
+// buffer and never allocate beyond its growth; a Reader consumes a byte slice
+// front to back, failing with ErrMalformed instead of panicking on anything a
+// torn or hostile input can contain.
 //
 // Integers are varints, strings and byte runs are uvarint-length-prefixed,
 // sequences are a uvarint count followed by the entries.
@@ -14,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 )
 
 // ErrMalformed reports input that is truncated or structurally invalid.
@@ -50,17 +52,6 @@ func AppendBytes(dst, v []byte) []byte {
 //crew:hotpath
 func AppendInt(dst []byte, v int) []byte {
 	return binary.AppendVarint(dst, int64(v))
-}
-
-// AppendStrings appends a sequence of strings: the count, then each string.
-//
-//crew:hotpath
-func AppendStrings[S ~string](dst []byte, v []S) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(v)))
-	for _, s := range v {
-		dst = AppendString(dst, string(s))
-	}
-	return dst
 }
 
 // Reader consumes a byte slice front to back. The first read the input
@@ -173,16 +164,193 @@ func (r *Reader) Count(minEntry int) int {
 	return int(n)
 }
 
-// Strings reads a sequence written by AppendStrings; an empty one reads as
-// nil.
-func Strings[S ~string](r *Reader) []S {
-	n := r.Count(1)
-	if n == 0 {
-		return nil
+// Walkable is a type declared by its walk: Walk names each field once, in
+// order, on the primitives of w, and so both writes and reads the type.
+type Walkable interface{ Walk(w *Walker) }
+
+// Walker runs walks. In encode mode (Encode) each primitive appends its field
+// to the output; in decode mode (Decode) it reads the field and stores it, by
+// the Reader's rules: the first read the input cannot satisfy fails the
+// walker, every later read yields a zero value, so a walk runs to its end and
+// the caller checks Done once. A walk asks Decoding only to allocate what it
+// decodes into or to range-check what it read, and writes to its value only
+// when decoding, so an encode reads a value that may be shared.
+//
+// An encode appends to the caller's buffer and sorts map keys in the
+// walker's scratch, so a warm walker encodes without allocating. A walker is
+// not safe for concurrent use: its owner (a connection, a batch) reuses one.
+type Walker struct {
+	decoding bool
+	out      []byte
+	keys     []string // Map's sort scratch, a stack for nested maps
+	in       Reader
+}
+
+// Encode puts w in encode mode, appending to dst; Bytes returns the output.
+func (w *Walker) Encode(dst []byte) { w.decoding, w.out = false, dst }
+
+func (w *Walker) Bytes() []byte { return w.out }
+
+// Decode puts w in decode mode, reading b.
+func (w *Walker) Decode(b []byte) {
+	w.decoding = true
+	w.in.Reset(b)
+}
+
+func (w *Walker) Decoding() bool { return w.decoding }
+
+// Reader returns the decode input, for a layout read in place (a frame
+// header whose names alias the input).
+func (w *Walker) Reader() *Reader { return &w.in }
+
+// Fail marks the input malformed, for a value that read but is out of range.
+func (w *Walker) Fail() { w.in.Fail() }
+
+// Done reports the first failed read, or ErrMalformed if input is left over.
+func (w *Walker) Done() error { return w.in.Done() }
+
+// Append encodes v after dst, and Read decodes all of b into v.
+func (w *Walker) Append(dst []byte, v Walkable) []byte {
+	w.Encode(dst)
+	v.Walk(w)
+	return w.out
+}
+
+func (w *Walker) Read(b []byte, v Walkable) error {
+	w.Decode(b)
+	v.Walk(w)
+	return w.Done()
+}
+
+// The primitives: a length-prefixed string (copied out of the input), a
+// signed integer, a 0/1 byte, one byte, a float as its 8 IEEE 754 bytes
+// little-endian.
+
+func (w *Walker) String(v *string) {
+	if w.decoding {
+		*v = w.in.Str()
+		return
 	}
-	v := make([]S, n)
-	for i := range v {
-		v[i] = S(r.Str())
+	w.out = AppendString(w.out, *v)
+}
+
+func (w *Walker) Int(v *int) {
+	if w.decoding {
+		*v = w.in.Int()
+		return
 	}
-	return v
+	w.out = binary.AppendVarint(w.out, int64(*v))
+}
+
+// Int64 walks an integer that fits an int, in Int's form.
+func (w *Walker) Int64(v *int64) {
+	if w.decoding {
+		*v = int64(w.in.Int())
+		return
+	}
+	w.out = binary.AppendVarint(w.out, *v)
+}
+
+func (w *Walker) Bool(v *bool) {
+	if w.decoding {
+		*v = w.in.Bool()
+		return
+	}
+	w.out = AppendBool(w.out, *v)
+}
+
+func (w *Walker) Byte(v *byte) {
+	if w.decoding {
+		*v = w.in.Byte()
+		return
+	}
+	w.out = append(w.out, *v)
+}
+
+func (w *Walker) Float64(v *float64) {
+	if !w.decoding {
+		w.out = binary.LittleEndian.AppendUint64(w.out, math.Float64bits(*v))
+	} else if b := w.in.Fixed(8); b != nil {
+		*v = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+}
+
+// Len walks the count of a sequence whose entries each occupy at least
+// minEntry bytes: it writes n, or reads a count the remaining input can hold
+// (Reader.Count), so a walk may size an allocation from the result.
+func (w *Walker) Len(n, minEntry int) int {
+	if w.decoding {
+		return w.in.Count(minEntry)
+	}
+	w.out = binary.AppendUvarint(w.out, uint64(n))
+	return n
+}
+
+// Present walks the presence byte of an optional field and reports whether
+// *p is there; decoding one that is, it points *p at a fresh T to walk.
+func Present[T any](w *Walker, p **T) bool {
+	ok := *p != nil
+	w.Bool(&ok)
+	if ok && w.decoding {
+		//crew:allow hotalloc decoding allocates what it returns
+		*p = new(T)
+	}
+	return ok
+}
+
+// Strings walks a sequence of strings: the count, then each string. An empty
+// sequence decodes as nil.
+func Strings[S ~string](w *Walker, v *[]S) {
+	n := w.Len(len(*v), 1)
+	if !w.decoding {
+		for _, s := range *v {
+			w.out = AppendString(w.out, string(s))
+		}
+		return
+	}
+	if n > 0 {
+		//crew:allow hotalloc decoding allocates what it returns
+		*v = make([]S, n)
+	}
+	for i := range *v {
+		(*v)[i] = S(w.in.Str())
+	}
+}
+
+// Map walks a map with string keys: the count, then each key and its value
+// in key order, so equal maps encode to equal bytes whatever Go's map order.
+// value walks one value: given the map's when encoding, a zero one when
+// decoding, it returns what it read. Each entry occupies at least minEntry
+// bytes. An empty map decodes as nil.
+func Map[K ~string, V any](w *Walker, m *map[K]V, minEntry int, value func(w *Walker, v V) V) {
+	if w.decoding {
+		n := w.in.Count(minEntry)
+		if n == 0 {
+			return
+		}
+		//crew:allow hotalloc decoding allocates what it returns
+		dec := make(map[K]V, n)
+		for ; n > 0; n-- {
+			k := K(w.in.Str())
+			var zero V
+			dec[k] = value(w, zero)
+		}
+		*m = dec
+		return
+	}
+	// The keys are sorted on top of the scratch: a map nested in a value
+	// sorts its own above them and gives the space back when it is done.
+	base := len(w.keys)
+	//crew:allow hotalloc collects keys only; the sort below fixes the order
+	for k := range *m {
+		w.keys = append(w.keys, string(k))
+	}
+	keys := w.keys[base:]
+	slices.Sort(keys)
+	w.out = binary.AppendUvarint(w.out, uint64(len(keys)))
+	for _, k := range keys {
+		w.out = AppendString(w.out, k)
+		value(w, (*m)[K(k)])
+	}
+	w.keys = w.keys[:base]
 }

@@ -40,10 +40,12 @@ func (a *Agent) Load() int64 { return atomic.LoadInt64(&a.load) }
 
 func (a *Agent) handleOne(m transport.Message) {
 	switch p := m.Payload.(type) {
-	case ExecRequest:
-		a.handleExec(p)
-	case StateRequest:
-		a.Send(p.ReplyTo, p.Mechanism, KindStateResponse, StateResponse{Agent: a.Name(), Load: atomic.LoadInt64(&a.load)})
+	case *ExecRequest:
+		a.handleExec(*p)
+	case *StateRequest:
+		a.Send(p.ReplyTo, p.Mechanism, KindStateResponse, &StateResponse{Agent: a.Name(), Load: atomic.LoadInt64(&a.load)})
+	default:
+		a.Logf("unhandled payload %T", p)
 	}
 }
 
@@ -78,5 +80,5 @@ func (a *Agent) handleExec(req ExecRequest) {
 			resp.Outputs = out
 		}
 	}
-	a.Send(req.ReplyTo, req.Mechanism, KindStepResult, resp)
+	a.Send(req.ReplyTo, req.Mechanism, KindStepResult, &resp)
 }

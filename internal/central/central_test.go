@@ -1433,7 +1433,7 @@ func TestAgentReportsUndeliverableResult(t *testing.T) {
 	}
 	defer func() { net.Close(); ag.Stop() }()
 	err = net.Send(transport.Message{From: "test", To: "a1", Mechanism: metrics.Normal, Kind: KindStepExecute,
-		Payload: ExecRequest{Workflow: "W", Instance: 1, Step: "A", Program: "p", ReplyTo: "nobody"}})
+		Payload: &ExecRequest{Workflow: "W", Instance: 1, Step: "A", Program: "p", ReplyTo: "nobody"}})
 	if err != nil {
 		t.Fatal(err)
 	}

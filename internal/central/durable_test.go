@@ -48,7 +48,7 @@ func TestCommitPrecedesSend(t *testing.T) {
 	var violations []string
 	requests := 0
 	sys.Network().Trace(func(m transport.Message) {
-		req, ok := m.Payload.(ExecRequest)
+		req, ok := m.Payload.(*ExecRequest)
 		if !ok {
 			return
 		}

@@ -210,12 +210,14 @@ func (e *Engine) Place(home string, engines []string) {
 
 func (e *Engine) handleMessage(m transport.Message) {
 	switch p := m.Payload.(type) {
-	case ExecResponse:
-		e.onExecResponse(p)
-	case StateResponse:
+	case *ExecResponse:
+		e.onExecResponse(*p)
+	case *StateResponse:
 		e.loads[p.Agent] = p.Load
 	default:
-		coord.Dispatch(p, e)
+		if !coord.Dispatch(p, e) {
+			e.Logf("unhandled payload %T", p)
+		}
 	}
 }
 
@@ -667,7 +669,7 @@ func (e *Engine) chooseAgent(s *model.Step, mech metrics.Mechanism) string {
 		if a == best || !e.net.Alive(a) {
 			continue
 		}
-		e.Send(a, mech, KindStateInformation, StateRequest{ReplyTo: e.cfg.Name, Mechanism: mech})
+		e.Send(a, mech, KindStateInformation, &StateRequest{ReplyTo: e.cfg.Name, Mechanism: mech})
 	}
 	return best
 }
@@ -697,7 +699,7 @@ func (e *Engine) dispatchStep(st *instState, step model.StepID, mode model.ExecM
 	st.Persist()
 	e.loads[agent]++ // optimistic cache update
 	st.unanswered++
-	e.Send(agent, mech, KindStepExecute, ExecRequest{
+	e.Send(agent, mech, KindStepExecute, &ExecRequest{
 		Workflow:  st.Ins.Workflow,
 		Instance:  st.Ins.ID,
 		Step:      step,
@@ -894,7 +896,7 @@ func (e *Engine) pumpChain(st *instState) {
 		st.Persist()
 		e.site.Rec.Add(mech, 1)
 		st.unanswered++
-		e.Send(agent, mech, KindStepCompensate, ExecRequest{
+		e.Send(agent, mech, KindStepCompensate, &ExecRequest{
 			Workflow:  st.Ins.Workflow,
 			Instance:  st.Ins.ID,
 			Step:      task.step,
@@ -1144,7 +1146,7 @@ func (st *instState) ToHome(req coord.Request) {
 	if e := st.e; e.home != nil {
 		e.home.Handle(req)
 	} else {
-		e.Send(e.homeNode, metrics.Coordination, coordKinds[req.Op], req)
+		e.Send(e.homeNode, metrics.Coordination, coordKinds[req.Op], &req)
 	}
 }
 
@@ -1154,7 +1156,7 @@ func (st *instState) ToHome(req coord.Request) {
 func (e *Engine) Charge() { e.site.Rec.Add(metrics.Coordination, 1) }
 
 func (e *Engine) Resolve(to string, r coord.Resolve) {
-	e.Send(to, metrics.Coordination, "CoordResolve", r)
+	e.Send(to, metrics.Coordination, "CoordResolve", &r)
 }
 
 func (e *Engine) Inject(inj coord.Injection) {
@@ -1162,12 +1164,14 @@ func (e *Engine) Inject(inj coord.Injection) {
 	if o, ok := e.cfg.Owners.Get(itable.Ref{Workflow: inj.Target.Workflow, ID: inj.Target.ID}); ok {
 		to = o
 	}
-	e.Send(to.cfg.Name, metrics.Coordination, "CoordInject", coord.Inject(inj))
+	p := coord.Inject(inj)
+	e.Send(to.cfg.Name, metrics.Coordination, "CoordInject", &p)
 }
 
 func (e *Engine) Order(ord coord.RollbackOrder) {
+	p := coord.Order(ord)
 	for _, eng := range e.engines {
-		e.Send(eng, metrics.Coordination, "CoordOrder", coord.Order(ord))
+		e.Send(eng, metrics.Coordination, "CoordOrder", &p)
 	}
 }
 

@@ -31,13 +31,14 @@ import (
 )
 
 func init() {
-	// Register every payload this architecture puts on the transport with its
-	// codec (at the end of this file), so wire backends (unix/tcp sockets) can
-	// carry them across a process boundary, and its message kinds.
-	transport.RegisterPayload(appendExecRequest, decodeExecRequest)
-	transport.RegisterPayload(appendExecResponse, decodeExecResponse)
-	transport.RegisterPayload(appendStateRequest, decodeStateRequest)
-	transport.RegisterPayload(appendStateResponse, decodeStateResponse)
+	// Register every payload this architecture puts on the transport (each
+	// type's walk, at the end of this file, is its codec), so wire backends
+	// (unix/tcp sockets) can carry them across a process boundary, and its
+	// message kinds.
+	transport.RegisterPayload[ExecRequest]()
+	transport.RegisterPayload[ExecResponse]()
+	transport.RegisterPayload[StateRequest]()
+	transport.RegisterPayload[StateResponse]()
 	transport.RegisterKinds(KindStepExecute, KindStepCompensate, KindStepResult, KindStateInformation, KindStateResponse)
 }
 
@@ -95,65 +96,41 @@ const (
 	KindStateResponse    = "StateResponse"
 )
 
-// Wire codecs: the fields in declaration order on the primitives of package
-// binenc, data items as expr.AppendValues writes them (sorted by name).
+// Wire forms: each payload's fields in declaration order on the walker of
+// package binenc, data items as expr.WalkValues writes them (sorted by name).
 
-func appendExecRequest(dst []byte, p ExecRequest, keys *[]string) []byte {
-	dst = binenc.AppendString(dst, p.Workflow)
-	dst = binenc.AppendInt(dst, p.Instance)
-	dst = binenc.AppendString(dst, string(p.Step))
-	dst = binenc.AppendString(dst, p.Program)
-	dst = binenc.AppendInt(dst, int(p.Mode))
-	dst = binenc.AppendInt(dst, p.Attempt)
-	dst = expr.AppendValues(dst, p.Inputs, keys)
-	dst = binenc.AppendBool(dst, p.Prev != nil)
-	if p.Prev != nil {
-		dst = expr.AppendValues(dst, p.Prev.Inputs, keys)
-		dst = expr.AppendValues(dst, p.Prev.Outputs, keys)
+func (p *ExecRequest) Walk(w *binenc.Walker) {
+	w.String(&p.Workflow)
+	w.Int(&p.Instance)
+	p.Step.Walk(w)
+	w.String(&p.Program)
+	p.Mode.Walk(w)
+	w.Int(&p.Attempt)
+	expr.WalkValues(w, &p.Inputs)
+	if binenc.Present(w, &p.Prev) {
+		p.Prev.Walk(w)
 	}
-	dst = p.Mechanism.Append(dst)
-	return binenc.AppendString(dst, p.ReplyTo)
+	p.Mechanism.Walk(w)
+	w.String(&p.ReplyTo)
 }
 
-func decodeExecRequest(r *binenc.Reader) ExecRequest {
-	p := ExecRequest{Workflow: r.Str(), Instance: r.Int(), Step: model.StepID(r.Str()), Program: r.Str(),
-		Mode: model.ExecMode(r.Int()), Attempt: r.Int(), Inputs: expr.DecodeValues(r)}
-	if r.Bool() {
-		p.Prev = &model.PrevExecution{Inputs: expr.DecodeValues(r), Outputs: expr.DecodeValues(r)}
-	}
-	p.Mechanism, p.ReplyTo = metrics.DecodeMechanism(r), r.Str()
-	return p
+func (p *ExecResponse) Walk(w *binenc.Walker) {
+	w.String(&p.Workflow)
+	w.Int(&p.Instance)
+	p.Step.Walk(w)
+	p.Mode.Walk(w)
+	w.Int(&p.Attempt)
+	expr.WalkValues(w, &p.Outputs)
+	w.Bool(&p.Failed)
+	w.String(&p.Reason)
 }
 
-func appendExecResponse(dst []byte, p ExecResponse, keys *[]string) []byte {
-	dst = binenc.AppendString(dst, p.Workflow)
-	dst = binenc.AppendInt(dst, p.Instance)
-	dst = binenc.AppendString(dst, string(p.Step))
-	dst = binenc.AppendInt(dst, int(p.Mode))
-	dst = binenc.AppendInt(dst, p.Attempt)
-	dst = expr.AppendValues(dst, p.Outputs, keys)
-	dst = binenc.AppendBool(dst, p.Failed)
-	return binenc.AppendString(dst, p.Reason)
+func (p *StateRequest) Walk(w *binenc.Walker) {
+	w.String(&p.ReplyTo)
+	p.Mechanism.Walk(w)
 }
 
-func decodeExecResponse(r *binenc.Reader) ExecResponse {
-	return ExecResponse{Workflow: r.Str(), Instance: r.Int(), Step: model.StepID(r.Str()),
-		Mode: model.ExecMode(r.Int()), Attempt: r.Int(), Outputs: expr.DecodeValues(r),
-		Failed: r.Bool(), Reason: r.Str()}
-}
-
-func appendStateRequest(dst []byte, p StateRequest, _ *[]string) []byte {
-	return p.Mechanism.Append(binenc.AppendString(dst, p.ReplyTo))
-}
-
-func decodeStateRequest(r *binenc.Reader) StateRequest {
-	return StateRequest{ReplyTo: r.Str(), Mechanism: metrics.DecodeMechanism(r)}
-}
-
-func appendStateResponse(dst []byte, p StateResponse, _ *[]string) []byte {
-	return binenc.AppendInt(binenc.AppendString(dst, p.Agent), int(p.Load))
-}
-
-func decodeStateResponse(r *binenc.Reader) StateResponse {
-	return StateResponse{Agent: r.Str(), Load: int64(r.Int())}
+func (p *StateResponse) Walk(w *binenc.Walker) {
+	w.String(&p.Agent)
+	w.Int64(&p.Load)
 }

@@ -47,16 +47,12 @@ type InstanceRef struct {
 // String renders WF.id.
 func (r InstanceRef) String() string { return fmt.Sprintf("%s.%d", r.Workflow, r.ID) }
 
-// Append appends the reference's wire form.
+// Walk is the reference's wire form.
 //
 //crew:hotpath
-func (r InstanceRef) Append(dst []byte) []byte {
-	return binenc.AppendInt(binenc.AppendString(dst, r.Workflow), r.ID)
-}
-
-// DecodeInstanceRef reads a reference written by Append.
-func DecodeInstanceRef(r *binenc.Reader) InstanceRef {
-	return InstanceRef{Workflow: r.Str(), ID: r.Int()}
+func (r *InstanceRef) Walk(w *binenc.Walker) {
+	w.String(&r.Workflow)
+	w.Int(&r.ID)
 }
 
 // Injection is an event to inject into another instance's event table (the
@@ -78,14 +74,10 @@ type RollbackOrder struct {
 	TargetStep     model.StepID
 }
 
-// Append appends the order's wire form.
-func (o RollbackOrder) Append(dst []byte) []byte {
-	return binenc.AppendString(binenc.AppendString(dst, o.TargetWorkflow), string(o.TargetStep))
-}
-
-// DecodeRollbackOrder reads an order written by Append.
-func DecodeRollbackOrder(r *binenc.Reader) RollbackOrder {
-	return RollbackOrder{TargetWorkflow: r.Str(), TargetStep: model.StepID(r.Str())}
+// Walk is the order's wire form.
+func (o *RollbackOrder) Walk(w *binenc.Walker) {
+	w.String(&o.TargetWorkflow)
+	o.TargetStep.Walk(w)
 }
 
 // OrderEventName is the event a lagging instance waits on: "the leading

@@ -265,54 +265,69 @@ func (s *sim) clone() *sim {
 
 // fingerprint encodes everything the future of a run depends on.
 func (s *sim) fingerprint() string {
-	b := make([]byte, 0, 512)
+	var w binenc.Walker
+	w.Encode(make([]byte, 0, 512))
+	mark := func(c byte) { w.Byte(&c) }
+	flags := func(vs ...bool) {
+		for i := range vs {
+			w.Bool(&vs[i])
+		}
+	}
 	t := s.home.tracker
 	for i, spec := range t.specs {
 		if ro := t.ro[i]; ro != nil {
 			for _, inst := range ro.queue {
-				b = inst.Append(b)
+				inst.Walk(&w)
 				for k := range spec.Pairs {
-					b = binenc.AppendBool(b, ro.done[inst][k])
+					flags(ro.done[inst][k])
 				}
 			}
 		}
 		if mu := t.mu[i]; mu != nil {
-			b = binenc.AppendString(mu.holder.Append(binenc.AppendBool(b, mu.held)), string(mu.holding))
-			for _, w := range mu.waiters {
-				b = binenc.AppendString(w.ref.Append(b), string(w.step))
+			flags(mu.held)
+			mu.holder.Walk(&w)
+			mu.holding.Walk(&w)
+			for _, wt := range mu.waiters {
+				wt.ref.Walk(&w)
+				wt.step.Walk(&w)
 			}
 		}
-		b = append(b, '|')
+		mark('|')
 	}
 	for _, in := range s.insts {
-		b = binenc.AppendBool(binenc.AppendBool(binenc.AppendInt(b, in.next), in.done), s.home.forgotten(in.ref))
+		w.Int(&in.next)
+		flags(in.done, s.home.forgotten(in.ref))
 		for _, step := range in.steps {
 			st := in.gate.steps[step]
-			b = binenc.AppendBool(binenc.AppendBool(binenc.AppendBool(b, st.asked), st.known), st.blocked)
-			b = binenc.AppendStrings(b, st.waits)
+			flags(st.asked, st.known, st.blocked)
+			binenc.Strings(&w, &st.waits)
 		}
 		evs := make([]string, 0, len(in.events))
 		for ev := range in.events {
 			evs = append(evs, ev)
 		}
 		sort.Strings(evs)
-		b = binenc.AppendStrings(b, evs)
+		binenc.Strings(&w, &evs)
 	}
 	for _, l := range s.links {
 		for _, payload := range l.queue {
 			switch p := payload.(type) {
 			case Request:
-				b = appendRequest(append(b, 'q'), p, nil)
+				mark('q')
+				p.Walk(&w)
 			case Resolve:
-				b = appendResolve(append(b, 'r'), p, nil)
+				mark('r')
+				p.Walk(&w)
 			case Inject:
-				b = appendInject(append(b, 'i'), p, nil)
+				mark('i')
+				p.Walk(&w)
 			}
 		}
-		b = append(b, '|')
+		mark('|')
 	}
-	b = binenc.AppendBool(binenc.AppendBool(binenc.AppendInt(b, s.rechecks), s.rollback != nil), s.granted)
-	return string(b)
+	w.Int(&s.rechecks)
+	flags(s.rollback != nil, s.granted)
+	return string(w.Bytes())
 }
 
 // explore runs every schedule from s on, pruning states already seen, and

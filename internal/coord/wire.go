@@ -2,15 +2,14 @@ package coord
 
 import (
 	"crew/internal/binenc"
-	"crew/internal/model"
 	"crew/internal/transport"
 )
 
 func init() {
-	transport.RegisterPayload(appendRequest, decodeRequest)
-	transport.RegisterPayload(appendResolve, decodeResolve)
-	transport.RegisterPayload(appendInject, decodeInject)
-	transport.RegisterPayload(appendOrder, decodeOrder)
+	transport.RegisterPayload[Request]()
+	transport.RegisterPayload[Resolve]()
+	transport.RegisterPayload[Inject]()
+	transport.RegisterPayload[Order]()
 }
 
 // Node is the receiving side of the protocol: what a node does with each
@@ -27,54 +26,48 @@ type Node interface {
 // whether it was one.
 func Dispatch(payload any, n Node) bool {
 	switch p := payload.(type) {
-	case Request:
-		n.OnRequest(p)
-	case Resolve:
-		n.OnResolve(p)
-	case Inject:
-		n.OnInject(p)
-	case Order:
-		n.OnOrder(p)
+	case *Request:
+		n.OnRequest(*p)
+	case *Resolve:
+		n.OnResolve(*p)
+	case *Inject:
+		n.OnInject(*p)
+	case *Order:
+		n.OnOrder(*p)
 	default:
 		return false
 	}
 	return true
 }
 
-// Wire codecs: the fields in declaration order on the primitives of package
-// binenc.
+// Wire forms: each payload's fields in declaration order.
 
-func appendRequest(dst []byte, p Request, _ *[]string) []byte {
-	dst = p.Inst.Append(p.Ref.Append(append(dst, byte(p.Op))))
-	return binenc.AppendStrings(binenc.AppendString(dst, p.ReplyTo), p.Invalidated)
-}
-
-func decodeRequest(r *binenc.Reader) Request {
-	op := Op(r.Byte())
-	if op >= numOps {
-		r.Fail()
-		op = Check
+func (p *Request) Walk(w *binenc.Walker) {
+	op := byte(p.Op)
+	w.Byte(&op)
+	if w.Decoding() {
+		if Op(op) >= numOps {
+			w.Fail()
+			op = byte(Check)
+		}
+		p.Op = Op(op)
 	}
-	return Request{Op: op, Ref: model.DecodeStepRef(r), Inst: DecodeInstanceRef(r), ReplyTo: r.Str(),
-		Invalidated: binenc.Strings[model.StepID](r)}
+	p.Ref.Walk(w)
+	p.Inst.Walk(w)
+	w.String(&p.ReplyTo)
+	binenc.Strings(w, &p.Invalidated)
 }
 
-func appendResolve(dst []byte, p Resolve, _ *[]string) []byte {
-	return binenc.AppendStrings(binenc.AppendString(p.Inst.Append(dst), string(p.Step)), p.WaitEvents)
+func (p *Resolve) Walk(w *binenc.Walker) {
+	p.Inst.Walk(w)
+	p.Step.Walk(w)
+	binenc.Strings(w, &p.WaitEvents)
 }
 
-func decodeResolve(r *binenc.Reader) Resolve {
-	return Resolve{Inst: DecodeInstanceRef(r), Step: model.StepID(r.Str()), WaitEvents: binenc.Strings[string](r)}
+func (p *Inject) Walk(w *binenc.Walker) {
+	p.Target.Walk(w)
+	w.String(&p.Event)
+	p.Step.Walk(w)
 }
 
-func appendInject(dst []byte, p Inject, _ *[]string) []byte {
-	return binenc.AppendString(binenc.AppendString(p.Target.Append(dst), p.Event), string(p.Step))
-}
-
-func decodeInject(r *binenc.Reader) Inject {
-	return Inject{Target: DecodeInstanceRef(r), Event: r.Str(), Step: model.StepID(r.Str())}
-}
-
-func appendOrder(dst []byte, p Order, _ *[]string) []byte { return RollbackOrder(p).Append(dst) }
-
-func decodeOrder(r *binenc.Reader) Order { return Order(DecodeRollbackOrder(r)) }
+func (p *Order) Walk(w *binenc.Walker) { (*RollbackOrder)(p).Walk(w) }

@@ -389,7 +389,7 @@ func (a *Agent) RecoverReplicas(notify string) error {
 			a.term.Complete(wf, id, st)
 			if notify != "" {
 				a.Send(notify, metrics.Failure, KindWorkflowDone,
-					WorkflowDone{Workflow: wf, Instance: id, Status: st})
+					&WorkflowDone{Workflow: wf, Instance: id, Status: st})
 			}
 		}
 		for _, key := range db.InstanceKeys() {
@@ -538,7 +538,7 @@ func (a *Agent) retireReplica(r *replica) {
 	a.term.Complete(r.Ins.Workflow, r.Ins.ID, st)
 	if r.Ins.NotifyTo != "" {
 		a.Send(r.Ins.NotifyTo, metrics.Normal, KindWorkflowDone,
-			WorkflowDone{Workflow: r.Ins.Workflow, Instance: r.Ins.ID, Status: st})
+			&WorkflowDone{Workflow: r.Ins.Workflow, Instance: r.Ins.ID, Status: st})
 	}
 	delete(a.replicas, replicaKey(r.Ins.Workflow, r.Ins.ID))
 	if a.cfg.OnRetired != nil {

@@ -18,7 +18,7 @@ import (
 // ToHome sends a request to the home agent, for one coordination unit.
 func (r *replica) ToHome(req coord.Request) {
 	r.a.site.Rec.Add(metrics.Coordination, 1)
-	r.a.Send(r.a.homeNode, metrics.Coordination, KindAddRule, req)
+	r.a.Send(r.a.homeNode, metrics.Coordination, KindAddRule, &req)
 }
 
 // The home's way out (coord.Host), on the home agent.
@@ -26,7 +26,7 @@ func (r *replica) ToHome(req coord.Request) {
 func (a *Agent) Charge() { a.site.Rec.Add(metrics.Coordination, 1) }
 
 func (a *Agent) Resolve(to string, r coord.Resolve) {
-	a.Send(to, metrics.Coordination, KindAddPrecondition, r)
+	a.Send(to, metrics.Coordination, KindAddPrecondition, &r)
 }
 
 // Inject routes an AddEvent to the agents holding the waiting rule: the
@@ -37,20 +37,22 @@ func (a *Agent) Inject(inj coord.Injection) {
 	if schema == nil {
 		return
 	}
+	p := coord.Inject(inj)
 	if s := schema.Steps[inj.Step]; s != nil {
 		for _, ag := range nav.EffectiveAgents(s, a.cfg.Agents) {
-			a.Send(ag, metrics.Coordination, KindAddEvent, coord.Inject(inj))
+			a.Send(ag, metrics.Coordination, KindAddEvent, &p)
 		}
 		return
 	}
-	a.Send(a.electCoordinator(inj.Target.Workflow, inj.Target.ID), metrics.Coordination, KindAddEvent, coord.Inject(inj))
+	a.Send(a.electCoordinator(inj.Target.Workflow, inj.Target.ID), metrics.Coordination, KindAddEvent, &p)
 }
 
 // Order broadcasts a rollback order to every agent, whose coordination-agent
 // replicas apply it.
 func (a *Agent) Order(ord coord.RollbackOrder) {
+	p := coord.Order(ord)
 	for _, ag := range a.cfg.Agents {
-		a.Send(ag, metrics.Coordination, KindAddRule, coord.Order(ord))
+		a.Send(ag, metrics.Coordination, KindAddRule, &p)
 	}
 }
 
@@ -105,7 +107,7 @@ func (a *Agent) OnOrder(p coord.Order) {
 	for _, r := range targets {
 		a.site.Rec.Add(metrics.Coordination, 1)
 		r.inputEpoch++
-		a.Send(a.executorOf(r, p.TargetStep), metrics.Failure, KindWorkflowRollback, workflowRollback{
+		a.Send(a.executorOf(r, p.TargetStep), metrics.Failure, KindWorkflowRollback, &workflowRollback{
 			Workflow:  r.Ins.Workflow,
 			Instance:  r.Ins.ID,
 			Origin:    p.TargetStep,

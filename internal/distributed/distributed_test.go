@@ -1534,7 +1534,7 @@ func TestHaltProbeOrderDeterministic(t *testing.T) {
 		var mu sync.Mutex
 		var probes []string
 		sys.Network().Trace(func(m transport.Message) {
-			ht, ok := m.Payload.(haltThread)
+			ht, ok := m.Payload.(*haltThread)
 			if !ok || len(ht.Step) != 2 || ht.Step[0] != 'C' {
 				return
 			}
@@ -1605,9 +1605,9 @@ func TestHaltDedupeDiesWithReplica(t *testing.T) {
 	var mu sync.Mutex
 	var seen []haltThread
 	sys.Network().Trace(func(m transport.Message) {
-		if ht, ok := m.Payload.(haltThread); ok && m.To == "a2" {
+		if ht, ok := m.Payload.(*haltThread); ok && m.To == "a2" {
 			mu.Lock()
-			seen = append(seen, ht)
+			seen = append(seen, *ht)
 			mu.Unlock()
 		}
 	})
@@ -1626,7 +1626,7 @@ func TestHaltDedupeDiesWithReplica(t *testing.T) {
 	if late.Instance != id {
 		t.Fatalf("traced halt is for instance %d, ran %d", late.Instance, id)
 	}
-	if err := sys.Network().Send(transport.Message{From: "a1", To: "a2", Mechanism: late.Mechanism, Kind: KindHaltThread, Payload: late}); err != nil {
+	if err := sys.Network().Send(transport.Message{From: "a1", To: "a2", Mechanism: late.Mechanism, Kind: KindHaltThread, Payload: &late}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), waitTimeout)

@@ -62,7 +62,7 @@ func TestCommitPrecedesSend(t *testing.T) {
 	var violations []string
 	packets := 0
 	sys.Network().Trace(func(m transport.Message) {
-		se, ok := m.Payload.(stepExecute)
+		se, ok := m.Payload.(*stepExecute)
 		if !ok {
 			return
 		}

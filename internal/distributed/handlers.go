@@ -43,49 +43,51 @@ var afterMessage func(a *Agent)
 
 func (a *Agent) handleMessage(m transport.Message) {
 	switch p := m.Payload.(type) {
-	case workflowStart:
-		if err := a.handleWorkflowStart(p); err != nil {
+	case *workflowStart:
+		if err := a.handleWorkflowStart(*p); err != nil {
 			a.Logf("WorkflowStart: %v", err)
 		}
-	case stepExecute:
-		a.handleStepExecute(p, m.From)
-	case stepCompleted:
-		a.handleStepCompleted(p)
-	case workflowRollback:
-		a.handleWorkflowRollback(p)
-	case haltThread:
-		a.handleHaltThread(p)
-	case compensateSet:
-		a.handleCompensateSet(p)
-	case compensateThread:
-		a.handleCompensateThread(p)
-	case stepCompensate:
-		a.handleStepCompensate(p)
-	case stepCompensated:
-		a.handleStepCompensated(p)
-	case workflowAbort:
-		if err := a.handleWorkflowAbort(p); err != nil {
+	case *stepExecute:
+		a.handleStepExecute(*p, m.From)
+	case *stepCompleted:
+		a.handleStepCompleted(*p)
+	case *workflowRollback:
+		a.handleWorkflowRollback(*p)
+	case *haltThread:
+		a.handleHaltThread(*p)
+	case *compensateSet:
+		a.handleCompensateSet(*p)
+	case *compensateThread:
+		a.handleCompensateThread(*p)
+	case *stepCompensate:
+		a.handleStepCompensate(*p)
+	case *stepCompensated:
+		a.handleStepCompensated(*p)
+	case *workflowAbort:
+		if err := a.handleWorkflowAbort(*p); err != nil {
 			a.Logf("WorkflowAbort: %v", err)
 		}
-	case workflowChangeInputs:
-		if err := a.handleWorkflowChangeInputs(p); err != nil {
+	case *workflowChangeInputs:
+		if err := a.handleWorkflowChangeInputs(*p); err != nil {
 			a.Logf("WorkflowChangeInputs: %v", err)
 		}
-	case stepStatus:
-		a.handleStepStatus(p)
-	case stepStatusReply:
-		a.handleStepStatusReply(p)
-	case stateInformation:
-		a.Send(p.ReplyTo, metrics.Normal, "StateResponse", stateInformationReply{Agent: a.cfg.Name, Load: a.execCount})
-	case stateInformationReply:
+	case *stepStatus:
+		a.handleStepStatus(*p)
+	case *stepStatusReply:
+		a.handleStepStatusReply(*p)
+	case *stateInformation:
+		a.Send(p.ReplyTo, metrics.Normal, "StateResponse", &stateInformationReply{Agent: a.cfg.Name, Load: a.execCount})
+	case *stateInformationReply:
 		// The election is deterministic: the explicit election's probe
 		// replies are counted traffic and choose nothing.
-	case nestedResult:
-		a.handleNestedResult(p)
-	case purgeNote:
-		a.handlePurge(p)
+	case *nestedResult:
+		a.handleNestedResult(*p)
+	case *purgeNote:
+		a.handlePurge(*p)
 	default:
-		coord.Dispatch(p, a)
+		if !coord.Dispatch(p, a) {
+			a.Logf("unhandled payload %T", p)
+		}
 	}
 }
 
@@ -136,6 +138,12 @@ func (a *Agent) handleWorkflowStart(p workflowStart) error {
 
 func (a *Agent) handleStepExecute(p stepExecute, from string) {
 	pkt := p.Packet
+	if pkt == nil {
+		// The wire allows a StepExecute without a packet (its presence
+		// byte), and no sender writes one.
+		a.Logf("StepExecute from %s without a packet", from)
+		return
+	}
 	r, err := a.getReplica(pkt.Workflow, pkt.Instance)
 	if err != nil {
 		if errors.Is(err, errRetired) {
@@ -173,7 +181,8 @@ func (a *Agent) handleStepExecute(p stepExecute, from string) {
 	// Anti-entropy: a sender operating at an older epoch has missed a
 	// rollback; tell it to catch up so its threads quiesce and re-execute.
 	if pkt.Epoch < r.epoch && r.lastHalt != nil && from != "" && from != a.cfg.Name {
-		a.Send(from, r.lastHalt.Mechanism, KindHaltThread, *r.lastHalt)
+		h := *r.lastHalt
+		a.Send(from, h.Mechanism, KindHaltThread, &h)
 	}
 	nav.Evaluate(r)
 	r.Persist()
@@ -354,7 +363,7 @@ func (a *Agent) afterStepDone(r *replica, step model.StepID, mech metrics.Mechan
 				continue
 			}
 			a.site.Rec.Add(mech, 1)
-			a.Send(a.executorOf(r, arc.To), mech, KindCompensateThread, compensateThread{
+			a.Send(a.executorOf(r, arc.To), mech, KindCompensateThread, &compensateThread{
 				Workflow:  r.Ins.Workflow,
 				Instance:  r.Ins.ID,
 				Step:      arc.To,
@@ -412,20 +421,20 @@ func (a *Agent) forwardPacket(r *replica, target model.StepID, reset []model.Ste
 	if a.cfg.ExplicitElection {
 		for _, ag := range elig {
 			if ag != a.cfg.Name && a.alive(ag) {
-				a.Send(ag, mech, KindStateInformation, stateInformation{ReplyTo: a.cfg.Name})
+				a.Send(ag, mech, KindStateInformation, &stateInformation{ReplyTo: a.cfg.Name})
 			}
 		}
 		chosen := a.executorOf(r, target)
 		if chosen == "" {
 			chosen = a.cfg.Name
 		}
-		a.Send(chosen, mech, KindStepExecute, stepExecute{Packet: pkt, Mechanism: mech})
+		a.Send(chosen, mech, KindStepExecute, &stepExecute{Packet: pkt, Mechanism: mech})
 		return
 	}
 	// One packet for every recipient: it is a snapshot nobody writes again
 	// (the sender keeps no reference, receivers only read it).
 	for _, ag := range elig {
-		a.Send(ag, mech, KindStepExecute, stepExecute{Packet: pkt, Mechanism: mech})
+		a.Send(ag, mech, KindStepExecute, &stepExecute{Packet: pkt, Mechanism: mech})
 	}
 }
 
@@ -475,7 +484,7 @@ func (a *Agent) finishInstance(r *replica) {
 
 	// Nested: report to the parent step's agent.
 	if p := r.Ins.Parent; p != nil && r.parentAgent != "" {
-		a.Send(r.parentAgent, metrics.Normal, KindNestedResult, nestedResult{
+		a.Send(r.parentAgent, metrics.Normal, KindNestedResult, &nestedResult{
 			ParentWorkflow: p.Workflow,
 			ParentInstance: p.ID,
 			ParentStep:     p.Step,
@@ -504,7 +513,7 @@ func (a *Agent) broadcastPurges() {
 	if len(a.purges) == 0 {
 		return
 	}
-	note := purgeNote{Entries: a.purges}
+	note := &purgeNote{Entries: a.purges}
 	a.purges = nil
 	for _, ag := range a.cfg.Agents {
 		if ag != a.cfg.Name {
@@ -536,10 +545,10 @@ func (a *Agent) onStepFailure(r *replica, step model.StepID, mech metrics.Mechan
 	a.site.Rec.Add(metrics.Failure, 1)
 	origin, ok := r.Retry(step)
 	if !ok {
-		a.Send(a.coordinatorOf(r), metrics.Failure, KindWorkflowAbort, workflowAbort{Workflow: r.Ins.Workflow, Instance: r.Ins.ID})
+		a.Send(a.coordinatorOf(r), metrics.Failure, KindWorkflowAbort, &workflowAbort{Workflow: r.Ins.Workflow, Instance: r.Ins.ID})
 		return
 	}
-	a.Send(a.executorOf(r, origin), metrics.Failure, KindWorkflowRollback, workflowRollback{
+	a.Send(a.executorOf(r, origin), metrics.Failure, KindWorkflowRollback, &workflowRollback{
 		Workflow:  r.Ins.Workflow,
 		Instance:  r.Ins.ID,
 		Origin:    origin,
@@ -663,7 +672,7 @@ func (a *Agent) haltSuccessorsOf(r *replica, step, origin model.StepID, epoch in
 			if ag == a.cfg.Name {
 				continue
 			}
-			a.Send(ag, mech, KindHaltThread, haltThread{
+			a.Send(ag, mech, KindHaltThread, &haltThread{
 				Workflow:  r.Ins.Workflow,
 				Instance:  r.Ins.ID,
 				Origin:    origin,
@@ -739,7 +748,7 @@ func (a *Agent) startCompensateSetChain(r *replica, origin model.StepID, plan []
 	// plan is already in compensation order (reverse execution order, ending
 	// with origin); StepList keeps that order.
 	a.site.Rec.Add(mech, 1)
-	a.Send(a.executorOf(r, plan[0]), mech, KindCompensateSet, compensateSet{
+	a.Send(a.executorOf(r, plan[0]), mech, KindCompensateSet, &compensateSet{
 		Workflow:  r.Ins.Workflow,
 		Instance:  r.Ins.ID,
 		Origin:    origin,
@@ -786,7 +795,7 @@ func (a *Agent) handleCompensateSet(p compensateSet) {
 		r.Persist()
 		return
 	}
-	a.Send(a.executorOf(r, rest[0]), p.Mechanism, KindCompensateSet, compensateSet{
+	a.Send(a.executorOf(r, rest[0]), p.Mechanism, KindCompensateSet, &compensateSet{
 		Workflow:    p.Workflow,
 		Instance:    p.Instance,
 		Origin:      p.Origin,
@@ -857,7 +866,7 @@ func (a *Agent) handleCompensateThread(p compensateThread) {
 		if r.Schema.IsConfluence(arc.To) {
 			continue // stop before the confluence point
 		}
-		a.Send(a.executorOf(r, arc.To), p.Mechanism, KindCompensateThread, compensateThread{
+		a.Send(a.executorOf(r, arc.To), p.Mechanism, KindCompensateThread, &compensateThread{
 			Workflow:  p.Workflow,
 			Instance:  p.Instance,
 			Step:      arc.To,
@@ -940,7 +949,7 @@ func (a *Agent) pumpAbort(r *replica) {
 		elig := nav.EffectiveAgents(r.Schema.Steps[step], a.cfg.Agents)
 		for _, ag := range elig {
 			ab.pending++
-			a.Send(ag, metrics.Abort, KindStepCompensate, stepCompensate{
+			a.Send(ag, metrics.Abort, KindStepCompensate, &stepCompensate{
 				Workflow:  r.Ins.Workflow,
 				Instance:  r.Ins.ID,
 				Step:      step,
@@ -956,7 +965,7 @@ func (a *Agent) handleStepCompensate(p stepCompensate) {
 	if err == nil && a.compensateOwn(r, p.Step, p.Mechanism) {
 		r.Persist()
 	}
-	a.Send(p.ReplyTo, p.Mechanism, KindStepCompensated, stepCompensated{
+	a.Send(p.ReplyTo, p.Mechanism, KindStepCompensated, &stepCompensated{
 		Workflow: p.Workflow,
 		Instance: p.Instance,
 		Step:     p.Step,
@@ -990,7 +999,7 @@ func (a *Agent) handleWorkflowChangeInputs(p workflowChangeInputs) error {
 		return nil
 	}
 	r.inputEpoch++
-	a.Send(a.executorOf(r, origin), metrics.InputChange, KindWorkflowRollback, workflowRollback{
+	a.Send(a.executorOf(r, origin), metrics.InputChange, KindWorkflowRollback, &workflowRollback{
 		Workflow:  p.Workflow,
 		Instance:  p.Instance,
 		Origin:    origin,
@@ -1015,7 +1024,7 @@ func (a *Agent) startNested(r *replica, step model.StepID, inputs map[string]exp
 	r.Ins.RecordExecuting(step, a.cfg.Name, inputs)
 	childID := r.Ins.ID*1000 + int(r.Ins.StepRec(step).Attempts)
 	a.site.Rec.Add(mech, 1)
-	a.Send(a.electCoordinator(s.Nested, childID), mech, KindWorkflowStart, workflowStart{
+	a.Send(a.electCoordinator(s.Nested, childID), mech, KindWorkflowStart, &workflowStart{
 		Workflow: s.Nested,
 		Instance: childID,
 		Inputs:   nav.NestedInputs(s, child, r.Ins),
@@ -1155,7 +1164,7 @@ func (a *Agent) reportTerminals(r *replica) {
 // reportTerminal sends the coordination agent the replica's state after a
 // terminal step (StepCompleted WI).
 func (a *Agent) reportTerminal(r *replica, to string, step model.StepID) {
-	a.Send(to, metrics.Normal, KindStepCompleted, stepCompleted{
+	a.Send(to, metrics.Normal, KindStepCompleted, &stepCompleted{
 		Workflow: r.Ins.Workflow,
 		Instance: r.Ins.ID,
 		Step:     step,
@@ -1195,7 +1204,7 @@ func (a *Agent) pollOverdueRules(r *replica, now time.Time) {
 					continue
 				}
 				a.site.Rec.Add(metrics.Failure, 1)
-				a.Send(ag, metrics.Failure, KindStepStatus, stepStatus{
+				a.Send(ag, metrics.Failure, KindStepStatus, &stepStatus{
 					Workflow: r.Ins.Workflow,
 					Instance: r.Ins.ID,
 					Step:     producer,
@@ -1220,7 +1229,7 @@ func (a *Agent) handleStepStatus(p stepStatus) {
 			}
 		}
 	}
-	a.Send(p.ReplyTo, metrics.Failure, KindStepStatusReply, stepStatusReply{
+	a.Send(p.ReplyTo, metrics.Failure, KindStepStatusReply, &stepStatusReply{
 		Workflow: p.Workflow,
 		Instance: p.Instance,
 		Step:     p.Step,
@@ -1231,7 +1240,7 @@ func (a *Agent) handleStepStatus(p stepStatus) {
 	// waiting agent can proceed.
 	if status == "done" && ok {
 		pkt := a.buildPacket(r, p.ForStep, nil)
-		a.Send(p.ReplyTo, metrics.Failure, KindStepExecute, stepExecute{Packet: pkt, Mechanism: metrics.Failure})
+		a.Send(p.ReplyTo, metrics.Failure, KindStepExecute, &stepExecute{Packet: pkt, Mechanism: metrics.Failure})
 	}
 }
 
@@ -1267,6 +1276,6 @@ func (a *Agent) handleStepStatusReply(p stepStatusReply) {
 		}
 		pkt := a.buildPacket(r, p.Step, nil)
 		a.site.Rec.Add(metrics.Failure, 1)
-		a.Send(target, metrics.Failure, KindStepExecute, stepExecute{Packet: pkt, Mechanism: metrics.Failure})
+		a.Send(target, metrics.Failure, KindStepExecute, &stepExecute{Packet: pkt, Mechanism: metrics.Failure})
 	}
 }

@@ -1,8 +1,6 @@
 package distributed
 
 import (
-	"encoding/binary"
-
 	"crew/internal/binenc"
 	"crew/internal/expr"
 	"crew/internal/metrics"
@@ -12,29 +10,30 @@ import (
 )
 
 func init() {
-	// Register every WI payload this architecture puts on the transport with
-	// its codec (at the end of this file), so wire backends (unix/tcp
-	// sockets, the multi-process hub) can carry them across a process
-	// boundary, and the message kinds, so a decoded Kind is not a copy.
-	transport.RegisterPayload(appendWorkflowStart, decodeWorkflowStart)
-	transport.RegisterPayload(appendStepExecute, decodeStepExecute)
-	transport.RegisterPayload(appendStepCompleted, decodeStepCompleted)
-	transport.RegisterPayload(appendWorkflowRollback, decodeWorkflowRollback)
-	transport.RegisterPayload(appendHaltThread, decodeHaltThread)
-	transport.RegisterPayload(appendCompensateSet, decodeCompensateSet)
-	transport.RegisterPayload(appendCompensateThread, decodeCompensateThread)
-	transport.RegisterPayload(appendStepCompensate, decodeStepCompensate)
-	transport.RegisterPayload(appendStepCompensated, decodeStepCompensated)
-	transport.RegisterPayload(appendWorkflowAbort, decodeWorkflowAbort)
-	transport.RegisterPayload(appendWorkflowChangeInputs, decodeWorkflowChangeInputs)
-	transport.RegisterPayload(appendStepStatus, decodeStepStatus)
-	transport.RegisterPayload(appendStepStatusReply, decodeStepStatusReply)
-	transport.RegisterPayload(appendStateInformation, decodeStateInformation)
-	transport.RegisterPayload(appendStateInformationReply, decodeStateInformationReply)
-	transport.RegisterPayload(appendNestedResult, decodeNestedResult)
-	transport.RegisterPayload(appendPurgeNote, decodePurgeNote)
-	//crew:allow wireframe WorkflowDone is handled by the front end (mproc cluster runner), not by the agents in this package
-	transport.RegisterPayload(appendWorkflowDone, decodeWorkflowDone)
+	// Register every WI payload this architecture puts on the transport (each
+	// type's walk, at the end of this file, is its codec), so wire backends
+	// (unix/tcp sockets, the multi-process hub) can carry them across a
+	// process boundary, and the message kinds, so a decoded Kind is not a
+	// copy. WorkflowDone is handled by the multi-process front end (package
+	// mproc), not by the agents in this package.
+	transport.RegisterPayload[workflowStart]()
+	transport.RegisterPayload[stepExecute]()
+	transport.RegisterPayload[stepCompleted]()
+	transport.RegisterPayload[workflowRollback]()
+	transport.RegisterPayload[haltThread]()
+	transport.RegisterPayload[compensateSet]()
+	transport.RegisterPayload[compensateThread]()
+	transport.RegisterPayload[stepCompensate]()
+	transport.RegisterPayload[stepCompensated]()
+	transport.RegisterPayload[workflowAbort]()
+	transport.RegisterPayload[workflowChangeInputs]()
+	transport.RegisterPayload[stepStatus]()
+	transport.RegisterPayload[stepStatusReply]()
+	transport.RegisterPayload[stateInformation]()
+	transport.RegisterPayload[stateInformationReply]()
+	transport.RegisterPayload[nestedResult]()
+	transport.RegisterPayload[purgeNote]()
+	transport.RegisterPayload[WorkflowDone]()
 	transport.RegisterKinds(KindWorkflowStart, KindWorkflowChangeInputs, KindWorkflowAbort,
 		KindStepExecute, KindStepCompensate, KindStepCompensated, KindStepCompleted,
 		KindStepStatus, KindStepStatusReply, KindWorkflowRollback, KindHaltThread,
@@ -265,253 +264,157 @@ type purgeEntry struct {
 }
 
 // ---------------------------------------------------------------------------
-// Wire codecs. One append/decode pair per payload above, registered in init:
-// the fields in declaration order on the primitives of package binenc, data
-// items as expr.AppendValues writes them (sorted by name). The three on the
-// path of every step (workflowStart, stepExecute with its packet,
-// stepCompleted) are //crew:hotpath.
+// Wire forms. One walk per payload above: its fields in declaration order, on
+// the walker of package binenc, data items as expr.WalkValues writes them
+// (sorted by name). The walks on the path of every step (workflowStart,
+// stepExecute with its packet, stepCompleted) are //crew:hotpath.
 
-// appendInst and appendStep append the (workflow, instance[, step]) prefix
-// most payloads open with.
+// walkInst walks the (workflow, instance) prefix most payloads open with.
 //
 //crew:hotpath
-func appendInst(dst []byte, workflow string, instance int) []byte {
-	return binenc.AppendInt(binenc.AppendString(dst, workflow), instance)
+func walkInst(w *binenc.Walker, workflow *string, instance *int) {
+	w.String(workflow)
+	w.Int(instance)
 }
 
-func appendStep(dst []byte, workflow string, instance int, step model.StepID) []byte {
-	return binenc.AppendString(appendInst(dst, workflow, instance), string(step))
-}
-
-func stepID(r *binenc.Reader) model.StepID { return model.StepID(r.Str()) }
-
-func appendWorkflowDone(dst []byte, p WorkflowDone, _ *[]string) []byte {
-	return binenc.AppendInt(appendInst(dst, p.Workflow, p.Instance), int(p.Status))
-}
-
-func decodeWorkflowDone(r *binenc.Reader) WorkflowDone {
-	return WorkflowDone{Workflow: r.Str(), Instance: r.Int(), Status: wfdb.Status(r.Int())}
+func (p *WorkflowDone) Walk(w *binenc.Walker) {
+	walkInst(w, &p.Workflow, &p.Instance)
+	p.Status.Walk(w)
 }
 
 //crew:hotpath
-func appendWorkflowStart(dst []byte, p workflowStart, keys *[]string) []byte {
-	dst = appendInst(dst, p.Workflow, p.Instance)
-	dst = expr.AppendValues(dst, p.Inputs, keys)
-	dst = binenc.AppendBool(dst, p.Parent != nil)
-	if p.Parent != nil {
-		dst = p.Parent.Append(dst)
+func (p *workflowStart) Walk(w *binenc.Walker) {
+	walkInst(w, &p.Workflow, &p.Instance)
+	expr.WalkValues(w, &p.Inputs)
+	if binenc.Present(w, &p.Parent) {
+		p.Parent.Walk(w)
 	}
-	dst = binenc.AppendInt(dst, p.ParentInst)
-	dst = binenc.AppendString(dst, p.ParentAgent)
-	return binenc.AppendString(dst, p.ReplyTo)
-}
-
-func decodeWorkflowStart(r *binenc.Reader) workflowStart {
-	p := workflowStart{Workflow: r.Str(), Instance: r.Int(), Inputs: expr.DecodeValues(r)}
-	if r.Bool() {
-		parent := model.DecodeStepRef(r)
-		p.Parent = &parent
-	}
-	p.ParentInst, p.ParentAgent, p.ReplyTo = r.Int(), r.Str(), r.Str()
-	return p
+	w.Int(&p.ParentInst)
+	w.String(&p.ParentAgent)
+	w.String(&p.ReplyTo)
 }
 
 // A stepExecute is a presence byte, the packet of Figure 7 when present, and
 // the mechanism.
 //
 //crew:hotpath
-func appendStepExecute(dst []byte, p stepExecute, keys *[]string) []byte {
-	dst = binenc.AppendBool(dst, p.Packet != nil)
-	if pkt := p.Packet; pkt != nil {
-		dst = appendInst(dst, pkt.Workflow, pkt.Instance)
-		dst = binenc.AppendInt(dst, pkt.Epoch)
-		dst = binenc.AppendString(dst, string(pkt.TargetStep))
-		dst = expr.AppendValues(dst, pkt.Data, keys)
-		dst = binenc.AppendStrings(dst, pkt.Events)
-		dst = binenc.AppendStrings(dst, pkt.ResetSteps)
-		dst = binenc.AppendStrings(dst, pkt.Leading)
-		dst = binenc.AppendStrings(dst, pkt.Lagging)
-		dst = binenc.AppendString(dst, pkt.Coordinator)
+func (p *stepExecute) Walk(w *binenc.Walker) {
+	if binenc.Present(w, &p.Packet) {
+		p.Packet.Walk(w)
 	}
-	return p.Mechanism.Append(dst)
-}
-
-func decodeStepExecute(r *binenc.Reader) stepExecute {
-	var p stepExecute
-	if r.Bool() {
-		p.Packet = &Packet{
-			Workflow:    r.Str(),
-			Instance:    r.Int(),
-			Epoch:       r.Int(),
-			TargetStep:  stepID(r),
-			Data:        expr.DecodeValues(r),
-			Events:      binenc.Strings[string](r),
-			ResetSteps:  binenc.Strings[model.StepID](r),
-			Leading:     binenc.Strings[string](r),
-			Lagging:     binenc.Strings[string](r),
-			Coordinator: r.Str(),
-		}
-	}
-	p.Mechanism = metrics.DecodeMechanism(r)
-	return p
+	p.Mechanism.Walk(w)
 }
 
 //crew:hotpath
-func appendStepCompleted(dst []byte, p stepCompleted, keys *[]string) []byte {
-	dst = appendInst(dst, p.Workflow, p.Instance)
-	dst = binenc.AppendString(dst, string(p.Step))
-	dst = binenc.AppendInt(dst, p.Epoch)
-	dst = expr.AppendValues(dst, p.Data, keys)
-	return binenc.AppendStrings(dst, p.Events)
+func (pkt *Packet) Walk(w *binenc.Walker) {
+	walkInst(w, &pkt.Workflow, &pkt.Instance)
+	w.Int(&pkt.Epoch)
+	pkt.TargetStep.Walk(w)
+	expr.WalkValues(w, &pkt.Data)
+	binenc.Strings(w, &pkt.Events)
+	binenc.Strings(w, &pkt.ResetSteps)
+	binenc.Strings(w, &pkt.Leading)
+	binenc.Strings(w, &pkt.Lagging)
+	w.String(&pkt.Coordinator)
 }
 
-func decodeStepCompleted(r *binenc.Reader) stepCompleted {
-	return stepCompleted{Workflow: r.Str(), Instance: r.Int(), Step: stepID(r), Epoch: r.Int(),
-		Data: expr.DecodeValues(r), Events: binenc.Strings[string](r)}
+//crew:hotpath
+func (p *stepCompleted) Walk(w *binenc.Walker) {
+	walkInst(w, &p.Workflow, &p.Instance)
+	p.Step.Walk(w)
+	w.Int(&p.Epoch)
+	expr.WalkValues(w, &p.Data)
+	binenc.Strings(w, &p.Events)
 }
 
-func appendWorkflowRollback(dst []byte, p workflowRollback, keys *[]string) []byte {
-	dst = appendStep(dst, p.Workflow, p.Instance, p.Origin)
-	dst = binenc.AppendInt(dst, p.Epoch)
-	dst = binenc.AppendString(dst, p.Initiator)
-	dst = expr.AppendValues(dst, p.NewData, keys)
-	return p.Mechanism.Append(dst)
+func (p *workflowRollback) Walk(w *binenc.Walker) {
+	walkInst(w, &p.Workflow, &p.Instance)
+	p.Origin.Walk(w)
+	w.Int(&p.Epoch)
+	w.String(&p.Initiator)
+	expr.WalkValues(w, &p.NewData)
+	p.Mechanism.Walk(w)
 }
 
-func decodeWorkflowRollback(r *binenc.Reader) workflowRollback {
-	return workflowRollback{Workflow: r.Str(), Instance: r.Int(), Origin: stepID(r), Epoch: r.Int(),
-		Initiator: r.Str(), NewData: expr.DecodeValues(r), Mechanism: metrics.DecodeMechanism(r)}
+func (p *haltThread) Walk(w *binenc.Walker) {
+	walkInst(w, &p.Workflow, &p.Instance)
+	p.Origin.Walk(w)
+	p.Step.Walk(w)
+	w.Int(&p.Epoch)
+	w.String(&p.Initiator)
+	p.Mechanism.Walk(w)
 }
 
-func appendHaltThread(dst []byte, p haltThread, _ *[]string) []byte {
-	dst = appendStep(dst, p.Workflow, p.Instance, p.Origin)
-	dst = binenc.AppendString(dst, string(p.Step))
-	dst = binenc.AppendInt(dst, p.Epoch)
-	dst = binenc.AppendString(dst, p.Initiator)
-	return p.Mechanism.Append(dst)
+func (p *compensateSet) Walk(w *binenc.Walker) {
+	walkInst(w, &p.Workflow, &p.Instance)
+	p.Origin.Walk(w)
+	binenc.Strings(w, &p.StepList)
+	binenc.Strings(w, &p.Compensated)
+	p.Mechanism.Walk(w)
 }
 
-func decodeHaltThread(r *binenc.Reader) haltThread {
-	return haltThread{Workflow: r.Str(), Instance: r.Int(), Origin: stepID(r), Step: stepID(r),
-		Epoch: r.Int(), Initiator: r.Str(), Mechanism: metrics.DecodeMechanism(r)}
+func (p *compensateThread) Walk(w *binenc.Walker) {
+	walkInst(w, &p.Workflow, &p.Instance)
+	p.Step.Walk(w)
+	p.Mechanism.Walk(w)
 }
 
-func appendCompensateSet(dst []byte, p compensateSet, _ *[]string) []byte {
-	dst = appendStep(dst, p.Workflow, p.Instance, p.Origin)
-	dst = binenc.AppendStrings(dst, p.StepList)
-	dst = binenc.AppendStrings(dst, p.Compensated)
-	return p.Mechanism.Append(dst)
+func (p *stepCompensate) Walk(w *binenc.Walker) {
+	walkInst(w, &p.Workflow, &p.Instance)
+	p.Step.Walk(w)
+	w.String(&p.ReplyTo)
+	p.Mechanism.Walk(w)
 }
 
-func decodeCompensateSet(r *binenc.Reader) compensateSet {
-	return compensateSet{Workflow: r.Str(), Instance: r.Int(), Origin: stepID(r),
-		StepList: binenc.Strings[model.StepID](r), Compensated: binenc.Strings[model.StepID](r),
-		Mechanism: metrics.DecodeMechanism(r)}
+func (p *stepCompensated) Walk(w *binenc.Walker) {
+	walkInst(w, &p.Workflow, &p.Instance)
+	p.Step.Walk(w)
 }
 
-func appendCompensateThread(dst []byte, p compensateThread, _ *[]string) []byte {
-	return p.Mechanism.Append(appendStep(dst, p.Workflow, p.Instance, p.Step))
+func (p *workflowAbort) Walk(w *binenc.Walker) { walkInst(w, &p.Workflow, &p.Instance) }
+
+func (p *workflowChangeInputs) Walk(w *binenc.Walker) {
+	walkInst(w, &p.Workflow, &p.Instance)
+	expr.WalkValues(w, &p.Inputs)
 }
 
-func decodeCompensateThread(r *binenc.Reader) compensateThread {
-	return compensateThread{Workflow: r.Str(), Instance: r.Int(), Step: stepID(r), Mechanism: metrics.DecodeMechanism(r)}
+func (p *stepStatus) Walk(w *binenc.Walker) {
+	walkInst(w, &p.Workflow, &p.Instance)
+	p.Step.Walk(w)
+	p.ForStep.Walk(w)
+	w.String(&p.ReplyTo)
 }
 
-func appendStepCompensate(dst []byte, p stepCompensate, _ *[]string) []byte {
-	dst = appendStep(dst, p.Workflow, p.Instance, p.Step)
-	return p.Mechanism.Append(binenc.AppendString(dst, p.ReplyTo))
+func (p *stepStatusReply) Walk(w *binenc.Walker) {
+	walkInst(w, &p.Workflow, &p.Instance)
+	p.Step.Walk(w)
+	w.String(&p.Status)
+	w.String(&p.Agent)
 }
 
-func decodeStepCompensate(r *binenc.Reader) stepCompensate {
-	return stepCompensate{Workflow: r.Str(), Instance: r.Int(), Step: stepID(r), ReplyTo: r.Str(),
-		Mechanism: metrics.DecodeMechanism(r)}
+func (p *stateInformation) Walk(w *binenc.Walker) { w.String(&p.ReplyTo) }
+
+func (p *stateInformationReply) Walk(w *binenc.Walker) {
+	w.String(&p.Agent)
+	w.Int64(&p.Load)
 }
 
-func appendStepCompensated(dst []byte, p stepCompensated, _ *[]string) []byte {
-	return appendStep(dst, p.Workflow, p.Instance, p.Step)
+func (p *nestedResult) Walk(w *binenc.Walker) {
+	walkInst(w, &p.ParentWorkflow, &p.ParentInstance)
+	p.ParentStep.Walk(w)
+	walkInst(w, &p.ChildWorkflow, &p.ChildInstance)
+	w.Bool(&p.Committed)
+	expr.WalkValues(w, &p.Data)
 }
 
-func decodeStepCompensated(r *binenc.Reader) stepCompensated {
-	return stepCompensated{Workflow: r.Str(), Instance: r.Int(), Step: stepID(r)}
-}
-
-func appendWorkflowAbort(dst []byte, p workflowAbort, _ *[]string) []byte {
-	return appendInst(dst, p.Workflow, p.Instance)
-}
-
-func decodeWorkflowAbort(r *binenc.Reader) workflowAbort {
-	return workflowAbort{Workflow: r.Str(), Instance: r.Int()}
-}
-
-func appendWorkflowChangeInputs(dst []byte, p workflowChangeInputs, keys *[]string) []byte {
-	return expr.AppendValues(appendInst(dst, p.Workflow, p.Instance), p.Inputs, keys)
-}
-
-func decodeWorkflowChangeInputs(r *binenc.Reader) workflowChangeInputs {
-	return workflowChangeInputs{Workflow: r.Str(), Instance: r.Int(), Inputs: expr.DecodeValues(r)}
-}
-
-func appendStepStatus(dst []byte, p stepStatus, _ *[]string) []byte {
-	dst = appendStep(dst, p.Workflow, p.Instance, p.Step)
-	return binenc.AppendString(binenc.AppendString(dst, string(p.ForStep)), p.ReplyTo)
-}
-
-func decodeStepStatus(r *binenc.Reader) stepStatus {
-	return stepStatus{Workflow: r.Str(), Instance: r.Int(), Step: stepID(r), ForStep: stepID(r), ReplyTo: r.Str()}
-}
-
-func appendStepStatusReply(dst []byte, p stepStatusReply, _ *[]string) []byte {
-	dst = appendStep(dst, p.Workflow, p.Instance, p.Step)
-	return binenc.AppendString(binenc.AppendString(dst, p.Status), p.Agent)
-}
-
-func decodeStepStatusReply(r *binenc.Reader) stepStatusReply {
-	return stepStatusReply{Workflow: r.Str(), Instance: r.Int(), Step: stepID(r), Status: r.Str(), Agent: r.Str()}
-}
-
-func appendStateInformation(dst []byte, p stateInformation, _ *[]string) []byte {
-	return binenc.AppendString(dst, p.ReplyTo)
-}
-
-func decodeStateInformation(r *binenc.Reader) stateInformation {
-	return stateInformation{ReplyTo: r.Str()}
-}
-
-func appendStateInformationReply(dst []byte, p stateInformationReply, _ *[]string) []byte {
-	return binenc.AppendInt(binenc.AppendString(dst, p.Agent), int(p.Load))
-}
-
-func decodeStateInformationReply(r *binenc.Reader) stateInformationReply {
-	return stateInformationReply{Agent: r.Str(), Load: int64(r.Int())}
-}
-
-func appendNestedResult(dst []byte, p nestedResult, keys *[]string) []byte {
-	dst = appendStep(dst, p.ParentWorkflow, p.ParentInstance, p.ParentStep)
-	dst = appendInst(dst, p.ChildWorkflow, p.ChildInstance)
-	dst = binenc.AppendBool(dst, p.Committed)
-	return expr.AppendValues(dst, p.Data, keys)
-}
-
-func decodeNestedResult(r *binenc.Reader) nestedResult {
-	return nestedResult{ParentWorkflow: r.Str(), ParentInstance: r.Int(), ParentStep: stepID(r),
-		ChildWorkflow: r.Str(), ChildInstance: r.Int(), Committed: r.Bool(), Data: expr.DecodeValues(r)}
-}
-
-func appendPurgeNote(dst []byte, p purgeNote, _ *[]string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(p.Entries)))
-	for _, e := range p.Entries {
-		dst = binenc.AppendInt(appendInst(dst, e.Workflow, e.Instance), int(e.Status))
-	}
-	return dst
-}
-
-func decodePurgeNote(r *binenc.Reader) purgeNote {
-	var p purgeNote
-	if n := r.Count(3); n > 0 {
+func (p *purgeNote) Walk(w *binenc.Walker) {
+	n := w.Len(len(p.Entries), 3)
+	if w.Decoding() && n > 0 {
 		p.Entries = make([]purgeEntry, n)
-		for i := range p.Entries {
-			p.Entries[i] = purgeEntry{Workflow: r.Str(), Instance: r.Int(), Status: wfdb.Status(r.Int())}
-		}
 	}
-	return p
+	for i := range p.Entries {
+		e := &p.Entries[i]
+		walkInst(w, &e.Workflow, &e.Instance)
+		e.Status.Walk(w)
+	}
 }

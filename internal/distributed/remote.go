@@ -50,7 +50,7 @@ func CoordinatorFor(lib *model.Library, agents []string, workflow string, id int
 func StartMessage(from, to, workflow string, id int, inputs map[string]expr.Value, replyTo string) transport.Message {
 	return transport.Message{
 		From: from, To: to, Mechanism: metrics.Normal, Kind: KindWorkflowStart,
-		Payload: workflowStart{Workflow: workflow, Instance: id, Inputs: inputs, ReplyTo: replyTo},
+		Payload: &workflowStart{Workflow: workflow, Instance: id, Inputs: inputs, ReplyTo: replyTo},
 	}
 }
 
@@ -58,7 +58,7 @@ func StartMessage(from, to, workflow string, id int, inputs map[string]expr.Valu
 func AbortMessage(from, to, workflow string, id int) transport.Message {
 	return transport.Message{
 		From: from, To: to, Mechanism: metrics.Abort, Kind: KindWorkflowAbort,
-		Payload: workflowAbort{Workflow: workflow, Instance: id},
+		Payload: &workflowAbort{Workflow: workflow, Instance: id},
 	}
 }
 
@@ -66,6 +66,6 @@ func AbortMessage(from, to, workflow string, id int) transport.Message {
 func ChangeInputsMessage(from, to, workflow string, id int, inputs map[string]expr.Value) transport.Message {
 	return transport.Message{
 		From: from, To: to, Mechanism: metrics.InputChange, Kind: KindWorkflowChangeInputs,
-		Payload: workflowChangeInputs{Workflow: workflow, Instance: id, Inputs: inputs},
+		Payload: &workflowChangeInputs{Workflow: workflow, Instance: id, Inputs: inputs},
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"crew/internal/binenc"
 	"crew/internal/event"
 	"crew/internal/expr"
 	"crew/internal/metrics"
@@ -26,7 +27,7 @@ func oneTurnEach(t *testing.T, sys *System, names ...string) {
 		names = sys.SchedulingNodes()
 	}
 	for _, name := range names {
-		m := transport.Message{From: "test", To: name, Mechanism: metrics.Normal, Kind: KindPurge, Payload: purgeNote{}}
+		m := transport.Message{From: "test", To: name, Mechanism: metrics.Normal, Kind: KindPurge, Payload: &purgeNote{}}
 		if err := sys.Network().Send(m); err != nil {
 			t.Fatal(err)
 		}
@@ -151,9 +152,9 @@ func TestSharedPacketIsNotMutated(t *testing.T) {
 	}
 	var mu sync.Mutex
 	byPkt := make(map[*Packet]*sent)
-	var keys []string
+	var w binenc.Walker
 	sys.Network().Trace(func(m transport.Message) {
-		p, ok := m.Payload.(stepExecute)
+		p, ok := m.Payload.(*stepExecute)
 		if !ok || m.From != "a1" {
 			return
 		}
@@ -161,7 +162,7 @@ func TestSharedPacketIsNotMutated(t *testing.T) {
 		defer mu.Unlock()
 		e := byPkt[p.Packet]
 		if e == nil {
-			e = &sent{pkt: p.Packet, enc: appendStepExecute(nil, p, &keys)}
+			e = &sent{pkt: p.Packet, enc: w.Append(nil, p)}
 			byPkt[p.Packet] = e
 		}
 		e.to = append(e.to, m.To)
@@ -190,8 +191,7 @@ func TestSharedPacketIsNotMutated(t *testing.T) {
 		if len(e.to) == 2 {
 			shared++
 		}
-		var keys []string
-		if now := appendStepExecute(nil, stepExecute{Packet: e.pkt, Mechanism: metrics.Normal}, &keys); !bytes.Equal(now, e.enc) {
+		if now := w.Append(nil, &stepExecute{Packet: e.pkt, Mechanism: metrics.Normal}); !bytes.Equal(now, e.enc) {
 			t.Errorf("packet %s.%d for %s changed after it was sent to %v", e.pkt.Workflow, e.pkt.Instance, e.pkt.TargetStep, e.to)
 		}
 	}

@@ -1,6 +1,10 @@
 package event
 
-import "testing"
+import (
+	"testing"
+
+	"crew/internal/binenc"
+)
 
 // TestPostAllocBudget guards the event-table hot path the hotalloc analyzer
 // gates (//crew:hotpath on Post): re-posting an existing event — the
@@ -18,18 +22,18 @@ func TestPostAllocBudget(t *testing.T) {
 }
 
 // TestAppendAllocBudget guards the row-encoding hot path (//crew:hotpath on
-// Append): with a warm buffer and sort scratch it must not allocate.
+// Walk): with a warm buffer and walker it must not allocate.
 func TestAppendAllocBudget(t *testing.T) {
 	tab := NewTable()
 	for _, name := range []string{WorkflowStartName, "S2.done", "S1.done", "S1.fail", "ext:WF1.3:S12.done"} {
 		tab.Post(name)
 	}
-	var names []string
-	buf := tab.Append(nil, &names)
+	var w binenc.Walker
+	buf := w.Append(nil, tab)
 	avg := testing.AllocsPerRun(500, func() {
-		buf = tab.Append(buf[:0], &names)
+		buf = w.Append(buf[:0], tab)
 	})
 	if avg > 0 {
-		t.Errorf("Append allocates %.2f/op into a warm buffer, budget 0", avg)
+		t.Errorf("Walk allocates %.2f/op into a warm buffer, budget 0", avg)
 	}
 }

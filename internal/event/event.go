@@ -9,9 +9,7 @@
 package event
 
 import (
-	"encoding/binary"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -319,39 +317,25 @@ func (t *Table) Export() []Exported {
 	return out
 }
 
-// Append appends the table's binary form — the event section of a WFDB row —
-// to dst: the entry count, then every entry (invalidated ones included, with
-// their counts) as name, count, validity byte, sorted by name so equal tables
-// encode to equal bytes. names is sort scratch the caller reuses across
-// calls; with a warm scratch and buffer the call does not allocate.
+// Walk is the table's binary form — the event section of a WFDB row: every
+// entry (invalidated ones included, with their counts) as name, count,
+// validity byte, in name order (binenc.Map). A decoded table has no observer.
 //
 //crew:hotpath
-func (t *Table) Append(dst []byte, names *[]string) []byte {
-	keys := (*names)[:0]
-	//crew:allow hotalloc collects names only; the sort below fixes the order
-	for name := range t.entries {
-		keys = append(keys, name)
+func (t *Table) Walk(w *binenc.Walker) {
+	binenc.Map(w, &t.entries, 3, walkEntry)
+	if w.Decoding() {
+		if t.entries == nil {
+			//crew:allow hotalloc decoding allocates what it returns
+			t.entries = make(map[string]entry)
+		}
+		t.seq = len(t.entries)
 	}
-	slices.Sort(keys)
-	*names = keys
-	dst = binary.AppendUvarint(dst, uint64(len(keys)))
-	for _, name := range keys {
-		e := t.entries[name]
-		dst = binenc.AppendString(dst, name)
-		dst = binenc.AppendInt(dst, e.count)
-		dst = binenc.AppendBool(dst, e.valid)
-	}
-	return dst
 }
 
-// DecodeTable reads a table written by Append. The table starts with no
-// observer; malformed input fails the reader.
-func DecodeTable(r *binenc.Reader) *Table {
-	n := r.Count(3) // name length, count, validity
-	t := &Table{entries: make(map[string]entry, n), seq: n}
-	for i := 0; i < n; i++ {
-		name := r.Str()
-		t.entries[name] = entry{count: r.Int(), valid: r.Bool()}
-	}
-	return t
+//crew:hotpath
+func walkEntry(w *binenc.Walker, e entry) entry {
+	w.Int(&e.count)
+	w.Bool(&e.valid)
+	return e
 }

@@ -268,12 +268,13 @@ func TestBinaryRoundTrip(t *testing.T) {
 	tab.Post("S1.done")
 	tab.Post("S1.fail")
 	tab.Invalidate("S1.fail")
-	var names []string
-	buf := tab.Append(nil, &names)
-	r := binenc.NewReader(append(append([]byte(nil), buf...), 0xEE))
-	got := DecodeTable(r)
-	if r.Byte() != 0xEE || r.Done() != nil {
-		t.Fatal("DecodeTable did not stop at the end of the table")
+	var w binenc.Walker
+	buf := append([]byte(nil), w.Append(nil, tab)...)
+	w.Decode(append(append([]byte(nil), buf...), 0xEE))
+	got := new(Table)
+	got.Walk(&w)
+	if w.Reader().Byte() != 0xEE || w.Done() != nil {
+		t.Fatal("the decode walk did not stop at the end of the table")
 	}
 	if !reflect.DeepEqual(got.Export(), tab.Export()) {
 		t.Errorf("round trip = %v, want %v", got.Export(), tab.Export())
@@ -288,23 +289,20 @@ func TestBinaryRoundTrip(t *testing.T) {
 	other.Post("S1.done")
 	other.Post("S1.done")
 	other.Post("S2.done")
-	if !bytes.Equal(other.Append(nil, &names), buf) {
+	if !bytes.Equal(w.Append(nil, other), buf) {
 		t.Error("encoding depends on insertion order")
 	}
-	r = binenc.NewReader(NewTable().Append(nil, &names))
-	if empty := DecodeTable(r); r.Done() != nil || empty.Len() != 0 {
+	empty := new(Table)
+	if err := w.Read(w.Append(nil, NewTable()), empty); err != nil || empty.Len() != 0 {
 		t.Error("empty table round trip")
 	}
 	// Truncations and a count the input cannot hold fail cleanly.
 	for cut := 0; cut < len(buf); cut++ {
-		r := binenc.NewReader(buf[:cut])
-		DecodeTable(r)
-		if r.Done() == nil {
+		if w.Read(buf[:cut], new(Table)) == nil {
 			t.Fatalf("table cut at %d decoded", cut)
 		}
 	}
-	r = binenc.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 1, 'a', 2, 1})
-	if DecodeTable(r); r.Done() == nil {
+	if w.Read([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 1, 'a', 2, 1}, new(Table)) == nil {
 		t.Error("oversized count decoded")
 	}
 }

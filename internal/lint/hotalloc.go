@@ -3,7 +3,7 @@ package lint
 // hotalloc enforces that functions annotated //crew:hotpath are
 // allocation-free. The per-event path — rules.FireOn through event.Table
 // posting into the itable shards, the transport's batch/frame encoders and
-// the payload encoders — runs once per message or step; its AllocsPerRun
+// the payload walks — runs once per message or step; its AllocsPerRun
 // budgets only catch a regression after the fact and only on the exact path
 // a test drives. This analyzer rejects the allocation
 // at the line that introduces it: map iteration, fmt/errors/json/reflect

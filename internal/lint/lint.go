@@ -15,10 +15,9 @@
 //     package) emits messages, posts events, or writes the WAL — map
 //     iteration order is nondeterministic and breaks replay and the exact
 //     Tables 4-6 comparisons; iterate a sorted copy instead.
-//   - wireframe: wire-protocol exhaustiveness — every frame type and every
-//     RegisterPayload-registered payload must have encode, decode, and
-//     handler arms, so adding a frame without handling it is a lint error,
-//     not a runtime drop.
+//   - wireframe: wire-protocol exhaustiveness — every frame type must have
+//     an encode use and a dispatch arm, so adding a frame without handling
+//     it is a lint error, not a runtime drop.
 //   - hotalloc: //crew:hotpath functions must be allocation-free — no map
 //     range, no fmt, no interface boxing, no escaping closure capture,
 //     directly or through anything they call.

@@ -48,8 +48,3 @@ type RemoteHub struct{}
 
 //crew:blocks
 func (h *RemoteHub) WaitConnected(names ...string) error { return nil }
-
-// RegisterPayload mirrors the real payload registry entry point: one payload
-// type per call, with its codec.
-func RegisterPayload[T any](appendTo func(dst []byte, p T, keys *[]string) []byte, decode func(b []byte) T) {
-}

@@ -1,9 +1,6 @@
 // Package wireframe_a seeds wireframe violations: frame constants without
-// encode or dispatch arms, non-exhaustive frame switches, and registered
-// payloads without handler arms.
+// encode or dispatch arms, and non-exhaustive frame switches.
 package wireframe_a
-
-import "crew/internal/transport"
 
 const (
 	frameMsg byte = iota + 1
@@ -46,36 +43,6 @@ func dispatchAllowed(typ byte) int {
 	//crew:allow wireframe fixture: peer only ever sends Msg here
 	switch typ {
 	case frameMsg:
-		return 1
-	}
-	return 0
-}
-
-// --- payload registry -------------------------------------------------------
-
-type Handled struct{ N int }
-
-type Orphan struct{ N int }
-
-type External struct{ N int }
-
-type Explicit struct{ N int }
-
-func put[T any](dst []byte, p T, keys *[]string) []byte { return dst }
-
-func get[T any](b []byte) (p T) { return p }
-
-func init() {
-	transport.RegisterPayload(put[Handled], get[Handled])
-	transport.RegisterPayload(put[*Orphan], get[*Orphan]) // want "payload Orphan is registered for the wire but has no handler arm"
-	//crew:allow wireframe consumed by the frontend package, not here
-	transport.RegisterPayload(put[External], get[External])
-	transport.RegisterPayload[Explicit](put, get) // want "payload Explicit is registered for the wire but has no handler arm"
-}
-
-func handle(p any) int {
-	switch p.(type) {
-	case Handled, *Handled:
 		return 1
 	}
 	return 0

@@ -1,32 +1,21 @@
 package lint
 
-// wireframe enforces wire-protocol exhaustiveness. The frame set
-// (HELLO/WELCOME/MSG/ACK/CRASH/RECOVER/EXEC) and the RegisterPayload
-// registry are the transport's extension points, and both fail open at
-// runtime: an unknown frame type falls through a switch and is silently
-// dropped, an unhandled payload decodes fine and then matches no
-// type-switch arm. Both failure modes have already cost debugging time in
-// distributed systems exactly like the paper's; this analyzer turns them
-// into lint errors at the commit that introduces the new frame or payload.
+// wireframe enforces that the frame set (HELLO/WELCOME/MSG/ACK/CRASH/
+// RECOVER/EXEC) is exhaustive. Frame types are the transport's extension
+// point, and they fail open at runtime: an unknown frame type falls through a
+// switch and is silently dropped. This analyzer turns that into a lint error
+// at the commit that introduces the new frame. Frame constants (package-level
+// constants named frame*, of an integer type) must each have at least one
+// encode use (a non-comparison use: passed to appendFrame, assigned,
+// returned) and at least one dispatch arm (a switch case or ==/!=
+// comparison). And every switch statement that dispatches on frame constants
+// must be exhaustive: cover every frame constant or carry a default clause
+// that handles the unknown frame explicitly.
 //
-// Two checks:
-//
-//  1. Frame constants (package-level constants named frame*, of an integer
-//     type) must each have at least one encode use (a non-comparison use:
-//     passed to appendFrame, assigned, returned) and at least one dispatch
-//     arm (a switch case or ==/!= comparison). And every switch statement
-//     that dispatches on frame constants must be exhaustive: cover every
-//     frame constant or carry a default clause that handles the unknown
-//     frame explicitly.
-//
-//  2. Every type registered with transport.RegisterPayload (the type
-//     argument of the call, inferred from the codec pair it is given) must
-//     have a handler arm — a type-switch case or type assertion — in the
-//     registering package. A payload handled in another package (e.g. a
-//     frontend consuming events it does not itself produce) declares that
-//     with //crew:allow wireframe <reason> on the registration line. That a
-//     registered type has a codec needs no check: RegisterPayload's
-//     signature takes one, so a type without it does not compile.
+// Payloads are not its concern: a registered payload type's walk is its
+// codec (transport.RegisterPayload requires one), and the test over the
+// registry in internal/transport sends every registered type to the nodes of
+// its package, failing on a payload no handler arm takes.
 import (
 	"go/ast"
 	"go/constant"
@@ -42,7 +31,7 @@ import (
 
 var WireFrame = &analysis.Analyzer{
 	Name:     "wireframe",
-	Doc:      "every wire frame type and registered payload must have encode, dispatch, and handler arms",
+	Doc:      "every wire frame type must have an encode use and a dispatch arm",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      runWireFrame,
 }
@@ -50,7 +39,6 @@ var WireFrame = &analysis.Analyzer{
 func runWireFrame(pass *analysis.Pass) (any, error) {
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	checkFrameConsts(pass, ins)
-	checkRegisteredPayloads(pass, ins)
 	return nil, nil
 }
 
@@ -177,68 +165,4 @@ func checkFrameConsts(pass *analysis.Pass, ins *inspector.Inspector) {
 			pass.Reportf(c.Pos(), "frame %s has no dispatch arm: no switch case or comparison consumes it, so a peer sending it would be silently dropped", c.Name())
 		}
 	}
-}
-
-// checkRegisteredPayloads requires a handler arm in the registering package
-// for the payload type of every transport.RegisterPayload call.
-func checkRegisteredPayloads(pass *analysis.Pass, ins *inspector.Inspector) {
-	// Handler arms: type-switch cases and type assertions, normalized to
-	// the named type (pointers dereferenced).
-	handled := map[*types.TypeName]bool{}
-	noteType := func(e ast.Expr) {
-		if e == nil {
-			return
-		}
-		t := pass.TypesInfo.TypeOf(e)
-		if t == nil {
-			return
-		}
-		if n := namedOrPointerTo(t); n != nil {
-			handled[n.Obj()] = true
-		}
-	}
-	ins.Preorder([]ast.Node{(*ast.TypeSwitchStmt)(nil), (*ast.TypeAssertExpr)(nil)}, func(n ast.Node) {
-		switch st := n.(type) {
-		case *ast.TypeSwitchStmt:
-			for _, stmt := range st.Body.List {
-				if cc, ok := stmt.(*ast.CaseClause); ok {
-					for _, e := range cc.List {
-						noteType(e)
-					}
-				}
-			}
-		case *ast.TypeAssertExpr:
-			noteType(st.Type) // nil Type (x.(type)) is the switch guard, skipped
-		}
-	})
-
-	ins.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
-		call := n.(*ast.CallExpr)
-		k, ok := calleeKey(pass.TypesInfo, call)
-		if !ok || k != (methodKey{pkg: transportPath, name: "RegisterPayload"}) {
-			return
-		}
-		// The payload type is the call's one type argument, written out or
-		// inferred from the codec functions.
-		fun := ast.Unparen(call.Fun)
-		if ix, ok := fun.(*ast.IndexExpr); ok {
-			fun = ix.X
-		}
-		var id *ast.Ident
-		switch f := fun.(type) {
-		case *ast.Ident:
-			id = f
-		case *ast.SelectorExpr:
-			id = f.Sel
-		}
-		inst, ok := pass.TypesInfo.Instances[id]
-		if !ok || inst.TypeArgs.Len() != 1 {
-			return
-		}
-		named := namedOrPointerTo(inst.TypeArgs.At(0))
-		if named == nil || handled[named.Obj()] || exempted(pass, call.Pos(), "wireframe") {
-			return
-		}
-		pass.Reportf(call.Pos(), "payload %s is registered for the wire but has no handler arm (type-switch case or type assertion) in this package — a peer sending it would decode and then be dropped (handle it, or annotate //crew:allow wireframe <reason> naming the package that does)", named.Obj().Name())
-	})
 }

@@ -73,20 +73,21 @@ func (m Mechanism) String() string {
 	}
 }
 
-// Append appends the mechanism's one-byte wire form.
+// Walk is the mechanism's one-byte wire form. A value outside the five
+// classes (which would index past the counters) fails the walker.
 //
 //crew:hotpath
-func (m Mechanism) Append(dst []byte) []byte { return append(dst, byte(m)) }
-
-// DecodeMechanism reads a mechanism written by Append, failing the reader on
-// a value outside the five classes (which would index past the counters).
-func DecodeMechanism(r *binenc.Reader) Mechanism {
-	m := Mechanism(r.Byte())
-	if int(m) >= numMechanisms {
-		r.Fail()
-		return Normal
+func (m *Mechanism) Walk(w *binenc.Walker) {
+	b := byte(*m)
+	w.Byte(&b)
+	if !w.Decoding() {
+		return
 	}
-	return m
+	if int(b) >= numMechanisms {
+		w.Fail()
+		b = byte(Normal)
+	}
+	*m = Mechanism(b)
 }
 
 type nodeCounters struct {

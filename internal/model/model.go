@@ -27,6 +27,9 @@ type StepID string
 // Ref returns the full data-item name for an output of this step.
 func (id StepID) Ref(output string) string { return string(id) + "." + output }
 
+// Walk is the id's wire and row form, a string.
+func (id *StepID) Walk(w *binenc.Walker) { w.String((*string)(id)) }
+
 // WorkflowInput returns the full data-item name of a workflow input.
 func WorkflowInput(name string) string { return "WF." + name }
 
@@ -268,16 +271,12 @@ type StepRef struct {
 // String renders the reference in WF.Step form.
 func (r StepRef) String() string { return r.Workflow + "." + string(r.Step) }
 
-// Append appends the reference's wire form.
+// Walk is the reference's wire form.
 //
 //crew:hotpath
-func (r StepRef) Append(dst []byte) []byte {
-	return binenc.AppendString(binenc.AppendString(dst, r.Workflow), string(r.Step))
-}
-
-// DecodeStepRef reads a reference written by Append.
-func DecodeStepRef(r *binenc.Reader) StepRef {
-	return StepRef{Workflow: r.Str(), Step: StepID(r.Str())}
+func (r *StepRef) Walk(w *binenc.Walker) {
+	w.String(&r.Workflow)
+	r.Step.Walk(w)
 }
 
 // CoordKind classifies coordinated-execution requirements.

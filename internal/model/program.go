@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"crew/internal/binenc"
 	"crew/internal/expr"
 )
 
@@ -41,11 +42,20 @@ func (m ExecMode) String() string {
 	}
 }
 
+// Walk is the mode's wire and row form, an integer.
+func (m *ExecMode) Walk(w *binenc.Walker) { w.Int((*int)(m)) }
+
 // PrevExecution captures what the agent recorded about a step's previous
 // execution; OCR conditions and incremental re-executions consult it.
 type PrevExecution struct {
 	Inputs  map[string]expr.Value // keyed by full item name
 	Outputs map[string]expr.Value // keyed by output short name
+}
+
+// Walk is the record's wire form: the two maps.
+func (p *PrevExecution) Walk(w *binenc.Walker) {
+	expr.WalkValues(w, &p.Inputs)
+	expr.WalkValues(w, &p.Outputs)
 }
 
 // ProgramContext is the information handed to a black-box program.

@@ -149,10 +149,7 @@ func (c *Cluster) logf(format string, args ...any) {
 func (c *Cluster) consumeFrontend() {
 	defer close(c.feDone)
 	handle := func(m transport.Message) {
-		switch p := m.Payload.(type) {
-		case distributed.WorkflowDone:
-			c.term.Complete(p.Workflow, p.Instance, p.Status)
-		case *distributed.WorkflowDone:
+		if p, ok := m.Payload.(*distributed.WorkflowDone); ok {
 			c.term.Complete(p.Workflow, p.Instance, p.Status)
 		}
 	}

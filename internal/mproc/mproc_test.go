@@ -381,7 +381,7 @@ func TestExecFramesOnlyWhenObserved(t *testing.T) {
 		}
 		select {
 		case m := <-fe.Inbox():
-			if d, ok := m.Payload.(distributed.WorkflowDone); !ok || d.Status != wfdb.Committed {
+			if d, ok := m.Payload.(*distributed.WorkflowDone); !ok || d.Status != wfdb.Committed {
 				t.Fatalf("front end received %+v, want the instance committed", m)
 			}
 		case <-ctx.Done():
@@ -457,7 +457,7 @@ func TestChildWithoutDBKeepsNoStore(t *testing.T) {
 		}
 		want := perClass * len(w.Library.Names())
 		done := func(m transport.Message) {
-			if d, ok := m.Payload.(distributed.WorkflowDone); ok && d.Status == wfdb.Committed {
+			if d, ok := m.Payload.(*distributed.WorkflowDone); ok && d.Status == wfdb.Committed {
 				want--
 			}
 		}

@@ -108,14 +108,14 @@ func TestEnvelopeBatchAllocBudget(t *testing.T) {
 // not allocate, down to a whole MSG frame with a registered payload.
 func TestFrameEncodeAllocBudget(t *testing.T) {
 	body := []byte("payload-bytes")
-	m := Message{From: "agent1", To: "agent2", Kind: "StepExecute", Payload: wirePayload{A: "x", B: 7}}
-	var keys []string
+	m := Message{From: "agent1", To: "agent2", Kind: "StepExecute", Payload: &wirePayload{A: "x", B: 7}}
+	var w binenc.Walker
 	buf := binenc.AppendString(appendFrame(nil, frameMsg, body), "node-name") // warm capacity
-	buf, _ = appendMessageFrame(buf, m, &keys)
+	buf, _ = appendMessageFrame(buf, m, &w)
 	avg := testing.AllocsPerRun(500, func() {
 		buf = appendFrame(buf[:0], frameMsg, body)
 		buf = binenc.AppendString(buf, "node-name")
-		buf, _ = appendMessageFrame(buf, m, &keys)
+		buf, _ = appendMessageFrame(buf, m, &w)
 	})
 	if avg > 0 {
 		t.Errorf("frame encode allocates %.2f/op into a warm buffer, budget 0", avg)
@@ -140,19 +140,19 @@ func TestHubRouteAllocBudget(t *testing.T) {
 		}
 	}
 	n.Crash("agent2")
-	frame, err := appendMessageFrame(nil, Message{From: "agent1", To: "agent2", Kind: "ping", Payload: wirePayload{A: "x", B: 7}}, new([]string))
+	frame, err := appendMessageFrame(nil, Message{From: "agent1", To: "agent2", Kind: "ping", Payload: &wirePayload{A: "x", B: 7}}, new(binenc.Walker))
 	if err != nil {
 		t.Fatal(err)
 	}
 	body := frame[5:]
-	var rd binenc.Reader
+	var w binenc.Walker
 	for i := 0; i < 64; i++ {
-		if err := hub.route(&rd, body); err != nil {
+		if err := hub.route(&w, body); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(500, func() {
-		if err := hub.route(&rd, body); err != nil {
+		if err := hub.route(&w, body); err != nil {
 			t.Error(err)
 		}
 	})

@@ -13,19 +13,29 @@ import (
 // these hooks give them the registry, the message codec and a bare hub
 // connection.
 
-// PayloadCodec is one registry entry as the external tests see it.
+// PayloadCodec is one registry entry as the external tests see it: Type is
+// what a Message carries (a pointer), Append runs a payload's walk to encode
+// it and Decode a fresh one's to read all of b.
 type PayloadCodec struct {
 	Name   string
 	Type   reflect.Type
-	Append func(dst []byte, p any, keys *[]string) []byte
-	Decode func(r *binenc.Reader) any
+	Append func(dst []byte, p any) []byte
+	Decode func(b []byte) (any, error)
 }
 
 // RegisteredPayloads lists the registry sorted by name.
 func RegisteredPayloads() []PayloadCodec {
 	var out []PayloadCodec
-	for t, c := range payloadByType {
-		out = append(out, PayloadCodec{Name: c.name, Type: t, Append: c.append, Decode: c.decode})
+	for t, name := range payloadNames {
+		decode := payloadDecoders[name]
+		out = append(out, PayloadCodec{Name: name, Type: t,
+			Append: func(dst []byte, p any) []byte { return new(binenc.Walker).Append(dst, p.(binenc.Walkable)) },
+			Decode: func(b []byte) (any, error) {
+				var w binenc.Walker
+				w.Decode(b)
+				p := decode(&w)
+				return p, w.Done()
+			}})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -38,7 +48,7 @@ func DecodeMessage(body []byte) (Message, error) { return decodeBody(body) }
 
 // EncodeFrame encodes m as a whole MSG frame, and Reframe decodes a MSG frame
 // and encodes its message again: what the hub wrote for a frame it decoded.
-func EncodeFrame(m Message) ([]byte, error) { return appendMessageFrame(nil, m, new([]string)) }
+func EncodeFrame(m Message) ([]byte, error) { return appendMessageFrame(nil, m, new(binenc.Walker)) }
 
 func Reframe(frame []byte) ([]byte, error) {
 	m, err := decodeBody(frame[5:])

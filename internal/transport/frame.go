@@ -34,25 +34,26 @@ import (
 //	[from][to][kind]     strings
 //	[mechanism]          one byte, one of the five classes
 //	[payload type name]  string, "" for a nil payload
-//	[payload]            the fields of the type in declaration order, written
-//	                     and read by the codec registered with the type
+//	[payload]            the fields of the type in declaration order, as its
+//	                     Walk names them (binenc.Walker)
 //
-// A payload carries no length of its own: its decoder consumes exactly what
-// its encoder wrote, and the body must end where the last message does. Maps
-// are written in sorted key order (data items as expr.Value.Append, the
-// encoding WFDB rows use), so equal messages encode to equal bytes; a nil and
-// an empty map or slice are one value on the wire and decode as nil. The
-// payload of a single-message body runs to the end of the frame, and a
-// re-encoding would give the same bytes, so the hub routes such a frame after
-// reading its header alone (readHeader) and writes it on unchanged
-// (rawFrame).
+// A payload carries no length of its own: its decode walk consumes exactly
+// what its encode walk wrote, and the body must end where the last message
+// does. Maps are written in sorted key order (binenc.Map; data items as
+// expr.Value.Walk, the encoding WFDB rows use), so equal messages encode to
+// equal bytes; a nil and an empty map or slice are one value on the wire and
+// decode as nil. The payload of a single-message body runs to the end of the
+// frame, and a re-encoding would give the same bytes, so the hub routes such
+// a frame after reading its header alone (readHeader) and writes it on
+// unchanged (rawFrame).
 //
-// Payload types are registered with RegisterPayload together with their
-// codec: the type name is the wire tag, and decoding produces the same
-// concrete type the sender passed, so receiver type-switches work unchanged
-// across a socket. WireFormat numbers this layout; the hub protocol exchanges
-// it at connection time (HELLO, WELCOME) so two builds that disagree fail the
-// dial instead of misreading each other's payloads.
+// Payload types are registered with RegisterPayload; a payload travels as a
+// pointer to its type, whose walk is its codec. The type name is the wire
+// tag, and decoding produces the pointer type the sender passed, so receiver
+// type-switches work unchanged across a socket. WireFormat numbers this
+// layout; the hub protocol exchanges it at connection time (HELLO, WELCOME)
+// so two builds that disagree fail the dial instead of misreading each
+// other's payloads.
 
 // MaxFrame is the hard ceiling on one frame's length (type byte + body).
 const MaxFrame = 8 << 20
@@ -188,61 +189,65 @@ const minMessage = 5
 // appendMessage appends a message-frame body (no frame header) to dst. A
 // batched envelope is flattened into its logical messages behind the
 // envelope flag; the receive side rebuilds a pooled *Envelope, so park/replay
-// and per-logical-message counting behave identically across the wire. keys
-// is the caller's scratch for sorting map keys.
-func appendMessage(dst []byte, m Message, keys *[]string) ([]byte, error) {
+// and per-logical-message counting behave identically across the wire. w is
+// the caller's walker, which encodes the payloads.
+func appendMessage(dst []byte, m Message, w *binenc.Walker) ([]byte, error) {
 	env, ok := m.Payload.(*Envelope)
 	if !ok || m.Kind != KindEnvelope {
-		return appendOne(append(dst, 0), m, keys)
+		return appendOne(append(dst, 0), m, w)
 	}
 	dst = append(dst, 1)
 	dst = binary.AppendUvarint(dst, uint64(len(env.Msgs)))
 	for i := range env.Msgs {
 		var err error
-		if dst, err = appendOne(dst, env.Msgs[i], keys); err != nil {
+		if dst, err = appendOne(dst, env.Msgs[i], w); err != nil {
 			return dst, err
 		}
 	}
 	return dst, nil
 }
 
-func appendOne(dst []byte, m Message, keys *[]string) ([]byte, error) {
+func appendOne(dst []byte, m Message, w *binenc.Walker) ([]byte, error) {
+	var name string
+	if m.Payload != nil {
+		var ok bool
+		if name, ok = payloadNames[reflect.TypeOf(m.Payload)]; !ok {
+			return dst, cerrors.E(cerrors.CodeFrameMalformed, cerrors.PhaseEncode, cerrors.ErrWire, nil, "unregistered payload type %T (missing transport.RegisterPayload)", m.Payload)
+		}
+	}
 	dst = binenc.AppendString(dst, m.From)
 	dst = binenc.AppendString(dst, m.To)
 	dst = binenc.AppendString(dst, m.Kind)
-	dst = m.Mechanism.Append(dst)
+	dst = binenc.AppendString(append(dst, byte(m.Mechanism)), name)
 	if m.Payload == nil {
-		return binenc.AppendString(dst, ""), nil
+		return dst, nil
 	}
-	c := payloadByType[reflect.TypeOf(m.Payload)]
-	if c == nil {
-		return dst, cerrors.E(cerrors.CodeFrameMalformed, cerrors.PhaseEncode, cerrors.ErrWire, nil, "unregistered payload type %T (missing transport.RegisterPayload)", m.Payload)
-	}
-	dst = binenc.AppendString(dst, c.name)
-	return c.append(dst, m.Payload, keys), nil
+	// A registered type's pointer is Walkable: RegisterPayload requires it.
+	return w.Append(dst, m.Payload.(binenc.Walkable)), nil
 }
 
 // appendMessageFrame appends a complete MSG frame (header + body) to dst; on
 // error dst comes back at its original length.
-func appendMessageFrame(dst []byte, m Message, keys *[]string) ([]byte, error) {
+func appendMessageFrame(dst []byte, m Message, w *binenc.Walker) ([]byte, error) {
 	start := len(dst)
-	dst, err := appendMessage(beginFrame(dst, frameMsg), m, keys)
+	dst, err := appendMessage(beginFrame(dst, frameMsg), m, w)
 	if err != nil {
 		return dst[:start], err
 	}
 	return endFrame(dst, start), nil
 }
 
-// decodeMessage parses a message-frame body through r (a receive loop owns
-// one Reader and decodes every frame through it). An envelope body yields a
+// decodeMessage parses a message-frame body through w (a receive loop owns
+// one Walker and decodes every frame through it). An envelope body yields a
 // wrapper message carrying a fresh pooled *Envelope (the consumer releases
 // it, exactly as on the in-process path). Strings are copied out of body;
 // nothing returned aliases it.
-func decodeMessage(r *binenc.Reader, body []byte) (Message, error) {
-	r.Reset(body)
+func decodeMessage(w *binenc.Walker, body []byte) (Message, error) {
+	w.Decode(body)
+	r := w.Reader()
 	switch flag := r.Byte(); flag {
 	case 0:
-		m, err := decodeOne(r)
+		m, err := decodeOne(w)
 		if err != nil {
 			return Message{}, err
 		}
@@ -257,7 +262,7 @@ func decodeMessage(r *binenc.Reader, body []byte) (Message, error) {
 		}
 		env := NewEnvelope()
 		for ; n > 0; n-- {
-			m, err := decodeOne(r)
+			m, err := decodeOne(w)
 			if err != nil {
 				env.Release()
 				return Message{}, err
@@ -276,15 +281,15 @@ func decodeMessage(r *binenc.Reader, body []byte) (Message, error) {
 }
 
 // decodeOne reads one message. Input that is cut short or out of range fails
-// the reader (the caller checks Done); the error is for a well-formed message
+// the walker (the caller checks Done); the error is for a well-formed message
 // naming a payload type this build has not registered.
-func decodeOne(r *binenc.Reader) (Message, error) {
-	h, c, err := readHeader(r)
+func decodeOne(w *binenc.Walker) (Message, error) {
+	h, decode, err := readHeader(w)
 	m := Message{From: string(h.from), To: string(h.to), Kind: internKind(h.kind), Mechanism: h.mech}
-	if err != nil || c == nil {
+	if err != nil || decode == nil {
 		return m, err
 	}
-	m.Payload = c.decode(r)
+	m.Payload = decode(w)
 	return m, nil
 }
 
@@ -295,23 +300,26 @@ type header struct {
 	mech           metrics.Mechanism
 }
 
-// readHeader reads a message up to its payload: the names, the mechanism and
-// the payload type, whose codec it returns (nil for a nil payload). The error
-// is for a type this build has not registered; input cut short fails r.
+// readHeader reads a message up to its payload, w decoding: the names, the
+// mechanism and the payload type, whose decoder it returns (nil for a nil
+// payload). The error is for a type this build has not registered; input cut
+// short fails w.
 //
 //crew:hotpath
-func readHeader(r *binenc.Reader) (header, *payloadCodec, error) {
-	h := header{from: r.Bytes(), to: r.Bytes(), kind: r.Bytes(), mech: metrics.DecodeMechanism(r)}
+func readHeader(w *binenc.Walker) (header, payloadDecoder, error) {
+	r := w.Reader()
+	h := header{from: r.Bytes(), to: r.Bytes(), kind: r.Bytes()}
+	h.mech.Walk(w)
 	name := r.Bytes()
 	if len(name) == 0 {
 		return h, nil, nil
 	}
-	c := payloadByName[string(name)]
-	if c == nil {
+	decode := payloadDecoders[string(name)]
+	if decode == nil {
 		//crew:allow hotalloc formats once, for a frame the connection is dropped for
 		return h, nil, malformed(nil, "unknown payload type %q", name)
 	}
-	return h, c, nil
+	return h, decode, nil
 }
 
 // rawFrame is a MSG frame the hub forwards as it arrived, without decoding
@@ -360,41 +368,36 @@ func internKind(b []byte) string {
 // ---------------------------------------------------------------------------
 // Payload registry
 
-// payloadCodec is one registered payload type: its wire tag and its codec
-// behind type-erased wrappers.
-type payloadCodec struct {
-	name   string
-	append func(dst []byte, p any, keys *[]string) []byte
-	decode func(r *binenc.Reader) any
-}
+// payloadDecoder decodes one registered payload type: a fresh value, walked.
+type payloadDecoder func(w *binenc.Walker) any
 
 // The registry is filled by RegisterPayload from init functions and only read
-// afterwards, so the per-message lookups take no lock.
+// afterwards, so the per-message lookups take no lock: the wire tag of each
+// registered pointer type, and the decoder of each tag.
 var (
-	payloadByName = make(map[string]*payloadCodec)
-	payloadByType = make(map[reflect.Type]*payloadCodec)
+	payloadNames    = make(map[reflect.Type]string)
+	payloadDecoders = make(map[string]payloadDecoder)
 )
 
-// RegisterPayload registers payload type T with its codec so wire backends
-// can carry Message.Payload across a socket; a type cannot be registered
-// without one. appendTo appends p's fields to dst (keys is scratch for
-// expr.AppendValues and the like) and decode reads them back in the same
-// order, failing r on anything out of range; neither sees the type tag, which
-// is T's reflect type string (e.g. "distributed.workflowStart"). Decoding
-// yields the concrete type the sender passed (a pointer for a pointer T), so
-// receiver type-switches work unchanged. It must be called from an init
-// function, never once messages flow; registering one name twice panics (an
-// init-time bug, never a runtime condition).
-func RegisterPayload[T any](appendTo func(dst []byte, p T, keys *[]string) []byte, decode func(r *binenc.Reader) T) {
-	t := reflect.TypeOf((*T)(nil)).Elem()
-	c := &payloadCodec{
-		name:   t.String(),
-		append: func(dst []byte, p any, keys *[]string) []byte { return appendTo(dst, p.(T), keys) },
-		decode: func(r *binenc.Reader) any { return decode(r) },
+// RegisterPayload registers payload type T so wire backends can carry a *T in
+// Message.Payload across a socket. T's walk (binenc.Walkable) is its codec;
+// the wire tag is T's reflect type string (e.g. "distributed.workflowStart"),
+// and decoding yields a *T, so receiver type-switches work unchanged. It must
+// be called from an init function, never once messages flow; registering one
+// name twice panics (an init-time bug, never a runtime condition).
+func RegisterPayload[T any, P interface {
+	*T
+	binenc.Walkable
+}]() {
+	t := reflect.TypeOf(P(nil))
+	name := t.Elem().String()
+	if _, dup := payloadDecoders[name]; dup {
+		panic("transport: payload registered twice: " + name)
 	}
-	if _, dup := payloadByName[c.name]; dup {
-		panic("transport: payload registered twice: " + c.name)
+	payloadNames[t] = name
+	payloadDecoders[name] = func(w *binenc.Walker) any {
+		p := P(new(T))
+		p.Walk(w)
+		return p
 	}
-	payloadByName[c.name] = c
-	payloadByType[t] = c
 }

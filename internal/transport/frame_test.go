@@ -12,36 +12,34 @@ import (
 	"crew/internal/metrics"
 )
 
-// wirePayload / wirePtrPayload are the test payload types registered for the
-// wire codec tests (value and pointer prototypes).
+// wirePayload and wirePtrPayload are the test payload types registered for
+// the wire codec tests: a string and an integer, and an integer alone.
 type wirePayload struct {
 	A string
 	B int
+}
+
+func (p *wirePayload) Walk(w *binenc.Walker) {
+	w.String(&p.A)
+	w.Int(&p.B)
 }
 
 type wirePtrPayload struct {
 	N int
 }
 
+func (p *wirePtrPayload) Walk(w *binenc.Walker) { w.Int(&p.N) }
+
 func init() {
-	RegisterPayload(
-		func(dst []byte, p wirePayload, _ *[]string) []byte {
-			return binenc.AppendInt(binenc.AppendString(dst, p.A), p.B)
-		},
-		func(r *binenc.Reader) wirePayload { return wirePayload{A: r.Str(), B: r.Int()} })
-	RegisterPayload(
-		func(dst []byte, p *wirePtrPayload, _ *[]string) []byte { return binenc.AppendInt(dst, p.N) },
-		func(r *binenc.Reader) *wirePtrPayload { return &wirePtrPayload{N: r.Int()} })
-	RegisterPayload(
-		func(dst []byte, p int, _ *[]string) []byte { return binenc.AppendInt(dst, p) },
-		func(r *binenc.Reader) int { return r.Int() })
+	RegisterPayload[wirePayload]()
+	RegisterPayload[wirePtrPayload]()
 	RegisterKinds("k", "ping", "pong")
 }
 
-// encodeBody and decodeBody run the message codec with throwaway scratch.
-func encodeBody(m Message) ([]byte, error) { return appendMessage(nil, m, new([]string)) }
+// encodeBody and decodeBody run the message codec with a throwaway walker.
+func encodeBody(m Message) ([]byte, error) { return appendMessage(nil, m, new(binenc.Walker)) }
 
-func decodeBody(body []byte) (Message, error) { return decodeMessage(new(binenc.Reader), body) }
+func decodeBody(body []byte) (Message, error) { return decodeMessage(new(binenc.Walker), body) }
 
 func mustEncode(t *testing.T, m Message) []byte {
 	t.Helper()
@@ -54,10 +52,9 @@ func mustEncode(t *testing.T, m Message) []byte {
 
 func TestMessageRoundTrip(t *testing.T) {
 	cases := []Message{
-		{From: "a", To: "b", Kind: "StepExecute", Mechanism: metrics.Normal, Payload: wirePayload{A: "x", B: 7}},
+		{From: "a", To: "b", Kind: "StepExecute", Mechanism: metrics.Normal, Payload: &wirePayload{A: "x", B: 7}},
 		{From: "a", To: "b", Kind: "Ptr", Mechanism: metrics.Coordination, Payload: &wirePtrPayload{N: 3}},
 		{From: "", To: "b", Kind: "", Mechanism: metrics.Normal, Payload: nil},
-		{From: "a", To: "b", Kind: "Int", Mechanism: metrics.Normal, Payload: 42},
 	}
 	for _, want := range cases {
 		got, err := decodeBody(mustEncode(t, want))
@@ -77,9 +74,10 @@ func TestMessageRoundTrip(t *testing.T) {
 			if !ok || gp.N != p.N {
 				t.Errorf("payload = %#v, want %#v", got.Payload, p)
 			}
-		default:
-			if got.Payload != want.Payload {
-				t.Errorf("payload = %#v, want %#v", got.Payload, want.Payload)
+		case *wirePayload:
+			gp, ok := got.Payload.(*wirePayload)
+			if !ok || *gp != *p {
+				t.Errorf("payload = %#v, want %#v", got.Payload, p)
 			}
 		}
 	}
@@ -88,7 +86,7 @@ func TestMessageRoundTrip(t *testing.T) {
 func TestEnvelopeRoundTrip(t *testing.T) {
 	env := NewEnvelope()
 	for i := 0; i < 3; i++ {
-		env.Msgs = append(env.Msgs, Message{From: "a", To: "b", Kind: "K", Payload: wirePayload{B: i}})
+		env.Msgs = append(env.Msgs, Message{From: "a", To: "b", Kind: "K", Payload: &wirePayload{B: i}})
 	}
 	wrapper := Message{From: "a", To: "b", Kind: KindEnvelope, Payload: env}
 	got, err := decodeBody(mustEncode(t, wrapper))
@@ -103,7 +101,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d logical messages, want 3", len(genv.Msgs))
 	}
 	for i, m := range genv.Msgs {
-		if m.Payload.(wirePayload).B != i {
+		if m.Payload.(*wirePayload).B != i {
 			t.Errorf("logical message %d payload = %+v", i, m.Payload)
 		}
 	}
@@ -123,7 +121,7 @@ func TestEncodeRejectsUnregisteredPayload(t *testing.T) {
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
-	valid := mustEncode(t, Message{From: "a", To: "b", Kind: "K", Payload: wirePayload{B: 1}})
+	valid := mustEncode(t, Message{From: "a", To: "b", Kind: "K", Payload: &wirePayload{B: 1}})
 	cases := []struct {
 		name string
 		body []byte
@@ -261,7 +259,7 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 }
 
 func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add(mustEncodeFuzz(Message{From: "a", To: "b", Kind: "K", Payload: wirePayload{A: "x", B: 1}}))
+	f.Add(mustEncodeFuzz(Message{From: "a", To: "b", Kind: "K", Payload: &wirePayload{A: "x", B: 1}}))
 	f.Add(mustEncodeFuzz(Message{From: "a", To: "b", Kind: "Nil"}))
 	env := NewEnvelope()
 	env.Msgs = append(env.Msgs, Message{From: "a", To: "b", Kind: "E1"}, Message{From: "a", To: "b", Kind: "E2", Payload: &wirePtrPayload{N: 9}})
@@ -270,21 +268,21 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0xFF})
 	// Binary payloads at the edges of their primitives: a negative and a
-	// multi-byte varint, a multi-byte string, a bare integer payload.
-	f.Add(mustEncodeFuzz(Message{From: "agent01", To: "agent02", Kind: "K", Mechanism: metrics.Coordination, Payload: wirePayload{A: "naïve ✓", B: -1 << 40}}))
-	f.Add(mustEncodeFuzz(Message{From: "a", To: "b", Kind: "Int", Payload: 1 << 62}))
+	// multi-byte varint, a multi-byte string, a large integer.
+	f.Add(mustEncodeFuzz(Message{From: "agent01", To: "agent02", Kind: "K", Mechanism: metrics.Coordination, Payload: &wirePayload{A: "naïve ✓", B: -1 << 40}}))
+	f.Add(mustEncodeFuzz(Message{From: "a", To: "b", Kind: "Int", Payload: &wirePtrPayload{N: 1 << 62}}))
 	// A header the hub accepts in front of a payload cut short.
-	f.Add(mustEncodeFuzz(Message{From: "a", To: "b", Kind: "k", Payload: wirePayload{A: "abcdef", B: 1}})[:22])
+	f.Add(mustEncodeFuzz(Message{From: "a", To: "b", Kind: "k", Payload: &wirePayload{A: "abcdef", B: 1}})[:22])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// The hub forwards a single message whose header reads as the bytes
 		// it arrived in, and whatever an endpoint decodes, the hub's header
 		// read takes too, to the same header.
-		var rd binenc.Reader
-		rd.Reset(body)
-		single := rd.Byte() == 0
-		hd, _, herr := readHeader(&rd)
+		var w binenc.Walker
+		w.Decode(body)
+		single := w.Reader().Byte() == 0
+		hd, _, herr := readHeader(&w)
 		if herr == nil {
-			herr = rd.Err()
+			herr = w.Reader().Err()
 		}
 		if single && herr == nil {
 			if got, want := newRawFrame(body).bytes(), appendFrame(nil, frameMsg, body); !bytes.Equal(got, want) {

@@ -5,21 +5,23 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"crew/internal/binenc"
-	_ "crew/internal/central" // engines and agents register their payloads
+	"crew/internal/central" // engines and agents register their payloads
 	"crew/internal/cerrors"
 	"crew/internal/coord"
-	_ "crew/internal/distributed"
+	"crew/internal/distributed"
 	"crew/internal/expr"
 	"crew/internal/metrics"
+	"crew/internal/model"
 	"crew/internal/transport"
 )
 
@@ -156,15 +158,16 @@ func normalized(p any) any {
 
 // TestPayloadCodecMatchesJSON is the oracle for the binary payload codecs:
 // every registered type, whoever registered it, round-trips a generated value
-// through its append/decode pair to what a JSON round trip of the same value
-// gives — the wire's payload format until the binary one replaced it.
+// through its walk, encoding and decoding, to what a JSON round trip of the
+// same value gives — the wire's payload format until the binary one replaced
+// it.
 func TestPayloadCodecMatchesJSON(t *testing.T) {
 	// The program registers 26 types (central 4, distributed 18, and the four
 	// of the coordination protocol, which parallel adds nothing to); this
-	// package's own tests register "int" and two more of their own.
+	// package's own tests register two of their own.
 	codecs, program := transport.RegisteredPayloads(), map[string]bool{}
 	for _, c := range codecs {
-		if c.Name != "int" && !strings.Contains(c.Name, "transport.") {
+		if !strings.Contains(c.Name, "transport.") {
 			program[c.Name] = true
 		}
 	}
@@ -176,19 +179,17 @@ func TestPayloadCodecMatchesJSON(t *testing.T) {
 			t.Fatalf("%s is not registered", name)
 		}
 	}
-	var keys []string
 	for _, c := range codecs {
 		g := gen{rand.New(rand.NewSource(18))}
 		for i := 0; i < 300; i++ {
 			p := g.make(c.Type)
 
-			enc := c.Append(nil, p, &keys)
-			r := binenc.NewReader(enc)
-			got := c.Decode(r)
-			if err := r.Done(); err != nil {
+			enc := c.Append(nil, p)
+			got, err := c.Decode(enc)
+			if err != nil {
 				t.Fatalf("%s: decode of own encoding of %+v: %v", c.Name, p, err)
 			}
-			if again := c.Append(nil, p, &keys); !bytes.Equal(enc, again) {
+			if again := c.Append(nil, p); !bytes.Equal(enc, again) {
 				t.Fatalf("%s: two encodings of %+v differ", c.Name, p)
 			}
 
@@ -217,7 +218,7 @@ func sample(t *testing.T, name string, ok func(enc []byte) bool) any {
 		g := gen{rand.New(rand.NewSource(7))}
 		for i := 0; i < 1000; i++ {
 			p := g.make(c.Type)
-			if ok(c.Append(nil, p, new([]string))) {
+			if ok(c.Append(nil, p)) {
 				return p
 			}
 		}
@@ -374,5 +375,86 @@ func TestHubForwardsFramesAsTheyArrived(t *testing.T) {
 	defer cancel()
 	if err := n.Quiesce(ctx); err != nil {
 		t.Fatalf("quiesce after every frame was acknowledged: %v", err)
+	}
+}
+
+// TestEveryRegisteredPayloadIsHandled sends a zero value of every payload type
+// the program registers, as a peer could put it on the wire, to every node of
+// a live deployment of the registering package (the coordination protocol's
+// to both): engines and agents, agents. Each must be taken by a handler arm
+// at one node at least (a node it is not for logs "unhandled payload"), and
+// none may panic its receiver. A newly registered type is covered without
+// editing this test.
+func TestEveryRegisteredPayloadIsHandled(t *testing.T) {
+	var mu sync.Mutex
+	var logged []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	lib, reg := model.NewLibrary(), model.NewRegistry()
+	dist, err := distributed.NewSystem(distributed.SystemConfig{Library: lib, Programs: reg, Agents: []string{"a1", "a2", "a3"}, Logf: logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dist.Close()
+	cent, err := central.NewSystem(central.SystemConfig{Library: lib, Programs: reg, Logf: logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cent.Close()
+	deployments := map[string][]*transport.Network{
+		"distributed": {dist.Network()},
+		"central":     {cent.Network()},
+		"coord":       {dist.Network(), cent.Network()},
+	}
+
+	sent := map[string]int{}
+	for _, c := range transport.RegisteredPayloads() {
+		pkg, _, _ := strings.Cut(c.Name, ".")
+		if pkg == "transport" {
+			continue // this package's own test types
+		}
+		if c.Name == "distributed.WorkflowDone" {
+			continue // handled by the multi-process front end (package mproc), which no agent is
+		}
+		nets, ok := deployments[pkg]
+		if !ok {
+			t.Fatalf("%s is registered by a package this test deploys no node of", c.Name)
+		}
+		for _, n := range nets {
+			for _, node := range n.Nodes() {
+				m := transport.Message{From: "peer", To: node, Kind: "Test", Payload: reflect.New(c.Type.Elem()).Interface()}
+				if err := n.Send(m); err != nil {
+					t.Fatalf("%s to %s: %v", c.Name, node, err)
+				}
+				sent[fmt.Sprintf("%T", m.Payload)]++
+			}
+		}
+	}
+	if len(sent) != 25 {
+		t.Errorf("sent %d payload types, want the program's 26 but WorkflowDone", len(sent))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, n := range []*transport.Network{dist.Network(), cent.Network()} {
+		if err := n.Quiesce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	unhandled := map[string]int{}
+	for _, line := range logged {
+		if typ, ok := strings.CutPrefix(line, "unhandled payload "); ok {
+			unhandled[typ]++
+		}
+	}
+	for typ, n := range sent {
+		if unhandled[typ] >= n {
+			t.Errorf("no node handles %s: each of the %d it was sent to logged it unhandled", typ, n)
+		}
 	}
 }

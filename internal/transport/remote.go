@@ -288,7 +288,8 @@ func (h *RemoteHub) serve(c net.Conn) {
 		c.Close()
 		return
 	}
-	var rd binenc.Reader
+	var w binenc.Walker
+	rd := w.Reader()
 	rd.Reset(body)
 	name, format := rd.Str(), rd.Byte()
 	if rd.Done() != nil || format != WireFormat {
@@ -315,7 +316,7 @@ func (h *RemoteHub) serve(c net.Conn) {
 		}
 		switch typ {
 		case frameMsg:
-			if h.route(&rd, body) != nil {
+			if h.route(&w, body) != nil {
 				return
 			}
 		case frameAck:
@@ -324,7 +325,7 @@ func (h *RemoteHub) serve(c net.Conn) {
 			if h.onExec == nil {
 				continue // nobody observes it: not even decoded
 			}
-			ev, err := decodeExec(&rd, body)
+			ev, err := decodeExec(rd, body)
 			if err != nil {
 				return
 			}
@@ -343,10 +344,11 @@ func (h *RemoteHub) serve(c net.Conn) {
 // registered, but the payload is left for the receiving child to decode. An
 // envelope, or a message for a node in this process, is decoded whole. An
 // error means the frame is bad; the caller drops the connection.
-func (h *RemoteHub) route(rd *binenc.Reader, body []byte) error {
-	rd.Reset(body)
+func (h *RemoteHub) route(w *binenc.Walker, body []byte) error {
+	w.Decode(body)
+	rd := w.Reader()
 	if rd.Byte() == 0 {
-		hd, _, err := readHeader(rd)
+		hd, _, err := readHeader(w)
 		if err != nil {
 			return err
 		}
@@ -365,7 +367,7 @@ func (h *RemoteHub) route(rd *binenc.Reader, body []byte) error {
 			return nil
 		}
 	}
-	m, err := decodeMessage(rd, body)
+	m, err := decodeMessage(w, body)
 	if err != nil {
 		return err
 	}
@@ -401,7 +403,7 @@ type remotePeer struct {
 	conn    net.Conn
 	claimed chan struct{} // closed while conn != nil; replaced on detach
 	scratch []byte
-	keys    []string // appendMessage's sort scratch
+	walker  binenc.Walker // encodes the payloads
 }
 
 // deliver carries one message toward the child. With a claimed connection it
@@ -467,7 +469,7 @@ func (p *remotePeer) frameLocked(m Message) ([]byte, error) {
 	if f, ok := m.Payload.(rawFrame); ok {
 		return f.bytes(), nil
 	}
-	framed, err := appendMessageFrame(p.scratch[:0], m, &p.keys)
+	framed, err := appendMessageFrame(p.scratch[:0], m, &p.walker)
 	if err != nil {
 		return nil, err
 	}
@@ -627,11 +629,11 @@ type ChildConn struct {
 	// Write before the next read that would block. Outside such a burst a
 	// frame is written at once. werr is the first failed write: it closes the
 	// connection, and Serve returns it.
-	wmu  sync.Mutex
-	out  []byte
-	keys []string // appendMessage's sort scratch
-	held bool
-	werr error
+	wmu    sync.Mutex
+	out    []byte
+	walker binenc.Walker // encodes the payloads
+	held   bool
+	werr   error
 
 	amu   sync.Mutex
 	alive map[string]bool
@@ -674,7 +676,7 @@ func (c *ChildConn) Alive(name string) bool {
 func (c *ChildConn) SendMessage(m Message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	out, err := appendMessageFrame(c.out, m, &c.keys)
+	out, err := appendMessageFrame(c.out, m, &c.walker)
 	if err != nil {
 		return err
 	}
@@ -765,7 +767,8 @@ func (c *ChildConn) Serve(deliver func(Message) error, onLiveness func(name stri
 
 func (c *ChildConn) serve(deliver func(Message) error, onLiveness func(name string, up bool)) error {
 	fr := newFrameReader(c.conn, childReadBuf)
-	var rd binenc.Reader
+	var w binenc.Walker
+	rd := w.Reader()
 	for {
 		if !fr.buffered() {
 			// The next frame takes a read, which may block: the burst's
@@ -786,7 +789,7 @@ func (c *ChildConn) serve(deliver func(Message) error, onLiveness func(name stri
 		}
 		switch typ {
 		case frameMsg:
-			m, err := decodeMessage(&rd, body)
+			m, err := decodeMessage(&w, body)
 			if err != nil {
 				return err
 			}

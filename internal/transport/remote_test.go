@@ -86,11 +86,11 @@ func TestRemoteHubRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := n.Send(Message{From: "b", To: "a", Kind: "ping", Payload: wirePayload{B: 7}}); err != nil {
+	if err := n.Send(Message{From: "b", To: "a", Kind: "ping", Payload: &wirePayload{B: 7}}); err != nil {
 		t.Fatal(err)
 	}
 	m := child.expect(t, "ping")
-	if p, ok := m.Payload.(wirePayload); !ok || p.B != 7 {
+	if p, ok := m.Payload.(*wirePayload); !ok || p.B != 7 {
 		t.Fatalf("payload = %#v", m.Payload)
 	}
 	if err := n.Quiesce(ctx); err != nil {
@@ -99,12 +99,12 @@ func TestRemoteHubRoundTrip(t *testing.T) {
 
 	// Child -> hub: the forwarded send re-enters the network and reaches a
 	// local endpoint decoded, as the type it was sent as.
-	if err := child.conn.SendMessage(Message{From: "a", To: "b", Kind: "pong", Payload: wirePayload{B: 9}}); err != nil {
+	if err := child.conn.SendMessage(Message{From: "a", To: "b", Kind: "pong", Payload: &wirePayload{B: 9}}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case m := <-ep.Inbox():
-		if p, ok := m.Payload.(wirePayload); m.Kind != "pong" || !ok || p.B != 9 {
+		if p, ok := m.Payload.(*wirePayload); m.Kind != "pong" || !ok || p.B != 9 {
 			t.Fatalf("hub-local endpoint received %+v", m)
 		}
 	case <-time.After(5 * time.Second):
@@ -132,7 +132,7 @@ func TestRemoteHubReplay(t *testing.T) {
 	}
 	// Deliver one message the child processes but whose "process" then dies
 	// before more arrive: kill the connection without acking further.
-	if err := n.Send(Message{From: "b", To: "a", Kind: "k0", Payload: wirePayload{B: 0}}); err != nil {
+	if err := n.Send(Message{From: "b", To: "a", Kind: "k0", Payload: &wirePayload{B: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	first.expect(t, "k0")
@@ -146,7 +146,7 @@ func TestRemoteHubReplay(t *testing.T) {
 	// parks (stalled network, not a hang).
 	n.Crash("a")
 	for i := 1; i <= 3; i++ {
-		if err := n.Send(Message{From: "b", To: "a", Kind: "k", Payload: wirePayload{B: i}}); err != nil {
+		if err := n.Send(Message{From: "b", To: "a", Kind: "k", Payload: &wirePayload{B: i}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,7 +163,7 @@ func TestRemoteHubReplay(t *testing.T) {
 	second := dialChild(t, "unix", hub.Addr(), "a")
 	for i := 1; i <= 3; i++ {
 		m := second.expect(t, "k")
-		if p := m.Payload.(wirePayload); p.B != i {
+		if p := m.Payload.(*wirePayload); p.B != i {
 			t.Fatalf("replayed message %d has payload %d", i, p.B)
 		}
 	}
@@ -219,7 +219,7 @@ func TestRemoteDeliverFailsFastWhenDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Crash("a")
-	if err := n.Send(Message{From: "b", To: "a", Kind: "k", Payload: wirePayload{B: 1}}); err != nil {
+	if err := n.Send(Message{From: "b", To: "a", Kind: "k", Payload: &wirePayload{B: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -256,17 +256,17 @@ func TestHubCountsForwardedMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := a.conn.SendMessage(Message{From: "a", To: "b", Kind: "ping", Mechanism: metrics.Failure, Payload: wirePayload{A: "x", B: 1}}); err != nil {
+	if err := a.conn.SendMessage(Message{From: "a", To: "b", Kind: "ping", Mechanism: metrics.Failure, Payload: &wirePayload{A: "x", B: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	m := b.expect(t, "ping")
-	if p, ok := m.Payload.(wirePayload); !ok || p != (wirePayload{A: "x", B: 1}) || m.From != "a" || m.Mechanism != metrics.Failure {
+	if p, ok := m.Payload.(*wirePayload); !ok || *p != (wirePayload{A: "x", B: 1}) || m.From != "a" || m.Mechanism != metrics.Failure {
 		t.Fatalf("forwarded message arrived as %+v", m)
 	}
 
 	env := NewEnvelope()
 	for i := 0; i < 3; i++ {
-		env.Msgs = append(env.Msgs, Message{From: "a", To: "b", Kind: "k", Mechanism: metrics.Coordination, Payload: wirePayload{B: i}})
+		env.Msgs = append(env.Msgs, Message{From: "a", To: "b", Kind: "k", Mechanism: metrics.Coordination, Payload: &wirePayload{B: i}})
 	}
 	err = a.conn.SendMessage(Message{From: "a", To: "b", Kind: KindEnvelope, Payload: env})
 	env.Release()
@@ -274,7 +274,7 @@ func TestHubCountsForwardedMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	m = b.expect(t, KindEnvelope)
-	if got, ok := m.Payload.(*Envelope); !ok || len(got.Msgs) != 3 || got.Msgs[2].Payload != (wirePayload{B: 2}) {
+	if got, ok := m.Payload.(*Envelope); !ok || len(got.Msgs) != 3 || *got.Msgs[2].Payload.(*wirePayload) != (wirePayload{B: 2}) {
 		t.Fatalf("envelope arrived as %+v", m.Payload)
 	}
 	if err := n.Quiesce(ctx); err != nil {
@@ -359,7 +359,7 @@ func TestTruncatedPayloadFailsReceiver(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cut, err := appendMessageFrame(nil, Message{From: "a", To: "b", Kind: "k", Payload: wirePayload{A: "abcdef", B: 1}}, new([]string))
+	cut, err := appendMessageFrame(nil, Message{From: "a", To: "b", Kind: "k", Payload: &wirePayload{A: "abcdef", B: 1}}, new(binenc.Walker))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,14 +377,14 @@ func TestTruncatedPayloadFailsReceiver(t *testing.T) {
 		t.Fatal("the receiver never saw the truncated payload")
 	}
 
-	good, err := appendMessageFrame(nil, Message{From: "a", To: "c", Kind: "k", Payload: wirePayload{B: 2}}, new([]string))
+	good, err := appendMessageFrame(nil, Message{From: "a", To: "c", Kind: "k", Payload: &wirePayload{B: 2}}, new(binenc.Walker))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Write(good); err != nil {
 		t.Fatal(err)
 	}
-	if m := c.expect(t, "k"); m.Payload != (wirePayload{B: 2}) {
+	if m := c.expect(t, "k"); *m.Payload.(*wirePayload) != (wirePayload{B: 2}) {
 		t.Fatalf("c received %+v", m)
 	}
 	if !hub.Connected("a") {
@@ -444,7 +444,7 @@ func frameTypes(t *testing.T, b []byte) []byte {
 func framesOf(t *testing.T, b []byte) (types []byte, kinds []string) {
 	t.Helper()
 	fr := newFrameReader(bytes.NewReader(b), len(b))
-	var rd binenc.Reader
+	var w binenc.Walker
 	for {
 		typ, body, err := fr.next()
 		if err == io.EOF {
@@ -455,7 +455,7 @@ func framesOf(t *testing.T, b []byte) (types []byte, kinds []string) {
 		}
 		types = append(types, typ)
 		if typ == frameMsg {
-			m, err := decodeMessage(&rd, body)
+			m, err := decodeMessage(&w, body)
 			if err != nil {
 				t.Fatalf("child wrote a MSG frame that does not decode: %v", err)
 			}
@@ -500,7 +500,7 @@ func deliveries(t *testing.T, kinds ...string) []byte {
 	var frames []byte
 	for _, k := range kinds {
 		var err error
-		if frames, err = appendMessageFrame(frames, Message{From: "b", To: "a", Kind: k}, new([]string)); err != nil {
+		if frames, err = appendMessageFrame(frames, Message{From: "b", To: "a", Kind: k}, new(binenc.Walker)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -564,7 +564,7 @@ func reply(c *ChildConn, m Message) error {
 // burst ending in another frame type is written before the next read; read
 // byte by byte, every delivery is a burst of its own.
 func TestChildTurnIsOneWrite(t *testing.T) {
-	msg := Message{From: "a", To: "b", Kind: "k", Payload: wirePayload{A: "x", B: 1}}
+	msg := Message{From: "a", To: "b", Kind: "k", Payload: &wirePayload{A: "x", B: 1}}
 	type unregistered struct{ X int }
 	tick := msg
 	tick.Kind = "tick"

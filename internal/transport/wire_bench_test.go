@@ -16,7 +16,7 @@ func benchMessage() Message {
 	return Message{
 		From: "agent1", To: "agent2", Kind: "StepExecute",
 		Mechanism: metrics.Coordination,
-		Payload:   wirePayload{A: "ProcessOrder.Reserve", B: 42},
+		Payload:   &wirePayload{A: "ProcessOrder.Reserve", B: 42},
 	}
 }
 
@@ -25,12 +25,12 @@ func benchMessage() Message {
 func BenchmarkFrameEncode(b *testing.B) {
 	m := benchMessage()
 	var buf []byte
-	var keys []string
+	var w binenc.Walker
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		buf, err = appendMessage(buf[:0], m, &keys)
+		buf, err = appendMessage(buf[:0], m, &w)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -44,12 +44,12 @@ func BenchmarkFrameDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var rd binenc.Reader
+	var w binenc.Walker
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeMessage(&rd, buf); err != nil {
+		if _, err := decodeMessage(&w, buf); err != nil {
 			b.Fatal(err)
 		}
 	}

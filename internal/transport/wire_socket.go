@@ -156,13 +156,13 @@ func (w *SocketWire) serve(conn net.Conn) {
 		return // CodeUnclaimedNode: no node by that name listens here
 	}
 	ack := appendFrame(nil, frameAck, nil)
-	var rd binenc.Reader
+	var dec binenc.Walker
 	for {
 		typ, body, err = fr.next()
 		if err != nil || typ != frameMsg {
 			return
 		}
-		m, err := decodeMessage(&rd, body)
+		m, err := decodeMessage(&dec, body)
 		if err != nil {
 			return
 		}
@@ -208,7 +208,7 @@ type socketLink struct {
 
 	mu      sync.Mutex
 	scratch []byte
-	keys    []string // appendMessage's sort scratch
+	walker  binenc.Walker // encodes the payloads
 }
 
 func (l *socketLink) writeFrame(typ byte, body []byte) error {
@@ -234,7 +234,7 @@ func (l *socketLink) failure(err error, op string) error {
 func (l *socketLink) deliver(m Message) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	framed, err := appendMessageFrame(l.scratch[:0], m, &l.keys)
+	framed, err := appendMessageFrame(l.scratch[:0], m, &l.walker)
 	if err != nil {
 		return err
 	}

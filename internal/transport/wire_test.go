@@ -48,7 +48,7 @@ func TestWireSendDeliver(t *testing.T) {
 	forEachWire(t, func(t *testing.T, n *Network) {
 		n.MustRegister("a")
 		b := n.MustRegister("b")
-		err := n.Send(Message{From: "a", To: "b", Mechanism: metrics.Coordination, Kind: "StepExecute", Payload: wirePayload{A: "hi", B: 5}})
+		err := n.Send(Message{From: "a", To: "b", Mechanism: metrics.Coordination, Kind: "StepExecute", Payload: &wirePayload{A: "hi", B: 5}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestWireSendDeliver(t *testing.T) {
 		if m.From != "a" || m.To != "b" || m.Kind != "StepExecute" || m.Mechanism != metrics.Coordination {
 			t.Errorf("message = %+v", m)
 		}
-		if p, ok := m.Payload.(wirePayload); !ok || p.A != "hi" || p.B != 5 {
+		if p, ok := m.Payload.(*wirePayload); !ok || p.A != "hi" || p.B != 5 {
 			t.Errorf("payload = %#v", m.Payload)
 		}
 		if got := n.collector.Messages(metrics.Coordination); got != 1 {
@@ -71,12 +71,12 @@ func TestWireFIFO(t *testing.T) {
 		b := n.MustRegister("b")
 		const total = 200
 		for i := 0; i < total; i++ {
-			if err := n.Send(Message{From: "a", To: "b", Payload: i}); err != nil {
+			if err := n.Send(Message{From: "a", To: "b", Payload: &wirePtrPayload{N: i}}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < total; i++ {
-			if m := recvOne(t, b); m.Payload.(int) != i {
+			if m := recvOne(t, b); m.Payload.(*wirePtrPayload).N != i {
 				t.Fatalf("out of order: got %v at %d", m.Payload, i)
 			}
 		}
@@ -91,7 +91,7 @@ func TestWireCrashParksAndRecoverReplays(t *testing.T) {
 			t.Fatal("Crash returned false")
 		}
 		for i := 0; i < 5; i++ {
-			if err := n.Send(Message{From: "a", To: "b", Payload: i}); err != nil {
+			if err := n.Send(Message{From: "a", To: "b", Payload: &wirePtrPayload{N: i}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -112,7 +112,7 @@ func TestWireCrashParksAndRecoverReplays(t *testing.T) {
 			t.Fatal("Recover returned false")
 		}
 		for i := 0; i < 5; i++ {
-			if m := recvOne(t, b); m.Payload.(int) != i {
+			if m := recvOne(t, b); m.Payload.(*wirePtrPayload).N != i {
 				t.Fatalf("replay out of order: %v at %d", m.Payload, i)
 			}
 		}
@@ -129,7 +129,7 @@ func TestWireEnvelopeBatch(t *testing.T) {
 		}
 		env := NewEnvelope()
 		for i := 0; i < 4; i++ {
-			env.Msgs = append(env.Msgs, Message{From: "a", To: "b", Kind: "K", Mechanism: metrics.Normal, Payload: wirePayload{B: i}})
+			env.Msgs = append(env.Msgs, Message{From: "a", To: "b", Kind: "K", Mechanism: metrics.Normal, Payload: &wirePayload{B: i}})
 		}
 		if err := h.SendBatch(env); err != nil {
 			t.Fatal(err)
@@ -143,7 +143,7 @@ func TestWireEnvelopeBatch(t *testing.T) {
 			t.Fatalf("envelope carried %d logical messages, want 4", len(genv.Msgs))
 		}
 		for i, lm := range genv.Msgs {
-			if lm.Payload.(wirePayload).B != i {
+			if lm.Payload.(*wirePayload).B != i {
 				t.Errorf("logical %d = %+v", i, lm.Payload)
 			}
 		}
@@ -170,7 +170,7 @@ func TestWireQuiesce(t *testing.T) {
 			}
 		}()
 		for i := 0; i < 50; i++ {
-			if err := n.Send(Message{From: "a", To: "b", Payload: i}); err != nil {
+			if err := n.Send(Message{From: "a", To: "b", Payload: &wirePtrPayload{N: i}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -210,7 +210,7 @@ func TestWireCloseUnblocksPendingDelivery(t *testing.T) {
 		n.MustRegister("a")
 		n.MustRegister("b") // nobody ever reads b's inbox
 		for i := 0; i < 10; i++ {
-			if err := n.Send(Message{From: "a", To: "b", Payload: i}); err != nil {
+			if err := n.Send(Message{From: "a", To: "b", Payload: &wirePtrPayload{N: i}}); err != nil {
 				t.Fatal(err)
 			}
 		}

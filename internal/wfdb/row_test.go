@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"crew/internal/binenc"
 	"crew/internal/cerrors"
 	"crew/internal/event"
 	"crew/internal/expr"
@@ -28,17 +29,31 @@ func sixStepInstance(id int) *Instance {
 	return ins
 }
 
+// encodeRow appends ins's instance row to dst, as a Batch writes it, and
+// decodeRow reads one back, as the DB does.
+func encodeRow(w *binenc.Walker, dst []byte, ins *Instance) []byte {
+	return w.Append(append(dst, rowVersion), ins)
+}
+
+func decodeRow(row []byte) (*Instance, error) {
+	ins := new(Instance)
+	if err := readRow(row, "instance row", ins); err != nil {
+		return nil, err
+	}
+	return ins, nil
+}
+
 // TestRowEncodeAllocBudget is the dynamic backstop of the //crew:hotpath
 // marks on the row encoder: a steady-state encode of a six-step instance
 // into a reused buffer allocates nothing.
 func TestRowEncodeAllocBudget(t *testing.T) {
 	ins := sixStepInstance(1)
-	var enc rowEncoder
-	buf := enc.appendInstance(nil, ins)
+	var w binenc.Walker
+	buf := encodeRow(&w, nil, ins)
 	if len(buf) >= 1000 {
 		t.Errorf("six-step row is %d bytes, budget < 1000", len(buf))
 	}
-	if n := testing.AllocsPerRun(200, func() { buf = enc.appendInstance(buf[:0], ins) }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { buf = encodeRow(&w, buf[:0], ins) }); n != 0 {
 		t.Errorf("steady-state row encode allocates %.0f times, budget 0", n)
 	}
 	// A warm Batch on a memory store pays only for what the store keeps: the
@@ -55,18 +70,17 @@ func TestRowEncodeAllocBudget(t *testing.T) {
 // TestRowEncodingIsDeterministic: equal instances built in different map
 // insertion orders encode to equal bytes, run after run.
 func TestRowEncodingIsDeterministic(t *testing.T) {
-	var enc rowEncoder
-	want := enc.appendInstance(nil, sixStepInstance(3))
+	var w binenc.Walker
+	want := encodeRow(&w, nil, sixStepInstance(3))
 	for i := 0; i < 20; i++ {
-		if got := enc.appendInstance(nil, sixStepInstance(3).Clone()); !bytes.Equal(got, want) {
+		if got := encodeRow(&w, nil, sixStepInstance(3).Clone()); !bytes.Equal(got, want) {
 			t.Fatalf("encoding %d differs from the first", i)
 		}
 	}
 }
 
 func TestDecodeRejectsBadRows(t *testing.T) {
-	var enc rowEncoder
-	row := enc.appendInstance(nil, sixStepInstance(1))
+	row := encodeRow(new(binenc.Walker), nil, sixStepInstance(1))
 	cases := map[string][]byte{
 		"empty":         nil,
 		"newer version": append([]byte{rowVersion + 1}, row[1:]...),
@@ -74,19 +88,19 @@ func TestDecodeRejectsBadRows(t *testing.T) {
 		"parent JSON":   []byte(`{"workflow":"WF01","id":1}`),
 	}
 	for name, b := range cases {
-		if _, err := decodeInstance(b); cerrors.CodeOf(err) != cerrors.CodeStoreFormat {
+		if _, err := decodeRow(b); cerrors.CodeOf(err) != cerrors.CodeStoreFormat {
 			t.Errorf("%s: error %v, want code %q", name, err, cerrors.CodeStoreFormat)
 		}
 	}
 	for cut := 1; cut < len(row); cut++ {
-		if _, err := decodeInstance(row[:cut]); cerrors.CodeOf(err) != cerrors.CodeStoreFormat {
+		if _, err := decodeRow(row[:cut]); cerrors.CodeOf(err) != cerrors.CodeStoreFormat {
 			t.Fatalf("row cut at %d of %d: error %v, want code %q", cut, len(row), err, cerrors.CodeStoreFormat)
 		}
 	}
-	if _, err := decodeSummary([]byte{rowVersion + 1, 2}); cerrors.CodeOf(err) != cerrors.CodeStoreFormat {
+	if err := readRow([]byte{rowVersion + 1, 2}, "summary row", new(Status)); cerrors.CodeOf(err) != cerrors.CodeStoreFormat {
 		t.Errorf("summary with newer version: %v", err)
 	}
-	if _, err := decodeSummary([]byte{rowVersion}); cerrors.CodeOf(err) != cerrors.CodeStoreFormat {
+	if err := readRow([]byte{rowVersion}, "summary row", new(Status)); cerrors.CodeOf(err) != cerrors.CodeStoreFormat {
 		t.Errorf("truncated summary: %v", err)
 	}
 }
@@ -96,28 +110,28 @@ func TestDecodeRejectsBadRows(t *testing.T) {
 // declaring 2^60 steps must fail, not reserve memory); whatever decodes
 // re-encodes to a row that decodes to the same bytes again.
 func FuzzInstanceRowDecode(f *testing.F) {
-	var enc rowEncoder
-	f.Add(enc.appendInstance(nil, sixStepInstance(1)))
+	var w binenc.Walker
+	f.Add(encodeRow(&w, nil, sixStepInstance(1)))
 	full := sixStepInstance(2)
 	full.Parent = &ParentRef{Workflow: "Parent", ID: 9, Step: "N"}
 	full.Aborting, full.Epoch, full.Coordinator, full.NotifyTo = true, 3, "agent02", "frontend"
 	full.RecordCompensating("S2", model.ModePartialComp)
 	full.Events.Invalidate(event.DoneName("S3"))
 	full.Data["s"], full.Data["b"], full.Data["n"] = expr.Str("héllo"), expr.Bool(true), expr.Null()
-	f.Add(enc.appendInstance(nil, full))
+	f.Add(encodeRow(&w, nil, full))
 	f.Add([]byte{rowVersion, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		ins, err := decodeInstance(b)
+		ins, err := decodeRow(b)
 		if err != nil {
 			return
 		}
-		var enc rowEncoder
-		again := enc.appendInstance(nil, ins)
-		ins2, err := decodeInstance(again)
+		var w binenc.Walker
+		again := encodeRow(&w, nil, ins)
+		ins2, err := decodeRow(again)
 		if err != nil {
 			t.Fatalf("re-encoded row does not decode: %v", err)
 		}
-		if final := enc.appendInstance(nil, ins2); !bytes.Equal(final, again) {
+		if final := encodeRow(&w, nil, ins2); !bytes.Equal(final, again) {
 			t.Fatal("decode(encode(x)) encodes differently from x")
 		}
 	})
@@ -131,8 +145,7 @@ func FuzzInstanceRowDecode(f *testing.F) {
 func TestRetireIsCrashAtomic(t *testing.T) {
 	dir := t.TempDir()
 	ins := sixStepInstance(1)
-	var enc rowEncoder
-	row := enc.appendInstance(nil, ins)
+	row := encodeRow(new(binenc.Walker), nil, ins)
 
 	tablesAfterCut := func(t *testing.T, retire func(st *store.Store)) (both, neither int) {
 		path := filepath.Join(dir, "full.db")
@@ -224,8 +237,8 @@ func TestBatchCommitsOneGroupInOrder(t *testing.T) {
 		t.Errorf("store saw %d mutations, want 6", st.Writes()-writes)
 	}
 	// One group: its framing is 8 bytes however many rows it carries.
-	var enc rowEncoder
-	rows := 2*len(enc.appendInstance(nil, b)) + len(enc.appendInstance(nil, sixStepInstance(1)))
+	var w binenc.Walker
+	rows := 2*len(encodeRow(&w, nil, b)) + len(encodeRow(&w, nil, sixStepInstance(1)))
 	if grew := size() - before; grew < int64(rows) || grew > int64(rows)+200 {
 		t.Errorf("log grew %d bytes for %d bytes of rows: not one group", grew, rows)
 	}
@@ -255,24 +268,23 @@ func TestBatchCommitsOneGroupInOrder(t *testing.T) {
 
 func BenchmarkRowEncode(b *testing.B) {
 	ins := sixStepInstance(1)
-	var enc rowEncoder
-	buf := enc.appendInstance(nil, ins)
+	var w binenc.Walker
+	buf := encodeRow(&w, nil, ins)
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = enc.appendInstance(buf[:0], ins)
+		buf = encodeRow(&w, buf[:0], ins)
 	}
 }
 
 func BenchmarkRowDecode(b *testing.B) {
-	var enc rowEncoder
-	row := enc.appendInstance(nil, sixStepInstance(1))
+	row := encodeRow(new(binenc.Walker), nil, sixStepInstance(1))
 	b.SetBytes(int64(len(row)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeInstance(row); err != nil {
+		if _, err := decodeRow(row); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync"
 
+	"crew/internal/binenc"
 	"crew/internal/event"
 	"crew/internal/expr"
 	"crew/internal/model"
@@ -487,8 +488,8 @@ func (db *DB) Store() *store.Store { return db.st }
 // The zero Batch is ready; Commit empties it for reuse, keeping its buffers,
 // so a warm batch encodes without allocating. Not safe for concurrent use.
 type Batch struct {
-	enc  rowEncoder
-	buf  []byte // encoded rows, back to back
+	w    binenc.Walker // encodes the rows into buf
+	buf  []byte        // encoded rows, back to back
 	rows []batchRow
 	ops  []store.Op // rebuilt from rows at Commit
 }
@@ -507,25 +508,25 @@ func (b *Batch) put(table, key string, off int) {
 
 // SaveInstance adds ins's full state as its instance-table row.
 func (b *Batch) SaveInstance(ins *Instance) {
-	off := len(b.buf)
-	b.buf = b.enc.appendInstance(b.buf, ins)
-	b.put(tableInstance, ins.Key(), off)
+	off := b.beginRow()
+	ins.Walk(&b.w)
+	b.endRow(tableInstance, ins.Key(), off)
 }
 
 // SaveSummary adds a coordination instance summary row.
 func (b *Batch) SaveSummary(workflow string, id int, status Status) {
-	off := len(b.buf)
-	b.buf = appendSummary(b.buf, status)
-	b.put(tableSummary, InstanceKeyOf(workflow, id), off)
+	off := b.beginRow()
+	status.Walk(&b.w)
+	b.endRow(tableSummary, InstanceKeyOf(workflow, id), off)
 }
 
 // Archive adds the move of a finished instance to the archive table: its
 // archive row and the deletion of its instance row. Committed in one group,
 // a crash leaves the instance in exactly one of the two tables.
 func (b *Batch) Archive(ins *Instance) {
-	off, key := len(b.buf), ins.Key()
-	b.buf = b.enc.appendInstance(b.buf, ins)
-	b.put(tableArchive, key, off)
+	off, key := b.beginRow(), ins.Key()
+	ins.Walk(&b.w)
+	b.endRow(tableArchive, key, off)
 	b.rows = append(b.rows, batchRow{table: tableInstance, key: key, del: true})
 }
 
@@ -598,8 +599,11 @@ func (db *DB) loadInstance(table, workflow string, id int) (*Instance, bool, err
 	if !ok {
 		return nil, false, nil
 	}
-	ins, err := decodeInstance(buf)
-	return ins, true, err
+	ins := new(Instance)
+	if err := readRow(buf, "instance row", ins); err != nil {
+		return nil, true, err
+	}
+	return ins, true, nil
 }
 
 // LoadInstance retrieves an instance.
@@ -647,8 +651,11 @@ func (db *DB) LoadSummary(workflow string, id int) (Status, bool, error) {
 	if !ok {
 		return 0, false, nil
 	}
-	st, err := decodeSummary(buf)
-	return st, true, err
+	var st Status
+	if err := readRow(buf, "summary row", &st); err != nil {
+		return 0, true, err
+	}
+	return st, true, nil
 }
 
 // SummaryKeys lists all summarized instances.
