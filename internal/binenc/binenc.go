@@ -275,6 +275,9 @@ func (w *Walker) Float64(v *float64) {
 	}
 }
 
+// Raw appends bytes a walk encoded earlier; encode mode only.
+func (w *Walker) Raw(b []byte) { w.out = append(w.out, b...) }
+
 // Len walks the count of a sequence whose entries each occupy at least
 // minEntry bytes: it writes n, or reads a count the remaining input can hold
 // (Reader.Count), so a walk may size an allocation from the result.
@@ -317,11 +320,18 @@ func Strings[S ~string](w *Walker, v *[]S) {
 	}
 }
 
+// smallMap is the most entries Map sorts on the stack.
+const smallMap = 16
+
 // Map walks a map with string keys: the count, then each key and its value
 // in key order, so equal maps encode to equal bytes whatever Go's map order.
 // value walks one value: given the map's when encoding, a zero one when
 // decoding, it returns what it read. Each entry occupies at least minEntry
 // bytes. An empty map decodes as nil.
+//
+// A map of up to smallMap entries is encoded in one pass over it, its
+// entries insertion-sorted in stack arrays; a larger one sorts its keys in
+// the walker's scratch and looks each value up.
 func Map[K ~string, V any](w *Walker, m *map[K]V, minEntry int, value func(w *Walker, v V) V) {
 	if w.decoding {
 		n := w.in.Count(minEntry)
@@ -336,6 +346,38 @@ func Map[K ~string, V any](w *Walker, m *map[K]V, minEntry int, value func(w *Wa
 			dec[k] = value(w, zero)
 		}
 		*m = dec
+		return
+	}
+	switch n := len(*m); {
+	case n == 0:
+		w.out = append(w.out, 0)
+		return
+	case n == 1:
+		//crew:allow hotalloc the iterator lives on the stack; one entry has no order to fix
+		for k, v := range *m {
+			w.out = append(w.out, 1)
+			w.out = AppendString(w.out, string(k))
+			value(w, v)
+		}
+		return
+	case n <= smallMap:
+		var keys [smallMap]K
+		var vals [smallMap]V
+		i := 0
+		//crew:allow hotalloc the iterator lives on the stack; the insertion sort fixes the order
+		for k, v := range *m {
+			j := i
+			for ; j > 0 && keys[j-1] > k; j-- {
+				keys[j], vals[j] = keys[j-1], vals[j-1]
+			}
+			keys[j], vals[j] = k, v
+			i++
+		}
+		w.out = binary.AppendUvarint(w.out, uint64(n))
+		for i := range n {
+			w.out = AppendString(w.out, string(keys[i]))
+			value(w, vals[i])
+		}
 		return
 	}
 	// The keys are sorted on top of the scratch: a map nested in a value

@@ -1,12 +1,14 @@
 package central
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"crew/internal/expr"
@@ -16,6 +18,25 @@ import (
 	"crew/internal/transport"
 	"crew/internal/wfdb"
 )
+
+// TestMain checks every instance row the package's tests save against a
+// walk of the instance without the bytes it kept from its last save
+// (wfdb.CheckSaves): a save that took a step record's old bytes after the
+// record changed fails the run.
+func TestMain(m *testing.M) {
+	var bad atomic.Int64
+	wfdb.CheckSaves(func(key string, saved, fresh []byte) {
+		if !bytes.Equal(saved, fresh) && bad.Add(1) == 1 {
+			fmt.Fprintf(os.Stderr, "saved row of %s differs from a fresh walk\n saved %x\n fresh %x\n", key, saved, fresh)
+		}
+	})
+	code := m.Run()
+	if n := bad.Load(); n > 0 {
+		fmt.Fprintf(os.Stderr, "FAIL: %d saved rows differ from a fresh walk of their instance\n", n)
+		code = 1
+	}
+	os.Exit(code)
+}
 
 // fileSystem is newSystem over a file-backed WFDB.
 func fileSystem(t *testing.T, path string, lib *model.Library, reg *model.Registry) (*System, *wfdb.DB) {

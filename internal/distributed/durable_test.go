@@ -1,9 +1,12 @@
 package distributed
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"crew/internal/expr"
@@ -12,6 +15,25 @@ import (
 	"crew/internal/transport"
 	"crew/internal/wfdb"
 )
+
+// TestMain checks every instance row the package's tests save against a
+// walk of the instance without the bytes it kept from its last save
+// (wfdb.CheckSaves): a save that took a step record's old bytes after the
+// record changed fails the run.
+func TestMain(m *testing.M) {
+	var bad atomic.Int64
+	wfdb.CheckSaves(func(key string, saved, fresh []byte) {
+		if !bytes.Equal(saved, fresh) && bad.Add(1) == 1 {
+			fmt.Fprintf(os.Stderr, "saved row of %s differs from a fresh walk\n saved %x\n fresh %x\n", key, saved, fresh)
+		}
+	})
+	code := m.Run()
+	if n := bad.Load(); n > 0 {
+		fmt.Fprintf(os.Stderr, "FAIL: %d saved rows differ from a fresh walk of their instance\n", n)
+		code = 1
+	}
+	os.Exit(code)
+}
 
 // fileSystem is a three-agent deployment with one file-backed AGDB per agent
 // and the Lin schema pinned A@a1, B@a2, C@a3, so a1 coordinates every

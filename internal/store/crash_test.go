@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -318,13 +319,14 @@ func TestTornHeaderIsRewritten(t *testing.T) {
 
 // TestPutAllocBudget is the dynamic backstop of the //crew:hotpath marks on
 // Apply, Put and appendGroup: a steady-state one-op Put on a file store
-// allocates the resident copy of the value and nothing else.
+// rewrites the key's resident buffer and allocates nothing; a put of a key
+// not resident allocates its copy and nothing else.
 func TestPutAllocBudget(t *testing.T) {
 	s, _ := tempStore(t)
 	value := bytes.Repeat([]byte("v"), 700)
 	s.Put("t", "k", value)
-	if n := testing.AllocsPerRun(200, func() { s.Put("t", "k", value) }); n > 1 {
-		t.Errorf("Put on a file store allocates %.0f times per call, budget 1 (the value copy)", n)
+	if n := testing.AllocsPerRun(200, func() { s.Put("t", "k", value) }); n != 0 {
+		t.Errorf("rewriting a key on a file store allocates %.0f times per call, budget 0", n)
 	}
 	ops := []Op{
 		{Table: "t", Key: "a", Value: value},
@@ -332,7 +334,109 @@ func TestPutAllocBudget(t *testing.T) {
 		{Table: "t", Key: "a", Delete: true},
 	}
 	s.Apply(ops)
-	if n := testing.AllocsPerRun(200, func() { s.Apply(ops) }); n > 2 {
-		t.Errorf("Apply of two puts and a delete allocates %.0f times per call, budget 2 (the value copies)", n)
+	if n := testing.AllocsPerRun(200, func() { s.Apply(ops) }); n > 1 {
+		t.Errorf("Apply of a new key, a rewrite and a delete allocates %.0f times per call, budget 1 (the new key's copy)", n)
+	}
+}
+
+// TestRewriteReusesResidentBuffer: a rewritten key's value lands in the
+// buffer it already had, shorter or longer, and Get still returns copies.
+func TestRewriteReusesResidentBuffer(t *testing.T) {
+	s, path := tempStore(t)
+	long, short := bytes.Repeat([]byte("l"), 300), []byte("short")
+	s.Put("t", "k", long)
+	first := &s.tables["t"]["k"][0]
+	got, _ := s.Get("t", "k")
+	s.Put("t", "k", short)
+	if &s.tables["t"]["k"][0] != first {
+		t.Error("a shorter rewrite did not reuse the key's buffer")
+	}
+	if !bytes.Equal(got, long) {
+		t.Error("a value Get returned changed under a rewrite")
+	}
+	s.Put("t", "k", append(long, long...))
+	s.Put("t", "k", short)
+	s.Close()
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if v, _ := r.Get("t", "k"); !bytes.Equal(v, short) {
+		t.Errorf("after rewrites and reopen the value is %q, want %q", v, short)
+	}
+}
+
+// tornWriter writes half of the first group it is given, runs then, and
+// fails the write, as a full disk or an I/O error does part way through;
+// later writes go through.
+type tornWriter struct {
+	w    io.Writer
+	then func()
+	done bool
+}
+
+func (t *tornWriter) Write(b []byte) (int, error) {
+	if t.done {
+		return t.w.Write(b)
+	}
+	t.done = true
+	n, _ := t.w.Write(b[:len(b)/2])
+	if t.then != nil {
+		t.then()
+	}
+	return n, errors.New("device full")
+}
+
+// TestFailedWriteKeepsLaterGroups: a group write that fails part way is cut
+// back off the log, so every group acknowledged after it replays at the next
+// Open. Left in place, the torn bytes end the replay, and every later group
+// behind them is dropped.
+func TestFailedWriteKeepsLaterGroups(t *testing.T) {
+	s, path := tempStore(t)
+	s.Put("t", "before", []byte("1"))
+	s.log = &tornWriter{w: s.log}
+	if err := s.Put("t", "torn", []byte("2")); err == nil {
+		t.Fatal("a torn group write reported no error")
+	}
+	for _, k := range []string{"after1", "after2"} {
+		if err := s.Put("t", k, []byte("3")); err != nil {
+			t.Fatalf("put %s after a failed write: %v", k, err)
+		}
+	}
+	s.Close()
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got, want := r.Keys("t"), []string{"after1", "after2", "before"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("after reopen the keys are %q, want %q: an acknowledged group was lost", got, want)
+	}
+}
+
+// TestUncutFailedWriteFailsLaterApplies: when the torn bytes cannot be cut
+// back, the store acknowledges no later group, since the next Open would
+// drop it; the log still reopens to the groups before the failure.
+func TestUncutFailedWriteFailsLaterApplies(t *testing.T) {
+	s, path := tempStore(t)
+	s.Put("t", "before", []byte("1"))
+	s.log = &tornWriter{w: s.log, then: func() { s.f.Close() }}
+	if err := s.Put("t", "torn", []byte("2")); err == nil {
+		t.Fatal("a torn group write reported no error")
+	}
+	for i := 0; i < 2; i++ {
+		if err := s.Put("t", "after", []byte("3")); err == nil {
+			t.Fatal("a put after an uncut failed write was acknowledged")
+		}
+	}
+	s.Close()
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got, want := r.Keys("t"), []string{"before"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("after reopen the keys are %q, want %q", got, want)
 	}
 }

@@ -64,6 +64,14 @@ type Store struct {
 	writes int64
 	wbuf   []byte // group-record encode buffer, reused under mu
 
+	// log is what Apply writes group records to: f, or a test's writer in
+	// front of it. end is the offset just past the last complete group.
+	// broken, once a failed write could not be cut back to end, fails every
+	// later Apply.
+	log    io.Writer
+	end    int64
+	broken error
+
 	// Spilled tables keep only a fixed-size (offset, length) reference in
 	// memory; the value bytes live in the append-only side file spillF.
 	spill    map[string]bool
@@ -106,8 +114,9 @@ func Open(path string) (*Store, error) {
 			f.Close()
 			return nil, err
 		}
+		valid = int64(headerLen)
 	}
-	s.f = f
+	s.f, s.log, s.end = f, f, valid
 	return s, nil
 }
 
@@ -323,7 +332,13 @@ func (s *Store) readSpill(ref []byte) ([]byte, error) {
 // Apply logs ops as one group record — a single write, replayed all or
 // nothing — and then applies them in order to the in-memory view. Values are
 // copied (or, for a spilled table, written to the side file); ops and its
-// buffers are not retained. Put and Delete are the one-op case.
+// buffers are not retained. A rewritten key's copy goes into the buffer the
+// key already holds, grown with headroom when it is short; a new key's copy
+// is exact. Put and Delete are the one-op case.
+//
+// A failed write is cut back off the log, so the next group follows the last
+// complete one; if it cannot be, this and every later Apply fail, since a
+// group written behind a torn one would be dropped by the next Open.
 //
 //crew:hotpath
 func (s *Store) Apply(ops []Op) error {
@@ -331,6 +346,9 @@ func (s *Store) Apply(ops []Op) error {
 	defer s.mu.Unlock()
 	if s.tables == nil {
 		return ErrClosed
+	}
+	if s.broken != nil {
+		return s.broken
 	}
 	if len(ops) == 0 {
 		return nil
@@ -341,10 +359,11 @@ func (s *Store) Apply(ops []Op) error {
 			//crew:allow hotalloc error path, a group no replay would accept
 			return fmt.Errorf("store: group of %d ops exceeds %d bytes", len(ops), maxGroupBody)
 		}
-		if _, err := s.f.Write(s.wbuf); err != nil {
+		if _, err := s.log.Write(s.wbuf); err != nil {
 			//crew:allow hotalloc error path
-			return fmt.Errorf("store: write group: %w", err)
+			return s.cutBack(err)
 		}
+		s.end += int64(len(s.wbuf))
 	}
 	for i := range ops {
 		op := &ops[i]
@@ -361,13 +380,33 @@ func (s *Store) Apply(ops []Op) error {
 			}
 			v = ref
 		default:
-			//crew:allow hotalloc the resident copy of the value is the store's one allocation per put
-			v = append([]byte(nil), op.Value...)
+			old, rewrite := s.tables[op.Table][op.Key]
+			if rewrite {
+				v = append(old[:0], op.Value...)
+			} else {
+				//crew:allow hotalloc the resident copy of a new key's value
+				v = append([]byte(nil), op.Value...)
+			}
 		}
 		s.apply(op.Table, op.Key, v, op.Delete)
 	}
 	s.writes += int64(len(ops))
 	return nil
+}
+
+// cutBack truncates what a failed group write left behind the last complete
+// group and returns the write's error; if the log cannot be cut back, it
+// marks the store broken.
+func (s *Store) cutBack(werr error) error {
+	err := s.f.Truncate(s.end)
+	if err == nil {
+		_, err = s.f.Seek(s.end, io.SeekStart)
+	}
+	if err != nil {
+		s.broken = fmt.Errorf("store: %s: cannot cut back a failed group write (%v): %w", s.path, werr, err)
+		return s.broken
+	}
+	return fmt.Errorf("store: write group: %w", werr)
 }
 
 // Put writes value under table/key. The value is copied.
@@ -462,8 +501,12 @@ func (s *Store) Compact() error {
 	if err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
+	var end int64
 	if err = s.writeSnapshot(f); err == nil {
 		err = f.Sync()
+	}
+	if err == nil {
+		end, err = f.Seek(0, io.SeekCurrent)
 	}
 	if err == nil {
 		err = os.Rename(tmp, s.path)
@@ -474,7 +517,7 @@ func (s *Store) Compact() error {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	s.f.Close()
-	s.f = f
+	s.f, s.log, s.end, s.broken = f, f, end, nil
 	return nil
 }
 

@@ -2,6 +2,7 @@ package wfdb
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -56,14 +57,34 @@ func TestRowEncodeAllocBudget(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { buf = encodeRow(&w, buf[:0], ins) }); n != 0 {
 		t.Errorf("steady-state row encode allocates %.0f times, budget 0", n)
 	}
-	// A warm Batch on a memory store pays only for what the store keeps: the
-	// key string and the resident copy of the row.
+}
+
+// TestResaveAllocBudget: a warm save and commit of an instance allocates
+// nothing, whether its records are as the last save saw them or one of them
+// changed: the instance keeps its key and its records' bytes, and the store
+// rewrites the row's resident buffer.
+func TestResaveAllocBudget(t *testing.T) {
+	ins := sixStepInstance(1)
 	db := NewMemory()
 	var b Batch
-	b.SaveInstance(ins)
-	db.Commit(&b)
-	if n := testing.AllocsPerRun(200, func() { b.SaveInstance(ins); db.Commit(&b) }); n > 2 {
-		t.Errorf("warm Batch save allocates %.0f times, budget 2 (key, resident row)", n)
+	save := func() { b.SaveInstance(ins); db.Commit(&b) }
+	save()
+	if n := testing.AllocsPerRun(200, save); n != 0 {
+		t.Errorf("warm re-save of an unchanged instance allocates %.0f times, budget 0", n)
+	}
+	rec := ins.Steps["S3"]
+	if n := testing.AllocsPerRun(200, func() { rec.Attempts++; save() }); n != 0 {
+		t.Errorf("warm re-save with one changed record allocates %.0f times, budget 0", n)
+	}
+	if ins.saved == nil || len(ins.saved.recs) != len(ins.Steps) {
+		t.Fatal("a saved instance keeps no bytes for its records")
+	}
+	b.Archive(ins)
+	if ins.saved != nil {
+		t.Error("Archive left the instance its kept bytes")
+	}
+	if ins.Clone().saved != nil {
+		t.Error("a clone shares the kept bytes")
 	}
 }
 
@@ -275,6 +296,48 @@ func BenchmarkRowEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = encodeRow(&w, buf[:0], ins)
+	}
+}
+
+// BenchmarkInstanceSaves runs one ten-step instance from start to
+// retirement and saves it once per turn, as an engine does: the instance
+// sized from its schema, a turn per dispatch and per result, each committed
+// to a memory store. Unlike BenchmarkRowEncode, a cold encode, each save
+// here follows the previous one.
+func BenchmarkInstanceSaves(b *testing.B) {
+	sb := model.NewSchema("WF01", "I1")
+	var ids [10]model.StepID
+	inputs, outputs := make([]map[string]expr.Value, len(ids)), make([]map[string]expr.Value, len(ids))
+	for i := range ids {
+		ids[i] = model.StepID(fmt.Sprintf("S%d", i+1))
+		sb.Step(ids[i], "p", model.WithOutputs("O1"))
+		inputs[i] = map[string]expr.Value{"WF.I1": expr.Num(float64(i))}
+		outputs[i] = map[string]expr.Value{"O1": expr.Num(float64(i))}
+	}
+	schema := sb.Seq(ids[:]...).MustBuild()
+	db := NewMemory()
+	var batch Batch
+	turn := func(ins *Instance) {
+		batch.SaveInstance(ins)
+		if err := db.Commit(&batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ins := NewInstance("WF01", 1, map[string]expr.Value{"I1": expr.Num(1)})
+		ins.AttachSchema(schema)
+		ins.Reserve(schema.TableSizes())
+		ins.Events.Post(event.WorkflowStartName)
+		for j, id := range ids {
+			ins.RecordExecuting(id, "agent01", inputs[j])
+			turn(ins)
+			ins.RecordDone(id, outputs[j])
+			turn(ins)
+		}
+		batch.DeleteInstance(ins.Workflow, ins.ID)
+		db.Commit(&batch)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"crew/internal/binenc"
 	"crew/internal/event"
@@ -92,6 +93,12 @@ func (s StepStatus) String() string {
 }
 
 // StepRecord is the step-table entry for one step of one instance.
+//
+// While its owner may still save the instance, a record's Inputs and Outputs
+// maps are replaced, never changed in place: a save takes the bytes it kept
+// for a record whose scalars and two maps are those it last saw (row.go).
+// Handing an instance to a waiter and the model.Program contract, which
+// gives programs these maps to read, assume the same.
 type StepRecord struct {
 	Status StepStatus
 	// Agent names the agent that executed (or is executing) the step.
@@ -163,6 +170,9 @@ type Instance struct {
 	// falls back to direct construction) and not persisted: owners re-attach
 	// after load or import.
 	schema *model.Schema
+	// saved is what Batch.SaveInstance keeps between saves (row.go): nil
+	// until the first, and again after Archive and in a Clone.
+	saved *savedSteps
 }
 
 // AttachSchema installs the instance's schema as a name-interning source.
@@ -265,12 +275,16 @@ func ParseInstanceKey(key string) (workflow string, id int, err error) {
 // Env exposes the data table as an expression environment.
 func (ins *Instance) Env() expr.Env { return expr.MapEnv(ins.Data) }
 
-// StepRec returns (creating if needed) the step record for id.
+// StepRec returns (creating if needed) the step record for id. A record it
+// creates in a saved instance gets its place among the kept entries at once.
 func (ins *Instance) StepRec(id model.StepID) *StepRecord {
 	r := ins.Steps[id]
 	if r == nil {
 		r = &StepRecord{}
 		ins.Steps[id] = r
+		if c := ins.saved; c != nil {
+			c.add(id)
+		}
 	}
 	return r
 }
@@ -506,11 +520,41 @@ func (b *Batch) put(table, key string, off int) {
 	b.rows = append(b.rows, batchRow{table: table, key: key, off: off, end: len(b.buf)})
 }
 
-// SaveInstance adds ins's full state as its instance-table row.
+// SaveInstance adds ins's full state as its instance-table row. The
+// instance keeps its step records' bytes for the next save, which walks only
+// the records changed since (row.go).
 func (b *Batch) SaveInstance(ins *Instance) {
+	c := ins.saveState()
 	off := b.beginRow()
-	ins.Walk(&b.w)
-	b.endRow(tableInstance, ins.Key(), off)
+	ins.walkRow(&b.w, true)
+	b.endRow(tableInstance, c.key, off)
+	if f := saveCheck.Load(); f != nil {
+		(*f)(c.key, b.buf[off:], freshRow(ins))
+	}
+}
+
+// saveCheck is CheckSaves's function.
+var saveCheck atomic.Pointer[func(key string, saved, fresh []byte)]
+
+// CheckSaves, for tests, has every later Batch.SaveInstance call f with the
+// row it wrote and the row a walk of the instance without its kept bytes
+// writes; the two differ only if a step record changed in a way the save
+// did not see. nil stops the calls.
+func CheckSaves(f func(key string, saved, fresh []byte)) {
+	if f == nil {
+		saveCheck.Store(nil)
+		return
+	}
+	saveCheck.Store(&f)
+}
+
+// freshRow is ins's instance row walked without the bytes it kept.
+func freshRow(ins *Instance) []byte {
+	saved := ins.saved
+	ins.saved = nil
+	row := new(binenc.Walker).Append([]byte{rowVersion}, ins)
+	ins.saved = saved
+	return row
 }
 
 // SaveSummary adds a coordination instance summary row.
@@ -522,12 +566,15 @@ func (b *Batch) SaveSummary(workflow string, id int, status Status) {
 
 // Archive adds the move of a finished instance to the archive table: its
 // archive row and the deletion of its instance row. Committed in one group,
-// a crash leaves the instance in exactly one of the two tables.
+// a crash leaves the instance in exactly one of the two tables. The row
+// takes the bytes the instance kept at its last save, and the instance then
+// drops them.
 func (b *Batch) Archive(ins *Instance) {
 	off, key := b.beginRow(), ins.Key()
 	ins.Walk(&b.w)
 	b.endRow(tableArchive, key, off)
 	b.rows = append(b.rows, batchRow{table: tableInstance, key: key, del: true})
+	ins.saved = nil
 }
 
 // DeleteInstance adds the removal of an instance row (a purge broadcast).

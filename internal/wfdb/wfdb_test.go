@@ -2,7 +2,6 @@ package wfdb
 
 import (
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"crew/internal/event"
@@ -367,8 +366,4 @@ func TestReserveSizesOnlyFreshInstances(t *testing.T) {
 	if &ran.ExecOrder[0] != &order[0] || !sameMap(ran.Steps, stepTab) || !sameMap(ran.Data, dataTab) {
 		t.Error("Reserve replaced the tables of an instance that has run")
 	}
-}
-
-func sameMap[K comparable, V any](a, b map[K]V) bool {
-	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
 }

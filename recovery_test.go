@@ -1,14 +1,38 @@
 package crew_test
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"os"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"crew"
 	"crew/internal/metrics"
 	"crew/internal/transport"
+	"crew/internal/wfdb"
 )
+
+// TestMain checks every instance row the tests save against a walk of the
+// instance without the bytes it kept from its last save (wfdb.CheckSaves):
+// a save that took a step record's old bytes after the record changed, on
+// any architecture and across restarts, fails the run.
+func TestMain(m *testing.M) {
+	var bad atomic.Int64
+	wfdb.CheckSaves(func(key string, saved, fresh []byte) {
+		if !bytes.Equal(saved, fresh) && bad.Add(1) == 1 {
+			fmt.Fprintf(os.Stderr, "saved row of %s differs from a fresh walk\n saved %x\n fresh %x\n", key, saved, fresh)
+		}
+	})
+	code := m.Run()
+	if n := bad.Load(); n > 0 {
+		fmt.Fprintf(os.Stderr, "FAIL: %d saved rows differ from a fresh walk of their instance\n", n)
+		code = 1
+	}
+	os.Exit(code)
+}
 
 // nodeFaults is the crash surface every architecture's System exposes (the
 // fault injector drives it; these tests drive it from inside step programs to
