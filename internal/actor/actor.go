@@ -66,7 +66,8 @@ type Row interface {
 // Timer is an owner's maintenance turn, run off a one-shot timer that is
 // armed only while Busy reports work: an idle actor blocks with no timer at
 // all and takes zero wakeups. The turn that makes Busy true arms it, whichever
-// goroutine ran that turn.
+// goroutine ran that turn. A timer that fires for an owner that went idle
+// since runs no tick.
 type Timer struct {
 	Every time.Duration
 	Busy  func() bool
@@ -198,8 +199,13 @@ func (a *Actor) loop() {
 		}
 		if a.due.Swap(false) {
 			a.armed = false
-			a.timer.Tick()
-			a.endTurn(nil)
+			// An owner that went idle after the arming takes no tick.
+			// Stopping the timer at that turn instead would restart the
+			// period at the next busy turn and delay its sweep.
+			if a.timer.Busy() {
+				a.timer.Tick()
+				a.endTurn(nil)
+			}
 		}
 		a.drainCmds()
 		a.turnMu.Unlock()

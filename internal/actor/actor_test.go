@@ -282,6 +282,31 @@ func TestTimerTurn(t *testing.T) {
 	}
 }
 
+// TestIdleActorTakesNoTrailingTick: a timer an earlier turn armed fires for
+// an owner a later turn left idle, and no tick runs.
+func TestIdleActorTakesNoTrailingTick(t *testing.T) {
+	f := newFixture(t, nil)
+	busy := false // owned by the turns
+	var ticks atomic.Int32
+	f.act.Launch(func(transport.Message) {}, &Timer{
+		Every: 20 * time.Millisecond,
+		Busy:  func() bool { return busy },
+		Tick:  func() { ticks.Add(1) },
+	})
+	f.act.Do(func() { busy = true })  // arms the timer
+	f.act.Do(func() { busy = false }) // the owner is idle again
+	time.Sleep(100 * time.Millisecond)
+	if n := ticks.Load(); n != 0 {
+		t.Fatalf("an idle actor took %d ticks", n)
+	}
+	f.act.Do(func() { busy = true }) // arms it again, and it fires
+	for deadline := time.Now().Add(10 * time.Second); ticks.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the timer never fired once the owner was busy again")
+		}
+	}
+}
+
 // TestDoAsyncFromHandlerIsItsOwnTurn: a command scheduled inside a handler
 // runs after the handler's epilogue, with an epilogue of its own.
 func TestDoAsyncFromHandlerIsItsOwnTurn(t *testing.T) {
@@ -770,7 +795,7 @@ func TestOneWakeRunsPassThenTickThenCommand(t *testing.T) {
 			ticked := make(chan struct{})
 			f.act.Launch(func(m transport.Message) { f.tr.add("handle " + m.Payload.(string)) }, &Timer{
 				Every: time.Hour,
-				Busy:  func() bool { return false },
+				Busy:  func() bool { return true }, // an idle owner takes no tick
 				Tick: func() {
 					f.tr.add("tick")
 					close(ticked)

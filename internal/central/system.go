@@ -32,8 +32,8 @@ type SystemConfig struct {
 	DBs []*wfdb.DB
 	// DisableOCR forces Saga-style recovery (ablation).
 	DisableOCR bool
-	// Wire selects the transport backend (nil = in-process channels).
-	Wire transport.Wire
+	// Wire selects the socket backend (nil = in process).
+	Wire *transport.SocketWire
 	Logf func(format string, args ...any)
 }
 

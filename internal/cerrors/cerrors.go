@@ -87,8 +87,8 @@ const (
 	// CodePeerCrashed reports that the process or connection serving a wire
 	// node died with messages still owed to or by it.
 	CodePeerCrashed Code = "wire_peer_crashed"
-	// CodeUnclaimedNode reports a frame addressed to a wire node no
-	// connection has claimed.
+	// CodeUnclaimedNode reports a claim (a child's HELLO) naming a node the
+	// hub has not registered: the hub refused it, so the dial fails.
 	CodeUnclaimedNode Code = "wire_unclaimed_node"
 	// CodeWireFormat reports a hub and an agent process built with different
 	// wire formats (transport.WireFormat): the hub refused the claim, so the

@@ -100,13 +100,12 @@ func New(arch analysis.Architecture, cfg Config) (System, error) {
 	if engines == 0 && arch != analysis.Distributed {
 		return nil, fmt.Errorf("deploy: %w: unknown architecture %v", cerrors.ErrInvalidConfig, arch)
 	}
-	var wire transport.Wire
+	var wire *transport.SocketWire
 	if cfg.Backend != "" && cfg.Backend != "inproc" {
-		w, err := transport.NewSocketWire(cfg.Backend, cfg.Addr)
-		if err != nil {
+		var err error
+		if wire, err = transport.NewSocketWire(cfg.Backend, cfg.Addr); err != nil {
 			return nil, err
 		}
-		wire = w
 	}
 	if engines > 0 {
 		return central.NewSystem(central.SystemConfig{

@@ -29,8 +29,8 @@ type SystemConfig struct {
 	DisableOCR       bool
 	ExplicitElection bool
 	PurgeOnCommit    bool
-	// Wire selects the transport backend (nil = in-process channels).
-	Wire transport.Wire
+	// Wire selects the socket backend (nil = in process).
+	Wire *transport.SocketWire
 	Logf func(format string, args ...any)
 	// sweepPeriod is every agent's Config.sweepPeriod.
 	sweepPeriod time.Duration

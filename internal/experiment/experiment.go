@@ -37,11 +37,11 @@ type Options struct {
 	ExplicitElection bool
 	// Backend selects the wire backend ("" or "inproc" = in-process
 	// channels; "unix"/"tcp" carry every message across real sockets).
-	// Runs are deterministic per backend; the workflow-item columns
-	// (normal, failure, abort, input change) are identical on every
-	// backend, while coordination counts may shift slightly because the
-	// coordination protocol reacts to cross-link arrival interleaving,
-	// which a socket changes.
+	// A socket changes delivery interleavings, and the protocol's
+	// reactions to them change the message counts: a socket run's columns
+	// are neither the in-process ones nor repeatable (Table 6's Normal
+	// Execution row read 17.25-17.45 msgs/inst over ten unix runs at the
+	// default parameters).
 	Backend string
 }
 

@@ -16,10 +16,9 @@ package lint
 //     unknown and contribute nothing).
 //   - Across packages, summaries are read back as facts: a call to an
 //     imported function merges that function's exported FuncFacts.
-//   - Interface dispatch resolves to the interface method object itself
-//     (e.g. transport's Link.deliver), which carries the facts of a
-//     //crew:blocks or //crew:allocs annotation on the method's
-//     declaration.
+//   - Interface dispatch resolves to the interface method object itself,
+//     which carries the facts of a //crew:blocks or //crew:allocs
+//     annotation on the method's declaration.
 //   - Calls inside `go` statements contribute nothing to the caller's
 //     summary (the spawned goroutine blocks, allocates and locks on its
 //     own stack); the `go` statement itself is an allocation site.

@@ -13,11 +13,11 @@ package lint
 // command-queue locks are leaf locks on hot paths, and anything that can
 // park the goroutine while one is held turns a bounded critical section into
 // a potential deadlock — the goroutine that would drain the channel (an
-// actor draining its mailbox, a link node's pump, an Inbox feeder) may
+// actor draining its mailbox, a hub peer's pump, an Inbox feeder) may
 // itself need the lock. Whether a call blocks comes from the summary fact
-// layer, across package boundaries and through interface dispatch
-// (transport's Link.deliver carries //crew:blocks); no per-callee table is
-// kept here.
+// layer, across package boundaries and through interface dispatch (an
+// interface method annotated //crew:blocks); no per-callee table is kept
+// here.
 //
 // Order. An acquisition inside a held region, directly or through a call
 // whose summary acquires lock classes, is an edge A→B ("B was acquired while

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -14,7 +15,8 @@ import (
 
 // TestWireErrorClassification drives the wire failure modes a multi-process
 // supervisor must tell apart — dial refused, truncated frame, peer killed
-// mid-conversation, another build's wire format, protocol desync — and asserts each classifies to its
+// mid-conversation, another build's wire format, a claim of a node the hub
+// does not have, protocol desync — and asserts each classifies to its
 // documented cerrors code and phase. The assertions switch on CodeOf the way
 // real callers do: never string matching, never errors.Is on wrapped causes.
 func TestWireErrorClassification(t *testing.T) {
@@ -106,8 +108,7 @@ func TestWireErrorClassification(t *testing.T) {
 
 	t.Run("wire format", func(t *testing.T) {
 		// A child built with another payload layout claims a node: the hub
-		// answers with its own format byte and refuses the claim, and the
-		// child's Serve names the mismatch instead of misdecoding mid-run.
+		// answers with its own format byte alone and refuses the claim.
 		_, hub := newHub(t)
 		if err := hub.RegisterRemote("a"); err != nil {
 			t.Fatal(err)
@@ -116,11 +117,28 @@ func TestWireErrorClassification(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer c.Close()
 		hello := append(binenc.AppendString(nil, "a"), WireFormat+1)
 		if _, err := c.Write(appendFrame(nil, frameHello, hello)); err != nil {
 			t.Fatal(err)
 		}
-		child := &ChildConn{conn: c, name: "a", alive: make(map[string]bool)}
+		fr := newFrameReader(c, 0)
+		if typ, body, err := fr.next(); err != nil || typ != frameWelcome || !bytes.Equal(body, []byte{WireFormat}) {
+			t.Fatalf("hub answered %d %v (%v), want a WELCOME of its format byte alone", typ, body, err)
+		}
+		if _, _, err := fr.next(); err != io.EOF {
+			t.Fatalf("after the refusal: %v, want the hub to close", err)
+		}
+		if hub.Connected("a") {
+			t.Fatal("the hub attached a child with another wire format")
+		}
+		// That refusal, read by a child whose format is not the hub's, names
+		// the mismatch instead of misdecoding mid-run. Here the child is
+		// this build's and the hub another's.
+		client, server := net.Pipe()
+		defer server.Close()
+		go server.Write(appendFrame(nil, frameWelcome, []byte{WireFormat + 1}))
+		child := &ChildConn{conn: client, name: "a", alive: make(map[string]bool)}
 		err = child.Serve(func(Message) error { return nil }, nil)
 		switch cerrors.CodeOf(err) {
 		case cerrors.CodeWireFormat:
@@ -130,8 +148,25 @@ func TestWireErrorClassification(t *testing.T) {
 		if cerrors.PhaseOf(err) != cerrors.PhaseDial || !errors.Is(err, cerrors.ErrWire) {
 			t.Fatalf("err = %v, want phase dial under ErrWire", err)
 		}
-		if hub.Connected("a") {
-			t.Fatal("the hub attached a child with another wire format")
+	})
+
+	t.Run("unclaimed node", func(t *testing.T) {
+		// A child of this build claims a node the hub never registered: the
+		// hub refuses with its format byte alone, which equals the child's,
+		// so Serve names the unknown node rather than a format mismatch.
+		_, hub := newHub(t)
+		c, err := DialHub("unix", hub.Addr(), "ghost")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = c.Serve(func(Message) error { return nil }, nil)
+		switch cerrors.CodeOf(err) {
+		case cerrors.CodeUnclaimedNode:
+		default:
+			t.Fatalf("CodeOf = %q, want CodeUnclaimedNode (err=%v)", cerrors.CodeOf(err), err)
+		}
+		if cerrors.PhaseOf(err) != cerrors.PhaseDial || !errors.Is(err, cerrors.ErrWire) {
+			t.Fatalf("err = %v, want phase dial under ErrWire", err)
 		}
 	})
 

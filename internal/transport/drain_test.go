@@ -30,15 +30,9 @@ func (r *passRig) record(m Message) {
 	}
 }
 
-// hookLink is a Link whose far side is the rig.
-type hookLink struct{ r *passRig }
-
-func (l hookLink) deliver(m Message) error { l.r.record(m); return nil }
-func (l hookLink) Close() error            { return nil }
-
 // passSinks lists the three sinks. retires says whether a pass into the sink
 // takes a non-manual-ack message out of the in-flight count: the consumer's
-// passes do, the pump's does not (the far side of its link does).
+// passes do, the pump's does not (the child's ACK does).
 var passSinks = []struct {
 	name    string
 	retires bool
@@ -62,10 +56,10 @@ var passSinks = []struct {
 		}
 	}},
 	{"link", false, func(r *passRig) {
-		// The pump's drainer (see node.pump), fed by hand.
+		// The pump's drainer (see node.pump), fed by hand; the sink stands
+		// in for a hub peer's deliver.
 		r.d = &drainer{nd: r.ep.nd, mb: &r.ep.nd.in}
-		var l Link = hookLink{r}
-		r.sink = l.deliver
+		r.sink = func(m Message) error { r.record(m); return nil }
 	}},
 }
 
@@ -117,7 +111,7 @@ func (p *delayFirstFrom) OnMessage(m Message, _ int64) Verdict {
 
 func TestDrainPass(t *testing.T) {
 	for _, s := range passSinks {
-		// Delivered-but-unretired messages stay in flight behind a link.
+		// Delivered-but-unretired messages stay in flight behind a pump.
 		unretired := func(taken int) int64 {
 			if s.retires {
 				return 0
@@ -263,7 +257,7 @@ func TestDrainPass(t *testing.T) {
 	}
 }
 
-// TestSinkFailureIsACutOff: a sink that fails (a link whose peer died) leaves
+// TestSinkFailureIsACutOff: a sink that fails (a hub peer whose child died) leaves
 // the message it failed on, and everything behind it, at the queue front for
 // replay, and nothing is parked while the node is up.
 func TestSinkFailureIsACutOff(t *testing.T) {

@@ -11,9 +11,10 @@ import (
 	"crew/internal/metrics"
 )
 
-// The wire format shared by every socket backend and the multi-process hub
-// protocol: binary end to end, built from the primitives of internal/binenc
-// (varint integers, length-prefixed strings, counted sequences). A frame is:
+// The wire format of the hub protocol, the one socket protocol (remote.go;
+// a SocketWire is a hub whose children run in its own process): binary end
+// to end, built from the primitives of internal/binenc (varint integers,
+// length-prefixed strings, counted sequences). A frame is:
 //
 //	[4-byte big-endian length n][1-byte type][n-1 body bytes]
 //
@@ -65,11 +66,11 @@ const MaxFrame = 8 << 20
 // distributed where 4 has the four of package coord.
 const WireFormat byte = 4
 
-// Frame types. The loopback socket backend uses Msg/Hello/Ack; the
-// multi-process hub protocol additionally uses Welcome (format byte and peer
-// roster), Crash/Recover (liveness announcements) and Exec
-// (program-execution events feeding the cross-process coordination-invariant
-// checker).
+// Frame types of the hub protocol: Hello (a child claims a node, with its
+// format byte), Welcome (the hub's format byte and peer roster, or the byte
+// alone for a refused claim), Msg, Ack (a child has processed a delivery),
+// Crash/Recover (liveness announcements) and Exec (program-execution events
+// feeding the cross-process coordination-invariant checker).
 const (
 	frameMsg byte = iota + 1
 	frameHello

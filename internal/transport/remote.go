@@ -17,9 +17,10 @@ import (
 	"crew/internal/cerrors"
 )
 
-// This file implements the multi-process hub protocol: the piece that turns
-// the in-process Network into the message switch of a deployment whose agents
-// are real OS processes.
+// This file implements the hub protocol, the one socket protocol: the piece
+// that turns the in-process Network into the message switch of a deployment
+// whose agents are real OS processes. A SocketWire (wire_socket.go) is the
+// same hub with every child in the hub's own process.
 //
 // Topology: the hub process owns the Network (and with it the authoritative
 // message counts, fault policy, parking and quiescence accounting). Every
@@ -88,8 +89,8 @@ type ExecEvent struct {
 }
 
 // RemoteHub is the hub-process side of the protocol. It plugs into a Network
-// as the delivery backend of remote nodes (RegisterRemote) and is closed with
-// the network (it registers itself as a backend).
+// as the delivery backend of remote nodes (RegisterRemote), or of every node
+// when a SocketWire serves it, and is closed with the network.
 type RemoteHub struct {
 	n      *Network
 	ln     net.Listener
@@ -108,18 +109,26 @@ type RemoteHub struct {
 // private socket path or a loopback port) and attaches it to the network.
 // onExec, when non-nil, receives every EXEC event children report.
 func NewRemoteHub(n *Network, network, addr string, onExec func(ExecEvent)) (*RemoteHub, error) {
-	h := &RemoteHub{
-		n:        n,
-		onExec:   onExec,
-		peers:    make(map[string]*remotePeer),
-		closedCh: make(chan struct{}),
+	h, err := listen(network, addr)
+	if err != nil {
+		return nil, err
 	}
+	h.onExec = onExec
+	h.start(n)
+	return h, nil
+}
+
+// listen binds a hub's listener ("unix" or "tcp"; an empty addr picks a
+// private socket path or a loopback port). The hub serves nothing until
+// start attaches it to a network.
+func listen(network, addr string) (*RemoteHub, error) {
+	h := &RemoteHub{peers: make(map[string]*remotePeer), closedCh: make(chan struct{})}
 	switch network {
 	case "unix":
 		if addr == "" {
 			dir, err := os.MkdirTemp("", "crewhub")
 			if err != nil {
-				return nil, cerrors.E(cerrors.CodeInvalidConfig, cerrors.PhaseListen, cerrors.ErrWire, err, "hub socket dir")
+				return nil, cerrors.E(cerrors.CodeDialRefused, cerrors.PhaseListen, cerrors.ErrWire, err, "hub socket dir")
 			}
 			h.tmpDir = dir
 			addr = filepath.Join(dir, "hub.sock")
@@ -129,20 +138,23 @@ func NewRemoteHub(n *Network, network, addr string, onExec func(ExecEvent)) (*Re
 			addr = "127.0.0.1:0"
 		}
 	default:
-		return nil, cerrors.E(cerrors.CodeInvalidConfig, cerrors.PhaseConfig, cerrors.ErrWire, nil, "hub network %q (want unix or tcp)", network)
+		return nil, cerrors.E(cerrors.CodeInvalidConfig, cerrors.PhaseConfig, cerrors.ErrInvalidConfig, nil, "socket network %q (want unix or tcp)", network)
 	}
 	ln, err := net.Listen(network, addr)
 	if err != nil {
-		if h.tmpDir != "" {
-			os.RemoveAll(h.tmpDir)
-		}
-		return nil, cerrors.E(cerrors.CodeDialRefused, cerrors.PhaseListen, cerrors.ErrWire, err, "hub listen %s %s", network, addr)
+		os.RemoveAll(h.tmpDir) // "" removes nothing
+		return nil, cerrors.E(cerrors.CodeDialRefused, cerrors.PhaseListen, cerrors.ErrWire, err, "listen %s %s", network, addr)
 	}
 	h.ln = ln
+	return h, nil
+}
+
+// start attaches the hub to a network, which closes it, and accepts children.
+func (h *RemoteHub) start(n *Network) {
+	h.n = n
 	n.addBackend(h)
 	h.wg.Add(1)
 	go h.acceptLoop()
-	return h, nil
 }
 
 // Addr returns the hub's bound address (children dial it).
@@ -156,18 +168,16 @@ func (h *RemoteHub) RegisterRemote(name string) error {
 	if h.closed.Load() {
 		return ErrClosed
 	}
-	p := &remotePeer{hub: h, claimed: make(chan struct{})}
-	_, err := h.n.registerRemote(name, func(nd *node) Link {
-		p.nd = nd
-		return p
-	})
-	if err != nil {
-		return err
-	}
+	return h.n.registerRemote(name, h.peer)
+}
+
+// peer makes nd a hub peer: its pump delivers through the connection a child
+// claims under nd's name.
+func (h *RemoteHub) peer(nd *node) {
+	nd.peer = &remotePeer{hub: h, nd: nd, claimed: make(chan struct{})}
 	h.mu.Lock()
-	h.peers[name] = p
+	h.peers[nd.name] = nd.peer
 	h.mu.Unlock()
-	return nil
 }
 
 // Announce broadcasts a node's liveness transition to every connected child,
@@ -260,9 +270,7 @@ func (h *RemoteHub) Close() error {
 		p.mu.Unlock()
 	}
 	h.wg.Wait()
-	if h.tmpDir != "" {
-		os.RemoveAll(h.tmpDir)
-	}
+	os.RemoveAll(h.tmpDir)
 	return nil
 }
 
@@ -292,22 +300,21 @@ func (h *RemoteHub) serve(c net.Conn) {
 	rd := w.Reader()
 	rd.Reset(body)
 	name, format := rd.Str(), rd.Byte()
-	if rd.Done() != nil || format != WireFormat {
-		// A build with another payload layout: answer with this build's
-		// format byte so the child can name the mismatch, and refuse the
-		// claim. The write's error is dropped, the connection closes anyway.
+	h.mu.Lock()
+	p := h.peers[name]
+	h.mu.Unlock()
+	if rd.Done() != nil || format != WireFormat || p == nil {
+		// A build with another payload layout, or a node nobody registered:
+		// the claim is refused with a WELCOME holding only this build's
+		// format byte, by which the child tells the two apart. The write's
+		// error is dropped, the connection closes anyway.
 		c.Write(appendFrame(nil, frameWelcome, []byte{WireFormat}))
 		c.Close()
 		return
 	}
-	h.mu.Lock()
-	p := h.peers[name]
-	h.mu.Unlock()
-	if p == nil {
-		c.Close()
+	if !p.attach(c) {
 		return
 	}
-	p.attach(c)
 	defer p.detach(c)
 	for {
 		typ, body, err = fr.next()
@@ -356,7 +363,7 @@ func (h *RemoteHub) route(w *binenc.Walker, body []byte) error {
 			return malformed(err, "message header")
 		}
 		nodes := *h.n.nodes.Load()
-		if to := nodes[string(hd.to)]; to != nil && to.remote() {
+		if to := nodes[string(hd.to)]; to != nil && to.peer != nil {
 			var from string
 			if nd := nodes[string(hd.from)]; nd != nil {
 				from = nd.name
@@ -390,8 +397,8 @@ func (h *RemoteHub) inject(m Message) {
 	h.n.Send(m)
 }
 
-// remotePeer is the hub-side send half of one remote node: the Link its
-// network node delivers through, plus the claimed connection.
+// remotePeer is the hub-side send half of one remote node: what its network
+// node's pump delivers through, plus the claimed connection.
 type remotePeer struct {
 	hub *RemoteHub
 	nd  *node
@@ -438,9 +445,6 @@ func (p *remotePeer) deliver(m Message) error {
 		}
 	}
 }
-
-// Close implements Link; the hub owns connection lifecycle, nothing to do.
-func (p *remotePeer) Close() error { return nil }
 
 // writeMsgLocked encodes and writes one MSG frame under p.mu, tracking the
 // message in the node's unacked tail first: once the frame may have reached
@@ -490,10 +494,16 @@ func (p *remotePeer) writeLocked(frames []byte) bool {
 // attach installs a claimed connection: welcome the child with the current
 // roster and liveness, replay the unacked tail in order (nothing new can be
 // written while p.mu is held, so replay precedes all fresh traffic), then
-// release waiting delivers.
-func (p *remotePeer) attach(c net.Conn) {
+// release waiting delivers. A claim that lands after Close swept the peers'
+// connections is closed here and refused, or nobody would close it and
+// Close would wait for its reader forever.
+func (p *remotePeer) attach(c net.Conn) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.hub.closed.Load() {
+		c.Close()
+		return false
+	}
 	wasConnected := p.conn != nil
 	if wasConnected {
 		p.conn.Close()
@@ -523,6 +533,7 @@ func (p *remotePeer) attach(c net.Conn) {
 	if !wasConnected {
 		close(p.claimed)
 	}
+	return true
 }
 
 // detach clears the connection if it is still the current one. Liveness is
@@ -536,12 +547,6 @@ func (p *remotePeer) detach(c net.Conn) {
 		p.claimed = make(chan struct{})
 	}
 	p.mu.Unlock()
-}
-
-// remote reports whether the node's consumer is a child process.
-func (nd *node) remote() bool {
-	_, ok := nd.link.(*remotePeer)
-	return ok
 }
 
 // ack retires the oldest unacked delivery: the child has fully processed it
@@ -641,7 +646,8 @@ type ChildConn struct {
 
 // DialHub connects to a hub and claims name. The HELLO carries this build's
 // WireFormat; a hub built with another answers with its own and closes, which
-// Serve reports as CodeWireFormat.
+// Serve reports as CodeWireFormat, and a hub that has no node by that name
+// does the same with this build's, which Serve reports as CodeUnclaimedNode.
 func DialHub(network, addr, name string) (*ChildConn, error) {
 	c, err := net.Dial(network, addr)
 	if err != nil {
@@ -798,10 +804,14 @@ func (c *ChildConn) serve(deliver func(Message) error, onLiveness func(name stri
 			}
 		case frameWelcome:
 			// The hub's format byte, then the roster; a refused claim gets
-			// the byte alone.
+			// the byte alone: another build's, or this build's for a name
+			// the hub has not registered.
 			rd.Reset(body)
-			if format := rd.Byte(); format != WireFormat || len(body) == 1 {
+			if format := rd.Byte(); format != WireFormat {
 				return cerrors.E(cerrors.CodeWireFormat, cerrors.PhaseDial, cerrors.ErrWire, nil, "hub speaks wire format %d, this build %d", format, WireFormat)
+			}
+			if len(body) == 1 {
+				return cerrors.E(cerrors.CodeUnclaimedNode, cerrors.PhaseDial, cerrors.ErrWire, nil, "hub has no node %q", c.name)
 			}
 			c.amu.Lock()
 			for n := rd.Count(2); n > 0; n-- {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -230,6 +231,50 @@ func TestRemoteDeliverFailsFastWhenDown(t *testing.T) {
 	}
 	if !stalled {
 		t.Fatal("want stalled network")
+	}
+}
+
+// TestHubCloseRacingClaim: a child's claim that reaches the hub's reader
+// while Close runs must not be left open, or Close waits for that reader
+// forever. Each round dials a child and closes the network at once, with a
+// little more head start for the claim each time, so the claim lands before,
+// during and after Close's sweep of the peers' connections.
+func TestHubCloseRacingClaim(t *testing.T) {
+	for i := 0; i < 300; i++ {
+		n := NewNetwork(NetworkConfig{})
+		hub, err := NewRemoteHub(n, "unix", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := hub.RegisterRemote("a"); err != nil {
+			t.Fatal(err)
+		}
+		c, err := DialHub("unix", hub.Addr(), "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- c.Serve(func(Message) error { return nil }, nil) }()
+		for spin := 0; spin < i%30; spin++ {
+			runtime.Gosched()
+		}
+		closed := make(chan struct{})
+		go func() {
+			n.Close()
+			close(closed)
+		}()
+		deadline := time.After(5 * time.Second)
+		select {
+		case <-closed:
+		case <-deadline:
+			c.Close()
+			t.Fatalf("round %d: Close hung with a claim in flight", i)
+		}
+		select {
+		case <-served:
+		case <-deadline:
+			t.Fatalf("round %d: the child's connection outlived Close", i)
+		}
 	}
 }
 

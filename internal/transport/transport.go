@@ -23,10 +23,11 @@
 // the injected-delay hold, per-sender FIFO and in-flight retirement live.
 // Its sinks are an actor's turn, run inline on the actor's goroutine
 // (Endpoint.Drain); a channel, for consumers that range over Endpoint.Inbox
-// (a goroutine started on first use); and a Link, for nodes behind a wire
-// backend or in another process (the pump goroutine, which only those nodes
-// have). A direct node (RegisterDirect) has no receive side at all: the
-// sender hands the message to the node's function itself.
+// (a goroutine started on first use); and a hub peer's connection, for nodes
+// whose consumer is a hub child, in another process or, behind a SocketWire,
+// in this one (the pump goroutine, which only those nodes have). A direct
+// node (RegisterDirect) has no receive side at all: the sender hands the
+// message to the node's function itself.
 //
 // The network also tracks every accepted message until it is consumed, which
 // is what makes Quiesce possible: experiment harnesses block until no message
@@ -95,8 +96,8 @@ type FaultPolicy interface {
 type Endpoint struct {
 	nd *node
 	// d drains the mailbox the consumer reads: the node's own for an
-	// in-process node, the one the wire's sink fills for a node behind a
-	// Wire backend.
+	// in-process node, the one its child fills for a node behind a
+	// SocketWire.
 	d drainer
 
 	inbox sync.Once
@@ -199,21 +200,22 @@ type node struct {
 	ep        *Endpoint // nil for remote nodes (hub side of a process boundary)
 	up        atomic.Bool
 	manualAck atomic.Bool
-	// link, when non-nil, is the wire backend's send side for this node: a
-	// pump goroutine drains in through it instead of the consumer draining in.
-	link Link
+	// peer, when non-nil, is the hub's send side for this node: a pump
+	// goroutine drains in into the child's connection instead of the
+	// consumer draining in.
+	peer *remotePeer
 	// direct, when non-nil, takes every accepted message on the sender's
 	// goroutine; the node then has no mailbox (see RegisterDirect).
 	direct func(Message)
 
 	mu sync.Mutex //crew:lockrank 40
 	// in holds the messages accepted for the node. rx is used only by a local
-	// node behind a Wire backend: what has crossed the wire (the backend's
-	// sink appends to it) and waits for the consumer.
+	// node behind a SocketWire: what has crossed the socket (its child
+	// appends to it) and waits for the consumer.
 	in, rx mailbox
-	// unacked holds messages a remote node's link has written to its peer
-	// process but the peer has not acknowledged yet. They are still in
-	// flight; a reconnecting peer gets them replayed (at-least-once), and
+	// unacked holds messages a hub peer's pump has written to its child but
+	// the child has not acknowledged yet. They are still in flight; a
+	// reconnecting child gets them replayed (at-least-once), and
 	// crash/recover counts them with the parked queue.
 	unacked ackQueue
 }
@@ -250,22 +252,13 @@ func (nd *node) put(mb *mailbox, q queued) {
 	mb.wake()
 }
 
-// consume is the wire sink: a message that crossed the backend joins the
-// consumer's mailbox, still in flight (the consumer's drain pass retires it),
-// so Quiesce stays exact across any backend. It never blocks or fails.
-func (nd *node) consume(m Message) error {
-	nd.put(&nd.rx, queued{m: m})
-	return nil
-}
-
-// pump is a link node's delivery goroutine: drain passes into link.deliver.
-// A delivery failure is handled like a crash cut-off — the message and the
-// batch remainder go back to the queue front for replay — and what retires a
-// delivered message is the far side: the consumer's pass over rx for a local
-// node, the peer's ack for a remote one.
+// pump is a hub peer's delivery goroutine: drain passes into the peer's
+// deliver. A delivery failure is handled like a crash cut-off — the message
+// and the batch remainder go back to the queue front for replay — and what
+// retires a delivered message is the child's ACK.
 func (nd *node) pump() {
 	d := drainer{nd: nd, mb: &nd.in}
-	d.run(nd.link.deliver)
+	d.run(nd.peer.deliver)
 }
 
 // drainer is a mailbox's single consumer: the state its passes reuse.
@@ -388,16 +381,16 @@ type Network struct {
 	mu        sync.Mutex //crew:lockrank 10
 	nodes     atomic.Pointer[map[string]*node]
 	collector *metrics.Collector
-	// wire is the byte-transport backend; nil selects the in-process
-	// channel path (see NetworkConfig.Wire).
-	wire Wire
-	// backends lists additional wire machinery (a RemoteHub) whose Close
-	// must interleave with shutdown to unblock in-flight deliveries.
-	backends []interface{ Close() error }
+	// wire is the hub a SocketWire serves, whose children run in this
+	// process; nil selects the in-process path (see NetworkConfig.Wire).
+	wire *RemoteHub
+	// backends lists the hubs whose Close must interleave with shutdown to
+	// unblock in-flight deliveries.
+	backends []*RemoteHub
 	closed   atomic.Bool
 	closedCh chan struct{}
-	// wg counts the transport's own goroutines: link nodes' pumps and Inbox
-	// feeders. Close joins them.
+	// wg counts the transport's own goroutines: hub peers' pumps, a
+	// SocketWire's children and Inbox feeders. Close joins them.
 	wg sync.WaitGroup
 	// trace, when non-nil, receives a copy of every sent message (for
 	// protocol-trace tests and the crewsim fig4 demo). Captured atomically so
@@ -474,9 +467,9 @@ func (n *Network) lookup(name string) *node {
 	return (*n.nodes.Load())[name]
 }
 
-// Register creates a node and returns its endpoint. With a wire backend
-// configured, the node's deliveries are bound through the backend before any
-// message can be accepted for it.
+// Register creates a node and returns its endpoint. With a socket wire
+// configured the node is a hub peer and its child, dialled here, serves
+// into the consumer's mailbox; deliveries wait for the child's claim.
 func (n *Network) Register(name string) (*Endpoint, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -490,33 +483,33 @@ func (n *Network) Register(name string) (*Endpoint, error) {
 	if n.wire != nil {
 		nd.rx = newMailbox()
 		nd.ep.d.mb = &nd.rx
-		link, err := n.wire.Listen(name, nd.consume)
+		c, err := n.wire.local(nd)
 		if err != nil {
-			return nil, fmt.Errorf("transport: wire listen %q: %w", name, err)
+			return nil, err
 		}
-		nd.link = link
+		n.start(func() { c.Serve(nd.consume, nil) })
 	}
 	n.install(name, nd, old)
 	return nd.ep, nil
 }
 
 // registerRemote creates a node whose consumer lives in another OS process:
-// it has no local endpoint, and its pump delivers through link (a RemoteHub
-// per-peer link). The front half treats it like any other node — counting,
-// fault policy, parking, quiescence — which is what makes hub-side
-// accounting authoritative across process boundaries.
-func (n *Network) registerRemote(name string, mkLink func(*node) Link) (*node, error) {
+// it has no local endpoint, and peer makes it a hub peer. The front half
+// treats it like any other node — counting, fault policy, parking,
+// quiescence — which is what makes hub-side accounting authoritative across
+// process boundaries.
+func (n *Network) registerRemote(name string, peer func(*node)) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	old, err := n.vacant(name)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	nd := &node{net: n, name: name, in: newMailbox()}
 	nd.up.Store(true)
-	nd.link = mkLink(nd)
+	peer(nd)
 	n.install(name, nd, old)
-	return nd, nil
+	return nil
 }
 
 // RegisterDirect creates a node with no mailbox and no consumer: a message
@@ -554,7 +547,7 @@ func (n *Network) vacant(name string) (map[string]*node, error) {
 	return old, nil
 }
 
-// install publishes a node in the copy-on-write table and, for a link node,
+// install publishes a node in the copy-on-write table and, for a hub peer,
 // starts its pump. Callers hold n.mu and pass the table snapshot they
 // duplicate-checked.
 func (n *Network) install(name string, nd *node, old map[string]*node) {
@@ -564,7 +557,7 @@ func (n *Network) install(name string, nd *node, old map[string]*node) {
 	}
 	next[name] = nd
 	n.nodes.Store(&next)
-	if nd.link != nil {
+	if nd.peer != nil {
 		n.start(nd.pump)
 	}
 }
@@ -591,8 +584,8 @@ func (n *Network) spawn(f func()) bool {
 	return true
 }
 
-// addBackend registers extra wire machinery to close during shutdown.
-func (n *Network) addBackend(c interface{ Close() error }) {
+// addBackend registers a hub to close during shutdown.
+func (n *Network) addBackend(c *RemoteHub) {
 	n.mu.Lock()
 	n.backends = append(n.backends, c)
 	n.mu.Unlock()
@@ -859,9 +852,6 @@ func (n *Network) Close() {
 	}
 	for _, b := range backends {
 		b.Close()
-	}
-	if n.wire != nil {
-		n.wire.Close()
 	}
 	n.wg.Wait()
 }

@@ -62,17 +62,17 @@ func BenchmarkFrameDecode(b *testing.B) {
 func BenchmarkWireRoundTrip(b *testing.B) {
 	backends := []struct {
 		name string
-		mk   func(b *testing.B) Wire
+		mk   func(b *testing.B) *SocketWire
 	}{
-		{"inproc", func(b *testing.B) Wire { return nil }},
-		{"unix", func(b *testing.B) Wire {
+		{"inproc", func(b *testing.B) *SocketWire { return nil }},
+		{"unix", func(b *testing.B) *SocketWire {
 			w, err := NewSocketWire("unix", "")
 			if err != nil {
 				b.Fatal(err)
 			}
 			return w
 		}},
-		{"tcp", func(b *testing.B) Wire {
+		{"tcp", func(b *testing.B) *SocketWire {
 			w, err := NewSocketWire("tcp", "")
 			if err != nil {
 				b.Fatal(err)

@@ -17,17 +17,17 @@ func forEachWire(t *testing.T, fn func(t *testing.T, n *Network)) {
 	t.Helper()
 	backends := []struct {
 		name string
-		mk   func(t *testing.T) Wire
+		mk   func(t *testing.T) *SocketWire
 	}{
-		{"inproc", func(t *testing.T) Wire { return nil }},
-		{"unix", func(t *testing.T) Wire {
+		{"inproc", func(t *testing.T) *SocketWire { return nil }},
+		{"unix", func(t *testing.T) *SocketWire {
 			w, err := NewSocketWire("unix", "")
 			if err != nil {
 				t.Fatalf("unix wire: %v", err)
 			}
 			return w
 		}},
-		{"tcp", func(t *testing.T) Wire {
+		{"tcp", func(t *testing.T) *SocketWire {
 			w, err := NewSocketWire("tcp", "")
 			if err != nil {
 				t.Fatalf("tcp wire: %v", err)
