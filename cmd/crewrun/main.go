@@ -228,10 +228,9 @@ func runProcs(wfName, failStep, backend string, trace bool, timeout time.Duratio
 			return cmd
 		},
 		Child: mproc.ChildParams{
-			DBDir:         dbDir,
-			PurgeOnCommit: true,
-			LawsPath:      absPath,
-			FailStep:      failStep,
+			DBDir:    dbDir,
+			LawsPath: absPath,
+			FailStep: failStep,
 		},
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "crewrun: "+format+"\n", args...)

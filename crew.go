@@ -311,8 +311,6 @@ type Config struct {
 	Collector *Collector
 	// DisableOCR forces Saga-style recovery (the OCR ablation).
 	DisableOCR bool
-	// PurgeOnCommit broadcasts purge notes in distributed control.
-	PurgeOnCommit bool
 	// DB persists instance state for a deployment of one engine, enabling
 	// crash recovery (see NewMemoryDB): the central architecture, or the
 	// parallel one with Engines: 1 and no DBs. It is shorthand for a DBs of
@@ -450,17 +448,16 @@ func NewSystem(cfg Config, opts ...Option) (System, error) {
 	}
 	arch := analysis.Architecture(cfg.Architecture)
 	dc := deploy.Config{
-		Library:       cfg.Library,
-		Programs:      programs,
-		Collector:     cfg.Collector,
-		Agents:        cfg.Agents,
-		Engines:       cfg.Engines,
-		DBs:           cfg.DBs,
-		DisableOCR:    cfg.DisableOCR,
-		PurgeOnCommit: cfg.PurgeOnCommit,
-		Backend:       cfg.Transport.Backend,
-		Addr:          cfg.Transport.Addr,
-		Logf:          cfg.Logf,
+		Library:    cfg.Library,
+		Programs:   programs,
+		Collector:  cfg.Collector,
+		Agents:     cfg.Agents,
+		Engines:    cfg.Engines,
+		DBs:        cfg.DBs,
+		DisableOCR: cfg.DisableOCR,
+		Backend:    cfg.Transport.Backend,
+		Addr:       cfg.Transport.Addr,
+		Logf:       cfg.Logf,
 	}
 	if dc.Engines <= 0 {
 		dc.Engines = 2

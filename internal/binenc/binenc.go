@@ -84,6 +84,10 @@ func (r *Reader) Done() error {
 	return r.err
 }
 
+// More reports whether input is left and no read has failed: a sequence
+// that runs to the end of its input is read while More holds.
+func (r *Reader) More() bool { return r.err == nil && len(r.b) != 0 }
+
 // Err reports the first failed read. Unlike Done it accepts input left over,
 // for a reader that takes only a prefix.
 func (r *Reader) Err() error { return r.err }

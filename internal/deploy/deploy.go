@@ -39,8 +39,7 @@ type Config struct {
 	DBs []*wfdb.DB
 	// DisableOCR forces Saga-style recovery (ablation).
 	DisableOCR bool
-	// PurgeOnCommit and ExplicitElection are distributed.Config's.
-	PurgeOnCommit    bool
+	// ExplicitElection is distributed.Config's.
 	ExplicitElection bool
 	// Backend names the wire between the nodes: "" or "inproc" (in process),
 	// "unix" or "tcp" (every message crosses a real socket, listening at Addr
@@ -127,7 +126,6 @@ func New(arch analysis.Architecture, cfg Config) (System, error) {
 		Agents:           cfg.Agents,
 		AGDBs:            cfg.DBs,
 		DisableOCR:       cfg.DisableOCR,
-		PurgeOnCommit:    cfg.PurgeOnCommit,
 		ExplicitElection: cfg.ExplicitElection,
 		Wire:             wire,
 		Logf:             cfg.Logf,

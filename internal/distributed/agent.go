@@ -48,24 +48,25 @@ type Config struct {
 	// election (ablation); the default is the deterministic zero-message
 	// election.
 	ExplicitElection bool
-	// PurgeOnCommit makes coordination agents tell every other agent of the
-	// instances they finished, so replicas are purged where no terminal
-	// registry is shared. As in the paper the broadcast is periodic: one note
-	// per peer from each maintenance sweep, naming what finished since the
-	// last (so a disabled sweep sends none).
-	PurgeOnCommit bool
 	// Alive overrides the liveness oracle used by agent elections and status
 	// polling; nil uses the transport's view. Multi-process children need the
 	// override: their local network registers every peer as an always-up
 	// direct node that writes to the hub connection, so only the hub's
 	// crash/recover announcements know which agents are really down.
 	Alive func(name string) bool
-	// Terminal optionally shares a terminal-status registry across the
-	// deployment. The coordination agent publishes every commit/abort into
-	// it; completion waiters subscribe to it, and the other agents follow its
-	// completion feed and retire their replicas at their next turn without
-	// exchanging a single message. Nil keeps a private registry (standalone
-	// agents).
+	// Notify is the front end of an agent process (mproc.FrontendNode),
+	// empty in process. A nested instance's WorkflowStart names it as the
+	// node to tell of the instance's end, as the front end's own
+	// WorkflowStart does for a top-level instance, since a nested step's
+	// executor may not know the parent's NotifyTo; RecoverReplicas
+	// re-announces recovered terminal summaries to it.
+	Notify string
+	// Terminal is the terminal-status registry, shared by the agents of one
+	// process (System). The coordination agent publishes every commit/abort
+	// into it; completion waiters subscribe to it, and the other agents
+	// follow its completion feed and retire their replicas at their next turn
+	// without exchanging a single message. An agent process's own registry is
+	// completed from the hub's DONE frames (mproc.RunChild).
 	Terminal *itable.Terminal
 	// OnRetired, if set, is called after the agent archives and evicts a
 	// replica of a terminated instance (the deployment evicts its routing
@@ -76,9 +77,9 @@ type Config struct {
 	// replicas, re-reporting completed terminal steps to coordination agents,
 	// and polling StepStatus for overdue missing events (the paper's
 	// predecessor-failure detection). The sweep runs off a one-shot timer
-	// armed only while the agent holds replicas or queued purges. A terminal
-	// step is re-reported, and a missing event polled, once it is two periods
-	// old. Zero means 100 ms; only tests set it.
+	// armed only while the agent holds replicas. A terminal step is
+	// re-reported, and a missing event polled, once it is two periods old.
+	// Zero means 100 ms; only tests set it.
 	sweepPeriod time.Duration
 }
 
@@ -133,7 +134,7 @@ type replica struct {
 // Save implements actor.Row. The replica-level recovery anchors are stamped
 // into the record as it is encoded: a process restarted from this database
 // must resume with the rollback epoch and coordination election the replica
-// had when the turn ended, not rediscover them. Retirement and purge clear
+// had when the turn ended, not rediscover them. Retirement and a drop clear
 // the mark, so a replica that left the live table is not written back.
 func (r *replica) Save(tx *wfdb.Batch) {
 	if r.dirty {
@@ -177,10 +178,6 @@ type Agent struct {
 	cursor   uint64
 	finished []itable.Ref
 	inTurn   bool
-	// purges queues the instances finished here since the last sweep, for its
-	// purge broadcast (Config.PurgeOnCommit). Like any unflushed send it dies
-	// with the process.
-	purges []purgeEntry
 	// sweepWakeups counts maintenance-timer firings; tests assert an idle
 	// agent stops waking up.
 	sweepWakeups atomic.Int64
@@ -197,8 +194,8 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 	if cfg.Name == "" {
 		return nil, errors.New("distributed: agent needs a name")
 	}
-	if cfg.Library == nil || cfg.Programs == nil {
-		return nil, errors.New("distributed: agent needs a library and programs")
+	if cfg.Library == nil || cfg.Programs == nil || cfg.Terminal == nil {
+		return nil, errors.New("distributed: agent needs a library, programs and a terminal registry")
 	}
 	if len(cfg.Agents) == 0 {
 		return nil, errors.New("distributed: agent needs the deployment agent list")
@@ -212,9 +209,6 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 		replicas: make(map[itable.Ref]*replica),
 		term:     cfg.Terminal,
 		adb:      cfg.Archive,
-	}
-	if a.term == nil {
-		a.term = new(itable.Terminal)
 	}
 	if cfg.AGDB != nil {
 		a.adb = cfg.AGDB
@@ -240,11 +234,10 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 		Logf:        a.Logf,
 	}
 	// Only while the agent holds replicas is there anything to heal, report or
-	// retire, and only with purges queued anything to broadcast, so the sweep's
-	// timer is armed on those conditions alone.
+	// retire, so the sweep's timer is armed on that condition alone.
 	a.Launch(a.receive, &actor.Timer{
 		Every: cfg.sweepPeriod,
-		Busy:  func() bool { return len(a.replicas) > 0 || len(a.purges) > 0 },
+		Busy:  func() bool { return len(a.replicas) > 0 },
 		Tick:  a.sweep,
 	})
 	return a, nil
@@ -363,14 +356,14 @@ func (a *Agent) newReplica(schema *model.Schema, ins *wfdb.Instance) *replica {
 // process restart: the real crash-recovery path of a multi-process
 // deployment, where a killed agent loses every in-memory table and owns
 // nothing but its database. Terminal summaries are replayed into the local
-// terminal registry (and re-announced to notify, when non-empty, so a front
-// end across the wire cannot miss a completion that raced the crash); each
-// live instance record becomes a replica again, restoring the persisted
+// terminal registry (and re-announced to Config.Notify, when non-empty, so a
+// front end across the wire cannot miss a completion that raced the crash);
+// each live instance record becomes a replica again, restoring the persisted
 // rollback epoch and coordination election, and is re-evaluated so rules
 // whose effects died with the process fire again. Messages the hub never saw
 // acknowledged are replayed on reconnect, which is where the remaining
 // in-flight state comes from.
-func (a *Agent) RecoverReplicas(notify string) error {
+func (a *Agent) RecoverReplicas() error {
 	if a.cfg.AGDB == nil {
 		return nil
 	}
@@ -387,7 +380,7 @@ func (a *Agent) RecoverReplicas(notify string) error {
 				continue
 			}
 			a.term.Complete(wf, id, st)
-			if notify != "" {
+			if notify := a.cfg.Notify; notify != "" {
 				a.Send(notify, metrics.Failure, KindWorkflowDone,
 					&WorkflowDone{Workflow: wf, Instance: id, Status: st})
 			}
@@ -518,10 +511,9 @@ func (a *Agent) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
 // the coordination agent archives (Snapshot serves that copy); every other agent
 // drops its partial replica (dropReplica). In process, retirement sends no
 // messages and adds no load, so the paper's tables are unaffected. Only a
-// replica with a NotifyTo address (set by a multi-process front end's
-// WorkflowStart) pushes one WorkflowDone across the wire: the completion
-// signal that replaces the shared terminal registry a process boundary takes
-// away.
+// replica with a NotifyTo address (a multi-process front end's, for nested
+// instances too: Config.Notify) sends one WorkflowDone to it: the hub relays
+// it to every agent process in place of the registry they cannot share.
 func (a *Agent) retireReplica(r *replica) {
 	st := r.Ins.Status
 	r.Retired, r.dirty = true, false
@@ -547,8 +539,8 @@ func (a *Agent) retireReplica(r *replica) {
 }
 
 // dropReplica is how every other agent lets go of a replica whose instance
-// finished elsewhere, learnt from a purge note or from the terminal registry:
-// the partial copy is evicted and its AGDB row deleted in the turn's group.
+// finished elsewhere, learnt from the terminal registry: the partial copy is
+// evicted and its AGDB row deleted in the turn's group.
 // Nothing is archived; nobody reads a bystander's view of a finished instance.
 func (a *Agent) dropReplica(r *replica) {
 	r.Retired, r.dirty = true, false

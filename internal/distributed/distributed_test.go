@@ -779,39 +779,6 @@ func TestNestedDistributed(t *testing.T) {
 	}
 }
 
-func TestPurgeOnCommit(t *testing.T) {
-	reg := model.NewRegistry()
-	reg.Register("p", model.NopProgram())
-	s := model.NewSchema("P").
-		Step("A", "p", model.WithAgents("a1")).
-		Step("B", "p", model.WithAgents("a2")).
-		Seq("A", "B").
-		MustBuild()
-	sys, err := NewSystem(SystemConfig{
-		Library:       lib1(s),
-		Programs:      reg,
-		Agents:        []string{"a1", "a2"},
-		PurgeOnCommit: true,
-		Logf:          t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	id, st, err := sys.Run("P", nil, waitTimeout)
-	if err != nil || st != wfdb.Committed {
-		t.Fatalf("run = (%v, %v)", st, err)
-	}
-	// The non-coordination agent purges its replica.
-	deadline := time.Now().Add(waitTimeout)
-	for sys.Agent("a2").HasReplica("P", id) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if sys.Agent("a2").HasReplica("P", id) {
-		t.Error("replica not purged at a2")
-	}
-}
-
 // TestSuccessorAgentFailure crashes one eligible agent: the alive-aware
 // election routes the step to the surviving eligible agent.
 func TestSuccessorAgentFailure(t *testing.T) {
@@ -1380,8 +1347,8 @@ func TestRetirementDrainsAllReplicas(t *testing.T) {
 	id := runToStatus(t, sys, "Lin", map[string]expr.Value{"I1": expr.Num(1)}, wfdb.Committed)
 
 	// The coordinator retires its replica at commit; the other agents drop
-	// theirs on the purge broadcast or their next sweep. Either way the
-	// fleet ends with zero resident replicas.
+	// theirs at their next turn or sweep. Either way the fleet ends with zero
+	// resident replicas.
 	waitReplicasDrained(t, sys)
 
 	// The coordination agent's archive holds the full final state.

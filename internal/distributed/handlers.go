@@ -82,8 +82,6 @@ func (a *Agent) handleMessage(m transport.Message) {
 		// replies are counted traffic and choose nothing.
 	case *nestedResult:
 		a.handleNestedResult(*p)
-	case *purgeNote:
-		a.handlePurge(*p)
 	default:
 		if !coord.Dispatch(p, a) {
 			a.Logf("unhandled payload %T", p)
@@ -495,45 +493,11 @@ func (a *Agent) finishInstance(r *replica) {
 		})
 	}
 
-	if a.cfg.PurgeOnCommit {
-		a.purges = append(a.purges, purgeEntry{Workflow: r.Ins.Workflow, Instance: r.Ins.ID, Status: r.Ins.Status})
-	}
-
 	// Retire the coordination replica itself: archive the full final state,
 	// publish the terminal status (waking completion waiters and letting the
 	// other agents retire their replicas at their next turn, message-free)
 	// and drop the instance from the live table.
 	a.retireReplica(r)
-}
-
-// broadcastPurges is the sweep's purge broadcast: one note per peer naming
-// every instance finished here since the last sweep. The peers share the
-// entries, which nobody writes again.
-func (a *Agent) broadcastPurges() {
-	if len(a.purges) == 0 {
-		return
-	}
-	note := &purgeNote{Entries: a.purges}
-	a.purges = nil
-	for _, ag := range a.cfg.Agents {
-		if ag != a.cfg.Name {
-			a.Send(ag, metrics.Normal, KindPurge, note)
-		}
-	}
-}
-
-func (a *Agent) handlePurge(p purgeNote) {
-	for _, e := range p.Entries {
-		// Record the terminal outcome first so late packets find the instance
-		// retired, not unknown (no-op when the registry is deployment-shared:
-		// the sender already published it).
-		if e.Status != wfdb.Running {
-			a.term.Complete(e.Workflow, e.Instance, e.Status)
-		}
-		if r, ok := a.replicas[replicaKey(e.Workflow, e.Instance)]; ok {
-			a.dropReplica(r)
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -1034,6 +998,9 @@ func (a *Agent) startNested(r *replica, step model.StepID, inputs map[string]exp
 		},
 		ParentInst:  r.Ins.ID,
 		ParentAgent: a.cfg.Name,
+		// In agent processes the front end hears of the child too, and the
+		// hub relays what it hears to every process.
+		ReplyTo: a.cfg.Notify,
 	})
 }
 
@@ -1067,7 +1034,6 @@ func (a *Agent) handleNestedResult(p nestedResult) {
 // (the paper's predecessor-failure detection).
 func (a *Agent) sweep() {
 	a.sweepWakeups.Add(1)
-	a.broadcastPurges()
 	a.retireFinished()
 	now := time.Now()
 	for _, r := range a.sortedReplicas(nil) {

@@ -32,13 +32,12 @@ func init() {
 	transport.RegisterPayload[stateInformation]()
 	transport.RegisterPayload[stateInformationReply]()
 	transport.RegisterPayload[nestedResult]()
-	transport.RegisterPayload[purgeNote]()
 	transport.RegisterPayload[WorkflowDone]()
 	transport.RegisterKinds(KindWorkflowStart, KindWorkflowChangeInputs, KindWorkflowAbort,
 		KindStepExecute, KindStepCompensate, KindStepCompensated, KindStepCompleted,
 		KindStepStatus, KindStepStatusReply, KindWorkflowRollback, KindHaltThread,
 		KindCompensateSet, KindCompensateThread, KindStateInformation, KindAddRule,
-		KindAddEvent, KindAddPrecondition, KindNestedResult, KindPurge, KindWorkflowDone)
+		KindAddEvent, KindAddPrecondition, KindNestedResult, KindWorkflowDone)
 }
 
 // Message kind labels: the workflow interfaces of the paper's Table 1.
@@ -61,7 +60,6 @@ const (
 	KindAddEvent             = "AddEvent"
 	KindAddPrecondition      = "AddPrecondition"
 	KindNestedResult         = "NestedResult"
-	KindPurge                = "Purge"
 	KindWorkflowDone         = "WorkflowDone"
 )
 
@@ -246,23 +244,6 @@ type nestedResult struct {
 	Data map[string]expr.Value
 }
 
-// purgeNote is the coordination agent's periodic broadcast of the instances
-// it finished since the last one, so agents can purge their replicas (the
-// paper's periodic purge broadcast; the period is the sweep's).
-type purgeNote struct {
-	Entries []purgeEntry
-}
-
-// purgeEntry names one finished instance. Status carries the terminal outcome
-// so the recipient records it in the terminal registry before dropping the
-// replica (late packets for the instance must stay recognizably retired, not
-// unknown).
-type purgeEntry struct {
-	Workflow string
-	Instance int
-	Status   wfdb.Status
-}
-
 // ---------------------------------------------------------------------------
 // Wire forms. One walk per payload above: its fields in declaration order, on
 // the walker of package binenc, data items as expr.WalkValues writes them
@@ -405,16 +386,4 @@ func (p *nestedResult) Walk(w *binenc.Walker) {
 	walkInst(w, &p.ChildWorkflow, &p.ChildInstance)
 	w.Bool(&p.Committed)
 	expr.WalkValues(w, &p.Data)
-}
-
-func (p *purgeNote) Walk(w *binenc.Walker) {
-	n := w.Len(len(p.Entries), 3)
-	if w.Decoding() && n > 0 {
-		p.Entries = make([]purgeEntry, n)
-	}
-	for i := range p.Entries {
-		e := &p.Entries[i]
-		walkInst(w, &e.Workflow, &e.Instance)
-		e.Status.Walk(w)
-	}
 }

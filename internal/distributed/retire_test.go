@@ -17,8 +17,8 @@ import (
 	"crew/internal/wfdb"
 )
 
-// oneTurnEach gives every agent one message turn, an empty purge note that
-// changes nothing, and waits until the deployment has handled it. The
+// oneTurnEach gives every agent one message turn, a load report that changes
+// nothing, and waits until the deployment has handled it. The
 // transport's quiesce, not System.Quiesce: that one drops finished replicas
 // itself.
 func oneTurnEach(t *testing.T, sys *System, names ...string) {
@@ -27,7 +27,7 @@ func oneTurnEach(t *testing.T, sys *System, names ...string) {
 		names = sys.SchedulingNodes()
 	}
 	for _, name := range names {
-		m := transport.Message{From: "test", To: name, Mechanism: metrics.Normal, Kind: KindPurge, Payload: &purgeNote{}}
+		m := transport.Message{From: "test", To: name, Mechanism: metrics.Normal, Kind: "StateResponse", Payload: &stateInformationReply{}}
 		if err := sys.Network().Send(m); err != nil {
 			t.Fatal(err)
 		}

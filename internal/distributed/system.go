@@ -28,7 +28,6 @@ type SystemConfig struct {
 	AGDBs            []*wfdb.DB
 	DisableOCR       bool
 	ExplicitElection bool
-	PurgeOnCommit    bool
 	// Wire selects the socket backend (nil = in process).
 	Wire *transport.SocketWire
 	Logf func(format string, args ...any)
@@ -121,7 +120,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 			Archive:          archive,
 			DisableOCR:       cfg.DisableOCR,
 			ExplicitElection: cfg.ExplicitElection,
-			PurgeOnCommit:    cfg.PurgeOnCommit,
 			Terminal:         sys.term,
 			OnRetired:        onRetired,
 			Logf:             cfg.Logf,

@@ -1,7 +1,7 @@
 package lint
 
 // wireframe enforces that the frame set (HELLO/WELCOME/MSG/ACK/CRASH/
-// RECOVER/EXEC) is exhaustive. Frame types are the transport's extension
+// RECOVER/EXEC/DONE) is exhaustive. Frame types are the transport's extension
 // point, and they fail open at runtime: an unknown frame type falls through a
 // switch and is silently dropped. This analyzer turns that into a lint error
 // at the commit that introduces the new frame. Frame constants (package-level

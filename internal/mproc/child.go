@@ -5,6 +5,7 @@ import (
 
 	"crew/internal/distributed"
 	"crew/internal/expr"
+	"crew/internal/itable"
 	"crew/internal/model"
 	"crew/internal/store"
 	"crew/internal/transport"
@@ -39,11 +40,25 @@ import (
 // writes its frames when it ends. Local message counts are discarded — the
 // hub charges every message once, authoritatively. EXEC frames are sent only
 // when cfg.ReportExec asks for them.
+//
+// The agent's terminal registry is completed from every DONE frame the hub
+// relays, so a bystander drops its replica of an instance that finished in
+// another process as agents sharing one registry do. The HELLO lists the
+// database's instance rows, and the hub answers with those that finished.
 func RunChild(cfg *ChildConfig, lib *model.Library, programs *model.Registry) error {
 	if cfg == nil {
 		return fmt.Errorf("mproc: RunChild needs a config")
 	}
-	conn, err := transport.DialHub(cfg.Network, cfg.Addr, cfg.Name)
+	db, err := openDB(cfg)
+	if err != nil {
+		return err
+	}
+	var held []string
+	if db != nil {
+		defer db.Store().Close()
+		held = db.InstanceKeys()
+	}
+	conn, err := transport.DialHub(cfg.Network, cfg.Addr, cfg.Name, held...)
 	if err != nil {
 		return err
 	}
@@ -59,8 +74,8 @@ func RunChild(cfg *ChildConfig, lib *model.Library, programs *model.Registry) er
 			env.Release()
 		}
 	}
-	for _, peer := range append(append([]string(nil), cfg.Agents...), cfg.Notify) {
-		if peer == cfg.Name || peer == "" {
+	for _, peer := range append(append([]string(nil), cfg.Agents...), FrontendNode) {
+		if peer == cfg.Name {
 			continue
 		}
 		if err := net.RegisterDirect(peer, toHub); err != nil {
@@ -72,20 +87,18 @@ func RunChild(cfg *ChildConfig, lib *model.Library, programs *model.Registry) er
 	if cfg.ReportExec {
 		programs = reportExec(conn, programs)
 	}
-	agent, db, err := newAgent(cfg, lib, programs, net, conn.Alive)
+	term := new(itable.Terminal)
+	agent, err := newAgent(cfg, db, term, lib, programs, net, conn.Alive)
 	if err != nil {
 		net.Close()
 		return err
-	}
-	if db != nil {
-		defer db.Store().Close()
 	}
 
 	// Rebuild before serving: recovered replicas re-announce terminal
 	// summaries and resume from checkpoints, and only then does the hub's
 	// replay of unacked deliveries (already queued on the connection) start
 	// flowing — redelivered duplicates meet a fully restored state.
-	if err := agent.RecoverReplicas(cfg.Notify); err != nil {
+	if err := agent.RecoverReplicas(); err != nil {
 		net.Close()
 		agent.Stop()
 		return fmt.Errorf("mproc: recover replicas: %w", err)
@@ -94,41 +107,41 @@ func RunChild(cfg *ChildConfig, lib *model.Library, programs *model.Registry) er
 	serveErr := conn.Serve(func(m transport.Message) error {
 		agent.Deliver(m)
 		return nil
-	}, nil)
+	}, func(d transport.Completion) {
+		term.Complete(d.Workflow, d.ID, wfdb.Status(d.Status))
+	})
 	net.Close()
 	agent.Stop()
 	return serveErr
 }
 
-// newAgent builds the agent RunChild serves on net: its AGDB is the file at
-// cfg.DBPath, returned for the caller to close, and without a path it has no
-// database and no archive.
-func newAgent(cfg *ChildConfig, lib *model.Library, programs *model.Registry, net *transport.Network, alive func(string) bool) (*distributed.Agent, *wfdb.DB, error) {
-	var db *wfdb.DB
-	if cfg.DBPath != "" {
-		st, err := store.Open(cfg.DBPath)
-		if err != nil {
-			return nil, nil, fmt.Errorf("mproc: open agent db: %w", err)
-		}
-		db = wfdb.New(st)
+// openDB opens the agent's AGDB, the file at cfg.DBPath; without a path the
+// agent has no database and no archive, and openDB returns nil.
+func openDB(cfg *ChildConfig) (*wfdb.DB, error) {
+	if cfg.DBPath == "" {
+		return nil, nil
 	}
-	agent, err := distributed.NewAgent(distributed.Config{
-		Name:          cfg.Name,
-		Library:       lib,
-		Agents:        cfg.Agents,
-		Programs:      programs,
-		AGDB:          db,
-		DisableOCR:    cfg.DisableOCR,
-		PurgeOnCommit: cfg.PurgeOnCommit,
-		Alive:         alive,
-	}, net)
+	st, err := store.Open(cfg.DBPath)
 	if err != nil {
-		if db != nil {
-			db.Store().Close()
-		}
-		return nil, nil, err
+		return nil, fmt.Errorf("mproc: open agent db: %w", err)
 	}
-	return agent, db, nil
+	return wfdb.New(st), nil
+}
+
+// newAgent builds the agent RunChild serves on net, over db (nil: none) and
+// the terminal registry the hub's DONE frames complete.
+func newAgent(cfg *ChildConfig, db *wfdb.DB, term *itable.Terminal, lib *model.Library, programs *model.Registry, net *transport.Network, alive func(string) bool) (*distributed.Agent, error) {
+	return distributed.NewAgent(distributed.Config{
+		Name:       cfg.Name,
+		Library:    lib,
+		Agents:     cfg.Agents,
+		Programs:   programs,
+		AGDB:       db,
+		DisableOCR: cfg.DisableOCR,
+		Terminal:   term,
+		Notify:     FrontendNode,
+		Alive:      alive,
+	}, net)
 }
 
 // reportExec wraps every program to report its execution window to the hub

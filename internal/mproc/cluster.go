@@ -45,7 +45,7 @@ type ClusterConfig struct {
 	// its environment. Called again on every RestartNode.
 	Command func(name string) *exec.Cmd
 	// Child is the per-agent configuration template; Name/Network/Addr/
-	// Agents/Notify/DBPath are filled in by the cluster. DBDir, when
+	// Agents/DBPath are filled in by the cluster. DBDir, when
 	// non-empty, gives every agent a persistent WFDB file there — required
 	// for crash recovery to survive the process boundary.
 	Child ChildParams
@@ -54,8 +54,11 @@ type ClusterConfig struct {
 
 // ChildParams is the part of ChildConfig the cluster owner chooses.
 type ChildParams struct {
-	DBDir         string
-	DisableOCR    bool
+	DBDir      string
+	DisableOCR bool
+	// PurgeOnCommit does nothing. Every agent process drops its replica of a
+	// finished instance from the completions the hub relays; the field stays
+	// until its last setter, the benchmark's dist-procs deployment, lets go.
 	PurgeOnCommit bool
 	// Workload + Seed ship the deterministic workload recipe; LawsPath
 	// ships a LAWS source instead.
@@ -113,6 +116,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	c.hub = hub
+	hub.UseRegistry(func(key string) (transport.Completion, bool) {
+		wf, id, err := wfdb.ParseInstanceKey(key)
+		st, ok := c.term.Status(wf, id)
+		return transport.Completion{Workflow: wf, ID: id, Status: byte(st)}, err == nil && ok && st != wfdb.Running
+	})
 	for _, name := range cfg.Agents {
 		if err := hub.RegisterRemote(name); err != nil {
 			c.net.Close()
@@ -144,13 +152,18 @@ func (c *Cluster) logf(format string, args ...any) {
 }
 
 // consumeFrontend retires WorkflowDone notifications into the terminal
-// registry, waking Wait subscribers. It drains the front end's mailbox
-// itself, as an actor does: the hub runs no feeder goroutine for it.
+// registry, waking Wait subscribers, and hands each drain pass's completions
+// to the hub, which relays them to every agent process: there they complete
+// the agent's private registry, and bystanders drop their replicas as they do
+// in one process. It drains the front end's mailbox itself, as an actor
+// does: the hub runs no feeder goroutine for it.
 func (c *Cluster) consumeFrontend() {
 	defer close(c.feDone)
+	var done []transport.Completion
 	handle := func(m transport.Message) {
 		if p, ok := m.Payload.(*distributed.WorkflowDone); ok {
 			c.term.Complete(p.Workflow, p.Instance, p.Status)
+			done = append(done, transport.Completion{Workflow: p.Workflow, ID: p.Instance, Status: byte(p.Status)})
 		}
 	}
 	sink := func(m transport.Message) error {
@@ -165,40 +178,36 @@ func (c *Cluster) consumeFrontend() {
 		return nil
 	}
 	for wake := c.fe.Wake(); c.fe.Drain(sink); {
+		c.hub.Relay(done)
+		done = done[:0]
 		<-wake
 	}
 }
 
 // childConfig builds the JSON configuration for one agent process.
-func (c *Cluster) childConfig(name string) (*ChildConfig, error) {
+func (c *Cluster) childConfig(name string) *ChildConfig {
 	cc := &ChildConfig{
-		Name:          name,
-		Network:       c.cfg.Network,
-		Addr:          c.hub.Addr(),
-		Agents:        c.cfg.Agents,
-		Notify:        FrontendNode,
-		DisableOCR:    c.cfg.Child.DisableOCR,
-		PurgeOnCommit: c.cfg.Child.PurgeOnCommit,
-		ReportExec:    c.cfg.OnExec != nil,
-		Workload:      c.cfg.Child.Workload,
-		Seed:          c.cfg.Child.Seed,
-		LawsPath:      c.cfg.Child.LawsPath,
-		FailStep:      c.cfg.Child.FailStep,
+		Name:       name,
+		Network:    c.cfg.Network,
+		Addr:       c.hub.Addr(),
+		Agents:     c.cfg.Agents,
+		DisableOCR: c.cfg.Child.DisableOCR,
+		ReportExec: c.cfg.OnExec != nil,
+		Workload:   c.cfg.Child.Workload,
+		Seed:       c.cfg.Child.Seed,
+		LawsPath:   c.cfg.Child.LawsPath,
+		FailStep:   c.cfg.Child.FailStep,
 	}
 	if c.cfg.Child.DBDir != "" {
 		cc.DBPath = filepath.Join(c.cfg.Child.DBDir, name+".agdb")
 	}
-	return cc, nil
+	return cc
 }
 
 // spawn launches (or relaunches) an agent's process. The child's WFDB path
 // is stable across respawns: that file is what recovery rebuilds from.
 func (c *Cluster) spawn(name string) error {
-	cc, err := c.childConfig(name)
-	if err != nil {
-		return err
-	}
-	entry, err := cc.Env()
+	entry, err := c.childConfig(name).Env()
 	if err != nil {
 		return err
 	}

@@ -39,17 +39,14 @@ type ChildConfig struct {
 	Network string `json:"network"`
 	Addr    string `json:"addr"`
 	// Agents is the full deployment agent list (sorted order matters: it
-	// defines the coordination home agent everywhere).
+	// defines the coordination home agent everywhere). WorkflowDone
+	// notifications go to FrontendNode.
 	Agents []string `json:"agents"`
-	// Notify is the node WorkflowDone notifications are pushed to
-	// (FrontendNode in a standard cluster).
-	Notify string `json:"notify,omitempty"`
 	// DBPath is the agent's persistent WFDB file; empty gives the agent no
 	// database at all (no rows, no archive, no recovery across a restart).
 	DBPath string `json:"dbPath,omitempty"`
-	// DisableOCR and PurgeOnCommit mirror distributed.Config.
-	DisableOCR    bool `json:"disableOCR,omitempty"`
-	PurgeOnCommit bool `json:"purgeOnCommit,omitempty"`
+	// DisableOCR mirrors distributed.Config.
+	DisableOCR bool `json:"disableOCR,omitempty"`
 	// ReportExec has the agent report its programs' execution windows as
 	// EXEC frames. The cluster sets it when it was given an OnExec observer;
 	// with none, nobody reads them.

@@ -18,6 +18,7 @@ import (
 	"crew/internal/distributed"
 	"crew/internal/experiment"
 	"crew/internal/faults"
+	"crew/internal/itable"
 	"crew/internal/metrics"
 	"crew/internal/transport"
 	"crew/internal/wfdb"
@@ -90,10 +91,9 @@ func startCluster(t *testing.T, p analysis.Parameters, w *workload.Workload, dbD
 			return cmd
 		},
 		Child: ChildParams{
-			DBDir:         dbDir,
-			PurgeOnCommit: true,
-			Workload:      &p,
-			Seed:          clusterSeed,
+			DBDir:    dbDir,
+			Workload: &p,
+			Seed:     clusterSeed,
 		},
 		Logf: func(format string, args ...any) { t.Logf(format, args...) },
 	})
@@ -288,8 +288,7 @@ func TestChildGoroutinesIndependentOfPeers(t *testing.T) {
 		}
 		done := make(chan error, 1)
 		go func() {
-			done <- RunChild(&ChildConfig{Name: name, Network: "unix", Addr: hub.Addr(), Agents: agents,
-				Notify: FrontendNode, PurgeOnCommit: true}, w.Library, w.Programs)
+			done <- RunChild(&ChildConfig{Name: name, Network: "unix", Addr: hub.Addr(), Agents: agents}, w.Library, w.Programs)
 		}()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
@@ -362,10 +361,7 @@ func TestExecFramesOnlyWhenObserved(t *testing.T) {
 		}
 		served := make(chan error, len(w.Agents))
 		for _, name := range w.Agents {
-			cc, err := cl.childConfig(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cc := cl.childConfig(name)
 			go func() { served <- RunChild(cc, w.Library, w.Programs) }()
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -430,15 +426,16 @@ func TestChildWithoutDBKeepsNoStore(t *testing.T) {
 		n := transport.NewNetwork(transport.NetworkConfig{})
 		fe := n.MustRegister(FrontendNode)
 		cl := &Cluster{hub: hub, cfg: ClusterConfig{Network: "unix", Agents: w.Agents, Child: ChildParams{
-			DBDir: dbDir, PurgeOnCommit: true, Workload: &p, Seed: clusterSeed}}}
+			DBDir: dbDir, Workload: &p, Seed: clusterSeed}}}
 		agents := make(map[string]*distributed.Agent)
 		dbs := make(map[string]*wfdb.DB)
 		for _, name := range w.Agents {
-			cc, err := cl.childConfig(name)
+			cc := cl.childConfig(name)
+			db, err := openDB(cc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ag, db, err := newAgent(cc, w.Library, w.Programs, n, n.Alive)
+			ag, err := newAgent(cc, db, new(itable.Terminal), w.Library, w.Programs, n, n.Alive)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,7 +16,8 @@ import (
 // TestWireErrorClassification drives the wire failure modes a multi-process
 // supervisor must tell apart — dial refused, truncated frame, peer killed
 // mid-conversation, another build's wire format, a claim of a node the hub
-// does not have, protocol desync — and asserts each classifies to its
+// does not have, a DONE or HELLO body that does not parse, protocol desync —
+// and asserts each classifies to its
 // documented cerrors code and phase. The assertions switch on CodeOf the way
 // real callers do: never string matching, never errors.Is on wrapped causes.
 func TestWireErrorClassification(t *testing.T) {
@@ -167,6 +168,59 @@ func TestWireErrorClassification(t *testing.T) {
 		}
 		if cerrors.PhaseOf(err) != cerrors.PhaseDial || !errors.Is(err, cerrors.ErrWire) {
 			t.Fatalf("err = %v, want phase dial under ErrWire", err)
+		}
+	})
+
+	t.Run("malformed done", func(t *testing.T) {
+		// A DONE whose entry is cut short inside its id fails the child's
+		// Serve as malformed; the completion before it was applied.
+		client, server := net.Pipe()
+		defer server.Close()
+		c := &ChildConn{conn: client, name: "a", alive: make(map[string]bool)}
+		var got []Completion
+		done := make(chan error, 1)
+		go func() {
+			done <- c.Serve(func(Message) error { return nil }, func(d Completion) { got = append(got, d) })
+		}()
+		body := append(appendCompletion(nil, Completion{"WF01", 1, 1}), binenc.AppendString(nil, "WF02")...)
+		if _, err := server.Write(appendFrame(nil, frameDone, append(body, 0x80))); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if cerrors.CodeOf(err) != cerrors.CodeFrameMalformed || cerrors.PhaseOf(err) != cerrors.PhaseDecode {
+				t.Fatalf("Serve = %v (%q), want CodeFrameMalformed in PhaseDecode", err, cerrors.CodeOf(err))
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Serve did not reject the malformed DONE")
+		}
+		if len(got) != 1 || got[0] != (Completion{"WF01", 1, 1}) {
+			t.Fatalf("completions handed on = %v, want WF01.1 alone", got)
+		}
+	})
+
+	t.Run("hello refs", func(t *testing.T) {
+		// A HELLO of this build whose refs do not parse is refused: the hub
+		// closes the connection without a WELCOME and attaches nothing.
+		_, hub := newHub(t)
+		if err := hub.RegisterRemote("a"); err != nil {
+			t.Fatal(err)
+		}
+		c, err := net.Dial("unix", hub.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		hello := append(binenc.AppendString(nil, "a"), WireFormat)
+		hello = append(hello, 6, 'W') // a key cut short
+		if _, err := c.Write(appendFrame(nil, frameHello, hello)); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _, err := newFrameReader(c, 0).next(); err != io.EOF {
+			t.Fatalf("hub answered a frame of type %d (%v), want it to close", typ, err)
+		}
+		if hub.Connected("a") {
+			t.Fatal("the hub attached a child whose HELLO refs do not parse")
 		}
 	})
 

@@ -59,18 +59,22 @@ import (
 // MaxFrame is the hard ceiling on one frame's length (type byte + body).
 const MaxFrame = 8 << 20
 
-// WireFormat is the version of the message and payload layout above. Format 1
-// (not numbered on the wire at the time) carried JSON payloads; format 2 had
-// one instance per purge note where 3 has a list; format 3 tagged the
-// coordination protocol with fourteen payload types of package parallel and
-// distributed where 4 has the four of package coord.
-const WireFormat byte = 4
+// WireFormat is the version of the hub protocol's frames and of the message
+// and payload layout above. Format 1 (not numbered on the wire at the time)
+// carried JSON payloads; format 2 had one instance per purge note where 3 has
+// a list; format 3 tagged the coordination protocol with fourteen payload
+// types of package parallel and distributed where 4 has the four of package
+// coord; format 5 adds the DONE frame and the instance refs of a HELLO, and
+// drops the purge note (its payload bytes are 4's otherwise).
+const WireFormat byte = 5
 
 // Frame types of the hub protocol: Hello (a child claims a node, with its
-// format byte), Welcome (the hub's format byte and peer roster, or the byte
-// alone for a refused claim), Msg, Ack (a child has processed a delivery),
-// Crash/Recover (liveness announcements) and Exec (program-execution events
-// feeding the cross-process coordination-invariant checker).
+// format byte and the instances its database holds), Welcome (the hub's
+// format byte and peer roster, or the byte alone for a refused claim), Msg,
+// Ack (a child has processed a delivery), Crash/Recover (liveness
+// announcements), Exec (program-execution events feeding the cross-process
+// coordination-invariant checker) and Done (finished instances the hub
+// relays to its children).
 const (
 	frameMsg byte = iota + 1
 	frameHello
@@ -79,6 +83,7 @@ const (
 	frameCrash
 	frameRecover
 	frameExec
+	frameDone
 )
 
 // beginFrame reserves a frame header of the given type at the end of dst;

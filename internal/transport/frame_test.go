@@ -273,7 +273,26 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(mustEncodeFuzz(Message{From: "a", To: "b", Kind: "Int", Payload: &wirePtrPayload{N: 1 << 62}}))
 	// A header the hub accepts in front of a payload cut short.
 	f.Add(mustEncodeFuzz(Message{From: "a", To: "b", Kind: "k", Payload: &wirePayload{A: "abcdef", B: 1}})[:22])
+	// DONE bodies: completions at the edges of their id, one cut short.
+	done := appendCompletion(appendCompletion(nil, Completion{"WF01", 1, 1}), Completion{"WF02", 1000, 2})
+	f.Add(done)
+	f.Add(appendCompletion(nil, Completion{"naïve", -1 << 40, 255}))
+	f.Add(done[:len(done)-2])
 	f.Fuzz(func(t *testing.T, body []byte) {
+		// What reads as a DONE body re-encodes to a fixed point, and what
+		// does not is a classified wire error.
+		var d []Completion
+		if err := readCompletions(binenc.NewReader(nil), body, func(c Completion) { d = append(d, c) }); err != nil {
+			if !errors.Is(err, cerrors.ErrWire) {
+				t.Fatalf("unclassified DONE error: %v", err)
+			}
+		} else {
+			var re []Completion
+			readCompletions(binenc.NewReader(nil), appendCompletions(d), func(c Completion) { re = append(re, c) })
+			if !bytes.Equal(appendCompletions(re), appendCompletions(d)) {
+				t.Fatalf("DONE entries not stable: %v then %v", d, re)
+			}
+		}
 		// The hub forwards a single message whose header reads as the bytes
 		// it arrived in, and whatever an endpoint decodes, the hub's header
 		// read takes too, to the same header.
@@ -325,6 +344,15 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			env.Release()
 		}
 	})
+}
+
+// appendCompletions writes a DONE body as the hub does.
+func appendCompletions(d []Completion) []byte {
+	var out []byte
+	for _, c := range d {
+		out = appendCompletion(out, c)
+	}
+	return out
 }
 
 func mustEncodeFuzz(m Message) []byte {

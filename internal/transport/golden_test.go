@@ -95,8 +95,8 @@ func goldenPayload(t reflect.Type, variant string) any {
 // with that pointer nil. The hex below changes only together with
 // WireFormat; a refactor of the codecs must leave it as it is.
 func TestPayloadGoldenBytes(t *testing.T) {
-	if transport.WireFormat != 4 {
-		t.Fatalf("WireFormat %d: the golden bytes below are format 4's", transport.WireFormat)
+	if transport.WireFormat != 5 {
+		t.Fatalf("WireFormat %d: the golden bytes below are format 5's", transport.WireFormat)
 	}
 	seen := 0
 	for _, c := range transport.RegisteredPayloads() {
@@ -125,13 +125,14 @@ func TestPayloadGoldenBytes(t *testing.T) {
 			}
 		}
 	}
-	if seen != 26 {
-		t.Errorf("%d registered payload types have golden bytes, want 26", seen)
+	if seen != 25 {
+		t.Errorf("%d registered payload types have golden bytes, want 25", seen)
 	}
 }
 
-// goldenPayloads is what the codecs wrote at WireFormat 4, keyed by payload
-// type and variant.
+// goldenPayloads is what the codecs wrote at WireFormat 5, keyed by payload
+// type and variant: the bytes of format 4, which had one more type (the
+// purge note).
 var goldenPayloads = map[string]string{
 	"central.ExecRequest/full":               "00076167656e743031076167656e743032014b031363656e7472616c2e4578656352657175657374027331a802027333027334b90ee81402027337010000000000002140027339030101020373313101000000000000294003733133030102037331350100000000008030400373313703010403733230",
 	"central.ExecRequest/nil":                "00076167656e743031076167656e743032014b031363656e7472616c2e4578656352657175657374027331a802027333027334b90ee814020273370100000000000021400273390301000103733132",
@@ -160,8 +161,6 @@ var goldenPayloads = map[string]string{
 	"distributed.haltThread/zero":            "00076167656e743031076167656e743032014b031664697374726962757465642e68616c7454687265616400000000000000",
 	"distributed.nestedResult/full":          "00076167656e743031076167656e743032014b031864697374726962757465642e6e6573746564526573756c74027331a802027333027334b90e00020273370100000000000021400273390301",
 	"distributed.nestedResult/zero":          "00076167656e743031076167656e743032014b031864697374726962757465642e6e6573746564526573756c7400000000000000",
-	"distributed.purgeNote/full":             "00076167656e743031076167656e743032014b031564697374726962757465642e70757267654e6f746502027331a8029905027334b90ee814",
-	"distributed.purgeNote/zero":             "00076167656e743031076167656e743032014b031564697374726962757465642e70757267654e6f746500",
 	"distributed.stateInformation/full":      "00076167656e743031076167656e743032014b031c64697374726962757465642e7374617465496e666f726d6174696f6e027331",
 	"distributed.stateInformation/zero":      "00076167656e743031076167656e743032014b031c64697374726962757465642e7374617465496e666f726d6174696f6e00",
 	"distributed.stateInformationReply/full": "00076167656e743031076167656e743032014b032164697374726962757465642e7374617465496e666f726d6174696f6e5265706c79027331a802",

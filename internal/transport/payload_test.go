@@ -162,7 +162,7 @@ func normalized(p any) any {
 // same value gives — the wire's payload format until the binary one replaced
 // it.
 func TestPayloadCodecMatchesJSON(t *testing.T) {
-	// The program registers 26 types (central 4, distributed 18, and the four
+	// The program registers 25 types (central 4, distributed 17, and the four
 	// of the coordination protocol, which parallel adds nothing to); this
 	// package's own tests register two of their own.
 	codecs, program := transport.RegisteredPayloads(), map[string]bool{}
@@ -171,8 +171,8 @@ func TestPayloadCodecMatchesJSON(t *testing.T) {
 			program[c.Name] = true
 		}
 	}
-	if len(program) != 26 {
-		t.Fatalf("%d payload types registered by the program, want 26: %v", len(program), program)
+	if len(program) != 25 {
+		t.Fatalf("%d payload types registered by the program, want 25: %v", len(program), program)
 	}
 	for _, name := range []string{"coord.Request", "coord.Resolve", "coord.Inject", "coord.Order"} {
 		if !program[name] {
@@ -433,8 +433,8 @@ func TestEveryRegisteredPayloadIsHandled(t *testing.T) {
 			}
 		}
 	}
-	if len(sent) != 25 {
-		t.Errorf("sent %d payload types, want the program's 26 but WorkflowDone", len(sent))
+	if len(sent) != 24 {
+		t.Errorf("sent %d payload types, want the program's 25 but WorkflowDone", len(sent))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -25,12 +25,15 @@ import (
 // Topology: the hub process owns the Network (and with it the authoritative
 // message counts, fault policy, parking and quiescence accounting). Every
 // agent process dials the hub once and claims its node name with a HELLO
-// frame. From then on the single connection carries, hub -> child, the
-// node's deliveries (MSG) and deployment liveness announcements (WELCOME,
-// CRASH, RECOVER); and child -> hub, the child's outbound sends (MSG,
-// re-entering the hub Network where they are counted and routed), delivery
-// acknowledgements (ACK) and program-execution events (EXEC, feeding a
-// cross-process coordination-invariant checker).
+// frame, which also lists the instance rows of the child's database. From
+// then on the single connection carries, hub -> child, the node's deliveries
+// (MSG), deployment liveness announcements (WELCOME, CRASH, RECOVER) and the
+// instances that finished (DONE, Relay); and child -> hub, the child's
+// outbound sends (MSG, re-entering the hub Network where they are counted and
+// routed), delivery acknowledgements (ACK) and program-execution events
+// (EXEC, feeding a cross-process coordination-invariant checker). DONE stands
+// in for the terminal registry agents in one process share; it is not a
+// message and is not counted.
 //
 // The hub routes frames it does not read. A child's single message for
 // another child is counted, shown to the fault policy, parked and replayed
@@ -88,6 +91,19 @@ type ExecEvent struct {
 	Instance int
 }
 
+// Completion is a finished instance as a DONE frame carries it. Status is
+// the instance's terminal wfdb.Status, which this package passes on unread.
+type Completion struct {
+	Workflow string
+	ID       int
+	Status   byte
+}
+
+// relayDelay bounds how long a relayed completion waits for a write to carry
+// it: one sweep period of the agents, so an idle child that holds a replica
+// of a finished instance drops it within two.
+const relayDelay = 100 * time.Millisecond
+
 // RemoteHub is the hub-process side of the protocol. It plugs into a Network
 // as the delivery backend of remote nodes (RegisterRemote), or of every node
 // when a SocketWire serves it, and is closed with the network.
@@ -97,12 +113,14 @@ type RemoteHub struct {
 	onExec func(ExecEvent)
 	tmpDir string
 
-	mu    sync.Mutex //crew:lockrank 20
-	peers map[string]*remotePeer
+	mu       sync.Mutex //crew:lockrank 20
+	peers    map[string]*remotePeer
+	finished func(key string) (Completion, bool) // UseRegistry
 
-	closed   atomic.Bool
-	closedCh chan struct{}
-	wg       sync.WaitGroup
+	relayArmed atomic.Bool // the relay timer will write the waiting DONE frames
+	closed     atomic.Bool
+	closedCh   chan struct{}
+	wg         sync.WaitGroup
 }
 
 // NewRemoteHub binds a hub listener ("unix" or "tcp"; empty addr picks a
@@ -180,6 +198,23 @@ func (h *RemoteHub) peer(nd *node) {
 	h.mu.Unlock()
 }
 
+// eachConnected runs fn under each connected peer's lock, holding no other.
+func (h *RemoteHub) eachConnected(fn func(p *remotePeer)) {
+	h.mu.Lock()
+	peers := make([]*remotePeer, 0, len(h.peers))
+	for _, p := range h.peers {
+		peers = append(peers, p)
+	}
+	h.mu.Unlock()
+	for _, p := range peers {
+		p.mu.Lock()
+		if p.conn != nil {
+			fn(p)
+		}
+		p.mu.Unlock()
+	}
+}
+
 // Announce broadcasts a node's liveness transition to every connected child,
 // so their election liveness maps track the hub's crash/recover injections.
 // The network-side Crash/Recover bookkeeping is the caller's job (the fault
@@ -190,18 +225,48 @@ func (h *RemoteHub) Announce(name string, up bool) {
 		typ = frameRecover
 	}
 	frame := appendFrame(nil, typ, binenc.AppendString(nil, name))
+	h.eachConnected(func(p *remotePeer) { p.writeLocked(frame) })
+}
+
+// UseRegistry gives the hub the terminal registry of the process it runs in:
+// when a child claims its node, finished is asked about each instance key its
+// HELLO lists, and the WELCOME is followed by a DONE naming those finished.
+// finished runs under the child's lock and must not call the hub. Call
+// UseRegistry before children connect.
+func (h *RemoteHub) UseRegistry(finished func(key string) (Completion, bool)) {
 	h.mu.Lock()
-	peers := make([]*remotePeer, 0, len(h.peers))
+	h.finished = finished
+	h.mu.Unlock()
+}
+
+// Relay tells every connected child that the instances in done finished. The
+// entries join the child's waiting DONE frame, which the hub's next write to
+// it carries; relayDelay later a timer writes what no write carried. The hub
+// keeps nothing for a child that is not connected: its HELLO lists what it
+// still holds when it claims its node again. Relay never waits for a write.
+func (h *RemoteHub) Relay(done []Completion) {
+	if len(done) == 0 || h.closed.Load() {
+		return
+	}
+	h.mu.Lock()
 	for _, p := range h.peers {
-		peers = append(peers, p)
+		p.dmu.Lock()
+		if p.relay {
+			if len(p.done) == 0 {
+				p.done = beginFrame(p.done, frameDone)
+			}
+			for _, c := range done {
+				p.done = appendCompletion(p.done, c)
+			}
+		}
+		p.dmu.Unlock()
 	}
 	h.mu.Unlock()
-	for _, p := range peers {
-		p.mu.Lock()
-		if p.conn != nil {
-			p.writeLocked(frame)
-		}
-		p.mu.Unlock()
+	if h.relayArmed.CompareAndSwap(false, true) {
+		time.AfterFunc(relayDelay, func() {
+			h.relayArmed.Store(false)
+			h.eachConnected(func(p *remotePeer) { p.writeLocked(nil) })
+		})
 	}
 }
 
@@ -256,19 +321,7 @@ func (h *RemoteHub) Close() error {
 	}
 	close(h.closedCh)
 	h.ln.Close()
-	h.mu.Lock()
-	peers := make([]*remotePeer, 0, len(h.peers))
-	for _, p := range h.peers {
-		peers = append(peers, p)
-	}
-	h.mu.Unlock()
-	for _, p := range peers {
-		p.mu.Lock()
-		if p.conn != nil {
-			p.conn.Close()
-		}
-		p.mu.Unlock()
-	}
+	h.eachConnected(func(p *remotePeer) { p.conn.Close() })
 	h.wg.Wait()
 	os.RemoveAll(h.tmpDir)
 	return nil
@@ -301,9 +354,9 @@ func (h *RemoteHub) serve(c net.Conn) {
 	rd.Reset(body)
 	name, format := rd.Str(), rd.Byte()
 	h.mu.Lock()
-	p := h.peers[name]
+	p, finished := h.peers[name], h.finished
 	h.mu.Unlock()
-	if rd.Done() != nil || format != WireFormat || p == nil {
+	if rd.Err() != nil || format != WireFormat || p == nil {
 		// A build with another payload layout, or a node nobody registered:
 		// the claim is refused with a WELCOME holding only this build's
 		// format byte, by which the child tells the two apart. The write's
@@ -312,7 +365,15 @@ func (h *RemoteHub) serve(c net.Conn) {
 		c.Close()
 		return
 	}
-	if !p.attach(c) {
+	var held []string
+	for rd.More() {
+		held = append(held, rd.Str())
+	}
+	if rd.Err() != nil {
+		c.Close() // refs a child of this build never writes
+		return
+	}
+	if !p.attach(c, held, finished) {
 		return
 	}
 	defer p.detach(c)
@@ -411,6 +472,23 @@ type remotePeer struct {
 	claimed chan struct{} // closed while conn != nil; replaced on detach
 	scratch []byte
 	walker  binenc.Walker // encodes the payloads
+
+	// dmu guards done, the DONE frame waiting for the next write to conn,
+	// and relay, whether conn takes relayed completions. Relay holds dmu
+	// alone, so a write in progress never holds it up; a write takes it
+	// under mu to swap done for wbuf, the buffer the last write went out of.
+	dmu   sync.Mutex //crew:lockrank 35
+	done  []byte
+	relay bool
+	wbuf  []byte
+}
+
+// relayTo starts or stops relaying completions to the connection, dropping
+// any waiting.
+func (p *remotePeer) relayTo(on bool) {
+	p.dmu.Lock()
+	p.done, p.relay = p.done[:0], on
+	p.dmu.Unlock()
 }
 
 // deliver carries one message toward the child. With a claimed connection it
@@ -481,9 +559,19 @@ func (p *remotePeer) frameLocked(m Message) ([]byte, error) {
 	return framed, nil
 }
 
-// writeLocked writes complete frames under p.mu. A failed write closes the
-// connection: the reader detaches it and a reclaim replays the tail.
+// writeLocked writes complete frames under p.mu, behind the waiting DONE
+// frame if there is one. A failed write closes the connection: the reader
+// detaches it and a reclaim replays the tail.
 func (p *remotePeer) writeLocked(frames []byte) bool {
+	p.dmu.Lock()
+	if len(p.done) > 0 {
+		frames = append(endFrame(p.done, 0), frames...)
+		p.done, p.wbuf = p.wbuf[:0], frames
+	}
+	p.dmu.Unlock()
+	if len(frames) == 0 {
+		return true
+	}
 	if _, err := p.conn.Write(frames); err != nil {
 		p.conn.Close()
 		return false
@@ -492,12 +580,14 @@ func (p *remotePeer) writeLocked(frames []byte) bool {
 }
 
 // attach installs a claimed connection: welcome the child with the current
-// roster and liveness, replay the unacked tail in order (nothing new can be
-// written while p.mu is held, so replay precedes all fresh traffic), then
-// release waiting delivers. A claim that lands after Close swept the peers'
-// connections is closed here and refused, or nobody would close it and
-// Close would wait for its reader forever.
-func (p *remotePeer) attach(c net.Conn) bool {
+// roster and liveness, tell it which instances of its HELLO (held) finished,
+// replay the unacked tail in order (nothing new can be written while p.mu is
+// held, so replay precedes all fresh traffic), then release waiting delivers.
+// Relaying starts before finished is read, so each completion is relayed or
+// read there. A claim that lands after Close swept the peers' connections
+// is closed here and refused, or nobody would close it and Close would wait
+// for its reader forever.
+func (p *remotePeer) attach(c net.Conn, held []string, finished func(string) (Completion, bool)) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.hub.closed.Load() {
@@ -509,6 +599,7 @@ func (p *remotePeer) attach(c net.Conn) bool {
 		p.conn.Close()
 	}
 	p.conn = c
+	p.relayTo(false) // an earlier connection's; the HELLO names what is held
 	nodes := p.hub.n.Nodes()
 	w := append(beginFrame(p.scratch[:0], frameWelcome), WireFormat)
 	w = binary.AppendUvarint(w, uint64(len(nodes)))
@@ -518,6 +609,17 @@ func (p *remotePeer) attach(c net.Conn) bool {
 	}
 	p.scratch = endFrame(w, 0)
 	p.writeLocked(p.scratch)
+	p.relayTo(true)
+	if finished != nil && len(held) > 0 {
+		w = beginFrame(p.scratch[:0], frameDone)
+		for _, key := range held {
+			if d, ok := finished(key); ok {
+				w = appendCompletion(w, d)
+			}
+		}
+		p.scratch = endFrame(w, 0)
+		p.writeLocked(p.scratch)
+	}
 	p.nd.mu.Lock()
 	pending := append([]Message(nil), p.nd.unacked.live()...)
 	p.nd.mu.Unlock()
@@ -544,6 +646,7 @@ func (p *remotePeer) detach(c net.Conn) {
 	p.mu.Lock()
 	if p.conn == c {
 		p.conn = nil
+		p.relayTo(false)
 		p.claimed = make(chan struct{})
 	}
 	p.mu.Unlock()
@@ -616,14 +719,34 @@ func decodeExec(r *binenc.Reader, body []byte) (ExecEvent, error) {
 	return ev, nil
 }
 
+// A DONE body is completions to its end, [workflow][id][status] each.
+func appendCompletion(dst []byte, c Completion) []byte {
+	return append(binenc.AppendInt(binenc.AppendString(dst, c.Workflow), c.ID), c.Status)
+}
+
+// readCompletions hands fn each completion of a DONE body, as far as the body
+// parses.
+func readCompletions(r *binenc.Reader, body []byte, fn func(Completion)) error {
+	r.Reset(body)
+	for r.More() {
+		if c := (Completion{Workflow: r.Str(), ID: r.Int(), Status: r.Byte()}); r.Err() == nil {
+			fn(c)
+		}
+	}
+	if err := r.Err(); err != nil {
+		return malformed(err, "done body")
+	}
+	return nil
+}
+
 // ---------------------------------------------------------------------------
 // Child side
 
 // ChildConn is the agent-process side of the hub protocol: one connection
-// that claims this process's node name and then multiplexes deliveries in and
-// sends/acks/exec-events out. Writes are safe for concurrent use (the agent's
-// own goroutine, for sweep ticks and commands, and the delivery loop share the
-// connection).
+// that claims this process's node name and then multiplexes deliveries and
+// completions in and sends/acks/exec-events out. Writes are safe for
+// concurrent use (the agent's own goroutine, for sweep ticks and commands,
+// and the delivery loop share the connection).
 type ChildConn struct {
 	conn net.Conn
 	name string
@@ -648,12 +771,17 @@ type ChildConn struct {
 // WireFormat; a hub built with another answers with its own and closes, which
 // Serve reports as CodeWireFormat, and a hub that has no node by that name
 // does the same with this build's, which Serve reports as CodeUnclaimedNode.
-func DialHub(network, addr, name string) (*ChildConn, error) {
+// held lists the instance keys of the child's database rows (wfdb), to the
+// end of the HELLO: the hub's first DONE names those that have finished.
+func DialHub(network, addr, name string, held ...string) (*ChildConn, error) {
 	c, err := net.Dial(network, addr)
 	if err != nil {
 		return nil, cerrors.E(cerrors.CodeDialRefused, cerrors.PhaseDial, cerrors.ErrWire, err, "dial hub %s %s", network, addr)
 	}
 	hello := append(binenc.AppendString(beginFrame(nil, frameHello), name), WireFormat)
+	for _, key := range held {
+		hello = binenc.AppendString(hello, key)
+	}
 	if _, err := c.Write(endFrame(hello, 0)); err != nil {
 		c.Close()
 		return nil, cerrors.E(cerrors.CodeDialRefused, cerrors.PhaseDial, cerrors.ErrWire, err, "hello %s", name)
@@ -760,18 +888,17 @@ func (c *ChildConn) Close() error { return c.conn.Close() }
 // That ordering is what makes the hub's quiescence accounting exact across
 // the process boundary. The frames one read delivered are served as a burst
 // whose output leaves in one Write before the next read that would block.
-// onLiveness (optional) observes hub announcements after the internal
-// liveness map (serving Alive) is updated. A nil error means the hub closed
-// the connection cleanly; any other error is returned after the burst's
-// completed turns are written.
-func (c *ChildConn) Serve(deliver func(Message) error, onLiveness func(name string, up bool)) error {
-	err := c.serve(deliver, onLiveness)
+// done (optional) is given every completion a DONE frame relays, on the
+// reading goroutine. A nil error means the hub closed the connection cleanly;
+// any other error is returned after the burst's completed turns are written.
+func (c *ChildConn) Serve(deliver func(Message) error, done func(Completion)) error {
+	err := c.serve(deliver, done)
 	c.release()
 	c.conn.Close()
 	return err
 }
 
-func (c *ChildConn) serve(deliver func(Message) error, onLiveness func(name string, up bool)) error {
+func (c *ChildConn) serve(deliver func(Message) error, done func(Completion)) error {
 	fr := newFrameReader(c.conn, childReadBuf)
 	var w binenc.Walker
 	rd := w.Reader()
@@ -828,12 +955,15 @@ func (c *ChildConn) serve(deliver func(Message) error, onLiveness func(name stri
 			if err := rd.Done(); err != nil {
 				return malformed(err, "liveness body")
 			}
-			up := typ == frameRecover
 			c.amu.Lock()
-			c.alive[name] = up
+			c.alive[name] = typ == frameRecover
 			c.amu.Unlock()
-			if onLiveness != nil {
-				onLiveness(name, up)
+		case frameDone:
+			if done == nil {
+				done = func(Completion) {}
+			}
+			if err := readCompletions(rd, body, done); err != nil {
+				return err
 			}
 		default:
 			// The hub never sends HELLO, ACK or EXEC downstream; anything

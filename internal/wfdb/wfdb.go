@@ -577,7 +577,8 @@ func (b *Batch) Archive(ins *Instance) {
 	ins.saved = nil
 }
 
-// DeleteInstance adds the removal of an instance row (a purge broadcast).
+// DeleteInstance adds the removal of an instance row (a bystander dropping
+// its replica of a finished instance).
 func (b *Batch) DeleteInstance(workflow string, id int) {
 	b.rows = append(b.rows, batchRow{table: tableInstance, key: InstanceKeyOf(workflow, id), del: true})
 }
@@ -658,7 +659,7 @@ func (db *DB) LoadInstance(workflow string, id int) (*Instance, bool, error) {
 	return db.loadInstance(tableInstance, workflow, id)
 }
 
-// DeleteInstance removes an instance record (e.g. after a purge broadcast).
+// DeleteInstance removes an instance record.
 func (db *DB) DeleteInstance(workflow string, id int) error {
 	return db.st.Delete(tableInstance, InstanceKeyOf(workflow, id))
 }
