@@ -75,6 +75,40 @@ func runBench(b *testing.B, opt experiment.Options) *experiment.Measured {
 	return last
 }
 
+// TestTablesPinnedColumns runs Tables 4-6 as BenchmarkTable4/5/6 with
+// -benchtime 10x report them (the seed of the last iteration) and asserts the
+// columns that repeat exactly: normal and failure-handling messages per
+// instance, and the distributed normal load. The columns that wander from run
+// to run with message timing are logged, not gated.
+func TestTablesPinnedColumns(t *testing.T) {
+	for _, tc := range []struct {
+		arch             analysis.Architecture
+		msgs, fail, load float64 // load < 0: not pinned
+	}{
+		{analysis.Central, 42, 1.5, -1},
+		{analysis.Parallel, 42, 1.5, -1},
+		{analysis.Distributed, 17.31, 6.438, 4.162},
+	} {
+		m, err := experiment.Run(experiment.Options{Arch: tc.arch, Params: benchParams(),
+			Instances: benchInstances, Seed: 109, Timeout: 120 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The benchmarks print four significant figures.
+		round := func(v float64) string { return strconv.FormatFloat(v, 'g', 4, 64) }
+		got := func(row string) string { return round(m.MsgsPerInstance[row]) }
+		if got(analysis.RowNormal) != round(tc.msgs) || got(analysis.RowFailure) != round(tc.fail) {
+			t.Errorf("%v: msgs/inst %s failmsgs/inst %s, want %s and %s", tc.arch,
+				got(analysis.RowNormal), got(analysis.RowFailure), round(tc.msgs), round(tc.fail))
+		}
+		load := round(m.LoadPerInstance[analysis.RowNormal])
+		if tc.load >= 0 && load != round(tc.load) {
+			t.Errorf("%v: load/inst %s, want %s", tc.arch, load, round(tc.load))
+		}
+		t.Logf("%v: coordmsgs/inst %s load/inst %s", tc.arch, got(analysis.RowCoord), load)
+	}
+}
+
 // BenchmarkTable3Defaults measures the analytic model itself (Table 3
 // parameters through the Tables 4-6 expressions) — microseconds, included
 // for completeness of the per-table index.

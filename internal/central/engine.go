@@ -630,7 +630,10 @@ func (st *instState) Done(step model.StepID, _ metrics.Mechanism) { st.e.afterSt
 // Loop: every loop whose condition holds is taken; a result still out for
 // the body is stale.
 func (st *instState) Loop(_ model.StepID, body []model.StepID) bool {
-	st.e.resetDispatchState(st, body)
+	for _, id := range body {
+		st.dispatched[id] = false // a result in flight is stale
+	}
+	nav.Reset(st, body)
 	return true
 }
 
@@ -798,19 +801,6 @@ func (e *Engine) afterStepDone(st *instState, step model.StepID) {
 	st.Persist()
 }
 
-func (e *Engine) resetDispatchState(st *instState, steps []model.StepID) {
-	st.Gate.Reset(steps)
-	for _, id := range steps {
-		// An in-flight result becomes stale: it no longer matches the step's
-		// dispatched state (and a re-dispatch bumps the attempt number).
-		st.dispatched[id] = false
-		// A reset step whose result will be dropped can no longer release
-		// coordination resources itself; release them here (release by a
-		// non-holder is a no-op).
-		nav.Release(st, coord.Failed, id)
-	}
-}
-
 func (e *Engine) handleStepFailure(st *instState, step model.StepID) {
 	target, ok := st.Retry(step)
 	if !ok {
@@ -840,7 +830,7 @@ func (e *Engine) rollbackTo(st *instState, origin model.StepID, cause metrics.Me
 			e.site.Rec.Add(prev, 1)
 		}
 	}
-	e.resetDispatchState(st, all)
+	nav.Reset(st, all)
 	st.ToHome(coord.Request{Op: coord.Rollback, Ref: model.StepRef{Workflow: st.Ins.Workflow}, Invalidated: all})
 	st.Persist()
 }

@@ -33,6 +33,8 @@ package coord
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"crew/internal/binenc"
 	"crew/internal/model"
@@ -91,6 +93,9 @@ func GrantEventName(specName string, ref InstanceRef, step model.StepID) string 
 	return fmt.Sprintf("mx:%s:%s:%s", specName, ref, step)
 }
 
+// IsGrant reports whether an event is a mutex grant.
+func IsGrant(event string) bool { return strings.HasPrefix(event, "mx:") }
+
 // roState tracks one relative-order spec: the enrollment queue and which
 // pair-steps each enrolled instance has completed.
 type roState struct {
@@ -138,9 +143,6 @@ func NewTracker(lib *model.Library) *Tracker {
 	}
 	return t
 }
-
-// Specs returns the tracked specs.
-func (t *Tracker) Specs() []model.CoordSpec { return t.specs }
 
 // pairIndex returns which conflict pair (if any) of spec i the step belongs
 // to, or -1.
@@ -241,28 +243,6 @@ func (t *Tracker) OrderStepDone(ref model.StepRef, inst InstanceRef) []Injection
 		}
 	}
 	return out
-}
-
-// OrderRole reports the instance's role in a relative-order spec by name:
-// "leading" (queue head), "lagging" (enrolled behind the head), or ""
-// (not enrolled / unknown spec). Workflow packets carry this (Figure 7's
-// "R.O. Leading / R.O. Lagging" lines).
-func (t *Tracker) OrderRole(specName string, inst InstanceRef) string {
-	for i, spec := range t.specs {
-		if spec.Kind != model.RelativeOrder || spec.Name != specName {
-			continue
-		}
-		st := t.ro[i]
-		pos, ok := st.pos[inst]
-		if !ok {
-			return ""
-		}
-		if pos == 0 {
-			return "leading"
-		}
-		return "lagging"
-	}
-	return ""
 }
 
 // OrderQueue returns the enrollment queue of a relative-order spec.
@@ -372,13 +352,15 @@ func (t *Tracker) MutexAcquire(ref model.StepRef, inst InstanceRef) (grants []In
 	return grants, waitEvents
 }
 
-// MutexRelease releases the mutexes covering a step and returns grant
-// injections for the next waiters.
+// MutexRelease releases the mutexes covering a step, or gives up the
+// instance's place in their queues, and returns grant injections for the
+// next waiters.
 func (t *Tracker) MutexRelease(ref model.StepRef, inst InstanceRef) []Injection {
 	var out []Injection
 	for _, i := range t.mutexSpecsFor(ref) {
 		spec := t.specs[i]
 		st := t.mu[i]
+		st.waiters = slices.DeleteFunc(st.waiters, func(w muWaiter) bool { return w.ref == inst && w.step == ref.Step })
 		if !st.held || st.holder != inst || st.holding != ref.Step {
 			continue
 		}

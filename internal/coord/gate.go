@@ -26,7 +26,10 @@ type gateStep struct {
 	asked   bool // a Check is outstanding at the home
 	known   bool // the home has answered: waits is its answer
 	blocked bool // the rule fired and the step was held back
-	waits   []string
+	// stale counts the answers still in flight to Checks a Reset withdrew;
+	// they arrive first, in order, and are dropped.
+	stale int
+	waits []string
 }
 
 // Gate is the waiter's side of coordinated execution for one instance: which
@@ -69,11 +72,20 @@ func (g *Gate) Admit(step model.StepID, has interface{ Has(event string) bool })
 	return verdict
 }
 
-// Resolved records the home's answer to a Check.
-func (g *Gate) Resolved(step model.StepID, waits []string) {
+// Resolved records the home's answer to a Check and reports whether it was
+// taken: an answer to a Check that a Reset withdrew is dropped. The home
+// sends a grant only after its answer, so every mutex grant the instance
+// holds for the step when a taken answer arrives is stale.
+func (g *Gate) Resolved(step model.StepID, waits []string) bool {
 	s := g.steps[step]
+	if s.stale > 0 {
+		s.stale--
+		g.steps[step] = s
+		return false
+	}
 	s.asked, s.known, s.waits = false, true, waits
 	g.set(step, s)
+	return true
 }
 
 // Release drops the home's answer once the step has completed or its attempt
@@ -85,12 +97,22 @@ func (g *Gate) Release(step model.StepID) {
 	}
 }
 
-// Reset forgets everything about steps a rollback or loop iteration reset:
-// their rules will fire again and ask again.
-func (g *Gate) Reset(steps []model.StepID) {
+// Reset forgets steps a rollback or loop iteration reset, so their rules ask
+// again, and returns those the home must hear Failed for: the ones that had
+// asked or been answered. An outstanding Check's answer is dropped on arrival.
+func (g *Gate) Reset(steps []model.StepID) (withdrawn []model.StepID) {
 	for _, step := range steps {
-		delete(g.steps, step)
+		switch s := g.steps[step]; {
+		case s.asked:
+			g.steps[step] = gateStep{stale: s.stale + 1}
+		case s.known:
+			delete(g.steps, step)
+		default:
+			continue
+		}
+		withdrawn = append(withdrawn, step)
 	}
+	return withdrawn
 }
 
 // Blocked lists the held-back steps in step-ID order, so that retrying them
@@ -106,19 +128,6 @@ func (g *Gate) Blocked() []model.StepID {
 	return out
 }
 
-// Recheck makes every held-back step ask the home again on its next Admit,
-// whether or not an answer is known or outstanding, and lists them as Blocked
-// does. It is the waiter's backstop: a rollback can invalidate a grant after
-// the home issued it, and a repeated Check makes the home grant again to the
-// holder it has on record.
-func (g *Gate) Recheck() []model.StepID {
-	steps := g.Blocked()
-	for _, step := range steps {
-		g.steps[step] = gateStep{blocked: true}
-	}
-	return steps
-}
-
 // String renders the steps that are waiting, in step-ID order.
 func (g *Gate) String() string {
 	var steps []model.StepID
@@ -131,7 +140,7 @@ func (g *Gate) String() string {
 	var b strings.Builder
 	for _, step := range steps {
 		s := g.steps[step]
-		fmt.Fprintf(&b, "gate %s asked=%v blocked=%v waits=%v\n", step, s.asked, s.blocked, s.waits)
+		fmt.Fprintf(&b, "gate %s asked=%v blocked=%v stale=%d waits=%v\n", step, s.asked, s.blocked, s.stale, s.waits)
 	}
 	return strings.TrimSuffix(b.String(), "\n")
 }

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -18,8 +19,11 @@ const (
 	// Done reports that Inst completed Ref: order queues advance, mutexes
 	// pass to the next waiter.
 	Done
-	// Failed releases what a failed or reset attempt of Ref held, without
-	// advancing the order queues.
+	// Failed releases what a failed or reset attempt of Ref held, or gives
+	// up its place in the mutex queues, without advancing the order queues.
+	// It leaves from the gate that asked, so it cannot overtake that gate's
+	// newer Check for the same step; when two gates asked, it takes effect
+	// with the last of them to withdraw.
 	Failed
 	// Rollback reports that an instance of Ref.Workflow rolled back past the
 	// Invalidated steps (rollback-dependency triggers).
@@ -76,11 +80,17 @@ type Home struct {
 	// not yet learned of the commit) must not take resources nobody will
 	// release.
 	tombs map[string]*tombstones
+	// askers lists, per instance and mutex step, the nodes whose gates have
+	// asked and not withdrawn. After an election flip two replicas' gates
+	// may both have asked, on two links, so one's Failed must not cancel
+	// the other's Check.
+	askers map[InstanceRef]map[model.StepID][]string
 }
 
 // NewHome builds the home for a library's specs.
 func NewHome(lib *model.Library, host Host) *Home {
-	return &Home{host: host, tracker: NewTracker(lib), tombs: make(map[string]*tombstones)}
+	return &Home{host: host, tracker: NewTracker(lib), tombs: make(map[string]*tombstones),
+		askers: make(map[InstanceRef]map[model.StepID][]string)}
 }
 
 // Tracker exposes the decision core (diagnostics and tests).
@@ -103,6 +113,7 @@ func (h *Home) Handle(req Request) {
 			h.tombs[req.Inst.Workflow] = ts
 		}
 		ts.add(req.Inst.ID)
+		delete(h.askers, req.Inst)
 		h.inject(t.OrderForget(req.Inst))
 		h.inject(t.MutexForget(req.Inst))
 		return
@@ -118,16 +129,52 @@ func (h *Home) Handle(req Request) {
 	}
 	switch req.Op {
 	case Check:
+		// The answer leaves before the grants, so a gate can tell a grant
+		// that answers this Check from one left over from a withdrawn one.
 		waits := t.OrderWait(req.Ref, req.Inst)
 		grants, mutexWaits := t.MutexAcquire(req.Ref, req.Inst)
-		h.inject(grants)
+		if len(mutexWaits) > 0 {
+			h.asked(req)
+		}
 		h.host.Resolve(req.ReplyTo, Resolve{Inst: req.Inst, Step: req.Ref.Step, WaitEvents: append(waits, mutexWaits...)})
+		h.inject(grants)
 	case Done:
+		delete(h.askers[req.Inst], req.Ref.Step)
 		h.inject(t.OrderStepDone(req.Ref, req.Inst))
 		h.inject(t.MutexRelease(req.Ref, req.Inst))
 	case Failed:
-		h.inject(t.MutexRelease(req.Ref, req.Inst))
+		if h.withdraw(req) {
+			h.inject(t.MutexRelease(req.Ref, req.Inst))
+		}
 	}
+}
+
+// asked records the requester among the step's askers.
+func (h *Home) asked(req Request) {
+	steps := h.askers[req.Inst]
+	if steps == nil {
+		steps = make(map[model.StepID][]string)
+		h.askers[req.Inst] = steps
+	}
+	if !slices.Contains(steps[req.Ref.Step], req.ReplyTo) {
+		steps[req.Ref.Step] = append(steps[req.Ref.Step], req.ReplyTo)
+	}
+}
+
+// withdraw drops the requester from the step's askers and reports whether it
+// was the last of them.
+func (h *Home) withdraw(req Request) bool {
+	nodes := h.askers[req.Inst][req.Ref.Step]
+	i := slices.Index(nodes, req.ReplyTo)
+	if i < 0 {
+		return false
+	}
+	if len(nodes) > 1 {
+		h.askers[req.Inst][req.Ref.Step] = slices.Delete(nodes, i, i+1)
+		return false
+	}
+	delete(h.askers[req.Inst], req.Ref.Step)
+	return true
 }
 
 func (h *Home) inject(injs []Injection) {

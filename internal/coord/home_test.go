@@ -59,16 +59,16 @@ func TestHome(t *testing.T) {
 		{"B.1 leads", req(Done, b1, "T1"), nil},
 		{"A.1 lags", req(Done, a1, "S1"), nil},
 		{"the lagging instance waits for the leader's second pair and takes the free mutex", req(Check, a1, "S2"),
-			[]string{"inject A.1 mx:mx:A.1:S2", "resolve n-A.1 A.1:S2 [ro:ro:1:B.1 mx:mx:A.1:S2]"}},
+			[]string{"resolve n-A.1 A.1:S2 [ro:ro:1:B.1 mx:mx:A.1:S2]", "inject A.1 mx:mx:A.1:S2"}},
 		{"a repeated Check by the holder is granted again", req(Check, a1, "S2"),
-			[]string{"inject A.1 mx:mx:A.1:S2", "resolve n-A.1 A.1:S2 [ro:ro:1:B.1 mx:mx:A.1:S2]"}},
+			[]string{"resolve n-A.1 A.1:S2 [ro:ro:1:B.1 mx:mx:A.1:S2]", "inject A.1 mx:mx:A.1:S2"}},
 		{"mutex: the leader queues behind the holder", req(Check, b1, "T2"), []string{"resolve n-B.1 B.1:T2 [mx:mx:B.1:T2]"}},
 		{"a repeated Check by a waiter does not queue twice", req(Check, b1, "T2"), []string{"resolve n-B.1 B.1:T2 [mx:mx:B.1:T2]"}},
 		{"Failed releases the mutex to the one waiter and leaves the order queue alone", req(Failed, a1, "S2"),
 			[]string{"inject B.1 mx:mx:B.1:T2"}},
 		{"Done releases the successor's order wait; the mutex has no further waiter", req(Done, b1, "T2"),
 			[]string{"inject A.1 ro:ro:1:B.1"}},
-		{"the mutex is free again", req(Check, a1, "S2"), []string{"inject A.1 mx:mx:A.1:S2", "resolve n-A.1 A.1:S2 [mx:mx:A.1:S2]"}},
+		{"the mutex is free again", req(Check, a1, "S2"), []string{"resolve n-A.1 A.1:S2 [mx:mx:A.1:S2]", "inject A.1 mx:mx:A.1:S2"}},
 		{"rollback dependency: invalidating the trigger orders the target class back",
 			Request{Op: Rollback, Ref: ref("A", ""), Invalidated: []model.StepID{"S2", "S1"}}, []string{"order B.T1"}},
 		{"a rollback that spares the trigger orders nothing",
@@ -76,9 +76,20 @@ func TestHome(t *testing.T) {
 		{"a second instance queues for the mutex A.1 holds", req(Check, a2, "S2"), []string{"resolve n-A.2 A.2:S2 [mx:mx:A.2:S2]"}},
 		{"Forget releases what the instance held", Request{Op: Forget, Inst: a1}, []string{"inject A.2 mx:mx:A.2:S2"}},
 		{"a Check after Forget is answered with no waits", req(Check, a1, "S2"), []string{"resolve n-A.1 A.1:S2 []"}},
-		{"and took no lock: A.2 still holds it", req(Check, a2, "S2"), []string{"inject A.2 mx:mx:A.2:S2", "resolve n-A.2 A.2:S2 [mx:mx:A.2:S2]"}},
+		{"and took no lock: A.2 still holds it", req(Check, a2, "S2"), []string{"resolve n-A.2 A.2:S2 [mx:mx:A.2:S2]", "inject A.2 mx:mx:A.2:S2"}},
 		{"Done after Forget is ignored", req(Done, a1, "S1"), nil},
 		{"Failed after Forget is ignored", req(Failed, a1, "S2"), nil},
+		{"B.1 queues behind A.2", req(Check, b1, "T2"), []string{"resolve n-B.1 B.1:T2 [mx:mx:B.1:T2]"}},
+		{"a second replica of B.1 asks too", Request{Op: Check, Ref: ref("B", "T2"), Inst: b1, ReplyTo: "n-B.1b"},
+			[]string{"resolve n-B.1b B.1:T2 [mx:mx:B.1:T2]"}},
+		{"Failed from one of two askers keeps the queue place",
+			Request{Op: Failed, Ref: ref("B", "T2"), Inst: b1, ReplyTo: "n-B.1b"}, nil},
+		{"Failed from a node that never asked changes nothing",
+			Request{Op: Failed, Ref: ref("B", "T2"), Inst: b1, ReplyTo: "n-elsewhere"}, nil},
+		{"so the holder's Done passes the mutex to B.1", req(Done, a2, "S2"), []string{"inject B.1 mx:mx:B.1:T2"}},
+		{"A.2 queues behind B.1", req(Check, a2, "S2"), []string{"resolve n-A.2 A.2:S2 [mx:mx:A.2:S2]"}},
+		{"Failed by a queued waiter gives up its queue place", req(Failed, a2, "S2"), nil},
+		{"so the holder's Done passes the mutex to nobody", req(Done, b1, "T2"), nil},
 	}
 	for i, st := range steps {
 		host.lines = nil
@@ -93,7 +104,7 @@ func TestHome(t *testing.T) {
 	if q := home.Tracker().OrderQueue("ro"); len(q) != 1 || q[0] != b1 {
 		t.Fatalf("order queue = %v, want the forgotten A.1 gone and B.1 left", q)
 	}
-	if s := home.String(); !strings.Contains(s, "holder=A.2") || !strings.Contains(s, "home forgot A: 1..1 and 0 above") {
+	if s := home.String(); !strings.Contains(s, "mx held=false") || !strings.Contains(s, "waiters=[]") || !strings.Contains(s, "home forgot A: 1..1 and 0 above") {
 		t.Fatalf("String() = %q", s)
 	}
 }
@@ -168,7 +179,7 @@ func TestGate(t *testing.T) {
 	if got := g.Blocked(); !reflect.DeepEqual(got, []model.StepID{"R", "S"}) {
 		t.Fatalf("Blocked() = %v, want [R S] in step order", got)
 	}
-	if s := g.String(); !strings.Contains(s, "gate R asked=true") || !strings.Contains(s, "gate S asked=false blocked=true waits=[e1 e2]") {
+	if s := g.String(); !strings.Contains(s, "gate R asked=true") || !strings.Contains(s, "gate S asked=false blocked=true stale=0 waits=[e1 e2]") {
 		t.Fatalf("String() = %q", s)
 	}
 	events["e2"] = true
@@ -182,14 +193,38 @@ func TestGate(t *testing.T) {
 	if v := g.Admit("S", events); v != AskHome {
 		t.Fatalf("Admit after Release = %v: a revisit must re-acquire", v)
 	}
-	// Recheck: held-back steps ask again even with a request outstanding.
-	if got := g.Recheck(); !reflect.DeepEqual(got, []model.StepID{"R", "S"}) {
-		t.Fatalf("Recheck() = %v, want [R S]", got)
+	// Reset returns the steps the home must hear Failed for: R, which asked,
+	// and Q, which was answered; not P, which was released, nor N, which
+	// never asked.
+	g.Admit("Q", events)
+	g.Resolved("Q", []string{"e3"})
+	g.Admit("P", events)
+	g.Resolved("P", nil)
+	g.Admit("P", events)
+	g.Release("P")
+	if got := g.Reset([]model.StepID{"N", "P", "Q", "R"}); !reflect.DeepEqual(got, []model.StepID{"Q", "R"}) {
+		t.Fatalf("Reset() = %v, want [Q R]", got)
 	}
+	// R asks again; the answer to its withdrawn Check arrives first and is
+	// dropped.
 	if v := g.Admit("R", events); v != AskHome {
-		t.Fatalf("Admit after Recheck = %v, want AskHome", v)
+		t.Fatalf("Admit after Reset = %v, want AskHome", v)
 	}
-	g.Reset([]model.StepID{"R", "S"})
+	if g.Resolved("R", []string{"e3"}) {
+		t.Fatal("the answer to a withdrawn Check was taken")
+	}
+	if v := g.Admit("R", events); v != Blocked {
+		t.Fatalf("Admit with the fresh answer outstanding = %v, want Blocked", v)
+	}
+	if !g.Resolved("R", nil) {
+		t.Fatal("the answer to the fresh Check was dropped")
+	}
+	if v := g.Admit("R", events); v != Open {
+		t.Fatalf("Admit after the fresh answer = %v, want Open", v)
+	}
+	if got := g.Reset([]model.StepID{"R", "S"}); !reflect.DeepEqual(got, []model.StepID{"R", "S"}) {
+		t.Fatalf("Reset() = %v, want [R S]", got)
+	}
 	if g.Blocked() != nil {
 		t.Fatalf("Blocked() after Reset = %v", g.Blocked())
 	}

@@ -76,7 +76,7 @@ type Config struct {
 	// sweepPeriod paces the agent's maintenance sweep: re-evaluating
 	// replicas, re-reporting completed terminal steps to coordination agents,
 	// and polling StepStatus for overdue missing events (the paper's
-	// predecessor-failure detection). The sweep runs off a one-shot timer
+	// predecessor-failure detection). No coordinated step waits for it. The sweep runs off a one-shot timer
 	// armed only while the agent holds replicas. A terminal step is
 	// re-reported, and a missing event polled, once it is two periods old.
 	// Zero means 100 ms; only tests set it.

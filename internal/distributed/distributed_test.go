@@ -545,25 +545,36 @@ func TestRelativeOrderDistributed(t *testing.T) {
 	}
 }
 
+// critCounter counts the programs inside a mutex's critical section at once.
+type critCounter struct {
+	mu           sync.Mutex
+	inside, most int
+}
+
+// run is a step program that stays inside for 10 ms.
+func (c *critCounter) run(*model.ProgramContext) (map[string]expr.Value, error) {
+	c.mu.Lock()
+	c.inside++
+	c.most = max(c.most, c.inside)
+	c.mu.Unlock()
+	time.Sleep(10 * time.Millisecond)
+	c.mu.Lock()
+	c.inside--
+	c.mu.Unlock()
+	return nil, nil
+}
+
+func (c *critCounter) peak() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.most
+}
+
 func TestMutexDistributed(t *testing.T) {
 	reg := model.NewRegistry()
-	var mu sync.Mutex
-	inCrit, maxCrit := 0, 0
-	crit := func(*model.ProgramContext) (map[string]expr.Value, error) {
-		mu.Lock()
-		inCrit++
-		if inCrit > maxCrit {
-			maxCrit = inCrit
-		}
-		mu.Unlock()
-		time.Sleep(10 * time.Millisecond)
-		mu.Lock()
-		inCrit--
-		mu.Unlock()
-		return nil, nil
-	}
-	reg.Register("px", crit)
-	reg.Register("py", crit)
+	var crit critCounter
+	reg.Register("px", crit.run)
+	reg.Register("py", crit.run)
 	a := model.NewSchema("MA").Step("X", "px", model.WithAgents("a2")).MustBuild()
 	b := model.NewSchema("MB").Step("Y", "py", model.WithAgents("a3")).MustBuild()
 	lib := lib1(a, b)
@@ -598,10 +609,83 @@ func TestMutexDistributed(t *testing.T) {
 			t.Fatalf("%s.%d = (%v, %v)", r.wf, r.id, st, err)
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if maxCrit != 1 {
-		t.Errorf("max concurrent critical sections = %d, want 1", maxCrit)
+	if n := crit.peak(); n != 1 {
+		t.Errorf("max concurrent critical sections = %d, want 1", n)
+	}
+}
+
+// TestPausedStreamReleasesMutexWaiter: a held step is released by the event
+// it waits for, with no timer involved. Two instances contend for a mutex
+// whose steps run at a2 and a3; the holder then fails a later step once at
+// a1 and rolls back past its mutex step, and nothing else is started. The
+// sweep is an hour away, so only the coordination protocol can bring both
+// to commit.
+func TestPausedStreamReleasesMutexWaiter(t *testing.T) {
+	rec := &recorder{}
+	reg := model.NewRegistry()
+	var crit critCounter
+	reg.Register("pr", tracked(rec, "r", nil))
+	reg.Register("px", crit.run)
+	reg.Register("py", crit.run)
+	failOnce := model.FailNTimes(1, tracked(rec, "f", nil))
+	reg.Register("pf", func(ctx *model.ProgramContext) (map[string]expr.Value, error) {
+		rec.add("f attempt")
+		return failOnce(ctx)
+	})
+	a := model.NewSchema("PA").
+		Step("R", "pr", model.WithAgents("a1")).
+		Step("X", "px", model.WithAgents("a2")).
+		Step("F", "pf", model.WithAgents("a1")).
+		Seq("R", "X").Seq("X", "F").
+		OnFailure("F", "R", 3).
+		MustBuild()
+	b := model.NewSchema("PB").Step("Y", "py", model.WithAgents("a3")).MustBuild()
+	lib := lib1(a, b)
+	lib.AddCoord(model.CoordSpec{Kind: model.Mutex, Name: "res", MutexSteps: []model.StepRef{
+		{Workflow: "PA", Step: "X"}, {Workflow: "PB", Step: "Y"},
+	}})
+	sys, err := NewSystem(SystemConfig{
+		Library:     lib,
+		Programs:    reg,
+		Collector:   metrics.NewCollector(),
+		Agents:      []string{"a1", "a2", "a3"},
+		sweepPeriod: time.Hour,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+
+	ida, err := sys.Start("PA", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idb, err := sys.Start("PB", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		wf string
+		id int
+	}{{"PA", ida}, {"PB", idb}} {
+		if st, err := sys.Wait(r.wf, r.id, waitTimeout); err != nil || st != wfdb.Committed {
+			for _, name := range sys.SchedulingNodes() {
+				t.Logf("%s: %s", name, sys.Agent(name).DebugState(r.wf, r.id))
+			}
+			t.Fatalf("%s.%d = (%v, %v)", r.wf, r.id, st, err)
+		}
+	}
+	if n := rec.count("f attempt"); n != 2 {
+		t.Errorf("F ran %d times, want 2 (one rollback)", n)
+	}
+	if n := crit.peak(); n != 1 {
+		t.Errorf("max concurrent critical sections = %d, want 1", n)
+	}
+	for _, name := range sys.SchedulingNodes() {
+		if n := sys.Agent(name).SweepWakeups(); n != 0 {
+			t.Errorf("%s swept %d times with the timer an hour away", name, n)
+		}
 	}
 }
 
@@ -1485,7 +1569,11 @@ func TestHaltProbeOrderDeterministic(t *testing.T) {
 		reg.Register("pa", tracked(rec, "a", nil))
 		reg.Register("pb", tracked(rec, "b", nil))
 		reg.Register("pc", tracked(rec, "c", nil))
-		reg.Register("pf", model.FailNTimes(1, tracked(rec, "f", nil)))
+		failOnce := model.FailNTimes(1, tracked(rec, "f", nil))
+		reg.Register("pf", func(ctx *model.ProgramContext) (map[string]expr.Value, error) {
+			rec.add("f attempt")
+			return failOnce(ctx)
+		})
 		b := model.NewSchema("HaltOrder", "I1").
 			Step("A", "pa", model.WithAgents("a1")).
 			Step("F", "pf", model.WithAgents("a1"))
@@ -1559,7 +1647,11 @@ func TestHaltDedupeDiesWithReplica(t *testing.T) {
 	reg := model.NewRegistry()
 	reg.Register("pa", tracked(rec, "a", nil))
 	reg.Register("pb", tracked(rec, "b", nil))
-	reg.Register("pf", model.FailNTimes(1, tracked(rec, "f", nil)))
+	failOnce := model.FailNTimes(1, tracked(rec, "f", nil))
+	reg.Register("pf", func(ctx *model.ProgramContext) (map[string]expr.Value, error) {
+		rec.add("f attempt")
+		return failOnce(ctx)
+	})
 	s := model.NewSchema("Halted", "I1").
 		Step("A", "pa", model.WithAgents("a1")).
 		Step("B", "pb", model.WithAgents("a2")).

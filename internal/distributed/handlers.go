@@ -193,7 +193,9 @@ func (a *Agent) handleStepExecute(p stepExecute, from string) {
 // done event merges is marked done in the replica's step table (knowledge of
 // a step executed elsewhere). Every other writer of a done event records the
 // step done as well, so the replica needs no second pass over its events.
-// The incoming maps and slices are only read; a packet is shared by all its
+// Mutex grants do not merge: the home injects each one into every replica
+// eligible for its step, so another replica's copy can only be stale. The
+// incoming maps and slices are only read; a packet is shared by all its
 // recipients.
 func (a *Agent) mergeFiltered(r *replica, data map[string]expr.Value, events []string, senderEpoch int) {
 	// fresh(step) == senderEpoch >= r.resetEpoch[step], written out inline to
@@ -211,7 +213,7 @@ func (a *Agent) mergeFiltered(r *replica, data map[string]expr.Value, events []s
 	for _, name := range events {
 		sid := event.StepOfDone(name)
 		if sid == "" {
-			if !r.Ins.Events.Has(name) {
+			if !r.Ins.Events.Has(name) && !coord.IsGrant(name) {
 				r.Ins.Events.Post(name)
 			}
 			continue
@@ -315,7 +317,6 @@ func (a *Agent) executeStep(r *replica, step model.StepID, mode model.ExecMode, 
 	}
 	r.Ins.RecordExecuting(step, a.cfg.Name, inputs)
 	r.executing[step] = true
-	epochBefore := r.epoch
 	a.execCount++
 	a.site.Rec.Add(mech, 1) // navigation + scheduling at the agent
 	out, err := prog(&model.ProgramContext{
@@ -328,12 +329,6 @@ func (a *Agent) executeStep(r *replica, step model.StepID, mode model.ExecMode, 
 		Prev:     prev,
 	})
 	r.executing[step] = false
-	if r.resetEpoch[step] > epochBefore {
-		// A rollback reset this step while it ran: discard the result, but
-		// release any coordination resources the attempt held.
-		nav.Release(r, coord.Failed, step)
-		return
-	}
 	if err != nil {
 		r.Ins.RecordFailed(step)
 		nav.Release(r, coord.Failed, step)
@@ -548,11 +543,10 @@ func (a *Agent) handleWorkflowRollback(p workflowRollback) {
 		r.resetEpoch["WF"] = r.epoch // stale packets must not undo the change
 	}
 	all := r.Rollback(p.Origin, mech)
-	r.Gate.Reset(all)
 	for _, id := range all {
 		r.resetEpoch[id] = r.epoch
-		nav.Release(r, coord.Failed, id)
 	}
+	nav.Reset(r, all)
 
 	r.lastHalt = &haltThread{
 		Workflow:  p.Workflow,
@@ -615,13 +609,10 @@ func (a *Agent) handleHaltThread(p haltThread) {
 	})
 	n := nav.ResetSteps(r.Ins, r.Rules, set)
 	a.site.Rec.Add(p.Mechanism, int64(n)+1)
-	r.Gate.Reset(set)
 	for _, id := range set {
 		r.resetEpoch[id] = r.epoch
-		if a.site.Coordinated[model.StepRef{Workflow: p.Workflow, Step: id}] {
-			nav.ClearMutexGrants(r.Ins, id)
-		}
 	}
+	nav.Reset(r, set)
 
 	// Propagate to successors of steps this agent executed and forwarded.
 	a.propagateHalts(r, p.Origin, p.Epoch, p.Initiator, p.Mechanism)
@@ -1026,12 +1017,14 @@ func (a *Agent) handleNestedResult(p nestedResult) {
 // ---------------------------------------------------------------------------
 // Predecessor-failure detection (StepStatus polling)
 
-// sweep is the agent's periodic anti-entropy pass: it re-evaluates running
-// replicas (firing any rules re-armed by rollbacks whose packets raced past
-// their probes), re-reports terminal steps this agent completed to the
-// coordination agent (a lost or filtered StepCompleted must not prevent
+// sweep is the agent's periodic anti-entropy pass: it re-arms and
+// re-evaluates running replicas (firing a rule consumed while another agent
+// transiently won the election, or re-armed by a rollback whose packets
+// raced past its probe), re-reports terminal steps this agent completed to
+// the coordination agent (a lost or filtered StepCompleted must not prevent
 // commit), and polls StepStatus for events that have been missing too long
-// (the paper's predecessor-failure detection).
+// (the paper's predecessor-failure detection). It asks the coordination home
+// nothing: a step held at its gate is released by the event it waits for.
 func (a *Agent) sweep() {
 	a.sweepWakeups.Add(1)
 	a.retireFinished()
@@ -1042,11 +1035,6 @@ func (a *Agent) sweep() {
 		}
 		a.rearmUnexecuted(r)
 		nav.Evaluate(r)
-		// Backstop for coordination: a rollback can invalidate a grant after
-		// the home issued it, so held-back steps ask again.
-		for _, step := range r.Gate.Recheck() {
-			nav.Admit(r, step)
-		}
 		if now.Sub(r.lastReport) >= 2*a.cfg.sweepPeriod {
 			r.lastReport = now
 			a.reportTerminals(r)

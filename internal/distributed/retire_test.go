@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"crew/internal/binenc"
+	"crew/internal/coord"
 	"crew/internal/event"
 	"crew/internal/expr"
 	"crew/internal/metrics"
@@ -292,7 +293,8 @@ func TestMergeFiltered(t *testing.T) {
 			r := a.newReplica(s, wfdb.NewInstance("M", 1, nil))
 			tc.prep(r)
 			data := map[string]expr.Value{"S1.O1": expr.Num(7)}
-			events := []string{event.WorkflowStartName, "S1.done"}
+			grant := coord.GrantEventName("mx", coord.InstanceRef{Workflow: "M", ID: 1}, "S2")
+			events := []string{event.WorkflowStartName, "S1.done", grant}
 			a.mergeFiltered(r, data, events, tc.epoch)
 
 			if got := r.Ins.Events.Has("S1.done"); got != tc.posted {
@@ -304,6 +306,9 @@ func TestMergeFiltered(t *testing.T) {
 			if !r.Ins.Events.Has(event.WorkflowStartName) {
 				t.Error("an event of no step was not merged")
 			}
+			if r.Ins.Events.Has(grant) {
+				t.Error("another replica's mutex grant was merged")
+			}
 			if rec := r.Ins.Steps["S1"]; rec == nil || rec.Status != tc.want {
 				t.Errorf("S1 record = %+v, want status %v", rec, tc.want)
 			}
@@ -314,7 +319,7 @@ func TestMergeFiltered(t *testing.T) {
 				t.Errorf("doneEpoch[S1] = %d, want %d", r.doneEpoch["S1"], tc.epoch)
 			}
 			// The packet is only read.
-			if len(data) != 1 || len(events) != 2 || events[1] != "S1.done" {
+			if len(data) != 1 || len(events) != 3 || events[1] != "S1.done" {
 				t.Error("the merge wrote to the incoming state")
 			}
 		})

@@ -179,8 +179,8 @@ func Request(o Owner, op coord.Op, step model.StepID) {
 }
 
 // Release tells the home a coordinated step completed (coord.Done) or its
-// attempt failed or was reset (coord.Failed: mutexes are released, order
-// queues not advanced); a revisit must acquire again.
+// attempt failed (coord.Failed: mutexes are released, order queues not
+// advanced); a revisit must acquire again. A reset step goes through Reset.
 func Release(o Owner, op coord.Op, step model.StepID) {
 	n := o.Nav()
 	if n.Site.Coordinated[model.StepRef{Workflow: n.Ins.Workflow, Step: step}] {
@@ -190,9 +190,28 @@ func Release(o Owner, op coord.Op, step model.StepID) {
 	}
 }
 
-// Resolved records the home's answer to a Check and retries the step.
+// Reset withdraws the coordination of steps a rollback or loop iteration
+// reset: their mutex grants are cleared, the gate forgets them, and the home
+// hears Failed for each step this gate had asked about or been answered for.
+// Every request about a step thus leaves from the gate that asked, in the
+// order it was made, and a reset step's rule asks again when it fires.
+func Reset(o Owner, steps []model.StepID) {
+	n := o.Nav()
+	for _, step := range n.Gate.Reset(steps) {
+		ClearMutexGrants(n.Ins, step)
+		Request(o, coord.Failed, step)
+	}
+}
+
+// Resolved records the home's answer to a Check and retries the step. An
+// answer the gate takes makes every grant the instance holds for the step
+// stale, since the home grants only after it answers.
 func Resolved(o Owner, r coord.Resolve) {
-	o.Nav().Gate.Resolved(r.Step, r.WaitEvents)
+	n := o.Nav()
+	if !n.Gate.Resolved(r.Step, r.WaitEvents) {
+		return
+	}
+	ClearMutexGrants(n.Ins, r.Step)
 	Admit(o, r.Step)
 	Evaluate(o)
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 
+	"crew/internal/coord"
 	"crew/internal/expr"
 	"crew/internal/metrics"
 	"crew/internal/model"
@@ -278,7 +279,7 @@ func ResolveInputs(ins *wfdb.Instance, s *model.Step) map[string]expr.Value {
 func ClearMutexGrants(ins *wfdb.Instance, step model.StepID) {
 	suffix := ":" + string(step)
 	ins.Events.InvalidateWhere(func(name string) bool {
-		return strings.HasPrefix(name, "mx:") && strings.HasSuffix(name, suffix)
+		return coord.IsGrant(name) && strings.HasSuffix(name, suffix)
 	})
 }
 

@@ -765,6 +765,10 @@ type ChildConn struct {
 
 	amu   sync.Mutex
 	alive map[string]bool
+
+	// OnRecover, if set before Serve, is called on the reader goroutine
+	// with the name of each node the hub announces recovered.
+	OnRecover func(name string)
 }
 
 // DialHub connects to a hub and claims name. The HELLO carries this build's
@@ -958,6 +962,9 @@ func (c *ChildConn) serve(deliver func(Message) error, done func(Completion)) er
 			c.amu.Lock()
 			c.alive[name] = typ == frameRecover
 			c.amu.Unlock()
+			if typ == frameRecover && c.OnRecover != nil {
+				c.OnRecover(name)
+			}
 		case frameDone:
 			if done == nil {
 				done = func(Completion) {}
