@@ -555,7 +555,7 @@ func (e *Engine) startLocked(workflow string, id int, inputs map[string]expr.Val
 	if _, dup := e.instances[key]; dup {
 		return 0, fmt.Errorf("central: instance %s already exists", key)
 	}
-	ins := wfdb.NewInstance(workflow, id, inputs)
+	ins := wfdb.NewInstanceOf(schema, id, inputs)
 	ins.Parent = parent
 	st := e.newInstState(ins, schema)
 	e.adopt(key, st)

@@ -92,12 +92,11 @@ type replica struct {
 	a *Agent
 	// coordinator is the instance's coordination agent.
 	coordinator string
-	// executing guards against double execution while a program runs.
-	executing map[model.StepID]bool
 	// abort tracks an in-progress user abort (coordination agent only).
 	abort *abortState
 	// waitSince tracks when a pending rule first lacked exactly one event
-	// (predecessor-failure detection); keyed by ruleID|event.
+	// (predecessor-failure detection); keyed by ruleID|event. It, polled,
+	// resetEpoch and doneEpoch are nil until their first write.
 	waitSince map[string]time.Time
 	polled    map[string]bool
 	// parentAgent is the agent awaiting this nested instance's result.
@@ -107,12 +106,14 @@ type replica struct {
 	inputEpoch int
 	// epoch is the instance's rollback epoch at this agent; resetEpoch
 	// records, per step, the epoch at which the step was last reset by a
-	// rollback. Incoming state (packets, StepCompleted snapshots) is merged
-	// per step: entries for a step are ignored unless the sender's epoch is
-	// at least the step's reset epoch, so stale threads cannot resurrect
-	// invalidated state while unaffected parallel branches still merge.
+	// rollback (markReset), and resetMax the highest of them. Incoming state
+	// (packets, StepCompleted snapshots) is merged per step: entries for a
+	// step are ignored unless the sender's epoch is at least the step's
+	// reset epoch, so stale threads cannot resurrect invalidated state while
+	// unaffected parallel branches still merge.
 	epoch      int
 	resetEpoch map[model.StepID]int
+	resetMax   int
 	// doneEpoch records, per step, the epoch at which its current done
 	// state was established. HaltThread probes of epoch E reset only steps
 	// whose doneEpoch < E: a probe that arrives after the re-executed
@@ -307,8 +308,7 @@ func (a *Agent) getReplica(workflow string, id int) (*replica, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("distributed: unknown workflow class %q", workflow)
 	}
-	ins := wfdb.NewInstance(workflow, id, nil)
-	r := a.newReplica(schema, ins)
+	r := a.newReplica(schema, wfdb.NewInstanceOf(schema, id, nil))
 	a.replicas[key] = r
 	return r, nil
 }
@@ -338,15 +338,7 @@ func (a *Agent) program(schema *model.Schema) *rules.Program {
 // AGDB), loading the agent's program for the schema and binding it to the
 // instance's event table.
 func (a *Agent) newReplica(schema *model.Schema, ins *wfdb.Instance) *replica {
-	r := &replica{
-		Inst:       nav.NewInst(ins, schema, &a.site),
-		a:          a,
-		executing:  make(map[model.StepID]bool),
-		waitSince:  make(map[string]time.Time),
-		polled:     make(map[string]bool),
-		resetEpoch: make(map[model.StepID]int),
-		doneEpoch:  make(map[model.StepID]int),
-	}
+	r := &replica{Inst: nav.NewInst(ins, schema, &a.site), a: a}
 	r.Rules.Load(a.program(schema))
 	r.Rules.Bind(ins.Events)
 	return r

@@ -172,7 +172,7 @@ func (a *Agent) handleStepExecute(p stepExecute, from string) {
 			if rec := r.Ins.Steps[id]; rec != nil {
 				rec.HasResult = false
 			}
-			r.resetEpoch[id] = r.epoch
+			r.markReset(id)
 		}
 	}
 	a.mergeFiltered(r, pkt.Data, pkt.Events, pkt.Epoch)
@@ -189,20 +189,21 @@ func (a *Agent) handleStepExecute(p stepExecute, from string) {
 // mergeFiltered merges incoming state per step: entries belonging to a step
 // that was reset at a later epoch than the sender's view are stale and
 // skipped; everything else merges. The step of a data item is its name
-// prefix ("S2" of "S2.O1"); events name their step directly. A step whose
-// done event merges is marked done in the replica's step table (knowledge of
-// a step executed elsewhere). Every other writer of a done event records the
-// step done as well, so the replica needs no second pass over its events.
-// Mutex grants do not merge: the home injects each one into every replica
-// eligible for its step, so another replica's copy can only be stale. The
-// incoming maps and slices are only read; a packet is shared by all its
-// recipients.
+// prefix ("S2" of "S2.O1"); events name their step directly. A sender at or
+// above resetMax is stale for no step, and its entries are not looked up. A
+// step whose done event merges is marked done in the replica's step table
+// (knowledge of a step executed elsewhere). Every other writer of a done
+// event records the step done as well, so a done event the replica holds
+// already has its record (TestDoneEventsHaveDoneRecords), and at epoch 0
+// there is nothing more to learn from it. Mutex grants do not merge: the
+// home injects each one into every replica eligible for its step, so another
+// replica's copy can only be stale. The incoming maps and slices are only
+// read; a packet is shared by all its recipients.
 func (a *Agent) mergeFiltered(r *replica, data map[string]expr.Value, events []string, senderEpoch int) {
-	// fresh(step) == senderEpoch >= r.resetEpoch[step], written out inline to
-	// keep this (very hot) merge free of a closure allocation per call.
+	filter := senderEpoch < r.resetMax
 	for k, v := range data {
-		if stepName, _, ok := strings.Cut(k, "."); ok {
-			if senderEpoch < r.resetEpoch[model.StepID(stepName)] {
+		if filter {
+			if stepName, _, ok := strings.Cut(k, "."); ok && senderEpoch < r.resetEpoch[model.StepID(stepName)] {
 				continue // stale; includes "WF": inputs changed at a later epoch
 			}
 		}
@@ -211,29 +212,55 @@ func (a *Agent) mergeFiltered(r *replica, data map[string]expr.Value, events []s
 		}
 	}
 	for _, name := range events {
+		held := r.Ins.Events.Has(name)
+		if held && senderEpoch == 0 {
+			continue
+		}
 		sid := event.StepOfDone(name)
 		if sid == "" {
-			if !r.Ins.Events.Has(name) && !coord.IsGrant(name) {
+			if !held && !coord.IsGrant(name) {
 				r.Ins.Events.Post(name)
 			}
 			continue
 		}
 		id := model.StepID(sid)
-		if senderEpoch < r.resetEpoch[id] {
+		if filter && senderEpoch < r.resetEpoch[id] {
 			continue
 		}
-		if senderEpoch > r.doneEpoch[id] {
-			r.doneEpoch[id] = senderEpoch
+		r.markDone(id, senderEpoch)
+		if held {
+			continue
 		}
-		if !r.Ins.Events.Has(name) {
-			r.Ins.Events.Post(name)
-		}
+		r.Ins.Events.Post(name)
 		if r.Schema.Steps[id] != nil {
 			if rec := r.Ins.StepRec(id); rec.Status == wfdb.StepPending || rec.Status == wfdb.StepCompensated {
 				rec.Status = wfdb.StepDone
 			}
 		}
 	}
+}
+
+// markReset records that a rollback reset step at the replica's epoch, which
+// only grows, so resetMax is that epoch.
+func (r *replica) markReset(step model.StepID) {
+	put(&r.resetEpoch, step, r.epoch)
+	r.resetMax = r.epoch
+}
+
+// markDone records that step's done state holds as of epoch. An entry only
+// grows, and none is written for epoch 0, which no HaltThread probe carries.
+func (r *replica) markDone(step model.StepID, epoch int) {
+	if epoch > r.doneEpoch[step] {
+		put(&r.doneEpoch, step, epoch)
+	}
+}
+
+// put sets (*m)[k] = v, making the map at its first write.
+func put[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[k] = v
 }
 
 // Navigation: the agent's side of the core (nav.Owner). The agent runs a
@@ -244,10 +271,9 @@ func (a *Agent) mergeFiltered(r *replica, data map[string]expr.Value, events []s
 // protocol quiesces the threads.
 func (r *replica) Stopped() bool { return false }
 
-// MayRun admits a step that is not running here and whose executor this agent
-// is elected to be.
+// MayRun admits a step whose executor this agent is elected to be.
 func (r *replica) MayRun(step model.StepID) bool {
-	return !r.executing[step] && r.a.executorOf(r, step) == r.a.cfg.Name
+	return r.a.executorOf(r, step) == r.a.cfg.Name
 }
 
 // Revisits: an agent revisits only the results it produced itself.
@@ -282,7 +308,7 @@ func (r *replica) IncrementalCR(step model.StepID, inputs map[string]expr.Value,
 }
 
 func (r *replica) Done(step model.StepID, mech metrics.Mechanism) {
-	r.doneEpoch[step] = r.epoch
+	r.markDone(step, r.epoch)
 	r.a.afterStepDone(r, step, mech)
 }
 
@@ -299,7 +325,11 @@ func (r *replica) Loop(head model.StepID, body []model.StepID) bool {
 func (r *replica) Settle() {}
 
 // executeStep runs the step program synchronously on inputs, the step's
-// inputs as resolved from the replica, and navigates onward.
+// inputs as resolved from the replica, and navigates onward. Nothing guards
+// the step against a second start while its program runs: the call is made
+// inside the agent's turn, so no message, sweep or command of this agent can
+// reach MayRun before it returns, and by then the step's record is done or
+// failed.
 func (a *Agent) executeStep(r *replica, step model.StepID, mode model.ExecMode, prev *model.PrevExecution, inputs map[string]expr.Value, mech metrics.Mechanism) {
 	s := r.Schema.Steps[step]
 	if s.Nested != "" {
@@ -316,7 +346,6 @@ func (a *Agent) executeStep(r *replica, step model.StepID, mode model.ExecMode, 
 		prev = r.Ins.StepRec(step).Prev()
 	}
 	r.Ins.RecordExecuting(step, a.cfg.Name, inputs)
-	r.executing[step] = true
 	a.execCount++
 	a.site.Rec.Add(mech, 1) // navigation + scheduling at the agent
 	out, err := prog(&model.ProgramContext{
@@ -328,7 +357,6 @@ func (a *Agent) executeStep(r *replica, step model.StepID, mode model.ExecMode, 
 		Inputs:   inputs,
 		Prev:     prev,
 	})
-	r.executing[step] = false
 	if err != nil {
 		r.Ins.RecordFailed(step)
 		nav.Release(r, coord.Failed, step)
@@ -336,8 +364,7 @@ func (a *Agent) executeStep(r *replica, step model.StepID, mode model.ExecMode, 
 		return
 	}
 	r.Ins.RecordDone(step, out)
-	r.doneEpoch[step] = r.epoch
-	a.afterStepDone(r, step, mech)
+	r.Done(step, mech)
 }
 
 // afterStepDone performs post-success navigation: coordination
@@ -540,11 +567,11 @@ func (a *Agent) handleWorkflowRollback(p workflowRollback) {
 	r.epoch++
 	if len(p.NewData) > 0 {
 		r.Ins.MergeData(p.NewData)
-		r.resetEpoch["WF"] = r.epoch // stale packets must not undo the change
+		r.markReset("WF") // stale packets must not undo the change
 	}
 	all := r.Rollback(p.Origin, mech)
 	for _, id := range all {
-		r.resetEpoch[id] = r.epoch
+		r.markReset(id)
 	}
 	nav.Reset(r, all)
 
@@ -603,14 +630,18 @@ func (a *Agent) handleHaltThread(p haltThread) {
 		r.lastHalt = &cp
 	}
 	// A probe must not clobber state the re-executed thread has already
-	// re-established at (or after) the probe's epoch.
-	set := slices.DeleteFunc(nav.InvalidationSet(r.Schema, p.Origin), func(id model.StepID) bool {
-		return r.doneEpoch[id] >= p.Epoch
-	})
+	// re-established at (or after) the probe's epoch. The set is the
+	// schema's, and only read unless there are done epochs to filter by.
+	set := nav.InvalidationSet(r.Schema, p.Origin)
+	if len(r.doneEpoch) > 0 {
+		set = slices.DeleteFunc(slices.Clone(set), func(id model.StepID) bool {
+			return r.doneEpoch[id] >= p.Epoch
+		})
+	}
 	n := nav.ResetSteps(r.Ins, r.Rules, set)
 	a.site.Rec.Add(p.Mechanism, int64(n)+1)
 	for _, id := range set {
-		r.resetEpoch[id] = r.epoch
+		r.markReset(id)
 	}
 	nav.Reset(r, set)
 
@@ -949,7 +980,7 @@ func (a *Agent) handleWorkflowChangeInputs(p workflowChangeInputs) error {
 	}
 	r.Ins.MergeData(changed)
 	r.epoch++
-	r.resetEpoch["WF"] = r.epoch
+	r.markReset("WF")
 	if origin == "" {
 		return nil
 	}
@@ -1084,14 +1115,12 @@ func (a *Agent) dropFinished() {
 // recovery flips it back) is otherwise lost for good — every agent's gate
 // says "not my step" exactly when its rule fires, and no one ever executes
 // it. Re-arming from the sweep lets the eventual winner retry; the election
-// gate, the executing guard and the coordination dedup keep the retries
-// idempotent for everyone else. Steps with failure or compensation state are
-// left to the rollback path, which re-arms what it re-executes.
+// gate and the coordination dedup keep the retries idempotent for everyone
+// else, and a step whose program has run has a record that is no longer
+// pending. Steps with failure or compensation state are left to the rollback
+// path, which re-arms what it re-executes.
 func (a *Agent) rearmUnexecuted(r *replica) {
 	r.Rules.RearmWhere(func(sid model.StepID) bool {
-		if r.executing[sid] {
-			return false
-		}
 		rec := r.Ins.Steps[sid]
 		return rec == nil || (rec.Status == wfdb.StepPending && !rec.HasResult)
 	})
@@ -1140,13 +1169,13 @@ func (a *Agent) pollOverdueRules(r *replica, now time.Time) {
 			key := w.Rule.ID + "|" + missing
 			first, seen := r.waitSince[key]
 			if !seen {
-				r.waitSince[key] = now
+				put(&r.waitSince, key, now)
 				continue
 			}
 			if now.Sub(first) < 2*a.cfg.sweepPeriod || r.polled[key] {
 				continue
 			}
-			r.polled[key] = true
+			put(&r.polled, key, true)
 			producer := model.StepID(sid)
 			s := r.Schema.Steps[producer]
 			if s == nil {
@@ -1174,13 +1203,8 @@ func (a *Agent) handleStepStatus(p stepStatus) {
 	r, ok := a.replicas[replicaKey(p.Workflow, p.Instance)]
 	status := "unknown"
 	if ok {
-		if rec := r.Ins.Steps[p.Step]; rec != nil {
-			switch {
-			case rec.HasResult && rec.Agent == a.cfg.Name:
-				status = "done"
-			case r.executing[p.Step]:
-				status = "executing"
-			}
+		if rec := r.Ins.Steps[p.Step]; rec != nil && rec.HasResult && rec.Agent == a.cfg.Name {
+			status = "done"
 		}
 	}
 	a.Send(p.ReplyTo, metrics.Failure, KindStepStatusReply, &stepStatusReply{
@@ -1200,36 +1224,20 @@ func (a *Agent) handleStepStatus(p stepStatus) {
 
 func (a *Agent) handleStepStatusReply(p stepStatusReply) {
 	r, ok := a.replicas[replicaKey(p.Workflow, p.Instance)]
-	if !ok || r.Ins.Status != wfdb.Running {
+	if !ok || r.Ins.Status != wfdb.Running || p.Status == "done" {
+		return // a "done" responder's packet re-send unblocks us
+	}
+	// If the producing step is a query, re-execute it at an available
+	// eligible agent; update steps must wait for the failed agent.
+	s := r.Schema.Steps[p.Step]
+	if s == nil || s.Update || r.Ins.Events.Has(r.Schema.DoneEventOf(p.Step)) {
 		return
 	}
-	switch p.Status {
-	case "done":
-		// The packet re-send unblocks us; nothing more to do.
-	case "executing":
-		// Keep waiting: reset the age so the poll may repeat later.
-		for key := range r.polled {
-			if strings.HasSuffix(key, "|"+event.DoneName(string(p.Step))) {
-				delete(r.polled, key)
-				r.waitSince[key] = time.Now()
-			}
-		}
-	case "unknown":
-		// If the producing step is a query, re-execute it at an available
-		// eligible agent; update steps must wait for the failed agent.
-		s := r.Schema.Steps[p.Step]
-		if s == nil || s.Update {
-			return
-		}
-		if r.Ins.Events.Has(r.Schema.DoneEventOf(p.Step)) {
-			return
-		}
-		target := nav.ElectAgent(nav.EffectiveAgents(s, a.cfg.Agents), r.Ins.Workflow, r.Ins.ID, p.Step, a.alive)
-		if target == "" {
-			return
-		}
-		pkt := a.buildPacket(r, p.Step, nil)
-		a.site.Rec.Add(metrics.Failure, 1)
-		a.Send(target, metrics.Failure, KindStepExecute, &stepExecute{Packet: pkt, Mechanism: metrics.Failure})
+	target := nav.ElectAgent(nav.EffectiveAgents(s, a.cfg.Agents), r.Ins.Workflow, r.Ins.ID, p.Step, a.alive)
+	if target == "" {
+		return
 	}
+	pkt := a.buildPacket(r, p.Step, nil)
+	a.site.Rec.Add(metrics.Failure, 1)
+	a.Send(target, metrics.Failure, KindStepExecute, &stepExecute{Packet: pkt, Mechanism: metrics.Failure})
 }

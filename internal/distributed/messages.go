@@ -214,7 +214,7 @@ type stepStatusReply struct {
 	Workflow string
 	Instance int
 	Step     model.StepID
-	// Status is "done", "executing" or "unknown".
+	// Status is "done" or "unknown".
 	Status string
 	Agent  string
 }

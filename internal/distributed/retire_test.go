@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -269,6 +270,7 @@ func TestMergeFiltered(t *testing.T) {
 		Seq("S1", "S2").
 		MustBuild()
 	a := &Agent{cfg: Config{Name: "a1", Agents: []string{"a1"}}}
+	var held, heldWas wfdb.StepRecord // the "held done event" row's record
 
 	for _, tc := range []struct {
 		name   string
@@ -276,18 +278,45 @@ func TestMergeFiltered(t *testing.T) {
 		epoch  int
 		want   wfdb.StepStatus
 		posted bool
+		check  func(t *testing.T, r *replica) // more, after the common checks
 	}{
-		{"fresh replica", func(*replica) {}, 0, wfdb.StepDone, true},
-		{"pending record", func(r *replica) { r.Ins.StepRec("S1") }, 0, wfdb.StepDone, true},
+		{"fresh replica", func(*replica) {}, 0, wfdb.StepDone, true, nil},
+		{"pending record", func(r *replica) { r.Ins.StepRec("S1") }, 0, wfdb.StepDone, true, nil},
 		{"compensated record", func(r *replica) {
 			r.Ins.RecordDone("S1", map[string]expr.Value{"O1": expr.Num(1)})
 			r.Ins.RecordCompensated("S1")
-		}, 0, wfdb.StepDone, true},
-		{"failed record keeps its status", func(r *replica) { r.Ins.RecordFailed("S1") }, 0, wfdb.StepFailed, true},
+		}, 0, wfdb.StepDone, true, nil},
+		{"failed record keeps its status", func(r *replica) { r.Ins.RecordFailed("S1") }, 0, wfdb.StepFailed, true, nil},
 		{"stale epoch", func(r *replica) {
 			r.Ins.StepRec("S1")
-			r.resetEpoch["S1"] = 2
-		}, 1, wfdb.StepPending, false},
+			r.epoch = 2
+			r.markReset("S1")
+		}, 1, wfdb.StepPending, false, nil},
+		{"held done event", func(r *replica) {
+			r.Ins.RecordDone("S1", map[string]expr.Value{"O1": expr.Num(1)})
+			held, heldWas = *r.Ins.Steps["S1"], *r.Ins.Steps["S1"]
+			r.Ins.Steps["S1"] = &held
+		}, 0, wfdb.StepDone, true, func(t *testing.T, r *replica) {
+			if r.Ins.Steps["S1"] != &held || !reflect.DeepEqual(held, heldWas) || r.doneEpoch != nil {
+				t.Errorf("a held done event touched its record (%+v, was %+v) or done epochs (%v)", held, heldWas, r.doneEpoch)
+			}
+		}},
+		{"sender at resetMax", func(r *replica) {
+			r.epoch = 1
+			r.markReset("S1")
+			r.epoch = 2
+			r.markReset("S2")
+		}, 2, wfdb.StepDone, true, func(t *testing.T, r *replica) {
+			// Below resetMax the filter goes step by step: S1 was reset at
+			// epoch 1 and merges from a sender at 1, S2 at 2 and does not.
+			a.mergeFiltered(r, map[string]expr.Value{"S1.O1": expr.Num(8), "S2.O1": expr.Num(9)}, []string{"S2.done"}, 1)
+			if v := r.Ins.Data["S1.O1"]; !v.Equal(expr.Num(8)) {
+				t.Errorf("S1.O1 = %v from a sender at S1's reset epoch, want 8", v)
+			}
+			if _, ok := r.Ins.Data["S2.O1"]; ok || r.Ins.Events.Has("S2.done") {
+				t.Error("a sender below S2's reset epoch merged S2's entries")
+			}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := a.newReplica(s, wfdb.NewInstance("M", 1, nil))
@@ -321,6 +350,9 @@ func TestMergeFiltered(t *testing.T) {
 			// The packet is only read.
 			if len(data) != 1 || len(events) != 3 || events[1] != "S1.done" {
 				t.Error("the merge wrote to the incoming state")
+			}
+			if tc.check != nil {
+				tc.check(t, r)
 			}
 		})
 	}

@@ -148,17 +148,12 @@ type Table struct {
 }
 
 // NewTable returns an empty event table.
-func NewTable() *Table {
-	return &Table{entries: make(map[string]entry)}
-}
+func NewTable() *Table { return NewTableSize(0) }
 
-// Reserve gives an empty table room for n events, so a fresh instance's
-// table does not grow while it runs. A table holding entries is left as it
-// is.
-func (t *Table) Reserve(n int) {
-	if len(t.entries) == 0 {
-		t.entries = make(map[string]entry, n)
-	}
+// NewTableSize returns an empty event table with room for n events, so a
+// fresh instance's table does not grow while it runs.
+func NewTableSize(n int) *Table {
+	return &Table{entries: make(map[string]entry, n)}
 }
 
 // SetObserver installs the mutation observer (nil removes it). A table has

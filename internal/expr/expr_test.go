@@ -5,7 +5,17 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestValueIsFourWords: a Value is a number, a string and its kind and
+// boolean packed after the string; every data table, packet and input map
+// holds them by value.
+func TestValueIsFourWords(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("a Value takes %d bytes, want 32", got)
+	}
+}
 
 func env() MapEnv {
 	return MapEnv{

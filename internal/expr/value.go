@@ -12,7 +12,7 @@ import (
 )
 
 // Kind identifies the dynamic type of a Value.
-type Kind int
+type Kind uint8
 
 const (
 	// KindNull is the zero Value, used for absent data items.
@@ -43,9 +43,9 @@ func (k Kind) String() string {
 
 // Value is a dynamically typed workflow data value. The zero Value is null.
 type Value struct {
-	kind Kind
 	num  float64
 	str  string
+	kind Kind // after str: the value packs into 32 bytes
 	b    bool
 }
 

@@ -154,6 +154,29 @@ func (s *Schema) Descendants(id StepID) map[StepID]bool {
 	return out
 }
 
+// OrderedDescendants is Descendants in schema order. A frozen schema answers
+// from its index with a slice whose cap is its len, so an append copies it;
+// the slice is shared: treat it as read-only.
+func (s *Schema) OrderedDescendants(id StepID) []StepID {
+	if ix := s.index(); ix != nil {
+		if d, ok := ix.descOrd[id]; ok {
+			return d
+		}
+	}
+	return s.inOrder(s.Descendants(id))
+}
+
+// inOrder lists the members of set in schema order, in a slice of cap len.
+func (s *Schema) inOrder(set map[StepID]bool) []StepID {
+	out := make([]StepID, 0, len(set))
+	for _, id := range s.Order {
+		if set[id] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // DescendantsInclusive is Descendants plus the origin itself. The result is
 // always a fresh map owned by the caller.
 func (s *Schema) DescendantsInclusive(id StepID) map[StepID]bool {

@@ -24,6 +24,7 @@ type graphIndex struct {
 	starts    []StepID
 	terminals []StepID
 	desc      map[StepID]map[StepID]bool
+	descOrd   map[StepID][]StepID // desc in schema order (OrderedDescendants)
 	dataSrc   map[StepID][]StepID
 	topo      []StepID
 	producer  map[string]StepID
@@ -68,6 +69,7 @@ func (s *Schema) freeze() {
 		loops:    map[StepID][]Arc{},
 		preds:    make(map[StepID][]StepID, len(s.Steps)),
 		desc:     make(map[StepID]map[StepID]bool, len(s.Steps)),
+		descOrd:  make(map[StepID][]StepID, len(s.Steps)),
 		dataSrc:  make(map[StepID][]StepID, len(s.Steps)),
 		producer: map[string]StepID{},
 		conds:    map[string]*expr.Expr{},
@@ -108,6 +110,7 @@ func (s *Schema) freeze() {
 		}
 		visit(id)
 		ix.desc[id] = out
+		ix.descOrd[id] = s.inOrder(out)
 		if src := s.computeDataSourceSteps(id); src != nil {
 			ix.dataSrc[id] = src
 		}

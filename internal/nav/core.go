@@ -43,12 +43,10 @@ type Inst struct {
 	Retired bool
 }
 
-// NewInst binds an instance, fresh or reloaded, to its schema and an empty
-// rule set; the owner loads the rules. A fresh instance's step, data and
-// event tables are sized from the schema; a reloaded one is left as it is.
+// NewInst binds an instance, fresh (wfdb.NewInstanceOf) or reloaded, to its
+// schema and an empty rule set; the owner loads the rules.
 func NewInst(ins *wfdb.Instance, schema *model.Schema, site *Site) Inst {
 	ins.AttachSchema(schema)
-	ins.Reserve(schema.TableSizes())
 	return Inst{Ins: ins, Schema: schema, Rules: rules.NewEngine(), Site: site,
 		Recovery: metrics.Normal}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"net"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
@@ -122,6 +123,43 @@ func TestRelayRidesNextWrite(t *testing.T) {
 	c.conn.SetReadDeadline(time.Now().Add(2 * relayDelay))
 	if typ, _, err := fr.next(); err == nil {
 		t.Fatalf("the relay timer wrote a frame of type %d with nothing waiting", typ)
+	}
+}
+
+// relayingConn relays a completion through hub from inside its first write,
+// which is the WELCOME attach writes.
+type relayingConn struct {
+	net.Conn
+	hub  *RemoteHub
+	once sync.Once
+}
+
+func (c *relayingConn) Write(b []byte) (int, error) {
+	c.once.Do(func() { c.hub.Relay([]Completion{{"WF08", 8, 1}}) })
+	return c.Conn.Write(b)
+}
+
+// TestRelayDuringWelcomeReachesChild: a completion relayed while the hub
+// writes a new connection's WELCOME is not lost for that child. It comes
+// after the WELCOME, which stays the first frame.
+func TestRelayDuringWelcomeReachesChild(t *testing.T) {
+	_, hub := relayHub(t)
+	hub.mu.Lock()
+	p := hub.peers["a"]
+	hub.mu.Unlock()
+	srv, cli := net.Pipe()
+	defer cli.Close()
+	attached := make(chan bool, 1)
+	go func() { attached <- p.attach(&relayingConn{Conn: srv, hub: hub}, nil, nil) }()
+	fr := newFrameReader(cli, 0)
+	if typ, _ := readFrame(t, fr, cli, 5*time.Second); typ != frameWelcome {
+		t.Fatalf("first frame from the hub has type %d, want WELCOME", typ)
+	}
+	if !<-attached {
+		t.Fatal("attach refused the connection")
+	}
+	if typ, _ := readFrame(t, fr, cli, 10*relayDelay); typ != frameDone {
+		t.Fatalf("frame of type %d after the WELCOME, want the DONE relayed during it", typ)
 	}
 }
 

@@ -583,10 +583,12 @@ func (p *remotePeer) writeLocked(frames []byte) bool {
 // roster and liveness, tell it which instances of its HELLO (held) finished,
 // replay the unacked tail in order (nothing new can be written while p.mu is
 // held, so replay precedes all fresh traffic), then release waiting delivers.
-// Relaying starts before finished is read, so each completion is relayed or
-// read there. A claim that lands after Close swept the peers' connections
-// is closed here and refused, or nobody would close it and Close would wait
-// for its reader forever.
+// Relaying to the connection starts before the WELCOME is written, so each
+// completion is relayed or read from finished; the WELCOME goes straight to
+// the connection, so that it stays the first frame and the relayed ones ride
+// the next write. A claim that lands after Close swept the peers'
+// connections is closed here and refused, or nobody would close it and Close
+// would wait for its reader forever.
 func (p *remotePeer) attach(c net.Conn, held []string, finished func(string) (Completion, bool)) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -599,7 +601,7 @@ func (p *remotePeer) attach(c net.Conn, held []string, finished func(string) (Co
 		p.conn.Close()
 	}
 	p.conn = c
-	p.relayTo(false) // an earlier connection's; the HELLO names what is held
+	p.relayTo(true) // drops an earlier connection's; the HELLO names what is held
 	nodes := p.hub.n.Nodes()
 	w := append(beginFrame(p.scratch[:0], frameWelcome), WireFormat)
 	w = binary.AppendUvarint(w, uint64(len(nodes)))
@@ -608,8 +610,9 @@ func (p *remotePeer) attach(c net.Conn, held []string, finished func(string) (Co
 		w = binenc.AppendBool(w, p.hub.n.Alive(name))
 	}
 	p.scratch = endFrame(w, 0)
-	p.writeLocked(p.scratch)
-	p.relayTo(true)
+	if _, err := c.Write(p.scratch); err != nil {
+		c.Close() // as writeLocked does: the reader detaches it
+	}
 	if finished != nil && len(held) > 0 {
 		w = beginFrame(p.scratch[:0], frameDone)
 		for _, key := range held {

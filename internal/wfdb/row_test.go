@@ -326,9 +326,7 @@ func BenchmarkInstanceSaves(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ins := NewInstance("WF01", 1, map[string]expr.Value{"I1": expr.Num(1)})
-		ins.AttachSchema(schema)
-		ins.Reserve(schema.TableSizes())
+		ins := NewInstanceOf(schema, 1, map[string]expr.Value{"I1": expr.Num(1)})
 		ins.Events.Post(event.WorkflowStartName)
 		for j, id := range ids {
 			ins.RecordExecuting(id, "agent01", inputs[j])

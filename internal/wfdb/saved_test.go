@@ -41,13 +41,13 @@ func TestSavedRowMatchesFreshWalk(t *testing.T) {
 	}
 	inB := in(2)
 
-	ins := wfdb.NewInstance("WF", 1, map[string]expr.Value{"I1": expr.Num(1)})
+	ins := wfdb.NewInstanceOf(schema, 1, map[string]expr.Value{"I1": expr.Num(1)})
 	clone := ins // replaced by a clone half way; saved alongside from then on
 	steps := []struct {
 		what string
 		do   func()
 	}{
-		{"reserve and attach", func() { ins.Reserve(4, 6, 8); ins.AttachSchema(schema) }},
+		{"fresh instance of the schema", func() {}},
 		{"start event", func() { ins.Events.Post(event.WorkflowStartName) }},
 		{"data", func() {
 			ins.SetData("WF.I2", expr.Bool(true))

@@ -173,6 +173,8 @@ type Instance struct {
 	// saved is what Batch.SaveInstance keeps between saves (row.go): nil
 	// until the first, and again after Archive and in a Clone.
 	saved *savedSteps
+	// recs is the block StepRec hands new records out of.
+	recs []StepRecord
 }
 
 // AttachSchema installs the instance's schema as a name-interning source.
@@ -217,38 +219,36 @@ type ParentRef struct {
 // NewInstance creates a running instance with the given workflow inputs
 // (keyed by short input name, e.g. "I1").
 func NewInstance(workflow string, id int, inputs map[string]expr.Value) *Instance {
+	return newInstance(workflow, id, inputs, 0, 0, 0)
+}
+
+// NewInstanceOf creates a running instance of a schema, attached to it, with
+// its step, data and event tables sized from the schema's TableSizes so they
+// do not grow while it runs.
+func NewInstanceOf(s *model.Schema, id int, inputs map[string]expr.Value) *Instance {
+	steps, data, events := s.TableSizes()
+	ins := newInstance(s.Name, id, inputs, steps, data, events)
+	ins.schema = s
+	return ins
+}
+
+func newInstance(workflow string, id int, inputs map[string]expr.Value, steps, data, events int) *Instance {
 	ins := &Instance{
 		Workflow: workflow,
 		ID:       id,
 		Status:   Running,
-		Data:     make(map[string]expr.Value, len(inputs)),
-		Events:   event.NewTable(),
-		Steps:    make(map[model.StepID]*StepRecord),
+		Data:     make(map[string]expr.Value, max(data, len(inputs))),
+		Events:   event.NewTableSize(events),
+		Steps:    make(map[model.StepID]*StepRecord, steps),
+		recs:     make([]StepRecord, 0, steps),
+	}
+	if steps > 0 { // a bare instance's order stays nil
+		ins.ExecOrder = make([]model.StepID, 0, steps)
 	}
 	for name, v := range inputs {
 		ins.Data[model.WorkflowInput(name)] = v
 	}
 	return ins
-}
-
-// Reserve sizes a fresh instance's tables — no step recorded, no event
-// posted — for the given numbers of step records, data items and events, so
-// they do not grow while the instance runs. A reloaded or running instance
-// is left as it is.
-func (ins *Instance) Reserve(steps, data, events int) {
-	if len(ins.Steps) != 0 || ins.Events.Seq() != 0 {
-		return
-	}
-	ins.Steps = make(map[model.StepID]*StepRecord, steps)
-	if len(ins.Data) < data {
-		d := make(map[string]expr.Value, data)
-		for k, v := range ins.Data {
-			d[k] = v
-		}
-		ins.Data = d
-	}
-	ins.Events.Reserve(events)
-	ins.ExecOrder = make([]model.StepID, 0, steps)
 }
 
 // Key returns the instance's database key.
@@ -277,10 +277,13 @@ func (ins *Instance) Env() expr.Env { return expr.MapEnv(ins.Data) }
 
 // StepRec returns (creating if needed) the step record for id. A record it
 // creates in a saved instance gets its place among the kept entries at once.
+// New records come out of the instance's block (recs); a full block is
+// replaced by a larger one, and the records handed out stay where they are.
 func (ins *Instance) StepRec(id model.StepID) *StepRecord {
 	r := ins.Steps[id]
 	if r == nil {
-		r = &StepRecord{}
+		ins.recs = append(ins.recs, StepRecord{})
+		r = &ins.recs[len(ins.recs)-1]
 		ins.Steps[id] = r
 		if c := ins.saved; c != nil {
 			c.add(id)

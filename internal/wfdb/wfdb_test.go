@@ -1,6 +1,7 @@
 package wfdb
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -341,29 +342,58 @@ func TestDBPersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-// TestReserveSizesOnlyFreshInstances: a fresh instance's tables are sized
-// from the schema and keep its inputs; an instance that has run is left as
-// it is.
-func TestReserveSizesOnlyFreshInstances(t *testing.T) {
+// TestNewInstanceOfSizesTables: an instance made from a schema has its
+// tables sized from the schema, keeps its inputs, has the schema attached,
+// and hands its step records out of one block.
+func TestNewInstanceOfSizesTables(t *testing.T) {
 	s := sampleSchema()
 	steps, data, events := s.TableSizes()
 	if steps != 2 || data != 3 || events != 3 {
 		t.Fatalf("TableSizes = %d, %d, %d; want 2 steps, 3 data items (WF.I1, S1.O1, S2.O1), 3 events", steps, data, events)
 	}
-	fresh := NewInstance("Ord", 1, map[string]expr.Value{"I1": expr.Num(90)})
-	fresh.Reserve(steps, data, events)
-	if v, ok := fresh.Data["WF.I1"]; !ok || !v.Equal(expr.Num(90)) {
-		t.Error("Reserve lost a workflow input")
+	ins := NewInstanceOf(s, 1, map[string]expr.Value{"I1": expr.Num(90)})
+	if ins.Workflow != "Ord" || ins.ID != 1 || ins.Status != Running {
+		t.Errorf("NewInstanceOf = %s.%d %v", ins.Workflow, ins.ID, ins.Status)
 	}
-	if cap(fresh.ExecOrder) != steps {
-		t.Errorf("fresh ExecOrder capacity %d, want %d", cap(fresh.ExecOrder), steps)
+	if v, ok := ins.Data["WF.I1"]; !ok || !v.Equal(expr.Num(90)) {
+		t.Error("NewInstanceOf lost a workflow input")
 	}
+	if cap(ins.ExecOrder) != steps || cap(ins.recs) != steps {
+		t.Errorf("ExecOrder capacity %d, record block %d, want %d", cap(ins.ExecOrder), cap(ins.recs), steps)
+	}
+	if ins.schema != s || ins.doneName("S1") != s.DoneEventOf("S1") {
+		t.Error("the schema is not attached")
+	}
+	if s1, s2 := ins.StepRec("S1"), ins.StepRec("S2"); s1 != &ins.recs[0] || s2 != &ins.recs[1] {
+		t.Error("the step records do not come out of the instance's block")
+	}
+	// Past the block, a new one: the records handed out stay where they are.
+	s1 := ins.StepRec("S1")
+	if extra := ins.StepRec("X"); extra == s1 || ins.StepRec("S1") != s1 || ins.Steps["S1"] != s1 {
+		t.Error("a record past the block moved or reused an earlier one")
+	}
+}
 
-	ran := NewInstance("Ord", 2, nil)
-	ran.RecordDone("S1", map[string]expr.Value{"O1": expr.Num(1)})
-	order, stepTab, dataTab := ran.ExecOrder, ran.Steps, ran.Data
-	ran.Reserve(steps, data, events)
-	if &ran.ExecOrder[0] != &order[0] || !sameMap(ran.Steps, stepTab) || !sameMap(ran.Data, dataTab) {
-		t.Error("Reserve replaced the tables of an instance that has run")
+// TestFreshInstanceAllocBudget: an instance of a frozen ten-step schema,
+// with a record for every step, costs its struct, its tables, its execution
+// order, its record block and the name of its input; the records cost
+// nothing more.
+func TestFreshInstanceAllocBudget(t *testing.T) {
+	sb := model.NewSchema("WF01", "I1")
+	ids := make([]model.StepID, 10)
+	for i := range ids {
+		ids[i] = model.StepID(fmt.Sprintf("S%d", i+1))
+		sb.Step(ids[i], "p", model.WithOutputs("O1"))
+	}
+	s := sb.Seq(ids...).MustBuild()
+	inputs := map[string]expr.Value{"I1": expr.Num(90)}
+	const budget = 17
+	if got := testing.AllocsPerRun(200, func() {
+		ins := NewInstanceOf(s, 1, inputs)
+		for _, id := range ids {
+			ins.StepRec(id)
+		}
+	}); got > budget {
+		t.Errorf("NewInstanceOf and a record per step: %.0f allocs, budget %d", got, budget)
 	}
 }
