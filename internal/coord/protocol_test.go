@@ -397,8 +397,8 @@ func (s *sim) run(e simEvent) {
 				s.reset(in, in.replicaAt(l.to))
 			}
 		case simRecovered:
-			// distributed.(*Agent).Recovered: every held step withdraws its
-			// request and asks again.
+			// distributed.(*Agent).LivenessChanged for a respawned home:
+			// every held step withdraws its request and asks again.
 			for _, in := range s.insts {
 				rep := in.replicaAt(l.to)
 				if rep == nil || in.done {

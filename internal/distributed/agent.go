@@ -73,13 +73,10 @@ type Config struct {
 	// entries through it).
 	OnRetired func(workflow string, id int)
 	Logf      func(format string, args ...any)
-	// sweepPeriod paces the agent's maintenance sweep: re-evaluating
-	// replicas, re-reporting completed terminal steps to coordination agents,
-	// and polling StepStatus for overdue missing events (the paper's
-	// predecessor-failure detection). No coordinated step waits for it. The sweep runs off a one-shot timer
-	// armed only while the agent holds replicas. A terminal step is
-	// re-reported, and a missing event polled, once it is two periods old.
-	// Zero means 100 ms; only tests set it.
+	// sweepPeriod paces the agent's maintenance sweep (Agent.sweep), which
+	// runs off a one-shot timer armed only while the agent holds replicas; no
+	// rule waits for it. A terminal step is re-reported, and a missing event
+	// polled, once it is two periods old. Zero means 100 ms; only tests set it.
 	sweepPeriod time.Duration
 }
 
@@ -94,11 +91,9 @@ type replica struct {
 	coordinator string
 	// abort tracks an in-progress user abort (coordination agent only).
 	abort *abortState
-	// waitSince tracks when a pending rule first lacked exactly one event
-	// (predecessor-failure detection); keyed by ruleID|event. It, polled,
-	// resetEpoch and doneEpoch are nil until their first write.
-	waitSince map[string]time.Time
-	polled    map[string]bool
+	// waits holds when each wait began, zero once polled (pollOverdueRules).
+	// It, resetEpoch and doneEpoch are nil until their first write.
+	waits map[waitKey]time.Time
 	// parentAgent is the agent awaiting this nested instance's result.
 	parentAgent string
 	// inputEpoch counts input-change rollbacks issued by the coordination
@@ -158,7 +153,6 @@ type abortState struct {
 type Agent struct {
 	*actor.Actor
 	cfg  Config
-	net  *transport.Network
 	site nav.Site
 
 	replicas map[itable.Ref]*replica
@@ -204,9 +198,11 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 	if cfg.sweepPeriod == 0 {
 		cfg.sweepPeriod = 100 * time.Millisecond
 	}
+	if cfg.Alive == nil {
+		cfg.Alive = net.Alive
+	}
 	a := &Agent{
 		cfg:      cfg,
-		net:      net,
 		replicas: make(map[itable.Ref]*replica),
 		term:     cfg.Terminal,
 		adb:      cfg.Archive,
@@ -253,15 +249,6 @@ func HomeAgent(agents []string) string {
 	return slices.Min(agents)
 }
 
-// alive answers liveness queries for elections and polls: the Config.Alive
-// override when installed, else the transport's view.
-func (a *Agent) alive(name string) bool {
-	if a.cfg.Alive != nil {
-		return a.cfg.Alive(name)
-	}
-	return a.net.Alive(name)
-}
-
 // executorOf elects the executor of a step (deterministic, alive-aware). The
 // first start step is not elected: its executor is the instance's
 // coordination agent for as long as the instance lives. Only that agent was
@@ -277,7 +264,7 @@ func (a *Agent) executorOf(r *replica, step model.StepID) string {
 	if starts := r.Schema.StartSteps(); r.coordinator != "" && len(starts) > 0 && step == starts[0] {
 		return r.coordinator
 	}
-	return nav.ElectAgent(nav.EffectiveAgents(s, a.cfg.Agents), r.Ins.Workflow, r.Ins.ID, step, a.alive)
+	return nav.ElectAgent(nav.EffectiveAgents(s, a.cfg.Agents), r.Ins.Workflow, r.Ins.ID, step, a.cfg.Alive)
 }
 
 // errRetired marks a message addressed to an instance that already reached a
@@ -448,7 +435,7 @@ func (a *Agent) coordinatorOf(r *replica) string {
 // electCoordinator computes an instance's coordination agent as every agent
 // and front end does (CoordinatorFor); "" when nobody eligible is alive.
 func (a *Agent) electCoordinator(workflow string, id int) string {
-	name, err := CoordinatorFor(a.cfg.Library, a.cfg.Agents, workflow, id, a.alive)
+	name, err := CoordinatorFor(a.cfg.Library, a.cfg.Agents, workflow, id, a.cfg.Alive)
 	if err != nil {
 		a.Logf("%v", err)
 	}

@@ -21,30 +21,6 @@ func (r *replica) ToHome(req coord.Request) {
 	r.a.Send(r.a.homeNode, metrics.Coordination, KindAddRule, &req)
 }
 
-// Recovered is told that a node came back. A home agent process that was
-// killed and respawned has forgotten every queue place and grant, so each
-// held step withdraws its request and asks again (nav.Reset, then Admit).
-// The answer to a withdrawn Check, which the new home may give when the hub
-// replays the Check to it, is dropped on arrival. An in-process crash keeps
-// the home's state and calls nothing here.
-func (a *Agent) Recovered(name string) {
-	if name != a.homeNode {
-		return
-	}
-	a.DoAsync(func() {
-		for _, r := range a.sortedReplicas(nil) {
-			if r.Retired || r.Ins.Status != wfdb.Running {
-				continue
-			}
-			held := r.Gate.Blocked()
-			nav.Reset(r, held)
-			for _, step := range held {
-				nav.Admit(r, step)
-			}
-		}
-	})
-}
-
 // The home's way out (coord.Host), on the home agent.
 
 func (a *Agent) Charge() { a.site.Rec.Add(metrics.Coordination, 1) }

@@ -887,7 +887,7 @@ func TestSuccessorAgentFailure(t *testing.T) {
 	if elected == "" {
 		t.Fatal("no election result")
 	}
-	sys.Network().Crash(elected)
+	sys.HaltNode(elected)
 	runToStatus(t, sys, "SF", nil, wfdb.Committed)
 	if rec.count("b") != 1 {
 		t.Errorf("B executed %d times: %v", rec.count("b"), rec.list())
@@ -936,7 +936,7 @@ func TestPredecessorAgentFailureQueryReexecutes(t *testing.T) {
 	defer sys.Close()
 
 	elected := electForTest([]string{"a3", "a5"}, "PF", 1, "B2", sys.Network().Alive)
-	sys.Network().Crash(elected)
+	sys.HaltNode(elected)
 	// Election is alive-aware, so with the elected agent down the survivor
 	// would normally take over immediately; to exercise the StepStatus path
 	// we crash AFTER A forwards, which requires the crash to be visible only
@@ -1078,7 +1078,7 @@ func TestAllEligibleAgentsDownWaitsForRecovery(t *testing.T) {
 		Library:     lib1(s),
 		Programs:    reg,
 		Agents:      []string{"a1", "a3", "a4", "a5"},
-		sweepPeriod: 20 * time.Millisecond,
+		sweepPeriod: time.Hour,
 		Logf:        t.Logf,
 	})
 	if err != nil {
@@ -1086,8 +1086,8 @@ func TestAllEligibleAgentsDownWaitsForRecovery(t *testing.T) {
 	}
 	defer sys.Close()
 
-	sys.Network().Crash("a3")
-	sys.Network().Crash("a5")
+	sys.HaltNode("a3")
+	sys.HaltNode("a5")
 	id, err := sys.Start("DownB", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -1099,8 +1099,8 @@ func TestAllEligibleAgentsDownWaitsForRecovery(t *testing.T) {
 	if st, ok := sys.Status("DownB", id); !ok || st != wfdb.Running {
 		t.Fatalf("instance should still be running, got (%v, %v)", st, ok)
 	}
-	sys.Network().Recover("a3")
-	sys.Network().Recover("a5")
+	sys.RestartNode("a3")
+	sys.RestartNode("a5")
 	if st, err := sys.Wait("DownB", id, waitTimeout); err != nil || st != wfdb.Committed {
 		t.Fatalf("after recovery = (%v, %v)", st, err)
 	}
@@ -1725,7 +1725,7 @@ func TestStartStepSurvivesElectionFlip(t *testing.T) {
 			{Workflow: "MB", Step: "Y"},
 		},
 	})
-	sys := newSystem(t, lib, reg)
+	sys := newSweptSystem(t, SystemConfig{Library: lib, Programs: reg, Agents: []string{"a1", "a2", "a3"}}, time.Hour)
 	winner := nav.ElectAgent([]string{"a2", "a3"}, "MA", 1, "X", nil)
 
 	sys.HaltNode(winner) // the start elects the other eligible agent

@@ -440,7 +440,7 @@ func (a *Agent) forwardPacket(r *replica, target model.StepID, reset []model.Ste
 	a.site.Rec.Add(mech, 1)
 	if a.cfg.ExplicitElection {
 		for _, ag := range elig {
-			if ag != a.cfg.Name && a.alive(ag) {
+			if ag != a.cfg.Name && a.cfg.Alive(ag) {
 				a.Send(ag, mech, KindStateInformation, &stateInformation{ReplyTo: a.cfg.Name})
 			}
 		}
@@ -648,6 +648,16 @@ func (a *Agent) handleHaltThread(p haltThread) {
 	// Propagate to successors of steps this agent executed and forwarded.
 	a.propagateHalts(r, p.Origin, p.Epoch, p.Initiator, p.Mechanism)
 	r.Persist()
+	if r.settled(&p) { // the re-executed thread's packet overtook the probe
+		nav.Evaluate(r)
+	}
+}
+
+// settled reports whether the packet of rollback h's re-executed origin has
+// reached the replica (h nil: no rollback). Before it, a rule h's probe
+// re-armed would fire on the origin's stale outputs; the packet evaluates.
+func (r *replica) settled(h *haltThread) bool {
+	return h == nil || r.doneEpoch[h.Origin] >= h.Epoch
 }
 
 // haltSuccessorsOf sends HaltThread probes to the agents of a step's
@@ -1048,14 +1058,11 @@ func (a *Agent) handleNestedResult(p nestedResult) {
 // ---------------------------------------------------------------------------
 // Predecessor-failure detection (StepStatus polling)
 
-// sweep is the agent's periodic anti-entropy pass: it re-arms and
-// re-evaluates running replicas (firing a rule consumed while another agent
-// transiently won the election, or re-armed by a rollback whose packets
-// raced past its probe), re-reports terminal steps this agent completed to
-// the coordination agent (a lost or filtered StepCompleted must not prevent
-// commit), and polls StepStatus for events that have been missing too long
-// (the paper's predecessor-failure detection). It asks the coordination home
-// nothing: a step held at its gate is released by the event it waits for.
+// sweep is the agent's periodic pass: it retires the replicas of finished
+// instances, re-reports the terminal steps it completed to the coordination
+// agent (a lost or filtered StepCompleted must not prevent commit), and polls
+// StepStatus for events missing too long (the paper's predecessor-failure
+// detection). It arms and evaluates no rule.
 func (a *Agent) sweep() {
 	a.sweepWakeups.Add(1)
 	a.retireFinished()
@@ -1064,8 +1071,6 @@ func (a *Agent) sweep() {
 		if r.Ins.Status != wfdb.Running || r.Retired {
 			continue
 		}
-		a.rearmUnexecuted(r)
-		nav.Evaluate(r)
 		if now.Sub(r.lastReport) >= 2*a.cfg.sweepPeriod {
 			r.lastReport = now
 			a.reportTerminals(r)
@@ -1108,21 +1113,38 @@ func (a *Agent) dropFinished() {
 	}
 }
 
-// rearmUnexecuted re-arms the execution rules of steps that never started
-// executing anywhere this agent can see. Rules are edge-triggered, and the
-// executor election is alive-aware: a rule firing consumed while another
-// agent transiently won the election (crash windows flip the winner, and
-// recovery flips it back) is otherwise lost for good — every agent's gate
-// says "not my step" exactly when its rule fires, and no one ever executes
-// it. Re-arming from the sweep lets the eventual winner retry; the election
-// gate and the coordination dedup keep the retries idempotent for everyone
-// else, and a step whose program has run has a record that is no longer
-// pending. Steps with failure or compensation state are left to the rollback
-// path, which re-arms what it re-executes.
-func (a *Agent) rearmUnexecuted(r *replica) {
-	r.Rules.RearmWhere(func(sid model.StepID) bool {
-		rec := r.Ins.Steps[sid]
-		return rec == nil || (rec.Status == wfdb.StepPending && !rec.HasResult)
+// LivenessChanged is told that node name crashed or came back, once the
+// agent's liveness view says so. Rules are edge-triggered and the executor
+// election is alive-aware, so a rule that fired while another agent won the
+// election is spent. Each running replica re-arms the rules of steps that
+// never started executing anywhere this agent can see (failure and
+// compensation are the rollback path's) and, once settled, evaluates: the
+// new winner runs the step, and the election gate and the coordination dedup
+// keep the retry idempotent for everyone else. A respawned home (every
+// recovery across processes, none in process) has forgotten its queues and
+// grants, so each held step withdraws and asks again.
+func (a *Agent) LivenessChanged(name string, respawned bool) {
+	a.DoAsync(func() {
+		a.retireFinished()
+		for _, r := range a.sortedReplicas(nil) {
+			if r.Retired || r.Ins.Status != wfdb.Running {
+				continue
+			}
+			if respawned && name == a.homeNode {
+				held := r.Gate.Blocked()
+				nav.Reset(r, held)
+				for _, step := range held {
+					nav.Admit(r, step)
+				}
+			}
+			r.Rules.RearmWhere(func(sid model.StepID) bool {
+				rec := r.Ins.Steps[sid]
+				return rec == nil || (rec.Status == wfdb.StepPending && !rec.HasResult)
+			})
+			if r.settled(r.lastHalt) {
+				nav.Evaluate(r)
+			}
+		}
 	})
 }
 
@@ -1157,33 +1179,39 @@ func (a *Agent) reportTerminal(r *replica, to string, step model.StepID) {
 	})
 }
 
-// pollOverdueRules polls the eligible agents of every step whose done event
-// a pending rule has been missing for longer than two sweep periods.
+// waitKey is a rule's wait for a done event, which ends when it is posted.
+type waitKey struct {
+	rule, event string
+	posts       int
+}
+
+// pollOverdueRules polls, once per wait, the eligible agents of a step whose
+// done event a rule has been missing for over two sweep periods.
 func (a *Agent) pollOverdueRules(r *replica, now time.Time) {
+	maps.DeleteFunc(r.waits, func(k waitKey, _ time.Time) bool { return r.Ins.Events.Count(k.event) != k.posts })
 	for _, w := range r.Rules.WaitingRules(r.Ins.Events) {
 		for _, missing := range w.Missing {
 			sid := event.StepOfDone(missing)
 			if sid == "" {
 				continue
 			}
-			key := w.Rule.ID + "|" + missing
-			first, seen := r.waitSince[key]
+			key := waitKey{w.Rule.ID, missing, r.Ins.Events.Count(missing)}
+			since, seen := r.waits[key]
 			if !seen {
-				put(&r.waitSince, key, now)
+				put(&r.waits, key, now)
 				continue
 			}
-			if now.Sub(first) < 2*a.cfg.sweepPeriod || r.polled[key] {
+			if since.IsZero() || now.Sub(since) < 2*a.cfg.sweepPeriod {
 				continue
 			}
-			put(&r.polled, key, true)
+			r.waits[key] = time.Time{} // polled
 			producer := model.StepID(sid)
 			s := r.Schema.Steps[producer]
 			if s == nil {
 				continue
 			}
-			forStep := w.Rule.Step
 			for _, ag := range nav.EffectiveAgents(s, a.cfg.Agents) {
-				if ag == a.cfg.Name || !a.alive(ag) {
+				if ag == a.cfg.Name || !a.cfg.Alive(ag) {
 					continue
 				}
 				a.site.Rec.Add(metrics.Failure, 1)
@@ -1191,7 +1219,7 @@ func (a *Agent) pollOverdueRules(r *replica, now time.Time) {
 					Workflow: r.Ins.Workflow,
 					Instance: r.Ins.ID,
 					Step:     producer,
-					ForStep:  forStep,
+					ForStep:  w.Rule.Step,
 					ReplyTo:  a.cfg.Name,
 				})
 			}
@@ -1233,7 +1261,7 @@ func (a *Agent) handleStepStatusReply(p stepStatusReply) {
 	if s == nil || s.Update || r.Ins.Events.Has(r.Schema.DoneEventOf(p.Step)) {
 		return
 	}
-	target := nav.ElectAgent(nav.EffectiveAgents(s, a.cfg.Agents), r.Ins.Workflow, r.Ins.ID, p.Step, a.alive)
+	target := nav.ElectAgent(nav.EffectiveAgents(s, a.cfg.Agents), r.Ins.Workflow, r.Ins.ID, p.Step, a.cfg.Alive)
 	if target == "" {
 		return
 	}

@@ -329,8 +329,17 @@ func (s *System) Close() {
 // transport queue: undelivered messages wait, peers keep navigating, and the
 // parked traffic drains on RestartNode — the paper's persistent-queue
 // recovery contract.
-func (s *System) HaltNode(name string) { s.net.Crash(name) }
+func (s *System) HaltNode(name string) { s.flip(name, s.net.Crash) }
 
 // RestartNode recovers an agent halted by HaltNode, delivering the messages
 // parked while it was down.
-func (s *System) RestartNode(name string) { s.net.Recover(name) }
+func (s *System) RestartNode(name string) { s.flip(name, s.net.Recover) }
+
+// flip changes name's liveness and tells every agent, which in process keeps
+// its state: nothing is respawned.
+func (s *System) flip(name string, change func(string) bool) {
+	change(name)
+	for _, a := range s.agents {
+		a.LivenessChanged(name, false)
+	}
+}

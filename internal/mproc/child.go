@@ -104,7 +104,7 @@ func RunChild(cfg *ChildConfig, lib *model.Library, programs *model.Registry) er
 		return fmt.Errorf("mproc: recover replicas: %w", err)
 	}
 
-	conn.OnRecover = agent.Recovered
+	conn.OnLiveness = agent.LivenessChanged
 	serveErr := conn.Serve(func(m transport.Message) error {
 		agent.Deliver(m)
 		return nil

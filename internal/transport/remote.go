@@ -769,9 +769,9 @@ type ChildConn struct {
 	amu   sync.Mutex
 	alive map[string]bool
 
-	// OnRecover, if set before Serve, is called on the reader goroutine
-	// with the name of each node the hub announces recovered.
-	OnRecover func(name string)
+	// OnLiveness, if set before Serve, is called on the reader goroutine,
+	// after Alive, for each crash (up false) or recovery the hub announces.
+	OnLiveness func(name string, up bool)
 }
 
 // DialHub connects to a hub and claims name. The HELLO carries this build's
@@ -958,15 +958,15 @@ func (c *ChildConn) serve(deliver func(Message) error, done func(Completion)) er
 			}
 		case frameCrash, frameRecover:
 			rd.Reset(body)
-			name := rd.Str()
+			name, up := rd.Str(), typ == frameRecover
 			if err := rd.Done(); err != nil {
 				return malformed(err, "liveness body")
 			}
 			c.amu.Lock()
-			c.alive[name] = typ == frameRecover
+			c.alive[name] = up
 			c.amu.Unlock()
-			if typ == frameRecover && c.OnRecover != nil {
-				c.OnRecover(name)
+			if c.OnLiveness != nil {
+				c.OnLiveness(name, up)
 			}
 		case frameDone:
 			if done == nil {

@@ -173,8 +173,8 @@ func TestRemoteHubReplay(t *testing.T) {
 	}
 }
 
-// TestRemoteHubAnnounce verifies liveness broadcasts reach children and feed
-// their Alive view.
+// TestRemoteHubAnnounce verifies liveness broadcasts reach children: each
+// crash and each recovery feeds the child's Alive view, then its OnLiveness.
 func TestRemoteHubAnnounce(t *testing.T) {
 	_, hub := newHub(t)
 	for _, name := range []string{"a", "b"} {
@@ -182,29 +182,35 @@ func TestRemoteHubAnnounce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	child := dialChild(t, "unix", hub.Addr(), "a")
+	conn, err := DialHub("unix", hub.Addr(), "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type call struct {
+		name      string
+		up, alive bool
+	}
+	calls := make(chan call, 2)
+	conn.OnLiveness = func(name string, up bool) { calls <- call{name, up, conn.Alive(name)} }
+	go conn.Serve(func(Message) error { return nil }, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := hub.WaitConnected(ctx, "a"); err != nil {
 		t.Fatal(err)
 	}
-	if !child.conn.Alive("b") {
+	if !conn.Alive("b") {
 		t.Fatal("b should default to alive")
 	}
-	hub.Announce("b", false)
-	deadline := time.Now().Add(5 * time.Second)
-	for child.conn.Alive("b") {
-		if time.Now().After(deadline) {
-			t.Fatal("crash announcement never reached the child")
+	for _, up := range []bool{false, true} {
+		hub.Announce("b", up)
+		select {
+		case c := <-calls:
+			if c != (call{"b", up, up}) {
+				t.Fatalf("OnLiveness saw %+v, want b up=%v with Alive already %v", c, up, up)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("announcement (up=%v) never reached the child", up)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	hub.Announce("b", true)
-	for !child.conn.Alive("b") {
-		if time.Now().After(deadline) {
-			t.Fatal("recover announcement never reached the child")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
