@@ -75,8 +75,8 @@ type Config struct {
 	Logf      func(format string, args ...any)
 	// sweepPeriod paces the agent's maintenance sweep (Agent.sweep), which
 	// runs off a one-shot timer armed only while the agent holds replicas; no
-	// rule waits for it. A terminal step is re-reported, and a missing event
-	// polled, once it is two periods old. Zero means 100 ms; only tests set it.
+	// rule waits for it and it commits nothing. A missing event is polled once
+	// it is two periods old. Zero means 100 ms; only tests set it.
 	sweepPeriod time.Duration
 }
 
@@ -100,8 +100,8 @@ type replica struct {
 	// agent.
 	inputEpoch int
 	// epoch is the instance's rollback epoch at this agent; resetEpoch
-	// records, per step, the epoch at which the step was last reset by a
-	// rollback (markReset), and resetMax the highest of them. Incoming state
+	// records, per step, the highest epoch of a rollback that reset the step
+	// (markReset), and resetMax the highest of them. Incoming state
 	// (packets, StepCompleted snapshots) is merged per step: entries for a
 	// step are ignored unless the sender's epoch is at least the step's
 	// reset epoch, so stale threads cannot resurrect invalidated state while
@@ -120,8 +120,6 @@ type replica struct {
 	// handledHalts dedupes HaltThread floods: highest epoch seen per (origin,
 	// initiator). Made by the first halt, gone with the replica.
 	handledHalts map[haltFlood]int
-	// lastReport throttles the sweep's terminal re-reports.
-	lastReport time.Time
 	// dirty marks the replica as changed since its last AGDB row; it is then
 	// queued with the actor and the turn's commit writes it.
 	dirty bool
@@ -230,8 +228,8 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 		DisableOCR:  cfg.DisableOCR,
 		Logf:        a.Logf,
 	}
-	// Only while the agent holds replicas is there anything to heal, report or
-	// retire, so the sweep's timer is armed on that condition alone.
+	// Only while the agent holds replicas is there anything to poll or retire,
+	// so the sweep's timer is armed on that condition alone.
 	a.Launch(a.receive, &actor.Timer{
 		Every: cfg.sweepPeriod,
 		Busy:  func() bool { return len(a.replicas) > 0 },

@@ -290,7 +290,7 @@ func TestMergeFiltered(t *testing.T) {
 		{"stale epoch", func(r *replica) {
 			r.Ins.StepRec("S1")
 			r.epoch = 2
-			r.markReset("S1")
+			r.markReset("S1", r.epoch)
 		}, 1, wfdb.StepPending, false, nil},
 		{"held done event", func(r *replica) {
 			r.Ins.RecordDone("S1", map[string]expr.Value{"O1": expr.Num(1)})
@@ -303,9 +303,9 @@ func TestMergeFiltered(t *testing.T) {
 		}},
 		{"sender at resetMax", func(r *replica) {
 			r.epoch = 1
-			r.markReset("S1")
+			r.markReset("S1", r.epoch)
 			r.epoch = 2
-			r.markReset("S2")
+			r.markReset("S2", r.epoch)
 		}, 2, wfdb.StepDone, true, func(t *testing.T, r *replica) {
 			// Below resetMax the filter goes step by step: S1 was reset at
 			// epoch 1 and merges from a sender at 1, S2 at 2 and does not.

@@ -76,7 +76,8 @@ type Owner interface {
 	// Loop takes an iteration whose body LoopBack reset; false takes no
 	// further loop out of the same step.
 	Loop(head model.StepID, body []model.StepID) bool
-	// Settle runs after every pass of the rule loop.
+	// Settle runs after every pass of the rule loop; the owner commits there
+	// when it coordinates the instance and no abort is under way.
 	Settle()
 	// ToHome hands a coordination request to the home.
 	ToHome(req coord.Request)
