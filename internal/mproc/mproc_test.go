@@ -36,6 +36,9 @@ func TestMain(m *testing.M) {
 	}
 	if cfg != nil {
 		lib, programs, err := cfg.ResolveWorkload()
+		if cfg.LawsPath != "" {
+			lib, programs, err = lawsWorkload(cfg.LawsPath)
+		}
 		if err == nil {
 			err = RunChild(cfg, lib, programs)
 		}
