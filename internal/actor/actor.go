@@ -105,6 +105,8 @@ type Actor struct {
 	clock *time.Timer
 	armed bool
 	due   atomic.Bool
+	// turnEnd, when set, runs at the end of every turn (OnTurnEnd).
+	turnEnd func()
 
 	// handles caches per-destination senders; batch coalesces the turn's
 	// sends into per-destination envelopes; tx collects the turn's rows and
@@ -166,6 +168,14 @@ func (a *Actor) Launch(handle func(m transport.Message), timer *Timer) {
 	a.wg.Add(1)
 	go a.loop()
 }
+
+// OnTurnEnd has f run at the end of every turn, once the turn's rows are
+// committed and its sends flushed, and before its messages are acked (so a
+// quiesced network has run it): what f releases, no part of the turn still
+// uses. A message the actor sends itself is handled inside the sending turn,
+// so a handler cannot tell where a turn ends; this is where. Set it before
+// Launch.
+func (a *Actor) OnTurnEnd(f func()) { a.turnEnd = f }
 
 // Name returns the node name.
 func (a *Actor) Name() string { return a.name }
@@ -253,13 +263,17 @@ func (a *Actor) unwrap(m transport.Message) {
 
 // endTurn is the one epilogue of every turn — a group of mailbox messages
 // (acked), a delivered message, a command (done non-nil for Do) or a timer
-// tick: commit the turn's rows, then flush its sends, and only then mark the
-// turn as over. The order is the contract stated at the top of the package,
-// held here and nowhere else. A turn that left the owner busy arms the timer.
+// tick: commit the turn's rows, then flush its sends, run the owner's turn-end
+// hook, and only then mark the turn as over. The order is the contract
+// stated at the top of the package, held here and nowhere else. A turn that
+// left the owner busy arms the timer.
 func (a *Actor) endTurn(done chan struct{}) {
 	a.Commit()
 	if err := a.batch.Flush(); err != nil {
 		a.logf("flush sends: %v", err)
+	}
+	if a.turnEnd != nil {
+		a.turnEnd()
 	}
 	for ; a.held > 0; a.held-- {
 		a.ep.Ack()

@@ -235,6 +235,27 @@ func TestCommandTurnOrder(t *testing.T) {
 	f.quiesce(t)
 }
 
+// TestTurnEndHookRunsOncePerTurn: the turn-end hook runs once per turn,
+// after its commit and flush, also when a handler sent the actor a message
+// that was handled inside the turn.
+func TestTurnEndHookRunsOncePerTurn(t *testing.T) {
+	f := newFixture(t, nil)
+	f.act.OnTurnEnd(func() { f.tr.add("end") })
+	f.act.Launch(func(m transport.Message) {
+		if m.Payload == "self" {
+			f.tr.add("self")
+			return
+		}
+		f.work("handle")
+		f.act.Send("node", metrics.Normal, "In", "self")
+	}, nil)
+	f.deliver(t, "x")
+	f.quiesce(t)
+	wantTrail(t, f.tr.take(), "handle", "self", "save", "commit", "send Out", "end")
+	f.act.Do(func() { f.work("command") })
+	wantTrail(t, f.tr.take(), "command", "save", "commit", "send Out", "end")
+}
+
 // TestTimerTurn covers the timer's turn (tick, commit, flush, and no ack:
 // the in-flight count returns to zero, not below) and its arming rule: never
 // while the owner reports idle, again only once it reports work.

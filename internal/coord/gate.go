@@ -115,6 +115,10 @@ func (g *Gate) Reset(steps []model.StepID) (withdrawn []model.StepID) {
 	return withdrawn
 }
 
+// Clear forgets every step, keeping the storage: the gate of an instance
+// made afresh out of one that finished.
+func (g *Gate) Clear() { clear(g.steps) }
+
 // Blocked lists the held-back steps in step-ID order, so that retrying them
 // emits the same sequence on every run.
 func (g *Gate) Blocked() []model.StepID {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -141,7 +142,8 @@ func (r *replica) Save(tx *wfdb.Batch) {
 
 type abortState struct {
 	queue   []model.StepID
-	pending int // outstanding stepCompensated replies for the current step
+	pending int  // outstanding stepCompensated replies for the current step
+	pumping bool // pumpAbort is on the stack
 }
 
 // Agent is a distributed workflow agent: execution agent always, and
@@ -171,6 +173,9 @@ type Agent struct {
 	cursor   uint64
 	finished []itable.Ref
 	inTurn   bool
+	// evicted holds the replicas the turn under way let go of (evict), for
+	// the turn's end to hand to spares (recycle).
+	evicted []*replica
 	// sweepWakeups counts maintenance-timer firings; tests assert an idle
 	// agent stops waking up.
 	sweepWakeups atomic.Int64
@@ -228,6 +233,7 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 		DisableOCR:  cfg.DisableOCR,
 		Logf:        a.Logf,
 	}
+	a.OnTurnEnd(a.recycle)
 	// Only while the agent holds replicas is there anything to poll or retire,
 	// so the sweep's timer is armed on that condition alone.
 	a.Launch(a.receive, &actor.Timer{
@@ -279,6 +285,7 @@ func replicaKey(workflow string, id int) itable.Ref {
 
 // getReplica returns (creating if needed) the replica of an instance,
 // installing the execution rules for every step this agent is eligible for.
+// A new replica is a spare emptied in place (reuseReplica) if there is one.
 // Instances recorded terminal in the registry are never recreated; callers
 // get errRetired instead.
 func (a *Agent) getReplica(workflow string, id int) (*replica, error) {
@@ -293,9 +300,33 @@ func (a *Agent) getReplica(workflow string, id int) (*replica, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("distributed: unknown workflow class %q", workflow)
 	}
-	r := a.newReplica(schema, wfdb.NewInstanceOf(schema, id, nil))
+	r, ok := spares.Get().(*replica)
+	if ok {
+		a.reuseReplica(r, schema, id)
+	} else {
+		r = a.newReplica(schema, wfdb.NewInstanceOf(schema, id, nil))
+	}
 	a.replicas[key] = r
 	return r, nil
+}
+
+// spares holds the replicas the agents of this process evicted, once the
+// turn that evicted each has ended (evict, recycle). A spare belongs to no
+// agent and holds no instance anyone reads; getReplica empties it in place.
+var spares sync.Pool
+
+// reuseReplica makes a spare what newReplica builds around
+// wfdb.NewInstanceOf(schema, id, nil): its instance, engine, gate and maps
+// are emptied and kept.
+func (a *Agent) reuseReplica(r *replica, schema *model.Schema, id int) {
+	r.Inst.Reuse(schema, id, &a.site)
+	r.Rules.Load(a.program(schema))
+	clear(r.waits)
+	clear(r.resetEpoch)
+	clear(r.doneEpoch)
+	clear(r.handledHalts)
+	*r = replica{Inst: r.Inst, a: a, waits: r.waits, resetEpoch: r.resetEpoch,
+		doneEpoch: r.doneEpoch, handledHalts: r.handledHalts}
 }
 
 // program returns the agent's compiled rules for a schema: the execution
@@ -493,7 +524,7 @@ func (a *Agent) Snapshot(workflow string, id int) (*wfdb.Instance, bool) {
 // it to every agent process in place of the registry they cannot share.
 func (a *Agent) retireReplica(r *replica) {
 	st := r.Ins.Status
-	r.Retired, r.dirty = true, false
+	r.dirty = false // the commit below must not write the row back
 	// Archive before publishing completion: a woken waiter may Snapshot
 	// immediately and must find the archived state. The archive row and the
 	// deletion of the instance row go out in one group with whatever the turn
@@ -509,10 +540,7 @@ func (a *Agent) retireReplica(r *replica) {
 		a.Send(r.Ins.NotifyTo, metrics.Normal, KindWorkflowDone,
 			&WorkflowDone{Workflow: r.Ins.Workflow, Instance: r.Ins.ID, Status: st})
 	}
-	delete(a.replicas, replicaKey(r.Ins.Workflow, r.Ins.ID))
-	if a.cfg.OnRetired != nil {
-		a.cfg.OnRetired(r.Ins.Workflow, r.Ins.ID)
-	}
+	a.evict(r)
 }
 
 // dropReplica is how every other agent lets go of a replica whose instance
@@ -520,14 +548,41 @@ func (a *Agent) retireReplica(r *replica) {
 // evicted and its AGDB row deleted in the turn's group.
 // Nothing is archived; nobody reads a bystander's view of a finished instance.
 func (a *Agent) dropReplica(r *replica) {
-	r.Retired, r.dirty = true, false
-	delete(a.replicas, replicaKey(r.Ins.Workflow, r.Ins.ID))
-	if a.cfg.OnRetired != nil {
-		a.cfg.OnRetired(r.Ins.Workflow, r.Ins.ID)
-	}
+	a.evict(r)
 	if a.cfg.AGDB != nil {
 		a.Tx().DeleteInstance(r.Ins.Workflow, r.Ins.ID)
 	}
+}
+
+// evict is the one place a replica leaves the live table: it is marked
+// retired, so navigation still on the stack returns and its row is not
+// written again, and it is queued for reuse. A replica is evicted once, and
+// reused only after the turn's commit: the turn that evicts it may still
+// read it (an Evaluate unwinding, the rows it added to the group), so recycle
+// hands it to spares only once that turn has ended. A replica that is not in
+// the table, evicted already, is left alone, so it never goes to spares
+// twice, where two agents could then take it at once.
+func (a *Agent) evict(r *replica) {
+	key := replicaKey(r.Ins.Workflow, r.Ins.ID)
+	if a.replicas[key] != r {
+		return
+	}
+	r.Retired, r.dirty = true, false
+	delete(a.replicas, key)
+	if a.cfg.OnRetired != nil {
+		a.cfg.OnRetired(r.Ins.Workflow, r.Ins.ID)
+	}
+	a.evicted = append(a.evicted, r)
+}
+
+// recycle is the agent's turn-end hook: the replicas the turn evicted become
+// spares, for any agent of the process to build a replica out of.
+func (a *Agent) recycle() {
+	for i, r := range a.evicted {
+		spares.Put(r)
+		a.evicted[i] = nil
+	}
+	a.evicted = a.evicted[:0]
 }
 
 // DebugState renders an instance replica's rule and coordination state for

@@ -18,6 +18,7 @@ import (
 // packet, fed packets it already holds, and probed by HaltThreads.
 const (
 	replicaBuildAllocs = 13 // getReplica and the merge of the first packet
+	replicaReuseAllocs = 0  // the same, the replica built out of a spare
 	heldMergeAllocs    = 0  // a merge of a packet the replica already holds
 	haltAllocs         = 2  // a HaltThread with no done epoch: lastHalt, propagateHalts's list
 )
@@ -75,6 +76,37 @@ func TestReplicaAllocBudget(t *testing.T) {
 		}
 		if set > 0 {
 			t.Errorf("nav.InvalidationSet on a frozen schema: %.0f allocs, want 0", set)
+		}
+	})
+}
+
+// TestReplicaReuseAllocBudget: a replica built out of a spare (the one of the
+// instance before), with the merge of its first packet, stays within its
+// budget. It calls reuseReplica where getReplica would take the spare from
+// the pool: under the race detector the pool drops a put now and then, and
+// the fresh build that follows would be counted.
+func TestReplicaReuseAllocBudget(t *testing.T) {
+	a, s := budgetAgent(t)
+	data := map[string]expr.Value{"WF.I1": expr.Num(1), "A.O1": expr.Num(2)}
+	events := []string{event.WorkflowStartName, "A.done"}
+	a.Do(func() {
+		r, err := a.getReplica("Chain", 1)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		id := 1
+		reuse := testing.AllocsPerRun(100, func() {
+			delete(a.replicas, replicaKey("Chain", id))
+			id++
+			a.reuseReplica(r, s, id)
+			a.replicas[replicaKey("Chain", id)] = r
+			a.mergeFiltered(r, data, events, 0)
+		})
+		delete(a.replicas, replicaKey("Chain", id))
+		t.Logf("allocs: replica reuse %.0f", reuse)
+		if reuse > replicaReuseAllocs {
+			t.Errorf("a replica built out of a spare by its first packet: %.0f allocs, budget %d", reuse, replicaReuseAllocs)
 		}
 	})
 }

@@ -135,3 +135,95 @@ func TestProbeBelowReplicaEpochKeepsLaterReport(t *testing.T) {
 		t.Fatalf("Two.1 is %v after both terminals reported, want committed", st)
 	}
 }
+
+// TestNestedAbortReportsOnce: a child's abort reports to the parent once. The
+// child's steps run at its coordination agent, a3, so every StepCompensate of
+// its abort is one a3 sends itself, and the last reply comes back inside the
+// abort's own pump. The instance must finish there once: a second finish sent
+// the parent a second NestedResult, and the parent spent its retry budget
+// twice as fast.
+func TestNestedAbortReportsOnce(t *testing.T) {
+	rec := &recorder{}
+	reg := model.NewRegistry()
+	reg.Register("pp1", tracked(rec, "p1", nil))
+	reg.Register("cp1", tracked(rec, "cp1", nil))
+	reg.Register("pc0", tracked(rec, "c0", nil))
+	reg.Register("cc0", tracked(rec, "cc0", nil))
+	reg.Register("pc1", model.FailNTimes(1000, tracked(rec, "c1", nil)))
+	child := model.NewSchema("Child").
+		Step("C0", "pc0", model.WithCompensation("cc0"), model.WithAgents("a3")).
+		Step("C1", "pc1", model.WithAgents("a3")).
+		Seq("C0", "C1").
+		MustBuild()
+	parent := model.NewSchema("Parent").
+		Step("P1", "pp1", model.WithCompensation("cp1"), model.WithAgents("a1")).
+		NestedStep("N", "Child", model.WithAgents("a2")).
+		Seq("P1", "N").
+		OnFailure("N", "P1", 3).
+		MustBuild()
+	sys := newSystem(t, lib1(parent, child), reg)
+	var starts, results atomic.Int64
+	sys.Network().Trace(func(m transport.Message) {
+		switch p := m.Payload.(type) {
+		case *workflowStart:
+			if p.Workflow == "Child" {
+				starts.Add(1)
+			}
+		case *nestedResult:
+			results.Add(1)
+		}
+	})
+	runToStatus(t, sys, "Parent", nil, wfdb.Aborted)
+	sys.Network().Trace(nil)
+	if s, r := starts.Load(), results.Load(); r != s || s != 4 {
+		t.Errorf("%d child runs sent %d NestedResults, want 4 runs (a first try and three retries) and one result each; ran %v", s, r, rec.list())
+	}
+	if n := rec.count("cc0"); n != 4 {
+		t.Errorf("C0 compensated %d times in 4 child aborts: %v", n, rec.list())
+	}
+}
+
+// TestAbortWaitsForEveryEligibleAgent: X's eligible agents are a1, the
+// coordination agent, and a2, whose turn is held in H's program. a1's own
+// StepCompensated for X comes back inside the abort's pump; it must not count
+// for a2's, so the instance is still running when Abort returns and aborts
+// only once a2 has answered.
+func TestAbortWaitsForEveryEligibleAgent(t *testing.T) {
+	rec, hold := &recorder{}, newLatch()
+	defer hold.open()
+	reg := model.NewRegistry()
+	reg.Register("ps", tracked(rec, "s", nil))
+	reg.Register("cs", tracked(rec, "cs", nil))
+	reg.Register("px", tracked(rec, "x", nil))
+	reg.Register("cx", tracked(rec, "cx", nil))
+	reg.Register("ph", func(*model.ProgramContext) (map[string]expr.Value, error) {
+		rec.add("h")
+		hold.wait()
+		return nil, nil
+	})
+	s := model.NewSchema("Wide").
+		Step("S", "ps", model.WithCompensation("cs"), model.WithAgents("a1")).
+		Step("X", "px", model.WithCompensation("cx"), model.WithAgents("a1", "a2")).
+		Step("H", "ph", model.WithAgents("a2")).
+		Arc("S", "X").Arc("S", "H").
+		MustBuild()
+	sys := newSweptSystem(t, SystemConfig{Library: lib1(s), Programs: reg, Agents: []string{"a1", "a2", "a3"}}, time.Hour)
+	id, err := sys.Start("Wide", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.waitFor(t, "h")
+	if err := sys.Abort("Wide", id); err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := sys.Status("Wide", id); !ok || st != wfdb.Running {
+		t.Errorf("Wide.%d = (%v, %v) while a2 has not answered its StepCompensate, want running", id, st, ok)
+	}
+	hold.open()
+	if st, err := sys.Wait("Wide", id, waitTimeout); err != nil || st != wfdb.Aborted {
+		t.Fatalf("Wide.%d = (%v, %v), want aborted; ran %v", id, st, err, rec.list())
+	}
+	if n := rec.count("cs"); n != 1 {
+		t.Errorf("S compensated %d times, want 1: %v", n, rec.list())
+	}
+}

@@ -955,9 +955,18 @@ func (a *Agent) handleWorkflowAbort(p workflowAbort) error {
 }
 
 // pumpAbort sends StepCompensate to all eligible agents of the next step in
-// the abort queue and waits for their acknowledgements.
+// the abort queue and waits for their acknowledgements; once the queue is
+// empty it finishes the instance, once. The coordination agent may be one of
+// the eligible agents, and the StepCompensated it sends itself comes back
+// inside the loop below: every agent is counted before the first send, so
+// that reply cannot empty pending while others are outstanding, and the
+// handler's call returns at once, leaving the loop to move on.
 func (a *Agent) pumpAbort(r *replica) {
 	ab := r.abort
+	if ab.pumping {
+		return
+	}
+	ab.pumping = true
 	for ab.pending == 0 {
 		if len(ab.queue) == 0 {
 			r.Ins.Status = wfdb.Aborted
@@ -968,8 +977,8 @@ func (a *Agent) pumpAbort(r *replica) {
 		step := ab.queue[0]
 		ab.queue = ab.queue[1:]
 		elig := nav.EffectiveAgents(r.Schema.Steps[step], a.cfg.Agents)
+		ab.pending = len(elig)
 		for _, ag := range elig {
-			ab.pending++
 			a.Send(ag, metrics.Abort, KindStepCompensate, &stepCompensate{
 				Workflow:  r.Ins.Workflow,
 				Instance:  r.Ins.ID,
@@ -979,6 +988,7 @@ func (a *Agent) pumpAbort(r *replica) {
 			})
 		}
 	}
+	ab.pumping = false
 }
 
 func (a *Agent) handleStepCompensate(p stepCompensate) {

@@ -156,6 +156,14 @@ func NewTableSize(n int) *Table {
 	return &Table{entries: make(map[string]entry, n)}
 }
 
+// Reset empties the table in place, keeping its storage and its observer,
+// which is not told: an engine bound to the table recounts when it loads its
+// rules again (rules.Engine.Load).
+func (t *Table) Reset() {
+	clear(t.entries)
+	t.seq = 0
+}
+
 // SetObserver installs the mutation observer (nil removes it). A table has
 // at most one observer — the rule engine bound to it — which is how bound
 // engines track rule satisfaction incrementally. Clones and imported tables

@@ -51,6 +51,19 @@ func NewInst(ins *wfdb.Instance, schema *model.Schema, site *Site) Inst {
 		Recovery: metrics.Normal}
 }
 
+// Reuse makes n, whose instance has finished and is held by nobody else, what
+// NewInst builds around wfdb.NewInstanceOf(schema, id, nil), in place: the
+// instance, gate and rollback table are emptied and kept, and so is the
+// engine, still bound to the instance's event table; the owner loads the
+// rules.
+func (n *Inst) Reuse(schema *model.Schema, id int, site *Site) {
+	n.Ins.Reuse(schema, id)
+	n.Gate.Clear()
+	clear(n.Rollbacks)
+	*n = Inst{Ins: n.Ins, Schema: schema, Rules: n.Rules, Site: site,
+		Recovery: metrics.Normal, Gate: n.Gate, Rollbacks: n.Rollbacks}
+}
+
 // Nav returns the shared state; every owner gets it by embedding Inst.
 func (n *Inst) Nav() *Inst { return n }
 

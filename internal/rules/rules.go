@@ -130,11 +130,15 @@ func NewEngine() *Engine {
 	return &Engine{prog: &noRules, armed: none}
 }
 
-// Load makes p the engine's rule set, every rule unfired. A bound engine
-// recounts against its table.
+// Load makes p the engine's rule set, every rule unfired, in the state slice
+// the engine already has if it is large enough. A bound engine recounts
+// against its table.
 func (e *Engine) Load(p *Program) {
 	e.prog = p
-	e.state = make([]ruleState, len(p.rules))
+	if cap(e.state) < len(p.rules) {
+		e.state = make([]ruleState, len(p.rules))
+	}
+	e.state = e.state[:len(p.rules)]
 	for i := range e.state {
 		e.state[i] = ruleState{fired: -1, next: none}
 	}

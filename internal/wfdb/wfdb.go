@@ -251,6 +251,28 @@ func newInstance(workflow string, id int, inputs map[string]expr.Value, steps, d
 	return ins
 }
 
+// Reuse empties ins in place and makes it what NewInstanceOf(s, id, nil)
+// returns, keeping the storage of its data, step and event tables and of its
+// record block; the event table keeps its observer. Only the sole holder of
+// ins and of everything it hands out (its records, its tables) may call it.
+func (ins *Instance) Reuse(s *model.Schema, id int) {
+	clear(ins.Data)
+	clear(ins.Steps)
+	clear(ins.recs)
+	ins.Events.Reset()
+	*ins = Instance{
+		Workflow:  s.Name,
+		ID:        id,
+		Status:    Running,
+		Data:      ins.Data,
+		Events:    ins.Events,
+		Steps:     ins.Steps,
+		ExecOrder: ins.ExecOrder[:0],
+		schema:    s,
+		recs:      ins.recs[:0],
+	}
+}
+
 // Key returns the instance's database key.
 func (ins *Instance) Key() string { return InstanceKeyOf(ins.Workflow, ins.ID) }
 

@@ -1,10 +1,13 @@
 package wfdb
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"crew/internal/binenc"
 	"crew/internal/event"
 	"crew/internal/expr"
 	"crew/internal/model"
@@ -371,6 +374,37 @@ func TestNewInstanceOfSizesTables(t *testing.T) {
 	s1 := ins.StepRec("S1")
 	if extra := ins.StepRec("X"); extra == s1 || ins.StepRec("S1") != s1 || ins.Steps["S1"] != s1 {
 		t.Error("a record past the block moved or reused an earlier one")
+	}
+}
+
+// TestReuseIsNewInstanceOf: an instance that ran, failed, was saved and
+// carries every scalar, emptied by Reuse, is NewInstanceOf's instance of the
+// same schema and id, row for row, and keeps its tables and record block.
+func TestReuseIsNewInstanceOf(t *testing.T) {
+	s := sampleSchema()
+	ins := NewInstanceOf(s, 1, map[string]expr.Value{"I1": expr.Num(90)})
+	ins.RecordExecuting("S1", "a1", map[string]expr.Value{"WF.I1": expr.Num(90)})
+	ins.RecordDone("S1", map[string]expr.Value{"O1": expr.Num(1)})
+	ins.RecordFailed("S2")
+	ins.Events.Invalidate(s.DoneEventOf("S1"))
+	ins.StepRec("X") // past the block
+	ins.Status, ins.Aborting, ins.Epoch, ins.Coordinator, ins.NotifyTo = Aborted, true, 3, "a1", "fe"
+	ins.Parent = &ParentRef{Workflow: "P", ID: 7, Step: "N"}
+	var b Batch
+	b.SaveInstance(ins)
+	data, steps, events, rec := ins.Data, ins.Steps, ins.Events, &ins.recs[0]
+
+	ins.Reuse(s, 2)
+	fresh := NewInstanceOf(s, 2, nil)
+	if !reflect.DeepEqual(ins, fresh) {
+		t.Errorf("reused instance %+v, want %+v", ins, fresh)
+	}
+	if got, want := new(binenc.Walker).Append(nil, ins), new(binenc.Walker).Append(nil, fresh); !bytes.Equal(got, want) {
+		t.Errorf("reused instance's row %x, want %x", got, want)
+	}
+	same := func(a, b any) bool { return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer() }
+	if !same(ins.Data, data) || !same(ins.Steps, steps) || ins.Events != events || ins.StepRec("S1") != rec {
+		t.Error("Reuse did not keep the instance's tables and record block")
 	}
 }
 
