@@ -372,6 +372,13 @@ func TestRetirementEvictsOwnerMap(t *testing.T) {
 			t.Fatalf("Lin.%d = (%v, %v)", id, st, err)
 		}
 	}
+	// Retirement publishes the terminal status before it drops the owner
+	// entry, so that a request arriving in between still reaches the owner:
+	// Wait can return inside the retiring turn. An empty turn through each
+	// engine waits for those turns to end.
+	for _, e := range sys.engines {
+		e.Do(func() {})
+	}
 	// Every instance retired: the routing table holds no refs and no engine
 	// holds live state, yet the API still answers from the shared archive.
 	if got := sys.owner.Len(); got != 0 {

@@ -97,12 +97,10 @@ type replica struct {
 	waits map[waitKey]time.Time
 	// parentAgent is the agent awaiting this nested instance's result.
 	parentAgent string
-	// inputEpoch counts input-change rollbacks issued by the coordination
-	// agent.
-	inputEpoch int
-	// epoch is the instance's rollback epoch at this agent; resetEpoch
-	// records, per step, the highest epoch of a rollback that reset the step
-	// (markReset), and resetMax the highest of them. Incoming state
+	// epoch is the highest rollback epoch this agent has seen or issued for
+	// the instance (nextEpoch); resetEpoch records, per step, the highest
+	// epoch of a rollback that reset the step (markReset), and resetMax the
+	// highest of them. Incoming state
 	// (packets, StepCompleted snapshots) is merged per step: entries for a
 	// step are ignored unless the sender's epoch is at least the step's
 	// reset epoch, so stale threads cannot resurrect invalidated state while
@@ -117,10 +115,8 @@ type replica struct {
 	doneEpoch map[model.StepID]int
 	// lastHalt remembers the most recent rollback parameters so agents that
 	// send stale state can be told to catch up (anti-entropy).
-	lastHalt *haltThread
-	// handledHalts dedupes HaltThread floods: highest epoch seen per (origin,
-	// initiator). Made by the first halt, gone with the replica.
-	handledHalts map[haltFlood]int
+	lastHalt     *haltThread
+	handledHalts map[model.StepID]int
 	// dirty marks the replica as changed since its last AGDB row; it is then
 	// queued with the actor and the turn's commit writes it.
 	dirty bool
@@ -154,6 +150,9 @@ type Agent struct {
 	*actor.Actor
 	cfg  Config
 	site nav.Site
+	// self is the agent's 1-based index in cfg.Agents, the low field of the
+	// epochs it issues (nextEpoch).
+	self int
 
 	replicas map[itable.Ref]*replica
 	// progs holds, per schema, the compiled rules of the steps this agent is
@@ -189,14 +188,13 @@ type Agent struct {
 
 // NewAgent registers the agent and starts its goroutine.
 func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
-	if cfg.Name == "" {
-		return nil, errors.New("distributed: agent needs a name")
+	self := slices.Index(cfg.Agents, cfg.Name) + 1
+	if self == 0 || len(cfg.Agents) > maxAgents {
+		return nil, fmt.Errorf("distributed: %w: agent %q must be one of at most %d agents (%d listed)",
+			cerrors.ErrInvalidConfig, cfg.Name, maxAgents, len(cfg.Agents))
 	}
 	if cfg.Library == nil || cfg.Programs == nil || cfg.Terminal == nil {
 		return nil, errors.New("distributed: agent needs a library, programs and a terminal registry")
-	}
-	if len(cfg.Agents) == 0 {
-		return nil, errors.New("distributed: agent needs the deployment agent list")
 	}
 	if cfg.sweepPeriod == 0 {
 		cfg.sweepPeriod = 100 * time.Millisecond
@@ -206,6 +204,7 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 	}
 	a := &Agent{
 		cfg:      cfg,
+		self:     self,
 		replicas: make(map[itable.Ref]*replica),
 		term:     cfg.Terminal,
 		adb:      cfg.Archive,
@@ -242,6 +241,23 @@ func NewAgent(cfg Config, net *transport.Network) (*Agent, error) {
 		Tick:  a.sweep,
 	})
 	return a, nil
+}
+
+// A rollback epoch is a counter in its high bits and, in its low
+// epochAgentBits, the index of the agent that issued it (Agent.self).
+const (
+	epochAgentBits = 16
+	maxAgents      = 1<<epochAgentBits - 1
+)
+
+// nextEpoch is the one place a rollback epoch is made, by Lamport's rule: one
+// more than the largest epoch the agent has seen for the instance, tagged
+// with the agent. So an epoch names one rollback, and of two issued from one
+// epoch the higher agent index has the larger, at every agent; an epoch
+// stays a plain int under every comparison. An epoch counted by a build
+// before this rule (a small count, counter 0) lies below every one issued now.
+func (a *Agent) nextEpoch(seen int) int {
+	return (seen>>epochAgentBits+1)<<epochAgentBits | a.self
 }
 
 // HomeAgent returns the deployment's coordination home agent: the first
@@ -595,7 +611,8 @@ func (a *Agent) DebugState(workflow string, id int) string {
 			out = "(no replica)"
 			return
 		}
-		out = fmt.Sprintf("status=%v epoch=%d recovery=%v", r.Ins.Status, r.epoch, r.Recovery)
+		out = fmt.Sprintf("status=%v epoch=%d@%d recovery=%v", // counter@agent index
+			r.Ins.Status, r.epoch>>epochAgentBits, r.epoch&maxAgents, r.Recovery)
 		for _, w := range r.Rules.WaitingRules(r.Ins.Events) {
 			out += fmt.Sprintf("\n  waiting %s missing=%v", w.Rule.ID, w.Missing)
 		}

@@ -60,7 +60,7 @@ func TestReplicaAllocBudget(t *testing.T) {
 		epoch := 0
 		halt := testing.AllocsPerRun(100, func() {
 			epoch++
-			a.handleHaltThread(haltThread{Workflow: "Chain", Instance: 1, Origin: "A", Epoch: epoch, Initiator: "a1/A", Mechanism: metrics.Failure})
+			a.handleHaltThread(haltThread{Workflow: "Chain", Instance: 1, Origin: "A", Epoch: epoch, Mechanism: metrics.Failure})
 		})
 		set := testing.AllocsPerRun(100, func() { nav.InvalidationSet(s, "A") })
 		delete(a.replicas, key)
@@ -151,7 +151,7 @@ func TestInvalidationSetsSurviveRollbacks(t *testing.T) {
 		}
 		r.epoch = 2
 		r.markDone("B", 2)
-		a.handleHaltThread(haltThread{Workflow: "Halts", Instance: 99, Origin: "A", Epoch: 2, Initiator: "a1/F", Mechanism: metrics.Failure})
+		a.handleHaltThread(haltThread{Workflow: "Halts", Instance: 99, Origin: "A", Epoch: 2, Mechanism: metrics.Failure})
 		if r.resetEpoch["B"] != 0 || r.resetEpoch["C"] != 2 || r.resetEpoch["F"] != 2 {
 			t.Errorf("reset epochs %v after a probe at 2 with B done at 2, want C and F at 2", r.resetEpoch)
 		}

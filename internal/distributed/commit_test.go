@@ -127,7 +127,7 @@ func TestProbeBelowReplicaEpochKeepsLaterReport(t *testing.T) {
 		}
 		r.coordinator = "a1"
 		a.handleStepCompleted(stepCompleted{Workflow: "Two", Instance: 1, Step: "T1", Epoch: 3, Events: []string{"A.done", "T1.done"}})
-		a.handleHaltThread(haltThread{Workflow: "Two", Instance: 1, Origin: "A", Epoch: 2, Initiator: "a2/T1", Mechanism: metrics.Failure})
+		a.handleHaltThread(haltThread{Workflow: "Two", Instance: 1, Origin: "A", Epoch: 2, Mechanism: metrics.Failure})
 		a.handleStepCompleted(stepCompleted{Workflow: "Two", Instance: 1, Step: "T2", Epoch: 2, Events: []string{"A.done", "T2.done"}})
 		st = r.Ins.Status
 	})

@@ -106,13 +106,10 @@ func (a *Agent) OnOrder(p coord.Order) {
 	})
 	for _, r := range targets {
 		a.site.Rec.Add(metrics.Coordination, 1)
-		r.inputEpoch++
 		a.Send(a.executorOf(r, p.TargetStep), metrics.Failure, KindWorkflowRollback, &workflowRollback{
 			Workflow:  r.Ins.Workflow,
 			Instance:  r.Ins.ID,
 			Origin:    p.TargetStep,
-			Epoch:     r.inputEpoch,
-			Initiator: a.cfg.Name + "/dep",
 			Mechanism: metrics.Failure,
 		})
 	}

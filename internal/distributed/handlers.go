@@ -563,8 +563,6 @@ func (a *Agent) onStepFailure(r *replica, step model.StepID, mech metrics.Mechan
 		Workflow:  r.Ins.Workflow,
 		Instance:  r.Ins.ID,
 		Origin:    origin,
-		Epoch:     r.Rollbacks[step],
-		Initiator: a.cfg.Name + "/" + string(step),
 		Mechanism: metrics.Failure,
 	})
 }
@@ -589,7 +587,7 @@ func (a *Agent) handleWorkflowRollback(p workflowRollback) {
 		return
 	}
 	mech := p.Mechanism
-	r.epoch++
+	r.epoch = a.nextEpoch(r.epoch)
 	if len(p.NewData) > 0 {
 		r.Ins.MergeData(p.NewData)
 		r.markReset("WF", r.epoch) // stale packets must not undo the change
@@ -605,7 +603,6 @@ func (a *Agent) handleWorkflowRollback(p workflowRollback) {
 		Instance:  p.Instance,
 		Origin:    p.Origin,
 		Epoch:     r.epoch,
-		Initiator: p.Initiator,
 		Mechanism: mech,
 	}
 
@@ -613,8 +610,8 @@ func (a *Agent) handleWorkflowRollback(p workflowRollback) {
 	// steps, and of the successors of every affected step this agent itself
 	// executed and forwarded packets from; the probes propagate onward
 	// agent to agent.
-	a.haltSuccessorsOf(r, p.Origin, p.Origin, r.epoch, p.Initiator, mech)
-	a.propagateHalts(r, p.Origin, r.epoch, p.Initiator, mech)
+	a.haltSuccessorsOf(r, p.Origin, p.Origin, r.epoch, mech)
+	a.propagateHalts(r, p.Origin, r.epoch, mech)
 
 	// Rollback dependencies are resolved at the coordination home agent.
 	if a.hasRollbackDep {
@@ -625,28 +622,21 @@ func (a *Agent) handleWorkflowRollback(p workflowRollback) {
 	nav.Evaluate(r)
 }
 
-// haltFlood identifies one HaltThread flood of an instance for
-// deduplication.
-type haltFlood struct {
-	origin    model.StepID
-	initiator string
-}
-
 // handleHaltThread quiesces the local thread state for a rollback and
 // propagates the probe to agents of steps this agent forwarded packets to.
+// A flood is handled once per origin and epoch, and one below the highest
+// handled for its origin not at all: two rollbacks to one origin are handled
+// by its executor one after the other, so the later has the larger epoch,
+// and the earlier one's probe would reset nothing the later left standing.
 func (a *Agent) handleHaltThread(p haltThread) {
 	r, err := a.getReplica(p.Workflow, p.Instance)
 	if err != nil {
 		return
 	}
-	flood := haltFlood{origin: p.Origin, initiator: p.Initiator}
-	if r.handledHalts[flood] >= p.Epoch {
+	if r.handledHalts[p.Origin] >= p.Epoch {
 		return
 	}
-	if r.handledHalts == nil {
-		r.handledHalts = make(map[haltFlood]int)
-	}
-	r.handledHalts[flood] = p.Epoch
+	put(&r.handledHalts, p.Origin, p.Epoch)
 	if p.Epoch > r.epoch {
 		r.epoch = p.Epoch
 	}
@@ -671,7 +661,7 @@ func (a *Agent) handleHaltThread(p haltThread) {
 	nav.Reset(r, set)
 
 	// Propagate to successors of steps this agent executed and forwarded.
-	a.propagateHalts(r, p.Origin, p.Epoch, p.Initiator, p.Mechanism)
+	a.propagateHalts(r, p.Origin, p.Epoch, p.Mechanism)
 	r.Persist()
 	if r.settled(&p) { // the re-executed thread's packet overtook the probe
 		nav.Evaluate(r)
@@ -687,7 +677,7 @@ func (r *replica) settled(h *haltThread) bool {
 
 // haltSuccessorsOf sends HaltThread probes to the agents of a step's
 // immediate successors (skipping this agent, whose state is already reset).
-func (a *Agent) haltSuccessorsOf(r *replica, step, origin model.StepID, epoch int, initiator string, mech metrics.Mechanism) {
+func (a *Agent) haltSuccessorsOf(r *replica, step, origin model.StepID, epoch int, mech metrics.Mechanism) {
 	for _, arc := range r.Schema.ControlSuccessors(step) {
 		for _, ag := range nav.EffectiveAgents(r.Schema.Steps[arc.To], a.cfg.Agents) {
 			if ag == a.cfg.Name {
@@ -699,7 +689,6 @@ func (a *Agent) haltSuccessorsOf(r *replica, step, origin model.StepID, epoch in
 				Origin:    origin,
 				Step:      arc.To,
 				Epoch:     epoch,
-				Initiator: initiator,
 				Mechanism: mech,
 			})
 		}
@@ -709,7 +698,7 @@ func (a *Agent) haltSuccessorsOf(r *replica, step, origin model.StepID, epoch in
 // propagateHalts forwards HaltThread probes along the threads this agent
 // itself drove: for every affected step it executed (and therefore forwarded
 // packets from), the agents of that step's successors are probed.
-func (a *Agent) propagateHalts(r *replica, origin model.StepID, epoch int, initiator string, mech metrics.Mechanism) {
+func (a *Agent) propagateHalts(r *replica, origin model.StepID, epoch int, mech metrics.Mechanism) {
 	desc := r.Schema.Descendants(origin)
 	// Sorted iteration: haltSuccessorsOf emits HaltThread probes, and map
 	// order would make the probe sequence differ run to run.
@@ -721,7 +710,7 @@ func (a *Agent) propagateHalts(r *replica, origin model.StepID, epoch int, initi
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
-		a.haltSuccessorsOf(r, id, origin, epoch, initiator, mech)
+		a.haltSuccessorsOf(r, id, origin, epoch, mech)
 	}
 }
 
@@ -927,9 +916,9 @@ func (a *Agent) handleWorkflowAbort(p workflowAbort) error {
 	a.site.Rec.Add(metrics.Abort, 1)
 
 	// Quiesce the threads starting from the start steps.
-	r.epoch++
+	r.epoch = a.nextEpoch(r.epoch)
 	for _, sid := range r.Schema.StartSteps() {
-		a.haltSuccessorsOf(r, sid, sid, r.epoch, a.cfg.Name+"/abort", metrics.Abort)
+		a.haltSuccessorsOf(r, sid, sid, r.epoch, metrics.Abort)
 	}
 
 	// Determine the steps to compensate (schema spec or every compensable
@@ -1024,18 +1013,15 @@ func (a *Agent) handleWorkflowChangeInputs(p workflowChangeInputs) error {
 		return nil
 	}
 	r.Ins.MergeData(changed)
-	r.epoch++
+	r.epoch = a.nextEpoch(r.epoch)
 	r.markReset("WF", r.epoch)
 	if origin == "" {
 		return nil
 	}
-	r.inputEpoch++
 	a.Send(a.executorOf(r, origin), metrics.InputChange, KindWorkflowRollback, &workflowRollback{
 		Workflow:  p.Workflow,
 		Instance:  p.Instance,
 		Origin:    origin,
-		Epoch:     r.inputEpoch,
-		Initiator: a.cfg.Name + "/inputs",
 		NewData:   changed,
 		Mechanism: metrics.InputChange,
 	})

@@ -114,10 +114,6 @@ type workflowRollback struct {
 	Instance int
 	// Origin is the step re-executed after the rollback.
 	Origin model.StepID
-	// Epoch and Initiator distinguish repeated rollbacks to the same origin
-	// (HaltThread probes are deduplicated per initiator+epoch).
-	Epoch     int
-	Initiator string
 	// NewData carries updated data items (used by input changes).
 	NewData map[string]expr.Value
 	// Mechanism is Failure or InputChange.
@@ -133,7 +129,6 @@ type haltThread struct {
 	Origin    model.StepID
 	Step      model.StepID
 	Epoch     int
-	Initiator string
 	Mechanism metrics.Mechanism
 }
 
@@ -311,8 +306,6 @@ func (p *stepCompleted) Walk(w *binenc.Walker) {
 func (p *workflowRollback) Walk(w *binenc.Walker) {
 	walkInst(w, &p.Workflow, &p.Instance)
 	p.Origin.Walk(w)
-	w.Int(&p.Epoch)
-	w.String(&p.Initiator)
 	expr.WalkValues(w, &p.NewData)
 	p.Mechanism.Walk(w)
 }
@@ -322,7 +315,6 @@ func (p *haltThread) Walk(w *binenc.Walker) {
 	p.Origin.Walk(w)
 	p.Step.Walk(w)
 	w.Int(&p.Epoch)
-	w.String(&p.Initiator)
 	p.Mechanism.Walk(w)
 }
 

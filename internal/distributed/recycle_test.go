@@ -27,7 +27,7 @@ type replicaView struct {
 	recovery                      metrics.Mechanism
 	retired, dirty, abort, halt   bool
 	coordinator, parentAgent      string
-	epoch, inputEpoch, resetMax   int
+	epoch, resetMax               int
 	waits, resetEpoch, doneEpoch  int
 	handledHalts, rollbacks, gate int
 	eventSeq                      int
@@ -39,7 +39,7 @@ func viewOf(r *replica) replicaView {
 		agent: r.a, schema: r.Schema, site: r.Site, recovery: r.Recovery,
 		retired: r.Retired, dirty: r.dirty, abort: r.abort != nil, halt: r.lastHalt != nil,
 		coordinator: r.coordinator, parentAgent: r.parentAgent,
-		epoch: r.epoch, inputEpoch: r.inputEpoch, resetMax: r.resetMax,
+		epoch: r.epoch, resetMax: r.resetMax,
 		waits: len(r.waits), resetEpoch: len(r.resetEpoch), doneEpoch: len(r.doneEpoch),
 		handledHalts: len(r.handledHalts), rollbacks: len(r.Rollbacks),
 		gate:     reflect.ValueOf(r.Gate).Field(0).Len(), // the gate's steps

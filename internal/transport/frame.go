@@ -65,8 +65,10 @@ const MaxFrame = 8 << 20
 // a list; format 3 tagged the coordination protocol with fourteen payload
 // types of package parallel and distributed where 4 has the four of package
 // coord; format 5 adds the DONE frame and the instance refs of a HELLO, and
-// drops the purge note (its payload bytes are 4's otherwise).
-const WireFormat byte = 5
+// drops the purge note (its payload bytes are 4's otherwise); format 6 drops
+// the initiator from the HaltThread and WorkflowRollback payloads, and the
+// unread epoch from the latter, since an epoch names its rollback.
+const WireFormat byte = 6
 
 // Frame types of the hub protocol: Hello (a child claims a node, with its
 // format byte and the instances its database holds), Welcome (the hub's

@@ -95,8 +95,8 @@ func goldenPayload(t reflect.Type, variant string) any {
 // with that pointer nil. The hex below changes only together with
 // WireFormat; a refactor of the codecs must leave it as it is.
 func TestPayloadGoldenBytes(t *testing.T) {
-	if transport.WireFormat != 5 {
-		t.Fatalf("WireFormat %d: the golden bytes below are format 5's", transport.WireFormat)
+	if transport.WireFormat != 6 {
+		t.Fatalf("WireFormat %d: the golden bytes below are format 6's", transport.WireFormat)
 	}
 	seen := 0
 	for _, c := range transport.RegisteredPayloads() {
@@ -130,9 +130,10 @@ func TestPayloadGoldenBytes(t *testing.T) {
 	}
 }
 
-// goldenPayloads is what the codecs wrote at WireFormat 5, keyed by payload
-// type and variant: the bytes of format 4, which had one more type (the
-// purge note).
+// goldenPayloads is what the codecs wrote at WireFormat 6, keyed by payload
+// type and variant: the bytes of format 5 but for the HaltThread and
+// WorkflowRollback rows, which lost their initiator (and WorkflowRollback its
+// epoch); format 5's were format 4's less one type (the purge note).
 var goldenPayloads = map[string]string{
 	"central.ExecRequest/full":               "00076167656e743031076167656e743032014b031363656e7472616c2e4578656352657175657374027331a802027333027334b90ee81402027337010000000000002140027339030101020373313101000000000000294003733133030102037331350100000000008030400373313703010403733230",
 	"central.ExecRequest/nil":                "00076167656e743031076167656e743032014b031363656e7472616c2e4578656352657175657374027331a802027333027334b90ee814020273370100000000000021400273390301000103733132",
@@ -157,8 +158,8 @@ var goldenPayloads = map[string]string{
 	"distributed.compensateSet/zero":         "00076167656e743031076167656e743032014b031964697374726962757465642e636f6d70656e73617465536574000000000000",
 	"distributed.compensateThread/full":      "00076167656e743031076167656e743032014b031c64697374726962757465642e636f6d70656e73617465546872656164027331a80202733304",
 	"distributed.compensateThread/zero":      "00076167656e743031076167656e743032014b031c64697374726962757465642e636f6d70656e7361746554687265616400000000",
-	"distributed.haltThread/full":            "00076167656e743031076167656e743032014b031664697374726962757465642e68616c74546872656164027331a802027333027334b90e02733602",
-	"distributed.haltThread/zero":            "00076167656e743031076167656e743032014b031664697374726962757465642e68616c7454687265616400000000000000",
+	"distributed.haltThread/full":            "00076167656e743031076167656e743032014b031664697374726962757465642e68616c74546872656164027331a802027333027334b90e01",
+	"distributed.haltThread/zero":            "00076167656e743031076167656e743032014b031664697374726962757465642e68616c74546872656164000000000000",
 	"distributed.nestedResult/full":          "00076167656e743031076167656e743032014b031864697374726962757465642e6e6573746564526573756c74027331a802027333027334b90e00020273370100000000000021400273390301",
 	"distributed.nestedResult/zero":          "00076167656e743031076167656e743032014b031864697374726962757465642e6e6573746564526573756c7400000000000000",
 	"distributed.stateInformation/full":      "00076167656e743031076167656e743032014b031c64697374726962757465642e7374617465496e666f726d6174696f6e027331",
@@ -182,8 +183,8 @@ var goldenPayloads = map[string]string{
 	"distributed.workflowAbort/zero":         "00076167656e743031076167656e743032014b031964697374726962757465642e776f726b666c6f7741626f72740000",
 	"distributed.workflowChangeInputs/full":  "00076167656e743031076167656e743032014b032064697374726962757465642e776f726b666c6f774368616e6765496e70757473027331a802020273330100000000000012400273350301",
 	"distributed.workflowChangeInputs/zero":  "00076167656e743031076167656e743032014b032064697374726962757465642e776f726b666c6f774368616e6765496e70757473000000",
-	"distributed.workflowRollback/full":      "00076167656e743031076167656e743032014b031c64697374726962757465642e776f726b666c6f77526f6c6c6261636b027331a802027333a00902733502027336000273380202763900",
-	"distributed.workflowRollback/zero":      "00076167656e743031076167656e743032014b031c64697374726962757465642e776f726b666c6f77526f6c6c6261636b00000000000000",
+	"distributed.workflowRollback/full":      "00076167656e743031076167656e743032014b031c64697374726962757465642e776f726b666c6f77526f6c6c6261636b027331a80202733302027334020276350273360003",
+	"distributed.workflowRollback/zero":      "00076167656e743031076167656e743032014b031c64697374726962757465642e776f726b666c6f77526f6c6c6261636b0000000000",
 	"distributed.workflowStart/full":         "00076167656e743031076167656e743032014b031964697374726962757465642e776f726b666c6f775374617274027331a80202027333010000000000001240027335030101027337027338e92e0373313003733131",
 	"distributed.workflowStart/nil":          "00076167656e743031076167656e743032014b031964697374726962757465642e776f726b666c6f775374617274027331a80202027333010000000000001240027335030100a91c027338027339",
 	"distributed.workflowStart/zero":         "00076167656e743031076167656e743032014b031964697374726962757465642e776f726b666c6f77537461727400000000000000",
