@@ -88,6 +88,9 @@ func (r *Reader) Done() error {
 // that runs to the end of its input is read while More holds.
 func (r *Reader) More() bool { return r.err == nil && len(r.b) != 0 }
 
+// Len reports how many bytes of input are left.
+func (r *Reader) Len() int { return len(r.b) }
+
 // Err reports the first failed read. Unlike Done it accepts input left over,
 // for a reader that takes only a prefix.
 func (r *Reader) Err() error { return r.err }

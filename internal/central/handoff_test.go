@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"crew/internal/expr"
 	"crew/internal/itable"
 	"crew/internal/model"
+	"crew/internal/store"
 	"crew/internal/wfdb"
 )
 
@@ -354,6 +357,50 @@ func TestSnapshotLogsUndecodableArchiveRow(t *testing.T) {
 	}
 	if ins, ok := sys.Snapshot("Lin", id); ok {
 		t.Fatalf("Snapshot of a damaged row = %v", ins)
+	}
+	for _, line := range logs.list() {
+		if strings.Contains(line, fmt.Sprintf("Lin.%d", id)) && strings.Contains(line, "[store_format]") {
+			return
+		}
+	}
+	t.Errorf("no store_format line logged: %q", logs.list())
+}
+
+// TestSnapshotLogsUnreadableSpilledArchiveRow: an archive row kept only in
+// the log (SpillArchive) whose bytes the log no longer holds reads as missing
+// and is logged with its error code, as a row that will not decode is.
+func TestSnapshotLogsUnreadableSpilledArchiveRow(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wfdb.wal")
+	st, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	db := wfdb.New(st)
+	if err := db.SpillArchive(); err != nil {
+		t.Fatal(err)
+	}
+	logs := &recorder{}
+	reg := model.NewRegistry()
+	sys, err := NewSystem(SystemConfig{
+		Library: lib1(linSchema(reg, &recorder{})), Programs: reg, Engines: 1,
+		Agents: []string{"a1", "a2"}, DBs: []*wfdb.DB{db},
+		Logf: func(format string, args ...any) { logs.add(fmt.Sprintf(format, args...)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	id := runToStatus(t, sys, "Lin", map[string]expr.Value{"I1": expr.Num(1)}, wfdb.Committed)
+	sys.Snapshot("Lin", id) // takes the hand-off, if there was one
+	if _, ok := sys.Snapshot("Lin", id); !ok {
+		t.Fatal("no archived row before the cut")
+	}
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	if ins, ok := sys.Snapshot("Lin", id); ok {
+		t.Fatalf("Snapshot of a row the log lost = %v", ins)
 	}
 	for _, line := range logs.list() {
 		if strings.Contains(line, fmt.Sprintf("Lin.%d", id)) && strings.Contains(line, "[store_format]") {

@@ -31,7 +31,7 @@ type ThroughputOptions struct {
 	// DBDir, when non-empty, gives every scheduling node a file-backed WFDB
 	// under that directory with a spilled archive table, so RetainedBytes
 	// reflects the durable configuration (archived instances live in the
-	// spill file, not on the heap) instead of in-memory archives.
+	// log, not on the heap) instead of in-memory archives.
 	DBDir string
 }
 

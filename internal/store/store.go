@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"sort"
 	"sync"
@@ -71,12 +72,10 @@ type Store struct {
 	log    io.Writer
 	end    int64
 	broken error
+	voffs  []int // where each op's value lies in wbuf, reused under mu
 
-	// Spilled tables keep only a fixed-size (offset, length) reference in
-	// memory; the value bytes live in the append-only side file spillF.
-	spill    map[string]bool
-	spillF   *os.File
-	spillOff int64
+	// A spilled table keeps, per key, only where its value lies in the log.
+	spill map[string]bool
 }
 
 // OpenMemory returns a store without a backing file; Put/Delete apply only to
@@ -156,64 +155,79 @@ func (s *Store) replay(f *os.File) (validEnd int64, err error) {
 	if n < headerLen {
 		return 0, nil
 	}
-	off := int64(headerLen)
+	return readGroups(r, int64(headerLen), func(ops []Op, _ []int64) {
+		for i := range ops {
+			s.apply(ops[i].Table, ops[i].Key, append([]byte(nil), ops[i].Value...), ops[i].Delete)
+		}
+		s.writes += int64(len(ops))
+	}), nil
+}
+
+// readGroups reads group records from r, which starts at log offset off,
+// until EOF or the first torn or corrupt one, and returns the offset just
+// past the last complete group. Each complete group's ops go to fn whole,
+// with the log offset of each op's value; their values alias a buffer the
+// next group reuses.
+func readGroups(r io.Reader, off int64, fn func(ops []Op, voffs []int64)) int64 {
 	var gh [groupHeaderLen]byte
 	var body []byte
 	var ops []Op
+	var voffs []int64
 	for {
 		if _, err := io.ReadFull(r, gh[:]); err != nil {
-			return off, nil // clean EOF or torn group header: stop here
+			return off // clean EOF or torn group header: stop here
 		}
 		n := binary.LittleEndian.Uint32(gh[0:4])
 		sum := binary.LittleEndian.Uint32(gh[4:8])
 		if n > maxGroupBody {
-			return off, nil // implausible length: treat as torn
+			return off // implausible length: treat as torn
 		}
 		if cap(body) < int(n) {
 			body = make([]byte, n)
 		}
 		body = body[:n]
 		if _, err := io.ReadFull(r, body); err != nil {
-			return off, nil
+			return off
 		}
 		if crc32.ChecksumIEEE(body) != sum {
-			return off, nil
+			return off
 		}
 		// All or nothing: decode the whole group before applying any of it.
-		if ops, err = decodeGroup(ops[:0], body); err != nil {
-			return off, nil
+		var err error
+		if ops, voffs, err = decodeGroup(ops[:0], voffs[:0], body, off+groupHeaderLen); err != nil {
+			return off
 		}
-		for i := range ops {
-			s.apply(ops[i].Table, ops[i].Key, ops[i].Value, ops[i].Delete)
-		}
+		fn(ops, voffs)
 		off += int64(groupHeaderLen + len(body))
-		s.writes += int64(len(ops))
 	}
 }
 
-// decodeGroup parses a group body into ops. Names and values are copied out
-// of body, which the caller reuses.
-func decodeGroup(ops []Op, body []byte) ([]Op, error) {
+// decodeGroup parses a group body, which starts at log offset off, into ops
+// and the log offset of each op's value. Names are copied out of body;
+// values alias it.
+func decodeGroup(ops []Op, voffs []int64, body []byte, off int64) ([]Op, []int64, error) {
 	r := binenc.NewReader(body)
 	for n := r.Count(3); n > 0; n-- { // op byte, table length, key length
 		kind := r.Byte()
 		op := Op{Delete: kind == opDelete, Table: r.Str(), Key: r.Str()}
 		switch kind {
 		case opPut:
-			op.Value = append([]byte(nil), r.Bytes()...)
+			op.Value = r.Bytes()
 		case opDelete:
 		default:
 			r.Fail()
 		}
 		ops = append(ops, op)
+		voffs = append(voffs, off+int64(len(body)-r.Len()-len(op.Value)))
 	}
-	return ops, r.Done()
+	return ops, voffs, r.Done()
 }
 
-// appendGroup appends one framed group record carrying ops to dst.
+// appendGroup appends one framed group record carrying ops to dst, and to
+// voffs where in dst each op's value lies.
 //
 //crew:hotpath
-func appendGroup(dst []byte, ops []Op) []byte {
+func appendGroup(dst []byte, voffs []int, ops []Op) ([]byte, []int) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // length and CRC, filled in below
 	dst = binary.AppendUvarint(dst, uint64(len(ops)))
@@ -226,14 +240,17 @@ func appendGroup(dst []byte, ops []Op) []byte {
 		}
 		dst = binenc.AppendString(dst, op.Table)
 		dst = binenc.AppendString(dst, op.Key)
+		voff := len(dst)
 		if !op.Delete {
 			dst = binenc.AppendBytes(dst, op.Value)
+			voff = len(dst) - len(op.Value)
 		}
+		voffs = append(voffs, voff)
 	}
 	body := dst[start+groupHeaderLen:]
 	binary.LittleEndian.PutUint32(dst[start:], uint32(len(body)))
 	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(body))
-	return dst
+	return dst, voffs
 }
 
 // apply installs one mutation in the in-memory view; value is stored as is.
@@ -254,21 +271,22 @@ func (s *Store) apply(table, key string, value []byte, del bool) {
 // ErrClosed is returned by mutations on a closed store.
 var ErrClosed = errors.New("store: closed")
 
-// spillRefLen is the in-memory footprint of a spilled value: an 8-byte file
-// offset plus a 4-byte length. Within a spilled table every resident value
-// is a reference, so no sentinel byte is needed to tell them apart.
+// spillRefLen is the in-memory footprint of a spilled value: the 8-byte log
+// offset of its bytes plus a 4-byte length. Within a spilled table every
+// resident value is a reference, so no sentinel byte is needed to tell them
+// apart.
 const spillRefLen = 12
 
-// Spill moves a table's resident values into an append-only side file
-// (<path>.spill), leaving only 12-byte references in memory, and routes all
-// future writes to that table the same way. Reads transparently fetch the
-// bytes back with ReadAt. The WAL remains the sole durability source — the
-// side file is rebuilt from it on the next Open+Spill — so a stale or
-// missing spill file after a crash is harmless.
+// Spill leaves in memory only a 12-byte reference to where each of a
+// table's values lies in the log, and keeps the table so: a later put's
+// reference points into its own group record, Compact moves the references
+// to the values it rewrites, and reads fetch the bytes back with ReadAt.
+// The log holds every value already, so Spill writes nothing; on a store
+// that holds the table's values, it finds them in one pass over the log.
 //
 // Spill keeps resident memory flat when a table grows without bound (the
 // instance archive under a sustained workload stream). It is a no-op for
-// memory-only stores, which have nowhere to spill.
+// memory-only stores, which have no log.
 func (s *Store) Spill(table string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -278,22 +296,25 @@ func (s *Store) Spill(table string) error {
 	if s.f == nil || s.spill[table] {
 		return nil
 	}
-	if s.spillF == nil {
-		// Truncate: any previous side file belongs to a prior incarnation
-		// whose references did not survive the restart.
-		f, err := os.OpenFile(s.path+".spill", os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
-		if err != nil {
-			return fmt.Errorf("store: spill %s: %w", table, err)
+	if tbl := s.tables[table]; len(tbl) > 0 {
+		// A live value lies where its key's last put wrote it.
+		refs := make(map[string][]byte, len(tbl))
+		r := bufio.NewReaderSize(io.NewSectionReader(s.f, int64(headerLen), s.end-int64(headerLen)), 1<<16)
+		end := readGroups(r, int64(headerLen), func(ops []Op, voffs []int64) {
+			for i, op := range ops {
+				switch {
+				case op.Table != table:
+				case op.Delete:
+					delete(refs, op.Key)
+				default:
+					refs[op.Key] = putRef(refs[op.Key], voffs[i], len(op.Value))
+				}
+			}
+		})
+		if end != s.end || len(refs) != len(tbl) {
+			return fmt.Errorf("store: spill %s: the log to %d holds %d live values, the table %d", table, end, len(refs), len(tbl))
 		}
-		s.spillF = f
-		s.spillOff = 0
-	}
-	for k, v := range s.tables[table] {
-		ref, err := s.spillValue(v)
-		if err != nil {
-			return err
-		}
-		s.tables[table][k] = ref
+		s.tables[table] = refs
 	}
 	if s.spill == nil {
 		s.spill = make(map[string]bool)
@@ -302,39 +323,39 @@ func (s *Store) Spill(table string) error {
 	return nil
 }
 
-// spillValue appends v to the side file and returns its reference.
-// Caller holds s.mu.
-func (s *Store) spillValue(v []byte) ([]byte, error) {
-	if _, err := s.spillF.WriteAt(v, s.spillOff); err != nil {
-		return nil, fmt.Errorf("store: spill write: %w", err)
+// putRef writes the reference to n bytes at log offset off into ref, if it
+// is one, else into a new one, and returns it.
+//
+//crew:hotpath
+func putRef(ref []byte, off int64, n int) []byte {
+	if len(ref) != spillRefLen {
+		//crew:allow hotalloc a key's first reference
+		ref = make([]byte, spillRefLen)
 	}
-	ref := make([]byte, spillRefLen)
-	binary.LittleEndian.PutUint64(ref[0:8], uint64(s.spillOff))
-	binary.LittleEndian.PutUint32(ref[8:12], uint32(len(v)))
-	s.spillOff += int64(len(v))
-	return ref, nil
+	binary.LittleEndian.PutUint64(ref[0:8], uint64(off))
+	binary.LittleEndian.PutUint32(ref[8:12], uint32(n))
+	return ref
 }
 
 // readSpill dereferences a spilled value. Caller holds s.mu (read or write).
 func (s *Store) readSpill(ref []byte) ([]byte, error) {
 	if len(ref) != spillRefLen {
-		return nil, fmt.Errorf("store: corrupt spill reference (%d bytes)", len(ref))
+		return nil, fmt.Errorf("store: %s: corrupt spill reference (%d bytes)", s.path, len(ref))
 	}
 	off := int64(binary.LittleEndian.Uint64(ref[0:8]))
-	n := binary.LittleEndian.Uint32(ref[8:12])
-	buf := make([]byte, n)
-	if _, err := s.spillF.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("store: spill read: %w", err)
+	buf := make([]byte, binary.LittleEndian.Uint32(ref[8:12]))
+	if _, err := s.f.ReadAt(buf, off); err != nil {
+		return nil, fmt.Errorf("store: %s: read the %d-byte value at %d: %w", s.path, len(buf), off, err)
 	}
 	return buf, nil
 }
 
 // Apply logs ops as one group record — a single write, replayed all or
 // nothing — and then applies them in order to the in-memory view. Values are
-// copied (or, for a spilled table, written to the side file); ops and its
-// buffers are not retained. A rewritten key's copy goes into the buffer the
-// key already holds, grown with headroom when it is short; a new key's copy
-// is exact. Put and Delete are the one-op case.
+// copied, or for a spilled table referenced where the group record holds
+// them; ops and its buffers are not retained. A rewritten key's copy goes
+// into the buffer the key already holds, grown with headroom when it is
+// short; a new key's copy is exact. Put and Delete are the one-op case.
 //
 // A failed write is cut back off the log, so the next group follows the last
 // complete one; if it cannot be, this and every later Apply fail, since a
@@ -353,8 +374,9 @@ func (s *Store) Apply(ops []Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
+	base := s.end
 	if s.f != nil {
-		s.wbuf = appendGroup(s.wbuf[:0], ops)
+		s.wbuf, s.voffs = appendGroup(s.wbuf[:0], s.voffs[:0], ops)
 		if len(s.wbuf)-groupHeaderLen > maxGroupBody {
 			//crew:allow hotalloc error path, a group no replay would accept
 			return fmt.Errorf("store: group of %d ops exceeds %d bytes", len(ops), maxGroupBody)
@@ -371,14 +393,7 @@ func (s *Store) Apply(ops []Op) error {
 		switch {
 		case op.Delete:
 		case s.spill[op.Table]:
-			// The group record above carries the real bytes (durability);
-			// the resident copy is only a side-file reference.
-			//crew:allow hotalloc a spilled table keeps a 12-byte reference in place of the value copy
-			ref, err := s.spillValue(op.Value)
-			if err != nil {
-				return err
-			}
-			v = ref
+			v = putRef(s.tables[op.Table][op.Key], base+int64(s.voffs[i]), len(op.Value))
 		default:
 			old, rewrite := s.tables[op.Table][op.Key]
 			if rewrite {
@@ -424,26 +439,27 @@ func (s *Store) Delete(table, key string) error {
 	return s.Apply(ops[:])
 }
 
-// Get returns a copy of the value at table/key.
+// Get returns a copy of the value at table/key; a spilled value the log
+// cannot give back reads as missing (Load reports it).
 func (s *Store) Get(table, key string) ([]byte, bool) {
+	v, ok, err := s.Load(table, key)
+	return v, ok && err == nil
+}
+
+// Load returns a copy of the value at table/key, and whether the key is
+// there; a spilled value the log cannot give back is there, with an error.
+func (s *Store) Load(table, key string) ([]byte, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	tbl := s.tables[table]
-	if tbl == nil {
-		return nil, false
-	}
-	v, ok := tbl[key]
-	if !ok {
-		return nil, false
-	}
-	if s.spill[table] {
+	v, ok := s.tables[table][key]
+	switch {
+	case !ok:
+		return nil, false, nil
+	case s.spill[table]:
 		val, err := s.readSpill(v)
-		if err != nil {
-			return nil, false
-		}
-		return val, true
+		return val, true, err
 	}
-	return append([]byte(nil), v...), true
+	return append([]byte(nil), v...), true, nil
 }
 
 // Keys returns the sorted keys of a table.
@@ -502,7 +518,8 @@ func (s *Store) Compact() error {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	var end int64
-	if err = s.writeSnapshot(f); err == nil {
+	var moved map[string]map[string][]byte
+	if moved, err = s.writeSnapshot(f); err == nil {
 		err = f.Sync()
 	}
 	if err == nil {
@@ -518,16 +535,20 @@ func (s *Store) Compact() error {
 	}
 	s.f.Close()
 	s.f, s.log, s.end, s.broken = f, f, end, nil
+	maps.Copy(s.tables, moved)
 	return nil
 }
 
 // writeSnapshot writes the header and the live state to f, one group per key
-// in sorted table/key order. Caller holds s.mu.
-func (s *Store) writeSnapshot(f *os.File) error {
+// in sorted table/key order, and returns the spilled tables with references
+// into f. Caller holds s.mu.
+func (s *Store) writeSnapshot(f *os.File) (map[string]map[string][]byte, error) {
 	if err := writeHeader(f); err != nil {
-		return err
+		return nil, err
 	}
 	w := bufio.NewWriter(f)
+	off := int64(headerLen)
+	moved := make(map[string]map[string][]byte, len(s.spill))
 	tables := make([]string, 0, len(s.tables))
 	for t := range s.tables {
 		tables = append(tables, t)
@@ -539,23 +560,28 @@ func (s *Store) writeSnapshot(f *os.File) error {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
+		if s.spill[t] {
+			moved[t] = make(map[string][]byte, len(keys))
+		}
 		for _, k := range keys {
 			v := s.tables[t][k]
 			if s.spill[t] {
-				// Compaction rewrites the WAL with real values; resident
-				// references into the (append-only) side file stay valid.
 				var err error
 				if v, err = s.readSpill(v); err != nil {
-					return err
+					return nil, err
 				}
 			}
-			s.wbuf = appendGroup(s.wbuf[:0], []Op{{Table: t, Key: k, Value: v}})
+			s.wbuf, s.voffs = appendGroup(s.wbuf[:0], s.voffs[:0], []Op{{Table: t, Key: k, Value: v}})
 			if _, err := w.Write(s.wbuf); err != nil {
-				return err
+				return nil, err
 			}
+			if s.spill[t] {
+				moved[t][k] = putRef(nil, off+int64(s.voffs[0]), len(v))
+			}
+			off += int64(len(s.wbuf))
 		}
 	}
-	return w.Flush()
+	return moved, w.Flush()
 }
 
 // Sync flushes the backing file.
@@ -573,10 +599,6 @@ func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tables = nil
-	if s.spillF != nil {
-		s.spillF.Close()
-		s.spillF = nil
-	}
 	if s.f != nil {
 		err := s.f.Close()
 		s.f = nil

@@ -1,8 +1,12 @@
 package store
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -356,20 +360,20 @@ func TestSpillRoundTrip(t *testing.T) {
 	if err := s.Spill("arch"); err != nil {
 		t.Fatal(err)
 	}
-	// Existing values were moved to the side file but read back unchanged.
+	// Existing values are references into the log now, and read back unchanged.
 	for i := 0; i < 20; i++ {
 		v, ok := s.Get("arch", "k"+string(rune('a'+i)))
 		if !ok || len(v) != 2 || v[0] != byte(i) {
 			t.Fatalf("spilled value %d = %v,%v", i, v, ok)
 		}
 	}
-	// Writes after the spill are also routed through the side file.
+	// Writes after the spill keep references too.
 	s.Put("arch", "late", []byte("late-value"))
 	if v, ok := s.Get("arch", "late"); !ok || string(v) != "late-value" {
 		t.Fatalf("post-spill Put round-trip = %q,%v", v, ok)
 	}
-	if _, err := os.Stat(path + ".spill"); err != nil {
-		t.Fatalf("side file missing: %v", err)
+	if _, err := os.Stat(path + ".spill"); !os.IsNotExist(err) {
+		t.Fatalf("a side file next to the log: %v", err)
 	}
 	// Other tables stay resident.
 	s.Put("live", "k", []byte("v"))
@@ -389,7 +393,7 @@ func TestSpillSurvivesCompactAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Put("arch", "k2", []byte("v2"))
-	// Compact must write real values (not 12-byte references) to the WAL.
+	// Compact must write real values (not 12-byte references) to the log.
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -399,8 +403,8 @@ func TestSpillSurvivesCompactAndReopen(t *testing.T) {
 		}
 	}
 	s.Close()
-	// The WAL is the durability source; the stale side file is rebuilt by
-	// the next Spill, and values read correctly either way.
+	// The log is the one copy: values read correctly before the next Spill
+	// and after it.
 	r, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -425,5 +429,100 @@ func TestSpillMemoryNoop(t *testing.T) {
 	}
 	if v, ok := s.Get("arch", "k"); !ok || string(v) != "v" {
 		t.Fatal("memory-store Spill changed state")
+	}
+}
+
+// countingWriter counts the writes that reach the log.
+type countingWriter struct {
+	w io.Writer
+	n int
+}
+
+func (c *countingWriter) Write(b []byte) (int, error) {
+	c.n++
+	return c.w.Write(b)
+}
+
+// TestSpilledValuesLiveInTheLog: a put to a spilled table is one write, of
+// its group record, and no side file exists; the table keeps references into
+// the log. Every value reads back after Compact, which reclaims rewritten and
+// deleted ones, and again after a reopen and Spill, which write no byte.
+func TestSpilledValuesLiveInTheLog(t *testing.T) {
+	s, path := tempStore(t)
+	want := map[string]string{}
+	put := func(k, v string) {
+		t.Helper()
+		if err := s.Put("arch", k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = v
+	}
+	put("before", "resident until the spill")
+	if err := s.Spill("arch"); err != nil {
+		t.Fatal(err)
+	}
+	w := &countingWriter{w: s.log}
+	s.log = w
+	for i := range 20 {
+		put(fmt.Sprintf("k%02d", i), strings.Repeat(string(rune('a'+i)), 50+i))
+		if w.n != i+1 {
+			t.Fatalf("%d puts to a spilled table made %d writes", i+1, w.n)
+		}
+	}
+	put("k00", "rewritten")
+	put("empty", "")
+	if err := s.Delete("arch", "k01"); err != nil {
+		t.Fatal(err)
+	}
+	delete(want, "k01")
+	if w.n != 23 || fileSize(t, path) != s.end {
+		t.Fatalf("23 groups made %d writes; the log is %d bytes, its groups end at %d", w.n, fileSize(t, path), s.end)
+	}
+	check := func(when string, s *Store) {
+		t.Helper()
+		if s.Len("arch") != len(want) {
+			t.Fatalf("%s: %d keys, want %d", when, s.Len("arch"), len(want))
+		}
+		for k, v := range want {
+			got, ok, err := s.Load("arch", k)
+			if !ok || err != nil || string(got) != v {
+				t.Fatalf("%s: %s = (%q, %v, %v), want %q", when, k, got, ok, err, v)
+			}
+			if ref := s.tables["arch"][k]; len(ref) != spillRefLen {
+				t.Fatalf("%s: %s keeps %d bytes in memory, want a %d-byte reference", when, k, len(ref), spillRefLen)
+			}
+		}
+		if entries, _ := os.ReadDir(filepath.Dir(path)); len(entries) != 1 {
+			t.Fatalf("%s: %d files next to the log, want the log alone", when, len(entries))
+		}
+	}
+	check("after the puts", s)
+	before := fileSize(t, path)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if after := fileSize(t, path); after >= before {
+		t.Errorf("Compact left the log at %d bytes, from %d: the rewritten and deleted values stayed", after, before)
+	}
+	check("after Compact", s)
+	put("late", "after Compact")
+	check("after a put behind Compact", s)
+	s.Close()
+
+	log, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Spill("arch"); err != nil {
+		t.Fatal(err)
+	}
+	check("after a reopen and Spill", r)
+	if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, log) {
+		t.Fatalf("the reopen and Spill changed the log (%d -> %d bytes, %v)", len(log), len(again), err)
 	}
 }

@@ -63,8 +63,8 @@ func relayHub(t *testing.T) (*Network, *RemoteHub) {
 // the HELLO with those of them that finished, and one Relay leaves for the
 // relay timer. The hex changes only together with WireFormat.
 func TestHelloAndDoneGoldenBytes(t *testing.T) {
-	if WireFormat != 6 {
-		t.Fatalf("WireFormat %d: the golden bytes below are format 6's", WireFormat)
+	if WireFormat != 7 {
+		t.Fatalf("WireFormat %d: the golden bytes below are format 7's", WireFormat)
 	}
 	held := []string{"WF01.1", "WF02.1000", "WF03.2"}
 
@@ -86,7 +86,7 @@ func TestHelloAndDoneGoldenBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	const hello = "0000002202076167656e7430310606574630312e" + "3109574630322e3130303006574630332e32"
+	const hello = "0000002202076167656e7430310706574630312e" + "3109574630322e3130303006574630332e32"
 	if _, got := readFrame(t, newFrameReader(srv, 0), srv, 5*time.Second); hex.EncodeToString(got) != hello {
 		t.Errorf("HELLO:\n got  %x\n want %s", got, hello)
 	}

@@ -67,8 +67,10 @@ const MaxFrame = 8 << 20
 // coord; format 5 adds the DONE frame and the instance refs of a HELLO, and
 // drops the purge note (its payload bytes are 4's otherwise); format 6 drops
 // the initiator from the HaltThread and WorkflowRollback payloads, and the
-// unread epoch from the latter, since an epoch names its rollback.
-const WireFormat byte = 6
+// unread epoch from the latter, since an epoch names its rollback; format 7
+// writes a whole number in a data item as a varint (expr.Value.Walk) where 6
+// wrote every number in 8 bytes.
+const WireFormat byte = 7
 
 // Frame types of the hub protocol: Hello (a child claims a node, with its
 // format byte and the instances its database holds), Welcome (the hub's

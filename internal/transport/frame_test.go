@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"testing"
 	"testing/iotest"
 
 	"crew/internal/binenc"
 	"crew/internal/cerrors"
+	"crew/internal/expr"
 	"crew/internal/metrics"
 )
 
-// wirePayload and wirePtrPayload are the test payload types registered for
-// the wire codec tests: a string and an integer, and an integer alone.
+// wirePayload, wirePtrPayload and wireDataPayload are the test payload types
+// registered for the wire codec tests: a string and an integer, an integer
+// alone, and data items.
 type wirePayload struct {
 	A string
 	B int
@@ -30,9 +33,16 @@ type wirePtrPayload struct {
 
 func (p *wirePtrPayload) Walk(w *binenc.Walker) { w.Int(&p.N) }
 
+type wireDataPayload struct {
+	D map[string]expr.Value
+}
+
+func (p *wireDataPayload) Walk(w *binenc.Walker) { expr.WalkValues(w, &p.D) }
+
 func init() {
 	RegisterPayload[wirePayload]()
 	RegisterPayload[wirePtrPayload]()
+	RegisterPayload[wireDataPayload]()
 	RegisterKinds("k", "ping", "pong")
 }
 
@@ -278,6 +288,14 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(done)
 	f.Add(appendCompletion(nil, Completion{"naïve", -1 << 40, 255}))
 	f.Add(done[:len(done)-2])
+	// Data items: whole numbers as varints at the edges of their range, a
+	// fraction, a negative zero, and the same message cut short.
+	data := mustEncodeFuzz(Message{From: "a", To: "b", Kind: "k", Payload: &wireDataPayload{D: map[string]expr.Value{
+		"a": expr.Num(0), "b": expr.Num(-1), "c": expr.Num(900000), "d": expr.Num(1 << 53), "e": expr.Num(-1 << 53),
+		"f": expr.Num(1<<53 + 2), "g": expr.Num(0.5), "h": expr.Num(math.Copysign(0, -1)),
+	}}})
+	f.Add(data)
+	f.Add(data[:len(data)-1])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// What reads as a DONE body re-encodes to a fixed point, and what
 		// does not is a classified wire error.

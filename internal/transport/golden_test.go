@@ -17,10 +17,12 @@ import (
 // counter: strings and map keys spell the counter, integers are spread over
 // both signs, data items cycle through the four value kinds, maps and slices
 // hold two entries. Pointers inside the payload are left nil when nilPtrs is
-// set; a top-level pointer (the payload itself) never is.
+// set; a top-level pointer (the payload itself) never is. Numbers are
+// fractions, but every other one is whole when whole is set.
 type goldenFill struct {
 	n       int
 	nilPtrs bool
+	whole   bool
 }
 
 func (g *goldenFill) next() int { g.n++; return g.n }
@@ -29,7 +31,11 @@ func (g *goldenFill) fill(v reflect.Value, top bool) {
 	switch v.Type() {
 	case valueType:
 		n := g.next()
-		vals := []expr.Value{expr.Num(float64(n) + 0.5), expr.Str(fmt.Sprintf("v%d", n)), expr.Bool(n%2 == 0), expr.Null()}
+		num := float64(n) + 0.5
+		if g.whole && n%8 == 4 {
+			num = float64(n)
+		}
+		vals := []expr.Value{expr.Num(num), expr.Str(fmt.Sprintf("v%d", n)), expr.Bool(n%2 == 0), expr.Null()}
 		v.Set(reflect.ValueOf(vals[n%len(vals)]))
 		return
 	case mechanismType:
@@ -74,7 +80,8 @@ func (g *goldenFill) fill(v reflect.Value, top bool) {
 }
 
 // goldenPayload returns a payload of type t (as a Message carries it): the
-// zero value, or one filled with or without its inner pointers.
+// zero value, or one filled with or without its inner pointers, or with
+// whole numbers among its fractions.
 func goldenPayload(t reflect.Type, variant string) any {
 	v := reflect.New(t).Elem()
 	switch variant {
@@ -83,7 +90,7 @@ func goldenPayload(t reflect.Type, variant string) any {
 			v.Set(reflect.New(t.Elem()))
 		}
 	default:
-		g := &goldenFill{nilPtrs: variant == "nil"}
+		g := &goldenFill{nilPtrs: variant == "nil", whole: variant == "whole"}
 		g.fill(v, true)
 	}
 	return v.Interface()
@@ -92,11 +99,12 @@ func goldenPayload(t reflect.Type, variant string) any {
 // TestPayloadGoldenBytes pins the wire bytes of every payload type the
 // program registers, header included: one message each for the zero value,
 // a filled value, and (where the type has an inner pointer) a filled value
-// with that pointer nil. The hex below changes only together with
-// WireFormat; a refactor of the codecs must leave it as it is.
+// with that pointer nil; and one message whose data items hold a whole and a
+// fractional number. The hex below changes only together with WireFormat; a
+// refactor of the codecs must leave it as it is.
 func TestPayloadGoldenBytes(t *testing.T) {
-	if transport.WireFormat != 6 {
-		t.Fatalf("WireFormat %d: the golden bytes below are format 6's", transport.WireFormat)
+	if transport.WireFormat != 7 {
+		t.Fatalf("WireFormat %d: the golden bytes below are format 7's", transport.WireFormat)
 	}
 	seen := 0
 	for _, c := range transport.RegisteredPayloads() {
@@ -105,7 +113,11 @@ func TestPayloadGoldenBytes(t *testing.T) {
 		}
 		seen++
 		var full string
-		for _, variant := range []string{"zero", "full", "nil"} {
+		variants := []string{"zero", "full", "nil"}
+		if c.Name == "central.ExecRequest" {
+			variants = append(variants, "whole")
+		}
+		for _, variant := range variants {
 			m := transport.Message{From: "agent01", To: "agent02", Kind: "K", Mechanism: metrics.Failure,
 				Payload: goldenPayload(c.Type, variant)}
 			body, err := transport.EncodeMessage(m)
@@ -130,14 +142,16 @@ func TestPayloadGoldenBytes(t *testing.T) {
 	}
 }
 
-// goldenPayloads is what the codecs wrote at WireFormat 6, keyed by payload
-// type and variant: the bytes of format 5 but for the HaltThread and
-// WorkflowRollback rows, which lost their initiator (and WorkflowRollback its
-// epoch); format 5's were format 4's less one type (the purge note).
+// goldenPayloads is what the codecs wrote at WireFormat 7, keyed by payload
+// type and variant: the bytes of format 6, whose numbers were all fractions,
+// and the whole-number row; format 6's were format 5's but for the HaltThread
+// and WorkflowRollback rows, which lost their initiator (and WorkflowRollback
+// its epoch); format 5's were format 4's less one type (the purge note).
 var goldenPayloads = map[string]string{
 	"central.ExecRequest/full":               "00076167656e743031076167656e743032014b031363656e7472616c2e4578656352657175657374027331a802027333027334b90ee81402027337010000000000002140027339030101020373313101000000000000294003733133030102037331350100000000008030400373313703010403733230",
 	"central.ExecRequest/nil":                "00076167656e743031076167656e743032014b031363656e7472616c2e4578656352657175657374027331a802027333027334b90ee814020273370100000000000021400273390301000103733132",
 	"central.ExecRequest/zero":               "00076167656e743031076167656e743032014b031363656e7472616c2e457865635265717565737400000000000000000000",
+	"central.ExecRequest/whole":              "00076167656e743031076167656e743032014b031363656e7472616c2e4578656352657175657374027331a802027333027334b90ee814020273370100000000000021400273390301010203733131041803733133030102037331350100000000008030400373313703010403733230",
 	"central.ExecResponse/full":              "00076167656e743031076167656e743032014b031463656e7472616c2e45786563526573706f6e7365027331a802027333a009b90e0202733600027338020276390003733131",
 	"central.ExecResponse/zero":              "00076167656e743031076167656e743032014b031463656e7472616c2e45786563526573706f6e73650000000000000000",
 	"central.StateRequest/full":              "00076167656e743031076167656e743032014b031463656e7472616c2e53746174655265717565737402733102",

@@ -164,7 +164,7 @@ func normalized(p any) any {
 func TestPayloadCodecMatchesJSON(t *testing.T) {
 	// The program registers 25 types (central 4, distributed 17, and the four
 	// of the coordination protocol, which parallel adds nothing to); this
-	// package's own tests register two of their own.
+	// package's own tests register three of their own.
 	codecs, program := transport.RegisteredPayloads(), map[string]bool{}
 	for _, c := range codecs {
 		if !strings.Contains(c.Name, "transport.") {

@@ -14,8 +14,10 @@ import (
 )
 
 // rowVersion leads every instance, archive and summary row. A build reads
-// exactly one version; anything else fails with CodeStoreFormat.
-const rowVersion = 1
+// exactly one version; anything else fails with CodeStoreFormat. Version 2
+// writes a whole number as a varint (expr.Value.Walk) where 1 wrote every
+// number in 8 bytes.
+const rowVersion = 2
 
 // Instance-row flag bits.
 const (

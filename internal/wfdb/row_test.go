@@ -3,6 +3,7 @@ package wfdb
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -141,6 +142,16 @@ func FuzzInstanceRowDecode(f *testing.F) {
 	full.Data["s"], full.Data["b"], full.Data["n"] = expr.Str("héllo"), expr.Bool(true), expr.Null()
 	f.Add(encodeRow(&w, nil, full))
 	f.Add([]byte{rowVersion, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	// Numbers at the edges of the varint form, in the data table and a step's
+	// outputs, whole and cut short.
+	edges := sixStepInstance(3)
+	for i, x := range []float64{0, math.Copysign(0, -1), -1, 900000, 1 << 53, -1 << 53, 1<<53 + 2, 0.5, math.NaN()} {
+		edges.Data[fmt.Sprintf("n%d", i)] = expr.Num(x)
+	}
+	edges.RecordDone("S6", map[string]expr.Value{"O1": expr.Num(-1 << 53), "O2": expr.Num(1 << 53)})
+	row := encodeRow(&w, nil, edges)
+	f.Add(row)
+	f.Add(row[:len(row)-3])
 	f.Fuzz(func(t *testing.T, b []byte) {
 		ins, err := decodeRow(b)
 		if err != nil {

@@ -668,7 +668,10 @@ func (db *DB) SaveInstance(ins *Instance) error {
 }
 
 func (db *DB) loadInstance(table, workflow string, id int) (*Instance, bool, error) {
-	buf, ok := db.st.Get(table, InstanceKeyOf(workflow, id))
+	buf, ok, err := db.st.Load(table, InstanceKeyOf(workflow, id))
+	if err != nil {
+		return nil, true, errRow(err, "instance row unreadable")
+	}
 	if !ok {
 		return nil, false, nil
 	}
@@ -705,9 +708,10 @@ func (db *DB) LoadArchived(workflow string, id int) (*Instance, bool, error) {
 	return db.loadInstance(tableArchive, workflow, id)
 }
 
-// SpillArchive moves the archive table's resident values to the store's
-// spill file (file-backed stores only; a documented no-op in memory), so an
-// unbounded stream of retired instances does not grow resident memory.
+// SpillArchive keeps only references to where the archive table's rows lie
+// in the store's log (store.Spill: file-backed stores only, a no-op in
+// memory), so an unbounded stream of retired instances does not grow
+// resident memory.
 func (db *DB) SpillArchive() error { return db.st.Spill(tableArchive) }
 
 // SaveSummary updates the coordination instance summary table.

@@ -3,11 +3,13 @@ package wfdb
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"crew/internal/binenc"
+	"crew/internal/cerrors"
 	"crew/internal/event"
 	"crew/internal/expr"
 	"crew/internal/model"
@@ -284,6 +286,41 @@ func TestDBArchive(t *testing.T) {
 	}
 	if _, ok, _ := db.LoadArchived("Ord", 8); ok {
 		t.Error("LoadArchived of missing instance = ok")
+	}
+}
+
+// TestUnreadableArchiveRowIsAFormatError: an archived row the log no longer
+// holds in full (the log cut under a spilled row) loads as a row that is
+// there and cannot be read, with CodeStoreFormat, not as a missing one.
+func TestUnreadableArchiveRowIsAFormatError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wfdb.wal")
+	st, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	db := New(st)
+	if err := db.SpillArchive(); err != nil {
+		t.Fatal(err)
+	}
+	ins := sixStepInstance(3)
+	ins.Status = Committed
+	if err := db.Archive(ins); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := db.LoadArchived("WF01", 3); !ok || err != nil {
+		t.Fatalf("LoadArchived before the cut = (%v, %v)", ok, err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := db.LoadArchived("WF01", 3)
+	if got != nil || !ok || cerrors.CodeOf(err) != cerrors.CodeStoreFormat {
+		t.Errorf("LoadArchived after the cut = (%v, %v, %v), want code %s", got, ok, err, cerrors.CodeStoreFormat)
 	}
 }
 
