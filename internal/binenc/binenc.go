@@ -8,12 +8,15 @@
 // torn or hostile input can contain.
 //
 // Integers are varints, strings and byte runs are uvarint-length-prefixed,
-// sequences are a uvarint count followed by the entries.
+// sequences are a uvarint count followed by the entries. A walker given a
+// name table (Names) writes map keys and string sequences as indexes into it.
 package binenc
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math"
 	"slices"
 )
@@ -186,12 +189,24 @@ type Walkable interface{ Walk(w *Walker) }
 // An encode appends to the caller's buffer and sorts map keys in the
 // walker's scratch, so a warm walker encodes without allocating. A walker is
 // not safe for concurrent use: its owner (a connection, a batch) reuses one.
+//
+// A walker has one name slot (SetNames). With a table in it, Map's keys,
+// Strings' entries and Name write each name as a uvarint k: k > 0 is the
+// table's name k-1, and 0 is followed by the name as a string. Without one
+// they are plain strings.
 type Walker struct {
 	decoding bool
 	out      []byte
-	keys     []string // Map's sort scratch, a stack for nested maps
+	keys     []rankedKey // Map's sort scratch, a stack for nested maps
+	names    *Names
 	in       Reader
 }
+
+// SetNames puts a name table in the walker's slot; nil empties it.
+func (w *Walker) SetNames(n *Names) { w.names = n }
+
+// Names returns the table in the walker's slot, or nil.
+func (w *Walker) Names() *Names { return w.names }
 
 // Encode puts w in encode mode, appending to dst; Bytes returns the output.
 func (w *Walker) Encode(dst []byte) { w.decoding, w.out = false, dst }
@@ -282,6 +297,49 @@ func (w *Walker) Float64(v *float64) {
 	}
 }
 
+// Name walks a name through the walker's name slot.
+//
+//crew:hotpath
+func (w *Walker) Name(v *string) {
+	if w.decoding {
+		*v = w.name()
+		return
+	}
+	w.putName(*v, w.names.Rank(*v))
+}
+
+// putName writes a name whose rank in the slot's table is r.
+//
+//crew:hotpath
+func (w *Walker) putName(s string, r uint64) {
+	switch {
+	case w.names == nil:
+	case r == literal:
+		w.out = append(w.out, 0)
+	default:
+		w.out = binary.AppendUvarint(w.out, r)
+		return
+	}
+	w.out = AppendString(w.out, s)
+}
+
+// name reads a name written by putName. An indexed name is the table's
+// string, not a copy.
+func (w *Walker) name() string {
+	if w.names == nil {
+		return w.in.Str()
+	}
+	k := w.in.Uvarint()
+	switch {
+	case k == 0:
+		return w.in.Str()
+	case k > uint64(len(w.names.list)):
+		w.in.Fail()
+		return ""
+	}
+	return w.names.list[k-1]
+}
+
 // Raw appends bytes a walk encoded earlier; encode mode only.
 func (w *Walker) Raw(b []byte) { w.out = append(w.out, b...) }
 
@@ -308,13 +366,13 @@ func Present[T any](w *Walker, p **T) bool {
 	return ok
 }
 
-// Strings walks a sequence of strings: the count, then each string. An empty
-// sequence decodes as nil.
+// Strings walks a sequence of strings: the count, then each string through
+// the name slot. An empty sequence decodes as nil.
 func Strings[S ~string](w *Walker, v *[]S) {
 	n := w.Len(len(*v), 1)
 	if !w.decoding {
 		for _, s := range *v {
-			w.out = AppendString(w.out, string(s))
+			w.putName(string(s), w.names.Rank(string(s)))
 		}
 		return
 	}
@@ -323,18 +381,26 @@ func Strings[S ~string](w *Walker, v *[]S) {
 		*v = make([]S, n)
 	}
 	for i := range *v {
-		(*v)[i] = S(w.in.Str())
+		(*v)[i] = S(w.name())
 	}
 }
 
 // smallMap is the most entries Map sorts on the stack.
 const smallMap = 16
 
-// Map walks a map with string keys: the count, then each key and its value
-// in key order, so equal maps encode to equal bytes whatever Go's map order.
-// value walks one value: given the map's when encoding, a zero one when
-// decoding, it returns what it read. Each entry occupies at least minEntry
-// bytes. An empty map decodes as nil.
+// rankedKey is a map key and its rank, in Map's sort scratch.
+type rankedKey struct {
+	rank uint64
+	key  string
+}
+
+// Map walks a map with string keys: the count, then each key, through the
+// name slot, and its value. Keys go out by rank, then by name: with no table
+// every rank is 0, so in name order; with one, indexed names in table order,
+// then the literals in name order. Equal maps thus encode to equal bytes
+// whatever Go's map order. value walks one value: given the map's when
+// encoding, a zero one when decoding, it returns what it read. Each entry
+// occupies at least minEntry bytes. An empty map decodes as nil.
 //
 // A map of up to smallMap entries is encoded in one pass over it, its
 // entries insertion-sorted in stack arrays; a larger one sorts its keys in
@@ -348,7 +414,7 @@ func Map[K ~string, V any](w *Walker, m *map[K]V, minEntry int, value func(w *Wa
 		//crew:allow hotalloc decoding allocates what it returns
 		dec := make(map[K]V, n)
 		for ; n > 0; n-- {
-			k := K(w.in.Str())
+			k := K(w.name())
 			var zero V
 			dec[k] = value(w, zero)
 		}
@@ -363,26 +429,27 @@ func Map[K ~string, V any](w *Walker, m *map[K]V, minEntry int, value func(w *Wa
 		//crew:allow hotalloc the iterator lives on the stack; one entry has no order to fix
 		for k, v := range *m {
 			w.out = append(w.out, 1)
-			w.out = AppendString(w.out, string(k))
+			w.putName(string(k), w.names.Rank(string(k)))
 			value(w, v)
 		}
 		return
 	case n <= smallMap:
-		var keys [smallMap]K
+		var keys [smallMap]rankedKey
 		var vals [smallMap]V
 		i := 0
 		//crew:allow hotalloc the iterator lives on the stack; the insertion sort fixes the order
 		for k, v := range *m {
+			rk := rankedKey{w.names.Rank(string(k)), string(k)}
 			j := i
-			for ; j > 0 && keys[j-1] > k; j-- {
+			for ; j > 0 && rk.compare(keys[j-1]) < 0; j-- {
 				keys[j], vals[j] = keys[j-1], vals[j-1]
 			}
-			keys[j], vals[j] = k, v
+			keys[j], vals[j] = rk, v
 			i++
 		}
 		w.out = binary.AppendUvarint(w.out, uint64(n))
 		for i := range n {
-			w.out = AppendString(w.out, string(keys[i]))
+			w.putName(keys[i].key, keys[i].rank)
 			value(w, vals[i])
 		}
 		return
@@ -392,14 +459,75 @@ func Map[K ~string, V any](w *Walker, m *map[K]V, minEntry int, value func(w *Wa
 	base := len(w.keys)
 	//crew:allow hotalloc collects keys only; the sort below fixes the order
 	for k := range *m {
-		w.keys = append(w.keys, string(k))
+		w.keys = append(w.keys, rankedKey{w.names.Rank(string(k)), string(k)})
 	}
 	keys := w.keys[base:]
-	slices.Sort(keys)
+	slices.SortFunc(keys, rankedKey.compare)
 	w.out = binary.AppendUvarint(w.out, uint64(len(keys)))
 	for _, k := range keys {
-		w.out = AppendString(w.out, k)
-		value(w, (*m)[K(k)])
+		w.putName(k.key, k.rank)
+		value(w, (*m)[K(k.key)])
 	}
 	w.keys = w.keys[:base]
+}
+
+//crew:hotpath
+func (a rankedKey) compare(b rankedKey) int {
+	if c := cmp.Compare(a.rank, b.rank); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.key, b.key)
+}
+
+// Names is a name table: the names a walker given it (SetNames) writes as
+// indexes. It is built once and only read after, so walkers on any goroutine
+// may share it.
+type Names struct {
+	list   []string
+	index  map[string]uint64 // a name's position in list, plus one
+	digest uint64
+}
+
+// literal is the rank of a name the table does not hold: it sorts after
+// every indexed one and is written as a string.
+const literal = math.MaxUint64
+
+// NewNames builds the table of names, in their order, each kept once.
+func NewNames(names []string) *Names {
+	n := &Names{list: make([]string, 0, len(names)), index: make(map[string]uint64, len(names))}
+	h := fnv.New64a()
+	for _, s := range names {
+		if _, dup := n.index[s]; dup {
+			continue
+		}
+		n.list = append(n.list, s)
+		n.index[s] = uint64(len(n.list))
+		h.Write(AppendString(nil, s))
+	}
+	if len(n.list) > 0 {
+		n.digest = max(h.Sum64(), 1)
+	}
+	return n
+}
+
+// Digest identifies the table by its names and their order: an FNV-1a hash
+// of the names, each length-prefixed, never 0 but for the empty table.
+func (n *Names) Digest() uint64 { return n.digest }
+
+// List returns the names in table order; the caller must not change it.
+func (n *Names) List() []string { return n.list }
+
+// Rank orders names as Map writes them, by rank and then by name: s's
+// position in the table plus one, MaxUint64 if the table does not hold it,
+// and 0 for every name with no table (n nil).
+//
+//crew:hotpath
+func (n *Names) Rank(s string) uint64 {
+	if n == nil {
+		return 0
+	}
+	if k, ok := n.index[s]; ok {
+		return k
+	}
+	return literal
 }

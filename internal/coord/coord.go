@@ -24,11 +24,12 @@
 // three it is running under.
 //
 // Relative ordering follows the paper's Figure 4 protocol: the first pair of
-// conflicting steps is ordered by whichever instance completes its member
-// first, establishing a leading and a lagging workflow; every later
+// conflicting steps is ordered by whichever instance the home grants its
+// member first, establishing a leading and a lagging workflow; every later
 // conflicting pair must then execute in the same relative order, enforced by
 // making the lagging step's rule wait for an injected event from the leading
-// workflow.
+// workflow. A step runs only after its grant, so two pair-0 executions that
+// did not overlap are ordered as they ran.
 package coord
 
 import (
@@ -175,9 +176,9 @@ func pairStepFor(spec model.CoordSpec, k int, workflow string) (model.StepID, bo
 // given step. If the step is a pair-k member (k >= 1) of a relative-order
 // spec and the instance's predecessor in the spec's queue has not yet
 // completed its own pair-k step, OrderWait returns the event name the
-// caller must add as a precondition (AddPrecondition) and true.
+// caller must add as a precondition (AddPrecondition).
 //
-// Instances that have not enrolled (not yet completed a pair-0 step) never
+// Instances that have not enrolled (not yet granted a pair-0 step) never
 // wait: the first conflicting pair *establishes* the order.
 func (t *Tracker) OrderWait(ref model.StepRef, inst InstanceRef) (events []string) {
 	for i, spec := range t.specs {
@@ -202,11 +203,33 @@ func (t *Tracker) OrderWait(ref model.StepRef, inst InstanceRef) (events []strin
 	return events
 }
 
+// OrderEnroll enrolls the instance in the queue of every relative-order spec
+// of which the step is a pair-0 member, when the home grants the step: grant
+// order is queue order. A place, once taken, is kept until OrderForget: a
+// pair-0 attempt that fails or is reset keeps it, since the instance's other
+// branches may run its later pairs in it meanwhile.
+func (t *Tracker) OrderEnroll(ref model.StepRef, inst InstanceRef) {
+	for i, spec := range t.specs {
+		if spec.Kind == model.RelativeOrder && t.pairIndex(i, ref) == 0 {
+			t.ro[i].enroll(inst)
+		}
+	}
+}
+
+func (st *roState) enroll(inst InstanceRef) {
+	if _, enrolled := st.pos[inst]; !enrolled {
+		st.pos[inst] = len(st.queue)
+		st.queue = append(st.queue, inst)
+		st.done[inst] = make(map[int]bool)
+	}
+}
+
 // OrderStepDone records completion of a step for relative ordering and
-// returns the injections to deliver: for a pair-0 completion the instance
-// enrolls in the queue (becoming leading or lagging); for a pair-k
-// completion, the successor instance in the queue (if any) receives the
-// order event it may be waiting on.
+// returns the injections to deliver: for a pair-k completion (k >= 1), the
+// successor instance in the queue (if any) receives the order event it may
+// be waiting on. Nobody waits on pair 0. An instance completing a pair-0
+// step the home has not granted it (a home restarted without its queues)
+// enrolls now.
 func (t *Tracker) OrderStepDone(ref model.StepRef, inst InstanceRef) []Injection {
 	var out []Injection
 	for i, spec := range t.specs {
@@ -222,27 +245,26 @@ func (t *Tracker) OrderStepDone(ref model.StepRef, inst InstanceRef) []Injection
 			if k != 0 {
 				continue // later pair without enrollment: spec starts at pair 0
 			}
-			st.pos[inst] = len(st.queue)
-			st.queue = append(st.queue, inst)
-			st.done[inst] = make(map[int]bool)
+			st.enroll(inst)
 		}
 		st.done[inst][k] = true
 		// Notify the successor instance, if enrolled, that its wait for
 		// this pair is satisfied.
 		pos := st.pos[inst]
-		if pos+1 < len(st.queue) {
-			succ := st.queue[pos+1]
-			inj := Injection{
-				Target: succ,
-				Event:  OrderEventName(spec.Name, k, inst),
-			}
-			if step, ok := pairStepFor(spec, k, succ.Workflow); ok {
-				inj.Step = step
-			}
-			out = append(out, inj)
+		if k > 0 && pos+1 < len(st.queue) {
+			out = append(out, release(spec, k, inst, st.queue[pos+1]))
 		}
 	}
 	return out
+}
+
+// release is the injection that satisfies succ's wait for inst's pair k.
+func release(spec model.CoordSpec, k int, inst, succ InstanceRef) Injection {
+	inj := Injection{Target: succ, Event: OrderEventName(spec.Name, k, inst)}
+	if step, ok := pairStepFor(spec, k, succ.Workflow); ok {
+		inj.Step = step
+	}
+	return inj
 }
 
 // OrderQueue returns the enrollment queue of a relative-order spec.
@@ -270,19 +292,9 @@ func (t *Tracker) OrderForget(inst InstanceRef) []Injection {
 			continue
 		}
 		// Release the successor from all pair waits on this instance.
-		if pos+1 < len(st.queue) {
-			succ := st.queue[pos+1]
-			for k := range spec.Pairs {
-				if k == 0 {
-					continue
-				}
-				if !st.done[inst][k] {
-					inj := Injection{Target: succ, Event: OrderEventName(spec.Name, k, inst)}
-					if step, ok := pairStepFor(spec, k, succ.Workflow); ok {
-						inj.Step = step
-					}
-					out = append(out, inj)
-				}
+		for k := 1; k < len(spec.Pairs) && pos+1 < len(st.queue); k++ {
+			if !st.done[inst][k] {
+				out = append(out, release(spec, k, inst, st.queue[pos+1]))
 			}
 		}
 		// Compact the queue.

@@ -132,6 +132,7 @@ func (h *Home) Handle(req Request) {
 		// The answer leaves before the grants, so a gate can tell a grant
 		// that answers this Check from one left over from a withdrawn one.
 		waits := t.OrderWait(req.Ref, req.Inst)
+		t.OrderEnroll(req.Ref, req.Inst)
 		grants, mutexWaits := t.MutexAcquire(req.Ref, req.Inst)
 		if len(mutexWaits) > 0 {
 			h.asked(req)

@@ -109,6 +109,48 @@ func TestHome(t *testing.T) {
 	}
 }
 
+// TestOrderFollowsGrants: the home queues relative-order instances in the
+// order it grants their pair-0 steps, whatever order their Done notes arrive
+// in. A pair-0 step that fails before its Done keeps the place its grant
+// took: its instance's other branches may run later pairs in that place.
+func TestOrderFollowsGrants(t *testing.T) {
+	a1, b2, a3, b4 := InstanceRef{Workflow: "A", ID: 1}, InstanceRef{Workflow: "B", ID: 2}, InstanceRef{Workflow: "A", ID: 3}, InstanceRef{Workflow: "B", ID: 4}
+	req := func(op Op, inst InstanceRef, step model.StepID) Request {
+		return Request{Op: op, Ref: model.StepRef{Workflow: inst.Workflow, Step: step}, Inst: inst, ReplyTo: "n-" + inst.String()}
+	}
+	host := &recHost{}
+	home := NewHome(simOrderLib(), host)
+	for i, st := range []struct {
+		name  string
+		req   Request
+		want  []string
+		queue []InstanceRef
+	}{
+		{"grant B.2's pair 0: it enrolls first", req(Check, b2, "T1"), []string{"resolve n-B.2 B.2:T1 []"}, []InstanceRef{b2}},
+		{"grant A.1's pair 0 after it", req(Check, a1, "S1"), []string{"resolve n-A.1 A.1:S1 []"}, []InstanceRef{b2, a1}},
+		{"A.1's Done arrives first", req(Done, a1, "S1"), nil, []InstanceRef{b2, a1}},
+		{"B.2's Done after it", req(Done, b2, "T1"), nil, []InstanceRef{b2, a1}},
+		{"so B.2 leads: A.1 waits for its second pair", req(Check, a1, "S2"), []string{"resolve n-A.1 A.1:S2 [ro:ro:1:B.2]"}, nil},
+		{"and B.2 does not", req(Check, b2, "T2"), []string{"resolve n-B.2 B.2:T2 []"}, nil},
+		{"B.2's second pair releases A.1", req(Done, b2, "T2"), []string{"inject A.1 ro:ro:1:B.2"}, nil},
+		{"grant A.3's pair 0", req(Check, a3, "S1"), []string{"resolve n-A.3 A.3:S1 []"}, []InstanceRef{b2, a1, a3}},
+		{"grant B.4's pair 0", req(Check, b4, "T1"), []string{"resolve n-B.4 B.4:T1 []"}, []InstanceRef{b2, a1, a3, b4}},
+		{"B.4 ran and waits for A.3", req(Check, b4, "T2"), []string{"resolve n-B.4 B.4:T2 [ro:ro:1:A.3]"}, nil},
+		{"A.3's pair 0 failed before its Done: it keeps its place, and B.4 still waits", req(Failed, a3, "S1"), nil, []InstanceRef{b2, a1, a3, b4}},
+		{"A.3's next grant keeps the place too", req(Check, a3, "S1"), []string{"resolve n-A.3 A.3:S1 []"}, []InstanceRef{b2, a1, a3, b4}},
+		{"A.3's second pair releases B.4", req(Done, a3, "S2"), []string{"inject B.4 ro:ro:1:A.3"}, []InstanceRef{b2, a1, a3, b4}},
+	} {
+		host.lines = nil
+		home.Handle(st.req)
+		if !reflect.DeepEqual(host.lines, st.want) {
+			t.Fatalf("step %d (%s):\n got  %q\n want %q", i, st.name, host.lines, st.want)
+		}
+		if q := home.Tracker().OrderQueue("ro"); st.queue != nil && !reflect.DeepEqual(q, st.queue) {
+			t.Fatalf("step %d (%s): queue %v, want %v", i, st.name, q, st.queue)
+		}
+	}
+}
+
 // TestTombstonesAreCompact: the tombstones of finished instances were one map
 // entry each for ever. Forgotten in ID order they retain nothing per
 // instance; out of order they stay exact.

@@ -18,11 +18,13 @@ import (
 // queued Request, Resolve, Inject, halt and recovery values can be delivered
 // is run, together with the scenario's other schedulable events: a mutex
 // step's exit, a rollback, an election flip, a restart of the home that loses
-// its state. No instance beyond the scenario's ever arrives. Two properties
-// are checked. Liveness: whenever nothing is in flight and no step is
-// executing, every instance has finished, so a waiter is released by the
+// its state. No instance beyond the scenario's ever arrives. Three
+// properties are checked. Liveness: whenever nothing is in flight and no step
+// is executing, every instance has finished, so a waiter is released by the
 // event it waits for, not by bystander traffic or a timer. Mutual exclusion:
-// no two instances are ever inside steps of one mutex at once.
+// no two instances are ever inside steps of one mutex at once. Relative
+// order: an instance whose pair-0 step ran before another's was granted runs
+// each later pair before the other does.
 
 const simHome = "home"
 
@@ -95,7 +97,10 @@ type sim struct {
 	// from then on only liveness is checked.
 	amnesia bool
 	trace   []simEvent
-	broken  string // the first mutual-exclusion violation
+	broken  string // the first mutual-exclusion or relative-order violation
+	// leads[y][x]: instance y's pair-0 step ran before the home granted
+	// x's, so y must run every later pair first.
+	leads [][]bool
 }
 
 // newSim builds a scenario; each instance's replicas are named by their
@@ -103,6 +108,10 @@ type sim struct {
 func newSim(lib *model.Library, rb *simRollback, flips, restarts int, insts ...*simInst) *sim {
 	s := &sim{insts: insts, rollback: rb, flips: flips, restarts: restarts}
 	s.home = NewHome(lib, s)
+	s.leads = make([][]bool, len(insts))
+	for i := range insts {
+		s.leads[i] = make([]bool, len(insts))
+	}
 	for _, in := range insts {
 		for _, rep := range in.replicas {
 			rep.events = simEvents{}
@@ -227,9 +236,47 @@ func (s *sim) enter(in *simInst, specs []int) {
 		for _, i := range s.mutexes(other, other.steps[other.next]) {
 			for _, j := range specs {
 				if i == j && s.broken == "" && !s.amnesia {
-					s.broken = fmt.Sprintf("%s entered %s while %s is inside %s", in.ref, in.steps[in.next], other.ref, other.steps[other.next])
+					s.broken = fmt.Sprintf("mutual exclusion: %s entered %s while %s is inside %s", in.ref, in.steps[in.next], other.ref, other.steps[other.next])
 				}
 			}
+		}
+	}
+}
+
+// pair returns the pair index of the instance's step i in a relative-order
+// spec, or -1.
+func (s *sim) pair(in *simInst, i int) int {
+	t := s.home.tracker
+	for spec := range t.specs {
+		if t.specs[spec].Kind == model.RelativeOrder {
+			if k := t.pairIndex(spec, model.StepRef{Workflow: in.ref.Workflow, Step: in.steps[i]}); k >= 0 {
+				return k
+			}
+		}
+	}
+	return -1
+}
+
+// ran reports whether the instance has run its pair-k step.
+func (s *sim) ran(in *simInst, k int) bool {
+	for i := range in.next {
+		if s.pair(in, i) == k {
+			return true
+		}
+	}
+	return false
+}
+
+// granting notes, as the home handles a Check of x's pair-0 step, which
+// instances ran theirs before it.
+func (s *sim) granting(x int, step model.StepID) {
+	in := s.insts[x]
+	if i := slices.Index(in.steps, step); i < 0 || s.pair(in, i) != 0 {
+		return
+	}
+	for y, other := range s.insts {
+		if y != x && s.ran(other, 0) {
+			s.leads[y][x] = true
 		}
 	}
 }
@@ -238,6 +285,14 @@ func (s *sim) enter(in *simInst, specs []int) {
 // (nav.Release).
 func (s *sim) finish(in *simInst) {
 	rep, step := in.exec(), in.steps[in.next]
+	if k := s.pair(in, in.next); k > 0 && !s.amnesia && s.broken == "" {
+		x := slices.Index(s.insts, in)
+		for y, other := range s.insts {
+			if s.leads[y][x] && !s.ran(other, k) {
+				s.broken = fmt.Sprintf("%s ran pair %d before %s, whose pair 0 ran before %s was granted its own", in.ref, k, other.ref, in.ref)
+			}
+		}
+	}
 	s.request(in, rep, Done, step)
 	clearGrants(rep.events, step)
 	rep.gate.Release(step)
@@ -370,6 +425,9 @@ func (s *sim) run(e simEvent) {
 		l.queue = l.queue[1:]
 		switch p := e.payload.(type) {
 		case Request:
+			if p.Op == Check && !s.home.forgotten(p.Inst) {
+				s.granting(slices.Index(s.insts, s.instOf(p.Inst)), p.Ref.Step)
+			}
 			s.home.Handle(p)
 		case Resolve:
 			// nav.Resolved: a taken answer clears the step's grants and
@@ -455,6 +513,9 @@ func (s *sim) run(e simEvent) {
 // clone copies everything a run changes.
 func (s *sim) clone() *sim {
 	c := &sim{rollback: s.rollback, granted: s.granted, flips: s.flips, restarts: s.restarts, amnesia: s.amnesia, trace: s.trace, broken: s.broken}
+	for _, row := range s.leads {
+		c.leads = append(c.leads, slices.Clone(row))
+	}
 	t := &Tracker{specs: s.home.tracker.specs, ro: map[int]*roState{}, mu: map[int]*muState{}}
 	for i, ro := range s.home.tracker.ro {
 		cp := &roState{queue: append([]InstanceRef(nil), ro.queue...), pos: map[InstanceRef]int{}, done: map[InstanceRef]map[int]bool{}}
@@ -583,6 +644,9 @@ func (s *sim) fingerprint() string {
 		}
 		mark('|')
 	}
+	for _, row := range s.leads {
+		flags(row...)
+	}
 	w.Int(&s.flips)
 	w.Int(&s.restarts)
 	flags(s.rollback != nil, s.granted, s.broken != "", s.amnesia)
@@ -597,7 +661,7 @@ func explore(t *testing.T, s *sim) int {
 	var visit func(s *sim)
 	visit = func(s *sim) {
 		if s.broken != "" {
-			t.Fatalf("mutual exclusion: %s\norder: %v\nhome:\n%v", s.broken, s.trace, s.home)
+			t.Fatalf("%s\norder: %v\nhome:\n%v", s.broken, s.trace, s.home)
 		}
 		if fp := s.fingerprint(); seen[fp] {
 			return
@@ -663,6 +727,8 @@ func TestEveryDeliveryOrderReleasesEveryWaiter(t *testing.T) {
 		start *sim
 	}{
 		{"relative order, two instances", newSim(orderLib, nil, 0, 0, a1(), b1())},
+		{"relative order, three instances whose pair-0 Done notes cross",
+			newSim(orderLib, nil, 0, 0, a1(), b1(), simInstance("A", 2, []model.StepID{"S1", "S2"}, "w3"))},
 		{"mutex, two waiters behind a holder", newSim(mutexLib, nil, 0, 0, ma(1, "w1"), mb(), ma(2, "w3"))},
 		{"mutex, a rollback clears a grant the home issued",
 			newSim(mutexLib, &simRollback{inst: 0}, 0, 0, ma(1, "w1"), mb())},

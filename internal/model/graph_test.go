@@ -1,6 +1,7 @@
 package model
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -225,5 +226,49 @@ func TestPropertyLinearChains(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNameTable: a frozen schema's name table lists, in schema order and
+// each once, the step ids, the workflow inputs, each output's full and short
+// name, the workflow events and each step's events. Its digest changes when
+// any name changes and not otherwise.
+func TestNameTable(t *testing.T) {
+	build := func(in, out2 string) *Schema {
+		return NewSchema("W", in).
+			Step("S1", "p", WithOutputs("O1")).
+			Step("S2", "p", WithOutputs("O1", out2)).
+			Seq("S1", "S2").MustBuild()
+	}
+	s := build("I1", "O2")
+	want := []string{
+		"S1", "S2", "WF.I1",
+		"S1.O1", "O1", "S2.O1", "S2.O2", "O2",
+		"WF.start", "WF.done", "WF.abort",
+		"S1.done", "S1.fail", "S1.compensated", "S2.done", "S2.fail", "S2.compensated",
+	}
+	if got := s.Names().List(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("name table:\n got  %q\n want %q", got, want)
+	}
+	d := s.Names().Digest()
+	clone := s.Clone()
+	if err := clone.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if d == 0 || build("I1", "O2").Names().Digest() != d || clone.Names().Digest() != d {
+		t.Error("the same names gave another digest")
+	}
+	for what, other := range map[string]*Schema{
+		"an input renamed":  build("I9", "O2"),
+		"an output renamed": build("I1", "O3"),
+		"a step added":      NewSchema("W", "I1").Step("S1", "p", WithOutputs("O1")).Step("S2", "p", WithOutputs("O1", "O2")).Step("S3", "p").Seq("S1", "S2", "S3").MustBuild(),
+	} {
+		if other.Names().Digest() == d {
+			t.Errorf("%s: the digest did not change", what)
+		}
+	}
+	s.AddStep(&Step{ID: "S3", Program: "p"})
+	if s.Names() != nil {
+		t.Error("a mutated schema kept its name table")
 	}
 }

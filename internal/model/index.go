@@ -1,8 +1,10 @@
 package model
 
 import (
+	"sync"
 	"sync/atomic"
 
+	"crew/internal/binenc"
 	"crew/internal/event"
 	"crew/internal/expr"
 )
@@ -39,6 +41,10 @@ type graphIndex struct {
 	refs   map[StepID]map[string]string
 	// steps, data, events: TableSizes of the schema.
 	steps, data, events int
+	// names is the schema's name table, built at the first Names call: a
+	// process that writes no instance row (an mproc hub) keeps none.
+	namesOnce sync.Once
+	names     *binenc.Names
 
 	// ruleCache is an opaque memoization slot for the rules package (the
 	// compiled rule program of this schema). Keeping it inside the index
@@ -146,6 +152,41 @@ func (s *Schema) freeze() {
 	ix.topo = s.computeTopoOrder()
 	ix.steps, ix.data, ix.events = s.computeTableSizes()
 	s.idx.Store(ix)
+}
+
+// nameTable lists every name an instance row of the schema can hold, in
+// schema order: the step ids, the workflow inputs, each output's full and
+// short name, the workflow's start, done and abort events, and each step's
+// done, fail and compensated events.
+func (s *Schema) nameTable(ix *graphIndex) *binenc.Names {
+	var names []string
+	for _, id := range s.Order {
+		names = append(names, string(id))
+	}
+	for _, in := range s.Inputs {
+		names = append(names, WorkflowInput(in))
+	}
+	for _, id := range s.Order {
+		for _, out := range s.Steps[id].Outputs {
+			names = append(names, ix.refs[id][out], out)
+		}
+	}
+	names = append(names, event.WorkflowStartName, event.WorkflowDoneName, event.WorkflowAbortName)
+	for _, id := range s.Order {
+		names = append(names, ix.doneEv[id], ix.failEv[id], ix.compEv[id])
+	}
+	return binenc.NewNames(names)
+}
+
+// Names returns the frozen schema's name table, which instance rows write
+// names as indexes into, or nil if the schema is not frozen.
+func (s *Schema) Names() *binenc.Names {
+	ix := s.index()
+	if ix == nil {
+		return nil
+	}
+	ix.namesOnce.Do(func() { ix.names = s.nameTable(ix) })
+	return ix.names
 }
 
 // Frozen reports whether the schema carries a valid graph index (validated

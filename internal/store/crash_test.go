@@ -136,7 +136,6 @@ func TestCrashAtEveryByte(t *testing.T) {
 
 		for cut := 0; cut <= len(data); cut++ {
 			path := filepath.Join(dir, "cut.db")
-			os.Remove(path + ".spill")
 			if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -336,6 +335,16 @@ func TestPutAllocBudget(t *testing.T) {
 	s.Apply(ops)
 	if n := testing.AllocsPerRun(200, func() { s.Apply(ops) }); n > 1 {
 		t.Errorf("Apply of a new key, a rewrite and a delete allocates %.0f times per call, budget 1 (the new key's copy)", n)
+	}
+	// A spilled table keeps a reference per key: a rewrite moves the key's
+	// reference to the new group record (putRef) and allocates nothing.
+	s.Put("spilled", "k", value)
+	if err := s.Spill("spilled"); err != nil {
+		t.Fatal(err)
+	}
+	spilled := []Op{{Table: "spilled", Key: "k", Value: value}}
+	if n := testing.AllocsPerRun(200, func() { s.Apply(spilled) }); n != 0 {
+		t.Errorf("rewriting a spilled key allocates %.0f times per call, budget 0", n)
 	}
 }
 

@@ -10,16 +10,18 @@ import (
 	"crew/internal/model"
 )
 
-// TestRowGoldenBytes pins the bytes of an instance row (a parent, data items
-// of every kind, an event table with an invalidated entry, step records with
-// and without results, the execution order) and of a summary row, as the
-// store receives them. The hex changes only together with rowVersion; a
-// refactor of the row codec must leave it as it is.
-func TestRowGoldenBytes(t *testing.T) {
-	if rowVersion != 2 {
-		t.Fatalf("rowVersion %d: the golden bytes below are version 2's", rowVersion)
-	}
-	ins := NewInstance("WF01", 42, map[string]expr.Value{"I1": expr.Num(2.5), "I2": expr.Str("order-17")})
+// goldenSchema declares most of the names goldenState gives an instance.
+func goldenSchema() *model.Schema {
+	return model.NewSchema("WF01", "I1", "I2").
+		Step("S1", "p", model.WithOutputs("O1", "O2")).
+		Step("S2", "p").
+		Seq("S1", "S2").MustBuild()
+}
+
+// goldenState gives ins a parent, data items of every kind (two that no
+// schema declares), an event table with an invalidated entry and an external
+// event, step records with and without results, and the execution order.
+func goldenState(ins *Instance) {
 	ins.Status, ins.Aborting, ins.Epoch = Aborted, true, 3
 	ins.Coordinator, ins.NotifyTo = "agent03", "frontend"
 	ins.Parent = &ParentRef{Workflow: "WF00", ID: 7, Step: "S9"}
@@ -32,16 +34,39 @@ func TestRowGoldenBytes(t *testing.T) {
 	ins.RecordFailed("S2")
 	ins.Events.Invalidate(model.StepID("S2").Ref("fail"))
 	ins.RecordCompensating("S1", model.ModePartialComp)
+}
+
+var goldenInputs = map[string]expr.Value{"I1": expr.Num(2.5), "I2": expr.Str("order-17")}
+
+// TestRowGoldenBytes pins the bytes of an instance row with no schema, where
+// every name is a literal, of the same instance attached to a schema, where
+// the names the schema declares are indexes, of that schema's name-table row
+// and of a summary row, as the store receives them. The hex changes only
+// together with rowVersion; a refactor of the row codec must leave it as it
+// is.
+func TestRowGoldenBytes(t *testing.T) {
+	if rowVersion != 3 {
+		t.Fatalf("rowVersion %d: the golden bytes below are version 3's", rowVersion)
+	}
+	literal := NewInstance("WF01", 42, goldenInputs)
+	goldenState(literal)
+	schema := goldenSchema()
+	attached := NewInstanceOf(schema, 43, goldenInputs)
+	goldenState(attached)
+	attached.Events.Post("ext:WF00.7:S9.done")
 
 	db := NewMemory()
-	if err := db.SaveInstance(ins); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SaveSummary("WF01", 42, Committed); err != nil {
+	var b Batch
+	b.SaveInstance(literal)
+	b.SaveInstance(attached)
+	b.SaveSummary("WF01", 42, Committed)
+	if err := db.Commit(&b); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct{ what, table, key, want string }{
-		{"instance row", tableInstance, ins.Key(), goldenInstanceRow},
+		{"literal instance row", tableInstance, literal.Key(), goldenInstanceRow},
+		{"attached instance row", tableInstance, attached.Key(), goldenAttachedRow},
+		{"name-table row", tableNames, namesKey(schema.Names().Digest()), goldenNamesRow},
 		{"summary row", tableSummary, InstanceKeyOf("WF01", 42), goldenSummaryRow},
 	} {
 		row, ok := db.Store().Get(c.table, c.key)
@@ -52,13 +77,16 @@ func TestRowGoldenBytes(t *testing.T) {
 			t.Errorf("%s:\n got  %s\n want %s", c.what, got, c.want)
 		}
 	}
+	if n := db.Store().Len(tableNames); n != 1 {
+		t.Errorf("%d name tables stored, want the schema's alone", n)
+	}
 }
 
-// TestVersion1RowIsRefused: the instance row above as rowVersion 1 wrote it,
-// every number in 8 bytes, stored under an archive key, loads as a row this
-// build cannot decode, not as a missing one.
-func TestVersion1RowIsRefused(t *testing.T) {
-	row, err := hex.DecodeString(goldenV1InstanceRow)
+// TestVersion2RowIsRefused: the literal instance row above as rowVersion 2
+// wrote it, every name a string and no digest, stored under an archive key,
+// loads as a row this build cannot decode, not as a missing one.
+func TestVersion2RowIsRefused(t *testing.T) {
+	row, err := hex.DecodeString(goldenV2InstanceRow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,18 +96,21 @@ func TestVersion1RowIsRefused(t *testing.T) {
 	}
 	ins, ok, err := db.LoadArchived("WF01", 42)
 	if ins != nil || !ok || cerrors.CodeOf(err) != cerrors.CodeStoreFormat || cerrors.PhaseOf(err) != cerrors.PhaseDecode {
-		t.Errorf("LoadArchived of a version-1 row = (%v, %v, %v), want a %s error in phase %s",
+		t.Errorf("LoadArchived of a version-2 row = (%v, %v, %v), want a %s error in phase %s",
 			ins, ok, err, cerrors.CodeStoreFormat, cerrors.PhaseDecode)
 	}
 }
 
-// What the row encoder wrote at rowVersion 2: the bytes of version 1, less
-// seven bytes for each whole number (O2's -1, in the data table and in S1's
-// outputs).
+// What the row encoder writes at rowVersion 3. The literal row is version
+// 2's with digest 0 after the version byte and a 0 before each name; the
+// attached row writes each name its schema declares as one byte, and its
+// undeclared data items, parent and external event as literals.
 const (
-	goldenInstanceRow = "02045746303154040306076167656e7430330866726f6e74656e6404574630300e025339060553312e4f310201780553312e4f3204010557462e49310100000000000004400557462e493202086f726465722d313704666c61670301046e6f6e6500030753312e646f6e6502010753322e6661696c02000857462e73746172740201020253310a076167656e743031020106010557462e493101000000000000044002024f31020178024f32040102533206076167656e743032020000000001025331"
-	goldenSummaryRow  = "0202"
+	goldenInstanceRow = "030000000000000000045746303154040306076167656e7430330866726f6e74656e6404574630300e02533906000553312e4f31020178000553312e4f320401000557462e4931010000000000000440000557462e493202086f726465722d31370004666c6167030100046e6f6e650003000753312e646f6e650201000753322e6661696c0200000857462e7374617274020102000253310a076167656e74303102010601000557462e49310100000000000004400200024f3102017800024f3204010002533206076167656e74303202000000000100025331"
+	goldenAttachedRow = "030421ea2435961dd2045746303156040306076167656e7430330866726f6e74656e6404574630300e02533906030100000000000004400402086f726465722d3137050201780704010004666c6167030100046e6f6e6500040902010c020110020000126578743a574630302e373a53392e646f6e65020102010a076167656e743031020106010301000000000000044002060201780804010206076167656e74303202000000000101"
+	goldenNamesRow    = "03110253310253320557462e49310557462e49320553312e4f31024f310553312e4f32024f320857462e73746172740757462e646f6e650857462e61626f72740753312e646f6e650753312e6661696c0e53312e636f6d70656e73617465640753322e646f6e650753322e6661696c0e53322e636f6d70656e7361746564"
+	goldenSummaryRow  = "0302"
 )
 
-// What the row encoder wrote for the same instance at rowVersion 1.
-const goldenV1InstanceRow = "01045746303154040306076167656e7430330866726f6e74656e6404574630300e025339060553312e4f310201780553312e4f3201000000000000f0bf0557462e49310100000000000004400557462e493202086f726465722d313704666c61670301046e6f6e6500030753312e646f6e6502010753322e6661696c02000857462e73746172740201020253310a076167656e743031020106010557462e493101000000000000044002024f31020178024f3201000000000000f0bf02533206076167656e743032020000000001025331"
+// What the row encoder wrote for the literal instance at rowVersion 2.
+const goldenV2InstanceRow = "02045746303154040306076167656e7430330866726f6e74656e6404574630300e025339060553312e4f310201780553312e4f3204010557462e49310100000000000004400557462e493202086f726465722d313704666c61670301046e6f6e6500030753312e646f6e6502010753322e6661696c02000857462e73746172740201020253310a076167656e743031020106010557462e493101000000000000044002024f31020178024f32040102533206076167656e743032020000000001025331"

@@ -2,6 +2,8 @@ package wfdb
 
 import (
 	"cmp"
+	"encoding/binary"
+	"fmt"
 	"slices"
 	"sync"
 	"unsafe"
@@ -11,13 +13,14 @@ import (
 	"crew/internal/event"
 	"crew/internal/expr"
 	"crew/internal/model"
+	"crew/internal/store"
 )
 
-// rowVersion leads every instance, archive and summary row. A build reads
-// exactly one version; anything else fails with CodeStoreFormat. Version 2
-// writes a whole number as a varint (expr.Value.Walk) where 1 wrote every
-// number in 8 bytes.
-const rowVersion = 2
+// rowVersion leads every instance, archive, summary and name-table row. A
+// build reads exactly one version; anything else fails with
+// CodeStoreFormat. Version 3 writes step, data and event names as indexes
+// into the name table of the instance's schema; 2 wrote each as a string.
+const rowVersion = 3
 
 // Instance-row flag bits.
 const (
@@ -26,16 +29,53 @@ const (
 )
 
 // A row is the version byte, then a walk: an instance's (the instance and
-// archive tables share it) or a summary's, which is the status alone.
-// Integers, strings and counts are those of package binenc, and maps are
-// written in sorted key order (binenc.Map), so equal instances encode to
-// equal bytes and the WAL does not depend on Go's map order.
+// archive tables share it), a summary's, which is the status alone, or a
+// name table's. Integers, strings and counts are those of package binenc,
+// and maps are written in a fixed key order (binenc.Map), so equal instances
+// encode to equal bytes and the WAL does not depend on Go's map order.
+//
+// An instance row puts the 8-byte little-endian digest of its name table
+// (model.Schema.Names) between the version byte and the walk, and walks with
+// that table in the walker's name slot: a step id, data name or event name
+// the table holds is written as its index. The names table holds each table
+// once, under its digest in hex, so decoding needs only the store. An
+// instance with no frozen schema has the empty table, digest 0, which is
+// never stored: every name in its rows is a literal.
 
-// beginRow starts a row at the end of the batch's buffer and returns its
-// offset; the caller walks the row's value on b.w and ends it with endRow.
+// headerLen is the length of an instance row's version byte and digest.
+const headerLen = 9
+
+// emptyNames is the name table of an instance with no frozen schema.
+var emptyNames = binenc.NewNames(nil)
+
+// names returns the table ins's rows write names into.
+func (ins *Instance) names() *binenc.Names {
+	if ins.schema != nil {
+		if n := ins.schema.Names(); n != nil {
+			return n
+		}
+	}
+	return emptyNames
+}
+
+// beginRow starts a summary row at the end of the batch's buffer and returns
+// its offset; the caller walks the row's value on b.w and ends it with
+// endRow.
 func (b *Batch) beginRow() int {
 	off := len(b.buf)
 	b.w.Encode(append(b.buf, rowVersion))
+	b.w.SetNames(nil)
+	return off
+}
+
+// beginInstanceRow starts ins's instance or archive row and notes its table
+// for Commit.
+func (b *Batch) beginInstanceRow(ins *Instance) int {
+	off, n := len(b.buf), ins.names()
+	startRow(&b.w, b.buf, n)
+	if n.Digest() != 0 && !slices.Contains(b.names, n) {
+		b.names = append(b.names, n)
+	}
 	return off
 }
 
@@ -44,20 +84,63 @@ func (b *Batch) endRow(table, key string, off int) {
 	b.put(table, key, off)
 }
 
+// startRow puts w in encode mode after dst and an instance row's header,
+// with the row's table n in its slot.
+func startRow(w *binenc.Walker, dst []byte, n *binenc.Names) {
+	w.Encode(binary.LittleEndian.AppendUint64(append(dst, rowVersion), n.Digest()))
+	w.SetNames(n)
+}
+
+// appendRow appends ins's instance row to dst, as a Batch writes it.
+func appendRow(w *binenc.Walker, dst []byte, ins *Instance) []byte {
+	startRow(w, dst, ins.names())
+	ins.Walk(w)
+	return w.Bytes()
+}
+
 // readRow decodes a row into v. Arbitrary bytes yield an error, never a
 // panic, and no allocation is sized by a count the input cannot hold.
 func readRow(row []byte, what string, v binenc.Walkable) error {
 	if len(row) < 1 || row[0] != rowVersion {
 		return errRow(nil, what+": unknown version")
 	}
+	return readWalk(row[1:], what, nil, v)
+}
+
+// readWalk decodes all of b into v, with names in the walker's slot.
+func readWalk(b []byte, what string, names *binenc.Names, v binenc.Walkable) error {
 	w := readers.Get().(*binenc.Walker)
-	err := w.Read(row[1:], v)
+	w.SetNames(names)
+	err := w.Read(b, v)
 	w.Decode(nil) // hold no row
+	w.SetNames(nil)
 	readers.Put(w)
 	if err != nil {
 		return errRow(err, what)
 	}
 	return nil
+}
+
+// readInstance decodes an instance or archive row, taking its name table
+// from the store: a row whose table is missing or will not decode, or whose
+// indexes run past the table, is a format error.
+func (db *DB) readInstance(row []byte, what string) (*Instance, error) {
+	if len(row) < headerLen || row[0] != rowVersion {
+		return nil, errRow(nil, what+": unknown version")
+	}
+	digest := binary.LittleEndian.Uint64(row[1:headerLen])
+	names, ok, err := db.namesOf(digest)
+	if err == nil && !ok {
+		err = fmt.Errorf("no name table %016x", digest)
+	}
+	if err != nil {
+		return nil, errRow(err, what)
+	}
+	ins := new(Instance)
+	if err := readWalk(row[headerLen:], what, names, ins); err != nil {
+		return nil, err
+	}
+	return ins, nil
 }
 
 // readers backs readRow, which any goroutine may call: a walker escapes to
@@ -69,14 +152,105 @@ func errRow(err error, what string) error {
 	return cerrors.E(cerrors.CodeStoreFormat, cerrors.PhaseDecode, cerrors.ErrStore, err, "wfdb: %s", what)
 }
 
-// Walk is the instance row after its version byte (walkRow with fill
-// false):
+// The names table.
+
+// namesKey is a name table's key in the names table.
+func namesKey(digest uint64) string { return fmt.Sprintf("%016x", digest) }
+
+// nameList is a name table's row after its version byte: the names.
+type nameList []string
+
+func (l *nameList) Walk(w *binenc.Walker) { binenc.Strings(w, (*[]string)(l)) }
+
+// table returns the name table db knows to be in its store under digest,
+// or nil.
+func (db *DB) table(digest uint64) *binenc.Names {
+	db.knownMu.RLock()
+	defer db.knownMu.RUnlock()
+	return db.known[digest]
+}
+
+// know records n as the store's table under its digest.
+func (db *DB) know(n *binenc.Names) {
+	db.knownMu.Lock()
+	defer db.knownMu.Unlock()
+	if db.known == nil {
+		db.known = make(map[uint64]*binenc.Names)
+	}
+	db.known[n.Digest()] = n
+}
+
+// namesOf returns the name table stored under digest, reading it from the
+// store the first time, and whether the store holds one. A stored table that
+// will not decode, or whose names do not give its digest, is an error.
+func (db *DB) namesOf(digest uint64) (*binenc.Names, bool, error) {
+	if digest == 0 {
+		return emptyNames, true, nil
+	}
+	if n := db.table(digest); n != nil {
+		return n, true, nil
+	}
+	key := namesKey(digest)
+	row, ok, err := db.st.Load(tableNames, key)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	var list nameList
+	if err := readRow(row, "name table "+key, &list); err != nil {
+		return nil, true, err
+	}
+	n := binenc.NewNames(list)
+	if n.Digest() != digest || len(n.List()) != len(list) {
+		return nil, true, errRow(nil, fmt.Sprintf("name table %s holds the names of table %016x", key, n.Digest()))
+	}
+	db.know(n)
+	return n, true, nil
+}
+
+// addNames adds to b's ops the row of each table b's instance rows use that
+// the store does not hold yet, and returns those tables, to be known once
+// the group is written. It fails if the store holds another table under the
+// same digest, or one it cannot read.
+func (db *DB) addNames(b *Batch) (fresh []*binenc.Names, err error) {
+	for _, n := range b.names {
+		known := db.table(n.Digest())
+		if known == n {
+			continue
+		}
+		if known == nil {
+			var stored bool
+			if known, stored, err = db.namesOf(n.Digest()); err != nil {
+				return nil, err
+			}
+			if !stored {
+				b.ops = append(b.ops, store.Op{Table: tableNames, Key: namesKey(n.Digest()), Value: nameRow(n)})
+				fresh = append(fresh, n)
+				continue
+			}
+		}
+		if !slices.Equal(known.List(), n.List()) {
+			return nil, cerrors.E(cerrors.CodeStoreFormat, cerrors.PhaseEncode, cerrors.ErrStore, nil,
+				"wfdb: the store holds another name table under digest %016x", n.Digest())
+		}
+		db.know(n) // the schema's own table from now on: one pointer compare
+	}
+	return fresh, nil
+}
+
+// nameRow is n's row in the names table.
+func nameRow(n *binenc.Names) []byte {
+	list := nameList(n.List())
+	return new(binenc.Walker).Append([]byte{rowVersion}, &list)
+}
+
+// Walk is the instance row after its header (walkRow with fill false); the
+// names below go through the walker's name slot, the strings do not:
 //
-//	workflow, id, status, flags, epoch, coordinator, notifyTo
-//	[parent workflow, id, step]               when flagParent is set
-//	data table:  count, then name + value     sorted by name
+//	workflow, id, status, flags, epoch, coordinator, notifyTo (strings)
+//	[parent workflow, id, step (strings)]     when flagParent is set
+//	data table:  count, then name + value     in binenc.Map's order
 //	event table: event.Table.Walk
-//	step table:  count, then id + record      sorted by id
+//	step table:  count, then id + record      in binenc.Map's order
 //	execution order: count, then step ids
 //
 //crew:hotpath
@@ -172,14 +346,17 @@ type savedSteps struct {
 	key      string
 	workflow string
 	id       int
-	recs     []savedRecord // in id order
-	buf      []byte        // the entries' bytes, in id order
+	names    *binenc.Names // the table the entries were walked with
+	recs     []savedRecord // in binenc.Map's order under names
+	buf      []byte        // the entries' bytes, in that order
 }
 
 // savedRecord is one step-table entry as last saved: its bytes are
 // buf[off:end], walked from rec; end == off for an entry not walked yet.
+// rank is the id's binenc.Names.Rank.
 type savedRecord struct {
 	id       model.StepID
+	rank     uint64
 	rec      StepRecord
 	off, end int
 }
@@ -201,6 +378,11 @@ func (ins *Instance) saveState() *savedSteps {
 	if c.key == "" || c.id != ins.ID || c.workflow != ins.Workflow {
 		//crew:allow hotalloc once per instance, at its first save
 		c.key, c.workflow, c.id = ins.Key(), ins.Workflow, ins.ID
+	}
+	if n := ins.names(); c.names != n {
+		// Entries walked with another table: the next save walks them all.
+		clear(c.recs)
+		c.names, c.recs = n, c.recs[:0]
 	}
 	return c
 }
@@ -231,7 +413,7 @@ func (ins *Instance) walkSteps(w *binenc.Walker, fill bool) {
 //
 //crew:hotpath
 func (c *savedSteps) walk(w *binenc.Walker, steps map[model.StepID]*StepRecord, fill bool) bool {
-	if len(steps) != len(c.recs) {
+	if len(steps) != len(c.recs) || w.Names() != c.names {
 		return false
 	}
 	mark := len(w.Bytes())
@@ -248,7 +430,7 @@ func (c *savedSteps) walk(w *binenc.Walker, steps map[model.StepID]*StepRecord, 
 		if e.end > e.off && e.rec.same(r) {
 			w.Raw(c.buf[e.off:e.end])
 		} else {
-			w.String((*string)(&e.id))
+			w.Name((*string)(&e.id))
 			walkStepRecord(w, r)
 			if fill {
 				e.rec = *r
@@ -267,9 +449,9 @@ func (c *savedSteps) walk(w *binenc.Walker, steps map[model.StepID]*StepRecord, 
 // add enters a step id new to the table at its place in c.recs, not yet
 // walked, so the next save finds the ids as they are (StepRec).
 func (c *savedSteps) add(id model.StepID) {
-	i, found := slices.BinarySearchFunc(c.recs, id, func(e savedRecord, id model.StepID) int { return cmp.Compare(e.id, id) })
-	if !found {
-		c.recs = slices.Insert(c.recs, i, savedRecord{id: id})
+	e := savedRecord{id: id, rank: c.names.Rank(string(id))}
+	if i, found := slices.BinarySearchFunc(c.recs, e, savedRecord.compare); !found {
+		c.recs = slices.Insert(c.recs, i, e)
 	}
 }
 
@@ -279,9 +461,17 @@ func (c *savedSteps) rekey(steps map[model.StepID]*StepRecord) {
 	clear(c.recs) // drop the kept maps
 	c.recs = c.recs[:0]
 	for id := range steps {
-		c.recs = append(c.recs, savedRecord{id: id})
+		c.recs = append(c.recs, savedRecord{id: id, rank: c.names.Rank(string(id))})
 	}
-	slices.SortFunc(c.recs, func(a, b savedRecord) int { return cmp.Compare(a.id, b.id) })
+	slices.SortFunc(c.recs, savedRecord.compare)
+}
+
+// compare orders entries as binenc.Map writes their ids.
+func (e savedRecord) compare(o savedRecord) int {
+	if c := cmp.Compare(e.rank, o.rank); c != 0 {
+		return c
+	}
+	return cmp.Compare(e.id, o.id)
 }
 
 // same reports whether r encodes as s did: the same scalars and the same

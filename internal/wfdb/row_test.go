@@ -18,9 +18,29 @@ import (
 
 // sixStepInstance is an instance that ran every step of a six-step sequence
 // once: what the centralized engine rewrites on every turn of the benchmark's
-// failure-free workloads.
+// failure-free workloads. It has no schema, so its rows write every name as
+// a literal; sixStepInstanceOf's instance is attached to sixStepSchema and
+// writes them as indexes.
 func sixStepInstance(id int) *Instance {
-	ins := NewInstance("WF01", id, map[string]expr.Value{"I1": expr.Num(float64(id))})
+	return sixStepRun(NewInstance("WF01", id, map[string]expr.Value{"I1": expr.Num(float64(id))}))
+}
+
+func sixStepInstanceOf(id int) *Instance {
+	return sixStepRun(NewInstanceOf(sixStepSchema, id, map[string]expr.Value{"I1": expr.Num(float64(id))}))
+}
+
+var sixStepSchema = func() *model.Schema {
+	b := model.NewSchema("WF01", "I1")
+	prev := "WF.I1"
+	for _, sid := range []model.StepID{"S1", "S2", "S3", "S4", "S5", "S6"} {
+		b.Step(sid, "p", model.WithInputs(prev), model.WithOutputs("O1"))
+		prev = sid.Ref("O1")
+	}
+	return b.Seq("S1", "S2", "S3", "S4", "S5", "S6").MustBuild()
+}()
+
+func sixStepRun(ins *Instance) *Instance {
+	id := ins.ID
 	ins.Events.Post(event.WorkflowStartName)
 	prev := "WF.I1"
 	for _, sid := range []model.StepID{"S1", "S2", "S3", "S4", "S5", "S6"} {
@@ -32,60 +52,73 @@ func sixStepInstance(id int) *Instance {
 }
 
 // encodeRow appends ins's instance row to dst, as a Batch writes it, and
-// decodeRow reads one back, as the DB does.
+// decodeRow reads one back, as the DB does, from rowDB, which holds the name
+// tables of the test schemas (holdNames).
 func encodeRow(w *binenc.Walker, dst []byte, ins *Instance) []byte {
-	return w.Append(append(dst, rowVersion), ins)
+	return appendRow(w, dst, ins)
 }
 
-func decodeRow(row []byte) (*Instance, error) {
-	ins := new(Instance)
-	if err := readRow(row, "instance row", ins); err != nil {
-		return nil, err
+func decodeRow(row []byte) (*Instance, error) { return rowDB.readInstance(row, "instance row") }
+
+var rowDB = NewMemory()
+
+// holdNames stores s's name table in db, as the first commit of a row of s
+// does.
+func holdNames(t testing.TB, db *DB, s *model.Schema) {
+	t.Helper()
+	if err := db.Store().Put(tableNames, namesKey(s.Names().Digest()), nameRow(s.Names())); err != nil {
+		t.Fatal(err)
 	}
-	return ins, nil
 }
 
 // TestRowEncodeAllocBudget is the dynamic backstop of the //crew:hotpath
 // marks on the row encoder: a steady-state encode of a six-step instance
-// into a reused buffer allocates nothing.
+// into a reused buffer allocates nothing, with every name a literal or with
+// the names its schema declares as indexes.
 func TestRowEncodeAllocBudget(t *testing.T) {
-	ins := sixStepInstance(1)
-	var w binenc.Walker
-	buf := encodeRow(&w, nil, ins)
-	if len(buf) >= 1000 {
-		t.Errorf("six-step row is %d bytes, budget < 1000", len(buf))
+	for _, ins := range []*Instance{sixStepInstance(1), sixStepInstanceOf(1)} {
+		var w binenc.Walker
+		buf := encodeRow(&w, nil, ins)
+		if len(buf) >= 1000 {
+			t.Errorf("six-step row is %d bytes, budget < 1000", len(buf))
+		}
+		if n := testing.AllocsPerRun(200, func() { buf = encodeRow(&w, buf[:0], ins) }); n != 0 {
+			t.Errorf("schema %v: steady-state row encode allocates %.0f times, budget 0", ins.schema != nil, n)
+		}
 	}
-	if n := testing.AllocsPerRun(200, func() { buf = encodeRow(&w, buf[:0], ins) }); n != 0 {
-		t.Errorf("steady-state row encode allocates %.0f times, budget 0", n)
+	if l, a := len(encodeRow(new(binenc.Walker), nil, sixStepInstance(1))), len(encodeRow(new(binenc.Walker), nil, sixStepInstanceOf(1))); a >= l*2/3 {
+		t.Errorf("an attached six-step row is %d bytes, its literal form %d: indexes save less than a third", a, l)
 	}
 }
 
 // TestResaveAllocBudget: a warm save and commit of an instance allocates
 // nothing, whether its records are as the last save saw them or one of them
 // changed: the instance keeps its key and its records' bytes, and the store
-// rewrites the row's resident buffer.
+// rewrites the row's resident buffer. An attached instance's table is
+// written by the first commit alone.
 func TestResaveAllocBudget(t *testing.T) {
-	ins := sixStepInstance(1)
-	db := NewMemory()
-	var b Batch
-	save := func() { b.SaveInstance(ins); db.Commit(&b) }
-	save()
-	if n := testing.AllocsPerRun(200, save); n != 0 {
-		t.Errorf("warm re-save of an unchanged instance allocates %.0f times, budget 0", n)
-	}
-	rec := ins.Steps["S3"]
-	if n := testing.AllocsPerRun(200, func() { rec.Attempts++; save() }); n != 0 {
-		t.Errorf("warm re-save with one changed record allocates %.0f times, budget 0", n)
-	}
-	if ins.saved == nil || len(ins.saved.recs) != len(ins.Steps) {
-		t.Fatal("a saved instance keeps no bytes for its records")
-	}
-	b.Archive(ins)
-	if ins.saved != nil {
-		t.Error("Archive left the instance its kept bytes")
-	}
-	if ins.Clone().saved != nil {
-		t.Error("a clone shares the kept bytes")
+	for _, ins := range []*Instance{sixStepInstance(1), sixStepInstanceOf(1)} {
+		db := NewMemory()
+		var b Batch
+		save := func() { b.SaveInstance(ins); db.Commit(&b) }
+		save()
+		if n := testing.AllocsPerRun(200, save); n != 0 {
+			t.Errorf("schema %v: warm re-save of an unchanged instance allocates %.0f times, budget 0", ins.schema != nil, n)
+		}
+		rec := ins.Steps["S3"]
+		if n := testing.AllocsPerRun(200, func() { rec.Attempts++; save() }); n != 0 {
+			t.Errorf("schema %v: warm re-save with one changed record allocates %.0f times, budget 0", ins.schema != nil, n)
+		}
+		if ins.saved == nil || len(ins.saved.recs) != len(ins.Steps) {
+			t.Fatal("a saved instance keeps no bytes for its records")
+		}
+		b.Archive(ins)
+		if ins.saved != nil {
+			t.Error("Archive left the instance its kept bytes")
+		}
+		if ins.Clone().saved != nil {
+			t.Error("a clone shares the kept bytes")
+		}
 	}
 }
 
@@ -152,6 +185,18 @@ func FuzzInstanceRowDecode(f *testing.F) {
 	row := encodeRow(&w, nil, edges)
 	f.Add(row)
 	f.Add(row[:len(row)-3])
+	// Rows by index: an attached instance, one with literals among its
+	// names, and one whose last index runs past the table.
+	holdNames(f, rowDB, sixStepSchema)
+	f.Add(encodeRow(&w, nil, sixStepInstanceOf(1)))
+	mixed := sixStepInstanceOf(2)
+	mixed.Parent = &ParentRef{Workflow: "Parent", ID: 9, Step: "N"}
+	mixed.Events.Post("ext:Parent.9:N.done")
+	mixed.Data["undeclared"] = expr.Str("x")
+	f.Add(encodeRow(&w, nil, mixed))
+	past := encodeRow(&w, nil, sixStepInstanceOf(3))
+	past[len(past)-1] = byte(len(sixStepSchema.Names().List()) + 1)
+	f.Add(past)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		ins, err := decodeRow(b)
 		if err != nil {

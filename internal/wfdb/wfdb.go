@@ -504,11 +504,16 @@ const (
 	tableInstance = "instance"
 	tableArchive  = "archive"
 	tableSummary  = "summary"
+	tableNames    = "names"
 )
 
 // DB wraps a store as a workflow (or agent) database.
 type DB struct {
 	st *store.Store
+	// known holds, by digest, the name tables the store is known to hold:
+	// written by this DB or read from it.
+	knownMu sync.RWMutex
+	known   map[uint64]*binenc.Names
 }
 
 // New wraps the given store.
@@ -527,10 +532,11 @@ func (db *DB) Store() *store.Store { return db.st }
 // The zero Batch is ready; Commit empties it for reuse, keeping its buffers,
 // so a warm batch encodes without allocating. Not safe for concurrent use.
 type Batch struct {
-	w    binenc.Walker // encodes the rows into buf
-	buf  []byte        // encoded rows, back to back
-	rows []batchRow
-	ops  []store.Op // rebuilt from rows at Commit
+	w     binenc.Walker // encodes the rows into buf
+	buf   []byte        // encoded rows, back to back
+	rows  []batchRow
+	names []*binenc.Names // the tables of the instance rows, each once
+	ops   []store.Op      // rebuilt from rows at Commit
 }
 
 // batchRow is one pending mutation; its value is buf[off:end] (buf may move
@@ -550,7 +556,7 @@ func (b *Batch) put(table, key string, off int) {
 // the records changed since (row.go).
 func (b *Batch) SaveInstance(ins *Instance) {
 	c := ins.saveState()
-	off := b.beginRow()
+	off := b.beginInstanceRow(ins)
 	ins.walkRow(&b.w, true)
 	b.endRow(tableInstance, c.key, off)
 	if f := saveCheck.Load(); f != nil {
@@ -577,7 +583,7 @@ func CheckSaves(f func(key string, saved, fresh []byte)) {
 func freshRow(ins *Instance) []byte {
 	saved := ins.saved
 	ins.saved = nil
-	row := new(binenc.Walker).Append([]byte{rowVersion}, ins)
+	row := appendRow(new(binenc.Walker), nil, ins)
 	ins.saved = saved
 	return row
 }
@@ -595,7 +601,7 @@ func (b *Batch) SaveSummary(workflow string, id int, status Status) {
 // takes the bytes the instance kept at its last save, and the instance then
 // drops them.
 func (b *Batch) Archive(ins *Instance) {
-	off, key := b.beginRow(), ins.Key()
+	off, key := b.beginInstanceRow(ins), ins.Key()
 	ins.Walk(&b.w)
 	b.endRow(tableArchive, key, off)
 	b.rows = append(b.rows, batchRow{table: tableInstance, key: key, del: true})
@@ -609,24 +615,40 @@ func (b *Batch) DeleteInstance(workflow string, id int) {
 }
 
 // Reset empties the batch without writing it, keeping its buffers.
-func (b *Batch) Reset() { b.buf, b.rows = b.buf[:0], b.rows[:0] }
+func (b *Batch) Reset() {
+	clear(b.ops) // drop the key strings and buffer references
+	clear(b.names)
+	b.buf, b.rows, b.names, b.ops = b.buf[:0], b.rows[:0], b.names[:0], b.ops[:0]
+}
 
 // Len returns the number of mutations waiting for Commit.
 func (b *Batch) Len() int { return len(b.rows) }
 
 // Commit writes the batch's mutations as one store group and empties the
 // batch (also on error: the caller logs and carries on with current state).
+// The group leads with the row of each name table its instance rows use
+// that the store does not hold yet, so a cut keeps a row's table whenever it
+// keeps the row. A store holding another table under one of their digests
+// fails the commit, and nothing is written.
 func (db *DB) Commit(b *Batch) error {
 	if len(b.rows) == 0 {
 		return nil
 	}
+	defer b.Reset()
+	fresh, err := db.addNames(b)
+	if err != nil {
+		return err
+	}
 	for _, r := range b.rows {
 		b.ops = append(b.ops, store.Op{Table: r.table, Key: r.key, Value: b.buf[r.off:r.end], Delete: r.del})
 	}
-	err := db.st.Apply(b.ops)
-	clear(b.ops) // drop the key strings and buffer references
-	b.buf, b.rows, b.ops = b.buf[:0], b.rows[:0], b.ops[:0]
-	return err
+	if err := db.st.Apply(b.ops); err != nil {
+		return err
+	}
+	for _, n := range fresh {
+		db.know(n)
+	}
+	return nil
 }
 
 // batchPool backs the single-row calls below, which may come from any
@@ -675,8 +697,8 @@ func (db *DB) loadInstance(table, workflow string, id int) (*Instance, bool, err
 	if !ok {
 		return nil, false, nil
 	}
-	ins := new(Instance)
-	if err := readRow(buf, "instance row", ins); err != nil {
+	ins, err := db.readInstance(buf, "instance row")
+	if err != nil {
 		return nil, true, err
 	}
 	return ins, true, nil
