@@ -25,16 +25,12 @@ import (
 var ErrMalformed = errors.New("binenc: malformed or truncated input")
 
 // AppendString appends a length-prefixed string.
-//
-//crew:hotpath
 func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
 
 // AppendBool appends a 0/1 byte.
-//
-//crew:hotpath
 func AppendBool(dst []byte, v bool) []byte {
 	if v {
 		return append(dst, 1)
@@ -43,16 +39,12 @@ func AppendBool(dst []byte, v bool) []byte {
 }
 
 // AppendBytes appends a length-prefixed byte run.
-//
-//crew:hotpath
 func AppendBytes(dst, v []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(v)))
 	return append(dst, v...)
 }
 
 // AppendInt appends a signed integer.
-//
-//crew:hotpath
 func AppendInt(dst []byte, v int) []byte {
 	return binary.AppendVarint(dst, int64(v))
 }
@@ -298,8 +290,6 @@ func (w *Walker) Float64(v *float64) {
 }
 
 // Name walks a name through the walker's name slot.
-//
-//crew:hotpath
 func (w *Walker) Name(v *string) {
 	if w.decoding {
 		*v = w.name()
@@ -309,8 +299,6 @@ func (w *Walker) Name(v *string) {
 }
 
 // putName writes a name whose rank in the slot's table is r.
-//
-//crew:hotpath
 func (w *Walker) putName(s string, r uint64) {
 	switch {
 	case w.names == nil:
@@ -360,7 +348,6 @@ func Present[T any](w *Walker, p **T) bool {
 	ok := *p != nil
 	w.Bool(&ok)
 	if ok && w.decoding {
-		//crew:allow hotalloc decoding allocates what it returns
 		*p = new(T)
 	}
 	return ok
@@ -377,7 +364,6 @@ func Strings[S ~string](w *Walker, v *[]S) {
 		return
 	}
 	if n > 0 {
-		//crew:allow hotalloc decoding allocates what it returns
 		*v = make([]S, n)
 	}
 	for i := range *v {
@@ -411,7 +397,6 @@ func Map[K ~string, V any](w *Walker, m *map[K]V, minEntry int, value func(w *Wa
 		if n == 0 {
 			return
 		}
-		//crew:allow hotalloc decoding allocates what it returns
 		dec := make(map[K]V, n)
 		for ; n > 0; n-- {
 			k := K(w.name())
@@ -426,7 +411,6 @@ func Map[K ~string, V any](w *Walker, m *map[K]V, minEntry int, value func(w *Wa
 		w.out = append(w.out, 0)
 		return
 	case n == 1:
-		//crew:allow hotalloc the iterator lives on the stack; one entry has no order to fix
 		for k, v := range *m {
 			w.out = append(w.out, 1)
 			w.putName(string(k), w.names.Rank(string(k)))
@@ -437,7 +421,6 @@ func Map[K ~string, V any](w *Walker, m *map[K]V, minEntry int, value func(w *Wa
 		var keys [smallMap]rankedKey
 		var vals [smallMap]V
 		i := 0
-		//crew:allow hotalloc the iterator lives on the stack; the insertion sort fixes the order
 		for k, v := range *m {
 			rk := rankedKey{w.names.Rank(string(k)), string(k)}
 			j := i
@@ -457,7 +440,6 @@ func Map[K ~string, V any](w *Walker, m *map[K]V, minEntry int, value func(w *Wa
 	// The keys are sorted on top of the scratch: a map nested in a value
 	// sorts its own above them and gives the space back when it is done.
 	base := len(w.keys)
-	//crew:allow hotalloc collects keys only; the sort below fixes the order
 	for k := range *m {
 		w.keys = append(w.keys, rankedKey{w.names.Rank(string(k)), string(k)})
 	}
@@ -471,7 +453,6 @@ func Map[K ~string, V any](w *Walker, m *map[K]V, minEntry int, value func(w *Wa
 	w.keys = w.keys[:base]
 }
 
-//crew:hotpath
 func (a rankedKey) compare(b rankedKey) int {
 	if c := cmp.Compare(a.rank, b.rank); c != 0 {
 		return c
@@ -520,8 +501,6 @@ func (n *Names) List() []string { return n.list }
 // Rank orders names as Map writes them, by rank and then by name: s's
 // position in the table plus one, MaxUint64 if the table does not hold it,
 // and 0 for every name with no table (n nil).
-//
-//crew:hotpath
 func (n *Names) Rank(s string) uint64 {
 	if n == nil {
 		return 0

@@ -1039,6 +1039,20 @@ func linSchema(reg *model.Registry, rec *recorder) *model.Schema {
 		MustBuild()
 }
 
+// TestArchiveWithoutDBDeletesNothing: an engine without a WFDB writes no
+// instance rows, so retiring an instance writes its archive row and nothing
+// else. Ten instances are ten archive rows and the schema's one name table.
+func TestArchiveWithoutDBDeletesNothing(t *testing.T) {
+	reg := model.NewRegistry()
+	sys := deployment(t, 1, false, lib1(linSchema(reg, &recorder{})), reg, t.Logf)
+	for i := 0; i < 10; i++ {
+		runToStatus(t, sys, "Lin", map[string]expr.Value{"I1": expr.Num(1)}, wfdb.Committed)
+	}
+	if n := sys.archive.Store().Writes(); n != 11 {
+		t.Errorf("the archive store saw %d mutations for 10 retired instances, want 11", n)
+	}
+}
+
 func TestRetiredInstanceServedFromArchive(t *testing.T) {
 	reg := model.NewRegistry()
 	sys := newSystem(t, lib1(linSchema(reg, &recorder{})), reg)

@@ -1031,11 +1031,12 @@ func (e *Engine) finishInstance(st *instState) {
 	// immediately and must find the archived state. The summary, the archive
 	// row and the deletion of the instance row go out in one group (behind
 	// whatever the turn has pending), so a crash never finds the instance
-	// both archived and live.
+	// both archived and live. Without a DB there is no instance row to delete.
+	e.Tx().Archive(ins)
 	if e.cfg.DB != nil {
 		e.Tx().SaveSummary(ref.Workflow, ref.ID, ins.Status)
+		e.Tx().DeleteInstance(ref.Workflow, ref.ID)
 	}
-	e.Tx().Archive(ins)
 	st.dirty = false
 	e.Commit()
 	st.ToHome(coord.Request{Op: coord.Forget, Inst: coord.InstanceRef{Workflow: ref.Workflow, ID: ref.ID}})

@@ -51,8 +51,6 @@ type InstanceRef struct {
 func (r InstanceRef) String() string { return fmt.Sprintf("%s.%d", r.Workflow, r.ID) }
 
 // Walk is the reference's wire form.
-//
-//crew:hotpath
 func (r *InstanceRef) Walk(w *binenc.Walker) {
 	w.String(&r.Workflow)
 	w.Int(&r.ID)

@@ -546,9 +546,13 @@ func (a *Agent) retireReplica(r *replica) {
 	// deletion of the instance row go out in one group with whatever the turn
 	// has pending — on the coordination agent, the terminal summary
 	// finishInstance just added — so a crash never finds the instance both
-	// archived and live, nor summarized as finished while still live.
+	// archived and live, nor summarized as finished while still live. Only
+	// an AGDB holds an instance row to delete.
 	if a.adb != nil {
 		a.Tx().Archive(r.Ins)
+		if a.cfg.AGDB != nil {
+			a.Tx().DeleteInstance(r.Ins.Workflow, r.Ins.ID)
+		}
 		a.Commit()
 	}
 	a.term.Complete(r.Ins.Workflow, r.Ins.ID, st)

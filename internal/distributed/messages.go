@@ -243,11 +243,10 @@ type nestedResult struct {
 // Wire forms. One walk per payload above: its fields in declaration order, on
 // the walker of package binenc, data items as expr.WalkValues writes them
 // (sorted by name). The walks on the path of every step (workflowStart,
-// stepExecute with its packet, stepCompleted) are //crew:hotpath.
+// stepExecute with its packet, stepCompleted) allocate nothing when encoding
+// (TestStepExecuteCodecAllocBudget).
 
 // walkInst walks the (workflow, instance) prefix most payloads open with.
-//
-//crew:hotpath
 func walkInst(w *binenc.Walker, workflow *string, instance *int) {
 	w.String(workflow)
 	w.Int(instance)
@@ -258,7 +257,6 @@ func (p *WorkflowDone) Walk(w *binenc.Walker) {
 	p.Status.Walk(w)
 }
 
-//crew:hotpath
 func (p *workflowStart) Walk(w *binenc.Walker) {
 	walkInst(w, &p.Workflow, &p.Instance)
 	expr.WalkValues(w, &p.Inputs)
@@ -272,8 +270,6 @@ func (p *workflowStart) Walk(w *binenc.Walker) {
 
 // A stepExecute is a presence byte, the packet of Figure 7 when present, and
 // the mechanism.
-//
-//crew:hotpath
 func (p *stepExecute) Walk(w *binenc.Walker) {
 	if binenc.Present(w, &p.Packet) {
 		p.Packet.Walk(w)
@@ -281,7 +277,6 @@ func (p *stepExecute) Walk(w *binenc.Walker) {
 	p.Mechanism.Walk(w)
 }
 
-//crew:hotpath
 func (pkt *Packet) Walk(w *binenc.Walker) {
 	walkInst(w, &pkt.Workflow, &pkt.Instance)
 	w.Int(&pkt.Epoch)
@@ -294,7 +289,6 @@ func (pkt *Packet) Walk(w *binenc.Walker) {
 	w.String(&pkt.Coordinator)
 }
 
-//crew:hotpath
 func (p *stepCompleted) Walk(w *binenc.Walker) {
 	walkInst(w, &p.Workflow, &p.Instance)
 	p.Step.Walk(w)

@@ -17,7 +17,7 @@ import (
 const stepExecuteDecodeAllocBudget = 22
 
 // TestStepExecuteCodecAllocBudget guards the walks on the path of every step
-// in a multi-process deployment: each //crew:hotpath payload walk (a workflow
+// in a multi-process deployment: each payload walk (a workflow
 // start, a packet, a completion) encodes into a warm buffer without
 // allocating (data items are sorted in the walker's scratch), and decoding a
 // packet allocates what it returns and no more.

@@ -6,10 +6,9 @@ import (
 	"crew/internal/binenc"
 )
 
-// TestPostAllocBudget guards the event-table hot path the hotalloc analyzer
-// gates (//crew:hotpath on Post): re-posting an existing event — the
-// steady-state shape, since loops re-post step.done every iteration — must
-// not allocate.
+// TestPostAllocBudget guards the event-table hot path (Post): re-posting an
+// existing event — the steady-state shape, since loops re-post step.done
+// every iteration — must not allocate.
 func TestPostAllocBudget(t *testing.T) {
 	tab := NewTable()
 	tab.Post("step.done") // inserts the entry
@@ -21,8 +20,8 @@ func TestPostAllocBudget(t *testing.T) {
 	}
 }
 
-// TestAppendAllocBudget guards the row-encoding hot path (//crew:hotpath on
-// Walk): with a warm buffer and walker it must not allocate.
+// TestAppendAllocBudget guards the row-encoding hot path (Walk): with a warm
+// buffer and walker it must not allocate.
 func TestAppendAllocBudget(t *testing.T) {
 	tab := NewTable()
 	for _, name := range []string{WorkflowStartName, "S2.done", "S1.done", "S1.fail", "ext:WF1.3:S12.done"} {

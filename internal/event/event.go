@@ -172,8 +172,6 @@ func (t *Table) SetObserver(o Observer) { t.obs = o }
 
 // Post records an occurrence of the named event and returns true if this
 // changed the table (the event was previously absent or invalidated).
-//
-//crew:hotpath
 func (t *Table) Post(name string) bool {
 	e := t.entries[name]
 	changed := !e.valid
@@ -323,20 +321,16 @@ func (t *Table) Export() []Exported {
 // Walk is the table's binary form — the event section of a WFDB row: every
 // entry (invalidated ones included, with their counts) as name, count,
 // validity byte, in name order (binenc.Map). A decoded table has no observer.
-//
-//crew:hotpath
 func (t *Table) Walk(w *binenc.Walker) {
 	binenc.Map(w, &t.entries, 3, walkEntry)
 	if w.Decoding() {
 		if t.entries == nil {
-			//crew:allow hotalloc decoding allocates what it returns
 			t.entries = make(map[string]entry)
 		}
 		t.seq = len(t.entries)
 	}
 }
 
-//crew:hotpath
 func walkEntry(w *binenc.Walker, e entry) entry {
 	w.Int(&e.count)
 	w.Bool(&e.valid)

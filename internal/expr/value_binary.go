@@ -21,8 +21,6 @@ const (
 // boolean, nothing for null. Each number has one form: a varint beyond ±2^53,
 // a value of an unknown kind and 8 bytes that hold what the varint form
 // writes all fail the walker.
-//
-//crew:hotpath
 func (v *Value) Walk(w *binenc.Walker) {
 	kind := byte(v.kind)
 	var n int64
@@ -63,8 +61,6 @@ func (v *Value) Walk(w *binenc.Walker) {
 }
 
 // whole reports whether f is written as a varint, and the integer it is.
-//
-//crew:hotpath
 func whole(f float64) (int64, bool) {
 	if !(f >= -maxWhole && f <= maxWhole) { // NaN too
 		return 0, false
@@ -75,11 +71,8 @@ func whole(f float64) (int64, bool) {
 
 // WalkValues walks a name -> value map (binenc.Map): equal maps encode to
 // equal bytes, and an empty map decodes as nil.
-//
-//crew:hotpath
 func WalkValues(w *binenc.Walker, m *map[string]Value) { binenc.Map(w, m, 2, walkValue) }
 
-//crew:hotpath
 func walkValue(w *binenc.Walker, v Value) Value {
 	v.Walk(w)
 	return v

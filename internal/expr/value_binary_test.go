@@ -99,7 +99,8 @@ func TestNumberTable(t *testing.T) {
 	}
 }
 
-// TestValueAppendAllocBudget backs the //crew:hotpath mark on Walk.
+// TestValueAppendAllocBudget guards Walk: encoding into a warm buffer
+// allocates nothing.
 func TestValueAppendAllocBudget(t *testing.T) {
 	values := []Value{Null(), Num(3), Num(-2.5), Str("a string value"), Bool(true)}
 	var w binenc.Walker

@@ -6,9 +6,9 @@ import (
 	"crew/internal/wfdb"
 )
 
-// TestHotReadAllocBudgets guards the sharded-table read paths the hotalloc
-// analyzer gates (//crew:hotpath on shardOf, Map.Get, Terminal.Status):
-// lookups run on every packet an agent routes, and must not allocate.
+// TestHotReadAllocBudgets guards the sharded-table read paths (shardOf,
+// Map.Get, Terminal.Status): lookups run on every packet an agent routes, and
+// must not allocate.
 func TestHotReadAllocBudgets(t *testing.T) {
 	var m Map[int]
 	m.Put(Ref{"wf", 7}, 42)

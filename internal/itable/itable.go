@@ -38,8 +38,6 @@ type Ref struct {
 // sequential ids of one workflow across all shards and keeps the residue
 // class of ids within a shard fixed — the property Terminal's dense status
 // vectors index by.
-//
-//crew:hotpath
 func shardOf(workflow string, id int) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(workflow); i++ {
@@ -61,8 +59,6 @@ type mapShard[V any] struct {
 }
 
 // Get returns the value stored for ref, if any.
-//
-//crew:hotpath
 func (t *Map[V]) Get(ref Ref) (V, bool) {
 	s := &t.shards[shardOf(ref.Workflow, ref.ID)]
 	s.mu.RLock()
@@ -227,8 +223,6 @@ var waiterPool = sync.Pool{New: func() any {
 }}
 
 // Status reports the recorded terminal status of the instance, if any.
-//
-//crew:hotpath
 func (t *Terminal) Status(workflow string, id int) (wfdb.Status, bool) {
 	s := &t.shards[shardOf(workflow, id)]
 	s.mu.Lock()
@@ -238,8 +232,6 @@ func (t *Terminal) Status(workflow string, id int) (wfdb.Status, bool) {
 }
 
 // status reads the shard's record for (workflow, id). Caller holds s.mu.
-//
-//crew:hotpath
 func (s *termShard) status(workflow string, id int) (wfdb.Status, bool) {
 	if id > 0 && id < denseLimit {
 		if vec := s.dense[workflow]; id>>6 < len(vec) {
@@ -334,8 +326,6 @@ func (t *Terminal) CompleteWith(workflow string, id int, st wfdb.Status, final *
 // Take returns the final state CompleteWith handed over for the instance and
 // clears the slot, so only the first call gets it; nil when there is none (no
 // waiter at completion, already taken, or replaced by a later hand-off).
-//
-//crew:hotpath
 func (t *Terminal) Take(workflow string, id int) *wfdb.Instance {
 	s := &t.shards[shardOf(workflow, id)]
 	var ins *wfdb.Instance
@@ -450,8 +440,6 @@ func (t *Terminal) Follow() uint64 {
 // reports that some of those completions have already left the ring; nothing
 // is appended then, and the caller must find what finished through Status.
 // With nothing new it takes no lock.
-//
-//crew:hotpath
 func (t *Terminal) FinishedSince(cursor uint64, buf []Ref) (refs []Ref, next uint64, lagged bool) {
 	if t.feed.seq.Load() == cursor {
 		return buf, cursor, false

@@ -2,12 +2,12 @@ package lint
 
 // facts.go is the shared call-summary layer of the crewlint suite: a
 // go/analysis fact engine that computes, for every function in a package, a
-// conservative summary of the behaviors the other analyzers care about —
-// may it block, may it allocate, which mutex classes does it acquire — and
-// exports the summaries as object facts so they propagate across package
-// boundaries through the vet driver's .vetx files. The summaries and the
-// locks analyzer read a function body through one walk (walkBody), so what
-// counts as a lock event, a blocking operation or a call is decided once.
+// conservative summary of the behaviors the locks analyzer cares about — may
+// it block, which mutex classes does it acquire — and exports the summaries
+// as object facts so they propagate across package boundaries through the
+// vet driver's .vetx files. The summaries and the locks analyzer read a
+// function body through one walk (walkBody), so what counts as a lock event,
+// a blocking operation or a call is decided once.
 //
 // Propagation rules:
 //
@@ -17,15 +17,10 @@ package lint
 //   - Across packages, summaries are read back as facts: a call to an
 //     imported function merges that function's exported FuncFacts.
 //   - Interface dispatch resolves to the interface method object itself,
-//     which carries the facts of a //crew:blocks or //crew:allocs
-//     annotation on the method's declaration.
+//     which carries the facts of a //crew:blocks annotation on the method's
+//     declaration.
 //   - Calls inside `go` statements contribute nothing to the caller's
-//     summary (the spawned goroutine blocks, allocates and locks on its
-//     own stack); the `go` statement itself is an allocation site.
-//   - Allocation sites silenced with //crew:allow hotalloc <reason> do not
-//     contribute to the Allocs bit, so a deliberate cold-path allocation
-//     (an error return, a once-per-lifetime growth) does not poison every
-//     hot-path caller.
+//     summary (the spawned goroutine blocks and locks on its own stack).
 
 import (
 	"go/ast"
@@ -49,11 +44,6 @@ type FuncFacts struct {
 	// blocking root (time.Sleep, WaitGroup.Wait), an annotated primitive,
 	// or a transitive call to any of those.
 	Blocks bool
-	// Allocs reports that the function may allocate on a steady-state
-	// call: fmt/errors/json/reflect use, interface boxing, a capturing
-	// closure, make/new, map iteration, or a transitive call to a function
-	// that does. Sites silenced with //crew:allow hotalloc are excluded.
-	Allocs bool
 	// Locks lists the mutex classes (package.Type.field) the function may
 	// acquire, directly or transitively. The locks analyzer uses it to
 	// extend acquisition edges through calls made while a lock is held.
@@ -68,9 +58,6 @@ func (f *FuncFacts) String() string {
 	if f.Blocks {
 		parts = append(parts, "blocks")
 	}
-	if f.Allocs {
-		parts = append(parts, "allocs")
-	}
 	if len(f.Locks) > 0 {
 		parts = append(parts, "locks("+strings.Join(f.Locks, ",")+")")
 	}
@@ -81,7 +68,7 @@ func (f *FuncFacts) String() string {
 }
 
 func (f *FuncFacts) empty() bool {
-	return !f.Blocks && !f.Allocs && len(f.Locks) == 0
+	return !f.Blocks && len(f.Locks) == 0
 }
 
 // merge folds a callee's summary into the caller's, for a call made on the
@@ -90,9 +77,6 @@ func (f *FuncFacts) merge(c FuncFacts) bool {
 	changed := false
 	if c.Blocks && !f.Blocks {
 		f.Blocks, changed = true, true
-	}
-	if c.Allocs && !f.Allocs {
-		f.Allocs, changed = true, true
 	}
 	for _, l := range c.Locks {
 		if !slices.Contains(f.Locks, l) {
@@ -150,7 +134,7 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 // the facts it exports) to reason across function and package boundaries.
 var Summaries = &analysis.Analyzer{
 	Name:       "summary",
-	Doc:        "compute per-function call summaries (may-block, may-allocate, acquired locks) as facts",
+	Doc:        "compute per-function call summaries (may-block, acquired locks) as facts",
 	Requires:   []*analysis.Analyzer{inspect.Analyzer},
 	FactTypes:  []analysis.Fact{new(FuncFacts)},
 	ResultType: reflect.TypeOf((*SummaryIndex)(nil)),
@@ -165,15 +149,6 @@ var blockingRoots = map[methodKey]bool{
 	{pkg: "time", name: "Sleep"}:                   true,
 }
 
-// allocRootPkgs are standard-library packages whose calls allocate on
-// essentially every entry point that matters here.
-var allocRootPkgs = map[string]bool{
-	"fmt":           true,
-	"errors":        true,
-	"encoding/json": true,
-	"reflect":       true,
-}
-
 // factsAllPackages widens firstParty to every analyzed package; the
 // offline test harness sets it so fixture packages (whose import paths do
 // not carry the module prefix) get summaries.
@@ -182,11 +157,11 @@ var factsAllPackages = false
 // firstParty reports whether the summary layer computes facts for a
 // package. Only module-internal code is summarized: under the vet driver
 // the suite also visits standard-library dependencies for fact
-// propagation, and deriving "may block"/"may allocate" from stdlib
-// internals (every os.File.Write bottoms out in a pollable syscall) would
-// drown the invariants these facts exist for. Standard-library behavior
-// enters the analysis only through the curated root tables
-// (blockingRoots, allocRootPkgs) and explicit annotations.
+// propagation, and deriving "may block" from stdlib internals (every
+// os.File.Write bottoms out in a pollable syscall) would drown the
+// invariants these facts exist for. Standard-library behavior enters the
+// analysis only through the curated blockingRoots table and explicit
+// annotations.
 func firstParty(path string) bool {
 	return factsAllPackages || path == "crew" || strings.HasPrefix(path, "crew/")
 }
@@ -206,30 +181,13 @@ func runSummaries(pass *analysis.Pass) (any, error) {
 		return f
 	}
 
-	// Seed annotated declarations: //crew:blocks and //crew:allocs on a
-	// function declaration or an interface method force the bit for
-	// primitives whose behavior is invisible to the analysis (socket
-	// reads, callbacks).
+	// Seed annotated declarations: //crew:blocks on a function declaration
+	// or an interface method forces the bit for primitives whose behavior
+	// is invisible to the analysis (socket reads, callbacks).
 	seedAnnotations(pass, get)
 
-	// Per-function direct attributes and same-package call edges. A
-	// //crew:allow hotalloc at a call site stops Allocs taint: the
-	// annotation vouches that the edge is a cold branch, so a hot caller of
-	// the enclosing function stays clean.
-	allocAllowMemo := map[token.Pos]bool{}
-	allocAllowAt := func(pos token.Pos) bool {
-		v, ok := allocAllowMemo[pos]
-		if !ok {
-			v = exemptedQuiet(pass, pos, "hotalloc")
-			allocAllowMemo[pos] = v
-		}
-		return v
-	}
-	type factEdge struct {
-		callee *types.Func
-		pos    token.Pos
-	}
-	edges := map[*types.Func][]factEdge{}
+	// Per-function direct attributes and same-package call edges.
+	edges := map[*types.Func][]*types.Func{}
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		fd := n.(*ast.FuncDecl)
 		fn, ok := pass.TypesInfo.ObjectOf(fd.Name).(*types.Func)
@@ -247,20 +205,10 @@ func runSummaries(pass *analysis.Pass) (any, error) {
 				}
 			case opCall:
 				if op.callee.Pkg() == pass.Pkg {
-					edges[fn] = append(edges[fn], factEdge{op.callee, op.pos})
+					edges[fn] = append(edges[fn], op.callee)
 					continue
 				}
-				cf := ix.FactsOf(op.callee)
-				if cf.Allocs && allocAllowAt(op.pos) {
-					cf.Allocs = false
-				}
-				ff.merge(cf)
-			}
-		}
-		for _, s := range allocSites(pass, fd.Body) {
-			if !exempted(pass, s.pos, "hotalloc") {
-				ff.Allocs = true
-				break
+				ff.merge(ix.FactsOf(op.callee))
 			}
 		}
 	})
@@ -268,18 +216,10 @@ func runSummaries(pass *analysis.Pass) (any, error) {
 	// Fixed point over the package-internal call graph.
 	for changed := true; changed; {
 		changed = false
-		for fn, es := range edges {
+		for fn, callees := range edges {
 			ff := get(fn)
-			for _, e := range es {
-				cf, ok := ix.local[e.callee]
-				if !ok {
-					continue
-				}
-				c := *cf
-				if c.Allocs && allocAllowAt(e.pos) {
-					c.Allocs = false
-				}
-				if ff.merge(c) {
+			for _, callee := range callees {
+				if cf, ok := ix.local[callee]; ok && ff.merge(*cf) {
 					changed = true
 				}
 			}
@@ -406,8 +346,8 @@ func walkBody(pass *analysis.Pass, body *ast.BlockStmt) []bodyOp {
 	return ops
 }
 
-// seedAnnotations applies //crew:blocks and //crew:allocs annotations on
-// function declarations and interface method declarations.
+// seedAnnotations applies //crew:blocks annotations on function declarations
+// and interface method declarations.
 func seedAnnotations(pass *analysis.Pass, get func(*types.Func) *FuncFacts) {
 	apply := func(fn *types.Func, groups ...*ast.CommentGroup) {
 		if fn == nil {
@@ -419,11 +359,8 @@ func seedAnnotations(pass *analysis.Pass, get func(*types.Func) *FuncFacts) {
 			}
 			for _, c := range g.List {
 				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				switch {
-				case strings.HasPrefix(text, "crew:blocks"):
+				if strings.HasPrefix(text, "crew:blocks") {
 					get(fn).Blocks = true
-				case strings.HasPrefix(text, "crew:allocs"):
-					get(fn).Allocs = true
 				}
 			}
 		}
@@ -454,235 +391,4 @@ func seedAnnotations(pass *analysis.Pass, get func(*types.Func) *FuncFacts) {
 			}
 		}
 	}
-}
-
-// allocSite is one construct that may allocate (or, for map ranges, that is
-// banned from hot paths for order and cache behavior).
-type allocSite struct {
-	pos  token.Pos
-	what string
-}
-
-// allocSites scans a function body for direct allocation constructs. It is
-// shared between the summary layer (the Allocs bit) and the hotalloc
-// analyzer (which reports each site inside a //crew:hotpath function).
-// Nested function literals are scanned by their own enclosing summary; here
-// only the literal's creation (a capturing closure) is charged.
-func allocSites(pass *analysis.Pass, body *ast.BlockStmt) []allocSite {
-	var sites []allocSite
-	add := func(pos token.Pos, what string) {
-		sites = append(sites, allocSite{pos, what})
-	}
-	var inspectSkippingLits func(n ast.Node) bool
-	inspectSkippingLits = func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.FuncLit:
-			if capturesOuter(pass, st) {
-				add(st.Pos(), "capturing closure")
-			}
-			return false
-		case *ast.GoStmt:
-			add(st.Pos(), "goroutine spawn")
-		case *ast.RangeStmt:
-			if t := pass.TypesInfo.TypeOf(st.X); t != nil {
-				if _, ok := t.Underlying().(*types.Map); ok {
-					add(st.Pos(), "map iteration")
-				}
-			}
-		case *ast.CompositeLit:
-			if t := pass.TypesInfo.TypeOf(st); t != nil {
-				switch t.Underlying().(type) {
-				case *types.Map:
-					add(st.Pos(), "map literal")
-				case *types.Slice:
-					add(st.Pos(), "slice literal")
-				}
-			}
-		case *ast.UnaryExpr:
-			if st.Op == token.AND {
-				if _, ok := ast.Unparen(st.X).(*ast.CompositeLit); ok {
-					add(st.Pos(), "heap-allocated composite literal (&T{...})")
-				}
-			}
-		case *ast.BinaryExpr:
-			if st.Op == token.ADD {
-				if t := pass.TypesInfo.TypeOf(st); t != nil && isStringType(t) {
-					if tv, ok := pass.TypesInfo.Types[st]; !ok || tv.Value == nil {
-						add(st.Pos(), "string concatenation")
-					}
-				}
-			}
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(st.Fun).(*ast.Ident); ok {
-				switch pass.TypesInfo.ObjectOf(id) {
-				case types.Universe.Lookup("make"):
-					add(st.Pos(), "make")
-					return true
-				case types.Universe.Lookup("new"):
-					add(st.Pos(), "new")
-					return true
-				}
-			}
-			if k, ok := calleeKey(pass.TypesInfo, st); ok && allocRootPkgs[k.pkg] {
-				what := k.pkg + "." + k.name
-				if k.recv != "" {
-					what = k.pkg + "." + k.recv + "." + k.name
-				}
-				add(st.Pos(), "call to "+what)
-				// The call is already a site; don't also flag each boxed
-				// ...any argument of the same expression.
-				return true
-			}
-			// Conversions to an interface type box their operand.
-			if len(st.Args) == 1 {
-				if t := pass.TypesInfo.TypeOf(st.Fun); t != nil {
-					if tv, ok := pass.TypesInfo.Types[st.Fun]; ok && tv.IsType() {
-						if ifaceDest(t) {
-							if boxes(pass, st.Args[0]) {
-								add(st.Pos(), "interface boxing (conversion)")
-							}
-						}
-					}
-				}
-			}
-			// Arguments boxed into interface parameters of a static callee.
-			if fn := typeutil.StaticCallee(pass.TypesInfo, st); fn != nil {
-				if sig, ok := fn.Type().(*types.Signature); ok {
-					checkBoxedArgs(pass, st, sig, add)
-				}
-			}
-		case *ast.KeyValueExpr:
-			// Struct literal fields of interface type (e.g. Payload: v).
-			if t := pass.TypesInfo.TypeOf(st.Key); t == nil {
-				if key, ok := st.Key.(*ast.Ident); ok {
-					if obj := pass.TypesInfo.ObjectOf(key); obj != nil {
-						if ifaceDest(obj.Type()) && boxes(pass, st.Value) {
-							add(st.Value.Pos(), "interface boxing (field "+key.Name+")")
-						}
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			for i, lhs := range st.Lhs {
-				if i >= len(st.Rhs) {
-					break
-				}
-				lt := pass.TypesInfo.TypeOf(lhs)
-				if lt == nil {
-					continue
-				}
-				if ifaceDest(lt) && boxes(pass, st.Rhs[i]) {
-					add(st.Rhs[i].Pos(), "interface boxing (assignment)")
-				}
-			}
-		}
-		return true
-	}
-	ast.Inspect(body, inspectSkippingLits)
-	return sites
-}
-
-// checkBoxedArgs flags arguments whose concrete values are boxed into
-// interface-typed parameters (including variadic ...any tails).
-func checkBoxedArgs(pass *analysis.Pass, call *ast.CallExpr, sig *types.Signature, add func(token.Pos, string)) {
-	if call.Ellipsis.IsValid() {
-		return // forwarding a slice: no per-element boxing here
-	}
-	params := sig.Params()
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case sig.Variadic() && i >= params.Len()-1:
-			if s, ok := params.At(params.Len() - 1).Type().(*types.Slice); ok {
-				pt = s.Elem()
-			}
-		case i < params.Len():
-			pt = params.At(i).Type()
-		}
-		if pt == nil {
-			continue
-		}
-		if ifaceDest(pt) && boxes(pass, arg) {
-			add(arg.Pos(), "interface boxing (argument)")
-		}
-	}
-}
-
-// boxes reports whether assigning e to an interface-typed destination
-// allocates: the operand is a non-constant, non-nil concrete value whose
-// representation is not pointer-shaped. Pointers, channels, maps, funcs and
-// values already held in interfaces convert without allocating.
-func boxes(pass *analysis.Pass, e ast.Expr) bool {
-	tv, ok := pass.TypesInfo.Types[ast.Unparen(e)]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	if tv.Value != nil || tv.IsNil() {
-		return false // constants (runtime-cached or compile-time) and nil
-	}
-	if _, ok := types.Unalias(tv.Type).(*types.TypeParam); ok {
-		return false // stenciled per shape; identical-type-param moves don't box
-	}
-	switch tv.Type.Underlying().(type) {
-	case *types.Pointer, *types.Chan, *types.Map, *types.Signature, *types.Interface:
-		return false
-	case *types.Struct:
-		if st := tv.Type.Underlying().(*types.Struct); st.NumFields() == 0 {
-			return false // zero-size
-		}
-	case *types.Tuple:
-		return false // multi-value RHS (comma-ok, multi-return): not a conversion operand
-	}
-	return true
-}
-
-// ifaceDest reports whether t is a genuine interface destination for boxing
-// purposes. Type parameters are excluded: their underlying type is the
-// constraint interface, but generic instantiations move values of one
-// identical type, not interface conversions.
-func ifaceDest(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if _, ok := types.Unalias(t).(*types.TypeParam); ok {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Interface)
-	return ok
-}
-
-func isStringType(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
-// capturesOuter reports whether a function literal references variables
-// declared outside it — the capture that forces a heap-allocated closure.
-func capturesOuter(pass *analysis.Pass, lit *ast.FuncLit) bool {
-	captured := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if captured {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := pass.TypesInfo.Uses[id]
-		v, ok := obj.(*types.Var)
-		if !ok || v.IsField() {
-			return true
-		}
-		if v.Parent() != nil && v.Parent() != types.Universe && v.Pkg() == pass.Pkg {
-			// Declared in some scope; captured if that scope is outside
-			// the literal.
-			if v.Pos() < lit.Pos() || v.Pos() > lit.End() {
-				if v.Parent() != v.Pkg().Scope() { // package vars are not captures
-					captured = true
-				}
-			}
-		}
-		return true
-	})
-	return captured
 }

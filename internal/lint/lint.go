@@ -1,9 +1,9 @@
 // Package lint implements crewlint, a go/analysis suite for the invariants
-// the code cannot make true by construction: determinism, locking, wire
-// exhaustiveness and allocation-free hot paths. Each analyzer maps to a
-// documented DESIGN.md invariant (see the "Statically enforced invariants"
-// section there, which also names what guarantees the checks that were
-// retired):
+// the code cannot make true by construction and no test checks: determinism,
+// locking and wire exhaustiveness. Each analyzer maps to a documented
+// DESIGN.md invariant (see the "Statically enforced invariants" section
+// there, which also names what guarantees the checks that were retired;
+// allocation-free hot paths are held by AllocsPerRun budget tests):
 //
 //   - detclock: no wall-clock reads or unseeded math/rand in deterministic
 //     packages (model, rules, analysis, itable, faults).
@@ -18,16 +18,12 @@
 //   - wireframe: wire-protocol exhaustiveness — every frame type must have
 //     an encode use and a dispatch arm, so adding a frame without handling
 //     it is a lint error, not a runtime drop.
-//   - hotalloc: //crew:hotpath functions must be allocation-free — no map
-//     range, no fmt, no interface boxing, no escaping closure capture,
-//     directly or through anything they call.
 //
 // The suite is interprocedural: a shared fact layer (see facts.go) exports
-// a per-function summary — may it block, may it allocate, which lock
-// classes does it acquire — and locks and hotalloc consume the summaries,
-// so the invariants follow behavior through wrappers, across package
-// boundaries, and through interface dispatch instead of pattern-matching a
-// fixed list of direct callees.
+// a per-function summary — may it block, which lock classes does it acquire
+// — and locks consumes the summaries, so its invariants follow behavior
+// through wrappers, across package boundaries, and through interface
+// dispatch instead of pattern-matching a fixed list of direct callees.
 //
 // False positives are silenced in place with an annotation comment on the
 // offending line or the line directly above it:
@@ -37,8 +33,6 @@
 // Behavior that the analysis cannot see is declared where it lives:
 //
 //	//crew:blocks                 on a func or interface method: may park
-//	//crew:allocs                 on a func or interface method: allocates
-//	//crew:hotpath                on a func: must be allocation-free
 //	//crew:lockrank <n>           on a mutex field/var: acquisition rank
 //
 // The annotation must carry a non-empty reason; a bare annotation is itself
@@ -63,7 +57,6 @@ var Analyzers = []*analysis.Analyzer{
 	Locks,
 	MapIter,
 	WireFrame,
-	HotAlloc,
 }
 
 // transportPath is the import path of the messaging layer whose send entry
@@ -127,17 +120,6 @@ func fileFor(pass *analysis.Pass, pos token.Pos) *ast.File {
 // anything; instead it is reported so stale or lazy annotations cannot
 // accumulate.
 func exempted(pass *analysis.Pass, pos token.Pos, analyzer string) bool {
-	return exemptionFor(pass, pos, analyzer, true)
-}
-
-// exemptedQuiet is exempted without the bare-annotation diagnostic: the
-// summary fact pass consults annotations at every call site, and reporting
-// belongs to the analyzers that flag the sites.
-func exemptedQuiet(pass *analysis.Pass, pos token.Pos, analyzer string) bool {
-	return exemptionFor(pass, pos, analyzer, false)
-}
-
-func exemptionFor(pass *analysis.Pass, pos token.Pos, analyzer string, report bool) bool {
 	f := fileFor(pass, pos)
 	if f == nil {
 		return false
@@ -159,9 +141,7 @@ func exemptionFor(pass *analysis.Pass, pos token.Pos, analyzer string, report bo
 				continue
 			}
 			if strings.TrimSpace(reason) == "" {
-				if report {
-					pass.Reportf(pos, "crew annotation needs a reason: %s", text)
-				}
+				pass.Reportf(pos, "crew annotation needs a reason: %s", text)
 				continue
 			}
 			return true

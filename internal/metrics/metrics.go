@@ -75,8 +75,6 @@ func (m Mechanism) String() string {
 
 // Walk is the mechanism's one-byte wire form. A value outside the five
 // classes (which would index past the counters) fails the walker.
-//
-//crew:hotpath
 func (m *Mechanism) Walk(w *binenc.Walker) {
 	b := byte(*m)
 	w.Byte(&b)

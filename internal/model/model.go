@@ -272,8 +272,6 @@ type StepRef struct {
 func (r StepRef) String() string { return r.Workflow + "." + string(r.Step) }
 
 // Walk is the reference's wire form.
-//
-//crew:hotpath
 func (r *StepRef) Walk(w *binenc.Walker) {
 	w.String(&r.Workflow)
 	r.Step.Walk(w)

@@ -6,11 +6,11 @@ import (
 	"crew/internal/event"
 )
 
-// TestFireOnAllocBudget guards the reactive dispatch hot path the hotalloc
-// analyzer gates (//crew:hotpath on FireOn/fireArmed): a steady-state FireOn
-// that completes no rule — the overwhelmingly common case on a busy agent —
-// must not allocate. Rules waiting on other events stay untouched, and the
-// armed agenda drains without building anything.
+// TestFireOnAllocBudget guards the reactive dispatch hot path (FireOn and
+// fireArmed): a steady-state FireOn that completes no rule — the
+// overwhelmingly common case on a busy agent — must not allocate. Rules
+// waiting on other events stay untouched, and the armed agenda drains
+// without building anything.
 func TestFireOnAllocBudget(t *testing.T) {
 	// A realistic standing rule set: conjunctive rules none of which the
 	// posted event completes.

@@ -271,7 +271,6 @@ func (e *Engine) Evaluate(tab *event.Table, env expr.Env) ([]*Rule, error) {
 	if tab != nil && tab == e.tab && !scanOnly.Load() {
 		return e.fireArmed(env)
 	}
-	//crew:allow hotalloc scan fallback serves foreign/unbound tables, never the bound hot path
 	return e.EvaluateScan(tab, env)
 }
 
@@ -279,11 +278,8 @@ func (e *Engine) Evaluate(tab *event.Table, env expr.Env) ([]*Rule, error) {
 // makes fireable: the reactive post-and-evaluate composition. Only rules
 // subscribed to the event (plus already-armed rules awaiting data changes)
 // are examined.
-//
-//crew:hotpath
 func (e *Engine) FireOn(name string, env expr.Env) ([]*Rule, error) {
 	if e.tab == nil {
-		//crew:allow hotalloc misconfiguration error, reported once
 		return nil, fmt.Errorf("rules: FireOn(%q): engine is not bound to an event table", name)
 	}
 	e.tab.Post(name)
@@ -295,8 +291,6 @@ func (e *Engine) FireOn(name string, env expr.Env) ([]*Rule, error) {
 // leave the agenda. Rules that fire as one run of consecutive program rules
 // (nearly always: one rule) are returned as a window of the program, so the
 // round allocates nothing; only a broken run is copied out.
-//
-//crew:hotpath
 func (e *Engine) fireArmed(env expr.Env) ([]*Rule, error) {
 	var fired []*Rule
 	lo, hi := int32(0), int32(0) // the run: e.prog.rules[lo:hi], while fired is nil
@@ -312,10 +306,8 @@ func (e *Engine) fireArmed(env expr.Env) ([]*Rule, error) {
 		}
 		r := e.prog.rules[i]
 		if r.Precond != nil {
-			//crew:allow hotalloc preconditions are rare on the armed agenda; evaluation cost is theirs
 			ok, err := r.Precond.EvalBool(env)
 			if err != nil && firstErr == nil {
-				//crew:allow hotalloc error path, at most once per round
 				firstErr = fmt.Errorf("rules: rule %s precondition: %w", r.ID, err)
 			}
 			if err != nil || !ok {
@@ -338,7 +330,6 @@ func (e *Engine) fireArmed(env expr.Env) ([]*Rule, error) {
 		case i == hi:
 			hi++
 		default:
-			//crew:allow hotalloc rules of two separate runs fire in one round, a join of branches at most
 			fired = append(append(make([]*Rule, 0, hi-lo+1), e.prog.rules[lo:hi]...), r)
 		}
 	}

@@ -316,10 +316,9 @@ func TestTornHeaderIsRewritten(t *testing.T) {
 	}
 }
 
-// TestPutAllocBudget is the dynamic backstop of the //crew:hotpath marks on
-// Apply, Put and appendGroup: a steady-state one-op Put on a file store
-// rewrites the key's resident buffer and allocates nothing; a put of a key
-// not resident allocates its copy and nothing else.
+// TestPutAllocBudget guards Apply, Put and appendGroup: a steady-state one-op
+// Put on a file store rewrites the key's resident buffer and allocates
+// nothing; a put of a key not resident allocates its copy and nothing else.
 func TestPutAllocBudget(t *testing.T) {
 	s, _ := tempStore(t)
 	value := bytes.Repeat([]byte("v"), 700)

@@ -225,8 +225,6 @@ func decodeGroup(ops []Op, voffs []int64, body []byte, off int64) ([]Op, []int64
 
 // appendGroup appends one framed group record carrying ops to dst, and to
 // voffs where in dst each op's value lies.
-//
-//crew:hotpath
 func appendGroup(dst []byte, voffs []int, ops []Op) ([]byte, []int) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // length and CRC, filled in below
@@ -257,7 +255,6 @@ func appendGroup(dst []byte, voffs []int, ops []Op) ([]byte, []int) {
 func (s *Store) apply(table, key string, value []byte, del bool) {
 	tbl := s.tables[table]
 	if tbl == nil {
-		//crew:allow hotalloc first write to a table
 		tbl = make(map[string][]byte)
 		s.tables[table] = tbl
 	}
@@ -325,11 +322,8 @@ func (s *Store) Spill(table string) error {
 
 // putRef writes the reference to n bytes at log offset off into ref, if it
 // is one, else into a new one, and returns it.
-//
-//crew:hotpath
 func putRef(ref []byte, off int64, n int) []byte {
 	if len(ref) != spillRefLen {
-		//crew:allow hotalloc a key's first reference
 		ref = make([]byte, spillRefLen)
 	}
 	binary.LittleEndian.PutUint64(ref[0:8], uint64(off))
@@ -360,8 +354,6 @@ func (s *Store) readSpill(ref []byte) ([]byte, error) {
 // A failed write is cut back off the log, so the next group follows the last
 // complete one; if it cannot be, this and every later Apply fail, since a
 // group written behind a torn one would be dropped by the next Open.
-//
-//crew:hotpath
 func (s *Store) Apply(ops []Op) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -378,11 +370,9 @@ func (s *Store) Apply(ops []Op) error {
 	if s.f != nil {
 		s.wbuf, s.voffs = appendGroup(s.wbuf[:0], s.voffs[:0], ops)
 		if len(s.wbuf)-groupHeaderLen > maxGroupBody {
-			//crew:allow hotalloc error path, a group no replay would accept
 			return fmt.Errorf("store: group of %d ops exceeds %d bytes", len(ops), maxGroupBody)
 		}
 		if _, err := s.log.Write(s.wbuf); err != nil {
-			//crew:allow hotalloc error path
 			return s.cutBack(err)
 		}
 		s.end += int64(len(s.wbuf))
@@ -399,7 +389,6 @@ func (s *Store) Apply(ops []Op) error {
 			if rewrite {
 				v = append(old[:0], op.Value...)
 			} else {
-				//crew:allow hotalloc the resident copy of a new key's value
 				v = append([]byte(nil), op.Value...)
 			}
 		}
@@ -425,8 +414,6 @@ func (s *Store) cutBack(werr error) error {
 }
 
 // Put writes value under table/key. The value is copied.
-//
-//crew:hotpath
 func (s *Store) Put(table, key string, value []byte) error {
 	ops := [1]Op{{Table: table, Key: key, Value: value}}
 	return s.Apply(ops[:])

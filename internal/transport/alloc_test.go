@@ -100,23 +100,54 @@ func TestEnvelopeBatchAllocBudget(t *testing.T) {
 	if perMsg > batchAllocBudget {
 		t.Errorf("batched send allocates %.2f/logical message (%.1f/burst), budget %.1f", perMsg, avg, batchAllocBudget)
 	}
+
+	// Handle.SendBatch on its own: one envelope, sent and drained on this
+	// goroutine and never released, so no pool miss is counted. Delivering
+	// and queueing a warm envelope allocates nothing.
+	direct := net.MustRegister("direct")
+	hd, err := net.Handle("direct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnvelope()
+	for j := 0; j < burst; j++ {
+		env.Msgs = append(env.Msgs, m)
+	}
+	keep := func(Message) error { return nil }
+	send := func() {
+		if err := hd.SendBatch(env); err != nil {
+			t.Error(err)
+		}
+		direct.Drain(keep)
+	}
+	send()
+	if avg := testing.AllocsPerRun(500, send); avg > 0 {
+		t.Errorf("Handle.SendBatch of a warm envelope allocates %.2f/op, budget 0", avg)
+	}
 }
 
-// TestFrameEncodeAllocBudget guards the frame encoders the hotalloc analyzer
-// gates (//crew:hotpath on appendFrame and binenc's appenders): encoding into
-// a warm scratch buffer — the shape every writer uses via scratch[:0] — must
-// not allocate, down to a whole MSG frame with a registered payload.
+// TestFrameEncodeAllocBudget guards the frame encoders (appendFrame, the
+// EXEC and DONE bodies and binenc's appenders): encoding into a warm scratch
+// buffer — the shape every writer uses via scratch[:0] — must not allocate,
+// down to a whole MSG frame with a registered payload.
 func TestFrameEncodeAllocBudget(t *testing.T) {
 	body := []byte("payload-bytes")
 	m := Message{From: "agent1", To: "agent2", Kind: "StepExecute", Payload: &wirePayload{A: "x", B: 7}}
+	ev := ExecEvent{Phase: 1, Workflow: "WF01", Step: "S4", Instance: 7}
+	done := Completion{Workflow: "WF01", ID: 7, Status: 1}
 	var w binenc.Walker
-	buf := binenc.AppendString(appendFrame(nil, frameMsg, body), "node-name") // warm capacity
-	buf, _ = appendMessageFrame(buf, m, &w)
-	avg := testing.AllocsPerRun(500, func() {
-		buf = appendFrame(buf[:0], frameMsg, body)
+	encode := func(buf []byte) []byte {
+		buf = appendFrame(buf, frameMsg, body)
 		buf = binenc.AppendString(buf, "node-name")
+		start := len(buf)
+		buf = endFrame(appendExec(beginFrame(buf, frameExec), ev), start)
+		start = len(buf)
+		buf = endFrame(appendCompletion(beginFrame(buf, frameDone), done), start)
 		buf, _ = appendMessageFrame(buf, m, &w)
-	})
+		return buf
+	}
+	buf := encode(nil) // warm capacity
+	avg := testing.AllocsPerRun(500, func() { buf = encode(buf[:0]) })
 	if avg > 0 {
 		t.Errorf("frame encode allocates %.2f/op into a warm buffer, budget 0", avg)
 	}

@@ -45,7 +45,6 @@ func (e *Envelope) Release() {
 // Release it); on error the envelope is released here.
 func (h *Handle) SendBatch(env *Envelope) error { return h.n.deliverBatch(h.nd, env) }
 
-//crew:hotpath
 func (n *Network) deliverBatch(nd *node, env *Envelope) error {
 	if len(env.Msgs) == 0 {
 		env.Release()
@@ -102,8 +101,6 @@ type batchDest struct {
 }
 
 // Add appends a logical message for the handle's destination.
-//
-//crew:hotpath
 func (b *Batcher) Add(h *Handle, m Message) {
 	for i := range b.dests {
 		if b.dests[i].h.nd == h.nd {

@@ -93,21 +93,16 @@ const (
 // beginFrame reserves a frame header of the given type at the end of dst;
 // endFrame(dst, start) fills in the length once the body has been appended
 // behind it, where start is len(dst) before beginFrame.
-//
-//crew:hotpath
 func beginFrame(dst []byte, typ byte) []byte {
 	return append(dst, 0, 0, 0, 0, typ)
 }
 
-//crew:hotpath
 func endFrame(dst []byte, start int) []byte {
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst
 }
 
 // appendFrame appends one complete frame to dst.
-//
-//crew:hotpath
 func appendFrame(dst []byte, typ byte, body []byte) []byte {
 	return endFrame(append(beginFrame(dst, typ), body...), len(dst))
 }
@@ -314,8 +309,6 @@ type header struct {
 // mechanism and the payload type, whose decoder it returns (nil for a nil
 // payload). The error is for a type this build has not registered; input cut
 // short fails w.
-//
-//crew:hotpath
 func readHeader(w *binenc.Walker) (header, payloadDecoder, error) {
 	r := w.Reader()
 	h := header{from: r.Bytes(), to: r.Bytes(), kind: r.Bytes()}
@@ -326,7 +319,6 @@ func readHeader(w *binenc.Walker) (header, payloadDecoder, error) {
 	}
 	decode := payloadDecoders[string(name)]
 	if decode == nil {
-		//crew:allow hotalloc formats once, for a frame the connection is dropped for
 		return h, nil, malformed(nil, "unknown payload type %q", name)
 	}
 	return h, decode, nil

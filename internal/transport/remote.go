@@ -705,7 +705,6 @@ func (q *ackQueue) pop() (Message, bool) {
 	return m, true
 }
 
-//crew:hotpath
 func appendExec(dst []byte, ev ExecEvent) []byte {
 	dst = append(dst, ev.Phase)
 	dst = binenc.AppendString(dst, ev.Workflow)

@@ -235,8 +235,6 @@ func (nd *node) wakeAll() {
 
 // put appends one in-flight message to a mailbox of the node, parked if the
 // node is down, and wakes the mailbox's drainer.
-//
-//crew:hotpath
 func (nd *node) put(mb *mailbox, q queued) {
 	parkedHere := false
 	nd.mu.Lock()
@@ -299,8 +297,6 @@ func (d *drainer) run(sink Sink) {
 //     endpoint acks by hand.
 //
 // It returns false once the network has closed.
-//
-//crew:hotpath
 func (d *drainer) pass(sink Sink) bool {
 	nd := d.nd
 	nd.mu.Lock()
@@ -344,7 +340,6 @@ func (d *drainer) hold(q *queued) {
 		q.delay--
 	}
 	if d.heldFrom == nil {
-		//crew:allow hotalloc once per drainer, and only under an injected delay
 		d.heldFrom = make(map[string]bool)
 	}
 	d.heldFrom[q.m.From] = true
@@ -425,8 +420,6 @@ type Handle struct {
 // Send enqueues a message for delivery to the handle's node and counts it.
 // The message's To field should name the handle's node; delivery goes to the
 // bound node regardless.
-//
-//crew:hotpath
 func (h *Handle) Send(m Message) error { return h.n.deliver(h.nd, m) }
 
 // ErrUnknownNode is returned when sending to an unregistered node.
@@ -627,7 +620,6 @@ func (n *Network) Send(m Message) error {
 	return n.deliver(nd, m)
 }
 
-//crew:hotpath
 func (n *Network) deliver(nd *node, m Message) error {
 	if n.closed.Load() {
 		return ErrClosed
@@ -654,8 +646,6 @@ func (n *Network) deliver(nd *node, m Message) error {
 
 // enqueue puts one accepted physical message in flight, in the node's
 // mailbox; a direct node takes it on the spot.
-//
-//crew:hotpath
 func (n *Network) enqueue(nd *node, m Message, delay int) {
 	if nd.direct != nil {
 		nd.direct(m)

@@ -252,14 +252,10 @@ func nameRow(n *binenc.Names) []byte {
 //	event table: event.Table.Walk
 //	step table:  count, then id + record      in binenc.Map's order
 //	execution order: count, then step ids
-//
-//crew:hotpath
 func (ins *Instance) Walk(w *binenc.Walker) { ins.walkRow(w, false) }
 
 // walkRow walks the row; fill, encoding only, has the step table refresh the
 // bytes the instance keeps of it (walkSteps).
-//
-//crew:hotpath
 func (ins *Instance) walkRow(w *binenc.Walker, fill bool) {
 	w.String(&ins.Workflow)
 	w.Int(&ins.ID)
@@ -278,10 +274,8 @@ func (ins *Instance) walkRow(w *binenc.Walker, fill bool) {
 	if w.Decoding() {
 		ins.Aborting = flags&flagAborting != 0
 		if flags&flagParent != 0 {
-			//crew:allow hotalloc decoding allocates what it returns
 			ins.Parent = new(ParentRef)
 		}
-		//crew:allow hotalloc decoding allocates what it returns
 		ins.Events = new(event.Table)
 	}
 	if p := ins.Parent; p != nil {
@@ -295,11 +289,9 @@ func (ins *Instance) walkRow(w *binenc.Walker, fill bool) {
 	binenc.Strings(w, &ins.ExecOrder)
 	if w.Decoding() {
 		if ins.Data == nil {
-			//crew:allow hotalloc decoding allocates what it returns
 			ins.Data = make(map[string]expr.Value)
 		}
 		if ins.Steps == nil {
-			//crew:allow hotalloc decoding allocates what it returns
 			ins.Steps = make(map[model.StepID]*StepRecord)
 		}
 	}
@@ -307,11 +299,8 @@ func (ins *Instance) walkRow(w *binenc.Walker, fill bool) {
 
 // walkStepRecord walks a step record: status, agent, attempts, hasResult
 // byte, compMode, inputs, outputs (the two maps encoded like the data table).
-//
-//crew:hotpath
 func walkStepRecord(w *binenc.Walker, r *StepRecord) *StepRecord {
 	if w.Decoding() {
-		//crew:allow hotalloc decoding allocates what it returns
 		r = new(StepRecord)
 	}
 	w.Int((*int)(&r.Status))
@@ -366,17 +355,14 @@ type savedRecord struct {
 func (ins *Instance) saveState() *savedSteps {
 	c := ins.saved
 	if c == nil {
-		//crew:allow hotalloc once per instance, at its first save
 		c = new(savedSteps)
 		if ins.schema != nil {
 			steps, _, _ := ins.schema.TableSizes()
-			//crew:allow hotalloc once per instance, at its first save
 			c.recs = make([]savedRecord, 0, steps)
 		}
 		ins.saved = c
 	}
 	if c.key == "" || c.id != ins.ID || c.workflow != ins.Workflow {
-		//crew:allow hotalloc once per instance, at its first save
 		c.key, c.workflow, c.id = ins.Key(), ins.Workflow, ins.ID
 	}
 	if n := ins.names(); c.names != n {
@@ -391,8 +377,6 @@ func (ins *Instance) saveState() *savedSteps {
 // bytes the instance kept at its last save, if any; with fill it also makes
 // those bytes the current ones. Only Batch.SaveInstance fills, and a walk
 // that does not fill only reads them, so several may share an instance.
-//
-//crew:hotpath
 func (ins *Instance) walkSteps(w *binenc.Walker, fill bool) {
 	c := ins.saved
 	switch {
@@ -400,7 +384,6 @@ func (ins *Instance) walkSteps(w *binenc.Walker, fill bool) {
 	case c.walk(w, ins.Steps, fill):
 		return
 	case fill:
-		//crew:allow hotalloc a step table changed other than through StepRec
 		c.rekey(ins.Steps)
 		c.walk(w, ins.Steps, true)
 		return
@@ -410,8 +393,6 @@ func (ins *Instance) walkSteps(w *binenc.Walker, fill bool) {
 
 // walk encodes steps, as binenc.Map would, if its ids are those of c.recs,
 // and reports whether they were; otherwise it leaves the output as it was.
-//
-//crew:hotpath
 func (c *savedSteps) walk(w *binenc.Walker, steps map[model.StepID]*StepRecord, fill bool) bool {
 	if len(steps) != len(c.recs) || w.Names() != c.names {
 		return false

@@ -71,10 +71,9 @@ func holdNames(t testing.TB, db *DB, s *model.Schema) {
 	}
 }
 
-// TestRowEncodeAllocBudget is the dynamic backstop of the //crew:hotpath
-// marks on the row encoder: a steady-state encode of a six-step instance
-// into a reused buffer allocates nothing, with every name a literal or with
-// the names its schema declares as indexes.
+// TestRowEncodeAllocBudget guards the row encoder: a steady-state encode of
+// a six-step instance into a reused buffer allocates nothing, with every name
+// a literal or with the names its schema declares as indexes.
 func TestRowEncodeAllocBudget(t *testing.T) {
 	for _, ins := range []*Instance{sixStepInstance(1), sixStepInstanceOf(1)} {
 		var w binenc.Walker
@@ -306,6 +305,7 @@ func TestBatchCommitsOneGroupInOrder(t *testing.T) {
 	batch.SaveInstance(b)
 	batch.SaveSummary("WF01", 1, Committed)
 	batch.Archive(b)
+	batch.DeleteInstance(b.Workflow, b.ID)
 	before, writes := size(), st.Writes()
 	if err := db.Commit(&batch); err != nil {
 		t.Fatal(err)

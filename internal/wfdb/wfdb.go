@@ -595,21 +595,20 @@ func (b *Batch) SaveSummary(workflow string, id int, status Status) {
 	b.endRow(tableSummary, InstanceKeyOf(workflow, id), off)
 }
 
-// Archive adds the move of a finished instance to the archive table: its
-// archive row and the deletion of its instance row. Committed in one group,
-// a crash leaves the instance in exactly one of the two tables. The row
-// takes the bytes the instance kept at its last save, and the instance then
-// drops them.
+// Archive adds a finished instance's archive row. A committer that holds
+// instance rows adds the instance's DeleteInstance to the same batch, so a
+// crash leaves the instance in exactly one of the two tables; one that never
+// wrote the row adds nothing more. The row takes the bytes the instance kept
+// at its last save, and the instance then drops them.
 func (b *Batch) Archive(ins *Instance) {
-	off, key := b.beginInstanceRow(ins), ins.Key()
+	off := b.beginInstanceRow(ins)
 	ins.Walk(&b.w)
-	b.endRow(tableArchive, key, off)
-	b.rows = append(b.rows, batchRow{table: tableInstance, key: key, del: true})
+	b.endRow(tableArchive, ins.Key(), off)
 	ins.saved = nil
 }
 
-// DeleteInstance adds the removal of an instance row (a bystander dropping
-// its replica of a finished instance).
+// DeleteInstance adds the removal of an instance row (a retired instance's,
+// or a bystander dropping its replica of a finished instance).
 func (b *Batch) DeleteInstance(workflow string, id int) {
 	b.rows = append(b.rows, batchRow{table: tableInstance, key: InstanceKeyOf(workflow, id), del: true})
 }
@@ -722,6 +721,7 @@ func (db *DB) Archive(ins *Instance) error {
 	b := batchPool.Get().(*Batch)
 	defer batchPool.Put(b)
 	b.Archive(ins)
+	b.DeleteInstance(ins.Workflow, ins.ID)
 	return db.Commit(b)
 }
 
