@@ -387,11 +387,17 @@ type rankedKey struct {
 // whatever Go's map order. value walks one value: given the map's when
 // encoding, a zero one when decoding, it returns what it read. Each entry
 // occupies at least minEntry bytes. An empty map decodes as nil.
+func Map[K ~string, V any](w *Walker, m *map[K]V, minEntry int, value func(w *Walker, v V) V) {
+	MapKeyed(w, m, minEntry, func(w *Walker, _ K, v V) V { return value(w, v) })
+}
+
+// MapKeyed is Map whose value callback is also given the entry's key, for a
+// value whose form depends on it.
 //
 // A map of up to smallMap entries is encoded in one pass over it, its
 // entries insertion-sorted in stack arrays; a larger one sorts its keys in
 // the walker's scratch and looks each value up.
-func Map[K ~string, V any](w *Walker, m *map[K]V, minEntry int, value func(w *Walker, v V) V) {
+func MapKeyed[K ~string, V any](w *Walker, m *map[K]V, minEntry int, value func(w *Walker, k K, v V) V) {
 	if w.decoding {
 		n := w.in.Count(minEntry)
 		if n == 0 {
@@ -401,7 +407,7 @@ func Map[K ~string, V any](w *Walker, m *map[K]V, minEntry int, value func(w *Wa
 		for ; n > 0; n-- {
 			k := K(w.name())
 			var zero V
-			dec[k] = value(w, zero)
+			dec[k] = value(w, k, zero)
 		}
 		*m = dec
 		return
@@ -414,7 +420,7 @@ func Map[K ~string, V any](w *Walker, m *map[K]V, minEntry int, value func(w *Wa
 		for k, v := range *m {
 			w.out = append(w.out, 1)
 			w.putName(string(k), w.names.Rank(string(k)))
-			value(w, v)
+			value(w, k, v)
 		}
 		return
 	case n <= smallMap:
@@ -433,7 +439,7 @@ func Map[K ~string, V any](w *Walker, m *map[K]V, minEntry int, value func(w *Wa
 		w.out = binary.AppendUvarint(w.out, uint64(n))
 		for i := range n {
 			w.putName(keys[i].key, keys[i].rank)
-			value(w, vals[i])
+			value(w, K(keys[i].key), vals[i])
 		}
 		return
 	}
@@ -448,7 +454,7 @@ func Map[K ~string, V any](w *Walker, m *map[K]V, minEntry int, value func(w *Wa
 	w.out = binary.AppendUvarint(w.out, uint64(len(keys)))
 	for _, k := range keys {
 		w.putName(k.key, k.rank)
-		value(w, (*m)[K(k.key)])
+		value(w, K(k.key), (*m)[K(k.key)])
 	}
 	w.keys = w.keys[:base]
 }

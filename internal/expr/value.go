@@ -8,6 +8,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -107,6 +108,13 @@ func (v Value) Equal(o Value) bool {
 	default: // null
 		return true
 	}
+}
+
+// Same reports whether v equals o with the same bits, so that both encode
+// to the same bytes: unlike Equal it tells -0 from 0, and NaN is the same as
+// nothing.
+func (v Value) Same(o Value) bool {
+	return v.Equal(o) && math.Float64bits(v.num) == math.Float64bits(o.num)
 }
 
 // String renders the value for packets, logs and the crewrun CLI.

@@ -234,18 +234,19 @@ func TestPropertyLinearChains(t *testing.T) {
 // name, the workflow events and each step's events. Its digest changes when
 // any name changes and not otherwise.
 func TestNameTable(t *testing.T) {
-	build := func(in, out2 string) *Schema {
+	build := func(in, out2, agent string) *Schema {
 		return NewSchema("W", in).
-			Step("S1", "p", WithOutputs("O1")).
-			Step("S2", "p", WithOutputs("O1", out2)).
+			Step("S1", "p", WithOutputs("O1"), WithAgents("a1", "a2")).
+			Step("S2", "p", WithOutputs("O1", out2), WithAgents("a2", agent)).
 			Seq("S1", "S2").MustBuild()
 	}
-	s := build("I1", "O2")
+	s := build("I1", "O2", "a3")
 	want := []string{
 		"S1", "S2", "WF.I1",
 		"S1.O1", "O1", "S2.O1", "S2.O2", "O2",
 		"WF.start", "WF.done", "WF.abort",
 		"S1.done", "S1.fail", "S1.compensated", "S2.done", "S2.fail", "S2.compensated",
+		"a1", "a2", "a3", // each agent once
 	}
 	if got := s.Names().List(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("name table:\n got  %q\n want %q", got, want)
@@ -255,13 +256,14 @@ func TestNameTable(t *testing.T) {
 	if err := clone.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if d == 0 || build("I1", "O2").Names().Digest() != d || clone.Names().Digest() != d {
+	if d == 0 || build("I1", "O2", "a3").Names().Digest() != d || clone.Names().Digest() != d {
 		t.Error("the same names gave another digest")
 	}
 	for what, other := range map[string]*Schema{
-		"an input renamed":  build("I9", "O2"),
-		"an output renamed": build("I1", "O3"),
-		"a step added":      NewSchema("W", "I1").Step("S1", "p", WithOutputs("O1")).Step("S2", "p", WithOutputs("O1", "O2")).Step("S3", "p").Seq("S1", "S2", "S3").MustBuild(),
+		"an input renamed":  build("I9", "O2", "a3"),
+		"an output renamed": build("I1", "O3", "a3"),
+		"an agent renamed":  build("I1", "O2", "a4"),
+		"a step added":      NewSchema("W", "I1").Step("S1", "p", WithOutputs("O1"), WithAgents("a1", "a2")).Step("S2", "p", WithOutputs("O1", "O2"), WithAgents("a2", "a3")).Step("S3", "p").Seq("S1", "S2", "S3").MustBuild(),
 	} {
 		if other.Names().Digest() == d {
 			t.Errorf("%s: the digest did not change", what)

@@ -156,8 +156,8 @@ func (s *Schema) freeze() {
 
 // nameTable lists every name an instance row of the schema can hold, in
 // schema order: the step ids, the workflow inputs, each output's full and
-// short name, the workflow's start, done and abort events, and each step's
-// done, fail and compensated events.
+// short name, the workflow's start, done and abort events, each step's done,
+// fail and compensated events, and each step's eligible agents.
 func (s *Schema) nameTable(ix *graphIndex) *binenc.Names {
 	var names []string
 	for _, id := range s.Order {
@@ -174,6 +174,9 @@ func (s *Schema) nameTable(ix *graphIndex) *binenc.Names {
 	names = append(names, event.WorkflowStartName, event.WorkflowDoneName, event.WorkflowAbortName)
 	for _, id := range s.Order {
 		names = append(names, ix.doneEv[id], ix.failEv[id], ix.compEv[id])
+	}
+	for _, id := range s.Order {
+		names = append(names, s.Steps[id].EligibleAgents...)
 	}
 	return binenc.NewNames(names)
 }

@@ -16,6 +16,11 @@ import (
 const (
 	sendAllocBudget  = 2.0 // allocs per plain Handle.Send
 	batchAllocBudget = 1.0 // allocs per logical message through Batcher+SendBatch
+	// burstAllocBudget is the allocs per burst of envBurst messages drained
+	// by a receiver on another goroutine, which releases its envelopes into
+	// another P's part of the pool: nearly every burst misses the pool, and
+	// a miss is one allocation, the envelope and its Msgs array together.
+	burstAllocBudget = 1.0
 )
 
 // drain consumes rx's inbox on a goroutine, releasing envelopes (the
@@ -65,7 +70,8 @@ func TestSendAllocBudget(t *testing.T) {
 // TestEnvelopeBatchAllocBudget guards the batched path: adding a burst to a
 // Batcher and flushing it must stay within batchAllocBudget allocations per
 // logical message (the envelope comes from the pool, the batcher's buffers
-// are reused across turns, and the whole burst is one physical delivery).
+// are reused across turns, and the whole burst is one physical delivery),
+// and within burstAllocBudget per burst when the pool misses.
 func TestEnvelopeBatchAllocBudget(t *testing.T) {
 	net := NewNetwork(NetworkConfig{})
 	defer net.Close()
@@ -78,7 +84,7 @@ func TestEnvelopeBatchAllocBudget(t *testing.T) {
 	}
 	m := Message{From: "tx", To: "rx", Kind: "Ping"}
 	var b Batcher
-	const burst = 8
+	const burst = envBurst
 	// Warm up: grows the envelope Msgs capacity the pool will recycle.
 	for i := 0; i < 4; i++ {
 		for j := 0; j < burst; j++ {
@@ -99,6 +105,9 @@ func TestEnvelopeBatchAllocBudget(t *testing.T) {
 	perMsg := avg / burst
 	if perMsg > batchAllocBudget {
 		t.Errorf("batched send allocates %.2f/logical message (%.1f/burst), budget %.1f", perMsg, avg, batchAllocBudget)
+	}
+	if avg > burstAllocBudget {
+		t.Errorf("a burst of %d drained on another goroutine allocates %.2f times, budget %.1f", burst, avg, burstAllocBudget)
 	}
 
 	// Handle.SendBatch on its own: one envelope, sent and drained on this

@@ -24,7 +24,23 @@ type Envelope struct {
 	Msgs []Message
 }
 
-var envPool = sync.Pool{New: func() any { return new(Envelope) }}
+// envBurst is the number of messages a fresh envelope holds before Msgs
+// grows: a burst's worth, so a pool miss costs one allocation, not the
+// envelope and the growths of its Msgs. A receiver on another goroutine
+// releases into its own P's part of the pool, so a sender misses often.
+const envBurst = 8
+
+// envBlock is a fresh envelope and its first Msgs array, allocated together.
+type envBlock struct {
+	env  Envelope
+	msgs [envBurst]Message
+}
+
+var envPool = sync.Pool{New: func() any {
+	b := new(envBlock)
+	b.env.Msgs = b.msgs[:0]
+	return &b.env
+}}
 
 // NewEnvelope returns an empty pooled envelope.
 func NewEnvelope() *Envelope { return envPool.Get().(*Envelope) }

@@ -32,9 +32,9 @@ func sameRow(names *binenc.Names, a, b *Instance) bool {
 }
 
 // TestAttachedRowRoundTrip: an instance row written by index decodes to the
-// instance it was taken from, its external event, undeclared data items and
-// parent ref (literals) included, and each name its schema declares decodes
-// as the table's own string.
+// instance it was taken from, its external event, undeclared data items,
+// parent ref and S2's agent (literals) included, and each name its schema
+// declares, S1's agent among them, decodes as the table's own string.
 func TestAttachedRowRoundTrip(t *testing.T) {
 	db := NewMemory()
 	ins := attachedGolden(1)
@@ -66,6 +66,12 @@ func TestAttachedRowRoundTrip(t *testing.T) {
 		if !interned[unsafe.StringData(string(id))] {
 			t.Errorf("execution order entry %s decoded as a copy", id)
 		}
+	}
+	if a := got.Steps["S1"].Agent; !interned[unsafe.StringData(a)] {
+		t.Errorf("agent %s decoded as a copy", a)
+	}
+	if a := got.Steps["S2"].Agent; a != "agent02" {
+		t.Errorf("S2's agent, which the table lacks, decoded as %q", a)
 	}
 }
 
@@ -243,13 +249,15 @@ func TestAttachedDecodeAllocatesNoName(t *testing.T) {
 		})
 	}
 	// The instance, its event table and three maps, the execution order, six
-	// records and their twelve maps, as Go 1.24 allocates them; no name.
-	const budget = 46
+	// records and their twelve maps, as Go 1.24 allocates them; no name, the
+	// records' agents included.
+	const budget = 40
 	if n := decodes(attached); n > budget {
 		t.Errorf("decoding an attached six-step row allocates %.0f times, budget %d", n, budget)
 	}
-	// Data 7, events 7, steps 6 and each one's input and output, order 6.
-	names := 7 + 7 + 6*3 + 6
+	// Data 7, events 7, steps 6 and each one's agent, input and output,
+	// order 6.
+	names := 7 + 7 + 6*4 + 6
 	if a, l := decodes(attached), decodes(literal); l-a != float64(names) {
 		t.Errorf("a literal row allocates %.0f times more than an attached one, want %d, one per name", l-a, names)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"unsafe"
 
@@ -18,9 +19,11 @@ import (
 
 // rowVersion leads every instance, archive, summary and name-table row. A
 // build reads exactly one version; anything else fails with
-// CodeStoreFormat. Version 3 writes step, data and event names as indexes
-// into the name table of the instance's schema; 2 wrote each as a string.
-const rowVersion = 3
+// CodeStoreFormat. Version 4 writes the step table before the data table,
+// an agent by index and a data item its producer's record holds as a
+// reference to it; 3 wrote step, data and event names as indexes into the
+// name table of the instance's schema; 2 wrote each as a string.
+const rowVersion = 4
 
 // Instance-row flag bits.
 const (
@@ -248,10 +251,20 @@ func nameRow(n *binenc.Names) []byte {
 //
 //	workflow, id, status, flags, epoch, coordinator, notifyTo (strings)
 //	[parent workflow, id, step (strings)]     when flagParent is set
-//	data table:  count, then name + value     in binenc.Map's order
-//	event table: event.Table.Walk
 //	step table:  count, then id + record      in binenc.Map's order
+//	data table:  count, then name + item      in binenc.Map's order
+//	event table: event.Table.Walk
 //	execution order: count, then step ids
+//
+// A data item is a tag byte: tagValue and the value, or tagOutput, which
+// says the record of step k[:i] holds the item's value under k[i+1:], where
+// k is the item's name and i its first '.'. The encoder writes tagOutput
+// when that record and output exist and the output is the item's value with
+// the same bits (expr.Value.Same), judging from the instance alone, so a
+// decoded instance, which has no schema, encodes to the same bytes. The
+// references sit in the data table, which every save walks whole; a step
+// record's kept bytes (savedSteps) never refer to the data table, whose
+// items change without their producer's record (a merged packet).
 func (ins *Instance) Walk(w *binenc.Walker) { ins.walkRow(w, false) }
 
 // walkRow walks the row; fill, encoding only, has the step table refresh the
@@ -283,9 +296,9 @@ func (ins *Instance) walkRow(w *binenc.Walker, fill bool) {
 		w.Int(&p.ID)
 		p.Step.Walk(w)
 	}
-	expr.WalkValues(w, &ins.Data)
-	ins.Events.Walk(w)
 	ins.walkSteps(w, fill)
+	ins.walkData(w)
+	ins.Events.Walk(w)
 	binenc.Strings(w, &ins.ExecOrder)
 	if w.Decoding() {
 		if ins.Data == nil {
@@ -297,14 +310,58 @@ func (ins *Instance) walkRow(w *binenc.Walker, fill bool) {
 	}
 }
 
-// walkStepRecord walks a step record: status, agent, attempts, hasResult
-// byte, compMode, inputs, outputs (the two maps encoded like the data table).
+// Data-item tags.
+const (
+	tagValue  = 0 // the value follows
+	tagOutput = 1 // the producer's record holds the value
+)
+
+// walkData walks the data table; decoding, the step table is already read.
+// An item is its name, a tag and, for tagValue, the value (Walk).
+func (ins *Instance) walkData(w *binenc.Walker) {
+	binenc.MapKeyed(w, &ins.Data, 2, func(w *binenc.Walker, k string, v expr.Value) expr.Value {
+		out, held := ins.output(k)
+		tag := byte(tagValue)
+		if held && !w.Decoding() && out.Same(v) {
+			tag = tagOutput
+		}
+		w.Byte(&tag)
+		switch {
+		case tag == tagValue:
+			v.Walk(w)
+		case tag == tagOutput && held:
+			v = out
+		default:
+			w.Fail()
+		}
+		return v
+	})
+}
+
+// output returns the output the record of step k[:i] holds under k[i+1:],
+// where i is the first '.' in k, and whether there is one.
+func (ins *Instance) output(k string) (expr.Value, bool) {
+	i := strings.IndexByte(k, '.')
+	if i < 0 {
+		return expr.Value{}, false
+	}
+	r := ins.Steps[model.StepID(k[:i])]
+	if r == nil {
+		return expr.Value{}, false
+	}
+	v, ok := r.Outputs[k[i+1:]]
+	return v, ok
+}
+
+// walkStepRecord walks a step record: status, agent (a name), attempts,
+// hasResult byte, compMode, inputs, outputs (the two maps encoded by
+// expr.WalkValues).
 func walkStepRecord(w *binenc.Walker, r *StepRecord) *StepRecord {
 	if w.Decoding() {
 		r = new(StepRecord)
 	}
 	w.Int((*int)(&r.Status))
-	w.String(&r.Agent)
+	w.Name(&r.Agent)
 	w.Int(&r.Attempts)
 	w.Bool(&r.HasResult)
 	r.CompMode.Walk(w)

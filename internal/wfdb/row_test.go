@@ -33,7 +33,7 @@ var sixStepSchema = func() *model.Schema {
 	b := model.NewSchema("WF01", "I1")
 	prev := "WF.I1"
 	for _, sid := range []model.StepID{"S1", "S2", "S3", "S4", "S5", "S6"} {
-		b.Step(sid, "p", model.WithInputs(prev), model.WithOutputs("O1"))
+		b.Step(sid, "p", model.WithInputs(prev), model.WithOutputs("O1"), model.WithAgents("agent01"))
 		prev = sid.Ref("O1")
 	}
 	return b.Seq("S1", "S2", "S3", "S4", "S5", "S6").MustBuild()
@@ -196,6 +196,15 @@ func FuzzInstanceRowDecode(f *testing.F) {
 	past := encodeRow(&w, nil, sixStepInstanceOf(3))
 	past[len(past)-1] = byte(len(sixStepSchema.Names().List()) + 1)
 	f.Add(past)
+	// Data items by reference (tag 1) beside values (tag 0) for outputs that
+	// differ from their record's, and a reference with no record.
+	refs := sixStepInstanceOf(4)
+	refs.SetData("S2.O1", expr.Num(math.Copysign(0, -1)))
+	refs.MergeData(map[string]expr.Value{"S3.O1": expr.Str("merged")})
+	refs.RecordDone("A.B", map[string]expr.Value{"O1": expr.Num(1)})
+	f.Add(encodeRow(&w, nil, refs))
+	_, noRecord, _ := danglingRows()
+	f.Add(noRecord)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		ins, err := decodeRow(b)
 		if err != nil {
