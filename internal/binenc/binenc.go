@@ -256,6 +256,15 @@ func (w *Walker) Int(v *int) {
 	w.out = binary.AppendVarint(w.out, int64(*v))
 }
 
+// Uint walks an unsigned integer as a uvarint.
+func (w *Walker) Uint(v *uint64) {
+	if w.decoding {
+		*v = w.in.Uvarint()
+		return
+	}
+	w.out = binary.AppendUvarint(w.out, *v)
+}
+
 // Int64 walks an integer that fits an int, in Int's form.
 func (w *Walker) Int64(v *int64) {
 	if w.decoding {

@@ -89,8 +89,13 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		agents = []string{"agent1", "agent2"}
 	}
 
+	// The shared archive keeps its rows spilled (wfdb.DB.SpillArchive).
+	archive := wfdb.NewMemory()
+	if err := archive.SpillArchive(); err != nil {
+		return nil, err
+	}
 	net := transport.NewNetwork(transport.NetworkConfig{Collector: cfg.Collector, Wire: cfg.Wire})
-	sys := &System{net: net, col: cfg.Collector, dbs: cfg.DBs, archive: wfdb.NewMemory()}
+	sys := &System{net: net, col: cfg.Collector, dbs: cfg.DBs, archive: archive}
 	sys.Client = actor.NewClient("central", cfg.Library, sys)
 
 	names := make([]string, cfg.Engines)

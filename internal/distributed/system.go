@@ -102,13 +102,17 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	}
 	for i, name := range names {
 		// An agent without a database archives into one of its own, in
-		// memory: Snapshot reads it.
+		// memory and spilled (wfdb.DB.SpillArchive): Snapshot reads it.
 		var db, archive *wfdb.DB
 		if cfg.AGDBs != nil {
 			db = cfg.AGDBs[i]
 		}
 		if db == nil {
 			archive = wfdb.NewMemory()
+			if err := archive.SpillArchive(); err != nil {
+				sys.Close()
+				return nil, fmt.Errorf("distributed: agent %s: %w", name, err)
+			}
 		}
 		ag, err := NewAgent(Config{
 			Name:             name,

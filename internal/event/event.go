@@ -319,10 +319,11 @@ func (t *Table) Export() []Exported {
 }
 
 // Walk is the table's binary form — the event section of a WFDB row: every
-// entry (invalidated ones included, with their counts) as name, count,
-// validity byte, in name order (binenc.Map). A decoded table has no observer.
+// entry (invalidated ones included, with their counts) as its name and one
+// uvarint, count<<1 | valid, in binenc.Map's order. A decoded table has no
+// observer.
 func (t *Table) Walk(w *binenc.Walker) {
-	binenc.Map(w, &t.entries, 3, walkEntry)
+	binenc.Map(w, &t.entries, 2, walkEntry) // name, the count and validity
 	if w.Decoding() {
 		if t.entries == nil {
 			t.entries = make(map[string]entry)
@@ -332,7 +333,13 @@ func (t *Table) Walk(w *binenc.Walker) {
 }
 
 func walkEntry(w *binenc.Walker, e entry) entry {
-	w.Int(&e.count)
-	w.Bool(&e.valid)
+	x := uint64(e.count) << 1
+	if e.valid {
+		x |= 1
+	}
+	w.Uint(&x)
+	if w.Decoding() {
+		e.count, e.valid = int(x>>1), x&1 != 0
+	}
 	return e
 }

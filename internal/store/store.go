@@ -21,6 +21,7 @@ import (
 	"io"
 	"maps"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -59,9 +60,9 @@ type Op struct {
 // for concurrent use.
 type Store struct {
 	mu     sync.RWMutex
-	path   string   // empty for memory-only stores
-	f      *os.File // nil for memory-only stores
-	tables map[string]map[string][]byte
+	path   string                       // empty for memory-only stores
+	f      *os.File                     // nil for memory-only stores
+	tables map[string]map[string][]byte // the resident tables
 	writes int64
 	wbuf   []byte // group-record encode buffer, reused under mu
 
@@ -74,8 +75,19 @@ type Store struct {
 	broken error
 	voffs  []int // where each op's value lies in wbuf, reused under mu
 
-	// A spilled table keeps, per key, only where its value lies in the log.
-	spill map[string]bool
+	// A spilled table keeps, per key, one word: where its value lies in the
+	// log and its length (packRef). A file store's log is its file; a memory
+	// store's is mem. placed is Apply's scratch, one entry per op (place).
+	refs   map[string]map[string]uint64
+	mem    memLog
+	placed []placement
+}
+
+// placement is where an op of a group goes: for a spilled table, the
+// table's references and, for a put, the value's new one.
+type placement struct {
+	refs map[string]uint64 // nil for a resident table
+	ref  uint64
 }
 
 // OpenMemory returns a store without a backing file; Put/Delete apply only to
@@ -268,34 +280,62 @@ func (s *Store) apply(table, key string, value []byte, del bool) {
 // ErrClosed is returned by mutations on a closed store.
 var ErrClosed = errors.New("store: closed")
 
-// spillRefLen is the in-memory footprint of a spilled value: the 8-byte log
-// offset of its bytes plus a 4-byte length. Within a spilled table every
-// resident value is a reference, so no sentinel byte is needed to tell them
-// apart.
-const spillRefLen = 12
+// A reference packs a spilled value's length into its low refLenBits bits
+// and its log offset into the high 36. A value is shorter than maxGroupBody,
+// so any length a group record holds fits.
+const (
+	refLenBits = 28
+	maxRefLen  = 1<<refLenBits - 1
+	maxRefOff  = 1<<(64-refLenBits) - 1
+)
 
-// Spill leaves in memory only a 12-byte reference to where each of a
+// packRef returns the reference to n bytes at log offset off, and whether
+// they fit one.
+func packRef(off int64, n int) (uint64, bool) {
+	if off < 0 || off > maxRefOff || n < 0 || n > maxRefLen {
+		return 0, false
+	}
+	return uint64(off)<<refLenBits | uint64(n), true
+}
+
+func unpackRef(ref uint64) (off int64, n int) {
+	return int64(ref >> refLenBits), int(ref & maxRefLen)
+}
+
+// Spill leaves in memory only a one-word reference to where each of a
 // table's values lies in the log, and keeps the table so: a later put's
 // reference points into its own group record, Compact moves the references
-// to the values it rewrites, and reads fetch the bytes back with ReadAt.
-// The log holds every value already, so Spill writes nothing; on a store
-// that holds the table's values, it finds them in one pass over the log.
+// to the values it rewrites, and reads copy the bytes back out. A file
+// store's log holds every value already, so Spill writes nothing; on a store
+// that holds the table's values, it finds them in one pass over the log. A
+// memory store moves the table's values into its memory log (memLog).
 //
-// Spill keeps resident memory flat when a table grows without bound (the
-// instance archive under a sustained workload stream). It is a no-op for
-// memory-only stores, which have no log.
+// Spill keeps the archive's memory to its rows' bytes and a word per key
+// when a table grows without bound (the instance archive under a sustained
+// workload stream), and a file store's resident memory flat.
 func (s *Store) Spill(table string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.tables == nil {
 		return ErrClosed
 	}
-	if s.f == nil || s.spill[table] {
+	if s.refs[table] != nil {
 		return nil
 	}
-	if tbl := s.tables[table]; len(tbl) > 0 {
+	tbl := s.tables[table]
+	refs := make(map[string]uint64, len(tbl))
+	if s.f == nil {
+		mark := s.mem.mark()
+		for _, k := range sortedKeys(tbl) {
+			var ok bool
+			if refs[k], ok = s.mem.add(tbl[k]); !ok {
+				s.mem.undo(mark)
+				return fmt.Errorf("store: spill %s: %d bytes under %s do not fit the memory log", table, len(tbl[k]), k)
+			}
+		}
+	} else if len(tbl) > 0 {
 		// A live value lies where its key's last put wrote it.
-		refs := make(map[string][]byte, len(tbl))
+		fits := true
 		r := bufio.NewReaderSize(io.NewSectionReader(s.f, int64(headerLen), s.end-int64(headerLen)), 1<<16)
 		end := readGroups(r, int64(headerLen), func(ops []Op, voffs []int64) {
 			for i, op := range ops {
@@ -304,56 +344,111 @@ func (s *Store) Spill(table string) error {
 				case op.Delete:
 					delete(refs, op.Key)
 				default:
-					refs[op.Key] = putRef(refs[op.Key], voffs[i], len(op.Value))
+					ref, ok := packRef(voffs[i], len(op.Value))
+					refs[op.Key], fits = ref, fits && ok
 				}
 			}
 		})
-		if end != s.end || len(refs) != len(tbl) {
-			return fmt.Errorf("store: spill %s: the log to %d holds %d live values, the table %d", table, end, len(refs), len(tbl))
+		if end != s.end || len(refs) != len(tbl) || !fits {
+			return fmt.Errorf("store: spill %s: the log to %d holds %d live values, the table %d (references fit: %v)", table, end, len(refs), len(tbl), fits)
 		}
-		s.tables[table] = refs
 	}
-	if s.spill == nil {
-		s.spill = make(map[string]bool)
+	delete(s.tables, table)
+	if s.refs == nil {
+		s.refs = make(map[string]map[string]uint64)
 	}
-	s.spill[table] = true
+	s.refs[table] = refs
 	return nil
 }
 
-// putRef writes the reference to n bytes at log offset off into ref, if it
-// is one, else into a new one, and returns it.
-func putRef(ref []byte, off int64, n int) []byte {
-	if len(ref) != spillRefLen {
-		ref = make([]byte, spillRefLen)
+// read copies a spilled value out of the log. Caller holds s.mu (read or
+// write).
+func (s *Store) read(ref uint64) ([]byte, error) {
+	if s.f == nil {
+		return append([]byte(nil), s.mem.at(ref)...), nil
 	}
-	binary.LittleEndian.PutUint64(ref[0:8], uint64(off))
-	binary.LittleEndian.PutUint32(ref[8:12], uint32(n))
-	return ref
-}
-
-// readSpill dereferences a spilled value. Caller holds s.mu (read or write).
-func (s *Store) readSpill(ref []byte) ([]byte, error) {
-	if len(ref) != spillRefLen {
-		return nil, fmt.Errorf("store: %s: corrupt spill reference (%d bytes)", s.path, len(ref))
-	}
-	off := int64(binary.LittleEndian.Uint64(ref[0:8]))
-	buf := make([]byte, binary.LittleEndian.Uint32(ref[8:12]))
+	off, n := unpackRef(ref)
+	buf := make([]byte, n)
 	if _, err := s.f.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("store: %s: read the %d-byte value at %d: %w", s.path, len(buf), off, err)
+		return nil, fmt.Errorf("store: %s: read the %d-byte value at %d: %w", s.path, n, off, err)
 	}
 	return buf, nil
 }
 
+// memLog is a memory store's log of spilled values: append-only chunks of
+// memChunk bytes, each value whole in one chunk, and a value longer than a
+// chunk in a chunk of its own. A value's offset is its chunk's index shifted
+// left by memChunkBits, plus where it starts in the chunk. The chunks hold no
+// pointers, so the collector never scans them.
+type memLog struct {
+	chunks [][]byte
+}
+
+const (
+	memChunkBits = 16
+	memChunk     = 1 << memChunkBits
+)
+
+// add appends v and returns its reference, and whether v fits one; an
+// empty value takes no room. After a false, undo takes v back out.
+func (l *memLog) add(v []byte) (uint64, bool) {
+	switch {
+	case len(v) > maxRefLen:
+		return 0, false
+	case len(v) == 0:
+		return 0, true
+	}
+	last := len(l.chunks) - 1
+	if last < 0 || len(v) > cap(l.chunks[last])-len(l.chunks[last]) {
+		l.chunks = append(l.chunks, make([]byte, 0, max(memChunk, len(v))))
+		last++
+	}
+	c := l.chunks[last]
+	l.chunks[last] = append(c, v...)
+	return packRef(int64(last)<<memChunkBits|int64(len(c)), len(v))
+}
+
+// at returns the value ref names, in place.
+func (l *memLog) at(ref uint64) []byte {
+	off, n := unpackRef(ref)
+	if n == 0 {
+		return nil
+	}
+	in := int(off & (memChunk - 1))
+	return l.chunks[off>>memChunkBits][in : in+n]
+}
+
+// A logMark is where the log ended; undo takes the log back to it.
+type logMark struct{ chunks, last int }
+
+func (l *memLog) mark() logMark {
+	m := logMark{chunks: len(l.chunks)}
+	if m.chunks > 0 {
+		m.last = len(l.chunks[m.chunks-1])
+	}
+	return m
+}
+
+func (l *memLog) undo(m logMark) {
+	clear(l.chunks[m.chunks:])
+	l.chunks = l.chunks[:m.chunks]
+	if m.chunks > 0 {
+		l.chunks[m.chunks-1] = l.chunks[m.chunks-1][:m.last]
+	}
+}
+
 // Apply logs ops as one group record — a single write, replayed all or
 // nothing — and then applies them in order to the in-memory view. Values are
-// copied, or for a spilled table referenced where the group record holds
-// them; ops and its buffers are not retained. A rewritten key's copy goes
-// into the buffer the key already holds, grown with headroom when it is
-// short; a new key's copy is exact. Put and Delete are the one-op case.
+// copied, or for a spilled table referenced where the log holds them; ops
+// and its buffers are not retained. A rewritten key's copy goes into the
+// buffer the key already holds, grown with headroom when it is short; a new
+// key's copy is exact. Put and Delete are the one-op case.
 //
 // A failed write is cut back off the log, so the next group follows the last
 // complete one; if it cannot be, this and every later Apply fail, since a
-// group written behind a torn one would be dropped by the next Open.
+// group written behind a torn one would be dropped by the next Open. A group
+// with a spilled value whose reference would not fit one word fails before
+// anything is written.
 func (s *Store) Apply(ops []Op) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -366,12 +461,16 @@ func (s *Store) Apply(ops []Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	base := s.end
 	if s.f != nil {
 		s.wbuf, s.voffs = appendGroup(s.wbuf[:0], s.voffs[:0], ops)
 		if len(s.wbuf)-groupHeaderLen > maxGroupBody {
 			return fmt.Errorf("store: group of %d ops exceeds %d bytes", len(ops), maxGroupBody)
 		}
+	}
+	if err := s.place(ops); err != nil {
+		return err
+	}
+	if s.f != nil {
 		if _, err := s.log.Write(s.wbuf); err != nil {
 			return s.cutBack(err)
 		}
@@ -379,12 +478,16 @@ func (s *Store) Apply(ops []Op) error {
 	}
 	for i := range ops {
 		op := &ops[i]
+		if p := s.placed[i]; p.refs != nil {
+			if op.Delete {
+				delete(p.refs, op.Key)
+			} else {
+				p.refs[op.Key] = p.ref
+			}
+			continue
+		}
 		var v []byte
-		switch {
-		case op.Delete:
-		case s.spill[op.Table]:
-			v = putRef(s.tables[op.Table][op.Key], base+int64(s.voffs[i]), len(op.Value))
-		default:
+		if !op.Delete {
 			old, rewrite := s.tables[op.Table][op.Key]
 			if rewrite {
 				v = append(old[:0], op.Value...)
@@ -395,6 +498,33 @@ func (s *Store) Apply(ops []Op) error {
 		s.apply(op.Table, op.Key, v, op.Delete)
 	}
 	s.writes += int64(len(ops))
+	return nil
+}
+
+// place sets s.placed[i] to where ops[i] goes: for a put to a spilled
+// table, where the group record about to be written holds the value, on a
+// file store, or where the memory log now does. If a reference does not
+// fit, it fails and leaves the memory log as it was. Caller holds s.mu and,
+// on a file store, has encoded the group.
+func (s *Store) place(ops []Op) error {
+	s.placed = slices.Grow(s.placed[:0], len(ops))[:len(ops)]
+	mark := s.mem.mark()
+	for i := range ops {
+		op, p := &ops[i], &s.placed[i]
+		if p.refs = s.refs[op.Table]; p.refs == nil || op.Delete {
+			continue
+		}
+		var ok bool
+		if s.f != nil {
+			p.ref, ok = packRef(s.end+int64(s.voffs[i]), len(op.Value))
+		} else {
+			p.ref, ok = s.mem.add(op.Value)
+		}
+		if !ok {
+			s.mem.undo(mark)
+			return fmt.Errorf("store: put %s/%s: %d bytes do not fit a reference into the log", op.Table, op.Key, len(op.Value))
+		}
+	}
 	return nil
 }
 
@@ -438,13 +568,17 @@ func (s *Store) Get(table, key string) ([]byte, bool) {
 func (s *Store) Load(table, key string) ([]byte, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if refs := s.refs[table]; refs != nil {
+		ref, ok := refs[key]
+		if !ok {
+			return nil, false, nil
+		}
+		v, err := s.read(ref)
+		return v, true, err
+	}
 	v, ok := s.tables[table][key]
-	switch {
-	case !ok:
+	if !ok {
 		return nil, false, nil
-	case s.spill[table]:
-		val, err := s.readSpill(v)
-		return val, true, err
 	}
 	return append([]byte(nil), v...), true, nil
 }
@@ -453,9 +587,16 @@ func (s *Store) Load(table, key string) ([]byte, bool, error) {
 func (s *Store) Keys(table string) []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	tbl := s.tables[table]
-	keys := make([]string, 0, len(tbl))
-	for k := range tbl {
+	if refs := s.refs[table]; refs != nil {
+		return sortedKeys(refs)
+	}
+	return sortedKeys(s.tables[table])
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
@@ -480,7 +621,7 @@ func (s *Store) Scan(table string, fn func(key string, value []byte) bool) {
 func (s *Store) Len(table string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.tables[table])
+	return len(s.tables[table]) + len(s.refs[table])
 }
 
 // Writes returns the number of logged mutations (including replayed ones),
@@ -491,13 +632,17 @@ func (s *Store) Writes() int64 {
 	return s.writes
 }
 
-// Compact rewrites the log as a minimal snapshot of the live state. File-
-// backed stores only; a no-op for memory stores.
+// Compact rewrites the log as a minimal snapshot of the live state: a file
+// store's file, or the memory log of a memory store's spilled tables. A
+// failed Compact leaves the log and every reference as they were.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.tables == nil {
+		return ErrClosed
+	}
 	if s.f == nil {
-		return nil
+		return s.compactMemory()
 	}
 	tmp := s.path + ".compact"
 	f, err := os.Create(tmp)
@@ -505,7 +650,7 @@ func (s *Store) Compact() error {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	var end int64
-	var moved map[string]map[string][]byte
+	var moved map[string]map[string]uint64
 	if moved, err = s.writeSnapshot(f); err == nil {
 		err = f.Sync()
 	}
@@ -522,39 +667,53 @@ func (s *Store) Compact() error {
 	}
 	s.f.Close()
 	s.f, s.log, s.end, s.broken = f, f, end, nil
-	maps.Copy(s.tables, moved)
+	maps.Copy(s.refs, moved)
+	return nil
+}
+
+// compactMemory copies the live spilled values into a new memory log and
+// moves their references there. Caller holds s.mu.
+func (s *Store) compactMemory() error {
+	var l memLog
+	moved := make(map[string]map[string]uint64, len(s.refs))
+	for t, refs := range s.refs {
+		m := make(map[string]uint64, len(refs))
+		for k, ref := range refs {
+			var ok bool
+			if m[k], ok = l.add(s.mem.at(ref)); !ok {
+				return errors.New("store: compact: the memory log is full")
+			}
+		}
+		moved[t] = m
+	}
+	s.mem = l
+	maps.Copy(s.refs, moved)
 	return nil
 }
 
 // writeSnapshot writes the header and the live state to f, one group per key
 // in sorted table/key order, and returns the spilled tables with references
 // into f. Caller holds s.mu.
-func (s *Store) writeSnapshot(f *os.File) (map[string]map[string][]byte, error) {
+func (s *Store) writeSnapshot(f *os.File) (map[string]map[string]uint64, error) {
 	if err := writeHeader(f); err != nil {
 		return nil, err
 	}
 	w := bufio.NewWriter(f)
 	off := int64(headerLen)
-	moved := make(map[string]map[string][]byte, len(s.spill))
-	tables := make([]string, 0, len(s.tables))
-	for t := range s.tables {
-		tables = append(tables, t)
-	}
+	moved := make(map[string]map[string]uint64, len(s.refs))
+	tables := append(sortedKeys(s.tables), sortedKeys(s.refs)...)
 	sort.Strings(tables)
 	for _, t := range tables {
-		keys := make([]string, 0, len(s.tables[t]))
-		for k := range s.tables[t] {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		if s.spill[t] {
-			moved[t] = make(map[string][]byte, len(keys))
+		refs, keys := s.refs[t], sortedKeys(s.tables[t])
+		if refs != nil {
+			keys = sortedKeys(refs)
+			moved[t] = make(map[string]uint64, len(refs))
 		}
 		for _, k := range keys {
 			v := s.tables[t][k]
-			if s.spill[t] {
+			if refs != nil {
 				var err error
-				if v, err = s.readSpill(v); err != nil {
+				if v, err = s.read(refs[k]); err != nil {
 					return nil, err
 				}
 			}
@@ -562,8 +721,12 @@ func (s *Store) writeSnapshot(f *os.File) (map[string]map[string][]byte, error) 
 			if _, err := w.Write(s.wbuf); err != nil {
 				return nil, err
 			}
-			if s.spill[t] {
-				moved[t][k] = putRef(nil, off+int64(s.voffs[0]), len(v))
+			if refs != nil {
+				ref, ok := packRef(off+int64(s.voffs[0]), len(v))
+				if !ok {
+					return nil, fmt.Errorf("store: %s/%s: %d bytes at log offset %d do not fit a reference", t, k, len(v), off+int64(s.voffs[0]))
+				}
+				moved[t][k] = ref
 			}
 			off += int64(len(s.wbuf))
 		}
@@ -585,7 +748,7 @@ func (s *Store) Sync() error {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tables = nil
+	s.tables, s.refs, s.mem = nil, nil, memLog{}
 	if s.f != nil {
 		err := s.f.Close()
 		s.f = nil

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -242,17 +244,6 @@ func TestCompact(t *testing.T) {
 	}
 }
 
-func TestCompactMemoryNoop(t *testing.T) {
-	s := OpenMemory()
-	s.Put("t", "k", []byte("v"))
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestClosedStoreErrors(t *testing.T) {
 	s := OpenMemory()
 	s.Close()
@@ -301,8 +292,59 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-// Property: a store reopened after any sequence of puts/deletes equals the
-// in-memory model map.
+// TestConcurrentSpilledAccess: on a spilled table of a memory and of a file
+// store, writers that read back their own values, a reader of the keys and
+// a Compact running beside them, under -race.
+func TestConcurrentSpilledAccess(t *testing.T) {
+	file, _ := tempStore(t)
+	for name, s := range map[string]*Store{"memory": OpenMemory(), "file": file} {
+		t.Run(name, func(t *testing.T) {
+			if err := s.Spill("t"); err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					key := string(rune('a' + id))
+					for i := 0; i < 200; i++ {
+						want := bytes.Repeat([]byte{byte(i)}, id+i%3)
+						if err := s.Put("t", key, want); err != nil {
+							t.Error(err)
+							return
+						}
+						if got, ok, err := s.Load("t", key); !ok || err != nil || !bytes.Equal(got, want) {
+							t.Errorf("%s: read back (%v, %v, %v), want %v", key, got, ok, err, want)
+							return
+						}
+						s.Keys("t")
+					}
+				}(w)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					if err := s.Compact(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+			wg.Wait()
+			if s.Len("t") != 4 {
+				t.Errorf("Len = %d, want 4", s.Len("t"))
+			}
+		})
+	}
+}
+
+// Property: one sequence of puts and deletes, run against four stores, leaves
+// each equal to the map model: a memory store, a memory store whose table is
+// spilled a third of the way in and compacted half way, a file store spilled
+// and compacted at the same points, and that file store reopened, before and
+// after a Spill. Values run from empty to a few bytes long.
 func TestPropertyReplayMatchesModel(t *testing.T) {
 	f := func(ops []uint8, vals []uint8) bool {
 		dir, err := os.MkdirTemp("", "storeprop")
@@ -311,41 +353,90 @@ func TestPropertyReplayMatchesModel(t *testing.T) {
 		}
 		defer os.RemoveAll(dir)
 		path := filepath.Join(dir, "wal.db")
-		s, err := Open(path)
+		file, err := Open(path)
 		if err != nil {
 			return false
 		}
-		modelMap := make(map[string]byte)
+		defer file.Close()
+		plain, spilled := OpenMemory(), OpenMemory()
+		stores := []*Store{plain, spilled, file}
+		model := make(map[string]string)
+		agree := func(what string, s *Store) bool {
+			keys := make([]string, 0, len(model))
+			for k := range model {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			if got := s.Keys("t"); s.Len("t") != len(model) || !slices.Equal(got, keys) {
+				t.Logf("%s: keys %q (Len %d), the model %q", what, got, s.Len("t"), keys)
+				return false
+			}
+			for k, want := range model {
+				if got, ok, err := s.Load("t", k); !ok || err != nil || string(got) != want {
+					t.Logf("%s: %s = (%q, %v, %v), the model %q", what, k, got, ok, err, want)
+					return false
+				}
+			}
+			return true
+		}
 		for i, op := range ops {
+			switch i {
+			case len(ops) / 3:
+				for _, s := range stores[1:] {
+					if err := s.Spill("t"); err != nil {
+						t.Log(err)
+						return false
+					}
+				}
+			case len(ops) / 2:
+				for _, s := range stores[1:] {
+					if err := s.Compact(); err != nil {
+						t.Log(err)
+						return false
+					}
+				}
+			}
 			key := string(rune('a' + op%5))
 			var val byte
 			if i < len(vals) {
 				val = vals[i]
 			}
+			for _, s := range stores {
+				if op%3 == 0 {
+					err = s.Delete("t", key)
+				} else {
+					err = s.Put("t", key, bytes.Repeat([]byte{val}, int(val%4)))
+				}
+				if err != nil {
+					t.Log(err)
+					return false
+				}
+			}
 			if op%3 == 0 {
-				s.Delete("t", key)
-				delete(modelMap, key)
+				delete(model, key)
 			} else {
-				s.Put("t", key, []byte{val})
-				modelMap[key] = val
+				model[key] = string(bytes.Repeat([]byte{val}, int(val%4)))
 			}
 		}
-		s.Close()
+		for i, what := range []string{"memory", "spilled memory", "spilled file"} {
+			if !agree(what, stores[i]) {
+				return false
+			}
+		}
+		file.Close()
 		r, err := Open(path)
 		if err != nil {
 			return false
 		}
 		defer r.Close()
-		if r.Len("t") != len(modelMap) {
+		if !agree("reopened file", r) {
 			return false
 		}
-		for k, v := range modelMap {
-			got, ok := r.Get("t", k)
-			if !ok || len(got) != 1 || got[0] != v {
-				return false
-			}
+		if err := r.Spill("t"); err != nil {
+			t.Log(err)
+			return false
 		}
-		return true
+		return agree("reopened and spilled file", r)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -393,7 +484,7 @@ func TestSpillSurvivesCompactAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Put("arch", "k2", []byte("v2"))
-	// Compact must write real values (not 12-byte references) to the log.
+	// Compact must write real values (not references) to the log.
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -418,17 +509,6 @@ func TestSpillSurvivesCompactAndReopen(t *testing.T) {
 	}
 	if v, ok := r.Get("arch", "k2"); !ok || string(v) != "v2" {
 		t.Fatalf("after reopen+Spill k2 = %q,%v", v, ok)
-	}
-}
-
-func TestSpillMemoryNoop(t *testing.T) {
-	s := OpenMemory()
-	s.Put("arch", "k", []byte("v"))
-	if err := s.Spill("arch"); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := s.Get("arch", "k"); !ok || string(v) != "v" {
-		t.Fatal("memory-store Spill changed state")
 	}
 }
 
@@ -488,9 +568,7 @@ func TestSpilledValuesLiveInTheLog(t *testing.T) {
 			if !ok || err != nil || string(got) != v {
 				t.Fatalf("%s: %s = (%q, %v, %v), want %q", when, k, got, ok, err, v)
 			}
-			if ref := s.tables["arch"][k]; len(ref) != spillRefLen {
-				t.Fatalf("%s: %s keeps %d bytes in memory, want a %d-byte reference", when, k, len(ref), spillRefLen)
-			}
+			checkRef(t, when, s, k, v)
 		}
 		if entries, _ := os.ReadDir(filepath.Dir(path)); len(entries) != 1 {
 			t.Fatalf("%s: %d files next to the log, want the log alone", when, len(entries))
@@ -524,5 +602,217 @@ func TestSpilledValuesLiveInTheLog(t *testing.T) {
 	check("after a reopen and Spill", r)
 	if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, log) {
 		t.Fatalf("the reopen and Spill changed the log (%d -> %d bytes, %v)", len(log), len(again), err)
+	}
+}
+
+// checkRef fails unless key k of table arch is held as one word, naming a
+// value of v's length, and as nothing else.
+func checkRef(t *testing.T, when string, s *Store, k, v string) {
+	t.Helper()
+	ref, ok := s.refs["arch"][k]
+	if _, n := unpackRef(ref); !ok || n != len(v) || s.tables["arch"] != nil {
+		t.Fatalf("%s: %s is not one word naming %d bytes (ok %v, ref %#x, resident table %v)", when, k, len(v), ok, ref, s.tables["arch"] != nil)
+	}
+}
+
+// size is the number of bytes the log holds, live or not.
+func (l *memLog) size() int {
+	n := 0
+	for _, c := range l.chunks {
+		n += len(c)
+	}
+	return n
+}
+
+// TestSpilledValuesLiveInTheMemoryLog is TestSpilledValuesLiveInTheLog on a
+// memory store: Spill moves the table's values into the memory log, a put
+// appends its value there, and the table keeps one word per key. Every
+// value, an empty one and one longer than a chunk among them, reads back as
+// a copy, and Compact shrinks the log to the live values. Sync has nothing
+// to flush.
+func TestSpilledValuesLiveInTheMemoryLog(t *testing.T) {
+	s := OpenMemory()
+	want := map[string]string{}
+	put := func(k, v string) {
+		t.Helper()
+		if err := s.Put("arch", k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = v
+	}
+	put("before", "resident until the spill")
+	if err := s.Spill("arch"); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 20 {
+		put(fmt.Sprintf("k%02d", i), strings.Repeat(string(rune('a'+i)), 50+i))
+	}
+	put("k00", "rewritten")
+	put("empty", "")
+	put("big", strings.Repeat("b", memChunk+1))
+	put("after big", "lands in a chunk of its own")
+	if err := s.Delete("arch", "k01"); err != nil {
+		t.Fatal(err)
+	}
+	delete(want, "k01")
+	live := 0
+	for _, v := range want {
+		live += len(v)
+	}
+	check := func(when string) {
+		t.Helper()
+		keys := make([]string, 0, len(want))
+		for k := range want {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if got := s.Keys("arch"); s.Len("arch") != len(want) || !slices.Equal(got, keys) {
+			t.Fatalf("%s: keys %q (Len %d), want %q", when, got, s.Len("arch"), keys)
+		}
+		for k, v := range want {
+			got, ok, err := s.Load("arch", k)
+			if !ok || err != nil || string(got) != v {
+				t.Fatalf("%s: %s = (%.20q, %v, %v), want %.20q", when, k, got, ok, err, v)
+			}
+			checkRef(t, when, s, k, v)
+			if len(got) > 0 {
+				got[0] ^= 0xff
+				if again, _ := s.Get("arch", k); string(again) != v {
+					t.Fatalf("%s: changing what Load returned for %s changed the log", when, k)
+				}
+			}
+		}
+	}
+	check("after the puts")
+	before := s.mem.size()
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if after := s.mem.size(); after >= before || after != live {
+		t.Errorf("Compact left the memory log at %d bytes, from %d; the live values are %d", after, before, live)
+	}
+	check("after Compact")
+	put("late", "after Compact")
+	check("after a put behind Compact")
+	if err := s.Sync(); err != nil {
+		t.Errorf("Sync of a memory store: %v", err)
+	}
+}
+
+// TestFailedCompactKeepsEveryReference: a Compact that cannot create its new
+// log fails and moves no reference, so every spilled value still loads, a
+// later put lands, and the log still reopens to every value.
+func TestFailedCompactKeepsEveryReference(t *testing.T) {
+	s, path := tempStore(t)
+	want := map[string]string{}
+	put := func(k, v string) {
+		t.Helper()
+		if err := s.Put("arch", k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = v
+	}
+	put("before", "in the log before the spill")
+	if err := s.Spill("arch"); err != nil {
+		t.Fatal(err)
+	}
+	for i := range 10 {
+		put(fmt.Sprintf("k%d", i), strings.Repeat(string(rune('a'+i)), 30+i))
+	}
+	put("k0", "rewritten")
+	if err := s.Delete("arch", "k1"); err != nil {
+		t.Fatal(err)
+	}
+	delete(want, "k1")
+	if err := os.Mkdir(path+".compact", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err == nil {
+		t.Fatal("Compact over a directory at its new log's path succeeded")
+	}
+	check := func(when string, s *Store) {
+		t.Helper()
+		if s.Len("arch") != len(want) {
+			t.Fatalf("%s: %d keys, want %d", when, s.Len("arch"), len(want))
+		}
+		for k, v := range want {
+			if got, ok, err := s.Load("arch", k); !ok || err != nil || string(got) != v {
+				t.Fatalf("%s: %s = (%q, %v, %v), want %q", when, k, got, ok, err, v)
+			}
+		}
+	}
+	check("after the failed Compact", s)
+	put("late", "after the failed Compact")
+	check("after a put behind the failed Compact", s)
+	s.Close()
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Spill("arch"); err != nil {
+		t.Fatal(err)
+	}
+	check("after a reopen and Spill", r)
+}
+
+// TestUnreferenceablePutWritesNothing: a group with a put to a spilled table
+// whose value would lie past the 36-bit offset a reference holds fails as a
+// whole, and leaves the log and the tables as they were: on a file store
+// whose log reads as 64 GiB long, and on a memory store whose log has used
+// every chunk index.
+func TestUnreferenceablePutWritesNothing(t *testing.T) {
+	file, path := tempStore(t)
+	mem := OpenMemory()
+	for _, s := range []*Store{file, mem} {
+		if err := s.Put("arch", "near", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Spill("arch"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	group := []Op{
+		{Table: "t", Key: "resident", Value: []byte("r")},
+		{Table: "arch", Key: "far", Value: []byte("x")},
+	}
+	check := func(what string, s *Store, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: a put past a reference's reach succeeded", what)
+		}
+		for _, k := range []string{"t/resident", "arch/far"} {
+			table, key, _ := strings.Cut(k, "/")
+			if _, ok := s.Get(table, key); ok {
+				t.Errorf("%s: the failed group left %s", what, k)
+			}
+		}
+		if v, ok := s.Get("arch", "near"); !ok || string(v) != "v" {
+			t.Errorf("%s: arch/near = %q, %v after the failed group", what, v, ok)
+		}
+	}
+
+	size, end := fileSize(t, path), file.end
+	file.end = maxRefOff
+	err := file.Apply(group)
+	file.end = end
+	check("file", file, err)
+	if got := fileSize(t, path); got != size {
+		t.Errorf("file: the failed group wrote %d bytes", got-size)
+	}
+
+	chunks := len(mem.mem.chunks)
+	full := make([][]byte, 1<<(64-refLenBits-memChunkBits))
+	copy(full, mem.mem.chunks)
+	mem.mem.chunks = full
+	check("memory", mem, mem.Apply(group))
+	if len(mem.mem.chunks) != len(full) {
+		t.Errorf("memory: the failed group left %d chunks, want %d", len(mem.mem.chunks), len(full))
+	}
+	mem.mem.chunks = mem.mem.chunks[:chunks]
+	for _, s := range []*Store{file, mem} {
+		if err := s.Apply(group); err != nil {
+			t.Fatalf("a group within reach after a failed one: %v", err)
+		}
 	}
 }

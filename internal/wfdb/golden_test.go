@@ -46,8 +46,8 @@ var goldenInputs = map[string]expr.Value{"I1": expr.Num(2.5), "I2": expr.Str("or
 // together with rowVersion; a refactor of the row codec must leave it as it
 // is.
 func TestRowGoldenBytes(t *testing.T) {
-	if rowVersion != 4 {
-		t.Fatalf("rowVersion %d: the golden bytes below are version 4's", rowVersion)
+	if rowVersion != 5 {
+		t.Fatalf("rowVersion %d: the golden bytes below are version 5's", rowVersion)
 	}
 	literal := NewInstance("WF01", 42, goldenInputs)
 	goldenState(literal)
@@ -89,8 +89,14 @@ func TestRowGoldenBytes(t *testing.T) {
 func TestVersion2RowIsRefused(t *testing.T) { testOldRowIsRefused(t, goldenV2InstanceRow) }
 
 // TestVersion3RowIsRefused: the same for rowVersion 3's literal row, whose
-// header is this version's but whose data table comes before its step table.
+// header has this version's layout but whose data table comes before its
+// step table.
 func TestVersion3RowIsRefused(t *testing.T) { testOldRowIsRefused(t, goldenV3InstanceRow) }
+
+// TestVersion4RowIsRefused: the same for rowVersion 4's literal row, whose
+// header and table order are this version's but whose step records and
+// event entries write each scalar on its own.
+func TestVersion4RowIsRefused(t *testing.T) { testOldRowIsRefused(t, goldenV4InstanceRow) }
 
 func testOldRowIsRefused(t *testing.T, golden string) {
 	row, err := hex.DecodeString(golden)
@@ -108,21 +114,26 @@ func testOldRowIsRefused(t *testing.T, golden string) {
 	}
 }
 
-// What the row encoder writes at rowVersion 4. The literal row writes every
+// What the row encoder writes at rowVersion 5. The literal row writes every
 // name as 0 then the string; the attached row writes each name its schema
 // declares, S1's agent among them, as one byte, and its undeclared data
 // items, parent, S2's agent and external event as literals. In both, S1.O1
 // and S1.O2 are tag 1, a reference to S1's outputs, and the other data
-// items tag 0 and their value.
+// items tag 0 and their value. S1's scalars are the one byte 7d (one
+// attempt, a partial compensation, a result, compensating), S2's 43 (one
+// attempt, failed); S1.done is 03 (once, valid) and S2.fail 02 (once,
+// invalidated).
 const (
-	goldenInstanceRow = "040000000000000000045746303154040306076167656e7430330866726f6e74656e6404574630300e02533902000253310a00076167656e74303102010601000557462e49310100000000000004400200024f3102017800024f320401000253320600076167656e743032020000000006000553312e4f3101000553312e4f3201000557462e493100010000000000000440000557462e49320002086f726465722d31370004666c616700030100046e6f6e65000003000753312e646f6e650201000753322e6661696c0200000857462e737461727402010100025331"
-	goldenAttachedRow = "047586e9bc414af8f5045746303156040306076167656e7430330866726f6e74656e6404574630300e02533902010a1202010601030100000000000004400206020178080401020600076167656e7430320200000000060300010000000000000440040002086f726465722d3137050107010004666c616700030100046e6f6e650000040902010c020110020000126578743a574630302e373a53392e646f6e6502010101"
-	goldenNamesRow    = "04120253310253320557462e49310557462e49320553312e4f31024f310553312e4f32024f320857462e73746172740757462e646f6e650857462e61626f72740753312e646f6e650753312e6661696c0e53312e636f6d70656e73617465640753322e646f6e650753322e6661696c0e53322e636f6d70656e7361746564076167656e743031"
-	goldenSummaryRow  = "0402"
+	goldenInstanceRow = "050000000000000000045746303154040306076167656e7430330866726f6e74656e6404574630300e02533902000253317d00076167656e74303101000557462e49310100000000000004400200024f3102017800024f320401000253324300076167656e743032000006000553312e4f3101000553312e4f3201000557462e493100010000000000000440000557462e49320002086f726465722d31370004666c616700030100046e6f6e65000003000753312e646f6e6503000753322e6661696c02000857462e7374617274030100025331"
+	goldenAttachedRow = "057586e9bc414af8f5045746303156040306076167656e7430330866726f6e74656e6404574630300e02533902017d1201030100000000000004400206020178080401024300076167656e7430320000060300010000000000000440040002086f726465722d3137050107010004666c616700030100046e6f6e6500000409030c03100200126578743a574630302e373a53392e646f6e65030101"
+	goldenNamesRow    = "05120253310253320557462e49310557462e49320553312e4f31024f310553312e4f32024f320857462e73746172740757462e646f6e650857462e61626f72740753312e646f6e650753312e6661696c0e53312e636f6d70656e73617465640753322e646f6e650753322e6661696c0e53322e636f6d70656e7361746564076167656e743031"
+	goldenSummaryRow  = "0502"
 )
 
-// What the row encoder wrote for the literal instance at rowVersion 3 and 2.
+// What the row encoder wrote for the literal instance at rowVersion 4, 3 and
+// 2.
 const (
+	goldenV4InstanceRow = "040000000000000000045746303154040306076167656e7430330866726f6e74656e6404574630300e02533902000253310a00076167656e74303102010601000557462e49310100000000000004400200024f3102017800024f320401000253320600076167656e743032020000000006000553312e4f3101000553312e4f3201000557462e493100010000000000000440000557462e49320002086f726465722d31370004666c616700030100046e6f6e65000003000753312e646f6e650201000753322e6661696c0200000857462e737461727402010100025331"
 	goldenV3InstanceRow = "030000000000000000045746303154040306076167656e7430330866726f6e74656e6404574630300e02533906000553312e4f31020178000553312e4f320401000557462e4931010000000000000440000557462e493202086f726465722d31370004666c6167030100046e6f6e650003000753312e646f6e650201000753322e6661696c0200000857462e7374617274020102000253310a076167656e74303102010601000557462e49310100000000000004400200024f3102017800024f3204010002533206076167656e74303202000000000100025331"
 	goldenV2InstanceRow = "02045746303154040306076167656e7430330866726f6e74656e6404574630300e025339060553312e4f310201780553312e4f3204010557462e49310100000000000004400557462e493202086f726465722d313704666c61670301046e6f6e6500030753312e646f6e6502010753322e6661696c02000857462e73746172740201020253310a076167656e743031020106010557462e493101000000000000044002024f31020178024f32040102533206076167656e743032020000000001025331"
 )

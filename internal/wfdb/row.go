@@ -19,11 +19,13 @@ import (
 
 // rowVersion leads every instance, archive, summary and name-table row. A
 // build reads exactly one version; anything else fails with
-// CodeStoreFormat. Version 4 writes the step table before the data table,
-// an agent by index and a data item its producer's record holds as a
-// reference to it; 3 wrote step, data and event names as indexes into the
-// name table of the instance's schema; 2 wrote each as a string.
-const rowVersion = 4
+// CodeStoreFormat. Version 5 packs a step record's four scalars into one
+// uvarint and an event entry's count and validity into another; 4 wrote the
+// step table before the data table, an agent by index and a data item its
+// producer's record holds as a reference to it; 3 wrote step, data and
+// event names as indexes into the name table of the instance's schema; 2
+// wrote each as a string.
+const rowVersion = 5
 
 // Instance-row flag bits.
 const (
@@ -353,21 +355,36 @@ func (ins *Instance) output(k string) (expr.Value, bool) {
 	return v, ok
 }
 
-// walkStepRecord walks a step record: status, agent (a name), attempts,
-// hasResult byte, compMode, inputs, outputs (the two maps encoded by
-// expr.WalkValues).
+// walkStepRecord walks a step record: its scalars (stepWord), agent (a
+// name), inputs, outputs (the two maps encoded by expr.WalkValues).
 func walkStepRecord(w *binenc.Walker, r *StepRecord) *StepRecord {
 	if w.Decoding() {
 		r = new(StepRecord)
 	}
-	w.Int((*int)(&r.Status))
+	x := r.stepWord()
+	w.Uint(&x)
+	if w.Decoding() {
+		r.Status, r.HasResult = StepStatus(x&7), x&8 != 0
+		r.CompMode, r.Attempts = model.ExecMode(x>>4&3), int(x>>6)
+		if r.Status > StepCompensating {
+			w.Fail()
+		}
+	}
 	w.Name(&r.Agent)
-	w.Int(&r.Attempts)
-	w.Bool(&r.HasResult)
-	r.CompMode.Walk(w)
 	expr.WalkValues(w, &r.Inputs)
 	expr.WalkValues(w, &r.Outputs)
 	return r
+}
+
+// stepWord packs a record's scalars into one word, written as a uvarint:
+// attempts<<6 | compMode<<4 | hasResult<<3 | status. A status takes three
+// bits and a mode two; attempts are never negative.
+func (r *StepRecord) stepWord() uint64 {
+	x := uint64(r.Attempts)<<6 | uint64(r.CompMode&3)<<4 | uint64(r.Status&7)
+	if r.HasResult {
+		x |= 8
+	}
+	return x
 }
 
 // Walk is a status's form in rows and payloads: an integer. A summary row is
@@ -445,7 +462,7 @@ func (ins *Instance) walkSteps(w *binenc.Walker, fill bool) {
 		c.walk(w, ins.Steps, true)
 		return
 	}
-	binenc.Map(w, &ins.Steps, 8, walkStepRecord) // id length, five scalars, two counts
+	binenc.Map(w, &ins.Steps, 5, walkStepRecord) // id, scalars, agent, two counts
 }
 
 // walk encodes steps, as binenc.Map would, if its ids are those of c.recs,
@@ -455,7 +472,7 @@ func (c *savedSteps) walk(w *binenc.Walker, steps map[model.StepID]*StepRecord, 
 		return false
 	}
 	mark := len(w.Bytes())
-	w.Len(len(steps), 8)
+	w.Len(len(steps), 5)
 	start := len(w.Bytes())
 	for i := range c.recs {
 		e := &c.recs[i]

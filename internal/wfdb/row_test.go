@@ -135,11 +135,14 @@ func TestRowEncodingIsDeterministic(t *testing.T) {
 
 func TestDecodeRejectsBadRows(t *testing.T) {
 	row := encodeRow(new(binenc.Walker), nil, sixStepInstance(1))
+	bad := sixStepInstance(1)
+	bad.Steps["S1"].Status = StepCompensating + 1
 	cases := map[string][]byte{
-		"empty":         nil,
-		"newer version": append([]byte{rowVersion + 1}, row[1:]...),
-		"trailing byte": append(append([]byte(nil), row...), 0),
-		"parent JSON":   []byte(`{"workflow":"WF01","id":1}`),
+		"empty":          nil,
+		"newer version":  append([]byte{rowVersion + 1}, row[1:]...),
+		"trailing byte":  append(append([]byte(nil), row...), 0),
+		"parent JSON":    []byte(`{"workflow":"WF01","id":1}`),
+		"unknown status": encodeRow(new(binenc.Walker), nil, bad),
 	}
 	for name, b := range cases {
 		if _, err := decodeRow(b); cerrors.CodeOf(err) != cerrors.CodeStoreFormat {
@@ -205,6 +208,16 @@ func FuzzInstanceRowDecode(f *testing.F) {
 	f.Add(encodeRow(&w, nil, refs))
 	_, noRecord, _ := danglingRows()
 	f.Add(noRecord)
+	// Version 5's packed words: a step status the enum lacks, and an event
+	// posted 64 times, whose count and validity take two bytes.
+	bad := sixStepInstance(5)
+	bad.Steps["S1"].Status = StepCompensating + 1
+	f.Add(encodeRow(&w, nil, bad))
+	busy := sixStepInstance(6)
+	for range 64 {
+		busy.Events.Post(event.DoneName("S1"))
+	}
+	f.Add(encodeRow(&w, nil, busy))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		ins, err := decodeRow(b)
 		if err != nil {

@@ -730,10 +730,10 @@ func (db *DB) LoadArchived(workflow string, id int) (*Instance, bool, error) {
 	return db.loadInstance(tableArchive, workflow, id)
 }
 
-// SpillArchive keeps only references to where the archive table's rows lie
-// in the store's log (store.Spill: file-backed stores only, a no-op in
-// memory), so an unbounded stream of retired instances does not grow
-// resident memory.
+// SpillArchive keeps only a one-word reference to where each archive row
+// lies in the store's log, its file or its memory log (store.Spill), so an
+// unbounded stream of retired instances costs its rows' bytes and a word
+// each, and a file store's resident memory stays flat.
 func (db *DB) SpillArchive() error { return db.st.Spill(tableArchive) }
 
 // SaveSummary updates the coordination instance summary table.

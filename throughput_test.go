@@ -59,8 +59,8 @@ func BenchmarkThroughputDistributed(b *testing.B) {
 // TestThroughputRetainedMemoryFlat is the retirement acceptance check: a
 // 10x-longer instance stream through a durable (file-backed, spilled-archive)
 // deployment must retain far less than 10x the heap — archived instances
-// live in the WAL and spill file, and only the byte-per-instance terminal
-// registry stays resident.
+// live in the WAL alone, the archive keeping a one-word reference per row,
+// and the byte-per-instance terminal registry stays resident.
 func TestThroughputRetainedMemoryFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sustained-load run")
