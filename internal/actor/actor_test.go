@@ -726,8 +726,8 @@ func TestNilCommitterIsNoStore(t *testing.T) {
 			tr := &trail{}
 			r := &row{tr: tr, ins: wfdb.NewInstance("WF", 1, nil), dirty: true}
 			act.Do(func() {
-				act.Tx().SaveSummary("WF", 1, wfdb.Committed)
 				act.Tx().Archive(r.ins)
+				act.Tx().DeleteInstance("WF", 1)
 				act.Mark(r)
 			})
 			var left int

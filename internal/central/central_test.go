@@ -135,9 +135,9 @@ func TestLinearWorkflowCommits(t *testing.T) {
 	if st, ok := sys.Status("Lin", id); !ok || st != wfdb.Committed {
 		t.Errorf("Status = (%v, %v)", st, ok)
 	}
-	// Archived in the DB with a committed summary.
-	if sum, ok, _ := sys.dbs[0].LoadSummary("Lin", id); !ok || sum != wfdb.Committed {
-		t.Errorf("summary = (%v, %v)", sum, ok)
+	// Archived in the DB as committed.
+	if st, ok, err := sys.dbs[0].ArchivedStatus("Lin", id); !ok || err != nil || st != wfdb.Committed {
+		t.Errorf("archived status = (%v, %v, %v)", st, ok, err)
 	}
 	if _, ok, _ := sys.dbs[0].LoadArchived("Lin", id); !ok {
 		t.Error("instance not archived")
@@ -614,8 +614,8 @@ func TestExhaustedAttemptsAbort(t *testing.T) {
 	if rec.count("ca") != 1 {
 		t.Errorf("A compensated %d times on abort, want 1: %v", rec.count("ca"), rec.list())
 	}
-	if sum, ok, _ := sys.dbs[0].LoadSummary("Fail", id); !ok || sum != wfdb.Aborted {
-		t.Errorf("summary = (%v, %v)", sum, ok)
+	if st, ok, err := sys.dbs[0].ArchivedStatus("Fail", id); !ok || err != nil || st != wfdb.Aborted {
+		t.Errorf("archived status = (%v, %v, %v)", st, ok, err)
 	}
 }
 
@@ -965,9 +965,6 @@ func TestEngineForwardRecovery(t *testing.T) {
 	if err := db.SaveInstance(ins); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SaveSummary("Rec", 3, wfdb.Running); err != nil {
-		t.Fatal(err)
-	}
 
 	sys, err := NewSystem(SystemConfig{
 		Library:   lib,
@@ -982,6 +979,10 @@ func TestEngineForwardRecovery(t *testing.T) {
 	}
 	defer sys.Close()
 
+	// Not yet recovered, the instance reads as running from its row.
+	if st, ok := sys.Status("Rec", 3); !ok || st != wfdb.Running {
+		t.Errorf("Status before Recover = (%v, %v), want running", st, ok)
+	}
 	n, err := sys.Recover()
 	if err != nil || n != 1 {
 		t.Fatalf("Recover = (%d, %v), want 1 instance", n, err)
@@ -997,9 +998,9 @@ func TestEngineForwardRecovery(t *testing.T) {
 	if rec.count("b") != 1 || rec.count("c") != 1 {
 		t.Errorf("B/C executions = %v", rec.list())
 	}
-	// Summary reflects the commit; a second Recover finds nothing to do.
-	if sum, ok, _ := db.LoadSummary("Rec", 3); !ok || sum != wfdb.Committed {
-		t.Errorf("summary = (%v, %v)", sum, ok)
+	// The archive row holds the commit; a second Recover finds nothing to do.
+	if st, ok, err := db.ArchivedStatus("Rec", 3); !ok || err != nil || st != wfdb.Committed {
+		t.Errorf("archived status = (%v, %v, %v)", st, ok, err)
 	}
 	if n, err := sys.Recover(); err != nil || n != 0 {
 		t.Errorf("second Recover = (%d, %v), want 0", n, err)

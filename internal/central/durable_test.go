@@ -102,9 +102,10 @@ func TestCommitPrecedesSend(t *testing.T) {
 
 // TestDurableLogSurvivesCutAnywhere runs instances to completion on a file
 // WFDB, then cuts the log at every byte. Whatever prefix survives, every
-// instance is in exactly one of the instance and archive tables, an archived
-// instance has its terminal summary (they are one group), and a fresh engine
-// recovering from it resumes only instances the archive does not hold.
+// instance is in exactly one of the instance and archive tables, its one row
+// gives its status (running while live, terminal once archived, and
+// ArchivedStatus reads the archive row's), and a fresh engine recovering from
+// it resumes only instances the archive does not hold.
 func TestDurableLogSurvivesCutAnywhere(t *testing.T) {
 	dir := t.TempDir()
 	reg := model.NewRegistry()
@@ -146,21 +147,22 @@ func TestDurableLogSurvivesCutAnywhere(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cut=%d: Lin.%d archive row: %v", cut, id, err)
 			}
-			sum, hasSum, _ := db.LoadSummary("Lin", id)
+			done, hasStatus, err := db.ArchivedStatus("Lin", id)
+			if err != nil || hasStatus != isArchived {
+				t.Fatalf("cut=%d: Lin.%d archived status (%v, %v, %v), archived %v", cut, id, done, hasStatus, err, isArchived)
+			}
 			switch {
 			case isLive && isArchived:
 				t.Fatalf("cut=%d: Lin.%d is both live and archived", cut, id)
 			case isArchived:
 				archivedAtEnd++
-				if arch.Status != wfdb.Committed || !hasSum || sum != wfdb.Committed {
-					t.Fatalf("cut=%d: Lin.%d archived as %v with summary (%v, %v)", cut, id, arch.Status, sum, hasSum)
+				if arch.Status != wfdb.Committed || done != wfdb.Committed {
+					t.Fatalf("cut=%d: Lin.%d archived as %v, archived status %v", cut, id, arch.Status, done)
 				}
 			case isLive:
-				if live.Status != wfdb.Running || !hasSum || sum != wfdb.Running {
-					t.Fatalf("cut=%d: Lin.%d live as %v with summary (%v, %v)", cut, id, live.Status, sum, hasSum)
+				if live.Status != wfdb.Running {
+					t.Fatalf("cut=%d: Lin.%d live as %v", cut, id, live.Status)
 				}
-			case hasSum:
-				t.Fatalf("cut=%d: Lin.%d has a summary but no row", cut, id)
 			}
 		}
 		st.Close()
@@ -328,5 +330,76 @@ func recoverPrefix(t *testing.T, path string, prefix []byte, lib *model.Library,
 	}
 	if keys := db.InstanceKeys(); len(keys) != 0 {
 		t.Fatalf("prefix of %d bytes: instance table after recovery = %v, want empty", len(prefix), keys)
+	}
+}
+
+// TestRetirementWritesArchiveRowAndDeletion: an instance's start group writes
+// its instance row and nothing else, and its retirement writes two ops: the
+// archive row and the deletion of the instance row. The one step holds until
+// released, so the start group is counted before the rest is written; the
+// second instance is counted, the first having written the schema's name
+// table.
+func TestRetirementWritesArchiveRowAndDeletion(t *testing.T) {
+	reg := model.NewRegistry()
+	started, release := make(chan struct{}), make(chan struct{})
+	reg.Register("hold", func(*model.ProgramContext) (map[string]expr.Value, error) {
+		started <- struct{}{}
+		<-release
+		return nil, nil
+	})
+	sys := newSystem(t, lib1(model.NewSchema("Hold").Step("A", "hold").MustBuild()), reg)
+	st := sys.dbs[0].Store()
+	for i := 0; i < 2; i++ {
+		before := st.Writes()
+		id, err := sys.Start("Hold", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-started
+		start := st.Writes() - before
+		before = st.Writes()
+		release <- struct{}{}
+		if got, err := sys.Wait("Hold", id, waitTimeout); err != nil || got != wfdb.Committed {
+			t.Fatalf("Hold.%d = (%v, %v)", id, got, err)
+		}
+		if retire := st.Writes() - before; retire != 2 {
+			t.Errorf("Hold.%d: retirement wrote %d ops, want 2 (archive row, instance row deleted)", id, retire)
+		}
+		if i == 1 && start != 1 {
+			t.Errorf("Hold.%d: start group wrote %d ops, want the instance row alone", id, start)
+		}
+	}
+}
+
+// TestRestartedSystemReadsArchivedStatus: a second system over the file WFDB
+// that a first, closed system filled answers Status and Wait for the
+// instances the first finished, committed and aborted, from their archive
+// rows, with nothing recovered; an instance the file never held is unknown.
+func TestRestartedSystemReadsArchivedStatus(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wfdb.db")
+	reg := model.NewRegistry()
+	reg.Register("fail", model.FailNTimes(100, model.NopProgram()))
+	abort := model.NewSchema("Fail").Step("A", "fail").MustBuild()
+	lib := lib1(linSchema(reg, &recorder{}), abort)
+	sys, db := fileSystem(t, path, lib, reg)
+	want := map[string]wfdb.Status{"Lin": wfdb.Committed, "Fail": wfdb.Aborted}
+	ids := make(map[string]int)
+	for wf, st := range want {
+		ids[wf] = runToStatus(t, sys, wf, map[string]expr.Value{"I1": expr.Num(1)}, st)
+	}
+	sys.Close()
+	db.Store().Close()
+
+	sys2, _ := fileSystem(t, path, lib, reg)
+	for wf, st := range want {
+		if got, ok := sys2.Status(wf, ids[wf]); !ok || got != st {
+			t.Errorf("Status(%s.%d) = (%v, %v), want %v", wf, ids[wf], got, ok, st)
+		}
+		if got, err := sys2.Wait(wf, ids[wf], waitTimeout); err != nil || got != st {
+			t.Errorf("Wait(%s.%d) = (%v, %v), want %v", wf, ids[wf], got, err, st)
+		}
+	}
+	if got, ok := sys2.Status("Lin", 99); ok {
+		t.Errorf("Status of an instance never started = %v", got)
 	}
 }

@@ -294,7 +294,10 @@ func (e *Engine) ChangeInputs(workflow string, id int, inputs map[string]expr.Va
 }
 
 // Status reports an instance's status. Finished instances answer from the
-// terminal registry without touching the engine goroutine.
+// terminal registry without touching the engine goroutine. An instance of an
+// earlier incarnation answers from its row in the WFDB: the archive row if
+// it finished, else the instance row, which an instance not yet recovered
+// still has.
 func (e *Engine) Status(workflow string, id int) (wfdb.Status, bool) {
 	if st, done := e.term.Status(workflow, id); done {
 		return st, true
@@ -304,9 +307,12 @@ func (e *Engine) Status(workflow string, id int) (wfdb.Status, bool) {
 	e.Do(func() {
 		if st := e.instances[wfdb.InstanceKeyOf(workflow, id)]; st != nil {
 			s, ok = st.Ins.Status, true
-		} else if e.cfg.DB != nil {
-			if sum, found, _ := e.cfg.DB.LoadSummary(workflow, id); found {
-				s, ok = sum, true
+		} else if db := e.cfg.DB; db != nil {
+			if s, ok, _ = db.ArchivedStatus(workflow, id); !ok {
+				var ins *wfdb.Instance
+				if ins, ok, _ = db.LoadInstance(workflow, id); ins != nil {
+					s = ins.Status
+				}
 			}
 		}
 	})
@@ -560,9 +566,6 @@ func (e *Engine) startLocked(workflow string, id int, inputs map[string]expr.Val
 	st := e.newInstState(ins, schema)
 	e.adopt(key, st)
 	e.site.Rec.Add(metrics.Normal, 1) // WorkflowStart processing
-	if e.cfg.DB != nil {
-		e.Tx().SaveSummary(workflow, id, wfdb.Running)
-	}
 	ins.Events.Post(event.WorkflowStartName)
 	// An acknowledged start must survive a crash even if the first dispatch
 	// has not happened yet (coordination blocks).
@@ -1028,13 +1031,13 @@ func (e *Engine) finishInstance(st *instState) {
 	ins := st.Ins
 	key, ref := ins.Key(), itable.Ref{Workflow: ins.Workflow, ID: ins.ID}
 	// Archive before publishing completion: a woken waiter may Snapshot
-	// immediately and must find the archived state. The summary, the archive
-	// row and the deletion of the instance row go out in one group (behind
-	// whatever the turn has pending), so a crash never finds the instance
-	// both archived and live. Without a DB there is no instance row to delete.
+	// immediately and must find the archived state. The archive row and the
+	// deletion of the instance row go out in one group (behind whatever the
+	// turn has pending), so a crash finds the instance, and its status, in
+	// exactly one of the two tables. Without a DB there is no instance row to
+	// delete.
 	e.Tx().Archive(ins)
 	if e.cfg.DB != nil {
-		e.Tx().SaveSummary(ref.Workflow, ref.ID, ins.Status)
 		e.Tx().DeleteInstance(ref.Workflow, ref.ID)
 	}
 	st.dirty = false

@@ -211,7 +211,7 @@ func (s *System) Quiesce(ctx context.Context) error { return s.net.Quiesce(ctx) 
 // WaitCtx blocks until the instance reaches a terminal status or ctx ends
 // (the contract is itable.Terminal.Wait's): it subscribes to the shared
 // terminal registry, with no routing through the owner table. A completion
-// from a previous incarnation exists only as a summary in an engine's
+// from a previous incarnation exists only as an archive row in an engine's
 // database (read directly; the store is internally synchronized).
 func (s *System) WaitCtx(ctx context.Context, workflow string, id int) (wfdb.Status, error) {
 	if err := s.Admit(ctx, workflow); err != nil {
@@ -221,8 +221,8 @@ func (s *System) WaitCtx(ctx context.Context, workflow string, id int) (wfdb.Sta
 	if s.dbs != nil {
 		older = func() (wfdb.Status, bool) {
 			for _, db := range s.dbs {
-				if sum, found, _ := db.LoadSummary(workflow, id); found {
-					return sum, true
+				if st, found, _ := db.ArchivedStatus(workflow, id); found {
+					return st, true
 				}
 			}
 			return 0, false

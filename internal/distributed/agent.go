@@ -60,7 +60,7 @@ type Config struct {
 	// node to tell of the instance's end, as the front end's own
 	// WorkflowStart does for a top-level instance, since a nested step's
 	// executor may not know the parent's NotifyTo; RecoverReplicas
-	// re-announces recovered terminal summaries to it.
+	// re-announces the statuses of archived instances to it.
 	Notify string
 	// Terminal is the terminal-status registry, shared by the agents of one
 	// process (System). The coordination agent publishes every commit/abort
@@ -379,14 +379,14 @@ func (a *Agent) newReplica(schema *model.Schema, ins *wfdb.Instance) *replica {
 // RecoverReplicas rebuilds the agent's live replicas from its AGDB after a
 // process restart: the real crash-recovery path of a multi-process
 // deployment, where a killed agent loses every in-memory table and owns
-// nothing but its database. Terminal summaries are replayed into the local
-// terminal registry (and re-announced to Config.Notify, when non-empty, so a
-// front end across the wire cannot miss a completion that raced the crash);
-// each live instance record becomes a replica again, restoring the persisted
-// rollback epoch and coordination election, and is re-evaluated so rules
-// whose effects died with the process fire again. Messages the hub never saw
-// acknowledged are replayed on reconnect, which is where the remaining
-// in-flight state comes from.
+// nothing but its database. The statuses of archived instances are replayed
+// into the local terminal registry (and re-announced to Config.Notify, when
+// non-empty, so a front end across the wire cannot miss a completion that
+// raced the crash); each live instance record becomes a replica again,
+// restoring the persisted rollback epoch and coordination election, and is
+// re-evaluated so rules whose effects died with the process fire again.
+// Messages the hub never saw acknowledged are replayed on reconnect, which is
+// where the remaining in-flight state comes from.
 func (a *Agent) RecoverReplicas() error {
 	if a.cfg.AGDB == nil {
 		return nil
@@ -394,12 +394,12 @@ func (a *Agent) RecoverReplicas() error {
 	var firstErr error
 	a.Do(func() {
 		db := a.cfg.AGDB
-		for _, key := range db.SummaryKeys() {
+		for _, key := range db.ArchiveKeys() {
 			wf, id, err := wfdb.ParseInstanceKey(key)
 			if err != nil {
 				continue
 			}
-			st, ok, err := db.LoadSummary(wf, id)
+			st, ok, err := db.ArchivedStatus(wf, id)
 			if err != nil || !ok || st == wfdb.Running {
 				continue
 			}
@@ -544,10 +544,8 @@ func (a *Agent) retireReplica(r *replica) {
 	// Archive before publishing completion: a woken waiter may Snapshot
 	// immediately and must find the archived state. The archive row and the
 	// deletion of the instance row go out in one group with whatever the turn
-	// has pending — on the coordination agent, the terminal summary
-	// finishInstance just added — so a crash never finds the instance both
-	// archived and live, nor summarized as finished while still live. Only
-	// an AGDB holds an instance row to delete.
+	// has pending, so a crash finds the instance, and its status, in exactly
+	// one of the two tables. Only an AGDB holds an instance row to delete.
 	if a.adb != nil {
 		a.Tx().Archive(r.Ins)
 		if a.cfg.AGDB != nil {
@@ -640,8 +638,9 @@ func (a *Agent) StartInstance(workflow string, id int, inputs map[string]expr.Va
 	return err
 }
 
-// InstanceStatus serves the WorkflowStatus WI from the coordination instance
-// summary (and live replicas).
+// InstanceStatus serves the WorkflowStatus WI from the terminal registry,
+// then the live replica, then the archive row of an instance the agent
+// coordinated in an earlier incarnation.
 func (a *Agent) InstanceStatus(workflow string, id int) (wfdb.Status, bool) {
 	var st wfdb.Status
 	var ok bool
@@ -649,13 +648,10 @@ func (a *Agent) InstanceStatus(workflow string, id int) (wfdb.Status, bool) {
 		if st, ok = a.term.Status(workflow, id); ok {
 			return
 		}
-		if a.cfg.AGDB != nil {
-			if st, ok, _ = a.cfg.AGDB.LoadSummary(workflow, id); ok {
-				return
-			}
-		}
 		if r, found := a.replicas[replicaKey(workflow, id)]; found {
 			st, ok = r.Ins.Status, true
+		} else if a.cfg.AGDB != nil {
+			st, ok, _ = a.cfg.AGDB.ArchivedStatus(workflow, id)
 		}
 	})
 	return st, ok

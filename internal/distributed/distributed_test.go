@@ -1158,7 +1158,7 @@ func TestNestedChildFailureFailsParentStep(t *testing.T) {
 
 // TestAGDBPersistence gives every agent a database: replicas are persisted
 // as they evolve and the coordination agent archives the committed instance
-// with a summary — the paper's AGDB role.
+// — the paper's AGDB role.
 func TestAGDBPersistence(t *testing.T) {
 	reg := model.NewRegistry()
 	reg.Register("p", model.NopProgram("O1"))
@@ -1183,9 +1183,10 @@ func TestAGDBPersistence(t *testing.T) {
 	if err != nil || st != wfdb.Committed {
 		t.Fatalf("run = (%v, %v)", st, err)
 	}
-	// a1 is the coordination agent: summary + archive live in its AGDB.
-	if sum, ok, _ := dbs[0].LoadSummary("Persist", id); !ok || sum != wfdb.Committed {
-		t.Errorf("coordination AGDB summary = (%v, %v)", sum, ok)
+	// a1 is the coordination agent: the archive row, and with it the
+	// instance's status, lives in its AGDB.
+	if st, ok, err := dbs[0].ArchivedStatus("Persist", id); !ok || err != nil || st != wfdb.Committed {
+		t.Errorf("coordination AGDB archived status = (%v, %v, %v)", st, ok, err)
 	}
 	if arch, ok, _ := dbs[0].LoadArchived("Persist", id); !ok || arch.Status != wfdb.Committed {
 		t.Errorf("coordination AGDB archive = (%v, %v)", arch, ok)

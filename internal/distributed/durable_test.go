@@ -8,8 +8,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"crew/internal/expr"
+	"crew/internal/itable"
 	"crew/internal/model"
 	"crew/internal/store"
 	"crew/internal/transport"
@@ -41,18 +43,10 @@ func TestMain(m *testing.M) {
 // databases are indexed like the agent names.
 func fileSystem(t *testing.T, dir string) (*System, []string, []*wfdb.DB) {
 	t.Helper()
-	reg := model.NewRegistry()
-	reg.Register("p", model.NopProgram("O1"))
-	lin := model.NewSchema("Lin", "I1").
-		Step("A", "p", model.WithOutputs("O1"), model.WithAgents("a1")).
-		Step("B", "p", model.WithInputs("A.O1"), model.WithOutputs("O1"), model.WithAgents("a2")).
-		Step("C", "p", model.WithInputs("B.O1", "WF.I1"), model.WithAgents("a3")).
-		Seq("A", "B", "C").
-		MustBuild()
-	agents := []string{"a1", "a2", "a3"}
+	lib, reg := fileLin()
 	var paths []string
 	var dbs []*wfdb.DB
-	for _, name := range agents {
+	for _, name := range fileAgents {
 		path := filepath.Join(dir, name+".agdb")
 		st, err := store.Open(path)
 		if err != nil {
@@ -62,13 +56,29 @@ func fileSystem(t *testing.T, dir string) (*System, []string, []*wfdb.DB) {
 		paths, dbs = append(paths, path), append(dbs, wfdb.New(st))
 	}
 	sys, err := NewSystem(SystemConfig{
-		Library: lib1(lin), Programs: reg, Agents: agents, AGDBs: dbs, Logf: t.Logf,
+		Library: lib, Programs: reg, Agents: fileAgents, AGDBs: dbs, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(sys.Close)
 	return sys, paths, dbs
+}
+
+// fileAgents are fileSystem's agents.
+var fileAgents = []string{"a1", "a2", "a3"}
+
+// fileLin is fileSystem's library, the Lin schema alone, and its programs.
+func fileLin() (*model.Library, *model.Registry) {
+	reg := model.NewRegistry()
+	reg.Register("p", model.NopProgram("O1"))
+	lin := model.NewSchema("Lin", "I1").
+		Step("A", "p", model.WithOutputs("O1"), model.WithAgents("a1")).
+		Step("B", "p", model.WithInputs("A.O1"), model.WithOutputs("O1"), model.WithAgents("a2")).
+		Step("C", "p", model.WithInputs("B.O1", "WF.I1"), model.WithAgents("a3")).
+		Seq("A", "B", "C").
+		MustBuild()
+	return lib1(lin), reg
 }
 
 // TestCommitPrecedesSend is the distributed twin of the centralized test of
@@ -121,13 +131,12 @@ func TestCommitPrecedesSend(t *testing.T) {
 // and cuts each agent's log at every byte (a cut inside a group is the cut at
 // the boundary before it: a torn group is dropped whole). Whatever prefix
 // survives, the instance is in at most one of the instance and archive
-// tables, and on the coordination agent a terminal summary means the archive
-// row exists and the live row does not: the summary, the archive row and the
-// deletion of the live row are one group, so a restarted agent can neither
-// resume an instance its summary calls finished nor find a finished one with
-// no final state. The other agents drop their replica from the sweep: they
-// never archive or summarize, and the deletion of the live row is on the log
-// once that sweep's turn has committed.
+// tables: on the coordination agent the archive row and the deletion of the
+// live row are one group, so a restarted agent can neither resume a finished
+// instance nor find one with no final state, and the archive row gives the
+// terminal status (ArchivedStatus). The other agents drop their replica from
+// the sweep: they never archive, and the deletion of the live row is on the
+// log once that sweep's turn has committed.
 func TestReplicaRetireIsCrashAtomic(t *testing.T) {
 	dir := t.TempDir()
 	sys, paths, _ := fileSystem(t, dir)
@@ -144,7 +153,7 @@ func TestReplicaRetireIsCrashAtomic(t *testing.T) {
 			t.Fatal(err)
 		}
 		coordinator := agent == 0
-		var live, wasLive, archived, summarized bool
+		var live, wasLive, archived bool
 		for cut := 0; cut <= len(data); cut++ {
 			if err := os.WriteFile(cutPath, data[:cut], 0o644); err != nil {
 				t.Fatal(err)
@@ -162,21 +171,19 @@ func TestReplicaRetireIsCrashAtomic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("a%d cut=%d: archive row: %v", agent+1, cut, err)
 			}
-			sum, hasSum, _ := db.LoadSummary("Lin", id)
+			done, hasStatus, err := db.ArchivedStatus("Lin", id)
 			st.Close()
 			wasLive = wasLive || live
-			archived, summarized = isArchived, hasSum
+			archived = isArchived
 			switch {
+			case err != nil || hasStatus != isArchived:
+				t.Fatalf("a%d cut=%d: archived status (%v, %v, %v), archived %v", agent+1, cut, done, hasStatus, err, isArchived)
 			case live && isArchived:
 				t.Fatalf("a%d cut=%d: instance is both live and archived", agent+1, cut)
 			case isArchived && !coordinator:
 				t.Fatalf("a%d cut=%d: a bystander archived its partial replica", agent+1, cut)
-			case hasSum && sum != wfdb.Running && (live || !isArchived):
-				t.Fatalf("a%d cut=%d: summary says %v but live=%v archived=%v", agent+1, cut, sum, live, isArchived)
-			case isArchived && arch.Status != wfdb.Committed:
-				t.Fatalf("a%d cut=%d: archived as %v", agent+1, cut, arch.Status)
-			case isArchived && hasSum && sum != wfdb.Committed:
-				t.Fatalf("a%d cut=%d: archived under a %v summary", agent+1, cut, sum)
+			case isArchived && (arch.Status != wfdb.Committed || done != wfdb.Committed):
+				t.Fatalf("a%d cut=%d: archived as %v, archived status %v", agent+1, cut, arch.Status, done)
 			}
 		}
 		if !wasLive || live {
@@ -185,8 +192,120 @@ func TestReplicaRetireIsCrashAtomic(t *testing.T) {
 		if archived != coordinator {
 			t.Errorf("a%d: archive row on the full log = %v, want %v (only the coordination agent archives)", agent+1, archived, coordinator)
 		}
-		if summarized != coordinator {
-			t.Errorf("a%d: summary on the full log = %v, want %v (only the coordination agent keeps one)", agent+1, summarized, coordinator)
+	}
+}
+
+// TestReplicaRetirementWritesArchiveRowAndDeletion: on a coordination agent
+// with an AGDB, an instance's start group writes its instance row and
+// nothing else, and its retirement writes two ops: the archive row and the
+// deletion of the instance row. B, at the other agent, holds until released,
+// so the start group is counted before the rest is written; the second
+// instance is counted, the first having written the schema's name table.
+func TestReplicaRetirementWritesArchiveRowAndDeletion(t *testing.T) {
+	reg := model.NewRegistry()
+	started, release := make(chan struct{}), make(chan struct{})
+	reg.Register("p", model.NopProgram())
+	reg.Register("hold", func(*model.ProgramContext) (map[string]expr.Value, error) {
+		started <- struct{}{}
+		<-release
+		return nil, nil
+	})
+	s := model.NewSchema("Hold").
+		Step("A", "p", model.WithAgents("a1")).
+		Step("B", "hold", model.WithAgents("a2")).
+		Seq("A", "B").
+		MustBuild()
+	db := wfdb.NewMemory()
+	sys, err := NewSystem(SystemConfig{
+		Library: lib1(s), Programs: reg, Agents: []string{"a1", "a2"},
+		AGDBs: []*wfdb.DB{db, nil}, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	st := db.Store()
+	for i := 0; i < 2; i++ {
+		before := st.Writes()
+		id, err := sys.Start("Hold", nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		<-started
+		start := st.Writes() - before
+		before = st.Writes()
+		release <- struct{}{}
+		if got, err := sys.Wait("Hold", id, waitTimeout); err != nil || got != wfdb.Committed {
+			t.Fatalf("Hold.%d = (%v, %v)", id, got, err)
+		}
+		if retire := st.Writes() - before; retire != 2 {
+			t.Errorf("Hold.%d: retirement wrote %d ops, want 2 (archive row, instance row deleted)", id, retire)
+		}
+		if i == 1 && start != 1 {
+			t.Errorf("Hold.%d: start group wrote %d ops, want the instance row alone", id, start)
+		}
+	}
+}
+
+// TestRestartedAgentsReadArchivedStatus: agents built over the AGDB files
+// that a first, closed deployment filled answer for an instance it finished
+// from the coordination agent's archive row: InstanceStatus and Wait of a
+// second deployment, and RecoverReplicas of a lone agent, which completes
+// the agent's registry and re-announces the status to Config.Notify.
+func TestRestartedAgentsReadArchivedStatus(t *testing.T) {
+	dir := t.TempDir()
+	sys, _, dbs := fileSystem(t, dir)
+	id := runToStatus(t, sys, "Lin", map[string]expr.Value{"I1": expr.Num(7)}, wfdb.Committed)
+	waitReplicasDrained(t, sys)
+	sys.Close()
+	for _, db := range dbs {
+		db.Store().Close()
+	}
+
+	sys2, _, dbs2 := fileSystem(t, dir)
+	if st, ok := sys2.Agent("a1").InstanceStatus("Lin", id); !ok || st != wfdb.Committed {
+		t.Errorf("InstanceStatus = (%v, %v), want committed", st, ok)
+	}
+	if _, ok := sys2.Agent("a1").InstanceStatus("Lin", id+1); ok {
+		t.Error("InstanceStatus of an instance never started answers")
+	}
+	if st, err := sys2.Wait("Lin", id, waitTimeout); err != nil || st != wfdb.Committed {
+		t.Errorf("Wait = (%v, %v), want committed", st, err)
+	}
+	sys2.Close()
+
+	lib, reg := fileLin()
+	net := transport.NewNetwork(transport.NetworkConfig{})
+	fe := net.MustRegister("fe")
+	term := new(itable.Terminal)
+	ag, err := NewAgent(Config{
+		Name: "a1", Library: lib, Agents: fileAgents, Programs: reg,
+		AGDB: dbs2[0], Terminal: term, Notify: "fe", Logf: t.Logf,
+	}, net)
+	if err != nil {
+		net.Close()
+		t.Fatal(err)
+	}
+	defer func() {
+		net.Close()
+		ag.Stop()
+	}()
+	if err := ag.RecoverReplicas(); err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := term.Status("Lin", id); !ok || st != wfdb.Committed {
+		t.Errorf("registry after RecoverReplicas = (%v, %v), want committed", st, ok)
+	}
+	var m transport.Message
+	select {
+	case m = <-fe.Inbox():
+	case <-time.After(waitTimeout):
+		t.Fatal("RecoverReplicas announced nothing to Notify")
+	}
+	if env, ok := m.Payload.(*transport.Envelope); ok && len(env.Msgs) == 1 {
+		m = env.Msgs[0]
+	}
+	if d, ok := m.Payload.(*WorkflowDone); !ok || *d != (WorkflowDone{Workflow: "Lin", Instance: id, Status: wfdb.Committed}) {
+		t.Errorf("Notify got %#v, want Lin.%d committed", m.Payload, id)
 	}
 }

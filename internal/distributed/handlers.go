@@ -114,9 +114,6 @@ func (a *Agent) handleWorkflowStart(p workflowStart) error {
 		r.parentAgent = p.ParentAgent
 	}
 	a.site.Rec.Add(metrics.Normal, 1)
-	if a.cfg.AGDB != nil {
-		a.Tx().SaveSummary(p.Workflow, p.Instance, wfdb.Running)
-	}
 	r.Ins.Events.Post(event.WorkflowStartName)
 
 	// Dispatch start steps: the coordination agent is the executor of the
@@ -518,10 +515,6 @@ func (a *Agent) handleStepCompleted(p stepCompleted) {
 }
 
 func (a *Agent) finishInstance(r *replica) {
-	if a.cfg.AGDB != nil {
-		a.Tx().SaveSummary(r.Ins.Workflow, r.Ins.ID, r.Ins.Status)
-	}
-
 	// Coordination clean-up at the home agent.
 	if len(a.cfg.Library.Coord) > 0 {
 		r.ToHome(coord.Request{Op: coord.Forget, Inst: coord.InstanceRef{Workflow: r.Ins.Workflow, ID: r.Ins.ID}})

@@ -9,9 +9,9 @@
 //     rules for steps it is eligible for, and forwards workflow packets to
 //     the agents of successor steps;
 //   - the coordination agent of an instance (the agent of its first start
-//     step) additionally handles workflow commit and abort, keeps the
-//     coordination instance summary table for the front-end database, and
-//     receives StepCompleted notifications;
+//     step) additionally handles workflow commit and abort, archives the
+//     finished instance (its archive row answers the front end's status
+//     queries after a restart), and receives StepCompleted notifications;
 //   - termination agents (agents of terminal steps) report StepCompleted to
 //     the coordination agent.
 //

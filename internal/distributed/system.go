@@ -238,8 +238,8 @@ func (s *System) Quiesce(ctx context.Context) error {
 // itable.Terminal.Wait's): it subscribes to the deployment's shared terminal
 // registry, so a Wait can neither stall behind a long-running step program
 // nor wake any agent. A completion from a previous incarnation exists only
-// as a summary in the coordination agent's database (read directly — the
-// store is internally synchronized).
+// as an archive row in the coordination agent's database (read directly —
+// the store is internally synchronized).
 func (s *System) WaitCtx(ctx context.Context, workflow string, id int) (wfdb.Status, error) {
 	if err := s.Admit(ctx, workflow); err != nil {
 		return 0, err
@@ -249,8 +249,8 @@ func (s *System) WaitCtx(ctx context.Context, workflow string, id int) (wfdb.Sta
 		if err != nil || ag.cfg.AGDB == nil {
 			return 0, false
 		}
-		sum, found, _ := ag.cfg.AGDB.LoadSummary(workflow, id)
-		return sum, found
+		st, found, _ := ag.cfg.AGDB.ArchivedStatus(workflow, id)
+		return st, found
 	})
 }
 

@@ -392,8 +392,8 @@ func (t *Terminal) Unsubscribe(workflow string, id int, w *Waiter, gen uint64) {
 // one wait contract of every front end. Completion is push-based (a
 // subscription woken by Complete; nothing polls). older, when non-nil, is
 // asked once about an instance the registry has no record of: one that
-// finished under an earlier incarnation exists only as a database summary
-// and will never be completed here. An expired ctx wins even when the
+// finished under an earlier incarnation exists only as a database archive
+// row and will never be completed here. An expired ctx wins even when the
 // terminal status lands at the same instant, so the outcome of a deadline is
 // deterministic: a deadline is reported as cerrors.ErrTimeout
 // (errors.Is-matchable), a cancellation as ctx.Err().

@@ -24,7 +24,6 @@ var mapIterSinks = map[methodKey]bool{
 	{pkg: "crew/internal/store", recv: "Store", name: "Delete"}:   true,
 	{pkg: "crew/internal/store", recv: "Store", name: "Apply"}:    true,
 	{pkg: "crew/internal/wfdb", recv: "DB", name: "SaveInstance"}: true,
-	{pkg: "crew/internal/wfdb", recv: "DB", name: "SaveSummary"}:  true,
 	{pkg: "crew/internal/wfdb", recv: "DB", name: "Archive"}:      true,
 	{pkg: "crew/internal/wfdb", recv: "DB", name: "Commit"}:       true,
 	{pkg: "fmt", name: "Print"}:                                   true,
@@ -35,7 +34,6 @@ var mapIterSinks = map[methodKey]bool{
 	{pkg: "fmt", name: "Fprintln"}:                                true,
 	// Rows join a Batch in call order and reach the WAL in that order.
 	{pkg: "crew/internal/wfdb", recv: "Batch", name: "SaveInstance"}: true,
-	{pkg: "crew/internal/wfdb", recv: "Batch", name: "SaveSummary"}:  true,
 	{pkg: "crew/internal/wfdb", recv: "Batch", name: "Archive"}:      true,
 	// What engines and agents call: Send is the turn's Batcher.Add, and Mark
 	// fixes the order in which the turn's rows reach the WAL.

@@ -23,7 +23,7 @@ import (
 // cfg.DBPath it persists its replicas there, and a respawned process recovers
 // from the file. Without one it keeps no database at all: not its replicas,
 // which would die with the process they are meant to outlive, nor an archive
-// or summary of the instances it coordinated, since the hub answers Status
+// of the instances it coordinated, since the hub answers Status
 // and Wait from its own registry and nothing can ask a child for a Snapshot.
 //
 // A delivery crosses no goroutine boundary between the socket read and the

@@ -407,7 +407,7 @@ func TestExecFramesOnlyWhenObserved(t *testing.T) {
 // runs instances to their end. Without a DBDir no agent has a database and a
 // coordination agent's Snapshot of an instance it finished answers not found,
 // with nothing logged; with one, the coordination agent's file holds the
-// instance's archive and summary rows.
+// instance's archive row, which gives its status.
 func TestChildWithoutDBKeepsNoStore(t *testing.T) {
 	p := clusterParams()
 	w, err := workload.Generate(p, clusterSeed)
@@ -487,8 +487,8 @@ func TestChildWithoutDBKeepsNoStore(t *testing.T) {
 				case dbDir == "" && archived:
 					t.Errorf("%s.%d: coordination agent %s serves a Snapshot of it without a database", wf, id, to)
 				case dbDir != "":
-					if sum, ok, _ := db.LoadSummary(wf, id); !ok || sum != wfdb.Committed || !archived {
-						t.Errorf("%s.%d: agent %s's file holds summary (%v, %v), archived %v", wf, id, to, sum, ok, archived)
+					if st, ok, err := db.ArchivedStatus(wf, id); !ok || err != nil || st != wfdb.Committed || !archived {
+						t.Errorf("%s.%d: agent %s's file holds archived status (%v, %v, %v), archived %v", wf, id, to, st, ok, err, archived)
 					}
 				}
 			}

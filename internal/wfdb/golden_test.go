@@ -41,8 +41,8 @@ var goldenInputs = map[string]expr.Value{"I1": expr.Num(2.5), "I2": expr.Str("or
 
 // TestRowGoldenBytes pins the bytes of an instance row with no schema, where
 // every name is a literal, of the same instance attached to a schema, where
-// the names the schema declares are indexes, of that schema's name-table row
-// and of a summary row, as the store receives them. The hex changes only
+// the names the schema declares are indexes, and of that schema's name-table
+// row, as the store receives them. The hex changes only
 // together with rowVersion; a refactor of the row codec must leave it as it
 // is.
 func TestRowGoldenBytes(t *testing.T) {
@@ -60,7 +60,6 @@ func TestRowGoldenBytes(t *testing.T) {
 	var b Batch
 	b.SaveInstance(literal)
 	b.SaveInstance(attached)
-	b.SaveSummary("WF01", 42, Committed)
 	if err := db.Commit(&b); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +67,6 @@ func TestRowGoldenBytes(t *testing.T) {
 		{"literal instance row", tableInstance, literal.Key(), goldenInstanceRow},
 		{"attached instance row", tableInstance, attached.Key(), goldenAttachedRow},
 		{"name-table row", tableNames, namesKey(schema.Names().Digest()), goldenNamesRow},
-		{"summary row", tableSummary, InstanceKeyOf("WF01", 42), goldenSummaryRow},
 	} {
 		row, ok := db.Store().Get(c.table, c.key)
 		if !ok {
@@ -127,7 +125,6 @@ const (
 	goldenInstanceRow = "050000000000000000045746303154040306076167656e7430330866726f6e74656e6404574630300e02533902000253317d00076167656e74303101000557462e49310100000000000004400200024f3102017800024f320401000253324300076167656e743032000006000553312e4f3101000553312e4f3201000557462e493100010000000000000440000557462e49320002086f726465722d31370004666c616700030100046e6f6e65000003000753312e646f6e6503000753322e6661696c02000857462e7374617274030100025331"
 	goldenAttachedRow = "057586e9bc414af8f5045746303156040306076167656e7430330866726f6e74656e6404574630300e02533902017d1201030100000000000004400206020178080401024300076167656e7430320000060300010000000000000440040002086f726465722d3137050107010004666c616700030100046e6f6e6500000409030c03100200126578743a574630302e373a53392e646f6e65030101"
 	goldenNamesRow    = "05120253310253320557462e49310557462e49320553312e4f31024f310553312e4f32024f320857462e73746172740757462e646f6e650857462e61626f72740753312e646f6e650753312e6661696c0e53312e636f6d70656e73617465640753322e646f6e650753322e6661696c0e53322e636f6d70656e7361746564076167656e743031"
-	goldenSummaryRow  = "0502"
 )
 
 // What the row encoder wrote for the literal instance at rowVersion 4, 3 and

@@ -155,7 +155,7 @@ func TestFirstTableGroupSurvivesCutAnywhere(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := New(st)
-	if err := db.SaveSummary("WF01", 1, Running); err != nil { // a group before, with no table
+	if err := db.SaveInstance(NewInstance("WF00", 1, nil)); err != nil { // a group before, with no table
 		t.Fatal(err)
 	}
 	fi, _ := os.Stat(path)

@@ -17,14 +17,13 @@ import (
 	"crew/internal/store"
 )
 
-// rowVersion leads every instance, archive, summary and name-table row. A
-// build reads exactly one version; anything else fails with
-// CodeStoreFormat. Version 5 packs a step record's four scalars into one
-// uvarint and an event entry's count and validity into another; 4 wrote the
-// step table before the data table, an agent by index and a data item its
-// producer's record holds as a reference to it; 3 wrote step, data and
-// event names as indexes into the name table of the instance's schema; 2
-// wrote each as a string.
+// rowVersion leads every instance, archive and name-table row. A build reads
+// exactly one version; anything else fails with CodeStoreFormat. Version 5
+// packs a step record's four scalars into one uvarint and an event entry's
+// count and validity into another; 4 wrote the step table before the data
+// table, an agent by index and a data item its producer's record holds as a
+// reference to it; 3 wrote step, data and event names as indexes into the
+// name table of the instance's schema; 2 wrote each as a string.
 const rowVersion = 5
 
 // Instance-row flag bits.
@@ -34,10 +33,10 @@ const (
 )
 
 // A row is the version byte, then a walk: an instance's (the instance and
-// archive tables share it), a summary's, which is the status alone, or a
-// name table's. Integers, strings and counts are those of package binenc,
-// and maps are written in a fixed key order (binenc.Map), so equal instances
-// encode to equal bytes and the WAL does not depend on Go's map order.
+// archive tables share it) or a name table's. Integers, strings and counts
+// are those of package binenc, and maps are written in a fixed key order
+// (binenc.Map), so equal instances encode to equal bytes and the WAL does
+// not depend on Go's map order.
 //
 // An instance row puts the 8-byte little-endian digest of its name table
 // (model.Schema.Names) between the version byte and the walk, and walks with
@@ -61,16 +60,6 @@ func (ins *Instance) names() *binenc.Names {
 		}
 	}
 	return emptyNames
-}
-
-// beginRow starts a summary row at the end of the batch's buffer and returns
-// its offset; the caller walks the row's value on b.w and ends it with
-// endRow.
-func (b *Batch) beginRow() int {
-	off := len(b.buf)
-	b.w.Encode(append(b.buf, rowVersion))
-	b.w.SetNames(nil)
-	return off
 }
 
 // beginInstanceRow starts ins's instance or archive row and notes its table
@@ -148,8 +137,8 @@ func (db *DB) readInstance(row []byte, what string) (*Instance, error) {
 	return ins, nil
 }
 
-// readers backs readRow, which any goroutine may call: a walker escapes to
-// the heap (a walk hands it on), so reads reuse them.
+// readers backs readRow and rowStatus, which any goroutine may call: a
+// walker escapes to the heap (a walk hands it on), so reads reuse them.
 var readers = sync.Pool{New: func() any { return new(binenc.Walker) }}
 
 // errRow classifies an undecodable row.
@@ -272,9 +261,7 @@ func (ins *Instance) Walk(w *binenc.Walker) { ins.walkRow(w, false) }
 // walkRow walks the row; fill, encoding only, has the step table refresh the
 // bytes the instance keeps of it (walkSteps).
 func (ins *Instance) walkRow(w *binenc.Walker, fill bool) {
-	w.String(&ins.Workflow)
-	w.Int(&ins.ID)
-	ins.Status.Walk(w)
+	ins.walkHead(w)
 	var flags byte
 	if ins.Aborting {
 		flags |= flagAborting
@@ -310,6 +297,38 @@ func (ins *Instance) walkRow(w *binenc.Walker, fill bool) {
 			ins.Steps = make(map[model.StepID]*StepRecord)
 		}
 	}
+}
+
+// walkHead walks the row's leading fields, which name the instance and give
+// its status.
+func (ins *Instance) walkHead(w *binenc.Walker) {
+	w.String(&ins.Workflow)
+	w.Int(&ins.ID)
+	ins.Status.Walk(w)
+}
+
+// rowStatus reads the status of workflow.id's instance or archive row from
+// the row's leading fields (walkHead) and leaves the rest undecoded. A row
+// that is not of this version, whose head will not decode or names another
+// instance, is a format error.
+func rowStatus(row []byte, workflow string, id int) (Status, error) {
+	if len(row) < headerLen || row[0] != rowVersion {
+		return 0, errRow(nil, "status: unknown version")
+	}
+	var head Instance
+	w := readers.Get().(*binenc.Walker)
+	w.Decode(row[headerLen:])
+	head.walkHead(w)
+	err := w.Reader().Err()
+	w.Decode(nil) // hold no row
+	readers.Put(w)
+	if err == nil && (head.Workflow != workflow || head.ID != id) {
+		err = fmt.Errorf("row of %s", head.Key())
+	}
+	if err != nil {
+		return 0, errRow(err, "status of "+InstanceKeyOf(workflow, id))
+	}
+	return head.Status, nil
 }
 
 // Data-item tags.
@@ -387,8 +406,7 @@ func (r *StepRecord) stepWord() uint64 {
 	return x
 }
 
-// Walk is a status's form in rows and payloads: an integer. A summary row is
-// the version byte and the status.
+// Walk is a status's form in rows and payloads: an integer.
 func (s *Status) Walk(w *binenc.Walker) { w.Int((*int)(s)) }
 
 // The step table of a saved instance. Batch.SaveInstance keeps, per step

@@ -154,11 +154,11 @@ func TestDecodeRejectsBadRows(t *testing.T) {
 			t.Fatalf("row cut at %d of %d: error %v, want code %q", cut, len(row), err, cerrors.CodeStoreFormat)
 		}
 	}
-	if err := readRow([]byte{rowVersion + 1, 2}, "summary row", new(Status)); cerrors.CodeOf(err) != cerrors.CodeStoreFormat {
-		t.Errorf("summary with newer version: %v", err)
+	if err := readRow([]byte{rowVersion + 1, 0}, "name table", new(nameList)); cerrors.CodeOf(err) != cerrors.CodeStoreFormat {
+		t.Errorf("name table with newer version: %v", err)
 	}
-	if err := readRow([]byte{rowVersion}, "summary row", new(Status)); cerrors.CodeOf(err) != cerrors.CodeStoreFormat {
-		t.Errorf("truncated summary: %v", err)
+	if err := readRow([]byte{rowVersion}, "name table", new(nameList)); cerrors.CodeOf(err) != cerrors.CodeStoreFormat {
+		t.Errorf("truncated name table: %v", err)
 	}
 }
 
@@ -321,19 +321,17 @@ func TestBatchCommitsOneGroupInOrder(t *testing.T) {
 	}
 	a, b := sixStepInstance(1), sixStepInstance(2)
 	var batch Batch
-	batch.SaveSummary("WF01", 1, Running)
 	batch.SaveInstance(a)
 	a.Status = Committed // after the row was taken: must not leak into it
 	batch.SaveInstance(b)
-	batch.SaveSummary("WF01", 1, Committed)
 	batch.Archive(b)
 	batch.DeleteInstance(b.Workflow, b.ID)
 	before, writes := size(), st.Writes()
 	if err := db.Commit(&batch); err != nil {
 		t.Fatal(err)
 	}
-	if st.Writes()-writes != 6 {
-		t.Errorf("store saw %d mutations, want 6", st.Writes()-writes)
+	if st.Writes()-writes != 4 {
+		t.Errorf("store saw %d mutations, want 4", st.Writes()-writes)
 	}
 	// One group: its framing is 8 bytes however many rows it carries.
 	var w binenc.Walker
@@ -344,16 +342,13 @@ func TestBatchCommitsOneGroupInOrder(t *testing.T) {
 	if got, ok, _ := db.LoadInstance("WF01", 1); !ok || got.Status != Running {
 		t.Errorf("instance 1 = (%+v, %v), want the row as it was when added", got, ok)
 	}
-	if st, _, _ := db.LoadSummary("WF01", 1); st != Committed {
-		t.Errorf("summary = %v, want the later row to win", st)
-	}
 	if _, ok, _ := db.LoadInstance("WF01", 2); ok {
 		t.Error("archived instance still live")
 	}
 	if _, ok, _ := db.LoadArchived("WF01", 2); !ok {
 		t.Error("archived instance missing")
 	}
-	if err := db.Commit(&batch); err != nil || st.Writes()-writes != 6 {
+	if err := db.Commit(&batch); err != nil || st.Writes()-writes != 4 {
 		t.Error("committing an empty batch wrote something")
 	}
 	batch.DeleteInstance("WF01", 1)

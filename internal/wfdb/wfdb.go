@@ -4,9 +4,9 @@
 //
 // The paper's data organization is kept: a workflow class table holds
 // definitions, a workflow instance table holds per-instance state (data
-// table, event table, step table, execution order), and a coordination
-// instance summary table at coordination agents tracks instance status for
-// the front-end database. Committed instances are archived.
+// table, event table, step table, execution order). Finished instances are
+// archived, and an instance's status is read from its one row: the instance
+// row while it runs, the archive row once it has finished.
 package wfdb
 
 import (
@@ -503,7 +503,6 @@ const (
 	tableClass    = "class"
 	tableInstance = "instance"
 	tableArchive  = "archive"
-	tableSummary  = "summary"
 	tableNames    = "names"
 )
 
@@ -586,13 +585,6 @@ func freshRow(ins *Instance) []byte {
 	row := appendRow(new(binenc.Walker), nil, ins)
 	ins.saved = saved
 	return row
-}
-
-// SaveSummary adds a coordination instance summary row.
-func (b *Batch) SaveSummary(workflow string, id int, status Status) {
-	off := b.beginRow()
-	status.Walk(&b.w)
-	b.endRow(tableSummary, InstanceKeyOf(workflow, id), off)
 }
 
 // Archive adds a finished instance's archive row. A committer that holds
@@ -730,32 +722,26 @@ func (db *DB) LoadArchived(workflow string, id int) (*Instance, bool, error) {
 	return db.loadInstance(tableArchive, workflow, id)
 }
 
+// ArchivedStatus returns the status of an archived instance: a finished
+// instance's one status, read from its archive row's leading fields
+// (rowStatus) without decoding the rest.
+func (db *DB) ArchivedStatus(workflow string, id int) (Status, bool, error) {
+	row, ok, err := db.st.Load(tableArchive, InstanceKeyOf(workflow, id))
+	if err != nil {
+		return 0, true, errRow(err, "archive row unreadable")
+	}
+	if !ok {
+		return 0, false, nil
+	}
+	st, err := rowStatus(row, workflow, id)
+	return st, true, err
+}
+
+// ArchiveKeys lists keys of archived instances.
+func (db *DB) ArchiveKeys() []string { return db.st.Keys(tableArchive) }
+
 // SpillArchive keeps only a one-word reference to where each archive row
 // lies in the store's log, its file or its memory log (store.Spill), so an
 // unbounded stream of retired instances costs its rows' bytes and a word
 // each, and a file store's resident memory stays flat.
 func (db *DB) SpillArchive() error { return db.st.Spill(tableArchive) }
-
-// SaveSummary updates the coordination instance summary table.
-func (db *DB) SaveSummary(workflow string, id int, status Status) error {
-	b := batchPool.Get().(*Batch)
-	defer batchPool.Put(b)
-	b.SaveSummary(workflow, id, status)
-	return db.Commit(b)
-}
-
-// LoadSummary reads an instance's summary status.
-func (db *DB) LoadSummary(workflow string, id int) (Status, bool, error) {
-	buf, ok := db.st.Get(tableSummary, InstanceKeyOf(workflow, id))
-	if !ok {
-		return 0, false, nil
-	}
-	var st Status
-	if err := readRow(buf, "summary row", &st); err != nil {
-		return 0, true, err
-	}
-	return st, true, nil
-}
-
-// SummaryKeys lists all summarized instances.
-func (db *DB) SummaryKeys() []string { return db.st.Keys(tableSummary) }

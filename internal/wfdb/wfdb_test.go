@@ -324,23 +324,53 @@ func TestUnreadableArchiveRowIsAFormatError(t *testing.T) {
 	}
 }
 
-func TestDBSummary(t *testing.T) {
-	db := NewMemory()
-	if err := db.SaveSummary("Ord", 1, Running); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SaveSummary("Ord", 1, Committed); err != nil {
-		t.Fatal(err)
-	}
-	st, ok, err := db.LoadSummary("Ord", 1)
-	if err != nil || !ok || st != Committed {
-		t.Errorf("LoadSummary = (%v, %v, %v)", st, ok, err)
-	}
-	if _, ok, _ := db.LoadSummary("Ord", 2); ok {
-		t.Error("missing summary = ok")
-	}
-	if keys := db.SummaryKeys(); len(keys) != 1 || keys[0] != "Ord.1" {
-		t.Errorf("SummaryKeys = %v", keys)
+// TestArchivedStatus: a finished instance's status is its archive row's,
+// resident or spilled; a live or unknown instance has no archived status, and
+// an archive row that names another instance, or whose leading fields are
+// cut, is a format error.
+func TestArchivedStatus(t *testing.T) {
+	for _, spill := range []bool{false, true} {
+		db := NewMemory()
+		if spill {
+			if err := db.SpillArchive(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		done, live := sixStepInstanceOf(1), sixStepInstanceOf(2)
+		done.Status = Aborted
+		if err := db.SaveInstance(live); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.SaveInstance(done); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Archive(done); err != nil {
+			t.Fatal(err)
+		}
+		if st, ok, err := db.ArchivedStatus("WF01", 1); st != Aborted || !ok || err != nil {
+			t.Errorf("spill=%v: ArchivedStatus of the archived instance = (%v, %v, %v)", spill, st, ok, err)
+		}
+		for _, id := range []int{2, 3} {
+			if _, ok, err := db.ArchivedStatus("WF01", id); ok || err != nil {
+				t.Errorf("spill=%v: WF01.%d has an archived status (%v, %v)", spill, id, ok, err)
+			}
+		}
+		if keys := db.ArchiveKeys(); len(keys) != 1 || keys[0] != "WF01.1" {
+			t.Errorf("spill=%v: ArchiveKeys = %v", spill, keys)
+		}
+		row, _ := db.Store().Get(tableArchive, "WF01.1")
+		if err := db.Store().Put(tableArchive, "WF01.9", row); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := db.ArchivedStatus("WF01", 9); !ok || cerrors.CodeOf(err) != cerrors.CodeStoreFormat {
+			t.Errorf("spill=%v: the row of WF01.1 under WF01.9 = (%v, %v), want code %s", spill, ok, err, cerrors.CodeStoreFormat)
+		}
+		// The head is the version, the digest, "WF01", 1 and the status.
+		for cut := 0; cut < headerLen+len("WF01")+3; cut++ {
+			if _, err := rowStatus(row[:cut], "WF01", 1); cerrors.CodeOf(err) != cerrors.CodeStoreFormat {
+				t.Fatalf("spill=%v: status of a row cut at %d: %v, want code %s", spill, cut, err, cerrors.CodeStoreFormat)
+			}
+		}
 	}
 }
 
