@@ -11,7 +11,6 @@
 //	crewsim table4|table5|table6 [-i N] [-seed S] [-s steps] [-z agents] [-e engines]
 //	crewsim table7  [-i N] [-seed S]
 //	crewsim sweep   [-i N] -param s|z|e|ro -values 5,10,15 [-arch central|parallel|distributed]
-//	crewsim throughput [-i N] [-rounds 1,5,10] [-arch all] [-dbdir DIR] [-seed S]
 //	crewsim chaos   [-i N] [-seed S] [-crashes 1,2,4] [-sfr RATE] [-drop K] [-smoke]
 //	crewsim fig4
 //	crewsim fig5
@@ -105,8 +104,6 @@ func dispatch(cmd string, args []string) error {
 		err = cmdTable7(args)
 	case "sweep":
 		err = cmdSweep(args)
-	case "throughput":
-		err = cmdThroughput(args)
 	case "chaos":
 		err = cmdChaos(args)
 	case "fig4":
@@ -123,7 +120,7 @@ func dispatch(cmd string, args []string) error {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: crewsim [-cpuprofile file] [-memprofile file] <table3|table4|table5|table6|table7|sweep|throughput|chaos|fig4|fig5|fig7> [flags]`)
+	fmt.Fprintln(os.Stderr, `usage: crewsim [-cpuprofile file] [-memprofile file] <table3|table4|table5|table6|table7|sweep|chaos|fig4|fig5|fig7> [flags]`)
 }
 
 // experimentParams defines the measured-run parameter point: Table 3
@@ -244,68 +241,6 @@ func cmdTable7(args []string) error {
 // coordination invariants. Any non-terminal instance or invariant violation
 // fails the command, so it doubles as a CI recovery check (-smoke shrinks it
 // to one quick point per architecture).
-// cmdThroughput runs the sustained-load sweep: each point keeps one
-// deployment alive and drives rounds × i instances of every schema through
-// it in disjoint id windows, reporting instances/sec, the peak goroutine
-// count and the heap retained after the final quiesce. With retirement the
-// retained column stays roughly flat as rounds grow — that is the point.
-func cmdThroughput(args []string) error {
-	fs := flag.NewFlagSet("throughput", flag.ExitOnError)
-	archName := fs.String("arch", "all", "central|parallel|distributed|all")
-	rounds := fs.String("rounds", "1,5,10", "comma-separated round counts (sweep points)")
-	instances := fs.Int("i", 5, "instances per schema per round")
-	seed := fs.Int64("seed", 1, "workload seed")
-	dbdir := fs.String("dbdir", "", "directory for file-backed spilled WFDBs (default: in-memory)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var archs []analysis.Architecture
-	switch *archName {
-	case "all":
-		archs = analysis.Architectures
-	case "central":
-		archs = []analysis.Architecture{analysis.Central}
-	case "parallel":
-		archs = []analysis.Architecture{analysis.Parallel}
-	case "distributed":
-		archs = []analysis.Architecture{analysis.Distributed}
-	default:
-		return fmt.Errorf("unknown architecture %q", *archName)
-	}
-	var points []int
-	for _, vs := range strings.Split(*rounds, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(vs))
-		if err != nil {
-			return err
-		}
-		points = append(points, v)
-	}
-	fmt.Printf("Sustained-load throughput (i=%d instances/schema/round, seed=%d)\n", *instances, *seed)
-	// Points run sequentially: rate and goroutine numbers are only
-	// meaningful on an otherwise idle machine.
-	for _, arch := range archs {
-		for _, r := range points {
-			dir := ""
-			if *dbdir != "" {
-				dir = fmt.Sprintf("%s/%v-r%d", *dbdir, arch, r)
-				if err := os.MkdirAll(dir, 0o755); err != nil {
-					return err
-				}
-			}
-			res, err := experiment.Throughput(experiment.ThroughputOptions{
-				Arch: arch, Params: experimentParams(), Rounds: r,
-				Instances: *instances, Seed: *seed,
-				Timeout: 5 * time.Minute, DBDir: dir,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Println("  " + experiment.FormatThroughput(res))
-		}
-	}
-	return nil
-}
-
 func cmdChaos(args []string) error {
 	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
 	instances := fs.Int("i", 3, "instances per schema")

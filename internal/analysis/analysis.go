@@ -9,7 +9,6 @@ package analysis
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Parameters is the paper's Table 3. Probabilities are per instance (pf, pr
@@ -299,19 +298,4 @@ func RecommendMessages(p Parameters, c Criterion) Ranking {
 // iff a·d < e.
 func CoordinationCrossover(p Parameters) (distributedWins bool) {
 	return p.A*p.D < p.E
-}
-
-// FormatTable renders analytic entries as the paper lays its tables out.
-func FormatTable(title string, loads, msgs []Entry) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "  %-24s %-22s %12s\n", "Load at Engine", "Expression", "Value (·l)")
-	for _, e := range loads {
-		fmt.Fprintf(&b, "  %-24s %-22s %12.4f\n", e.Row, e.Expression, e.Value)
-	}
-	fmt.Fprintf(&b, "  %-24s %-22s %12s\n", "Physical Messages", "Expression", "Value")
-	for _, e := range msgs {
-		fmt.Fprintf(&b, "  %-24s %-22s %12.4f\n", e.Row, e.Expression, e.Value)
-	}
-	return b.String()
 }

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -227,16 +226,6 @@ func TestArchitectureAndCriterionStrings(t *testing.T) {
 	}
 	if Criterion(9).String() != "Criterion(9)" {
 		t.Error("unknown criterion string")
-	}
-}
-
-func TestFormatTable(t *testing.T) {
-	p := Default()
-	out := FormatTable("Table 4", LoadPerInstance(Central, p), MessagesPerInstance(Central, p))
-	for _, want := range []string{"Table 4", "Normal Execution", "l·s", "2·s·a", "60.0000"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("FormatTable missing %q:\n%s", want, out)
-		}
 	}
 }
 

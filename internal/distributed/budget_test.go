@@ -40,7 +40,7 @@ func budgetAgent(t *testing.T) (*Agent, *model.Schema) {
 // TestReplicaAllocBudget: a replica built by its first StepExecute packet,
 // including the merge, a merge of a packet it already holds, and a
 // HaltThread on a replica with no done epoch stay within their budgets; the
-// invalidation set of a frozen schema costs nothing.
+// invalidation set of a validated schema costs nothing.
 func TestReplicaAllocBudget(t *testing.T) {
 	a, s := budgetAgent(t)
 	data := map[string]expr.Value{"WF.I1": expr.Num(1), "A.O1": expr.Num(2)}
@@ -75,7 +75,7 @@ func TestReplicaAllocBudget(t *testing.T) {
 			t.Errorf("a HaltThread with no done epoch: %.0f allocs, budget %d", halt, haltAllocs)
 		}
 		if set > 0 {
-			t.Errorf("nav.InvalidationSet on a frozen schema: %.0f allocs, want 0", set)
+			t.Errorf("nav.InvalidationSet on a validated schema: %.0f allocs, want 0", set)
 		}
 	})
 }
@@ -112,7 +112,7 @@ func TestReplicaReuseAllocBudget(t *testing.T) {
 }
 
 // TestInvalidationSetsSurviveRollbacks runs rollbacks and the HaltThread
-// probes they send on a frozen schema, then checks every invalidation set the
+// probes they send on a validated schema, then checks every invalidation set the
 // schema caches: it still equals a fresh walk of the graph, its cap is its
 // len, and an append to it leaves the cache as it was.
 func TestInvalidationSetsSurviveRollbacks(t *testing.T) {

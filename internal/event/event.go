@@ -100,28 +100,6 @@ func StepOfDone(name string) string {
 	return ""
 }
 
-// KindOfName infers the event kind from a canonical name.
-func KindOfName(name string) Kind {
-	switch {
-	case IsExternalName(name):
-		return External
-	case name == WorkflowStartName:
-		return WorkflowStart
-	case name == WorkflowDoneName:
-		return WorkflowDone
-	case name == WorkflowAbortName:
-		return WorkflowAbort
-	case strings.HasSuffix(name, ".done"):
-		return StepDone
-	case strings.HasSuffix(name, ".fail"):
-		return StepFail
-	case strings.HasSuffix(name, ".compensated"):
-		return StepCompensated
-	default:
-		return External
-	}
-}
-
 // entry records an event occurrence. count counts total occurrences (loops
 // re-post step.done on every iteration); valid marks whether the latest
 // occurrence is still valid or has been invalidated by a rollback.
@@ -253,22 +231,6 @@ func (t *Table) ValidNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Merge posts the events in names (as delivered by an incoming workflow
-// packet) that are not already valid, and returns how many were new. Events
-// that are already valid are left untouched — in particular their occurrence
-// counts do not grow, so rules do not re-fire just because state information
-// was re-received.
-func (t *Table) Merge(names []string) int {
-	n := 0
-	for _, name := range names {
-		if !t.Has(name) {
-			t.Post(name)
-			n++
-		}
-	}
-	return n
 }
 
 // Seq returns a counter that changes on every table mutation.

@@ -44,24 +44,6 @@ func TestStepOfDone(t *testing.T) {
 	}
 }
 
-func TestKindOfName(t *testing.T) {
-	cases := map[string]Kind{
-		"WF.start":          WorkflowStart,
-		"WF.done":           WorkflowDone,
-		"WF.abort":          WorkflowAbort,
-		"S1.done":           StepDone,
-		"S1.fail":           StepFail,
-		"S1.compensated":    StepCompensated,
-		"ext:WF2.1:S3.done": External,
-		"something":         External,
-	}
-	for name, want := range cases {
-		if got := KindOfName(name); got != want {
-			t.Errorf("KindOfName(%q) = %v, want %v", name, got, want)
-		}
-	}
-}
-
 func TestKindString(t *testing.T) {
 	for _, k := range []Kind{WorkflowStart, StepDone, StepFail, StepCompensated, WorkflowDone, WorkflowAbort, External} {
 		if k.String() == "" || strings.HasPrefix(k.String(), "Kind(") {
@@ -148,20 +130,6 @@ func TestValidNamesSortedAndLen(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	tab := NewTable()
-	tab.Post("a")
-	n := tab.Merge([]string{"a", "b", "c"})
-	if n != 2 {
-		t.Errorf("Merge new count = %d, want 2", n)
-	}
-	for _, name := range []string{"a", "b", "c"} {
-		if !tab.Has(name) {
-			t.Errorf("after Merge missing %q", name)
-		}
-	}
-}
-
 func TestSeqChangesOnMutation(t *testing.T) {
 	tab := NewTable()
 	s0 := tab.Seq()
@@ -226,35 +194,6 @@ func TestPropertyTableConsistency(t *testing.T) {
 			}
 		}
 		return tab.Len() == valid
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Merge is idempotent — merging the same names twice yields the
-// same table as merging once.
-func TestPropertyMergeIdempotent(t *testing.T) {
-	f := func(raw []uint8) bool {
-		names := make([]string, len(raw))
-		for i, r := range raw {
-			names[i] = string(rune('a' + r%6))
-		}
-		t1 := NewTable()
-		t1.Merge(names)
-		t2 := NewTable()
-		t2.Merge(names)
-		t2.Merge(names)
-		v1, v2 := t1.ValidNames(), t2.ValidNames()
-		if len(v1) != len(v2) {
-			return false
-		}
-		for i := range v1 {
-			if v1[i] != v2[i] {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -11,8 +11,8 @@ import (
 )
 
 // detDefaultPackages lists the packages whose outputs must be a pure
-// function of their inputs and seeds: the workflow model and its frozen
-// schema caches, the rule engine (indexed/scan parity demands identical
+// function of their inputs and seeds: the workflow model and its schema
+// index, the rule engine (indexed/scan parity demands identical
 // firing order), the analytical tables, the sharded instance tables, and
 // fault-plan construction. A package outside this list opts in by carrying
 // a //crew:deterministic comment in any of its files.

@@ -1,97 +1,37 @@
 package model
 
-import "sort"
-
-// The derived graph views below are answered from the frozen index when the
-// schema has been validated (see index.go); the compute* fallbacks preserve
-// the original from-scratch semantics for unvalidated schemas. Returned
-// slices and maps may be shared cache entries: callers must not mutate them.
+// The derived graph views below answer from the schema's index (see
+// index.go). Returned slices and maps are shared: callers must not mutate
+// them.
 
 // StartSteps returns the steps with no incoming (non-loop) control arc: the
 // steps triggered directly by the workflow.start event. Order follows
 // definition order.
 func (s *Schema) StartSteps() []StepID {
-	if ix := s.index(); ix != nil {
-		return ix.starts
-	}
-	hasIn := make(map[StepID]bool)
-	for _, a := range s.Arcs {
-		if a.Kind == Control && !a.Loop {
-			hasIn[a.To] = true
-		}
-	}
-	var out []StepID
-	for _, id := range s.Order {
-		if !hasIn[id] {
-			out = append(out, id)
-		}
-	}
-	return out
+	return s.index().starts
 }
 
 // TerminalSteps returns the steps with no outgoing (non-loop) control arc:
 // the last step along each path. Their agents act as termination agents and
 // report StepCompleted to the coordination agent.
 func (s *Schema) TerminalSteps() []StepID {
-	if ix := s.index(); ix != nil {
-		return ix.terminals
-	}
-	hasOut := make(map[StepID]bool)
-	for _, a := range s.Arcs {
-		if a.Kind == Control && !a.Loop {
-			hasOut[a.From] = true
-		}
-	}
-	var out []StepID
-	for _, id := range s.Order {
-		if !hasOut[id] {
-			out = append(out, id)
-		}
-	}
-	return out
+	return s.index().terminals
 }
 
 // ControlSuccessors returns the non-loop control successors of a step, with
 // the arcs (so callers can evaluate branch conditions), in arc order.
 func (s *Schema) ControlSuccessors(id StepID) []Arc {
-	if ix := s.index(); ix != nil {
-		return ix.succ[id]
-	}
-	var out []Arc
-	for _, a := range s.Arcs {
-		if a.Kind == Control && !a.Loop && a.From == id {
-			out = append(out, a)
-		}
-	}
-	return out
+	return s.index().succ[id]
 }
 
 // LoopArcs returns the loop back-arcs out of a step.
 func (s *Schema) LoopArcs(id StepID) []Arc {
-	if ix := s.index(); ix != nil {
-		return ix.loops[id]
-	}
-	var out []Arc
-	for _, a := range s.Arcs {
-		if a.Kind == Control && a.Loop && a.From == id {
-			out = append(out, a)
-		}
-	}
-	return out
+	return s.index().loops[id]
 }
 
 // ControlPredecessors returns the non-loop control predecessors of a step.
 func (s *Schema) ControlPredecessors(id StepID) []StepID {
-	if ix := s.index(); ix != nil {
-		return ix.preds[id]
-	}
-	var out []StepID
-	for _, a := range s.Arcs {
-		if a.Kind == Control && !a.Loop && a.To == id {
-			out = append(out, a.From)
-		}
-	}
-	return out
+	return s.index().preds[id]
 }
 
 // IsBranching reports whether the step's outgoing control arcs form an
@@ -132,49 +72,15 @@ func (s *Schema) IsConfluence(id StepID) bool {
 
 // Descendants returns every step reachable from id by non-loop control arcs,
 // excluding id itself. This is the set of steps whose events a HaltThread /
-// rollback starting at id must invalidate. The result may be a shared cache
-// entry: treat it as read-only.
+// rollback starting at id must invalidate.
 func (s *Schema) Descendants(id StepID) map[StepID]bool {
-	if ix := s.index(); ix != nil {
-		if d, ok := ix.desc[id]; ok {
-			return d
-		}
-	}
-	out := make(map[StepID]bool)
-	var visit func(StepID)
-	visit = func(cur StepID) {
-		for _, a := range s.ControlSuccessors(cur) {
-			if !out[a.To] {
-				out[a.To] = true
-				visit(a.To)
-			}
-		}
-	}
-	visit(id)
-	return out
+	return s.index().desc[id]
 }
 
-// OrderedDescendants is Descendants in schema order. A frozen schema answers
-// from its index with a slice whose cap is its len, so an append copies it;
-// the slice is shared: treat it as read-only.
+// OrderedDescendants is Descendants in schema order, in a slice whose cap is
+// its len, so an append copies it.
 func (s *Schema) OrderedDescendants(id StepID) []StepID {
-	if ix := s.index(); ix != nil {
-		if d, ok := ix.descOrd[id]; ok {
-			return d
-		}
-	}
-	return s.inOrder(s.Descendants(id))
-}
-
-// inOrder lists the members of set in schema order, in a slice of cap len.
-func (s *Schema) inOrder(set map[StepID]bool) []StepID {
-	out := make([]StepID, 0, len(set))
-	for _, id := range s.Order {
-		if set[id] {
-			out = append(out, id)
-		}
-	}
-	return out
+	return s.index().descOrd[id]
 }
 
 // DescendantsInclusive is Descendants plus the origin itself. The result is
@@ -241,100 +147,20 @@ func (s *Schema) LoopBody(head, tail StepID) []StepID {
 // given step's inputs. The rule triggering a step requires step.done events
 // from these steps in addition to its control predecessors.
 func (s *Schema) DataSourceSteps(id StepID) []StepID {
-	if ix := s.index(); ix != nil {
-		return ix.dataSrc[id]
-	}
-	return s.computeDataSourceSteps(id)
-}
-
-func (s *Schema) computeDataSourceSteps(id StepID) []StepID {
-	st := s.Steps[id]
-	if st == nil {
-		return nil
-	}
-	set := make(map[StepID]bool)
-	for _, in := range st.Inputs {
-		for _, cand := range s.Order {
-			if cand == id {
-				continue
-			}
-			for _, out := range s.Steps[cand].Outputs {
-				if cand.Ref(out) == in {
-					set[cand] = true
-				}
-			}
-		}
-	}
-	var out []StepID
-	for _, cand := range s.Order {
-		if set[cand] {
-			out = append(out, cand)
-		}
-	}
-	return out
+	return s.index().dataSrc[id]
 }
 
 // ProducerOf returns the step that produces the named data item, or "" if the
 // item is a workflow input or unknown.
 func (s *Schema) ProducerOf(item string) StepID {
-	if ix := s.index(); ix != nil {
-		return ix.producer[item]
-	}
-	for _, id := range s.Order {
-		for _, out := range s.Steps[id].Outputs {
-			if id.Ref(out) == item {
-				return id
-			}
-		}
-	}
-	return ""
+	return s.index().producer[item]
 }
 
 // TopoOrder returns the steps in a topological order of the non-loop control
 // graph. Validation guarantees acyclicity, so this always covers all steps;
 // ties break by definition order.
 func (s *Schema) TopoOrder() []StepID {
-	if ix := s.index(); ix != nil {
-		return ix.topo
-	}
-	return s.computeTopoOrder()
-}
-
-func (s *Schema) computeTopoOrder() []StepID {
-	indeg := make(map[StepID]int, len(s.Steps))
-	for _, id := range s.Order {
-		indeg[id] = 0
-	}
-	for _, a := range s.Arcs {
-		if a.Kind == Control && !a.Loop {
-			indeg[a.To]++
-		}
-	}
-	// Ready queue kept sorted by definition order index.
-	pos := make(map[StepID]int, len(s.Order))
-	for i, id := range s.Order {
-		pos[id] = i
-	}
-	var ready []StepID
-	for _, id := range s.Order {
-		if indeg[id] == 0 {
-			ready = append(ready, id)
-		}
-	}
-	var out []StepID
-	for len(ready) > 0 {
-		sort.Slice(ready, func(i, j int) bool { return pos[ready[i]] < pos[ready[j]] })
-		cur := ready[0]
-		ready = ready[1:]
-		out = append(out, cur)
-		for _, a := range s.ControlSuccessors(cur) {
-			indeg[a.To]--
-			if indeg[a.To] == 0 {
-				ready = append(ready, a.To)
-			}
-		}
-	}
-	return out
+	return s.index().topo
 }
 
 // PathExists reports whether a non-loop control path leads from a to b.
@@ -343,20 +169,4 @@ func (s *Schema) PathExists(a, b StepID) bool {
 		return true
 	}
 	return s.Descendants(a)[b]
-}
-
-// ExecutedBefore reports whether step a precedes step b in the given
-// execution order (a slice of step IDs in completion order). Used to
-// compensate dependent sets in reverse execution order.
-func ExecutedBefore(order []StepID, a, b StepID) bool {
-	ia, ib := -1, -1
-	for i, id := range order {
-		if id == a && ia < 0 {
-			ia = i
-		}
-		if id == b && ib < 0 {
-			ib = i
-		}
-	}
-	return ia >= 0 && ib >= 0 && ia < ib
 }

@@ -229,7 +229,7 @@ func TestPropertyLinearChains(t *testing.T) {
 	}
 }
 
-// TestNameTable: a frozen schema's name table lists, in schema order and
+// TestNameTable: a schema's name table lists, in schema order and
 // each once, the step ids, the workflow inputs, each output's full and short
 // name, the workflow events and each step's events. Its digest changes when
 // any name changes and not otherwise.
@@ -270,7 +270,7 @@ func TestNameTable(t *testing.T) {
 		}
 	}
 	s.AddStep(&Step{ID: "S3", Program: "p"})
-	if s.Names() != nil {
+	if s.Names().Digest() == d {
 		t.Error("a mutated schema kept its name table")
 	}
 }

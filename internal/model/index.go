@@ -1,6 +1,7 @@
 package model
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -9,16 +10,17 @@ import (
 	"crew/internal/expr"
 )
 
-// graphIndex caches every derived view of a schema's control graph, plus the
-// compiled form of every condition expression appearing in the schema. The
-// engines re-derive these views on every rule-evaluation round, which made
-// graph traversal and expression compilation the dominant allocators on the
-// hot path; a frozen schema answers them from the index instead.
+// graphIndex holds every derived view of a schema: its control graph's
+// successors, predecessors, starts, terminals, descendants and topological
+// order, its data producers, the compiled form of every condition expression
+// and the interned per-step names. The engines read these views on every
+// rule-evaluation round, so each is computed once per version of the schema.
 //
-// The index is built by freeze() when validation succeeds and is dropped by
-// any schema mutation (AddStep/AddArc), so an index, once observed, always
-// matches the schema. Cached slices and maps are shared with callers and
-// must be treated as read-only.
+// A schema has one index per version. Validate builds it after its
+// structural checks, and its graph checks read it; a schema that was never
+// validated builds it at its first read. AddStep and AddArc drop it, so an
+// index, once observed, always matches the schema. Its slices and maps are
+// shared with every caller and must be treated as read-only.
 type graphIndex struct {
 	succ      map[StepID][]Arc
 	loops     map[StepID][]Arc
@@ -59,17 +61,22 @@ type graphIndex struct {
 // the intent explicit).
 type idxHolder = atomic.Pointer[graphIndex]
 
-// index returns the frozen graph index, or nil if the schema has been
-// mutated since the last successful validation.
-func (s *Schema) index() *graphIndex { return s.idx.Load() }
+// index returns the schema's graph index, building it at the first read of
+// this version of the schema.
+func (s *Schema) index() *graphIndex {
+	if ix := s.idx.Load(); ix != nil {
+		return ix
+	}
+	return s.buildIndex()
+}
 
-// invalidateIndex drops the cached index after a mutation.
+// invalidateIndex drops the index after a mutation.
 func (s *Schema) invalidateIndex() { s.idx.Store(nil) }
 
-// freeze (re)builds the graph index. Validate calls it on success; until
-// then every accessor computes its answer from scratch, so schemas that are
-// never validated keep the original semantics.
-func (s *Schema) freeze() {
+// buildIndex builds the index of the schema as it stands and stores it by
+// compare-and-swap: when several goroutines make the first read at once,
+// each gets the one index that was stored.
+func (s *Schema) buildIndex() *graphIndex {
 	ix := &graphIndex{
 		succ:     make(map[StepID][]Arc, len(s.Steps)),
 		loops:    map[StepID][]Arc{},
@@ -85,6 +92,11 @@ func (s *Schema) freeze() {
 		refs:     make(map[StepID]map[string]string, len(s.Steps)),
 	}
 	for _, a := range s.Arcs {
+		if a.Cond != "" && ix.conds[a.Cond] == nil {
+			if e, err := expr.Compile(a.Cond); err == nil {
+				ix.conds[a.Cond] = e
+			}
+		}
 		if a.Kind != Control {
 			continue
 		}
@@ -95,63 +107,113 @@ func (s *Schema) freeze() {
 			ix.preds[a.To] = append(ix.preds[a.To], a.From)
 		}
 	}
+	ix.data = len(s.Inputs)
 	for _, id := range s.Order {
+		ix.doneEv[id] = event.DoneName(string(id))
+		ix.failEv[id] = event.FailName(string(id))
+		ix.compEv[id] = event.CompensatedName(string(id))
+		st := s.Steps[id]
+		if st == nil { // an order entry with no step: Validate rejects it
+			continue
+		}
 		if len(ix.preds[id]) == 0 {
 			ix.starts = append(ix.starts, id)
 		}
 		if len(ix.succ[id]) == 0 {
 			ix.terminals = append(ix.terminals, id)
 		}
-	}
-	for _, id := range s.Order {
-		out := make(map[StepID]bool)
-		var visit func(StepID)
-		visit = func(cur StepID) {
-			for _, a := range ix.succ[cur] {
-				if !out[a.To] {
-					out[a.To] = true
-					visit(a.To)
-				}
-			}
-		}
-		visit(id)
-		ix.desc[id] = out
-		ix.descOrd[id] = s.inOrder(out)
-		if src := s.computeDataSourceSteps(id); src != nil {
-			ix.dataSrc[id] = src
-		}
-		ix.doneEv[id] = event.DoneName(string(id))
-		ix.failEv[id] = event.FailName(string(id))
-		ix.compEv[id] = event.CompensatedName(string(id))
-		if outs := s.Steps[id].Outputs; len(outs) > 0 {
-			rf := make(map[string]string, len(outs))
-			for _, out := range outs {
+		ix.data += len(st.Outputs)
+		if len(st.Outputs) > 0 {
+			rf := make(map[string]string, len(st.Outputs))
+			for _, out := range st.Outputs {
 				full := id.Ref(out)
 				rf[out] = full
 				ix.producer[full] = id
 			}
 			ix.refs[id] = rf
 		}
-		if rc := s.Steps[id].ReexecCond; rc != "" {
+		if rc := st.ReexecCond; rc != "" && ix.conds[rc] == nil {
 			if e, err := expr.Compile(rc); err == nil {
 				ix.conds[rc] = e
 			}
 		}
 	}
-	for _, a := range s.Arcs {
-		if a.Cond == "" {
+	ix.steps, ix.events = len(s.Order), len(s.Order)+1
+	for _, id := range s.Order {
+		st := s.Steps[id]
+		if st == nil {
 			continue
 		}
-		if _, ok := ix.conds[a.Cond]; ok {
-			continue
+		desc := map[StepID]bool{}
+		ix.visit(id, desc)
+		ix.desc[id] = desc
+		ix.descOrd[id] = s.inOrder(desc)
+		src := map[StepID]bool{}
+		for _, in := range st.Inputs {
+			if p, ok := ix.producer[in]; ok && p != id {
+				src[p] = true
+			}
 		}
-		if e, err := expr.Compile(a.Cond); err == nil {
-			ix.conds[a.Cond] = e
+		if len(src) > 0 {
+			ix.dataSrc[id] = s.inOrder(src)
 		}
 	}
-	ix.topo = s.computeTopoOrder()
-	ix.steps, ix.data, ix.events = s.computeTableSizes()
-	s.idx.Store(ix)
+	ix.topo = s.topoOrder(ix)
+	if !s.idx.CompareAndSwap(nil, ix) {
+		return s.idx.Load()
+	}
+	return ix
+}
+
+// visit adds every step reachable from cur by non-loop control arcs to out.
+func (ix *graphIndex) visit(cur StepID, out map[StepID]bool) {
+	for _, a := range ix.succ[cur] {
+		if !out[a.To] {
+			out[a.To] = true
+			ix.visit(a.To, out)
+		}
+	}
+}
+
+// inOrder lists the members of set in schema order, in a slice of cap len.
+func (s *Schema) inOrder(set map[StepID]bool) []StepID {
+	out := make([]StepID, 0, len(set))
+	for _, id := range s.Order {
+		if set[id] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// topoOrder lists the steps in a topological order of the non-loop control
+// graph, ties broken by definition order. A cyclic graph leaves the steps
+// on and after a cycle out.
+func (s *Schema) topoOrder(ix *graphIndex) []StepID {
+	indeg := make(map[StepID]int, len(s.Order))
+	pos := make(map[StepID]int, len(s.Order))
+	var ready []StepID
+	for i, id := range s.Order {
+		pos[id] = i
+		indeg[id] = len(ix.preds[id])
+		if indeg[id] == 0 {
+			ready = append(ready, id)
+		}
+	}
+	var out []StepID
+	for len(ready) > 0 {
+		sort.Slice(ready, func(i, j int) bool { return pos[ready[i]] < pos[ready[j]] })
+		cur := ready[0]
+		ready = ready[1:]
+		out = append(out, cur)
+		for _, a := range ix.succ[cur] {
+			indeg[a.To]--
+			if indeg[a.To] == 0 {
+				ready = append(ready, a.To)
+			}
+		}
+	}
+	return out
 }
 
 // nameTable lists every name an instance row of the schema can hold, in
@@ -167,8 +229,10 @@ func (s *Schema) nameTable(ix *graphIndex) *binenc.Names {
 		names = append(names, WorkflowInput(in))
 	}
 	for _, id := range s.Order {
-		for _, out := range s.Steps[id].Outputs {
-			names = append(names, ix.refs[id][out], out)
+		if st := s.Steps[id]; st != nil {
+			for _, out := range st.Outputs {
+				names = append(names, ix.refs[id][out], out)
+			}
 		}
 	}
 	names = append(names, event.WorkflowStartName, event.WorkflowDoneName, event.WorkflowAbortName)
@@ -176,111 +240,77 @@ func (s *Schema) nameTable(ix *graphIndex) *binenc.Names {
 		names = append(names, ix.doneEv[id], ix.failEv[id], ix.compEv[id])
 	}
 	for _, id := range s.Order {
-		names = append(names, s.Steps[id].EligibleAgents...)
+		if st := s.Steps[id]; st != nil {
+			names = append(names, st.EligibleAgents...)
+		}
 	}
 	return binenc.NewNames(names)
 }
 
-// Names returns the frozen schema's name table, which instance rows write
-// names as indexes into, or nil if the schema is not frozen.
+// Names returns the schema's name table, which instance rows write names as
+// indexes into.
 func (s *Schema) Names() *binenc.Names {
 	ix := s.index()
-	if ix == nil {
-		return nil
-	}
 	ix.namesOnce.Do(func() { ix.names = s.nameTable(ix) })
 	return ix.names
 }
-
-// Frozen reports whether the schema carries a valid graph index (validated
-// and unmutated since).
-func (s *Schema) Frozen() bool { return s.index() != nil }
 
 // TableSizes returns how many step records, data items and events one
 // failure-free run of the schema leaves in an instance's tables: a record
 // and a done event per step, the workflow start, and every workflow input
 // and declared step output. Instances size their tables from it.
 func (s *Schema) TableSizes() (steps, data, events int) {
-	if ix := s.index(); ix != nil {
-		return ix.steps, ix.data, ix.events
-	}
-	return s.computeTableSizes()
-}
-
-func (s *Schema) computeTableSizes() (steps, data, events int) {
-	data = len(s.Inputs)
-	for _, id := range s.Order {
-		if st := s.Steps[id]; st != nil {
-			data += len(st.Outputs)
-		}
-	}
-	return len(s.Order), data, len(s.Order) + 1
+	ix := s.index()
+	return ix.steps, ix.data, ix.events
 }
 
 // TemplateCache returns the schema's opaque memoization slot for derived
 // per-schema artifacts (the rules package stores the compiled rule program
-// there), or nil if the schema is not frozen. All stores must use one
-// concrete type.
-func (s *Schema) TemplateCache() *atomic.Value {
-	if ix := s.index(); ix != nil {
-		return &ix.ruleCache
-	}
-	return nil
-}
+// there). All stores must use one concrete type.
+func (s *Schema) TemplateCache() *atomic.Value { return &s.index().ruleCache }
 
-// DoneEventOf returns the step.done event name of a step, interned for
-// frozen schemas.
+// DoneEventOf returns the step.done event name of a step, interned for the
+// schema's steps.
 func (s *Schema) DoneEventOf(id StepID) string {
-	if ix := s.index(); ix != nil {
-		if n, ok := ix.doneEv[id]; ok {
-			return n
-		}
+	if n, ok := s.index().doneEv[id]; ok {
+		return n
 	}
 	return event.DoneName(string(id))
 }
 
-// FailEventOf returns the step.fail event name of a step, interned for
-// frozen schemas.
+// FailEventOf returns the step.fail event name of a step, interned for the
+// schema's steps.
 func (s *Schema) FailEventOf(id StepID) string {
-	if ix := s.index(); ix != nil {
-		if n, ok := ix.failEv[id]; ok {
-			return n
-		}
+	if n, ok := s.index().failEv[id]; ok {
+		return n
 	}
 	return event.FailName(string(id))
 }
 
 // CompEventOf returns the step.compensated event name of a step, interned
-// for frozen schemas.
+// for the schema's steps.
 func (s *Schema) CompEventOf(id StepID) string {
-	if ix := s.index(); ix != nil {
-		if n, ok := ix.compEv[id]; ok {
-			return n
-		}
+	if n, ok := s.index().compEv[id]; ok {
+		return n
 	}
 	return event.CompensatedName(string(id))
 }
 
 // OutputRef returns the full data-table name of a step's declared output,
-// interned for frozen schemas.
+// interned for the schema's declared outputs.
 func (s *Schema) OutputRef(id StepID, short string) string {
-	if ix := s.index(); ix != nil {
-		if n, ok := ix.refs[id][short]; ok {
-			return n
-		}
+	if n, ok := s.index().refs[id][short]; ok {
+		return n
 	}
 	return id.Ref(short)
 }
 
 // CondExpr returns the compiled form of a condition source appearing in the
-// schema (arc conditions, loop conditions, re-execution conditions). Frozen
-// schemas answer from the compilation cache; unvalidated schemas (or sources
-// not present in the schema text) compile afresh.
+// schema (arc conditions, loop conditions, re-execution conditions) from
+// the index; a source the schema does not hold compiles afresh.
 func (s *Schema) CondExpr(src string) (*expr.Expr, error) {
-	if ix := s.index(); ix != nil {
-		if e, ok := ix.conds[src]; ok {
-			return e, nil
-		}
+	if e, ok := s.index().conds[src]; ok {
+		return e, nil
 	}
 	return expr.Compile(src)
 }

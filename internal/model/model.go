@@ -172,8 +172,10 @@ type Schema struct {
 	// compensable step is compensated.
 	AbortCompensate []StepID
 
-	// idx caches the derived graph views and compiled conditions; set by
-	// freeze() on successful validation, dropped by mutation (see index.go).
+	// idx holds the derived graph views and compiled conditions, built by
+	// Validate or at the first read and dropped by AddStep and AddArc (see
+	// index.go). Once a view has been read, change the schema only through
+	// those two.
 	idx idxHolder
 }
 

@@ -244,16 +244,3 @@ func TestSortedAgents(t *testing.T) {
 		}
 	}
 }
-
-func TestExecutedBefore(t *testing.T) {
-	order := []StepID{"S1", "S2", "S3"}
-	if !ExecutedBefore(order, "S1", "S3") {
-		t.Error("S1 before S3 expected")
-	}
-	if ExecutedBefore(order, "S3", "S1") {
-		t.Error("S3 before S1 unexpected")
-	}
-	if ExecutedBefore(order, "S1", "SX") {
-		t.Error("missing step should be false")
-	}
-}

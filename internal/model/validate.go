@@ -29,6 +29,9 @@ func (e *ValidationError) Error() string {
 //     belongs to two sets;
 //   - failure policies roll back to steps that can reach the failing step;
 //   - step inputs that name another step's output have a matching producer.
+//
+// The graph checks, after the structural ones, read the schema's index; the
+// first builds it unless an earlier read did.
 func (s *Schema) Validate() error {
 	var probs []string
 	add := func(format string, args ...any) {
@@ -97,13 +100,14 @@ func (s *Schema) Validate() error {
 	}
 
 	if len(probs) == 0 { // graph checks only on structurally sane schemas
-		if cyc := s.findControlCycle(); cyc != nil {
+		ix := s.index()
+		if cyc := s.findControlCycle(ix); cyc != nil {
 			add("control graph has a cycle: %v (mark back arcs Loop)", cyc)
 		}
-		if len(s.StartSteps()) == 0 {
+		if len(ix.starts) == 0 {
 			add("no start step (every step has an incoming control arc)")
 		}
-		if len(s.TerminalSteps()) == 0 {
+		if len(ix.terminals) == 0 {
 			add("no terminal step (every step has an outgoing control arc)")
 		}
 		for _, a := range s.Arcs {
@@ -168,12 +172,11 @@ func (s *Schema) Validate() error {
 	if len(probs) > 0 {
 		return &ValidationError{Subject: "schema " + s.Name, Problems: probs}
 	}
-	s.freeze()
 	return nil
 }
 
 // findControlCycle returns a cycle in the non-loop control graph, or nil.
-func (s *Schema) findControlCycle() []StepID {
+func (s *Schema) findControlCycle(ix *graphIndex) []StepID {
 	const (
 		white = 0
 		gray  = 1
@@ -186,7 +189,7 @@ func (s *Schema) findControlCycle() []StepID {
 	visit = func(id StepID) bool {
 		color[id] = gray
 		stack = append(stack, id)
-		for _, a := range s.ControlSuccessors(id) {
+		for _, a := range ix.succ[id] {
 			switch color[a.To] {
 			case gray:
 				// found: slice the stack from a.To

@@ -117,9 +117,8 @@ func anyExecuted(ins *wfdb.Instance, steps []model.StepID) bool {
 // InvalidationSet returns the steps whose events a rollback to origin must
 // invalidate: every (non-loop) control descendant of origin, in schema order.
 // The origin itself is re-executed through the OCR path, so its done event is
-// also invalidated when reset is requested by the caller. On a frozen schema
-// the slice is the schema's (Schema.OrderedDescendants): read-only, and an
-// append copies it.
+// also invalidated when reset is requested by the caller. The slice is the
+// schema's (Schema.OrderedDescendants): read-only, and an append copies it.
 func InvalidationSet(s *model.Schema, origin model.StepID) []model.StepID {
 	return s.OrderedDescendants(origin)
 }

@@ -152,25 +152,22 @@ func generateStepRules(s *model.Schema, id model.StepID) []*Rule {
 
 // SchemaProgram returns the schema's compiled rules: the execution rules
 // of every step, in definition order. This is the general-rule table every
-// new workflow instance of the schema loads. A frozen schema compiles it
-// once and keeps it in its TemplateCache slot; a mutated or unvalidated one
-// compiles it per call.
+// new workflow instance of the schema loads. It is compiled once per version
+// of the schema and kept in the schema's TemplateCache slot; callers that
+// compile it at once all get the one that was stored first.
 func SchemaProgram(s *model.Schema) *Program {
 	slot := s.TemplateCache()
-	if slot != nil {
-		if v := slot.Load(); v != nil {
-			return v.(*Program)
-		}
+	if v := slot.Load(); v != nil {
+		return v.(*Program)
 	}
 	var all []*Rule
 	for _, id := range s.Order {
 		all = append(all, generateStepRules(s, id)...)
 	}
-	p := Compile(all)
-	if slot != nil {
-		slot.Store(p)
+	if p := Compile(all); slot.CompareAndSwap(nil, p) {
+		return p
 	}
-	return p
+	return slot.Load().(*Program)
 }
 
 // InstallSchemaRules loads the schema's program into an engine.

@@ -195,10 +195,10 @@ func TestSchemaRulesAndInstall(t *testing.T) {
 	if len(rs) != 7 {
 		t.Fatalf("SchemaProgram = %d rules, want 7", len(rs))
 	}
-	// Compiled once per frozen schema; StepRules are windows of it, in
+	// Compiled once per version of the schema; StepRules are windows of it, in
 	// schema order.
 	if SchemaProgram(s) != p {
-		t.Error("a frozen schema's program is compiled again")
+		t.Error("a schema's program is compiled again")
 	}
 	var union []*Rule
 	for _, id := range s.Order {

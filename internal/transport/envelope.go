@@ -151,6 +151,3 @@ func (b *Batcher) Flush() error {
 	b.dests = b.dests[:0]
 	return firstErr
 }
-
-// Pending reports the number of destinations with unflushed messages.
-func (b *Batcher) Pending() int { return len(b.dests) }

@@ -43,21 +43,19 @@ const (
 // that table in the walker's name slot: a step id, data name or event name
 // the table holds is written as its index. The names table holds each table
 // once, under its digest in hex, so decoding needs only the store. An
-// instance with no frozen schema has the empty table, digest 0, which is
-// never stored: every name in its rows is a literal.
+// instance with no schema (NewInstance) has the empty table, digest 0, which
+// is never stored: every name in its rows is a literal.
 
 // headerLen is the length of an instance row's version byte and digest.
 const headerLen = 9
 
-// emptyNames is the name table of an instance with no frozen schema.
+// emptyNames is the name table of an instance with no schema.
 var emptyNames = binenc.NewNames(nil)
 
 // names returns the table ins's rows write names into.
 func (ins *Instance) names() *binenc.Names {
 	if ins.schema != nil {
-		if n := ins.schema.Names(); n != nil {
-			return n
-		}
+		return ins.schema.Names()
 	}
 	return emptyNames
 }

@@ -475,7 +475,7 @@ func TestReuseIsNewInstanceOf(t *testing.T) {
 	}
 }
 
-// TestFreshInstanceAllocBudget: an instance of a frozen ten-step schema,
+// TestFreshInstanceAllocBudget: an instance of a validated ten-step schema,
 // with a record for every step, costs its struct, its tables, its execution
 // order, its record block and the name of its input; the records cost
 // nothing more.

@@ -128,7 +128,7 @@ func DriveRange(t Target, w *Workload, from, instances int, timeout time.Duratio
 	} else {
 		for _, wf := range w.Library.Names() {
 			for i := 0; i < instances; i++ {
-				id, err := t.Start(wf, w.Inputs(i))
+				id, err := t.Start(wf, w.Inputs(from+i-1))
 				if err != nil {
 					return res, fmt.Errorf("workload: start %s: %w", wf, err)
 				}
